@@ -89,7 +89,7 @@ def test_pdt_propagation_tail_vs_full(benchmark):
         "v": np.zeros(500, np.int64),
     }, trans)
     table.pdt[0].commit(trans)
-    table.hdfs.reset_counters()
+    table.hdfs.registry.reset("hdfs_")
     t0 = time.perf_counter()
     mode = table.propagate(0)
     tail_time = time.perf_counter() - t0
@@ -103,7 +103,7 @@ def test_pdt_propagation_tail_vs_full(benchmark):
     res = table2.scan_merged(0, ["k"], trans=trans)
     table2.delete_rows(0, res.identities[:500], trans)
     table2.pdt[0].commit(trans)
-    table2.hdfs.reset_counters()
+    table2.hdfs.registry.reset("hdfs_")
     t0 = time.perf_counter()
     mode = table2.propagate(0)
     full_time = time.perf_counter() - t0

@@ -130,7 +130,7 @@ def test_fig1b_data_read(env, benchmark):
     shape_ok = []
     for sel, cutoff in env["cutoffs"].items():
         read = {}
-        hdfs.reset_counters()
+        hdfs.registry.reset("hdfs_")
         _vectorh_query(env, cutoff, pool=None)
         read["vectorh"] = hdfs.total_bytes_read()
         for name in ("orc", "parquet", "noskip"):

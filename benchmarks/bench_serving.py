@@ -1,4 +1,4 @@
-"""Serving benchmark: multi-tenant fairness and the snapshot-epoch caches.
+"""Serving benchmark: multi-tenant fairness and the snapshot-epoch cache.
 
 Drives 1200 simulated clients -- each its own server connection --
 across three tenants with 2:1:1 weights (client counts skewed the same
@@ -13,7 +13,7 @@ way) against a saturated 4-node cluster:
   throughput and across per-client completion within each tenant.
 * **cache phase** -- 300 more clients replay three hot statements
   (half simple protocol, half prepared parse/bind/execute), measuring
-  result- and plan-cache hit rates.
+  the result-cache hit rate.
 * **epoch phase** -- a cold run, a cache hit (asserted bit-identical),
   a committing writer bumping the table's epoch, and the forced
   recompute at the new epoch.
@@ -123,22 +123,14 @@ def _run_scenario() -> dict:
         for name in window
     }
 
-    # -- cache phase: a warm connection plans and executes each hot
-    # statement cold; re-running the prepared params after clearing the
-    # result cache exercises the plan cache, and refills the result
-    # cache so the 300 replay clients below are answered without
-    # touching the executor at all
+    # -- cache phase: a warm connection executes each hot statement
+    # cold, filling the result cache so the 300 replay clients below
+    # are answered without touching the executor at all
     warm = srv.connect(tenant="gold")
     warm.parse("hot", HOT_TEMPLATE)
     for params in HOT_PARAMS:
         warm.bind("hot", params)
         warm.execute()
-    srv.result_cache.clear()
-    plan_hits_before = srv.plan_cache.hits
-    for params in HOT_PARAMS:
-        warm.bind("hot", params)
-        warm.execute()
-    plan_hits = srv.plan_cache.hits - plan_hits_before
     for sql in HOT_SQL:
         warm.simple_query(sql)
     hot_handles = []
@@ -157,7 +149,6 @@ def _run_scenario() -> dict:
     for handle in hot_handles:
         handle.result()
     result_stats = srv.result_cache.stats()
-    plan_stats = srv.plan_cache.stats()
 
     # -- epoch phase: hit bit-identical to cold, commit forces recompute
     probe = srv.connect(tenant="gold")
@@ -203,9 +194,7 @@ def _run_scenario() -> dict:
             for name in window
         },
         "result_cache": result_stats,
-        "plan_cache": plan_stats,
         "replay_hits": replay_hits,
-        "plan_hits": plan_hits,
         "epoch": {
             "before": epoch_before, "after": epoch_after,
             "hit_bit_identical": bit_identical,
@@ -257,12 +246,10 @@ def test_bench_serving():
         assert run["fair_admitted"][name] == n_fair
 
     # hot statements actually hit: >=80% of the replay clients are
-    # answered straight from the warmed result cache, and re-binding a
-    # warmed prepared statement hits the plan cache
+    # answered straight from the warmed result cache
     total_cache_clients = sum(t[3] for t in TENANTS)
     assert run["replay_hits"] >= 0.8 * total_cache_clients, \
         run["result_cache"]
-    assert run["plan_hits"] >= len(HOT_PARAMS)
 
     # a hit is bit-identical to the cold run; the commit bumped the
     # epoch and forced a fresh recompute
@@ -295,8 +282,6 @@ def test_bench_serving():
             "replay_clients": total_cache_clients,
             "replay_hit_rate": round(replay_rate, 4),
         },
-        "plan_cache": {**run["plan_cache"],
-                       "rebind_hits": run["plan_hits"]},
         "epoch_correctness": epoch,
         "twin_bit_identical": True,
         "sim_seconds": run["sim_seconds"],
@@ -327,8 +312,6 @@ def test_bench_serving():
         f"result cache: {run['replay_hits']}/{total_cache_clients} replay "
         f"clients served from cache (rate {replay_rate:.2f}), "
         f"{run['result_cache']['invalidations']} epoch invalidations",
-        f"plan cache: {run['plan_hits']} re-bind hits, "
-        f"{run['plan_cache']['entries']} entries",
         f"epoch bump {epoch['before']} -> {epoch['after']}: "
         f"hit bit-identical={epoch['hit_bit_identical']}, "
         f"recompute fresh={epoch['recompute_fresh']}",

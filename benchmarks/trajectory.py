@@ -17,8 +17,9 @@ the previous entry:
 * the tolerance is ``REPRO_TRAJ_TOL`` (default 0.25, i.e. a metric may
   drift 25% before the gate trips) with a 1e-6 absolute slack so
   zero-valued metrics never trip on noise;
-* a bench whose context (``scale_factor``/``workers``/``seeds``)
-  changed since the previous entry is recorded but not gated — the
+* a bench whose context (``scale_factor``/``workers``/``seeds``, or how
+  many statements a query-log total sums over) changed since the
+  previous entry is recorded but not gated — the
   numbers are not comparable;
 * ``REPRO_TRAJ_CHECK=0`` records the entry without enforcing (useful
   while intentionally changing the cost model).
@@ -56,7 +57,8 @@ MAX_ENTRIES = 50
 GATED_SUFFIXES = ("_s", "_ms", "_qps")
 #: keys whose values describe the run, not its performance: a change
 #: in any of these makes two entries incomparable for that bench
-CONTEXT_KEYS = ("scale_factor", "workers", "seeds", "runs_per_query")
+CONTEXT_KEYS = ("scale_factor", "workers", "seeds", "runs_per_query",
+                "queries_logged")
 
 
 def flatten(obj: Any, prefix: str = "") -> Dict[str, float]:

@@ -299,14 +299,15 @@ class VectorHCluster:
               thread_to_node: bool = True,
               trace: bool = False,
               timeout: Optional[float] = None) -> QueryResult:
-        """Optimize and execute a logical plan; returns the result batch
-        plus execution statistics (network, IO, memory, profile).
+        """Optimize and execute a logical plan (or run an already-planned
+        ``QueryPlan`` as is); returns the result batch plus execution
+        statistics (network, IO, memory, profile).
 
-        A submit+gather shim over the workload manager: the query goes
+        Submit + gather on the workload manager: the query goes
         through admission like any other and any previously submitted
         queries interleave with it while it is gathered.
         ``exchange_mode``/``thread_to_node`` tune the DXchg layer: see
-        :meth:`repro.mpp.executor.MppExecutor.execute`. With ``trace``
+        :meth:`repro.mpp.executor.MppExecutor.prepare`. With ``trace``
         the result carries the lifecycle span tree
         (rewrite -> assignment -> execute -> commit, with per-stream
         operator and exchange spans grafted under execute); the last
@@ -878,12 +879,6 @@ class VectorHCluster:
             colocated += table_colocated
         audit["overall"] = 1.0 if total == 0 else colocated / total
         return audit
-
-    def reset_io_counters(self) -> None:
-        """Deprecated shim: resets the hdfs/net/buffer series through the
-        registry (``cluster.metrics().reset()`` clears everything)."""
-        for prefix in ("hdfs_", "net_", "buffer_"):
-            self.registry.reset(prefix)
 
     def clear_buffer_pools(self) -> None:
         for pool in self._pools.values():

@@ -24,7 +24,6 @@ class Config:
     # --- HDFS ---------------------------------------------------------------
     hdfs_block_size: int = 128 * 1024 * 1024
     replication: int = 3  # R
-    short_circuit_overhead: float = 0.30  # vs direct IO (paper section 3)
 
     # --- YARN / workload management -----------------------------------------
     cores_per_node: int = 20
@@ -48,7 +47,7 @@ class Config:
     #: keep a CardinalityFeedbackStore on the cluster: rewriters consult
     #: observed fragment cardinalities before static stats
     adaptive_feedback: bool = True
-    #: allow the ExecutionStrategy to re-plan mid-query when an exchange
+    #: allow a running query to re-plan mid-flight when an exchange
     #: decision's live cardinality is >= replan_qerror_threshold off
     adaptive_replan: bool = True
     #: q-error (actual/estimate) that triggers a mid-query re-plan
@@ -94,9 +93,6 @@ class Config:
     #: are SQL text + the snapshot epochs of every referenced table, so a
     #: hit is always bit-identical to a cold run at the same epoch
     server_result_cache_entries: int = 256
-    #: prepared-plan cache entries (0 disables): parallel plans keyed by
-    #: statement fingerprint + bound parameters + table epochs
-    server_plan_cache_entries: int = 256
     #: tenant queue depth / core quota ratio that raises the
     #: tenant_quota_saturated alert (0 = rule disabled)
     alert_tenant_saturation: float = 1.0

@@ -229,9 +229,9 @@ class Exchange:
         self.finished = False
         self._started = False
         self._open_senders = 0
-        #: called with ``self`` after every pump round -- the adaptive
-        #: ExecutionStrategy watches live ``tuples_in`` and may raise a
-        #: ReplanSignal through the operator generator stack
+        #: called with ``self`` after every pump round -- the QueryRun
+        #: watches live ``tuples_in`` and may raise a ReplanSignal
+        #: through the operator generator stack
         self.watcher: Optional[Callable[["Exchange"], None]] = None
         # accounting
         self.bytes_sent = 0

@@ -30,7 +30,7 @@ def _series_property(family_attr: str, **fixed_labels):
     def setter(self, value):
         family = getattr(self, family_attr)
         # counters expose _assign for these legacy views; gauges use set
-        assign = getattr(family, "_assign", family.set)
+        assign = getattr(family, "_assign", None) or family.set
         assign(value, node=self.name, **fixed_labels)
 
     return property(getter, setter)
@@ -74,14 +74,6 @@ class DataNode:
     bytes_written = _series_property("_writes")
     bytes_rereplicated = _series_property("_rereplicated")
     bytes_stored = _series_property("_stored")
-
-    def reset_counters(self) -> None:
-        """Deprecated: reset this node's series via the shared registry
-        (``registry.reset("hdfs_")`` resets every node at once)."""
-        for mode in ("short_circuit", "remote"):
-            self._reads.remove(node=self.name, mode=mode)
-        self._writes.remove(node=self.name)
-        self._rereplicated.remove(node=self.name)
 
 
 @dataclass
@@ -383,8 +375,3 @@ class HdfsCluster:
     def total_bytes_read(self) -> int:
         return sum(n.bytes_read_local + n.bytes_read_remote
                    for n in self.nodes.values())
-
-    def reset_counters(self) -> None:
-        """Deprecated shim: resets the hdfs_* counter series in the
-        shared registry (``registry.reset("hdfs_")`` is the new path)."""
-        self.registry.reset("hdfs_")

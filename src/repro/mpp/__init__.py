@@ -28,7 +28,7 @@ from repro.mpp.plan import (
     PhysNode,
 )
 from repro.mpp.feedback import CardinalityFeedbackStore
-from repro.mpp.strategy import ExecutionStrategy, QueryPlan
+from repro.mpp.strategy import QueryPlan
 from repro.mpp.rewriter import ParallelRewriter, RewriterFlags
 from repro.mpp.executor import MppExecutor, QueryResult
 
@@ -37,6 +37,6 @@ __all__ = [
     "LSort", "LTopN", "LLimit",
     "PhysNode", "DXchg", "DXUnion", "DXHashSplit", "DXBroadcast",
     "ParallelRewriter", "RewriterFlags",
-    "CardinalityFeedbackStore", "ExecutionStrategy", "QueryPlan",
+    "CardinalityFeedbackStore", "QueryPlan",
     "MppExecutor", "QueryResult",
 ]

@@ -54,20 +54,11 @@ from repro.engine.operators import (
 )
 from repro.engine.profile import ProfileNode, format_profile
 from repro.mpp import plan as P
-from repro.obs import NULL_TRACER, Span, span_from_profile
+from repro.mpp.feedback import collect_actuals
+from repro.mpp.rewriter import ParallelRewriter
+from repro.mpp.strategy import ExchangeDecision, QueryPlan, ReplanSignal
 
 MASTER_STREAM = "__master__"
-
-#: serialized batch size estimate (kept as an alias for older callers)
-estimate_batch_bytes = batch_bytes
-
-
-def _table_of(cluster, name: str):
-    """Catalog lookup honouring vh$ system tables when available."""
-    lookup = getattr(cluster, "table", None)
-    if callable(lookup):
-        return lookup(name)
-    return cluster.tables[name]
 
 
 @dataclass
@@ -90,9 +81,14 @@ class QueryResult:
     trace: Optional[Span] = None
     #: scheduler rounds this query's root stream took to drain
     rounds: int = 0
-    #: mid-query re-plans the adaptive ExecutionStrategy performed
+    #: mid-query re-plans (accounting above is summed across attempts)
     replans: int = 0
-    #: workload-manager id (None for direct executor calls)
+    #: the plan that produced ``batch`` -- after a re-plan, the final one
+    qplan: Optional[QueryPlan] = None
+    #: worst per-operator q-error against ``qplan``'s estimates
+    #: (1.0 = perfect, 0.0 = nothing annotated)
+    max_qerror: float = 0.0
+    #: workload-manager id
     query_id: Optional[int] = None
     #: simulated seconds spent waiting in the admission queue
     wait_sim_seconds: float = 0.0
@@ -154,35 +150,32 @@ def _hash_to_streams(batch: Batch, keys, workers: List[str]) -> np.ndarray:
 
 
 class _RunContext:
-    """Per-``execute()`` state.
+    """State of one build of a query's operator tree.
 
-    Everything the old executor kept on ``self`` (and memoized by
-    ``id(phys)``, which can alias across runs after GC) lives here for
-    exactly one execution, keyed on the plan node *objects* -- the plan
-    root keeps them alive for the duration, so no id reuse is possible.
+    Exchanges and shared replays are keyed on the plan node *objects* --
+    the plan root keeps them alive for the duration, so no id reuse is
+    possible. A re-plan builds a fresh context.
     """
 
     def __init__(self, trans, mode: str, n_lanes: int, vector_size: int,
-                 clock=None, scheduler: Optional[StreamScheduler] = None,
-                 meter: Optional[MemoryMeter] = None,
-                 workers: Optional[List[str]] = None,
-                 session_master: Optional[str] = None):
+                 scheduler: StreamScheduler, meter: MemoryMeter,
+                 workers: List[str], session_master: str):
         self.trans = trans
         self.mode = mode
         self.n_lanes = n_lanes
         self.vector_size = vector_size
-        #: worker set and master *snapshotted at prepare time*: a
-        #: failover may reshape the cluster while this run is suspended,
-        #: and a half-built run mixing old and new worker lists would be
+        #: worker set and master *snapshotted at build time*: a failover
+        #: may reshape the cluster while this run is suspended, and a
+        #: half-built run mixing old and new worker lists would be
         #: internally inconsistent. The workload manager unwinds and
         #: re-prepares affected runs; this snapshot makes the hazard
         #: impossible even for runs it misses.
-        self.workers: List[str] = list(workers or [])
-        self.session_master: Optional[str] = session_master
-        #: private per-query scheduler by default; the workload manager
-        #: injects its shared cluster-wide scheduler instead
-        self.scheduler = scheduler or StreamScheduler(clock)
-        self.meter = meter or MemoryMeter()
+        self.workers: List[str] = list(workers)
+        self.session_master = session_master
+        #: the workload manager's cluster-wide scheduler
+        self.scheduler = scheduler
+        #: this build's meter, chained into the cluster-wide one
+        self.meter = meter
         self.exchanges: Dict[P.PhysNode, Exchange] = {}
         self.exchange_order: List[Exchange] = []
         self.replays: Dict[P.PhysNode, "_SharedReplay"] = {}
@@ -206,7 +199,7 @@ class StreamingScan(Operator):
 
     def _typed_empty(self) -> Batch:
         """Zero-row batch with engine dtypes (decimals scan as float64)."""
-        table = _table_of(self.cluster, self.phys.table)
+        table = self.cluster.table(self.phys.table)
         cols = {}
         for name in self.phys.columns:
             if table._decimal_scale(name) is not None:
@@ -219,7 +212,7 @@ class StreamingScan(Operator):
     def _run(self):
         cluster = self.cluster
         phys = self.phys
-        table = _table_of(cluster, phys.table)
+        table = cluster.table(phys.table)
         trans = self.ctx.trans
         virtual = getattr(table, "is_virtual", False)
         yielded = False
@@ -294,38 +287,108 @@ class ReplaySource(Operator):
 
 
 class QueryRun:
-    """A prepared query that can be suspended and resumed between rounds.
+    """One admitted query: its operator tree, suspended between rounds.
 
-    :meth:`MppExecutor.prepare` builds the operator tree and returns one
-    of these; each :meth:`step` pulls exactly one item from the root
-    stream through the scheduler (one round), so a workload manager can
-    interleave many live queries on one shared scheduler. Network, IO
-    and wall deltas are snapshotted around every step -- execution is
-    single-threaded, so the attribution is exact even when queries from
-    different sessions interleave on the same fabric.
+    :meth:`MppExecutor.prepare` returns one of these; each :meth:`step`
+    pulls exactly one item from the root stream through the scheduler
+    (one round), so the workload manager can interleave many live
+    queries on its shared scheduler. Network, IO and wall deltas are
+    snapshotted around every step -- execution is single-threaded, so
+    the attribution is exact even when queries from different sessions
+    interleave on the same fabric.
+
+    Re-planning
+    -----------
+    Every broadcast-vs-repartition decision the rewriter recorded names
+    the exchange that moves the build side, and the run watches that
+    exchange: ``Exchange.pump`` calls the watcher after every sender
+    round with live ``tuples_in``. When the observed cardinality is off
+    from the estimate by ``config.replan_qerror_threshold`` *and* the
+    cost comparison now flips the other way, the watcher raises
+    :class:`~repro.mpp.strategy.ReplanSignal` straight through the
+    operator generator stack. :meth:`step` catches it, feeds the
+    observation into the feedback store, cancels the operator tree
+    (generators closed, channel buffers dropped, memory released),
+    re-invokes the rewriter -- which now sees the corrected cardinality
+    -- and rebuilds in place under the *same* pinned snapshot, admission
+    slot, scheduler and parent meter. Restarting discards the old root
+    batches, so results are exactly the batches of the final plan: no
+    partial-output stitching, no duplicates; the run's round, wall,
+    simulated-time and IO counters just keep accumulating.
+
+    A broadcast decision can flip as soon as its lower-bound actual
+    already loses to repartition (mid-stream: ``tuples_in`` only grows,
+    so the trigger is certain). A repartition decision is only judged
+    once its senders finished -- a partial count cannot prove broadcast
+    would have been cheaper.
     """
 
-    def __init__(self, executor: "MppExecutor", root: P.PhysNode,
-                 op: Operator, ctx: _RunContext, build_wall: float):
+    def __init__(self, executor: "MppExecutor", qplan: QueryPlan, trans,
+                 exchange_mode: str, thread_to_node: bool,
+                 scheduler: StreamScheduler, meter: MemoryMeter,
+                 query_id: Optional[int]):
+        cluster = executor.cluster
+        config = cluster.config
         self.executor = executor
-        self.cluster = executor.cluster
-        self.root = root
-        self.op = op
-        self.ctx = ctx
-        self.batches: List[Batch] = []
+        self.cluster = cluster
+        self.qplan = qplan
+        self.query_id = query_id
+        self.trans = trans
+        self.exchange_mode = exchange_mode
+        self.thread_to_node = thread_to_node
+        self.scheduler = scheduler
+        #: the cluster-wide meter every build's own meter chains into
+        self.parent_meter = meter
+        self.threshold = config.replan_qerror_threshold
+        self.max_replans = (
+            config.replan_max_per_query
+            if config.adaptive_replan and cluster.feedback is not None
+            else 0)
         self.rounds = 0
+        self.replans = 0
         self.done = False
         self.cancelled = False
-        self.build_wall = build_wall
+        self.build_wall = 0.0
         self.step_wall = 0.0
         self.flush_wall = 0.0
         self.network_bytes = 0
         self.network_messages = 0
         self.bytes_read = 0
         #: shared-scheduler position at prepare; latency = clock - this
-        self.sim_start = ctx.scheduler.sim_seconds
-        self._iterator = None
+        self.sim_start = scheduler.sim_seconds
+        #: per-node peaks and exchange stats of builds a re-plan cancelled
+        self._cancelled_peaks: Dict[str, int] = {}
+        self._cancelled_exchanges: List[Dict[str, object]] = []
         self._result: Optional[QueryResult] = None
+        self._build()
+
+    def _build(self) -> None:
+        """Compose the operator tree for the current plan."""
+        cluster = self.cluster
+        t0 = _time.perf_counter()
+        self.ctx = ctx = _RunContext(
+            trans=self.trans, mode=self.exchange_mode,
+            n_lanes=(1 if self.thread_to_node
+                     else cluster.config.cores_per_node),
+            vector_size=cluster.config.vector_size,
+            scheduler=self.scheduler,
+            meter=MemoryMeter(parent=self.parent_meter),
+            workers=cluster.workers,
+            session_master=cluster.session_master,
+        )
+        top = self.qplan.root
+        if top.distribution.kind == P.PARTITIONED:
+            # final gather at the session master (normally the
+            # rewriter inserts this; hand-built trees get it implicitly)
+            top = P.DXUnion(top)
+        self.op = self.executor._build_op(top, MASTER_STREAM, ctx)
+        for decision in self.qplan.decisions:
+            exchange = ctx.exchanges.get(decision.node)
+            if exchange is not None:
+                exchange.watcher = self._watcher(decision)
+        self.batches: List[Batch] = []
+        self._iterator = None
+        self.build_wall += _time.perf_counter() - t0
 
     # -- accounting helpers --------------------------------------------------
 
@@ -354,15 +417,21 @@ class QueryRun:
         t0 = _time.perf_counter()
         if self._iterator is None:
             self._iterator = self.op.execute()
+        replan = None
         try:
-            item, dt = self.ctx.scheduler.advance(self._iterator)
-            self.ctx.scheduler.charge_round([dt])
+            item, dt = self.scheduler.advance(self._iterator)
+            self.scheduler.charge_round([dt])
+        except ReplanSignal as signal:
+            replan = signal
         finally:
-            # a ReplanSignal aborts the pull mid-round: still account the
-            # round, the wall time and the IO it caused before unwinding
+            # an exception aborts the pull mid-round: still account the
+            # round, the wall time and the IO it caused
             self.rounds += 1
             self.step_wall += _time.perf_counter() - t0
             self._io_charge(before)
+        if replan is not None:
+            self._replan(replan)
+            return True
         if item is DONE:
             self.done = True
             return False
@@ -373,47 +442,58 @@ class QueryRun:
         """Flush exchanges, assemble profiles and build the result."""
         if self._result is not None:
             return self._result
+        ctx = self.ctx
         before = self._io_snapshot()
         t0 = _time.perf_counter()
         # a Limit/TopN root may abandon receivers mid-stream: close
         # remaining channels so partial buffers are flushed/accounted,
         # then give back any bytes still parked in receive queues
-        for ex in self.ctx.exchange_order:
+        for ex in ctx.exchange_order:
             ex._finish()
             ex.drain_queues()
-        self.flush_wall = _time.perf_counter() - t0
+        self.flush_wall += _time.perf_counter() - t0
         self._io_charge(before)
-        profiles = self.executor._assemble_profiles(self.op, self.ctx)
-        self.executor._record_metrics(self.ctx)
+        profiles = self.executor._assemble_profiles(self.op, ctx)
+        self.executor._record_metrics(ctx)
+        peaks = ctx.meter.peak_by_node()
+        for node, peak in self._cancelled_peaks.items():
+            peaks[node] = max(peaks.get(node, 0), peak)
         self._result = QueryResult(
             batch=concat_batches(self.batches),
             elapsed=self.build_wall + self.step_wall + self.flush_wall,
             simulated_parallel_seconds=(
-                self.ctx.scheduler.sim_seconds - self.sim_start),
+                self.scheduler.sim_seconds - self.sim_start),
             network_bytes=self.network_bytes,
             network_messages=self.network_messages,
             bytes_read=self.bytes_read,
             profiles=profiles,
-            plan_text=self.root.pretty(),
-            peak_node_memory=self.ctx.meter.peak_by_node(),
-            exchanges=[ex.stats() for ex in self.ctx.exchange_order],
+            plan_text=self.qplan.root.pretty(),
+            peak_node_memory=peaks,
+            exchanges=(self._cancelled_exchanges
+                       + [ex.stats() for ex in ctx.exchange_order]),
             rounds=self.rounds,
+            replans=self.replans,
+            qplan=self.qplan,
+            max_qerror=self._judge_estimates(profiles),
+            query_id=self.query_id,
         )
-        profiler = getattr(self.cluster, "profiler", None)
-        if profiler is not None:
-            profiler.observe_query(self._result)
-        self.ctx.meter.detach()
+        if self.cluster.profiler is not None:
+            self.cluster.profiler.observe_query(self._result)
+        ctx.meter.detach()
         return self._result
 
     def cancel(self) -> None:
         """Unwind a suspended query: close its generators (releasing scan
         holds via their ``finally`` blocks), drop buffered channel bytes
         without flushing them to the fabric, drain receive queues, and
-        give residual operator-state bytes back to any parent meter."""
+        give residual operator-state bytes back to the parent meter."""
         if self.cancelled or self._result is not None:
             return
         self.cancelled = True
         self.done = True
+        self._unwind()
+
+    def _unwind(self) -> None:
         if self._iterator is not None:
             self._iterator.close()
         for ex in self.ctx.exchange_order:
@@ -423,109 +503,116 @@ class QueryRun:
             ex.abandon()
         self.ctx.meter.detach()
 
+    # -- adaptivity ----------------------------------------------------------
+
+    def _watcher(self, decision: ExchangeDecision):
+        def watch(exchange: Exchange) -> None:
+            if self.replans >= self.max_replans:
+                return
+            actual = float(exchange.tuples_in)
+            estimated = max(decision.estimated, 1.0)
+            others = max(1, decision.n_workers - 1)
+            if decision.choice == "broadcast":
+                # tuples_in only grows, so a mid-stream flip is certain:
+                # even the lower-bound actual already loses to reshuffle
+                if actual < estimated * self.threshold:
+                    return
+                if actual * others > actual + decision.probe_move_rows:
+                    raise ReplanSignal(decision, actual)
+            else:  # repartition: judge only once the count is final
+                if not exchange.senders_done:
+                    return
+                if actual * self.threshold > estimated:
+                    return
+                if actual * others < actual + decision.probe_move_rows:
+                    raise ReplanSignal(decision, actual)
+
+        return watch
+
+    def _replan(self, signal: ReplanSignal) -> None:
+        cluster = self.cluster
+        decision, actual = signal.decision, signal.actual
+        if decision.signature:
+            # a lower bound mid-stream, but already >= threshold x the
+            # estimate -- enough to flip the decision; the final build's
+            # harvest overwrites it with the exact count
+            cluster.feedback.observe(
+                decision.signature, decision.estimated, actual)
+        self._unwind()
+        for node, peak in self.ctx.meter.peak_by_node().items():
+            self._cancelled_peaks[node] = max(
+                self._cancelled_peaks.get(node, 0), peak)
+        self._cancelled_exchanges.extend(
+            ex.stats() for ex in self.ctx.exchange_order)
+        self.replans += 1
+        cluster.registry.counter(
+            "replans_total",
+            "Mid-query re-plans triggered by cardinality misestimates",
+        ).inc()
+        cluster.events.emit(
+            "workload", "query.replan",
+            query=self.query_id, choice=decision.choice,
+            estimated=round(decision.estimated, 3),
+            observed=int(actual),
+            fragment=(decision.signature or "")[:120])
+        self.qplan = ParallelRewriter(cluster, self.qplan.flags).plan(
+            self.qplan.logical)
+        self._build()
+
+    def _judge_estimates(self, profiles: List[ProfileNode]) -> float:
+        """Pair the plan's estimates with the executed cardinalities:
+        feed the feedback store and return the worst q-error."""
+        qplan = self.qplan
+        store = self.cluster.feedback
+        # a Limit root abandons upstream operators mid-stream: their
+        # tuples_out are truncation artifacts, not cardinalities
+        harvest = store is not None and not any(
+            isinstance(n, P.PLimit) for n in qplan.root.walk())
+        worst = 0.0
+        for node, actual in collect_actuals(qplan.root, profiles).items():
+            ann = qplan.annotations.get(node)
+            if ann is None:
+                continue
+            a = max(float(actual), 1.0)
+            e = max(float(ann.rows), 1.0)
+            worst = max(worst, a / e, e / a)
+            if harvest and ann.signature:
+                store.observe(ann.signature, ann.rows, actual)
+        return worst
+
 
 class MppExecutor:
-    """Runs physical plans against a VectorH cluster object."""
+    """Builds the operator trees of planned queries on a VectorH cluster."""
 
     def __init__(self, cluster):
         self.cluster = cluster
 
     # ------------------------------------------------------------------ public
 
-    def prepare(self, plan, trans=None,
-                exchange_mode: str = STREAMING,
+    def prepare(self, qplan: QueryPlan, trans, scheduler: StreamScheduler,
+                meter: MemoryMeter, exchange_mode: str = STREAMING,
                 thread_to_node: bool = True,
-                scheduler: Optional[StreamScheduler] = None,
-                meter: Optional[MemoryMeter] = None,
-                query_id: Optional[int] = None):
-        """Build the runner for a plan without driving it.
+                query_id: Optional[int] = None) -> QueryRun:
+        """Build the runner for a planned query without driving it.
 
-        ``plan`` may be a bare physical tree (returns a plain
-        :class:`QueryRun`), a :class:`~repro.mpp.strategy.QueryPlan`
-        (wrapped in a fresh adaptive ExecutionStrategy), or an
-        :class:`~repro.mpp.strategy.ExecutionStrategy` itself. Pass
-        ``scheduler``/``meter`` to run on a shared cluster-wide scheduler
-        and roll memory accounting up into a shared meter (the workload
-        manager's concurrency path); by default each run gets private
-        ones, which preserves the old single-query behaviour exactly.
+        The run advances on ``scheduler`` (the workload manager's
+        cluster-wide one) and rolls its memory accounting up into
+        ``meter``. ``exchange_mode`` selects how exchange sender
+        fragments are scheduled: ``"streaming"`` (default) advances them
+        round-robin one vector at a time through the DXchg channels;
+        ``"materialize"`` drains each sender completely before consumers
+        start -- the stop-and-go baseline, with identical per-link
+        bytes/messages. ``thread_to_node`` picks the DXchg buffering
+        granularity (paper section 5): one open buffer per destination
+        node, or one per destination *core*
+        (``n_lanes = cores_per_node``).
         """
-        if not isinstance(plan, P.PhysNode):
-            from repro.mpp.strategy import ExecutionStrategy, QueryPlan
-            if isinstance(plan, QueryPlan):
-                strategy = ExecutionStrategy(self.cluster, plan)
-            elif isinstance(plan, ExecutionStrategy):
-                strategy = plan
-            else:
-                raise ExecutionError(
-                    f"cannot prepare {type(plan).__name__}: expected a "
-                    "PhysNode, QueryPlan or ExecutionStrategy")
-            return strategy.prepare(
-                self, trans=trans, exchange_mode=exchange_mode,
-                thread_to_node=thread_to_node, scheduler=scheduler,
-                meter=meter, query_id=query_id)
-        return self._prepare_tree(plan, trans=trans,
-                                  exchange_mode=exchange_mode,
-                                  thread_to_node=thread_to_node,
-                                  scheduler=scheduler, meter=meter)
-
-    def _prepare_tree(self, root: P.PhysNode, trans=None,
-                      exchange_mode: str = STREAMING,
-                      thread_to_node: bool = True,
-                      scheduler: Optional[StreamScheduler] = None,
-                      meter: Optional[MemoryMeter] = None) -> QueryRun:
-        """Build the operator tree for one physical plan attempt."""
-        cluster = self.cluster
-        ctx = _RunContext(
-            trans=trans, mode=exchange_mode,
-            n_lanes=1 if thread_to_node else cluster.config.cores_per_node,
-            vector_size=cluster.config.vector_size,
-            clock=getattr(cluster, "sim_clock", None),
-            scheduler=scheduler, meter=meter,
-            workers=cluster.workers,
-            session_master=cluster.session_master,
-        )
-        t0 = _time.perf_counter()
-        top = root
-        if top.distribution.kind == P.PARTITIONED:
-            # final gather at the session master (normally the
-            # rewriter inserts this; raw plans get it implicitly)
-            top = P.DXUnion(top)
-        op = self._build_op(top, MASTER_STREAM, ctx)
-        return QueryRun(self, root, op, ctx,
-                        build_wall=_time.perf_counter() - t0)
-
-    def execute(self, plan, trans=None,
-                exchange_mode: str = STREAMING,
-                thread_to_node: bool = True) -> QueryResult:
-        """Prepare a plan (physical tree or QueryPlan) and drive it to
-        completion.
-
-        ``exchange_mode`` selects how exchange sender fragments are
-        scheduled: ``"streaming"`` (default) advances them round-robin one
-        vector at a time through the DXchg channels; ``"materialize"``
-        drains each sender completely before consumers start -- the
-        stop-and-go baseline, with identical per-link bytes/messages.
-        ``thread_to_node`` picks the DXchg buffering granularity (paper
-        section 5): one open buffer per destination node, or one per
-        destination *core* (``n_lanes = cores_per_node``).
-        """
-        tracer = getattr(self.cluster, "tracer", None) or NULL_TRACER
-        with tracer.span("execute", mode=exchange_mode) as exec_span:
-            with tracer.span("build"):
-                run = self.prepare(plan, trans=trans,
-                                   exchange_mode=exchange_mode,
-                                   thread_to_node=thread_to_node)
-            with tracer.span("schedule"):
-                while run.step():
-                    pass
-            with tracer.span("exchange.flush",
-                             exchanges=len(run.ctx.exchange_order)):
-                result = run.finish()
-        # the trace subsumes format_profile: per-stream operator work and
-        # exchange send/recv appear as spans under the execute span
-        for prof in result.profiles:
-            span_from_profile(prof, exec_span)
-        return result
+        if not isinstance(qplan, QueryPlan):
+            raise ExecutionError(
+                f"cannot prepare {type(qplan).__name__}: expected a "
+                "QueryPlan")
+        return QueryRun(self, qplan, trans, exchange_mode, thread_to_node,
+                        scheduler, meter, query_id)
 
     def _record_metrics(self, ctx: "_RunContext") -> None:
         """Charge per-node stream times and peak memory to the registry."""
@@ -558,7 +645,7 @@ class MppExecutor:
 
     def _node_of(self, stream: str, ctx: _RunContext) -> str:
         if stream == MASTER_STREAM:
-            return ctx.session_master or self.cluster.session_master
+            return ctx.session_master
         return stream
 
     def _source_streams(self, child: P.PhysNode,
@@ -709,7 +796,7 @@ class MppExecutor:
         if phys.align_with is not None:
             # route with the aligned table's partition function and
             # responsibility map, so rows land with their join partners
-            schema = _table_of(self.cluster, phys.align_with).schema
+            schema = self.cluster.table(phys.align_with).schema
             node_index = {w: i for i, w in enumerate(workers)}
             align_with = phys.align_with
 

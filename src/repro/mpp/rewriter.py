@@ -70,7 +70,7 @@ class ParallelRewriter:
 
     def plan(self, root: L.LogicalPlan) -> QueryPlan:
         """Plan once: physical tree + cardinality annotations + the
-        exchange decisions an ExecutionStrategy may revisit mid-query."""
+        exchange decisions the run may revisit mid-query."""
         self._annotations = {}
         self._decisions = []
         self._est_memo = {}
@@ -81,10 +81,6 @@ class ParallelRewriter:
         return QueryPlan(logical=root, root=phys,
                          annotations=self._annotations,
                          decisions=self._decisions, flags=self.flags)
-
-    def rewrite(self, root: L.LogicalPlan) -> P.PhysNode:
-        """Compatibility shim: plan and return the bare physical tree."""
-        return self.plan(root).root
 
     # ------------------------------------------------------------ estimates
 

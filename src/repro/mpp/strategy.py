@@ -1,37 +1,12 @@
-"""The plan/runner split: QueryPlan (built once) vs ExecutionStrategy.
+"""The plan contract: what planning hands to execution.
 
-Mirrors the Snuba ``QueryPlan`` / ``QueryPlanExecutionStrategy``
-architecture: planning produces an immutable :class:`QueryPlan` -- the
-physical tree plus per-node cardinality annotations and the exchange
-decisions the cost model took -- while a per-execution
-:class:`ExecutionStrategy` owns dispatch and *can change its mind
-mid-query*.
-
-Adaptivity protocol
--------------------
-Every broadcast-vs-repartition decision the rewriter records names the
-exchange node that moves the build side. The strategy installs a watcher
-on that exchange: ``Exchange.pump`` calls it after every sender round
-with live ``tuples_in``. When the observed cardinality is off from the
-estimate by ``config.replan_qerror_threshold`` (default 10x) *and* the
-cost comparison now flips the other way, the watcher raises
-:class:`ReplanSignal` straight through the operator generator stack. The
-:class:`AdaptiveRun` catches it, feeds the observation into the
-:class:`~repro.mpp.feedback.CardinalityFeedbackStore`, cancels the inner
-run (generators closed, channel buffers dropped, memory released),
-re-invokes the rewriter -- which now sees the corrected cardinality --
-and restarts under the *same* pinned snapshot, admission slot, shared
-scheduler and parent memory meter. Restarting discards the old root
-batches, so results are exactly the batches of the final plan: no
-partial-output stitching, no duplicates. All accounting (rounds, wall
-time, simulated time, network, peak memory, exchange stats) accumulates
-across attempts.
-
-A broadcast decision can flip as soon as its lower-bound actual already
-loses to repartition (mid-stream: ``tuples_in`` only grows, so the
-trigger is certain). A repartition decision is only judged once its
-senders finished -- a partial count cannot prove broadcast would have
-been cheaper.
+Planning produces an immutable :class:`QueryPlan` -- the physical tree
+plus per-node cardinality annotations and the exchange decisions the
+cost model took. It is the only thing
+:meth:`~repro.mpp.executor.MppExecutor.prepare` accepts; the resulting
+:class:`~repro.mpp.executor.QueryRun` watches the recorded decisions
+and re-plans when one is proven wrong mid-query (see its docstring for
+the protocol).
 """
 
 from __future__ import annotations
@@ -39,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.engine.exchange import MemoryMeter
 from repro.mpp import plan as P
-from repro.mpp.feedback import collect_actuals
 
 
 @dataclass
@@ -70,9 +43,9 @@ class ExchangeDecision:
 class QueryPlan:
     """A planned query: physical tree + cardinality/cost annotations.
 
-    Built once by :meth:`ParallelRewriter.plan`; consumed by an
-    :class:`ExecutionStrategy` (the workload manager and
-    ``MppExecutor.prepare`` accept it directly).
+    Built by :meth:`ParallelRewriter.plan`. Tests that hand-build a
+    physical tree wrap it as ``QueryPlan(logical=None, root=tree)``; such
+    a plan carries no decisions, so it is never re-planned.
     """
 
     logical: object
@@ -107,7 +80,7 @@ class QueryPlan:
 
 class ReplanSignal(Exception):
     """Raised by an exchange watcher through the generator stack when a
-    mid-query cost flip is certain; caught by :meth:`AdaptiveRun.step`."""
+    mid-query cost flip is certain; caught by :meth:`QueryRun.step`."""
 
     def __init__(self, decision: ExchangeDecision, actual: float):
         super().__init__(
@@ -115,243 +88,3 @@ class ReplanSignal(Exception):
             f"vs {decision.estimated:.0f} estimated")
         self.decision = decision
         self.actual = actual
-
-
-class ExecutionStrategy:
-    """Owns dispatch of one QueryPlan; can re-plan the query mid-flight."""
-
-    def __init__(self, cluster, qplan: QueryPlan):
-        self.cluster = cluster
-        self.qplan = qplan
-
-    def prepare(self, executor, trans=None, exchange_mode: str = "streaming",
-                thread_to_node: bool = True, scheduler=None, meter=None,
-                query_id: Optional[int] = None) -> "AdaptiveRun":
-        inner = executor._prepare_tree(
-            self.qplan.root, trans=trans, exchange_mode=exchange_mode,
-            thread_to_node=thread_to_node, scheduler=scheduler, meter=meter)
-        return AdaptiveRun(
-            self, executor, inner,
-            prep_kwargs=dict(trans=trans, exchange_mode=exchange_mode,
-                             thread_to_node=thread_to_node,
-                             scheduler=scheduler),
-            query_id=query_id)
-
-    def replan(self) -> QueryPlan:
-        """Re-invoke the rewriter on the logical plan; the feedback store
-        now holds the observation that triggered the re-plan."""
-        from repro.mpp.rewriter import ParallelRewriter
-        return ParallelRewriter(self.cluster, self.qplan.flags).plan(
-            self.qplan.logical)
-
-
-class AdaptiveRun:
-    """A QueryRun wrapper that re-plans on cardinality misestimates.
-
-    Duck-typed against :class:`~repro.mpp.executor.QueryRun` (step /
-    finish / cancel / rounds / walls / ctx / root), so the executor and
-    the workload manager drive it unchanged. Accounting accumulates
-    across plan attempts; the result carries the *final* plan's batches
-    and profiles plus ``replans``.
-    """
-
-    def __init__(self, strategy: ExecutionStrategy, executor, inner,
-                 prep_kwargs: Dict[str, object],
-                 query_id: Optional[int] = None):
-        self.strategy = strategy
-        self.executor = executor
-        self.inner = inner
-        self.query_id = query_id
-        self._prep_kwargs = prep_kwargs
-        config = strategy.cluster.config
-        self.replan_enabled = bool(
-            getattr(config, "adaptive_replan", True)
-            and getattr(strategy.cluster, "feedback", None) is not None)
-        self.threshold = float(
-            getattr(config, "replan_qerror_threshold", 10.0))
-        self.max_replans = int(getattr(config, "replan_max_per_query", 2))
-        self.replans = 0
-        #: the shared parent meter, captured before any cancel/detach
-        #: nulls it -- replanned attempts chain fresh meters to it
-        self._meter_parent = inner.ctx.meter.parent
-        self.sim_start = inner.sim_start
-        self._prior_rounds = 0
-        self._prior_build = 0.0
-        self._prior_step = 0.0
-        self._prior_flush = 0.0
-        self._prior_sim = 0.0
-        self._prior_net = 0
-        self._prior_msgs = 0
-        self._prior_read = 0
-        self._prior_peaks: Dict[str, int] = {}
-        self._prior_exchanges: List[Dict[str, object]] = []
-        self._result = None
-        self._install_watchers(inner)
-
-    # -- QueryRun interface (delegating / aggregating) ----------------------
-
-    @property
-    def done(self) -> bool:
-        return self.inner.done
-
-    @property
-    def cancelled(self) -> bool:
-        return self.inner.cancelled
-
-    @property
-    def rounds(self) -> int:
-        return self._prior_rounds + self.inner.rounds
-
-    @property
-    def build_wall(self) -> float:
-        return self._prior_build + self.inner.build_wall
-
-    @property
-    def step_wall(self) -> float:
-        return self._prior_step + self.inner.step_wall
-
-    @property
-    def flush_wall(self) -> float:
-        return self._prior_flush + self.inner.flush_wall
-
-    @property
-    def ctx(self):
-        return self.inner.ctx
-
-    @property
-    def root(self) -> P.PhysNode:
-        return self.inner.root
-
-    def step(self) -> bool:
-        try:
-            return self.inner.step()
-        except ReplanSignal as signal:
-            self._execute_replan(signal)
-            return True
-
-    def cancel(self) -> None:
-        self.inner.cancel()
-
-    def finish(self):
-        if self._result is not None:
-            return self._result
-        result = self.inner.finish()
-        result.rounds = self.rounds
-        result.replans = self.replans
-        result.elapsed += (self._prior_build + self._prior_step
-                           + self._prior_flush)
-        result.simulated_parallel_seconds += self._prior_sim
-        result.network_bytes += self._prior_net
-        result.network_messages += self._prior_msgs
-        result.bytes_read += self._prior_read
-        for node, peak in self._prior_peaks.items():
-            result.peak_node_memory[node] = max(
-                result.peak_node_memory.get(node, 0), peak)
-        result.exchanges = self._prior_exchanges + result.exchanges
-        # what EXPLAIN ANALYZE should render: the plan that produced
-        # the batches, with the annotations that predicted it
-        result._final_root = self.strategy.qplan.root
-        result._annotations = self.strategy.qplan.annotations
-        self._harvest(result)
-        self._result = result
-        return result
-
-    # -- adaptivity ----------------------------------------------------------
-
-    def _install_watchers(self, run) -> None:
-        for decision in self.strategy.qplan.decisions:
-            exchange = run.ctx.exchanges.get(decision.node)
-            if exchange is not None:
-                exchange.watcher = self._make_watcher(decision)
-
-    def _make_watcher(self, decision: ExchangeDecision):
-        def watch(exchange) -> None:
-            if not self.replan_enabled or self.replans >= self.max_replans:
-                return
-            actual = float(exchange.tuples_in)
-            estimated = max(decision.estimated, 1.0)
-            others = max(1, decision.n_workers - 1)
-            if decision.choice == "broadcast":
-                # tuples_in only grows, so a mid-stream flip is certain:
-                # even the lower-bound actual already loses to reshuffle
-                if actual < estimated * self.threshold:
-                    return
-                if actual * others > actual + decision.probe_move_rows:
-                    raise ReplanSignal(decision, actual)
-            else:  # repartition: judge only once the count is final
-                if not exchange.senders_done:
-                    return
-                if actual * self.threshold > estimated:
-                    return
-                if actual * others < actual + decision.probe_move_rows:
-                    raise ReplanSignal(decision, actual)
-
-        return watch
-
-    def _execute_replan(self, signal: ReplanSignal) -> None:
-        cluster = self.strategy.cluster
-        decision, actual = signal.decision, signal.actual
-        store = getattr(cluster, "feedback", None)
-        if store is not None and decision.signature:
-            # a lower bound mid-stream, but already >= threshold x the
-            # estimate -- enough to flip the decision; the final run's
-            # harvest overwrites it with the exact count
-            store.observe(decision.signature, decision.estimated, actual)
-        inner = self.inner
-        self._prior_rounds += inner.rounds
-        self._prior_build += inner.build_wall
-        self._prior_step += inner.step_wall
-        self._prior_flush += inner.flush_wall
-        self._prior_sim += inner.ctx.scheduler.sim_seconds - inner.sim_start
-        self._prior_net += inner.network_bytes
-        self._prior_msgs += inner.network_messages
-        self._prior_read += inner.bytes_read
-        inner.cancel()
-        for node, peak in inner.ctx.meter.peak_by_node().items():
-            self._prior_peaks[node] = max(
-                self._prior_peaks.get(node, 0), peak)
-        self._prior_exchanges.extend(
-            ex.stats() for ex in inner.ctx.exchange_order)
-        self.replans += 1
-        registry = getattr(cluster, "registry", None)
-        if registry is not None:
-            registry.counter(
-                "replans_total",
-                "Mid-query re-plans triggered by cardinality misestimates",
-            ).inc()
-        events = getattr(cluster, "events", None)
-        if events is not None:
-            events.emit(
-                "workload", "query.replan",
-                query=self.query_id, choice=decision.choice,
-                estimated=round(decision.estimated, 3),
-                observed=int(actual),
-                fragment=(decision.signature or "")[:120])
-        self.strategy.qplan = self.strategy.replan()
-        kwargs = dict(self._prep_kwargs)
-        kwargs["meter"] = MemoryMeter(parent=self._meter_parent)
-        self.inner = self.executor._prepare_tree(
-            self.strategy.qplan.root, **kwargs)
-        self._install_watchers(self.inner)
-
-    def _harvest(self, result) -> None:
-        """Feed the final plan's per-operator actuals into the store."""
-        store = getattr(self.strategy.cluster, "feedback", None)
-        if store is None or self.inner.cancelled:
-            return
-        qplan = self.strategy.qplan
-        if any(isinstance(n, P.PLimit) for n in _walk(qplan.root)):
-            # a Limit root abandons upstream operators mid-stream: their
-            # tuples_out are truncation artifacts, not cardinalities
-            return
-        actuals = collect_actuals(qplan.root, result.profiles)
-        for node, actual in actuals.items():
-            ann = qplan.annotations.get(node)
-            if ann is not None and ann.signature:
-                store.observe(ann.signature, ann.rows, actual)
-
-
-def _walk(node: P.PhysNode):
-    yield node
-    for child in node.children:
-        yield from _walk(child)

@@ -479,31 +479,20 @@ def explain_analyze(cluster, plan, flags=None, trans=None,
 
     Returns ``(text, result)``: the annotated plan text and the
     underlying :class:`~repro.mpp.executor.QueryResult` (whose
-    ``plan_text`` is replaced by the annotated rendering). The registry
-    is snapshotted around the execution so MinMax, locality and exchange
-    actuals are exactly this query's contribution.
+    ``plan_text`` is replaced by the annotated rendering). The query is
+    an ordinary ``cluster.query`` -- admitted, snapshot-pinned, logged
+    and traced like any other; the registry is snapshotted around it so
+    MinMax, locality and exchange actuals are this query's contribution.
     """
-    from repro.mpp.rewriter import ParallelRewriter
-    from repro.obs import NULL_TRACER
-
-    tracer = getattr(cluster, "tracer", None) or NULL_TRACER
     before = cluster.registry.snapshot()
-    with tracer.span("query", explain="analyze"):
-        with tracer.span("rewrite"):
-            qplan = ParallelRewriter(cluster, flags).plan(plan)
-        result = cluster.executor.execute(
-            qplan, trans=trans, exchange_mode=exchange_mode,
-            thread_to_node=thread_to_node,
-        )
-        with tracer.span("commit", implicit=trans is None):
-            pass
+    result = cluster.query(plan, flags=flags, trans=trans,
+                           exchange_mode=exchange_mode,
+                           thread_to_node=thread_to_node)
     after = cluster.registry.snapshot()
-    # a mid-query re-plan means the batches came from a different tree
-    # than the one planned up front: render what actually ran
-    phys = getattr(result, "_final_root", qplan.root)
-    annotations = getattr(result, "_annotations", qplan.annotations)
-    text = annotate_plan(phys, result, before, after,
-                         annotations=annotations)
+    # result.qplan is the plan that produced the batches: after a
+    # mid-query re-plan, not the one planned up front
+    text = annotate_plan(result.qplan.root, result, before, after,
+                         annotations=result.qplan.annotations)
     result.plan_text = text
     return text, result
 

@@ -18,7 +18,6 @@ working while the registry is the single source of truth.
 from __future__ import annotations
 
 import bisect
-import warnings
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError
@@ -141,16 +140,6 @@ class Counter(MetricFamily):
     def get(self, **labels) -> float:
         return self._series.get(self._key(labels), 0)
 
-    def set(self, value: float, **labels) -> None:
-        """Deprecated: counters are monotonic. Use :meth:`inc` (or
-        :meth:`clear`/``registry.reset`` to zero); legacy attribute-style
-        views assign through :meth:`_assign`."""
-        warnings.warn(
-            f"Counter.set ({self.name}) is deprecated: counters are "
-            "monotonic -- use inc(), or clear()/reset() to zero",
-            DeprecationWarning, stacklevel=2)
-        self._assign(value, **labels)
-
     def _assign(self, value: float, **labels) -> None:
         """Non-monotonic assignment for the legacy attribute views
         (``pool.hits = 0``); not part of the Prometheus counter model."""
@@ -161,9 +150,6 @@ class Counter(MetricFamily):
 
     def clear(self) -> None:
         self._series.clear()
-
-    def remove(self, **labels) -> None:
-        self._series.pop(self._key(labels), None)
 
     def series(self) -> Dict[LabelKey, float]:
         return dict(self._series)

@@ -36,8 +36,7 @@ gauges (per-node live workload memory, alive datanodes, minimum
 replication degree) right before each sample so rules can watch them.
 
 Import note: like ``repro.obs.events`` this module must stay free of
-storage/mpp imports (``collect_actuals`` is imported lazily), so
-``repro.obs`` can export it eagerly.
+storage/mpp imports, so ``repro.obs`` can export it eagerly.
 """
 
 from __future__ import annotations
@@ -739,20 +738,6 @@ class QueryLog:
         return out
 
 
-def _max_qerror(phys, annotations, profiles) -> float:
-    """Worst per-operator q-error of a finished query (1.0 = perfect)."""
-    from repro.mpp.feedback import collect_actuals
-    worst = 0.0
-    for node, actual in collect_actuals(phys, profiles).items():
-        ann = annotations.get(node) if annotations else None
-        if ann is None:
-            continue
-        a = max(float(actual), 1.0)
-        e = max(float(ann.rows), 1.0)
-        worst = max(worst, a / e, e / a)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # FlightRecorder: the facade the cluster owns
 # ---------------------------------------------------------------------------
@@ -840,27 +825,11 @@ class FlightRecorder:
         """Append a terminal workload-manager record to the query log."""
         result = record.result
         statement = record.statement or record.root_label
-        plan_signature = ""
-        annotations = None
-        phys = record.phys
-        qplan = record.qplan
-        if qplan is not None:
-            annotations = qplan.annotations
-            phys = qplan.root
-        if result is not None:
-            phys = getattr(result, "_final_root", phys)
-            annotations = getattr(result, "_annotations", annotations)
-        if annotations is not None and phys is not None:
-            ann = annotations.get(phys)
-            plan_signature = getattr(ann, "signature", "") or ""
-        if not plan_signature and phys is not None:
-            plan_signature = phys.describe()
-        max_qerror = 0.0
-        if result is not None and annotations is not None:
-            try:
-                max_qerror = _max_qerror(phys, annotations, result.profiles)
-            except Exception:  # noqa: BLE001 - diagnostics must not fail
-                max_qerror = 0.0
+        # after a mid-query re-plan the result carries the final plan
+        qplan = result.qplan if result is not None else record.qplan
+        ann = qplan.annotations.get(qplan.root)
+        plan_signature = (getattr(ann, "signature", "")
+                          or qplan.root.describe())
         dominant_op, dominant_share = "", 0.0
         if result is not None and result.profiles:
             try:
@@ -894,7 +863,7 @@ class FlightRecorder:
             wire_bytes=(result.network_bytes if result is not None else 0),
             retries=record.retries,
             replans=(result.replans if result is not None else 0),
-            max_qerror=max_qerror,
+            max_qerror=(result.max_qerror if result is not None else 0.0),
             dominant_op=dominant_op,
             dominant_share=dominant_share,
             tenant=getattr(record, "tenant", ""),

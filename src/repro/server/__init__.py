@@ -1,4 +1,4 @@
-"""Server frontend: connections, multi-tenant governance, epoch caches.
+"""Server frontend: connections, multi-tenant governance, result cache.
 
 The reproduction's serving layer (DESIGN §3l). ``cluster.serve()``
 attaches a :class:`ServerFrontend`; simulated clients then ``connect()``
@@ -6,11 +6,11 @@ to a tenant and speak the simple (``Query``) or extended
 (``Parse``/``Bind``/``Execute``) protocol from
 :mod:`repro.server.protocol`. Admission across tenants is weighted-fair
 (stride scheduling in :mod:`repro.workload`), and repeat work is
-answered from the snapshot-epoch result/plan caches in
+answered from the snapshot-epoch result cache in
 :mod:`repro.server.cache`.
 """
 
-from repro.server.cache import EpochKeyedCache, PlanCache, ResultCache
+from repro.server.cache import EpochKeyedCache, ResultCache
 from repro.server.frontend import (ClientConnection, PendingResult, Portal,
                                    PreparedStatement, ServerFrontend)
 from repro.server.protocol import (Bind, CommandComplete, Execute, Parse,
@@ -25,7 +25,6 @@ __all__ = [
     "Execute",
     "Parse",
     "PendingResult",
-    "PlanCache",
     "Portal",
     "PreparedStatement",
     "Query",

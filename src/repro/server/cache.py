@@ -1,6 +1,6 @@
-"""Snapshot-epoch result and plan caches for the server frontend.
+"""Snapshot-epoch result cache for the server frontend.
 
-Both caches key entries by a text key *plus the snapshot epoch vector*
+The cache keys entries by a text key *plus the snapshot epoch vector*
 of every table the statement reads -- the ``(table, epoch)`` pairs from
 :meth:`repro.txn.manager.TransactionManager.epoch_vector`. Epochs bump
 on every commit that changes a table's visible contents, so an entry is
@@ -15,16 +15,13 @@ valid exactly as long as a repeat execution would be bit-identical:
 
 The result cache copies column arrays on store *and* on serve, so a
 client mutating a returned batch can never corrupt a later hit -- hits
-must stay bit-identical to a cold run. The plan cache stores the
-planned :class:`~repro.mpp.strategy.QueryPlan` itself: plans are
-immutable descriptions (every execution builds fresh operators), so
-sharing one plan across executions is safe and skips the rewriter.
+must stay bit-identical to a cold run.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.engine.batch import Batch
 
@@ -155,33 +152,8 @@ class ResultCache(EpochKeyedCache):
                      value.n)
 
 
-class PlanCache(EpochKeyedCache):
-    """Planned QueryPlans for prepared statements, per parameter vector.
-
-    The text key folds the statement fingerprint together with the bound
-    parameters (plans bake literals in as constants, so different
-    parameter values are different plans); epochs guard against feedback
-    or statistics drift after commits.
-    """
-
-    kind = "plan"
-
-    @staticmethod
-    def plan_key(fingerprint: str, params: Tuple[object, ...]) -> str:
-        return f"{fingerprint}|{params!r}"
-
-
-def lookup_plan(cache: Optional[PlanCache], fingerprint: str,
-                params: Tuple[object, ...], epochs: EpochVector):
-    if cache is None or not fingerprint:
-        return None
-    return cache.lookup(PlanCache.plan_key(fingerprint, params), epochs)
-
-
-def store_plan(cache: Optional[PlanCache], fingerprint: str,
-               params: Tuple[object, ...], epochs: EpochVector, qplan,
-               tables: Iterable[str]) -> None:
-    if cache is None or not fingerprint:
-        return
-    cache.store(PlanCache.plan_key(fingerprint, params), epochs, qplan,
-                tables)
+def portal_key(fingerprint: str, params: Tuple[object, ...]) -> str:
+    """Cache text of a bound portal: the statement fingerprint folded
+    together with the bound parameters (different values are different
+    results, and ``repr`` keeps ``1`` and ``"1"`` apart)."""
+    return f"{fingerprint}|{params!r}"

@@ -1,17 +1,13 @@
-"""The server frontend: connections, tenants, and epoch-keyed caches.
+"""The server frontend: connections, tenants, and the result cache.
 
 ``ServerFrontend`` is the piece that turns the library-only reproduction
 into a *server*: simulated clients open :class:`ClientConnection`\\ s,
 speak the simple or extended protocol (:mod:`repro.server.protocol`) and
 are routed to a tenant's admission queue in the workload manager. On
-top sit two caches keyed by SQL + snapshot epochs
-(:mod:`repro.server.cache`):
-
-* the **result cache** answers repeat SELECTs without executing at all
-  -- a hit is bit-identical to a cold run because the key includes the
-  epoch of every referenced table and commits bump epochs;
-* the **plan cache** keeps planned ``QueryPlan``\\ s for prepared
-  statements, so ``Execute`` skips the Parallel Rewriter.
+top sits the **result cache** (:mod:`repro.server.cache`), keyed by SQL
++ snapshot epochs: it answers repeat SELECTs without executing at all
+-- a hit is bit-identical to a cold run because the key includes the
+epoch of every referenced table and commits bump epochs.
 
 Invalidation is eager: the frontend registers an epoch listener with
 the transaction manager, so the commit that bumps a table's epoch
@@ -35,7 +31,7 @@ from repro.common.errors import SqlError
 from repro.engine.batch import Batch, batch_bytes
 from repro.obs.monitor import sql_fingerprint
 from repro.server import protocol as wire
-from repro.server.cache import PlanCache, ResultCache
+from repro.server.cache import ResultCache, portal_key
 from repro.sql import parser as ast
 from repro.sql.binder import _SelectBinder, execute_statement
 from repro.sql.parser import SqlParser
@@ -212,8 +208,7 @@ class ClientConnection:
         self.queries += 1
         prepared = bound.statement
         if isinstance(prepared.stmt, ast.SelectStatement):
-            cache_text = PlanCache.plan_key(prepared.fingerprint,
-                                            bound.params)
+            cache_text = portal_key(prepared.fingerprint, bound.params)
             return frontend._submit_select(
                 self, prepared.sql, prepared.stmt, cache_text=cache_text,
                 fingerprint=prepared.fingerprint, params=bound.params)
@@ -261,11 +256,8 @@ class ServerFrontend:
         config = cluster.config
         registry = cluster.registry
         result_entries = getattr(config, "server_result_cache_entries", 256)
-        plan_entries = getattr(config, "server_plan_cache_entries", 256)
         self.result_cache = (ResultCache(result_entries, registry)
                              if result_entries else None)
-        self.plan_cache = (PlanCache(plan_entries, registry)
-                           if plan_entries else None)
         self.connections: "OrderedDict[int, ClientConnection]" = OrderedDict()
         self._conn_ids = itertools.count(1)
         #: statement the tenant-storm chaos fault submits; None disables
@@ -348,23 +340,12 @@ class ServerFrontend:
             if batch is not None:
                 self._charge_result(batch)
                 return PendingResult(self, conn, value=batch, cached=True)
-        # the plan cache key is cache_text, never the bare fingerprint:
-        # simple-protocol statements with different literals share a
-        # fingerprint but bake different constants into their plans
-        qplan = None
-        if self.plan_cache is not None:
-            qplan = self.plan_cache.lookup(cache_text, epochs)
-        if qplan is None:
-            from repro.mpp.rewriter import ParallelRewriter
-            # bind_parameters deep-copies: the binder mutates the AST
-            # (star expansion), so cached templates must stay pristine
-            bound = bind_parameters(stmt, params)
-            plan = _SelectBinder(cluster, bound).plan()
-            qplan = ParallelRewriter(cluster, None).plan(plan)
-            if self.plan_cache is not None:
-                self.plan_cache.store(cache_text, epochs, qplan, tables)
+        # bind_parameters deep-copies: the binder mutates the AST (star
+        # expansion), so prepared templates must stay pristine
+        bound = bind_parameters(stmt, params)
+        plan = _SelectBinder(cluster, bound).plan()
         query_id = cluster.workload.submit(
-            None, qplan=qplan, tenant=conn.tenant,
+            plan, tenant=conn.tenant,
             session=conn.session.session_id, statement=sql,
             fingerprint=fingerprint)
         conn.inflight.add(query_id)
@@ -396,8 +377,6 @@ class ServerFrontend:
     def _on_epoch_bump(self, table: str, epoch: int) -> None:
         if self.result_cache is not None:
             self.result_cache.invalidate_table(table)
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_table(table)
 
     # ---------------------------------------------------------------- chaos
 
@@ -438,8 +417,6 @@ class ServerFrontend:
             "open": self._open_count(),
             "result_cache": (self.result_cache.stats()
                              if self.result_cache else None),
-            "plan_cache": (self.plan_cache.stats()
-                           if self.plan_cache else None),
             "bytes_sent": int(self._c_sent.total()),
             "bytes_received": int(self._c_recv.total()),
         }

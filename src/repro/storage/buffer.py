@@ -28,7 +28,7 @@ def _stat_property(counter_attr: str):
     def setter(self, value):
         family = getattr(self, counter_attr)
         # counters expose _assign for these legacy views; gauges use set
-        assign = getattr(family, "_assign", family.set)
+        assign = getattr(family, "_assign", None) or family.set
         assign(value, node=self.node)
 
     return property(getter, setter)

@@ -136,7 +136,9 @@ class StoredTable:
         fixed = []
         for col, op, literal in predicates:
             scale = self._decimal_scale(col)
-            if scale is not None and isinstance(literal, float):
+            # bool is an int subclass, but never a decimal literal
+            if scale is not None and isinstance(literal, (int, float)) \
+                    and not isinstance(literal, bool):
                 literal = int(round(literal * scale))
             fixed.append((col, op, literal))
         return fixed

@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.engine.expressions import Col, InList
+from repro.mpp.logical import LScan
 from repro.tpch.dbgen import (
     PRIORITIES, SHIP_INSTRUCT, SHIP_MODES, START_DATE, END_DATE, _comments,
 )
@@ -67,12 +68,16 @@ def make_rf1_batch(existing_orders: np.ndarray, n_new: int,
     return orders, lineitems
 
 
+def _visible_orderkeys(cluster) -> np.ndarray:
+    """Order keys a new snapshot sees: stable storage merged with the
+    PDTs, so back-to-back refreshes need no propagation in between."""
+    return cluster.query(
+        LScan("orders", ["o_orderkey"])).batch.columns["o_orderkey"]
+
+
 def refresh_rf1(cluster, fraction: float = 0.001, seed: int = 7) -> int:
     """Insert new orders + lineitems through PDTs; returns orders inserted."""
-    orders_tbl = cluster.tables["orders"]
-    existing = np.concatenate([
-        p.read_column("o_orderkey") for p in orders_tbl.partitions
-    ]) if orders_tbl.partitions else np.array([], np.int64)
+    existing = _visible_orderkeys(cluster)
     n_new = max(1, int(len(existing) * fraction))
     n_cust = sum(p.n_stable for p in cluster.tables["customer"].partitions)
     n_part = sum(p.n_stable for p in cluster.tables["part"].partitions)
@@ -89,10 +94,7 @@ def refresh_rf1(cluster, fraction: float = 0.001, seed: int = 7) -> int:
 def refresh_rf2(cluster, fraction: float = 0.001, seed: int = 8) -> int:
     """Delete a fraction of orders and their lineitems; returns orders hit."""
     rng = np.random.default_rng(seed)
-    orders_tbl = cluster.tables["orders"]
-    existing = np.concatenate([
-        p.read_column("o_orderkey") for p in orders_tbl.partitions
-    ])
+    existing = _visible_orderkeys(cluster)
     n_del = max(1, int(len(existing) * fraction))
     victims = rng.choice(existing, n_del, replace=False).tolist()
     trans = cluster.begin()

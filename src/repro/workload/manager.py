@@ -77,6 +77,7 @@ from repro.engine.exchange import (
 from repro.mpp import plan as P
 from repro.mpp.executor import QueryResult, QueryRun
 from repro.mpp.rewriter import ParallelRewriter
+from repro.mpp.strategy import QueryPlan
 from repro.obs import Span, span_from_profile
 
 QUEUED = "queued"
@@ -97,12 +98,6 @@ DEFAULT_TENANT = "default"
 #: converge to the weight ratio using integer math only (bit-identical
 #: twin runs need no floats in the scheduling state)
 STRIDE1 = 1 << 20
-
-
-def _walk_phys(node: P.PhysNode):
-    yield node
-    for child in node.children:
-        yield from _walk_phys(child)
 
 
 def estimate_query_memory(cluster, phys: P.PhysNode,
@@ -129,7 +124,7 @@ def estimate_query_memory(cluster, phys: P.PhysNode,
     per_node.setdefault(master, 0)
     message_size = cluster.config.mpi_message_size
     n_lanes = 1 if thread_to_node else cluster.config.cores_per_node
-    for node in _walk_phys(phys):
+    for node in phys.walk():
         if isinstance(node, P.PScan):
             table = cluster.table(node.table)
             if getattr(table, "is_virtual", False):
@@ -158,7 +153,8 @@ class QueryRecord:
 
     query_id: int
     session_id: int
-    phys: P.PhysNode
+    #: what was planned at submission; every (re-)dispatch prepares it
+    qplan: QueryPlan
     statement: str = ""
     #: the tenant whose queue/quotas govern this query's admission
     tenant: str = DEFAULT_TENANT
@@ -179,11 +175,12 @@ class QueryRecord:
     queue_reason: str = ""
     cancel_reason: str = ""
     error: Optional[BaseException] = None
+    #: the live operator tree: set while RUNNING, dropped at terminal
+    #: state so finished records do not pin their trees and channels
     run: Optional[QueryRun] = None
+    #: scheduler rounds taken so far (final once terminal)
+    rounds: int = 0
     result: Optional[QueryResult] = None
-    #: the planned QueryPlan (annotations + exchange decisions); None for
-    #: callers that submitted a bare physical tree
-    qplan: Optional[object] = None
     submit_wall: float = 0.0
     submit_sim: float = 0.0
     admit_wall: float = 0.0
@@ -193,10 +190,6 @@ class QueryRecord:
     wait_sim: float = 0.0
     root_span: Optional[Span] = None
     trace_parent: Optional[Span] = None
-
-    @property
-    def rounds(self) -> int:
-        return self.run.rounds if self.run is not None else 0
 
 
 class AdmissionController:
@@ -468,21 +461,20 @@ class WorkloadManager:
                session: int = 0,
                statement: Optional[str] = None,
                tenant: str = DEFAULT_TENANT,
-               qplan=None,
                fingerprint: str = "") -> int:
-        """Rewrite a logical plan and enqueue it; returns the query id.
+        """Plan a query and enqueue it; returns the query id.
 
-        Submission is cheap: the plan is rewritten and estimated, then
-        queued. Execution happens in :meth:`step` rounds, normally
+        ``plan`` is a logical plan, rewritten here under ``flags``, or
+        an already-planned :class:`~repro.mpp.strategy.QueryPlan`, used
+        as is. Submission is cheap: the plan is rewritten and estimated,
+        then queued. Execution happens in :meth:`step` rounds, normally
         driven from :meth:`gather`. ``timeout`` is a simulated-seconds
         budget measured from submission; ``memory_estimate`` overrides
         the plan-derived per-node admission estimate. ``tenant`` routes
         the query to that tenant's admission queue (unknown tenants are
-        auto-registered with weight 1). A caller holding an
-        already-planned ``qplan`` (the server's prepared-plan cache)
-        skips the rewrite entirely; ``fingerprint`` overrides the query
-        log's statement fingerprint so all executions of one prepared
-        statement aggregate as a single entry.
+        auto-registered with weight 1). ``fingerprint`` overrides the
+        query log's statement fingerprint so all executions of one
+        prepared statement aggregate as a single entry.
         """
         cluster = self.cluster
         qid = next(self._query_ids)
@@ -492,30 +484,26 @@ class WorkloadManager:
         if statement is None and parent is not None:
             statement = str(parent.attrs.get("statement", ""))
 
-        root = Span("query", attrs={"query": qid})
-        root.wall_start, root.sim_start = wall0, sim0
-        rewrite = Span("rewrite")
-        rewrite.wall_start, rewrite.sim_start = wall0, sim0
-        if qplan is None:
-            qplan = ParallelRewriter(cluster, flags).plan(plan)
+        qplan = (plan if isinstance(plan, QueryPlan)
+                 else ParallelRewriter(cluster, flags).plan(plan))
         phys = qplan.root
-        rewrite.wall_end = _time.perf_counter()
-        rewrite.sim_end = self._clock.seconds
-
-        assignment = Span("assignment")
-        assignment.wall_start = assignment.wall_end = rewrite.wall_end
-        assignment.sim_start = assignment.sim_end = rewrite.sim_end
-        from repro.mpp.logical import LScan
-        logical = plan if plan is not None else qplan.logical
-        scans = [n for n in logical.walk() if isinstance(n, LScan)]
-        tables = sorted({s.table for s in scans})
-        assignment.attrs["tables"] = ",".join(tables) or "-"
-        assignment.attrs["partitions"] = sum(
-            cluster.table(t).n_partitions for t in tables)
-        root.children = [rewrite, assignment]
+        wall1 = _time.perf_counter()
+        sim1 = self._clock.seconds
+        tables = sorted({n.table for n in phys.walk()
+                         if isinstance(n, P.PScan)})
+        root = Span("query", attrs={"query": qid},
+                    wall_start=wall0, sim_start=sim0, children=[
+            Span("rewrite", wall_start=wall0, wall_end=wall1,
+                 sim_start=sim0, sim_end=sim1),
+            Span("assignment", wall_start=wall1, wall_end=wall1,
+                 sim_start=sim1, sim_end=sim1, attrs={
+                     "tables": ",".join(tables) or "-",
+                     "partitions": sum(cluster.table(t).n_partitions
+                                       for t in tables)}),
+        ])
 
         record = QueryRecord(
-            query_id=qid, session_id=session, phys=phys,
+            query_id=qid, session_id=session, qplan=qplan,
             statement=statement or "",
             tenant=tenant, fingerprint=fingerprint,
             root_label=parent.name if parent is not None else "query",
@@ -527,7 +515,6 @@ class WorkloadManager:
                                  annotations=qplan.annotations)),
             submit_wall=wall0, submit_sim=sim0,
             root_span=root, trace_parent=parent,
-            qplan=qplan,
         )
         self._records[qid] = record
         state = self.tenants.get(tenant)
@@ -620,14 +607,15 @@ class WorkloadManager:
             record.own_txn = True
         # snapshot isolation under interleaving: pin every scanned
         # partition's Trans-PDT now, not at first pull many rounds later
-        cluster.txn.pin_snapshot(record.trans, self._scan_parts(record.phys))
+        cluster.txn.pin_snapshot(
+            record.trans, self._scan_parts(record.qplan.root))
         record.run = cluster.executor.prepare(
-            record.qplan if record.qplan is not None else record.phys,
+            record.qplan,
             trans=record.trans,
+            scheduler=self.scheduler,
+            meter=self.meter,
             exchange_mode=record.exchange_mode,
             thread_to_node=record.thread_to_node,
-            scheduler=self.scheduler,
-            meter=MemoryMeter(parent=self.meter),
             query_id=record.query_id,
         )
         self._running.append(record.query_id)
@@ -645,7 +633,7 @@ class WorkloadManager:
 
     def _scan_parts(self, phys: P.PhysNode):
         seen = set()
-        for node in _walk_phys(phys):
+        for node in phys.walk():
             if isinstance(node, P.PScan):
                 table = self.cluster.table(node.table)
                 if getattr(table, "is_virtual", False):
@@ -684,6 +672,7 @@ class WorkloadManager:
                 self._fail(record, exc)
                 continue
             turn_costs.append(self.scheduler.end_turn())
+            record.rounds = record.run.rounds
             if not more:
                 finished.append(record)
         # queries on disjoint core slots overlap: the round costs the
@@ -704,11 +693,13 @@ class WorkloadManager:
 
     def _check_timeouts(self) -> None:
         clock = self._clock.seconds
-        for record in list(self._records.values()):
-            if record.state in (QUEUED, RUNNING) and \
-                    record.timeout is not None and \
+        # only live queries can time out; submission order, so twin runs
+        # cancel in the same sequence
+        for qid in sorted(self.queued_ids() + self._running):
+            record = self._records[qid]
+            if record.timeout is not None and \
                     clock - record.submit_sim > record.timeout:
-                self.cancel(record.query_id, reason="timeout")
+                self.cancel(qid, reason="timeout")
 
     # ----------------------------------------------------------- completion
 
@@ -732,17 +723,14 @@ class WorkloadManager:
             return
         record.finish_wall = _time.perf_counter()
         record.finish_sim = self._clock.seconds
-        result.query_id = record.query_id
-        result.rounds = record.run.rounds
         result.wait_sim_seconds = record.wait_sim
         record.result = result
         record.state = FINISHED
         self._retire(record)
         self._emit("query.finished", query=record.query_id,
-                   rounds=record.run.rounds,
+                   rounds=result.rounds,
                    sim=round(result.simulated_parallel_seconds, 9))
-        self._seal_spans(record)
-        self._notify_monitor(record)
+        self._close(record)
         if record.trace:
             result.trace = record.root_span
 
@@ -756,8 +744,7 @@ class WorkloadManager:
         self._retire(record)
         self._emit("query.failed", query=record.query_id,
                    error=type(exc).__name__)
-        self._seal_spans(record)
-        self._notify_monitor(record)
+        self._close(record)
 
     def cancel(self, query_id: int, reason: str = "cancelled") -> bool:
         """Cancel a queued or suspended query; unwinds it cleanly.
@@ -784,8 +771,7 @@ class WorkloadManager:
         record.finish_sim = self._clock.seconds
         self._retire(record)
         self._emit("query.cancelled", query=query_id, reason=reason)
-        self._seal_spans(record)
-        self._notify_monitor(record)
+        self._close(record)
         self._admit()  # the freed slot may unblock the queue
         self._update_gauges()
         return True
@@ -812,11 +798,16 @@ class WorkloadManager:
             self._release_running(record)
         self._update_gauges()
 
-    def _notify_monitor(self, record: QueryRecord) -> None:
-        """Append the terminal query to the flight recorder's query log."""
+    def _close(self, record: QueryRecord) -> None:
+        """Terminal bookkeeping: publish the span tree, append the query
+        to the flight recorder's log, let go of the operator tree."""
+        if record.run is not None:
+            record.rounds = record.run.rounds
+        self._seal_spans(record)
         monitor = getattr(self.cluster, "monitor", None)
         if monitor is not None:
             monitor.record_query(record)
+        record.run = None
 
     # ------------------------------------------------------------- failover
 
@@ -876,9 +867,8 @@ class WorkloadManager:
         for qid in self.queued_ids():
             record = self._records[qid]
             record.memory_estimate = estimate_query_memory(
-                self.cluster, record.phys, record.thread_to_node,
-                annotations=(record.qplan.annotations
-                             if record.qplan is not None else None))
+                self.cluster, record.qplan.root, record.thread_to_node,
+                annotations=record.qplan.annotations)
         self._admit()
         self._update_gauges()
 
@@ -909,12 +899,12 @@ class WorkloadManager:
     # ---------------------------------------------------------------- spans
 
     def _seal_spans(self, record: QueryRecord) -> None:
-        """Assemble the manual lifecycle span tree and publish it.
+        """Assemble the query's lifecycle span tree and publish it.
 
         Concurrent queries cannot nest on the tracer's stack, so the
-        manager mirrors the structure the old query-at-a-time path
-        recorded: query -> rewrite, assignment, execute (build /
-        schedule / exchange.flush + grafted operator profiles), commit.
+        tree is put together here from the record's timestamps: query ->
+        rewrite, assignment, execute (build / schedule / exchange.flush
+        + grafted operator profiles), commit.
         """
         root = record.root_span
         if root is None:
@@ -923,38 +913,32 @@ class WorkloadManager:
         now = _time.perf_counter()
         sim_now = self._clock.seconds
         if run is not None:
-            exec_span = Span("execute", attrs={"mode": record.exchange_mode})
-            exec_span.wall_start = record.admit_wall
-            exec_span.wall_end = now
-            exec_span.sim_start = record.admit_sim
-            exec_span.sim_end = sim_now
-            cursor = exec_span.wall_start
-            phases = (
-                ("build", run.build_wall, {}),
-                ("schedule", run.step_wall, {"rounds": run.rounds}),
-                ("exchange.flush", run.flush_wall,
-                 {"exchanges": len(run.ctx.exchange_order)}),
-            )
-            for name, wall, attrs in phases:
-                child = Span(name, attrs=dict(attrs))
-                child.wall_start = cursor
-                child.wall_end = cursor + wall
-                cursor = child.wall_end
-                child.sim_start = exec_span.sim_start
-                child.sim_end = (exec_span.sim_end if name == "schedule"
-                                 else exec_span.sim_start)
-                exec_span.children.append(child)
-            profiles = (record.result.profiles if record.result is not None
-                        else [])
-            for prof in profiles:
-                span_from_profile(prof, exec_span)
+            exec_span = Span("execute", attrs={"mode": record.exchange_mode},
+                             wall_start=record.admit_wall, wall_end=now,
+                             sim_start=record.admit_sim, sim_end=sim_now)
+            cursor = record.admit_wall
+            for name, wall, attrs in (
+                    ("build", run.build_wall, {}),
+                    ("schedule", run.step_wall, {"rounds": run.rounds}),
+                    ("exchange.flush", run.flush_wall,
+                     {"exchanges": len(run.ctx.exchange_order)})):
+                # only scheduling advances the simulated clock
+                exec_span.children.append(Span(
+                    name, attrs=attrs,
+                    wall_start=cursor, wall_end=cursor + wall,
+                    sim_start=record.admit_sim,
+                    sim_end=(sim_now if name == "schedule"
+                             else record.admit_sim)))
+                cursor += wall
+            if record.result is not None:
+                for prof in record.result.profiles:
+                    span_from_profile(prof, exec_span)
             root.children.append(exec_span)
         if record.state == FINISHED:
-            commit_span = Span("commit",
-                               attrs={"implicit": record.own_txn})
-            commit_span.wall_start = commit_span.wall_end = now
-            commit_span.sim_start = commit_span.sim_end = sim_now
-            root.children.append(commit_span)
+            root.children.append(Span(
+                "commit", attrs={"implicit": record.own_txn},
+                wall_start=now, wall_end=now,
+                sim_start=sim_now, sim_end=sim_now))
         root.attrs["state"] = record.state
         if record.statement:
             root.attrs.setdefault("statement", record.statement)

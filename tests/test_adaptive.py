@@ -13,10 +13,12 @@ cost-based join reordering, and a chaos soak with re-planning enabled.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.chaos import ChaosController
 from repro.cluster import VectorHCluster
 from repro.common.config import Config
+from repro.common.errors import ExecutionError
 from repro.common.types import INT64
 from repro.engine.expressions import Col
 from repro.mpp.feedback import fragment_signature
@@ -26,6 +28,7 @@ from repro.mpp.strategy import QueryPlan
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 from repro.workload import estimate_query_memory
+from tests.conftest import assert_batches_match
 
 N_DIM = 2000
 N_FACT = 3000
@@ -158,6 +161,45 @@ class TestMidQueryReplan:
         assert any("Broadcast" in label for label in labels)
         assert any("HashSplit" in label for label in labels)
 
+    def test_one_run_carries_both_attempts(self):
+        """A forced mid-query re-plan rebuilds the same QueryRun in
+        place: its counters are the sum over both attempts, nothing
+        stays charged to the shared meter, and the rows are those of a
+        run that never re-planned."""
+        c = _star_cluster(workload_deterministic=True)
+        before = (c.mpi.total_bytes, c.mpi.total_messages)
+        ticks = []
+        c.workload.round_hooks.append(lambda: ticks.append(1))
+        trace = c.query(_skew_plan(), trace=True)
+        assert trace.replans == 1
+        assert trace.query_id == 1
+        [replan] = c.events.of_kind("query.replan")
+        assert replan.attrs["query"] == 1
+        # the only query on the fabric: its totals are the fabric's, so
+        # the cancelled attempt's traffic was neither lost nor doubled
+        assert trace.network_bytes == c.mpi.total_bytes - before[0]
+        assert trace.network_messages == c.mpi.total_messages - before[1]
+        # admitted at submit, so it took one turn in every manager
+        # round: none of the aborted attempt's rounds were dropped
+        [record] = c.workload.query_records()
+        assert record.rounds == trace.rounds == len(ticks)
+        phases = [trace.trace.find(name)
+                  for name in ("build", "schedule", "exchange.flush")]
+        assert phases[1].attrs["rounds"] == trace.rounds
+        # two builds, two attempts' steps, one flush: one wall total
+        assert sum(p.wall_end - p.wall_start for p in phases) == \
+            pytest.approx(trace.elapsed)
+        assert trace.simulated_parallel_seconds > 0
+        # both builds were given back: no bytes left on the shared meter
+        assert all(v == 0 for v in c.workload.meter.current.values())
+        # same rows in fewer rounds: the run that does not replan
+        static = _star_cluster(workload_deterministic=True,
+                               adaptive_replan=False)
+        rs = static.query(_skew_plan())
+        assert rs.replans == 0
+        assert_batches_match(trace.batch, rs.batch)
+        assert trace.rounds > rs.rounds
+
 
 # ---------------------------------------------------------- determinism
 
@@ -285,14 +327,17 @@ class TestPlanRunnerSplit:
         assert decision.estimated == 54.0
         assert decision.probe_move_rows == float(N_FACT)
 
-    def test_executor_accepts_queryplan_and_bare_tree(self):
+    def test_a_queryplan_is_the_only_thing_that_executes(self):
         c = _star_cluster(adaptive_replan=False)
         qplan = ParallelRewriter(c).plan(_skew_plan())
-        via_plan = c.executor.execute(qplan)
-        via_tree = c.executor.execute(
-            ParallelRewriter(c, qplan.flags).plan(_skew_plan()).root)
-        assert via_plan.batch.columns["s"][0] == SUM_V
-        assert via_tree.batch.columns["s"][0] == SUM_V
+        result = c.query(qplan)
+        assert result.batch.columns["s"][0] == SUM_V
+        assert result.qplan is qplan
+        for not_a_plan in (qplan.root, _skew_plan(), None):
+            with pytest.raises(ExecutionError, match="expected a QueryPlan"):
+                c.executor.prepare(
+                    not_a_plan, trans=None, scheduler=c.workload.scheduler,
+                    meter=c.workload.meter)
 
 
 # -------------------------------------------------- SQL join reordering

@@ -72,7 +72,7 @@ class TestDdl:
 class TestLocality:
     def test_scans_fully_short_circuited(self):
         c = two_table_cluster()
-        c.reset_io_counters()
+        c.registry.reset("hdfs_")
         c.clear_buffer_pools()
         c.query(LAggr(LScan("r", ["rk", "r_v"]), [],
                       [("n", "count", None)]))
@@ -80,7 +80,6 @@ class TestLocality:
 
     def test_colocated_join_no_network_data(self):
         c = two_table_cluster()
-        c.reset_io_counters()
         n = join_count(c)
         assert n == 2000
         # only the DXchgUnion gather and 2PC-free coordination remain

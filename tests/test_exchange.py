@@ -8,12 +8,18 @@ import pytest
 from repro.common.config import Config
 from repro.common.types import INT64
 from repro.cluster import VectorHCluster
-from repro.engine.exchange import MATERIALIZE, STREAMING
+from repro.engine.exchange import (
+    MATERIALIZE,
+    STREAMING,
+    MemoryMeter,
+    StreamScheduler,
+)
 from repro.engine.expressions import Col
 from repro.mpp import plan as P
-from repro.mpp.executor import MASTER_STREAM, MppExecutor
+from repro.mpp.executor import MASTER_STREAM
 from repro.mpp.logical import LAggr, LJoin, LScan, LSelect
 from repro.mpp.rewriter import RewriterFlags
+from repro.mpp.strategy import QueryPlan
 from repro.storage import Column, TableSchema
 
 N_FACT = 6000
@@ -173,13 +179,12 @@ class TestRegressions:
             assert col.dtype == np.int64
 
     def test_repeat_execution_is_stable(self, cluster):
-        """The per-run context must not leak state between execute()
-        calls (the old executor memoized by id(phys), which can alias)."""
-        executor = cluster.executor
+        """The per-run context must not leak state between runs of one
+        plan (the old executor memoized by id(phys), which can alias)."""
         from repro.mpp.rewriter import ParallelRewriter
-        phys = ParallelRewriter(cluster, RESHUFFLE).rewrite(_join_plan())
-        first = executor.execute(phys)
-        second = executor.execute(phys)
+        qplan = ParallelRewriter(cluster, RESHUFFLE).plan(_join_plan())
+        first = cluster.query(qplan)
+        second = cluster.query(qplan)
         assert first.batch.n == second.batch.n
         assert first.network_bytes == second.network_bytes
         assert first.network_messages == second.network_messages
@@ -193,9 +198,10 @@ class TestRegressions:
         from one representative worker -- all against the run context's
         prepare-time snapshot of the worker set."""
         from repro.mpp.executor import _RunContext
-        executor = MppExecutor(cluster)
+        executor = cluster.executor
         ctx = _RunContext(trans=None, mode="streaming", n_lanes=1,
-                          vector_size=128, workers=cluster.workers,
+                          vector_size=128, scheduler=StreamScheduler(),
+                          meter=MemoryMeter(), workers=cluster.workers,
                           session_master=cluster.session_master)
         part_scan = P.PScan("fact", ["pk"], [], P.Distribution(
             P.PARTITIONED, ("pk",), co_location="fact"))
@@ -210,12 +216,11 @@ class TestRegressions:
     def test_master_side_child_sends_from_master(self, cluster):
         """End to end: splitting a master-resident relation back across
         the workers must put bytes on master->worker links."""
-        executor = MppExecutor(cluster)
         scan = P.PScan("fact", ["pk"], [], P.Distribution(
             P.PARTITIONED, ("pk",), co_location="fact"))
         phys = P.DXHashSplit(P.DXUnion(scan), ["pk"])
         cluster.mpi.reset()
-        result = executor.execute(phys)
+        result = cluster.query(QueryPlan(logical=None, root=phys))
         assert result.batch.n == N_FACT
         master = cluster.session_master
         outbound = [link for link in cluster.mpi.bytes_by_link

@@ -6,15 +6,12 @@ import pytest
 from repro.common.config import Config
 from repro.common.types import INT64, STRING
 from repro.cluster import VectorHCluster
-from repro.engine.batch import Batch
+from repro.engine.batch import Batch, batch_bytes
 from repro.engine.expressions import Col
 from repro.mpp import plan as P
-from repro.mpp.executor import (
-    MppExecutor,
-    estimate_batch_bytes,
-    _hash_to_streams,
-)
+from repro.mpp.executor import _hash_to_streams
 from repro.mpp.logical import LAggr, LJoin, LProject, LScan, LSelect
+from repro.mpp.strategy import QueryPlan
 from repro.storage import Column, TableSchema
 
 
@@ -37,16 +34,16 @@ def cluster():
 class TestByteEstimation:
     def test_numeric_exact(self):
         batch = Batch({"a": np.zeros(100, np.int64)}, 100)
-        assert estimate_batch_bytes(batch) == 800
+        assert batch_bytes(batch) == 800
 
     def test_strings_estimated(self):
         arr = np.empty(10, dtype=object)
         arr[:] = ["hello"] * 10
         batch = Batch({"s": arr}, 10)
-        assert estimate_batch_bytes(batch) == (5 + 4) * 10
+        assert batch_bytes(batch) == (5 + 4) * 10
 
     def test_empty(self):
-        assert estimate_batch_bytes(Batch({}, 0)) == 0
+        assert batch_bytes(Batch({}, 0)) == 0
 
 
 class TestHashToStreams:
@@ -98,14 +95,18 @@ class TestExchanges:
         return P.PScan("t", ["k"], [], P.Distribution(
             P.PARTITIONED, tuple(keys), co_location=co_location))
 
+    @staticmethod
+    def _run(cluster, phys):
+        """Hand-built physical trees run wrapped in a QueryPlan."""
+        return cluster.query(QueryPlan(logical=None, root=phys))
+
     def test_aligned_split_routes_home(self, cluster):
         # reshuffling t on its own partition key with alignment moves
         # nothing across the network: only the final gather costs bytes,
         # the same bytes a plain scan's gather costs
-        executor = MppExecutor(cluster)
-        baseline = executor.execute(self._scan())
+        baseline = self._run(cluster, self._scan())
         phys = P.DXHashSplit(self._scan(), ["k"], align_with="t")
-        result = executor.execute(phys)
+        result = self._run(cluster, phys)
         assert result.batch.n == 600
         assert result.network_bytes == baseline.network_bytes
         split_stats = next(ex for ex in result.exchanges
@@ -114,10 +115,9 @@ class TestExchanges:
         assert split_stats["local_bytes"] == split_stats["bytes"] > 0
 
     def test_unaligned_split_moves_data(self, cluster):
-        executor = MppExecutor(cluster)
-        baseline = executor.execute(self._scan())
+        baseline = self._run(cluster, self._scan())
         phys = P.DXHashSplit(self._scan(), ["k"])
-        result = executor.execute(phys)
+        result = self._run(cluster, phys)
         assert result.batch.n == 600
         # the generic hash scatters rows away from their home nodes
         assert result.network_bytes > baseline.network_bytes

@@ -102,11 +102,11 @@ class TestSecondaryIndex:
     def test_lookup_reads_less_than_scan(self, cluster):
         cluster.create_index("t", "k")
         cluster.clear_buffer_pools()
-        cluster.reset_io_counters()
+        cluster.registry.reset("hdfs_")
         cluster.index_lookup("t", "k", 42, ["k", "tag"])
         lookup_bytes = cluster.hdfs.total_bytes_read()
         cluster.clear_buffer_pools()
-        cluster.reset_io_counters()
+        cluster.registry.reset("hdfs_")
         cluster.query(LScan("t", ["k", "tag"]))
         scan_bytes = cluster.hdfs.total_bytes_read()
         assert lookup_bytes < scan_bytes / 3

@@ -89,11 +89,15 @@ class TestShortCircuitReads:
         hdfs.read("/f", reader=outsider)
         assert hdfs.locality_fraction() == 0.0
 
-    def test_reset_counters(self, hdfs):
+    def test_registry_reset_zeroes_io_counters(self, hdfs):
         hdfs.write_file("/f", b"data", "n1")
         hdfs.read("/f", reader="n1")
-        hdfs.reset_counters()
+        stored = sum(n.bytes_stored for n in hdfs.nodes.values())
+        hdfs.registry.reset("hdfs_")
         assert hdfs.total_bytes_read() == 0
+        assert all(n.bytes_written == 0 for n in hdfs.nodes.values())
+        # live state (a sticky gauge) is not a counter: it survives
+        assert sum(n.bytes_stored for n in hdfs.nodes.values()) == stored > 0
 
 
 class TestFailures:

@@ -11,6 +11,7 @@ import pytest
 from repro.cluster import VectorHCluster
 from repro.common.config import Config
 from repro.common.types import INT64, STRING, date_to_days
+from repro.mpp.logical import LScan, LSort
 from repro.obs.events import ClusterEventLog
 from repro.obs.trace import SimClock
 from repro.sql.binder import execute_sql
@@ -264,6 +265,40 @@ class TestExplain:
         assert re.search(r"wire=\d+B/\d+msgs", union)
         assert any(". link " in line and "remote" in line for line in lines)
         assert any(line.startswith("-- scan locality:") for line in lines)
+
+
+    def test_explain_analyze_is_an_ordinary_admitted_query(self):
+        config = dataclasses.replace(Config().scaled_for_tests(),
+                                     workload_max_concurrent=1,
+                                     workload_deterministic=True)
+        cluster = VectorHCluster(n_nodes=4, config=config)
+        _load_t(cluster)
+        holder = cluster.submit(LSort(LScan("t", ["a", "b"]), ["a"]))
+        seen = []
+
+        def watch():
+            seen.append((cluster.workload.load()["running"],
+                         cluster.workload.queued_ids()))
+
+        cluster.workload.round_hooks.append(watch)
+        sql = "explain analyze select b, count(*) as n from t group by b"
+        out = execute_sql(cluster, sql)
+        assert any("rows=" in line for line in _sql_lines(out))
+        # it queued behind the query holding the only slot, then held
+        # that slot itself: never two running at once
+        explain = holder + 1
+        assert seen[0] == (1, [explain])
+        assert all(running <= 1 for running, _ in seen)
+        admitted = {e.attrs["query"]: e.attrs["wait"]
+                    for e in cluster.events.of_kind("query.admitted")}
+        assert admitted[holder] == 0 and admitted[explain] > 0
+        # and it is logged like any other statement
+        logged = execute_sql(
+            cluster, "select query, state, statement from vh$query_log")
+        rows = dict(zip(logged.columns["query"].tolist(),
+                        logged.columns["statement"].tolist()))
+        assert set(rows) == {holder, explain}
+        assert rows[explain] == sql
 
 
 class TestQ1Golden:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.common.config import Config
-from repro.common.types import DATE, INT64
+from repro.common.types import DATE, DECIMAL, INT64
 from repro.cluster import VectorHCluster
 from repro.engine.expressions import Col
 from repro.mpp.logical import LScan, LSelect
+from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 
 
@@ -64,6 +65,51 @@ class TestMinMaxInterface:
             local = store.minmax.qualifying_ranges(
                 [("d", "<", 8100)], store.n_stable)
             assert answers[f"events/{pid}"] == local
+
+
+class TestDecimalLiterals:
+    """DECIMAL columns store fixed-point integers: a skip predicate's
+    literal must be scaled the same way whether it was written ``24`` or
+    ``24.0`` (the unscaled int used to prune every block)."""
+
+    @pytest.fixture()
+    def priced(self):
+        c = VectorHCluster(n_nodes=3, config=Config().scaled_for_tests())
+        c.create_table(TableSchema(
+            "items", [Column("k", INT64), Column("qty", DECIMAL)],
+            clustered_on=("qty",), partition_key=("k",), n_partitions=3))
+        n = 30_000
+        c.bulk_load("items", {
+            "k": np.arange(n),
+            "qty": (np.arange(n) % 50 + 1).astype(np.float64),
+        })
+        return c
+
+    @staticmethod
+    def _skipped(cluster) -> float:
+        family = cluster.registry.get("minmax_blocks_skipped_total")
+        return family.total() if family is not None else 0.0
+
+    def test_int_and_float_literals_agree_through_sql(self, priced):
+        runs = {}
+        for literal in ("24", "24.0"):
+            before = self._skipped(priced)
+            batch = execute_sql(
+                priced, f"SELECT k, qty FROM items WHERE qty < {literal}")
+            runs[literal] = (batch, self._skipped(priced) - before)
+        (as_int, skipped_int), (as_float, skipped_float) = runs.values()
+        assert as_int.n == 30_000 * 23 // 50
+        assert sorted(as_int.columns["k"]) == sorted(as_float.columns["k"])
+        assert skipped_int == skipped_float > 0
+
+    def test_int_and_float_literals_agree_through_resolve_minmax(
+            self, priced):
+        as_int = priced.resolve_minmax(
+            LScan("items", ["qty"], [("qty", "<", 24)]))
+        as_float = priced.resolve_minmax(
+            LScan("items", ["qty"], [("qty", "<", 24.0)]))
+        assert as_int == as_float
+        assert all(ranges for ranges in as_int.values())
 
 
 class TestAutomaticFootprint:

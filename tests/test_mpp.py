@@ -67,7 +67,7 @@ class TestRewriterRules:
         plan = LJoin(build=LScan("fact", ["fk"]),
                      probe=LScan("dim_big", ["bk", "name"]),
                      build_keys=["fk"], probe_keys=["bk"])
-        phys = ParallelRewriter(cluster).rewrite(plan)
+        phys = ParallelRewriter(cluster).plan(plan).root
         assert not find_nodes(phys, DXHashSplit)
         assert not find_nodes(phys, DXBroadcast)
 
@@ -77,14 +77,14 @@ class TestRewriterRules:
                      build_keys=["fk"], probe_keys=["bk"])
         flags = RewriterFlags(local_join=False, replicate_build=False,
                               merge_join=False)
-        phys = ParallelRewriter(cluster, flags).rewrite(plan)
+        phys = ParallelRewriter(cluster, flags).plan(plan).root
         assert find_nodes(phys, (DXHashSplit, DXBroadcast))
 
     def test_replicated_build_joins_locally(self, cluster):
         plan = LJoin(build=LScan("tiny", ["tk", "label"]),
                      probe=LScan("fact", ["fk", "dim_k"]),
                      build_keys=["tk"], probe_keys=["dim_k"])
-        phys = ParallelRewriter(cluster).rewrite(plan)
+        phys = ParallelRewriter(cluster).plan(plan).root
         assert not find_nodes(phys, (DXHashSplit, DXBroadcast))
 
     def test_misaligned_join_aligns_reshuffle_with_table(self, cluster):
@@ -95,7 +95,7 @@ class TestRewriterRules:
                      build_keys=["bk"], probe_keys=["dim_k"])
         flags = RewriterFlags()
         flags.net_weight = 0  # avoid broadcast for this test
-        phys = ParallelRewriter(cluster, flags).rewrite(plan)
+        phys = ParallelRewriter(cluster, flags).plan(plan).root
         splits = find_nodes(phys, DXHashSplit)
         broadcasts = find_nodes(phys, DXBroadcast)
         if splits:
@@ -106,7 +106,7 @@ class TestRewriterRules:
     def test_partial_aggregation_inserted(self, cluster):
         plan = LAggr(LScan("fact", ["dim_k", "v"]), ["dim_k"],
                      [("s", "sum", Col("v"))])
-        phys = ParallelRewriter(cluster).rewrite(plan)
+        phys = ParallelRewriter(cluster).plan(plan).root
         aggrs = find_nodes(phys, P.PAggr)
         phases = {a.phase for a in aggrs}
         assert phases == {"partial", "final"}
@@ -115,14 +115,14 @@ class TestRewriterRules:
         plan = LAggr(LScan("fact", ["dim_k", "v"]), ["dim_k"],
                      [("s", "sum", Col("v"))])
         flags = RewriterFlags(partial_aggr=False)
-        phys = ParallelRewriter(cluster, flags).rewrite(plan)
+        phys = ParallelRewriter(cluster, flags).plan(plan).root
         phases = {a.phase for a in find_nodes(phys, P.PAggr)}
         assert phases == {"direct"}
 
     def test_aggr_on_partition_key_stays_local(self, cluster):
         plan = LAggr(LScan("fact", ["fk", "v"]), ["fk"],
                      [("s", "sum", Col("v"))])
-        phys = ParallelRewriter(cluster).rewrite(plan)
+        phys = ParallelRewriter(cluster).plan(plan).root
         aggrs = find_nodes(phys, P.PAggr)
         assert [a.phase for a in aggrs] == ["direct"]
         assert not find_nodes(phys, DXHashSplit)
@@ -130,13 +130,13 @@ class TestRewriterRules:
     def test_count_distinct_not_split(self, cluster):
         plan = LAggr(LScan("fact", ["dim_k", "v"]), ["dim_k"],
                      [("d", "count_distinct", Col("v"))])
-        phys = ParallelRewriter(cluster).rewrite(plan)
+        phys = ParallelRewriter(cluster).plan(plan).root
         phases = {a.phase for a in find_nodes(phys, P.PAggr)}
         assert phases == {"direct"}
 
     def test_topn_partial_final(self, cluster):
         plan = LTopN(LScan("fact", ["v"]), ["v"], 5)
-        phys = ParallelRewriter(cluster).rewrite(plan)
+        phys = ParallelRewriter(cluster).plan(plan).root
         topns = find_nodes(phys, P.PTopN)
         assert {t.phase for t in topns} == {"partial", "final"}
 
@@ -144,7 +144,7 @@ class TestRewriterRules:
         for plan in [LScan("fact", ["v"]),
                      LSelect(LScan("tiny", ["tk", "label"]),
                              Col("tk") > 0)]:
-            phys = ParallelRewriter(cluster).rewrite(plan)
+            phys = ParallelRewriter(cluster).plan(plan).root
             assert phys.distribution.kind == P.MASTER
 
     def test_split_aggregates_avg(self):

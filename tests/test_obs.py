@@ -156,20 +156,16 @@ class TestHistogramQuantile:
         assert qs == sorted(qs)
 
 
-class TestCounterSetDeprecation:
-    def test_set_warns_but_still_assigns(self):
+class TestCounterAssignment:
+    def test_counters_have_no_public_set(self):
+        c = MetricsRegistry().counter("x_total")
+        assert not hasattr(c, "set")
+
+    def test_attribute_views_assign_through_the_private_path(self):
         c = MetricsRegistry().counter("x_total", labels=("node",))
         c.inc(5, node="n1")
-        with pytest.warns(DeprecationWarning, match="Counter.set"):
-            c.set(2, node="n1")
+        c._assign(2, node="n1")
         assert c.get(node="n1") == 2
-
-    def test_assign_is_the_silent_path(self, recwarn):
-        c = MetricsRegistry().counter("x_total")
-        c._assign(7)
-        assert c.get() == 7
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
 
 
 class TestExpositionFormat:
@@ -378,14 +374,18 @@ class TestClusterMetrics:
             cluster.registry.get("hdfs_bytes_stored").series().values()
         )
 
-    def test_reset_shims_consolidated(self, cluster):
+    def test_registry_reset_by_prefix(self, cluster):
         _load_one_table(cluster)
         cluster.query(_sum_plan())
 
         stored = sum(n.bytes_stored for n in cluster.hdfs.nodes.values())
         assert stored > 0
-        cluster.reset_io_counters()
         reg = cluster.registry
+        assert reg.get("net_bytes_total").total() > 0
+        reg.reset("hdfs_")
+        assert reg.get("net_bytes_total").total() > 0  # other prefixes stay
+        reg.reset("net_")
+        reg.reset("buffer_")
         assert reg.counter("hdfs_read_bytes_total",
                            labels=("node", "mode")).total() == 0
         assert reg.counter("net_bytes_total",
@@ -397,9 +397,11 @@ class TestClusterMetrics:
                    for n in cluster.hdfs.nodes.values()) == stored
         assert dict(cluster.mpi.bytes_by_link) == {}
 
+        # the per-node attribute views read the same series
         node = next(iter(cluster.hdfs.nodes.values()))
         node._reads.inc(10, node=node.name, mode="short_circuit")
-        node.reset_counters()  # per-node deprecated shim
+        assert node.bytes_read_local == 10
+        reg.reset("hdfs_read")
         assert node.bytes_read_local == 0
 
     def test_snapshot_isolation_across_queries(self, cluster):

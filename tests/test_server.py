@@ -2,9 +2,10 @@
 
 Covers the simple and extended (parse/bind/execute) protocols, the
 weighted-fair tenant scheduler (2:1 weights admit ~2:1 under
-saturation, bit-identical twin runs), the snapshot-epoch result and
-plan caches (hits bit-identical to cold runs, commit-driven
-invalidation, correctness under a concurrent committing writer), the
+saturation, bit-identical twin runs), the snapshot-epoch result cache
+(hits bit-identical to cold runs, commit-driven invalidation,
+correctness under a concurrent committing writer), the one execution
+path every entry point funnels into, the
 ``vh$tenants`` / ``vh$connections`` system tables, connection-drop and
 tenant-storm chaos faults, and the cardinality-feedback checkpoint
 that survives a cluster restart.
@@ -22,7 +23,9 @@ from repro.common.errors import SqlError
 from repro.common.types import INT64
 from repro.mpp.feedback import fragment_signature
 from repro.mpp.logical import LScan
-from repro.server import PlanCache, ResultCache, ServerFrontend
+from repro.mpp.rewriter import ParallelRewriter
+from repro.server import ResultCache, ServerFrontend
+from repro.server.cache import portal_key
 from repro.server import protocol as wire
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
@@ -62,6 +65,65 @@ class TestProtocol:
         b = wire.wire_size(wire.Bind("", "q", (1, "x")))
         assert a == b
         assert wire.wire_size(wire.Terminate()) == 5
+
+
+# ---------------------------------------------------- one execution path
+
+
+def _bound(cluster, sql):
+    """The logical plan the SQL entry points bind ``sql`` to."""
+    from repro.sql.binder import _SelectBinder
+    from repro.sql.parser import SqlParser
+    return _SelectBinder(cluster, SqlParser(sql).parse()).plan()
+
+
+def _extended(srv, sql, *params):
+    conn = srv.connect()
+    conn.parse("q", sql)
+    conn.bind("q", params)
+    return conn.execute()
+
+
+class TestOneExecutionPath:
+    """Every public way to run a query is submit + gather on the
+    workload manager: same rows to the bit, one query-log row each."""
+
+    SQL = ("SELECT b, sum(a) AS s, count(*) AS n FROM t "
+           "WHERE a < 5000 GROUP BY b ORDER BY b")
+    ENTRY_POINTS = {
+        "cluster.query":
+            lambda c, srv, sql: c.query(_bound(c, sql)).batch,
+        "session.query":
+            lambda c, srv, sql: c.session().query(_bound(c, sql)).batch,
+        "planned":
+            lambda c, srv, sql: c.query(
+                ParallelRewriter(c).plan(_bound(c, sql))).batch,
+        "execute_sql":
+            lambda c, srv, sql: execute_sql(c, sql),
+        "server.simple":
+            lambda c, srv, sql: srv.connect().simple_query(sql),
+        "server.extended":
+            lambda c, srv, sql: _extended(
+                srv, sql.replace("5000", "$1"), 5000),
+    }
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        c, _srv = _served_cluster()
+        return c.query(_bound(c, self.SQL)).batch
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_same_rows_and_one_log_row(self, entry, expected):
+        c, srv = _served_cluster()
+        batch = self.ENTRY_POINTS[entry](c, srv, self.SQL)
+        assert list(batch.columns) == list(expected.columns)
+        for name, column in expected.columns.items():
+            assert batch.columns[name].dtype == column.dtype
+            assert batch.columns[name].tobytes() == column.tobytes()
+        logged = execute_sql(c, "SELECT query, state FROM vh$query_log")
+        assert logged.columns["state"].tolist() == ["finished"]
+        [record] = c.workload.query_records()[:-1]  # minus the log scan
+        assert record.query_id == logged.columns["query"][0]
 
 
 # --------------------------------------------------------- simple protocol
@@ -159,26 +221,14 @@ class TestExtendedProtocol:
 
     def test_same_fingerprint_different_literals_not_conflated(self):
         # simple-protocol statements share a fingerprint across literal
-        # values; the plan cache must still key them apart, or the
-        # second query would reuse a plan with the wrong constant
+        # values; the result cache must still key them apart, or the
+        # second query would be served the first one's rows
         c, srv = _served_cluster()
         conn = srv.connect()
         r3 = conn.simple_query("SELECT a FROM t WHERE a < 3 ORDER BY a")
         r5 = conn.simple_query("SELECT a FROM t WHERE a < 5 ORDER BY a")
         assert r3.columns["a"].tolist() == [0, 1, 2]
         assert r5.columns["a"].tolist() == [0, 1, 2, 3, 4]
-
-    def test_plan_cache_reuses_plans(self):
-        c, srv = _served_cluster()
-        conn = srv.connect()
-        conn.parse("q", "SELECT sum(b) AS s FROM t WHERE a < $1")
-        conn.bind("q", (100,))
-        first = conn.execute()
-        srv.result_cache.clear()  # force re-execution, not a result hit
-        conn.bind("q", (100,))
-        again = conn.execute()
-        assert srv.plan_cache.hits >= 1
-        assert first.columns["s"].tolist() == again.columns["s"].tolist()
 
 
 # ------------------------------------------------------------ result cache
@@ -254,11 +304,9 @@ class TestResultCache:
         assert cache.invalidate_table("t") == 2
         assert len(cache) == 0
 
-    def test_plan_key_distinguishes_params(self):
-        assert PlanCache.plan_key("abc", (1,)) != \
-            PlanCache.plan_key("abc", (2,))
-        assert PlanCache.plan_key("abc", ("1",)) != \
-            PlanCache.plan_key("abc", (1,))
+    def test_portal_key_distinguishes_params(self):
+        assert portal_key("abc", (1,)) != portal_key("abc", (2,))
+        assert portal_key("abc", ("1",)) != portal_key("abc", (1,))
 
 
 # -------------------------------------------------------------- WFQ tenants

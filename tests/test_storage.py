@@ -74,10 +74,10 @@ class TestPartitionStore:
 
     def test_range_read_touches_fewer_bytes(self, store, hdfs):
         store.append(make_columns(20000), writer="n1")
-        hdfs.reset_counters()
+        hdfs.registry.reset("hdfs_")
         store.read_column("k", ranges=[(0, 100)], reader="n1")
         partial = hdfs.total_bytes_read()
-        hdfs.reset_counters()
+        hdfs.registry.reset("hdfs_")
         store.read_column("k", reader="n1")
         assert partial < hdfs.total_bytes_read() / 2
 

@@ -86,7 +86,8 @@ def test_query_matches_row_engine_oracle(number, tpch_cluster, oracle):
 
 
 class TestRefresh:
-    def test_rf1_inserts_visible(self, tpch_data):
+    @staticmethod
+    def _loaded(tpch_data):
         from repro.cluster import VectorHCluster
         from repro.common.config import Config
         from repro.tpch import tpch_schemas
@@ -96,6 +97,10 @@ class TestRefresh:
         for name in LOAD_ORDER:
             c.create_table(schemas[name])
             c.bulk_load(name, tpch_data[name])
+        return c
+
+    def test_rf1_inserts_visible(self, tpch_data):
+        c = self._loaded(tpch_data)
         before = int(c.query(LAggr(LScan("orders", ["o_orderkey"]), [],
                                    [("n", "count", None)])
                              ).batch.columns["n"][0])
@@ -110,3 +115,32 @@ class TestRefresh:
                                   [("n", "count", None)])
                             ).batch.columns["n"][0])
         assert final == after - deleted
+
+    def test_refreshes_run_back_to_back_without_propagation(self, tpch_data):
+        """RF1 twice then RF2, nothing propagated in between: the second
+        RF1 must key its orders above the first one's (still PDT-resident)
+        inserts, and both tables must add up."""
+        c = self._loaded(tpch_data)
+
+        def keys(table, column):
+            return c.query(LScan(table, [column])).batch.columns[column]
+
+        orders, lines = keys("orders", "o_orderkey"), \
+            keys("lineitem", "l_orderkey")
+        for seed in (7, 9):
+            top = orders.max()
+            inserted = refresh_rf1(c, fraction=0.01, seed=seed)
+            new_orders = keys("orders", "o_orderkey")
+            new_lines = keys("lineitem", "l_orderkey")
+            assert len(new_orders) == len(orders) + inserted
+            assert len(np.unique(new_orders)) == len(new_orders)
+            assert len(new_lines) == len(lines) + (new_lines > top).sum()
+            assert len(np.unique(new_lines[new_lines > top])) == inserted
+            orders, lines = new_orders, new_lines
+
+        deleted = refresh_rf2(c, fraction=0.01)
+        left = keys("orders", "o_orderkey")
+        assert len(left) == len(orders) - deleted
+        victims = np.setdiff1d(orders, left)
+        assert len(keys("lineitem", "l_orderkey")) == \
+            len(lines) - np.isin(lines, victims).sum()

@@ -115,7 +115,7 @@ class TestDistributedWindow:
                         ("total", "sum", Col("amount"))])
 
     def test_reshuffles_on_partition_keys(self, cluster):
-        phys = ParallelRewriter(cluster).rewrite(self.plan())
+        phys = ParallelRewriter(cluster).plan(self.plan()).root
         text = phys.pretty()
         assert "DXchgHashSplit[region]" in text
         assert "Window" in text
@@ -123,7 +123,7 @@ class TestDistributedWindow:
     def test_no_reshuffle_when_aligned(self, cluster):
         plan = LWindow(LScan("sales", ["sale_id", "amount"]),
                        ["sale_id"], [], [("n", "count", None)])
-        phys = ParallelRewriter(cluster).rewrite(plan)
+        phys = ParallelRewriter(cluster).plan(plan).root
         assert "DXchgHashSplit" not in phys.pretty()
 
     def test_matches_row_engine(self, cluster):

@@ -214,7 +214,7 @@ class TestAdmission:
     def test_peak_memory_stays_under_budget(self):
         from repro.mpp.rewriter import ParallelRewriter
         c = _small_cluster()
-        phys = ParallelRewriter(c).rewrite(_sum_plan())
+        phys = ParallelRewriter(c).plan(_sum_plan()).root
         estimates = estimate_query_memory(c, phys)
         budget = 2 * max(estimates.values())
         wm = WorkloadManager(c, memory_budget_per_node=budget,
@@ -231,7 +231,7 @@ class TestAdmission:
     def test_plan_estimates_are_positive(self):
         c = _small_cluster()
         from repro.mpp.rewriter import ParallelRewriter
-        phys = ParallelRewriter(c).rewrite(_sum_plan())
+        phys = ParallelRewriter(c).plan(_sum_plan()).root
         estimates = estimate_query_memory(c, phys)
         assert set(c.workers) <= set(estimates)
         assert all(v > 0 for v in estimates.values())
@@ -335,6 +335,38 @@ class TestCancelTimeout:
         c = _small_cluster(workload_deterministic=True)
         res = c.query(_sum_plan(), timeout=1e9)
         assert res.batch.columns["s"][0] == SUM_B
+
+
+class TestTerminalRecords:
+    def test_terminal_records_let_go_of_their_runs(self):
+        c = _small_cluster(workload_deterministic=True)
+        results = [c.query(_filtered_sum_plan(100 * (i + 1)))
+                   for i in range(50)]
+        victim = c.submit(_sort_plan())
+        timed_out = c.submit(_sort_plan(), timeout=1e-7)
+        # three rounds in, the victim is mid-flight with buffers held;
+        # the other one ran out of its budget on the way
+        for _ in range(3):
+            c.workload.step()
+        assert c.workload.cancel(victim)
+        with pytest.raises(QueryTimeout):
+            c.gather(timed_out)
+        records = c.workload.query_records()
+        assert len(records) == 52
+        assert {r.state for r in records} == {"finished", "cancelled"}
+        # no terminal record pins an operator tree, yet the rounds its
+        # run took are still what vh$queries reports
+        assert all(r.run is None for r in records)
+        logged = c.query(LScan("vh$queries", ["query", "rounds"])).batch
+        rounds = dict(zip(logged.columns["query"].tolist(),
+                          logged.columns["rounds"].tolist()))
+        for result in results:
+            assert rounds[result.query_id] == result.rounds > 0
+        assert rounds[victim] == 3
+        # the unwound queries gave everything back
+        assert all(v == 0 for v in c.workload.meter.current.values())
+        assert c.workload.load() == {"queued": 0, "running": 0,
+                                     "running_streams": 0}
 
 
 # ------------------------------------------------- makespan and determinism
