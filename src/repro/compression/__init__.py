@@ -2,9 +2,10 @@
 
 All three schemes store values as thin fixed-bitwidth codes with infrequent
 values kept uncompressed as "exceptions" later in the block, linked through
-the code slots ("patching"). Decompression is two-phase: inflate all codes
-branch-free, then patch the exception positions by hopping the next-pointer
-chain -- exactly the structure the paper credits for SIMD-friendliness.
+the code slots ("patching"). Decompression inflates all codes with
+word-at-a-time load/shift/mask kernels, walks the next-pointer chain once to
+collect the exception positions and patches them with one scatter -- the
+structure the paper credits for SIMD-friendliness.
 """
 
 from repro.compression.base import (

@@ -4,14 +4,14 @@ The "Patched" family (PFOR, PFOR-DELTA, PDICT) shares one trick: values are
 stored as thin fixed-bitwidth codes; values that do not fit are *exceptions*
 stored uncompressed later in the block, and the code slot of each exception
 holds the hop distance to the next exception. Decoding first inflates all
-codes branch-free and then patches the (typically few) exception positions.
+codes branch-free, then walks the chain once to collect the (typically few)
+exception positions and patches them with one scatter.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -99,25 +99,19 @@ def encode_patched(
     return out, chain, first
 
 
-def decode_patched(
-    codes: np.ndarray,
-    first_exception: int,
-    patch: Callable[[int, int], None],
-) -> None:
-    """Walk the exception chain, calling ``patch(position, index)`` per hop.
+def patch_positions(codes: np.ndarray, first_exception: int,
+                    n_exceptions: int) -> np.ndarray:
+    """Walk the exception chain once; returns every exception's position.
 
-    ``codes`` must still contain the gap links (i.e. call before inflation
-    overwrites them, or pass the raw code array).
+    ``codes`` must still hold the gap links, i.e. call this on the freshly
+    unpacked codes. The values are then patched with one bulk scatter.
     """
+    positions = np.empty(n_exceptions, dtype=np.intp)
     pos = first_exception
-    idx = 0
-    while pos >= 0:
-        patch(pos, idx)
-        gap = int(codes[pos])
-        idx += 1
-        if gap == 0:
-            break
-        pos += gap
+    for i in range(n_exceptions):
+        positions[i] = pos
+        pos += codes.item(pos)
+    return positions
 
 
 # --------------------------------------------------------------------------
@@ -183,12 +177,3 @@ def decompress(block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
     with kernel(f"decode.{block.scheme.lower()}",
                 rows=block.count, nbytes=len(block.data)):
         return scheme.decompress(block, ctype)
-
-
-def pack_header(fmt: str, *fields) -> bytes:
-    return struct.pack(fmt, *fields)
-
-
-def unpack_header(fmt: str, data: bytes) -> tuple:
-    size = struct.calcsize(fmt)
-    return struct.unpack(fmt, data[:size]) + (data[size:],)

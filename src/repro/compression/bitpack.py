@@ -2,8 +2,10 @@
 
 This is the physical layer under PFOR/PFOR-DELTA/PDICT: codes of ``width``
 bits are laid out densely, little-endian bit order. Packing and unpacking
-are fully vectorized with numpy (the Python stand-in for the paper's AVX2
-kernels that inflate 64-128 values in under half a cycle per value).
+are vectorized with numpy (the Python stand-in for the paper's AVX2
+kernels that inflate 64-128 values in under half a cycle per value):
+unpacking follows the word-aligned load -> shift -> mask scheme of Zhao
+et al. rather than expanding the stream into single bits.
 """
 
 from __future__ import annotations
@@ -38,20 +40,54 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
     return np.packbits(flat, bitorder="little").tobytes()
 
 
-def unpack_bits(data: bytes, width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns an int64 array of ``count`` codes."""
+#: codes inflated per kernel step (a multiple of 32, so every step starts
+#: on a word boundary): the index/shift/gather temporaries are this long
+#: whatever the block size, so decode memory stays O(block)
+_STEP = 2048
+
+
+def unpack_bits(data, width: int, count: int, dtype=np.int64) -> np.ndarray:
+    """Inverse of :func:`pack_bits`: ``count`` codes, written once as ``dtype``.
+
+    Word-at-a-time load -> shift -> mask: code ``i`` starts at bit
+    ``i * width``, i.e. in 32-bit word ``i * width >> 5`` at shift
+    ``i * width & 31``. With width <= 32 it ends within the following word,
+    so one 64-bit window per 32-bit word (the word and its successor)
+    serves every code with a single gather. Widths 8/16/32 are plain
+    little-endian integer views of the stream.
+    """
     if count == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=dtype)
     if width < 1 or width > MAX_CODE_WIDTH:
         raise CompressionError(f"unsupported code width {width}")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    bits = np.unpackbits(buf, bitorder="little")
-    needed = count * width
-    if bits.size < needed:
+    nbytes = packed_size(count, width)
+    if len(data) < nbytes:
         raise CompressionError("bit stream too short")
-    bits = bits[:needed].reshape(count, width).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
-    return (bits * weights).sum(axis=1).astype(np.int64)
+    if width in (8, 16, 32):
+        return np.frombuffer(data, f"<u{width // 8}", count).astype(dtype)
+    out = np.empty(count, dtype=dtype)
+    # Pooled payloads start at arbitrary byte offsets: the (thin) stream is
+    # copied once into aligned words, zero-padded by less than 8 bytes.
+    halves = np.zeros((nbytes + 3) // 4 + 1, dtype="<u4")
+    halves.view(np.uint8)[:nbytes] = np.frombuffer(data, np.uint8, nbytes)
+    windows = halves[1:].astype(np.uint64)
+    windows <<= 32
+    windows |= halves[:-1]
+    del halves  # only the windows are gathered from
+    # Code i of a step starts i * width bits into it: the step's first
+    # window plus (i * width >> 5), at shift (i * width & 31). Steps begin
+    # on a window boundary, so one index and one shift vector serve all.
+    window = np.arange(0, min(count, _STEP) * width, width, dtype=np.intp)
+    shift = (window & 31).astype(np.uint8)
+    window >>= 5
+    mask = np.uint64((1 << width) - 1)
+    for start in range(0, count, _STEP):
+        n = min(count - start, _STEP)
+        codes = windows[start * width >> 5:].take(window[:n])
+        codes >>= shift[:n]
+        codes &= mask
+        out[start:start + n] = codes
+    return out
 
 
 def packed_size(count: int, width: int) -> int:

@@ -37,7 +37,7 @@ def _bytes_to_strings(data: bytes, count: int) -> np.ndarray:
     for i in range(count):
         (length,) = struct.unpack_from("<I", data, offset)
         offset += 4
-        out[i] = data[offset: offset + length].decode("utf-8")
+        out[i] = str(data[offset: offset + length], "utf-8")
         offset += length
     return out
 

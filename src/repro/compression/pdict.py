@@ -18,8 +18,8 @@ from repro.compression import bitpack
 from repro.compression.base import (
     CompressedBlock,
     CompressionScheme,
-    decode_patched,
     encode_patched,
+    patch_positions,
     register_scheme,
 )
 
@@ -35,20 +35,20 @@ def _encode_value(value, ctype: ColumnType) -> bytes:
     return struct.pack("<q", int(value))
 
 
-def _decode_values(data: bytes, count: int, ctype: ColumnType):
-    values = []
-    offset = 0
-    for _ in range(count):
-        if ctype.is_string:
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            values.append(data[offset: offset + length].decode("utf-8"))
-            offset += length
-        else:
-            (value,) = struct.unpack_from("<q", data, offset)
-            offset += 8
-            values.append(value)
-    return values, data[offset:]
+def _decode_values(view: memoryview, offset: int, count: int,
+                   ctype: ColumnType):
+    """``count`` raw values starting at ``offset``; returns them (as an
+    array in the column's dtype) and the offset just past them."""
+    if not ctype.is_string:
+        values = np.frombuffer(view, "<i8", count, offset)
+        return values.astype(ctype.dtype), offset + 8 * count
+    values = np.empty(count, dtype=object)
+    for i in range(count):
+        (length,) = struct.unpack_from("<I", view, offset)
+        offset += 4
+        values[i] = str(view[offset: offset + length], "utf-8")
+        offset += length
+    return values, offset
 
 
 class PDictScheme(CompressionScheme):
@@ -103,27 +103,20 @@ class PDictScheme(CompressionScheme):
         return CompressedBlock(self.name, n, data)
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-        hsize = struct.calcsize(_HEADER)
-        width, first, n_exc, n_dict = struct.unpack(_HEADER, block.data[:hsize])
-        body = block.data[hsize:]
-        dictionary, body = _decode_values(body, n_dict, ctype)
-        exceptions, body = _decode_values(body, n_exc, ctype)
-        codes = bitpack.unpack_bits(body, width, block.count)
-        if ctype.is_string:
-            lookup = np.array(dictionary + [""], dtype=object)
-            safe = np.where(codes < n_dict, codes, n_dict)
-            out = lookup[safe]
-        else:
-            lookup = np.array(dictionary + [0], dtype=np.int64)
-            safe = np.where(codes < n_dict, codes, n_dict)
-            out = lookup[safe]
-        if first >= 0:
-            def patch(pos: int, idx: int) -> None:
-                out[pos] = exceptions[idx]
-            decode_patched(codes, first, patch)
-        if ctype.is_string:
-            return out
-        return out.astype(ctype.dtype)
+        view = memoryview(block.data)
+        width, first, n_exc, n_dict = struct.unpack_from(_HEADER, view)
+        offset = struct.calcsize(_HEADER)
+        dictionary, offset = _decode_values(view, offset, n_dict, ctype)
+        exceptions, offset = _decode_values(view, offset, n_exc, ctype)
+        codes = bitpack.unpack_bits(view[offset:], width, block.count,
+                                    np.intp)
+        positions = patch_positions(codes, first, n_exc)
+        # the exceptions' slots hold gap links: any in-bounds entry will
+        # do until they are patched
+        codes[positions] = 0
+        out = dictionary[codes]
+        out[positions] = exceptions
+        return out
 
 
 register_scheme(PDictScheme())

@@ -12,14 +12,13 @@ import struct
 
 import numpy as np
 
-from repro.common.errors import CompressionError
 from repro.common.types import ColumnType
 from repro.compression import bitpack
 from repro.compression.base import (
     CompressedBlock,
     CompressionScheme,
-    decode_patched,
     encode_patched,
+    patch_positions,
     register_scheme,
 )
 
@@ -69,21 +68,20 @@ class PForScheme(CompressionScheme):
         return CompressedBlock(self.name, int(vals.size), data)
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-        hsize = struct.calcsize(_HEADER)
-        base, width, first, n_exc = struct.unpack(_HEADER, block.data[:hsize])
-        body = block.data[hsize:]
-        exceptions = np.frombuffer(body[: 8 * n_exc], dtype="<i8")
-        codes = bitpack.unpack_bits(body[8 * n_exc:], width, block.count)
-        # Phase 1: branch-free inflation of every code.
-        out = base + codes
-        # Phase 2: patch the exceptions by hopping the chain.
-        if first >= 0:
-            def patch(pos: int, idx: int) -> None:
-                out[pos] = base + int(exceptions[idx])
-            decode_patched(codes, first, patch)
-        if out.size != block.count:
-            raise CompressionError("PFOR count mismatch")
-        return out.astype(ctype.dtype)
+        view = memoryview(block.data)
+        base, width, first, n_exc = struct.unpack_from(_HEADER, view)
+        body = struct.calcsize(_HEADER)
+        exceptions = np.frombuffer(view, "<i8", n_exc, body)
+        # Codes are inflated straight into the column's dtype. A code may
+        # exceed a 32-bit dtype on its own (negative base); it wraps on
+        # the way in and "+= base" wraps it back, the sum being a value
+        # of the column.
+        out = bitpack.unpack_bits(view[body + 8 * n_exc:], width,
+                                  block.count, ctype.dtype)
+        positions = patch_positions(out, first, n_exc)
+        out += base
+        out[positions] = exceptions + base
+        return out
 
 
 register_scheme(PForScheme())

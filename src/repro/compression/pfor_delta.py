@@ -17,8 +17,8 @@ from repro.compression import bitpack
 from repro.compression.base import (
     CompressedBlock,
     CompressionScheme,
-    decode_patched,
     encode_patched,
+    patch_positions,
     register_scheme,
 )
 from repro.compression.pfor import choose_width
@@ -53,24 +53,25 @@ class PForDeltaScheme(CompressionScheme):
         return CompressedBlock(self.name, int(vals.size), data)
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-        hsize = struct.calcsize(_HEADER)
-        first_value, base, width, first, n_exc = struct.unpack(
-            _HEADER, block.data[:hsize]
+        view = memoryview(block.data)
+        first_value, base, width, first, n_exc = struct.unpack_from(
+            _HEADER, view
         )
-        body = block.data[hsize:]
-        exceptions = np.frombuffer(body[: 8 * n_exc], dtype="<i8")
-        n_codes = block.count - 1
-        codes = bitpack.unpack_bits(body[8 * n_exc:], width, n_codes)
-        diffs = base + codes
-        if first >= 0:
-            def patch(pos: int, idx: int) -> None:
-                diffs[pos] = base + int(exceptions[idx])
-            decode_patched(codes, first, patch)
-        out = np.empty(block.count, dtype=np.int64)
+        body = struct.calcsize(_HEADER)
+        exceptions = np.frombuffer(view, "<i8", n_exc, body)
+        diffs = bitpack.unpack_bits(view[body + 8 * n_exc:], width,
+                                    block.count - 1)
+        positions = patch_positions(diffs, first, n_exc)
+        diffs += base
+        diffs[positions] = exceptions + base
+        # the running sum is taken in int64, in place, whatever the
+        # column's dtype; the output is written once
+        diffs[0] += first_value
+        np.cumsum(diffs, out=diffs)
+        out = np.empty(block.count, dtype=ctype.dtype)
         out[0] = first_value
-        np.cumsum(diffs, out=out[1:])
-        out[1:] += first_value
-        return out.astype(ctype.dtype)
+        out[1:] = diffs
+        return out
 
 
 register_scheme(PForDeltaScheme())

@@ -203,9 +203,7 @@ class HashAggr(Operator):
     def _run(self):
         key_index: Dict[tuple, int] = {}
         keys_store: List[List] = [[] for _ in self.group_by]
-        states: List[dict] = []
-        for _, func, _ in self.aggregates:
-            states.append({"func": func, "values": []})
+        states = [_new_state(func) for _, func, _ in self.aggregates]
 
         single_key = len(self.group_by) == 1
 
@@ -236,14 +234,13 @@ class HashAggr(Operator):
                         key_index[key] = gid
                         for pos, part in enumerate(key):
                             keys_store[pos].append(part)
-                        for state in states:
-                            _state_new_group(state)
                     local_to_global[i] = gid
                 gids = local_to_global[inverse]
 
             n_groups = len(key_index)
             with kernel("aggr.accumulate", rows=batch.n):
                 for (name, func, expr), state in zip(self.aggregates, states):
+                    _grow_state(state, func, n_groups)
                     values = (expr.eval(batch.columns)
                               if expr is not None else None)
                     _accumulate(state, func, gids, values, n_groups, batch.n)
@@ -252,9 +249,9 @@ class HashAggr(Operator):
         if n_groups == 0 and not self.group_by:
             # SQL total aggregates return one row even on empty input.
             key_index[()] = 0
-            for state in states:
-                _state_new_group(state)
             n_groups = 1
+            for (_, func, _), state in zip(self.aggregates, states):
+                _grow_state(state, func, n_groups)
 
         out: Dict[str, np.ndarray] = {}
         with kernel("aggr.finalize", rows=n_groups):
@@ -271,38 +268,39 @@ class HashAggr(Operator):
         yield from batches_from_columns(out, DEFAULT_VECTOR_SIZE)
 
 
-def _state_new_group(state: dict) -> None:
-    func = state["func"]
-    if func == "count_distinct":
-        state["values"].append(set())
-    elif func == "avg":
-        state.setdefault("sums", []).append(0.0)
-        state.setdefault("counts", []).append(0)
-    elif func in ("min", "max"):
-        state["values"].append(None)
-    else:
-        state["values"].append(0)
+def _new_state(func: str) -> dict:
+    """Accumulator state of one aggregate, indexed by global group id:
+    numpy arrays for sum/count/avg (grown geometrically, so a batch costs
+    one vector add whatever the number of groups), lists for the rest."""
+    if func in ("min", "max", "count_distinct"):
+        return {"values": []}
+    state = {}
+    if func in ("sum", "avg"):
+        state["sums"] = np.zeros(0, dtype=np.float64)
+    if func in ("count", "avg"):
+        state["counts"] = np.zeros(0, dtype=np.int64)
+    return state
+
+
+def _grow_state(state: dict, func: str, n_groups: int) -> None:
+    """Make room for group ids below ``n_groups`` (once per batch)."""
+    for key, held in state.items():
+        if isinstance(held, list):
+            held.extend(set() if func == "count_distinct" else None
+                        for _ in range(n_groups - len(held)))
+        elif n_groups > len(held):
+            grown = np.zeros(max(n_groups, 2 * len(held)), dtype=held.dtype)
+            grown[: len(held)] = held
+            state[key] = grown
 
 
 def _accumulate(state, func, gids, values, n_groups, n) -> None:
-    if func == "count":
-        counts = np.bincount(gids, minlength=n_groups)
-        arr = np.asarray(state["values"], dtype=np.int64)
-        arr[: len(counts)] += counts
-        state["values"] = arr.tolist()
-        return
-    if func == "sum" or func == "avg":
-        sums = np.bincount(gids, weights=np.asarray(values, np.float64),
-                           minlength=n_groups)
-        key = "sums" if func == "avg" else "values"
-        arr = np.asarray(state[key], dtype=np.float64)
-        arr[: len(sums)] += sums
-        state[key] = arr.tolist()
-        if func == "avg":
-            counts = np.bincount(gids, minlength=n_groups)
-            carr = np.asarray(state["counts"], dtype=np.int64)
-            carr[: len(counts)] += counts
-            state["counts"] = carr.tolist()
+    if func in ("sum", "avg"):
+        state["sums"][:n_groups] += np.bincount(
+            gids, weights=np.asarray(values, np.float64), minlength=n_groups)
+    if func in ("count", "avg"):
+        state["counts"][:n_groups] += np.bincount(gids, minlength=n_groups)
+    if func in ("sum", "count", "avg"):
         return
     if func in ("min", "max"):
         values = np.asarray(values)
@@ -332,13 +330,12 @@ def _accumulate(state, func, gids, values, n_groups, n) -> None:
 
 def _finalize(state, func, n_groups) -> np.ndarray:
     if func == "avg":
-        sums = np.asarray(state["sums"], dtype=np.float64)
-        counts = np.maximum(np.asarray(state["counts"], dtype=np.float64), 1)
-        return sums / counts
+        counts = np.maximum(state["counts"][:n_groups].astype(np.float64), 1)
+        return state["sums"][:n_groups] / counts
     if func == "count":
-        return np.asarray(state["values"], dtype=np.int64)
+        return state["counts"][:n_groups]
     if func == "sum":
-        return np.asarray(state["values"], dtype=np.float64)
+        return state["sums"][:n_groups]
     if func == "count_distinct":
         return np.asarray([len(s) for s in state["values"]], dtype=np.int64)
     values = state["values"]

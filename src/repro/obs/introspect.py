@@ -528,8 +528,9 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
     ``max(actual/est, est/actual)`` -- misestimates are visible without
     reading the feedback store. Exchanges add total wire traffic plus one
     line per node->node link; scans add MinMax skipped/total blocks for
-    their table. The footer reconciles totals against the registry
-    snapshot diff.
+    their table and, when they carry predicates, the rows their exact
+    filter dropped (``rows`` is what left the scan). The footer
+    reconciles totals against the registry snapshot diff.
     """
     profiles = _flatten_profiles(result.profiles)
     exchange_stats: Dict[str, deque] = {}
@@ -537,6 +538,7 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
         exchange_stats.setdefault(stats["label"], deque()).append(stats)
     scanned_delta = _series_delta(before, after, "minmax_blocks_scanned_total")
     skipped_delta = _series_delta(before, after, "minmax_blocks_skipped_total")
+    filtered_delta = _series_delta(before, after, "scan_rows_filtered_total")
 
     lines: List[str] = []
 
@@ -587,6 +589,9 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
                 total = int(scanned + skipped)
                 actuals.append(f"minmax={int(skipped)}/{total} "
                                "blocks skipped")
+            if node.skip_predicates:
+                filtered = filtered_delta.get((node.table,), 0)
+                actuals.append(f"filtered={int(filtered)}")
         lines.append(head + (f"  [{' '.join(actuals)}]" if actuals else ""))
         if stats is not None:
             for link in stats.get("links", ()):

@@ -101,14 +101,12 @@ class PartitionStore:
         if n_new == 0:
             return self.n_stable
 
-        merged, merge_start = self._absorb_partials(arrays, writer)
-        self._truncate_minmax(merge_start)
+        merged = self._absorb_partials(arrays, writer)
         new_partials: Dict[str, Tuple[int, np.ndarray]] = {}
 
         for name in self.schema.column_names:
             ctype = self.schema.ctype(name)
-            data = merged[name]
-            start = merge_start
+            start, data = merged[name]
             per_block = rows_per_block(ctype, self.config)
             pos = 0
             while len(data) - pos >= per_block:
@@ -121,7 +119,7 @@ class PartitionStore:
 
         if new_partials:
             self._write_partials(new_partials, writer)
-        self.n_stable = merge_start + len(next(iter(merged.values())))
+        self.n_stable += n_new
         return self.n_stable
 
     def _validated(self, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -140,24 +138,29 @@ class PartitionStore:
         return arrays
 
     def _absorb_partials(self, arrays, writer):
-        """Prepend previously-partial rows; free the old partial file."""
-        if not self._partial_refs:
-            return arrays, self.n_stable
-        merge_start = min(r.row_start for r in self._partial_refs.values())
+        """``(row_start, values)`` to write per column: its previously
+        partial rows in front of the new ones. Thin columns pack more rows
+        per block, so each column's partial starts at its own row. Frees
+        the old partial file."""
         merged = {}
         for name in self.schema.column_names:
             ref = self._partial_refs.get(name)
-            if ref is not None and ref.row_start == merge_start:
-                old = self._read_block(ref, reader=writer)
-                merged[name] = np.concatenate([old, arrays[name]])
-                self.blocks[name].remove(ref)
-            else:
-                merged[name] = arrays[name]
+            if ref is None:
+                merged[name] = (self.n_stable, arrays[name])
+                continue
+            old = self._read_block(ref, reader=writer)
+            merged[name] = (ref.row_start,
+                            np.concatenate([old, arrays[name]]))
+            self.blocks[name].remove(ref)
+            self.minmax.ranges[name] = [
+                r for r in self.minmax.ranges[name]
+                if r.row_start < ref.row_start
+            ]
         if self._partial_file is not None:
             self.hdfs.delete(self._partial_file)
         self._partial_file = None
         self._partial_refs = {}
-        return merged, merge_start
+        return merged
 
     def _write_block(self, name: str, ctype: ColumnType, values: np.ndarray,
                      row_start: int, writer, partial: bool) -> None:
@@ -210,12 +213,6 @@ class PartitionStore:
         )
         return header + block.data
 
-    def _truncate_minmax(self, row_start: int) -> None:
-        for col, ranges in self.minmax.ranges.items():
-            self.minmax.ranges[col] = [
-                r for r in ranges if r.row_start < row_start
-            ]
-
     # ------------------------------------------------------------------- reads
 
     def _read_block(self, ref: BlockRef, reader: Optional[str] = None,
@@ -225,10 +222,11 @@ class PartitionStore:
                 raw = pool.read(ref.path, ref.offset, ref.length, reader)
             else:
                 raw = self.hdfs.read(ref.path, ref.offset, ref.length, reader)
-            scheme_id, count, payload_len = struct.unpack(
-                _BLOCK_HEADER, raw[: struct.calcsize(_BLOCK_HEADER)]
+            scheme_id, count, payload_len = struct.unpack_from(
+                _BLOCK_HEADER, raw
             )
-            payload = raw[struct.calcsize(_BLOCK_HEADER):]
+            # a view into the pooled bytes, not a copy
+            payload = memoryview(raw)[struct.calcsize(_BLOCK_HEADER):]
             if len(payload) != payload_len:
                 raise StorageError(f"corrupt block in {ref.path}@{ref.offset}")
             k.account(rows=count)
@@ -244,7 +242,8 @@ class PartitionStore:
         """Read (a union of row ranges of) one column.
 
         Only blocks overlapping the requested ranges are read -- this is
-        where MinMax skipping turns into IO savings.
+        where MinMax skipping and the scan's row filter turn into IO and
+        decode savings.
         """
         if ranges is None:
             ranges = [(0, self.n_stable)]
@@ -260,7 +259,7 @@ class PartitionStore:
                 pieces.append(values[lo:hi])
         if not pieces:
             return np.empty(0, dtype=self.schema.ctype(name).dtype)
-        return np.concatenate(pieces)
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def read_columns(self, names: Sequence[str],
                      ranges: Optional[Sequence[Tuple[int, int]]] = None,

@@ -18,7 +18,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-_OPS: Dict[str, Callable] = {
+#: The sargable comparison operators -- the one vocabulary shared by MinMax
+#: skipping and the scan's exact row filter.
+OPS: Dict[str, Callable] = {
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
@@ -149,17 +151,8 @@ class MinMaxIndex:
 
 
 def _interval_may_qualify(lo, hi, op: str, literal) -> bool:
-    if op == "<":
-        return lo < literal
-    if op == "<=":
-        return lo <= literal
-    if op == ">":
-        return hi > literal
-    if op == ">=":
-        return hi >= literal
+    """Can a value in [lo, hi] satisfy ``value op literal``?"""
     if op == "=":
         return lo <= literal <= hi
-    if op == "between":
-        low, high = literal
-        return not (hi < low or lo > high)
-    return True  # unknown operator: never skip
+    # the low end is the best witness for < and <=, the high end for > and >=
+    return OPS[op](lo if op[0] == "<" else hi, literal)

@@ -17,6 +17,9 @@ and may buffer small inserts as PDT tail inserts (paper section 6).
 
 from __future__ import annotations
 
+import math
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,12 +27,14 @@ import numpy as np
 
 from repro.common.config import Config
 from repro.common.errors import StorageError
+from repro.common.types import ColumnType
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.pdt.layer import apply_entries, classify_entries
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
 from repro.storage.colstore import PartitionStore
+from repro.storage.minmax import OPS
 from repro.storage.schema import TableSchema
 
 
@@ -133,15 +138,26 @@ class StoredTable:
         return arr
 
     def _storage_predicates(self, predicates):
+        """The triples as the storage representation compares them.
+
+        Never stricter than SQL: a triple the storage type cannot answer
+        exactly or more loosely (unknown operator, literal of another
+        kind, ``=`` on a value the column's scale cannot hold) is dropped
+        -- the engine's Select still applies every conjunct.
+        """
         fixed = []
         for col, op, literal in predicates:
-            scale = self._decimal_scale(col)
-            # bool is an int subclass, but never a decimal literal
-            if scale is not None and isinstance(literal, (int, float)) \
-                    and not isinstance(literal, bool):
-                literal = int(round(literal * scale))
-            fixed.append((col, op, literal))
+            if op in OPS:
+                literal = _storage_literal(self.schema.ctype(col), op, literal)
+                if literal is not None:
+                    fixed.append((col, op, literal))
         return fixed
+
+    def _charge(self, counter: str, help_text: str, amount: int) -> None:
+        registry = getattr(self.hdfs, "registry", None)
+        if registry is not None:
+            registry.counter(counter, help_text, labels=("table",)).inc(
+                amount, table=self.schema.name)
 
     def _record_minmax(self, store: PartitionStore,
                        ranges: Sequence[Tuple[int, int]],
@@ -149,9 +165,6 @@ class StoredTable:
         """Charge MinMax skip effectiveness: of the blocks the scan would
         touch for its needed columns, how many did the qualifying ranges
         let it skip? Only called for predicated scans."""
-        registry = getattr(self.hdfs, "registry", None)
-        if registry is None:
-            return
         scanned = skipped = 0
         for name in needed:
             for ref in store.blocks.get(name, ()):
@@ -161,16 +174,11 @@ class StoredTable:
                     scanned += 1
                 else:
                     skipped += 1
-        labels = {"table": self.schema.name}
-        registry.counter(
-            "minmax_blocks_scanned_total",
-            "Storage blocks read by predicated scans", labels=("table",),
-        ).inc(scanned, **labels)
-        registry.counter(
-            "minmax_blocks_skipped_total",
-            "Storage blocks MinMax pruning let predicated scans skip",
-            labels=("table",),
-        ).inc(skipped, **labels)
+        self._charge("minmax_blocks_scanned_total",
+                     "Storage blocks read by predicated scans", scanned)
+        self._charge("minmax_blocks_skipped_total",
+                     "Storage blocks MinMax pruning let predicated scans skip",
+                     skipped)
 
     # ------------------------------------------------------------------- loads
 
@@ -230,57 +238,106 @@ class StoredTable:
         reader: Optional[str] = None,
         pool: Optional[BufferPool] = None,
     ) -> ScanResult:
-        """Scan one partition: MinMax skipping + positional PDT merge.
+        """Scan one partition: the rows that satisfy ``predicates``.
 
-        ``predicates`` (conjunctive ``(col, op, literal)``) are only used
-        for *block skipping* here; exact filtering happens in the engine's
-        Select operator. Identities refer to the true stable SIDs so update
-        operators can target tuples.
+        ``predicates`` are conjunctive ``(col, op, literal)`` triples, ops
+        from :data:`repro.storage.minmax.OPS`; the result -- ``columns``
+        *and* the row-aligned ``identities`` (true stable SIDs / insert
+        uids, so update operators can target tuples) -- holds qualifying
+        rows only. A predicate column outside ``columns`` is read for the
+        filter and not returned. Three steps, each working on what the
+        previous one left:
+
+        1. MinMax keeps the row ranges that may qualify (no data read);
+        2. the predicate columns of those ranges are decoded and give the
+           stable rows' mask; a block-range is dropped unless a stable
+           row in it survives, a visible PDT insert is anchored in it or
+           a modify targets it;
+        3. the payload columns of the remaining ranges are read, the PDT
+           merged in positionally, and the exact mask applied to the
+           *merged* image in storage representation -- inserts and
+           modifies are tested on their new values, deleted rows are gone
+           before masking. Values leave storage representation only after
+           filtering.
+
+        The filter is never stricter than SQL (see
+        :meth:`_storage_predicates`) but may be looser: the engine's
+        Select above the scan still applies every conjunct.
         """
         store = self.partitions[pid]
         entries = self.pdt[pid].scan_entries(trans)
+        triples = self._storage_predicates(predicates)
         with kernel("scan.minmax"):
-            ranges = store.minmax.qualifying_ranges(
-                self._storage_predicates(predicates), store.n_stable
-            )
+            ranges = store.minmax.qualifying_ranges(triples, store.n_stable)
 
-        needed = list(dict.fromkeys(columns))
+        requested = list(dict.fromkeys(columns))
         if predicates:
-            self._record_minmax(store, ranges, needed)
-        requested = list(needed)
+            self._record_minmax(store, ranges, requested)
+        filter_cols = list(dict.fromkeys(col for col, _, _ in triples))
         n_stable = store.n_stable
         may_disorder = self.schema.is_clustered and any(
             e.kind.value == "insert" and e.anchor_sid < n_stable
             for e in entries
         )
-        if may_disorder:
-            # The cluster key is needed to restore sort order after merging
-            # non-tail PDT inserts, even when the query did not ask for it.
-            for key_col in self.schema.clustered_on:
-                if key_col not in needed:
-                    needed.append(key_col)
-        stable_cols = store.read_columns(needed, ranges, reader, pool)
+        # The predicate columns give the filter and the cluster key restores
+        # sort order after merging non-tail PDT inserts: both are read
+        # whether or not the query asked for them (and returned only if so).
+        needed = list(dict.fromkeys(
+            requested + filter_cols
+            + (list(self.schema.clustered_on) if may_disorder else [])))
+
+        candidates = sum(end - start for start, end in ranges)
+        stable_cols: Dict[str, np.ndarray] = {}
+        if triples:
+            # predicate columns first: their mask decides for which
+            # block-ranges the payload columns are read at all
+            stable_cols = {c: store.read_column(c, ranges, reader, pool)
+                           for c in filter_cols}
+            mask = _row_mask(stable_cols, triples, candidates)
+            ranges, alive = _surviving_ranges(store, ranges, mask, needed,
+                                              entries)
+            if alive is not None:
+                mask = mask[alive]
+                stable_cols = {c: v[alive] for c, v in stable_cols.items()}
+        for col in needed:
+            if col not in stable_cols:
+                stable_cols[col] = store.read_column(col, ranges, reader,
+                                                     pool)
 
         if not entries:
             identities = _identities_for_ranges(ranges)
-            n = len(identities)
-            cols = {c: self._from_storage(c, stable_cols[c]) for c in requested}
-            return ScanResult(cols, identities, n)
-
-        sub_n, remapped, offsets = _remap_entries(
-            entries, ranges, store.n_stable
-        )
-        plan = None
-        if remapped is entries and trans is None:
-            # full-range, transaction-free scan: reuse the classified plan
-            # until the next commit bumps the stack version
-            plan = self._merge_plan(pid)
-        with kernel("scan.pdt_merge") as k:
-            merged = apply_entries(stable_cols, sub_n, remapped, needed,
-                                   plan=plan)
-            k.account(rows=merged.n_rows)
-        identities = _restore_identities(merged.identities, ranges, offsets)
-        result = ScanResult(merged.columns, identities, merged.n_rows)
+            result = ScanResult(stable_cols, identities, len(identities))
+        else:
+            sub_n, remapped, offsets = _remap_entries(
+                entries, ranges, store.n_stable
+            )
+            plan = None
+            if remapped is entries and trans is None:
+                # full-range, transaction-free scan: reuse the classified
+                # plan until the next commit bumps the stack version
+                plan = self._merge_plan(pid)
+            with kernel("scan.pdt_merge") as k:
+                merged = apply_entries(stable_cols, sub_n, remapped, needed,
+                                       plan=plan)
+                k.account(rows=merged.n_rows)
+            candidates += merged.n_rows - sub_n
+            result = ScanResult(
+                merged.columns,
+                _restore_identities(merged.identities, ranges, offsets),
+                merged.n_rows,
+            )
+            if triples:
+                mask = _row_mask(merged.columns, triples, merged.n_rows)
+        if triples:
+            if not mask.all():
+                result = ScanResult(
+                    {c: v[mask] for c, v in result.columns.items()},
+                    result.identities[mask], int(mask.sum()),
+                )
+            self._charge(
+                "scan_rows_filtered_total",
+                "Rows of MinMax-surviving ranges dropped by the scan filter",
+                candidates - result.n_rows)
         if may_disorder:
             result = _resort_clustered(result, self.schema.clustered_on)
         result.columns = {
@@ -335,13 +392,23 @@ class StoredTable:
         from repro.pdt.entries import decode_identity
         store = self.partitions[pid]
         new_values = self.to_storage_columns(new_values)
+        insert_anchors: Optional[Dict[int, int]] = None
         for i, code in enumerate(identities.tolist()):
             target = decode_identity(code)
-            anchor = target[1] if target[0] == "s" else 0
+            anchor = widen_at = target[1] if target[0] == "s" else 0
+            if target[0] != "s":
+                # a row the PDT itself holds: MinMax widens where that
+                # insert is anchored, or a scan pruning on the new value
+                # skips the insert's range and loses the row
+                if insert_anchors is None:
+                    insert_anchors = {
+                        e.uid: e.anchor_sid for e in trans.visible_entries()
+                        if e.kind.value == "insert"}
+                widen_at = insert_anchors[target[1]]
             values = {name: arr[i] for name, arr in new_values.items()}
             trans.modify(target, values, anchor_sid=anchor)
             for name, value in values.items():
-                store.minmax.widen(name, anchor, value)
+                store.minmax.widen(name, widen_at, value)
         return len(identities)
 
     def _cluster_anchors(self, pid: int, arrays) -> np.ndarray:
@@ -420,6 +487,87 @@ class StoredTable:
 
 
 # ------------------------------------------------------------------ helpers
+
+def _storage_literal(ctype: ColumnType, op: str, literal):
+    """``literal`` as ``ctype``'s storage representation compares it, or
+    None when no storage-side term is both possible and at least as loose.
+
+    Integer-like storage (ints, dates, fixed-point decimals) compares
+    whole numbers, the engine compares ``stored / scale`` with the literal
+    as floats; the threshold returned keeps exactly the stored values the
+    engine would keep -- ``qty < 0.025`` at scale 100 becomes ``< 3``,
+    never ``< 2``.
+    """
+    if ctype.is_string:
+        return literal if isinstance(literal, str) else None
+    is_bool = isinstance(literal, (bool, np.bool_))
+    if is_bool or not isinstance(literal, numbers.Real):
+        return literal if is_bool and ctype.name == "bool" else None
+    if not ctype.is_integer:
+        return literal
+    scale = 10 ** ctype.scale if ctype.name == "decimal" else 1
+    if isinstance(literal, numbers.Integral):
+        return int(literal) * scale
+    if not abs(literal * scale) < 2 ** 53:  # also NaN
+        return None
+    # smallest stored value the engine sees as >= literal
+    least = math.floor(literal * scale)
+    while least / scale < literal:
+        least += 1
+    while (least - 1) / scale >= literal:
+        least -= 1
+    if op in ("<", ">=") or least / scale == literal:
+        return least
+    return None if op == "=" else least - 1
+
+
+def _row_mask(columns, triples, n_rows: int) -> np.ndarray:
+    """Rows (of row-aligned ``columns``) satisfying every triple."""
+    with kernel("scan.filter", rows=n_rows):
+        mask = np.ones(n_rows, dtype=bool)
+        for col, op, literal in triples:
+            mask &= OPS[op](columns[col], literal)
+        return mask
+
+
+def _surviving_ranges(store: PartitionStore, ranges, mask: np.ndarray,
+                      columns: Sequence[str], entries):
+    """Cut ``ranges`` at the block boundaries of ``columns`` and keep the
+    block-ranges the scan still has to read.
+
+    A block-range stays when a stable row in it survives ``mask`` (one
+    bool per row of ``ranges``) -- or when the PDT can put a qualifying
+    row there: a visible insert anchored in it, or a modify of one of its
+    rows. (MinMax skipping gets this from ``widen``; data-driven pruning
+    has no such cover, and entries of dropped ranges are dropped by
+    :func:`_remap_entries`.) Returns the kept ranges, merged, and which
+    rows of the old ranges they cover (None when all of them).
+    """
+    edges = sorted({ref.row_start for c in columns for ref in store.blocks[c]})
+    pinned = sorted(
+        e.anchor_sid if e.kind.value == "insert" else e.target[1]
+        for e in entries
+        if e.kind.value == "insert"
+        or (e.kind.value == "modify" and e.target[0] == "s")
+    )
+    kept: List[Tuple[int, int]] = []
+    alive = np.zeros(len(mask), dtype=bool)
+    pos = 0
+    for start, end in ranges:
+        inner = edges[bisect_left(edges, start + 1): bisect_left(edges, end)]
+        for lo, hi in zip([start] + inner, inner + [end]):
+            rows = slice(pos, pos + hi - lo)
+            pos += hi - lo
+            touched = bisect_left(pinned, lo) < bisect_left(pinned, hi)
+            if not (touched or mask[rows].any()):
+                continue
+            alive[rows] = True
+            if kept and kept[-1][1] == lo:
+                kept[-1] = (kept[-1][0], hi)
+            else:
+                kept.append((lo, hi))
+    return kept, (None if alive.all() else alive)
+
 
 def _identities_for_ranges(ranges) -> np.ndarray:
     if not ranges:

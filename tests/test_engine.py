@@ -190,6 +190,41 @@ class TestHashAggr:
         for k in model:
             assert abs(got[k] - model[k]) < 1e-6
 
+    def test_many_groups_arriving_over_many_batches(self):
+        """Accumulators grow as arrays while new groups keep arriving:
+        first-seen output order (batch by batch, sorted within a batch),
+        and sums bit-identical to adding each batch's per-group partial in
+        arrival order."""
+        rng = np.random.default_rng(4)
+        n, vector = 5000, 64
+        keys = np.minimum(rng.integers(0, 40, n) + np.arange(n) // 3, 1500)
+        vals = rng.uniform(-1, 1, n)
+        op = HashAggr(VectorSource({"g": keys, "v": vals}, vector), ["g"], [
+            ("s", "sum", Col("v")), ("n", "count", None),
+            ("a", "avg", Col("v")), ("hi", "max", Col("v")),
+            ("d", "count_distinct", Col("v")),
+        ])
+        out = op.run_to_batch()
+        first_seen = list(dict.fromkeys(
+            key for start in range(0, n, vector)
+            for key in np.unique(keys[start:start + vector]).tolist()))
+        assert out.columns["g"].tolist() == first_seen
+        sums = dict.fromkeys(first_seen, 0.0)
+        for start in range(0, n, vector):
+            k, v = keys[start:start + vector], vals[start:start + vector]
+            partial = np.bincount(k, weights=v)
+            for key in np.unique(k).tolist():
+                sums[key] += partial[key]
+        assert out.columns["s"].tolist() == [sums[k] for k in first_seen]
+        counts = np.bincount(keys)
+        assert out.columns["n"].tolist() == [counts[k] for k in first_seen]
+        assert out.columns["n"].dtype == np.int64
+        assert np.array_equal(out.columns["a"],
+                              out.columns["s"] / out.columns["n"])
+        assert out.columns["hi"].tolist() == [
+            vals[keys == k].max() for k in first_seen]
+        assert out.columns["d"].tolist() == out.columns["n"].tolist()
+
 
 class TestHashJoin:
     def b(self):

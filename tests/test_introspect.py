@@ -347,6 +347,17 @@ class TestQ1Golden:
         assert f"scanned={int(scanned_reg)}" in footer
         assert f"skipped={int(skipped_reg)}" in footer
 
+        # the scan's exact filter: rows= on the MScan line is what left
+        # the scan (the Select above it has nothing left to drop), and
+        # filtered= is what stayed behind, reconciling with the registry
+        rows_out = {head.split("[")[0].split("(")[0].strip():
+                    int(re.search(r"\[rows=(\d+)", line).group(1))
+                    for head, line in zip(heads, plan_lines)}
+        assert rows_out["MScan"] == rows_out["Select"] > 0
+        filtered = int(re.search(r"filtered=(\d+)", scan).group(1))
+        assert filtered == int(
+            delta("scan_rows_filtered_total")[("lineitem",)]) > 0
+
         # exchange wire actuals: nonzero, and the per-link breakdown of
         # each exchange adds up to the wire= total on its header line
         wire_totals = [int(m.group(1)) for m in

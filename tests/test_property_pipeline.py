@@ -7,19 +7,25 @@ skipping, PDT merging, exchanges) and the tuple-at-a-time row engine
 rows. hypothesis drives both over random datasets and plan shapes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, example, given, settings, strategies as st,
+)
 
 from tests.conftest import assert_batches_match
 
 from repro.baselines import CompetitorSystem
 from repro.common.config import Config
-from repro.common.types import INT64, STRING
+from repro.common.types import DATE, DECIMAL, INT64, STRING
 from repro.cluster import VectorHCluster
+from repro.storage.minmax import OPS
 from repro.engine.expressions import Between, Col, InList
+from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
 from repro.mpp.logical import LAggr, LJoin, LScan, LSelect, LTopN
-from repro.storage import Column, TableSchema
+from repro.storage import Column, StoredTable, TableSchema
 
 
 def build_systems(fact_rows, dim_rows):
@@ -144,3 +150,126 @@ def test_engines_agree_after_updates(fact_rows, delete_keys):
     assert int(vh.columns["n"][0]) == int(base.columns["n"][0])
     assert int(vh.columns["n"][0]) == len(survivors)
     assert vh.columns["s"][0] == pytest.approx(base.columns["s"][0])
+
+
+# ---------------------------------------------------------------------------
+# scan_partition applies its predicate triples exactly
+# ---------------------------------------------------------------------------
+#
+# For any table (clustered or not), any PDT content (committed or inside
+# an open transaction) and any conjunction of sargable triples, the
+# filtered scan returns exactly the rows of the unfiltered merged image
+# that a numpy filter over the engine's representation keeps -- same
+# values, same identities, same order.
+
+_SCAN_COLUMNS = ["k", "d", "price", "s"]
+_WORDS = ["AIR", "MAIL", "RAIL", "SHIP"]
+
+
+def _scan_table(clustered, n, seed):
+    config = dataclasses.replace(Config().scaled_for_tests(), block_size=1024)
+    hdfs = HdfsCluster(["n1", "n2", "n3"], config, VectorHPlacementPolicy())
+    table = StoredTable(hdfs, "/db", TableSchema(
+        "t", [Column("k", INT64), Column("d", DATE), Column("price", DECIMAL),
+              Column("s", STRING)],
+        clustered_on=("k",) if clustered else ()), config)
+    rng = np.random.default_rng(seed)
+    table.bulk_load({
+        "k": rng.permutation(n).astype(np.int64) * 3,
+        # runs of equal dates: whole block-ranges without a survivor
+        "d": (8000 + np.arange(n) // 150 * 10
+              + rng.integers(0, 3, n)).astype(np.int32),
+        "price": rng.integers(0, 2000, n) / 100,
+        "s": _obj(rng.choice(_WORDS, n)),
+    })
+    return table
+
+
+def _new_rows(rng, count, n):
+    return {
+        "k": rng.integers(0, 3 * n, count).astype(np.int64) * 3 + 1,
+        "d": rng.integers(7990, 8100, count).astype(np.int32),
+        "price": rng.integers(0, 2500, count) / 100,
+        "s": _obj(rng.choice(_WORDS + ["new"], count)),
+    }
+
+
+def _apply_updates(table, trans, rng, n, n_ins, n_mod, n_del):
+    if n_ins:
+        table.insert_rows(0, _new_rows(rng, n_ins, n), trans)
+    image = table.scan_merged(0, ["k"], trans=trans)
+    if n_mod and image.n_rows:
+        hit = rng.choice(image.n_rows, min(n_mod, image.n_rows),
+                         replace=False)
+        fresh = _new_rows(rng, len(hit), n)
+        table.modify_rows(0, image.identities[hit],
+                          {c: fresh[c] for c in ("d", "price", "s")}, trans)
+    if n_del and image.n_rows:
+        hit = rng.choice(image.n_rows, min(n_del, image.n_rows),
+                         replace=False)
+        table.delete_rows(0, image.identities[hit], trans)
+
+
+_literals = {
+    "k": st.integers(-5, 2200),
+    "d": st.integers(7985, 8105),
+    "price": st.one_of(
+        st.integers(-1, 26),
+        st.integers(-100, 26000).map(lambda v: v / 1000),  # off-scale
+        st.integers(0, 2600).map(lambda v: v / 100)),
+    "s": st.sampled_from(_WORDS + ["new", "B", ""]),
+}
+triples_st = st.lists(
+    st.sampled_from(_SCAN_COLUMNS).flatmap(
+        lambda c: st.tuples(st.just(c), st.sampled_from(sorted(OPS)),
+                            _literals[c])),
+    min_size=1, max_size=3)
+updates_st = st.tuples(st.integers(0, 5), st.integers(0, 5),
+                       st.integers(0, 5))
+
+
+def _assert_filtered_scan_is_reference(table, requested, triples, trans):
+    full = table.scan_merged(0, _SCAN_COLUMNS, trans=trans)
+    keep = np.ones(full.n_rows, dtype=bool)
+    for col, op, literal in triples:
+        # the one triple storage cannot answer is skipped as a filter
+        # (looser than SQL, never stricter): equality with a DECIMAL
+        # literal the column's scale cannot hold, which matches no row
+        term = OPS[op](full.columns[col], literal)
+        if (col, op) == ("price", "=") and round(literal * 1000) % 10:
+            assert not term.any()
+        else:
+            keep &= term
+    got = table.scan_partition(0, requested, triples, trans=trans)
+    assert sorted(got.columns) == sorted(set(requested))
+    assert got.n_rows == keep.sum() == len(got.identities)
+    assert np.array_equal(got.identities, full.identities[keep])
+    for col in requested:
+        assert got.columns[col].dtype == full.columns[col].dtype
+        assert np.array_equal(got.columns[col], full.columns[col][keep])
+
+
+@given(st.booleans(), st.integers(1, 700), st.integers(0, 2**31),
+       updates_st, updates_st, triples_st,
+       st.lists(st.sampled_from(_SCAN_COLUMNS), min_size=1, max_size=4,
+                unique=True))
+@example(clustered=True, n=416, seed=1, committed=(4, 1, 1),
+         pending=(5, 5, 0), triples=[("d", "=", 8095)], requested=["k"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_filtered_scan_equals_numpy_filter(clustered, n, seed, committed,
+                                           pending, triples, requested):
+    table = _scan_table(clustered, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    # empty PDT
+    _assert_filtered_scan_is_reference(table, requested, triples, None)
+    # committed inserts / modifies / deletes
+    trans = table.pdt[0].begin()
+    _apply_updates(table, trans, rng, n, *committed)
+    table.pdt[0].commit(trans)
+    _assert_filtered_scan_is_reference(table, requested, triples, None)
+    # the same inside an open transaction; other readers do not see it
+    trans = table.pdt[0].begin()
+    _apply_updates(table, trans, rng, n, *pending)
+    _assert_filtered_scan_is_reference(table, requested, triples, trans)
+    _assert_filtered_scan_is_reference(table, requested, triples, None)

@@ -90,6 +90,35 @@ class TestPartitionStore:
         out = store.read_column("k")
         assert np.array_equal(out, np.arange(200))
 
+    def test_partials_of_columns_with_different_block_sizes(self, hdfs,
+                                                             config):
+        """Regression: thin columns pack more rows per block, so the
+        columns' partial blocks start at different rows. The next append
+        merged only the columns whose partial started first and wrote the
+        others' new rows over stable ones (a tail flush of 16 inserts
+        took a 15 019-row lineitem partition to 8 208 rows)."""
+        schema = TableSchema("t", [Column("k", INT64), Column("d", DATE)])
+        store = PartitionStore(hdfs, "/db/t/part-0000", schema, config,
+                               "t/part-0000")
+        n = 3 * rows_per_block(INT64, config) + 7
+
+        def rows(lo, hi):
+            k = np.arange(lo, hi, dtype=np.int64)
+            return {"k": k, "d": (k % 500).astype(np.int32)}
+
+        store.append(rows(0, n), writer="n1")
+        starts = {ref.row_start for ref in store._partial_refs.values()}
+        assert len(starts) == 2
+        store.append(rows(n, n + 16), writer="n1")
+        store.append(rows(n + 16, n + 20), writer="n1")
+        assert store.n_stable == n + 20
+        for name, want in rows(0, n + 20).items():
+            assert np.array_equal(store.read_column(name), want), name
+        assert store.minmax.qualifying_ranges(
+            [("k", ">=", n + 18)], n + 20)[-1][1] == n + 20
+        assert store.minmax.qualifying_ranges([("k", "<", 5)], n + 20) == [
+            (0, rows_per_block(INT64, config))]
+
     def test_chunk_rollover(self, store, config):
         # enough rows to exceed blocks_per_chunk blocks
         per_block = rows_per_block(INT64, config)
