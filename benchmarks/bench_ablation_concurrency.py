@@ -78,8 +78,9 @@ def _run_mix(cluster, plans):
     for copy in range(COPIES):
         for name, plan in plans:
             submitted.append((name, cluster.submit(plan)))
-    for _name, qid in submitted:
-        cluster.gather(qid)
+    # gather hands each result over exactly once: keep what is needed
+    serial_total = sum(cluster.gather(qid).simulated_parallel_seconds
+                       for _name, qid in submitted)
     makespan = cluster.sim_clock.seconds - clock0
     records = {r.query_id: r for r in cluster.workload.query_records()}
     latencies = Histogram("mix_latency_seconds", "submit -> finish",
@@ -91,8 +92,6 @@ def _run_mix(cluster, plans):
         latencies.observe(record.finish_sim - record.submit_sim)
         rounds_by_name.setdefault(name, []).append(record.rounds)
     fairness = max(max(r) / min(r) for r in rounds_by_name.values())
-    serial_total = sum(records[qid].result.simulated_parallel_seconds
-                      for _name, qid in submitted)
     return {
         "makespan_s": makespan,
         "throughput_qps": len(submitted) / makespan,

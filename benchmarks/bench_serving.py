@@ -174,9 +174,9 @@ def _run_scenario() -> dict:
         "bench_serving_latency_seconds", "per-query sim latency",
         labels=("tenant",), buckets=LATENCY_BUCKETS)
     per_tenant_n = {name: 0 for name in window}
-    for r in c.monitor.query_log.records():
+    for r in c.workload.terminal_records():
         if r.tenant in per_tenant_n and r.state == "finished":
-            lat.observe(r.wait_s + r.sim_s, tenant=r.tenant)
+            lat.observe(r.wait_sim + r.sim_s, tenant=r.tenant)
             per_tenant_n[r.tenant] += 1
 
     tenants_table = execute_sql(

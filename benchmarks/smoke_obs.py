@@ -214,7 +214,7 @@ def main(outdir: str) -> None:
         assert metric in prom, f"workload metric missing: {metric}"
 
     # trajectory point: simulated aggregates of the persistent query log
-    records = monitor.query_log.records()
+    records = cluster.workload.terminal_records()
     finished = [r for r in records if r.state == "finished"]
     assert finished, "query log recorded no finished queries"
     results_dir = pathlib.Path(__file__).parent / "results"
@@ -225,7 +225,7 @@ def main(outdir: str) -> None:
         "queries_logged": len(records),
         "total_sim_s": sum(r.sim_s for r in finished),
         "max_sim_s": max(r.sim_s for r in finished),
-        "total_wait_s": sum(r.wait_s for r in finished),
+        "total_wait_s": sum(r.wait_sim for r in finished),
         "max_qerror": max(r.max_qerror for r in finished),
         "total_rows": sum(r.rows for r in finished),
     }, indent=2))
@@ -254,7 +254,7 @@ def main(outdir: str) -> None:
     print(f"  alerts: {alert_rows.n} raised, "
           f"{monitor.health.evaluations()} rule evaluations")
     print("== slow query report ==")
-    print(monitor.query_log.slow_report(5))
+    print(monitor.slow_report(5))
     print("== hot paths (continuous profiler) ==")
     print(cluster.profiler.report(10))
     min_on, min_off = measure_profiler_overhead(cluster)

@@ -100,10 +100,6 @@ class CompetitorSystem:
     def run(self, plan) -> Batch:
         return self.runner(plan)
 
-    def run_tpch(self, number: int) -> Batch:
-        from repro.tpch.queries import run_query
-        return run_query(self.runner, number)
-
     def simulated_seconds(self) -> float:
         return self.runner.simulated_seconds()
 

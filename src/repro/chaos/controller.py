@@ -66,8 +66,7 @@ class ChaosController:
     def __init__(self, cluster, seed: Optional[int] = None,
                  plan: Optional[FaultPlan] = None, **plan_kwargs):
         self.cluster = cluster
-        self.seed = (getattr(cluster.config, "chaos_seed", 0)
-                     if seed is None else seed)
+        self.seed = cluster.config.chaos_seed if seed is None else seed
         self.rng = random.Random(self.seed)
         self.plan = plan if plan is not None else FaultPlan.generate(
             self.seed, cluster.workers, **plan_kwargs)
@@ -249,13 +248,13 @@ class ChaosController:
     # -- server-frontend faults ----------------------------------------------
 
     def _drop_connection(self, spec: FaultSpec) -> str:
-        frontend = getattr(self.cluster, "frontend", None)
+        frontend = self.cluster.frontend
         if frontend is None:
             return "skipped (no server frontend)"
         return frontend.chaos_drop_connection(spec.target or None)
 
     def _tenant_storm(self, spec: FaultSpec) -> str:
-        frontend = getattr(self.cluster, "frontend", None)
+        frontend = self.cluster.frontend
         if frontend is None:
             return "skipped (no server frontend)"
         return frontend.chaos_storm(spec.target or None,

@@ -14,7 +14,11 @@ still satisfies the properties failover is supposed to preserve:
   followed by a commit or abort resolution;
 * **admission accounting** -- when no query is running, the shared
   memory meter reads zero on every node (cancel/retry paths released
-  everything they charged).
+  everything they charged);
+* **terminal records are flat** -- no finished, failed or cancelled
+  query's record still pins its plan, snapshot transaction, operator
+  tree or span tree, whichever path (completion, cancel, timeout,
+  retry exhaustion) took it there.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ class InvariantChecker:
         self._check_replication(report)
         self._check_wal_durability(report)
         self._check_admission(report)
+        self._check_terminal_records(report)
         return report
 
     # -- individual invariants ----------------------------------------------
@@ -62,7 +67,7 @@ class InvariantChecker:
         n_alive = len(hdfs.alive_nodes())
         for path in sorted(hdfs.files):
             f = hdfs.files[path]
-            live = [n for n in f.replicas if hdfs.nodes[n].alive]
+            live = hdfs.alive_replicas(path)
             want = min(f.replication, n_alive)
             report.checks += 1
             if len(live) < want:
@@ -110,3 +115,14 @@ class InvariantChecker:
         if held:
             report.violations.append(
                 f"admission meter not released while idle: {held}")
+
+    def _check_terminal_records(self, report: InvariantReport) -> None:
+        report.checks += 1
+        pinned = [
+            r.query_id for r in self.cluster.workload.terminal_records()
+            if any(ref is not None for ref in (
+                r.run, r.trans, r.qplan, r.root_span, r.trace_parent))]
+        if pinned:
+            report.violations.append(
+                f"terminal query records still pin their plan, snapshot "
+                f"or operator tree: {pinned}")

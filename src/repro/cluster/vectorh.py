@@ -24,7 +24,14 @@ from repro.mpp.feedback import CardinalityFeedbackStore
 from repro.mpp.logical import LogicalPlan
 from repro.mpp.rewriter import ParallelRewriter, RewriterFlags
 from repro.net.mpi import MpiFabric
-from repro.obs import ClusterEventLog, MetricsRegistry, SimClock, Tracer
+from repro.obs import (
+    ClusterEventLog,
+    ContinuousProfiler,
+    FlightRecorder,
+    MetricsRegistry,
+    SimClock,
+    Tracer,
+)
 from repro.obs.introspect import SystemCatalog, explain_analyze, resolve_table
 from repro.pdt.stack import PdtStack
 from repro.storage.buffer import BufferPool
@@ -39,6 +46,10 @@ from repro.yarn.manager import ResourceManager
 #: inserts of at least this many rows to *unordered* tables append directly
 #: to disk instead of buffering in PDTs (paper section 6).
 DIRECT_APPEND_THRESHOLD = 4096
+
+#: cluster events kept for ``vh$events``; the oldest fall off the front
+#: and are counted in ``events_dropped_total``
+EVENT_LOG_CAPACITY = 65536
 
 
 def _pin_responsible_into_affinity(amap, resp) -> None:
@@ -72,7 +83,7 @@ class VectorHCluster:
         self.tracer = Tracer(sim_clock=self.sim_clock)
         self.events = ClusterEventLog(
             sim_clock=self.sim_clock,
-            retention=self.config.event_log_retention,
+            retention=EVENT_LOG_CAPACITY,
             registry=self.registry)
         #: observed-cardinality memory consulted by every ParallelRewriter
         self.feedback = (
@@ -118,21 +129,15 @@ class VectorHCluster:
         # the automatic footprint follows real load, not a guessed count
         self.dbagent.workload_probe = self.workload.load
         self.dbagent.events = self.events
-        #: the flight recorder: metric history + alert engine + query log,
-        #: sampling from the workload manager's round hook (before any
-        #: chaos controller installed later, so samples precede faults)
-        self.monitor = None
-        if self.config.monitor_enabled:
-            from repro.obs.monitor import FlightRecorder
-            self.monitor = FlightRecorder(self)
-            self.workload.round_hooks.append(self.monitor.tick)
+        #: the flight recorder: metric history + alert engine + the
+        #: terminal hook that summarises each query, sampling from the
+        #: workload manager's round hook (before any chaos controller
+        #: installed later, so samples precede faults)
+        self.monitor = FlightRecorder(self)
+        self.workload.round_hooks.append(self.monitor.tick)
         #: the continuous profiler: every finished query's operator tree
         #: folds into cumulative per-kind/per-kernel stats
-        self.profiler = None
-        if self.config.profiler_enabled:
-            from repro.obs.profiler import ContinuousProfiler
-            self.profiler = ContinuousProfiler(
-                self.registry, top_k=self.config.profiler_top_k)
+        self.profiler = ContinuousProfiler(self.registry)
         #: installed ChaosController when fault injection is active
         self.chaos = None
         #: installed ServerFrontend when the cluster is served over the
@@ -566,62 +571,20 @@ class VectorHCluster:
         if self.session_master not in self.workers:
             self.session_master = self.workers[0]
 
-        # Recompute affinity + responsibility *jointly* per partition-count
-        # group: matching partition ids of co-partitioned tables (e.g.
-        # lineitem/orders) must keep moving together, as in Figure 2, or
-        # co-located joins stop being local -- and stop being correct.
-        moved_partitions = 0
-        wal_replayed_bytes = 0
-        groups: Dict[int, List[str]] = {}
-        for tname, stored in self.tables.items():
-            groups.setdefault(stored.n_partitions, []).append(tname)
-        for n_parts, tnames in groups.items():
-            parts = list(range(n_parts))
-            local = {pid: set() for pid in parts}
-            for tname in tnames:
-                stored = self.tables[tname]
-                for pid in parts:
-                    for path in stored.partitions[pid].file_paths():
-                        for holder in self.hdfs.replica_locations(path):
-                            if self.hdfs.nodes[holder].alive:
-                                local[pid].add(holder)
-            amap = affinity_map(parts, self.workers, local,
-                                self.config.replication)
-            resp = responsibility_assignment(
-                parts, self.workers, {p: set(amap[p]) for p in parts}
-            )
-            _pin_responsible_into_affinity(amap, resp)
-            for tname in tnames:
-                stored = self.tables[tname]
-                for pid in parts:
-                    self.placement.set_affinity(stored.partition_tag(pid),
-                                                amap[pid])
-                    old = self._responsibility.get((tname, pid))
-                    new = resp[pid]
-                    self._responsibility[(tname, pid)] = new
-                    if old == name or old != new:
-                        moved_partitions += 1
-                        wal_replayed_bytes += self._replay_pdt(tname, pid, new)
-        repaired = self.hdfs.rereplicate()
-        self.hdfs.rebalance()
+        moved = self._reassign_partitions()
         # presumed-abort recovery: the new session master settles any
         # transaction the dead node left between 2PC prepare and commit
         resolved = self.txn.resolve_in_doubt()
         self.events.emit(
             "cluster", "failover_complete", node=name,
-            workers=len(self.workers), moved_partitions=moved_partitions,
-            rereplicated_files=repaired,
+            workers=len(self.workers),
+            moved_partitions=moved["moved_partitions"],
+            rereplicated_files=moved["rereplicated_files"],
             resolved_commits=len(resolved["committed"]),
             resolved_aborts=len(resolved["aborted"]),
         )
         self.workload.redispatch()
-        return {
-            "workers": list(self.workers),
-            "moved_partitions": moved_partitions,
-            "rereplicated_files": repaired,
-            "wal_replayed_bytes": wal_replayed_bytes,
-            "resolved": resolved,
-        }
+        return {"workers": list(self.workers), **moved, "resolved": resolved}
 
     def _check_data_loss(self, dying: str) -> None:
         """Refuse a node kill that would destroy the last copy of data."""
@@ -632,11 +595,7 @@ class VectorHCluster:
                 if self.hdfs.exists(wal_path):
                     paths.append(wal_path)
                 for path in paths:
-                    holders = [
-                        h for h in self.hdfs.replica_locations(path)
-                        if h != dying and self.hdfs.nodes[h].alive
-                    ]
-                    if not holders:
+                    if not set(self.hdfs.alive_replicas(path)) - {dying}:
                         self.events.emit("cluster", "data_lost",
                                          table=tname, partition=pid,
                                          node=dying, path=path)
@@ -720,19 +679,11 @@ class VectorHCluster:
     def _covering_subset(self, n_target: int) -> List[str]:
         """Greedy set cover: the smallest worker subset (>= n_target tried
         first) holding a replica of every partition of every table."""
-        holder_sets: List[set] = []
-        for stored in self.tables.values():
-            for pid in range(stored.n_partitions):
-                holders = set()
-                for path in stored.partitions[pid].file_paths():
-                    holders.update(
-                        h for h in self.hdfs.replica_locations(path)
-                        if self.hdfs.nodes[h].alive
-                    )
-                if holders:
-                    holder_sets.append(holders)
         active: List[str] = []
-        uncovered = [s for s in holder_sets]
+        uncovered = [
+            holders for stored in self.tables.values()
+            for holders in map(self.alive_holders, stored.partitions)
+            if holders]
         while uncovered and len(active) < len(self.workers):
             best = max(
                 (w for w in self.workers if w not in active),
@@ -751,25 +702,37 @@ class VectorHCluster:
         self.events.emit("cluster", "footprint_restored",
                          workers=len(self.workers))
 
+    def alive_holders(self, store) -> set:
+        """Alive nodes holding a replica of any file of one partition."""
+        return {h for path in store.file_paths()
+                for h in self.hdfs.alive_replicas(path)}
+
     def _reassign_partitions(
         self, responsibility_workers: Optional[List[str]] = None
-    ) -> None:
-        """Joint affinity + responsibility recomputation (as on failover),
-        optionally restricting responsibility to a worker subset."""
+    ) -> Dict[str, int]:
+        """Joint affinity + responsibility recomputation, optionally
+        restricting responsibility to a worker subset; the new
+        responsible nodes replay their partition WALs, then HDFS
+        re-replicates and rebalances under the updated policy.
+
+        Affinity and responsibility are recomputed *jointly* per
+        partition-count group: matching partition ids of co-partitioned
+        tables (e.g. lineitem/orders) must keep moving together, as in
+        Figure 2, or co-located joins stop being local -- and stop being
+        correct. Returns how much moved.
+        """
         resp_workers = responsibility_workers or self.workers
+        moved_partitions = wal_replayed_bytes = 0
         groups: Dict[int, List[str]] = {}
         for tname, stored in self.tables.items():
             groups.setdefault(stored.n_partitions, []).append(tname)
         for n_parts, tnames in groups.items():
             parts = list(range(n_parts))
-            local = {pid: set() for pid in parts}
-            for tname in tnames:
-                stored = self.tables[tname]
-                for pid in parts:
-                    for path in stored.partitions[pid].file_paths():
-                        for holder in self.hdfs.replica_locations(path):
-                            if self.hdfs.nodes[holder].alive:
-                                local[pid].add(holder)
+            local = {
+                pid: set().union(*(
+                    self.alive_holders(self.tables[t].partitions[pid])
+                    for t in tnames))
+                for pid in parts}
             amap = affinity_map(parts, self.workers, local,
                                 self.config.replication)
             resp = responsibility_assignment(
@@ -786,9 +749,14 @@ class VectorHCluster:
                     new = resp[pid]
                     if old != new:
                         self._responsibility[(tname, pid)] = new
-                        self._replay_pdt(tname, pid, new)
-        self.hdfs.rereplicate()
+                        moved_partitions += 1
+                        wal_replayed_bytes += self._replay_pdt(
+                            tname, pid, new)
+        repaired = self.hdfs.rereplicate()
         self.hdfs.rebalance()
+        return {"moved_partitions": moved_partitions,
+                "rereplicated_files": repaired,
+                "wal_replayed_bytes": wal_replayed_bytes}
 
     # ----------------------------------------- feedback persistence (§5)
 

@@ -31,9 +31,6 @@ class ColumnType:
     width: int  # bytes per value for fixed-width types; estimate for strings
     scale: int = 0  # decimal digits after the point (DECIMAL only)
 
-    def numpy_dtype(self) -> np.dtype:
-        return self.dtype
-
     @property
     def is_integer(self) -> bool:
         return self.name in ("int32", "int64", "date", "decimal")
@@ -73,25 +70,3 @@ def date_to_days(value: str | datetime.date) -> int:
 def days_to_date(days: int) -> datetime.date:
     """Convert days since the epoch back to a date."""
     return _EPOCH + datetime.timedelta(days=int(days))
-
-
-def decimal_to_int(value: float, scale: int = 2) -> int:
-    """Scale a decimal literal into its fixed-point int64 representation."""
-    return int(round(value * 10**scale))
-
-
-def int_to_decimal(value: int, scale: int = 2) -> float:
-    """Convert a fixed-point int64 back to a float (for display only)."""
-    return value / 10**scale
-
-
-def empty_array(ctype: ColumnType, length: int = 0) -> np.ndarray:
-    """Allocate an empty numpy array with the column's physical dtype."""
-    return np.empty(length, dtype=ctype.dtype)
-
-
-def coerce_array(values, ctype: ColumnType) -> np.ndarray:
-    """Coerce a python sequence or numpy array to the column's dtype."""
-    if isinstance(values, np.ndarray) and values.dtype == ctype.dtype:
-        return values
-    return np.asarray(values, dtype=ctype.dtype)

@@ -59,9 +59,6 @@ class VectorHRdd:
         #: narrow dependency: input partition index -> VectorHRdd partition
         self.dependency: Dict[int, int] = {}
 
-    def num_partitions(self) -> int:
-        return len(self.operator_hosts)
-
     def get_preferred_locations(self, partition: int) -> List[str]:
         return [self.operator_hosts[partition]]
 

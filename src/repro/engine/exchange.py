@@ -208,10 +208,8 @@ class Exchange:
                  meter: Optional[MemoryMeter] = None,
                  mode: str = STREAMING,
                  message_size: Optional[int] = None,
-                 n_lanes: int = 1,
-                 registry=None):
+                 n_lanes: int = 1):
         self.label = label
-        self.registry = registry
         self.fabric = fabric
         self.route = route
         self.dest_streams = list(dest_streams)
@@ -445,10 +443,9 @@ class Exchange:
 
     def _record_metrics(self) -> None:
         """Charge this exchange's lifetime totals and high-water marks to
-        the registry (one series per exchange label)."""
-        if self.registry is None:
-            return
-        reg = self.registry
+        the fabric's registry (one series per exchange label). Runs
+        once per exchange, so each family is looked up once."""
+        reg = self.fabric.registry
         labels = {"exchange": self.label}
         reg.counter("exchange_bytes_total",
                     "Payload bytes routed through DXchg operators",

@@ -76,11 +76,6 @@ class ProfileNode:
         """Self time: cumulative minus the children's cumulative."""
         return max(0.0, self.cum_time - sum(c.cum_time for c in self.children))
 
-    @property
-    def kernel_seconds(self) -> float:
-        """Wall seconds attributed to named kernels of this node."""
-        return sum(k.seconds for k in self.kernels.values())
-
     def kernel_stat(self, name: str) -> KernelStat:
         stat = self.kernels.get(name)
         if stat is None:
@@ -194,10 +189,6 @@ def push_sink(node: ProfileNode) -> None:
 
 def pop_sink() -> None:
     _SINKS.pop()
-
-
-def current_sink() -> Optional[ProfileNode]:
-    return _SINKS[-1] if _SINKS else None
 
 
 class _Kernel:

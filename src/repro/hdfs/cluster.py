@@ -21,53 +21,24 @@ from repro.obs import MetricsRegistry
 
 
 def _series_property(family_attr: str, **fixed_labels):
-    """A DataNode attribute that is a view over one registry series."""
-
-    def getter(self):
-        family = getattr(self, family_attr)
-        return int(family.get(node=self.name, **fixed_labels))
-
-    def setter(self, value):
-        family = getattr(self, family_attr)
-        # counters expose _assign for these legacy views; gauges use set
-        assign = getattr(family, "_assign", None) or family.set
-        assign(value, node=self.name, **fixed_labels)
-
-    return property(getter, setter)
+    """A read-only DataNode attribute over one registry series."""
+    return property(lambda self: int(getattr(self._hdfs, family_attr).get(
+        node=self.name, **fixed_labels)))
 
 
 class DataNode:
-    """A datanode: alive flag plus registry-backed IO accounting.
+    """A datanode: an alive flag plus views of its IO accounting.
 
     The byte counters live in the cluster's :class:`MetricsRegistry`
-    (``hdfs_read_bytes_total{node=...,mode=...}`` etc.); the attribute
-    API (``bytes_read_local`` and friends) is a view over those series so
-    existing callers keep working.
+    (``hdfs_read_bytes_total{node=...,mode=...}`` etc.), charged by the
+    :class:`HdfsCluster` that owns the node; the attributes
+    (``bytes_read_local`` and friends) are read-only views over them.
     """
 
-    def __init__(self, name: str, registry: Optional[MetricsRegistry] = None,
-                 alive: bool = True):
+    def __init__(self, name: str, hdfs: "HdfsCluster"):
         self.name = name
-        self.alive = alive
-        self.registry = registry or MetricsRegistry()
-        self._reads = self.registry.counter(
-            "hdfs_read_bytes_total",
-            "Bytes read from HDFS, short-circuit (local) vs remote",
-            labels=("node", "mode"),
-        )
-        self._writes = self.registry.counter(
-            "hdfs_written_bytes_total", "Bytes written to HDFS replicas",
-            labels=("node",),
-        )
-        self._rereplicated = self.registry.counter(
-            "hdfs_rereplicated_bytes_total",
-            "Bytes copied by re-replication and rebalancing",
-            labels=("node",),
-        )
-        self._stored = self.registry.gauge(
-            "hdfs_bytes_stored", "Replica bytes currently stored",
-            labels=("node",), sticky=True,
-        )
+        self.alive = True
+        self._hdfs = hdfs
 
     bytes_read_local = _series_property("_reads", mode="short_circuit")
     bytes_read_remote = _series_property("_reads", mode="remote")
@@ -106,7 +77,7 @@ class HdfsCluster:
         self.registry = registry or MetricsRegistry()
         self.events = events  # ClusterEventLog when part of a cluster
         self.nodes: Dict[str, DataNode] = {
-            name: DataNode(name, self.registry) for name in node_names
+            name: DataNode(name, self) for name in node_names
         }
         self.files: Dict[str, HdfsFile] = {}
         self.placement_policy = placement_policy or DefaultPlacementPolicy(
@@ -121,6 +92,24 @@ class HdfsCluster:
         self.sim_clock = sim_clock
         #: bounded backoff when *every* replica of a range errors at once
         self.retry_policy = RetryPolicy()
+        self._reads = self.registry.counter(
+            "hdfs_read_bytes_total",
+            "Bytes read from HDFS, short-circuit (local) vs remote",
+            labels=("node", "mode"),
+        )
+        self._writes = self.registry.counter(
+            "hdfs_written_bytes_total", "Bytes written to HDFS replicas",
+            labels=("node",),
+        )
+        self._rereplicated = self.registry.counter(
+            "hdfs_rereplicated_bytes_total",
+            "Bytes copied by re-replication and rebalancing",
+            labels=("node",),
+        )
+        self._stored = self.registry.gauge(
+            "hdfs_bytes_stored", "Replica bytes currently stored",
+            labels=("node",), sticky=True,
+        )
         self._rereplication_events = self.registry.counter(
             "hdfs_rereplication_events_total",
             "Files that received a new replica after failures/rebalancing",
@@ -164,6 +153,10 @@ class HdfsCluster:
     def replica_locations(self, path: str) -> List[str]:
         return list(self._file(path).replicas)
 
+    def alive_replicas(self, path: str) -> List[str]:
+        """The file's replica holders that are alive, in replica order."""
+        return [n for n in self._file(path).replicas if self.nodes[n].alive]
+
     def _file(self, path: str) -> HdfsFile:
         f = self.files.get(path)
         if f is None:
@@ -192,9 +185,8 @@ class HdfsCluster:
         f = self._file(path)
         f.data.extend(data)
         for name in f.replicas:
-            node = self.nodes[name]
-            node.bytes_stored += len(data)
-            node.bytes_written += len(data)
+            self._stored.inc(len(data), node=name)
+            self._writes.inc(len(data), node=name)
 
     def write_file(self, path: str, data: bytes, writer: str | None = None,
                    replication: int | None = None) -> None:
@@ -208,7 +200,7 @@ class HdfsCluster:
             raise HdfsError(f"no such file: {path}")
         for name in f.replicas:
             if name in self.nodes:
-                self.nodes[name].bytes_stored -= f.size
+                self._stored.dec(f.size, node=name)
 
     # -- reads ---------------------------------------------------------------
 
@@ -224,7 +216,7 @@ class HdfsCluster:
         if length is None:
             length = f.size - offset
         data = bytes(f.data[offset: offset + length])
-        alive_holders = [n for n in f.replicas if self.nodes[n].alive]
+        alive_holders = self.alive_replicas(path)
         if not alive_holders:
             raise HdfsError(f"all replicas of {path} are on dead nodes")
         # Preferred replica order: reader-local short circuit first, then
@@ -238,10 +230,9 @@ class HdfsCluster:
         def serve_from(node: str) -> bytes:
             if self.fault_injector is not None:
                 self.fault_injector.on_read(self, path, node, len(data))
-            if node == reader:
-                self.nodes[node].bytes_read_local += len(data)
-            else:
-                self.nodes[node].bytes_read_remote += len(data)
+            self._reads.inc(
+                len(data), node=node,
+                mode="short_circuit" if node == reader else "remote")
             return data
 
         if self.fault_injector is None:
@@ -292,27 +283,26 @@ class HdfsCluster:
         come from the *registered* placement policy -- the hook that lets
         VectorH preserve partition affinity through failures.
         """
-        node = self.nodes.get(name)
-        if node is None or not node.alive:
-            raise HdfsError(f"cannot fail node {name}")
-        node.alive = False
-        if self.events is not None:
-            self.events.emit("hdfs", "node_dead", node=name)
+        self.mark_node_dead(name)
         return self.rereplicate()
 
     def add_node(self, name: str) -> None:
         if name in self.nodes and self.nodes[name].alive:
             raise HdfsError(f"node already present: {name}")
-        self.nodes[name] = DataNode(name, self.registry)
+        self.nodes[name] = DataNode(name, self)
         if self.events is not None:
             self.events.emit("hdfs", "node_added", node=name)
+
+    def _copy_replica(self, f: HdfsFile, target: str) -> None:
+        self._stored.inc(f.size, node=target)
+        self._rereplicated.inc(f.size, node=target)
 
     def rereplicate(self) -> int:
         """Bring every file back to its replication degree."""
         alive = self.alive_nodes()
         repaired = 0
         for f in self.files.values():
-            live = [n for n in f.replicas if self.nodes[n].alive]
+            live = self.alive_replicas(f.path)
             missing = min(f.replication, len(alive)) - len(live)
             if missing <= 0:
                 f.replicas = live
@@ -322,8 +312,7 @@ class HdfsCluster:
             )
             for target in new_targets:
                 live.append(target)
-                self.nodes[target].bytes_stored += f.size
-                self.nodes[target].bytes_rereplicated += f.size
+                self._copy_replica(f, target)
             f.replicas = live
             repaired += 1
         if repaired:
@@ -345,16 +334,15 @@ class HdfsCluster:
             desired = pinned(f.path, alive)
             if not desired:
                 continue
-            current = [n for n in f.replicas if self.nodes[n].alive]
+            current = self.alive_replicas(f.path)
             if set(desired) == set(current):
                 continue
             for target in desired:
                 if target not in current:
-                    self.nodes[target].bytes_stored += f.size
-                    self.nodes[target].bytes_rereplicated += f.size
+                    self._copy_replica(f, target)
             for holder in current:
                 if holder not in desired:
-                    self.nodes[holder].bytes_stored -= f.size
+                    self._stored.dec(f.size, node=holder)
             f.replicas = list(desired)
             moved += 1
         if moved:
@@ -368,10 +356,8 @@ class HdfsCluster:
     def locality_fraction(self) -> float:
         """Fraction of all read bytes served short-circuit."""
         local = sum(n.bytes_read_local for n in self.nodes.values())
-        remote = sum(n.bytes_read_remote for n in self.nodes.values())
-        total = local + remote
+        total = self.total_bytes_read()
         return 1.0 if total == 0 else local / total
 
     def total_bytes_read(self) -> int:
-        return sum(n.bytes_read_local + n.bytes_read_remote
-                   for n in self.nodes.values())
+        return int(self._reads.total())

@@ -60,6 +60,12 @@ from repro.mpp.strategy import ExchangeDecision, QueryPlan, ReplanSignal
 
 MASTER_STREAM = "__master__"
 
+#: q-error (actual/estimate) of an exchange decision's live cardinality
+#: that makes a running query consider a mid-query re-plan
+REPLAN_QERROR_THRESHOLD = 10.0
+#: per-query cap on mid-query re-plans
+MAX_REPLANS_PER_QUERY = 2
+
 
 @dataclass
 class QueryResult:
@@ -303,7 +309,7 @@ class QueryRun:
     the exchange that moves the build side, and the run watches that
     exchange: ``Exchange.pump`` calls the watcher after every sender
     round with live ``tuples_in``. When the observed cardinality is off
-    from the estimate by ``config.replan_qerror_threshold`` *and* the
+    from the estimate by :data:`REPLAN_QERROR_THRESHOLD` *and* the
     cost comparison now flips the other way, the watcher raises
     :class:`~repro.mpp.strategy.ReplanSignal` straight through the
     operator generator stack. :meth:`step` catches it, feeds the
@@ -339,9 +345,9 @@ class QueryRun:
         self.scheduler = scheduler
         #: the cluster-wide meter every build's own meter chains into
         self.parent_meter = meter
-        self.threshold = config.replan_qerror_threshold
+        self.threshold = REPLAN_QERROR_THRESHOLD
         self.max_replans = (
-            config.replan_max_per_query
+            MAX_REPLANS_PER_QUERY
             if config.adaptive_replan and cluster.feedback is not None
             else 0)
         self.rounds = 0
@@ -477,8 +483,7 @@ class QueryRun:
             max_qerror=self._judge_estimates(profiles),
             query_id=self.query_id,
         )
-        if self.cluster.profiler is not None:
-            self.cluster.profiler.observe_query(self._result)
+        self.cluster.profiler.observe_query(self._result)
         ctx.meter.detach()
         return self._result
 
@@ -545,10 +550,7 @@ class QueryRun:
         self._cancelled_exchanges.extend(
             ex.stats() for ex in self.ctx.exchange_order)
         self.replans += 1
-        cluster.registry.counter(
-            "replans_total",
-            "Mid-query re-plans triggered by cardinality misestimates",
-        ).inc()
+        self.executor._m_replans.inc()
         cluster.events.emit(
             "workload", "query.replan",
             query=self.query_id, choice=decision.choice,
@@ -586,6 +588,20 @@ class MppExecutor:
 
     def __init__(self, cluster):
         self.cluster = cluster
+        registry = cluster.registry
+        self._m_queries = registry.counter(
+            "executor_queries_total", "Physical plans executed")
+        self._m_peaks = registry.gauge(
+            "executor_peak_memory_bytes",
+            "High-water mark of measured per-node resident bytes",
+            labels=("node",))
+        self._m_streams = registry.histogram(
+            "executor_stream_seconds",
+            "Wall seconds each sender stream spent per exchange fragment",
+            labels=("node",))
+        self._m_replans = registry.counter(
+            "replans_total",
+            "Mid-query re-plans triggered by cardinality misestimates")
 
     # ------------------------------------------------------------------ public
 
@@ -616,30 +632,15 @@ class MppExecutor:
 
     def _record_metrics(self, ctx: "_RunContext") -> None:
         """Charge per-node stream times and peak memory to the registry."""
-        registry = getattr(self.cluster, "registry", None)
-        if registry is None:
-            return
-        registry.counter(
-            "executor_queries_total", "Physical plans executed"
-        ).inc()
-        peaks = registry.gauge(
-            "executor_peak_memory_bytes",
-            "High-water mark of measured per-node resident bytes",
-            labels=("node",),
-        )
+        self._m_queries.inc()
         for node, peak in ctx.meter.peak_by_node().items():
-            peaks.set_max(peak, node=node)
-        streams = registry.histogram(
-            "executor_stream_seconds",
-            "Wall seconds each sender stream spent per exchange fragment",
-            labels=("node",),
-        )
+            self._m_peaks.set_max(peak, node=node)
         for ex in ctx.exchange_order:
             for state in ex.senders:
                 prof = state.op.profile
                 if prof is not None:
-                    streams.observe(prof.cum_time,
-                                    node=self._node_of(state.stream, ctx))
+                    self._m_streams.observe(
+                        prof.cum_time, node=self._node_of(state.stream, ctx))
 
     # ---------------------------------------------------------------- streams
 
@@ -788,7 +789,6 @@ class MppExecutor:
             lambda stream: self._node_of(stream, ctx),
             ctx.scheduler, meter=ctx.meter,
             mode=ctx.mode, n_lanes=ctx.n_lanes,
-            registry=getattr(self.cluster, "registry", None),
         )
 
     def _split_destinations(self, phys: P.DXHashSplit, workers: List[str]):

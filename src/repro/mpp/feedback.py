@@ -38,6 +38,7 @@ from typing import Dict, List, Optional
 
 from repro.mpp import logical as L
 from repro.mpp import plan as P
+from repro.obs import MetricsRegistry
 
 #: the binder mints fresh ``__agg_in_<n>`` / ``col_<n>`` names per parse;
 #: signatures canonicalize them so the same query text always matches
@@ -107,11 +108,9 @@ class CardinalityFeedbackStore:
     def __init__(self, registry=None, sim_clock=None):
         self.entries: Dict[str, FeedbackEntry] = {}
         self.sim_clock = sim_clock
-        self._hits = None
-        if registry is not None:
-            self._hits = registry.counter(
-                "plan_feedback_hits_total",
-                "Rewriter cardinality estimates answered from feedback")
+        self._hits = (registry or MetricsRegistry()).counter(
+            "plan_feedback_hits_total",
+            "Rewriter cardinality estimates answered from feedback")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -136,8 +135,7 @@ class CardinalityFeedbackStore:
         if entry is None:
             return None
         entry.hits += 1
-        if self._hits is not None:
-            self._hits.inc()
+        self._hits.inc()
         return entry.observed
 
     def snapshot(self) -> List[FeedbackEntry]:
@@ -189,6 +187,21 @@ def flatten_profiles(profiles) -> Dict[str, deque]:
     return by_label
 
 
+def pop_profile(by_label: Dict[str, deque], label: str):
+    """Next profile recorded under a plan node's label, or None.
+
+    Pre-order emit matches pre-order flattening, so popping pairs each
+    plan node with its own profile; plan qualifiers like
+    ``Aggr(final)[b]`` profile as plain ``Aggr[b]``.
+    """
+    queue = by_label.get(label)
+    if queue is None and "(" in label:
+        head, _, rest = label.partition("(")
+        _, _, tail = rest.partition(")")
+        queue = by_label.get(head + tail)
+    return queue.popleft() if queue else None
+
+
 def collect_actuals(phys_root: P.PhysNode, profiles) -> Dict[P.PhysNode, int]:
     """Map each physical plan node to its executed ``tuples_out``.
 
@@ -199,22 +212,12 @@ def collect_actuals(phys_root: P.PhysNode, profiles) -> Dict[P.PhysNode, int]:
     queues aligned even though exchanges are never annotated).
     """
     by_label = flatten_profiles(profiles)
-
-    def pop(label: str):
-        queue = by_label.get(label)
-        if queue is None and "(" in label:
-            # plan qualifiers like Aggr(final)[b] profile as plain Aggr[b]
-            head, _, rest = label.partition("(")
-            _, _, tail = rest.partition(")")
-            queue = by_label.get(head + tail)
-        return queue.popleft() if queue else None
-
     actuals: Dict[P.PhysNode, int] = {}
 
     def walk(node: P.PhysNode) -> None:
         label = node.describe()
-        prof = (pop(label + ".recv") if isinstance(node, P.DXchg)
-                else pop(label))
+        prof = pop_profile(
+            by_label, label + ".recv" if isinstance(node, P.DXchg) else label)
         if prof is not None:
             actuals[node] = int(prof.tuples_out)
         for child in node.children:

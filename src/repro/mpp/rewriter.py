@@ -47,14 +47,6 @@ class RewriterFlags:
     cost_join_order: bool = True
 
 
-def _table(cluster, name: str):
-    """Catalog lookup honouring vh$ system tables when available."""
-    lookup = getattr(cluster, "table", None)
-    if callable(lookup):
-        return lookup(name)
-    return cluster.tables[name]
-
-
 class ParallelRewriter:
     """Produces a distributed plan rooted at the session master."""
 
@@ -87,7 +79,7 @@ class ParallelRewriter:
     def _store(self):
         if not self.flags.use_feedback:
             return None
-        return getattr(self.cluster, "feedback", None)
+        return self.cluster.feedback
 
     def _signature(self, node: L.LogicalPlan) -> Optional[str]:
         key = id(node)
@@ -124,7 +116,7 @@ class ParallelRewriter:
 
     def _static_rows(self, node: L.LogicalPlan) -> float:
         if isinstance(node, L.LScan):
-            table = _table(self.cluster, node.table)
+            table = self.cluster.table(node.table)
             rows = sum(p.n_stable for p in table.partitions)
             if node.skip_predicates:
                 rows *= 0.3 ** len(node.skip_predicates)
@@ -255,7 +247,7 @@ class ParallelRewriter:
         return phys, tuple(node.partition_by) + tuple(node.order_by)
 
     def _rw_scan(self, node: L.LScan) -> Tuple[P.PhysNode, Tuple[str, ...]]:
-        table = _table(self.cluster, node.table)
+        table = self.cluster.table(node.table)
         if table.is_replicated:
             dist = P.Distribution(P.REPLICATED)
         else:
@@ -388,8 +380,8 @@ class ParallelRewriter:
             return False
         if bt == pt:
             return True
-        b_parts = _table(self.cluster, bt).n_partitions
-        p_parts = _table(self.cluster, pt).n_partitions
+        b_parts = self.cluster.table(bt).n_partitions
+        p_parts = self.cluster.table(pt).n_partitions
         return b_parts == p_parts
 
     # ----------------------------------------------------------- aggregation

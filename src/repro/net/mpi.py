@@ -58,10 +58,10 @@ class _LinkView(Mapping):
         return int(self._family.get(src=src, dst=dst))
 
     def __iter__(self) -> Iterator[Tuple[str, str]]:
-        return iter(self._family.series())
+        return iter(self._family.snapshot())
 
     def __len__(self) -> int:
-        return len(self._family.series())
+        return len(self._family.snapshot())
 
     def __repr__(self) -> str:
         return repr(dict(self))

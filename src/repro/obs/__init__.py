@@ -35,8 +35,6 @@ from repro.obs.monitor import (
     FlightRecorder,
     HealthMonitor,
     MetricsHistory,
-    QueryLog,
-    QueryLogRecord,
     default_rules,
     sql_fingerprint,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "MetricsHistory",
     "MetricsRegistry",
     "NULL_TRACER",
-    "QueryLog",
-    "QueryLogRecord",
     "SimClock",
     "Span",
     "Tracer",

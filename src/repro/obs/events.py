@@ -8,10 +8,11 @@ simulated clock (so it interleaves causally with query spans on the
 cluster-equivalent timeline) plus wall time, a coarse ``source``
 (hdfs/yarn/txn/cluster/monitor) and a ``kind`` with free-form
 attributes. The log is append-only; ``vh$events`` exposes it through
-SQL. A ``retention`` cap (default: keep everything) bounds memory for
-soak runs -- on overflow the oldest events fall off the front, the
-``dropped`` count (and the optional ``events_dropped_total`` counter)
-records how many, and ``seq`` stays monotonic so gaps are visible.
+SQL. A ``retention`` cap bounds memory (a bare log keeps everything; a
+cluster's log is capped at its ``EVENT_LOG_CAPACITY``) -- on overflow
+the oldest events fall off the front, ``events_dropped_total`` (read
+back as ``dropped``) counts how many, and ``seq`` stays monotonic so
+gaps are visible.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
+
+from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,13 @@ class ClusterEventLog:
         self.retention = int(retention)  # 0 = keep everything
         self._events: Deque[Event] = deque()
         self._seq = 0
-        self.dropped = 0
-        self._dropped_counter = None
-        if registry is not None:
-            self._dropped_counter = registry.counter(
-                "events_dropped_total",
-                "Cluster events evicted by the event-log retention cap")
+        self._dropped = (registry or MetricsRegistry()).counter(
+            "events_dropped_total",
+            "Cluster events evicted by the event-log retention cap")
+
+    @property
+    def dropped(self) -> int:
+        return int(self._dropped.total())
 
     def emit(self, source: str, kind: str, **attrs) -> Event:
         sim = self._sim_clock.seconds if self._sim_clock is not None else 0.0
@@ -68,9 +72,7 @@ class ClusterEventLog:
         self._events.append(event)
         if self.retention and len(self._events) > self.retention:
             self._events.popleft()
-            self.dropped += 1
-            if self._dropped_counter is not None:
-                self._dropped_counter.inc()
+            self._dropped.inc()
         return event
 
     # -- queries ---------------------------------------------------------------
@@ -89,9 +91,6 @@ class ClusterEventLog:
 
     def of_kind(self, kind: str) -> List[Event]:
         return [e for e in self._events if e.kind == kind]
-
-    def of_source(self, source: str) -> List[Event]:
-        return [e for e in self._events if e.source == source]
 
     def last(self, kind: Optional[str] = None) -> Optional[Event]:
         if kind is None:

@@ -6,11 +6,12 @@ The cluster describes itself through its own SQL engine:
   ``vh$`` tables (:data:`SYSTEM_TABLES`) whose partitions are live
   snapshots of the metrics registry, the HDFS block map, per-column
   compression statistics, PDT overlay sizes, the cluster event log, the
-  workload manager's query/session records (including queued, running
-  and cancelled queries), the chaos controller's fault plan, the
-  cardinality feedback store, the flight recorder's sampled metric
-  history, alert ledger and persistent query log, and the continuous
-  profiler's per-operator stats and top-k hot paths. A :class:`VirtualTable` quacks like a
+  workload manager's query records (``vh$queries`` / ``vh$sessions``:
+  live queries plus the bounded ring of terminal ones; ``vh$query_log``:
+  the ring with its summary columns), the chaos controller's fault
+  plan, the cardinality feedback store, the flight recorder's sampled
+  metric history and alert ledger, and the continuous profiler's
+  per-operator stats and top-k hot paths. A :class:`VirtualTable` quacks like a
   :class:`~repro.storage.table.StoredTable` (schema, replication,
   ``scan_partition``), so the binder, rewriter and streaming executor
   treat them exactly like replicated base tables -- a ``SELECT`` against
@@ -38,6 +39,7 @@ import numpy as np
 from repro.common.errors import StorageError
 from repro.common.types import FLOAT64, INT64, STRING, ColumnType
 from repro.mpp import plan as P
+from repro.mpp.feedback import flatten_profiles, pop_profile
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import ScanResult
 
@@ -152,12 +154,7 @@ def _partitions_rows(cluster) -> List[tuple]:
             node = cluster.responsible(tname, pid)
             store = stored.partitions[pid]
             paths = store.file_paths()
-            replicas = set()
-            for path in paths:
-                replicas.update(
-                    h for h in cluster.hdfs.replica_locations(path)
-                    if cluster.hdfs.nodes[h].alive
-                )
+            replicas = cluster.alive_holders(store)
             local = int(all(cluster.hdfs.is_local(p, node) for p in paths))
             rows.append((tname, pid, node, len(replicas), store.n_stable,
                          stored.pdt[pid].total_entries(),
@@ -204,18 +201,16 @@ def _events_rows(cluster) -> List[tuple]:
 def _queries_rows(cluster) -> List[tuple]:
     """One row per workload-manager query, including live ones.
 
-    Sourced from the manager's records rather than the tracer ring or
-    the registry, so queued/running/cancelled queries are visible while
-    in flight and the table survives ``metrics().reset()``.
+    Sourced from the manager's records (live + the terminal ring)
+    rather than the tracer ring or the registry, so queued/running/
+    cancelled queries are visible while in flight and the table
+    survives ``metrics().reset()``.
     """
     import time as _time
-    wm = getattr(cluster, "workload", None)
-    if wm is None:
-        return []
     now_wall = _time.perf_counter()
     now_sim = cluster.sim_clock.seconds
     rows = []
-    for rec in wm.query_records():
+    for rec in cluster.workload.query_records():
         live = rec.state in ("queued", "running")
         end_wall = now_wall if live else rec.finish_wall
         end_sim = now_sim if live else rec.finish_sim
@@ -231,7 +226,7 @@ def _queries_rows(cluster) -> List[tuple]:
 
 def _faults_rows(cluster) -> List[tuple]:
     """The installed chaos controller's plan, with per-fault outcomes."""
-    chaos = getattr(cluster, "chaos", None)
+    chaos = cluster.chaos
     if chaos is None:
         return []
     fired = {f.spec.key(): f for f in chaos.fired}
@@ -248,9 +243,7 @@ def _faults_rows(cluster) -> List[tuple]:
 
 
 def _sessions_rows(cluster) -> List[tuple]:
-    wm = getattr(cluster, "workload", None)
-    if wm is None:
-        return []
+    wm = cluster.workload
     states = ("queued", "running", "finished", "cancelled", "failed")
     per: Dict[int, Dict[str, int]] = {
         sid: dict.fromkeys(states, 0) for sid in wm.sessions()
@@ -269,49 +262,43 @@ def _sessions_rows(cluster) -> List[tuple]:
 def _metrics_history_rows(cluster) -> List[tuple]:
     """The flight recorder's sampled time series (one row per series
     value per retained sample)."""
-    monitor = getattr(cluster, "monitor", None)
-    if monitor is None:
-        return []
-    return monitor.history.rows()
+    return cluster.monitor.history.rows()
 
 
 def _alerts_rows(cluster) -> List[tuple]:
     """Every alert the health monitor ever raised (``cleared_sim`` is
     -1 while still firing)."""
-    monitor = getattr(cluster, "monitor", None)
-    if monitor is None:
-        return []
-    return monitor.health.rows()
+    return cluster.monitor.health.rows()
 
 
 def _query_log_rows(cluster) -> List[tuple]:
-    """The persistent per-query flight record; unlike ``vh$queries``
-    this holds only terminal queries and richer execution facts."""
-    monitor = getattr(cluster, "monitor", None)
-    if monitor is None:
-        return []
-    return monitor.query_log.rows()
+    """The terminal ring in completion order; unlike ``vh$queries``
+    this holds only terminal queries and shows their summary facts."""
+    return [
+        (r.query_id, r.session_id, r.state, r.fingerprint,
+         r.plan_signature, r.statement or r.root_label, r.wall_s * 1e3,
+         r.sim_s * 1e3, r.wait_sim * 1e3, r.rows, r.peak_memory_bytes,
+         r.wire_bytes, r.retries, r.replans, r.max_qerror,
+         r.dominant_op, r.dominant_share, r.tenant)
+        for r in cluster.workload.terminal_records()
+    ]
 
 
 def _tenants_rows(cluster) -> List[tuple]:
     """Per-tenant admission state: weights, quotas, WFQ pass values and
     lifetime admitted/finished counts. Wall-clock free, so twin
     deterministic runs show identical contents."""
-    workload = getattr(cluster, "workload", None)
-    tenants = getattr(workload, "tenants", None)
-    if not tenants:
-        return []
     return [
         (t.name, t.weight, t.priority, t.max_concurrent, t.memory_limit,
          len(t.queue), t.running, t.admitted, t.finished, t.pass_value)
-        for t in tenants.values()
+        for t in cluster.workload.tenants.values()
     ]
 
 
 def _connections_rows(cluster) -> List[tuple]:
     """The server frontend's client connections (empty until
     ``cluster.serve()`` has been called)."""
-    frontend = getattr(cluster, "frontend", None)
+    frontend = cluster.frontend
     if frontend is None:
         return []
     return [
@@ -328,23 +315,17 @@ def _operator_stats_rows(cluster) -> List[tuple]:
     across same-seed runs); ``wall_s`` / ``rows_per_s`` are real
     wall-clock measurements.
     """
-    profiler = getattr(cluster, "profiler", None)
-    if profiler is None:
-        return []
-    return profiler.rows()
+    return cluster.profiler.rows()
 
 
 def _hot_paths_rows(cluster) -> List[tuple]:
     """Top-k (operator, kernel) pairs ranked by deterministic sim cost."""
-    profiler = getattr(cluster, "profiler", None)
-    if profiler is None:
-        return []
-    return profiler.hot_paths()
+    return cluster.profiler.hot_paths()
 
 
 def _plan_feedback_rows(cluster) -> List[tuple]:
     """The cardinality feedback store: what the rewriter remembers."""
-    store = getattr(cluster, "feedback", None)
+    store = cluster.feedback
     if store is None:
         return []
     return [(e.signature, e.estimated, e.observed, e.hits, e.updated)
@@ -497,19 +478,6 @@ def explain_analyze(cluster, plan, flags=None, trans=None,
     return text, result
 
 
-def _flatten_profiles(profiles) -> Dict[str, deque]:
-    by_label: Dict[str, deque] = {}
-
-    def walk(prof):
-        by_label.setdefault(prof.label, deque()).append(prof)
-        for child in prof.children:
-            walk(child)
-
-    for prof in profiles:
-        walk(prof)
-    return by_label
-
-
 def _series_delta(before, after, name) -> Dict[tuple, float]:
     """Per-label-key increase of one counter family between snapshots."""
     base = before.get(name, {})
@@ -532,7 +500,7 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
     filter dropped (``rows`` is what left the scan). The footer
     reconciles totals against the registry snapshot diff.
     """
-    profiles = _flatten_profiles(result.profiles)
+    profiles = flatten_profiles(result.profiles)
     exchange_stats: Dict[str, deque] = {}
     for stats in result.exchanges:
         exchange_stats.setdefault(stats["label"], deque()).append(stats)
@@ -542,25 +510,14 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
 
     lines: List[str] = []
 
-    def pop_profile(label: str):
-        queue = profiles.get(label)
-        if queue is None and "(" in label:
-            # plan qualifiers like Aggr(final)[b] profile as plain Aggr[b];
-            # pre-order emit matches pre-order flattening, so popleft pairs
-            # each qualified node with its own profile.
-            head, _, rest = label.partition("(")
-            _, _, tail = rest.partition(")")
-            queue = profiles.get(head + tail)
-        return queue.popleft() if queue else None
-
     def emit(node, indent: int) -> None:
         pad = "  " * indent
         dist = node.distribution
         head = (f"{pad}{node.describe()}  <{dist.kind}"
                 + (f" on {','.join(dist.keys)}" if dist.keys else "") + ">")
         is_exchange = isinstance(node, P.DXchg)
-        prof = (pop_profile(node.describe() + ".recv") if is_exchange
-                else pop_profile(node.describe()))
+        prof = pop_profile(
+            profiles, node.describe() + (".recv" if is_exchange else ""))
         actuals: List[str] = []
         if prof is not None:
             actuals.append(f"rows={prof.tuples_out}")
@@ -646,9 +603,7 @@ def resolve_table(cluster, name: str):
     stored = cluster.tables.get(name)
     if stored is not None:
         return stored
-    catalog = getattr(cluster, "catalog", None)
-    if catalog is not None:
-        virtual = catalog.lookup(name)
-        if virtual is not None:
-            return virtual
+    virtual = cluster.catalog.lookup(name)
+    if virtual is not None:
+        return virtual
     raise StorageError(f"no such table {name}")

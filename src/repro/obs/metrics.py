@@ -9,10 +9,10 @@ Prometheus text exposition format -- so a benchmark can diff two
 snapshots, a test can golden-compare the exposition, and every future
 performance PR reports through the same names.
 
-The legacy per-object counters (``DataNode.bytes_read_local``,
-``BufferPool.hits``, ``TransactionManager.commits``...) remain available
-as *views* over registry series, so existing callers and tests keep
-working while the registry is the single source of truth.
+The per-object counters (``DataNode.bytes_read_local``,
+``BufferPool.hits``, ``EpochKeyedCache.hits``,
+``TransactionManager.commits``...) are read-only *views* over registry
+series: the registry is the only place a count is kept.
 """
 
 from __future__ import annotations
@@ -119,40 +119,22 @@ class MetricFamily:
         raise NotImplementedError
 
 
-class Counter(MetricFamily):
-    """Monotonically increasing (resettable) label-keyed counter."""
-
-    kind = "counter"
+class _ScalarFamily(MetricFamily):
+    """A family whose series are plain numbers (counters and gauges)."""
 
     def __init__(self, name: str, help: str = "",
                  labels: Sequence[str] = ()):
         super().__init__(name, help, labels)
         self._series: Dict[LabelKey, float] = {}
 
-    def inc(self, amount: float = 1, **labels) -> float:
-        if amount < 0:
-            raise ReproError(f"counter {self.name} cannot decrease")
-        key = self._key(labels)
-        value = self._series.get(key, 0) + amount
-        self._series[key] = value
-        return value
-
     def get(self, **labels) -> float:
         return self._series.get(self._key(labels), 0)
-
-    def _assign(self, value: float, **labels) -> None:
-        """Non-monotonic assignment for the legacy attribute views
-        (``pool.hits = 0``); not part of the Prometheus counter model."""
-        self._series[self._key(labels)] = value
 
     def total(self) -> float:
         return sum(self._series.values())
 
     def clear(self) -> None:
         self._series.clear()
-
-    def series(self) -> Dict[LabelKey, float]:
-        return dict(self._series)
 
     def snapshot(self) -> Dict[LabelKey, object]:
         return dict(self._series)
@@ -164,7 +146,21 @@ class Counter(MetricFamily):
         ]
 
 
-class Gauge(MetricFamily):
+class Counter(_ScalarFamily):
+    """Monotonically increasing (resettable) label-keyed counter."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1, **labels) -> float:
+        if amount < 0:
+            raise ReproError(f"counter {self.name} cannot decrease")
+        key = self._key(labels)
+        value = self._series.get(key, 0) + amount
+        self._series[key] = value
+        return value
+
+
+class Gauge(_ScalarFamily):
     """Point-in-time value; ``sticky`` gauges describe live state (bytes
     stored, running containers) and survive :meth:`MetricsRegistry.reset`,
     non-sticky ones are statistics (high-water marks) and do not."""
@@ -175,7 +171,6 @@ class Gauge(MetricFamily):
                  labels: Sequence[str] = (), sticky: bool = False):
         super().__init__(name, help, labels)
         self.sticky = sticky
-        self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels) -> None:
         self._series[self._key(labels)] = value
@@ -192,27 +187,6 @@ class Gauge(MetricFamily):
         key = self._key(labels)
         if value > self._series.get(key, float("-inf")):
             self._series[key] = value
-
-    def get(self, **labels) -> float:
-        return self._series.get(self._key(labels), 0)
-
-    def total(self) -> float:
-        return sum(self._series.values())
-
-    def clear(self) -> None:
-        self._series.clear()
-
-    def series(self) -> Dict[LabelKey, float]:
-        return dict(self._series)
-
-    def snapshot(self) -> Dict[LabelKey, object]:
-        return dict(self._series)
-
-    def render(self) -> List[str]:
-        return [
-            f"{self.name}{self._render_labels(key)} {_format_value(v)}"
-            for key, v in sorted(self._series.items())
-        ]
 
 
 class _HistState:

@@ -23,12 +23,15 @@ workload manager's round hook on the shared :class:`~repro.obs.SimClock`
   raise/clear sequence is visible in ``vh$alerts`` and is bit-identical
   across same-seed runs.
 
-* :class:`QueryLog` -- every terminal managed query (finished, failed,
-  cancelled) appends one :class:`QueryLogRecord` with its SQL
-  fingerprint, plan-fragment signature, both clocks, rows, peak memory,
-  wire bytes, retries, replans, max q-error and admission wait. The log
-  is *not* registry-backed, so it survives ``metrics().reset()``; it
-  powers the slow-query report and ``benchmarks/trajectory.py``.
+* the **query log** -- not a store of its own: when a managed query
+  reaches a terminal state (finished, failed, cancelled)
+  :meth:`FlightRecorder.record_query` folds its SQL fingerprint,
+  plan-fragment signature, rows, peak memory, wire bytes, replans, max
+  q-error and dominant operator into the workload manager's one
+  :class:`~repro.workload.manager.QueryRecord`, which then lives in the
+  manager's bounded ring. ``vh$query_log``, :meth:`slow_report` and
+  :meth:`fingerprint_stats` are projections of that ring; it is *not*
+  registry-backed, so it survives ``metrics().reset()``.
 
 :class:`FlightRecorder` is the facade a
 :class:`~repro.cluster.VectorHCluster` owns: it publishes a few derived
@@ -523,9 +526,7 @@ class HealthMonitor:
     # -- transitions ---------------------------------------------------------
 
     def _emit(self, kind: str, **attrs) -> None:
-        events = getattr(self.cluster, "events", None)
-        if events is not None:
-            events.emit("monitor", kind, **attrs)
+        self.cluster.events.emit("monitor", kind, **attrs)
 
     def _raise(self, state: _RuleState, value: float, now: float) -> None:
         alert = Alert(seq=next(self._seq), rule=state.rule.name,
@@ -554,18 +555,18 @@ class HealthMonitor:
 
 
 def default_rules(cluster) -> List[AlertRule]:
-    """The stock rule set, thresholds from the cluster's config."""
+    """The stock rule set. Thresholds are constants; what follows the
+    cluster is its shape (replication degree, admission memory budget).
+    Anything else is a rule of your own: ``FlightRecorder(rules=...)``
+    or ``monitor.health.add_rule``."""
     config = cluster.config
     rules = [
         AlertRule(
-            "admission_backlog", "admission_queue_depth",
-            threshold=float(getattr(config, "alert_queue_depth", 1.0)),
+            "admission_backlog", "admission_queue_depth", threshold=1.0,
             op=">=", kind="gauge", agg="sum",
-            for_seconds=getattr(config, "alert_queue_window_s", 0.0),
             help="queries waiting for core slots or memory budget"),
         AlertRule(
-            "query_wait_p95", "query_wait_seconds",
-            threshold=float(getattr(config, "alert_wait_p95_s", 0.25)),
+            "query_wait_p95", "query_wait_seconds", threshold=0.25,
             op=">", kind="quantile", q=0.95,
             help="p95 simulated admission wait"),
         AlertRule(
@@ -575,33 +576,22 @@ def default_rules(cluster) -> List[AlertRule]:
             op="<", kind="gauge", agg="min",
             help="some partition file has lost replicas"),
     ]
-    budget_mb = getattr(config, "workload_memory_budget_mb", 0)
-    if budget_mb:
-        fraction = getattr(config, "alert_memory_fraction", 0.9)
+    if config.workload_memory_budget_mb:
         rules.append(AlertRule(
             "memory_watermark", "workload_memory_bytes",
-            threshold=fraction * budget_mb * 1024 * 1024,
+            threshold=0.9 * config.workload_memory_budget_mb * 1024 * 1024,
             op=">", kind="gauge", agg="max",
             help="a node's live query memory nears the admission budget"))
-    replan_rate = getattr(config, "alert_replan_rate", 0.0)
-    if replan_rate:
-        rules.append(AlertRule(
-            "replan_storm", "replans_total", threshold=replan_rate,
-            op=">", kind="rate", window_s=0.0,
-            help="mid-query re-plans per simulated second"))
-    saturation = getattr(config, "alert_tenant_saturation", 0.0)
-    if saturation:
-        rules.append(AlertRule(
-            "tenant_quota_saturated", "tenant_quota_saturation",
-            threshold=float(saturation), op=">=", kind="gauge", agg="max",
-            for_seconds=getattr(config, "alert_tenant_window_s", 0.0),
-            help="a tenant's admission backlog meets or exceeds its "
-                 "concurrency quota"))
+    rules.append(AlertRule(
+        "tenant_quota_saturated", "tenant_quota_saturation",
+        threshold=1.0, op=">=", kind="gauge", agg="max",
+        help="a tenant's admission backlog meets or exceeds its "
+             "concurrency quota"))
     return rules
 
 
 # ---------------------------------------------------------------------------
-# QueryLog: the persistent per-query record
+# Statement fingerprints
 # ---------------------------------------------------------------------------
 
 _SQL_STRINGS = re.compile(r"'[^']*'")
@@ -621,146 +611,22 @@ def sql_fingerprint(statement: str) -> str:
     return hashlib.sha1(norm.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class QueryLogRecord:
-    """One terminal managed query, as ``vh$query_log`` shows it."""
-
-    query_id: int
-    session_id: int
-    state: str  # finished | failed | cancelled
-    fingerprint: str
-    plan_signature: str
-    statement: str
-    wall_s: float
-    sim_s: float
-    wait_s: float
-    rounds: int
-    rows: int
-    peak_memory_bytes: int
-    wire_bytes: int
-    retries: int
-    replans: int
-    max_qerror: float
-    #: operator kind dominating the query's deterministic sim cost
-    dominant_op: str = ""
-    #: that operator's share of the query's total sim cost (0..1)
-    dominant_share: float = 0.0
-    #: the tenant whose admission queue the query ran under
-    tenant: str = ""
-
-
-class QueryLog:
-    """Bounded append-only log of terminal queries; survives metric resets.
-
-    ``retention`` caps the record count (0 = keep all); overflow drops
-    the oldest record and counts it in ``dropped`` (and the
-    ``query_log_dropped_total`` counter when a registry is attached).
-    """
-
-    def __init__(self, retention: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
-        self.retention = int(retention)
-        self._records: List[QueryLogRecord] = []
-        self.dropped = 0
-        self._appended = None
-        self._dropped_counter = None
-        if registry is not None:
-            self._appended = registry.counter(
-                "query_log_records_total",
-                "Terminal queries appended to the query log, by state",
-                labels=("state",))
-            self._dropped_counter = registry.counter(
-                "query_log_dropped_total",
-                "Query-log records dropped by the retention cap")
-
-    def append(self, record: QueryLogRecord) -> None:
-        self._records.append(record)
-        if self._appended is not None:
-            self._appended.inc(state=record.state)
-        if self.retention and len(self._records) > self.retention:
-            self._records.pop(0)
-            self.dropped += 1
-            if self._dropped_counter is not None:
-                self._dropped_counter.inc()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def records(self) -> List[QueryLogRecord]:
-        return list(self._records)
-
-    def rows(self) -> List[tuple]:
-        """``vh$query_log`` rows, in append order."""
-        return [
-            (r.query_id, r.session_id, r.state, r.fingerprint,
-             r.plan_signature, r.statement, r.wall_s * 1e3, r.sim_s * 1e3,
-             r.wait_s * 1e3, r.rows, r.peak_memory_bytes, r.wire_bytes,
-             r.retries, r.replans, r.max_qerror,
-             r.dominant_op, r.dominant_share, r.tenant)
-            for r in self._records
-        ]
-
-    # -- reports -------------------------------------------------------------
-
-    def slow_report(self, n: int = 10) -> str:
-        """The n slowest queries by simulated time, one line each."""
-        worst = sorted(self._records, key=lambda r: (-r.sim_s, r.query_id))
-        lines = [f"{'query':>6} {'state':<9} {'sim':>10} {'wall':>10} "
-                 f"{'wait':>10} {'rows':>8} {'peak mem':>10} {'q-err':>6} "
-                 f"{'dominant':<18} {'tenant':<10} fingerprint"]
-        for r in worst[:n]:
-            dominant = (f"{r.dominant_op} {100 * r.dominant_share:.0f}%"
-                        if r.dominant_op else "-")
-            lines.append(
-                f"{r.query_id:>6} {r.state:<9} {r.sim_s * 1e3:>8.3f}ms "
-                f"{r.wall_s * 1e3:>8.3f}ms {r.wait_s * 1e3:>8.3f}ms "
-                f"{r.rows:>8} {r.peak_memory_bytes:>10} "
-                f"{r.max_qerror:>6.1f} {dominant:<18} "
-                f"{r.tenant or '-':<10} {r.fingerprint}")
-        return "\n".join(lines)
-
-    def fingerprint_stats(self) -> Dict[str, dict]:
-        """Per-fingerprint aggregates (the BENCH_query_log.json shape)."""
-        out: Dict[str, dict] = {}
-        for r in self._records:
-            entry = out.setdefault(r.fingerprint, {
-                "count": 0, "sim_s": 0.0, "wall_s": 0.0, "rows": 0,
-                "retries": 0, "replans": 0, "max_qerror": 0.0,
-                "statement": r.statement[:120],
-            })
-            entry["count"] += 1
-            entry["sim_s"] += r.sim_s
-            entry["wall_s"] += r.wall_s
-            entry["rows"] += r.rows
-            entry["retries"] += r.retries
-            entry["replans"] += r.replans
-            entry["max_qerror"] = max(entry["max_qerror"], r.max_qerror)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # FlightRecorder: the facade the cluster owns
 # ---------------------------------------------------------------------------
 
 class FlightRecorder:
-    """Sampler + alert engine + query log, ticking on workload rounds."""
+    """Sampler + alert engine + query-log reports, ticking on workload
+    rounds."""
 
     def __init__(self, cluster, rules: Optional[Sequence[AlertRule]] = None):
-        config = cluster.config
         self.cluster = cluster
+        registry = cluster.registry
         self.history = MetricsHistory(
-            cluster.registry, cluster.sim_clock,
-            cadence=getattr(config, "monitor_cadence_s", 1e-4),
-            retention=getattr(config, "monitor_retention", 256),
-            downsample=getattr(config, "monitor_downsample", "auto"),
-        )
+            registry, cluster.sim_clock,
+            cadence=cluster.config.monitor_cadence_s)
         self.health = HealthMonitor(
             cluster, default_rules(cluster) if rules is None else rules)
-        self.query_log = QueryLog(
-            retention=getattr(config, "query_log_retention", 0),
-            registry=cluster.registry,
-        )
-        registry = cluster.registry
         self._g_mem = registry.gauge(
             "workload_memory_bytes",
             "Live per-node memory of admitted queries (sampled)",
@@ -793,80 +659,88 @@ class FlightRecorder:
     def _publish_derived(self) -> None:
         """Refresh the gauges that only exist as object state."""
         cluster = self.cluster
-        workload = getattr(cluster, "workload", None)
-        if workload is not None:
-            for node, live in sorted(workload.meter.current.items()):
-                self._g_mem.set(max(0, live), node=node)
-        hdfs = getattr(cluster, "hdfs", None)
-        if hdfs is not None:
-            self._g_alive.set(
-                sum(1 for n in hdfs.nodes.values() if n.alive))
-            self._g_repl.set(self._min_replication_degree())
-        self._g_workers.set(len(getattr(cluster, "workers", ())))
+        for node, live in sorted(cluster.workload.meter.current.items()):
+            self._g_mem.set(max(0, live), node=node)
+        self._g_alive.set(len(cluster.hdfs.alive_nodes()))
+        self._g_repl.set(self._min_replication_degree())
+        self._g_workers.set(len(cluster.workers))
 
     def _min_replication_degree(self) -> int:
         cluster = self.cluster
-        degree: Optional[int] = None
-        for stored in cluster.tables.values():
-            for part in stored.partitions:
-                for path in part.file_paths():
-                    alive = sum(
-                        1 for h in cluster.hdfs.replica_locations(path)
-                        if cluster.hdfs.nodes[h].alive)
-                    degree = alive if degree is None else min(degree, alive)
-        if degree is None:
-            return min(cluster.config.replication,
-                       max(1, len(cluster.workers)))
-        return degree
+        return min(
+            (len(cluster.hdfs.alive_replicas(path))
+             for stored in cluster.tables.values()
+             for part in stored.partitions
+             for path in part.file_paths()),
+            default=min(cluster.config.replication,
+                        max(1, len(cluster.workers))))
 
     # -- query log -----------------------------------------------------------
 
-    def record_query(self, record) -> QueryLogRecord:
-        """Append a terminal workload-manager record to the query log."""
+    def record_query(self, record) -> None:
+        """The terminal hook: fold what the query's plan and result say
+        about it into the workload manager's record, as scalars -- the
+        manager drops the plan and hands the result over afterwards."""
         result = record.result
-        statement = record.statement or record.root_label
         # after a mid-query re-plan the result carries the final plan
         qplan = result.qplan if result is not None else record.qplan
         ann = qplan.annotations.get(qplan.root)
-        plan_signature = (getattr(ann, "signature", "")
-                          or qplan.root.describe())
-        dominant_op, dominant_share = "", 0.0
-        if result is not None and result.profiles:
-            try:
-                from repro.obs.profiler import dominant_operator
-                dominant_op, dominant_share = dominant_operator(
-                    result.profiles)
-            except Exception:  # noqa: BLE001 - diagnostics must not fail
-                dominant_op, dominant_share = "", 0.0
+        record.plan_signature = (getattr(ann, "signature", "")
+                                 or qplan.root.describe())
         # programmatic submissions carry no SQL text: fingerprint the
         # normalized plan signature so distinct plans stay distinct. A
         # pre-computed fingerprint (prepared statements) wins outright,
         # so every execution of one template aggregates as one entry
         # whatever literals were bound.
-        fp_source = record.statement or plan_signature or statement
-        fingerprint = (getattr(record, "fingerprint", "")
-                       or sql_fingerprint(fp_source))
-        log_record = QueryLogRecord(
-            query_id=record.query_id,
-            session_id=record.session_id,
-            state=record.state,
-            fingerprint=fingerprint,
-            plan_signature=plan_signature,
-            statement=statement,
-            wall_s=max(0.0, record.finish_wall - record.submit_wall),
-            sim_s=max(0.0, record.finish_sim - record.submit_sim),
-            wait_s=record.wait_sim,
-            rounds=record.rounds,
-            rows=(result.batch.n if result is not None else 0),
-            peak_memory_bytes=(result.peak_memory_bytes
-                               if result is not None else 0),
-            wire_bytes=(result.network_bytes if result is not None else 0),
-            retries=record.retries,
-            replans=(result.replans if result is not None else 0),
-            max_qerror=(result.max_qerror if result is not None else 0.0),
-            dominant_op=dominant_op,
-            dominant_share=dominant_share,
-            tenant=getattr(record, "tenant", ""),
-        )
-        self.query_log.append(log_record)
-        return log_record
+        record.fingerprint = record.fingerprint or sql_fingerprint(
+            record.statement or record.plan_signature)
+        if result is None:
+            return
+        record.rows = result.batch.n
+        record.peak_memory_bytes = result.peak_memory_bytes
+        record.wire_bytes = result.network_bytes
+        record.replans = result.replans
+        record.max_qerror = result.max_qerror
+        if result.profiles:
+            try:
+                from repro.obs.profiler import dominant_operator
+                record.dominant_op, record.dominant_share = \
+                    dominant_operator(result.profiles)
+            except Exception:  # noqa: BLE001 - diagnostics must not fail
+                pass
+
+    def slow_report(self, n: int = 10) -> str:
+        """The n slowest terminal queries by simulated time, one line each."""
+        worst = sorted(self.cluster.workload.terminal_records(),
+                       key=lambda r: (-r.sim_s, r.query_id))
+        lines = [f"{'query':>6} {'state':<9} {'sim':>10} {'wall':>10} "
+                 f"{'wait':>10} {'rows':>8} {'peak mem':>10} {'q-err':>6} "
+                 f"{'dominant':<18} {'tenant':<10} fingerprint"]
+        for r in worst[:n]:
+            dominant = (f"{r.dominant_op} {100 * r.dominant_share:.0f}%"
+                        if r.dominant_op else "-")
+            lines.append(
+                f"{r.query_id:>6} {r.state:<9} {r.sim_s * 1e3:>8.3f}ms "
+                f"{r.wall_s * 1e3:>8.3f}ms {r.wait_sim * 1e3:>8.3f}ms "
+                f"{r.rows:>8} {r.peak_memory_bytes:>10} "
+                f"{r.max_qerror:>6.1f} {dominant:<18} "
+                f"{r.tenant or '-':<10} {r.fingerprint}")
+        return "\n".join(lines)
+
+    def fingerprint_stats(self) -> Dict[str, dict]:
+        """Per-fingerprint aggregates (the BENCH_query_log.json shape)."""
+        out: Dict[str, dict] = {}
+        for r in self.cluster.workload.terminal_records():
+            entry = out.setdefault(r.fingerprint, {
+                "count": 0, "sim_s": 0.0, "wall_s": 0.0, "rows": 0,
+                "retries": 0, "replans": 0, "max_qerror": 0.0,
+                "statement": (r.statement or r.root_label)[:120],
+            })
+            entry["count"] += 1
+            entry["sim_s"] += r.sim_s
+            entry["wall_s"] += r.wall_s
+            entry["rows"] += r.rows
+            entry["retries"] += r.retries
+            entry["replans"] += r.replans
+            entry["max_qerror"] = max(entry["max_qerror"], r.max_qerror)
+        return out

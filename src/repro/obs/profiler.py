@@ -30,6 +30,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.profile import KernelStat, ProfileNode
+from repro.obs.metrics import MetricsRegistry
+
+#: default row count of ``vh$hot_paths`` and the text report
+HOT_PATHS_TOP_K = 20
 
 #: deterministic cost constants, mirroring the scheduler's BatchCostModel
 #: (``repro.engine.exchange``): one "pull" per batch/kernel call plus a
@@ -95,46 +99,44 @@ class OperatorAgg:
 class ContinuousProfiler:
     """Always-on aggregation of query profiles into per-kind stats."""
 
-    def __init__(self, registry=None, top_k: int = 20):
-        self.top_k = top_k
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.stats: Dict[str, OperatorAgg] = {}
         self.queries_observed = 0
-        self._registry = registry
-        if registry is not None:
-            self._rows = registry.counter(
-                "operator_rows_total",
-                "Tuples through each operator kind",
-                labels=("operator", "direction"))
-            self._batches = registry.counter(
-                "operator_batches_total",
-                "Vectors yielded by each operator kind", labels=("operator",))
-            self._sim = registry.counter(
-                "operator_sim_cost_seconds_total",
-                "Deterministic sim cost per operator kind",
-                labels=("operator",))
-            self._wall = registry.counter(
-                "operator_wall_seconds_total",
-                "Self wall seconds per operator kind (nondeterministic)",
-                labels=("operator",))
-            self._kcalls = registry.counter(
-                "kernel_calls_total", "Kernel invocations",
-                labels=("operator", "kernel"))
-            self._krows = registry.counter(
-                "kernel_rows_total", "Rows through each kernel",
-                labels=("operator", "kernel"))
-            self._kbytes = registry.counter(
-                "kernel_bytes_total", "Bytes through each kernel",
-                labels=("operator", "kernel"))
-            self._kwall = registry.counter(
-                "kernel_wall_seconds_total",
-                "Kernel self wall seconds (nondeterministic)",
-                labels=("operator", "kernel"))
+        registry = registry or MetricsRegistry()
+        self._rows = registry.counter(
+            "operator_rows_total",
+            "Tuples through each operator kind",
+            labels=("operator", "direction"))
+        self._batches = registry.counter(
+            "operator_batches_total",
+            "Vectors yielded by each operator kind", labels=("operator",))
+        self._sim = registry.counter(
+            "operator_sim_cost_seconds_total",
+            "Deterministic sim cost per operator kind",
+            labels=("operator",))
+        self._wall = registry.counter(
+            "operator_wall_seconds_total",
+            "Self wall seconds per operator kind (nondeterministic)",
+            labels=("operator",))
+        self._kcalls = registry.counter(
+            "kernel_calls_total", "Kernel invocations",
+            labels=("operator", "kernel"))
+        self._krows = registry.counter(
+            "kernel_rows_total", "Rows through each kernel",
+            labels=("operator", "kernel"))
+        self._kbytes = registry.counter(
+            "kernel_bytes_total", "Bytes through each kernel",
+            labels=("operator", "kernel"))
+        self._kwall = registry.counter(
+            "kernel_wall_seconds_total",
+            "Kernel self wall seconds (nondeterministic)",
+            labels=("operator", "kernel"))
 
     # ------------------------------------------------------------ ingest
 
     def observe_query(self, result) -> None:
         """Fold one finished query's profile trees into the totals."""
-        profiles = getattr(result, "profiles", None) or ()
+        profiles = result.profiles
         if not profiles:
             return
         self.queries_observed += 1
@@ -164,8 +166,6 @@ class ContinuousProfiler:
 
     def _charge(self, kind: str, node: ProfileNode,
                 wall: float, sim: float) -> None:
-        if self._registry is None:
-            return
         if node.tuples_in:
             self._rows.inc(node.tuples_in, operator=kind, direction="in")
         if node.tuples_out:
@@ -205,7 +205,7 @@ class ContinuousProfiler:
             ))
         return out
 
-    def hot_paths(self, k: Optional[int] = None) -> List[tuple]:
+    def hot_paths(self, k: int = HOT_PATHS_TOP_K) -> List[tuple]:
         """Top-k (operator, kernel) pairs ranked by deterministic sim cost.
 
         An ``(self)`` pseudo-kernel carries each operator's residual
@@ -230,8 +230,6 @@ class ContinuousProfiler:
                             0, self_sim, self_wall))
         total_sim = sum(e[5] for e in entries) or 1.0
         entries.sort(key=lambda e: (-e[5], e[0], e[1]))
-        if k is None:
-            k = self.top_k
         ranked = []
         for rank, (op, name, calls, rows, nbytes, sim, wall) in enumerate(
                 entries[:k], start=1):
@@ -239,7 +237,7 @@ class ContinuousProfiler:
                            sim, wall, sim / total_sim))
         return ranked
 
-    def report(self, k: Optional[int] = None) -> str:
+    def report(self, k: int = HOT_PATHS_TOP_K) -> str:
         """Human-readable top-k hot paths (the ``slow_report`` companion)."""
         lines = [f"{'#':>3} {'operator':<16} {'kernel':<20} "
                  f"{'calls':>10} {'rows':>12} {'sim s':>10} "

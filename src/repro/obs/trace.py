@@ -18,7 +18,7 @@ import time as _time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 class SimClock:
@@ -64,9 +64,6 @@ class Span:
             if span.name == name:
                 return span
         return None
-
-    def find_all(self, predicate: Callable[["Span"], bool]) -> List["Span"]:
-        return [s for s in self.iter_spans() if predicate(s)]
 
     # -- exports -------------------------------------------------------------
 

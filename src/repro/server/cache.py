@@ -21,12 +21,19 @@ must stay bit-identical to a cold run.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.engine.batch import Batch
+from repro.obs import MetricsRegistry
 
 EpochVector = Tuple[Tuple[str, int], ...]
 _Key = Tuple[str, EpochVector]
+
+
+def _counter_view(counter_attr: str):
+    """A read-only attribute over this cache kind's registry series."""
+    return property(
+        lambda self: int(getattr(self, counter_attr).get(cache=self.kind)))
 
 
 class EpochKeyedCache:
@@ -34,41 +41,36 @@ class EpochKeyedCache:
 
     kind = "generic"
 
-    def __init__(self, max_entries: int, registry=None):
+    def __init__(self, max_entries: int,
+                 registry: Optional[MetricsRegistry] = None):
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[_Key, object]" = OrderedDict()
         self._deps: Dict[str, Set[_Key]] = {}
-        self._hits = self._misses = self._evictions = None
-        self._invalidations = None
-        if registry is not None:
-            self._hits = registry.counter(
-                "server_cache_hits_total", "Server cache hits",
-                labels=("cache",))
-            self._misses = registry.counter(
-                "server_cache_misses_total", "Server cache misses",
-                labels=("cache",))
-            self._evictions = registry.counter(
-                "server_cache_evictions_total",
-                "Server cache entries evicted by LRU capacity",
-                labels=("cache",))
-            self._invalidations = registry.counter(
-                "server_cache_invalidations_total",
-                "Server cache entries evicted by an epoch bump",
-                labels=("cache",))
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        registry = registry or MetricsRegistry()
+        self._hits = registry.counter(
+            "server_cache_hits_total", "Server cache hits",
+            labels=("cache",))
+        self._misses = registry.counter(
+            "server_cache_misses_total", "Server cache misses",
+            labels=("cache",))
+        self._evictions = registry.counter(
+            "server_cache_evictions_total",
+            "Server cache entries evicted by LRU capacity",
+            labels=("cache",))
+        self._invalidations = registry.counter(
+            "server_cache_invalidations_total",
+            "Server cache entries evicted by an epoch bump",
+            labels=("cache",))
+
+    hits = _counter_view("_hits")
+    misses = _counter_view("_misses")
+    evictions = _counter_view("_evictions")
+    invalidations = _counter_view("_invalidations")
 
     def __len__(self) -> int:
         return len(self._entries)
 
     # ----------------------------------------------------------- internals
-
-    def _count(self, counter, attr: str) -> None:
-        setattr(self, attr, getattr(self, attr) + 1)
-        if counter is not None:
-            counter.inc(cache=self.kind)
 
     def _copy_in(self, value):
         return value
@@ -92,10 +94,10 @@ class EpochKeyedCache:
         key = (text, epochs)
         value = self._entries.get(key)
         if value is None:
-            self._count(self._misses, "misses")
+            self._misses.inc(cache=self.kind)
             return None
         self._entries.move_to_end(key)
-        self._count(self._hits, "hits")
+        self._hits.inc(cache=self.kind)
         return self._copy_out(value)
 
     def store(self, text: str, epochs: EpochVector, value,
@@ -110,7 +112,7 @@ class EpochKeyedCache:
         while len(self._entries) >= self.max_entries:
             oldest, _ = self._entries.popitem(last=False)
             self._drop(oldest)
-            self._count(self._evictions, "evictions")
+            self._evictions.inc(cache=self.kind)
         self._entries[key] = self._copy_in(value)
         for table in set(tables):
             self._deps.setdefault(table, set()).add(key)
@@ -124,7 +126,7 @@ class EpochKeyedCache:
         for key in sorted(keys):
             if key in self._entries:
                 self._drop(key)
-                self._count(self._invalidations, "invalidations")
+                self._invalidations.inc(cache=self.kind)
                 dropped += 1
         return dropped
 

@@ -70,8 +70,7 @@ class PendingResult:
     Cache hits are born finished.
     """
 
-    def __init__(self, frontend: "ServerFrontend",
-                 conn: Optional["ClientConnection"],
+    def __init__(self, frontend: "ServerFrontend", conn: "ClientConnection",
                  query_id: Optional[int] = None,
                  value=None, cached: bool = False,
                  cache_text: Optional[str] = None,
@@ -90,9 +89,7 @@ class PendingResult:
     def done(self) -> bool:
         if self._done:
             return True
-        record = self.frontend.cluster.workload._records.get(self.query_id)
-        return record is not None and record.state not in ("queued",
-                                                          "running")
+        return not self.frontend.cluster.workload.is_live(self.query_id)
 
     def result(self):
         if self._done:
@@ -101,8 +98,7 @@ class PendingResult:
         try:
             query_result = cluster.workload.gather(self.query_id)
         finally:
-            if self.conn is not None:
-                self.conn.inflight.discard(self.query_id)
+            self.conn.inflight.discard(self.query_id)
         batch = query_result.batch
         # insert into the result cache only if no commit moved any
         # referenced table's epoch while we executed -- a stale insert
@@ -219,10 +215,6 @@ class ClientConnection:
         frontend._charge_sent(wire.ReadyForQuery())
         return PendingResult(frontend, self, value=value)
 
-    def close_statement(self, name: str) -> None:
-        self.frontend._charge_received(wire.CloseStatement(name))
-        self.prepared.pop(name, None)
-
     # -------------------------------------------------------------- closing
 
     def close(self, reason: str = "client") -> int:
@@ -253,9 +245,8 @@ class ServerFrontend:
 
     def __init__(self, cluster):
         self.cluster = cluster
-        config = cluster.config
         registry = cluster.registry
-        result_entries = getattr(config, "server_result_cache_entries", 256)
+        result_entries = cluster.config.server_result_cache_entries
         self.result_cache = (ResultCache(result_entries, registry)
                              if result_entries else None)
         self.connections: "OrderedDict[int, ClientConnection]" = OrderedDict()
@@ -317,11 +308,9 @@ class ServerFrontend:
         if reason != "client":
             self._c_dropped.inc()
         self._g_open.set(self._open_count())
-        events = getattr(self.cluster, "events", None)
-        if events is not None:
-            events.emit("server", "conn.closed", conn=conn.conn_id,
-                        tenant=conn.tenant, reason=reason,
-                        cancelled=cancelled)
+        self.cluster.events.emit("server", "conn.closed", conn=conn.conn_id,
+                                 tenant=conn.tenant, reason=reason,
+                                 cancelled=cancelled)
 
     # ------------------------------------------------------------ execution
 

@@ -78,14 +78,6 @@ class Execute(_Message):
 
 
 @dataclass(frozen=True)
-class CloseStatement(_Message):
-    """Extended protocol: forget a named statement."""
-
-    TAG = "C"
-    name: str
-
-
-@dataclass(frozen=True)
 class Terminate(_Message):
     """Client hangs up."""
 
@@ -105,12 +97,6 @@ class CommandComplete(_Message):
     TAG = "Z"  # noqa: the tag letter is arbitrary in the simulation
     tag: str = "SELECT"
     rows: int = 0
-
-
-@dataclass(frozen=True)
-class ErrorResponse(_Message):
-    TAG = "!"
-    message: str = ""
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,6 @@ from repro.sql.parser import SqlParser
 _auto_names = itertools.count(1)
 
 
-def _table(cluster, name: str):
-    """Catalog lookup: base tables plus vh$ system tables when the
-    cluster exposes a ``table()`` resolver."""
-    lookup = getattr(cluster, "table", None)
-    if callable(lookup):
-        return lookup(name)
-    return cluster.tables[name]
-
-
 def _bind_expr(node) -> Expr:
     if isinstance(node, ast.ColumnRef):
         return Col(node.name)
@@ -188,7 +179,7 @@ class _SelectBinder:
         seen = set()
         stmt = self.stmt
         for t in [stmt.table] + [j.table for j in stmt.joins]:
-            for name in _table(self.cluster, t).schema.column_names:
+            for name in self.cluster.table(t).schema.column_names:
                 if name not in seen:
                     seen.add(name)
                     items.append(ast.SelectItem(ast.ColumnRef(name), None))
@@ -215,7 +206,7 @@ class _SelectBinder:
                 continue
             column = preds[0][0]
             for t in tables:
-                table = _table(self.cluster, t)
+                table = self.cluster.table(t)
                 if t not in eligible or getattr(table, "is_virtual", False):
                     continue
                 if column in table.schema.column_names:
@@ -228,7 +219,7 @@ class _SelectBinder:
         tables = [stmt.table] + [j.table for j in stmt.joins]
         per_table: Dict[str, List[str]] = {}
         for t in tables:
-            schema = _table(self.cluster, t).schema
+            schema = self.cluster.table(t).schema
             cols = [c for c in needed if c in schema.column_names]
             per_table[t] = cols or schema.column_names[:1]
         skip = self._skip_predicates(tables)
@@ -239,7 +230,7 @@ class _SelectBinder:
             build = LScan(join.table, per_table[join.table],
                           skip[join.table])
             # ON a = b: figure out which side each key belongs to
-            build_schema = _table(self.cluster, join.table).schema
+            build_schema = self.cluster.table(join.table).schema
             if join.left_key in build_schema.column_names:
                 bk, pk = join.left_key, join.right_key
             else:
@@ -263,9 +254,9 @@ class _SelectBinder:
         stmt = self.stmt
         if len(joins) < 2 or any(j.how != "inner" for j in joins):
             return joins
-        base_cols = set(_table(self.cluster, stmt.table).schema.column_names)
+        base_cols = set(self.cluster.table(stmt.table).schema.column_names)
         for join in joins:
-            build_cols = _table(self.cluster, join.table).schema.column_names
+            build_cols = self.cluster.table(join.table).schema.column_names
             probe_key = (join.right_key if join.left_key in build_cols
                          else join.left_key)
             if probe_key not in base_cols:
@@ -340,8 +331,7 @@ def execute_sql(cluster, text: str, trans=None):
     -> the query/DML lifecycle); fetch it afterwards from
     ``cluster.tracer.last_trace``.
     """
-    from repro.obs import NULL_TRACER
-    tracer = getattr(cluster, "tracer", None) or NULL_TRACER
+    tracer = cluster.tracer
     with tracer.span("sql", statement=text.strip()[:120]):
         return _execute_sql(cluster, text, trans, tracer)
 

@@ -20,18 +20,9 @@ _Key = Tuple[str, int, int]
 
 
 def _stat_property(counter_attr: str):
-    """A BufferPool attribute that is a view over one registry series."""
-
-    def getter(self):
-        return int(getattr(self, counter_attr).get(node=self.node))
-
-    def setter(self, value):
-        family = getattr(self, counter_attr)
-        # counters expose _assign for these legacy views; gauges use set
-        assign = getattr(family, "_assign", None) or family.set
-        assign(value, node=self.node)
-
-    return property(getter, setter)
+    """A read-only BufferPool attribute over one registry series."""
+    return property(
+        lambda self: int(getattr(self, counter_attr).get(node=self.node)))
 
 
 class BufferPool:
@@ -113,8 +104,3 @@ class BufferPool:
             self._used -= len(evicted)
             self._evictions.inc(node=self.node)
         self._used_gauge.set(self._used, node=self.node)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return 0.0 if total == 0 else self.hits / total

@@ -306,9 +306,6 @@ class PartitionStore:
             for name, refs in self.blocks.items()
         }
 
-    def n_blocks(self) -> int:
-        return sum(len(refs) for refs in self.blocks.values())
-
     def compression_stats(self) -> Dict[Tuple[str, str], Dict[str, int]]:
         """Raw vs encoded bytes per (column, scheme), from live refs.
 

@@ -72,15 +72,6 @@ class TableSchema:
     def is_clustered(self) -> bool:
         return bool(self.clustered_on)
 
-    def partition_of(self, key_values) -> int:
-        """Hash-partition a single row's key values."""
-        if not self.is_partitioned:
-            return 0
-        h = 0
-        for v in key_values:
-            h = (h * 1000003 + hash(v)) & 0x7FFFFFFF
-        return h % self.n_partitions
-
     def partition_ids(self, key_arrays: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized partition assignment for rows of key columns."""
         if not self.is_partitioned:

@@ -37,6 +37,10 @@ from repro.storage.colstore import PartitionStore
 from repro.storage.minmax import OPS
 from repro.storage.schema import TableSchema
 
+#: a partition whose PDT entries reach this fraction of its stable rows
+#: is due for update propagation whatever the absolute threshold says
+PROPAGATE_FRACTION = 0.10
+
 
 @dataclass
 class ScanResult:
@@ -76,6 +80,18 @@ class StoredTable:
         self._cluster_key_cache: Dict[int, np.ndarray] = {}
         self._merge_plan_cache: Dict[int, tuple] = {}
         self.propagation_stats = PropagationStats()
+        registry = hdfs.registry
+        self._m_scanned = registry.counter(
+            "minmax_blocks_scanned_total",
+            "Storage blocks read by predicated scans", labels=("table",))
+        self._m_skipped = registry.counter(
+            "minmax_blocks_skipped_total",
+            "Storage blocks MinMax pruning let predicated scans skip",
+            labels=("table",))
+        self._m_filtered = registry.counter(
+            "scan_rows_filtered_total",
+            "Rows of MinMax-surviving ranges dropped by the scan filter",
+            labels=("table",))
 
     def _merge_plan(self, pid: int):
         """Cached classification of the committed PDT entries, keyed by
@@ -153,12 +169,6 @@ class StoredTable:
                     fixed.append((col, op, literal))
         return fixed
 
-    def _charge(self, counter: str, help_text: str, amount: int) -> None:
-        registry = getattr(self.hdfs, "registry", None)
-        if registry is not None:
-            registry.counter(counter, help_text, labels=("table",)).inc(
-                amount, table=self.schema.name)
-
     def _record_minmax(self, store: PartitionStore,
                        ranges: Sequence[Tuple[int, int]],
                        needed: Sequence[str]) -> None:
@@ -174,11 +184,8 @@ class StoredTable:
                     scanned += 1
                 else:
                     skipped += 1
-        self._charge("minmax_blocks_scanned_total",
-                     "Storage blocks read by predicated scans", scanned)
-        self._charge("minmax_blocks_skipped_total",
-                     "Storage blocks MinMax pruning let predicated scans skip",
-                     skipped)
+        self._m_scanned.inc(scanned, table=self.schema.name)
+        self._m_skipped.inc(skipped, table=self.schema.name)
 
     # ------------------------------------------------------------------- loads
 
@@ -334,10 +341,8 @@ class StoredTable:
                     {c: v[mask] for c, v in result.columns.items()},
                     result.identities[mask], int(mask.sum()),
                 )
-            self._charge(
-                "scan_rows_filtered_total",
-                "Rows of MinMax-surviving ranges dropped by the scan filter",
-                candidates - result.n_rows)
+            self._m_filtered.inc(candidates - result.n_rows,
+                                 table=self.schema.name)
         if may_disorder:
             result = _resort_clustered(result, self.schema.clustered_on)
         result.columns = {
@@ -426,8 +431,7 @@ class StoredTable:
         if stack.total_entries() >= self.config.pdt_propagate_threshold:
             return True
         n_stable = max(1, self.partitions[pid].n_stable)
-        return (stack.total_entries() / n_stable
-                >= self.config.pdt_propagate_fraction)
+        return stack.total_entries() / n_stable >= PROPAGATE_FRACTION
 
     def propagate(self, pid: int, writer: Optional[str] = None) -> str:
         """Flush this partition's PDTs into the column store.

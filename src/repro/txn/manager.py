@@ -65,11 +65,7 @@ class TransactionManager:
     def __init__(self, cluster):
         self.cluster = cluster
         self._txn_ids = itertools.count(1)
-        registry = getattr(cluster, "registry", None)
-        if registry is None:
-            from repro.obs import MetricsRegistry
-            registry = MetricsRegistry()
-        self.registry = registry
+        self.registry = registry = cluster.registry
         self._outcomes = registry.counter(
             "txn_outcomes_total", "Transactions by final 2PC outcome",
             labels=("outcome",),
@@ -131,11 +127,6 @@ class TransactionManager:
     def log_shipped_bytes(self) -> int:
         return int(self._shipped.total())
 
-    @property
-    def _tracer(self):
-        from repro.obs import NULL_TRACER
-        return getattr(self.cluster, "tracer", None) or NULL_TRACER
-
     def begin(self) -> DistributedTransaction:
         return DistributedTransaction(next(self._txn_ids), self)
 
@@ -172,7 +163,7 @@ class TransactionManager:
             txn.finished = True
             return
 
-        tracer = self._tracer
+        tracer = cluster.tracer
         with tracer.span("commit", txn=txn.txn_id,
                          partitions=len(involved)):
             # ---- phase 1: prepare ---------------------------------------------
@@ -304,20 +295,17 @@ class TransactionManager:
         for txn_id in sorted(committed):
             for table in sorted({t for t, _pid in committed[txn_id]}):
                 self.bump_epoch(table)
-        events = getattr(cluster, "events", None)
         for outcome, settled in (("commit", committed), ("abort", aborted)):
             for txn_id in sorted(settled):
                 self._resolved.inc(outcome=outcome)
                 self._outcomes.inc(outcome=outcome)
-                if events is not None:
-                    events.emit("txn", f"resolved_{outcome}", txn=txn_id,
-                                partitions=len(settled[txn_id]))
+                cluster.events.emit("txn", f"resolved_{outcome}", txn=txn_id,
+                                    partitions=len(settled[txn_id]))
         return {"committed": sorted(committed), "aborted": sorted(aborted)}
 
     def _emit_outcome(self, txn, outcome: str, **attrs) -> None:
-        events = getattr(self.cluster, "events", None)
-        if events is not None:
-            events.emit("txn", f"2pc_{outcome}", txn=txn.txn_id, **attrs)
+        self.cluster.events.emit("txn", f"2pc_{outcome}", txn=txn.txn_id,
+                                 **attrs)
 
     # -------------------------------------------------------------- log shipping
 
@@ -346,8 +334,6 @@ class TransactionManager:
         default policy: concurrent updates to them are rejected -- here we
         simply verify against the current snapshot.
         """
-        if not self.cluster.config.extra.get("enforce_unique", True):
-            return
         for (table, pid), trans in involved:
             stored = self.cluster.tables[table]
             pk = list(stored.schema.primary_key)

@@ -80,6 +80,11 @@ from repro.mpp.rewriter import ParallelRewriter
 from repro.mpp.strategy import QueryPlan
 from repro.obs import Span, span_from_profile
 
+#: terminal queries kept (as one flat row each) for ``vh$queries``,
+#: ``vh$query_log``, ``vh$sessions`` and the reports; the oldest falls
+#: off the ring and is counted in ``query_log_dropped_total``
+QUERY_RING_CAPACITY = 4096
+
 QUEUED = "queued"
 RUNNING = "running"
 FINISHED = "finished"
@@ -149,18 +154,27 @@ def estimate_query_memory(cluster, phys: P.PhysNode,
 
 @dataclass
 class QueryRecord:
-    """Everything the manager knows about one submitted query."""
+    """The one record of a query, from submission to eviction.
+
+    While the query is queued or running it carries the plan, the
+    snapshot transaction, the live run and the span tree under
+    construction. Reaching a terminal state folds the summary scalars
+    below into it (:meth:`FlightRecorder.record_query`) and drops every
+    one of those references, so what stays in the manager's ring is a
+    flat row of scalars and short strings. ``result`` / ``error`` wait
+    for the first :meth:`WorkloadManager.gather` and are handed over.
+    """
 
     query_id: int
     session_id: int
     #: what was planned at submission; every (re-)dispatch prepares it
-    qplan: QueryPlan
+    qplan: Optional[QueryPlan]
     statement: str = ""
     #: the tenant whose queue/quotas govern this query's admission
     tenant: str = DEFAULT_TENANT
-    #: pre-computed fingerprint override for the query log (prepared
-    #: statements share one fingerprint across every set of bound
-    #: parameters); empty = fingerprint the statement text
+    #: statement fingerprint; a submitter may pre-compute it (prepared
+    #: statements share one across every set of bound parameters),
+    #: otherwise it is filled in at terminal state
     fingerprint: str = ""
     root_label: str = "query"
     state: str = QUEUED
@@ -170,13 +184,15 @@ class QueryRecord:
     timeout: Optional[float] = None
     trans: object = None
     own_txn: bool = False
-    memory_estimate: Dict[str, int] = field(default_factory=dict)
+    memory_estimate: Optional[Dict[str, int]] = None
     retries: int = 0
     queue_reason: str = ""
     cancel_reason: str = ""
     error: Optional[BaseException] = None
-    #: the live operator tree: set while RUNNING, dropped at terminal
-    #: state so finished records do not pin their trees and channels
+    #: ``TypeName: message`` of a failed query, kept after ``error``
+    #: (whose traceback pins the operator frames) was handed over
+    error_text: str = ""
+    #: the live operator tree: set while RUNNING only
     run: Optional[QueryRun] = None
     #: scheduler rounds taken so far (final once terminal)
     rounds: int = 0
@@ -190,6 +206,25 @@ class QueryRecord:
     wait_sim: float = 0.0
     root_span: Optional[Span] = None
     trace_parent: Optional[Span] = None
+    # -- terminal summary (what ``vh$query_log`` adds to ``vh$queries``)
+    plan_signature: str = ""
+    rows: int = 0
+    peak_memory_bytes: int = 0
+    wire_bytes: int = 0
+    replans: int = 0
+    max_qerror: float = 0.0
+    #: operator kind dominating the query's deterministic sim cost, and
+    #: its share of the total (0..1)
+    dominant_op: str = ""
+    dominant_share: float = 0.0
+
+    @property
+    def wall_s(self) -> float:
+        return max(0.0, self.finish_wall - self.submit_wall)
+
+    @property
+    def sim_s(self) -> float:
+        return max(0.0, self.finish_sim - self.submit_sim)
 
 
 class AdmissionController:
@@ -204,18 +239,20 @@ class AdmissionController:
       by the shared meter.
     """
 
-    def __init__(self, cluster,
-                 memory_budget_per_node: Optional[int] = None,
-                 max_concurrent: Optional[int] = None):
+    def __init__(self, cluster):
         self.cluster = cluster
-        self.memory_budget_per_node = memory_budget_per_node
-        self.max_concurrent = max_concurrent
+        config = cluster.config
+        #: per-node byte budget (None = unlimited)
+        self.memory_budget_per_node: Optional[int] = (
+            config.workload_memory_budget_mb * 1024 * 1024 or None)
+        #: cap on admitted queries (0 = the negotiated core slots)
+        self.max_concurrent: int = config.workload_max_concurrent
 
     def core_slots(self) -> int:
         if self.max_concurrent:
             return self.max_concurrent
-        dbagent = getattr(self.cluster, "dbagent", None)
-        if dbagent is not None and dbagent.slices:
+        dbagent = self.cluster.dbagent
+        if dbagent.slices:
             granted = [c for c in dbagent.current_footprint().values() if c]
             if granted:
                 return min(granted)
@@ -290,31 +327,22 @@ class Session:
 class WorkloadManager:
     """Concurrent, admission-controlled multi-query scheduling."""
 
-    def __init__(self, cluster,
-                 memory_budget_per_node: Optional[int] = None,
-                 max_concurrent: Optional[int] = None,
-                 deterministic: Optional[bool] = None):
+    def __init__(self, cluster):
         self.cluster = cluster
-        config = cluster.config
-        if memory_budget_per_node is None:
-            budget_mb = getattr(config, "workload_memory_budget_mb", 0)
-            memory_budget_per_node = (budget_mb * 1024 * 1024
-                                      if budget_mb else None)
-        if max_concurrent is None:
-            max_concurrent = getattr(config, "workload_max_concurrent", 0)
-        if deterministic is None:
-            deterministic = getattr(config, "workload_deterministic", False)
-        cost_model = BatchCostModel() if deterministic else None
-        self.deterministic = bool(deterministic)
         #: the cluster-wide scheduler: every admitted query's rounds are
         #: charged here, against the cluster's one simulated clock
         self.scheduler = StreamScheduler(
-            getattr(cluster, "sim_clock", None), cost_model=cost_model)
+            cluster.sim_clock,
+            cost_model=(BatchCostModel()
+                        if cluster.config.workload_deterministic else None))
         #: cluster-wide live memory; per-query meters chain into it
         self.meter = MemoryMeter()
-        self.admission = AdmissionController(
-            cluster, memory_budget_per_node, max_concurrent or None)
-        self._records: "OrderedDict[int, QueryRecord]" = OrderedDict()
+        self.admission = AdmissionController(cluster)
+        #: queued and running queries, by id
+        self._live: Dict[int, QueryRecord] = {}
+        #: terminal queries in completion order, oldest first; bounded
+        #: by QUERY_RING_CAPACITY
+        self._ring: "OrderedDict[int, QueryRecord]" = OrderedDict()
         #: per-tenant admission queues; insertion-ordered, tenant
         #: selection is by (priority, pass, name) so iteration order
         #: never matters for correctness -- only for determinism
@@ -332,10 +360,7 @@ class WorkloadManager:
         #: unwind running queries -- the round guards against both)
         self.round_hooks: List = []
 
-        registry = getattr(cluster, "registry", None)
-        if registry is None:
-            from repro.obs import MetricsRegistry
-            registry = MetricsRegistry()
+        registry = cluster.registry
         self._g_queue = registry.gauge(
             "admission_queue_depth",
             "Queries waiting for core slots or memory budget", sticky=True)
@@ -364,6 +389,13 @@ class WorkloadManager:
         self._c_t_admitted = registry.counter(
             "tenant_admitted_total", "Admitted queries, per tenant",
             labels=("tenant",))
+        self._c_logged = registry.counter(
+            "query_log_records_total",
+            "Terminal queries appended to the query log, by state",
+            labels=("state",))
+        self._c_dropped = registry.counter(
+            "query_log_dropped_total",
+            "Query-log records dropped by the retention cap")
         self._g_queue.set(0)
         self._g_running.set(0)
         self.register_tenant(DEFAULT_TENANT)
@@ -372,17 +404,10 @@ class WorkloadManager:
 
     @property
     def _clock(self):
-        return self.scheduler.clock or self.cluster.sim_clock
-
-    @property
-    def _tracer(self):
-        from repro.obs import NULL_TRACER
-        return getattr(self.cluster, "tracer", None) or NULL_TRACER
+        return self.cluster.sim_clock
 
     def _emit(self, kind: str, **attrs) -> None:
-        events = getattr(self.cluster, "events", None)
-        if events is not None:
-            events.emit("workload", kind, **attrs)
+        self.cluster.events.emit("workload", kind, **attrs)
 
     def _update_gauges(self) -> None:
         self._g_queue.set(self.queued_count())
@@ -411,8 +436,18 @@ class WorkloadManager:
             "running_streams": len(self._running) * streams_per_query,
         }
 
+    def terminal_records(self) -> List[QueryRecord]:
+        """The ring: finished, failed and cancelled queries, oldest first."""
+        return list(self._ring.values())
+
     def query_records(self) -> List[QueryRecord]:
-        return list(self._records.values())
+        """Ring + live, in submission order."""
+        return sorted([*self._ring.values(), *self._live.values()],
+                      key=lambda r: r.query_id)
+
+    def is_live(self, query_id: int) -> bool:
+        """True while the query is queued or running."""
+        return query_id in self._live
 
     def sessions(self) -> Dict[int, Session]:
         return dict(self._sessions)
@@ -480,7 +515,7 @@ class WorkloadManager:
         qid = next(self._query_ids)
         wall0 = _time.perf_counter()
         sim0 = self._clock.seconds
-        parent = self._tracer.current
+        parent = cluster.tracer.current
         if statement is None and parent is not None:
             statement = str(parent.attrs.get("statement", ""))
 
@@ -516,7 +551,7 @@ class WorkloadManager:
             submit_wall=wall0, submit_sim=sim0,
             root_span=root, trace_parent=parent,
         )
-        self._records[qid] = record
+        self._live[qid] = record
         state = self.tenants.get(tenant)
         if state is None:
             state = self.register_tenant(tenant)
@@ -545,7 +580,7 @@ class WorkloadManager:
             tenant = self._next_tenant()
             if tenant is None:
                 break
-            record = self._records[tenant.queue[0]]
+            record = self._live[tenant.queue[0]]
             ok, reason = self.admission.decide(
                 record, len(self._running), self.meter)
             if not ok and self._running:
@@ -566,7 +601,7 @@ class WorkloadManager:
                 continue
             blocked = self._tenant_blocked(tenant)
             if blocked:
-                self._records[tenant.queue[0]].queue_reason = blocked
+                self._live[tenant.queue[0]].queue_reason = blocked
                 continue
             key = (tenant.priority, tenant.pass_value, tenant.name)
             if best_key is None or key < best_key:
@@ -586,7 +621,7 @@ class WorkloadManager:
             return (f"tenant {tenant.name} core quota exhausted "
                     f"({tenant.running}/{tenant.max_concurrent})")
         if tenant.memory_limit and tenant.running:
-            head = self._records[tenant.queue[0]]
+            head = self._live[tenant.queue[0]]
             for node, estimate in head.memory_estimate.items():
                 used = tenant.mem_by_node.get(node, 0)
                 if used + estimate > tenant.memory_limit:
@@ -619,13 +654,12 @@ class WorkloadManager:
             query_id=record.query_id,
         )
         self._running.append(record.query_id)
-        tenant = self.tenants.get(record.tenant)
-        if tenant is not None:
-            tenant.running += 1
-            tenant.admitted += 1
-            for node, estimate in record.memory_estimate.items():
-                tenant.mem_by_node[node] = (
-                    tenant.mem_by_node.get(node, 0) + estimate)
+        tenant = self.tenants[record.tenant]
+        tenant.running += 1
+        tenant.admitted += 1
+        for node, estimate in record.memory_estimate.items():
+            tenant.mem_by_node[node] = (
+                tenant.mem_by_node.get(node, 0) + estimate)
         self._c_t_admitted.inc(tenant=record.tenant)
         self._emit("query.admitted", query=record.query_id,
                    wait=round(record.wait_sim, 9), forced=forced,
@@ -659,10 +693,10 @@ class WorkloadManager:
         turn_costs: List[float] = []
         finished: List[QueryRecord] = []
         for qid in list(self._running):
-            record = self._records[qid]
+            record = self._live.get(qid)
             # a round hook (chaos) may have failed a node and unwound
             # this query back to the queue mid-round
-            if record.state != RUNNING or record.run is None:
+            if record is None or record.run is None:
                 continue
             self.scheduler.begin_turn()
             try:
@@ -696,7 +730,7 @@ class WorkloadManager:
         # only live queries can time out; submission order, so twin runs
         # cancel in the same sequence
         for qid in sorted(self.queued_ids() + self._running):
-            record = self._records[qid]
+            record = self._live[qid]
             if record.timeout is not None and \
                     clock - record.submit_sim > record.timeout:
                 self.cancel(qid, reason="timeout")
@@ -730,14 +764,15 @@ class WorkloadManager:
         self._emit("query.finished", query=record.query_id,
                    rounds=result.rounds,
                    sim=round(result.simulated_parallel_seconds, 9))
-        self._close(record)
         if record.trace:
-            result.trace = record.root_span
+            result.trace = record.root_span  # sealed in place by _close
+        self._close(record)
 
     def _fail(self, record: QueryRecord, exc: BaseException) -> None:
         record.run.cancel()
         self._finish_own_txn(record, commit=False)
         record.error = exc
+        record.error_text = f"{type(exc).__name__}: {exc}"
         record.state = FAILED
         record.finish_wall = _time.perf_counter()
         record.finish_sim = self._clock.seconds
@@ -755,13 +790,11 @@ class WorkloadManager:
         to the fabric, drain receive queues and give live memory back to
         the shared meter; a ``query.cancelled`` cluster event is emitted.
         """
-        record = self._records.get(query_id)
-        if record is None or record.state not in (QUEUED, RUNNING):
+        record = self._live.get(query_id)
+        if record is None:
             return False
         if record.state == QUEUED:
-            tenant = self.tenants.get(record.tenant)
-            if tenant is not None and query_id in tenant.queue:
-                tenant.queue.remove(query_id)
+            self.tenants[record.tenant].queue.remove(query_id)
         else:
             record.run.cancel()
         self._finish_own_txn(record, commit=False)
@@ -780,9 +813,7 @@ class WorkloadManager:
                          finished: bool = True) -> None:
         """Drop a query from the running set and its tenant's accounting."""
         self._running.remove(record.query_id)
-        tenant = self.tenants.get(record.tenant)
-        if tenant is None:
-            return
+        tenant = self.tenants[record.tenant]
         tenant.running -= 1
         if finished:
             tenant.finished += 1
@@ -799,15 +830,23 @@ class WorkloadManager:
         self._update_gauges()
 
     def _close(self, record: QueryRecord) -> None:
-        """Terminal bookkeeping: publish the span tree, append the query
-        to the flight recorder's log, let go of the operator tree."""
+        """Terminal bookkeeping: publish the span tree, fold the summary
+        scalars into the record, let go of everything else and move the
+        record from the live set to the ring."""
         if record.run is not None:
             record.rounds = record.run.rounds
         self._seal_spans(record)
-        monitor = getattr(self.cluster, "monitor", None)
-        if monitor is not None:
-            monitor.record_query(record)
-        record.run = None
+        self.cluster.monitor.record_query(record)
+        # a caller-owned transaction is released by reference only
+        record.run = record.qplan = record.trans = None
+        record.root_span = record.trace_parent = None
+        record.memory_estimate = None
+        del self._live[record.query_id]
+        self._ring[record.query_id] = record
+        self._c_logged.inc(state=record.state)
+        while len(self._ring) > QUERY_RING_CAPACITY:
+            self._ring.popitem(last=False)
+            self._c_dropped.inc()
 
     # ------------------------------------------------------------- failover
 
@@ -824,11 +863,11 @@ class WorkloadManager:
         fails. Queries on a caller-supplied transaction cannot be
         silently retried (the caller owns the snapshot) and fail at once.
         """
-        budget = getattr(self.cluster.config, "query_retry_budget", 2)
+        budget = self.cluster.config.query_retry_budget
         requeued: List[int] = []
         failed: List[int] = []
         for qid in list(self._running):
-            record = self._records[qid]
+            record = self._live[qid]
             if record.state != RUNNING or record.run is None:
                 continue
             record.retries += 1
@@ -853,7 +892,7 @@ class WorkloadManager:
                        attempt=record.retries)
         # front of each tenant's queue, preserving per-tenant FIFO order
         for qid in sorted(requeued, reverse=True):
-            tenant = self.tenants[self._records[qid].tenant]
+            tenant = self.tenants[self._live[qid].tenant]
             tenant.queue.appendleft(qid)
         self._update_gauges()
         return {"requeued": requeued, "failed": failed}
@@ -865,7 +904,7 @@ class WorkloadManager:
         refresh them so queued queries are judged against the survivors.
         """
         for qid in self.queued_ids():
-            record = self._records[qid]
+            record = self._live[qid]
             record.memory_estimate = estimate_query_memory(
                 self.cluster, record.qplan.root, record.thread_to_node,
                 annotations=record.qplan.annotations)
@@ -875,23 +914,35 @@ class WorkloadManager:
     # --------------------------------------------------------------- gather
 
     def gather(self, query_id: int) -> QueryResult:
-        """Drive rounds until the query is terminal; return its result.
+        """Drive rounds until the query is terminal; hand over its result.
 
         Other admitted queries make progress on the same rounds -- this
         is where interleaving actually happens when a client gathers
-        while more submissions are outstanding.
+        while more submissions are outstanding. The result (or the
+        failure's exception) is handed over exactly once: the record
+        keeps only its summary, so a second gather -- or a gather after
+        the record fell off the ring -- is an :class:`ExecutionError`.
         """
-        record = self._records.get(query_id)
+        record = self._live.get(query_id) or self._ring.get(query_id)
         if record is None:
-            raise ExecutionError(f"unknown query id {query_id}")
+            raise ExecutionError(
+                f"unknown query id {query_id} (never submitted, or "
+                "evicted from the terminal-record ring)")
         while record.state in (QUEUED, RUNNING):
             if not self.step() and record.state in (QUEUED, RUNNING):
                 raise ExecutionError(
                     f"query {query_id} cannot make progress")
-        if record.state == FINISHED:
-            return record.result
-        if record.state == FAILED:
-            raise record.error
+        if record.state in (FINISHED, FAILED):
+            outcome = (record.result if record.state == FINISHED
+                       else record.error)
+            record.result = record.error = None
+            if outcome is None:
+                raise ExecutionError(
+                    f"query {query_id} ({record.error_text or record.state})"
+                    " was already gathered")
+            if record.state == FAILED:
+                raise outcome
+            return outcome
         if record.cancel_reason == "timeout":
             raise QueryTimeout(query_id)
         raise QueryCancelled(query_id, record.cancel_reason or "cancelled")
@@ -907,8 +958,6 @@ class WorkloadManager:
         + grafted operator profiles), commit.
         """
         root = record.root_span
-        if root is None:
-            return
         run = record.run
         now = _time.perf_counter()
         sim_now = self._clock.seconds
@@ -947,4 +996,4 @@ class WorkloadManager:
         if record.trace_parent is not None:
             record.trace_parent.children.append(root)
         else:
-            self._tracer.publish(root)
+            self.cluster.tracer.publish(root)

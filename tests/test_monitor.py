@@ -3,8 +3,9 @@
 Covers the sampling ring (cadence, retention via pair-merge compaction,
 downsample modes, wall-clock exclusion), the alert rule state machine
 (gauge/rate/quantile kinds, for/clear hysteresis, raise/clear events),
-the persistent query log (fingerprints, metric-reset survival,
-retention), the bounded cluster event log, the chaos acceptance
+the query log (one bounded ring of terminal records in the workload
+manager: fingerprints, metric-reset survival, eviction), the bounded
+cluster event log, the chaos acceptance
 scenario (a seeded node crash deterministically raises then clears an
 admission alert visible in ``vh$alerts``), and the perf-trajectory
 gate's collect/compare logic.
@@ -30,14 +31,13 @@ from repro.obs import (
     HealthMonitor,
     MetricsHistory,
     MetricsRegistry,
-    QueryLog,
-    QueryLogRecord,
     SimClock,
     default_rules,
     sql_fingerprint,
 )
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
+from repro.workload import manager as workload_manager
 
 N_ROWS = 16000
 
@@ -329,23 +329,37 @@ class TestDefaultRules:
         assert {"admission_backlog", "query_wait_p95",
                 "replication_degraded"} <= names
 
-    def test_memory_and_replan_rules_are_gated_on_config(self, config):
+    def test_memory_and_replan_rules_are_gated_on_config(self, cluster,
+                                                         config):
+        # memory_watermark follows the admission budget (no budget, no
+        # rule); replan_storm is no stock rule: whoever wants it adds it
+        assert "memory_watermark" not in {
+            r.name for r in default_rules(cluster)}
         config.workload_memory_budget_mb = 64
-        config.alert_replan_rate = 2.0
         c = VectorHCluster(n_nodes=4, config=config)
-        names = {r.name for r in default_rules(c)}
-        assert {"memory_watermark", "replan_storm"} <= names
+        rules = {r.name: r for r in default_rules(c)}
+        assert rules["memory_watermark"].threshold == 0.9 * 64 * 1024 * 1024
+        assert "replan_storm" not in rules
+        c.monitor.health.add_rule(AlertRule(
+            "replan_storm", "replans_total", threshold=2.0, kind="rate"))
+        c.monitor.sample()
+        c.registry.counter("replans_total").inc(50)
+        c.sim_clock.advance(1.0)
+        c.monitor.sample()
+        assert [a.rule for a in c.monitor.health.firing()] == ["replan_storm"]
 
-    def test_tenant_saturation_rule_follows_config(self, cluster):
-        rules = {r.name: r for r in default_rules(cluster)}
+    def test_tenant_saturation_rule_follows_config(self):
+        # a stock rule with a fixed threshold; what it follows is the
+        # tenant set-up: with no quota'd tenant its metric is absent
+        # and it is never evaluated
+        c = _monitored_cluster()
+        rules = {r.name: r for r in default_rules(c)}
         rule = rules["tenant_quota_saturated"]
         assert rule.metric == "tenant_quota_saturation"
-        assert rule.threshold == cluster.config.alert_tenant_saturation
-        config = Config().scaled_for_tests()
-        config.alert_tenant_saturation = 0.0
-        c = VectorHCluster(n_nodes=4, config=config)
-        assert "tenant_quota_saturated" not in {
-            r.name for r in default_rules(c)}
+        assert (rule.threshold, rule.op) == (1.0, ">=")
+        c.query(_sum_plan())
+        assert c.monitor.health.evaluations("admission_backlog") > 0
+        assert c.monitor.health.evaluations("tenant_quota_saturated") == 0
 
     def test_tenant_saturation_alert_raises_and_clears(self):
         # satellite: a tenant overrunning its concurrency quota raises
@@ -376,29 +390,24 @@ class TestDefaultRules:
 
 
 class TestQueryLog:
-    def _record(self, qid, state="finished", sim_s=0.001, stmt=""):
-        return QueryLogRecord(
-            query_id=qid, session_id=0, state=state, fingerprint="f",
-            plan_signature="p", statement=stmt, wall_s=0.1, sim_s=sim_s,
-            wait_s=0.0, rounds=1, rows=10, peak_memory_bytes=100,
-            wire_bytes=5, retries=0, replans=0, max_qerror=1.0)
-
-    def test_retention_drops_oldest(self):
-        reg = MetricsRegistry()
-        log = QueryLog(retention=2, registry=reg)
-        for i in range(5):
-            log.append(self._record(i))
-        assert [r.query_id for r in log.records()] == [3, 4]
-        assert log.dropped == 3
+    def test_retention_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(workload_manager, "QUERY_RING_CAPACITY", 2)
+        c = _monitored_cluster()
+        qids = [c.query(_sum_plan()).query_id for _ in range(5)]
+        assert [r.query_id for r in c.workload.terminal_records()] \
+            == qids[-2:]
+        reg = c.registry
         assert reg.value("query_log_dropped_total") == 3
         assert reg.value("query_log_records_total", state="finished") == 5
 
     def test_slow_report_orders_by_sim_time(self):
-        log = QueryLog()
-        log.append(self._record(1, sim_s=0.001))
-        log.append(self._record(2, sim_s=0.009))
-        report = log.slow_report(1)
-        assert "\n".join(report.splitlines()[1:]).lstrip().startswith("2 ")
+        c = _monitored_cluster()
+        c.query(_sum_plan())
+        c.query(_sort_plan())
+        slowest = max(c.workload.terminal_records(), key=lambda r: r.sim_s)
+        report = c.monitor.slow_report(1)
+        assert "\n".join(report.splitlines()[1:]).lstrip().startswith(
+            f"{slowest.query_id} ")
 
     def test_sql_fingerprint_is_literal_insensitive(self):
         a = sql_fingerprint("SELECT * FROM t WHERE a < 100 AND s = 'x'")
@@ -412,7 +421,7 @@ class TestFlightRecorderIntegration:
         c = _monitored_cluster()
         c.query(_sum_plan())
         assert len(c.monitor.history.samples) >= 1
-        (rec,) = c.monitor.query_log.records()
+        (rec,) = c.workload.terminal_records()
         assert rec.state == "finished" and rec.rows == 1
         assert rec.plan_signature  # programmatic: fingerprinted plan
         assert rec.fingerprint == sql_fingerprint(rec.plan_signature)
@@ -422,7 +431,7 @@ class TestFlightRecorderIntegration:
         c = _monitored_cluster()
         c.query(_sum_plan())
         c.metrics().reset()
-        assert len(c.monitor.query_log) == 1
+        assert len(c.workload.terminal_records()) == 1
         assert c.metrics().value("query_log_records_total",
                                  state="finished") == 0
 
@@ -430,19 +439,19 @@ class TestFlightRecorderIntegration:
         c = _monitored_cluster()
         execute_sql(c, "SELECT count(*) AS n FROM t WHERE a < 100")
         execute_sql(c, "SELECT count(*) AS n FROM t WHERE a < 200")
-        recs = c.monitor.query_log.records()
+        recs = c.workload.terminal_records()
         assert len(recs) == 2
         assert recs[0].statement.lower().startswith("select")
         # literals differ, fingerprint does not
         assert recs[0].fingerprint == recs[1].fingerprint
-        stats = c.monitor.query_log.fingerprint_stats()
+        stats = c.monitor.fingerprint_stats()
         assert stats[recs[0].fingerprint]["count"] == 2
 
     def test_cancelled_query_is_logged(self):
         c = _monitored_cluster()
         qid = c.submit(_sort_plan())
         assert c.workload.cancel(qid)
-        states = [r.state for r in c.monitor.query_log.records()]
+        states = [r.state for r in c.workload.terminal_records()]
         assert "cancelled" in states
 
     def test_system_tables_queryable(self):
@@ -462,19 +471,13 @@ class TestFlightRecorderIntegration:
         assert all(s == "finished" for s in qlog.columns["state"])
         execute_sql(c, "select rule, state from vh$alerts")  # empty but valid
 
-    def test_monitor_can_be_disabled(self):
-        config = Config().scaled_for_tests()
-        config.monitor_enabled = False
-        c = VectorHCluster(n_nodes=4, config=config)
-        assert c.monitor is None
-
 
 # ----------------------------------------------------- chaos acceptance
 
 
 def _chaos_scenario():
     """Seeded node crash under a 6-query backlog; returns the cluster."""
-    c = _monitored_cluster(alert_queue_depth=1.0)
+    c = _monitored_cluster()
     plan = FaultPlan([FaultSpec(2e-5, "node.crash", c.workers[-1])])
     ChaosController(c, seed=7, plan=plan).install()
     qids = [c.submit(_sort_plan()) for _ in range(6)]
@@ -516,8 +519,8 @@ class TestChaosAcceptance:
         assert a.monitor.history.rows() == b.monitor.history.rows()
         assert a.monitor.history.render_latest() == \
             b.monitor.history.render_latest()
-        assert [r.fingerprint for r in a.monitor.query_log.records()] == \
-            [r.fingerprint for r in b.monitor.query_log.records()]
+        assert [r.fingerprint for r in a.workload.terminal_records()] == \
+            [r.fingerprint for r in b.workload.terminal_records()]
 
 
 # ------------------------------------------------------- bounded event log
@@ -541,14 +544,6 @@ class TestEventLogRetention:
         # seq stays monotonic across the drop boundary
         assert [e.seq for e in log] == [7, 8, 9]
         assert [e.seq for e in log.tail(2)] == [8, 9]
-
-    def test_cluster_event_log_obeys_config(self):
-        config = Config().scaled_for_tests()
-        config.event_log_retention = 5
-        c = VectorHCluster(n_nodes=4, config=config)
-        for i in range(20):
-            c.events.emit("t", "tick", i=i)
-        assert len(c.events) == 5
 
 
 # --------------------------------------------------------- trajectory gate

@@ -161,11 +161,23 @@ class TestCounterAssignment:
         c = MetricsRegistry().counter("x_total")
         assert not hasattr(c, "set")
 
-    def test_attribute_views_assign_through_the_private_path(self):
-        c = MetricsRegistry().counter("x_total", labels=("node",))
-        c.inc(5, node="n1")
-        c._assign(2, node="n1")
-        assert c.get(node="n1") == 2
+    def test_attribute_views_are_read_only(self):
+        # counts live in the registry only: a counter has no assignment
+        # path, and the per-object views over its series have no setter
+        from repro.hdfs import HdfsCluster
+        from repro.storage.buffer import BufferPool
+        assert not hasattr(MetricsRegistry().counter("x_total"), "_assign")
+        hdfs = HdfsCluster(["n1", "n2"])
+        hdfs.write_file("/f", b"x" * 10, writer="n1")
+        pool = BufferPool(hdfs, node="n1")
+        pool.read("/f", 0, 10, reader="n1")
+        node = hdfs.nodes["n1"]
+        assert (node.bytes_written, node.bytes_read_local, pool.misses) \
+            == (10, 10, 1)
+        for obj, attr in ((node, "bytes_read_local"), (node, "bytes_stored"),
+                          (pool, "hits")):
+            with pytest.raises(AttributeError):
+                setattr(obj, attr, 0)
 
 
 class TestExpositionFormat:
@@ -371,7 +383,7 @@ class TestClusterMetrics:
         total_stored = sum(n.bytes_stored
                            for n in cluster.hdfs.nodes.values())
         assert total_stored == sum(
-            cluster.registry.get("hdfs_bytes_stored").series().values()
+            cluster.registry.get("hdfs_bytes_stored").snapshot().values()
         )
 
     def test_registry_reset_by_prefix(self, cluster):
@@ -399,7 +411,8 @@ class TestClusterMetrics:
 
         # the per-node attribute views read the same series
         node = next(iter(cluster.hdfs.nodes.values()))
-        node._reads.inc(10, node=node.name, mode="short_circuit")
+        reg.get("hdfs_read_bytes_total").inc(
+            10, node=node.name, mode="short_circuit")
         assert node.bytes_read_local == 10
         reg.reset("hdfs_read")
         assert node.bytes_read_local == 0

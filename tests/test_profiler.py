@@ -254,7 +254,7 @@ def _observable_run(tpch_data):
                  in cluster.profiler.hot_paths(k=10_000)]
     log = [(r.fingerprint, r.rows, r.dominant_op,
             round(r.dominant_share, 12))
-           for r in cluster.monitor.query_log.records()]
+           for r in cluster.workload.terminal_records()]
     return det_rows, det_paths, log
 
 
@@ -351,17 +351,9 @@ class TestExportsAndSystemTables:
         assert dominated, "no finished query has a dominant operator"
         for i in dominated:
             assert 0.0 < float(out.columns["dominant_share"][i]) <= 1.0
-        report = cluster.monitor.query_log.slow_report(5)
+        report = cluster.monitor.slow_report(5)
         assert "dominant" in report
         assert any(out.columns["dominant"][i] in report for i in dominated)
-
-    def test_profiler_can_be_disabled_by_config(self):
-        config = Config().scaled_for_tests()
-        config.profiler_enabled = False
-        cluster = VectorHCluster(n_nodes=2, config=config)
-        assert cluster.profiler is None
-        assert execute_sql(cluster, "select * from vh$operator_stats").n == 0
-        assert execute_sql(cluster, "select * from vh$hot_paths").n == 0
 
 
 def test_profiler_aggregates_without_registry():

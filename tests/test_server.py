@@ -213,10 +213,10 @@ class TestExtendedProtocol:
             conn.bind("sweep", (cutoff,))
             conn.execute()
         c.workload.drain()
-        stats = c.monitor.query_log.fingerprint_stats()
+        stats = c.monitor.fingerprint_stats()
         assert stats[prepared.fingerprint]["count"] == 3
         fingerprints = [r.fingerprint
-                        for r in c.monitor.query_log.records()]
+                        for r in c.workload.terminal_records()]
         assert fingerprints.count(prepared.fingerprint) == 3
 
     def test_same_fingerprint_different_literals_not_conflated(self):
@@ -435,7 +435,7 @@ class TestSystemTables:
         c.workload.drain()
         rows = execute_sql(c, "SELECT tenant, state FROM vh$query_log")
         assert "gold" in set(rows.columns["tenant"])
-        report = c.monitor.query_log.slow_report()
+        report = c.monitor.slow_report()
         assert "tenant" in report.splitlines()[0]
         assert "gold" in report
 

@@ -27,7 +27,7 @@ from repro.storage import Column, TableSchema
 from repro.tpch import tpch_schemas
 from repro.tpch.queries import q1, q3, q6, q14
 from repro.tpch.schema import LOAD_ORDER
-from repro.workload import WorkloadManager, estimate_query_memory
+from repro.workload import estimate_query_memory
 from tests.conftest import assert_batches_match
 
 N_ROWS = 16000
@@ -187,8 +187,9 @@ class TestAdmission:
     def test_fifo_admission_under_memory_pressure(self):
         c = _small_cluster()
         budget = 1 << 20
-        wm = WorkloadManager(c, memory_budget_per_node=budget,
-                             max_concurrent=8)
+        wm = c.workload
+        wm.admission.memory_budget_per_node = budget
+        wm.admission.max_concurrent = 8
         tiny = {n: 1024 for n in c.workers}
         huge = {n: budget * 2 for n in c.workers}  # only fits alone
         qa = wm.submit(_sum_plan(), memory_estimate=dict(tiny))
@@ -217,8 +218,9 @@ class TestAdmission:
         phys = ParallelRewriter(c).plan(_sum_plan()).root
         estimates = estimate_query_memory(c, phys)
         budget = 2 * max(estimates.values())
-        wm = WorkloadManager(c, memory_budget_per_node=budget,
-                             max_concurrent=8)
+        wm = c.workload
+        wm.admission.memory_budget_per_node = budget
+        wm.admission.max_concurrent = 8
         qids = [wm.submit(_sum_plan()) for _ in range(4)]
         wm.drain()
         records = {r.query_id: r for r in wm.query_records()}
