@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -82,6 +82,49 @@ def batches_from_columns(columns: Dict[str, np.ndarray],
         end = min(start + vector_size, n)
         yield Batch({k: v[start:end] for k, v in columns.items()},
                     end - start)
+
+
+def full_vectors(batches: Iterable[Optional[Batch]],
+                 vector_size: int) -> Iterator[Batch]:
+    """Re-form full vectors from a stream that filters, joins or hash
+    splits have cut into slivers, keeping row order.
+
+    A batch that already fills a vector passes through untouched; shorter
+    ones are held and concatenated once they add up to a vector, so every
+    batch handed on but the last carries at least ``vector_size`` rows.
+    A ``None`` in the stream means "nothing more has arrived yet": the
+    held rows are handed on short instead of waiting (a DXchg receiver
+    sends it before pumping its senders). A stream without a single row
+    still yields one empty batch carrying the column names and dtypes, and
+    closing this generator closes ``batches``.
+    """
+    template: Optional[Batch] = None
+    held: List[Batch] = []
+    held_rows = 0
+    yielded = False
+    try:
+        for batch in batches:
+            if batch is not None:
+                if template is None and batch.columns:
+                    template = batch
+                if batch.n == 0:
+                    continue
+                held.append(batch)
+                held_rows += batch.n
+                if held_rows < vector_size:
+                    continue
+            if held:
+                yielded = True
+                yield held[0] if len(held) == 1 else concat_batches(held)
+                held, held_rows = [], 0
+        if held:
+            yield held[0] if len(held) == 1 else concat_batches(held)
+        elif not yielded and template is not None:
+            yield Batch.empty_like(template)
+    finally:
+        close = getattr(batches, "close", None)
+        if close is not None:
+            close()
 
 
 def concat_batches(batches: Iterable[Batch]) -> Batch:

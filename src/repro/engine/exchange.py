@@ -26,7 +26,7 @@ import time as _time
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.engine.batch import Batch, batch_bytes
+from repro.engine.batch import Batch, batch_bytes, full_vectors
 from repro.engine.operators import Operator
 from repro.engine.profile import kernel
 from repro.net.mpi import DXchgChannel, MpiFabric
@@ -538,8 +538,9 @@ class DXchgSender(Operator):
 
 
 class DXchgReceiver(Operator):
-    """Receiver half of a DXchg: yield batches as messages arrive,
-    pumping the sender fragments whenever the queue runs dry."""
+    """Receiver half of a DXchg: re-form vectors from the pieces that
+    have arrived (the paper's receivers build vectors from whole message
+    buffers), pumping the sender fragments whenever the queue runs dry."""
 
     def __init__(self, exchange: Exchange, stream: str):
         super().__init__(())
@@ -551,22 +552,25 @@ class DXchgReceiver(Operator):
         return self.label
 
     def _run(self):
+        return full_vectors(self._arrivals(), self.vector_size)
+
+    def _arrivals(self):
         ex = self.exchange
         ex.start()
         queue = ex.queues[self.stream]
-        yielded = False
         while True:
             if queue:
                 n_bytes, batch = queue.popleft()
                 ex.on_dequeue(self.stream, n_bytes, batch)
                 if self.profile is not None:
                     self.profile.net_bytes += n_bytes
-                yielded = True
                 yield batch
             elif not ex.finished:
+                # hand on what has arrived rather than wait for a vector
+                yield None
                 ex.pump()
             else:
                 break
-        if not yielded and ex.template is not None:
+        if ex.template is not None:
             # all-empty input: the schema must still cross the exchange
             yield Batch.empty_like(ex.template)

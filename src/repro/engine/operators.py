@@ -9,7 +9,15 @@ can be rendered like the paper's appendix profile.
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -19,6 +27,7 @@ from repro.engine.batch import (
     batch_bytes,
     batches_from_columns,
     concat_batches,
+    full_vectors,
 )
 from repro.engine.expressions import Expr
 from repro.engine.profile import ProfileNode, kernel, pop_sink, push_sink
@@ -39,6 +48,10 @@ class Operator:
     #: peak memory covers operator state, not just exchange buffers.
     memory_meter = None
     memory_node: Optional[str] = None
+
+    #: rows per vector this operator slices its output into and re-forms
+    #: short batches up to; a distributed executor stamps the cluster's
+    vector_size = DEFAULT_VECTOR_SIZE
 
     def __init__(self, children: Sequence["Operator"] = ()):
         self.children: List[Operator] = list(children)
@@ -123,22 +136,14 @@ class Select(Operator):
         return f"Select[{self.predicate!r}]"
 
     def _run(self):
-        template = None
-        yielded = False
+        return full_vectors(self._qualifying(), self.vector_size)
+
+    def _qualifying(self):
         for batch in self.children[0].execute():
-            template = batch
             with kernel("select.predicate", rows=batch.n):
                 mask = np.asarray(self.predicate.eval(batch.columns),
                                   dtype=bool)
-            if mask.all():
-                yielded = yielded or batch.n > 0
-                yield batch
-            elif mask.any():
-                yielded = True
-                yield batch.select(mask)
-        if not yielded and template is not None:
-            # keep column names/dtypes flowing even when nothing qualifies
-            yield Batch.empty_like(template)
+            yield batch if mask.all() else batch.select(mask)
 
 
 class Project(Operator):
@@ -176,14 +181,43 @@ AggSpec = Tuple[str, str, Optional[Expr]]
 _AGG_FUNCS = ("sum", "count", "avg", "min", "max", "count_distinct")
 
 
-class HashAggr(Operator):
-    """Hash group-by with vectorized accumulation.
+class _Partial(NamedTuple):
+    """Folded aggregation state: one row per distinct key."""
 
-    Per batch, group keys are factorized with ``np.unique`` and values are
-    accumulated with ``np.add.at`` / ``np.minimum.at`` -- the vector-at-a-
-    time analogue of Vectorwise's aggregation primitives. Supports
-    ``partial=True`` for the paper's partial-aggregation rewrite: partials
-    emit (keys, sum, count) that a final HashAggr combines.
+    keys: List[np.ndarray]
+    #: one tuple of arrays per aggregate, aligned with ``keys`` -- except
+    #: count_distinct, which holds its distinct (row of ``keys``, value)
+    #: pairs
+    states: List[Tuple[np.ndarray, ...]]
+    n: int
+
+
+#: partial rows, in vectors, a HashAggr holds before it merges mid-stream.
+#: A constant, not a knob: it only bounds the folded state kept beside
+#: the groups themselves, and no answer depends on it.
+MERGE_AFTER_VECTORS = 64
+
+
+class HashAggr(Operator):
+    """Group-by that folds and merges instead of keeping a hash table.
+
+    Every input vector is *ranked* (each key column to dense ranks --
+    ``np.unique`` for numbers, a dict over the distinct values for
+    strings -- combined pairwise and re-ranked so codes stay below n^2)
+    and *folded* to one partial row per distinct key of that vector
+    (``np.bincount`` for sum/count/avg, ``ufunc.reduceat`` for min/max,
+    the distinct (group, value) pairs for count_distinct). Held partials
+    are *merged* by the same rank-and-fold applied to their concatenation,
+    once at end of input and whenever more than
+    :data:`MERGE_AFTER_VECTORS` vectors' worth of partial rows (and more
+    than the last merge left) have piled up; no Python runs per row or
+    per key.
+
+    Groups leave in the order their keys first arrived (vector by vector,
+    sorted within a vector) and key columns keep their dtype. A sum is its
+    vectors' partial sums added in arrival order from 0.0, so it does not
+    depend on where merges fall. Feeding a HashAggr's (keys, sum, count)
+    output to a second one is the paper's partial-aggregation rewrite.
     """
 
     label = "Aggr"
@@ -201,147 +235,145 @@ class HashAggr(Operator):
         return f"Aggr[{','.join(self.group_by)}]" if self.group_by else "Aggr(total)"
 
     def _run(self):
-        key_index: Dict[tuple, int] = {}
-        keys_store: List[List] = [[] for _ in self.group_by]
-        states = [_new_state(func) for _, func, _ in self.aggregates]
-
-        single_key = len(self.group_by) == 1
-
+        funcs = [func for _, func, _ in self.aggregates]
+        held: List[_Partial] = []
+        fresh = 0  # partial rows held since the last merge
         for batch in self.children[0].execute():
+            keys = [batch.columns[k] for k in self.group_by]
             with kernel("aggr.group", rows=batch.n):
-                if self.group_by:
-                    if single_key:
-                        col = batch.columns[self.group_by[0]]
-                        uniq, inverse = np.unique(col, return_inverse=True)
-                        local_keys = [(v,) for v in uniq.tolist()]
-                    else:
-                        packed = np.empty(batch.n, dtype=object)
-                        packed[:] = list(zip(*(
-                            batch.columns[k].tolist() for k in self.group_by
-                        )))
-                        uniq, inverse = np.unique(packed, return_inverse=True)
-                        local_keys = list(uniq)
-                else:
-                    inverse = np.zeros(batch.n, dtype=np.int64)
-                    local_keys = [()]
-
-                # Map local group ids to global ids (few lookups per batch).
-                local_to_global = np.empty(len(local_keys), dtype=np.int64)
-                for i, key in enumerate(local_keys):
-                    gid = key_index.get(key)
-                    if gid is None:
-                        gid = len(key_index)
-                        key_index[key] = gid
-                        for pos, part in enumerate(key):
-                            keys_store[pos].append(part)
-                    local_to_global[i] = gid
-                gids = local_to_global[inverse]
-
-            n_groups = len(key_index)
+                codes, first = _rank(keys, batch.n)
             with kernel("aggr.accumulate", rows=batch.n):
-                for (name, func, expr), state in zip(self.aggregates, states):
-                    _grow_state(state, func, n_groups)
-                    values = (expr.eval(batch.columns)
-                              if expr is not None else None)
-                    _accumulate(state, func, gids, values, n_groups, batch.n)
+                rows = [_row_state(func, batch.n, None if expr is None
+                                   else expr.eval(batch.columns))
+                        for _, func, expr in self.aggregates]
+                held.append(_fold(funcs, keys, rows, codes, first))
+            fresh += len(first)
+            # held[0] is what the last merge left: waiting until as many
+            # rows again are held keeps the merging linear in the input
+            if fresh > max(MERGE_AFTER_VECTORS * self.vector_size, held[0].n):
+                held, fresh = [self._merged(funcs, held)], 0
+        if len(held) > 1:
+            held = [self._merged(funcs, held)]
 
-        n_groups = len(key_index)
-        if n_groups == 0 and not self.group_by:
-            # SQL total aggregates return one row even on empty input.
-            key_index[()] = 0
-            n_groups = 1
-            for (_, func, _), state in zip(self.aggregates, states):
-                _grow_state(state, func, n_groups)
-
-        out: Dict[str, np.ndarray] = {}
-        with kernel("aggr.finalize", rows=n_groups):
-            for pos, key_col in enumerate(self.group_by):
-                values = keys_store[pos]
-                if values and isinstance(values[0], str):
-                    arr = np.empty(len(values), dtype=object)
-                    arr[:] = values
-                else:
-                    arr = np.asarray(values)
-                out[key_col] = arr
-            for (name, func, _), state in zip(self.aggregates, states):
-                out[name] = _finalize(state, func, n_groups)
-        yield from batches_from_columns(out, DEFAULT_VECTOR_SIZE)
-
-
-def _new_state(func: str) -> dict:
-    """Accumulator state of one aggregate, indexed by global group id:
-    numpy arrays for sum/count/avg (grown geometrically, so a batch costs
-    one vector add whatever the number of groups), lists for the rest."""
-    if func in ("min", "max", "count_distinct"):
-        return {"values": []}
-    state = {}
-    if func in ("sum", "avg"):
-        state["sums"] = np.zeros(0, dtype=np.float64)
-    if func in ("count", "avg"):
-        state["counts"] = np.zeros(0, dtype=np.int64)
-    return state
-
-
-def _grow_state(state: dict, func: str, n_groups: int) -> None:
-    """Make room for group ids below ``n_groups`` (once per batch)."""
-    for key, held in state.items():
-        if isinstance(held, list):
-            held.extend(set() if func == "count_distinct" else None
-                        for _ in range(n_groups - len(held)))
-        elif n_groups > len(held):
-            grown = np.zeros(max(n_groups, 2 * len(held)), dtype=held.dtype)
-            grown[: len(held)] = held
-            state[key] = grown
-
-
-def _accumulate(state, func, gids, values, n_groups, n) -> None:
-    if func in ("sum", "avg"):
-        state["sums"][:n_groups] += np.bincount(
-            gids, weights=np.asarray(values, np.float64), minlength=n_groups)
-    if func in ("count", "avg"):
-        state["counts"][:n_groups] += np.bincount(gids, minlength=n_groups)
-    if func in ("sum", "count", "avg"):
-        return
-    if func in ("min", "max"):
-        values = np.asarray(values)
-        order = np.argsort(gids, kind="stable")
-        sorted_gids = gids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_gids)) + 1
-        group_slices = np.split(order, boundaries)
-        present = sorted_gids[np.concatenate([[0], boundaries])] \
-            if len(order) else []
-        for gid, rows in zip(present, group_slices):
-            vals = values[rows]
-            local = vals.min() if func == "min" else vals.max()
-            current = state["values"][gid]
-            if current is None:
-                state["values"][gid] = local
-            elif func == "min":
-                state["values"][gid] = min(current, local)
+        groups = held[0] if held else _Partial([], [], 0)
+        with kernel("aggr.finalize", rows=groups.n):
+            if groups.n == 0 and not self.group_by:
+                # SQL total aggregates return one row even on empty input.
+                out = {name: np.zeros(1, np.float64 if func in ("sum", "avg")
+                                      else np.int64)
+                       for name, func, _ in self.aggregates}
             else:
-                state["values"][gid] = max(current, local)
-        return
-    if func == "count_distinct":
-        for gid, value in zip(gids.tolist(), values):
-            state["values"][gid].add(value)
-        return
-    raise ExecutionError(f"unknown aggregate {func}")
+                out = dict(zip(self.group_by, groups.keys))
+                for (name, func, _), state in zip(self.aggregates,
+                                                  groups.states):
+                    out[name] = _finalize(func, state, groups.n)
+        yield from batches_from_columns(out, self.vector_size)
+
+    def _merged(self, funcs: Sequence[str],
+                held: Sequence[_Partial]) -> _Partial:
+        with kernel("aggr.merge", rows=sum(p.n for p in held)):
+            return _merge(funcs, held)
 
 
-def _finalize(state, func, n_groups) -> np.ndarray:
-    if func == "avg":
-        counts = np.maximum(state["counts"][:n_groups].astype(np.float64), 1)
-        return state["sums"][:n_groups] / counts
+def _ranks(col: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Each value's dense rank in sorted order, and how many distinct."""
+    if col.dtype != object:
+        uniq, ranks = np.unique(col, return_inverse=True)
+        return ranks, len(uniq)
+    # strings: sort the distinct values only, map back at C speed
+    values = col.tolist()
+    rank_of = {v: i for i, v in enumerate(sorted(dict.fromkeys(values)))}
+    return (np.fromiter(map(rank_of.__getitem__, values), np.intp,
+                        len(values)), len(rank_of))
+
+
+def _rank(keys: Sequence[np.ndarray],
+          n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Group ``n`` rows by their key columns: every row's group code
+    (groups numbered in sorted key order) and every group's first row."""
+    codes, n_groups = np.zeros(n, dtype=np.intp), min(n, 1)
+    for pos, col in enumerate(keys):
+        ranks, n_ranks = _ranks(col)
+        codes, n_groups = ((ranks, n_ranks) if pos == 0
+                           else _ranks(codes * n_ranks + ranks))
+    first = np.empty(n_groups, dtype=np.intp)
+    # repeated indices keep the last assignment: walk the rows backwards
+    first[codes[::-1]] = np.arange(n - 1, -1, -1)
+    return codes, first
+
+
+def _row_state(func: str, n: int, values) -> Tuple:
+    """``n`` input rows as the state :func:`_fold_state` folds (a row is
+    a partial of itself; a ``None`` count stands for all ones)."""
     if func == "count":
-        return state["counts"][:n_groups]
+        return (None,)
     if func == "sum":
-        return state["sums"][:n_groups]
+        return (np.asarray(values, np.float64),)
+    if func == "avg":
+        return (np.asarray(values, np.float64), None)
     if func == "count_distinct":
-        return np.asarray([len(s) for s in state["values"]], dtype=np.int64)
-    values = state["values"]
-    if any(v is None for v in values):
-        values = [0 if v is None else v for v in values]
-    return np.asarray(values)
+        return (np.arange(n), np.asarray(values))
+    return (np.asarray(values),)
+
+
+def _fold_state(func: str, state: Tuple, codes: np.ndarray,
+                n_groups: int) -> Tuple[np.ndarray, ...]:
+    """One aggregate's state, row ``i`` belonging to group ``codes[i]``,
+    reduced to one entry per group."""
+    if func == "count_distinct":
+        groups, values = codes[state[0]], state[1]
+        _, first = _rank([groups, values], len(groups))
+        return groups[first], values[first]
+    if func in ("min", "max"):
+        order = np.argsort(codes, kind="stable")
+        starts = np.searchsorted(codes[order], np.arange(n_groups))
+        ufunc = np.minimum if func == "min" else np.maximum
+        return (ufunc.reduceat(state[0][order], starts),)
+    folded = []
+    if func in ("sum", "avg"):
+        folded.append(np.bincount(codes, weights=state[0],
+                                  minlength=n_groups))
+    if func in ("count", "avg"):
+        folded.append(np.bincount(codes, weights=state[-1],
+                                  minlength=n_groups).astype(np.int64))
+    return tuple(folded)
+
+
+def _fold(funcs: Sequence[str], keys: Sequence[np.ndarray],
+          states: Sequence[Tuple], codes: np.ndarray,
+          first: np.ndarray) -> _Partial:
+    n_groups = len(first)
+    return _Partial([col[first] for col in keys],
+                    [_fold_state(func, state, codes, n_groups)
+                     for func, state in zip(funcs, states)], n_groups)
+
+
+def _merge(funcs: Sequence[str], partials: Sequence[_Partial]) -> _Partial:
+    """Fold the concatenation of ``partials`` (held in arrival order) into
+    one, its groups in the order they first arrived."""
+    offsets = np.cumsum([0] + [p.n for p in partials[:-1]])
+    keys = [np.concatenate(cols) for cols in zip(*(p.keys for p in partials))]
+    states = []
+    for i, func in enumerate(funcs):
+        parts = [p.states[i] for p in partials]
+        if func == "count_distinct":
+            parts = [(rows + offset, values)
+                     for (rows, values), offset in zip(parts, offsets)]
+        states.append(tuple(np.concatenate(arrays) for arrays in zip(*parts)))
+    codes, first = _rank(keys, sum(p.n for p in partials))
+    arrival = np.argsort(first)
+    position = np.empty_like(arrival)
+    position[arrival] = np.arange(len(arrival))
+    return _fold(funcs, keys, states, position[codes], first[arrival])
+
+
+def _finalize(func: str, state: Tuple[np.ndarray, ...],
+              n_groups: int) -> np.ndarray:
+    if func == "avg":
+        return state[0] / state[1]
+    if func == "count_distinct":
+        return np.bincount(state[0], minlength=n_groups)
+    return state[0]
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +420,9 @@ class HashJoin(Operator):
         if build.n == 0:
             single_int = len(self.build_keys) == 1
 
-        if single_int:
-            yield from self._run_single_key(build, payload)
-        else:
-            yield from self._run_generic(build, payload)
+        joined = (self._run_single_key(build, payload) if single_int
+                  else self._run_generic(build, payload))
+        yield from full_vectors(joined, self.vector_size)
 
     # -- vectorized single integer key path ---------------------------------
 
@@ -543,7 +574,7 @@ class MergeJoin(Operator):
             for name, values in right.columns.items():
                 if name not in out:
                     out[name] = values[right_idx]
-        yield from batches_from_columns(out, DEFAULT_VECTOR_SIZE)
+        yield from batches_from_columns(out, self.vector_size)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +620,7 @@ class Sort(Operator):
         with kernel("sort.order", rows=data.n):
             order = stable_order(data.columns, self.keys, self.ascending)
             ordered = {k: v[order] for k, v in data.columns.items()}
-        yield from batches_from_columns(ordered, DEFAULT_VECTOR_SIZE)
+        yield from batches_from_columns(ordered, self.vector_size)
 
 
 class TopN(Operator):

@@ -21,11 +21,7 @@ import numpy as np
 from repro.common.errors import ExecutionError
 from repro.engine.batch import Batch, batch_bytes, batches_from_columns
 from repro.engine.expressions import Expr
-from repro.engine.operators import (
-    DEFAULT_VECTOR_SIZE,
-    Operator,
-    stable_order,
-)
+from repro.engine.operators import Operator, stable_order
 from repro.engine.profile import kernel
 
 #: (output name, function, input expression or None)
@@ -86,7 +82,7 @@ class Window(Operator):
                           if expr is not None else None)
                 cols[name] = _compute(func, values, cols, self, group_ids,
                                       starts, group_sizes, data.n)
-        yield from batches_from_columns(cols, DEFAULT_VECTOR_SIZE)
+        yield from batches_from_columns(cols, self.vector_size)
 
 
 def _partition_starts(cols, partition_by, n) -> np.ndarray:

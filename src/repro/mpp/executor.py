@@ -665,6 +665,7 @@ class MppExecutor:
     def _meter(self, op: Operator, stream: str, ctx: _RunContext) -> None:
         op.memory_meter = ctx.meter
         op.memory_node = self._node_of(stream, ctx)
+        op.vector_size = ctx.vector_size
 
     # ------------------------------------------------------------------ build
 

@@ -1,0 +1,179 @@
+"""HashAggr against the dict-and-tuple algorithm it replaced.
+
+``reference_group_by`` is the aggregation this repo ran before HashAggr
+became rank -> fold -> merge: one Python tuple per row, a dict from key
+tuple to group id, accumulators indexed by that id. It is kept here as
+the oracle: same columns, same row order, ``==`` on every float.
+"""
+
+import numpy as np
+import pytest
+
+from repro.engine import operators
+from repro.engine.batch import Batch, batches_from_columns
+from repro.engine.expressions import Col
+from repro.engine.operators import HashAggr, Operator
+
+VECTOR_SIZES = (4, 64, 1024, 4096)
+AGGREGATES = (
+    ("s", "sum", Col("v")), ("n", "count", None), ("a", "avg", Col("v")),
+    ("lo", "min", Col("v")), ("hi", "max", Col("v")),
+    ("d", "count_distinct", Col("w")), ("si", "sum", Col("w")),
+    ("slo", "min", Col("t")), ("shi", "max", Col("t")),
+    ("sd", "count_distinct", Col("t")),
+)
+
+
+def reference_group_by(batches, group_by, aggregates):
+    key_index = {}
+    state = {name: [] for name, _, _ in aggregates}
+    counts = {name: [] for name, _, _ in aggregates}
+    for batch in batches:
+        row_keys = (list(zip(*(batch.columns[k].tolist() for k in group_by)))
+                    if group_by else [()] * batch.n)
+        for key in sorted(set(row_keys)):  # sorted within a vector
+            if key not in key_index:
+                key_index[key] = len(key_index)
+                for name, func, _ in aggregates:
+                    state[name].append(set() if func == "count_distinct"
+                                       else 0.0 if func in ("sum", "avg")
+                                       else None)
+                    counts[name].append(0)
+        gids = np.array([key_index[k] for k in row_keys], dtype=np.int64)
+        n_groups = len(key_index)
+        for name, func, expr in aggregates:
+            values = None if expr is None else expr.eval(batch.columns)
+            if func in ("sum", "avg"):
+                partial = np.bincount(gids, np.asarray(values, np.float64),
+                                      minlength=n_groups).tolist()
+                state[name] = [a + b for a, b in zip(state[name], partial)]
+            if func in ("count", "avg"):
+                for gid in gids.tolist():
+                    counts[name][gid] += 1
+            if func in ("min", "max", "count_distinct"):
+                for gid, value in zip(gids.tolist(), values.tolist()):
+                    held = state[name][gid]
+                    if func == "count_distinct":
+                        held.add(value)
+                    elif held is None:
+                        state[name][gid] = value
+                    else:
+                        state[name][gid] = (min if func == "min"
+                                            else max)(held, value)
+    if not key_index and not group_by:  # a total aggregate of nothing
+        return {name: [0] for name, _, _ in aggregates}
+    out = {k: [key[i] for key in key_index] for i, k in enumerate(group_by)}
+    for name, func, _ in aggregates:
+        out[name] = {
+            "sum": lambda: state[name],
+            "count": lambda: counts[name],
+            "avg": lambda: [s / c for s, c in zip(state[name], counts[name])],
+            "count_distinct": lambda: [len(s) for s in state[name]],
+        }.get(func, lambda: state[name])()
+    return out
+
+
+class Batches(Operator):
+    """Leaf handing on exactly the batches it was given."""
+
+    def __init__(self, batches):
+        super().__init__(())
+        self.batches = batches
+
+    def _run(self):
+        yield from self.batches
+
+
+def _strings(rng, cardinality, n):
+    pool = np.empty(cardinality, dtype=object)
+    pool[:] = [f"k{v:x}" for v in rng.permutation(cardinality)]
+    return pool[rng.integers(0, cardinality, n)]
+
+
+KEY_KINDS = {
+    "int64": lambda rng, card, n: rng.integers(-card // 2, card - card // 2,
+                                               n).astype(np.int64),
+    "int32": lambda rng, card, n: rng.integers(0, card, n).astype(np.int32),
+    "date": lambda rng, card, n: (9000 + rng.integers(0, card, n)
+                                  ).astype(np.int32),
+    "float": lambda rng, card, n: rng.integers(0, card, n) / 8.0 - 1.0,
+    "string": _strings,
+}
+
+
+def random_case(seed):
+    """(batches, group_by, aggregates, vector_size) drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    vector = VECTOR_SIZES[seed % len(VECTOR_SIZES)]
+    n = int(rng.choice([0, 1, vector - 1, vector, 3 * vector + 1,
+                        int(rng.integers(0, 7 * vector))]))
+    n = min(n, 9000)
+    kinds = rng.choice(sorted(KEY_KINDS), size=int(rng.integers(0, 5)))
+    columns = {}
+    for pos, kind in enumerate(kinds):
+        cardinality = int(rng.choice([1, 2, 7, vector, 3 * vector]))
+        columns[f"k{pos}"] = KEY_KINDS[kind](rng, cardinality, n)
+    columns["v"] = rng.uniform(-1e6, 1e6, n)
+    columns["w"] = rng.integers(0, 5, n)
+    columns["t"] = _strings(rng, 11, n)
+    batches = list(batches_from_columns(columns, vector))
+    for _ in range(int(rng.integers(0, 3))):  # empty vectors in the stream
+        batches.insert(int(rng.integers(0, len(batches) + 1)),
+                       Batch.empty_like(batches[0]))
+    picked = rng.permutation(len(AGGREGATES))[:int(rng.integers(1, 6))]
+    return (batches, [f"k{pos}" for pos in range(len(kinds))],
+            [AGGREGATES[i] for i in sorted(picked)], vector)
+
+
+def run_hash_aggr(batches, group_by, aggregates, vector):
+    op = HashAggr(Batches(batches), group_by, aggregates)
+    op.vector_size = vector
+    out = op.run_to_batch()
+    return op, out
+
+
+def assert_same(out, expected, batches, group_by):
+    assert list(out.columns) == list(expected)
+    for name, want in expected.items():
+        assert out.columns[name].tolist() == want, name
+    if out.n or group_by:
+        for key in group_by:  # keys are never widened
+            assert out.columns[key].dtype == batches[0].columns[key].dtype
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_matches_reference_on_random_group_bys(chunk):
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        batches, group_by, aggregates, vector = random_case(seed)
+        expected = reference_group_by(batches, group_by, aggregates)
+        _, out = run_hash_aggr(batches, group_by, aggregates, vector)
+        assert_same(out, expected, batches, group_by)
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_mid_stream_merges_change_nothing(chunk, monkeypatch):
+    """With the threshold at zero to two vectors, inputs merge mid-stream.
+    A sum is its vectors' partials added in arrival order from 0.0
+    wherever a merge falls (0.0 + merged == merged), so even the floats
+    stay ``==`` -- tighter than the last-ulp slack a re-association
+    would need."""
+    monkeypatch.setattr(operators, "MERGE_AFTER_VECTORS", chunk % 3)
+    merged_mid_stream = 0
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        batches, group_by, aggregates, vector = random_case(seed)
+        expected = reference_group_by(batches, group_by, aggregates)
+        op, out = run_hash_aggr(batches, group_by, aggregates, vector)
+        assert_same(out, expected, batches, group_by)
+        merge = op.profile.kernels.get("aggr.merge")
+        merged_mid_stream += merge is not None and merge.calls > 1
+    assert merged_mid_stream >= 5
+
+
+def test_empty_input_keeps_key_dtypes_and_total_returns_one_row():
+    empty = Batch({"g": np.empty(0, np.int32), "v": np.empty(0)}, 0)
+    _, out = run_hash_aggr([empty], ["g"], [("s", "sum", Col("v"))], 1024)
+    assert out.n == 0 and out.columns["g"].dtype == np.int32
+    _, out = run_hash_aggr([empty], [], [("s", "sum", Col("v")),
+                                         ("lo", "min", Col("v"))], 1024)
+    assert out.n == 1 and out.columns["s"].tolist() == [0.0]
+    assert out.columns["lo"].tolist() == [0]
