@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.common.errors import ExecutionError
+from repro.common.types import hash_inputs
 from repro.engine.batch import (
     Batch,
     batch_bytes,
@@ -146,12 +147,7 @@ def _hash_to_streams(batch: Batch, keys, workers: List[str]) -> np.ndarray:
     own partition_ids instead)."""
     h = np.zeros(batch.n, dtype=np.int64)
     for key in keys:
-        col = batch.columns[key]
-        if col.dtype.kind in "OUS":  # object / unicode / bytes
-            hashed = np.fromiter((hash(v) for v in col), np.int64, batch.n)
-        else:
-            hashed = col.astype(np.int64)
-        h = ((h + hashed) * 2654435761) & 0x7FFFFFFF
+        h = ((h + hash_inputs(batch.columns[key])) * 2654435761) & 0x7FFFFFFF
     return h % len(workers)
 
 

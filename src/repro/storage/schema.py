@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.common.errors import StorageError
-from repro.common.types import ColumnType
+from repro.common.types import ColumnType, hash_inputs
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,5 @@ class TableSchema:
             return np.zeros(len(key_arrays[0]), dtype=np.int64)
         h = np.zeros(len(key_arrays[0]), dtype=np.int64)
         for arr in key_arrays:
-            if arr.dtype.kind in "OUS":
-                hashed = np.fromiter(
-                    (hash(v) for v in arr), np.int64, len(arr)
-                )
-            else:
-                hashed = arr.astype(np.int64)
-            h = (h * 1000003 + hashed) & 0x7FFFFFFF
+            h = (h * 1000003 + hash_inputs(arr)) & 0x7FFFFFFF
         return h % self.n_partitions

@@ -70,6 +70,52 @@ class TestHashToStreams:
         assert dest[1] == dest[4]
 
 
+_ROUTING_SCRIPT = """
+import json
+import numpy as np
+from repro.cluster import VectorHCluster
+from repro.common.config import Config
+from repro.common.types import INT64, STRING
+from repro.mpp.logical import LAggr, LScan
+from repro.storage import Column, TableSchema
+
+names = np.array([f"name-{i % 97}" for i in range(3000)], object)
+schema = TableSchema("by_name", [Column("s", STRING), Column("k", INT64)],
+                     partition_key=("s",), n_partitions=6)
+c = VectorHCluster(n_nodes=3, config=Config().scaled_for_tests())
+c.create_table(TableSchema("t", [Column("k", INT64), Column("s", STRING)],
+                           partition_key=("k",), n_partitions=6))
+c.bulk_load("t", {"k": np.arange(3000), "s": names})
+result = c.query(LAggr(LScan("t", ["s"]), ["s"], [("n", "count", None)]))
+print(json.dumps({
+    "partition_ids": schema.partition_ids([names]).tolist(),
+    "network_messages": result.network_messages,
+    "links": [ex["links"] for ex in result.exchanges]}))
+"""
+
+
+class TestRoutingIgnoresTheHashSalt:
+    def test_string_placement_and_routing_equal_across_processes(self):
+        """Python salts ``hash(str)`` per process; partition placement and
+        DXchg routing of string keys must not inherit that."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        seen = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out = subprocess.run(
+                [sys.executable, "-c", _ROUTING_SCRIPT], env=env,
+                capture_output=True, text=True, timeout=120, check=True)
+            seen.append(json.loads(out.stdout))
+        assert len(set(seen[0]["partition_ids"])) == 6
+        assert seen[0]["network_messages"] > 0
+        assert seen[0] == seen[1]
+
+
 class TestExchanges:
     def test_gather_counts_network(self, cluster):
         result = cluster.query(LScan("t", ["k"]))
