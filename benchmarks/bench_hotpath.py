@@ -141,6 +141,11 @@ def test_bench_hotpath(tpch_data):
     decode = [v for name, v in payload["kernels"][scan_kind].items()
               if name.startswith("decode.")]
     assert decode and all(v["rows_per_wall_s"] > 0 for v in decode)
+    # ... and for grouping, so the report shows it next to decode
+    grouping = [table["aggr.group"] for table in payload["kernels"].values()
+                if "aggr.group" in table]
+    assert grouping and all(v["rows_per_wall_s"] > 0 for v in grouping)
+    assert "aggr.merge" in kernel_names
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_hotpath.json").write_text(

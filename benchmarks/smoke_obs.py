@@ -26,7 +26,8 @@ Loads a small TPC-H database (``REPRO_SF``, default 0.002), runs Q1 with
 
 The run also measures the continuous profiler's overhead: Q1 is timed
 with kernel attribution on and off (interleaved, best-of-N) and the
-relative overhead is printed and asserted under the 5% budget.
+difference per kernel call is asserted under an absolute microsecond
+budget; the share of Q1 it amounts to is printed as information.
 
 It also writes ``BENCH_query_log.json`` under ``benchmarks/results/``
 (simulated-time aggregates of the persistent query log) so the
@@ -48,7 +49,7 @@ import sys
 from repro.common.config import Config
 from repro.cluster import VectorHCluster
 from repro.engine.profile import set_kernel_profiling
-from repro.obs.profiler import folded_stacks, profile_chrome_trace
+from repro.obs.profiler import folded_stacks, profile_chrome_trace, walk
 from repro.sql import execute_sql
 from repro.tpch import generate_tpch, tpch_schemas
 from repro.tpch.queries import q1, q6
@@ -84,11 +85,20 @@ def check_folded(text: str) -> int:
     return len(lines)
 
 
-def measure_profiler_overhead(cluster, runs: int = 5):
+#: what one ``kernel()`` region may cost (enter + exit + accounting).
+#: An absolute budget: as a share of Q1 the same cost "grows" every time
+#: Q1 gets faster, and the old 5% gate failed on speed-ups
+KERNEL_CALL_BUDGET_US = 5.0
+#: Q1 runs per side; the difference of two best-of-N times is what is
+#: budgeted, and on a shared host it needs this many to settle
+OVERHEAD_RUNS = 100
+
+
+def measure_profiler_overhead(cluster, runs: int = OVERHEAD_RUNS):
     """Best-of-N Q1 wall time with kernel attribution on vs off.
 
     Interleaved so drift hits both sides equally; returns
-    (min_on_seconds, min_off_seconds).
+    (min_on_seconds, min_off_seconds, kernel calls of one Q1).
     """
     import time as _time
 
@@ -107,7 +117,18 @@ def measure_profiler_overhead(cluster, runs: int = 5):
             off_times.append(once())
     finally:
         set_kernel_profiling(True)
-    return min(on_times), min(off_times)
+    profiles = []
+
+    def profiled(plan):
+        result = cluster.query(plan)
+        profiles.extend(result.profiles)
+        return result.batch
+
+    q1(profiled)
+    kernel_calls = sum(stat.calls for root in profiles
+                       for node in walk(root)
+                       for stat in node.kernels.values())
+    return min(on_times), min(off_times), kernel_calls
 
 
 def check_prometheus_exposition(text: str) -> int:
@@ -257,13 +278,16 @@ def main(outdir: str) -> None:
     print(monitor.slow_report(5))
     print("== hot paths (continuous profiler) ==")
     print(cluster.profiler.report(10))
-    min_on, min_off = measure_profiler_overhead(cluster)
-    overhead = max(0.0, min_on / min_off - 1.0)
-    print(f"== profiler overhead ==\n  Q1 best-of-5: "
+    min_on, min_off, kernel_calls = measure_profiler_overhead(cluster)
+    per_call_us = max(0.0, min_on - min_off) * 1e6 / kernel_calls
+    print(f"== profiler overhead ==\n  Q1 best-of-{OVERHEAD_RUNS}: "
           f"{min_on * 1e3:.2f}ms with kernels, {min_off * 1e3:.2f}ms "
-          f"without -> {100 * overhead:.2f}% overhead (budget 5%)")
-    assert overhead <= 0.05, (
-        f"profiler overhead {100 * overhead:.2f}% exceeds the 5% budget")
+          f"without, {kernel_calls} kernel calls -> {per_call_us:.2f}us "
+          f"per call (budget {KERNEL_CALL_BUDGET_US}us; "
+          f"{100 * max(0.0, min_on / min_off - 1.0):.2f}% of this Q1)")
+    assert per_call_us <= KERNEL_CALL_BUDGET_US, (
+        f"a kernel() region costs {per_call_us:.2f}us, over the "
+        f"{KERNEL_CALL_BUDGET_US}us budget")
     print(f"\nmetrics.prom: {samples} samples, exposition OK "
           f"(incl. workload admission/running/wait series)")
     print(f"q1_flamegraph.folded: {folded_lines} stacks, format OK")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -103,7 +104,7 @@ def full_vectors(batches: Iterable[Optional[Batch]],
     held_rows = 0
     yielded = False
     try:
-        for batch in batches:
+        for batch in chain(batches, (None,)):  # the end hands on the rest
             if batch is not None:
                 if template is None and batch.columns:
                     template = batch
@@ -117,9 +118,7 @@ def full_vectors(batches: Iterable[Optional[Batch]],
                 yielded = True
                 yield held[0] if len(held) == 1 else concat_batches(held)
                 held, held_rows = [], 0
-        if held:
-            yield held[0] if len(held) == 1 else concat_batches(held)
-        elif not yielded and template is not None:
+        if not yielded and template is not None:
             yield Batch.empty_like(template)
     finally:
         close = getattr(batches, "close", None)

@@ -251,9 +251,9 @@ class HashAggr(Operator):
             # held[0] is what the last merge left: waiting until as many
             # rows again are held keeps the merging linear in the input
             if fresh > max(MERGE_AFTER_VECTORS * self.vector_size, held[0].n):
-                held, fresh = [self._merged(funcs, held)], 0
+                held, fresh = [_merge(funcs, held)], 0
         if len(held) > 1:
-            held = [self._merged(funcs, held)]
+            held = [_merge(funcs, held)]
 
         groups = held[0] if held else _Partial([], [], 0)
         with kernel("aggr.finalize", rows=groups.n):
@@ -268,11 +268,6 @@ class HashAggr(Operator):
                                                   groups.states):
                     out[name] = _finalize(func, state, groups.n)
         yield from batches_from_columns(out, self.vector_size)
-
-    def _merged(self, funcs: Sequence[str],
-                held: Sequence[_Partial]) -> _Partial:
-        with kernel("aggr.merge", rows=sum(p.n for p in held)):
-            return _merge(funcs, held)
 
 
 def _ranks(col: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -291,11 +286,11 @@ def _rank(keys: Sequence[np.ndarray],
           n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Group ``n`` rows by their key columns: every row's group code
     (groups numbered in sorted key order) and every group's first row."""
-    codes, n_groups = np.zeros(n, dtype=np.intp), min(n, 1)
-    for pos, col in enumerate(keys):
-        ranks, n_ranks = _ranks(col)
-        codes, n_groups = ((ranks, n_ranks) if pos == 0
-                           else _ranks(codes * n_ranks + ranks))
+    ranked = [_ranks(col) for col in keys]
+    codes, n_groups = (ranked[0] if ranked
+                       else (np.zeros(n, dtype=np.intp), min(n, 1)))
+    for ranks, n_ranks in ranked[1:]:
+        codes, n_groups = _ranks(codes * n_ranks + ranks)
     first = np.empty(n_groups, dtype=np.intp)
     # repeated indices keep the last assignment: walk the rows backwards
     first[codes[::-1]] = np.arange(n - 1, -1, -1)
@@ -351,20 +346,24 @@ def _fold(funcs: Sequence[str], keys: Sequence[np.ndarray],
 def _merge(funcs: Sequence[str], partials: Sequence[_Partial]) -> _Partial:
     """Fold the concatenation of ``partials`` (held in arrival order) into
     one, its groups in the order they first arrived."""
-    offsets = np.cumsum([0] + [p.n for p in partials[:-1]])
-    keys = [np.concatenate(cols) for cols in zip(*(p.keys for p in partials))]
-    states = []
-    for i, func in enumerate(funcs):
-        parts = [p.states[i] for p in partials]
-        if func == "count_distinct":
-            parts = [(rows + offset, values)
-                     for (rows, values), offset in zip(parts, offsets)]
-        states.append(tuple(np.concatenate(arrays) for arrays in zip(*parts)))
-    codes, first = _rank(keys, sum(p.n for p in partials))
-    arrival = np.argsort(first)
-    position = np.empty_like(arrival)
-    position[arrival] = np.arange(len(arrival))
-    return _fold(funcs, keys, states, position[codes], first[arrival])
+    n = sum(p.n for p in partials)
+    with kernel("aggr.merge", rows=n):
+        offsets = np.cumsum([0] + [p.n for p in partials[:-1]])
+        keys = [np.concatenate(cols)
+                for cols in zip(*(p.keys for p in partials))]
+        states = []
+        for i, func in enumerate(funcs):
+            parts = [p.states[i] for p in partials]
+            if func == "count_distinct":
+                parts = [(rows + offset, values)
+                         for (rows, values), offset in zip(parts, offsets)]
+            states.append(tuple(np.concatenate(arrays)
+                                for arrays in zip(*parts)))
+        codes, first = _rank(keys, n)
+        arrival = np.argsort(first)
+        position = np.empty_like(arrival)
+        position[arrival] = np.arange(len(arrival))
+        return _fold(funcs, keys, states, position[codes], first[arrival])
 
 
 def _finalize(func: str, state: Tuple[np.ndarray, ...],

@@ -659,6 +659,8 @@ class MppExecutor:
         return list(ctx.workers)
 
     def _meter(self, op: Operator, stream: str, ctx: _RunContext) -> None:
+        """Stamp what every operator of a run shares: where it charges
+        its state, and the cluster's vector size."""
         op.memory_meter = ctx.meter
         op.memory_node = self._node_of(stream, ctx)
         op.vector_size = ctx.vector_size

@@ -64,12 +64,14 @@ def reference_group_by(batches, group_by, aggregates):
         return {name: [0] for name, _, _ in aggregates}
     out = {k: [key[i] for key in key_index] for i, k in enumerate(group_by)}
     for name, func, _ in aggregates:
-        out[name] = {
-            "sum": lambda: state[name],
-            "count": lambda: counts[name],
-            "avg": lambda: [s / c for s, c in zip(state[name], counts[name])],
-            "count_distinct": lambda: [len(s) for s in state[name]],
-        }.get(func, lambda: state[name])()
+        if func == "count":
+            out[name] = counts[name]
+        elif func == "avg":
+            out[name] = [s / c for s, c in zip(state[name], counts[name])]
+        elif func == "count_distinct":
+            out[name] = [len(seen) for seen in state[name]]
+        else:
+            out[name] = state[name]
     return out
 
 
@@ -125,29 +127,28 @@ def random_case(seed):
             [AGGREGATES[i] for i in sorted(picked)], vector)
 
 
-def run_hash_aggr(batches, group_by, aggregates, vector):
-    op = HashAggr(Batches(batches), group_by, aggregates)
-    op.vector_size = vector
-    out = op.run_to_batch()
-    return op, out
-
-
-def assert_same(out, expected, batches, group_by):
-    assert list(out.columns) == list(expected)
-    for name, want in expected.items():
-        assert out.columns[name].tolist() == want, name
-    if out.n or group_by:
+def check_chunk(chunk):
+    """Compare 100 seeded cases; returns how many merged mid-stream."""
+    merged_mid_stream = 0
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        batches, group_by, aggregates, vector = random_case(seed)
+        expected = reference_group_by(batches, group_by, aggregates)
+        op = HashAggr(Batches(batches), group_by, aggregates)
+        op.vector_size = vector
+        out = op.run_to_batch()
+        assert list(out.columns) == list(expected)
+        for name, want in expected.items():
+            assert out.columns[name].tolist() == want, (seed, name)
         for key in group_by:  # keys are never widened
             assert out.columns[key].dtype == batches[0].columns[key].dtype
+        merge = op.profile.kernels.get("aggr.merge")
+        merged_mid_stream += merge is not None and merge.calls > 1
+    return merged_mid_stream
 
 
 @pytest.mark.parametrize("chunk", range(6))
 def test_matches_reference_on_random_group_bys(chunk):
-    for seed in range(chunk * 100, chunk * 100 + 100):
-        batches, group_by, aggregates, vector = random_case(seed)
-        expected = reference_group_by(batches, group_by, aggregates)
-        _, out = run_hash_aggr(batches, group_by, aggregates, vector)
-        assert_same(out, expected, batches, group_by)
+    check_chunk(chunk)
 
 
 @pytest.mark.parametrize("chunk", range(6))
@@ -158,22 +159,15 @@ def test_mid_stream_merges_change_nothing(chunk, monkeypatch):
     stay ``==`` -- tighter than the last-ulp slack a re-association
     would need."""
     monkeypatch.setattr(operators, "MERGE_AFTER_VECTORS", chunk % 3)
-    merged_mid_stream = 0
-    for seed in range(chunk * 100, chunk * 100 + 100):
-        batches, group_by, aggregates, vector = random_case(seed)
-        expected = reference_group_by(batches, group_by, aggregates)
-        op, out = run_hash_aggr(batches, group_by, aggregates, vector)
-        assert_same(out, expected, batches, group_by)
-        merge = op.profile.kernels.get("aggr.merge")
-        merged_mid_stream += merge is not None and merge.calls > 1
-    assert merged_mid_stream >= 5
+    assert check_chunk(chunk) >= 5
 
 
 def test_empty_input_keeps_key_dtypes_and_total_returns_one_row():
     empty = Batch({"g": np.empty(0, np.int32), "v": np.empty(0)}, 0)
-    _, out = run_hash_aggr([empty], ["g"], [("s", "sum", Col("v"))], 1024)
+    out = HashAggr(Batches([empty]), ["g"],
+                   [("s", "sum", Col("v"))]).run_to_batch()
     assert out.n == 0 and out.columns["g"].dtype == np.int32
-    _, out = run_hash_aggr([empty], [], [("s", "sum", Col("v")),
-                                         ("lo", "min", Col("v"))], 1024)
+    out = HashAggr(Batches([empty]), [], [
+        ("s", "sum", Col("v")), ("lo", "min", Col("v"))]).run_to_batch()
     assert out.n == 1 and out.columns["s"].tolist() == [0.0]
     assert out.columns["lo"].tolist() == [0]
