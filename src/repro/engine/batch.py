@@ -94,8 +94,10 @@ def full_vectors(batches: Iterable[Optional[Batch]],
     ones are held and concatenated once they add up to a vector, so every
     batch handed on but the last carries at least ``vector_size`` rows.
     A ``None`` in the stream means "nothing more has arrived yet": the
-    held rows are handed on short instead of waiting (a DXchg receiver
-    sends it before pumping its senders). A stream without a single row
+    held rows are handed on short instead of waiting. Only
+    ``DXchgReceiver`` sends one (before it pumps its senders); ``Select``
+    and ``HashJoin`` never do, and the end of the stream is handled as one
+    last ``None``. A stream without a single row
     still yields one empty batch carrying the column names and dtypes, and
     closing this generator closes ``batches``.
     """

@@ -254,8 +254,15 @@ class HashAggr(Operator):
                 held, fresh = [_merge(funcs, held)], 0
         if len(held) > 1:
             held = [_merge(funcs, held)]
+        if not held:
+            # a child that hands on not even a schema batch: fold zero
+            # rows so every key and aggregate column is still named
+            none = np.empty(0)
+            held = [_fold(funcs, [none] * len(self.group_by),
+                          [_row_state(func, 0, none) for func in funcs],
+                          *_rank((), 0))]
 
-        groups = held[0] if held else _Partial([], [], 0)
+        groups = held[0]
         with kernel("aggr.finalize", rows=groups.n):
             if groups.n == 0 and not self.group_by:
                 # SQL total aggregates return one row even on empty input.

@@ -171,3 +171,13 @@ def test_empty_input_keeps_key_dtypes_and_total_returns_one_row():
         ("s", "sum", Col("v")), ("lo", "min", Col("v"))]).run_to_batch()
     assert out.n == 1 and out.columns["s"].tolist() == [0.0]
     assert out.columns["lo"].tolist() == [0]
+
+
+@pytest.mark.parametrize("group_by", (["g"], ["g", "h"], []))
+def test_a_child_without_a_single_batch_still_names_every_column(group_by):
+    """Hand-built trees may yield no schema batch; the executor's never do."""
+    expected = reference_group_by([], group_by, AGGREGATES)
+    out = HashAggr(Batches([]), group_by, AGGREGATES).run_to_batch()
+    assert list(out.columns) == list(expected)
+    for name, want in expected.items():
+        assert out.columns[name].tolist() == want, name
