@@ -16,6 +16,7 @@ paths), ``hotpath_q1_flamegraph.folded``.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from typing import Dict, List, Tuple
@@ -64,6 +65,9 @@ def run_queries(cluster, numbers=QUERIES) -> Tuple[Dict[str, dict], Dict[int, li
             stats["profiles"] = result.profiles
             return result.batch
 
+        # one shot per query: a full collection of the session's garbage
+        # must not land inside whichever query happens to trip it
+        gc.collect()
         t0 = time.perf_counter()
         batch = run_query(runner, number)
         queries[f"q{number}"] = {

@@ -437,67 +437,68 @@ class VectorHCluster:
         if own_txn:
             trans.commit()
 
+    def _change_where(self, table: str, predicate: Expr,
+                      columns: Sequence[str], skip_predicates,
+                      trans: Optional[DistributedTransaction],
+                      change) -> int:
+        """Apply ``change(pid, partition transaction, columns, identities)``
+        to the rows a DML statement's WHERE selects, found the way a
+        SELECT finds them: each partition scanned at its responsible node
+        (so PDTs are modified on the right node) under the statement's
+        transaction, MinMax and the scan's exact filter applied on the
+        sargable ``skip_predicates`` before ``predicate`` sees a row.
+        Returns the sum of what ``change`` returned."""
+        stored = self.tables[table]
+        own_txn = trans is None
+        if own_txn:
+            trans = self.begin()
+        changed = 0
+        for pid in range(stored.n_partitions):
+            t = trans.trans_for(table, pid)
+            node = self.responsible(table, pid)
+            res = stored.scan_partition(pid, columns, list(skip_predicates),
+                                        trans=t, reader=node,
+                                        pool=self.pool_of(node))
+            mask = np.asarray(predicate.eval(res.columns), dtype=bool)
+            if mask.any():
+                hit = {k: v[mask] for k, v in res.columns.items()}
+                changed += change(pid, t, hit, res.identities[mask])
+        if own_txn:
+            trans.commit()
+        return changed
+
     def delete_where(self, table: str, predicate: Expr,
                      skip_predicates: Sequence[Tuple[str, str, object]] = (),
                      trans: Optional[DistributedTransaction] = None) -> int:
-        """DELETE FROM table WHERE predicate; returns rows deleted.
-
-        The distributed update plan touches each partition at its
-        responsible node, so PDTs are modified on the right node.
-        """
+        """DELETE FROM table WHERE predicate; returns rows deleted."""
         stored = self.tables[table]
-        own_txn = trans is None
-        if own_txn:
-            trans = self.begin()
-        deleted = 0
-        needed = predicate.columns_used()
-        for pid in range(stored.n_partitions):
-            t = trans.trans_for(table, pid)
-            res = stored.scan_partition(pid, needed, list(skip_predicates),
-                                        trans=t,
-                                        reader=self.responsible(table, pid),
-                                        pool=self.pool_of(
-                                            self.responsible(table, pid)))
-            mask = np.asarray(predicate.eval(res.columns), dtype=bool)
-            if mask.any():
-                deleted += stored.delete_rows(pid, res.identities[mask], t)
-        if own_txn:
-            trans.commit()
-        return deleted
+        return self._change_where(
+            table, predicate, predicate.columns_used(), skip_predicates, trans,
+            lambda pid, t, _hit, identities: stored.delete_rows(
+                pid, identities, t))
 
     def update_where(self, table: str, predicate: Expr,
                      assignments: Dict[str, Expr],
+                     skip_predicates: Sequence[Tuple[str, str, object]] = (),
                      trans: Optional[DistributedTransaction] = None) -> int:
         """UPDATE table SET col=expr... WHERE predicate; returns rows hit."""
         stored = self.tables[table]
-        own_txn = trans is None
-        if own_txn:
-            trans = self.begin()
         needed = list(dict.fromkeys(
             predicate.columns_used()
             + [c for e in assignments.values() for c in e.columns_used()]
         ))
-        updated = 0
-        for pid in range(stored.n_partitions):
-            t = trans.trans_for(table, pid)
-            node = self.responsible(table, pid)
-            res = stored.scan_partition(pid, needed, trans=t, reader=node,
-                                        pool=self.pool_of(node))
-            mask = np.asarray(predicate.eval(res.columns), dtype=bool)
-            if not mask.any():
-                continue
-            hit = {k: v[mask] for k, v in res.columns.items()}
+
+        def modify(pid, t, hit, identities):
             new_values = {col: np.asarray(expr.eval(hit))
                           for col, expr in assignments.items()}
             for col in new_values:
                 if new_values[col].ndim == 0:
-                    new_values[col] = np.full(int(mask.sum()),
+                    new_values[col] = np.full(len(identities),
                                               new_values[col])
-            updated += stored.modify_rows(pid, res.identities[mask],
-                                          new_values, t)
-        if own_txn:
-            trans.commit()
-        return updated
+            return stored.modify_rows(pid, identities, new_values, t)
+
+        return self._change_where(table, predicate, needed, skip_predicates,
+                                  trans, modify)
 
     # -------------------------------------------------------------- propagation
 

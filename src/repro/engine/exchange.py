@@ -189,21 +189,11 @@ class StreamScheduler:
 RouteFn = Callable[[str, Batch], List[Tuple[str, Batch]]]
 
 
-class _SenderState:
-    __slots__ = ("stream", "op", "iterator", "done")
-
-    def __init__(self, stream: str, op: "DXchgSender"):
-        self.stream = stream
-        self.op = op
-        self.iterator = None
-        self.done = False
-
-
 class Exchange:
     """Shared state of one DXchg: channels, receive queues, progress."""
 
     def __init__(self, label: str, fabric: MpiFabric, route: RouteFn,
-                 dest_streams: List[str], node_of: Callable[[str], str],
+                 node_of: Callable[[str], str],
                  scheduler: StreamScheduler,
                  meter: Optional[MemoryMeter] = None,
                  mode: str = STREAMING,
@@ -212,15 +202,13 @@ class Exchange:
         self.label = label
         self.fabric = fabric
         self.route = route
-        self.dest_streams = list(dest_streams)
         self.node_of = node_of
         self.scheduler = scheduler
         self.meter = meter or MemoryMeter()
         self.mode = mode
         self.message_size = message_size or fabric.message_size
         self.n_lanes = n_lanes
-        self.senders: List[_SenderState] = []
-        self.receivers: Dict[str, DXchgReceiver] = {}
+        self.senders: List[DXchgSender] = []
         self.queues: Dict[str, deque] = {}
         self.channels: Dict[Tuple[str, str], DXchgChannel] = {}
         self.template: Optional[Batch] = None
@@ -251,15 +239,13 @@ class Exchange:
 
     def add_sender(self, stream: str, child: Operator) -> "DXchgSender":
         op = DXchgSender(child, self, stream)
-        self.senders.append(_SenderState(stream, op))
+        self.senders.append(op)
         self._open_senders += 1
         return op
 
     def attach_receiver(self, stream: str) -> "DXchgReceiver":
-        if stream not in self.receivers:
-            self.receivers[stream] = DXchgReceiver(self, stream)
-            self.queues[stream] = deque()
-        return self.receivers[stream]
+        self.queues[stream] = deque()
+        return DXchgReceiver(self, stream)
 
     def _channel(self, src_stream: str, dst_stream: str) -> DXchgChannel:
         key = (src_stream, dst_stream)
@@ -340,8 +326,8 @@ class Exchange:
         if self._started:
             return
         self._started = True
-        for state in self.senders:
-            state.iterator = state.op.execute()
+        for sender in self.senders:
+            sender.iterator = sender.execute()
         if not self.senders:
             self._finish()
 
@@ -356,90 +342,71 @@ class Exchange:
         self.start()
         if self.finished:
             return
-        if self.mode == MATERIALIZE:
-            times = []
-            for state in self.senders:
-                total = 0.0
-                while not state.done:
-                    item, dt = self.scheduler.advance(state.iterator)
-                    total += dt
-                    if item is DONE:
-                        state.done = True
-                        self._open_senders -= 1
-                times.append(total)
-            self.scheduler.charge_round(times)
-            self._finish()
-            if self.watcher is not None:
-                self.watcher(self)
-            return
         times = []
-        for state in self.senders:
-            if state.done:
-                continue
-            item, dt = self.scheduler.advance(state.iterator)
-            times.append(dt)
-            if item is DONE:
-                state.done = True
-                self._open_senders -= 1
+        for sender in self.senders:
+            total = 0.0
+            while not sender.done:
+                item, dt = self.scheduler.advance(sender.iterator)
+                total += dt
+                if item is DONE:
+                    sender.done = True
+                    self._open_senders -= 1
+                if self.mode != MATERIALIZE:
+                    break  # one vector per sender per round
+            times.append(total)
         self.scheduler.charge_round(times)
         if self._open_senders == 0:
             self._finish()
         if self.watcher is not None:
             self.watcher(self)
 
-    def _finish(self) -> None:
-        if self.finished:
-            return
-        # attribute the end-of-stream flush to the first sender's profile
-        # explicitly: _finish may run from QueryRun.finish with no
-        # operator executing (hence no ambient sink), or from a receiver
-        # pump where the ambient sink would be the wrong operator
-        flush_node = self.senders[0].op.profile if self.senders else None
-        flushed = sum(ch.buffered for ch in self.channels.values())
-        if flush_node is not None:
-            with kernel("exchange.flush", nbytes=flushed, node=flush_node):
-                self._close_channels()
-        else:
-            self._close_channels()
-        self.finished = True
-        self._record_metrics()
+    def close(self, flush: bool = True) -> None:
+        """The query is over for this exchange.
 
-    def _close_channels(self) -> None:
-        for chan in self.channels.values():
-            released = chan.buffered
-            chan.close()
-            if released > 0 and not chan.local:
-                self.meter.release(chan.src, released)
-
-    def drain_queues(self) -> None:
-        """Discard undelivered queue contents, releasing their memory.
-
-        A Limit/TopN root (or a cancelled query) abandons receivers with
-        data still parked in receive queues; those bytes are held in the
-        meter and must be given back once the query is over.
+        Sender fragments that a Limit/TopN root or a cancel left
+        suspended are closed: their scan holds are released and their
+        streams' seconds reach the profile. What the channels still hold
+        is flushed -- or dropped when not ``flush``: a cancelled query
+        sends no more. What is still parked in receive queues is held in
+        the meter and is given back.
         """
+        for sender in self.senders:
+            if sender.iterator is not None:
+                sender.iterator.close()
+        self._finish(flush)
         for stream, queue in self.queues.items():
             while queue:
                 n_bytes, _batch = queue.popleft()
                 self._queued_bytes -= n_bytes
                 self.meter.release(self.node_of(stream), n_bytes)
 
-    def abandon(self) -> None:
-        """Tear down a cancelled query's exchange without sending more.
+    def _finish(self, flush: bool = True) -> None:
+        if self.finished:
+            return
+        # attribute the end-of-stream flush to the first sender's profile
+        # explicitly: _finish may run from QueryRun.finish with no
+        # operator executing (hence no ambient sink), or from a receiver
+        # pump where the ambient sink would be the wrong operator
+        flush_node = self.senders[0].profile if self.senders else None
+        flushed = sum(ch.buffered for ch in self.channels.values())
+        if flush and flush_node is not None:
+            with kernel("exchange.flush", nbytes=flushed, node=flush_node):
+                self._close_channels(flush)
+            flush_node.net_messages = self.messages_sent
+        else:
+            self._close_channels(flush)
+        self.finished = True
+        self._record_metrics()
 
-        Unlike :meth:`_finish`, buffered channel bytes are *dropped*
-        (no end-of-stream flush hits the fabric) and the receive queues
-        are drained; lifetime metrics are still recorded.
-        """
-        if not self.finished:
-            for chan in self.channels.values():
-                released = chan.buffered
+    def _close_channels(self, flush: bool) -> None:
+        for chan in self.channels.values():
+            released = chan.buffered
+            if flush:
+                chan.close()
+            else:
                 chan.abort()
-                if released > 0 and not chan.local:
-                    self.meter.release(chan.src, released)
-            self.finished = True
-            self._record_metrics()
-        self.drain_queues()
+            if released > 0 and not chan.local:
+                self.meter.release(chan.src, released)
 
     def _record_metrics(self) -> None:
         """Charge this exchange's lifetime totals and high-water marks to
@@ -493,22 +460,6 @@ class Exchange:
             ],
         }
 
-    def merged_sender_profile(self):
-        """Fold per-stream sender profiles into one node (like the old
-        per-fragment stream merge), annotated with wire totals."""
-        merged = None
-        for state in self.senders:
-            prof = state.op.profile
-            if prof is None:
-                continue
-            if merged is None:
-                merged = prof  # merge_stream seeds stream_times itself
-            else:
-                merged.merge_stream(prof)
-        if merged is not None:
-            merged.net_messages = self.messages_sent
-        return merged
-
 
 class DXchgSender(Operator):
     """Sender half of a DXchg: split each vector by destination and push
@@ -521,9 +472,9 @@ class DXchgSender(Operator):
         self.exchange = exchange
         self.stream = stream
         self.label = f"{exchange.label}.send"
-
-    def describe(self):
-        return self.label
+        #: the running fragment, once the exchange started it
+        self.iterator = None
+        self.done = False
 
     def _run(self):
         for batch in self.children[0].execute():
@@ -532,8 +483,7 @@ class DXchgSender(Operator):
                 if batch.n:
                     nb = batch_bytes(batch)
                     k.account(nbytes=nb)
-                    if self.profile is not None:
-                        self.profile.net_bytes += nb
+                    self.profile.net_bytes += nb
             yield batch
 
 
@@ -548,9 +498,6 @@ class DXchgReceiver(Operator):
         self.stream = stream
         self.label = f"{exchange.label}.recv"
 
-    def describe(self):
-        return self.label
-
     def _run(self):
         return full_vectors(self._arrivals(), self.vector_size)
 
@@ -562,8 +509,7 @@ class DXchgReceiver(Operator):
             if queue:
                 n_bytes, batch = queue.popleft()
                 ex.on_dequeue(self.stream, n_bytes, batch)
-                if self.profile is not None:
-                    self.profile.net_bytes += n_bytes
+                self.profile.net_bytes += n_bytes
                 yield batch
             elif not ex.finished:
                 # hand on what has arrived rather than wait for a vector

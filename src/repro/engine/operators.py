@@ -2,13 +2,14 @@
 
 Operators pull batches from their children via python generators; every
 batch is a set of numpy column slices, so the per-tuple work happens in
-numpy kernels. Each operator owns a :class:`ProfileNode` so executed plans
+numpy kernels. Each operator fills a :class:`ProfileNode` so executed plans
 can be rendered like the paper's appendix profile.
 """
 
 from __future__ import annotations
 
 import time as _time
+from itertools import repeat
 from typing import (
     Dict,
     Iterator,
@@ -53,8 +54,13 @@ class Operator:
     #: short batches up to; a distributed executor stamps the cluster's
     vector_size = DEFAULT_VECTOR_SIZE
 
+    #: seconds this operator's stream spent inside its last ``execute``
+    stream_seconds: Optional[float] = None
+
     def __init__(self, children: Sequence["Operator"] = ()):
         self.children: List[Operator] = list(children)
+        #: a distributed executor hands the operators one plan node became
+        #: on its streams the *same* node; otherwise made at first execute
         self.profile: Optional[ProfileNode] = None
 
     def _charge_state(self, n_bytes: int) -> None:
@@ -66,11 +72,18 @@ class Operator:
     def _run(self) -> Iterator[Batch]:
         raise NotImplementedError
 
+    def _own_profile(self) -> ProfileNode:
+        """Run outside an executor, nobody handed this tree's operators
+        their nodes: make them, wired like the operators."""
+        if self.profile is None:
+            self.profile = ProfileNode(
+                self.describe(), kind=self.label,
+                children=[c._own_profile() for c in self.children])
+        return self.profile
+
     def execute(self) -> Iterator[Batch]:
-        self.profile = prof = ProfileNode(self.describe())
-        for child in self.children:
-            child.profile = None  # filled when the child executes
-        out_tuples = 0
+        prof = self.profile or self._own_profile()
+        seconds = 0.0
         iterator = self._run()
         try:
             while True:
@@ -84,20 +97,20 @@ class Operator:
                     batch = next(iterator, _DONE)
                 finally:
                     pop_sink()
-                    prof.cum_time += _time.perf_counter() - start
+                    seconds += _time.perf_counter() - start
                 if batch is _DONE:
                     break
-                out_tuples += batch.n
+                prof.tuples_out += batch.n
                 prof.batches += 1
                 yield batch
         finally:
-            # also runs on cancel (generator close): totals stay honest
+            # also runs on cancel (generator close): totals stay honest.
+            # Rows, batches and kernels went into the node as they
+            # happened; this stream's seconds join the other streams' here
             iterator.close()
-            prof.tuples_out = out_tuples
-            prof.children = [
-                c.profile for c in self.children if c.profile is not None
-            ]
-            prof.tuples_in = sum(c.tuples_out for c in prof.children)
+            self.stream_seconds = seconds
+            prof.stream_times.append(seconds)
+            prof.cum_time = max(prof.cum_time, seconds)
 
     def run_to_batch(self) -> Batch:
         return concat_batches(self.execute())
@@ -277,27 +290,54 @@ class HashAggr(Operator):
         yield from batches_from_columns(out, self.vector_size)
 
 
-def _ranks(col: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Each value's dense rank in sorted order, and how many distinct."""
+def _ranks(col: np.ndarray):
+    """Each value's dense rank in sorted order, and the dictionary that
+    ranks them: the sorted distinct values (numbers) or value -> rank
+    (strings). Its ``len`` is how many distinct values there are."""
     if col.dtype != object:
         uniq, ranks = np.unique(col, return_inverse=True)
-        return ranks, len(uniq)
+        return ranks, uniq
     # strings: sort the distinct values only, map back at C speed
     values = col.tolist()
     rank_of = {v: i for i, v in enumerate(sorted(dict.fromkeys(values)))}
     return (np.fromiter(map(rank_of.__getitem__, values), np.intp,
-                        len(values)), len(rank_of))
+                        len(values)), rank_of)
+
+
+def _lookup(dictionary, col: np.ndarray) -> np.ndarray:
+    """``col``'s values as the ranks a :func:`_ranks` dictionary gave
+    them; -1 for a value it never saw (NaN included)."""
+    if isinstance(dictionary, dict):
+        return np.fromiter(map(dictionary.get, col.tolist(), repeat(-1)),
+                           np.intp, len(col))
+    at = np.minimum(np.searchsorted(dictionary, col), len(dictionary) - 1)
+    return np.where(dictionary[at] == col, at, -1)
+
+
+def _codes(keys: Sequence[np.ndarray]):
+    """Rows' key columns as one dense code per row, numbered in sorted key
+    order, and the dictionaries that made them: the first column's, then
+    per further column its own and the pair's -- each column is ranked
+    against its own distinct values, combined with the codes so far and
+    re-ranked, so codes stay below n^2."""
+    codes, dictionary = _ranks(keys[0])
+    dictionaries = [dictionary]
+    for col in keys[1:]:
+        ranks, right = _ranks(col)
+        codes, pair = _ranks(codes * len(right) + ranks)
+        dictionaries += [right, pair]
+    return codes, dictionaries
 
 
 def _rank(keys: Sequence[np.ndarray],
           n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Group ``n`` rows by their key columns: every row's group code
     (groups numbered in sorted key order) and every group's first row."""
-    ranked = [_ranks(col) for col in keys]
-    codes, n_groups = (ranked[0] if ranked
-                       else (np.zeros(n, dtype=np.intp), min(n, 1)))
-    for ranks, n_ranks in ranked[1:]:
-        codes, n_groups = _ranks(codes * n_ranks + ranks)
+    if keys:
+        codes, dictionaries = _codes(keys)
+        n_groups = len(dictionaries[-1])
+    else:
+        codes, n_groups = np.zeros(n, dtype=np.intp), min(n, 1)
     first = np.empty(n_groups, dtype=np.intp)
     # repeated indices keep the last assignment: walk the rows backwards
     first[codes[::-1]] = np.arange(n - 1, -1, -1)
@@ -392,8 +432,10 @@ class HashJoin(Operator):
     Join types: ``inner``, ``left`` (probe side preserved; adds a boolean
     ``__matched`` column and fills build columns with type defaults),
     ``semi`` and ``anti`` (probe rows with / without a match).
-    Single integer keys use a fully vectorized sort + searchsorted probe;
-    composite or string keys fall back to a dict build.
+    The build keys are sorted once and every probe vector is matched with
+    ``searchsorted``. A single number column is compared as it is;
+    composite and string keys are first ranked to one integer code per
+    row, the probe side through the build side's dictionaries.
     """
 
     label = "HashJoin"
@@ -415,44 +457,55 @@ class HashJoin(Operator):
                 f"[{','.join(self.probe_keys)}={','.join(self.build_keys)}]")
 
     def _run(self):
+        return full_vectors(self._joined(), self.vector_size)
+
+    def _joined(self):
         build = self.children[0].run_to_batch()
         self._charge_state(batch_bytes(build))
         payload = (list(self.build_payload) if self.build_payload is not None
                    else build.column_names)
-        single_int = (
-            len(self.build_keys) == 1 and build.n > 0
-            and build.columns[self.build_keys[0]].dtype != object
-        )
-        if build.n == 0:
-            single_int = len(self.build_keys) == 1
-
-        joined = (self._run_single_key(build, payload) if single_int
-                  else self._run_generic(build, payload))
-        yield from full_vectors(joined, self.vector_size)
-
-    # -- vectorized single integer key path ---------------------------------
-
-    def _run_single_key(self, build: Batch, payload: Sequence[str]):
-        bkey = build.columns.get(self.build_keys[0]) if build.n else None
-        if bkey is None:
-            bkey = np.empty(0, dtype=np.int64)
         with kernel("join.build", rows=build.n):
+            bkey, encode = self._key_codes(build)
             order = np.argsort(bkey, kind="stable")
             sorted_keys = bkey[order]
-        pk_name = self.probe_keys[0]
         for batch in self.children[1].execute():
             # probe work happens inside the kernel; the yields stay
             # outside so the frame never spans a generator suspension
             with kernel("join.probe", rows=batch.n):
-                out_batches = self._probe_single_key(
-                    batch, build, payload, pk_name, sorted_keys, order)
+                out_batches = self._probe(batch, build, payload,
+                                          encode(batch), sorted_keys, order)
             yield from out_batches
 
-    def _probe_single_key(self, batch: Batch, build: Batch,
-                          payload: Sequence[str], pk_name: str,
-                          sorted_keys: np.ndarray,
-                          order: np.ndarray) -> List[Batch]:
-        pkey = batch.columns[pk_name]
+    def _key_codes(self, build: Batch):
+        """The build rows' join keys as one sortable array, and the
+        function that takes a probe vector's keys into the same domain.
+        Composite and string keys become the codes that group rows
+        (:func:`_codes`); a probe value the build side never had becomes
+        -1 and matches nothing."""
+        if build.n == 0:
+            return (np.empty(0, dtype=np.int64),
+                    lambda batch: np.full(batch.n, -1))
+        cols = [build.columns[k] for k in self.build_keys]
+        if len(cols) == 1 and cols[0].dtype != object:
+            pk_name = self.probe_keys[0]
+            return cols[0], lambda batch: batch.columns[pk_name]
+        codes, dictionaries = _codes(cols)
+
+        def encode(batch: Batch) -> np.ndarray:
+            pcols = [batch.columns[k] for k in self.probe_keys]
+            out = _lookup(dictionaries[0], pcols[0])
+            for col, right, pair in zip(pcols[1:], dictionaries[1::2],
+                                        dictionaries[2::2]):
+                ranks = _lookup(right, col)
+                out = np.where((out >= 0) & (ranks >= 0),
+                               _lookup(pair, out * len(right) + ranks), -1)
+            return out
+
+        return codes, encode
+
+    def _probe(self, batch: Batch, build: Batch, payload: Sequence[str],
+               pkey: np.ndarray, sorted_keys: np.ndarray,
+               order: np.ndarray) -> List[Batch]:
         starts = np.searchsorted(sorted_keys, pkey, side="left")
         ends = np.searchsorted(sorted_keys, pkey, side="right")
         counts = ends - starts
@@ -480,54 +533,6 @@ class HashJoin(Operator):
                 return [Batch(out, total), Batch(miss, int(unmatched.sum()))]
             out["__matched"] = np.ones(total, bool)
         return [Batch(out, total)]
-
-    # -- generic (composite / string key) path ---------------------------------
-
-    def _run_generic(self, build: Batch, payload: Sequence[str]):
-        table: Dict[tuple, List[int]] = {}
-        with kernel("join.build", rows=build.n):
-            if build.n:
-                key_cols = [build.columns[k].tolist() for k in self.build_keys]
-                for row, key in enumerate(zip(*key_cols)):
-                    table.setdefault(key, []).append(row)
-        for batch in self.children[1].execute():
-            with kernel("join.probe", rows=batch.n):
-                out_batches = self._probe_generic(batch, build, payload, table)
-            yield from out_batches
-
-    def _probe_generic(self, batch: Batch, build: Batch,
-                       payload: Sequence[str],
-                       table: Dict[tuple, List[int]]) -> List[Batch]:
-        key_cols = [batch.columns[k].tolist() for k in self.probe_keys]
-        probe_idx: List[int] = []
-        build_idx: List[int] = []
-        matched = np.zeros(batch.n, dtype=bool)
-        for row, key in enumerate(zip(*key_cols)):
-            rows = table.get(key)
-            if rows:
-                matched[row] = True
-                probe_idx.extend([row] * len(rows))
-                build_idx.extend(rows)
-        if self.join_type == "semi":
-            return [batch.select(matched)]
-        if self.join_type == "anti":
-            return [batch.select(~matched)]
-        pidx = np.asarray(probe_idx, dtype=np.int64)
-        bidx = np.asarray(build_idx, dtype=np.int64)
-        out = {k: v[pidx] for k, v in batch.columns.items()}
-        for name in payload:
-            out[name] = build.columns[name][bidx]
-        if self.join_type == "left":
-            out["__matched"] = np.ones(len(pidx), bool)
-            unmatched = ~matched
-            if unmatched.any():
-                miss = {k: v[unmatched] for k, v in batch.columns.items()}
-                for name in payload:
-                    miss[name] = _fill_like(build.columns[name],
-                                            int(unmatched.sum()))
-                miss["__matched"] = np.zeros(int(unmatched.sum()), bool)
-                return [Batch(out, len(pidx)), Batch(miss, int(unmatched.sum()))]
-        return [Batch(out, len(pidx))]
 
 
 def _fill_like(column: np.ndarray, n: int) -> np.ndarray:
@@ -595,10 +600,9 @@ def stable_order(columns: Dict[str, np.ndarray], keys: Sequence[str],
     for key, asc in list(zip(keys, ascending))[::-1]:
         col = columns[key][order]
         if col.dtype == object:
-            _, codes = np.unique(col, return_inverse=True)
-            col = codes
+            col = _ranks(col)[0]
         if not asc:
-            col = -col.astype(np.float64) if col.dtype != object else col
+            col = -col.astype(np.float64)
         order = order[np.argsort(col, kind="stable")]
     return order
 

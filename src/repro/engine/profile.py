@@ -1,9 +1,12 @@
 """Per-operator execution profiles, like the paper's appendix Q1 profile.
 
 Every operator records wall time spent inside it (``cum_time`` includes its
-children, ``time`` is self-only), tuples in/out, batches pulled and, for
-parallel plans, one sample per stream -- enough to print the operator tree
-with the same shape of annotations as VectorH's graphical profile.
+children, ``time`` is self-only), tuples in/out, batches pulled and one
+sample per stream -- enough to print the operator tree with the same shape
+of annotations as VectorH's graphical profile. A distributed executor makes
+one node per plan node and hands it to that plan node's operator on every
+stream, so the tree it reports is the plan annotated with what ran, summed
+over streams; operators run outside one make their own nodes.
 
 On top of the tree, this module carries the *kernel* layer of the
 continuous profiler (``repro.obs.profiler``): a cheap :func:`kernel`
@@ -56,11 +59,13 @@ class KernelStat:
 
 @dataclass
 class ProfileNode:
+    #: display text only; nothing pairs, groups or looks nodes up by it
     label: str
+    #: slowest stream's seconds inside the operator, children included
     cum_time: float = 0.0
-    tuples_in: int = 0
     tuples_out: int = 0
     children: List["ProfileNode"] = field(default_factory=list)
+    #: one sample per stream that ran the operator, in the order they closed
     stream_times: List[float] = field(default_factory=list)
     #: bytes moved through the network by this operator (DXchg send/recv)
     net_bytes: int = 0
@@ -70,46 +75,21 @@ class ProfileNode:
     batches: int = 0
     #: named sub-kernel accounting recorded by the :func:`kernel` cm
     kernels: Dict[str, KernelStat] = field(default_factory=dict)
+    #: what the profiler and the query log group by: the plan class's
+    #: label, plus ``.recv`` / ``.send`` for the halves of an exchange
+    kind: str = ""
+    #: the plan node every stream's operator filled this node for (None
+    #: for the nodes of operators run outside an executor)
+    plan: object = None
 
     @property
     def time(self) -> float:
         """Self time: cumulative minus the children's cumulative."""
         return max(0.0, self.cum_time - sum(c.cum_time for c in self.children))
 
-    def kernel_stat(self, name: str) -> KernelStat:
-        stat = self.kernels.get(name)
-        if stat is None:
-            stat = self.kernels[name] = KernelStat()
-        return stat
-
-    def merge_stream(self, other: "ProfileNode") -> None:
-        """Fold another stream's profile of the same operator into this one."""
-        if not self.stream_times:
-            # seed with this node's own stream before folding others in,
-            # so ranges and stream counts include the first stream too
-            self.stream_times.append(self.cum_time)
-        self.cum_time = max(self.cum_time, other.cum_time)
-        self.tuples_in += other.tuples_in
-        self.tuples_out += other.tuples_out
-        self.net_bytes += other.net_bytes
-        self.net_messages += other.net_messages
-        self.batches += other.batches
-        for name, stat in other.kernels.items():
-            self.kernel_stat(name).merge(stat)
-        self.stream_times.append(other.cum_time)
-        if len(self.children) == len(other.children):
-            for mine, theirs in zip(self.children, other.children):
-                mine.merge_stream(theirs)
-            return
-        # mismatched child counts (a stream's subtree produced no profile
-        # for some child): align by label, adopt the leftovers
-        unmatched = list(other.children)
-        for mine in self.children:
-            for i, theirs in enumerate(unmatched):
-                if theirs.label == mine.label:
-                    mine.merge_stream(unmatched.pop(i))
-                    break
-        self.children.extend(unmatched)
+    @property
+    def tuples_in(self) -> int:
+        return sum(c.tuples_out for c in self.children)
 
 
 def format_profile(node: ProfileNode, total_time: Optional[float] = None,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import time as _time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,11 +55,14 @@ from repro.engine.operators import (
 )
 from repro.engine.profile import ProfileNode, format_profile
 from repro.mpp import plan as P
-from repro.mpp.feedback import collect_actuals
 from repro.mpp.rewriter import ParallelRewriter
 from repro.mpp.strategy import ExchangeDecision, QueryPlan, ReplanSignal
 
 MASTER_STREAM = "__master__"
+
+#: besides its operator, a plan node has a profile node for each half of
+#: an exchange and for the replay of a replicated subtree
+RECV, SEND, REPLAY = "recv", "send", "replay"
 
 #: q-error (actual/estimate) of an exchange decision's live cardinality
 #: that makes a running query consider a mid-query re-plan
@@ -76,13 +79,19 @@ class QueryResult:
     network_bytes: int
     network_messages: int
     bytes_read: int
+    #: the plan annotated with what ran (one tree, rooted at the plan
+    #: root's node): a node per plan node whose operator started
     profiles: List[ProfileNode] = field(default_factory=list)
+    #: the same nodes by ``(plan node, role)``
+    plan_profiles: Dict[Tuple[P.PhysNode, str], ProfileNode] = field(
+        default_factory=dict)
     plan_text: str = ""
     #: measured peak resident bytes per node (operator state + DXchg
     #: buffers + receive queues), from the run's MemoryMeter
     peak_node_memory: Dict[str, int] = field(default_factory=dict)
     #: per-exchange statistics dicts (label, bytes, messages, tuples,
-    #: peak_buffered_bytes, peak_queued_bytes, buffer_capacity_bytes)
+    #: peak_buffered_bytes, peak_queued_bytes, buffer_capacity_bytes,
+    #: and ``plan``, the exchange's plan node)
     exchanges: List[Dict[str, object]] = field(default_factory=list)
     #: lifecycle span tree (set when the query ran with ``trace=True``)
     trace: Optional[Span] = None
@@ -102,6 +111,12 @@ class QueryResult:
 
     def format_profile(self) -> str:
         return "\n".join(format_profile(p) for p in self.profiles)
+
+    def profile_of(self, phys: P.PhysNode) -> Optional[ProfileNode]:
+        """What this plan node's operator did, summed over its streams
+        (an exchange's receiving half); None when it never started."""
+        return (self.plan_profiles.get((phys, ""))
+                or self.plan_profiles.get((phys, RECV)))
 
     def simulated_total_seconds(self,
                                 network_bandwidth: float = 1.25e9) -> float:
@@ -154,9 +169,9 @@ def _hash_to_streams(batch: Batch, keys, workers: List[str]) -> np.ndarray:
 class _RunContext:
     """State of one build of a query's operator tree.
 
-    Exchanges and shared replays are keyed on the plan node *objects* --
-    the plan root keeps them alive for the duration, so no id reuse is
-    possible. A re-plan builds a fresh context.
+    Exchanges, shared replays and profile nodes are keyed on the plan
+    node *objects* -- the plan root keeps them alive for the duration, so
+    no id reuse is possible. A re-plan builds a fresh context.
     """
 
     def __init__(self, trans, mode: str, n_lanes: int, vector_size: int,
@@ -178,10 +193,12 @@ class _RunContext:
         self.scheduler = scheduler
         #: this build's meter, chained into the cluster-wide one
         self.meter = meter
+        #: in creation order: outer exchanges before the ones below them
         self.exchanges: Dict[P.PhysNode, Exchange] = {}
-        self.exchange_order: List[Exchange] = []
         self.replays: Dict[P.PhysNode, "_SharedReplay"] = {}
-        self.replay_order: List["_SharedReplay"] = []
+        #: the one profile node of each ``(plan node, role)``, filled by
+        #: that plan node's operator on every stream
+        self.profiles: Dict[Tuple[P.PhysNode, str], ProfileNode] = {}
 
 
 class StreamingScan(Operator):
@@ -216,7 +233,7 @@ class StreamingScan(Operator):
         phys = self.phys
         table = cluster.table(phys.table)
         trans = self.ctx.trans
-        virtual = getattr(table, "is_virtual", False)
+        virtual = table.is_virtual
         yielded = False
         for pid in range(table.n_partitions):
             if not virtual and \
@@ -255,7 +272,6 @@ class _SharedReplay:
         self.op = op
         self.scheduler = scheduler
         self.batches: Optional[List[Batch]] = None
-        self.sources: List["ReplaySource"] = []
 
     def materialize(self) -> List[Batch]:
         if self.batches is None:
@@ -278,10 +294,6 @@ class ReplaySource(Operator):
         super().__init__(())
         self.shared = shared
         self.label = label
-        shared.sources.append(self)
-
-    def describe(self):
-        return self.label
 
     def _run(self):
         for batch in self.shared.materialize():
@@ -405,6 +417,10 @@ class QueryRun:
         self.network_messages += mpi.total_messages - before[1]
         self.bytes_read += self.cluster.hdfs.total_bytes_read() - before[2]
 
+    def _exchange_stats(self) -> List[Dict[str, object]]:
+        return [dict(ex.stats(), plan=phys)
+                for phys, ex in self.ctx.exchanges.items()]
+
     # -- lifecycle -----------------------------------------------------------
 
     def step(self) -> bool:
@@ -441,21 +457,23 @@ class QueryRun:
         return True
 
     def finish(self) -> QueryResult:
-        """Flush exchanges, assemble profiles and build the result."""
+        """Close the exchanges and build the result."""
         if self._result is not None:
             return self._result
         ctx = self.ctx
         before = self._io_snapshot()
         t0 = _time.perf_counter()
-        # a Limit/TopN root may abandon receivers mid-stream: close
-        # remaining channels so partial buffers are flushed/accounted,
-        # then give back any bytes still parked in receive queues
-        for ex in ctx.exchange_order:
-            ex._finish()
-            ex.drain_queues()
+        # a Limit/TopN root may abandon receivers mid-stream, with
+        # senders suspended, buffers part full and queues not empty
+        for ex in ctx.exchanges.values():
+            ex.close()
         self.flush_wall += _time.perf_counter() - t0
         self._io_charge(before)
-        profiles = self.executor._assemble_profiles(self.op, ctx)
+        # what was built for the plan, less what never started
+        ran = {key: node for key, node in ctx.profiles.items()
+               if node.stream_times}
+        for node in ran.values():
+            node.children = [c for c in node.children if c.stream_times]
         self.executor._record_metrics(ctx)
         peaks = ctx.meter.peak_by_node()
         for node, peak in self._cancelled_peaks.items():
@@ -468,17 +486,17 @@ class QueryRun:
             network_bytes=self.network_bytes,
             network_messages=self.network_messages,
             bytes_read=self.bytes_read,
-            profiles=profiles,
+            profiles=[self.op.profile] if self.op.profile.stream_times else [],
+            plan_profiles=ran,
             plan_text=self.qplan.root.pretty(),
             peak_node_memory=peaks,
-            exchanges=(self._cancelled_exchanges
-                       + [ex.stats() for ex in ctx.exchange_order]),
+            exchanges=self._cancelled_exchanges + self._exchange_stats(),
             rounds=self.rounds,
             replans=self.replans,
             qplan=self.qplan,
-            max_qerror=self._judge_estimates(profiles),
             query_id=self.query_id,
         )
+        self._result.max_qerror = self._judge_estimates(self._result)
         self.cluster.profiler.observe_query(self._result)
         ctx.meter.detach()
         return self._result
@@ -497,11 +515,8 @@ class QueryRun:
     def _unwind(self) -> None:
         if self._iterator is not None:
             self._iterator.close()
-        for ex in self.ctx.exchange_order:
-            for state in ex.senders:
-                if state.iterator is not None:
-                    state.iterator.close()
-            ex.abandon()
+        for ex in self.ctx.exchanges.values():
+            ex.close(flush=False)
         self.ctx.meter.detach()
 
     # -- adaptivity ----------------------------------------------------------
@@ -543,8 +558,7 @@ class QueryRun:
         for node, peak in self.ctx.meter.peak_by_node().items():
             self._cancelled_peaks[node] = max(
                 self._cancelled_peaks.get(node, 0), peak)
-        self._cancelled_exchanges.extend(
-            ex.stats() for ex in self.ctx.exchange_order)
+        self._cancelled_exchanges.extend(self._exchange_stats())
         self.replans += 1
         self.executor._m_replans.inc()
         cluster.events.emit(
@@ -557,9 +571,9 @@ class QueryRun:
             self.qplan.logical)
         self._build()
 
-    def _judge_estimates(self, profiles: List[ProfileNode]) -> float:
-        """Pair the plan's estimates with the executed cardinalities:
-        feed the feedback store and return the worst q-error."""
+    def _judge_estimates(self, result: QueryResult) -> float:
+        """Hold the plan's estimates against what each of its nodes put
+        out: feed the feedback store and return the worst q-error."""
         qplan = self.qplan
         store = self.cluster.feedback
         # a Limit root abandons upstream operators mid-stream: their
@@ -567,10 +581,14 @@ class QueryRun:
         harvest = store is not None and not any(
             isinstance(n, P.PLimit) for n in qplan.root.walk())
         worst = 0.0
-        for node, actual in collect_actuals(qplan.root, profiles).items():
+        for node in qplan.root.walk():
             ann = qplan.annotations.get(node)
-            if ann is None:
+            prof = result.profile_of(node)
+            if ann is None or prof is None:
                 continue
+            # summed over the streams that ran the node: the fragment's
+            # *global* output cardinality
+            actual = prof.tuples_out
             a = max(float(actual), 1.0)
             e = max(float(ann.rows), 1.0)
             worst = max(worst, a / e, e / a)
@@ -631,12 +649,12 @@ class MppExecutor:
         self._m_queries.inc()
         for node, peak in ctx.meter.peak_by_node().items():
             self._m_peaks.set_max(peak, node=node)
-        for ex in ctx.exchange_order:
-            for state in ex.senders:
-                prof = state.op.profile
-                if prof is not None:
+        for ex in ctx.exchanges.values():
+            for sender in ex.senders:
+                if sender.stream_seconds is not None:
                     self._m_streams.observe(
-                        prof.cum_time, node=self._node_of(state.stream, ctx))
+                        sender.stream_seconds,
+                        node=self._node_of(sender.stream, ctx))
 
     # ---------------------------------------------------------------- streams
 
@@ -658,12 +676,27 @@ class MppExecutor:
             return [ctx.workers[0]]
         return list(ctx.workers)
 
-    def _meter(self, op: Operator, stream: str, ctx: _RunContext) -> None:
-        """Stamp what every operator of a run shares: where it charges
-        its state, and the cluster's vector size."""
+    def _equip(self, op: Operator, phys: P.PhysNode, stream: str,
+               ctx: _RunContext, role: str = "",
+               below: Optional[Sequence[Operator]] = None) -> Operator:
+        """Stamp what every operator of a run shares -- where it charges
+        its state, the cluster's vector size -- and hand ``op`` the
+        profile node of its plan node: made for the first stream that
+        builds it, the same node for every other. The node's children
+        are the nodes of the operators ``below`` it, so the profile tree
+        has the plan's edges."""
         op.memory_meter = ctx.meter
         op.memory_node = self._node_of(stream, ctx)
         op.vector_size = ctx.vector_size
+        node = ctx.profiles.get((phys, role))
+        if node is None:
+            half = "." + role if role in (RECV, SEND) else ""
+            node = ctx.profiles[phys, role] = ProfileNode(
+                op.describe(), kind=phys.label + half, plan=phys,
+                children=[o.profile for o in
+                          (op.children if below is None else below)])
+        op.profile = node
+        return op
 
     # ------------------------------------------------------------------ build
 
@@ -682,10 +715,8 @@ class MppExecutor:
                 real = self._build_op(phys, home, ctx, share_ok=False)
                 shared = _SharedReplay(real, ctx.scheduler)
                 ctx.replays[phys] = shared
-                ctx.replay_order.append(shared)
-            src = ReplaySource(shared, phys.describe())
-            self._meter(src, stream, ctx)
-            return src
+            return self._equip(ReplaySource(shared, phys.describe()), phys,
+                               stream, ctx, REPLAY, below=[shared.op])
 
         if isinstance(phys, P.DXUnion):
             child = phys.children[0]
@@ -702,10 +733,10 @@ class MppExecutor:
             return self._exchange_receiver(phys, stream, ctx)
 
         if isinstance(phys, P.PScan):
-            op = StreamingScan(self.cluster, phys,
-                               self._node_of(stream, ctx), ctx)
-            self._meter(op, stream, ctx)
-            return op
+            return self._equip(
+                StreamingScan(self.cluster, phys,
+                              self._node_of(stream, ctx), ctx),
+                phys, stream, ctx)
 
         kids = [self._build_op(c, stream, ctx, share_ok)
                 for c in phys.children]
@@ -735,8 +766,7 @@ class MppExecutor:
             op = UnionAll(kids)
         else:
             raise ExecutionError(f"cannot build operator for {phys!r}")
-        self._meter(op, stream, ctx)
-        return op
+        return self._equip(op, phys, stream, ctx)
 
     # -------------------------------------------------------------- exchanges
 
@@ -746,31 +776,24 @@ class MppExecutor:
         if ex is None:
             ex = self._make_exchange(phys, ctx)
             ctx.exchanges[phys] = ex
-            ctx.exchange_order.append(ex)
             child = phys.children[0]
             for src_stream in self._source_streams(child, ctx):
                 child_op = self._build_op(child, src_stream, ctx,
                                           share_ok=True)
-                sender = ex.add_sender(src_stream, child_op)
-                self._meter(sender, src_stream, ctx)
-        receiver = ex.attach_receiver(stream)
-        self._meter(receiver, stream, ctx)
-        return receiver
+                self._equip(ex.add_sender(src_stream, child_op), phys,
+                            src_stream, ctx, SEND)
+        return self._equip(ex.attach_receiver(stream), phys, stream, ctx,
+                           RECV, below=ex.senders[:1])
 
     def _make_exchange(self, phys: P.PhysNode, ctx: _RunContext) -> Exchange:
         workers = list(ctx.workers)
         if isinstance(phys, P.DXUnion):
-            dests = [MASTER_STREAM]
-
             def route(src, batch):
                 return [(MASTER_STREAM, batch)]
         elif isinstance(phys, P.DXBroadcast):
-            dests = workers
-
             def route(src, batch):
                 return [(w, batch) for w in workers]
         elif isinstance(phys, P.DXHashSplit):
-            dests = workers
             destinations = self._split_destinations(phys, workers)
 
             def route(src, batch):
@@ -784,7 +807,7 @@ class MppExecutor:
         else:
             raise ExecutionError(f"not an exchange: {phys!r}")
         return Exchange(
-            phys.describe(), self.cluster.mpi, route, dests,
+            phys.describe(), self.cluster.mpi, route,
             lambda stream: self._node_of(stream, ctx),
             ctx.scheduler, meter=ctx.meter,
             mode=ctx.mode, n_lanes=ctx.n_lanes,
@@ -810,45 +833,3 @@ class MppExecutor:
             def destinations(batch: Batch) -> np.ndarray:
                 return _hash_to_streams(batch, keys, workers)
         return destinations
-
-    # --------------------------------------------------------------- profiles
-
-    def _assemble_profiles(self, root_op: Operator,
-                           ctx: _RunContext) -> List[ProfileNode]:
-        """One spanning profile tree: fold every exchange's per-stream
-        sender profiles into one node and graft it under the exchange's
-        receiver; graft shared replicated subtrees under their first
-        replay source. Exchanges are processed outer-first (creation
-        order), so inner grafts land inside already-merged trees."""
-        orphans: List[ProfileNode] = []
-        for ex in ctx.exchange_order:
-            merged = ex.merged_sender_profile()
-            if merged is None:
-                continue
-            anchor = next(
-                (r.profile for r in ex.receivers.values()
-                 if r.profile is not None), None,
-            )
-            if anchor is not None:
-                anchor.children.append(merged)
-                anchor.tuples_in = merged.tuples_out
-            else:
-                orphans.append(merged)
-        for shared in ctx.replay_order:
-            prof = shared.op.profile
-            if prof is None:
-                continue
-            anchor = next(
-                (s.profile for s in shared.sources
-                 if s.profile is not None), None,
-            )
-            if anchor is not None:
-                anchor.children.append(prof)
-                anchor.tuples_in = prof.tuples_out
-            else:
-                orphans.append(prof)
-        profiles: List[ProfileNode] = []
-        if root_op.profile is not None:
-            profiles.append(root_op.profile)
-        profiles.extend(orphans)
-        return profiles

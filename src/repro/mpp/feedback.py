@@ -16,12 +16,9 @@ loop the ROADMAP called out:
   fresh numbers for the same query text).
 * :class:`CardinalityFeedbackStore` maps signatures to the last observed
   row count. ``lookup`` is what the rewriter consults *before* static
-  stats; ``observe`` is fed automatically from per-operator actuals after
-  every managed query (and every EXPLAIN ANALYZE).
-* :func:`collect_actuals` pairs a physical plan's nodes with their
-  executed profiles -- the same pre-order label-pairing idiom EXPLAIN
-  ANALYZE's renderer uses, so the rows it harvests are the rows the
-  annotated plan prints.
+  stats; ``observe`` is fed automatically after every managed query (and
+  every EXPLAIN ANALYZE) from the profile node of each annotated plan
+  node -- the rows harvested are the rows the annotated plan prints.
 
 The store is deliberately last-write-wins with no decay: the simulation
 is deterministic, so the most recent observation *is* the truth for the
@@ -32,12 +29,10 @@ bit-reproducible (the determinism acceptance test).
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.mpp import logical as L
-from repro.mpp import plan as P
 from repro.obs import MetricsRegistry
 
 #: the binder mints fresh ``__agg_in_<n>`` / ``col_<n>`` names per parse;
@@ -167,61 +162,3 @@ class CardinalityFeedbackStore:
                 updated=float(item.get("updated", 0.0)))
             restored += 1
         return restored
-
-
-# ---------------------------------------------------------------------------
-# Harvesting actuals from executed plans
-# ---------------------------------------------------------------------------
-
-def flatten_profiles(profiles) -> Dict[str, deque]:
-    """Pre-order label -> profile queues (the EXPLAIN ANALYZE pairing)."""
-    by_label: Dict[str, deque] = {}
-
-    def walk(prof):
-        by_label.setdefault(prof.label, deque()).append(prof)
-        for child in prof.children:
-            walk(child)
-
-    for prof in profiles:
-        walk(prof)
-    return by_label
-
-
-def pop_profile(by_label: Dict[str, deque], label: str):
-    """Next profile recorded under a plan node's label, or None.
-
-    Pre-order emit matches pre-order flattening, so popping pairs each
-    plan node with its own profile; plan qualifiers like
-    ``Aggr(final)[b]`` profile as plain ``Aggr[b]``.
-    """
-    queue = by_label.get(label)
-    if queue is None and "(" in label:
-        head, _, rest = label.partition("(")
-        _, _, tail = rest.partition(")")
-        queue = by_label.get(head + tail)
-    return queue.popleft() if queue else None
-
-
-def collect_actuals(phys_root: P.PhysNode, profiles) -> Dict[P.PhysNode, int]:
-    """Map each physical plan node to its executed ``tuples_out``.
-
-    Walks the plan pre-order popping from per-label profile queues --
-    stream-merged profiles already sum tuples across worker streams, so
-    the value is the fragment's *global* output cardinality. Exchange
-    nodes pair with their ``.recv`` profile (and are popped to keep the
-    queues aligned even though exchanges are never annotated).
-    """
-    by_label = flatten_profiles(profiles)
-    actuals: Dict[P.PhysNode, int] = {}
-
-    def walk(node: P.PhysNode) -> None:
-        label = node.describe()
-        prof = pop_profile(
-            by_label, label + ".recv" if isinstance(node, P.DXchg) else label)
-        if prof is not None:
-            actuals[node] = int(prof.tuples_out)
-        for child in node.children:
-            walk(child)
-
-    walk(phys_root)
-    return actuals

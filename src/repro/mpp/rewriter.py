@@ -131,6 +131,8 @@ class ParallelRewriter:
                 return max(probe * 0.5, 1.0)
             return probe  # FK-join assumption
         if isinstance(node, L.LAggr):
+            if not node.group_by:
+                return 1.0  # a total: one row whatever comes in
             return min(self.estimate_rows(node.child), 10_000.0)
         if isinstance(node, (L.LSort, L.LTopN, L.LLimit)):
             return self.estimate_rows(node.child)

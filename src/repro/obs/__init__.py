@@ -42,7 +42,6 @@ from repro.obs.profiler import (
     ContinuousProfiler,
     dominant_operator,
     folded_stacks,
-    operator_kind,
     profile_chrome_trace,
 )
 from repro.obs.trace import (
@@ -74,7 +73,6 @@ __all__ = [
     "default_rules",
     "dominant_operator",
     "folded_stacks",
-    "operator_kind",
     "profile_chrome_trace",
     "quantile_from_buckets",
     "span_from_profile",

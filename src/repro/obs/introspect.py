@@ -31,7 +31,6 @@ is exported there instead).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +38,6 @@ import numpy as np
 from repro.common.errors import StorageError
 from repro.common.types import FLOAT64, INT64, STRING, ColumnType
 from repro.mpp import plan as P
-from repro.mpp.feedback import flatten_profiles, pop_profile
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import ScanResult
 
@@ -472,8 +470,7 @@ def explain_analyze(cluster, plan, flags=None, trans=None,
     after = cluster.registry.snapshot()
     # result.qplan is the plan that produced the batches: after a
     # mid-query re-plan, not the one planned up front
-    text = annotate_plan(result.qplan.root, result, before, after,
-                         annotations=result.qplan.annotations)
+    text = annotate_plan(result, before, after)
     result.plan_text = text
     return text, result
 
@@ -485,13 +482,14 @@ def _series_delta(before, after, name) -> Dict[tuple, float]:
             for key, value in after.get(name, {}).items()}
 
 
-def annotate_plan(phys, result, before, after, annotations=None) -> str:
-    """Render a physical plan with per-operator actuals.
+def annotate_plan(result, before, after) -> str:
+    """Render the plan that produced ``result`` with per-operator actuals,
+    each read from the profile node of that plan node.
 
     Per operator: ``rows`` (tuples produced, summed over streams) and
     ``stream_time`` (slowest stream's wall time -- the per-round critical
-    path the simulated clock charges). With planner ``annotations``, each
-    annotated operator also shows its estimated rows (``est``, tagged
+    path the simulated clock charges). Each operator the planner
+    annotated also shows its estimated rows (``est``, tagged
     ``(fb)`` when feedback-backed) and the q-error
     ``max(actual/est, est/actual)`` -- misestimates are visible without
     reading the feedback store. Exchanges add total wire traffic plus one
@@ -500,10 +498,7 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
     filter dropped (``rows`` is what left the scan). The footer
     reconciles totals against the registry snapshot diff.
     """
-    profiles = flatten_profiles(result.profiles)
-    exchange_stats: Dict[str, deque] = {}
-    for stats in result.exchanges:
-        exchange_stats.setdefault(stats["label"], deque()).append(stats)
+    exchange_stats = {stats["plan"]: stats for stats in result.exchanges}
     scanned_delta = _series_delta(before, after, "minmax_blocks_scanned_total")
     skipped_delta = _series_delta(before, after, "minmax_blocks_skipped_total")
     filtered_delta = _series_delta(before, after, "scan_rows_filtered_total")
@@ -515,16 +510,12 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
         dist = node.distribution
         head = (f"{pad}{node.describe()}  <{dist.kind}"
                 + (f" on {','.join(dist.keys)}" if dist.keys else "") + ">")
-        is_exchange = isinstance(node, P.DXchg)
-        prof = pop_profile(
-            profiles, node.describe() + (".recv" if is_exchange else ""))
+        prof = result.profile_of(node)
         actuals: List[str] = []
         if prof is not None:
             actuals.append(f"rows={prof.tuples_out}")
-            stream_time = (max(prof.stream_times) if prof.stream_times
-                           else prof.cum_time)
-            actuals.append(f"stream_time={stream_time * 1e3:.3f}ms")
-        ann = annotations.get(node) if annotations else None
+            actuals.append(f"stream_time={prof.cum_time * 1e3:.3f}ms")
+        ann = result.qplan.annotations.get(node)
         if ann is not None:
             fb = "(fb)" if ann.source == "feedback" else ""
             actuals.append(f"est={ann.rows:.0f}{fb}")
@@ -532,13 +523,10 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
                 actual = max(float(prof.tuples_out), 1.0)
                 est = max(float(ann.rows), 1.0)
                 actuals.append(f"q={max(actual / est, est / actual):.1f}")
-        stats = None
-        if is_exchange:
-            queue = exchange_stats.get(node.describe())
-            stats = queue.popleft() if queue else None
-            if stats is not None:
-                actuals.append(f"wire={int(stats['bytes'])}B"
-                               f"/{int(stats['messages'])}msgs")
+        stats = exchange_stats.get(node)  # of this exchange, if it is one
+        if stats is not None:
+            actuals.append(f"wire={int(stats['bytes'])}B"
+                           f"/{int(stats['messages'])}msgs")
         if isinstance(node, P.PScan):
             scanned = scanned_delta.get((node.table,), 0)
             skipped = skipped_delta.get((node.table,), 0)
@@ -563,7 +551,7 @@ def annotate_plan(phys, result, before, after, annotations=None) -> str:
         for child in node.children:
             emit(child, indent + 1)
 
-    emit(phys, 0)
+    emit(result.qplan.root, 0)
 
     # footer: query-level actuals reconciled with the registry diff
     reads = _series_delta(before, after, "hdfs_read_bytes_total")

@@ -58,6 +58,7 @@ from repro.obs.metrics import (
     _format_value,
     quantile_from_buckets,
 )
+from repro.obs.profiler import dominant_operator
 
 #: one recorded series value: (family name, ((label, value), ...))
 SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -701,13 +702,8 @@ class FlightRecorder:
         record.wire_bytes = result.network_bytes
         record.replans = result.replans
         record.max_qerror = result.max_qerror
-        if result.profiles:
-            try:
-                from repro.obs.profiler import dominant_operator
-                record.dominant_op, record.dominant_share = \
-                    dominant_operator(result.profiles)
-            except Exception:  # noqa: BLE001 - diagnostics must not fail
-                pass
+        record.dominant_op, record.dominant_share = dominant_operator(
+            result.profiles)
 
     def slow_report(self, n: int = 10) -> str:
         """The n slowest terminal queries by simulated time, one line each."""

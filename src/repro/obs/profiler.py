@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.profile import KernelStat, ProfileNode
 from repro.obs.metrics import MetricsRegistry
@@ -40,22 +40,6 @@ HOT_PATHS_TOP_K = 20
 #: per-tuple term. Sim cost is the deterministic proxy for work.
 SIM_PER_CALL = 2e-6
 SIM_PER_ROW = 1e-7
-
-_KIND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def operator_kind(label: str) -> str:
-    """Collapse an operator instance label to its kind.
-
-    ``MScan[lineitem]`` -> ``MScan``; exchange halves keep their side:
-    ``DXchg(hash)[l_okey].send`` -> ``DXchg.send``.
-    """
-    match = _KIND_RE.match(label)
-    kind = match.group(1) if match else label or "?"
-    for side in (".send", ".recv"):
-        if label.endswith(side):
-            return kind + side
-    return kind
 
 
 def walk(node: ProfileNode) -> Iterator[ProfileNode]:
@@ -143,7 +127,7 @@ class ContinuousProfiler:
         seen_kinds = set()
         for root in profiles:
             for node in walk(root):
-                kind = operator_kind(node.label)
+                kind = node.kind
                 agg = self.stats.get(kind)
                 if agg is None:
                     agg = self.stats[kind] = OperatorAgg()
@@ -265,7 +249,7 @@ def dominant_operator(profiles: Sequence[ProfileNode]) -> Tuple[str, float]:
     for root in profiles:
         for node in walk(root):
             sim = node_sim_cost(node)
-            kind = operator_kind(node.label)
+            kind = node.kind
             per_kind[kind] = per_kind.get(kind, 0.0) + sim
             total += sim
     if not per_kind or total <= 0:
@@ -346,21 +330,3 @@ def profile_chrome_trace(profiles: Sequence[ProfileNode]) -> str:
         emit(root, 0.0, i + 1)
     return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"},
                       indent=1)
-
-
-def query_kernel_table(
-        profiles: Iterable[ProfileNode]) -> Dict[str, Dict[str, KernelStat]]:
-    """Per-operator-kind kernel stats for one query (bench_hotpath)."""
-    out: Dict[str, Dict[str, KernelStat]] = {}
-    for root in profiles:
-        for node in walk(root):
-            if not node.kernels:
-                continue
-            kind = operator_kind(node.label)
-            table = out.setdefault(kind, {})
-            for name, stat in node.kernels.items():
-                merged = table.get(name)
-                if merged is None:
-                    merged = table[name] = KernelStat()
-                merged.merge(stat)
-    return out

@@ -101,14 +101,6 @@ def _has_aggregates(items) -> bool:
 _FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
 
 
-def _conjuncts(node, out: List[object]) -> None:
-    if isinstance(node, ast.BinaryOp) and node.op == "and":
-        _conjuncts(node.left, out)
-        _conjuncts(node.right, out)
-    else:
-        out.append(node)
-
-
 def _sargable(node):
     """``(column, op, literal)`` triples from one WHERE conjunct, or None.
 
@@ -131,6 +123,13 @@ def _sargable(node):
         return [(node.child.name, ">=", node.low.value),
                 (node.child.name, "<=", node.high.value)]
     return None
+
+
+def _where_triples(node) -> List[tuple]:
+    """Every sargable ``(column, op, literal)`` among a WHERE's conjuncts."""
+    if isinstance(node, ast.BinaryOp) and node.op == "and":
+        return _where_triples(node.left) + _where_triples(node.right)
+    return _sargable(node) or []
 
 
 class _SelectBinder:
@@ -198,19 +197,13 @@ class _SelectBinder:
         eligible = {self.stmt.table} | {
             j.table for j in self.stmt.joins if j.how == "inner"
         }
-        conjuncts: List[object] = []
-        _conjuncts(self.stmt.where, conjuncts)
-        for conjunct in conjuncts:
-            preds = _sargable(conjunct)
-            if not preds:
-                continue
-            column = preds[0][0]
+        for pred in _where_triples(self.stmt.where):
             for t in tables:
                 table = self.cluster.table(t)
-                if t not in eligible or getattr(table, "is_virtual", False):
+                if t not in eligible or table.is_virtual:
                     continue
-                if column in table.schema.column_names:
-                    out[t].extend(preds)
+                if pred[0] in table.schema.column_names:
+                    out[t].append(pred)
                     break
         return out
 
@@ -388,12 +381,13 @@ def execute_statement(cluster, stmt, trans=None, tracer=None):
         if stmt.where is None:
             raise SqlError("DELETE without WHERE is not supported")
         return cluster.delete_where(stmt.table, _bind_expr(stmt.where),
-                                    trans=trans)
+                                    _where_triples(stmt.where), trans=trans)
     if isinstance(stmt, ast.UpdateStatement):
         if stmt.where is None:
             raise SqlError("UPDATE without WHERE is not supported")
         assignments = {col: _bind_expr(expr)
                        for col, expr in stmt.assignments}
         return cluster.update_where(stmt.table, _bind_expr(stmt.where),
-                                    assignments, trans=trans)
+                                    assignments, _where_triples(stmt.where),
+                                    trans=trans)
     raise SqlError(f"unsupported statement type {type(stmt).__name__}")

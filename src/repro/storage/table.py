@@ -61,6 +61,9 @@ class PropagationStats:
 class StoredTable:
     """One table: storage partitions + PDT stacks + scan/update API."""
 
+    #: rows live in partitions on HDFS (a ``vh$`` VirtualTable's do not)
+    is_virtual = False
+
     def __init__(self, hdfs: HdfsCluster, db_path: str, schema: TableSchema,
                  config: Config):
         self.hdfs = hdfs

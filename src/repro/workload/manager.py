@@ -132,7 +132,7 @@ def estimate_query_memory(cluster, phys: P.PhysNode,
     for node in phys.walk():
         if isinstance(node, P.PScan):
             table = cluster.table(node.table)
-            if getattr(table, "is_virtual", False):
+            if table.is_virtual:
                 continue
             width = 8 * max(1, len(node.columns))
             ann = annotations.get(node) if annotations else None
@@ -670,7 +670,7 @@ class WorkloadManager:
         for node in phys.walk():
             if isinstance(node, P.PScan):
                 table = self.cluster.table(node.table)
-                if getattr(table, "is_virtual", False):
+                if table.is_virtual:
                     continue
                 for pid in range(table.n_partitions):
                     seen.add((node.table, pid))
@@ -970,7 +970,7 @@ class WorkloadManager:
                     ("build", run.build_wall, {}),
                     ("schedule", run.step_wall, {"rounds": run.rounds}),
                     ("exchange.flush", run.flush_wall,
-                     {"exchanges": len(run.ctx.exchange_order)})):
+                     {"exchanges": len(run.ctx.exchanges)})):
                 # only scheduling advances the simulated clock
                 exec_span.children.append(Span(
                     name, attrs=attrs,

@@ -280,6 +280,53 @@ class TestHashJoin:
         with pytest.raises(ExecutionError):
             HashJoin(self.b(), self.p(), ["k"], ["k2"], "cross")
 
+    @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+    @pytest.mark.parametrize("keys", [["s"], ["s", "i"], ["f", "s", "i"]])
+    def test_ranked_keys_match_a_dict_of_tuples(self, how, keys):
+        """String and composite keys probe as integer codes; the rows and
+        their order are those of one dict lookup per probe row. NaN and
+        values only the probe side has match nothing."""
+        rng = np.random.default_rng(len(keys))
+
+        def side(n, n_strings):
+            s = np.empty(n, dtype=object)
+            s[:] = [f"s{v}" for v in rng.integers(0, n_strings, n)]
+            f = rng.integers(0, 3, n).astype(np.float64)
+            f[rng.random(n) < 0.1] = np.nan
+            return {"s": s, "i": rng.integers(0, 4, n), "f": f,
+                    "row": np.arange(n)}
+
+        build, probe = side(60, 5), side(90, 7)
+        probe = {f"p_{k}": v for k, v in probe.items()}
+        out = HashJoin(VectorSource(build, 16), VectorSource(probe, 16),
+                       keys, [f"p_{k}" for k in keys], how,
+                       build_payload=["row"]).run_to_batch()
+
+        table = {}
+        for row, key in enumerate(zip(*(build[k].tolist() for k in keys))):
+            table.setdefault(key, []).append(row)
+        expected = []
+        for vector in range(0, 90, 16):
+            missed = []
+            for prow in range(vector, min(vector + 16, 90)):
+                key = tuple(probe[f"p_{k}"][prow] for k in keys)
+                rows = table.get(key, [])
+                if how in ("inner", "left"):
+                    expected += [(prow, brow) for brow in rows]
+                    if how == "left" and not rows:
+                        missed.append((prow, 0))
+                elif bool(rows) == (how == "semi"):
+                    expected.append((prow, None))
+            expected += missed  # a vector's unmatched rows follow its matches
+        got = list(zip(out.columns["p_row"].tolist(),
+                       out.columns["row"].tolist()
+                       if how in ("inner", "left") else [None] * out.n))
+        assert got == expected
+        if how == "left":
+            assert out.columns["__matched"].tolist() == [
+                tuple(probe[f"p_{k}"][prow] for k in keys) in table
+                for prow, _ in expected]
+
 
 class TestMergeJoin:
     def test_sorted_inputs(self):
@@ -349,6 +396,18 @@ class TestProfiling:
         assert prof.children[0].tuples_in == 100
         text = format_profile(prof)
         assert "Aggr" in text and "Select" in text
+
+    def test_a_tree_makes_its_nodes_once_and_a_rerun_is_one_more_stream(self):
+        sel = Select(source(a=list(range(10))), Col("a") < 5)
+        assert sel.profile is None  # nobody handed it one
+        sel.run_to_batch()
+        prof = sel.profile
+        assert prof.children == [sel.children[0].profile]
+        assert (prof.kind, prof.plan, prof.tuples_out) == ("Select", None, 5)
+        sel.run_to_batch()
+        assert sel.profile is prof and len(prof.stream_times) == 2
+        assert prof.tuples_out == 10 and prof.tuples_in == 20
+        assert prof.cum_time == max(prof.stream_times)
 
     def test_cum_time_monotone(self):
         sel = Select(source(a=list(range(1000))), Col("a") < 500)

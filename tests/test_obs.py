@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ReproError
-from repro.engine.profile import ProfileNode
 from repro.obs import MetricsRegistry, SimClock, Tracer
 from repro.sql import execute_sql
 from repro.tpch.queries import q1
@@ -316,30 +315,6 @@ class TestTracer:
         assert names == ["query", "execute"]
         assert all(e["ph"] == "X" for e in doc["traceEvents"])
         assert doc["traceEvents"][0]["ts"] == 0
-
-
-# ------------------------------------------------- profile merge satellite
-
-
-class TestMergeStream:
-    def test_first_stream_time_is_kept(self):
-        a = ProfileNode("Scan", cum_time=1.0)
-        b = ProfileNode("Scan", cum_time=3.0)
-        a.merge_stream(b)
-        assert a.stream_times == [1.0, 3.0]  # the bug dropped the 1.0
-        assert a.cum_time == 3.0
-
-    def test_mismatched_children_merge_by_label(self):
-        a = ProfileNode("Recv", cum_time=1.0)
-        a.children = [ProfileNode("Scan", cum_time=1.0)]
-        b = ProfileNode("Recv", cum_time=2.0)
-        b.children = [ProfileNode("Select", cum_time=0.5),
-                      ProfileNode("Scan", cum_time=2.0)]
-        a.merge_stream(b)
-        labels = sorted(c.label for c in a.children)
-        assert labels == ["Scan", "Select"]  # nothing silently dropped
-        scan = next(c for c in a.children if c.label == "Scan")
-        assert scan.stream_times == [1.0, 2.0]
 
 
 # ----------------------------------------------------- cluster integration

@@ -38,7 +38,6 @@ from repro.obs.profiler import (
     ContinuousProfiler,
     dominant_operator,
     folded_stacks,
-    operator_kind,
     profile_chrome_trace,
 )
 from repro.sql import execute_sql
@@ -135,18 +134,13 @@ class TestKernelContextManager:
         assert ". kernel decode.pfor:" in text
         assert "calls = 3" in text
 
-    def test_operator_kind_collapses_labels(self):
-        assert operator_kind("MScan[lineitem]") == "MScan"
-        assert operator_kind("DXchgHashSplit[l_orderkey].send") == \
-            "DXchgHashSplit.send"
-        assert operator_kind("DXchgUnion.recv") == "DXchgUnion.recv"
-        assert operator_kind("Aggr[l_returnflag,l_linestatus]") == "Aggr"
-
 
 def test_dominant_operator_ranking_and_ties():
-    heavy = ProfileNode("MScan[t]", batches=10, tuples_out=100000)
-    light = ProfileNode("Project[x]", batches=10, tuples_out=10)
-    root = ProfileNode("Aggr[g]", batches=1, tuples_out=1,
+    heavy = ProfileNode("MScan[t]", kind="MScan", batches=10,
+                        tuples_out=100000)
+    light = ProfileNode("Project[x]", kind="Project", batches=10,
+                        tuples_out=10)
+    root = ProfileNode("Aggr[g]", kind="Aggr", batches=1, tuples_out=1,
                        children=[light])
     light.children.append(heavy)
     kind, share = dominant_operator([root])
@@ -154,9 +148,10 @@ def test_dominant_operator_ranking_and_ties():
     assert 0.9 < share <= 1.0
     assert dominant_operator([]) == ("", 0.0)
     # deterministic tie-break: equal cost resolves alphabetically
-    a = ProfileNode("B[x]", batches=1, tuples_out=10)
-    b = ProfileNode("A[y]", batches=1, tuples_out=10)
-    kind, _ = dominant_operator([ProfileNode("Z", children=[a, b])])
+    a = ProfileNode("B[x]", kind="B", batches=1, tuples_out=10)
+    b = ProfileNode("A[y]", kind="A", batches=1, tuples_out=10)
+    kind, _ = dominant_operator(
+        [ProfileNode("Z", kind="Z", children=[a, b])])
     assert kind == "A"
 
 
@@ -358,10 +353,10 @@ class TestExportsAndSystemTables:
 
 def test_profiler_aggregates_without_registry():
     profiler = ContinuousProfiler()  # registry-less: pure aggregation
-    scan = ProfileNode("MScan[t]", batches=4, tuples_out=4000)
+    scan = ProfileNode("MScan[t]", kind="MScan", batches=4, tuples_out=4000)
     scan.kernels["decode.pfor"] = KernelStat(
         calls=4, seconds=0.1, rows=4000, bytes=640)
-    root = ProfileNode("Aggr[g]", batches=1, tuples_in=4000, tuples_out=2,
+    root = ProfileNode("Aggr[g]", kind="Aggr", batches=1, tuples_out=2,
                        children=[scan])
 
     class _Result:
