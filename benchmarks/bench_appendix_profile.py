@@ -30,11 +30,10 @@ def test_appendix_q1_profile(vectorh, benchmark):
     assert batch.n == 4  # the four returnflag/linestatus groups
     result = captured["result"]
     # this one query's kernels per operator kind: the profiler's own
-    # aggregation, on an instance that has seen nothing else
+    # aggregation, into a registry that has seen nothing else
     profiler = ContinuousProfiler()
     profiler.observe_query(result)
-    kernels = {kind: agg.kernels for kind, agg in profiler.stats.items()
-               if agg.kernels}
+    kernels = profiler.kernels()
     text = (f"APPENDIX: TPC-H Q1 profile "
             f"(simulated parallel {result.simulated_parallel_seconds:.4f}s, "
             f"network {result.network_bytes:,} bytes)\n\n"

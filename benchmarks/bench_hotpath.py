@@ -80,34 +80,36 @@ def run_queries(cluster, numbers=QUERIES) -> Tuple[Dict[str, dict], Dict[int, li
 
 
 def profiler_tables(profiler) -> Tuple[Dict[str, dict], Dict[str, dict]]:
-    """The profiler's cumulative stats as JSON-ready operator/kernel maps."""
-    operators: Dict[str, dict] = {}
-    kernels: Dict[str, dict] = {}
-    for kind in sorted(profiler.stats):
-        agg = profiler.stats[kind]
-        operators[kind] = {
-            "rows_in": agg.rows_in,
-            "rows_out": agg.rows_out,
-            "batches": agg.batches,
-            "net_bytes": agg.net_bytes,
-            "sim_cost_s": agg.sim_cost,
-            "wall_s": agg.wall_seconds,
-            "rows_per_wall_s": (agg.rows_out / agg.wall_seconds
-                                if agg.wall_seconds > 0 else 0.0),
+    """What the registry's ``operator_*`` / ``kernel_*`` families hold,
+    as JSON-ready operator/kernel maps."""
+    operators = {
+        kind: {
+            "rows_in": rows_in,
+            "rows_out": rows_out,
+            "batches": batches,
+            "net_bytes": net_bytes,
+            "sim_cost_s": sim_cost,
+            "wall_s": wall,
+            "rows_per_wall_s": rows_per_wall,
         }
-        if agg.kernels:
-            kernels[kind] = {
-                name: {
-                    "calls": stat.calls,
-                    "rows": stat.rows,
-                    "bytes": stat.bytes,
-                    "sim_cost_s": kernel_sim_cost(stat),
-                    "wall_s": stat.seconds,
-                    "rows_per_wall_s": (stat.rows / stat.seconds
-                                        if stat.seconds > 0 else 0.0),
-                }
-                for name, stat in sorted(agg.kernels.items())
+        for (kind, _queries, _instances, rows_in, rows_out, batches,
+             net_bytes, sim_cost, wall, rows_per_wall) in profiler.rows()
+    }
+    kernels = {
+        kind: {
+            name: {
+                "calls": stat.calls,
+                "rows": stat.rows,
+                "bytes": stat.bytes,
+                "sim_cost_s": kernel_sim_cost(stat),
+                "wall_s": stat.seconds,
+                "rows_per_wall_s": (stat.rows / stat.seconds
+                                    if stat.seconds > 0 else 0.0),
             }
+            for name, stat in table.items()
+        }
+        for kind, table in profiler.kernels().items()
+    }
     return operators, kernels
 
 

@@ -1,14 +1,16 @@
-"""Observability smoke run: trace Q1/Q6, dump introspection artifacts.
+"""Observability smoke run: trace Q1/Q5/Q6, dump introspection artifacts.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke_obs.py [outdir]
 
 Loads a small TPC-H database (``REPRO_SF``, default 0.002), runs Q1 with
-``trace=True`` plus Q6, and writes eight artifacts (CI uploads all):
+``trace=True`` plus Q6 (and, once the artifacts are written, Q5), and
+writes seven artifacts (CI uploads all):
 
 * ``q1_trace.json``    -- Chrome-trace JSON, loadable in Perfetto /
-  ``chrome://tracing``
+  ``chrome://tracing``: the query's one timeline, lifecycle spans with
+  the operators and kernels grafted in at the seconds they recorded
 * ``metrics.prom``     -- the full Prometheus text exposition of the
   cluster registry after the run (re-parsed here as a format check)
 * ``q1_explain.txt``   -- EXPLAIN ANALYZE of the SQL Q1: the physical
@@ -22,9 +24,13 @@ Loads a small TPC-H database (``REPRO_SF``, default 0.002), runs Q1 with
 * ``q1_flamegraph.folded``   -- Q1's operator/kernel profile as folded
   stacks (one ``stack count`` pair per line, parse-checked here); feed
   to any flamegraph renderer
-* ``q1_profile.chrome.json`` -- the same profile as a Chrome trace
 
-The run also measures the continuous profiler's overhead: Q1 is timed
+The run asserts that the profile reconciles with the clock around it,
+on Q1 and on the exchange-heavy Q5: the leaves of the profile tree (each
+operator's own seconds plus its kernels') add up to within 2 % of the
+wall the run spent stepping its root stream and flushing its exchanges.
+
+It also measures the continuous profiler's overhead: Q1 is timed
 with kernel attribution on and off in back-to-back pairs and the median
 difference per kernel call is asserted under an absolute microsecond
 budget; the best-of-N figures and the share of Q1 are printed as
@@ -51,10 +57,10 @@ import sys
 from repro.common.config import Config
 from repro.cluster import VectorHCluster
 from repro.engine.profile import set_kernel_profiling
-from repro.obs.profiler import folded_stacks, profile_chrome_trace, walk
+from repro.obs.profiler import folded_stacks, walk
 from repro.sql import execute_sql
 from repro.tpch import generate_tpch, tpch_schemas
-from repro.tpch.queries import q1, q6
+from repro.tpch.queries import q1, q5, q6
 from repro.tpch.schema import LOAD_ORDER
 
 Q1_SQL = """
@@ -85,6 +91,28 @@ def check_folded(text: str) -> int:
         assert stack, f"bad folded line: {line!r}"
         assert int(count) >= 1, f"bad folded count: {line!r}"
     return len(lines)
+
+
+#: how far the profile tree's seconds may be from the wall of the run
+RECONCILE_WITHIN = 0.02
+
+
+def check_reconciliation(name: str, result) -> str:
+    """Every second recorded once: a traced query's profile leaves
+    against its ``schedule`` + ``exchange.flush`` spans (the run's
+    ``step_wall`` + ``flush_wall``); returns the line to print."""
+    spans = {s.name: s for s in result.trace.find("execute").children}
+    wall = (spans["schedule"].wall_seconds
+            + spans["exchange.flush"].wall_seconds)
+    # node.time: the operator's own seconds plus its kernels'
+    leaves = sum(node.time for node in result.plan_profiles.values())
+    gap = abs(wall - leaves) / wall
+    assert gap <= RECONCILE_WITHIN, (
+        f"{name}: profile leaves {leaves * 1e3:.3f}ms vs "
+        f"{wall * 1e3:.3f}ms stepping and flushing ({100 * gap:.2f}% apart)")
+    return (f"  {name}: leaves {leaves * 1e3:.3f}ms of {wall * 1e3:.3f}ms "
+            f"step + flush wall ({100 * gap:.2f}% apart; "
+            f"within {100 * RECONCILE_WITHIN:.0f}%)")
 
 
 #: what one ``kernel()`` region may cost (enter + exit + accounting).
@@ -163,18 +191,15 @@ def main(outdir: str) -> None:
     execute_sql(cluster, "SELECT count(*) AS n FROM lineitem")
     sql_trace = cluster.tracer.last_trace
 
-    traces = {}
-    results = {}
+    traced = []
 
     def run(plan):
-        res = cluster.query(plan, trace=True)
-        traces.setdefault("q1", res.trace)
-        results.setdefault("q1", res)
-        return res.batch
+        traced.append(cluster.query(plan, trace=True))
+        return traced[-1].batch
 
     q1(run)
-    trace = traces["q1"]
-    q1_result = results["q1"]
+    [q1_result] = traced
+    trace = q1_result.trace
     q6(lambda plan: cluster.query(plan).batch)
 
     explain = execute_sql(cluster, "explain analyze " + Q1_SQL)
@@ -228,8 +253,6 @@ def main(outdir: str) -> None:
     folded = folded_stacks(q1_result.profiles)
     folded_lines = check_folded(folded)
     (out / "q1_flamegraph.folded").write_text(folded)
-    (out / "q1_profile.chrome.json").write_text(
-        profile_chrome_trace(q1_result.profiles))
     samples = check_prometheus_exposition(prom)
     # the workload-manager series must be part of the exposition
     for metric in ("admission_queue_depth", "queries_running",
@@ -252,6 +275,10 @@ def main(outdir: str) -> None:
         "max_qerror": max(r.max_qerror for r in finished),
         "total_rows": sum(r.rows for r in finished),
     }, indent=2))
+    # Q5 only now: the trajectory point above is the Q1/Q6 mix's
+    q5(run)
+    reconciled = [check_reconciliation("q1", q1_result),
+                  check_reconciliation("q5", traced[-1])]
 
     print("== SQL statement trace ==")
     print(sql_trace.tree())
@@ -280,6 +307,8 @@ def main(outdir: str) -> None:
     print(monitor.slow_report(5))
     print("== hot paths (continuous profiler) ==")
     print(cluster.profiler.report(10))
+    print("== profile vs wall (each second once) ==")
+    print("\n".join(reconciled))
     on_times, off_times, kernel_calls = measure_profiler_overhead(cluster)
     # the median of the paired differences: the difference of the two
     # minima swings by +-2us per call when one side catches a fast
@@ -302,8 +331,7 @@ def main(outdir: str) -> None:
           f"(incl. workload admission/running/wait series)")
     print(f"q1_flamegraph.folded: {folded_lines} stacks, format OK")
     print(f"wrote {out}/q1_trace.json metrics.prom q1_explain.txt events.txt "
-          f"alerts.txt metrics_history.json q1_flamegraph.folded "
-          f"q1_profile.chrome.json")
+          f"alerts.txt metrics_history.json q1_flamegraph.folded")
 
 
 if __name__ == "__main__":

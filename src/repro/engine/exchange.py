@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.batch import Batch, batch_bytes, full_vectors
 from repro.engine.operators import Operator
-from repro.engine.profile import kernel
+from repro.engine.profile import SIM_PER_CALL, SIM_PER_ROW, kernel
 from repro.net.mpi import DXchgChannel, MpiFabric
 
 STREAMING = "streaming"
@@ -89,17 +89,14 @@ class BatchCostModel:
     Replaces measured wall time with ``per_pull + n_tuples * per_tuple``
     so that two identical runs charge identical simulated time (the
     reproducibility contract of the workload-manager benchmarks). The
-    constants approximate a ~10M tuple/s/core engine with a small fixed
-    dispatch overhead per vector pull.
+    constants (``SIM_PER_CALL``, ``SIM_PER_ROW``) approximate a ~10M
+    tuple/s/core engine with a small fixed dispatch overhead per vector
+    pull.
     """
-
-    def __init__(self, per_tuple_s: float = 1e-7, per_pull_s: float = 2e-6):
-        self.per_tuple_s = per_tuple_s
-        self.per_pull_s = per_pull_s
 
     def __call__(self, item) -> float:
         n = getattr(item, "n", 0) if item is not DONE else 0
-        return self.per_pull_s + n * self.per_tuple_s
+        return SIM_PER_CALL + n * SIM_PER_ROW
 
 
 class StreamScheduler:
@@ -226,7 +223,6 @@ class Exchange:
         #: rows that *entered* the exchange (tuples_sent counts each
         #: broadcast destination; this counts the source rows once)
         self.tuples_in = 0
-        self.tuples_received = 0
         self._queued_bytes = 0
         #: high-water mark of the sender-side channel buffers (the
         #: "DXchg buffer memory" the paper sizes with 2*N*C formulas)
@@ -307,10 +303,8 @@ class Exchange:
                 self.meter.hold(self.node_of(dest_stream), n_bytes)
         self._note_occupancy()
 
-    def on_dequeue(self, dest_stream: str, n_bytes: int,
-                   batch: Batch) -> None:
+    def on_dequeue(self, dest_stream: str, n_bytes: int) -> None:
         self._queued_bytes -= n_bytes
-        self.tuples_received += batch.n
         self.meter.release(self.node_of(dest_stream), n_bytes)
 
     def _note_occupancy(self) -> None:
@@ -385,8 +379,8 @@ class Exchange:
             return
         # attribute the end-of-stream flush to the first sender's profile
         # explicitly: _finish may run from QueryRun.finish with no
-        # operator executing (hence no ambient sink), or from a receiver
-        # pump where the ambient sink would be the wrong operator
+        # operator executing (hence no ambient frame), or from a receiver
+        # pump where the ambient node would be the wrong operator
         flush_node = self.senders[0].profile if self.senders else None
         flushed = sum(ch.buffered for ch in self.channels.values())
         if flush and flush_node is not None:
@@ -508,7 +502,7 @@ class DXchgReceiver(Operator):
         while True:
             if queue:
                 n_bytes, batch = queue.popleft()
-                ex.on_dequeue(self.stream, n_bytes, batch)
+                ex.on_dequeue(self.stream, n_bytes)
                 self.profile.net_bytes += n_bytes
                 yield batch
             elif not ex.finished:

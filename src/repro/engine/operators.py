@@ -8,7 +8,6 @@ can be rendered like the paper's appendix profile.
 
 from __future__ import annotations
 
-import time as _time
 from itertools import repeat
 from typing import (
     Dict,
@@ -31,7 +30,7 @@ from repro.engine.batch import (
     full_vectors,
 )
 from repro.engine.expressions import Expr
-from repro.engine.profile import ProfileNode, kernel, pop_sink, push_sink
+from repro.engine.profile import Frame, ProfileNode, kernel
 
 DEFAULT_VECTOR_SIZE = 1024
 
@@ -83,21 +82,17 @@ class Operator:
 
     def execute(self) -> Iterator[Batch]:
         prof = self.profile or self._own_profile()
-        seconds = 0.0
+        pulls = Frame(prof)
         iterator = self._run()
         try:
             while True:
-                # the profile node is the ambient kernel sink exactly
-                # while _run's code executes (not while suspended at a
-                # yield): nested child pulls push their own sinks, so
-                # storage/compression kernels land on the right operator
-                start = _time.perf_counter()
-                push_sink(prof)
-                try:
+                # the frame is on the stack exactly while _run's code
+                # executes (not while suspended at a yield): nested child
+                # pulls and kernels enter their own frames and take their
+                # seconds out of this one's, and storage/compression
+                # kernels land on the operator that called them
+                with pulls:
                     batch = next(iterator, _DONE)
-                finally:
-                    pop_sink()
-                    seconds += _time.perf_counter() - start
                 if batch is _DONE:
                     break
                 prof.tuples_out += batch.n
@@ -108,9 +103,9 @@ class Operator:
             # Rows, batches and kernels went into the node as they
             # happened; this stream's seconds join the other streams' here
             iterator.close()
-            self.stream_seconds = seconds
-            prof.stream_times.append(seconds)
-            prof.cum_time = max(prof.cum_time, seconds)
+            self.stream_seconds = pulls.seconds
+            prof.stream_times.append(pulls.seconds)
+            prof.cum_time = max(prof.cum_time, pulls.seconds)
 
     def run_to_batch(self) -> Batch:
         return concat_batches(self.execute())

@@ -1,29 +1,32 @@
 """Per-operator execution profiles, like the paper's appendix Q1 profile.
 
-Every operator records wall time spent inside it (``cum_time`` includes its
-children, ``time`` is self-only), tuples in/out, batches pulled and one
-sample per stream -- enough to print the operator tree with the same shape
-of annotations as VectorH's graphical profile. A distributed executor makes
-one node per plan node and hands it to that plan node's operator on every
-stream, so the tree it reports is the plan annotated with what ran, summed
-over streams; operators run outside one make their own nodes.
+Every operator records the wall time it spent (``time``: its own, summed
+over streams; ``cum_time``: its slowest stream's, children included),
+tuples in/out, batches pulled and one sample per stream -- enough to print
+the operator tree with the same shape of annotations as VectorH's
+graphical profile. A distributed executor makes one node per plan node and
+hands it to that plan node's operator on every stream, so the tree it
+reports is the plan annotated with what ran, summed over streams;
+operators run outside one make their own nodes.
 
-On top of the tree, this module carries the *kernel* layer of the
-continuous profiler (``repro.obs.profiler``): a cheap :func:`kernel`
-context manager that attributes wall time, rows and bytes to named
-sub-kernels *inside* an operator's hot path (per-codec decode, MinMax
-checks, predicate evaluation, hash build/probe, exchange serialization).
-Kernels self-nest: a ``decode.pfor`` kernel entered inside a
-``scan.read_block`` kernel subtracts its elapsed time from the enclosing
-frame, so per-kernel seconds stay additive within one operator.
+Every second is recorded once, by the frame that spent it. There is one
+frame stack: :meth:`Operator.execute` enters a :class:`Frame` around every
+pull of its ``_run`` generator, and the :func:`kernel` context manager
+enters one around a named sub-kernel *inside* an operator's hot path
+(per-codec decode, MinMax checks, predicate evaluation, hash build/probe,
+exchange serialization). A frame that exits adds its elapsed seconds to
+the enclosing frame's nested total and records the rest -- elapsed minus
+what nested frames took -- as its own: a child operator's pull, a sender
+fragment a receiver pumps, a ``decode.pfor`` kernel inside a
+``scan.read_block`` kernel each take their seconds out of the frame
+around them, so seconds stay additive over the whole tree.
 
-Attribution is *ambient*: :meth:`Operator.execute` pushes its
-:class:`ProfileNode` onto a sink stack around every pull of its ``_run``
-generator, so code far from the operator tree (a codec in
-``repro.compression``, the PDT merge in ``repro.storage``) lands its
-kernels on the operator that is currently executing -- no plumbing of
-profile handles through the storage stack. This module must stay free of
-repro imports so every layer can use :func:`kernel` without cycles.
+Attribution is *ambient*: a kernel lands on the node of the innermost
+frame, so code far from the operator tree (a codec in
+``repro.compression``, the PDT merge in ``repro.storage``) charges the
+operator that is currently executing -- no plumbing of profile handles
+through the storage stack. This module must stay free of repro imports so
+every layer can use :func:`kernel` without cycles.
 """
 
 from __future__ import annotations
@@ -33,28 +36,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 
+@dataclass(slots=True)
 class KernelStat:
     """Cumulative accounting of one named kernel within one operator."""
 
-    __slots__ = ("calls", "seconds", "rows", "bytes")
-
-    def __init__(self, calls: int = 0, seconds: float = 0.0,
-                 rows: int = 0, bytes: int = 0):
-        self.calls = calls
-        #: self wall seconds: elapsed inside the kernel minus nested kernels
-        self.seconds = seconds
-        self.rows = rows
-        self.bytes = bytes
-
-    def __repr__(self) -> str:
-        return (f"KernelStat(calls={self.calls}, seconds={self.seconds!r}, "
-                f"rows={self.rows}, bytes={self.bytes})")
-
-    def merge(self, other: "KernelStat") -> None:
-        self.calls += other.calls
-        self.seconds += other.seconds
-        self.rows += other.rows
-        self.bytes += other.bytes
+    calls: int = 0
+    #: own wall seconds: elapsed inside the kernel minus nested frames
+    seconds: float = 0.0
+    rows: int = 0
+    bytes: int = 0
 
 
 @dataclass
@@ -63,6 +53,9 @@ class ProfileNode:
     label: str
     #: slowest stream's seconds inside the operator, children included
     cum_time: float = 0.0
+    #: seconds inside this operator's pulls and outside every frame nested
+    #: in them (its kernels, the pulls of other operators), over all streams
+    own_seconds: float = 0.0
     tuples_out: int = 0
     children: List["ProfileNode"] = field(default_factory=list)
     #: one sample per stream that ran the operator, in the order they closed
@@ -84,8 +77,10 @@ class ProfileNode:
 
     @property
     def time(self) -> float:
-        """Self time: cumulative minus the children's cumulative."""
-        return max(0.0, self.cum_time - sum(c.cum_time for c in self.children))
+        """What this operator spent, over all streams: its pulls' own
+        seconds plus its kernels'."""
+        return self.own_seconds + sum(
+            k.seconds for k in self.kernels.values())
 
     @property
     def tuples_in(self) -> int:
@@ -129,24 +124,28 @@ def format_profile(node: ProfileNode, total_time: Optional[float] = None,
 
 
 # ---------------------------------------------------------------------------
-# The kernel context manager: ambient sinks + self-nesting frames
+# The frame stack: operator pulls and kernels, each recording its own seconds
 # ---------------------------------------------------------------------------
 
-#: global kill switch (overhead measurement / baselines); when off,
-#: :func:`kernel` returns a shared no-op and costs one attribute read
+#: deterministic cost of work, the stream scheduler's ``BatchCostModel``
+#: defaults and the profiler's *sim cost*: one pull (a batch, a kernel
+#: call) plus a per-tuple term
+SIM_PER_CALL = 2e-6
+SIM_PER_ROW = 1e-7
+
+#: global kill switch of *kernel* attribution (overhead measurement /
+#: baselines); when off, :func:`kernel` returns a shared no-op and costs
+#: one attribute read. Operator pulls are timed regardless.
 _ENABLED = True
 
-#: ambient attribution targets: :meth:`Operator.execute` pushes its
-#: ProfileNode around every ``_run`` pull, so the top of the stack is
-#: always the operator whose code is currently running
-_SINKS: List[ProfileNode] = []
+#: active frames, innermost last; the innermost frame's node is the
+#: ambient target of :func:`kernel`, so it is always the operator whose
+#: code is currently running
+_FRAMES: List["Frame"] = []
 
-#: active kernel frames, innermost last, for self-time subtraction
-_FRAMES: List["_Kernel"] = []
-
-#: recycled frames -- :func:`kernel` runs per batch in every operator's
-#: hot loop, so frames are pooled instead of allocated per entry
-_POOL: List["_Kernel"] = []
+#: recycled kernel frames -- :func:`kernel` runs per batch in every
+#: operator's hot loop, so frames are pooled instead of allocated per entry
+_POOL: List["Frame"] = []
 
 _perf = _time.perf_counter
 
@@ -159,42 +158,36 @@ def set_kernel_profiling(enabled: bool) -> bool:
     return previous
 
 
-def kernel_profiling_enabled() -> bool:
-    return _ENABLED
+class Frame:
+    """One timed region; records into a ProfileNode on exit.
 
-
-def push_sink(node: ProfileNode) -> None:
-    _SINKS.append(node)
-
-
-def pop_sink() -> None:
-    _SINKS.pop()
-
-
-class _Kernel:
-    """One timed kernel region; records into a ProfileNode on exit.
+    With a ``name`` it is a kernel. Without, it is an operator's pulls:
+    :meth:`Operator.execute` makes one per stream and enters it around
+    every ``next()``, and ``seconds`` keeps what those took, nested
+    frames included -- the stream's sample.
 
     Kept deliberately lean -- this runs once per batch in every
-    operator's hot loop, and the smoke bench asserts the whole profiler
-    stays under a 5% overhead budget on Q1.
+    operator's hot loop, and the smoke bench asserts a per-``kernel()``
+    budget on Q1.
     """
 
-    __slots__ = ("name", "node", "rows", "bytes", "_t0", "_child")
+    __slots__ = ("name", "node", "rows", "bytes", "seconds", "_t0", "_nested")
 
-    def __init__(self, name: str = "", node: Optional[ProfileNode] = None,
+    def __init__(self, node: ProfileNode, name: Optional[str] = None,
                  rows: int = 0, nbytes: int = 0):
         self.name = name
         self.node = node
         self.rows = rows
         self.bytes = nbytes
+        self.seconds = 0.0
 
     def account(self, rows: int = 0, nbytes: int = 0) -> None:
         """Add rows/bytes discovered while the kernel runs."""
         self.rows += rows
         self.bytes += nbytes
 
-    def __enter__(self) -> "_Kernel":
-        self._child = 0.0
+    def __enter__(self) -> "Frame":
+        self._nested = 0.0
         _FRAMES.append(self)
         self._t0 = _perf()
         return self
@@ -204,15 +197,19 @@ class _Kernel:
         frames = _FRAMES
         frames.pop()
         if frames:
-            frames[-1]._child += elapsed
+            frames[-1]._nested += elapsed
+        own = elapsed - self._nested
+        if self.name is None:
+            self.seconds += elapsed
+            self.node.own_seconds += own
+            return False
         kernels = self.node.kernels
         stat = kernels.get(self.name)
         if stat is None:
             stat = kernels[self.name] = KernelStat()
         stat.calls += 1
-        self_seconds = elapsed - self._child
-        if self_seconds > 0.0:
-            stat.seconds += self_seconds
+        if own > 0.0:
+            stat.seconds += own
         stat.rows += self.rows
         stat.bytes += self.bytes
         _POOL.append(self)
@@ -220,7 +217,7 @@ class _Kernel:
 
 
 class _NullKernel:
-    """Shared no-op stand-in when profiling is off or no sink is active."""
+    """Shared no-op stand-in when profiling is off or nothing executes."""
 
     __slots__ = ()
 
@@ -242,18 +239,18 @@ def kernel(name: str, rows: int = 0, nbytes: int = 0,
     """Time a named sub-kernel of the currently-executing operator.
 
     ``with kernel("decode.pfor", rows=n, nbytes=len(data)): ...`` adds
-    one call, the region's *self* wall seconds (nested kernels subtract
-    themselves) and the given rows/bytes to the ambient operator's
+    one call, the region's *own* wall seconds (nested frames take theirs
+    out) and the given rows/bytes to the ambient operator's
     :attr:`ProfileNode.kernels`. Pass ``node`` to attribute explicitly
-    instead of to the ambient sink. A no-op when profiling is disabled
-    or no operator is executing.
+    instead of to the innermost frame's node. A no-op when profiling is
+    disabled or no operator is executing.
     """
     if not _ENABLED:
         return _NULL_KERNEL
     if node is None:
-        if not _SINKS:
+        if not _FRAMES:
             return _NULL_KERNEL
-        node = _SINKS[-1]
+        node = _FRAMES[-1].node
     if _POOL:
         frame = _POOL.pop()
         frame.name = name
@@ -261,4 +258,4 @@ def kernel(name: str, rows: int = 0, nbytes: int = 0,
         frame.rows = rows
         frame.bytes = nbytes
         return frame
-    return _Kernel(name, node, rows, nbytes)
+    return Frame(node, name, rows, nbytes)

@@ -26,9 +26,9 @@ from repro.mpp.plan import (
     DXHashSplit,
     DXUnion,
     PhysNode,
+    QueryPlan,
 )
 from repro.mpp.feedback import CardinalityFeedbackStore
-from repro.mpp.strategy import QueryPlan
 from repro.mpp.rewriter import ParallelRewriter, RewriterFlags
 from repro.mpp.executor import MppExecutor, QueryResult
 

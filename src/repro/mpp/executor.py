@@ -55,8 +55,8 @@ from repro.engine.operators import (
 )
 from repro.engine.profile import ProfileNode, format_profile
 from repro.mpp import plan as P
+from repro.mpp.plan import ExchangeDecision, QueryPlan, ReplanSignal
 from repro.mpp.rewriter import ParallelRewriter
-from repro.mpp.strategy import ExchangeDecision, QueryPlan, ReplanSignal
 
 MASTER_STREAM = "__master__"
 
@@ -104,6 +104,9 @@ class QueryResult:
     #: worst per-operator q-error against ``qplan``'s estimates
     #: (1.0 = perfect, 0.0 = nothing annotated)
     max_qerror: float = 0.0
+    #: ``(kind, share)`` of the operator kind dominating the query's sim
+    #: cost, left by the profiler's walk of ``profiles``
+    dominant: Tuple[str, float] = ("", 0.0)
     #: workload-manager id
     query_id: Optional[int] = None
     #: simulated seconds spent waiting in the admission queue
@@ -319,7 +322,7 @@ class QueryRun:
     round with live ``tuples_in``. When the observed cardinality is off
     from the estimate by :data:`REPLAN_QERROR_THRESHOLD` *and* the
     cost comparison now flips the other way, the watcher raises
-    :class:`~repro.mpp.strategy.ReplanSignal` straight through the
+    :class:`~repro.mpp.plan.ReplanSignal` straight through the
     operator generator stack. :meth:`step` catches it, feeds the
     observation into the feedback store, cancels the operator tree
     (generators closed, channel buffers dropped, memory released),
@@ -589,9 +592,7 @@ class QueryRun:
             # summed over the streams that ran the node: the fragment's
             # *global* output cardinality
             actual = prof.tuples_out
-            a = max(float(actual), 1.0)
-            e = max(float(ann.rows), 1.0)
-            worst = max(worst, a / e, e / a)
+            worst = max(worst, ann.qerror(actual))
             if harvest and ann.signature:
                 store.observe(ann.signature, ann.rows, actual)
         return worst

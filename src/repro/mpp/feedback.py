@@ -29,7 +29,7 @@ bit-reproducible (the determinism acceptance test).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from repro.mpp import logical as L
@@ -91,39 +91,54 @@ class FeedbackEntry:
     updated: float = 0.0  # sim seconds of the last observe
 
 
+#: entries a store keeps: every fresh-literal statement adds a couple,
+#: so past this the least recently observed or hit one makes room
+FEEDBACK_CAPACITY = 4096
+
+
 class CardinalityFeedbackStore:
     """Signature -> observed-rows memory shared by all plans of a cluster.
 
     ``lookup`` counts hits (and the ``plan_feedback_hits_total`` counter)
     so the ``vh$plan_feedback`` system table shows which fragments
     actually steer plans; ``observe`` is last-write-wins and stamps the
-    simulated clock.
+    simulated clock. Bounded at :data:`FEEDBACK_CAPACITY` entries:
+    ``entries`` is kept in the order they were last observed or hit, so
+    twin runs evict the same ones (``plan_feedback_evicted_total``).
     """
 
     def __init__(self, registry=None, sim_clock=None):
         self.entries: Dict[str, FeedbackEntry] = {}
         self.sim_clock = sim_clock
-        self._hits = (registry or MetricsRegistry()).counter(
+        registry = registry or MetricsRegistry()
+        self._hits = registry.counter(
             "plan_feedback_hits_total",
             "Rewriter cardinality estimates answered from feedback")
+        self._evicted = registry.counter(
+            "plan_feedback_evicted_total",
+            "Feedback entries dropped to stay within capacity")
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _now(self) -> float:
-        return self.sim_clock.seconds if self.sim_clock is not None else 0.0
+    def _touch(self, entry: FeedbackEntry) -> None:
+        """Make ``entry`` the most recently used; evict the least."""
+        self.entries.pop(entry.signature, None)
+        self.entries[entry.signature] = entry
+        if len(self.entries) > FEEDBACK_CAPACITY:
+            del self.entries[next(iter(self.entries))]
+            self._evicted.inc()
 
     def observe(self, signature: str, estimated: float,
                 observed: float) -> None:
         entry = self.entries.get(signature)
         if entry is None:
-            self.entries[signature] = FeedbackEntry(
-                signature, float(estimated), float(observed),
-                updated=self._now())
-        else:
-            entry.estimated = float(estimated)
-            entry.observed = float(observed)
-            entry.updated = self._now()
+            entry = FeedbackEntry(signature, 0.0, 0.0)
+        entry.estimated = float(estimated)
+        entry.observed = float(observed)
+        entry.updated = (self.sim_clock.seconds
+                         if self.sim_clock is not None else 0.0)
+        self._touch(entry)
 
     def lookup(self, signature: str) -> Optional[float]:
         entry = self.entries.get(signature)
@@ -131,6 +146,7 @@ class CardinalityFeedbackStore:
             return None
         entry.hits += 1
         self._hits.inc()
+        self._touch(entry)
         return entry.observed
 
     def snapshot(self) -> List[FeedbackEntry]:
@@ -140,25 +156,19 @@ class CardinalityFeedbackStore:
 
     def export_state(self) -> Dict[str, list]:
         """JSON-serializable dump of every entry (checkpoint format)."""
-        return {"entries": [
-            {"signature": e.signature, "estimated": e.estimated,
-             "observed": e.observed, "hits": e.hits, "updated": e.updated}
-            for e in self.snapshot()
-        ]}
+        return {"entries": [asdict(e) for e in self.snapshot()]}
 
     def restore_state(self, state: Dict[str, list]) -> int:
         """Load a checkpoint produced by :meth:`export_state`.
 
         Entries merge last-write-wins over anything already present, so
         restoring into a warm store keeps the fresher local observations
-        only when the checkpoint lacks them. Returns entries restored.
+        only when the checkpoint lacks them. They come in oldest
+        ``updated`` first, so a checkpoint larger than the capacity keeps
+        its freshest entries. Returns entries restored.
         """
-        restored = 0
-        for item in state.get("entries", []):
-            signature = item["signature"]
-            self.entries[signature] = FeedbackEntry(
-                signature, float(item["estimated"]), float(item["observed"]),
-                hits=int(item.get("hits", 0)),
-                updated=float(item.get("updated", 0.0)))
-            restored += 1
-        return restored
+        items = sorted(state.get("entries", []),
+                       key=lambda item: item.get("updated", 0.0))
+        for item in items:
+            self._touch(FeedbackEntry(**item))
+        return len(items)

@@ -9,11 +9,12 @@ Each node carries a *distribution* the rewriter derived:
 * ``master`` -- a single stream at the session master.
 
 Exchange nodes are the only places data moves between distributions.
+The module ends with the plan contract (:class:`QueryPlan`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.expressions import Expr
@@ -56,13 +57,20 @@ class PhysNode:
         for child in self.children:
             yield from child.walk()
 
-    def pretty(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        lines = [f"{pad}{self.describe()}  <{self.distribution.kind}"
-                 + (f" on {','.join(self.distribution.keys)}"
-                    if self.distribution.keys else "") + ">"]
+    def header(self) -> str:
+        """``describe()  <kind on keys>``: how every rendering of the plan
+        (this one, EXPLAIN, EXPLAIN ANALYZE) starts this node's line."""
+        dist = self.distribution
+        on = f" on {','.join(dist.keys)}" if dist.keys else ""
+        return f"{self.describe()}  <{dist.kind}{on}>"
+
+    def pretty(self, indent: int = 0, suffix=lambda node: "") -> str:
+        """The subtree, a line per node: its header plus ``suffix(node)``,
+        whose own further lines are indented with the node."""
+        text = self.header() + suffix(self)
+        lines = ["  " * indent + line for line in text.split("\n")]
         for child in self.children:
-            lines.append(child.pretty(indent + 1))
+            lines.append(child.pretty(indent + 1, suffix))
         return "\n".join(lines)
 
 
@@ -258,3 +266,78 @@ class DXBroadcast(DXchg):
 
     def __init__(self, child: PhysNode):
         super().__init__([child], Distribution(REPLICATED))
+
+
+# ---------------------------------------------------------------------------
+# The plan contract: what planning hands to execution
+# ---------------------------------------------------------------------------
+
+@dataclass
+class NodeEstimate:
+    """Planner annotation for one physical node's output cardinality."""
+
+    signature: Optional[str]
+    rows: float
+    source: str  # "static" | "feedback"
+
+    def qerror(self, actual: float) -> float:
+        """``max(actual/est, est/actual)``, both clamped to one row."""
+        a = max(float(actual), 1.0)
+        e = max(float(self.rows), 1.0)
+        return max(a / e, e / a)
+
+
+@dataclass
+class ExchangeDecision:
+    """One cost-based build-movement choice, with enough context to
+    re-evaluate it against live cardinalities mid-query."""
+
+    node: PhysNode  # the DXchg that moves the build side
+    signature: Optional[str]  # fragment signature of the build subtree
+    choice: str  # "broadcast" | "repartition"
+    estimated: float  # estimated build rows at plan time
+    probe_move_rows: float  # rows the alternative reshuffle moves extra
+    n_workers: int
+
+
+@dataclass
+class QueryPlan:
+    """A planned query: physical tree + cardinality/cost annotations.
+
+    Built by :meth:`ParallelRewriter.plan` and the only thing
+    :meth:`~repro.mpp.executor.MppExecutor.prepare` accepts; the resulting
+    :class:`~repro.mpp.executor.QueryRun` watches the recorded decisions
+    and re-plans when one is proven wrong mid-query. Tests that hand-build a
+    physical tree wrap it as ``QueryPlan(logical=None, root=tree)``; such
+    a plan carries no decisions, so it is never re-planned.
+    """
+
+    logical: object
+    root: PhysNode
+    annotations: Dict[PhysNode, NodeEstimate] = field(default_factory=dict)
+    decisions: List[ExchangeDecision] = field(default_factory=list)
+    flags: object = None
+
+    def pretty(self) -> str:
+        """Plan rendering with per-node estimates (``(fb)`` marks
+        feedback-backed numbers) -- what EXPLAIN prints."""
+        def estimate(node: PhysNode) -> str:
+            ann = self.annotations.get(node)
+            if ann is None:
+                return ""
+            fb = "(fb)" if ann.source == "feedback" else ""
+            return f"  est={ann.rows:.0f}{fb}"
+
+        return self.root.pretty(suffix=estimate)
+
+
+class ReplanSignal(Exception):
+    """Raised by an exchange watcher through the generator stack when a
+    mid-query cost flip is certain; caught by :meth:`QueryRun.step`."""
+
+    def __init__(self, decision: ExchangeDecision, actual: float):
+        super().__init__(
+            f"{decision.choice} build observed {actual:.0f} rows "
+            f"vs {decision.estimated:.0f} estimated")
+        self.decision = decision
+        self.actual = actual

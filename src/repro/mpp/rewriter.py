@@ -28,7 +28,7 @@ from repro.engine.operators import AggSpec
 from repro.mpp import logical as L
 from repro.mpp import plan as P
 from repro.mpp.feedback import fragment_signature
-from repro.mpp.strategy import ExchangeDecision, NodeEstimate, QueryPlan
+from repro.mpp.plan import ExchangeDecision, NodeEstimate, QueryPlan
 
 
 @dataclass

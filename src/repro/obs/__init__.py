@@ -10,10 +10,11 @@
 * :class:`ClusterEventLog` / :class:`Event` -- append-only log of
   irregular cluster facts (failures, re-replication, preemption, 2PC
   outcomes, DDL), queryable through the ``vh$events`` system table.
-* :class:`ContinuousProfiler` -- always-on aggregation of per-operator /
-  per-kernel execution profiles (``vh$operator_stats``, ``vh$hot_paths``)
-  with flamegraph (:func:`folded_stacks`) and Chrome-trace
-  (:func:`profile_chrome_trace`) exports.
+* :class:`ContinuousProfiler` -- always-on charging of per-operator /
+  per-kernel execution profiles into the registry (``vh$operator_stats``,
+  ``vh$hot_paths``) with a flamegraph export (:func:`folded_stacks`); a
+  query's timeline is its lifecycle trace, operators and kernels grafted
+  in by :func:`span_from_profile`.
 
 ``repro.obs.introspect`` (system tables + EXPLAIN ANALYZE) depends on the
 storage/mpp layers and is therefore *not* imported here; import it
@@ -38,12 +39,7 @@ from repro.obs.monitor import (
     default_rules,
     sql_fingerprint,
 )
-from repro.obs.profiler import (
-    ContinuousProfiler,
-    dominant_operator,
-    folded_stacks,
-    profile_chrome_trace,
-)
+from repro.obs.profiler import ContinuousProfiler, folded_stacks
 from repro.obs.trace import (
     NULL_TRACER,
     SimClock,
@@ -71,9 +67,7 @@ __all__ = [
     "Span",
     "Tracer",
     "default_rules",
-    "dominant_operator",
     "folded_stacks",
-    "profile_chrome_trace",
     "quantile_from_buckets",
     "span_from_profile",
     "sql_fingerprint",

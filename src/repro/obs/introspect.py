@@ -2,14 +2,13 @@
 
 The cluster describes itself through its own SQL engine:
 
-* **System tables** -- :class:`SystemCatalog` registers seventeen virtual
+* **System tables** -- :class:`SystemCatalog` registers sixteen virtual
   ``vh$`` tables (:data:`SYSTEM_TABLES`) whose partitions are live
   snapshots of the metrics registry, the HDFS block map, per-column
   compression statistics, PDT overlay sizes, the cluster event log, the
   workload manager's query records (``vh$queries`` / ``vh$sessions``:
-  live queries plus the bounded ring of terminal ones; ``vh$query_log``:
-  the ring with its summary columns), the chaos controller's fault
-  plan, the cardinality feedback store, the flight recorder's sampled
+  live queries plus the bounded ring of terminal ones, each terminal
+  one with its summary columns), the chaos controller's fault plan, the cardinality feedback store, the flight recorder's sampled
   metric history and alert ledger, and the continuous profiler's
   per-operator stats and top-k hot paths. A :class:`VirtualTable` quacks like a
   :class:`~repro.storage.table.StoredTable` (schema, replication,
@@ -38,6 +37,7 @@ import numpy as np
 from repro.common.errors import StorageError
 from repro.common.types import FLOAT64, INT64, STRING, ColumnType
 from repro.mpp import plan as P
+from repro.obs.metrics import labels_text
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import ScanResult
 
@@ -77,15 +77,11 @@ class VirtualTable:
     def _decimal_scale(self, name: str) -> Optional[int]:
         return None
 
-    def snapshot_rows(self) -> List[tuple]:
-        """The current rows, in schema column order."""
-        return self._snapshot_fn(self.cluster)
-
     def scan_partition(self, pid: int, columns: Sequence[str],
                        predicates: Sequence[Tuple[str, str, object]] = (),
                        trans=None, reader: Optional[str] = None,
                        pool=None) -> ScanResult:
-        rows = self.snapshot_rows()
+        rows = self._snapshot_fn(self.cluster)  # in schema column order
         arrays = _columns_from_rows(self.schema, rows)
         n = len(rows)
         cols = {c: arrays[c] for c in dict.fromkeys(columns)}
@@ -110,25 +106,18 @@ def _columns_from_rows(schema: TableSchema,
 # Snapshot builders (one per system table; rows in schema column order)
 # ---------------------------------------------------------------------------
 
-def _labels_text(family, key) -> str:
-    return ",".join(f"{n}={v}" for n, v in family.labelset(key).items())
-
-
 def _metrics_rows(cluster) -> List[tuple]:
     rows = []
     for family in cluster.registry.families():
-        snap = family.snapshot()
-        if family.kind == "histogram":
-            for key, data in sorted(snap.items()):
-                labels = _labels_text(family, key)
+        for key, data in sorted(family.snapshot().items()):
+            labels = labels_text(family.labelset(key).items())
+            if family.kind == "histogram":
                 rows.append((f"{family.name}_count", family.kind, labels,
                              float(data["count"])))
                 rows.append((f"{family.name}_sum", family.kind, labels,
                              float(data["sum"])))
-        else:
-            for key, value in sorted(snap.items()):
-                rows.append((family.name, family.kind,
-                             _labels_text(family, key), float(value)))
+            else:
+                rows.append((family.name, family.kind, labels, float(data)))
     return rows
 
 
@@ -202,7 +191,9 @@ def _queries_rows(cluster) -> List[tuple]:
     Sourced from the manager's records (live + the terminal ring)
     rather than the tracer ring or the registry, so queued/running/
     cancelled queries are visible while in flight and the table
-    survives ``metrics().reset()``.
+    survives ``metrics().reset()``. From ``fingerprint`` on, the summary
+    a query gets at its terminal state (empty / zero while live); the
+    query log is ``WHERE state NOT IN ('queued', 'running')``.
     """
     import time as _time
     now_wall = _time.perf_counter()
@@ -218,6 +209,9 @@ def _queries_rows(cluster) -> List[tuple]:
             (end_wall - rec.submit_wall) * 1e3,
             (end_sim - rec.submit_sim) * 1e3,
             rec.wait_sim * 1e3, rec.rounds, rec.retries,
+            rec.fingerprint, rec.plan_signature, rec.rows,
+            rec.peak_memory_bytes, rec.wire_bytes, rec.replans,
+            rec.max_qerror, rec.dominant_op, rec.dominant_share, rec.tenant,
         ))
     return rows
 
@@ -257,31 +251,6 @@ def _sessions_rows(cluster) -> List[tuple]:
     ]
 
 
-def _metrics_history_rows(cluster) -> List[tuple]:
-    """The flight recorder's sampled time series (one row per series
-    value per retained sample)."""
-    return cluster.monitor.history.rows()
-
-
-def _alerts_rows(cluster) -> List[tuple]:
-    """Every alert the health monitor ever raised (``cleared_sim`` is
-    -1 while still firing)."""
-    return cluster.monitor.health.rows()
-
-
-def _query_log_rows(cluster) -> List[tuple]:
-    """The terminal ring in completion order; unlike ``vh$queries``
-    this holds only terminal queries and shows their summary facts."""
-    return [
-        (r.query_id, r.session_id, r.state, r.fingerprint,
-         r.plan_signature, r.statement or r.root_label, r.wall_s * 1e3,
-         r.sim_s * 1e3, r.wait_sim * 1e3, r.rows, r.peak_memory_bytes,
-         r.wire_bytes, r.retries, r.replans, r.max_qerror,
-         r.dominant_op, r.dominant_share, r.tenant)
-        for r in cluster.workload.terminal_records()
-    ]
-
-
 def _tenants_rows(cluster) -> List[tuple]:
     """Per-tenant admission state: weights, quotas, WFQ pass values and
     lifetime admitted/finished counts. Wall-clock free, so twin
@@ -304,21 +273,6 @@ def _connections_rows(cluster) -> List[tuple]:
          len(c.prepared), c.opened_sim)
         for c in frontend.connections.values()
     ]
-
-
-def _operator_stats_rows(cluster) -> List[tuple]:
-    """The continuous profiler's cumulative per-operator-kind stats.
-
-    Columns through ``sim_cost_s`` are deterministic (bit-identical
-    across same-seed runs); ``wall_s`` / ``rows_per_s`` are real
-    wall-clock measurements.
-    """
-    return cluster.profiler.rows()
-
-
-def _hot_paths_rows(cluster) -> List[tuple]:
-    """Top-k (operator, kernel) pairs ranked by deterministic sim cost."""
-    return cluster.profiler.hot_paths()
 
 
 def _plan_feedback_rows(cluster) -> List[tuple]:
@@ -369,7 +323,10 @@ SYSTEM_TABLES = (
      [("query", INT64), ("session", INT64), ("state", STRING),
       ("root", STRING), ("statement", STRING), ("wall_ms", FLOAT64),
       ("sim_ms", FLOAT64), ("wait_ms", FLOAT64), ("rounds", INT64),
-      ("retries", INT64)],
+      ("retries", INT64), ("fingerprint", STRING), ("plan", STRING),
+      ("rows", INT64), ("peak_memory", INT64), ("wire_bytes", INT64),
+      ("replans", INT64), ("max_qerror", FLOAT64), ("dominant", STRING),
+      ("dominant_share", FLOAT64), ("tenant", STRING)],
      _queries_rows),
     ("vh$faults",
      [("idx", INT64), ("at", FLOAT64), ("kind", STRING),
@@ -388,22 +345,13 @@ SYSTEM_TABLES = (
     ("vh$metrics_history",
      [("sample", INT64), ("sim_time", FLOAT64), ("metric", STRING),
       ("labels", STRING), ("value", FLOAT64)],
-     _metrics_history_rows),
+     lambda cluster: cluster.monitor.history.rows()),
     ("vh$alerts",
      [("seq", INT64), ("rule", STRING), ("metric", STRING),
       ("state", STRING), ("value", FLOAT64), ("threshold", FLOAT64),
       ("raised_sim", FLOAT64), ("cleared_sim", FLOAT64),
       ("peak", FLOAT64)],
-     _alerts_rows),
-    ("vh$query_log",
-     [("query", INT64), ("session", INT64), ("state", STRING),
-      ("fingerprint", STRING), ("plan", STRING), ("statement", STRING),
-      ("wall_ms", FLOAT64), ("sim_ms", FLOAT64), ("wait_ms", FLOAT64),
-      ("rows", INT64), ("peak_memory", INT64), ("wire_bytes", INT64),
-      ("retries", INT64), ("replans", INT64), ("max_qerror", FLOAT64),
-      ("dominant", STRING), ("dominant_share", FLOAT64),
-      ("tenant", STRING)],
-     _query_log_rows),
+     lambda cluster: cluster.monitor.health.rows()),
     ("vh$tenants",
      [("tenant", STRING), ("weight", INT64), ("priority", INT64),
       ("quota", INT64), ("memory_quota", INT64), ("queued", INT64),
@@ -420,12 +368,12 @@ SYSTEM_TABLES = (
       ("rows_in", INT64), ("rows_out", INT64), ("batches", INT64),
       ("net_bytes", INT64), ("sim_cost_s", FLOAT64),
       ("wall_s", FLOAT64), ("rows_per_s", FLOAT64)],
-     _operator_stats_rows),
+     lambda cluster: cluster.profiler.rows()),
     ("vh$hot_paths",
      [("rank", INT64), ("operator", STRING), ("kernel", STRING),
       ("calls", INT64), ("rows", INT64), ("bytes", INT64),
       ("sim_cost_s", FLOAT64), ("wall_s", FLOAT64), ("share", FLOAT64)],
-     _hot_paths_rows),
+     lambda cluster: cluster.profiler.hot_paths()),
 )
 
 
@@ -442,9 +390,6 @@ class SystemCatalog:
 
     def lookup(self, name: str) -> Optional[VirtualTable]:
         return self._tables.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._tables)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +448,7 @@ def annotate_plan(result, before, after) -> str:
     skipped_delta = _series_delta(before, after, "minmax_blocks_skipped_total")
     filtered_delta = _series_delta(before, after, "scan_rows_filtered_total")
 
-    lines: List[str] = []
-
-    def emit(node, indent: int) -> None:
-        pad = "  " * indent
-        dist = node.distribution
-        head = (f"{pad}{node.describe()}  <{dist.kind}"
-                + (f" on {','.join(dist.keys)}" if dist.keys else "") + ">")
+    def actuals_of(node) -> str:
         prof = result.profile_of(node)
         actuals: List[str] = []
         if prof is not None:
@@ -520,9 +459,7 @@ def annotate_plan(result, before, after) -> str:
             fb = "(fb)" if ann.source == "feedback" else ""
             actuals.append(f"est={ann.rows:.0f}{fb}")
             if prof is not None:
-                actual = max(float(prof.tuples_out), 1.0)
-                est = max(float(ann.rows), 1.0)
-                actuals.append(f"q={max(actual / est, est / actual):.1f}")
+                actuals.append(f"q={ann.qerror(prof.tuples_out):.1f}")
         stats = exchange_stats.get(node)  # of this exchange, if it is one
         if stats is not None:
             actuals.append(f"wire={int(stats['bytes'])}B"
@@ -537,21 +474,19 @@ def annotate_plan(result, before, after) -> str:
             if node.skip_predicates:
                 filtered = filtered_delta.get((node.table,), 0)
                 actuals.append(f"filtered={int(filtered)}")
-        lines.append(head + (f"  [{' '.join(actuals)}]" if actuals else ""))
+        text = f"  [{' '.join(actuals)}]" if actuals else ""
         if stats is not None:
             for link in stats.get("links", ()):
                 if not link["bytes"]:
                     continue
                 mode = "local" if link["local"] else "remote"
-                lines.append(
-                    f"{pad}  . link {link['src']}->{link['dst']}: "
+                text += (
+                    f"\n  . link {link['src']}->{link['dst']}: "
                     f"{int(link['bytes'])}B {int(link['messages'])}msgs "
-                    f"{int(link['tuples'])}t ({mode})"
-                )
-        for child in node.children:
-            emit(child, indent + 1)
+                    f"{int(link['tuples'])}t ({mode})")
+        return text
 
-    emit(result.qplan.root, 0)
+    lines = [result.qplan.root.pretty(suffix=actuals_of)]
 
     # footer: query-level actuals reconciled with the registry diff
     reads = _series_delta(before, after, "hdfs_read_bytes_total")

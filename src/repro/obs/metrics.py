@@ -43,6 +43,18 @@ def _escape_label_value(v: str) -> str:
     return v.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
+def render_labels(pairs: Iterable[Tuple[str, object]]) -> str:
+    """Prometheus label block ``{name="value",...}``; empty without pairs."""
+    body = ",".join(f'{n}="{_escape_label_value(str(v))}"' for n, v in pairs)
+    return "{" + body + "}" if body else ""
+
+
+def labels_text(pairs: Iterable[Tuple[str, str]]) -> str:
+    """``name=value,...``: the ``labels`` column of ``vh$metrics`` and
+    ``vh$metrics_history``."""
+    return ",".join(f"{k}={v}" for k, v in pairs)
+
+
 def _escape_help(text: str) -> str:
     """HELP lines escape backslash and newline (quotes stay literal)."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
@@ -99,13 +111,7 @@ class MetricFamily:
 
     def _render_labels(self, key: LabelKey,
                        extra: Sequence[Tuple[str, str]] = ()) -> str:
-        pairs = [(n, v) for n, v in zip(self.label_names, key)]
-        pairs.extend(extra)
-        if not pairs:
-            return ""
-        body = ",".join(
-            f'{n}="{_escape_label_value(str(v))}"' for n, v in pairs)
-        return "{" + body + "}"
+        return render_labels([*zip(self.label_names, key), *extra])
 
     # -- interface every family implements -----------------------------------
 
@@ -245,13 +251,17 @@ class Histogram(MetricFamily):
                 return 0.0
             return quantile_from_buckets(
                 self.buckets, state.bucket_counts, state.count, q)
+        return quantile_from_buckets(self.buckets, *self.totals(), q)
+
+    def totals(self) -> Tuple[List[int], int]:
+        """Per-bucket counts and observation count over every series."""
         counts = [0] * len(self.buckets)
         total = 0
         for state in self._series.values():
             total += state.count
             for i, n in enumerate(state.bucket_counts):
                 counts[i] += n
-        return quantile_from_buckets(self.buckets, counts, total, q)
+        return counts, total
 
     def clear(self) -> None:
         self._series.clear()

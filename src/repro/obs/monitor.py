@@ -29,7 +29,7 @@ workload manager's round hook on the shared :class:`~repro.obs.SimClock`
   plan-fragment signature, rows, peak memory, wire bytes, replans, max
   q-error and dominant operator into the workload manager's one
   :class:`~repro.workload.manager.QueryRecord`, which then lives in the
-  manager's bounded ring. ``vh$query_log``, :meth:`slow_report` and
+  manager's bounded ring. ``vh$queries``, :meth:`slow_report` and
   :meth:`fingerprint_stats` are projections of that ring; it is *not*
   registry-backed, so it survives ``metrics().reset()``.
 
@@ -54,11 +54,11 @@ from repro.common.errors import ReproError
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
-    _escape_label_value,
     _format_value,
+    labels_text,
+    render_labels,
     quantile_from_buckets,
 )
-from repro.obs.profiler import dominant_operator
 
 #: one recorded series value: (family name, ((label, value), ...))
 SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -92,16 +92,13 @@ class HistorySample:
         raise ReproError(f"unknown aggregation {agg!r}")
 
 
-def _labels_text(pairs: Tuple[Tuple[str, str], ...]) -> str:
-    return ",".join(f"{k}={v}" for k, v in pairs)
-
-
 #: registry families measured on the *wall* clock, not the simulated
 #: one: their values vary run-to-run even under workload_deterministic,
 #: so the history skips them to keep same-seed samples bit-identical
 WALL_CLOCK_FAMILIES = frozenset({
     "executor_stream_seconds",
     "operator_wall_seconds_total",
+    "operator_own_seconds_total",
     "kernel_wall_seconds_total",
 })
 
@@ -256,7 +253,7 @@ class MetricsHistory:
         for sample in self.samples:
             for (name, pairs), value in sorted(sample.values.items()):
                 out.append((sample.seq, sample.sim_time, name,
-                            _labels_text(pairs), float(value)))
+                            labels_text(pairs), float(value)))
         return out
 
     # -- exports -------------------------------------------------------------
@@ -269,10 +266,8 @@ class MetricsHistory:
         lines = [f"# metrics_history sample={sample.seq} "
                  f"sim_time={sample.sim_time!r}"]
         for (name, pairs), value in sorted(sample.values.items()):
-            body = ",".join(f'{k}="{_escape_label_value(str(v))}"'
-                            for k, v in pairs)
-            labels = "{" + body + "}" if body else ""
-            lines.append(f"{name}{labels} {_format_value(value)}")
+            lines.append(
+                f"{name}{render_labels(pairs)} {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
     def export_json(self) -> dict:
@@ -286,7 +281,7 @@ class MetricsHistory:
                     "seq": s.seq,
                     "sim_time": s.sim_time,
                     "values": {
-                        (f"{name}{{{_labels_text(pairs)}}}" if pairs
+                        (f"{name}{{{labels_text(pairs)}}}" if pairs
                          else name): value
                         for (name, pairs), value in sorted(s.values.items())
                     },
@@ -410,9 +405,6 @@ class HealthMonitor:
         self.rules.append(rule)
         self._states[rule.name] = _RuleState(rule)
 
-    def state(self, name: str) -> _RuleState:
-        return self._states[name]
-
     def evaluations(self, name: Optional[str] = None) -> int:
         if name is not None:
             return self._states[name].evaluations
@@ -500,13 +492,7 @@ class HealthMonitor:
         family = self.cluster.registry.get(rule.metric)
         if not isinstance(family, Histogram):
             return None
-        # aggregate bucket counts across every label series
-        counts = [0] * len(family.buckets)
-        total = 0
-        for state in family._series.values():
-            for i, n in enumerate(state.bucket_counts):
-                counts[i] += n
-            total += state.count
+        counts, total = family.totals()
         if rule.window_s <= 0:
             if total == 0:
                 return None
@@ -702,8 +688,7 @@ class FlightRecorder:
         record.wire_bytes = result.network_bytes
         record.replans = result.replans
         record.max_qerror = result.max_qerror
-        record.dominant_op, record.dominant_share = dominant_operator(
-            result.profiles)
+        record.dominant_op, record.dominant_share = result.dominant
 
     def slow_report(self, n: int = 10) -> str:
         """The n slowest terminal queries by simulated time, one line each."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import time as _time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -109,13 +108,18 @@ class Span:
         return json.dumps(self.chrome_trace(), **kwargs)
 
 
-def span_from_profile(node, parent_span: Span) -> Span:
-    """Graft one operator-profile tree under an execute span.
+def span_from_profile(node, parent_span: Span, start: float) -> Span:
+    """Graft one operator-profile tree under an execute span, from
+    ``start`` on the wall clock.
 
-    Operator profiles measure wall time only; the grafted spans inherit
-    the parent's timeline position and carry tuple counts, per-stream
-    times and wire traffic as attributes -- this is what lets the trace
-    tree subsume ``format_profile``.
+    The engine interleaves operators and streams on one thread, so true
+    intervals do not exist: an operator's span holds its children's
+    spans, then its kernels as leaf spans, then its pulls' own seconds,
+    end to end, so it lasts what its subtree spent over all streams and
+    the tree lasts the wall spent inside operator pulls. Profiles measure
+    wall time only: the spans sit at the parent's simulated instant and
+    carry tuple counts, per-stream times and wire traffic as attributes
+    -- this is what lets the trace tree subsume ``format_profile``.
     """
     attrs: Dict[str, object] = {
         "tuples_in": node.tuples_in,
@@ -129,13 +133,21 @@ def span_from_profile(node, parent_span: Span) -> Span:
         attrs["net_bytes"] = node.net_bytes
     if node.net_messages:
         attrs["net_messages"] = node.net_messages
-    span = Span(name=node.label, attrs=attrs)
-    span.wall_start = parent_span.wall_start
-    span.wall_end = parent_span.wall_start + node.cum_time
-    span.sim_start = span.sim_end = parent_span.sim_start
+    sim = parent_span.sim_start
+    span = Span(node.label, attrs, wall_start=start, sim_start=sim,
+                sim_end=sim)
     parent_span.children.append(span)
+    cursor = start
     for child in node.children:
-        span_from_profile(child, span)
+        cursor = span_from_profile(child, span, cursor).wall_end
+    for name, stat in sorted(node.kernels.items()):
+        span.children.append(Span(
+            f"kernel:{name}",
+            {"calls": stat.calls, "rows": stat.rows, "bytes": stat.bytes},
+            wall_start=cursor, wall_end=cursor + stat.seconds,
+            sim_start=sim, sim_end=sim))
+        cursor += stat.seconds
+    span.wall_end = cursor + node.own_seconds
     return span
 
 
@@ -144,32 +156,19 @@ class Tracer:
 
     Spans opened while another span is active nest under it; a span
     opened with no active parent starts a new root trace, published on
-    completion as :attr:`last_trace` (and kept in the bounded
-    :attr:`finished` ring).
+    completion as :attr:`last_trace`. The workload manager's queries
+    interleave, so the single stack cannot nest them: it assembles their
+    trees by hand and sets :attr:`last_trace` itself.
     """
 
-    def __init__(self, sim_clock: Optional[SimClock] = None,
-                 keep_last: int = 32):
+    def __init__(self, sim_clock: Optional[SimClock] = None):
         self.sim_clock = sim_clock or SimClock()
         self._stack: List[Span] = []
         self.last_trace: Optional[Span] = None
-        self.finished: deque = deque(maxlen=keep_last)
 
     @property
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
-
-    def publish(self, span: Span) -> None:
-        """Record an externally-assembled root span.
-
-        The workload manager builds span trees by hand (its queries
-        interleave, so the tracer's single stack cannot nest them) and
-        publishes each finished tree here, making it visible to
-        ``last_trace`` / ``finished`` / ``vh$queries`` exactly like a
-        stack-recorded root.
-        """
-        self.last_trace = span
-        self.finished.append(span)
 
     @contextmanager
     def span(self, name: str, **attrs) -> Iterator[Span]:
@@ -188,7 +187,6 @@ class Tracer:
             s.sim_end = self.sim_clock.seconds
             if parent is None:
                 self.last_trace = s
-                self.finished.append(s)
 
 
 #: fallback for components not wired to a cluster (never published)

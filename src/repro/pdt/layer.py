@@ -242,7 +242,8 @@ class PdtLayer:
         Tail inserts (anchored at the end of the stable image, not
         modifying any existing tuple) can be flushed by only *appending*
         new blocks; everything else requires re-compressing existing
-        blocks and may be flushed at lower frequency.
+        blocks and may be flushed at lower frequency. The tail comes back
+        in commit (``seq``) order, the order its rows are appended in.
         """
         touched_uids = set()
         for e in self.entries:
@@ -257,4 +258,5 @@ class PdtLayer:
                 and e.uid not in touched_uids
             )
             (tail if is_tail else rest).append(e)
+        tail.sort(key=lambda e: e.seq)
         return PdtLayer(tail), PdtLayer(rest)

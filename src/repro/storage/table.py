@@ -30,7 +30,7 @@ from repro.common.errors import StorageError
 from repro.common.types import ColumnType
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
-from repro.pdt.layer import apply_entries, classify_entries
+from repro.pdt.layer import PdtLayer, apply_entries, classify_entries
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
 from repro.storage.colstore import PartitionStore
@@ -449,11 +449,11 @@ class StoredTable:
         if not entries:
             return "none"
         names = self.schema.column_names
-        tail, rest = _split_tail(entries, store.n_stable)
+        tail, rest = PdtLayer(entries).split_tail_inserts(store.n_stable)
         if not rest:
             values = {
                 name: np.asarray(
-                    [e.values[name] for e in tail],
+                    [e.values[name] for e in tail.entries],
                     dtype=self.schema.ctype(name).dtype,
                 )
                 for name in names
@@ -675,18 +675,3 @@ def _resort_clustered(result: ScanResult, cluster_key) -> ScanResult:
         result.n_rows,
     )
 
-
-def _split_tail(entries, n_stable):
-    touched_uids = set()
-    for e in entries:
-        if e.kind.value != "insert" and e.target and e.target[0] == "i":
-            touched_uids.add(e.target[1])
-    tail, rest = [], []
-    for e in entries:
-        if (e.kind.value == "insert" and e.anchor_sid >= n_stable
-                and e.uid not in touched_uids):
-            tail.append(e)
-        else:
-            rest.append(e)
-    tail.sort(key=lambda e: e.seq)
-    return tail, rest

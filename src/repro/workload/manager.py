@@ -76,13 +76,13 @@ from repro.engine.exchange import (
 )
 from repro.mpp import plan as P
 from repro.mpp.executor import QueryResult, QueryRun
+from repro.mpp.plan import QueryPlan
 from repro.mpp.rewriter import ParallelRewriter
-from repro.mpp.strategy import QueryPlan
 from repro.obs import Span, span_from_profile
 
 #: terminal queries kept (as one flat row each) for ``vh$queries``,
-#: ``vh$query_log``, ``vh$sessions`` and the reports; the oldest falls
-#: off the ring and is counted in ``query_log_dropped_total``
+#: ``vh$sessions`` and the reports; the oldest falls off the ring and is
+#: counted in ``query_log_dropped_total``
 QUERY_RING_CAPACITY = 4096
 
 QUEUED = "queued"
@@ -206,7 +206,7 @@ class QueryRecord:
     wait_sim: float = 0.0
     root_span: Optional[Span] = None
     trace_parent: Optional[Span] = None
-    # -- terminal summary (what ``vh$query_log`` adds to ``vh$queries``)
+    # -- terminal summary (``vh$queries`` from ``fingerprint`` on)
     plan_signature: str = ""
     rows: int = 0
     peak_memory_bytes: int = 0
@@ -500,7 +500,7 @@ class WorkloadManager:
         """Plan a query and enqueue it; returns the query id.
 
         ``plan`` is a logical plan, rewritten here under ``flags``, or
-        an already-planned :class:`~repro.mpp.strategy.QueryPlan`, used
+        an already-planned :class:`~repro.mpp.plan.QueryPlan`, used
         as is. Submission is cheap: the plan is rewritten and estimated,
         then queued. Execution happens in :meth:`step` rounds, normally
         driven from :meth:`gather`. ``timeout`` is a simulated-seconds
@@ -755,31 +755,20 @@ class WorkloadManager:
         except Exception as exc:  # pragma: no cover - read-only commits
             self._fail(record, exc)
             return
-        record.finish_wall = _time.perf_counter()
-        record.finish_sim = self._clock.seconds
         result.wait_sim_seconds = record.wait_sim
         record.result = result
-        record.state = FINISHED
-        self._retire(record)
-        self._emit("query.finished", query=record.query_id,
-                   rounds=result.rounds,
-                   sim=round(result.simulated_parallel_seconds, 9))
         if record.trace:
             result.trace = record.root_span  # sealed in place by _close
-        self._close(record)
+        self._close(record, FINISHED, "query.finished", rounds=result.rounds,
+                    sim=round(result.simulated_parallel_seconds, 9))
 
     def _fail(self, record: QueryRecord, exc: BaseException) -> None:
         record.run.cancel()
         self._finish_own_txn(record, commit=False)
         record.error = exc
         record.error_text = f"{type(exc).__name__}: {exc}"
-        record.state = FAILED
-        record.finish_wall = _time.perf_counter()
-        record.finish_sim = self._clock.seconds
-        self._retire(record)
-        self._emit("query.failed", query=record.query_id,
-                   error=type(exc).__name__)
-        self._close(record)
+        self._close(record, FAILED, "query.failed",
+                    error=type(exc).__name__)
 
     def cancel(self, query_id: int, reason: str = "cancelled") -> bool:
         """Cancel a queued or suspended query; unwinds it cleanly.
@@ -798,13 +787,8 @@ class WorkloadManager:
         else:
             record.run.cancel()
         self._finish_own_txn(record, commit=False)
-        record.state = CANCELLED
         record.cancel_reason = reason
-        record.finish_wall = _time.perf_counter()
-        record.finish_sim = self._clock.seconds
-        self._retire(record)
-        self._emit("query.cancelled", query=query_id, reason=reason)
-        self._close(record)
+        self._close(record, CANCELLED, "query.cancelled", reason=reason)
         self._admit()  # the freed slot may unblock the queue
         self._update_gauges()
         return True
@@ -824,15 +808,19 @@ class WorkloadManager:
             else:
                 tenant.mem_by_node.pop(node, None)
 
-    def _retire(self, record: QueryRecord) -> None:
+    def _close(self, record: QueryRecord, state: str, event: str,
+               **attrs) -> None:
+        """Terminal bookkeeping: stamp the state and both clocks, free
+        the slot, emit ``event``, publish the span tree, fold the summary
+        scalars into the record, let go of everything else and move the
+        record from the live set to the ring."""
+        record.state = state
+        record.finish_wall = _time.perf_counter()
+        record.finish_sim = self._clock.seconds
         if record.query_id in self._running:
             self._release_running(record)
         self._update_gauges()
-
-    def _close(self, record: QueryRecord) -> None:
-        """Terminal bookkeeping: publish the span tree, fold the summary
-        scalars into the record, let go of everything else and move the
-        record from the live set to the ring."""
+        self._emit(event, query=record.query_id, **attrs)
         if record.run is not None:
             record.rounds = record.run.rounds
         self._seal_spans(record)
@@ -955,7 +943,8 @@ class WorkloadManager:
         Concurrent queries cannot nest on the tracer's stack, so the
         tree is put together here from the record's timestamps: query ->
         rewrite, assignment, execute (build / schedule / exchange.flush
-        + grafted operator profiles), commit.
+        + the operator profile grafted beside the latter two, which it
+        decomposes), commit.
         """
         root = record.root_span
         run = record.run
@@ -980,8 +969,10 @@ class WorkloadManager:
                              else record.admit_sim)))
                 cursor += wall
             if record.result is not None:
+                # the operator tree decomposes schedule + exchange.flush
                 for prof in record.result.profiles:
-                    span_from_profile(prof, exec_span)
+                    span_from_profile(prof, exec_span,
+                                      record.admit_wall + run.build_wall)
             root.children.append(exec_span)
         if record.state == FINISHED:
             root.children.append(Span(
@@ -996,4 +987,4 @@ class WorkloadManager:
         if record.trace_parent is not None:
             record.trace_parent.children.append(root)
         else:
-            self.cluster.tracer.publish(root)
+            self.cluster.tracer.last_trace = root

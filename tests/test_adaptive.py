@@ -21,10 +21,15 @@ from repro.common.config import Config
 from repro.common.errors import ExecutionError
 from repro.common.types import INT64
 from repro.engine.expressions import Col
-from repro.mpp.feedback import fragment_signature
+from repro.mpp.feedback import (
+    FEEDBACK_CAPACITY,
+    CardinalityFeedbackStore,
+    fragment_signature,
+)
 from repro.mpp.logical import LAggr, LJoin, LScan, LSelect
+from repro.mpp.plan import QueryPlan
 from repro.mpp.rewriter import ParallelRewriter
-from repro.mpp.strategy import QueryPlan
+from repro.obs import MetricsRegistry
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 from repro.workload import estimate_query_memory
@@ -108,6 +113,60 @@ class TestFeedbackFlip:
         rows, source = ParallelRewriter(c).estimate_with_source(
             LScan("d", ["dk"]))
         assert (rows, source) == (123.0, "feedback")
+
+
+class TestBoundedStore:
+    """Every fresh-literal statement leaves a couple of entries: the
+    store keeps the most recently observed or hit 4,096 of them."""
+
+    def test_the_least_recently_used_entry_makes_room(self):
+        registry = MetricsRegistry()
+        store = CardinalityFeedbackStore(registry)
+        assert FEEDBACK_CAPACITY == 4096
+        for i in range(5000):
+            store.observe(f"sig{i}", 10.0, float(i))
+            if i == 2000:  # old by now, and about to be steered by
+                assert store.lookup("sig7") == 7.0
+        assert len(store) == FEEDBACK_CAPACITY
+        assert registry.value("plan_feedback_evicted_total") == 904
+        # what went is the oldest, bar the one a plan hit in between
+        gone = [i for i in range(5000) if f"sig{i}" not in store.entries]
+        assert gone == [i for i in range(905) if i != 7]
+        assert store.lookup("sig0") is None
+        assert store.entries["sig7"].hits == 1
+        # observing a known signature again adds nothing, evicts nothing
+        store.observe("sig4999", 10.0, 1.0)
+        assert len(store) == FEEDBACK_CAPACITY
+        assert registry.value("plan_feedback_evicted_total") == 904
+
+    def test_twin_stores_evict_identically(self):
+        def run():
+            store = CardinalityFeedbackStore()
+            for i in range(FEEDBACK_CAPACITY + 50):
+                store.observe(f"sig{i % 4200}", 1.0, float(i))
+                store.lookup(f"sig{(7 * i) % 4200}")
+            return list(store.entries)
+        assert run() == run()
+
+    def test_a_checkpoint_round_trips_within_the_cap(self, monkeypatch):
+        store = CardinalityFeedbackStore()
+        for i in range(FEEDBACK_CAPACITY):
+            store.observe(f"sig{i:04d}", 10.0, float(i))
+        state = store.export_state()
+        assert len(state["entries"]) == FEEDBACK_CAPACITY
+        restored = CardinalityFeedbackStore()
+        assert restored.restore_state(state) == FEEDBACK_CAPACITY
+        assert restored.export_state() == state
+        # into a warm store, or from a checkpoint a larger cap wrote:
+        # the cap holds and the freshest observations stay
+        monkeypatch.setattr("repro.mpp.feedback.FEEDBACK_CAPACITY", 100)
+        state["entries"][5]["updated"] = 9.0
+        small = CardinalityFeedbackStore()
+        small.observe("warm", 1.0, 1.0)
+        small.restore_state(state)
+        assert len(small) == 100
+        assert "warm" not in small.entries
+        assert state["entries"][5]["signature"] in small.entries
 
 
 # ------------------------------------------------------ mid-query re-plan

@@ -19,7 +19,7 @@ from repro.mpp import plan as P
 from repro.mpp.executor import MASTER_STREAM
 from repro.mpp.logical import LAggr, LJoin, LScan, LSelect
 from repro.mpp.rewriter import RewriterFlags
-from repro.mpp.strategy import QueryPlan
+from repro.mpp.plan import QueryPlan
 from repro.storage import Column, TableSchema
 
 N_FACT = 6000

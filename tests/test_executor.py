@@ -11,7 +11,7 @@ from repro.engine.expressions import Col
 from repro.mpp import plan as P
 from repro.mpp.executor import _hash_to_streams
 from repro.mpp.logical import LAggr, LJoin, LProject, LScan, LSelect
-from repro.mpp.strategy import QueryPlan
+from repro.mpp.plan import QueryPlan
 from repro.storage import Column, TableSchema
 
 

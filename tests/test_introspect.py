@@ -294,7 +294,8 @@ class TestExplain:
         assert admitted[holder] == 0 and admitted[explain] > 0
         # and it is logged like any other statement
         logged = execute_sql(
-            cluster, "select query, state, statement from vh$query_log")
+            cluster, "select query, state, statement from vh$queries "
+            "where state not in ('queued', 'running')")
         rows = dict(zip(logged.columns["query"].tolist(),
                         logged.columns["statement"].tolist()))
         assert set(rows) == {holder, explain}

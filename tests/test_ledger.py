@@ -5,10 +5,9 @@ from submission to eviction. Reaching a terminal state folds its summary
 scalars into the record and drops the plan, the snapshot transaction,
 the operator tree and the span tree; the result (or the failure's
 exception) is handed to the first ``gather``; terminal records live in
-one bounded ring that ``vh$queries``, ``vh$query_log`` and
-``vh$sessions`` project. These tests pin the residue (zero growth per
-statement once the rings are full), the ring's semantics, and that the
-three tables agree.
+one bounded ring that ``vh$queries`` and ``vh$sessions`` project. These
+tests pin the residue (zero growth per statement once the rings are
+full), the ring's semantics, and that the tables agree.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.engine.batch import Batch
 from repro.engine.expressions import Col
 from repro.engine.profile import KernelStat, ProfileNode
 from repro.mpp.logical import LAggr, LScan, LSelect, LSort
-from repro.mpp.strategy import QueryPlan
+from repro.mpp.plan import QueryPlan
 from repro.obs import Event, Span
 from repro.pdt.layer import PdtLayer
 from repro.pdt.stack import TransPdt
@@ -177,7 +176,7 @@ class TestRing:
         assert c.workload.load() == {"queued": 0, "running": 0,
                                      "running_streams": 0}
 
-    def test_the_three_query_tables_project_one_ring(self):
+    def test_the_query_tables_project_one_ring(self):
         c = _cluster(workload_max_concurrent=2)
         s1, s2 = c.session(), c.session()
         s1.query(_sum_plan())
@@ -196,16 +195,25 @@ class TestRing:
                     if name == "vh$sessions" or row[0] <= live]
 
         queries = table("vh$queries", ["query", "session", "state",
-                                       "retries", "sim_ms"])
-        log = table("vh$query_log", ["query", "session", "state",
-                                     "retries", "sim_ms"])
+                                       "retries", "sim_ms", "fingerprint",
+                                       "rows", "dominant", "tenant"])
         sessions = table("vh$sessions", ["session", "queries", "running",
                                          "finished", "cancelled"])
-        # the log is the terminal subset of vh$queries, same facts
-        terminal = [row for row in queries
-                    if row[2] not in ("queued", "running")]
-        assert sorted(log) == sorted(terminal) and len(log) == 3
-        assert {row[0]: row[2] for row in queries}[live] == "running"
+        # the log is the terminal subset of vh$queries: the ring, with
+        # the summary each record got at its terminal state
+        log = [row for row in queries
+               if row[2] not in ("queued", "running")]
+        ring = [(r.query_id, r.session_id, r.state, r.retries,
+                 r.sim_s * 1e3, r.fingerprint, r.rows, r.dominant_op,
+                 r.tenant)
+                for r in c.workload.terminal_records() if r.query_id <= live]
+        assert log == sorted(ring) and len(log) == 3
+        assert all(row[5] for row in log)
+        assert all(row[7] for row in log if row[2] == "finished")
+        # a live query has its row already, the summary still blank
+        assert {row[0]: row[2:] for row in queries}[live] == (
+            "running", 0, pytest.approx(0.0, abs=1e9), "", 0, "", "default")
+        assert sum(row[2] == "running" for row in queries) == 1
         # and vh$sessions counts the same records per session
         per_session = Counter((row[1], row[2]) for row in queries)
         assert {row[0] for row in sessions} == {

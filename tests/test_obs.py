@@ -436,7 +436,8 @@ class TestQueryTrace:
         assert union_send.attrs["streams"] > 1
         path = []
         node = union_send
-        while node.children:
+        # an operator's span holds its children first, its kernels after
+        while not node.children[0].name.startswith("kernel:"):
             node = node.children[0]
             path.append(re.sub(r"\[.*?\]", "", node.name))
         assert path == ["Project", "Aggr", "DXchgHashSplit.recv",
@@ -444,6 +445,7 @@ class TestQueryTrace:
                         "Select", "MScan"]
         scan = node
         assert scan.attrs["tuples_out"] > 0
+        assert "kernel:scan.read_block" in {c.name for c in scan.children}
 
     def test_untraced_query_has_no_trace(self, tpch_cluster):
         res = tpch_cluster.query(_q1_plan())

@@ -238,6 +238,19 @@ class TestTailSplit:
         tail, rest = layer.split_tail_inserts(10)
         assert len(tail) == 0
 
+    def test_tail_comes_back_in_commit_order(self):
+        # read-PDT entries before write-PDT ones is not commit order:
+        # the append flush writes the tail rows in ``seq`` order
+        layer = PdtLayer([
+            DeltaEntry(EntryKind.INSERT, 10, 5, uid=3, values={"k": 3}),
+            DeltaEntry(EntryKind.DELETE, 2, 4, target=stable(2)),
+            DeltaEntry(EntryKind.INSERT, 12, 1, uid=1, values={"k": 1}),
+            DeltaEntry(EntryKind.INSERT, 10, 3, uid=2, values={"k": 2}),
+        ])
+        tail, rest = layer.split_tail_inserts(10)
+        assert [e.seq for e in tail.entries] == [1, 3, 5]
+        assert [e.seq for e in rest.entries] == [4]
+
 
 class TestIdentityEncoding:
     def test_roundtrip(self):

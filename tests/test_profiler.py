@@ -1,12 +1,15 @@
 """The continuous operator profiler: kernels, aggregation, attribution.
 
-Covers the ambient ``kernel()`` context manager (nesting self-time,
-enable/disable, explicit nodes, accounting), profile coverage across a
-TPC-H mix (every physical operator kind that ran shows up with nonzero
-rows, including Window and the PDT merge path), the same-seed bit
-identity of the deterministic side of ``vh$operator_stats``, the
-flamegraph / Chrome-trace exports, the query-log dominant-operator
-column, the system tables, and the acceptance scenario: a synthetic
+Covers the frame stack under the ambient ``kernel()`` context manager
+(nested frames take their seconds out of the enclosing one, operator
+pulls included; enable/disable, explicit nodes, accounting), profile
+coverage across a TPC-H mix (every physical operator kind that ran shows
+up with nonzero rows, including Window and the PDT merge path), the
+same-seed bit identity of the deterministic side of
+``vh$operator_stats``, the flamegraph export and the operators and
+kernels grafted into the lifecycle trace, the query-log
+dominant-operator column, the system tables (which read the registry
+families and nothing else), and the acceptance scenario: a synthetic
 slowdown injected into one decode kernel makes the trajectory gate's
 attribution name exactly that kernel.
 """
@@ -24,22 +27,16 @@ from benchmarks.trajectory import attribute_regressions, update_trajectory
 from repro.cluster import VectorHCluster
 from repro.common.config import Config
 from repro.engine.profile import (
+    Frame,
     KernelStat,
     ProfileNode,
     format_profile,
     kernel,
-    kernel_profiling_enabled,
-    pop_sink,
-    push_sink,
     set_kernel_profiling,
 )
 from repro.mpp.logical import LScan, LWindow
-from repro.obs.profiler import (
-    ContinuousProfiler,
-    dominant_operator,
-    folded_stacks,
-    profile_chrome_trace,
-)
+from repro.obs import MetricsRegistry
+from repro.obs.profiler import ContinuousProfiler, folded_stacks
 from repro.sql import execute_sql
 from repro.tpch import tpch_schemas
 from repro.tpch.queries import run_query
@@ -62,20 +59,41 @@ def _fresh_cluster(tpch_data) -> VectorHCluster:
 
 class TestKernelContextManager:
     def test_records_into_ambient_sink(self):
-        node = ProfileNode("Op")
-        push_sink(node)
-        try:
+        node, other = ProfileNode("Op"), ProfileNode("Child")
+        with Frame(node):
             with kernel("k", rows=7, nbytes=100):
                 pass
+            with Frame(other):  # a child operator's pull
+                with kernel("theirs"):
+                    pass
             with kernel("k", rows=3):
                 pass
-        finally:
-            pop_sink()
         stat = node.kernels["k"]
         assert stat.calls == 2
         assert stat.rows == 10
         assert stat.bytes == 100
         assert stat.seconds >= 0.0
+        assert set(other.kernels) == {"theirs"}
+
+    def test_a_pull_keeps_only_what_no_nested_frame_took(self):
+        parent, child = ProfileNode("Op"), ProfileNode("Child")
+        pulls = Frame(parent)
+        for _ in range(2):  # one frame serves every pull of a stream
+            with pulls:
+                time.sleep(0.01)
+                with kernel("k"):
+                    time.sleep(0.01)
+                with Frame(child):
+                    time.sleep(0.01)
+        assert pulls.seconds >= 0.06  # the stream's sample: everything
+        assert 0.02 <= parent.own_seconds < 0.035
+        assert 0.02 <= parent.kernels["k"].seconds < 0.035
+        assert 0.02 <= child.own_seconds < 0.035
+        assert parent.time == pytest.approx(
+            parent.own_seconds + parent.kernels["k"].seconds)
+        # each second once: the three add up to what the frame measured
+        assert (parent.time + child.time
+                == pytest.approx(pulls.seconds, rel=1e-9))
 
     def test_nested_kernel_subtracts_self_time(self):
         node = ProfileNode("Op")
@@ -91,18 +109,17 @@ class TestKernelContextManager:
 
     def test_noop_without_sink_and_when_disabled(self):
         node = ProfileNode("Op")
-        with kernel("orphan", rows=5):  # no sink, no node: null kernel
+        with kernel("orphan", rows=5):  # no frame, no node: null kernel
             pass
         assert not node.kernels
         previous = set_kernel_profiling(False)
         try:
-            assert not kernel_profiling_enabled()
             with kernel("off", node=node, rows=5):
                 pass
             assert not node.kernels
         finally:
-            set_kernel_profiling(previous)
-        assert kernel_profiling_enabled()
+            assert set_kernel_profiling(previous) is False
+        assert set_kernel_profiling(True) is True
 
     def test_account_adds_rows_and_bytes_mid_kernel(self):
         node = ProfileNode("Op")
@@ -123,16 +140,31 @@ class TestKernelContextManager:
         assert node.kernels["b"].calls == 200
         assert node.kernels["b"].rows == 400
 
-    def test_merge_and_format(self):
-        a = KernelStat(calls=1, seconds=0.5, rows=10, bytes=100)
-        a.merge(KernelStat(calls=2, seconds=0.25, rows=5, bytes=1))
-        assert (a.calls, a.rows, a.bytes) == (3, 15, 101)
-        assert a.seconds == pytest.approx(0.75)
-        node = ProfileNode("Op", cum_time=1.0, tuples_out=15)
-        node.kernels["decode.pfor"] = a
+    def test_format_shows_kernels_and_measured_time(self):
+        node = ProfileNode("Op", cum_time=1.0, tuples_out=15,
+                           own_seconds=0.125)
+        node.kernels["decode.pfor"] = KernelStat(
+            calls=3, seconds=0.75, rows=15, bytes=101)
+        # time is what the frames recorded, whatever the children say
+        node.children.append(ProfileNode("Child", cum_time=5.0))
         text = format_profile(node)
         assert ". kernel decode.pfor:" in text
         assert "calls = 3" in text
+        assert "time = 0.8750s  cum_time = 1.0000s" in text
+
+
+class _Profiled:
+    """As much of a QueryResult as the profiler reads and writes."""
+
+    def __init__(self, *profiles):
+        self.profiles = list(profiles)
+        self.dominant = ("", 0.0)
+
+
+def _dominant(*profiles):
+    result = _Profiled(*profiles)
+    ContinuousProfiler().observe_query(result)
+    return result.dominant
 
 
 def test_dominant_operator_ranking_and_ties():
@@ -143,15 +175,14 @@ def test_dominant_operator_ranking_and_ties():
     root = ProfileNode("Aggr[g]", kind="Aggr", batches=1, tuples_out=1,
                        children=[light])
     light.children.append(heavy)
-    kind, share = dominant_operator([root])
+    kind, share = _dominant(root)
     assert kind == "MScan"
     assert 0.9 < share <= 1.0
-    assert dominant_operator([]) == ("", 0.0)
+    assert _dominant() == ("", 0.0)
     # deterministic tie-break: equal cost resolves alphabetically
     a = ProfileNode("B[x]", kind="B", batches=1, tuples_out=10)
     b = ProfileNode("A[y]", kind="A", batches=1, tuples_out=10)
-    kind, _ = dominant_operator(
-        [ProfileNode("Z", kind="Z", children=[a, b])])
+    kind, _ = _dominant(ProfileNode("Z", kind="Z", children=[a, b]))
     assert kind == "A"
 
 
@@ -188,24 +219,24 @@ class TestProfileCoverage:
 
     def test_operator_kinds_all_present(self, mix_cluster):
         cluster, results = mix_cluster
-        stats = cluster.profiler.stats
+        stats = {row[0]: row for row in cluster.profiler.rows()}
         for kind in ("MScan", "Select", "Project", "Aggr", "Sort",
                      "HashJoin", "TopN", "Window"):
             assert kind in stats, sorted(stats)
-            agg = stats[kind]
-            assert agg.rows_out > 0 or agg.rows_in > 0, kind
-            assert agg.batches > 0, kind
-            assert agg.instances > 0 and agg.queries > 0, kind
+            (_, queries, instances, rows_in, rows_out, batches,
+             *_rest) = stats[kind]
+            assert rows_out > 0 or rows_in > 0, kind
+            assert batches > 0, kind
+            assert instances > 0 and queries > 0, kind
         assert any(k.endswith(".send") for k in stats)
         assert any(k.endswith(".recv") for k in stats)
 
     def test_window_and_pdt_merge_kernels_attributed(self, mix_cluster):
         cluster, results = mix_cluster
-        window = cluster.profiler.stats["Window"]
-        assert window.kernels["window.order"].rows > 0
-        assert window.kernels["window.eval"].rows > 0
-        scan = cluster.profiler.stats["MScan"]
-        merge = scan.kernels["scan.pdt_merge"]
+        kernels = cluster.profiler.kernels()
+        assert kernels["Window"]["window.order"].rows > 0
+        assert kernels["Window"]["window.eval"].rows > 0
+        merge = kernels["MScan"]["scan.pdt_merge"]
         assert merge.calls > 0 and merge.rows > 0
         # the PDT-buffered row is visible in the scan result
         batch = results["pdt_scan"].batch
@@ -219,7 +250,7 @@ class TestProfileCoverage:
         assert total_share == pytest.approx(1.0, abs=1e-9)
         names = {(op, name) for _, op, name, *_ in paths}
         assert ("MScan", "scan.read_block") in names
-        assert ("MScan", "(self)") in names  # residual pseudo-kernel
+        assert ("MScan", "(self)") in names  # the pulls' own seconds
         report = cluster.profiler.report(5)
         assert "operator" in report and "share" in report
 
@@ -298,17 +329,60 @@ class TestExportsAndSystemTables:
             assert " " not in stack
 
     def test_chrome_trace_structure(self, queried):
-        _, result = queried
-        trace = json.loads(profile_chrome_trace(result.profiles))
-        events = trace["traceEvents"]
-        assert events and trace["displayTimeUnit"] == "ms"
-        cats = {e["cat"] for e in events}
-        assert cats == {"operator", "kernel"}
-        for event in events:
-            assert event["ph"] == "X"
-            assert event["dur"] >= 1
-        ops = [e for e in events if e["cat"] == "operator"]
-        assert all("rows_out" in e["args"] for e in ops)
+        """Operators and kernels sit in the query's span tree at the
+        seconds their frames recorded: kernels are leaves, a span lasts
+        as long as its subtree spent, children tile it from its start."""
+        cluster, _ = queried
+        captured = {}
+
+        def runner(plan):
+            captured["result"] = cluster.query(plan, trace=True)
+            return captured["result"].batch
+
+        run_query(runner, 1)
+        result = captured["result"]
+        execute = result.trace.find("execute")
+        root = result.profiles[0]
+        graft = next(s for s in execute.children if s.name == root.label)
+        schedule = next(s for s in execute.children if s.name == "schedule")
+        assert graft.wall_start == schedule.wall_start
+        n_kernels = 0
+
+        def check(span, node):
+            nonlocal n_kernels
+            assert span.name == node.label
+            assert span.attrs["tuples_out"] == node.tuples_out
+            # the node's children first, then its kernels, as leaves
+            below = span.children[:len(node.children)]
+            leaves = span.children[len(node.children):]
+            assert ([s.name for s in leaves]
+                    == [f"kernel:{name}" for name in sorted(node.kernels)])
+            for leaf in leaves:
+                stat = node.kernels[leaf.name[len("kernel:"):]]
+                assert not leaf.children
+                assert leaf.attrs == {"calls": stat.calls,
+                                      "rows": stat.rows, "bytes": stat.bytes}
+                assert leaf.wall_seconds == pytest.approx(
+                    stat.seconds, abs=1e-9)
+            n_kernels += len(leaves)
+            # children tile the span from its start; what is left at
+            # its end is what the operator's own pulls took
+            cursor = span.wall_start
+            for child in span.children:
+                assert child.wall_start == pytest.approx(cursor, abs=1e-9)
+                cursor = child.wall_end
+            assert span.wall_end - cursor == pytest.approx(
+                node.own_seconds, abs=1e-9)
+            for child_span, child_node in zip(below, node.children):
+                check(child_span, child_node)
+
+        check(graft, root)
+        assert n_kernels
+        total = sum(n.time for n in result.plan_profiles.values())
+        assert graft.wall_seconds == pytest.approx(total, rel=1e-6)
+        events = result.trace.chrome_trace()["traceEvents"]
+        assert len(events) == len(list(result.trace.iter_spans()))
+        assert all(e["ph"] == "X" for e in events)
 
     def test_operator_stats_system_table(self, queried):
         cluster, _ = queried
@@ -338,7 +412,7 @@ class TestExportsAndSystemTables:
         cluster, _ = queried
         out = execute_sql(
             cluster, "select state, dominant, dominant_share "
-            "from vh$query_log")
+            "from vh$queries")
         finished = [i for i in range(out.n)
                     if out.columns["state"][i] == "finished"]
         assert finished
@@ -351,25 +425,40 @@ class TestExportsAndSystemTables:
         assert any(out.columns["dominant"][i] in report for i in dominated)
 
 
-def test_profiler_aggregates_without_registry():
-    profiler = ContinuousProfiler()  # registry-less: pure aggregation
-    scan = ProfileNode("MScan[t]", kind="MScan", batches=4, tuples_out=4000)
+def test_the_registry_is_the_profilers_store():
+    registry = MetricsRegistry()
+    profiler = ContinuousProfiler(registry)
+    scan = ProfileNode("MScan[t]", kind="MScan", batches=4, tuples_out=4000,
+                       own_seconds=0.05, stream_times=[0.1, 0.2])
     scan.kernels["decode.pfor"] = KernelStat(
         calls=4, seconds=0.1, rows=4000, bytes=640)
     root = ProfileNode("Aggr[g]", kind="Aggr", batches=1, tuples_out=2,
-                       children=[scan])
+                       children=[scan], net_bytes=9)
 
-    class _Result:
-        profiles = [root]
-
-    profiler.observe_query(_Result())
-    profiler.observe_query(_Result())
-    assert profiler.queries_observed == 2
-    agg = profiler.stats["MScan"]
-    assert agg.queries == 2 and agg.rows_out == 8000
-    assert agg.kernels["decode.pfor"].calls == 8
-    profiler.reset()
-    assert not profiler.stats and profiler.queries_observed == 0
+    profiler.observe_query(_Profiled(root))
+    profiler.observe_query(_Profiled(root))
+    aggr, mscan = profiler.rows()
+    assert mscan[:7] == ("MScan", 2, 4, 0, 8000, 8, 0)
+    assert aggr[:7] == ("Aggr", 2, 2, 8000, 4, 2, 18)
+    assert mscan[8] == pytest.approx(0.3)  # pulls' own + kernels
+    assert profiler.kernels()["MScan"]["decode.pfor"].calls == 8
+    # every cell of both views is a registry series, nothing else
+    value = registry.value
+    assert mscan[1] == value("operator_queries_total", operator="MScan")
+    assert mscan[2] == value("operator_instances_total", operator="MScan")
+    assert aggr[6] == value("operator_net_bytes_total", operator="Aggr")
+    assert mscan[8] == value("operator_wall_seconds_total", operator="MScan")
+    paths = {(op, name): (calls, wall) for _, op, name, calls, _rows,
+             _bytes, _sim, wall, _share in profiler.hot_paths()}
+    assert paths["MScan", "decode.pfor"] == (8, value(
+        "kernel_wall_seconds_total", operator="MScan", kernel="decode.pfor"))
+    assert paths["MScan", "(self)"] == (8, pytest.approx(0.1))
+    assert paths["MScan", "(self)"][1] == value(
+        "operator_own_seconds_total", operator="MScan")
+    registry.reset("operator_")
+    assert profiler.rows() == [] and profiler.hot_paths() == []
+    registry.reset("kernel_")
+    assert profiler.kernels() == {}
 
 
 # -------------------------------------------- regression attribution gate

@@ -120,7 +120,8 @@ class TestOneExecutionPath:
         for name, column in expected.columns.items():
             assert batch.columns[name].dtype == column.dtype
             assert batch.columns[name].tobytes() == column.tobytes()
-        logged = execute_sql(c, "SELECT query, state FROM vh$query_log")
+        logged = execute_sql(c, "SELECT query, state FROM vh$queries "
+                             "WHERE state NOT IN ('queued', 'running')")
         assert logged.columns["state"].tolist() == ["finished"]
         [record] = c.workload.query_records()[:-1]  # minus the log scan
         assert record.query_id == logged.columns["query"][0]
@@ -433,7 +434,7 @@ class TestSystemTables:
         c, srv = _served_cluster()
         srv.connect("gold").simple_query("SELECT sum(b) AS s FROM t")
         c.workload.drain()
-        rows = execute_sql(c, "SELECT tenant, state FROM vh$query_log")
+        rows = execute_sql(c, "SELECT tenant, state FROM vh$queries")
         assert "gold" in set(rows.columns["tenant"])
         report = c.monitor.slow_report()
         assert "tenant" in report.splitlines()[0]
