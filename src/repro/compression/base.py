@@ -6,18 +6,32 @@ stored uncompressed later in the block, and the code slot of each exception
 holds the hop distance to the next exception. Decoding first inflates all
 codes branch-free, then walks the chain once to collect the (typically few)
 exception positions and patches them with one scatter.
+
+Encoding is two steps per scheme. ``analyse`` makes one numpy pass over the
+block and returns the *exact* size the scheme would encode it to (or
+declines); ``emit`` writes the bytes. :func:`compress_best` sizes a block
+with every applicable scheme and emits the winner only. The byte format of
+every scheme is frozen: ``tests/reference_encoders.py`` holds the per-value
+encoders that defined it and ``tests/test_encode_differential.py``
+compares every emitted byte against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.common.errors import CompressionError
 from repro.common.types import ColumnType
 from repro.engine.profile import kernel
+
+
+#: 1 byte scheme id + 4 bytes count in front of the payload, mirroring a
+#: real block header
+BLOCK_HEADER_BYTES = 5
 
 
 @dataclass
@@ -32,11 +46,97 @@ class CompressedBlock:
     count: int
     data: bytes
     ctype_name: str = ""
+    #: size of the values uncompressed (set by :func:`compress_best`)
+    raw_bytes: int = 0
 
     @property
     def size_bytes(self) -> int:
-        # 1 byte scheme id + 4 bytes count + payload, mirroring a real header.
-        return 5 + len(self.data)
+        return BLOCK_HEADER_BYTES + len(self.data)
+
+
+class StringImage:
+    """The length-prefixed UTF-8 image of a string block -- RAW's payload,
+    LZ's input and where PDICT takes its dictionary entries and exceptions
+    from -- built once per block, with each row's place in it."""
+
+    def __init__(self, values: np.ndarray):
+        texts = values.tolist()
+        try:
+            joined = "".join(texts)
+        except TypeError:  # not all of them str
+            texts = list(map(str, texts))
+            joined = "".join(texts)
+        payload = joined.encode("utf-8")
+        if len(payload) == len(joined):  # ASCII: a character is a byte
+            lengths = map(len, texts)
+        else:
+            lengths = map(len, map(str.encode, texts))
+        #: encoded bytes per row, length word included
+        self.sizes = np.fromiter(lengths, np.int64, len(texts)) + 4
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.bytes = np.empty(int(self.sizes.sum()), dtype=np.uint8)
+        words = (self.starts[:, None] + np.arange(4)).reshape(-1)
+        is_text = np.ones(self.bytes.size, dtype=bool)
+        is_text[words] = False
+        self.bytes[words] = (self.sizes - 4).astype("<u4").view(np.uint8)
+        self.bytes[is_text] = np.frombuffer(payload, np.uint8)
+
+    def take(self, rows: np.ndarray) -> bytes:
+        """The images of ``rows``, concatenated in that order."""
+        sizes = self.sizes[rows]
+        # byte j of the output comes from starts[row] + (j - row's offset
+        # in the output)
+        shift = self.starts[rows] - (np.cumsum(sizes) - sizes)
+        source = np.repeat(shift, sizes)
+        source += np.arange(source.size)
+        return self.bytes[source].tobytes()
+
+
+class RawBlock:
+    """One uncompressed block as the analyses see it: the values, the
+    column type and the views several schemes need, each built once."""
+
+    def __init__(self, values: np.ndarray, ctype: ColumnType):
+        self.values = values
+        self.ctype = ctype
+        self.count = len(values)
+        #: the smallest payload an earlier scheme sized this block to
+        #: (:func:`compress_best` keeps it): an analysis may decline as
+        #: soon as it knows it cannot get below
+        self.beat: Optional[int] = None
+
+    @cached_property
+    def int64(self) -> np.ndarray:
+        return np.asarray(self.values, dtype=np.int64)
+
+    @cached_property
+    def text(self) -> StringImage:
+        return StringImage(self.values)
+
+    @property
+    def raw_size(self) -> int:
+        """Bytes of :attr:`image`, without building a numeric one."""
+        if self.ctype.is_string:
+            return self.text.bytes.size
+        return self.count * self.ctype.dtype.itemsize
+
+    @cached_property
+    def image(self) -> bytes:
+        """The values uncompressed: RAW's payload and LZ's input."""
+        if self.ctype.is_string:
+            return self.text.bytes.tobytes()
+        return np.ascontiguousarray(
+            self.values, dtype=self.ctype.dtype).tobytes()
+
+
+@dataclass
+class Analysis:
+    """What a scheme's pass over a block found."""
+
+    #: exactly ``len(CompressedBlock.data)`` of the block ``emit`` writes
+    size: int
+    #: whatever the scheme's ``emit`` needs from the pass
+    plan: Any = None
 
 
 class CompressionScheme:
@@ -47,8 +147,21 @@ class CompressionScheme:
     def can_compress(self, values: np.ndarray, ctype: ColumnType) -> bool:
         raise NotImplementedError
 
-    def compress(self, values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
+    def analyse(self, block: RawBlock) -> Optional[Analysis]:
+        """Size ``block`` in one pass; None when the scheme cannot hold it."""
         raise NotImplementedError
+
+    def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
+        """The payload ``analysis`` sized."""
+        raise NotImplementedError
+
+    def compress(self, values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
+        block = RawBlock(np.asarray(values), ctype)
+        analysis = self.analyse(block)
+        if analysis is None:
+            raise CompressionError(f"{self.name} cannot encode this block")
+        return CompressedBlock(self.name, block.count,
+                               self.emit(block, analysis))
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
         raise NotImplementedError
@@ -58,45 +171,37 @@ class CompressionScheme:
 # Patch chains (shared by PFOR / PFOR-DELTA / PDICT)
 # --------------------------------------------------------------------------
 
-def build_patch_chain(is_exception: np.ndarray, width: int) -> List[int]:
+def build_patch_chain(is_exception: np.ndarray, width: int) -> np.ndarray:
     """Return exception positions, inserting compulsory exceptions.
 
     The gap between consecutive exceptions must fit in ``width`` bits, since
-    the gap is stored in the code slot. Where the natural gap is too large a
-    "compulsory" exception is inserted (a value that would have fit but is
-    stored as an exception anyway) -- the classic PFOR trick.
+    the gap is stored in the code slot. Where the natural gap is too large
+    "compulsory" exceptions are inserted every ``max_gap`` slots (values
+    that would have fit but are stored as exceptions anyway) -- the classic
+    PFOR trick.
     """
     max_gap = (1 << width) - 1
     natural = np.flatnonzero(is_exception)
-    if natural.size == 0:
-        return []
-    chain: List[int] = [int(natural[0])]
-    for pos in natural[1:]:
-        pos = int(pos)
-        while pos - chain[-1] > max_gap:
-            chain.append(chain[-1] + max_gap)
-        chain.append(pos)
-    return chain
+    if natural.size < 2:
+        return natural
+    compulsory = (np.diff(natural) - 1) // max_gap
+    if not compulsory.any():
+        return natural
+    # each natural exception, then the compulsory ones that follow it
+    run = np.append(compulsory + 1, 1)
+    hops = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
+    return np.repeat(natural, run) + hops * max_gap
 
 
-def encode_patched(
-    codes: np.ndarray,
-    is_exception: np.ndarray,
-    width: int,
-) -> Tuple[np.ndarray, List[int], int]:
-    """Overwrite exception code slots with next-exception gaps.
-
-    Returns ``(codes, chain_positions, first_exception)`` where codes is a
-    copy with the gap links written in. ``first_exception`` is -1 when the
-    block has no exceptions.
-    """
-    chain = build_patch_chain(is_exception, width)
-    out = codes.copy()
-    for i, pos in enumerate(chain):
-        gap = chain[i + 1] - pos if i + 1 < len(chain) else 0
-        out[pos] = gap
-    first = chain[0] if chain else -1
-    return out, chain, first
+def link_chain(codes: np.ndarray, chain: np.ndarray) -> int:
+    """Overwrite the chain's code slots, in place, with the hop to the next
+    exception (0 at the last); returns the first exception's position, -1
+    when the block has none."""
+    if chain.size == 0:
+        return -1
+    codes[chain[:-1]] = np.diff(chain)
+    codes[chain[-1]] = 0
+    return int(chain[0])
 
 
 def patch_positions(codes: np.ndarray, first_exception: int,
@@ -135,36 +240,42 @@ DICT_COMPRESSIBLE_RATIO = 0.5
 
 
 def compress_best(values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
-    """Compress with every applicable scheme and keep the best result.
+    """Size the block with every applicable scheme and emit the best.
 
     Mirrors Vectorwise's per-block automatic scheme selection: smallest
-    block wins, except that general-purpose compression (slow branchy
-    decode) is excluded whenever a lightweight scheme already achieves
-    real compression.
+    block wins (the earlier-registered scheme on a tie), except that
+    general-purpose compression (slow branchy decode) is excluded whenever
+    a lightweight scheme already achieves real compression -- and since
+    its size is only known by running it, it is not even run then.
     """
-    values = np.asarray(values)
-    candidates: Dict[str, CompressedBlock] = {}
+    block = RawBlock(np.asarray(values), ctype)
+    sized: Dict[str, Analysis] = {}
+
+    def size_with(scheme: CompressionScheme) -> None:
+        if scheme.can_compress(block.values, ctype):
+            analysis = scheme.analyse(block)
+            if analysis is not None:
+                sized[scheme.name] = analysis
+                if block.beat is None or analysis.size < block.beat:
+                    block.beat = analysis.size
+
     for scheme in SCHEMES.values():
-        if not scheme.can_compress(values, ctype):
-            continue
-        try:
-            candidates[scheme.name] = scheme.compress(values, ctype)
-        except CompressionError:
-            continue
-    if not candidates:
-        raise CompressionError(f"no scheme can compress column type {ctype}")
-    raw = candidates.get("RAW")
+        if scheme.name != "LZ":
+            size_with(scheme)
+    raw = sized.get("RAW")
     lightweight_best = min(
-        (b for n, b in candidates.items() if n not in ("RAW", "LZ")),
-        key=lambda b: b.size_bytes, default=None,
-    )
-    if (raw is not None and lightweight_best is not None
-            and lightweight_best.size_bytes
-            < DICT_COMPRESSIBLE_RATIO * raw.size_bytes):
-        candidates.pop("LZ", None)
-    best = min(candidates.values(), key=lambda b: b.size_bytes)
-    best.ctype_name = ctype.name
-    return best
+        (a.size for n, a in sized.items() if n != "RAW"), default=None)
+    if "LZ" in SCHEMES and not (
+            raw is not None and lightweight_best is not None
+            and lightweight_best + BLOCK_HEADER_BYTES
+            < DICT_COMPRESSIBLE_RATIO * (raw.size + BLOCK_HEADER_BYTES)):
+        size_with(SCHEMES["LZ"])
+    if not sized:
+        raise CompressionError(f"no scheme can compress column type {ctype}")
+    best = min((n for n in SCHEMES if n in sized), key=lambda n: sized[n].size)
+    return CompressedBlock(best, block.count,
+                           SCHEMES[best].emit(block, sized[best]),
+                           ctype.name, block.raw_size)
 
 
 def decompress(block: CompressedBlock, ctype: ColumnType) -> np.ndarray:

@@ -4,8 +4,8 @@ This is the physical layer under PFOR/PFOR-DELTA/PDICT: codes of ``width``
 bits are laid out densely, little-endian bit order. Packing and unpacking
 are vectorized with numpy (the Python stand-in for the paper's AVX2
 kernels that inflate 64-128 values in under half a cycle per value):
-unpacking follows the word-aligned load -> shift -> mask scheme of Zhao
-et al. rather than expanding the stream into single bits.
+both follow the word-aligned load -> shift -> mask scheme of Zhao et al.
+rather than expanding the stream into single bits.
 """
 
 from __future__ import annotations
@@ -25,19 +25,38 @@ def width_for(max_value: int) -> int:
 
 
 def pack_bits(values: np.ndarray, width: int) -> bytes:
-    """Pack non-negative integers into a dense little-endian bit stream."""
+    """Pack non-negative integers into a dense little-endian bit stream.
+
+    The mirror of :func:`unpack_bits`: code ``i`` is shifted to its place
+    in a 64-bit window over 32-bit word ``i * width >> 5``; the windows of
+    the codes that start in one word occupy disjoint bits, so one segmented
+    sum per word assembles them, and each word then takes the low half of
+    its own window and the high half of its predecessor's. Widths 8/16/32
+    are plain little-endian integers, width 1 is ``np.packbits``.
+    """
     if width < 1 or width > MAX_CODE_WIDTH:
         raise CompressionError(f"unsupported code width {width}")
     vals = np.asarray(values, dtype=np.uint64)
-    if vals.size == 0:
+    count = vals.size
+    if count == 0:
         return b""
     if vals.max() >= (1 << width):
         raise CompressionError("value does not fit in code width")
-    # Expand each value into `width` bits, little-endian within the value.
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = ((vals[:, None] >> shifts) & 1).astype(np.uint8)
-    flat = bits.reshape(-1)
-    return np.packbits(flat, bitorder="little").tobytes()
+    if width in (8, 16, 32):
+        return vals.astype(f"<u{width // 8}").tobytes()
+    if width == 1:
+        return np.packbits(vals.astype(np.uint8), bitorder="little").tobytes()
+    bit = np.arange(0, count * width, width, dtype=np.int64)
+    windows = vals << (bit & 31).astype(np.uint64)
+    # every word but the stream's last has a code starting in it (width
+    # <= 32): the first is code ceil(32 * word / width)
+    n_words = ((count - 1) * width >> 5) + 1
+    first_code = (np.arange(n_words, dtype=np.int64) * 32 + width - 1) // width
+    windows = np.add.reduceat(windows, first_code)
+    words = np.zeros(n_words + 1, dtype=np.uint64)
+    words[:-1] = windows & np.uint64(0xFFFFFFFF)
+    words[1:] |= windows >> np.uint64(32)
+    return words.astype("<u4").tobytes()[:packed_size(count, width)]
 
 
 #: codes inflated per kernel step (a multiple of 32, so every step starts

@@ -11,24 +11,18 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import Optional
 
 import numpy as np
 
 from repro.common.types import ColumnType
 from repro.compression.base import (
+    Analysis,
     CompressedBlock,
     CompressionScheme,
+    RawBlock,
     register_scheme,
 )
-
-
-def _strings_to_bytes(values) -> bytes:
-    parts = []
-    for v in values:
-        raw = str(v).encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
 
 
 def _bytes_to_strings(data: bytes, count: int) -> np.ndarray:
@@ -50,12 +44,11 @@ class RawScheme(CompressionScheme):
     def can_compress(self, values: np.ndarray, ctype: ColumnType) -> bool:
         return True
 
-    def compress(self, values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
-        if ctype.is_string:
-            data = _strings_to_bytes(values)
-        else:
-            data = np.ascontiguousarray(values, dtype=ctype.dtype).tobytes()
-        return CompressedBlock(self.name, len(values), data)
+    def analyse(self, block: RawBlock) -> Optional[Analysis]:
+        return Analysis(block.raw_size)
+
+    def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
+        return block.image
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
         if ctype.is_string:
@@ -76,14 +69,13 @@ class GeneralPurposeScheme(CompressionScheme):
         # floats, mirroring VectorH's "LZ4 only for non-dict strings".
         return ctype.is_string or ctype.name == "float64"
 
-    def compress(self, values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
-        if ctype.is_string:
-            raw = _strings_to_bytes(values)
-        else:
-            raw = np.ascontiguousarray(values, dtype=ctype.dtype).tobytes()
-        return CompressedBlock(
-            self.name, len(values), zlib.compress(raw, self.level)
-        )
+    def analyse(self, block: RawBlock) -> Optional[Analysis]:
+        # the size is only known by compressing: the analysis keeps the bytes
+        data = zlib.compress(block.image, self.level)
+        return Analysis(len(data), data)
+
+    def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
+        return analysis.plan
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
         raw = zlib.decompress(block.data)

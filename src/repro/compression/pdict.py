@@ -9,16 +9,19 @@ blows up the dictionary (paper section 2).
 from __future__ import annotations
 
 import struct
-from collections import Counter
+from typing import Optional
 
 import numpy as np
 
 from repro.common.types import ColumnType
 from repro.compression import bitpack
 from repro.compression.base import (
+    Analysis,
     CompressedBlock,
     CompressionScheme,
-    encode_patched,
+    RawBlock,
+    build_patch_chain,
+    link_chain,
     patch_positions,
     register_scheme,
 )
@@ -26,13 +29,6 @@ from repro.compression.base import (
 _HEADER = "<iiii"  # width, first_exception, n_exceptions, n_dict
 
 _MAX_DICT_WIDTH = 16  # dictionaries beyond 64K entries stop paying off
-
-
-def _encode_value(value, ctype: ColumnType) -> bytes:
-    if ctype.is_string:
-        raw = str(value).encode("utf-8")
-        return struct.pack("<I", len(raw)) + raw
-    return struct.pack("<q", int(value))
 
 
 def _decode_values(view: memoryview, offset: int, count: int,
@@ -51,56 +47,110 @@ def _decode_values(view: memoryview, offset: int, count: int,
     return values, offset
 
 
+# The distinct values of a block, numbered in any order: which one each row
+# holds, how often each occurs and the first row holding each.
+
+def _distinct_strings(values: np.ndarray):
+    items = values.tolist()
+    index = dict.fromkeys(items)
+    index.update(zip(index, range(len(index))))
+    inverse = np.fromiter(map(index.__getitem__, items), np.intp, len(items))
+    first_row = np.empty(len(index), dtype=np.intp)
+    first_row[inverse[::-1]] = np.arange(len(items) - 1, -1, -1)
+    return inverse, np.bincount(inverse), first_row
+
+
+def _distinct_integers(values: np.ndarray):
+    by_value = np.argsort(values)
+    starts, counts = _runs(values[by_value])
+    inverse = np.empty(len(values), dtype=np.intp)
+    inverse[by_value] = np.repeat(np.arange(len(counts)), counts)
+    return inverse, counts, np.minimum.reduceat(by_value, starts)
+
+
+def _runs(ordered: np.ndarray):
+    """Where each run of equal values starts in a sorted, non-empty array,
+    and how long it is."""
+    starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+    return starts, np.diff(np.append(starts, len(ordered)))
+
+
+def _choose_dictionary(n: int, counts: np.ndarray, per_value: int):
+    """The dictionary width minimizing codes + dict + exceptions, among the
+    widths up to the first that holds every distinct value (each stored
+    value at ``per_value`` bytes: the mean, for strings). Returns the
+    width, the entries it holds -- the most frequent values -- and that
+    minimum, which leaves out compulsory exceptions only."""
+    widths = np.arange(1, min(
+        _MAX_DICT_WIDTH, max(1, (len(counts) - 1).bit_length())) + 1)
+    dict_sizes = np.minimum(len(counts), 1 << widths)
+    covered = np.append(0, np.cumsum(-np.sort(-counts)))[dict_sizes]
+    estimates = ((n * widths + 7) // 8
+                 + (dict_sizes + n - covered) * per_value)
+    best = int(np.argmin(estimates))  # the narrowest of equals
+    return int(widths[best]), int(dict_sizes[best]), int(estimates[best])
+
+
 class PDictScheme(CompressionScheme):
     """Patched dictionary encoding for strings and low-cardinality ints."""
 
     name = "PDICT"
 
     def can_compress(self, values: np.ndarray, ctype: ColumnType) -> bool:
-        return values.size > 0
+        # numbers are stored as int64: a float would come back truncated
+        return values.size > 0 and (
+            ctype.is_string or ctype.is_integer or ctype.name == "bool")
 
-    def compress(self, values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
-        vals = list(values) if ctype.is_string else np.asarray(values, np.int64)
-        freq = Counter(vals if ctype.is_string else vals.tolist())
-        ordered = [v for v, _ in freq.most_common()]
-        per_value = 8 if not ctype.is_string else (
-            4 + int(np.mean([len(str(v).encode()) for v in ordered]))
-        )
-        # Pick the dictionary width minimizing codes + dict + exceptions.
-        best = None
-        n = len(values)
-        for width in range(1, _MAX_DICT_WIDTH + 1):
-            dict_size = min(len(ordered), 1 << width)
-            covered = sum(freq[v] for v in ordered[:dict_size])
-            n_exc = n - covered
-            size = (
-                bitpack.packed_size(n, width)
-                + dict_size * per_value
-                + n_exc * per_value
-            )
-            if best is None or size < best[0]:
-                best = (size, width, dict_size)
-            if dict_size == len(ordered):
-                break
-        _, width, dict_size = best
-        dictionary = ordered[:dict_size]
-        index = {v: i for i, v in enumerate(dictionary)}
-        codes = np.zeros(n, dtype=np.int64)
-        is_exc = np.zeros(n, dtype=bool)
-        for i, v in enumerate(vals if ctype.is_string else vals.tolist()):
-            code = index.get(v)
-            if code is None:
-                is_exc[i] = True
-            else:
-                codes[i] = code
-        codes, chain, first = encode_patched(codes, is_exc, width)
-        source = vals if ctype.is_string else vals.tolist()
-        exc_bytes = b"".join(_encode_value(source[p], ctype) for p in chain)
-        dict_bytes = b"".join(_encode_value(v, ctype) for v in dictionary)
-        packed = bitpack.pack_bits(codes, width)
-        header = struct.pack(_HEADER, width, first, len(chain), dict_size)
-        data = header + dict_bytes + exc_bytes + packed
-        return CompressedBlock(self.name, n, data)
+    def analyse(self, block: RawBlock) -> Optional[Analysis]:
+        if not self.can_compress(block.values, block.ctype):
+            return None
+        n = block.count
+        header = struct.calcsize(_HEADER)
+        if block.ctype.is_string:
+            inverse, counts, first_row = _distinct_strings(block.values)
+            sizes = block.text.sizes
+            per_value = 4 + int((sizes[first_row] - 4).mean())
+        else:
+            sizes = None
+            per_value = 8
+            if block.beat is not None:
+                # how often each distinct value occurs takes one plain
+                # sort, and is enough to bound the size from below
+                _, _, bound = _choose_dictionary(
+                    n, _runs(np.sort(block.int64))[1], per_value)
+                if header + bound >= block.beat:
+                    return None
+            inverse, counts, first_row = _distinct_integers(block.int64)
+        width, dict_size, _ = _choose_dictionary(n, counts, per_value)
+        # Counter.most_common() order: count descending, ties by first
+        # appearance. Counts up to 65,535 sort by radix as uint16.
+        by_appearance = np.argsort(first_row)
+        rarity = (counts.max() - counts).astype(np.min_scalar_type(n))
+        ordered = by_appearance[
+            np.argsort(rarity[by_appearance], kind="stable")]
+        code_of = np.empty(len(ordered), dtype=np.int64)
+        code_of[ordered] = np.arange(len(ordered))
+        codes = code_of[inverse]
+        chain = build_patch_chain(codes >= dict_size, width)
+        # the dictionary, as the rows its entries are taken from
+        entries = first_row[ordered[:dict_size]]
+        if sizes is None:
+            stored = 8 * (dict_size + chain.size)
+        else:
+            stored = int(sizes[entries].sum() + sizes[chain].sum())
+        size = header + stored + bitpack.packed_size(n, width)
+        return Analysis(size, (width, entries, codes, chain))
+
+    def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
+        width, entries, codes, chain = analysis.plan
+        stored = np.concatenate([entries, chain])
+        if block.ctype.is_string:
+            stored = block.text.take(stored)
+        else:
+            stored = block.int64[stored].astype("<i8").tobytes()
+        first = link_chain(codes, chain)
+        header = struct.pack(_HEADER, width, first, chain.size, len(entries))
+        return header + stored + bitpack.pack_bits(codes, width)
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
         view = memoryview(block.data)

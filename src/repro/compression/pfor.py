@@ -9,15 +9,19 @@ their code slots.
 from __future__ import annotations
 
 import struct
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.common.types import ColumnType
 from repro.compression import bitpack
 from repro.compression.base import (
+    Analysis,
     CompressedBlock,
     CompressionScheme,
-    encode_patched,
+    RawBlock,
+    build_patch_chain,
+    link_chain,
     patch_positions,
     register_scheme,
 )
@@ -26,19 +30,44 @@ _HEADER = "<qiii"  # base, width, first_exception, n_exceptions
 
 
 def choose_width(deltas: np.ndarray) -> int:
-    """Pick the code width minimizing packed codes + exception storage."""
+    """Pick the code width minimizing packed codes + exception storage.
+
+    A delta is an exception at every width below its bit length, so one
+    histogram of bit lengths gives the exception count of every width at
+    once. The bit length is the float's exponent: exact below 2**53, and
+    above it rounding cannot bring a length down to the 32 that matter.
+    Negative (wrapped) deltas are never exceptions.
+    """
     if deltas.size == 0:
         return 1
-    max_delta = int(deltas.max())
-    full_width = min(bitpack.MAX_CODE_WIDTH, bitpack.width_for(max_delta))
-    best_width, best_size = full_width, None
-    for width in range(1, full_width + 1):
-        limit = 1 << width
-        n_exc = int((deltas >= limit).sum())
-        size = bitpack.packed_size(deltas.size, width) + 8 * n_exc
-        if best_size is None or size < best_size:
-            best_width, best_size = width, size
-    return best_width
+    full_width = min(bitpack.MAX_CODE_WIDTH,
+                     bitpack.width_for(int(deltas.max())))
+    bit_length = np.frexp(np.maximum(deltas, 0).astype(np.float64))[1]
+    fits = np.cumsum(np.bincount(bit_length, minlength=full_width + 1))
+    widths = np.arange(1, full_width + 1)
+    sizes = (deltas.size * widths + 7) // 8 + 8 * (deltas.size - fits[widths])
+    return int(widths[np.argmin(sizes)])  # the narrowest of equals
+
+
+def analyse_frame(deltas: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+    """Code width and patch chain (compulsory exceptions included) for
+    non-negative ``deltas`` from a frame of reference; None when the frame
+    overflowed int64 and left a negative delta in a code slot."""
+    width = choose_width(deltas)
+    chain = build_patch_chain(deltas >= (1 << width), width)
+    # a wrapped delta survives only under a compulsory exception's link
+    if deltas.min() < 0 and not np.isin(np.flatnonzero(deltas < 0),
+                                        chain).all():
+        return None
+    return width, chain
+
+
+def emit_frame(deltas: np.ndarray, width: int, chain: np.ndarray):
+    """``(first_exception, exception bytes + packed codes)``."""
+    codes = deltas.astype(np.uint64)
+    exceptions = deltas[chain].astype("<i8").tobytes()
+    first = link_chain(codes, chain)
+    return first, exceptions + bitpack.pack_bits(codes, width)
 
 
 class PForScheme(CompressionScheme):
@@ -49,23 +78,26 @@ class PForScheme(CompressionScheme):
     def can_compress(self, values: np.ndarray, ctype: ColumnType) -> bool:
         return ctype.is_integer and values.dtype != object
 
-    def compress(self, values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
-        vals = np.asarray(values, dtype=np.int64)
-        if vals.size == 0:
-            data = struct.pack(_HEADER, 0, 1, -1, 0)
-            return CompressedBlock(self.name, 0, data)
-        base = int(vals.min())
-        deltas = vals - base
-        width = choose_width(deltas)
-        limit = 1 << width
-        is_exc = deltas >= limit
-        codes = np.where(is_exc, 0, deltas)
-        codes, chain, first = encode_patched(codes, is_exc, width)
-        exceptions = deltas[chain] if chain else np.zeros(0, dtype=np.int64)
-        packed = bitpack.pack_bits(codes, width)
-        header = struct.pack(_HEADER, base, width, first, len(chain))
-        data = header + exceptions.astype("<i8").tobytes() + packed
-        return CompressedBlock(self.name, int(vals.size), data)
+    def analyse(self, block: RawBlock) -> Optional[Analysis]:
+        header = struct.calcsize(_HEADER)
+        if block.count == 0:
+            return Analysis(header)
+        base = int(block.int64.min())
+        deltas = block.int64 - base
+        frame = analyse_frame(deltas)
+        if frame is None:
+            return None
+        width, chain = frame
+        size = (header + 8 * chain.size
+                + bitpack.packed_size(block.count, width))
+        return Analysis(size, (base, deltas, width, chain))
+
+    def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
+        if block.count == 0:
+            return struct.pack(_HEADER, 0, 1, -1, 0)
+        base, deltas, width, chain = analysis.plan
+        first, body = emit_frame(deltas, width, chain)
+        return struct.pack(_HEADER, base, width, first, chain.size) + body
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
         view = memoryview(block.data)

@@ -8,20 +8,21 @@ inverted-index postings.
 from __future__ import annotations
 
 import struct
+from typing import Optional
 
 import numpy as np
 
-from repro.common.errors import CompressionError
 from repro.common.types import ColumnType
 from repro.compression import bitpack
 from repro.compression.base import (
+    Analysis,
     CompressedBlock,
     CompressionScheme,
-    encode_patched,
+    RawBlock,
     patch_positions,
     register_scheme,
 )
-from repro.compression.pfor import choose_width
+from repro.compression.pfor import analyse_frame, emit_frame
 
 _HEADER = "<qqiii"  # first_value, base, width, first_exception, n_exceptions
 
@@ -34,23 +35,25 @@ class PForDeltaScheme(CompressionScheme):
     def can_compress(self, values: np.ndarray, ctype: ColumnType) -> bool:
         return ctype.is_integer and values.dtype != object and values.size >= 2
 
-    def compress(self, values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
-        vals = np.asarray(values, dtype=np.int64)
-        if vals.size < 2:
-            raise CompressionError("PFOR-DELTA needs at least two values")
-        diffs = np.diff(vals)
+    def analyse(self, block: RawBlock) -> Optional[Analysis]:
+        if block.count < 2:
+            return None
+        diffs = np.diff(block.int64)
         base = int(diffs.min())
-        deltas = diffs - base
-        width = choose_width(deltas)
-        limit = 1 << width
-        is_exc = deltas >= limit
-        codes = np.where(is_exc, 0, deltas)
-        codes, chain, first = encode_patched(codes, is_exc, width)
-        exceptions = deltas[chain] if chain else np.zeros(0, dtype=np.int64)
-        packed = bitpack.pack_bits(codes, width)
-        header = struct.pack(_HEADER, int(vals[0]), base, width, first, len(chain))
-        data = header + exceptions.astype("<i8").tobytes() + packed
-        return CompressedBlock(self.name, int(vals.size), data)
+        diffs -= base
+        frame = analyse_frame(diffs)
+        if frame is None:
+            return None
+        width, chain = frame
+        size = (struct.calcsize(_HEADER) + 8 * chain.size
+                + bitpack.packed_size(block.count - 1, width))
+        return Analysis(size, (base, diffs, width, chain))
+
+    def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
+        base, deltas, width, chain = analysis.plan
+        first, body = emit_frame(deltas, width, chain)
+        return struct.pack(_HEADER, int(block.int64[0]), base, width, first,
+                           chain.size) + body
 
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
         view = memoryview(block.data)

@@ -33,6 +33,9 @@ from repro.storage.schema import TableSchema
 _SCHEME_IDS = {"RAW": 0, "PFOR": 1, "PFOR-DELTA": 2, "PDICT": 3, "LZ": 4}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_IDS.items()}
 _BLOCK_HEADER = "<BII"  # scheme id, tuple count, payload length
+#: what a PartitionStore knows about its files (``_reset_catalog`` sets it)
+_CATALOG = ("n_stable", "blocks", "minmax", "_open_chunk",
+            "_open_chunk_blocks", "_partial_file", "_partial_refs")
 
 
 @dataclass
@@ -75,13 +78,18 @@ class PartitionStore:
         self.schema = schema
         self.config = config
         self.tag = tag
-        self.n_stable = 0
-        self.blocks: Dict[str, List[BlockRef]] = {
-            c: [] for c in schema.column_names
-        }
-        self.minmax = MinMaxIndex()
         self._next_chunk = 0
         self._next_partial = 0
+        self._reset_catalog()
+
+    def _reset_catalog(self) -> None:
+        """An empty partition; file numbering goes on, so files written
+        from here never take the name of one written before."""
+        self.n_stable = 0
+        self.blocks: Dict[str, List[BlockRef]] = {
+            c: [] for c in self.schema.column_names
+        }
+        self.minmax = MinMaxIndex()
         self._open_chunk: Optional[str] = None
         self._open_chunk_blocks = 0
         self._partial_file: Optional[str] = None
@@ -173,13 +181,8 @@ class PartitionStore:
             self._open_chunk_blocks += 1
         offset = self.hdfs.file_size(path)
         self.hdfs.append(path, payload, writer)
-        if values.dtype == object:
-            # strings: payload bytes plus a 4-byte length word per value
-            raw = sum(len(str(v)) for v in values) + 4 * len(values)
-        else:
-            raw = values.nbytes
         ref = BlockRef(name, row_start, len(values), path, offset,
-                       len(payload), block.scheme, raw)
+                       len(payload), block.scheme, block.raw_bytes)
         self.blocks[name].append(ref)
         if partial:
             self._partial_refs[name] = ref
@@ -275,22 +278,27 @@ class PartitionStore:
 
         HDFS cannot overwrite, so the table is written fully elsewhere and
         the old chunk files are deleted -- the paper's pre-chunk-decision
-        behaviour.
+        behaviour. Only then: an error while writing removes the new files
+        and leaves the old image, catalog and MinMax as they were.
         """
-        self.delete_all()
-        self.append(columns, writer)
+        old_files = self.file_paths()
+        old_catalog = {name: getattr(self, name) for name in _CATALOG}
+        self._reset_catalog()
+        try:
+            self.append(columns, writer)
+        except BaseException:
+            for path in set(self.file_paths()) - set(old_files):
+                self.hdfs.delete(path)
+            for name, value in old_catalog.items():
+                setattr(self, name, value)
+            raise
+        for path in old_files:
+            self.hdfs.delete(path)
 
     def delete_all(self) -> None:
         for path in self.file_paths():
-            if self.hdfs.exists(path):
-                self.hdfs.delete(path)
-        self.blocks = {c: [] for c in self.schema.column_names}
-        self.minmax.clear()
-        self.n_stable = 0
-        self._open_chunk = None
-        self._open_chunk_blocks = 0
-        self._partial_file = None
-        self._partial_refs = {}
+            self.hdfs.delete(path)
+        self._reset_catalog()
 
     # ----------------------------------------------------------------- statistics
 

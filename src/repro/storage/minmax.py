@@ -40,6 +40,12 @@ class _Range:
     def row_end(self) -> int:
         return self.row_start + self.row_count
 
+    def widen(self, lo, hi) -> None:
+        if lo < self.min_value:
+            self.min_value = lo
+        if hi > self.max_value:
+            self.max_value = hi
+
 
 @dataclass
 class MinMaxIndex:
@@ -51,16 +57,9 @@ class MinMaxIndex:
         """Record a freshly written block's min/max."""
         if len(values) == 0:
             return
-        if values.dtype == object:
-            lo, hi = min(values), max(values)
-        else:
-            lo, hi = values.min(), values.max()
         self.ranges.setdefault(column, []).append(
-            _Range(row_start, len(values), lo, hi)
+            _Range(row_start, len(values), *_extremes(values))
         )
-
-    def clear(self) -> None:
-        self.ranges.clear()
 
     # -- maintenance under updates -------------------------------------------------
 
@@ -77,10 +76,22 @@ class MinMaxIndex:
             if r.row_start <= anchor_sid < r.row_end:
                 target = r
                 break
-        if value < target.min_value:
-            target.min_value = value
-        if value > target.max_value:
-            target.max_value = value
+        target.widen(value, value)
+
+    def widen_batch(self, column: str, anchor_sids: np.ndarray,
+                    values: np.ndarray) -> None:
+        """:meth:`widen` for a batch of inserts: the rows are grouped by
+        the range covering their anchor (the last range for anchors past
+        the end; ranges are in row order, as ``add_range`` appends them)
+        and each range is widened once, with its group's extremes."""
+        ranges = self.ranges.get(column)
+        if not ranges or len(values) == 0:
+            return
+        starts = np.fromiter((r.row_start for r in ranges), np.int64,
+                             len(ranges))
+        covering = np.searchsorted(starts, anchor_sids, side="right") - 1
+        for i in np.unique(covering):
+            ranges[i].widen(*_extremes(values[covering == i]))
 
     # -- skipping -------------------------------------------------------------------
 
@@ -148,6 +159,12 @@ class MinMaxIndex:
                 _Range(s, c, lo, hi) for (s, c, lo, hi) in ranges
             ]
         return idx
+
+
+def _extremes(values: np.ndarray):
+    if values.dtype == object:
+        return min(values), max(values)
+    return values.min(), values.max()
 
 
 def _interval_may_qualify(lo, hi, op: str, literal) -> bool:

@@ -381,8 +381,8 @@ class StoredTable:
         for i in range(n):
             values = {name: arrays[name][i] for name in arrays}
             uids.append(trans.insert(int(anchors[i]), values))
-            for name, value in values.items():
-                store.minmax.widen(name, int(anchors[i]), value)
+        for name, values in arrays.items():
+            store.minmax.widen_batch(name, anchors, values)
         return uids
 
     def delete_rows(self, pid: int, identities: np.ndarray,

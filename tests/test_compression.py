@@ -75,12 +75,12 @@ class TestBitPack:
 
 class TestPatchChain:
     def test_no_exceptions(self):
-        assert build_patch_chain(np.zeros(10, bool), 4) == []
+        assert build_patch_chain(np.zeros(10, bool), 4).tolist() == []
 
     def test_simple_chain(self):
         mask = np.zeros(10, bool)
         mask[[2, 5, 9]] = True
-        assert build_patch_chain(mask, 4) == [2, 5, 9]
+        assert build_patch_chain(mask, 4).tolist() == [2, 5, 9]
 
     def test_compulsory_exception_inserted(self):
         mask = np.zeros(20, bool)
@@ -232,3 +232,29 @@ class TestChooser:
         out = decompress(block, INT32)
         assert out.dtype == np.int32
         assert np.array_equal(out, values)
+
+
+class TestFloatBlocks:
+    """PDICT stores numbers as int64, so it must never take a float."""
+
+    def test_repeating_floats_stay_out_of_the_dictionary(self):
+        values = np.array([0.25, 0.5, 0.25, 0.5, 0.75] * 100)
+        assert not PDictScheme().can_compress(values, FLOAT64)
+        with pytest.raises(CompressionError):
+            PDictScheme().compress(values, FLOAT64)
+        block = compress_best(values, FLOAT64)
+        assert block.scheme in ("RAW", "LZ")
+        assert np.array_equal(decompress(block, FLOAT64), values)
+
+    @given(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True)
+        | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                           -0.0, 0.0, 0.25, 0.5]),
+        max_size=300))
+    @settings(max_examples=80, deadline=None)
+    def test_compress_best_round_trips_every_bit(self, values):
+        arr = np.asarray(values, dtype=np.float64)
+        out = decompress(compress_best(arr, FLOAT64), FLOAT64)
+        # bit for bit: NaN payloads and the sign of -0.0 included
+        assert out.dtype == np.float64
+        assert out.tobytes() == arr.tobytes()

@@ -87,6 +87,39 @@ class TestWidening:
         assert idx.ranges == {}
 
 
+    def test_batch_spanning_two_ranges_widens_each_once(self):
+        idx = build_index(list(range(100)))
+        anchors = np.array([12, 15, 31, 38, 19])
+        values = np.array([-7, 500, 33, 900, 14])
+        idx.widen_batch("x", anchors, values)
+        record = {start: (lo, hi)
+                  for start, _, lo, hi in idx.to_record()["x"]}
+        assert record[10] == (-7, 500)   # rows anchored in [10, 20)
+        assert record[30] == (30, 900)   # rows anchored in [30, 40)
+        assert record[20] == (20, 29) and record[0] == (0, 9)
+
+    @given(st.lists(st.tuples(st.integers(0, 120), st.integers(-500, 500)),
+                    max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_equals_widening_value_by_value(self, inserts):
+        one_by_one = build_index(list(range(100)))
+        batched = build_index(list(range(100)))
+        for anchor, value in inserts:  # anchors past 100: the tail
+            one_by_one.widen("x", anchor, value)
+        anchors = np.array([a for a, _ in inserts], dtype=np.int64)
+        values = np.array([v for _, v in inserts], dtype=np.int64)
+        batched.widen_batch("x", anchors, values)
+        assert batched.to_record() == one_by_one.to_record()
+
+    def test_batch_of_strings(self):
+        idx = MinMaxIndex()
+        idx.add_range("s", 0, np.array(["d", "e"], dtype=object))
+        idx.add_range("s", 2, np.array(["k", "m"], dtype=object))
+        idx.widen_batch("s", np.array([1, 2, 9]),
+                        np.array(["a", "z", "b"], dtype=object))
+        assert idx.to_record()["s"] == [(0, 2, "a", "e"), (2, 2, "b", "z")]
+
+
 class TestSerialization:
     def test_roundtrip(self):
         idx = build_index([3, 1, 4, 1, 5, 9, 2, 6], block=4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import Config
-from repro.common.errors import StorageError
+from repro.common.errors import HdfsError, StorageError
 from repro.common.types import DATE, DECIMAL, INT64, STRING
 from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
 from repro.storage import (
@@ -281,6 +281,66 @@ class TestStoredTable:
         after = t.scan_merged(0, ["k", "d", "price", "s"])
         assert sorted(before.columns["k"]) == sorted(after.columns["k"])
         assert t.pdt[0].total_entries() == 0
+
+    def _table_with_pending_rewrite(self, config):
+        hdfs = HdfsCluster(NODES, config, VectorHPlacementPolicy())
+        t = self.make_table(hdfs, config, clustered_on=("d",))
+        t.bulk_load(self.columns(3000))
+        trans = t.pdt[0].begin()
+        res = t.scan_merged(0, ["k"], trans=trans)
+        t.delete_rows(0, res.identities[5:25], trans)
+        t.modify_rows(0, res.identities[40:41],
+                      {"price": np.array([777.0])}, trans)
+        t.insert_rows(0, {"k": np.array([10**6]),
+                          "d": np.array([8500], np.int32),
+                          "price": np.array([1.5]),
+                          "s": np.array(["n"], object)}, trans)
+        t.pdt[0].commit(trans)
+        return hdfs, t
+
+    def test_failed_rewrite_keeps_the_old_image(self, config, monkeypatch):
+        names = ["k", "d", "price", "s"]
+
+        def image(t):
+            return {c: v.tolist()
+                    for c, v in t.scan_merged(0, names).columns.items()}
+
+        hdfs, t = self._table_with_pending_rewrite(config)
+        real_append = HdfsCluster.append
+        calls = []
+        monkeypatch.setattr(
+            hdfs, "append",
+            lambda *a, **kw: (calls.append(a[0]), real_append(hdfs, *a, **kw)))
+        assert t.propagate(0, writer="n1") == "full"
+        assert len(calls) >= 8  # several blocks per column, and partials
+
+        for failing in range(len(calls)):
+            hdfs, t = self._table_with_pending_rewrite(config)
+            before, files = image(t), t.partitions[0].file_paths()
+            entries = t.pdt[0].total_entries()
+            seen = []
+
+            def append(path, data, writer=None):
+                seen.append(path)
+                if len(seen) == failing + 1:
+                    raise HdfsError(f"injected: append #{failing} failed")
+                real_append(hdfs, path, data, writer)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(hdfs, "append", append)
+                with pytest.raises(HdfsError, match="injected"):
+                    t.propagate(0, writer="n1")
+            # the old files, catalog and MinMax are all still there
+            assert t.partitions[0].file_paths() == files
+            assert t.pdt[0].total_entries() == entries
+            assert image(t) == before
+            hit = t.scan_partition(0, ["k"], predicates=[("d", "=", 8500)])
+            assert 10**6 in hit.columns["k"]
+            # and the retry goes through, onto fresh files
+            assert t.propagate(0, writer="n1") == "full"
+            assert image(t) == before
+            assert not set(files) & set(t.partitions[0].file_paths())
+            assert t.pdt[0].total_entries() == 0
 
     def test_needs_propagation_thresholds(self, hdfs, config):
         t = self.make_table(hdfs, config)

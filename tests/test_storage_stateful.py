@@ -1,0 +1,228 @@
+"""Stateful test of the write path: one clustered table against a model.
+
+A hypothesis state machine drives one clustered ``StoredTable`` (STRING,
+INT64, DATE and DECIMAL columns, blocks of a few dozen rows so every
+column has several) through insert / delete / modify / commit / abort /
+tail flush / forced propagation / filtered scan. The model is a plain list
+of rows. After every step the committed image -- and the open
+transaction's, if there is one -- must hold the model's rows, in cluster
+order; a filtered scan must return exactly the model's qualifying rows, so
+MinMax (widened by every insert and modify, aborted ones included) never
+prunes one.
+"""
+
+from collections import Counter
+
+import numpy as np
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
+
+from repro.common.config import Config
+from repro.common.types import DATE, DECIMAL, INT64, STRING
+from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
+from repro.storage import Column, StoredTable, TableSchema
+from repro.storage.minmax import OPS
+
+NAMES = ["k", "d", "price", "s"]
+WORDS = ["MAIL", "SHIP", "RAIL", "AIR", "", "Zürich", "日本", "TRUCK"]
+
+days = st.integers(8000, 8060)
+cents = st.integers(100, 99999)
+words = st.sampled_from(WORDS) | st.text("abc", max_size=3)
+new_rows = st.lists(st.tuples(days, cents, words), min_size=1, max_size=12)
+picks = st.lists(st.integers(0, 10**6), min_size=1, max_size=6)
+
+
+def small_blocks() -> Config:
+    config = Config().scaled_for_tests()
+    config.block_size = 128       # 16 int64, 32 date, 16 string rows a block
+    config.blocks_per_chunk = 4   # and a few chunk files
+    return config
+
+
+class ClusteredTableMachine(RuleBasedStateMachine):
+    """Rows are ``(k, d, price in cents, s)``; ``k`` is never reused."""
+
+    def __init__(self):
+        super().__init__()
+        config = small_blocks()
+        hdfs = HdfsCluster(["n1", "n2", "n3"], config,
+                           VectorHPlacementPolicy())
+        schema = TableSchema(
+            "orders",
+            [Column("k", INT64), Column("d", DATE), Column("price", DECIMAL),
+             Column("s", STRING)],
+            clustered_on=("d",))
+        self.table = StoredTable(hdfs, "/db", schema, config)
+        self.stack = self.table.pdt[0]
+        self.store = self.table.partitions[0]
+        self.committed = []
+        self.pending = []       # the open transaction's image
+        self.trans = None
+        self.next_key = 0
+        #: nothing but tail inserts committed since the last propagation
+        self.only_tail = True
+
+    # ---------------------------------------------------------------- helpers
+
+    def _rows(self, values):
+        rows = [(self.next_key + i, d, price, s)
+                for i, (d, price, s) in enumerate(values)]
+        self.next_key += len(rows)
+        return rows
+
+    @staticmethod
+    def _columns(rows):
+        k, d, price, s = zip(*rows)
+        return {"k": np.array(k, dtype=np.int64),
+                "d": np.array(d, dtype=np.int32),
+                "price": np.array(price, dtype=np.int64) / 100,
+                "s": np.array(s, dtype=object)}
+
+    @staticmethod
+    def _as_rows(result):
+        cols = result.columns
+        return list(zip(cols["k"].tolist(), cols["d"].tolist(),
+                        np.round(cols["price"] * 100).astype(int).tolist(),
+                        cols["s"].tolist()))
+
+    def _begin(self):
+        if self.trans is None:
+            self.trans = self.stack.begin()
+            self.pending = list(self.committed)
+
+    def _identities_of(self, picked):
+        """Identities (and keys) of the visible rows ``picked`` lands on."""
+        seen = self.table.scan_merged(0, ["k"], trans=self.trans)
+        at = sorted({p % seen.n_rows for p in picked})
+        return seen.identities[at], set(seen.columns["k"][at].tolist())
+
+    # ------------------------------------------------------------------ rules
+
+    @initialize(values=st.lists(st.tuples(days, cents, words),
+                                min_size=60, max_size=150))
+    def bulk_load(self, values):
+        self.committed = self._rows(values)
+        self.table.bulk_load(self._columns(self.committed))
+        assert all(len(refs) >= 2 for refs in self.store.blocks.values())
+
+    @rule(values=new_rows)
+    def insert(self, values):
+        self._begin()
+        rows = self._rows(values)
+        self.table.insert_rows(0, self._columns(rows), self.trans)
+        self.pending += rows
+
+    @rule(count=st.integers(1, 5), price=cents, s=words)
+    def insert_past_the_end(self, count, price, s):
+        """Rows whose cluster key is past every stable one: tail inserts."""
+        self._begin()
+        last = max((d for _, d, _, _ in self.pending), default=8000)
+        rows = self._rows([(last + 1 + i, price, s) for i in range(count)])
+        self.table.insert_rows(0, self._columns(rows), self.trans)
+        self.pending += rows
+
+    @precondition(lambda self: self.pending if self.trans else self.committed)
+    @rule(picked=picks)
+    def delete(self, picked):
+        self._begin()
+        identities, keys = self._identities_of(picked)
+        self.table.delete_rows(0, identities, self.trans)
+        self.pending = [r for r in self.pending if r[0] not in keys]
+
+    @precondition(lambda self: self.pending if self.trans else self.committed)
+    @rule(picked=picks, price=cents, s=words)
+    def modify(self, picked, price, s):
+        self._begin()
+        identities, keys = self._identities_of(picked)
+        n = len(identities)
+        self.table.modify_rows(
+            0, identities,
+            {"price": np.full(n, price / 100),
+             "s": np.array([s] * n, dtype=object)}, self.trans)
+        self.pending = [(k, d, price, s) if k in keys else (k, d, p, old)
+                        for k, d, p, old in self.pending]
+
+    @precondition(lambda self: self.trans is not None)
+    @rule()
+    def commit(self):
+        n_stable = self.store.n_stable
+        if any(e.kind.value != "insert" or e.anchor_sid < n_stable
+               for e in self.trans.layer.entries):
+            self.only_tail = False
+        self.stack.commit(self.trans)
+        self.committed, self.trans = self.pending, None
+
+    @precondition(lambda self: self.trans is not None)
+    @rule()
+    def abort(self):
+        self.trans = None
+
+    @precondition(lambda self: self.trans is None)
+    @rule()
+    def propagate(self):
+        """Forced propagation; a tail flush when only tail inserts wait."""
+        waiting = self.stack.total_entries()
+        files = set(self.store.file_paths())
+        kind = self.table.propagate(0, writer="n1")
+        assert kind == ("none" if not waiting
+                        else "tail" if self.only_tail else "full")
+        if kind == "tail":   # appends: the full blocks stay where they are
+            assert {p for p in files if "chunk" in p} <= set(
+                self.store.file_paths())
+        elif kind == "full":
+            assert not files & set(self.store.file_paths())
+        assert self.stack.total_entries() == 0
+        self.only_tail = True
+
+    @rule(column=st.sampled_from(["k", "d", "price", "s"]),
+          op=st.sampled_from(sorted(OPS)), data=st.data())
+    def filtered_scan(self, column, op, data):
+        image = self.pending if self.trans else self.committed
+        at = NAMES.index(column)
+        domain = sorted({r[at] for r in image}) or [0 if at < 3 else ""]
+        literal = data.draw(st.sampled_from(domain)
+                            | {0: st.integers(-1, self.next_key), 1: days,
+                               2: cents, 3: words}[at])
+        expected = [r for r in image if OPS[op](r[at], literal)]
+        if column == "price":
+            literal = literal / 100
+        found = self._as_rows(self.table.scan_partition(
+            0, NAMES, predicates=[(column, op, literal)], trans=self.trans))
+        assert Counter(found) == Counter(expected)
+
+    # ------------------------------------------------------------- invariants
+
+    def _check_image(self, trans, model):
+        rows = self._as_rows(self.table.scan_merged(0, NAMES, trans=trans))
+        assert Counter(rows) == Counter(model)
+        assert len(set(r[0] for r in rows)) == len(rows)
+        keys = [r[1] for r in rows]
+        assert keys == sorted(keys), "scan left cluster order"
+
+    @invariant()
+    def images_hold_the_model(self):
+        self._check_image(None, self.committed)
+        if self.trans is not None:
+            self._check_image(self.trans, self.pending)
+
+    @invariant()
+    def catalog_is_consistent(self):
+        store = self.store
+        for name, refs in store.blocks.items():
+            refs = sorted(refs, key=lambda r: r.row_start)
+            assert sum(r.n_rows for r in refs) == store.n_stable
+            assert all(a.row_end == b.row_start
+                       for a, b in zip(refs, refs[1:]))
+            assert [(r.row_start, r.row_count)
+                    for r in store.minmax.ranges.get(name, [])] == [
+                        (r.row_start, r.n_rows) for r in refs]
+        assert {r.path for refs in store.blocks.values()
+                for r in refs} <= set(store.file_paths())
+
+
+ClusteredTableMachine.TestCase.settings = settings(
+    max_examples=30, stateful_step_count=25, deadline=None)
+TestClusteredTable = ClusteredTableMachine.TestCase
