@@ -119,6 +119,8 @@ class VectorHCluster:
             for name in names
         }
         self.tables: Dict[str, StoredTable] = {}
+        #: what :meth:`min_replication_degree` last saw, and answered
+        self._replication: Tuple[Optional[tuple], int] = (None, 0)
         self._indexes: Dict[Tuple[str, str], object] = {}
         self._responsibility: Dict[Tuple[str, int], str] = {}
         self.wal = WalManager(self.hdfs, db_path, registry=self.registry)
@@ -848,6 +850,22 @@ class VectorHCluster:
             colocated += table_colocated
         audit["overall"] = 1.0 if total == 0 else colocated / total
         return audit
+
+    def min_replication_degree(self) -> int:
+        """Alive replicas of the worst-covered partition file. Sampled by
+        the flight recorder after every statement, so the walk over the
+        namespace is repeated only once HDFS says it changed."""
+        key = (self.hdfs.namespace_version, len(self.tables),
+               len(self.workers))
+        if key != self._replication[0]:
+            self._replication = (key, min(
+                (len(self.hdfs.alive_replicas(path))
+                 for stored in self.tables.values()
+                 for part in stored.partitions
+                 for path in part.file_paths()),
+                default=min(self.config.replication,
+                            max(1, len(self.workers)))))
+        return self._replication[1]
 
     def clear_buffer_pools(self) -> None:
         for pool in self._pools.values():

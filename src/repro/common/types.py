@@ -15,7 +15,6 @@ map logical types onto numpy physical representations:
 from __future__ import annotations
 
 import datetime
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +58,6 @@ DECIMAL = ColumnType("decimal", np.dtype(np.int64), 8, scale=2)
 DATE = ColumnType("date", np.dtype(np.int32), 4)
 STRING = ColumnType("string", np.dtype(object), 16)
 BOOL = ColumnType("bool", np.dtype(np.bool_), 1)
-
-
-def hash_inputs(values: np.ndarray) -> np.ndarray:
-    """A key column as the int64 a partition or DXchg hash mixes in: numbers
-    as they are, strings by the CRC-32 of their UTF-8 bytes. Python's
-    ``hash()`` is salted per process, so placement and routing would move
-    with ``PYTHONHASHSEED``; each distinct string is hashed once."""
-    if values.dtype.kind not in "OUS":
-        return values.astype(np.int64)
-    items = values.tolist()
-    crc = {v: zlib.crc32(str(v).encode()) for v in dict.fromkeys(items)}
-    return np.fromiter(map(crc.__getitem__, items), np.int64, len(items))
 
 
 def date_to_days(value: str | datetime.date) -> int:

@@ -4,6 +4,11 @@ Frequent values live in a per-block dictionary and are stored as thin
 dictionary-index codes; infrequent values are exceptions stored raw and
 linked through their code slots, so a skewed frequency distribution never
 blows up the dictionary (paper section 2).
+
+A string block is not inflated back to strings when it is read: it decodes
+to a :class:`~repro.engine.batch.DictColumn` -- the stored entries and
+exceptions, sorted and distinct, and every row's code among them -- which
+is what the engine groups, joins, orders and filters on.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from repro.compression.base import (
     patch_positions,
     register_scheme,
 )
+from repro.engine.batch import DictColumn, sorted_distinct
 
 _HEADER = "<iiii"  # width, first_exception, n_exceptions, n_dict
 
@@ -33,16 +39,17 @@ _MAX_DICT_WIDTH = 16  # dictionaries beyond 64K entries stop paying off
 
 def _decode_values(view: memoryview, offset: int, count: int,
                    ctype: ColumnType):
-    """``count`` raw values starting at ``offset``; returns them (as an
-    array in the column's dtype) and the offset just past them."""
+    """``count`` raw values starting at ``offset``; returns them (numbers
+    as an array in the column's dtype, strings as a list) and the offset
+    just past them."""
     if not ctype.is_string:
         values = np.frombuffer(view, "<i8", count, offset)
         return values.astype(ctype.dtype), offset + 8 * count
-    values = np.empty(count, dtype=object)
-    for i in range(count):
+    values = []
+    for _ in range(count):
         (length,) = struct.unpack_from("<I", view, offset)
         offset += 4
-        values[i] = str(view[offset: offset + length], "utf-8")
+        values.append(str(view[offset: offset + length], "utf-8"))
         offset += length
     return values, offset
 
@@ -152,20 +159,29 @@ class PDictScheme(CompressionScheme):
         header = struct.pack(_HEADER, width, first, chain.size, len(entries))
         return header + stored + bitpack.pack_bits(codes, width)
 
-    def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
+    def decompress(self, block: CompressedBlock, ctype: ColumnType):
         view = memoryview(block.data)
         width, first, n_exc, n_dict = struct.unpack_from(_HEADER, view)
         offset = struct.calcsize(_HEADER)
-        dictionary, offset = _decode_values(view, offset, n_dict, ctype)
-        exceptions, offset = _decode_values(view, offset, n_exc, ctype)
+        # the dictionary's entries, then the exceptions
+        stored, offset = _decode_values(view, offset, n_dict + n_exc, ctype)
+        strings = ctype.is_string
         codes = bitpack.unpack_bits(view[offset:], width, block.count,
-                                    np.intp)
+                                    np.int32 if strings else np.intp)
         positions = patch_positions(codes, first, n_exc)
+        if strings:
+            # exceptions are entries too, numbered past the dictionary's;
+            # entries are stored by frequency and an exception may repeat
+            # one, so they are sorted and made distinct, the codes following
+            if n_exc:
+                codes[positions] = np.arange(n_dict, n_dict + n_exc)
+            entries, code_of = sorted_distinct(stored)
+            return DictColumn(code_of.take(codes), entries)
         # the exceptions' slots hold gap links: any in-bounds entry will
         # do until they are patched
         codes[positions] = 0
-        out = dictionary[codes]
-        out[positions] = exceptions
+        out = stored[:n_dict][codes]
+        out[positions] = stored[n_dict:]
         return out
 
 

@@ -4,6 +4,14 @@
 ``eval_row(row)`` evaluates the *same* tree one tuple at a time and is what
 the baseline row engine uses -- so the vectorized-vs-interpreted comparison
 in the benchmarks isolates the execution model, not the plan.
+
+A string column may arrive dictionary-coded
+(:class:`~repro.engine.batch.DictColumn`). Comparing one with a literal is
+its own business (evaluated on the entries, gathered through the codes);
+``IN``, ``LIKE`` and ``SUBSTRING`` run their per-string Python on the
+entries through :func:`_on_strings`. Whatever else touches one -- a
+comparison of two columns over different dictionaries, a ``CASE`` branch
+-- sees the object array it stands for.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.engine.batch import DictColumn, EntryMemo
 from repro.engine.profile import kernel
 
 
@@ -53,6 +62,15 @@ class Expr:
 
 def _lift(value) -> "Expr":
     return value if isinstance(value, Expr) else Const(value)
+
+
+def _on_strings(values, fn, memo: EntryMemo):
+    """``fn`` (an object array of strings in, an array as long out) of a
+    string column: of a coded column's entries, gathered through its
+    codes."""
+    if isinstance(values, DictColumn):
+        return values.map_entries(fn, memo)
+    return fn(values)
 
 
 class Col(Expr):
@@ -228,12 +246,14 @@ class InList(Expr):
         self.child = child
         self.values = list(values)
         self._set = set(values)
+        self._memo = EntryMemo()
         self.children = (child,)
 
     def eval(self, c):
         v = self.child.eval(c)
         if v.dtype == object:
-            return np.isin(v, self.values)
+            return _on_strings(v, lambda s: np.isin(s, self.values),
+                               self._memo)
         return np.isin(v, np.asarray(self.values))
 
     def eval_row(self, r):
@@ -252,15 +272,18 @@ class Like(Expr):
         self.negate = negate
         regex = re.escape(pattern).replace(r"%", ".*").replace(r"_", ".")
         self._regex = re.compile("^" + regex + "$")
+        self._memo = EntryMemo()
         self.children = (child,)
+
+    def _matches(self, strings) -> np.ndarray:
+        match = self._regex.match
+        return np.fromiter((match(v) is not None for v in strings),
+                           np.bool_, len(strings))
 
     def eval(self, c):
         values = self.child.eval(c)
-        match = self._regex.match
         with kernel("expr.like", rows=len(values)):
-            out = np.fromiter(
-                (match(v) is not None for v in values), np.bool_, len(values)
-            )
+            out = _on_strings(values, self._matches, self._memo)
         return np.logical_not(out) if self.negate else out
 
     def eval_row(self, r):
@@ -324,15 +347,23 @@ class Substr(Expr):
         self.child = child
         self.start = start
         self.length = length
+        self._memo = EntryMemo()
         self.children = (child,)
+
+    def _cut(self, strings) -> np.ndarray:
+        lo = self.start - 1
+        hi = lo + self.length
+        return np.fromiter((v[lo:hi] for v in strings), object, len(strings))
 
     def eval(self, c):
         values = self.child.eval(c)
-        lo = self.start - 1
-        hi = lo + self.length
         with kernel("expr.substr", rows=len(values)):
-            return np.fromiter(
-                (v[lo:hi] for v in values), object, len(values))
+            if isinstance(values, DictColumn):
+                # the cut entries are coded again (they may collide and
+                # change order), so the result stays codes
+                return values.map_entries(
+                    lambda s: DictColumn.encode(self._cut(s)), self._memo)
+            return self._cut(values)
 
     def eval_row(self, r):
         v = self.child.eval_row(r)

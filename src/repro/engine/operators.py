@@ -8,6 +8,7 @@ can be rendered like the paper's appendix profile.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from typing import (
     Dict,
@@ -24,10 +25,17 @@ import numpy as np
 from repro.common.errors import ExecutionError
 from repro.engine.batch import (
     Batch,
+    DictColumn,
+    EntryMemo,
+    as_column,
     batch_bytes,
     batches_from_columns,
     concat_batches,
+    concat_columns,
+    dense_ranks,
     full_vectors,
+    order_key,
+    recode,
 )
 from repro.engine.expressions import Expr
 from repro.engine.profile import Frame, ProfileNode, kernel
@@ -186,7 +194,10 @@ class Project(Operator):
 #: (output name, function, input expression or None for count(*))
 AggSpec = Tuple[str, str, Optional[Expr]]
 
-_AGG_FUNCS = ("sum", "count", "avg", "min", "max", "count_distinct")
+#: ``sum_counts`` adds up partial counts -- the final phase of a split
+#: ``count`` -- as the integers they are
+_AGG_FUNCS = ("sum", "count", "avg", "min", "max", "count_distinct",
+              "sum_counts")
 
 
 class _Partial(NamedTuple):
@@ -210,7 +221,8 @@ class HashAggr(Operator):
     """Group-by that folds and merges instead of keeping a hash table.
 
     Every input vector is *ranked* (each key column to dense ranks --
-    ``np.unique`` for numbers, a dict over the distinct values for
+    ``np.unique`` for numbers, a coded string column's codes as they are
+    less the ones absent, a dict over the distinct values for plain
     strings -- combined pairwise and re-ranked so codes stay below n^2)
     and *folded* to one partial row per distinct key of that vector
     (``np.bincount`` for sum/count/avg, ``ufunc.reduceat`` for min/max,
@@ -287,8 +299,12 @@ class HashAggr(Operator):
 
 def _ranks(col: np.ndarray):
     """Each value's dense rank in sorted order, and the dictionary that
-    ranks them: the sorted distinct values (numbers) or value -> rank
-    (strings). Its ``len`` is how many distinct values there are."""
+    ranks them: the sorted distinct values (numbers; for a coded string
+    column, themselves a coded column) or value -> rank (plain strings).
+    Its ``len`` is how many distinct values there are."""
+    if isinstance(col, DictColumn):
+        ranks, present = col.ranks()
+        return ranks, DictColumn(present, col.dictionary)
     if col.dtype != object:
         uniq, ranks = np.unique(col, return_inverse=True)
         return ranks, uniq
@@ -299,9 +315,19 @@ def _ranks(col: np.ndarray):
                         len(values)), rank_of)
 
 
-def _lookup(dictionary, col: np.ndarray) -> np.ndarray:
+def _lookup(dictionary, col: np.ndarray,
+            memo: Optional[EntryMemo] = None) -> np.ndarray:
     """``col``'s values as the ranks a :func:`_ranks` dictionary gave
-    them; -1 for a value it never saw (NaN included)."""
+    them; -1 for a value it never saw (NaN included). Strings of a coded
+    ``col`` are looked up once per entry (``memo``: once per dictionary),
+    not per row."""
+    if isinstance(dictionary, DictColumn):
+        # the probe's strings as codes of the build side's dictionary,
+        # then those among the codes the build side has
+        col = recode(col, dictionary.dictionary, memo)
+        dictionary = dictionary.codes
+    elif isinstance(col, DictColumn):
+        return col.map_entries(partial(_lookup, dictionary), memo)
     if isinstance(dictionary, dict):
         return np.fromiter(map(dictionary.get, col.tolist(), repeat(-1)),
                            np.intp, len(col))
@@ -319,7 +345,9 @@ def _codes(keys: Sequence[np.ndarray]):
     dictionaries = [dictionary]
     for col in keys[1:]:
         ranks, right = _ranks(col)
-        codes, pair = _ranks(codes * len(right) + ranks)
+        codes, pair = dense_ranks(
+            codes.astype(np.intp, copy=False) * len(right) + ranks,
+            len(dictionaries[-1]) * len(right))
         dictionaries += [right, pair]
     return codes, dictionaries
 
@@ -344,13 +372,15 @@ def _row_state(func: str, n: int, values) -> Tuple:
     a partial of itself; a ``None`` count stands for all ones)."""
     if func == "count":
         return (None,)
+    if func == "sum_counts":
+        return (np.asarray(values, np.int64),)
     if func == "sum":
         return (np.asarray(values, np.float64),)
     if func == "avg":
         return (np.asarray(values, np.float64), None)
     if func == "count_distinct":
-        return (np.arange(n), np.asarray(values))
-    return (np.asarray(values),)
+        return (np.arange(n), as_column(values))
+    return (as_column(values),)
 
 
 def _fold_state(func: str, state: Tuple, codes: np.ndarray,
@@ -365,12 +395,16 @@ def _fold_state(func: str, state: Tuple, codes: np.ndarray,
         order = np.argsort(codes, kind="stable")
         starts = np.searchsorted(codes[order], np.arange(n_groups))
         ufunc = np.minimum if func == "min" else np.maximum
-        return (ufunc.reduceat(state[0][order], starts),)
+        values = state[0][order]
+        if isinstance(values, DictColumn):  # the least code is the least
+            return (DictColumn(ufunc.reduceat(values.codes, starts),
+                               values.dictionary),)
+        return (ufunc.reduceat(values, starts),)
     folded = []
     if func in ("sum", "avg"):
         folded.append(np.bincount(codes, weights=state[0],
                                   minlength=n_groups))
-    if func in ("count", "avg"):
+    if func in ("count", "avg", "sum_counts"):
         folded.append(np.bincount(codes, weights=state[-1],
                                   minlength=n_groups).astype(np.int64))
     return tuple(folded)
@@ -391,7 +425,7 @@ def _merge(funcs: Sequence[str], partials: Sequence[_Partial]) -> _Partial:
     n = sum(p.n for p in partials)
     with kernel("aggr.merge", rows=n):
         offsets = np.cumsum([0] + [p.n for p in partials[:-1]])
-        keys = [np.concatenate(cols)
+        keys = [concat_columns(cols)
                 for cols in zip(*(p.keys for p in partials))]
         states = []
         for i, func in enumerate(funcs):
@@ -399,7 +433,7 @@ def _merge(funcs: Sequence[str], partials: Sequence[_Partial]) -> _Partial:
             if func == "count_distinct":
                 parts = [(rows + offset, values)
                          for (rows, values), offset in zip(parts, offsets)]
-            states.append(tuple(np.concatenate(arrays)
+            states.append(tuple(concat_columns(arrays)
                                 for arrays in zip(*parts)))
         codes, first = _rank(keys, n)
         arrival = np.argsort(first)
@@ -430,7 +464,8 @@ class HashJoin(Operator):
     The build keys are sorted once and every probe vector is matched with
     ``searchsorted``. A single number column is compared as it is;
     composite and string keys are first ranked to one integer code per
-    row, the probe side through the build side's dictionaries.
+    row, the probe side through the build side's dictionaries (a coded
+    probe column once per dictionary it arrives with, not per row).
     """
 
     label = "HashJoin"
@@ -485,13 +520,14 @@ class HashJoin(Operator):
             pk_name = self.probe_keys[0]
             return cols[0], lambda batch: batch.columns[pk_name]
         codes, dictionaries = _codes(cols)
+        memos = [EntryMemo() for _ in cols]
 
         def encode(batch: Batch) -> np.ndarray:
             pcols = [batch.columns[k] for k in self.probe_keys]
-            out = _lookup(dictionaries[0], pcols[0])
-            for col, right, pair in zip(pcols[1:], dictionaries[1::2],
-                                        dictionaries[2::2]):
-                ranks = _lookup(right, col)
+            out = _lookup(dictionaries[0], pcols[0], memos[0])
+            for col, right, pair, memo in zip(pcols[1:], dictionaries[1::2],
+                                              dictionaries[2::2], memos[1:]):
+                ranks = _lookup(right, col, memo)
                 out = np.where((out >= 0) & (ranks >= 0),
                                _lookup(pair, out * len(right) + ranks), -1)
             return out
@@ -531,6 +567,9 @@ class HashJoin(Operator):
 
 
 def _fill_like(column: np.ndarray, n: int) -> np.ndarray:
+    if isinstance(column, DictColumn):
+        return DictColumn(np.zeros(n, dtype=np.int32),
+                          np.array([""], dtype=object))
     if column.dtype == object:
         return np.full(n, "", dtype=object)
     return np.zeros(n, dtype=column.dtype)
@@ -593,11 +632,13 @@ def stable_order(columns: Dict[str, np.ndarray], keys: Sequence[str],
     n = len(next(iter(columns.values())))
     order = np.arange(n)
     for key, asc in list(zip(keys, ascending))[::-1]:
-        col = columns[key][order]
+        col = order_key(columns[key])[order]
         if col.dtype == object:
             col = _ranks(col)[0]
         if not asc:
-            col = -col.astype(np.float64)
+            # ~x = -x - 1 reverses integers (ranks, codes and bools too)
+            # without leaving their domain; floats have no ~
+            col = -col if col.dtype.kind == "f" else ~col
         order = order[np.argsort(col, kind="stable")]
     return order
 

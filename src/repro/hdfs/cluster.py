@@ -80,6 +80,10 @@ class HdfsCluster:
             name: DataNode(name, self) for name in node_names
         }
         self.files: Dict[str, HdfsFile] = {}
+        #: bumped whenever a file appears or goes, a replica set changes
+        #: or a node's liveness does: what is derived from the namespace
+        #: (the monitor's replication gauge) is recomputed only then
+        self.namespace_version = 0
         self.placement_policy = placement_policy or DefaultPlacementPolicy(
             seed=config.seed
         )
@@ -178,6 +182,7 @@ class HdfsCluster:
             raise HdfsError("no alive datanodes for placement")
         f = HdfsFile(path=path, replicas=targets, replication=r)
         self.files[path] = f
+        self.namespace_version += 1
         return f
 
     def append(self, path: str, data: bytes, writer: str | None = None) -> None:
@@ -198,6 +203,7 @@ class HdfsCluster:
         f = self.files.pop(path, None)
         if f is None:
             raise HdfsError(f"no such file: {path}")
+        self.namespace_version += 1
         for name in f.replicas:
             if name in self.nodes:
                 self._stored.dec(f.size, node=name)
@@ -273,6 +279,7 @@ class HdfsCluster:
         if node is None or not node.alive:
             raise HdfsError(f"cannot fail node {name}")
         node.alive = False
+        self.namespace_version += 1
         if self.events is not None:
             self.events.emit("hdfs", "node_dead", node=name)
 
@@ -290,6 +297,7 @@ class HdfsCluster:
         if name in self.nodes and self.nodes[name].alive:
             raise HdfsError(f"node already present: {name}")
         self.nodes[name] = DataNode(name, self)
+        self.namespace_version += 1
         if self.events is not None:
             self.events.emit("hdfs", "node_added", node=name)
 
@@ -301,6 +309,7 @@ class HdfsCluster:
         """Bring every file back to its replication degree."""
         alive = self.alive_nodes()
         repaired = 0
+        self.namespace_version += 1
         for f in self.files.values():
             live = self.alive_replicas(f.path)
             missing = min(f.replication, len(alive)) - len(live)
@@ -330,6 +339,7 @@ class HdfsCluster:
             return 0
         alive = self.alive_nodes()
         moved = 0
+        self.namespace_version += 1
         for f in self.files.values():
             desired = pinned(f.path, alive)
             if not desired:

@@ -28,12 +28,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import ExecutionError
-from repro.common.types import hash_inputs
 from repro.engine.batch import (
     Batch,
     batch_bytes,
     batches_from_columns,
     concat_batches,
+    hash_inputs,
+    materialized,
 )
 from repro.engine.exchange import (
     DONE,
@@ -481,8 +482,11 @@ class QueryRun:
         peaks = ctx.meter.peak_by_node()
         for node, peak in self._cancelled_peaks.items():
             peaks[node] = max(peaks.get(node, 0), peak)
+        # the one place coded string columns become strings: whatever
+        # reads a result (caches, wire protocols, tests) sees plain arrays
+        rows = concat_batches(self.batches)
         self._result = QueryResult(
-            batch=concat_batches(self.batches),
+            batch=Batch(materialized(rows.columns), rows.n),
             elapsed=self.build_wall + self.step_wall + self.flush_wall,
             simulated_parallel_seconds=(
                 self.scheduler.sim_seconds - self.sim_start),

@@ -450,7 +450,9 @@ def split_aggregates(aggs: Sequence[AggSpec]):
 
     Returns ``(splittable, partial_specs, final_specs, post_project)``.
     ``avg`` splits into sum+count partials recombined by a projection;
-    ``count_distinct`` cannot be split (the rewriter reshuffles first).
+    partial counts are added as integers (``sum_counts``), so a count is
+    int64 whichever way it was planned; ``count_distinct`` cannot be
+    split (the rewriter reshuffles first).
     """
     partial: List[AggSpec] = []
     final: List[AggSpec] = []
@@ -464,7 +466,7 @@ def split_aggregates(aggs: Sequence[AggSpec]):
             post[name] = Col(name)
         elif func == "count":
             partial.append((name, "count", expr))
-            final.append((name, "sum", Col(name)))
+            final.append((name, "sum_counts", Col(name)))
             post[name] = Col(name)
         elif func in ("min", "max"):
             partial.append((name, func, expr))
@@ -474,7 +476,8 @@ def split_aggregates(aggs: Sequence[AggSpec]):
             partial.append((f"{name}__psum", "sum", expr))
             partial.append((f"{name}__pcnt", "count", expr))
             final.append((f"{name}__psum", "sum", Col(f"{name}__psum")))
-            final.append((f"{name}__pcnt", "sum", Col(f"{name}__pcnt")))
+            final.append((f"{name}__pcnt", "sum_counts",
+                          Col(f"{name}__pcnt")))
             post[name] = Div(Col(f"{name}__psum"), Col(f"{name}__pcnt"))
         else:
             return False, [], [], None

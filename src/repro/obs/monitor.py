@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -141,6 +142,7 @@ class MetricsHistory:
         self.compactions = 0
         self._seq = itertools.count()
         self._kinds: Dict[str, str] = {}
+        self._series_keys: Dict[str, Dict[tuple, SeriesKey]] = {}
 
     # -- sampling ------------------------------------------------------------
 
@@ -172,9 +174,12 @@ class MetricsHistory:
                     values[(family.name + "_sum", pairs)] = float(data["sum"])
             else:
                 self._kinds[family.name] = family.kind
+                # a series' key is built once, not once per sample
+                known = self._series_keys.setdefault(family.name, {})
                 for key, value in family.snapshot().items():
-                    values[(family.name, tuple(zip(names, key)))] = \
-                        float(value)
+                    if key not in known:
+                        known[key] = (family.name, tuple(zip(names, key)))
+                    values[known[key]] = float(value)
         sample = HistorySample(next(self._seq), self.sim_clock.seconds,
                                values)
         self.samples.append(sample)
@@ -192,25 +197,20 @@ class MetricsHistory:
         """Merge adjacent sample pairs; effective cadence doubles."""
         merged: List[HistorySample] = []
         samples = self.samples
+        # the families whose merged value is not simply the later one
+        fold = {"max": max, "sum": operator.add}
+        folds = {name: fold[mode] for name in self._kinds
+                 if (mode := self._agg_mode(name)) != "last"}
         i = 0
         while i < len(samples):
             if i + 1 == len(samples):
                 merged.append(samples[i])
                 break
             a, b = samples[i], samples[i + 1]
-            values = dict(a.values)
-            for key, vb in b.values.items():
-                va = values.get(key)
-                if va is None:
-                    values[key] = vb
-                    continue
-                mode = self._agg_mode(key[0])
-                if mode == "last":
-                    values[key] = vb
-                elif mode == "max":
-                    values[key] = max(va, vb)
-                else:  # sum
-                    values[key] = va + vb
+            values = {**a.values, **b.values}
+            for key, va in a.values.items():
+                if key[0] in folds and key in b.values:
+                    values[key] = folds[key[0]](va, b.values[key])
             merged.append(HistorySample(b.seq, b.sim_time, values))
             i += 2
         self.samples = merged
@@ -649,18 +649,8 @@ class FlightRecorder:
         for node, live in sorted(cluster.workload.meter.current.items()):
             self._g_mem.set(max(0, live), node=node)
         self._g_alive.set(len(cluster.hdfs.alive_nodes()))
-        self._g_repl.set(self._min_replication_degree())
+        self._g_repl.set(cluster.min_replication_degree())
         self._g_workers.set(len(cluster.workers))
-
-    def _min_replication_degree(self) -> int:
-        cluster = self.cluster
-        return min(
-            (len(cluster.hdfs.alive_replicas(path))
-             for stored in cluster.tables.values()
-             for part in stored.partitions
-             for path in part.file_paths()),
-            default=min(cluster.config.replication,
-                        max(1, len(cluster.workers))))
 
     # -- query log -----------------------------------------------------------
 

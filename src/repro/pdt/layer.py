@@ -14,6 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.engine.batch import DictColumn, as_column
 from repro.pdt.entries import (
     DeltaEntry,
     EntryKind,
@@ -121,13 +122,14 @@ def apply_entries(
     anchored at ``s`` (in commit-sequence order), then stable tuple ``s``
     itself unless deleted; modifies overlay the targeted tuple's values with
     last-writer-wins per column. Pass ``plan`` to reuse a cached
-    classification of the same entries.
+    classification of the same entries. A dictionary-coded stable column
+    stays coded: the entries' strings join its dictionary.
     """
     names = list(columns_wanted) if columns_wanted is not None else list(
         stable_columns
     )
     if not entries:
-        cols = {c: np.asarray(stable_columns[c]) for c in names}
+        cols = {c: as_column(stable_columns[c]) for c in names}
         identities = np.arange(n_stable, dtype=np.int64)
         return MergeResult(cols, identities, n_stable, n_stable)
 
@@ -183,20 +185,29 @@ def apply_entries(
         )
 
     columns: Dict[str, np.ndarray] = {}
+    ins_order = ins_src.tolist()
     for name in names:
-        src = np.asarray(stable_columns[name])
-        out = np.empty(total, dtype=src.dtype)
-        out[stable_positions] = src[gather_sids]
-        for outpos, i in zip(insert_positions.tolist(), ins_src.tolist()):
-            out[outpos] = inserts[i].values[name]
+        # what the entries write, and where: inserted rows, then modifies
+        at = insert_positions.tolist()
+        values = [inserts[i].values[name] for i in ins_order]
         for sid, colvals in mods_stable.items():
             if name not in colvals or not keep[sid]:
                 continue
             # gather_sids is sorted in both paths, so locate by bisection
             pos = int(np.searchsorted(gather_sids, sid))
             if pos < len(gather_sids) and gather_sids[pos] == sid:
-                out[stable_positions[pos]] = colvals[name]
-        columns[name] = out
+                at.append(int(stable_positions[pos]))
+                values.append(colvals[name])
+        src = as_column(stable_columns[name])
+        coded = isinstance(src, DictColumn)
+        if coded:
+            src, values = src.with_values(values)
+            dictionary, src = src.dictionary, src.codes
+        out = np.empty(total, dtype=src.dtype)
+        out[stable_positions] = src[gather_sids]
+        if at:
+            out[at] = np.asarray(values, dtype=src.dtype)
+        columns[name] = DictColumn(out, dictionary) if coded else out
 
     return MergeResult(columns, out_identities, total, n_stable)
 

@@ -15,7 +15,9 @@ instrumented HDFS placement policy keys on to co-locate the partition.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +26,11 @@ from repro.common.config import Config
 from repro.common.errors import StorageError
 from repro.common.types import ColumnType
 from repro.compression import CompressedBlock, compress_best, decompress
+from repro.engine.batch import (
+    DictColumn,
+    concat_columns,
+    sorted_distinct,
+)
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.storage.buffer import BufferPool
@@ -34,7 +41,7 @@ _SCHEME_IDS = {"RAW": 0, "PFOR": 1, "PFOR-DELTA": 2, "PDICT": 3, "LZ": 4}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_IDS.items()}
 _BLOCK_HEADER = "<BII"  # scheme id, tuple count, payload length
 #: what a PartitionStore knows about its files (``_reset_catalog`` sets it)
-_CATALOG = ("n_stable", "blocks", "minmax", "_open_chunk",
+_CATALOG = ("n_stable", "blocks", "_row_starts", "minmax", "_open_chunk",
             "_open_chunk_blocks", "_partial_file", "_partial_refs")
 
 
@@ -68,12 +75,63 @@ def rows_per_block(ctype: ColumnType, config: Config) -> int:
     return max(16, config.block_size // max(1, ctype.width))
 
 
+#: a column with more distinct strings than one PDICT block can hold stops
+#: sharing a dictionary between its blocks (each keeps its own)
+SHARED_DICTIONARY_LIMIT = 1 << 16
+
+
+class ColumnDictionaries:
+    """One dictionary per string column, shared by every PDICT block of
+    every partition of a table.
+
+    A block decodes over its own entries; :meth:`adopt` takes it over the
+    column's dictionary instead, so whatever is read from the column --
+    any block, any partition, any query -- arrives over the *same object*:
+    concatenating pieces is concatenating codes, vectors from different
+    scan streams meet at an exchange without a merge, and what an
+    expression worked out for the entries holds for the next scan too.
+    The dictionary only grows: a block with strings it does not hold yet
+    replaces it with a larger one (a new object -- codes shift; columns
+    over the old one keep it).
+    """
+
+    def __init__(self):
+        #: column -> (dictionary, its str -> code), None once over the limit
+        self._columns: Dict[str, Optional[Tuple[np.ndarray, dict]]] = {}
+
+    def adopt(self, name: str, column: DictColumn) -> DictColumn:
+        """``column`` over the dictionary of column ``name``."""
+        shared = self._columns.get(name, ())  # () until the first block
+        if shared is None:
+            return column
+        entries = column.dictionary.tolist()
+        if shared:
+            dictionary, code_of = shared
+            codes = np.fromiter(map(code_of.get, entries, repeat(-1)),
+                                np.int32, len(entries))
+            if len(codes) == 0 or codes.min() >= 0:
+                if len(codes) == len(dictionary):  # the very same entries
+                    return DictColumn(column.codes, dictionary)
+                return DictColumn(codes.take(column.codes), dictionary)
+            entries = dictionary.tolist() + entries
+        dictionary, _ = sorted_distinct(entries)
+        if len(dictionary) > SHARED_DICTIONARY_LIMIT:
+            self._columns[name] = None
+            return column
+        self._columns[name] = (dictionary, dict(zip(dictionary.tolist(),
+                                                    range(len(dictionary)))))
+        return self.adopt(name, column)
+
+
 class PartitionStore:
     """Columnar storage for one table partition."""
 
     def __init__(self, hdfs: HdfsCluster, base_path: str,
-                 schema: TableSchema, config: Config, tag: str):
+                 schema: TableSchema, config: Config, tag: str,
+                 dictionaries: Optional[ColumnDictionaries] = None):
         self.hdfs = hdfs
+        #: the table's, when the table made this store; else its own
+        self.dictionaries = dictionaries or ColumnDictionaries()
         self.base_path = base_path.rstrip("/")
         self.schema = schema
         self.config = config
@@ -86,7 +144,14 @@ class PartitionStore:
         """An empty partition; file numbering goes on, so files written
         from here never take the name of one written before."""
         self.n_stable = 0
+        #: per column in row order, each block starting where the one
+        #: before it ends: blocks are only ever appended past the last row
+        #: or (a partial block) taken off the end again
         self.blocks: Dict[str, List[BlockRef]] = {
+            c: [] for c in self.schema.column_names
+        }
+        #: ``row_start`` of every block of ``blocks``, to bisect on
+        self._row_starts: Dict[str, List[int]] = {
             c: [] for c in self.schema.column_names
         }
         self.minmax = MinMaxIndex()
@@ -156,10 +221,11 @@ class PartitionStore:
             if ref is None:
                 merged[name] = (self.n_stable, arrays[name])
                 continue
-            old = self._read_block(ref, reader=writer)
+            old = np.asarray(self._read_block(ref, reader=writer))
             merged[name] = (ref.row_start,
                             np.concatenate([old, arrays[name]]))
-            self.blocks[name].remove(ref)
+            self.blocks[name].pop()  # the partial block is the last one
+            self._row_starts[name].pop()
             self.minmax.ranges[name] = [
                 r for r in self.minmax.ranges[name]
                 if r.row_start < ref.row_start
@@ -184,6 +250,7 @@ class PartitionStore:
         ref = BlockRef(name, row_start, len(values), path, offset,
                        len(payload), block.scheme, block.raw_bytes)
         self.blocks[name].append(ref)
+        self._row_starts[name].append(row_start)
         if partial:
             self._partial_refs[name] = ref
         self.minmax.add_range(name, row_start, values)
@@ -236,7 +303,10 @@ class PartitionStore:
             block = CompressedBlock(_SCHEME_NAMES[scheme_id], count, payload)
             # the nested decode.<scheme> kernel subtracts itself from this
             # frame, so read_block seconds stay IO+header-only
-            return decompress(block, self.schema.ctype(ref.column))
+            values = decompress(block, self.schema.ctype(ref.column))
+            if isinstance(values, DictColumn):
+                values = self.dictionaries.adopt(ref.column, values)
+            return values
 
     def read_column(self, name: str,
                     ranges: Optional[Sequence[Tuple[int, int]]] = None,
@@ -246,23 +316,43 @@ class PartitionStore:
 
         Only blocks overlapping the requested ranges are read -- this is
         where MinMax skipping and the scan's row filter turn into IO and
-        decode savings.
+        decode savings. A string column comes back dictionary-coded (one
+        :class:`~repro.engine.batch.DictColumn`, over the dictionary its
+        blocks share) when every block read was PDICT, as a plain object
+        array as soon as one was LZ or RAW.
         """
         if ranges is None:
             ranges = [(0, self.n_stable)]
-        refs = sorted(self.blocks[name], key=lambda r: r.row_start)
+        refs = self.blocks[name]
         pieces: List[np.ndarray] = []
         for start, end in ranges:
-            for ref in refs:
-                if ref.row_end <= start or ref.row_start >= end:
-                    continue
+            for ref in refs[slice(*self._block_span(name, start, end))]:
                 values = self._read_block(ref, reader, pool)
                 lo = max(start, ref.row_start) - ref.row_start
                 hi = min(end, ref.row_end) - ref.row_start
                 pieces.append(values[lo:hi])
         if not pieces:
             return np.empty(0, dtype=self.schema.ctype(name).dtype)
-        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        return pieces[0] if len(pieces) == 1 else concat_columns(pieces)
+
+    def _block_span(self, name: str, start: int, end: int) -> Tuple[int, int]:
+        """``blocks[name][lo:hi]`` are the blocks holding rows of
+        ``[start, end)``."""
+        starts = self._row_starts[name]
+        if start >= end:
+            return 0, 0
+        return max(0, bisect_right(starts, start) - 1), bisect_left(starts, end)
+
+    def blocks_overlapping(self, name: str,
+                           ranges: Sequence[Tuple[int, int]]) -> int:
+        """How many of the column's blocks hold a row of ``ranges``
+        (ascending and disjoint) -- what reading them would decode."""
+        count = done = 0
+        for start, end in ranges:
+            lo, hi = self._block_span(name, start, end)
+            count += max(0, hi - max(lo, done))
+            done = max(done, hi)
+        return count
 
     def read_columns(self, names: Sequence[str],
                      ranges: Optional[Sequence[Tuple[int, int]]] = None,

@@ -8,7 +8,8 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.common.errors import StorageError
-from repro.common.types import ColumnType, hash_inputs
+from repro.common.types import ColumnType
+from repro.engine.batch import hash_inputs
 
 
 @dataclass(frozen=True)

@@ -51,9 +51,10 @@ class SecondaryIndex:
     def rebuild_partition(self, pid: int,
                           reader: Optional[str] = None,
                           pool: Optional[BufferPool] = None) -> None:
-        values = self.table.partitions[pid].read_column(
+        # the index searches values, so a coded column is spelled out
+        values = np.asarray(self.table.partitions[pid].read_column(
             self.column, reader=reader, pool=pool
-        )
+        ))
         order = np.argsort(values, kind="stable")
         self._partitions[pid] = _PartitionIndex(values[order],
                                                 order.astype(np.int64))

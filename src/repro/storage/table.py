@@ -21,6 +21,7 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,12 +29,14 @@ import numpy as np
 from repro.common.config import Config
 from repro.common.errors import StorageError
 from repro.common.types import ColumnType
+from repro.engine.batch import order_key
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
+from repro.pdt.entries import EntryKind
 from repro.pdt.layer import PdtLayer, apply_entries, classify_entries
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
-from repro.storage.colstore import PartitionStore
+from repro.storage.colstore import ColumnDictionaries, PartitionStore
 from repro.storage.minmax import OPS
 from repro.storage.schema import TableSchema
 
@@ -71,17 +74,19 @@ class StoredTable:
         self.config = config
         self.partitions: List[PartitionStore] = []
         self.pdt: List[PdtStack] = []
+        dictionaries = ColumnDictionaries()
         for pid in range(self.n_partitions):
             tag = self.partition_tag(pid)
             base = f"{db_path.rstrip('/')}/{tag}"
             self.partitions.append(
-                PartitionStore(hdfs, base, schema, config, tag)
+                PartitionStore(hdfs, base, schema, config, tag, dictionaries)
             )
             self.pdt.append(
                 PdtStack(flush_threshold=config.write_pdt_flush_threshold)
             )
         self._cluster_key_cache: Dict[int, np.ndarray] = {}
         self._merge_plan_cache: Dict[int, tuple] = {}
+        self._disorder_cache: Dict[int, tuple] = {}
         self.propagation_stats = PropagationStats()
         registry = hdfs.registry
         self._m_scanned = registry.counter(
@@ -96,18 +101,33 @@ class StoredTable:
             "Rows of MinMax-surviving ranges dropped by the scan filter",
             labels=("table",))
 
-    def _merge_plan(self, pid: int):
-        """Cached classification of the committed PDT entries, keyed by
-        the stack's layer identities (copy-on-write makes these stable)."""
+    def _committed(self, pid: int, cache: Dict[int, tuple], derive):
+        """``derive(committed PDT entries)``, cached per partition and
+        keyed by the stack's layer identities (copy-on-write makes these
+        stable) and the stable row count."""
         stack = self.pdt[pid]
-        key = (id(stack.read), len(stack.read),
-               id(stack.write), len(stack.write))
-        cached = self._merge_plan_cache.get(pid)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        plan = classify_entries(stack.scan_entries())
-        self._merge_plan_cache[pid] = (key, plan)
-        return plan
+        key = (id(stack.read), len(stack.read), id(stack.write),
+               len(stack.write), self.partitions[pid].n_stable)
+        cached = cache.get(pid)
+        if cached is None or cached[0] != key:
+            cached = cache[pid] = (key, derive(stack.scan_entries()))
+        return cached[1]
+
+    def _merge_plan(self, pid: int):
+        """The classified committed PDT entries of a partition."""
+        return self._committed(pid, self._merge_plan_cache, classify_entries)
+
+    def _may_disorder(self, pid: int, entries, trans) -> bool:
+        """Can merging ``entries`` leave a clustered partition's rows out
+        of cluster order? Asked by every scan, so the answer for the
+        committed entries is kept."""
+        def derive(committed):
+            return _inserts_may_disorder(
+                committed, self.partitions[pid].n_stable,
+                self.schema.clustered_on)
+        if trans is not None:
+            return derive(entries)
+        return self._committed(pid, self._disorder_cache, derive)
 
     # ---------------------------------------------------------------- identity
 
@@ -178,17 +198,13 @@ class StoredTable:
         """Charge MinMax skip effectiveness: of the blocks the scan would
         touch for its needed columns, how many did the qualifying ranges
         let it skip? Only called for predicated scans."""
-        scanned = skipped = 0
+        scanned = total = 0
         for name in needed:
-            for ref in store.blocks.get(name, ()):
-                overlaps = any(ref.row_end > start and ref.row_start < end
-                               for start, end in ranges)
-                if overlaps:
-                    scanned += 1
-                else:
-                    skipped += 1
+            if name in store.blocks:
+                scanned += store.blocks_overlapping(name, ranges)
+                total += len(store.blocks[name])
         self._m_scanned.inc(scanned, table=self.schema.name)
-        self._m_skipped.inc(skipped, table=self.schema.name)
+        self._m_skipped.inc(total - scanned, table=self.schema.name)
 
     # ------------------------------------------------------------------- loads
 
@@ -222,10 +238,8 @@ class StoredTable:
                         "bulk load into non-empty clustered partition; "
                         "use insert_rows (PDT) instead"
                     )
-                order = np.lexsort(tuple(
-                    part_cols[c] for c in reversed(self.schema.clustered_on)
-                ))
-                part_cols = {k: v[order] for k, v in part_cols.items()}
+                part_cols = _in_cluster_order(part_cols,
+                                              self.schema.clustered_on)
             writer = writers.get(pid) if writers else None
             self.partitions[pid].append(part_cols, writer)
             self._cluster_key_cache.pop(pid, None)
@@ -285,10 +299,8 @@ class StoredTable:
             self._record_minmax(store, ranges, requested)
         filter_cols = list(dict.fromkeys(col for col, _, _ in triples))
         n_stable = store.n_stable
-        may_disorder = self.schema.is_clustered and any(
-            e.kind.value == "insert" and e.anchor_sid < n_stable
-            for e in entries
-        )
+        may_disorder = self.schema.is_clustered and self._may_disorder(
+            pid, entries, trans)
         # The predicate columns give the filter and the cluster key restores
         # sort order after merging non-tail PDT inserts: both are read
         # whether or not the query asked for them (and returned only if so).
@@ -423,7 +435,8 @@ class StoredTable:
         key_col = self.schema.clustered_on[0]
         stable_keys = self._cluster_key_cache.get(pid)
         if stable_keys is None:
-            stable_keys = self.partitions[pid].read_column(key_col)
+            stable_keys = np.asarray(
+                self.partitions[pid].read_column(key_col))
             self._cluster_key_cache[pid] = stable_keys
         return np.searchsorted(stable_keys, arrays[key_col], side="left")
 
@@ -458,6 +471,10 @@ class StoredTable:
                 )
                 for name in names
             }
+            if self.schema.is_clustered:
+                # past every stable row, but among themselves in commit
+                # order: appended in cluster order
+                values = _in_cluster_order(values, self.schema.clustered_on)
             store.append(values, writer)
             self.propagation_stats.tail_flushes += 1
         else:
@@ -465,10 +482,8 @@ class StoredTable:
             merged = apply_entries(stable_cols, store.n_stable, entries, names)
             new_cols = merged.columns
             if self.schema.is_clustered:
-                order = np.lexsort(tuple(
-                    new_cols[c] for c in reversed(self.schema.clustered_on)
-                ))
-                new_cols = {k: v[order] for k, v in new_cols.items()}
+                new_cols = _in_cluster_order(new_cols,
+                                             self.schema.clustered_on)
             store.rewrite(new_cols, writer)
             self.propagation_stats.full_rewrites += 1
         self.propagation_stats.entries_flushed += len(entries)
@@ -576,6 +591,29 @@ def _surviving_ranges(store: PartitionStore, ranges, mask: np.ndarray,
     return kept, (None if alive.all() else alive)
 
 
+def _in_cluster_order(columns, cluster_key):
+    """Row-aligned ``columns`` sorted (stably) on the cluster key."""
+    order = np.lexsort(tuple(
+        order_key(columns[c]) for c in reversed(cluster_key)))
+    return {k: v[order] for k, v in columns.items()}
+
+
+def _inserts_may_disorder(entries, n_stable: int, cluster_key) -> bool:
+    """Can merging ``entries`` by position leave rows out of cluster
+    order? An insert anchored inside the stable image can (inserts at one
+    anchor come in commit order). Tail inserts follow every stable row and
+    each other in commit order, which is cluster order only while their
+    keys ascend."""
+    inserts = [e for e in entries if e.kind is EntryKind.INSERT]
+    if any(e.anchor_sid < n_stable for e in inserts):
+        return True
+    inserts.sort(key=attrgetter("seq"))
+    keys = [np.array([e.values[c] for e in inserts])
+            for c in reversed(cluster_key)]
+    # a stable sort of keys already in order moves nothing
+    return bool((np.lexsort(keys) != np.arange(len(inserts))).any())
+
+
 def _identities_for_ranges(ranges) -> np.ndarray:
     if not ranges:
         return np.empty(0, dtype=np.int64)
@@ -668,7 +706,8 @@ def _resort_clustered(result: ScanResult, cluster_key) -> ScanResult:
     first = result.columns[keys[0]]
     if len(first) < 2 or (first[1:] >= first[:-1]).all():
         return result
-    order = np.lexsort(tuple(result.columns[c] for c in reversed(keys)))
+    order = np.lexsort(tuple(
+        order_key(result.columns[c]) for c in reversed(keys)))
     return ScanResult(
         {k: v[order] for k, v in result.columns.items()},
         result.identities[order],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.engine import operators
-from repro.engine.batch import Batch, batches_from_columns
+from repro.engine.batch import Batch, DictColumn, batches_from_columns
 from repro.engine.expressions import Col
 from repro.engine.operators import HashAggr, Operator
 
@@ -127,11 +127,34 @@ def random_case(seed):
             [AGGREGATES[i] for i in sorted(picked)], vector)
 
 
-def check_chunk(chunk):
+def coded_case(seed):
+    """:func:`random_case` with string columns dictionary-coded, three
+    ways by seed: every string column over one dictionary for the whole
+    stream (what one partition's scan hands up); every batch over its own
+    (what arrives through an exchange, so the partials' dictionaries
+    differ); or only every other string column coded, the rest plain."""
+    batches, group_by, aggregates, vector = random_case(seed)
+    names = [k for k, v in batches[0].columns.items() if v.dtype == object]
+    if seed % 3 == 2:
+        names = names[::2]
+    if seed % 3 == 0:
+        whole = {k: DictColumn.encode(np.concatenate(
+            [b.columns[k] for b in batches]).tolist()) for k in names}
+    start = 0
+    for batch in batches:
+        for k in names:
+            batch.columns[k] = (whole[k][start: start + batch.n]
+                                if seed % 3 == 0
+                                else DictColumn.encode(batch.columns[k]))
+        start += batch.n
+    return batches, group_by, aggregates, vector
+
+
+def check_chunk(chunk, case=random_case):
     """Compare 100 seeded cases; returns how many merged mid-stream."""
     merged_mid_stream = 0
     for seed in range(chunk * 100, chunk * 100 + 100):
-        batches, group_by, aggregates, vector = random_case(seed)
+        batches, group_by, aggregates, vector = case(seed)
         expected = reference_group_by(batches, group_by, aggregates)
         op = HashAggr(Batches(batches), group_by, aggregates)
         op.vector_size = vector
@@ -139,8 +162,9 @@ def check_chunk(chunk):
         assert list(out.columns) == list(expected)
         for name, want in expected.items():
             assert out.columns[name].tolist() == want, (seed, name)
-        for key in group_by:  # keys are never widened
+        for key in group_by:  # keys are never widened, nor spelled out
             assert out.columns[key].dtype == batches[0].columns[key].dtype
+            assert type(out.columns[key]) is type(batches[0].columns[key])
         merge = op.profile.kernels.get("aggr.merge")
         merged_mid_stream += merge is not None and merge.calls > 1
     return merged_mid_stream
@@ -149,6 +173,15 @@ def check_chunk(chunk):
 @pytest.mark.parametrize("chunk", range(6))
 def test_matches_reference_on_random_group_bys(chunk):
     check_chunk(chunk)
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_coded_string_keys_and_values_match_reference(chunk, monkeypatch):
+    """One, two and more key columns, coded, integer and plain strings
+    mixed; min / max / count_distinct over a coded column; merges (here
+    forced mid-stream too) of partials whose dictionaries differ."""
+    monkeypatch.setattr(operators, "MERGE_AFTER_VECTORS", chunk % 2)
+    check_chunk(chunk, coded_case)
 
 
 @pytest.mark.parametrize("chunk", range(6))

@@ -362,6 +362,22 @@ class TestOrdering:
         op = Sort(source(s=["b", "c", "a"]), ["s"], [False])
         assert list(op.run_to_batch().columns["s"]) == ["c", "b", "a"]
 
+    @pytest.mark.parametrize("dtype", (np.int64, np.int32, np.float64, bool))
+    def test_descending_keeps_the_key_s_own_domain(self, dtype):
+        """2**60 and 2**60 + 1 are one float64: negated as floats they
+        tied and came back in arrival order."""
+        big = {np.int64: 2**60, np.int32: 2**30, np.float64: -0.5,
+               bool: 0}[dtype]
+        keys = np.array([big, big + 1, big, big + 1], dtype=dtype)
+        cols = {"k": keys, "row": np.arange(4)}
+        for op in (Sort(VectorSource(cols), ["k", "row"], [False, True]),
+                   TopN(VectorSource(cols), ["k", "row"], 4, [False, True])):
+            out = op.run_to_batch()
+            assert out.columns["row"].tolist() == [1, 3, 0, 2]
+            assert out.columns["k"].dtype == dtype
+        extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+        assert stable_order({"k": extremes}, ["k"], [False]).tolist() == [1, 0]
+
     def test_topn(self):
         op = TopN(source(v=[5, 1, 9, 3]), ["v"], 2, [False])
         assert list(op.run_to_batch().columns["v"]) == [9, 5]

@@ -159,6 +159,54 @@ class TestRewriterRules:
         assert not ok
 
 
+class TestCountType:
+    """``count`` is int64 through every plan shape. The final phase of a
+    split count used to ``sum`` its partials, and sums are float64."""
+
+    PLANS = {
+        "total": lambda: LAggr(
+            LSelect(LScan("fact", ["v"]), Col("v") < 5), [],
+            [("n", "count", None), ("a", "avg", Col("v"))]),
+        "grouped": lambda: LAggr(
+            LScan("fact", ["dim_k", "v"]), ["dim_k"],
+            [("n", "count", None), ("m", "count", Col("v"))]),
+        "nothing qualifies": lambda: LAggr(
+            LSelect(LScan("fact", ["v"]), Col("v") < 0), [],
+            [("n", "count", None)]),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(PLANS))
+    def test_same_values_and_dtypes_direct_and_split(self, cluster, shape):
+        results = {}
+        for partial in (True, False):
+            flags = RewriterFlags(partial_aggr=partial)
+            qplan = ParallelRewriter(cluster, flags).plan(self.PLANS[shape]())
+            phases = {a.phase for a in find_nodes(qplan.root, P.PAggr)}
+            assert phases == ({"partial", "final"} if partial
+                              else {"direct"})
+            results[partial] = cluster.query(qplan).batch
+        split, direct = results[True], results[False]
+        for name in ("n", "m"):
+            if name in direct.columns:
+                assert split.columns[name].dtype == np.int64
+                assert direct.columns[name].dtype == np.int64
+        order = (np.argsort(split.columns["dim_k"]),
+                 np.argsort(direct.columns["dim_k"])) \
+            if shape == "grouped" else (slice(None), slice(None))
+        for name, values in direct.columns.items():
+            assert np.array_equal(split.columns[name][order[0]],
+                                  values[order[1]])
+
+    def test_sql_count_is_an_integer(self, cluster):
+        from repro.sql import execute_sql
+        for sql in ("SELECT count(*) AS n FROM tiny WHERE label IN "
+                    "('t1', 'nope')",
+                    "SELECT label, count(*) AS n FROM tiny GROUP BY label"):
+            out = execute_sql(cluster, sql)
+            assert out.columns["n"].dtype == np.int64
+            assert out.columns["n"].sum() in (20, 100)
+
+
 class TestExecution:
     def test_query_correctness_all_rule_combinations(self, cluster):
         plan = LAggr(

@@ -22,9 +22,12 @@ from repro.common.config import Config
 from repro.common.types import DATE, DECIMAL, INT64, STRING
 from repro.cluster import VectorHCluster
 from repro.storage.minmax import OPS
-from repro.engine.expressions import Between, Col, InList
+from repro.engine.expressions import (
+    Between, Case, Col, InList, Like, Substr,
+)
 from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
-from repro.mpp.logical import LAggr, LJoin, LScan, LSelect, LTopN
+from repro.mpp import plan as P
+from repro.mpp.logical import LAggr, LJoin, LProject, LScan, LSelect, LTopN
 from repro.storage import Column, StoredTable, TableSchema
 
 
@@ -273,3 +276,150 @@ def test_filtered_scan_equals_numpy_filter(clustered, n, seed, committed,
     _apply_updates(table, trans, rng, n, *pending)
     _assert_filtered_scan_is_reference(table, requested, triples, trans)
     _assert_filtered_scan_is_reference(table, requested, triples, None)
+
+
+# ---------------------------------------------------------------------------
+# strings: dictionary-coded (PDICT) and plain (LZ/RAW) columns through
+# predicates, group-by, a hash split and a join
+# ---------------------------------------------------------------------------
+#
+# ``tag`` is low-cardinality and every drawn row is stored 16 times, so its
+# blocks are PDICT and it travels as codes; ``note`` is unique per stored
+# row, so its blocks are LZ or RAW and it travels as a plain object array.
+# The same predicates run on both, against the row engine's ``eval_row``.
+
+_TILE = 16
+_TAGS = ["t0", "t1", "t2", "", "é"]
+
+string_rows_st = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(-5, 5),
+              st.sampled_from(_TAGS)),
+    min_size=1, max_size=20)
+side_rows_st = st.lists(
+    st.tuples(st.integers(0, 40), st.sampled_from(["t1", "t2", "t7", ""])),
+    min_size=1, max_size=6)
+
+
+def build_string_systems(rows, side_rows=((0, "t1"),)):
+    cluster = VectorHCluster(n_nodes=3, config=Config().scaled_for_tests())
+    cluster.create_table(TableSchema(
+        "fact", [Column("fk", INT64), Column("v", INT64),
+                 Column("tag", STRING), Column("note", STRING)],
+        partition_key=("fk",), n_partitions=4))
+    cluster.create_table(TableSchema(
+        "side", [Column("sk", INT64), Column("tag2", STRING)],
+        partition_key=("sk",), n_partitions=4))
+    stored = [r for r in rows for _ in range(_TILE)]
+    side = [r for r in side_rows for _ in range(_TILE)]
+    data = {
+        "fact": {
+            "fk": np.asarray([r[0] for r in stored], np.int64),
+            "v": np.asarray([r[1] for r in stored], np.int64),
+            "tag": _obj([r[2] for r in stored]),
+            "note": _obj(["n%d-%d-%d" % (r[0], r[1], i)
+                          for i, r in enumerate(stored)]),
+        },
+        "side": {
+            "sk": np.asarray([r[0] for r in side], np.int64),
+            "tag2": _obj([r[1] for r in side]),
+        },
+    }
+    for name in data:
+        cluster.bulk_load(name, data[name])
+    for part in cluster.tables["fact"].partitions:
+        assert {ref.scheme for ref in part.blocks["tag"]} <= {"PDICT"}
+        assert "PDICT" not in {ref.scheme for ref in part.blocks["note"]}
+    hive = CompetitorSystem("hive", workers=3, rows_per_group=16)
+    hive.load(data)
+    return cluster, hive
+
+
+def string_predicate(which, col, lit):
+    c = Col(col)
+    return [
+        lambda: c == lit,
+        lambda: c != lit,
+        lambda: c < lit,
+        lambda: Between(c, lit, lit + "~"),
+        lambda: InList(c, [lit, "t0", "n1-1-1"]),
+        lambda: ~InList(c, [lit, "t0"]),
+        lambda: Like(c, lit[:2] + "%"),
+        lambda: Like(c, "%" + lit[-1:], negate=True),
+        lambda: Col("tag") < Col("note"),          # two dictionaries/kinds
+        lambda: c == Col("tag"),                   # ... or the same one
+        lambda: Substr(c, 1, 2) == lit[:2],
+        lambda: InList(Substr(c, 2, 1), ["1", "2", lit[1:2]]),
+        lambda: Case(c == lit, Col("v"), 0) > 0,
+        lambda: Case(Like(c, "t%"), c, "other") == lit,
+    ][which]()
+
+
+N_STRING_PREDICATES = 14
+string_literals = st.sampled_from(_TAGS + ["t", "t9", "n1", "n10-0-3", "n2-"])
+
+
+@given(string_rows_st, st.integers(0, N_STRING_PREDICATES - 1),
+       st.sampled_from(["tag", "note"]), string_literals)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_engines_agree_on_string_predicates(rows, which, col, lit):
+    cluster, hive = build_string_systems(rows)
+    scan = ["fk", "v", "tag", "note"]
+    vh = cluster.query(LSelect(
+        LScan("fact", scan), string_predicate(which, col, lit))).batch
+    base = hive.run(LSelect(
+        LScan("fact", scan), string_predicate(which, col, lit)))
+    assert_batches_match(vh, base)
+    assert all(isinstance(v, np.ndarray) for v in vh.columns.values())
+
+
+@given(string_rows_st, st.sampled_from(["tag", "note"]))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_engines_agree_on_string_group_by_through_a_hash_split(rows, col):
+    """Partial aggregate -> DXHashSplit on string keys (every sender its
+    own dictionaries) -> final; keys a coded column, a SUBSTRING of a
+    coded or plain one, and min / max / count distinct over strings."""
+    cluster, hive = build_string_systems(rows)
+
+    def plan():
+        cut = LProject(LScan("fact", ["v", "tag", "note"]), {
+            "tag": Col("tag"), "p": Substr(Col(col), 1, 3), "v": Col("v"),
+            "note": Col("note")})
+        return LAggr(cut, ["tag", "p"], [
+            ("n", "count", None), ("s", "sum", Col("v")),
+            ("lo", "min", Col("tag")), ("hi", "max", Col("note")),
+            ("d", "count_distinct", Col("tag"))])
+    result = cluster.query(plan())
+    assert any(isinstance(node, P.DXHashSplit) and "tag" in node.keys
+               for node in result.qplan.root.walk())
+    assert_batches_match(result.batch, hive.run(plan()))
+    assert result.batch.columns["n"].dtype == np.int64
+
+
+@given(string_rows_st, side_rows_st,
+       st.sampled_from(["inner", "semi", "anti"]))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_engines_agree_on_a_join_on_a_string_key(rows, side_rows, how):
+    """Neither table is partitioned on the key and the build side is the
+    larger, so both sides are hash split on a string column -- and meet
+    carrying different dictionaries (``tag2`` holds values ``tag`` never
+    has, and the other way round)."""
+    cluster, hive = build_string_systems(rows, side_rows)
+
+    def plan():
+        join = LJoin(build=LScan("fact", ["tag", "v"]),
+                     probe=LScan("side", ["sk", "tag2"]),
+                     build_keys=["tag"], probe_keys=["tag2"], how=how,
+                     build_payload=(["v"] if how == "inner" else None))
+        aggs = [("n", "count", None)]
+        if how == "inner":
+            aggs.append(("s", "sum", Col("v")))
+        return LAggr(join, ["tag2"], aggs)
+    result = cluster.query(plan())
+    if len(rows) > len(side_rows):
+        splits = [node for node in result.qplan.root.walk()
+                  if isinstance(node, P.DXHashSplit)]
+        assert {"tag", "tag2"} <= {k for s in splits for k in s.keys}
+    assert_batches_match(result.batch, hive.run(plan()))

@@ -222,6 +222,63 @@ class TestStoredTable:
         assert 10**6 in res.columns["k"]
         assert (np.diff(res.columns["d"]) >= 0).all()
 
+    def test_tail_inserts_in_descending_key_order_stay_sorted(self, hdfs,
+                                                              config):
+        """Both rows sort past every stable one, so both are tail inserts;
+        committed 9500 then 9200 they followed each other in that order
+        through the scan -- and through the tail flush into the blocks."""
+        t = self.make_table(hdfs, config, clustered_on=("d",))
+        t.bulk_load(self.columns(100))
+        for key, day in ((10**6, 9500), (10**6 + 1, 9200)):
+            trans = t.pdt[0].begin()
+            t.insert_rows(0, {"k": np.array([key]),
+                              "d": np.array([day], np.int32),
+                              "price": np.array([1.0]),
+                              "s": np.array(["new"], object)}, trans)
+            t.pdt[0].commit(trans)
+        for _ in range(2):  # merged from the PDT, then read from blocks
+            res = t.scan_merged(0, ["k", "d"])
+            assert res.columns["d"][-2:].tolist() == [9200, 9500]
+            assert res.columns["k"][-2:].tolist() == [10**6 + 1, 10**6]
+            assert t.propagate(0) in ("tail", "none")
+
+    def test_partitions_share_one_dictionary_per_string_column(
+            self, hdfs, config, monkeypatch):
+        """Whatever PDICT block of whatever partition a string column is
+        read from, it arrives over the table's one dictionary object --
+        which grows (a new object) when a block holds strings it lacks."""
+        from repro.engine.batch import DictColumn
+        from repro.storage import colstore
+        t = self.make_table(hdfs, config, partition_key=("k",),
+                            n_partitions=3)
+        cols = self.columns(600)
+        cols["s"] = np.array([f"s{i % 7}" if i % 3 else f"only{i % 3}"
+                              for i in range(600)], dtype=object)
+        t.bulk_load(cols)
+        first = t.scan_merged(0, ["k", "s"])
+        held = first.columns["s"].tolist()
+        scans = [t.scan_merged(pid, ["k", "s"]) for pid in range(3)]
+        assert all(isinstance(r.columns["s"], DictColumn) for r in scans)
+        shared = scans[-1].columns["s"].dictionary
+        again = [t.scan_merged(pid, ["k", "s"]) for pid in range(3)]
+        assert all(r.columns["s"].dictionary is shared for r in again)
+        assert shared.tolist() == sorted(set(cols["s"].tolist()))
+        # a column read before the dictionary grew still says the same
+        assert first.columns["s"].tolist() == held
+        by_key = dict(zip(cols["k"].tolist(), cols["s"].tolist()))
+        for r in again:
+            assert r.columns["s"].tolist() == [
+                by_key[k] for k in r.columns["k"].tolist()]
+        # past the limit every block keeps its own dictionary
+        monkeypatch.setattr(colstore, "SHARED_DICTIONARY_LIMIT", 3)
+        t2 = StoredTable(hdfs, "/db2", t.schema, config)
+        t2.bulk_load(cols)
+        own = [t2.scan_merged(pid, ["k", "s"]) for pid in range(3)] * 2
+        assert len({id(r.columns["s"].dictionary) for r in own}) > 1
+        for r in own:
+            assert r.columns["s"].tolist() == [
+                by_key[k] for k in r.columns["k"].tolist()]
+
     def test_delete_and_modify(self, hdfs, config):
         t = self.make_table(hdfs, config)
         t.bulk_load(self.columns(100))
