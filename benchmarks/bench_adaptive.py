@@ -18,7 +18,8 @@ the issue's acceptance criteria: the feedback store changes at least one
 query's exchange strategy *and* one query's join order, a >=10x
 misestimate provably triggers a mid-query re-plan (``replans_total`` +
 ``query.replan`` event) with results identical to the static plan, and
-the feedback+replan configuration's total wall-clock beats feedback-off.
+the feedback+replan configuration's total wall-clock beats feedback-off
+(medians of ``WALL_REPEATS`` alternating runs of the two arms).
 
 Writes ``bench_adaptive.txt`` and machine-readable
 ``BENCH_adaptive.json`` under ``benchmarks/results/`` (CI uploads both).
@@ -27,6 +28,7 @@ Writes ``bench_adaptive.txt`` and machine-readable
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 import numpy as np
@@ -51,6 +53,9 @@ N_WORKERS = 9
 N_DIM = 60000
 N_FACT = 12000
 N_RUNS = 4
+#: whole-mix repeats per arm behind the one wall-clock assertion: a single
+#: pair of totals disagreed with the medians 2 times in 12 on one tree
+WALL_REPEATS = 5
 
 CONFIGS = (
     ("feedback_off", dict(adaptive_feedback=False, adaptive_replan=False)),
@@ -208,8 +213,17 @@ def test_adaptive_ablation(tpch_data):
     assert ar_ex == ["repartition"] * N_RUNS  # run 1 re-planned in flight
     assert ar["per_query"]["skew"]["runs"][0]["replans"] == 1
 
-    # the adaptive configuration's total wall-clock beats feedback-off
-    assert ar["total_wall_s"] < off["total_wall_s"]
+    # the adaptive configuration's total wall-clock beats feedback-off:
+    # medians over alternating repeats, whose every other number repeats
+    walls = {"feedback_off": [off["total_wall_s"]],
+             "feedback_replan": [ar["total_wall_s"]]}
+    for _ in range(WALL_REPEATS - 1):
+        for name in walls:
+            again = _run_config(tpch_data, name, dict(CONFIGS)[name])
+            assert again["skew_values"] == off["skew_values"]
+            walls[name].append(again["total_wall_s"])
+    off_wall, ar_wall = (statistics.median(walls[name]) for name in walls)
+    assert ar_wall < off_wall
 
     payload = {
         "scale_factor": SCALE_FACTOR,
@@ -223,8 +237,9 @@ def test_adaptive_ablation(tpch_data):
             "replan_results_identical":
                 ar["skew_values"] == off["skew_values"],
             "adaptive_beats_feedback_off_wall_s":
-                round(off["total_wall_s"] - ar["total_wall_s"], 6),
+                round(off_wall - ar_wall, 6),
         },
+        "total_wall_s_runs": walls,
     }
     (RESULTS_DIR / "BENCH_adaptive.json").parent.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_adaptive.json").write_text(
@@ -250,7 +265,8 @@ def test_adaptive_ablation(tpch_data):
     lines += [
         "",
         f"feedback+replan beats feedback-off by "
-        f"{(off['total_wall_s'] - ar['total_wall_s']) * 1e3:.1f}ms "
-        f"({off['total_wall_s'] / max(ar['total_wall_s'], 1e-9):.2f}x)",
+        f"{(off_wall - ar_wall) * 1e3:.1f}ms "
+        f"({off_wall / max(ar_wall, 1e-9):.2f}x; medians of "
+        f"{WALL_REPEATS} runs each)",
     ]
     write_report("bench_adaptive.txt", "\n".join(lines))

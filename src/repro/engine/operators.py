@@ -455,20 +455,128 @@ def _finalize(func: str, state: Tuple[np.ndarray, ...],
 # Joins
 # ---------------------------------------------------------------------------
 
+#: widest key span (``max - min + 1``) a build answers by position, unless
+#: it holds more than an eighth as many rows. A constant, not a knob: it
+#: bounds one int32 table per build (1 MB, filled in ~20 us) and no answer
+#: depends on it. At SF 0.02 a stream's ``orders`` build is 300-4,000 rows
+#: spread over 120 k keys, so anything below 2**17 would send the
+#: benchmark's largest join back to searching.
+POSITION_SPAN = 1 << 18
+
+
+class _KeyLookup:
+    """What a finished build knows about its keys: for a probe key, the
+    first build row that has it (-1: none) and how many do.
+
+    Integer keys spanning at most :data:`POSITION_SPAN` values (or eight
+    per build row) are found *by position* in tables indexed ``key - min``
+    -- no sort of the build, no search per probe vector. Anything else is
+    found with one ``searchsorted`` in the sorted *distinct* keys and an
+    equality test. Either way a key lands in a slot of ``first`` /
+    ``count``, whose extra last slot is where keys the build never had go.
+    A build without a repeated key (``unique``: every primary-key side)
+    keeps no counts, and its ``first`` is the build row itself; otherwise
+    ``first`` counts into ``order``, the build rows grouped by key (None:
+    they arrived grouped).
+    """
+
+    __slots__ = ("lo", "hi", "distinct", "first", "count", "order")
+
+    def __init__(self, keys: np.ndarray):
+        n = len(keys)
+        self.distinct = self.count = self.order = None
+        # by position over nothing: every key misses (int64 scalars, so a
+        # narrower probe column widens instead of overflowing)
+        self.lo, self.hi = np.int64(0), np.int64(-1)
+        by_position = n == 0
+        if n and keys.dtype.kind == "i":
+            lo, hi = int(keys.min()), int(keys.max())
+            if hi - lo < max(POSITION_SPAN, 8 * n):
+                by_position, self.lo, self.hi = True, np.int64(lo), np.int64(hi)
+        index = np.int32 if n < 2 ** 31 else np.intp
+        rows = np.arange(n, dtype=index)
+        if by_position:
+            n_slots = int(self.hi - self.lo) + 1
+            slots = (keys - self.lo).astype(np.intp, copy=False)
+            self.first = np.full(n_slots + 1, -1, dtype=index)
+            self.first[slots] = rows
+            if (self.first[slots] == rows).all():
+                return  # no row lost its slot to another: unique
+        # repeated keys, or keys to search: group the rows by key (NaN
+        # never compares, so a column holding one is sorted too)
+        if n > 1 and not (keys[1:] >= keys[:-1]).all():
+            self.order = np.argsort(keys, kind="stable")
+            keys = keys[self.order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], keys[1:] != keys[:-1]))).astype(index)
+        if by_position:
+            slots = (keys[starts] - self.lo).astype(np.intp, copy=False)
+        else:
+            self.distinct = keys[starts]
+            slots = slice(len(starts))
+            self.first = np.full(len(starts) + 1, -1, dtype=index)
+            if len(starts) == n:  # unique: ``first`` is the build row
+                self.first[slots] = rows if self.order is None else self.order
+                self.order = None
+                return
+        self.first[slots] = starts
+        self.count = np.zeros(len(self.first), dtype=index)
+        self.count[slots] = np.diff(starts, append=index(n))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.distinct, self.first, self.count,
+                                      self.order) if a is not None)
+
+    def describe(self) -> str:
+        return (("position" if self.distinct is None else "sorted")
+                + ("+unique" if self.count is None else ""))
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        nowhere = len(self.first) - 1
+        if self.distinct is not None:
+            at = np.minimum(np.searchsorted(self.distinct, keys), nowhere - 1)
+            return np.where(self.distinct[at] == keys, at, nowhere)
+        inside = (keys >= self.lo) & (keys <= self.hi)
+        if keys.dtype.kind != "i":
+            # 2.5 and NaN are keys no integer build has
+            whole = np.where(inside, keys, self.lo).astype(np.int64)
+            inside &= whole == keys
+            keys = whole
+        if inside.all():
+            return keys - self.lo
+        return np.where(inside, keys - self.lo, nowhere)
+
+    def find(self, keys: np.ndarray):
+        """Per probe key ``(first, count)``; ``count`` is None when the
+        build is unique (``first >= 0`` says it all)."""
+        slots = self._slots(keys)
+        return (self.first.take(slots),
+                None if self.count is None else self.count.take(slots))
+
+    def contains(self, keys: np.ndarray) -> np.ndarray:
+        return self.first.take(self._slots(keys)) >= 0
+
+
 class HashJoin(Operator):
     """Hash join: build side materialized, probe side streamed.
 
     Join types: ``inner``, ``left`` (probe side preserved; adds a boolean
     ``__matched`` column and fills build columns with type defaults),
     ``semi`` and ``anti`` (probe rows with / without a match).
-    The build keys are sorted once and every probe vector is matched with
-    ``searchsorted``. A single number column is compared as it is;
-    composite and string keys are first ranked to one integer code per
-    row, the probe side through the build side's dictionaries (a coded
-    probe column once per dictionary it arrives with, not per row).
+    The build keys become one :class:`_KeyLookup` and every probe vector
+    is matched through it; what the build proved about itself -- dense,
+    unique -- decides what a probe costs, no plan flag does. A single
+    number column is looked up as it is; composite and string keys are
+    first ranked to one integer code per row, the probe side through the
+    build side's dictionaries (a coded probe column once per dictionary
+    it arrives with, not per row).
     """
 
     label = "HashJoin"
+    build_kernel, probe_kernel = "join.build", "join.probe"
+    #: a build column replaces the probe column of the same name
+    payload_overwrites = True
 
     def __init__(self, build: Operator, probe: Operator,
                  build_keys: Sequence[str], probe_keys: Sequence[str],
@@ -477,10 +585,15 @@ class HashJoin(Operator):
         super().__init__([build, probe])
         if join_type not in ("inner", "left", "semi", "anti"):
             raise ExecutionError(f"unknown join type {join_type}")
+        self.build_side, self.probe_side = build, probe
         self.build_keys = list(build_keys)
         self.probe_keys = list(probe_keys)
         self.join_type = join_type
         self.build_payload = build_payload
+        #: set by an executor whose plan lets the probe-side scan of this
+        #: stream skip rows without a partner: the finished build puts
+        #: its membership test (key columns in, bool per row out) here
+        self.key_slot: Optional[list] = None
 
     def describe(self):
         return (f"HashJoin({self.join_type})"
@@ -490,40 +603,42 @@ class HashJoin(Operator):
         return full_vectors(self._joined(), self.vector_size)
 
     def _joined(self):
-        build = self.children[0].run_to_batch()
-        self._charge_state(batch_bytes(build))
+        build = self.build_side.run_to_batch()
         payload = (list(self.build_payload) if self.build_payload is not None
                    else build.column_names)
-        with kernel("join.build", rows=build.n):
+        with kernel(self.build_kernel, rows=build.n):
             bkey, encode = self._key_codes(build)
-            order = np.argsort(bkey, kind="stable")
-            sorted_keys = bkey[order]
-        for batch in self.children[1].execute():
+            lookup = _KeyLookup(bkey)
+        self._charge_state(batch_bytes(build) + lookup.nbytes)
+        self.profile.lookups.add(lookup.describe())
+        if self.key_slot is not None:
+            self.key_slot.append(lambda cols: lookup.contains(encode(cols)))
+        for batch in self.probe_side.execute():
             # probe work happens inside the kernel; the yields stay
             # outside so the frame never spans a generator suspension
-            with kernel("join.probe", rows=batch.n):
-                out_batches = self._probe(batch, build, payload,
-                                          encode(batch), sorted_keys, order)
+            with kernel(self.probe_kernel, rows=batch.n):
+                first, count = lookup.find(
+                    encode([batch.columns[k] for k in self.probe_keys]))
+                out_batches = self._emit(batch, build, payload, first, count,
+                                         lookup.order)
             yield from out_batches
 
     def _key_codes(self, build: Batch):
-        """The build rows' join keys as one sortable array, and the
-        function that takes a probe vector's keys into the same domain.
+        """The build rows' join keys as one array, and the function that
+        takes a probe vector's key columns into the same domain.
         Composite and string keys become the codes that group rows
         (:func:`_codes`); a probe value the build side never had becomes
         -1 and matches nothing."""
         if build.n == 0:
             return (np.empty(0, dtype=np.int64),
-                    lambda batch: np.full(batch.n, -1))
+                    lambda pcols: np.full(len(pcols[0]), -1))
         cols = [build.columns[k] for k in self.build_keys]
         if len(cols) == 1 and cols[0].dtype != object:
-            pk_name = self.probe_keys[0]
-            return cols[0], lambda batch: batch.columns[pk_name]
+            return cols[0], lambda pcols: pcols[0]
         codes, dictionaries = _codes(cols)
         memos = [EntryMemo() for _ in cols]
 
-        def encode(batch: Batch) -> np.ndarray:
-            pcols = [batch.columns[k] for k in self.probe_keys]
+        def encode(pcols: Sequence[np.ndarray]) -> np.ndarray:
             out = _lookup(dictionaries[0], pcols[0], memos[0])
             for col, right, pair, memo in zip(pcols[1:], dictionaries[1::2],
                                               dictionaries[2::2], memos[1:]):
@@ -534,36 +649,42 @@ class HashJoin(Operator):
 
         return codes, encode
 
-    def _probe(self, batch: Batch, build: Batch, payload: Sequence[str],
-               pkey: np.ndarray, sorted_keys: np.ndarray,
-               order: np.ndarray) -> List[Batch]:
-        starts = np.searchsorted(sorted_keys, pkey, side="left")
-        ends = np.searchsorted(sorted_keys, pkey, side="right")
-        counts = ends - starts
+    def _emit(self, batch: Batch, build: Batch, payload: Sequence[str],
+              first: np.ndarray, count: Optional[np.ndarray],
+              order: Optional[np.ndarray]) -> List[Batch]:
+        hit = first >= 0
+        all_hit = bool(hit.all())
         if self.join_type == "semi":
-            return [batch.select(counts > 0)]
+            return [batch if all_hit else batch.select(hit)]
         if self.join_type == "anti":
-            return [batch.select(counts == 0)]
-        total = int(counts.sum())
-        probe_idx = np.repeat(np.arange(batch.n), counts)
-        base = np.repeat(np.cumsum(counts) - counts, counts)
-        within = np.arange(total) - base
-        build_rows = order[np.repeat(starts, counts) + within]
-        out = {k: v[probe_idx] for k, v in batch.columns.items()}
+            return [batch.select(~hit)]
+        if count is None and all_hit:
+            # one partner each: the probe columns go on as they are
+            out, rows = dict(batch.columns), first
+        else:
+            if count is None:
+                at = np.flatnonzero(hit)
+                rows = first.take(at)
+            else:  # a probe row repeats once per partner, in build order
+                at = np.repeat(np.arange(batch.n), count)
+                before = np.cumsum(count) - count
+                rows = (np.arange(len(at)) - before.take(at)) + first.take(at)
+            out = {k: v[at] for k, v in batch.columns.items()}
+        if order is not None:
+            rows = order.take(rows)
         for name in payload:
-            out[name] = build.columns[name][build_rows]
-        if self.join_type == "left":
-            unmatched = counts == 0
-            if unmatched.any():
-                miss = {k: v[unmatched] for k, v in batch.columns.items()}
-                for name in payload:
-                    miss[name] = _fill_like(build.columns[name],
-                                            int(unmatched.sum()))
-                miss["__matched"] = np.zeros(int(unmatched.sum()), bool)
-                out["__matched"] = np.ones(total, bool)
-                return [Batch(out, total), Batch(miss, int(unmatched.sum()))]
-            out["__matched"] = np.ones(total, bool)
-        return [Batch(out, total)]
+            if self.payload_overwrites or name not in out:
+                out[name] = build.columns[name][rows]
+        if self.join_type != "left":
+            return [Batch(out, len(rows))]
+        out["__matched"] = np.ones(len(rows), bool)
+        if all_hit:
+            return [Batch(out, len(rows))]
+        miss = batch.select(~hit)
+        for name in payload:
+            miss.columns[name] = _fill_like(build.columns[name], miss.n)
+        miss.columns["__matched"] = np.zeros(miss.n, bool)
+        return [Batch(out, len(rows)), miss]
 
 
 def _fill_like(column: np.ndarray, n: int) -> np.ndarray:
@@ -575,51 +696,26 @@ def _fill_like(column: np.ndarray, n: int) -> np.ndarray:
     return np.zeros(n, dtype=column.dtype)
 
 
-class MergeJoin(Operator):
-    """Join of co-ordered inputs (clustered-on-FK tables, section 2).
+class MergeJoin(HashJoin):
+    """Inner join of co-ordered inputs (clustered-on-FK tables, section 2).
 
-    Both inputs must arrive sorted on the join key. The merge is
-    implemented with vectorized galloping (searchsorted), exploiting the
-    order instead of building a hash table.
+    The right input is the build: it arrives grouped on the join key, so
+    its :class:`_KeyLookup` needs no sort, and the left input streams
+    through it vector by vector. Columns both sides have keep the left
+    side's values.
     """
 
     label = "MergeJoin"
+    build_kernel = probe_kernel = "join.merge"
+    payload_overwrites = False
 
     def __init__(self, left: Operator, right: Operator,
                  left_key: str, right_key: str):
-        super().__init__([left, right])
-        self.left_key = left_key
-        self.right_key = right_key
+        super().__init__(right, left, [right_key], [left_key])
+        self.children = [left, right]  # the plan's order
 
     def describe(self):
-        return f"MergeJoin[{self.left_key}={self.right_key}]"
-
-    def _run(self):
-        left = self.children[0].run_to_batch()
-        right = self.children[1].run_to_batch()
-        self._charge_state(batch_bytes(left) + batch_bytes(right))
-        if left.n == 0 or right.n == 0:
-            out = {k: v[:0] for k, v in left.columns.items()}
-            for name, values in right.columns.items():
-                if name not in out:
-                    out[name] = values[:0]
-            yield Batch(out, 0)
-            return
-        with kernel("join.merge", rows=left.n + right.n):
-            lk = left.columns[self.left_key]
-            rk = right.columns[self.right_key]
-            starts = np.searchsorted(rk, lk, side="left")
-            ends = np.searchsorted(rk, lk, side="right")
-            counts = ends - starts
-            total = int(counts.sum())
-            left_idx = np.repeat(np.arange(left.n), counts)
-            base = np.repeat(np.cumsum(counts) - counts, counts)
-            right_idx = np.repeat(starts, counts) + (np.arange(total) - base)
-            out = {k: v[left_idx] for k, v in left.columns.items()}
-            for name, values in right.columns.items():
-                if name not in out:
-                    out[name] = values[right_idx]
-        yield from batches_from_columns(out, self.vector_size)
+        return f"MergeJoin[{self.probe_keys[0]}={self.build_keys[0]}]"
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 
 @dataclass(slots=True)
@@ -66,6 +66,12 @@ class ProfileNode:
     net_messages: int = 0
     #: vectors this operator yielded
     batches: int = 0
+    #: rows a join's key set removed from this scan after they had passed
+    #: its own predicates (``tuples_out`` is what was left)
+    key_filtered: int = 0
+    #: how this join's builds answered probes, one entry per distinct
+    #: answer over its streams (``position+unique``, ``sorted``, ...)
+    lookups: Set[str] = field(default_factory=set)
     #: named sub-kernel accounting recorded by the :func:`kernel` cm
     kernels: Dict[str, KernelStat] = field(default_factory=dict)
     #: what the profiler and the query log group by: the plan class's

@@ -203,6 +203,9 @@ class _RunContext:
         #: the one profile node of each ``(plan node, role)``, filled by
         #: that plan node's operator on every stream
         self.profiles: Dict[Tuple[P.PhysNode, str], ProfileNode] = {}
+        #: per key-filtered ``(scan, stream)``, where the join above it on
+        #: that stream leaves its finished build's membership test
+        self.key_slots: Dict[Tuple[P.PScan, str], list] = {}
 
 
 class StreamingScan(Operator):
@@ -216,6 +219,9 @@ class StreamingScan(Operator):
         self.phys = phys
         self.node = node
         self.ctx = ctx
+        #: filled by this stream's join over a key-filtered scan when its
+        #: build is finished -- before it first pulls from here
+        self.key_slot: list = []
 
     def describe(self):
         return self.phys.describe()
@@ -239,6 +245,8 @@ class StreamingScan(Operator):
         trans = self.ctx.trans
         virtual = table.is_virtual
         yielded = False
+        keyed = ({"key_filter": (phys.key_filter, self.key_slot[0])}
+                 if self.key_slot else {})
         for pid in range(table.n_partitions):
             if not virtual and \
                     cluster.responsible(phys.table, pid) != self.node:
@@ -247,8 +255,9 @@ class StreamingScan(Operator):
                 pid, phys.columns, phys.skip_predicates,
                 trans=(trans.trans_for(phys.table, pid)
                        if trans and not virtual else None),
-                reader=self.node, pool=cluster.pool_of(self.node),
+                reader=self.node, pool=cluster.pool_of(self.node), **keyed,
             )
+            self.profile.key_filtered += res.key_filtered
             held = batch_bytes(Batch.from_columns(res.columns))
             if self.memory_meter is not None and held:
                 self.memory_meter.hold(self.memory_node, held)
@@ -587,15 +596,27 @@ class QueryRun:
         # tuples_out are truncation artifacts, not cardinalities
         harvest = store is not None and not any(
             isinstance(n, P.PLimit) for n in qplan.root.walk())
+        # filters between a join and the scan its keys filter put out
+        # fewer rows than they were estimated to, by an amount nobody
+        # counted: they are not judged
+        unjudged = set()
+        for node in qplan.root.walk():
+            if (isinstance(node, P.PHashJoin)
+                    and node.key_filter_scan is not None):
+                below = node.children[1]
+                while below is not node.key_filter_scan:
+                    unjudged.add(below)
+                    below = below.children[0]
         worst = 0.0
         for node in qplan.root.walk():
             ann = qplan.annotations.get(node)
             prof = result.profile_of(node)
-            if ann is None or prof is None:
+            if ann is None or prof is None or node in unjudged:
                 continue
             # summed over the streams that ran the node: the fragment's
-            # *global* output cardinality
-            actual = prof.tuples_out
+            # *global* output cardinality -- of a key-filtered scan, what
+            # its own predicates let through, which is what was estimated
+            actual = prof.tuples_out + prof.key_filtered
             worst = max(worst, ann.qerror(actual))
             if harvest and ann.signature:
                 store.observe(ann.signature, ann.rows, actual)
@@ -738,10 +759,11 @@ class MppExecutor:
             return self._exchange_receiver(phys, stream, ctx)
 
         if isinstance(phys, P.PScan):
-            return self._equip(
-                StreamingScan(self.cluster, phys,
-                              self._node_of(stream, ctx), ctx),
-                phys, stream, ctx)
+            scan = StreamingScan(self.cluster, phys,
+                                 self._node_of(stream, ctx), ctx)
+            if phys.key_filter:
+                ctx.key_slots[phys, stream] = scan.key_slot
+            return self._equip(scan, phys, stream, ctx)
 
         kids = [self._build_op(c, stream, ctx, share_ok)
                 for c in phys.children]
@@ -754,6 +776,8 @@ class MppExecutor:
         elif isinstance(phys, P.PHashJoin):
             op = HashJoin(kids[0], kids[1], phys.build_keys,
                           phys.probe_keys, phys.how, phys.build_payload)
+            if phys.key_filter_scan is not None:
+                op.key_slot = ctx.key_slots[phys.key_filter_scan, stream]
         elif isinstance(phys, P.PMergeJoin):
             op = MergeJoin(kids[0], kids[1], phys.left_key, phys.right_key)
         elif isinstance(phys, P.PSort):

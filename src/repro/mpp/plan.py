@@ -83,9 +83,18 @@ class PScan(PhysNode):
         self.table = table
         self.columns = columns
         self.skip_predicates = list(skip_predicates)
+        #: columns of this scan a join above it tests against its finished
+        #: build's key set (:attr:`PHashJoin.key_filter_scan` is the link);
+        #: empty when the rewriter could not prove that legal
+        self.key_filter: Tuple[str, ...] = ()
 
     def describe(self):
         return f"MScan[{self.table}]"
+
+    def header(self):
+        keyed = (f"  key-filter[{','.join(self.key_filter)}]"
+                 if self.key_filter else "")
+        return super().header() + keyed
 
 
 class PSelect(PhysNode):
@@ -136,6 +145,8 @@ class PHashJoin(PhysNode):
         self.probe_keys = list(probe_keys)
         self.how = how
         self.build_payload = build_payload
+        #: the probe-side scan whose rows this join's build keys filter
+        self.key_filter_scan: Optional[PScan] = None
 
     def describe(self):
         return (f"HashJoin({self.how})"

@@ -279,8 +279,9 @@ class ParallelRewriter:
                     and node.build_payload is None):
                 return P.PMergeJoin(p, b, node.probe_keys[0],
                                     node.build_keys[0], dist)
-            return P.PHashJoin(b, p, node.build_keys, node.probe_keys,
-                               node.how, node.build_payload, dist)
+            return self._key_filtered(P.PHashJoin(
+                b, p, node.build_keys, node.probe_keys, node.how,
+                node.build_payload, dist))
 
         # 1. both replicated -> replicated local join
         if bdist.kind == P.REPLICATED and pdist.kind == P.REPLICATED:
@@ -357,6 +358,37 @@ class ParallelRewriter:
                               co_location=out_co)
         # exchanges destroy order
         return joined(new_build, new_probe, dist), ()
+
+    def _key_filtered(self, join: P.PHashJoin) -> P.PHashJoin:
+        """Link ``join`` to its probe-side scan where the finished build's
+        key set may filter that scan: a row without a partner leaves an
+        inner or semi join anyway; the scan is partitioned and only
+        filters and column renames lie between the two, so both run on
+        one stream and the build is finished before the scan's first
+        pull; the key is a column as stored (a DECIMAL is not); and the
+        build is more than a bare unfiltered scan, which under a
+        foreign-key join holds every key there is."""
+        build, node = join.children
+        while isinstance(build, (P.DXchg, P.PProject)):
+            build = build.children[0]
+        if join.how not in ("inner", "semi") or (
+                isinstance(build, P.PScan) and not build.skip_predicates
+                and not build.key_filter):
+            return join
+        columns = list(join.probe_keys)
+        while isinstance(node, (P.PSelect, P.PProject)):
+            if isinstance(node, P.PProject):
+                sources = [node.outputs.get(c) for c in columns]
+                if not all(isinstance(e, Col) for e in sources):
+                    return join
+                columns = [e.name for e in sources]
+            node = node.children[0]
+        if isinstance(node, P.PScan) and node.distribution.is_partitioned:
+            table = self.cluster.table(node.table)
+            if not any(table._decimal_scale(c) for c in columns):
+                node.key_filter = tuple(columns)
+                join.key_filter_scan = node
+        return join
 
     def _co_partitioned(self, bdist, build_keys, pdist, probe_keys) -> bool:
         """Matching partitions co-located on their responsible node?

@@ -454,12 +454,16 @@ def annotate_plan(result, before, after) -> str:
         if prof is not None:
             actuals.append(f"rows={prof.tuples_out}")
             actuals.append(f"stream_time={prof.cum_time * 1e3:.3f}ms")
+            if prof.lookups:
+                actuals.append(f"lookup={','.join(sorted(prof.lookups))}")
         ann = result.qplan.annotations.get(node)
         if ann is not None:
             fb = "(fb)" if ann.source == "feedback" else ""
             actuals.append(f"est={ann.rows:.0f}{fb}")
             if prof is not None:
-                actuals.append(f"q={ann.qerror(prof.tuples_out):.1f}")
+                # a key-filtered scan was estimated before that filter
+                judged = prof.tuples_out + prof.key_filtered
+                actuals.append(f"q={ann.qerror(judged):.1f}")
         stats = exchange_stats.get(node)  # of this exchange, if it is one
         if stats is not None:
             actuals.append(f"wire={int(stats['bytes'])}B"
@@ -474,6 +478,8 @@ def annotate_plan(result, before, after) -> str:
             if node.skip_predicates:
                 filtered = filtered_delta.get((node.table,), 0)
                 actuals.append(f"filtered={int(filtered)}")
+            if node.key_filter and prof is not None:
+                actuals.append(f"key_filtered={prof.key_filtered}")
         text = f"  [{' '.join(actuals)}]" if actuals else ""
         if stats is not None:
             for link in stats.get("links", ()):

@@ -22,7 +22,7 @@ import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,8 @@ class ScanResult:
     columns: Dict[str, np.ndarray]
     identities: np.ndarray  # encoded: stable sid >= 0, insert uid < 0
     n_rows: int
+    #: rows that satisfied the predicates and fell to the ``key_filter``
+    key_filtered: int = 0
 
 
 @dataclass
@@ -261,6 +263,7 @@ class StoredTable:
         trans: Optional[TransPdt] = None,
         reader: Optional[str] = None,
         pool: Optional[BufferPool] = None,
+        key_filter: Optional[Tuple[Sequence[str], Callable]] = None,
     ) -> ScanResult:
         """Scan one partition: the rows that satisfy ``predicates``.
 
@@ -287,6 +290,14 @@ class StoredTable:
         The filter is never stricter than SQL (see
         :meth:`_storage_predicates`) but may be looser: the engine's
         Select above the scan still applies every conjunct.
+
+        ``key_filter`` -- ``(columns, member)``, from a join above whose
+        build is finished -- is one more conjunct, decided with the
+        others in steps 2 and 3: ``member`` takes those columns (as
+        stored) and says per row whether the build has the key. A row it
+        drops would have left that join anyway. ``key_filtered`` counts
+        the rows only it dropped (a stable row deleted by a PDT entry
+        still counts if its whole block-range went).
         """
         store = self.partitions[pid]
         entries = self.pdt[pid].scan_entries(trans)
@@ -297,7 +308,10 @@ class StoredTable:
         requested = list(dict.fromkeys(columns))
         if predicates:
             self._record_minmax(store, ranges, requested)
-        filter_cols = list(dict.fromkeys(col for col, _, _ in triples))
+        filter_cols = list(dict.fromkeys(
+            [col for col, _, _ in triples]
+            + list(key_filter[0] if key_filter else ())))
+        filtering = bool(filter_cols)
         n_stable = store.n_stable
         may_disorder = self.schema.is_clustered and self._may_disorder(
             pid, entries, trans)
@@ -310,15 +324,20 @@ class StoredTable:
 
         candidates = sum(end - start for start, end in ranges)
         stable_cols: Dict[str, np.ndarray] = {}
-        if triples:
+        key_filtered = 0
+        if filtering:
             # predicate columns first: their mask decides for which
             # block-ranges the payload columns are read at all
             stable_cols = {c: store.read_column(c, ranges, reader, pool)
                            for c in filter_cols}
-            mask = _row_mask(stable_cols, triples, candidates)
+            mask, passed = _row_masks(stable_cols, triples, key_filter,
+                                      candidates)
             ranges, alive = _surviving_ranges(store, ranges, mask, needed,
                                               entries)
             if alive is not None:
+                if key_filter is not None:  # SQL-passing rows dropped here
+                    key_filtered = int(passed.sum() - passed[alive].sum())
+                    passed = passed[alive]
                 mask = mask[alive]
                 stable_cols = {c: v[alive] for c, v in stable_cols.items()}
         for col in needed:
@@ -348,21 +367,25 @@ class StoredTable:
                 _restore_identities(merged.identities, ranges, offsets),
                 merged.n_rows,
             )
-            if triples:
-                mask = _row_mask(merged.columns, triples, merged.n_rows)
-        if triples:
+            if filtering:
+                mask, passed = _row_masks(merged.columns, triples,
+                                          key_filter, merged.n_rows)
+        if filtering:
             if not mask.all():
                 result = ScanResult(
                     {c: v[mask] for c, v in result.columns.items()},
                     result.identities[mask], int(mask.sum()),
                 )
-            self._m_filtered.inc(candidates - result.n_rows,
+            if key_filter is not None:
+                key_filtered += int(passed.sum()) - result.n_rows
+            self._m_filtered.inc(candidates - result.n_rows - key_filtered,
                                  table=self.schema.name)
         if may_disorder:
             result = _resort_clustered(result, self.schema.clustered_on)
         result.columns = {
             c: self._from_storage(c, result.columns[c]) for c in requested
         }
+        result.key_filtered = key_filtered
         return result
 
     def scan_merged(self, pid: int, columns: Sequence[str],
@@ -543,13 +566,20 @@ def _storage_literal(ctype: ColumnType, op: str, literal):
     return None if op == "=" else least - 1
 
 
-def _row_mask(columns, triples, n_rows: int) -> np.ndarray:
-    """Rows (of row-aligned ``columns``) satisfying every triple."""
-    with kernel("scan.filter", rows=n_rows):
-        mask = np.ones(n_rows, dtype=bool)
-        for col, op, literal in triples:
-            mask &= OPS[op](columns[col], literal)
-        return mask
+def _row_masks(columns, triples, key_filter, n_rows: int):
+    """Rows (of row-aligned ``columns``) satisfying every triple and the
+    ``key_filter``, and those satisfying every triple (the same array
+    when there is no key filter)."""
+    passed = np.ones(n_rows, dtype=bool)
+    if triples:
+        with kernel("scan.filter", rows=n_rows):
+            for col, op, literal in triples:
+                passed &= OPS[op](columns[col], literal)
+    if key_filter is None:
+        return passed, passed
+    names, member = key_filter
+    with kernel("scan.key_filter", rows=n_rows):
+        return passed & member([columns[c] for c in names]), passed
 
 
 def _surviving_ranges(store: PartitionStore, ranges, mask: np.ndarray,

@@ -3,7 +3,8 @@
 A hypothesis state machine drives one clustered ``StoredTable`` (STRING,
 INT64, DATE and DECIMAL columns, blocks of a few dozen rows so every
 column has several) through insert / delete / modify / commit / abort /
-tail flush / forced propagation / filtered scan. The model is a plain list
+tail flush / forced propagation / filtered scan (with or without a join's
+key set as one more conjunct). The model is a plain list
 of rows. After every step the committed image -- and the open
 transaction's, if there is one -- must hold the model's rows, in cluster
 order; a filtered scan must return exactly the model's qualifying rows, so
@@ -192,20 +193,37 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         self.only_tail = True
 
     @rule(column=st.sampled_from(["k", "d", "price", "s"]),
-          op=st.sampled_from(sorted(OPS)), data=st.data())
-    def filtered_scan(self, column, op, data):
+          op=st.sampled_from(sorted(OPS)),
+          key_column=st.sampled_from([None, "k", "s"]), data=st.data())
+    def filtered_scan(self, column, op, key_column, data):
+        """One triple and, like a join above with its build finished, a
+        key set some column's values must be in."""
         image = self.pending if self.trans else self.committed
         at = NAMES.index(column)
         domain = sorted({r[at] for r in image}) or [0 if at < 3 else ""]
         literal = data.draw(st.sampled_from(domain)
                             | {0: st.integers(-1, self.next_key), 1: days,
                                2: cents, 3: words}[at])
-        expected = [r for r in image if OPS[op](r[at], literal)]
+        passing = expected = [r for r in image if OPS[op](r[at], literal)]
         if column == "price":
             literal = literal / 100
-        found = self._as_rows(self.table.scan_partition(
-            0, NAMES, predicates=[(column, op, literal)], trans=self.trans))
-        assert Counter(found) == Counter(expected)
+        key_filter = None
+        if key_column is not None:
+            key_at = NAMES.index(key_column)
+            present = sorted({r[key_at] for r in image}) or [0 if key_at < 3
+                                                             else ""]
+            keys = data.draw(st.sets(st.sampled_from(present), max_size=8))
+            expected = [r for r in passing if r[key_at] in keys]
+            key_filter = ([key_column], lambda cols: np.isin(
+                np.asarray(cols[0]), sorted(keys)))
+        result = self.table.scan_partition(
+            0, NAMES, predicates=[(column, op, literal)], trans=self.trans,
+            key_filter=key_filter)
+        assert Counter(self._as_rows(result)) == Counter(expected)
+        # rows only the key set dropped (a deleted stable row may still
+        # count, if its whole block-range went)
+        assert result.key_filtered >= len(passing) - len(expected)
+        assert key_filter is not None or result.key_filtered == 0
 
     # ------------------------------------------------------------- invariants
 
