@@ -121,7 +121,6 @@ class VectorHCluster:
         self.tables: Dict[str, StoredTable] = {}
         #: what :meth:`min_replication_degree` last saw, and answered
         self._replication: Tuple[Optional[tuple], int] = (None, 0)
-        self._indexes: Dict[Tuple[str, str], object] = {}
         self._responsibility: Dict[Tuple[str, int], str] = {}
         self.wal = WalManager(self.hdfs, db_path, registry=self.registry)
         self.txn = TransactionManager(self)
@@ -191,47 +190,6 @@ class VectorHCluster:
         self.events.emit("cluster", "create_table", table=schema.name,
                          partitions=stored.n_partitions)
         return stored
-
-    def create_index(self, table: str, column: str):
-        """Create an unclustered index for point queries (section 2)."""
-        from repro.storage.secondary import SecondaryIndex
-        key = (table, column)
-        if key in self._indexes:
-            raise StorageError(f"index on {table}.{column} exists")
-        index = SecondaryIndex(self.tables[table], column)
-        self._indexes[key] = index
-        self.wal.log_global("ddl", ("create_index", table, column),
-                            writer=self.session_master)
-        self.events.emit("cluster", "create_index", table=table,
-                         column=column)
-        return index
-
-    def index_lookup(self, table: str, column: str, value,
-                     columns: Sequence[str],
-                     trans: Optional[DistributedTransaction] = None):
-        """Point lookup via an unclustered index, avoiding a table scan.
-
-        ``value`` uses the engine representation (floats for decimals);
-        it is converted to storage form for the probe.
-        """
-        index = self._indexes.get((table, column))
-        if index is None:
-            raise StorageError(f"no index on {table}.{column}")
-        stored = self.tables[table]
-        scale = stored._decimal_scale(column)
-        probe = int(round(value * scale)) if scale is not None else value
-        # lookups run per partition at the responsible node
-        out = {c: [] for c in columns}
-        for pid in range(stored.n_partitions):
-            reader = self.responsible(table, pid)
-            t = trans.trans_for(table, pid) if trans is not None else None
-            partial = {c: [] for c in columns}
-            index._lookup_partition(pid, probe, columns, t, reader,
-                                    self.pool_of(reader), partial)
-            for c in columns:
-                out[c].extend(partial[c])
-        from repro.storage.secondary import _to_array
-        return {c: _to_array(v) for c, v in out.items()}
 
     def drop_table(self, name: str) -> None:
         stored = self.tables.pop(name, None)
@@ -526,12 +484,6 @@ class VectorHCluster:
                         self._pools[node].invalidate(
                             stored.partitions[pid].base_path
                         )
-                        for (tname, column), index in self._indexes.items():
-                            if tname == name:
-                                index.rebuild_partition(
-                                    pid, reader=node,
-                                    pool=self.pool_of(node),
-                                )
         return stats
 
     # ------------------------------------------------------------------ failures

@@ -7,17 +7,18 @@ the time dimension with three cooperating pieces, all driven from the
 workload manager's round hook on the shared :class:`~repro.obs.SimClock`
 (so everything here is deterministic whenever the workload is):
 
-* :class:`MetricsHistory` -- samples **every** registry series into a
-  bounded ring of whole-registry samples (configurable cadence and
-  retention). On overflow the ring *compacts* instead of dropping: pairs
-  of adjacent samples merge under a downsampling rule (``last`` for
-  counters, ``max`` for gauges by default; ``sum`` available) and the
-  effective cadence doubles -- old history gets coarser, never lost.
-  Queryable as ``vh$metrics_history``; exportable as JSON.
+* :class:`MetricsHistory` -- a recorder: samples **every** registry
+  series into a bounded ring of whole-registry samples (configurable
+  cadence and retention). On overflow the ring *compacts* instead of
+  dropping: pairs of adjacent samples merge (``last`` for counters,
+  ``max`` for gauges) and the effective cadence doubles -- old history
+  gets coarser, never lost. Queryable as ``vh$metrics_history``;
+  exportable as JSON. Nothing decides on it.
 
 * :class:`HealthMonitor` -- declarative :class:`AlertRule`\\ s
   (threshold-over-window on gauges, counter *rates*, histogram
-  *quantiles*) evaluated at every sample on the sim clock. Alerts raise
+  *quantiles*) evaluated against the registry at every sample on the
+  sim clock; a windowed rule keeps its own trailing window. Alerts raise
   after a breach is sustained ``for_seconds`` and clear after recovery,
   emitting ``alert.raised`` / ``alert.cleared`` cluster events; the full
   raise/clear sequence is visible in ``vh$alerts`` and is bit-identical
@@ -35,8 +36,8 @@ workload manager's round hook on the shared :class:`~repro.obs.SimClock`
 
 :class:`FlightRecorder` is the facade a
 :class:`~repro.cluster.VectorHCluster` owns: it publishes a few derived
-gauges (per-node live workload memory, alive datanodes, minimum
-replication degree) right before each sample so rules can watch them.
+gauges (per-node live workload memory, minimum replication degree) right
+before each sample so rules can watch them.
 
 Import note: like ``repro.obs.events`` this module must stay free of
 storage/mpp imports, so ``repro.obs`` can export it eagerly.
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,20 +77,16 @@ class HistorySample:
     sim_time: float
     values: Dict[SeriesKey, float]
 
-    def value(self, name: str, agg: str = "sum") -> Optional[float]:
-        """Aggregate every series of family ``name`` in this sample."""
-        got = [v for (n, _), v in self.values.items() if n == name]
-        if not got:
-            return None
-        if agg == "sum":
-            return sum(got)
-        if agg == "max":
-            return max(got)
-        if agg == "min":
-            return min(got)
-        if agg == "avg":
-            return sum(got) / len(got)
+
+_AGGREGATES = {"sum": sum, "max": max, "min": min,
+               "avg": lambda values: sum(values) / len(values)}
+
+
+def _aggregate(values: List[float], agg: str) -> Optional[float]:
+    """Fold one family's series values into one (None without any)."""
+    if agg not in _AGGREGATES:
         raise ReproError(f"unknown aggregation {agg!r}")
+    return float(_AGGREGATES[agg](values)) if values else None
 
 
 #: registry families measured on the *wall* clock, not the simulated
@@ -105,35 +101,25 @@ WALL_CLOCK_FAMILIES = frozenset({
 
 
 class MetricsHistory:
-    """Ring buffer of whole-registry samples with downsampling overflow.
+    """Ring buffer of whole-registry samples with compacting overflow.
 
     ``cadence`` is the simulated-seconds spacing between samples
     (``0`` = sample every workload round). ``retention`` bounds the
-    sample count: on overflow, adjacent sample pairs merge under the
-    ``downsample`` rule and the effective cadence doubles, so memory is
-    bounded while the full time range stays covered at decaying
-    resolution. ``downsample`` is ``auto`` (counters/histogram totals
-    keep the *last* value of a merged pair, gauges keep the *max* --
-    watermarks survive), or a forced ``last`` / ``max`` / ``sum``.
-    ``exclude`` names families left out of every sample (defaults to the
-    wall-clock-measured ones, which would break same-seed bit-identity).
+    sample count: on overflow, adjacent sample pairs merge and the
+    effective cadence doubles, so memory is bounded while the full time
+    range stays covered at decaying resolution. A merged pair keeps the
+    *last* value of a counter (and of a histogram's count and sum) and
+    the *max* of a gauge -- watermarks survive. The wall-clock-measured
+    families (:data:`WALL_CLOCK_FAMILIES`) are never sampled; they would
+    break same-seed bit-identity.
     """
 
-    MODES = ("auto", "last", "max", "sum")
-
     def __init__(self, registry: MetricsRegistry, sim_clock,
-                 cadence: float = 1e-4, retention: int = 256,
-                 downsample: str = "auto",
-                 exclude: frozenset = WALL_CLOCK_FAMILIES):
-        if downsample not in self.MODES:
-            raise ReproError(
-                f"downsample must be one of {self.MODES}, got {downsample!r}")
+                 cadence: float = 1e-4, retention: int = 256):
         self.registry = registry
         self.sim_clock = sim_clock
         self.cadence = float(cadence)
         self.retention = max(4, int(retention))
-        self.downsample = downsample
-        self.exclude = frozenset(exclude)
         #: current sample spacing; doubles on every compaction
         self.interval = self.cadence
         self._every = 1  # round stride when cadence == 0
@@ -161,7 +147,7 @@ class MetricsHistory:
         """Record one sample of every registry series, now."""
         values: Dict[SeriesKey, float] = {}
         for family in self.registry.families():
-            if family.name in self.exclude:
+            if family.name in WALL_CLOCK_FAMILIES:
                 continue
             names = tuple(family.label_names)
             if family.kind == "histogram":
@@ -188,19 +174,13 @@ class MetricsHistory:
             self._compact()
         return sample
 
-    def _agg_mode(self, name: str) -> str:
-        if self.downsample != "auto":
-            return self.downsample
-        return "last" if self._kinds.get(name) == "counter" else "max"
-
     def _compact(self) -> None:
         """Merge adjacent sample pairs; effective cadence doubles."""
         merged: List[HistorySample] = []
         samples = self.samples
         # the families whose merged value is not simply the later one
-        fold = {"max": max, "sum": operator.add}
-        folds = {name: fold[mode] for name in self._kinds
-                 if (mode := self._agg_mode(name)) != "last"}
+        gauges = {name for name, kind in self._kinds.items()
+                  if kind != "counter"}
         i = 0
         while i < len(samples):
             if i + 1 == len(samples):
@@ -209,8 +189,8 @@ class MetricsHistory:
             a, b = samples[i], samples[i + 1]
             values = {**a.values, **b.values}
             for key, va in a.values.items():
-                if key[0] in folds and key in b.values:
-                    values[key] = folds[key[0]](va, b.values[key])
+                if key[0] in gauges and key in b.values:
+                    values[key] = max(va, b.values[key])
             merged.append(HistorySample(b.seq, b.sim_time, values))
             i += 2
         self.samples = merged
@@ -235,15 +215,12 @@ class MetricsHistory:
         want = (tuple(sorted((k, str(v)) for k, v in labels.items()))
                 if labels is not None else None)
         for sample in self.samples:
-            if want is None:
-                value = sample.value(name, agg=agg)
-                if value is not None:
-                    out.append((sample.sim_time, value))
-                continue
-            for (n, pairs), v in sample.values.items():
-                if n == name and tuple(sorted(pairs)) == want:
-                    out.append((sample.sim_time, v))
-                    break
+            value = _aggregate(
+                [v for (n, pairs), v in sample.values.items()
+                 if n == name and (want is None
+                                   or tuple(sorted(pairs)) == want)], agg)
+            if value is not None:
+                out.append((sample.sim_time, value))
         return out
 
     def rows(self) -> List[tuple]:
@@ -299,12 +276,13 @@ class MetricsHistory:
 class AlertRule:
     """One declarative health rule, evaluated at every history sample.
 
-    ``kind`` selects how the watched value is computed:
+    ``kind`` selects how the watched value is computed from the
+    registry:
 
-    * ``gauge`` -- the metric's current sampled value, ``agg``\\ regated
-      across its label series (``max``/``min``/``sum``/``avg``);
+    * ``gauge`` -- the metric's current value, ``agg``\\ regated across
+      its label series (``max``/``min``/``sum``/``avg``);
     * ``rate`` -- the counter's increase per simulated second over the
-      trailing ``window_s`` (0 = since the first sample);
+      trailing ``window_s`` (0 = since the rule's first evaluation);
     * ``quantile`` -- the ``q``-quantile of a histogram, interpolated
       from bucket counts over the trailing ``window_s`` (0 = ever).
 
@@ -375,7 +353,7 @@ class _RuleState:
 
 
 class HealthMonitor:
-    """Evaluates alert rules on sampled series; owns the alert history."""
+    """Evaluates alert rules on the registry; owns the alert history."""
 
     def __init__(self, cluster, rules: Sequence[AlertRule]):
         self.cluster = cluster
@@ -384,8 +362,8 @@ class HealthMonitor:
             r.name: _RuleState(r) for r in self.rules}
         self.alerts: List[Alert] = []
         self._seq = itertools.count()
-        #: per-quantile-rule window of (sim_time, bucket counts, count)
-        self._hist_windows: Dict[str, List[tuple]] = {}
+        #: per-rule trailing window of (sim_time, what the rule read)
+        self._windows: Dict[str, List[tuple]] = {}
         registry = cluster.registry
         self._raised = registry.counter(
             "alerts_raised_total", "Alerts raised, by rule",
@@ -429,12 +407,10 @@ class HealthMonitor:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, history: MetricsHistory,
-                 sample: HistorySample) -> None:
-        """Run every rule against the new sample (on the sim clock)."""
-        now = sample.sim_time
+    def evaluate(self, now: float) -> None:
+        """Run every rule against the registry at sim time ``now``."""
         for rule in self.rules:
-            value = self._value(rule, history, sample, now)
+            value = self._value(rule, now)
             if value is None:
                 continue
             state = self._states[rule.name]
@@ -457,39 +433,34 @@ class HealthMonitor:
                 if now - state.ok_since >= rule.clear_for_seconds:
                     self._clear(state, now)
 
-    def _value(self, rule: AlertRule, history: MetricsHistory,
-               sample: HistorySample, now: float) -> Optional[float]:
-        if rule.kind == "gauge":
-            return sample.value(rule.metric, agg=rule.agg)
-        if rule.kind == "rate":
-            return self._rate(rule, history, sample, now)
-        if rule.kind == "quantile":
-            return self._quantile(rule, now)
-        raise ReproError(f"unknown alert rule kind {rule.kind!r}")
-
-    def _rate(self, rule: AlertRule, history: MetricsHistory,
-              sample: HistorySample, now: float) -> Optional[float]:
-        current = sample.value(rule.metric, agg="sum")
-        if current is None:
-            return None
-        floor = now - rule.window_s if rule.window_s > 0 else -1.0
-        base = None
-        for past in history.samples:
-            if past is sample:
-                break
-            if past.sim_time >= floor:
-                base = past
-                break
-        if base is None:
-            return None
-        then = base.value(rule.metric, agg="sum") or 0.0
-        dt = now - base.sim_time
-        if dt <= 0:
-            return None
-        return (current - then) / dt
-
-    def _quantile(self, rule: AlertRule, now: float) -> Optional[float]:
+    def _value(self, rule: AlertRule, now: float) -> Optional[float]:
         family = self.cluster.registry.get(rule.metric)
+        if rule.kind == "quantile":
+            return self._quantile(rule, family, now)
+        if rule.kind not in ("gauge", "rate"):
+            raise ReproError(f"unknown alert rule kind {rule.kind!r}")
+        if family is None or isinstance(family, Histogram):
+            return None
+        if rule.kind == "gauge":
+            return _aggregate(list(family.snapshot().values()), rule.agg)
+        total = family.total()
+        then, base = self._base(rule, now, total)
+        return (total - base) / (now - then) if now > then else None
+
+    def _base(self, rule: AlertRule, now: float, point) -> tuple:
+        """Record what ``rule`` read at ``now`` in its trailing window and
+        return the window's base ``(sim_time, point)``: the newest entry
+        at least ``window_s`` old (the oldest while none is), or with
+        ``window_s`` 0 the rule's first evaluation."""
+        window = self._windows.setdefault(rule.name, [])
+        if not window or rule.window_s > 0:
+            window.append((now, point))
+            while len(window) > 1 and window[1][0] <= now - rule.window_s:
+                window.pop(0)
+        return window[0]
+
+    def _quantile(self, rule: AlertRule, family,
+                  now: float) -> Optional[float]:
         if not isinstance(family, Histogram):
             return None
         counts, total = family.totals()
@@ -498,11 +469,7 @@ class HealthMonitor:
                 return None
             return quantile_from_buckets(family.buckets, counts, total,
                                          rule.q)
-        window = self._hist_windows.setdefault(rule.name, [])
-        window.append((now, counts, total))
-        while len(window) > 1 and window[1][0] <= now - rule.window_s:
-            window.pop(0)
-        _, base_counts, base_total = window[0]
+        _, (base_counts, base_total) = self._base(rule, now, (counts, total))
         d_total = total - base_total
         if d_total <= 0:
             return None
@@ -618,10 +585,6 @@ class FlightRecorder:
             "workload_memory_bytes",
             "Live per-node memory of admitted queries (sampled)",
             labels=("node",), sticky=True)
-        self._g_alive = registry.gauge(
-            "hdfs_nodes_alive", "Datanodes currently alive", sticky=True)
-        self._g_workers = registry.gauge(
-            "cluster_workers", "Workers in the negotiated set", sticky=True)
         self._g_repl = registry.gauge(
             "cluster_replication_min_degree",
             "Alive replicas of the worst-covered partition file",
@@ -640,7 +603,7 @@ class FlightRecorder:
         """Force one sample + rule evaluation right now."""
         self._publish_derived()
         sample = self.history.sample()
-        self.health.evaluate(self.history, sample)
+        self.health.evaluate(sample.sim_time)
         return sample
 
     def _publish_derived(self) -> None:
@@ -648,9 +611,7 @@ class FlightRecorder:
         cluster = self.cluster
         for node, live in sorted(cluster.workload.meter.current.items()):
             self._g_mem.set(max(0, live), node=node)
-        self._g_alive.set(len(cluster.hdfs.alive_nodes()))
         self._g_repl.set(cluster.min_replication_degree())
-        self._g_workers.set(len(cluster.workers))
 
     # -- query log -----------------------------------------------------------
 

@@ -354,12 +354,6 @@ class PartitionStore:
             done = max(done, hi)
         return count
 
-    def read_columns(self, names: Sequence[str],
-                     ranges: Optional[Sequence[Tuple[int, int]]] = None,
-                     reader: Optional[str] = None,
-                     pool: Optional[BufferPool] = None) -> Dict[str, np.ndarray]:
-        return {n: self.read_column(n, ranges, reader, pool) for n in names}
-
     # --------------------------------------------------------------- maintenance
 
     def rewrite(self, columns: Dict[str, np.ndarray],

@@ -501,7 +501,8 @@ class StoredTable:
             store.append(values, writer)
             self.propagation_stats.tail_flushes += 1
         else:
-            stable_cols = store.read_columns(names, reader=writer)
+            stable_cols = {n: store.read_column(n, reader=writer)
+                           for n in names}
             merged = apply_entries(stable_cols, store.n_stable, entries, names)
             new_cols = merged.columns
             if self.schema.is_clustered:

@@ -78,7 +78,7 @@ from repro.mpp import plan as P
 from repro.mpp.executor import QueryResult, QueryRun
 from repro.mpp.plan import QueryPlan
 from repro.mpp.rewriter import ParallelRewriter
-from repro.obs import Span, span_from_profile
+from repro.obs import Counter, Span, span_from_profile
 
 #: terminal queries kept (as one flat row each) for ``vh$queries``,
 #: ``vh$sessions`` and the reports; the oldest falls off the ring and is
@@ -292,10 +292,22 @@ class TenantState:
     pass_value: int = 0
     queue: deque = field(default_factory=deque)
     running: int = 0
-    admitted: int = 0
-    finished: int = 0
     #: per-node estimate bytes charged by this tenant's running queries
     mem_by_node: Dict[str, int] = field(default_factory=dict)
+    #: the registry counters that ``admitted`` / ``finished`` read
+    admitted_total: Optional[Counter] = None
+    finished_total: Optional[Counter] = None
+
+    @property
+    def admitted(self) -> int:
+        """Queries ever admitted: a view over ``tenant_admitted_total``."""
+        return int(self.admitted_total.get(tenant=self.name))
+
+    @property
+    def finished(self) -> int:
+        """Queries that ran to a terminal state: a view over
+        ``tenant_finished_total``."""
+        return int(self.finished_total.get(tenant=self.name))
 
     def stride(self) -> int:
         return STRIDE1 // max(1, self.weight)
@@ -389,6 +401,10 @@ class WorkloadManager:
         self._c_t_admitted = registry.counter(
             "tenant_admitted_total", "Admitted queries, per tenant",
             labels=("tenant",))
+        self._c_t_finished = registry.counter(
+            "tenant_finished_total",
+            "Admitted queries that reached a terminal state, per tenant",
+            labels=("tenant",))
         self._c_logged = registry.counter(
             "query_log_records_total",
             "Terminal queries appended to the query log, by state",
@@ -468,7 +484,9 @@ class WorkloadManager:
         """
         state = self.tenants.get(name)
         if state is None:
-            state = TenantState(name=name, pass_value=self._wfq_clock)
+            state = TenantState(name=name, pass_value=self._wfq_clock,
+                                admitted_total=self._c_t_admitted,
+                                finished_total=self._c_t_finished)
             self.tenants[name] = state
         state.weight = max(1, int(weight))
         state.priority = int(priority)
@@ -656,7 +674,6 @@ class WorkloadManager:
         self._running.append(record.query_id)
         tenant = self.tenants[record.tenant]
         tenant.running += 1
-        tenant.admitted += 1
         for node, estimate in record.memory_estimate.items():
             tenant.mem_by_node[node] = (
                 tenant.mem_by_node.get(node, 0) + estimate)
@@ -800,7 +817,7 @@ class WorkloadManager:
         tenant = self.tenants[record.tenant]
         tenant.running -= 1
         if finished:
-            tenant.finished += 1
+            self._c_t_finished.inc(tenant=record.tenant)
         for node, estimate in record.memory_estimate.items():
             remaining = tenant.mem_by_node.get(node, 0) - estimate
             if remaining > 0:

@@ -1,7 +1,7 @@
 """The flight recorder: metric history, alert engine, query log, gate.
 
 Covers the sampling ring (cadence, retention via pair-merge compaction,
-downsample modes, wall-clock exclusion), the alert rule state machine
+last/max merging, wall-clock exclusion), the alert rule state machine
 (gauge/rate/quantile kinds, for/clear hysteresis, raise/clear events),
 the query log (one bounded ring of terminal records in the workload
 manager: fingerprints, metric-reset survival, eviction), the bounded
@@ -84,12 +84,11 @@ def _sort_plan():
 
 
 class TestMetricsHistory:
-    def _history(self, cadence=0.0, retention=8, downsample="auto"):
+    def _history(self, cadence=0.0, retention=8):
         clock = SimClock()
         reg = MetricsRegistry()
         return MetricsHistory(reg, clock, cadence=cadence,
-                              retention=retention,
-                              downsample=downsample), reg, clock
+                              retention=retention), reg, clock
 
     def test_cadence_spacing_on_sim_clock(self):
         hist, reg, clock = self._history(cadence=1.0)
@@ -135,27 +134,12 @@ class TestMetricsHistory:
             hist.sample()
             clock.advance(1.0)
         assert hist.compactions == 1
-        counts = [s.value("ops_total") for s in hist.samples]
+        counts = [v for _, v in hist.series("ops_total")]
         # merged pairs keep the *last* cumulative counter value
         assert counts == [20.0, 40.0, 50.0]
-        depths = [s.value("depth") for s in hist.samples]
+        depths = [v for _, v in hist.series("depth")]
         # ...and the *max* gauge value, so the 9 watermark survives
         assert depths == [9.0, 2.0, 5.0]
-
-    def test_sum_mode_forced(self):
-        hist, reg, clock = self._history(cadence=1.0, retention=4,
-                                         downsample="sum")
-        g = reg.gauge("depth")
-        for gv in (1, 2, 3, 4, 5):
-            g.set(gv)
-            hist.sample()
-            clock.advance(1.0)
-        assert [s.value("depth") for s in hist.samples] == [3.0, 7.0, 5.0]
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ReproError):
-            MetricsHistory(MetricsRegistry(), SimClock(),
-                           downsample="median")
 
     def test_excluded_families_not_sampled(self):
         clock = SimClock()
@@ -199,9 +183,10 @@ class TestMetricsHistory:
         h = reg.histogram("lat_seconds", buckets=(1.0,))
         h.observe(0.5)
         h.observe(0.25)
-        sample = hist.sample()
-        assert sample.value("lat_seconds_count") == 2.0
-        assert sample.value("lat_seconds_sum") == pytest.approx(0.75)
+        hist.sample()
+        assert hist.series("lat_seconds_count") == [(0.0, 2.0)]
+        ((_, total),) = hist.series("lat_seconds_sum")
+        assert total == pytest.approx(0.75)
 
 
 # ------------------------------------------------------------- HealthMonitor
@@ -210,16 +195,17 @@ class TestMetricsHistory:
 class _Harness:
     """A stub cluster + history + monitor driven by explicit steps."""
 
-    def __init__(self, rules):
+    def __init__(self, rules, retention: int = 256):
         self.stub = _StubCluster()
         self.history = MetricsHistory(self.stub.registry,
-                                      self.stub.sim_clock, cadence=0.0)
+                                      self.stub.sim_clock, cadence=0.0,
+                                      retention=retention)
         self.health = HealthMonitor(self.stub, rules)
 
     def step(self, dt: float = 1.0):
         self.stub.sim_clock.advance(dt)
         sample = self.history.sample()
-        self.health.evaluate(self.history, sample)
+        self.health.evaluate(sample.sim_time)
 
     def event_kinds(self):
         return [e.kind for e in self.stub.events
@@ -292,6 +278,41 @@ class TestAlertRules:
         h.step()  # 20 more over the 1s since the base sample
         (alert,) = h.health.firing()
         assert alert.value == pytest.approx(20.0)
+
+    def test_rate_since_first_evaluation_survives_compaction(self):
+        # window_s=0 is "since the rule's first evaluation": the base is
+        # the rule's own record, not the oldest history sample, which a
+        # compaction merges with the burst after it
+        h = _Harness([AlertRule("since_start", "ops_total", threshold=10.0,
+                                kind="rate")], retention=4)
+        c = h.stub.registry.counter("ops_total")
+        h.step()  # t=1: the base, 0 ops
+        c.inc(100)
+        h.step()  # t=2: 100 ops in 1s
+        (alert,) = h.health.firing()
+        assert alert.value == pytest.approx(100.0)
+        for _ in range(9):  # t=3..11: no more ops, the rate decays
+            h.step()
+        assert h.history.compactions >= 1
+        # 100 / (t - 1) stays above 10 until t=11
+        assert alert.state == "cleared" and alert.cleared_sim == 11.0
+
+    def test_gauge_rule_sequence_independent_of_retention(self):
+        def run(retention):
+            h = _Harness([AlertRule("hot", "pressure", threshold=5.0,
+                                    for_seconds=1.0, clear_for_seconds=2.0)],
+                         retention=retention)
+            g = h.stub.registry.gauge("pressure", labels=("node",))
+            for i in range(40):
+                g.set((i * 7) % 11, node="a")
+                g.set((i * 3) % 8, node="b")
+                h.step()
+            return h
+        short, long = run(4), run(256)
+        assert short.history.compactions > 0
+        assert long.history.compactions == 0
+        assert short.health.sequence()
+        assert short.health.sequence() == long.health.sequence()
 
     def test_quantile_rule_on_histogram(self):
         h = _Harness([AlertRule("slow", "wait_seconds", threshold=1.0,
