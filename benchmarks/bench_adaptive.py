@@ -12,7 +12,7 @@ three configurations:
 * ``feedback_replan``-- the full adaptive strategy: the first skew run
   aborts its doomed broadcast mid-query and re-plans.
 
-Reports per-query wall-clock / simulated time and the plan choices
+Reports per-query wall-clock time and the plan choices
 (exchange strategy, join order, re-plans) per configuration, asserting
 the issue's acceptance criteria: the feedback store changes at least one
 query's exchange strategy *and* one query's join order, a >=10x
@@ -71,9 +71,8 @@ STAR_SQL = ("SELECT sum(l_extendedprice) AS s FROM lineitem "
 
 def _fresh_cluster(tpch_data, overrides) -> VectorHCluster:
     config = Config().scaled_for_tests()
-    # sim_s is the cost-model clock, so the trajectory gate compares a
-    # number that repeats exactly; the plan choices and re-plans asserted
-    # below do not depend on the clock
+    # the cost-model clock, so every recorded number but wall repeats;
+    # the plan choices and re-plans asserted below do not depend on it
     config.workload_deterministic = True
     for key, value in overrides.items():
         setattr(config, key, value)
@@ -134,18 +133,16 @@ def _run_config(tpch_data, name, overrides):
     cluster.query(_control_plan())
     per_query = {}
 
-    def record(qname, elapsed, sim, extra):
-        entry = per_query.setdefault(qname, {
-            "wall_s": 0.0, "sim_s": 0.0, "runs": []})
+    def record(qname, elapsed, extra):
+        entry = per_query.setdefault(qname, {"wall_s": 0.0, "runs": []})
         entry["wall_s"] += elapsed
-        entry["sim_s"] += sim
         entry["runs"].append(extra)
 
     skew_values = []
     for _ in range(N_RUNS):
         result = cluster.query(_skew_plan())
         skew_values.append(float(result.batch.columns["s"][0]))
-        record("skew", result.elapsed, result.simulated_parallel_seconds,
+        record("skew", result.elapsed,
                {"exchange": _exchange_choice(result.plan_text),
                 "replans": result.replans})
     star_values = []
@@ -155,11 +152,10 @@ def _run_config(tpch_data, name, overrides):
         batch = execute_sql(cluster, STAR_SQL)
         elapsed = time.perf_counter() - t0
         star_values.append(float(batch.columns["s"][0]))
-        record("star", elapsed, 0.0, {"join_order": order})
+        record("star", elapsed, {"join_order": order})
     for _ in range(N_RUNS):
         result = cluster.query(_control_plan())
         record("control", result.elapsed,
-               result.simulated_parallel_seconds,
                {"exchange": _exchange_choice(result.plan_text)})
 
     return {

@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import write_report
 from repro.engine.profile import format_profile
-from repro.obs.profiler import ContinuousProfiler, kernel_sim_cost
+from repro.obs.profiler import ContinuousProfiler
 from repro.tpch.queries import q1
 
 
@@ -85,14 +85,13 @@ def test_appendix_q1_profile(vectorh, benchmark):
 def _kernel_footer(kernels):
     """The per-operator kernel summary appended to the appendix report."""
     lines = [f"{'operator':<14} {'kernel':<20} {'calls':>8} {'rows':>12} "
-             f"{'bytes':>12} {'sim s':>10} {'wall s':>10}"]
+             f"{'bytes':>12} {'wall s':>10}"]
     for kind in sorted(kernels):
         for name, stat in sorted(kernels[kind].items(),
-                                 key=lambda kv: -kernel_sim_cost(kv[1])):
+                                 key=lambda kv: -kv[1].seconds):
             lines.append(
                 f"{kind:<14} {name:<20} {stat.calls:>8,} {stat.rows:>12,} "
-                f"{stat.bytes:>12,} {kernel_sim_cost(stat):>10.4f} "
-                f"{stat.seconds:>10.4f}")
+                f"{stat.bytes:>12,} {stat.seconds:>10.4f}")
     return "\n".join(lines)
 
 

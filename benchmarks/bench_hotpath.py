@@ -1,17 +1,16 @@
 """Hot-path bench: rows/sec per operator kernel + wall clock per query.
 
-Runs a TPC-H mix on a deterministic-cost cluster and writes the
-ROADMAP-mandated ``BENCH_hotpath.json``: per-query wall/sim seconds and
+Runs a TPC-H mix on a deterministic-schedule cluster and writes the
+ROADMAP-mandated ``BENCH_hotpath.json``: per-query wall seconds and
 rows, plus the continuous profiler's cumulative per-operator and
-per-kernel tables. The ``sim_cost_s`` keys are derived purely from
-deterministic batch/row counts, so the trajectory gate
-(``benchmarks/trajectory.py``) can compare them PR-over-PR -- and when
-one regresses, its attribution mode diffs exactly these
-``operators.*`` / ``kernels.*`` keys to name the kernel that slowed.
-Wall-clock keys carry ``wall`` in the leaf and stay exempt.
+per-kernel tables. Their counts (calls, rows, bytes, batches) repeat
+exactly, so the trajectory gate (``benchmarks/trajectory.py``) compares
+them PR-over-PR -- and when one grows, its attribution mode ranks these
+``operators.*`` / ``kernels.*`` counts to name the kernel doing more
+work. Wall-clock keys carry ``wall`` in the leaf and stay exempt.
 
 Artifacts: ``BENCH_hotpath.json``, ``hotpath_report.txt`` (top-k hot
-paths), ``hotpath_q1_flamegraph.folded``.
+paths by wall), ``hotpath_q1_flamegraph.folded``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from benchmarks.conftest import (
     write_report,
 )
 from repro.cluster import VectorHCluster
-from repro.obs.profiler import folded_stacks, kernel_sim_cost
+from repro.obs.profiler import folded_stacks
 from repro.tpch import tpch_schemas
 from repro.tpch.queries import run_query
 from repro.tpch.schema import LOAD_ORDER
@@ -41,7 +40,7 @@ QUERIES = (1, 3, 5, 6, 10, 12)
 
 
 def make_cluster(tpch_data) -> VectorHCluster:
-    """A deterministic-cost cluster so sim_cost keys are comparable."""
+    """A deterministic-schedule cluster, so every count repeats."""
     config = bench_config()
     config.workload_deterministic = True
     cluster = VectorHCluster(n_nodes=N_WORKERS, config=config)
@@ -53,18 +52,16 @@ def make_cluster(tpch_data) -> VectorHCluster:
 
 
 def run_queries(cluster, numbers=QUERIES) -> Tuple[Dict[str, dict], Dict[int, list]]:
-    """Execute the mix; returns ({qN: wall/sim/rows}, {N: q-profiles})."""
+    """Execute the mix; returns ({qN: wall/rows}, {N: q-profiles})."""
     queries: Dict[str, dict] = {}
     profiles: Dict[int, list] = {}
+
+    def runner(plan):
+        result = cluster.query(plan)
+        profiles[number] = result.profiles
+        return result.batch
+
     for number in numbers:
-        stats = {"sim": 0.0, "profiles": []}
-
-        def runner(plan):
-            result = cluster.query(plan)
-            stats["sim"] += result.simulated_parallel_seconds
-            stats["profiles"] = result.profiles
-            return result.batch
-
         # one shot per query: a full collection of the session's garbage
         # must not land inside whichever query happens to trip it
         gc.collect()
@@ -72,10 +69,8 @@ def run_queries(cluster, numbers=QUERIES) -> Tuple[Dict[str, dict], Dict[int, li
         batch = run_query(runner, number)
         queries[f"q{number}"] = {
             "wall_s": time.perf_counter() - t0,
-            "sim_s": stats["sim"],
             "rows": int(batch.n),
         }
-        profiles[number] = stats["profiles"]
     return queries, profiles
 
 
@@ -88,12 +83,11 @@ def profiler_tables(profiler) -> Tuple[Dict[str, dict], Dict[str, dict]]:
             "rows_out": rows_out,
             "batches": batches,
             "net_bytes": net_bytes,
-            "sim_cost_s": sim_cost,
             "wall_s": wall,
             "rows_per_wall_s": rows_per_wall,
         }
         for (kind, _queries, _instances, rows_in, rows_out, batches,
-             net_bytes, sim_cost, wall, rows_per_wall) in profiler.rows()
+             net_bytes, wall, rows_per_wall) in profiler.rows()
     }
     kernels = {
         kind: {
@@ -101,7 +95,6 @@ def profiler_tables(profiler) -> Tuple[Dict[str, dict], Dict[str, dict]]:
                 "calls": stat.calls,
                 "rows": stat.rows,
                 "bytes": stat.bytes,
-                "sim_cost_s": kernel_sim_cost(stat),
                 "wall_s": stat.seconds,
                 "rows_per_wall_s": (stat.rows / stat.seconds
                                     if stat.seconds > 0 else 0.0),
@@ -129,10 +122,9 @@ def test_bench_hotpath(tpch_data):
     queries, profiles = run_queries(cluster)
     payload = build_payload(cluster, queries)
 
-    # every query produced rows and charged deterministic sim cost
+    # every query produced rows
     for name, entry in payload["queries"].items():
         assert entry["rows"] > 0, name
-        assert entry["sim_s"] > 0, name
     # the hot kernels the tentpole names are all present
     kernel_names = {
         name for table in payload["kernels"].values() for name in table
@@ -163,10 +155,10 @@ def test_bench_hotpath(tpch_data):
         f"HOT PATHS: TPC-H {', '.join(f'q{n}' for n in QUERIES)} "
         f"at SF {SCALE_FACTOR} on {N_WORKERS} workers",
         "",
-        f"{'query':<6} {'wall':>10} {'sim':>10} {'rows':>8}",
+        f"{'query':<6} {'wall':>10} {'rows':>8}",
     ]
     for name, entry in payload["queries"].items():
         lines.append(f"{name:<6} {entry['wall_s'] * 1e3:>8.1f}ms "
-                     f"{entry['sim_s'] * 1e3:>8.3f}ms {entry['rows']:>8}")
+                     f"{entry['rows']:>8}")
     lines += ["", cluster.profiler.report()]
     write_report("hotpath_report.txt", "\n".join(lines))

@@ -37,8 +37,9 @@ budget; the best-of-N figures and the share of Q1 are printed as
 information.
 
 It also writes ``BENCH_query_log.json`` under ``benchmarks/results/``
-(simulated-time aggregates of the persistent query log) so the
-trajectory gate tracks the smoke mix across PRs.
+(admission wait on the simulated clock, rows and q-error of the
+persistent query log) so the trajectory gate tracks the smoke mix
+across PRs.
 
 The span tree is also printed so the smoke log shows the lifecycle
 (parse -> bind -> rewrite -> assignment -> execute -> commit) at a
@@ -178,7 +179,7 @@ def main(outdir: str) -> None:
     scale = float(os.environ.get("REPRO_SF", "0.002"))
     config = Config().scaled_for_tests()
     # deterministic batch costs so the flight recorder's sampled history
-    # and the BENCH_query_log.json sim-time aggregates are reproducible
+    # and the BENCH_query_log.json aggregates are reproducible
     config.workload_deterministic = True
     cluster = VectorHCluster(n_nodes=4, config=config)
     data = generate_tpch(scale, seed=42)
@@ -259,7 +260,7 @@ def main(outdir: str) -> None:
                    "query_wait_seconds"):
         assert metric in prom, f"workload metric missing: {metric}"
 
-    # trajectory point: simulated aggregates of the persistent query log
+    # trajectory point: aggregates of the persistent query log
     records = cluster.workload.terminal_records()
     finished = [r for r in records if r.state == "finished"]
     assert finished, "query log recorded no finished queries"
@@ -269,8 +270,6 @@ def main(outdir: str) -> None:
         "scale_factor": scale,
         "workers": 4,
         "queries_logged": len(records),
-        "total_sim_s": sum(r.sim_s for r in finished),
-        "max_sim_s": max(r.sim_s for r in finished),
         "total_wait_s": sum(r.wait_sim for r in finished),
         "max_qerror": max(r.max_qerror for r in finished),
         "total_rows": sum(r.rows for r in finished),

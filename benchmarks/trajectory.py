@@ -3,33 +3,32 @@
 Every benchmark that matters for the repo's performance story writes a
 machine-readable ``BENCH_<name>.json`` under ``benchmarks/results/``
 (adaptive, concurrency, chaos soak, query-log smoke, ...). This tool
-flattens the *numeric, simulated* leaves of each of those files into a
+flattens the numeric leaves of each of those files into a
 ``bench.dotted.path`` -> value map, appends the snapshot as one entry of
 ``benchmarks/results/BENCH_trajectory.json``, and compares it against
-the previous entry:
+the previous entry. Two kinds of leaf are gated:
 
-* only leaves whose key ends in ``_s``, ``_ms`` or ``_qps`` are gated —
-  they are the time/throughput numbers; counters and sizes are carried
-  along for the record but never fail the gate;
-* keys mentioning ``wall`` are exempt (host wall-clock is noisy; the
-  simulated clock is the contract);
+* scheduling outcomes on the simulated clock -- leaves ending in ``_s``,
+  ``_ms`` or ``_qps`` (makespan, latencies, recovery times, throughput);
+* profiler counts -- the ``calls``, ``rows``, ``bytes``, ``batches``,
+  ``rows_in``, ``rows_out`` and ``net_bytes`` leaves under
+  ``operators.`` / ``kernels.`` (``BENCH_hotpath.json``).
+
+Every other leaf is carried along for the record. Further:
+
+* keys mentioning ``wall`` are exempt (host wall-clock is noisy);
 * lower is better, except ``_qps`` where higher is better;
-* the tolerance is ``REPRO_TRAJ_TOL`` (default 0.25, i.e. a metric may
-  drift 25% before the gate trips) with a 1e-6 absolute slack so
-  zero-valued metrics never trip on noise;
+* a metric may drift :data:`TOLERANCE` (25%) before the gate trips, with
+  a 1e-6 absolute slack so zero-valued metrics never trip on noise;
 * a bench whose context (``scale_factor``/``workers``/``seeds``, or how
   many statements a query-log total sums over) changed since the
   previous entry is recorded but not gated — the
-  numbers are not comparable;
-* ``REPRO_TRAJ_CHECK=0`` records the entry without enforcing (useful
-  while intentionally changing the cost model).
+  numbers are not comparable.
 
-When a bench with profiler detail (``operators.*`` / ``kernels.*`` keys,
-as ``BENCH_hotpath.json`` emits) regresses, the gate also *attributes*
-the failure: it diffs the per-operator/per-kernel cost keys between the
-two entries and prints which kernels slowed and by how much, so a
-``REGRESSION hotpath.queries.q1.sim_s`` line comes with the culprit
-(e.g. ``kernels.MScan.decode.pfor.sim_cost_s +120%``).
+When a bench with profiler detail regresses, the gate also *attributes*
+the failure: it ranks the per-operator/per-kernel counts by how much
+they grew since the previous entry, so the kernel doing the most extra
+work is named first (e.g. ``kernels.MScan.decode.pfor.rows +100%``).
 
 Run from the repo root after the benches::
 
@@ -42,7 +41,6 @@ regressed beyond tolerance.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -53,8 +51,15 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TRAJECTORY = "BENCH_trajectory.json"
 MAX_ENTRIES = 50
 
-#: leaf-key suffixes that participate in the regression gate
+#: how far a gated metric may drift before the gate trips
+TOLERANCE = 0.25
+#: leaf-key suffixes of the gated simulated-clock outcomes
 GATED_SUFFIXES = ("_s", "_ms", "_qps")
+#: flattened-key prefixes carrying per-operator/per-kernel profiler counts
+ATTRIBUTION_PREFIXES = ("operators.", "kernels.")
+#: the deterministic profiler counts gated under those prefixes
+COUNT_LEAVES = frozenset({"calls", "rows", "bytes", "batches", "rows_in",
+                          "rows_out", "net_bytes"})
 #: keys whose values describe the run, not its performance: a change
 #: in any of these makes two entries incomparable for that bench
 CONTEXT_KEYS = ("scale_factor", "workers", "seeds", "runs_per_query",
@@ -79,12 +84,18 @@ def flatten(obj: Any, prefix: str = "") -> Dict[str, float]:
     return out
 
 
+def is_count(key: str) -> bool:
+    """True for a profiler count under ``operators.`` / ``kernels.``."""
+    return (key.startswith(ATTRIBUTION_PREFIXES)
+            and key.rsplit(".", 1)[-1] in COUNT_LEAVES)
+
+
 def is_gated(key: str) -> bool:
     """True when a flattened key participates in the regression check."""
     leaf = key.rsplit(".", 1)[-1]
     if "wall" in leaf:
         return False
-    return leaf.endswith(GATED_SUFFIXES)
+    return is_count(key) or leaf.endswith(GATED_SUFFIXES)
 
 
 def collect(results_dir: pathlib.Path = RESULTS_DIR) -> Dict[str, dict]:
@@ -105,8 +116,8 @@ def collect(results_dir: pathlib.Path = RESULTS_DIR) -> Dict[str, dict]:
     return benches
 
 
-def compare(new: Dict[str, dict], old: Dict[str, dict],
-            tolerance: float) -> Tuple[List[dict], List[str]]:
+def compare(new: Dict[str, dict],
+            old: Dict[str, dict]) -> Tuple[List[dict], List[str]]:
     """Gate ``new`` against ``old``; returns (regressions, skipped)."""
     regressions: List[dict] = []
     skipped: List[str] = []
@@ -126,14 +137,14 @@ def compare(new: Dict[str, dict], old: Dict[str, dict],
             if before is None:
                 continue
             if key.rsplit(".", 1)[-1].endswith("_qps"):
-                floor = before * (1.0 - tolerance) - 1e-6
+                floor = before * (1.0 - TOLERANCE) - 1e-6
                 if value < floor:
                     regressions.append({
                         "bench": bench, "metric": key, "before": before,
                         "after": value, "limit": floor,
                         "direction": "higher-is-better"})
             else:
-                limit = before * (1.0 + tolerance) + 1e-6
+                limit = before * (1.0 + TOLERANCE) + 1e-6
                 if value > limit:
                     regressions.append({
                         "bench": bench, "metric": key, "before": before,
@@ -142,37 +153,26 @@ def compare(new: Dict[str, dict], old: Dict[str, dict],
     return regressions, skipped
 
 
-#: flattened-key prefixes carrying per-operator/per-kernel profiler cost
-ATTRIBUTION_PREFIXES = ("operators.", "kernels.")
-
-
 def attribute_regressions(new_metrics: Dict[str, float],
                           old_metrics: Dict[str, float],
                           top: int = 5) -> List[dict]:
-    """Diff the profiler-attributed cost keys of one bench.
+    """Diff the profiler count keys of one bench.
 
-    Returns the ``top`` biggest absolute increases among
-    ``operators.*`` / ``kernels.*`` time keys (``_s`` / ``_ms``),
-    each as {key, before, after, delta, ratio} -- the "which kernel
-    slowed, and by how much" answer for a failed gate.
+    Returns the ``top`` biggest relative increases among the
+    ``operators.*`` / ``kernels.*`` counts, each as {key, before, after,
+    delta, ratio} -- the "which kernel does more work, and how much
+    more" answer for a failed gate. Relative, because calls, rows and
+    bytes are not comparable in absolute terms.
     """
     increases: List[dict] = []
     for key, after in new_metrics.items():
-        if not key.startswith(ATTRIBUTION_PREFIXES):
-            continue
-        leaf = key.rsplit(".", 1)[-1]
-        if not leaf.endswith(("_s", "_ms")) or "wall" in leaf:
-            continue
         before = old_metrics.get(key)
-        if before is None:
-            continue
-        delta = after - before
-        if delta <= 0:
+        if not is_count(key) or before is None or after <= before:
             continue
         ratio = after / before if before > 0 else float("inf")
         increases.append({"key": key, "before": before, "after": after,
-                          "delta": delta, "ratio": ratio})
-    increases.sort(key=lambda e: (-e["delta"], e["key"]))
+                          "delta": after - before, "ratio": ratio})
+    increases.sort(key=lambda e: (-e["ratio"], -e["delta"], e["key"]))
     return increases[:top]
 
 
@@ -188,18 +188,11 @@ def _git_sha() -> Optional[str]:
 
 
 def update_trajectory(results_dir: pathlib.Path = RESULTS_DIR,
-                      tolerance: Optional[float] = None,
-                      check: Optional[bool] = None,
                       now: Optional[float] = None) -> int:
     """Append today's snapshot, gate against the previous one, write back.
 
-    Returns the process exit code (0 ok / 1 regression while checking).
+    Returns the process exit code (0 ok / 1 regression).
     """
-    if tolerance is None:
-        tolerance = float(os.environ.get("REPRO_TRAJ_TOL", "0.25"))
-    if check is None:
-        check = os.environ.get("REPRO_TRAJ_CHECK", "1") != "0"
-
     benches = collect(results_dir)
     if not benches:
         print("trajectory: no BENCH_*.json points found; run the "
@@ -216,10 +209,10 @@ def update_trajectory(results_dir: pathlib.Path = RESULTS_DIR,
                   file=sys.stderr)
 
     previous = entries[-1]["benches"] if entries else {}
-    regressions, skipped = compare(benches, previous, tolerance)
+    regressions, skipped = compare(benches, previous)
 
     # attribution: for each regressed bench, name the operator/kernel
-    # cost keys that slowed the most between the two entries
+    # counts that grew the most between the two entries
     attribution: Dict[str, List[dict]] = {}
     for bench in sorted({reg["bench"] for reg in regressions}):
         culprits = attribute_regressions(
@@ -232,7 +225,7 @@ def update_trajectory(results_dir: pathlib.Path = RESULTS_DIR,
             "%Y-%m-%dT%H:%M:%SZ",
             time.gmtime(time.time() if now is None else now)),
         "git": _git_sha(),
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
         "benches": benches,
         "regressions": regressions,
         "attribution": attribution,
@@ -243,7 +236,7 @@ def update_trajectory(results_dir: pathlib.Path = RESULTS_DIR,
     gated = sum(1 for b in benches.values()
                 for k in b["metrics"] if is_gated(k))
     print(f"trajectory: {len(benches)} benches, {gated} gated metrics, "
-          f"tolerance {tolerance:.0%}, {len(entries)} entries recorded")
+          f"tolerance {TOLERANCE:.0%}, {len(entries)} entries recorded")
     for note in skipped:
         print(f"  (skip) {note}")
     for reg in regressions:
@@ -251,21 +244,17 @@ def update_trajectory(results_dir: pathlib.Path = RESULTS_DIR,
               f"{reg['before']:.6g} -> {reg['after']:.6g} "
               f"(limit {reg['limit']:.6g}, {reg['direction']})")
     for bench, culprits in attribution.items():
-        print(f"  attribution {bench}: slowest-growing operator/kernel keys")
+        print(f"  attribution {bench}: fastest-growing operator/kernel "
+              "counts")
         for c in culprits:
             pct = (f"+{100 * (c['ratio'] - 1):.0f}%"
                    if c["ratio"] != float("inf") else "new")
             print(f"    {c['key']}: {c['before']:.6g} -> "
                   f"{c['after']:.6g} ({pct})")
-    if regressions and check:
-        print("trajectory: FAIL (set REPRO_TRAJ_CHECK=0 to record without "
-              "enforcing)", file=sys.stderr)
-        return 1
     if regressions:
-        print("trajectory: regressions recorded but not enforced "
-              "(REPRO_TRAJ_CHECK=0)")
-    else:
-        print("trajectory: OK")
+        print("trajectory: FAIL", file=sys.stderr)
+        return 1
+    print("trajectory: OK")
     return 0
 
 

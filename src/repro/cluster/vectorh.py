@@ -14,7 +14,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.config import Config, DEFAULT_CONFIG
-from repro.common.errors import DataLossError, ReproError, StorageError
+from repro.common.errors import (
+    DataLossError,
+    PlanError,
+    ReproError,
+    StorageError,
+)
 from repro.engine.expressions import Expr
 from repro.flow.assignment import affinity_map, responsibility_assignment
 from repro.hdfs.cluster import HdfsCluster
@@ -441,8 +446,16 @@ class VectorHCluster:
                      assignments: Dict[str, Expr],
                      skip_predicates: Sequence[Tuple[str, str, object]] = (),
                      trans: Optional[DistributedTransaction] = None) -> int:
-        """UPDATE table SET col=expr... WHERE predicate; returns rows hit."""
+        """UPDATE table SET col=expr... WHERE predicate; returns rows hit.
+
+        A partition-key column may not be assigned: the row would stay
+        in the partition its old key hashed to (as Citus and Greenplum
+        refuse to update a distribution column)."""
         stored = self.tables[table]
+        moved = [c for c in stored.schema.partition_key if c in assignments]
+        if moved:
+            raise PlanError(f"cannot UPDATE partition key "
+                            f"{', '.join(moved)} of {table}")
         needed = list(dict.fromkeys(
             predicate.columns_used()
             + [c for e in assignments.values() for c in e.columns_used()]

@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.batch import Batch, batch_bytes, full_vectors
 from repro.engine.operators import Operator
-from repro.engine.profile import SIM_PER_CALL, SIM_PER_ROW, kernel
+from repro.engine.profile import kernel
 from repro.net.mpi import DXchgChannel, MpiFabric
 
 STREAMING = "streaming"
@@ -83,15 +83,20 @@ class MemoryMeter:
             self.parent = None
 
 
+#: simulated seconds :class:`BatchCostModel` charges per pull and per tuple
+SIM_PER_CALL = 2e-6
+SIM_PER_ROW = 1e-7
+
+
 class BatchCostModel:
     """Deterministic per-pull cost for :class:`StreamScheduler`.
 
     Replaces measured wall time with ``per_pull + n_tuples * per_tuple``
-    so that two identical runs charge identical simulated time (the
-    reproducibility contract of the workload-manager benchmarks). The
-    constants (``SIM_PER_CALL``, ``SIM_PER_ROW``) approximate a ~10M
-    tuple/s/core engine with a small fixed dispatch overhead per vector
-    pull.
+    so that two identical runs charge identical simulated time: it is the
+    scheduler clock behind ``workload_deterministic``, tenant fairness and
+    chaos replay, not a performance measure. The constants approximate a
+    ~10M tuple/s/core engine with a small fixed dispatch overhead per
+    vector pull.
     """
 
     def __call__(self, item) -> float:

@@ -133,12 +133,6 @@ def format_profile(node: ProfileNode, total_time: Optional[float] = None,
 # The frame stack: operator pulls and kernels, each recording its own seconds
 # ---------------------------------------------------------------------------
 
-#: deterministic cost of work, the stream scheduler's ``BatchCostModel``
-#: defaults and the profiler's *sim cost*: one pull (a batch, a kernel
-#: call) plus a per-tuple term
-SIM_PER_CALL = 2e-6
-SIM_PER_ROW = 1e-7
-
 #: global kill switch of *kernel* attribution (overhead measurement /
 #: baselines); when off, :func:`kernel` returns a shared no-op and costs
 #: one attribute read. Operator pulls are timed regardless.

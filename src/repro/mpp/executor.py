@@ -105,8 +105,8 @@ class QueryResult:
     #: worst per-operator q-error against ``qplan``'s estimates
     #: (1.0 = perfect, 0.0 = nothing annotated)
     max_qerror: float = 0.0
-    #: ``(kind, share)`` of the operator kind dominating the query's sim
-    #: cost, left by the profiler's walk of ``profiles``
+    #: ``(kind, share)`` of the operator kind dominating the query's
+    #: wall, left by the profiler's walk of ``profiles``
     dominant: Tuple[str, float] = ("", 0.0)
     #: workload-manager id
     query_id: Optional[int] = None

@@ -366,13 +366,12 @@ SYSTEM_TABLES = (
     ("vh$operator_stats",
      [("operator", STRING), ("queries", INT64), ("instances", INT64),
       ("rows_in", INT64), ("rows_out", INT64), ("batches", INT64),
-      ("net_bytes", INT64), ("sim_cost_s", FLOAT64),
-      ("wall_s", FLOAT64), ("rows_per_s", FLOAT64)],
+      ("net_bytes", INT64), ("wall_s", FLOAT64), ("rows_per_s", FLOAT64)],
      lambda cluster: cluster.profiler.rows()),
     ("vh$hot_paths",
-     [("rank", INT64), ("operator", STRING), ("kernel", STRING),
-      ("calls", INT64), ("rows", INT64), ("bytes", INT64),
-      ("sim_cost_s", FLOAT64), ("wall_s", FLOAT64), ("share", FLOAT64)],
+     [("operator", STRING), ("kernel", STRING), ("calls", INT64),
+      ("rows", INT64), ("bytes", INT64), ("wall_s", FLOAT64),
+      ("share", FLOAT64)],
      lambda cluster: cluster.profiler.hot_paths()),
 )
 

@@ -642,18 +642,18 @@ class FlightRecorder:
         record.dominant_op, record.dominant_share = result.dominant
 
     def slow_report(self, n: int = 10) -> str:
-        """The n slowest terminal queries by simulated time, one line each."""
+        """The n slowest terminal queries by wall time, one line each."""
         worst = sorted(self.cluster.workload.terminal_records(),
-                       key=lambda r: (-r.sim_s, r.query_id))
-        lines = [f"{'query':>6} {'state':<9} {'sim':>10} {'wall':>10} "
+                       key=lambda r: (-r.wall_s, r.query_id))
+        lines = [f"{'query':>6} {'state':<9} {'wall':>10} "
                  f"{'wait':>10} {'rows':>8} {'peak mem':>10} {'q-err':>6} "
                  f"{'dominant':<18} {'tenant':<10} fingerprint"]
         for r in worst[:n]:
             dominant = (f"{r.dominant_op} {100 * r.dominant_share:.0f}%"
                         if r.dominant_op else "-")
             lines.append(
-                f"{r.query_id:>6} {r.state:<9} {r.sim_s * 1e3:>8.3f}ms "
-                f"{r.wall_s * 1e3:>8.3f}ms {r.wait_sim * 1e3:>8.3f}ms "
+                f"{r.query_id:>6} {r.state:<9} {r.wall_s * 1e3:>8.3f}ms "
+                f"{r.wait_sim * 1e3:>8.3f}ms "
                 f"{r.rows:>8} {r.peak_memory_bytes:>10} "
                 f"{r.max_qerror:>6.1f} {dominant:<18} "
                 f"{r.tenant or '-':<10} {r.fingerprint}")
@@ -664,12 +664,11 @@ class FlightRecorder:
         out: Dict[str, dict] = {}
         for r in self.cluster.workload.terminal_records():
             entry = out.setdefault(r.fingerprint, {
-                "count": 0, "sim_s": 0.0, "wall_s": 0.0, "rows": 0,
+                "count": 0, "wall_s": 0.0, "rows": 0,
                 "retries": 0, "replans": 0, "max_qerror": 0.0,
                 "statement": (r.statement or r.root_label)[:120],
             })
             entry["count"] += 1
-            entry["sim_s"] += r.sim_s
             entry["wall_s"] += r.wall_s
             entry["rows"] += r.rows
             entry["retries"] += r.retries

@@ -7,18 +7,17 @@ the aggregation and export layer on top of those trees:
 
 * :class:`ContinuousProfiler` walks every finished query's profile tree
   once and charges it, per operator kind, into the MetricsRegistry's
-  ``operator_*`` / ``kernel_*`` families (rows in/out, batches, wall
-  seconds, deterministic sim cost, per-kernel accounting) -- the
-  registry is its only store. ``vh$operator_stats`` and ``vh$hot_paths``
-  render straight from those families; the same walk names the operator
-  kind that dominates the query (the ``vh$queries`` culprit column).
+  ``operator_*`` / ``kernel_*`` families (rows in/out, batches, network
+  bytes, wall seconds, per-kernel accounting) -- the registry is its
+  only store. ``vh$operator_stats`` and ``vh$hot_paths`` render straight
+  from those families; the same walk names the operator kind that
+  spent most of the query's wall (the ``vh$queries`` culprit column).
 * :func:`folded_stacks` exports one query's profile as a flamegraph
   folded-stack file.
 
-Wall seconds are real (nondeterministic) measurements; everything else
--- rows, batches, calls, bytes, and the *sim cost* derived from them
-with the BatchCostModel constants -- is bit-identical across same-seed
-runs, which is what the trajectory gate and the twin-run tests rely on.
+Two kinds of number come out: counts -- rows, batches, calls, bytes --
+are bit-identical across same-seed runs, which is what the trajectory
+gate and the twin-run tests rely on; seconds are measured wall.
 """
 
 from __future__ import annotations
@@ -26,26 +25,14 @@ from __future__ import annotations
 import re
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.engine.profile import (
-    SIM_PER_CALL,
-    SIM_PER_ROW,
-    KernelStat,
-    ProfileNode,
-)
+from repro.engine.profile import KernelStat, ProfileNode
 from repro.obs.metrics import MetricsRegistry
-
-#: default row count of ``vh$hot_paths`` and the text report
-HOT_PATHS_TOP_K = 20
 
 
 def walk(node: ProfileNode) -> Iterator[ProfileNode]:
     yield node
     for child in node.children:
         yield from walk(child)
-
-
-def kernel_sim_cost(stat: KernelStat) -> float:
-    return SIM_PER_CALL * stat.calls + SIM_PER_ROW * stat.rows
 
 
 class ContinuousProfiler:
@@ -68,8 +55,6 @@ class ContinuousProfiler:
                                 "Vectors yielded by each operator kind")
         self._net = counter("operator_net_bytes_total",
                             "Bytes each operator kind put on the network")
-        self._sim = counter("operator_sim_cost_seconds_total",
-                            "Deterministic sim cost per operator kind")
         self._wall = counter(
             "operator_wall_seconds_total", "Wall seconds each operator "
             "kind spent, its kernels included (nondeterministic)")
@@ -91,27 +76,23 @@ class ContinuousProfiler:
     def observe_query(self, result) -> None:
         """Charge one finished query's profile trees -- the one walk a
         finished tree gets -- and leave ``(kind, share)`` of the operator
-        kind dominating it on ``result.dominant``. Dominance is measured
-        on deterministic sim cost, so the query-log culprit column is
-        bit-identical across same-seed runs."""
+        kind that spent most of its wall (``node.time``, kernels
+        included) on ``result.dominant``."""
         per_kind: Dict[str, float] = {}
-        total = 0.0
         for root in result.profiles:
             for node in walk(root):
                 kind = node.kind
-                sim = (SIM_PER_CALL * node.batches
-                       + SIM_PER_ROW * node.tuples_out)
                 if kind not in per_kind:
                     per_kind[kind] = 0.0
                     self._queries.inc(operator=kind)
-                per_kind[kind] += sim
-                total += sim
-                self._charge(kind, node, sim)
+                per_kind[kind] += self._charge(kind, node)
+        total = sum(per_kind.values())
         if total > 0:
-            kind, sim = min(per_kind.items(), key=lambda kv: (-kv[1], kv[0]))
-            result.dominant = (kind, sim / total)
+            kind, wall = min(per_kind.items(), key=lambda kv: (-kv[1], kv[0]))
+            result.dominant = (kind, wall / total)
 
-    def _charge(self, kind: str, node: ProfileNode, sim: float) -> None:
+    def _charge(self, kind: str, node: ProfileNode) -> float:
+        """Charge one node; returns the wall it charged."""
         self._instances.inc(max(1, len(node.stream_times)), operator=kind)
         if node.tuples_in:
             self._rows.inc(node.tuples_in, operator=kind, direction="in")
@@ -121,9 +102,8 @@ class ContinuousProfiler:
             self._batches.inc(node.batches, operator=kind)
         if node.net_bytes:
             self._net.inc(node.net_bytes, operator=kind)
-        if sim:
-            self._sim.inc(sim, operator=kind)
-        self._wall.inc(node.time, operator=kind)
+        wall = node.time
+        self._wall.inc(wall, operator=kind)
         self._own.inc(node.own_seconds, operator=kind)
         for name, stat in node.kernels.items():
             self._kcalls.inc(stat.calls, operator=kind, kernel=name)
@@ -133,6 +113,7 @@ class ContinuousProfiler:
                 self._kbytes.inc(stat.bytes, operator=kind, kernel=name)
             if stat.seconds:
                 self._kwall.inc(stat.seconds, operator=kind, kernel=name)
+        return wall
 
     # ----------------------------------------------------------- export
 
@@ -145,8 +126,7 @@ class ContinuousProfiler:
             out.append((
                 kind, self._queries.get(operator=kind), instances,
                 self._rows.get(operator=kind, direction="in"), rows_out,
-                self._batches.get(operator=kind),
-                self._net.get(operator=kind), self._sim.get(operator=kind),
+                self._batches.get(operator=kind), self._net.get(operator=kind),
                 wall, rows_out / wall if wall > 0 else 0.0,
             ))
         return out
@@ -161,45 +141,34 @@ class ContinuousProfiler:
                 self._krows.get(**labels), self._kbytes.get(**labels))
         return out
 
-    def hot_paths(self, k: int = HOT_PATHS_TOP_K) -> List[tuple]:
-        """Top-k (operator, kernel) pairs ranked by deterministic sim cost.
+    def hot_paths(self) -> List[tuple]:
+        """Every (operator, kernel) pair, ranked by measured wall.
 
         An ``(self)`` pseudo-kernel carries what each operator's pulls
         spent outside every named kernel, so the view always covers 100%
-        of the work.
+        of the wall; ``share`` is each row's fraction of it.
         """
         entries: List[tuple] = []
         kernels = self.kernels()
-        for (kind, _q, _i, _in, rows_out, batches, _net, sim_cost,
-                _wall, _rate) in self.rows():
-            named_sim = 0.0
+        for (kind, _q, _i, _in, rows_out, batches, _net, _wall,
+                _rate) in self.rows():
             for name, stat in kernels.get(kind, {}).items():
-                sim = kernel_sim_cost(stat)
-                named_sim += sim
                 entries.append((kind, name, stat.calls, stat.rows,
-                                stat.bytes, sim, stat.seconds))
+                                stat.bytes, stat.seconds))
             entries.append((kind, "(self)", batches, rows_out, 0,
-                            max(0.0, sim_cost - named_sim),
                             self._own.get(operator=kind)))
-        total_sim = sum(e[5] for e in entries) or 1.0
+        total = sum(e[5] for e in entries) or 1.0
         entries.sort(key=lambda e: (-e[5], e[0], e[1]))
-        ranked = []
-        for rank, (op, name, calls, rows, nbytes, sim, wall) in enumerate(
-                entries[:k], start=1):
-            ranked.append((rank, op, name, calls, rows, nbytes,
-                           sim, wall, sim / total_sim))
-        return ranked
+        return [entry + (entry[5] / total,) for entry in entries]
 
-    def report(self, k: int = HOT_PATHS_TOP_K) -> str:
+    def report(self, k: int = 20) -> str:
         """Human-readable top-k hot paths (the ``slow_report`` companion)."""
-        lines = [f"{'#':>3} {'operator':<16} {'kernel':<20} "
-                 f"{'calls':>10} {'rows':>12} {'sim s':>10} "
-                 f"{'wall s':>10} {'share':>7}"]
-        for (rank, op, name, calls, rows, _nbytes, sim, wall,
-                share) in self.hot_paths(k):
-            lines.append(f"{rank:>3} {op:<16} {name:<20} {calls:>10,} "
-                         f"{rows:>12,} {sim:>10.4f} {wall:>10.4f} "
-                         f"{100 * share:>6.2f}%")
+        lines = [f"{'operator':<16} {'kernel':<20} {'calls':>10} "
+                 f"{'rows':>12} {'wall s':>10} {'share':>7}"]
+        for (op, name, calls, rows, _nbytes, wall,
+                share) in self.hot_paths()[:k]:
+            lines.append(f"{op:<16} {name:<20} {calls:>10,} {rows:>12,} "
+                         f"{wall:>10.4f} {100 * share:>6.2f}%")
         return "\n".join(lines)
 
 

@@ -213,8 +213,8 @@ class QueryRecord:
     wire_bytes: int = 0
     replans: int = 0
     max_qerror: float = 0.0
-    #: operator kind dominating the query's deterministic sim cost, and
-    #: its share of the total (0..1)
+    #: operator kind that spent most of the query's measured wall, and
+    #: its share of it (0..1)
     dominant_op: str = ""
     dominant_share: float = 0.0
 

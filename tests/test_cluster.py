@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.common.config import Config
-from repro.common.errors import ReproError, StorageError
+from repro.common.errors import PlanError, ReproError, StorageError
 from repro.common.types import INT64
 from repro.cluster import VectorHCluster
 from repro.engine.expressions import Col
 from repro.mpp.logical import LAggr, LJoin, LScan
+from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 
 
@@ -85,6 +86,32 @@ class TestLocality:
         # only the DXchgUnion gather and 2PC-free coordination remain
         res = c.query(LAggr(LScan("r", ["rk"]), [], [("n", "count", None)]))
         assert res.network_bytes < 10_000
+
+
+class TestPartitionKeyUpdate:
+    """A row stays in the partition its key hashed to at insert, so an
+    UPDATE of a partition-key column would leave it where a co-located
+    join no longer looks for it (998 rows instead of 999 below)."""
+
+    def test_partition_key_assignment_rejected_before_any_row(self):
+        c = VectorHCluster(n_nodes=4, config=Config().scaled_for_tests())
+        for name, key in (("a", "ka"), ("b", "kb")):
+            c.create_table(TableSchema(
+                name, [Column(key, INT64), Column(f"{name}_v", INT64)],
+                partition_key=(key,), n_partitions=4))
+            c.bulk_load(name, {key: np.arange(1000),
+                               f"{name}_v": np.arange(1000) % 7})
+        with pytest.raises(PlanError, match="partition key"):
+            c.update_where("a", Col("ka") == 5,
+                           {"ka": Col("ka") * 0 + 70001})
+        with pytest.raises(PlanError, match="partition key"):
+            execute_sql(c, "UPDATE b SET kb = 70001 WHERE kb = 6")
+        join = "SELECT count(*) AS n FROM a JOIN b ON ka = kb"
+        assert "<partitioned on ka>" in "\n".join(
+            execute_sql(c, "EXPLAIN " + join).columns["plan"])
+        assert execute_sql(c, join).columns["n"].tolist() == [1000]
+        # any other column still updates
+        assert execute_sql(c, "UPDATE a SET a_v = 9 WHERE ka = 5") == 1
 
 
 class TestFailover:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import Config
-from repro.common.errors import ReproError
+from repro.common.errors import PlanError, ReproError
 from repro.common.types import DECIMAL, INT64, STRING
 from repro.cluster import VectorHCluster
 from repro.cluster.vectorh import DIRECT_APPEND_THRESHOLD
@@ -128,27 +128,33 @@ class TestSecondaryIndex:
         assert len(rows["k"]) == 0
 
     def test_lookup_respects_modify(self, cluster):
-        cluster.update_where("t", Col("k") == 5, {"k": Col("k") * 0 + 70001})
-        assert len(point_lookup(cluster,
-                                "SELECT k FROM t WHERE k = 5")["k"]) == 0
-        hit = point_lookup(cluster, "SELECT k, tag FROM t WHERE k = 70001")
-        assert list(hit["k"]) == [70001]
+        # k is the partition key: the row may not change partition
+        with pytest.raises(PlanError):
+            cluster.update_where("t", Col("k") == 5,
+                                 {"k": Col("k") * 0 + 70001})
+        execute_sql(cluster, "UPDATE t SET tag = 'moved' WHERE k = 5")
+        hit = point_lookup(cluster, "SELECT k, tag FROM t WHERE k = 5")
+        assert list(hit["tag"]) == ["moved"]
+        hit = point_lookup(cluster, "SELECT k FROM t WHERE tag = 'moved'")
+        assert list(hit["k"]) == [5]
 
     def test_index_rebuilt_on_propagation(self, cluster):
         cluster.insert("t", {"k": np.array([888_888]),
                              "tag": np.array(["x"], object),
                              "price": np.array([1.0])})
         cluster.delete_where("t", Col("k") == 77)
-        cluster.update_where("t", Col("k") == 5, {"k": Col("k") * 0 + 70001})
-        probes = [f"SELECT k, tag FROM t WHERE k = {k}"
-                  for k in (888_888, 77, 5, 70001, 1234)]
+        with pytest.raises(PlanError):
+            execute_sql(cluster, "UPDATE t SET k = 70001 WHERE k = 5")
+        execute_sql(cluster, "UPDATE t SET tag = 'moved' WHERE k = 5")
+        probes = ([f"SELECT k, tag FROM t WHERE k = {k}"
+                   for k in (888_888, 77, 5, 1234)]
+                  + ["SELECT k, tag FROM t WHERE tag = 'moved'"])
 
         def answers():
             return [{c: v.tolist() for c, v in point_lookup(cluster, sql)
                      .items()} for sql in probes]
         before = answers()
-        assert [a["k"] for a in before] == [[888_888], [], [], [70001],
-                                            [1234]]
+        assert [a["k"] for a in before] == [[888_888], [], [5], [1234], [5]]
         cluster.propagate_updates("t", force=True)
         assert answers() == before
 

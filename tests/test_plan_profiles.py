@@ -437,15 +437,21 @@ def test_profiler_tables_are_the_registry_families(cluster):
     for row in stats:
         kind = row["operator"]
         assert (row["queries"], row["instances"], row["batches"],
-                row["net_bytes"], row["sim_cost_s"], row["wall_s"]) == tuple(
+                row["net_bytes"], row["wall_s"]) == tuple(
             held(f"operator_{family}_total", kind)
             for family in ("queries", "instances", "batches", "net_bytes",
-                           "sim_cost_seconds", "wall_seconds"))
+                           "wall_seconds"))
         assert (row["rows_in"], row["rows_out"]) == (
             held("operator_rows_total", kind, "in"),
             held("operator_rows_total", kind, "out"))
     paths, held = table("vh$hot_paths")
-    assert [row["rank"] for row in paths] == list(range(1, len(paths) + 1))
+    # ranked by wall, and the shares split all the wall the kinds spent
+    walls = [row["wall_s"] for row in paths]
+    assert walls == sorted(walls, reverse=True)
+    assert sum(row["share"] for row in paths) == pytest.approx(1.0)
+    assert sum(walls) == pytest.approx(sum(
+        held("operator_wall_seconds_total", row["operator"])
+        for row in stats))
     for row in paths:
         kind = row["operator"]
         if row["kernel"] == "(self)":

@@ -5,13 +5,13 @@ Covers the frame stack under the ambient ``kernel()`` context manager
 pulls included; enable/disable, explicit nodes, accounting), profile
 coverage across a TPC-H mix (every physical operator kind that ran shows
 up with nonzero rows, including Window and the PDT merge path), the
-same-seed bit identity of the deterministic side of
-``vh$operator_stats``, the flamegraph export and the operators and
+same-seed bit identity of the counts of ``vh$operator_stats`` and
+``vh$hot_paths``, the flamegraph export and the operators and
 kernels grafted into the lifecycle trace, the query-log
 dominant-operator column, the system tables (which read the registry
 families and nothing else), and the acceptance scenario: a synthetic
-slowdown injected into one decode kernel makes the trajectory gate's
-attribution name exactly that kernel.
+slowdown injected into one decode kernel makes the trajectory gate
+fail on that kernel's counts and its attribution name it first.
 """
 
 from __future__ import annotations
@@ -168,20 +168,19 @@ def _dominant(*profiles):
 
 
 def test_dominant_operator_ranking_and_ties():
-    heavy = ProfileNode("MScan[t]", kind="MScan", batches=10,
-                        tuples_out=100000)
-    light = ProfileNode("Project[x]", kind="Project", batches=10,
-                        tuples_out=10)
-    root = ProfileNode("Aggr[g]", kind="Aggr", batches=1, tuples_out=1,
+    heavy = ProfileNode("MScan[t]", kind="MScan", own_seconds=0.5)
+    heavy.kernels["decode.pfor"] = KernelStat(calls=1, seconds=0.45)
+    light = ProfileNode("Project[x]", kind="Project", own_seconds=0.04,
+                        children=[heavy])
+    root = ProfileNode("Aggr[g]", kind="Aggr", own_seconds=0.01,
                        children=[light])
-    light.children.append(heavy)
     kind, share = _dominant(root)
-    assert kind == "MScan"
-    assert 0.9 < share <= 1.0
+    assert kind == "MScan"  # its kernels' wall counts towards it
+    assert share == pytest.approx(0.95)
     assert _dominant() == ("", 0.0)
-    # deterministic tie-break: equal cost resolves alphabetically
-    a = ProfileNode("B[x]", kind="B", batches=1, tuples_out=10)
-    b = ProfileNode("A[y]", kind="A", batches=1, tuples_out=10)
+    # tie-break: equal wall resolves alphabetically
+    a = ProfileNode("B[x]", kind="B", own_seconds=0.25)
+    b = ProfileNode("A[y]", kind="A", own_seconds=0.25)
     kind, _ = _dominant(ProfileNode("Z", kind="Z", children=[a, b]))
     assert kind == "A"
 
@@ -244,11 +243,11 @@ class TestProfileCoverage:
 
     def test_hot_path_view_covers_all_work(self, mix_cluster):
         cluster, _ = mix_cluster
-        paths = cluster.profiler.hot_paths(k=10_000)
+        paths = cluster.profiler.hot_paths()
         assert paths
-        total_share = sum(entry[8] for entry in paths)
+        total_share = sum(entry[6] for entry in paths)
         assert total_share == pytest.approx(1.0, abs=1e-9)
-        names = {(op, name) for _, op, name, *_ in paths}
+        names = {(op, name) for op, name, *_ in paths}
         assert ("MScan", "scan.read_block") in names
         assert ("MScan", "(self)") in names  # the pulls' own seconds
         report = cluster.profiler.report(5)
@@ -272,14 +271,12 @@ def _observable_run(tpch_data):
     cluster = _fresh_cluster(tpch_data)
     for number in (1, 6):
         run_query(lambda plan: cluster.query(plan).batch, number)
-    # deterministic columns of vh$operator_stats: everything except the
-    # wall-seconds tail (and the rows/sec derived from it)
-    det_rows = [row[:8] for row in cluster.profiler.rows()]
-    det_paths = [(rank, op, name, calls, rows, nbytes, sim, share)
-                 for rank, op, name, calls, rows, nbytes, sim, _wall, share
-                 in cluster.profiler.hot_paths(k=10_000)]
-    log = [(r.fingerprint, r.rows, r.dominant_op,
-            round(r.dominant_share, 12))
+    # the counts of vh$operator_stats and vh$hot_paths: everything but
+    # the wall-seconds tail (and the rows/sec and share derived from it),
+    # hot paths in a fixed order since they rank by wall
+    det_rows = [row[:7] for row in cluster.profiler.rows()]
+    det_paths = sorted(row[:5] for row in cluster.profiler.hot_paths())
+    log = [(r.fingerprint, r.rows)
            for r in cluster.workload.terminal_records()]
     return det_rows, det_paths, log
 
@@ -387,26 +384,25 @@ class TestExportsAndSystemTables:
     def test_operator_stats_system_table(self, queried):
         cluster, _ = queried
         out = execute_sql(
-            cluster, "select operator, rows_out, batches, sim_cost_s, "
+            cluster, "select operator, rows_out, batches, wall_s, "
             "rows_per_s from vh$operator_stats")
         assert out.n > 0
         kinds = list(out.columns["operator"])
         assert "MScan" in kinds and "Aggr" in kinds
         idx = kinds.index("MScan")
         assert int(out.columns["rows_out"][idx]) > 0
-        assert float(out.columns["sim_cost_s"][idx]) > 0
+        assert float(out.columns["wall_s"][idx]) > 0
 
     def test_hot_paths_system_table(self, queried):
         cluster, _ = queried
         out = execute_sql(
-            cluster, "select rank, operator, kernel, calls, sim_cost_s, "
-            "share from vh$hot_paths")
+            cluster, "select operator, kernel, calls, wall_s, share "
+            "from vh$hot_paths")
         assert out.n > 0
-        assert int(out.columns["rank"][0]) == 1
         kernels = set(out.columns["kernel"])
         assert "scan.read_block" in kernels
-        shares = [float(s) for s in out.columns["share"]]
-        assert shares == sorted(shares, reverse=True)
+        walls = [float(s) for s in out.columns["wall_s"]]
+        assert walls == sorted(walls, reverse=True)
 
     def test_query_log_names_dominant_operator(self, queried):
         cluster, _ = queried
@@ -440,16 +436,16 @@ def test_the_registry_is_the_profilers_store():
     aggr, mscan = profiler.rows()
     assert mscan[:7] == ("MScan", 2, 4, 0, 8000, 8, 0)
     assert aggr[:7] == ("Aggr", 2, 2, 8000, 4, 2, 18)
-    assert mscan[8] == pytest.approx(0.3)  # pulls' own + kernels
+    assert mscan[7] == pytest.approx(0.3)  # pulls' own + kernels
     assert profiler.kernels()["MScan"]["decode.pfor"].calls == 8
     # every cell of both views is a registry series, nothing else
     value = registry.value
     assert mscan[1] == value("operator_queries_total", operator="MScan")
     assert mscan[2] == value("operator_instances_total", operator="MScan")
     assert aggr[6] == value("operator_net_bytes_total", operator="Aggr")
-    assert mscan[8] == value("operator_wall_seconds_total", operator="MScan")
-    paths = {(op, name): (calls, wall) for _, op, name, calls, _rows,
-             _bytes, _sim, wall, _share in profiler.hot_paths()}
+    assert mscan[7] == value("operator_wall_seconds_total", operator="MScan")
+    paths = {(op, name): (calls, wall) for op, name, calls, _rows,
+             _bytes, wall, _share in profiler.hot_paths()}
     assert paths["MScan", "decode.pfor"] == (8, value(
         "kernel_wall_seconds_total", operator="MScan", kernel="decode.pfor"))
     assert paths["MScan", "(self)"] == (8, pytest.approx(0.1))
@@ -466,23 +462,26 @@ def test_the_registry_is_the_profilers_store():
 
 def test_attribute_regressions_ranks_kernel_deltas():
     old = {
-        "kernels.MScan.decode.pfor.sim_cost_s": 1.0,
+        "kernels.MScan.decode.pfor.calls": 10,
+        "kernels.MScan.decode.pfor.bytes": 1000,
         "kernels.MScan.decode.pfor.wall_s": 1.0,
-        "kernels.Aggr.aggr.group.sim_cost_s": 1.1,
-        "operators.MScan.sim_cost_s": 2.9,
-        "queries.q1.sim_s": 4.0,
+        "kernels.Aggr.aggr.group.rows": 110,
+        "operators.MScan.rows_out": 290,
+        "queries.q1.rows": 4,
     }
     new = {
-        "kernels.MScan.decode.pfor.sim_cost_s": 2.0,   # +1.0 <- top culprit
-        "kernels.MScan.decode.pfor.wall_s": 9.0,       # wall: exempt
-        "kernels.Aggr.aggr.group.sim_cost_s": 1.0,     # improved: skipped
-        "operators.MScan.sim_cost_s": 3.0,             # +0.1
-        "queries.q1.sim_s": 5.0,                       # not an attr prefix
+        "kernels.MScan.decode.pfor.calls": 20,       # x2 <- top culprit
+        "kernels.MScan.decode.pfor.bytes": 1500,     # x1.5
+        "kernels.MScan.decode.pfor.wall_s": 9.0,     # wall: exempt
+        "kernels.Aggr.aggr.group.rows": 100,         # improved: skipped
+        "operators.MScan.rows_out": 300,             # x1.03
+        "queries.q1.rows": 5,                        # not an attr prefix
     }
     culprits = attribute_regressions(new, old)
     keys = [c["key"] for c in culprits]
-    assert keys == ["kernels.MScan.decode.pfor.sim_cost_s",
-                    "operators.MScan.sim_cost_s"]
+    assert keys == ["kernels.MScan.decode.pfor.calls",
+                    "kernels.MScan.decode.pfor.bytes",
+                    "operators.MScan.rows_out"]
     assert culprits[0]["ratio"] == pytest.approx(2.0)
     assert attribute_regressions({}, {}) == []
 
@@ -490,7 +489,8 @@ def test_attribute_regressions_ranks_kernel_deltas():
 def test_synthetic_slowdown_names_the_exact_kernel(
         tpch_data, tmp_path, monkeypatch):
     """Acceptance: injecting a slowdown into the scan decode kernel makes
-    the trajectory gate fail AND its attribution diff name that kernel."""
+    the trajectory gate fail on that kernel's counts AND its attribution
+    name that kernel first."""
 
     def payload(cluster, queries):
         operators, kernels = profiler_tables(cluster.profiler)
@@ -524,14 +524,12 @@ def test_synthetic_slowdown_names_the_exact_kernel(
     last = entries[-1]
     regressed = {r["metric"] for r in last["regressions"]
                  if r["bench"] == "hotpath"}
-    assert any(m.startswith("kernels.MScan.decode.") for m in regressed)
+    # only the decode kernels' counts moved, so only they trip the gate
+    assert regressed and all(m.startswith("kernels.MScan.decode.")
+                             for m in regressed)
     culprits = [c["key"] for c in last["attribution"]["hotpath"]]
     assert culprits, "gate failed without attributing a culprit"
     # the injected kernel is the *top* named culprit, roughly doubled
     assert culprits[0].startswith("kernels.MScan.decode.")
     top = last["attribution"]["hotpath"][0]
     assert top["ratio"] == pytest.approx(2.0, rel=0.2)
-    # the per-query sim seconds stayed still: the slowdown is visible
-    # only through kernel attribution, which is the point
-    assert queries2["q1"]["sim_s"] == pytest.approx(
-        queries["q1"]["sim_s"], rel=1e-9)
