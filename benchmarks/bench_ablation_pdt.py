@@ -61,11 +61,11 @@ def test_pdt_merge_overhead_vs_volume(benchmark):
     for n_updates in (32, 256, 2048):
         trans = table.pdt[0].begin()
         dates = rng.integers(8000, 11000, n_updates).astype(np.int32)
-        table.insert_rows(0, {
+        table.insert_rows({
             "k": np.arange(10**6, 10**6 + n_updates),
             "d": dates,
             "v": np.zeros(n_updates, np.int64),
-        }, trans)
+        }, lambda _: trans)
         table.pdt[0].commit(trans)
         merged = scan_time(table)
         overheads.append(merged / base)
@@ -83,11 +83,11 @@ def test_pdt_propagation_tail_vs_full(benchmark):
     # tail-only: inserts appended at the end of an unordered table
     table = fresh_table(clustered=False)
     trans = table.pdt[0].begin()
-    table.insert_rows(0, {
+    table.insert_rows({
         "k": np.arange(10**6, 10**6 + 500),
         "d": np.full(500, 11_000, np.int32),
         "v": np.zeros(500, np.int64),
-    }, trans)
+    }, lambda _: trans)
     table.pdt[0].commit(trans)
     table.hdfs.registry.reset("hdfs_")
     t0 = time.perf_counter()
@@ -121,9 +121,9 @@ def test_pdt_propagation_tail_vs_full(benchmark):
 def _tail_round():
     table = fresh_table(clustered=False)
     trans = table.pdt[0].begin()
-    table.insert_rows(0, {
+    table.insert_rows({
         "k": np.arange(100), "d": np.full(100, 11_000, np.int32),
         "v": np.zeros(100, np.int64),
-    }, trans)
+    }, lambda _: trans)
     table.pdt[0].commit(trans)
     table.propagate(0)

@@ -44,7 +44,7 @@ from repro.storage.schema import TableSchema
 from repro.storage.table import StoredTable
 from repro.txn.manager import DistributedTransaction, TransactionManager
 from repro.txn.wal import WalManager
-from repro.workload import Session, WorkloadManager
+from repro.workload import WorkloadManager
 from repro.yarn.dbagent import DbAgent
 from repro.yarn.manager import ResourceManager
 
@@ -226,10 +226,6 @@ class VectorHCluster:
 
     # ------------------------------------------------------------------- queries
 
-    def session(self) -> Session:
-        """Open a client session on the workload manager."""
-        return self.workload.session()
-
     def serve(self):
         """Install (or return) the wire-protocol server frontend.
 
@@ -342,7 +338,7 @@ class VectorHCluster:
                 stored = self.tables[table]
                 store = stored.partitions[pid]
                 ranges = store.minmax.qualifying_ranges(
-                    stored._storage_predicates(preds), store.n_stable
+                    stored.storage_predicates(preds), store.n_stable
                 )
                 answers[f"{table}/{pid}"] = ranges
             if node != self.session_master:
@@ -358,47 +354,20 @@ class VectorHCluster:
     def insert(self, table: str, columns: Dict[str, np.ndarray],
                trans: Optional[DistributedTransaction] = None,
                force_pdt: bool = False) -> None:
-        """Insert rows. Unordered tables take large inserts as direct
-        appends; small inserts (or ``force_pdt``) buffer in PDTs -- "for
-        very small inserts this provides better performance (no IO)"."""
+        """Insert rows (engine values, as :meth:`bulk_load` takes them).
+        Unordered tables take large inserts as direct appends; small
+        inserts (or ``force_pdt``) buffer in PDTs -- "for very small
+        inserts this provides better performance (no IO)"."""
         stored = self.tables[table]
-        converted = stored.to_storage_columns({
-            name: columns[name] for name in stored.schema.column_names
-        })
-        arrays = {
-            name: np.asarray(converted[name],
-                             dtype=stored.schema.ctype(name).dtype)
-            for name in stored.schema.column_names
-        }
-        n = len(next(iter(arrays.values())))
-        if stored.schema.is_partitioned:
-            keys = [arrays[k] for k in stored.schema.partition_key]
-            pids = stored.schema.partition_ids(keys)
-        else:
-            pids = np.zeros(n, dtype=np.int64)
-
-        use_append = (not stored.schema.is_clustered and not force_pdt
-                      and n >= DIRECT_APPEND_THRESHOLD)
-        own_txn = trans is None
-        if use_append:
-            for pid in range(stored.n_partitions):
-                mask = pids == pid
-                if mask.any():
-                    stored.append_partition(
-                        pid, {k: v[mask] for k, v in arrays.items()},
-                        writer=self.responsible(table, pid),
-                    )
-            self.txn.bump_epoch(table)
+        n = len(columns[stored.schema.column_names[0]])
+        if (not stored.schema.is_clustered and not force_pdt
+                and n >= DIRECT_APPEND_THRESHOLD):
+            self.bulk_load(table, columns)
             return
+        own_txn = trans is None
         if own_txn:
             trans = self.begin()
-        for pid in range(stored.n_partitions):
-            mask = pids == pid
-            if mask.any():
-                stored.insert_rows(
-                    pid, {k: v[mask] for k, v in arrays.items()},
-                    trans.trans_for(table, pid),
-                )
+        stored.insert_rows(columns, lambda pid: trans.trans_for(table, pid))
         if own_txn:
             trans.commit()
 

@@ -94,7 +94,7 @@ class QueryCancelled(ExecutionError):
     """Raised by ``gather()`` when the query was cancelled before finishing.
 
     Carries the query id and the cancel reason (``"cancelled"`` for an
-    explicit :meth:`Session.cancel`, ``"timeout"`` when the per-query
+    explicit :meth:`WorkloadManager.cancel`, ``"timeout"`` when the per-query
     deadline expired on the simulated clock).
     """
 

@@ -41,10 +41,6 @@ class VwLoadOptions:
 def _parse_value(token: str, ctype, options: VwLoadOptions):
     if ctype.name in ("int32", "int64"):
         return int(token)
-    if ctype.name == "float64":
-        return float(token)
-    if ctype.name == "decimal":
-        return float(token)
     if ctype.name == "date":
         if options.date_format == "%Y-%m-%d":
             return date_to_days(token)
@@ -52,7 +48,7 @@ def _parse_value(token: str, ctype, options: VwLoadOptions):
                 - datetime.date(1970, 1, 1)).days
     if ctype.name == "bool":
         return token in ("1", "true", "t")
-    return token
+    return token if ctype.is_string else float(token)
 
 
 def parse_csv_bytes(data: bytes, schema: TableSchema,
@@ -87,18 +83,8 @@ def parse_csv_bytes(data: bytes, schema: TableSchema,
             continue
         for name, value in parsed.items():
             out[name].append(value)
-    columns: Dict[str, np.ndarray] = {}
-    for name in wanted:
-        ctype = schema.ctype(name)
-        if ctype.is_string:
-            arr = np.empty(len(out[name]), dtype=object)
-            arr[:] = out[name]
-            columns[name] = arr
-        elif ctype.name == "decimal":
-            columns[name] = np.asarray(out[name], dtype=np.float64)
-        else:
-            columns[name] = np.asarray(out[name], dtype=ctype.dtype)
-    return columns
+    return {name: schema.ctype(name).engine_array(out[name])
+            for name in wanted}
 
 
 @dataclass

@@ -227,16 +227,10 @@ class StreamingScan(Operator):
         return self.phys.describe()
 
     def _typed_empty(self) -> Batch:
-        """Zero-row batch with engine dtypes (decimals scan as float64)."""
-        table = self.cluster.table(self.phys.table)
-        cols = {}
-        for name in self.phys.columns:
-            if table._decimal_scale(name) is not None:
-                dtype = np.dtype(np.float64)
-            else:
-                dtype = table.schema.ctype(name).dtype
-            cols[name] = np.empty(0, dtype=dtype)
-        return Batch(cols, 0)
+        """Zero-row batch with engine dtypes."""
+        schema = self.cluster.table(self.phys.table).schema
+        return Batch({name: np.empty(0, dtype=schema.ctype(name).engine_dtype)
+                      for name in self.phys.columns}, 0)
 
     def _run(self):
         cluster = self.cluster
@@ -846,13 +840,17 @@ class MppExecutor:
         keys = phys.keys
         if phys.align_with is not None:
             # route with the aligned table's partition function and
-            # responsibility map, so rows land with their join partners
+            # responsibility map, so rows land with their join partners:
+            # the keys are hashed as that table's partition key stores them
             schema = self.cluster.table(phys.align_with).schema
+            key_types = [schema.ctype(k) for k in schema.partition_key]
             node_index = {w: i for i, w in enumerate(workers)}
             align_with = phys.align_with
 
             def destinations(batch: Batch) -> np.ndarray:
-                pids = schema.partition_ids([batch.columns[k] for k in keys])
+                pids = schema.partition_ids([
+                    ctype.to_storage(batch.columns[k])
+                    for ctype, k in zip(key_types, keys)])
                 out = np.empty(batch.n, dtype=np.int64)
                 for pid in np.unique(pids):
                     node = self.cluster.responsible(align_with, int(pid))

@@ -365,7 +365,8 @@ class ParallelRewriter:
         inner or semi join anyway; the scan is partitioned and only
         filters and column renames lie between the two, so both run on
         one stream and the build is finished before the scan's first
-        pull; the key is a column as stored (a DECIMAL is not); and the
+        pull; the key's engine dtype is its storage dtype (the member test
+        sees the column as stored, a DECIMAL's is not); and the
         build is more than a bare unfiltered scan, which under a
         foreign-key join holds every key there is."""
         build, node = join.children
@@ -384,8 +385,8 @@ class ParallelRewriter:
                 columns = [e.name for e in sources]
             node = node.children[0]
         if isinstance(node, P.PScan) and node.distribution.is_partitioned:
-            table = self.cluster.table(node.table)
-            if not any(table._decimal_scale(c) for c in columns):
+            ctypes = map(self.cluster.table(node.table).schema.ctype, columns)
+            if all(t.engine_dtype == t.dtype for t in ctypes):
                 node.key_filter = tuple(columns)
                 join.key_filter_scan = node
         return join

@@ -2,15 +2,17 @@
 
 The cluster describes itself through its own SQL engine:
 
-* **System tables** -- :class:`SystemCatalog` registers sixteen virtual
+* **System tables** -- :class:`SystemCatalog` registers fifteen virtual
   ``vh$`` tables (:data:`SYSTEM_TABLES`) whose partitions are live
   snapshots of the metrics registry, the HDFS block map, per-column
   compression statistics, PDT overlay sizes, the cluster event log, the
-  workload manager's query records (``vh$queries`` / ``vh$sessions``:
-  live queries plus the bounded ring of terminal ones, each terminal
-  one with its summary columns), the chaos controller's fault plan, the cardinality feedback store, the flight recorder's sampled
-  metric history and alert ledger, and the continuous profiler's
-  per-operator stats and top-k hot paths. A :class:`VirtualTable` quacks like a
+  workload manager's query records (``vh$queries``: live queries plus
+  the bounded ring of terminal ones, each terminal one with its summary
+  columns; ``session`` is the server connection, 0 for a library call),
+  the chaos controller's fault plan, the cardinality feedback store, the
+  flight recorder's sampled metric history and alert ledger, and the
+  continuous profiler's per-operator stats and top-k hot paths. A
+  :class:`VirtualTable` quacks like a
   :class:`~repro.storage.table.StoredTable` (schema, replication,
   ``scan_partition``), so the binder, rewriter and streaming executor
   treat them exactly like replicated base tables -- a ``SELECT`` against
@@ -74,9 +76,6 @@ class VirtualTable:
     def name(self) -> str:
         return self.schema.name
 
-    def _decimal_scale(self, name: str) -> Optional[int]:
-        return None
-
     def scan_partition(self, pid: int, columns: Sequence[str],
                        predicates: Sequence[Tuple[str, str, object]] = (),
                        trans=None, reader: Optional[str] = None,
@@ -90,16 +89,8 @@ class VirtualTable:
 
 def _columns_from_rows(schema: TableSchema,
                        rows: List[tuple]) -> Dict[str, np.ndarray]:
-    out: Dict[str, np.ndarray] = {}
-    for i, col in enumerate(schema.columns):
-        values = [r[i] for r in rows]
-        if col.ctype.is_string:
-            arr = np.empty(len(values), dtype=object)
-            arr[:] = [str(v) for v in values]
-        else:
-            arr = np.asarray(values, dtype=col.ctype.dtype)
-        out[col.name] = arr
-    return out
+    return {col.name: col.ctype.engine_array([r[i] for r in rows])
+            for i, col in enumerate(schema.columns)}
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +225,6 @@ def _faults_rows(cluster) -> List[tuple]:
     return rows
 
 
-def _sessions_rows(cluster) -> List[tuple]:
-    wm = cluster.workload
-    states = ("queued", "running", "finished", "cancelled", "failed")
-    per: Dict[int, Dict[str, int]] = {
-        sid: dict.fromkeys(states, 0) for sid in wm.sessions()
-    }
-    for rec in wm.query_records():
-        entry = per.setdefault(rec.session_id, dict.fromkeys(states, 0))
-        entry[rec.state] = entry.get(rec.state, 0) + 1
-    return [
-        (sid, sum(entry.values()),
-         entry["queued"], entry["running"], entry["finished"],
-         entry["cancelled"], entry["failed"])
-        for sid, entry in sorted(per.items())
-    ]
-
-
 def _tenants_rows(cluster) -> List[tuple]:
     """Per-tenant admission state: weights, quotas, WFQ pass values and
     lifetime admitted/finished counts. Wall-clock free, so twin
@@ -333,11 +307,6 @@ SYSTEM_TABLES = (
       ("target", STRING), ("param", FLOAT64), ("count", INT64),
       ("status", STRING), ("detail", STRING), ("invariant_ok", INT64)],
      _faults_rows),
-    ("vh$sessions",
-     [("session", INT64), ("queries", INT64), ("queued", INT64),
-      ("running", INT64), ("finished", INT64), ("cancelled", INT64),
-      ("failed", INT64)],
-     _sessions_rows),
     ("vh$plan_feedback",
      [("signature", STRING), ("estimated", FLOAT64),
       ("observed", FLOAT64), ("hits", INT64), ("updated", FLOAT64)],

@@ -115,14 +115,14 @@ class PendingResult:
 
 
 class ClientConnection:
-    """One simulated client: a session plus protocol state."""
+    """One simulated client and its protocol state; its ``conn_id`` is
+    the ``session`` of every query it submits."""
 
     def __init__(self, frontend: "ServerFrontend", conn_id: int,
                  tenant: str):
         self.frontend = frontend
         self.conn_id = conn_id
         self.tenant = tenant
-        self.session = frontend.cluster.workload.session()
         self.state = "open"
         self.opened_sim = frontend.cluster.sim_clock.seconds
         self.queries = 0
@@ -335,7 +335,7 @@ class ServerFrontend:
         plan = _SelectBinder(cluster, bound).plan()
         query_id = cluster.workload.submit(
             plan, tenant=conn.tenant,
-            session=conn.session.session_id, statement=sql,
+            session=conn.conn_id, statement=sql,
             fingerprint=fingerprint)
         conn.inflight.add(query_id)
         return PendingResult(self, conn, query_id=query_id,

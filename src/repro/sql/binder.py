@@ -363,18 +363,9 @@ def execute_statement(cluster, stmt, trans=None, tracer=None):
         columns = list(stmt.columns) or schema.column_names
         if any(len(row) != len(columns) for row in stmt.rows):
             raise SqlError("VALUES row width does not match column list")
-        arrays = {}
-        for i, name in enumerate(columns):
-            ctype = schema.ctype(name)
-            values = [row[i] for row in stmt.rows]
-            if ctype.is_string:
-                arr = np.empty(len(values), dtype=object)
-                arr[:] = [str(v) for v in values]
-            elif ctype.name == "decimal":
-                arr = np.asarray(values, dtype=np.float64)
-            else:
-                arr = np.asarray(values, dtype=ctype.dtype)
-            arrays[name] = arr
+        arrays = {name: schema.ctype(name).engine_array(
+                      [row[i] for row in stmt.rows])
+                  for i, name in enumerate(columns)}
         cluster.insert(stmt.table, arrays, trans=trans, force_pdt=True)
         return len(stmt.rows)
     if isinstance(stmt, ast.DeleteStatement):

@@ -74,7 +74,9 @@ class TableSchema:
         return bool(self.clustered_on)
 
     def partition_ids(self, key_arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorized partition assignment for rows of key columns."""
+        """Vectorized partition assignment for rows of key columns in
+        storage representation (``ColumnType.to_storage``), so a DECIMAL
+        key hashes its fixed-point integer wherever it is asked."""
         if not self.is_partitioned:
             return np.zeros(len(key_arrays[0]), dtype=np.int64)
         h = np.zeros(len(key_arrays[0]), dtype=np.int64)

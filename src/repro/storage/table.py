@@ -17,8 +17,6 @@ and may buffer small inserts as PDT tail inserts (paper section 6).
 
 from __future__ import annotations
 
-import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
@@ -28,7 +26,6 @@ import numpy as np
 
 from repro.common.config import Config
 from repro.common.errors import StorageError
-from repro.common.types import ColumnType
 from repro.engine.batch import order_key
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
@@ -149,37 +146,21 @@ class StoredTable:
     def partition_tag(self, pid: int) -> str:
         return f"{self.schema.name}/part-{pid:04d}"
 
-    # ------------------------------------------------------- decimal handling
+    # --------------------------------------------- storage representation
     #
-    # DECIMAL columns are stored as fixed-point int64 (so the lightweight
-    # integer compression schemes apply, as in Vectorwise) but surface as
-    # float64 vectors at the scan boundary; writes convert back. Skip
-    # predicates and MinMax work on the storage representation.
-
-    def _decimal_scale(self, name: str) -> Optional[int]:
-        ctype = self.schema.ctype(name)
-        if ctype.name == "decimal":
-            return 10 ** ctype.scale
-        return None
+    # Every public write takes engine values (what a SELECT returns) and
+    # converts each exactly once, here; below this boundary -- blocks,
+    # partition ids, MinMax, PDT entries, the scan filter -- values are
+    # in storage representation (``ColumnType`` owns the conversion).
 
     def to_storage_columns(self, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        out = {}
-        for name, arr in columns.items():
-            arr = np.asarray(arr)
-            scale = self._decimal_scale(name)
-            if scale is not None and arr.dtype.kind == "f":
-                arr = np.round(arr * scale).astype(np.int64)
-            out[name] = arr
-        return out
+        """Engine ``columns`` in storage representation."""
+        return {name: self.schema.ctype(name).to_storage(values)
+                for name, values in columns.items()}
 
-    def _from_storage(self, name: str, arr: np.ndarray) -> np.ndarray:
-        scale = self._decimal_scale(name)
-        if scale is not None:
-            return arr.astype(np.float64) / scale
-        return arr
-
-    def _storage_predicates(self, predicates):
-        """The triples as the storage representation compares them.
+    def storage_predicates(self, predicates):
+        """The ``(col, op, literal)`` triples as the storage representation
+        compares them.
 
         Never stricter than SQL: a triple the storage type cannot answer
         exactly or more loosely (unknown operator, literal of another
@@ -189,10 +170,30 @@ class StoredTable:
         fixed = []
         for col, op, literal in predicates:
             if op in OPS:
-                literal = _storage_literal(self.schema.ctype(col), op, literal)
+                literal = self.schema.ctype(col).storage_literal(op, literal)
                 if literal is not None:
                     fixed.append((col, op, literal))
         return fixed
+
+    def _partitioned(self, columns: Dict[str, np.ndarray]):
+        """Engine rows (every schema column) as stored, split by the
+        partition their key hashes to: ``(pid, columns)`` for each
+        partition that gets rows."""
+        ctype = self.schema.ctype
+        arrays = {
+            name: np.asarray(ctype(name).to_storage(columns[name]),
+                             dtype=ctype(name).dtype)
+            for name in self.schema.column_names
+        }
+        if self.schema.is_partitioned:
+            pids = self.schema.partition_ids(
+                [arrays[k] for k in self.schema.partition_key])
+        else:
+            pids = np.zeros(len(next(iter(arrays.values()))), dtype=np.int64)
+        for pid in range(self.n_partitions):
+            mask = pids == pid
+            if mask.any():
+                yield pid, {name: arr[mask] for name, arr in arrays.items()}
 
     def _record_minmax(self, store: PartitionStore,
                        ranges: Sequence[Tuple[int, int]],
@@ -212,28 +213,14 @@ class StoredTable:
 
     def bulk_load(self, columns: Dict[str, np.ndarray],
                   writers: Optional[Dict[int, str]] = None) -> None:
-        """Initial bulk load: hash-partition rows, sort clustered partitions.
+        """Write engine rows straight into the column store: hash-partition
+        them, sort clustered partitions, append (the initial load, and
+        the direct append of a large insert into an unordered table).
 
         Clustered tables only accept bulk loads into empty partitions;
         later inserts must go through PDTs (:meth:`insert_rows`).
         """
-        converted = self.to_storage_columns(columns)
-        arrays = {
-            name: np.asarray(converted[name],
-                             dtype=self.schema.ctype(name).dtype)
-            for name in self.schema.column_names
-        }
-        n = len(next(iter(arrays.values())))
-        if self.schema.is_partitioned:
-            keys = [arrays[k] for k in self.schema.partition_key]
-            pids = self.schema.partition_ids(keys)
-        else:
-            pids = np.zeros(n, dtype=np.int64)
-        for pid in range(self.n_partitions):
-            mask = pids == pid
-            if not mask.any():
-                continue
-            part_cols = {name: arr[mask] for name, arr in arrays.items()}
+        for pid, part_cols in self._partitioned(columns):
             if self.schema.is_clustered:
                 if self.partitions[pid].n_stable:
                     raise StorageError(
@@ -245,13 +232,6 @@ class StoredTable:
             writer = writers.get(pid) if writers else None
             self.partitions[pid].append(part_cols, writer)
             self._cluster_key_cache.pop(pid, None)
-
-    def append_partition(self, pid: int, columns: Dict[str, np.ndarray],
-                         writer: Optional[str] = None) -> None:
-        """Direct append (unordered tables; large inserts bypass PDTs)."""
-        if self.schema.is_clustered:
-            raise StorageError("clustered tables update through PDTs")
-        self.partitions[pid].append(self.to_storage_columns(columns), writer)
 
     # -------------------------------------------------------------------- scans
 
@@ -288,7 +268,7 @@ class StoredTable:
            filtering.
 
         The filter is never stricter than SQL (see
-        :meth:`_storage_predicates`) but may be looser: the engine's
+        :meth:`storage_predicates`) but may be looser: the engine's
         Select above the scan still applies every conjunct.
 
         ``key_filter`` -- ``(columns, member)``, from a join above whose
@@ -301,7 +281,7 @@ class StoredTable:
         """
         store = self.partitions[pid]
         entries = self.pdt[pid].scan_entries(trans)
-        triples = self._storage_predicates(predicates)
+        triples = self.storage_predicates(predicates)
         with kernel("scan.minmax"):
             ranges = store.minmax.qualifying_ranges(triples, store.n_stable)
 
@@ -383,7 +363,8 @@ class StoredTable:
         if may_disorder:
             result = _resort_clustered(result, self.schema.clustered_on)
         result.columns = {
-            c: self._from_storage(c, result.columns[c]) for c in requested
+            c: self.schema.ctype(c).from_storage(result.columns[c])
+            for c in requested
         }
         result.key_filtered = key_filtered
         return result
@@ -397,28 +378,23 @@ class StoredTable:
 
     # ------------------------------------------------------------------ updates
 
-    def insert_rows(self, pid: int, rows: Dict[str, np.ndarray],
-                    trans: TransPdt) -> List[int]:
-        """Trickle-insert rows through the Trans-PDT; returns their uids."""
-        converted = self.to_storage_columns(rows)
-        arrays = {
-            name: np.asarray(converted[name],
-                             dtype=self.schema.ctype(name).dtype)
-            for name in self.schema.column_names
-        }
-        n = len(next(iter(arrays.values())))
-        store = self.partitions[pid]
-        if self.schema.is_clustered:
-            anchors = self._cluster_anchors(pid, arrays)
-        else:
-            anchors = np.full(n, store.n_stable, dtype=np.int64)
-        uids = []
-        for i in range(n):
-            values = {name: arrays[name][i] for name in arrays}
-            uids.append(trans.insert(int(anchors[i]), values))
-        for name, values in arrays.items():
-            store.minmax.widen_batch(name, anchors, values)
-        return uids
+    def insert_rows(self, rows: Dict[str, np.ndarray],
+                    trans_for: Callable[[int], TransPdt]) -> None:
+        """Trickle-insert engine rows, each through the Trans-PDT
+        ``trans_for(pid)`` of the partition its key hashes to."""
+        for pid, arrays in self._partitioned(rows):
+            trans = trans_for(pid)
+            n = len(next(iter(arrays.values())))
+            store = self.partitions[pid]
+            if self.schema.is_clustered:
+                anchors = self._cluster_anchors(pid, arrays)
+            else:
+                anchors = np.full(n, store.n_stable, dtype=np.int64)
+            for i in range(n):
+                trans.insert(int(anchors[i]),
+                             {name: arrays[name][i] for name in arrays})
+            for name, values in arrays.items():
+                store.minmax.widen_batch(name, anchors, values)
 
     def delete_rows(self, pid: int, identities: np.ndarray,
                     trans: TransPdt) -> int:
@@ -533,39 +509,6 @@ class StoredTable:
 
 
 # ------------------------------------------------------------------ helpers
-
-def _storage_literal(ctype: ColumnType, op: str, literal):
-    """``literal`` as ``ctype``'s storage representation compares it, or
-    None when no storage-side term is both possible and at least as loose.
-
-    Integer-like storage (ints, dates, fixed-point decimals) compares
-    whole numbers, the engine compares ``stored / scale`` with the literal
-    as floats; the threshold returned keeps exactly the stored values the
-    engine would keep -- ``qty < 0.025`` at scale 100 becomes ``< 3``,
-    never ``< 2``.
-    """
-    if ctype.is_string:
-        return literal if isinstance(literal, str) else None
-    is_bool = isinstance(literal, (bool, np.bool_))
-    if is_bool or not isinstance(literal, numbers.Real):
-        return literal if is_bool and ctype.name == "bool" else None
-    if not ctype.is_integer:
-        return literal
-    scale = 10 ** ctype.scale if ctype.name == "decimal" else 1
-    if isinstance(literal, numbers.Integral):
-        return int(literal) * scale
-    if not abs(literal * scale) < 2 ** 53:  # also NaN
-        return None
-    # smallest stored value the engine sees as >= literal
-    least = math.floor(literal * scale)
-    while least / scale < literal:
-        least += 1
-    while (least - 1) / scale >= literal:
-        least -= 1
-    if op in ("<", ">=") or least / scale == literal:
-        return least
-    return None if op == "=" else least - 1
-
 
 def _row_masks(columns, triples, key_filter, n_rows: int):
     """Rows (of row-aligned ``columns``) satisfying every triple and the

@@ -18,7 +18,9 @@ This package refactors that control loop around *many* live queries:
   candidate fits under the per-node core slots (from the YARN footprint
   dbAgent holds) and the per-node memory budget next to the live usage
   of the running queries.
-* :class:`Session` -- a client handle: ``submit``/``gather``/``cancel``.
+
+A client is a server connection (:mod:`repro.server`); the manager
+records its id as each query's ``session``.
 """
 
 from repro.workload.manager import (
@@ -26,7 +28,6 @@ from repro.workload.manager import (
     STRIDE1,
     AdmissionController,
     QueryRecord,
-    Session,
     TenantState,
     WorkloadManager,
     estimate_query_memory,
@@ -37,7 +38,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "QueryRecord",
     "STRIDE1",
-    "Session",
     "TenantState",
     "WorkloadManager",
     "estimate_query_memory",

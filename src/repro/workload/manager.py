@@ -80,8 +80,8 @@ from repro.mpp.plan import QueryPlan
 from repro.mpp.rewriter import ParallelRewriter
 from repro.obs import Counter, Span, span_from_profile
 
-#: terminal queries kept (as one flat row each) for ``vh$queries``,
-#: ``vh$sessions`` and the reports; the oldest falls off the ring and is
+#: terminal queries kept (as one flat row each) for ``vh$queries`` and
+#: the reports; the oldest falls off the ring and is
 #: counted in ``query_log_dropped_total``
 QUERY_RING_CAPACITY = 4096
 
@@ -313,29 +313,6 @@ class TenantState:
         return STRIDE1 // max(1, self.weight)
 
 
-class Session:
-    """A client's handle on the workload manager."""
-
-    def __init__(self, manager: "WorkloadManager", session_id: int):
-        self.manager = manager
-        self.session_id = session_id
-        self.query_ids: List[int] = []
-
-    def submit(self, plan, **kwargs) -> int:
-        qid = self.manager.submit(plan, session=self.session_id, **kwargs)
-        self.query_ids.append(qid)
-        return qid
-
-    def gather(self, query_id: int) -> QueryResult:
-        return self.manager.gather(query_id)
-
-    def cancel(self, query_id: int) -> bool:
-        return self.manager.cancel(query_id)
-
-    def query(self, plan, **kwargs) -> QueryResult:
-        return self.gather(self.submit(plan, **kwargs))
-
-
 class WorkloadManager:
     """Concurrent, admission-controlled multi-query scheduling."""
 
@@ -365,8 +342,6 @@ class WorkloadManager:
         self._wfq_clock = 0
         self._running: List[int] = []  # qids with a live QueryRun
         self._query_ids = itertools.count(1)
-        self._session_ids = itertools.count(1)
-        self._sessions: Dict[int, Session] = {}
         #: callables invoked at the top of every :meth:`step` round (the
         #: chaos controller's tick hangs here; hooks may fail nodes and
         #: unwind running queries -- the round guards against both)
@@ -465,9 +440,6 @@ class WorkloadManager:
         """True while the query is queued or running."""
         return query_id in self._live
 
-    def sessions(self) -> Dict[int, Session]:
-        return dict(self._sessions)
-
     # -------------------------------------------------------------- tenants
 
     def register_tenant(self, name: str, weight: int = 1, priority: int = 0,
@@ -495,14 +467,6 @@ class WorkloadManager:
         self._update_gauges()
         return state
 
-    # ------------------------------------------------------------- sessions
-
-    def session(self) -> Session:
-        sid = next(self._session_ids)
-        session = Session(self, sid)
-        self._sessions[sid] = session
-        return session
-
     # --------------------------------------------------------------- submit
 
     def submit(self, plan, flags=None, trans=None,
@@ -525,9 +489,10 @@ class WorkloadManager:
         budget measured from submission; ``memory_estimate`` overrides
         the plan-derived per-node admission estimate. ``tenant`` routes
         the query to that tenant's admission queue (unknown tenants are
-        auto-registered with weight 1). ``fingerprint`` overrides the
-        query log's statement fingerprint so all executions of one
-        prepared statement aggregate as a single entry.
+        auto-registered with weight 1). ``session`` is the submitting
+        server connection's id (0 for a library call). ``fingerprint``
+        overrides the query log's statement fingerprint so all
+        executions of one prepared statement aggregate as a single entry.
         """
         cluster = self.cluster
         qid = next(self._query_ids)

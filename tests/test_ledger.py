@@ -5,9 +5,9 @@ from submission to eviction. Reaching a terminal state folds its summary
 scalars into the record and drops the plan, the snapshot transaction,
 the operator tree and the span tree; the result (or the failure's
 exception) is handed to the first ``gather``; terminal records live in
-one bounded ring that ``vh$queries`` and ``vh$sessions`` project. These
-tests pin the residue (zero growth per statement once the rings are
-full), the ring's semantics, and that the tables agree.
+one bounded ring that ``vh$queries`` projects. These tests pin the
+residue (zero growth per statement once the rings are full), the ring's
+semantics, and that the table agrees with it.
 """
 
 from __future__ import annotations
@@ -178,27 +178,27 @@ class TestRing:
 
     def test_the_query_tables_project_one_ring(self):
         c = _cluster(workload_max_concurrent=2)
-        s1, s2 = c.session(), c.session()
-        s1.query(_sum_plan())
-        victim = s2.submit(_sort_plan())
+        srv = c.serve()
+        c1, c2 = srv.connect(), srv.connect()
+        c1.simple_query(f"SELECT sum(b) AS s FROM t WHERE a < {N_ROWS}")
+        sort_sql = f"SELECT a, b FROM t WHERE a < {N_ROWS} ORDER BY a"
+        victim = c2.query_async(sort_sql).query_id
         c.workload.step()
         c.workload.cancel(victim)
         execute_sql(c, "SELECT count(*) AS n FROM t WHERE a < 10")
-        live = s2.submit(_sort_plan())  # still running while we look
+        # still running while we look
+        live = c2.query_async(sort_sql).query_id
         c.workload.step()
 
-        def table(name, columns):
+        def look(select, group_by=""):
             # each look is itself a logged query: keep the ones before it
-            batch = c.query(LScan(name, columns)).batch
-            rows = zip(*(batch.columns[col].tolist() for col in columns))
-            return [row for row in rows
-                    if name == "vh$sessions" or row[0] <= live]
+            batch = execute_sql(c, f"SELECT {select} FROM vh$queries "
+                                   f"WHERE query <= {live}{group_by}")
+            return list(zip(*(col.tolist()
+                              for col in batch.columns.values())))
 
-        queries = table("vh$queries", ["query", "session", "state",
-                                       "retries", "sim_ms", "fingerprint",
-                                       "rows", "dominant", "tenant"])
-        sessions = table("vh$sessions", ["session", "queries", "running",
-                                         "finished", "cancelled"])
+        queries = look("query, session, state, retries, sim_ms, "
+                       "fingerprint, rows, dominant, tenant")
         # the log is the terminal subset of vh$queries: the ring, with
         # the summary each record got at its terminal state
         log = [row for row in queries
@@ -210,18 +210,19 @@ class TestRing:
         assert log == sorted(ring) and len(log) == 3
         assert all(row[5] for row in log)
         assert all(row[7] for row in log if row[2] == "finished")
-        # a live query has its row already, the summary still blank
-        assert {row[0]: row[2:] for row in queries}[live] == (
-            "running", 0, pytest.approx(0.0, abs=1e9), "", 0, "", "default")
+        # a live query has its row already, the summary still blank (a
+        # server statement's fingerprint is known at submission)
+        live_row = {row[0]: row for row in queries}[live]
+        assert live_row[2:5] == ("running", 0, pytest.approx(0.0, abs=1e9))
+        assert live_row[6:] == (0, "", "default")
         assert sum(row[2] == "running" for row in queries) == 1
-        # and vh$sessions counts the same records per session
+        # per-session counts are a GROUP BY over the same records; a
+        # query's session is its connection, a library call's 0
         per_session = Counter((row[1], row[2]) for row in queries)
-        assert {row[0] for row in sessions} == {
-            0, s1.session_id, s2.session_id}
-        for sid, n, running, finished, cancelled in sessions[1:]:
-            assert n == sum(v for (s, _), v in per_session.items()
-                            if s == sid)
-            assert (running, finished, cancelled) == tuple(
-                per_session[(sid, state)]
-                for state in ("running", "finished", "cancelled"))
+        assert per_session == {
+            (c1.conn_id, "finished"): 1, (c2.conn_id, "cancelled"): 1,
+            (c2.conn_id, "running"): 1, (0, "finished"): 1}
+        grouped = look("session, state, count(*) AS n",
+                       " GROUP BY session, state")
+        assert {(s, state): n for s, state, n in grouped} == per_session
         c.gather(live)

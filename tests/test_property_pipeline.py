@@ -199,7 +199,7 @@ def _new_rows(rng, count, n):
 
 def _apply_updates(table, trans, rng, n, n_ins, n_mod, n_del):
     if n_ins:
-        table.insert_rows(0, _new_rows(rng, n_ins, n), trans)
+        table.insert_rows(_new_rows(rng, n_ins, n), lambda _: trans)
     image = table.scan_merged(0, ["k"], trans=trans)
     if n_mod and image.n_rows:
         hit = rng.choice(image.n_rows, min(n_mod, image.n_rows),

@@ -29,7 +29,6 @@ from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
 from repro.sql import execute_sql
 from repro.storage import Column, StoredTable, TableSchema, colstore
 from repro.storage.minmax import OPS
-from repro.storage.table import _storage_literal
 
 OPERATORS = sorted(OPS)
 
@@ -149,21 +148,21 @@ class TestPatchedDecode:
 class TestStorageLiteral:
     def test_decimal_rounds_in_the_loosening_direction(self):
         dec = DECIMAL  # scale 2
-        assert _storage_literal(dec, "<", 0.025) == 3
-        assert _storage_literal(dec, ">=", 0.025) == 3
-        assert _storage_literal(dec, "<=", 0.025) == 2
-        assert _storage_literal(dec, ">", 0.025) == 2
-        assert _storage_literal(dec, "=", 0.025) is None
-        assert _storage_literal(dec, ">", 0.015) == 1
-        assert _storage_literal(dec, "<", -0.025) == -2
+        assert dec.storage_literal("<", 0.025) == 3
+        assert dec.storage_literal(">=", 0.025) == 3
+        assert dec.storage_literal("<=", 0.025) == 2
+        assert dec.storage_literal(">", 0.025) == 2
+        assert dec.storage_literal("=", 0.025) is None
+        assert dec.storage_literal(">", 0.015) == 1
+        assert dec.storage_literal("<", -0.025) == -2
 
     @pytest.mark.parametrize("op", OPERATORS)
     def test_representable_products_are_that_integer(self, op):
         # 0.07 * 100 == 7.000000000000001, 0.29 * 100 == 28.999999999999996
-        assert _storage_literal(DECIMAL, op, 0.07) == 7
-        assert _storage_literal(DECIMAL, op, 0.29) == 29
-        assert _storage_literal(DECIMAL, op, 24) == 2400
-        assert _storage_literal(DECIMAL, op, 24.0) == 2400
+        assert DECIMAL.storage_literal(op, 0.07) == 7
+        assert DECIMAL.storage_literal(op, 0.29) == 29
+        assert DECIMAL.storage_literal(op, 24) == 2400
+        assert DECIMAL.storage_literal(op, 24.0) == 2400
 
     @given(st.floats(-1e6, 1e6), st.sampled_from(OPERATORS),
            st.sampled_from([0, 2, 4]))
@@ -174,7 +173,7 @@ class TestStorageLiteral:
         where one exists, nothing else)."""
         ctype = DECIMAL.with_scale(digits) if digits else INT64
         scale = 10 ** digits
-        term = _storage_literal(ctype, op, literal)
+        term = ctype.storage_literal(op, literal)
         around = int(literal * scale)
         stored = np.arange(around - 3, around + 4, dtype=np.int64)
         engine = OPS[op](stored.astype(np.float64) / scale, literal)
@@ -184,15 +183,15 @@ class TestStorageLiteral:
             assert np.array_equal(OPS[op](stored, term), engine)
 
     def test_incomparable_literals_make_no_term(self):
-        assert _storage_literal(INT64, "<", "abc") is None
-        assert _storage_literal(STRING, "=", 3) is None
-        assert _storage_literal(INT64, "=", True) is None
-        assert _storage_literal(DECIMAL, "<", float("nan")) is None
-        assert _storage_literal(DECIMAL, "<", float("inf")) is None
-        assert _storage_literal(INT64, "=", None) is None
-        assert _storage_literal(STRING, ">=", "m") == "m"
-        assert _storage_literal(FLOAT64, "<", 2.5) == 2.5
-        assert _storage_literal(INT64, "<", np.int64(7)) == 7
+        assert INT64.storage_literal("<", "abc") is None
+        assert STRING.storage_literal("=", 3) is None
+        assert INT64.storage_literal("=", True) is None
+        assert DECIMAL.storage_literal("<", float("nan")) is None
+        assert DECIMAL.storage_literal("<", float("inf")) is None
+        assert INT64.storage_literal("=", None) is None
+        assert STRING.storage_literal(">=", "m") == "m"
+        assert FLOAT64.storage_literal("<", 2.5) == 2.5
+        assert INT64.storage_literal("<", np.int64(7)) == 7
 
 
 # --------------------------------------------------- DECIMAL through SQL
@@ -312,10 +311,10 @@ class TestScanPartitionFilter:
         rows["d"][:] = 8000
         t.bulk_load(rows)
         trans = t.pdt[0].begin()
-        t.insert_rows(0, {"k": np.array([2001]),
-                          "d": np.array([9000], np.int32),
-                          "price": np.array([1.25]),
-                          "s": _obj(["new"])}, trans)
+        t.insert_rows({"k": np.array([2001]),
+                       "d": np.array([9000], np.int32),
+                       "price": np.array([1.25]),
+                       "s": _obj(["new"])}, lambda _: trans)
         inside = t.scan_partition(0, ["k", "s"], [("d", ">", 8500)],
                                   trans=trans)
         assert inside.columns["k"].tolist() == [2001]
@@ -354,10 +353,10 @@ class TestScanPartitionFilter:
         rows["d"] = (8000 + np.arange(3000) // 500).astype(np.int32)
         t.bulk_load(rows)
         trans = t.pdt[0].begin()
-        t.insert_rows(0, {"k": np.array([5001]),
-                          "d": np.array([8005], np.int32),
-                          "price": np.array([1.25]),
-                          "s": _obj(["new"])}, trans)
+        t.insert_rows({"k": np.array([5001]),
+                       "d": np.array([8005], np.int32),
+                       "price": np.array([1.25]),
+                       "s": _obj(["new"])}, lambda _: trans)
         t.pdt[0].commit(trans)
         trans = t.pdt[0].begin()
         image = t.scan_merged(0, ["k"], trans=trans)

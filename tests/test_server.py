@@ -93,8 +93,6 @@ class TestOneExecutionPath:
     ENTRY_POINTS = {
         "cluster.query":
             lambda c, srv, sql: c.query(_bound(c, sql)).batch,
-        "session.query":
-            lambda c, srv, sql: c.session().query(_bound(c, sql)).batch,
         "planned":
             lambda c, srv, sql: c.query(
                 ParallelRewriter(c).plan(_bound(c, sql))).batch,

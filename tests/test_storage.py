@@ -198,11 +198,6 @@ class TestStoredTable:
         out = t.scan_merged(0, ["d"]).columns["d"]
         assert (np.diff(out) >= 0).all()
 
-    def test_clustered_direct_append_rejected(self, hdfs, config):
-        t = self.make_table(hdfs, config, clustered_on=("d",))
-        with pytest.raises(StorageError):
-            t.append_partition(0, self.columns(10))
-
     def test_bulk_load_into_clustered_nonempty_rejected(self, hdfs, config):
         t = self.make_table(hdfs, config, clustered_on=("d",))
         t.bulk_load(self.columns(100))
@@ -213,10 +208,10 @@ class TestStoredTable:
         t = self.make_table(hdfs, config, clustered_on=("d",))
         t.bulk_load(self.columns(1000))
         trans = t.pdt[0].begin()
-        t.insert_rows(0, {"k": np.array([10**6]),
-                          "d": np.array([8500], np.int32),
-                          "price": np.array([9.99]),
-                          "s": np.array(["new"], object)}, trans)
+        t.insert_rows({"k": np.array([10**6]),
+                       "d": np.array([8500], np.int32),
+                       "price": np.array([9.99]),
+                       "s": np.array(["new"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
         res = t.scan_merged(0, ["k", "d"])
         assert 10**6 in res.columns["k"]
@@ -231,10 +226,10 @@ class TestStoredTable:
         t.bulk_load(self.columns(100))
         for key, day in ((10**6, 9500), (10**6 + 1, 9200)):
             trans = t.pdt[0].begin()
-            t.insert_rows(0, {"k": np.array([key]),
-                              "d": np.array([day], np.int32),
-                              "price": np.array([1.0]),
-                              "s": np.array(["new"], object)}, trans)
+            t.insert_rows({"k": np.array([key]),
+                           "d": np.array([day], np.int32),
+                           "price": np.array([1.0]),
+                           "s": np.array(["new"], object)}, lambda _: trans)
             t.pdt[0].commit(trans)
         for _ in range(2):  # merged from the PDT, then read from blocks
             res = t.scan_merged(0, ["k", "d"])
@@ -296,10 +291,10 @@ class TestStoredTable:
         t = self.make_table(hdfs, config, clustered_on=("d",))
         t.bulk_load(self.columns(5000))
         trans = t.pdt[0].begin()
-        t.insert_rows(0, {"k": np.array([777777]),
-                          "d": np.array([8100], np.int32),
-                          "price": np.array([1.0]),
-                          "s": np.array(["x"], object)}, trans)
+        t.insert_rows({"k": np.array([777777]),
+                       "d": np.array([8100], np.int32),
+                       "price": np.array([1.0]),
+                       "s": np.array(["x"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
         res = t.scan_partition(0, ["k", "d"], predicates=[("d", "=", 8100)])
         assert 777777 in res.columns["k"]
@@ -308,10 +303,10 @@ class TestStoredTable:
         t = self.make_table(hdfs, config)  # unordered
         t.bulk_load(self.columns(500))
         trans = t.pdt[0].begin()
-        t.insert_rows(0, {"k": np.array([10**7]),
-                          "d": np.array([8100], np.int32),
-                          "price": np.array([5.0]),
-                          "s": np.array(["t"], object)}, trans)
+        t.insert_rows({"k": np.array([10**7]),
+                       "d": np.array([8100], np.int32),
+                       "price": np.array([5.0]),
+                       "s": np.array(["t"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
         assert t.propagate(0) == "tail"
         trans = t.pdt[0].begin()
@@ -328,10 +323,10 @@ class TestStoredTable:
         trans = t.pdt[0].begin()
         res = t.scan_merged(0, ["k"], trans=trans)
         t.delete_rows(0, res.identities[5:25], trans)
-        t.insert_rows(0, {"k": np.array([10**6]),
-                          "d": np.array([8500], np.int32),
-                          "price": np.array([1.5]),
-                          "s": np.array(["n"], object)}, trans)
+        t.insert_rows({"k": np.array([10**6]),
+                       "d": np.array([8500], np.int32),
+                       "price": np.array([1.5]),
+                       "s": np.array(["n"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
         before = t.scan_merged(0, ["k", "d", "price", "s"])
         t.propagate(0)
@@ -348,10 +343,10 @@ class TestStoredTable:
         t.delete_rows(0, res.identities[5:25], trans)
         t.modify_rows(0, res.identities[40:41],
                       {"price": np.array([777.0])}, trans)
-        t.insert_rows(0, {"k": np.array([10**6]),
-                          "d": np.array([8500], np.int32),
-                          "price": np.array([1.5]),
-                          "s": np.array(["n"], object)}, trans)
+        t.insert_rows({"k": np.array([10**6]),
+                       "d": np.array([8500], np.int32),
+                       "price": np.array([1.5]),
+                       "s": np.array(["n"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
         return hdfs, t
 
@@ -405,10 +400,10 @@ class TestStoredTable:
         assert not t.needs_propagation(0)
         trans = t.pdt[0].begin()
         for i in range(30):  # > 10% of 100 stable rows
-            t.insert_rows(0, {"k": np.array([10**6 + i]),
-                              "d": np.array([8100], np.int32),
-                              "price": np.array([1.0]),
-                              "s": np.array(["x"], object)}, trans)
+            t.insert_rows({"k": np.array([10**6 + i]),
+                           "d": np.array([8100], np.int32),
+                           "price": np.array([1.0]),
+                           "s": np.array(["x"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
         assert t.needs_propagation(0)
 

@@ -4,10 +4,11 @@ A hypothesis state machine drives one clustered ``StoredTable`` (STRING,
 INT64, DATE and DECIMAL columns, blocks of a few dozen rows so every
 column has several) through insert / delete / modify / commit / abort /
 tail flush / forced propagation / filtered scan (with or without a join's
-key set as one more conjunct). The model is a plain list
-of rows. After every step the committed image -- and the open
-transaction's, if there is one -- must hold the model's rows, in cluster
-order; a filtered scan must return exactly the model's qualifying rows, so
+key set as one more conjunct). The model is a plain list of rows in
+engine values; DECIMAL prices are written as Python floats and as Python
+ints, and either must read back as written. After every step the
+committed image -- and the open transaction's, if there is one -- must
+hold the model's rows, in cluster order; a filtered scan must return exactly the model's qualifying rows, so
 MinMax (widened by every insert and modify, aborted ones included) never
 prunes one.
 
@@ -37,13 +38,15 @@ NAMES = ["k", "d", "price", "s"]
 WORDS = ["MAIL", "SHIP", "RAIL", "AIR", "", "Zürich", "日本", "TRUCK"]
 
 days = st.integers(8000, 8060)
-cents = st.integers(100, 99999)
+#: a DECIMAL as a writer hands it over: a float of cents, or a whole number
+prices = st.integers(100, 99999).map(lambda cents: cents / 100) \
+    | st.integers(1, 999)
 words = st.sampled_from(WORDS) | st.text("abc", max_size=3)
 #: what the table is loaded with: 16 of them a block, which two entries
 #: and sixteen 1-bit codes hold without an exception at a fraction of RAW
 #: (so LZ is not even tried) -- every block PDICT
 loaded_words = st.sampled_from(["DELIVER IN PERSON", "Zürich-Flughafen"])
-new_rows = st.lists(st.tuples(days, cents, words), min_size=1, max_size=12)
+new_rows = st.lists(st.tuples(days, prices, words), min_size=1, max_size=12)
 picks = st.lists(st.integers(0, 10**6), min_size=1, max_size=6)
 
 
@@ -55,7 +58,9 @@ def small_blocks() -> Config:
 
 
 class ClusteredTableMachine(RuleBasedStateMachine):
-    """Rows are ``(k, d, price in cents, s)``; ``k`` is never reused."""
+    """Rows are ``(k, d, price, s)`` as the engine sees them (``price``
+    an int or a float: both read back as the float of equal value);
+    ``k`` is never reused."""
 
     def __init__(self):
         super().__init__()
@@ -90,14 +95,14 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         k, d, price, s = zip(*rows)
         return {"k": np.array(k, dtype=np.int64),
                 "d": np.array(d, dtype=np.int32),
-                "price": np.array(price, dtype=np.int64) / 100,
+                "price": np.array(price),
                 "s": np.array(s, dtype=object)}
 
     @staticmethod
     def _as_rows(result):
         cols = result.columns
         return list(zip(cols["k"].tolist(), cols["d"].tolist(),
-                        np.round(cols["price"] * 100).astype(int).tolist(),
+                        cols["price"].tolist(),
                         cols["s"].tolist()))
 
     def _begin(self):
@@ -113,7 +118,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
 
     # ------------------------------------------------------------------ rules
 
-    @initialize(values=st.lists(st.tuples(days, cents, loaded_words),
+    @initialize(values=st.lists(st.tuples(days, prices, loaded_words),
                                 min_size=64, max_size=160))
     def bulk_load(self, values):
         # whole blocks only (a trailing block of a few rows would be RAW):
@@ -127,16 +132,16 @@ class ClusteredTableMachine(RuleBasedStateMachine):
     def insert(self, values):
         self._begin()
         rows = self._rows(values)
-        self.table.insert_rows(0, self._columns(rows), self.trans)
+        self.table.insert_rows(self._columns(rows), lambda _: self.trans)
         self.pending += rows
 
-    @rule(count=st.integers(1, 5), price=cents, s=words)
+    @rule(count=st.integers(1, 5), price=prices, s=words)
     def insert_past_the_end(self, count, price, s):
         """Rows whose cluster key is past every stable one: tail inserts."""
         self._begin()
         last = max((d for _, d, _, _ in self.pending), default=8000)
         rows = self._rows([(last + 1 + i, price, s) for i in range(count)])
-        self.table.insert_rows(0, self._columns(rows), self.trans)
+        self.table.insert_rows(self._columns(rows), lambda _: self.trans)
         self.pending += rows
 
     @precondition(lambda self: self.pending if self.trans else self.committed)
@@ -148,14 +153,14 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         self.pending = [r for r in self.pending if r[0] not in keys]
 
     @precondition(lambda self: self.pending if self.trans else self.committed)
-    @rule(picked=picks, price=cents, s=words)
+    @rule(picked=picks, price=prices, s=words)
     def modify(self, picked, price, s):
         self._begin()
         identities, keys = self._identities_of(picked)
         n = len(identities)
         self.table.modify_rows(
             0, identities,
-            {"price": np.full(n, price / 100),
+            {"price": np.full(n, price),
              "s": np.array([s] * n, dtype=object)}, self.trans)
         self.pending = [(k, d, price, s) if k in keys else (k, d, p, old)
                         for k, d, p, old in self.pending]
@@ -203,10 +208,8 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         domain = sorted({r[at] for r in image}) or [0 if at < 3 else ""]
         literal = data.draw(st.sampled_from(domain)
                             | {0: st.integers(-1, self.next_key), 1: days,
-                               2: cents, 3: words}[at])
+                               2: prices, 3: words}[at])
         passing = expected = [r for r in image if OPS[op](r[at], literal)]
-        if column == "price":
-            literal = literal / 100
         key_filter = None
         if key_column is not None:
             key_at = NAMES.index(key_column)

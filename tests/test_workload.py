@@ -4,8 +4,9 @@ Covers the multi-query control loop end to end: interleaved execution on
 the shared clock, snapshot stability for readers suspended across a
 committing UPDATE, write-write 2PC aborts with both transactions
 mid-flight, FIFO admission under memory pressure, cancellation and
-timeouts, makespan/determinism acceptance, the vh$queries / vh$sessions
-views, and the dbAgent's workload-driven automatic footprint.
+timeouts, makespan/determinism acceptance, the vh$queries view (per
+session by GROUP BY), and the dbAgent's workload-driven automatic
+footprint.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.common.errors import (
 from repro.common.types import INT64
 from repro.engine.expressions import Col
 from repro.mpp.logical import LAggr, LScan, LSelect, LSort
+from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 from repro.tpch import tpch_schemas
 from repro.tpch.queries import q1, q3, q6, q14
@@ -110,16 +112,22 @@ class TestInterleaving:
         assert record.state == "finished"
 
     def test_session_handles(self):
+        """A query's session is the connection that sent it; a library
+        call's is 0."""
         c = _small_cluster()
-        s1, s2 = c.session(), c.session()
-        assert s1.session_id != s2.session_id
-        r1 = s1.query(_sum_plan())
-        r2 = s2.query(_count_plan())
-        assert r1.batch.columns["s"][0] == SUM_B
-        assert r2.batch.columns["n"][0] == N_ROWS
+        srv = c.serve()
+        c1, c2 = srv.connect(), srv.connect()
+        assert c1.conn_id != c2.conn_id
+        h1 = c1.query_async("SELECT sum(b) AS s FROM t")
+        h2 = c2.query_async("SELECT count(*) AS n FROM t")
+        library = c.submit(_sum_plan())
+        assert h1.result().columns["s"][0] == SUM_B
+        assert h2.result().columns["n"][0] == N_ROWS
+        assert c.gather(library).batch.columns["s"][0] == SUM_B
         records = {r.query_id: r for r in c.workload.query_records()}
-        assert records[s1.query_ids[0]].session_id == s1.session_id
-        assert records[s2.query_ids[0]].session_id == s2.session_id
+        assert records[h1.query_id].session_id == c1.conn_id
+        assert records[h2.query_id].session_id == c2.conn_id
+        assert records[library].session_id == 0
 
 
 # ------------------------------------------------------------------ snapshots
@@ -293,22 +301,20 @@ class TestCancelTimeout:
 
     def test_session_cancel(self):
         c = _small_cluster()
-        s = c.session()
-        qid = s.submit(_sum_plan())
-        assert s.cancel(qid)
+        qid = c.submit(_sum_plan())
+        assert c.workload.cancel(qid)
         with pytest.raises(QueryCancelled):
-            s.gather(qid)
+            c.gather(qid)
 
     def test_session_cancel_of_queued_query_leaves_admission_untouched(self):
         c = _small_cluster(workload_max_concurrent=1)
-        s = c.session()
-        running = s.submit(_sort_plan())
-        queued = s.submit(_sum_plan())
+        running = c.submit(_sort_plan())
+        queued = c.submit(_sum_plan())
         c.workload.step()
         records = {r.query_id: r for r in c.workload.query_records()}
         assert records[queued].state == "queued"
         meter_before = dict(c.workload.meter.current)
-        assert s.cancel(queued)
+        assert c.workload.cancel(queued)
         # the queued query never charged the meter, so nothing changed
         assert dict(c.workload.meter.current) == meter_before
         assert records[queued].state == "cancelled"
@@ -316,9 +322,9 @@ class TestCancelTimeout:
                      for e in c.events.of_kind("query.cancelled")]
         assert queued in cancelled
         with pytest.raises(QueryCancelled):
-            s.gather(queued)
+            c.gather(queued)
         # the running query is unaffected and the meter drains to zero
-        s.gather(running)
+        c.gather(running)
         assert all(v == 0 for v in c.workload.meter.current.values())
 
     def test_timeout_cancels_with_query_timeout(self):
@@ -458,22 +464,22 @@ class TestIntrospection:
         res2 = c.query(LScan("vh$queries", ["query", "state"]))
         assert res2.batch.n >= res.batch.n
 
-    def test_vh_sessions_counts(self):
+    def test_per_session_counts(self):
+        """Per-session counts are a GROUP BY over vh$queries."""
         c = _small_cluster()
-        s = c.session()
-        s.query(_sum_plan())
-        qid = s.submit(_sum_plan())
-        s.cancel(qid)
-        res = c.query(LScan(
-            "vh$sessions",
-            ["session", "queries", "finished", "cancelled"]))
-        rows = {int(res.batch.columns["session"][i]): i
-                for i in range(res.batch.n)}
-        assert s.session_id in rows
-        i = rows[s.session_id]
-        assert int(res.batch.columns["queries"][i]) == 2
-        assert int(res.batch.columns["finished"][i]) == 1
-        assert int(res.batch.columns["cancelled"][i]) == 1
+        conn = c.serve().connect()
+        conn.simple_query("SELECT sum(b) AS s FROM t")
+        victim = conn.query_async("SELECT count(*) AS n FROM t")
+        c.workload.cancel(victim.query_id)
+        c.query(_sum_plan())
+        res = execute_sql(c, "SELECT session, state, count(*) AS n "
+                             "FROM vh$queries GROUP BY session, state")
+        counts = {(int(s), st): int(n) for s, st, n in zip(
+            *(res.columns[k].tolist() for k in ("session", "state", "n")))}
+        # the GROUP BY itself runs as a library call, still live
+        assert counts == {(conn.conn_id, "finished"): 1,
+                          (conn.conn_id, "cancelled"): 1,
+                          (0, "finished"): 1, (0, "running"): 1}
 
 
 # ------------------------------------------------------- automatic footprint
