@@ -11,6 +11,8 @@ We regenerate the buffer-memory table across cluster sizes and measure the
 per-tuple overhead of the extra byte column on a real shuffle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,16 +107,18 @@ def test_dxchg_streaming_vs_materializing(vectorh, benchmark):
         [], [("revenue", "sum", Col("l_extendedprice")),
              ("n", "count", None)],
     )
-    # force the reshuffle path (no co-located shortcut, no broadcast)
-    flags = RewriterFlags(local_join=False, replicate_build=False)
+    # force the reshuffle path (no co-located shortcut, no broadcast);
+    # the flags also say how the exchanges run
+    flags = RewriterFlags(local_join=False, replicate_build=False,
+                          exchange_mode="streaming")
 
     vectorh.mpi.reset()
-    streaming = vectorh.query(plan, flags=flags, exchange_mode="streaming")
+    streaming = vectorh.query(plan, flags=flags)
     s_links = (dict(vectorh.mpi.bytes_by_link),
                dict(vectorh.mpi.messages_by_link))
     vectorh.mpi.reset()
-    materializing = vectorh.query(plan, flags=flags,
-                                  exchange_mode="materialize")
+    materializing = vectorh.query(plan, flags=dataclasses.replace(
+        flags, exchange_mode="materialize"))
     m_links = (dict(vectorh.mpi.bytes_by_link),
                dict(vectorh.mpi.messages_by_link))
 

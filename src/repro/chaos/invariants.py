@@ -12,13 +12,14 @@ still satisfies the properties failover is supposed to preserve:
   apply after recovery);
 * **no lingering in-doubt transactions** -- every prepare record is
   followed by a commit or abort resolution;
-* **admission accounting** -- when no query is running, the shared
-  memory meter reads zero on every node (cancel/retry paths released
-  everything they charged);
+* **admission accounting** -- the queue, running and quota gauges
+  equal what the live query records say, and when no query is running
+  the shared memory meter reads zero on every node (cancel/retry paths
+  released everything they charged);
 * **terminal records are flat** -- no finished, failed or cancelled
   query's record still pins its plan, snapshot transaction, operator
-  tree or span tree, whichever path (completion, cancel, timeout,
-  retry exhaustion) took it there.
+  tree or the tracer span it was submitted under, whichever path
+  (completion, cancel, timeout, retry exhaustion) took it there.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class InvariantChecker:
 
     def _check_admission(self, report: InvariantReport) -> None:
         wm = self.cluster.workload
-        report.checks += 1
+        report.checks += 2
+        report.violations.extend(admission_gauge_drift(self.cluster))
         if wm._running:
             return  # live queries legitimately hold memory
         held = {n: v for n, v in sorted(wm.meter.current.items()) if v}
@@ -121,8 +123,32 @@ class InvariantChecker:
         pinned = [
             r.query_id for r in self.cluster.workload.terminal_records()
             if any(ref is not None for ref in (
-                r.run, r.trans, r.qplan, r.root_span, r.trace_parent))]
+                r.run, r.trans, r.qplan, r.trace_parent))]
         if pinned:
             report.violations.append(
                 f"terminal query records still pin their plan, snapshot "
                 f"or operator tree: {pinned}")
+
+
+def admission_gauge_drift(cluster) -> List[str]:
+    """One line per admission gauge whose value is not what the workload
+    manager's live query records count."""
+    live = [(r.state, r.tenant) for r in cluster.workload._live.values()]
+    states = [state for state, _ in live]
+    expected = {("admission_queue_depth", ()): states.count("queued"),
+                ("queries_running", ()): states.count("running")}
+    for name, tenant in cluster.workload.admission.tenants.items():
+        labels = (("tenant", name),)
+        queued = live.count(("queued", name))
+        expected["tenant_queue_depth", labels] = queued
+        expected["tenant_running", labels] = live.count(("running", name))
+        if tenant.max_concurrent:
+            expected["tenant_quota_saturation", labels] = (
+                queued / tenant.max_concurrent)
+    drift = []
+    for (metric, labels), want in expected.items():
+        have = cluster.registry.value(metric, **dict(labels))
+        if have != want:
+            drift.append(f"admission gauge {metric}{dict(labels)} reads "
+                         f"{have}, the live queries say {want}")
+    return drift

@@ -37,7 +37,7 @@ from repro.obs import (
     SimClock,
     Tracer,
 )
-from repro.obs.introspect import SystemCatalog, explain_analyze, resolve_table
+from repro.obs.introspect import SystemCatalog, annotate_plan, resolve_table
 from repro.pdt.stack import PdtStack
 from repro.storage.buffer import BufferPool
 from repro.storage.schema import TableSchema
@@ -246,8 +246,7 @@ class VectorHCluster:
         interleaved with every other admitted query on the shared
         simulated clock. See :meth:`repro.workload.WorkloadManager.submit`
         for the keyword options (``flags``, ``trans``, ``timeout``,
-        ``exchange_mode``, ``thread_to_node``, ``trace``,
-        ``memory_estimate``).
+        ``trace``, ``memory_estimate``).
         """
         return self.workload.submit(plan, **kwargs)
 
@@ -261,8 +260,6 @@ class VectorHCluster:
     def query(self, plan: LogicalPlan,
               flags: Optional[RewriterFlags] = None,
               trans: Optional[DistributedTransaction] = None,
-              exchange_mode: str = "streaming",
-              thread_to_node: bool = True,
               trace: bool = False,
               timeout: Optional[float] = None) -> QueryResult:
         """Optimize and execute a logical plan (or run an already-planned
@@ -271,19 +268,16 @@ class VectorHCluster:
 
         Submit + gather on the workload manager: the query goes
         through admission like any other and any previously submitted
-        queries interleave with it while it is gathered.
-        ``exchange_mode``/``thread_to_node`` tune the DXchg layer: see
-        :meth:`repro.mpp.executor.MppExecutor.prepare`. With ``trace``
-        the result carries the lifecycle span tree
-        (rewrite -> assignment -> execute -> commit, with per-stream
-        operator and exchange spans grafted under execute); the last
-        trace is always available as ``cluster.tracer.last_trace``.
+        queries interleave with it while it is gathered. ``flags``
+        (:class:`~repro.mpp.plan.RewriterFlags`) also set the DXchg
+        schedule and buffering. With ``trace`` the result carries the
+        lifecycle span tree (rewrite -> assignment -> execute -> commit,
+        operator and exchange spans grafted under execute), also
+        ``cluster.tracer.last_trace``; an untraced query builds no spans
+        and leaves ``last_trace`` alone.
         """
         query_id = self.workload.submit(
-            plan, flags=flags, trans=trans, timeout=timeout,
-            exchange_mode=exchange_mode, thread_to_node=thread_to_node,
-            trace=trace,
-        )
+            plan, flags=flags, trans=trans, timeout=timeout, trace=trace)
         return self.workload.gather(query_id)
 
     def explain(self, plan: LogicalPlan,
@@ -293,14 +287,16 @@ class VectorHCluster:
     def explain_analyze(self, plan: LogicalPlan,
                         flags: Optional[RewriterFlags] = None,
                         trans: Optional[DistributedTransaction] = None,
-                        exchange_mode: str = "streaming",
-                        thread_to_node: bool = True) -> Tuple[str, QueryResult]:
-        """Run the plan and render the physical plan with per-operator
-        actuals (rows, stream time, wire bytes per link, MinMax skips,
-        scan locality); see :func:`repro.obs.introspect.explain_analyze`."""
-        return explain_analyze(self, plan, flags, trans=trans,
-                               exchange_mode=exchange_mode,
-                               thread_to_node=thread_to_node)
+                        ) -> Tuple[str, QueryResult]:
+        """Run the plan as an ordinary query and return ``(text,
+        result)``: the physical plan that produced the rows (after a
+        re-plan, the final one) with per-operator actuals -- rows,
+        stream time, wire bytes per link, MinMax skips, scan locality --
+        from a registry snapshot diff around the run; see
+        :func:`repro.obs.introspect.annotate_plan`."""
+        before = self.registry.snapshot()
+        result = self.query(plan, flags=flags, trans=trans)
+        return annotate_plan(result, before, self.registry.snapshot()), result
 
     def resolve_minmax(self, plan: LogicalPlan) -> Dict[str, object]:
         """The MinMax network interface (paper section 6).

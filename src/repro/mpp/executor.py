@@ -40,7 +40,6 @@ from repro.engine.exchange import (
     DONE,
     Exchange,
     MemoryMeter,
-    STREAMING,
     StreamScheduler,
 )
 from repro.engine.operators import (
@@ -86,7 +85,6 @@ class QueryResult:
     #: the same nodes by ``(plan node, role)``
     plan_profiles: Dict[Tuple[P.PhysNode, str], ProfileNode] = field(
         default_factory=dict)
-    plan_text: str = ""
     #: measured peak resident bytes per node (operator state + DXchg
     #: buffers + receive queues), from the run's MemoryMeter
     peak_node_memory: Dict[str, int] = field(default_factory=dict)
@@ -110,8 +108,11 @@ class QueryResult:
     dominant: Tuple[str, float] = ("", 0.0)
     #: workload-manager id
     query_id: Optional[int] = None
-    #: simulated seconds spent waiting in the admission queue
-    wait_sim_seconds: float = 0.0
+
+    @property
+    def plan_text(self) -> str:
+        """The physical plan that produced ``batch``, rendered on read."""
+        return self.qplan.root.pretty() if self.qplan is not None else ""
 
     def format_profile(self) -> str:
         return "\n".join(format_profile(p) for p in self.profiles)
@@ -345,7 +346,6 @@ class QueryRun:
     """
 
     def __init__(self, executor: "MppExecutor", qplan: QueryPlan, trans,
-                 exchange_mode: str, thread_to_node: bool,
                  scheduler: StreamScheduler, meter: MemoryMeter,
                  query_id: Optional[int]):
         cluster = executor.cluster
@@ -355,8 +355,6 @@ class QueryRun:
         self.qplan = qplan
         self.query_id = query_id
         self.trans = trans
-        self.exchange_mode = exchange_mode
-        self.thread_to_node = thread_to_node
         self.scheduler = scheduler
         #: the cluster-wide meter every build's own meter chains into
         self.parent_meter = meter
@@ -386,10 +384,11 @@ class QueryRun:
     def _build(self) -> None:
         """Compose the operator tree for the current plan."""
         cluster = self.cluster
+        flags = self.qplan.flags
         t0 = _time.perf_counter()
         self.ctx = ctx = _RunContext(
-            trans=self.trans, mode=self.exchange_mode,
-            n_lanes=(1 if self.thread_to_node
+            trans=self.trans, mode=flags.exchange_mode,
+            n_lanes=(1 if flags.thread_to_node
                      else cluster.config.cores_per_node),
             vector_size=cluster.config.vector_size,
             scheduler=self.scheduler,
@@ -498,7 +497,6 @@ class QueryRun:
             bytes_read=self.bytes_read,
             profiles=[self.op.profile] if self.op.profile.stream_times else [],
             plan_profiles=ran,
-            plan_text=self.qplan.root.pretty(),
             peak_node_memory=peaks,
             exchanges=self._cancelled_exchanges + self._exchange_stats(),
             rounds=self.rounds,
@@ -640,29 +638,19 @@ class MppExecutor:
     # ------------------------------------------------------------------ public
 
     def prepare(self, qplan: QueryPlan, trans, scheduler: StreamScheduler,
-                meter: MemoryMeter, exchange_mode: str = STREAMING,
-                thread_to_node: bool = True,
+                meter: MemoryMeter,
                 query_id: Optional[int] = None) -> QueryRun:
         """Build the runner for a planned query without driving it.
 
         The run advances on ``scheduler`` (the workload manager's
         cluster-wide one) and rolls its memory accounting up into
-        ``meter``. ``exchange_mode`` selects how exchange sender
-        fragments are scheduled: ``"streaming"`` (default) advances them
-        round-robin one vector at a time through the DXchg channels;
-        ``"materialize"`` drains each sender completely before consumers
-        start -- the stop-and-go baseline, with identical per-link
-        bytes/messages. ``thread_to_node`` picks the DXchg buffering
-        granularity (paper section 5): one open buffer per destination
-        node, or one per destination *core*
-        (``n_lanes = cores_per_node``).
+        ``meter``; ``qplan.flags`` say how its exchanges run.
         """
         if not isinstance(qplan, QueryPlan):
             raise ExecutionError(
                 f"cannot prepare {type(qplan).__name__}: expected a "
                 "QueryPlan")
-        return QueryRun(self, qplan, trans, exchange_mode, thread_to_node,
-                        scheduler, meter, query_id)
+        return QueryRun(self, qplan, trans, scheduler, meter, query_id)
 
     def _record_metrics(self, ctx: "_RunContext") -> None:
         """Charge per-node stream times and peak memory to the registry."""

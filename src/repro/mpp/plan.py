@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.exchange import STREAMING
 from repro.engine.expressions import Expr
 from repro.engine.operators import AggSpec
 
@@ -312,6 +313,28 @@ class ExchangeDecision:
 
 
 @dataclass
+class RewriterFlags:
+    """How a query is planned and run: the rewriter's rule toggles (all on
+    in production; benches turn them off) and the DXchg schedule."""
+
+    local_join: bool = True
+    replicate_build: bool = True
+    partial_aggr: bool = True
+    merge_join: bool = True
+    #: estimated build rows * workers below which broadcast beats reshuffle
+    net_weight: float = 4.0
+    #: consult the cluster's CardinalityFeedbackStore before static stats
+    use_feedback: bool = True
+    #: allow feedback-driven build/probe swaps on inner joins
+    cost_join_order: bool = True
+    #: DXchg schedule (paper section 5): ``"streaming"`` pipelines the
+    #: senders; ``"materialize"`` is stop-and-go, same bytes/messages
+    exchange_mode: str = STREAMING
+    #: one DXchg buffer per destination node, else one per core
+    thread_to_node: bool = True
+
+
+@dataclass
 class QueryPlan:
     """A planned query: physical tree + cardinality/cost annotations.
 
@@ -320,14 +343,15 @@ class QueryPlan:
     :class:`~repro.mpp.executor.QueryRun` watches the recorded decisions
     and re-plans when one is proven wrong mid-query. Tests that hand-build a
     physical tree wrap it as ``QueryPlan(logical=None, root=tree)``; such
-    a plan carries no decisions, so it is never re-planned.
+    a plan carries no decisions, so it is never re-planned. ``flags`` says
+    how it was planned and how it runs; a re-plan keeps them.
     """
 
     logical: object
     root: PhysNode
     annotations: Dict[PhysNode, NodeEstimate] = field(default_factory=dict)
     decisions: List[ExchangeDecision] = field(default_factory=list)
-    flags: object = None
+    flags: RewriterFlags = field(default_factory=RewriterFlags)
 
     def pretty(self) -> str:
         """Plan rendering with per-node estimates (``(fb)`` marks

@@ -19,7 +19,6 @@ cost-based on cardinality estimates, with DXchg traffic weighted heavily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import PlanError
@@ -28,23 +27,8 @@ from repro.engine.operators import AggSpec
 from repro.mpp import logical as L
 from repro.mpp import plan as P
 from repro.mpp.feedback import fragment_signature
-from repro.mpp.plan import ExchangeDecision, NodeEstimate, QueryPlan
-
-
-@dataclass
-class RewriterFlags:
-    """Rule toggles (all on in production; benches turn them off)."""
-
-    local_join: bool = True
-    replicate_build: bool = True
-    partial_aggr: bool = True
-    merge_join: bool = True
-    #: estimated build rows * workers below which broadcast beats reshuffle
-    net_weight: float = 4.0
-    #: consult the cluster's CardinalityFeedbackStore before static stats
-    use_feedback: bool = True
-    #: allow feedback-driven build/probe swaps on inner joins
-    cost_join_order: bool = True
+from repro.mpp.plan import (ExchangeDecision, NodeEstimate, QueryPlan,
+                            RewriterFlags)
 
 
 class ParallelRewriter:

@@ -18,8 +18,9 @@ The cluster describes itself through its own SQL engine:
   treat them exactly like replicated base tables -- a ``SELECT`` against
   ``vh$metrics`` runs through the normal MPP path.
 
-* **EXPLAIN ANALYZE** -- :func:`explain_analyze` executes a logical plan
-  and renders the physical plan annotated with per-operator *actuals*:
+* **EXPLAIN ANALYZE** -- :meth:`VectorHCluster.explain_analyze` executes
+  a logical plan and :func:`annotate_plan` renders the physical plan
+  annotated with per-operator *actuals*:
   rows produced, simulated stream time, wire bytes per exchange (down to
   the individual node->node link), MinMax blocks skipped vs scanned, and
   the scan-locality fraction, all reconciled against a registry snapshot
@@ -230,9 +231,9 @@ def _tenants_rows(cluster) -> List[tuple]:
     lifetime admitted/finished counts. Wall-clock free, so twin
     deterministic runs show identical contents."""
     return [
-        (t.name, t.weight, t.priority, t.max_concurrent, t.memory_limit,
+        (t.name, t.weight, t.priority, t.max_concurrent,
          len(t.queue), t.running, t.admitted, t.finished, t.pass_value)
-        for t in cluster.workload.tenants.values()
+        for t in cluster.workload.admission.tenants.values()
     ]
 
 
@@ -323,7 +324,7 @@ SYSTEM_TABLES = (
      lambda cluster: cluster.monitor.health.rows()),
     ("vh$tenants",
      [("tenant", STRING), ("weight", INT64), ("priority", INT64),
-      ("quota", INT64), ("memory_quota", INT64), ("queued", INT64),
+      ("quota", INT64), ("queued", INT64),
       ("running", INT64), ("admitted", INT64), ("finished", INT64),
       ("wfq_pass", INT64)],
      _tenants_rows),
@@ -363,30 +364,6 @@ class SystemCatalog:
 # ---------------------------------------------------------------------------
 # EXPLAIN ANALYZE
 # ---------------------------------------------------------------------------
-
-def explain_analyze(cluster, plan, flags=None, trans=None,
-                    exchange_mode: str = "streaming",
-                    thread_to_node: bool = True):
-    """Run a logical plan and annotate its physical plan with actuals.
-
-    Returns ``(text, result)``: the annotated plan text and the
-    underlying :class:`~repro.mpp.executor.QueryResult` (whose
-    ``plan_text`` is replaced by the annotated rendering). The query is
-    an ordinary ``cluster.query`` -- admitted, snapshot-pinned, logged
-    and traced like any other; the registry is snapshotted around it so
-    MinMax, locality and exchange actuals are this query's contribution.
-    """
-    before = cluster.registry.snapshot()
-    result = cluster.query(plan, flags=flags, trans=trans,
-                           exchange_mode=exchange_mode,
-                           thread_to_node=thread_to_node)
-    after = cluster.registry.snapshot()
-    # result.qplan is the plan that produced the batches: after a
-    # mid-query re-plan, not the one planned up front
-    text = annotate_plan(result, before, after)
-    result.plan_text = text
-    return text, result
-
 
 def _series_delta(before, after, name) -> Dict[tuple, float]:
     """Per-label-key increase of one counter family between snapshots."""

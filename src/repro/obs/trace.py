@@ -157,8 +157,10 @@ class Tracer:
     Spans opened while another span is active nest under it; a span
     opened with no active parent starts a new root trace, published on
     completion as :attr:`last_trace`. The workload manager's queries
-    interleave, so the single stack cannot nest them: it assembles their
-    trees by hand and sets :attr:`last_trace` itself.
+    interleave, so the single stack cannot nest them: it assembles the
+    tree of a query that has a reader (``trace=True``, or a span open at
+    submission) by hand, and sets :attr:`last_trace` itself for a traced
+    query submitted outside any span.
     """
 
     def __init__(self, sim_clock: Optional[SimClock] = None):

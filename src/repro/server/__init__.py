@@ -5,12 +5,12 @@ attaches a :class:`ServerFrontend`; simulated clients then ``connect()``
 to a tenant and speak the simple (``Query``) or extended
 (``Parse``/``Bind``/``Execute``) protocol from
 :mod:`repro.server.protocol`. Admission across tenants is weighted-fair
-(stride scheduling in :mod:`repro.workload`), and repeat work is
+(stride scheduling in :mod:`repro.workload.admission`), and repeat work is
 answered from the snapshot-epoch result cache in
 :mod:`repro.server.cache`.
 """
 
-from repro.server.cache import EpochKeyedCache, ResultCache
+from repro.server.cache import EpochKeyedCache
 from repro.server.frontend import (ClientConnection, PendingResult, Portal,
                                    PreparedStatement, ServerFrontend)
 from repro.server.protocol import (Bind, CommandComplete, Execute, Parse,
@@ -29,7 +29,6 @@ __all__ = [
     "PreparedStatement",
     "Query",
     "ReadyForQuery",
-    "ResultCache",
     "RowDescription",
     "ServerFrontend",
     "Terminate",

@@ -30,21 +30,28 @@ EpochVector = Tuple[Tuple[str, int], ...]
 _Key = Tuple[str, EpochVector]
 
 
+#: the ``cache`` label of every series this cache charges
+_LABEL = "result"
+
+
 def _counter_view(counter_attr: str):
-    """A read-only attribute over this cache kind's registry series."""
+    """A read-only attribute over this cache's registry series."""
     return property(
-        lambda self: int(getattr(self, counter_attr).get(cache=self.kind)))
+        lambda self: int(getattr(self, counter_attr).get(cache=_LABEL)))
+
+
+def _copy(batch: Batch) -> Batch:
+    return Batch({k: v.copy() for k, v in batch.columns.items()}, batch.n)
 
 
 class EpochKeyedCache:
-    """LRU cache keyed by (text, epoch vector) with a table->keys index."""
-
-    kind = "generic"
+    """LRU cache of result batches keyed by (text, epoch vector), with a
+    table->keys index; hits are bit-identical to a cold run."""
 
     def __init__(self, max_entries: int,
                  registry: Optional[MetricsRegistry] = None):
         self.max_entries = int(max_entries)
-        self._entries: "OrderedDict[_Key, object]" = OrderedDict()
+        self._entries: "OrderedDict[_Key, Batch]" = OrderedDict()
         self._deps: Dict[str, Set[_Key]] = {}
         registry = registry or MetricsRegistry()
         self._hits = registry.counter(
@@ -72,12 +79,6 @@ class EpochKeyedCache:
 
     # ----------------------------------------------------------- internals
 
-    def _copy_in(self, value):
-        return value
-
-    def _copy_out(self, value):
-        return value
-
     def _drop(self, key: _Key) -> None:
         self._entries.pop(key, None)
         for table, _epoch in key[1]:
@@ -89,31 +90,32 @@ class EpochKeyedCache:
 
     # ----------------------------------------------------------------- API
 
-    def lookup(self, text: str, epochs: EpochVector):
-        """The cached value for ``text`` at exactly ``epochs``, or None."""
+    def lookup(self, text: str, epochs: EpochVector) -> Optional[Batch]:
+        """A private copy of the batch cached for ``text`` at exactly
+        ``epochs``, or None."""
         key = (text, epochs)
         value = self._entries.get(key)
         if value is None:
-            self._misses.inc(cache=self.kind)
+            self._misses.inc(cache=_LABEL)
             return None
         self._entries.move_to_end(key)
-        self._hits.inc(cache=self.kind)
-        return self._copy_out(value)
+        self._hits.inc(cache=_LABEL)
+        return _copy(value)
 
-    def store(self, text: str, epochs: EpochVector, value,
+    def store(self, text: str, epochs: EpochVector, value: Batch,
               tables: Iterable[str]) -> None:
         if self.max_entries <= 0:
             return
         key = (text, epochs)
         if key in self._entries:
             self._entries.move_to_end(key)
-            self._entries[key] = self._copy_in(value)
+            self._entries[key] = _copy(value)
             return
         while len(self._entries) >= self.max_entries:
             oldest, _ = self._entries.popitem(last=False)
             self._drop(oldest)
-            self._evictions.inc(cache=self.kind)
-        self._entries[key] = self._copy_in(value)
+            self._evictions.inc(cache=_LABEL)
+        self._entries[key] = _copy(value)
         for table in set(tables):
             self._deps.setdefault(table, set()).add(key)
 
@@ -126,7 +128,7 @@ class EpochKeyedCache:
         for key in sorted(keys):
             if key in self._entries:
                 self._drop(key)
-                self._invalidations.inc(cache=self.kind)
+                self._invalidations.inc(cache=_LABEL)
                 dropped += 1
         return dropped
 
@@ -138,20 +140,6 @@ class EpochKeyedCache:
         return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "evictions": self.evictions,
                 "invalidations": self.invalidations}
-
-
-class ResultCache(EpochKeyedCache):
-    """Finished result sets; hits are bit-identical to a cold run."""
-
-    kind = "result"
-
-    def _copy_in(self, value: Batch) -> Batch:
-        return Batch({k: v.copy() for k, v in value.columns.items()},
-                     value.n)
-
-    def _copy_out(self, value: Batch) -> Batch:
-        return Batch({k: v.copy() for k, v in value.columns.items()},
-                     value.n)
 
 
 def portal_key(fingerprint: str, params: Tuple[object, ...]) -> str:

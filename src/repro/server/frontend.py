@@ -31,7 +31,7 @@ from repro.common.errors import SqlError
 from repro.engine.batch import Batch, batch_bytes
 from repro.obs.monitor import sql_fingerprint
 from repro.server import protocol as wire
-from repro.server.cache import ResultCache, portal_key
+from repro.server.cache import EpochKeyedCache, portal_key
 from repro.sql import parser as ast
 from repro.sql.binder import _SelectBinder, execute_statement
 from repro.sql.parser import SqlParser
@@ -247,7 +247,7 @@ class ServerFrontend:
         self.cluster = cluster
         registry = cluster.registry
         result_entries = cluster.config.server_result_cache_entries
-        self.result_cache = (ResultCache(result_entries, registry)
+        self.result_cache = (EpochKeyedCache(result_entries, registry)
                              if result_entries else None)
         self.connections: "OrderedDict[int, ClientConnection]" = OrderedDict()
         self._conn_ids = itertools.count(1)
@@ -277,18 +277,19 @@ class ServerFrontend:
     # -------------------------------------------------------------- tenants
 
     def add_tenant(self, name: str, weight: int = 1, priority: int = 0,
-                   max_concurrent: int = 0, memory_limit: int = 0):
-        """Register (or reconfigure) a tenant with the workload manager."""
-        return self.cluster.workload.register_tenant(
+                   max_concurrent: int = 0):
+        """Register (or reconfigure) a tenant with the admission policy."""
+        return self.cluster.workload.admission.register_tenant(
             name, weight=weight, priority=priority,
-            max_concurrent=max_concurrent, memory_limit=memory_limit)
+            max_concurrent=max_concurrent)
 
     # ---------------------------------------------------------- connections
 
     def connect(self, tenant: str = DEFAULT_TENANT) -> ClientConnection:
         """Accept a client connection routed to ``tenant``."""
-        if tenant not in self.cluster.workload.tenants:
-            self.cluster.workload.register_tenant(tenant)
+        admission = self.cluster.workload.admission
+        if tenant not in admission.tenants:
+            admission.register_tenant(tenant)
         conn = ClientConnection(self, next(self._conn_ids), tenant)
         self.connections[conn.conn_id] = conn
         self._c_conns.inc(tenant=tenant)

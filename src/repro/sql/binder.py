@@ -349,8 +349,7 @@ def execute_statement(cluster, stmt, trans=None, tracer=None):
         with tracer.span("bind"):
             plan = _SelectBinder(cluster, stmt.select).plan()
         if stmt.analyze:
-            from repro.obs.introspect import explain_analyze
-            text, _result = explain_analyze(cluster, plan, trans=trans)
+            text, _result = cluster.explain_analyze(plan, trans=trans)
         else:
             text = cluster.explain(plan)
         from repro.engine.batch import Batch

@@ -1,40 +1,33 @@
 """Workload management: concurrent, admission-controlled queries.
 
-The execution core used to be query-at-a-time: :meth:`VectorHCluster.query`
-built a private stream scheduler, drove it to completion and returned.
-This package refactors that control loop around *many* live queries:
+Two parts that share nothing but the query records:
 
-* :class:`WorkloadManager` -- owns one cluster-wide
-  :class:`~repro.engine.exchange.StreamScheduler` (on the shared
-  :class:`~repro.obs.SimClock`) and one cluster-wide
+* :class:`WorkloadManager` (:mod:`repro.workload.manager`) -- the run
+  loop: one cluster-wide :class:`~repro.engine.exchange.StreamScheduler`
+  on the shared :class:`~repro.obs.SimClock` and one cluster-wide
   :class:`~repro.engine.exchange.MemoryMeter`; admitted queries are
   suspended :class:`~repro.mpp.executor.QueryRun`\\ s, advanced one turn
-  each per global round.
-* :class:`TenantState` -- one tenant's admission queue, weight,
-  priority and core/memory quotas; tenants are scheduled against each
-  other with deterministic integer stride (WFQ) scheduling, FIFO within
-  each tenant.
-* :class:`AdmissionController` -- decides whether the WFQ-selected
-  candidate fits under the per-node core slots (from the YARN footprint
-  dbAgent holds) and the per-node memory budget next to the live usage
-  of the running queries.
+  each per global round. How a query runs is its plan's flags.
+* :class:`AdmissionPolicy` (:mod:`repro.workload.admission`) -- when a
+  query starts: per-tenant FIFO queues (:class:`TenantState`) under
+  integer stride (WFQ) scheduling, tenant core quotas, and the cluster's
+  core slots and per-node memory budget.
 
 A client is a server connection (:mod:`repro.server`); the manager
 records its id as each query's ``session``.
 """
 
-from repro.workload.manager import (
+from repro.workload.admission import (
     DEFAULT_TENANT,
     STRIDE1,
-    AdmissionController,
-    QueryRecord,
+    AdmissionPolicy,
     TenantState,
-    WorkloadManager,
     estimate_query_memory,
 )
+from repro.workload.manager import QueryRecord, WorkloadManager
 
 __all__ = [
-    "AdmissionController",
+    "AdmissionPolicy",
     "DEFAULT_TENANT",
     "QueryRecord",
     "STRIDE1",

@@ -27,7 +27,7 @@ from repro.mpp.feedback import (
     fragment_signature,
 )
 from repro.mpp.logical import LAggr, LJoin, LScan, LSelect
-from repro.mpp.plan import QueryPlan
+from repro.mpp.plan import QueryPlan, RewriterFlags
 from repro.mpp.rewriter import ParallelRewriter
 from repro.obs import MetricsRegistry
 from repro.sql import execute_sql
@@ -197,6 +197,18 @@ class TestMidQueryReplan:
         assert ra.batch.columns["s"][0] == rs.batch.columns["s"][0] == SUM_V
         assert ra.batch.columns["n"][0] == rs.batch.columns["n"][0] == N_FACT
 
+    def test_replan_keeps_how_the_query_runs(self):
+        """The DXchg schedule and buffering ride in the plan's flags, so
+        the re-planned tree runs the way the first one did."""
+        c = _star_cluster()
+        flags = RewriterFlags(exchange_mode="materialize",
+                              thread_to_node=False)
+        r = c.query(_skew_plan(), flags=flags, trace=True)
+        assert r.replans == 1
+        assert r.qplan.flags is flags
+        assert r.trace.find("execute").attrs["mode"] == "materialize"
+        assert r.batch.columns["s"][0] == SUM_V
+
     def test_replan_disabled_keeps_the_static_plan_mid_query(self):
         c = _star_cluster(adaptive_replan=False)
         r = c.query(_skew_plan())
@@ -295,13 +307,11 @@ class TestMemoryEstimates:
                          [], [("s", "sum", Col("x"))])
 
         qp_cold = ParallelRewriter(c).plan(mplan())
-        cold = estimate_query_memory(c, qp_cold.root,
-                                     annotations=qp_cold.annotations)
+        cold = estimate_query_memory(c, qp_cold)
         result = c.query(mplan())
         assert result.batch.columns["s"][0] == sum(range(1000))
         qp_warm = ParallelRewriter(c).plan(mplan())
-        warm = estimate_query_memory(c, qp_warm.root,
-                                     annotations=qp_warm.annotations)
+        warm = estimate_query_memory(c, qp_warm)
         # the scan's measured output (blocks surviving MinMax) is far
         # below the whole table, so the admission estimate tightens
         assert max(warm.values()) < max(cold.values())

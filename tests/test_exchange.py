@@ -2,6 +2,8 @@
 equivalence with the materializing schedule, memory bounds, and the
 regressions called out in the streaming-executor issue."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,9 @@ def _join_plan():
 # disable locality shortcuts so both join sides go through plain hash
 # splits -- a pure streaming reshuffle with no co-located fast path
 RESHUFFLE = RewriterFlags(local_join=False, replicate_build=False)
+#: RESHUFFLE under each DXchg schedule (the flags say how a plan runs)
+STREAMED = dataclasses.replace(RESHUFFLE, exchange_mode=STREAMING)
+MATERIALIZED = dataclasses.replace(RESHUFFLE, exchange_mode=MATERIALIZE)
 
 
 class TestStreamingEquivalence:
@@ -72,13 +77,11 @@ class TestStreamingEquivalence:
         """Per-link bytes and message counts are schedule-independent."""
         plan = _join_plan()
         cluster.mpi.reset()
-        streaming = cluster.query(plan, flags=RESHUFFLE,
-                                  exchange_mode=STREAMING)
+        streaming = cluster.query(plan, flags=STREAMED)
         stream_links = (dict(cluster.mpi.bytes_by_link),
                         dict(cluster.mpi.messages_by_link))
         cluster.mpi.reset()
-        materialize = cluster.query(plan, flags=RESHUFFLE,
-                                    exchange_mode=MATERIALIZE)
+        materialize = cluster.query(plan, flags=MATERIALIZED)
         mat_links = (dict(cluster.mpi.bytes_by_link),
                      dict(cluster.mpi.messages_by_link))
         assert stream_links == mat_links
@@ -94,25 +97,21 @@ class TestStreamingEquivalence:
         the channel buffers and a round's worth of receive queue, far
         below the data volume that crosses the exchanges (which is what
         stop-and-go materialization holds)."""
-        streaming = cluster.query(_join_plan(), flags=RESHUFFLE,
-                                  exchange_mode=STREAMING)
+        streaming = cluster.query(_join_plan(), flags=STREAMED)
         total_exchanged = sum(int(ex["bytes"]) for ex in streaming.exchanges)
         assert total_exchanged > 0
         # channel buffers flush as whole messages fill: the high-water
         # mark tracks message size and fanout, not data volume
         assert streaming.dxchg_peak_buffered_bytes < total_exchanged
-        materialize = cluster.query(_join_plan(), flags=RESHUFFLE,
-                                    exchange_mode=MATERIALIZE)
+        materialize = cluster.query(_join_plan(), flags=MATERIALIZED)
         # the materializing schedule parks each fragment's entire output
         # in the receive queues before any consumer starts
         assert streaming.dxchg_peak_queued_bytes < \
             materialize.dxchg_peak_queued_bytes
 
     def test_peak_node_memory_reported_and_lower_when_streaming(self, cluster):
-        streaming = cluster.query(_join_plan(), flags=RESHUFFLE,
-                                  exchange_mode=STREAMING)
-        materialize = cluster.query(_join_plan(), flags=RESHUFFLE,
-                                    exchange_mode=MATERIALIZE)
+        streaming = cluster.query(_join_plan(), flags=STREAMED)
+        materialize = cluster.query(_join_plan(), flags=MATERIALIZED)
         assert set(streaming.peak_node_memory) <= \
             set(cluster.workers) | {cluster.session_master}
         assert streaming.peak_memory_bytes > 0
@@ -154,10 +153,9 @@ class TestQueryResultSurface:
         assert any("MScan[fact]" in n.label for n in nodes)
 
     def test_thread_to_thread_allocates_more_buffer_capacity(self, cluster):
-        t2n = cluster.query(_join_plan(), flags=RESHUFFLE,
-                            thread_to_node=True)
-        t2t = cluster.query(_join_plan(), flags=RESHUFFLE,
-                            thread_to_node=False)
+        t2n = cluster.query(_join_plan(), flags=RESHUFFLE)
+        t2t = cluster.query(_join_plan(), flags=dataclasses.replace(
+            RESHUFFLE, thread_to_node=False))
         cores = cluster.config.cores_per_node
         cap_t2n = sum(int(ex["buffer_capacity_bytes"]) for ex in t2n.exchanges)
         cap_t2t = sum(int(ex["buffer_capacity_bytes"]) for ex in t2t.exchanges)

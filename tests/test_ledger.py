@@ -44,7 +44,7 @@ CENSUS = (QueryRecord, QueryPlan, DistributedTransaction, TransPdt, PdtLayer,
           Span, ProfileNode, KernelStat, Batch, Event)
 
 #: the references a terminal record must have let go of
-HEAVY = ("run", "trans", "qplan", "root_span", "trace_parent",
+HEAVY = ("run", "trans", "qplan", "trace_parent",
          "memory_estimate", "result", "error")
 
 

@@ -451,6 +451,22 @@ class TestQueryTrace:
         res = tpch_cluster.query(_q1_plan())
         assert res.trace is None
 
+    def test_only_a_query_with_a_reader_builds_spans(self, tpch_cluster):
+        """A plain query builds no span tree and leaves ``last_trace``
+        alone; ``trace=True`` and an enclosing tracer span are readers."""
+        tracer = tpch_cluster.tracer
+        execute_sql(tpch_cluster, "SELECT count(*) AS n FROM region")
+        sql_root = tracer.last_trace
+        assert sql_root.name == "sql"
+        tpch_cluster.query(_q1_plan())
+        assert tracer.last_trace is sql_root
+        traced = tpch_cluster.query(_q1_plan(), trace=True)
+        assert tracer.last_trace is traced.trace
+        with tracer.span("outer") as outer:
+            tpch_cluster.query(_q1_plan())
+        assert [c.name for c in outer.children] == ["query"]
+        assert tracer.last_trace is outer
+
     def test_exchange_bytes_reconcile_with_registry(self, tpch_cluster):
         reg = tpch_cluster.metrics()
         reg.reset("net_")

@@ -24,7 +24,7 @@ from repro.common.types import INT64
 from repro.mpp.feedback import fragment_signature
 from repro.mpp.logical import LScan
 from repro.mpp.rewriter import ParallelRewriter
-from repro.server import ResultCache, ServerFrontend
+from repro.server import EpochKeyedCache, ServerFrontend
 from repro.server.cache import portal_key
 from repro.server import protocol as wire
 from repro.sql import execute_sql
@@ -148,7 +148,7 @@ class TestSimpleProtocol:
     def test_dml_and_unknown_tenant_autoregister(self):
         c, srv = _served_cluster()
         conn = srv.connect(tenant="etl")
-        assert "etl" in c.workload.tenants
+        assert "etl" in c.workload.admission.tenants
         n = conn.simple_query("INSERT INTO t (a, b) VALUES (900001, 3)")
         assert n == 1
 
@@ -239,9 +239,10 @@ class TestResultCache:
         conn = srv.connect()
         sql = "SELECT a, b FROM t WHERE a < 50 ORDER BY a"
         cold = conn.simple_query(sql)
-        admitted_before = c.workload.tenants[DEFAULT_TENANT].admitted
+        tenant = c.workload.admission.tenants[DEFAULT_TENANT]
+        admitted_before = tenant.admitted
         hit = conn.simple_query(sql)
-        assert c.workload.tenants[DEFAULT_TENANT].admitted == admitted_before
+        assert tenant.admitted == admitted_before
         assert srv.result_cache.hits == 1
         for col in cold.columns:
             assert hit.columns[col].dtype == cold.columns[col].dtype
@@ -290,7 +291,7 @@ class TestResultCache:
         assert srv.result_cache.hits >= 1
 
     def test_lru_capacity_and_direct_cache_api(self):
-        cache = ResultCache(2)
+        cache = EpochKeyedCache(2)
         from repro.engine.batch import Batch
         mk = lambda v: Batch({"x": np.array([v])}, 1)  # noqa: E731
         cache.store("q1", (("t", 0),), mk(1), ["t"])
@@ -351,8 +352,8 @@ class TestWeightedFairness:
 
     def test_stride_accounting(self):
         c, order = self._saturated_run()
-        gold = c.workload.tenants["gold"]
-        silver = c.workload.tenants["silver"]
+        gold = c.workload.admission.tenants["gold"]
+        silver = c.workload.admission.tenants["silver"]
         assert gold.stride() == STRIDE1 // 2
         assert silver.stride() == STRIDE1
         assert gold.admitted == 12 and gold.finished == 12
@@ -382,7 +383,7 @@ class TestWeightedFairness:
         conn = srv.connect("capped")
         for i in range(3):
             conn.query_async(f"SELECT sum(b) AS s FROM t WHERE a < {i + 2}")
-        capped = c.workload.tenants["capped"]
+        capped = c.workload.admission.tenants["capped"]
         assert capped.running == 1
         assert len(capped.queue) == 2
         sat = c.registry.get("tenant_quota_saturation")
@@ -495,7 +496,7 @@ class TestConnectionLifecycle:
         assert details["tenant.storm"].startswith("storm: 3 queries")
         assert conn.state == "closed"
         assert all(f.invariant_ok for f in chaos.fired)
-        assert c.workload.tenants["gold"].finished >= 7
+        assert c.workload.admission.tenants["gold"].finished >= 7
 
     def test_storm_without_frontend_is_skipped(self):
         config = Config().scaled_for_tests()

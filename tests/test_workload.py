@@ -14,9 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chaos.invariants import admission_gauge_drift
 from repro.cluster import VectorHCluster
 from repro.common.config import Config
 from repro.common.errors import (
+    ExecutionError,
     QueryCancelled,
     QueryTimeout,
     TransactionAborted,
@@ -196,8 +198,9 @@ class TestAdmission:
         c = _small_cluster()
         budget = 1 << 20
         wm = c.workload
-        wm.admission.memory_budget_per_node = budget
-        wm.admission.max_concurrent = 8
+        # the admission policy reads its limits from the config
+        c.config.workload_memory_budget_mb = 1
+        c.config.workload_max_concurrent = 8
         tiny = {n: 1024 for n in c.workers}
         huge = {n: budget * 2 for n in c.workers}  # only fits alone
         qa = wm.submit(_sum_plan(), memory_estimate=dict(tiny))
@@ -223,12 +226,12 @@ class TestAdmission:
     def test_peak_memory_stays_under_budget(self):
         from repro.mpp.rewriter import ParallelRewriter
         c = _small_cluster()
-        phys = ParallelRewriter(c).plan(_sum_plan()).root
-        estimates = estimate_query_memory(c, phys)
+        estimates = estimate_query_memory(
+            c, ParallelRewriter(c).plan(_sum_plan()))
         budget = 2 * max(estimates.values())
         wm = c.workload
-        wm.admission.memory_budget_per_node = budget
-        wm.admission.max_concurrent = 8
+        c.config.workload_memory_budget_mb = budget / (1 << 20)
+        c.config.workload_max_concurrent = 8
         qids = [wm.submit(_sum_plan()) for _ in range(4)]
         wm.drain()
         records = {r.query_id: r for r in wm.query_records()}
@@ -241,8 +244,8 @@ class TestAdmission:
     def test_plan_estimates_are_positive(self):
         c = _small_cluster()
         from repro.mpp.rewriter import ParallelRewriter
-        phys = ParallelRewriter(c).plan(_sum_plan()).root
-        estimates = estimate_query_memory(c, phys)
+        estimates = estimate_query_memory(
+            c, ParallelRewriter(c).plan(_sum_plan()))
         assert set(c.workers) <= set(estimates)
         assert all(v > 0 for v in estimates.values())
 
@@ -259,6 +262,115 @@ class TestAdmission:
         assert snap["admission_queue_depth"][()] == 0
         assert snap["queries_running"][()] == 0
         assert "query_wait_seconds" in c.metrics().render()
+
+
+# ----------------------------------------------------------- admission gauges
+
+
+def _gauges(c) -> dict:
+    """What the registry says about queues and running queries."""
+    reg = c.registry
+    out = {"admission_queue_depth": reg.value("admission_queue_depth"),
+           "queries_running": reg.value("queries_running")}
+    for name, tenant in c.workload.admission.tenants.items():
+        out[name] = (reg.value("tenant_queue_depth", tenant=name),
+                     reg.value("tenant_running", tenant=name))
+        if tenant.max_concurrent:
+            out[name + "/saturation"] = reg.value(
+                "tenant_quota_saturation", tenant=name)
+    return out
+
+
+def _live_state(c) -> dict:
+    """The same numbers counted from the manager's query records."""
+    live = [r for r in c.workload.query_records()
+            if r.state in ("queued", "running")]
+
+    def count(state, tenant=None):
+        return sum(r.state == state and tenant in (None, r.tenant)
+                   for r in live)
+
+    out = {"admission_queue_depth": count("queued"),
+           "queries_running": count("running")}
+    for name, tenant in c.workload.admission.tenants.items():
+        out[name] = (count("queued", name), count("running", name))
+        if tenant.max_concurrent:
+            out[name + "/saturation"] = (count("queued", name)
+                                         / tenant.max_concurrent)
+    return out
+
+
+class TestAdmissionGauges:
+    def test_gauges_equal_live_state_after_every_transition(
+            self, monkeypatch):
+        c = _small_cluster(n_nodes=6, workload_max_concurrent=3,
+                           workload_deterministic=True)
+        srv = c.serve()
+        srv.storm_statement = "SELECT sum(b) AS s FROM t WHERE a < 64"
+        seen = []
+
+        def check(step):
+            assert _gauges(c) == _live_state(c), step
+            assert admission_gauge_drift(c) == [], step
+            seen.append(step)
+
+        # registering a tenant publishes its zero series
+        srv.add_tenant("capped", max_concurrent=1)
+        assert c.registry.get("tenant_running").snapshot()[("capped",)] == 0
+        assert c.registry.get(
+            "tenant_quota_saturation").snapshot()[("capped",)] == 0.0
+        check("register")
+
+        sort_sql = "SELECT a, b FROM t ORDER BY a"
+        victim = c.submit(_sort_plan())
+        check("submit")
+        capped = srv.connect("capped")
+        first = capped.query_async(sort_sql).query_id
+        blocked = capped.query_async(sort_sql).query_id
+        records = {r.query_id: r for r in c.workload.query_records()}
+        assert records[first].state == "running"
+        assert "quota" in records[blocked].queue_reason
+        check("quota-blocked tenant")
+        assert c.workload.cancel(blocked)
+        check("cancel queued")
+        c.workload.step()
+        assert c.workload.cancel(victim)
+        check("cancel running")
+        timed_out = c.submit(_sort_plan(), timeout=1e-7)
+        c.workload.step()
+        with pytest.raises(QueryTimeout):
+            c.gather(timed_out)
+        check("timeout")
+
+        # a node loss unwinds the running queries: the own-snapshot one
+        # is requeued, the caller-snapshot one fails
+        retried = c.submit(_sort_plan())
+        failed = c.submit(_sort_plan(), trans=c.begin())
+        c.workload.step()
+        redispatch = c.workload.redispatch
+
+        def checked_redispatch():
+            check("failover requeue")
+            redispatch()
+
+        monkeypatch.setattr(c.workload, "redispatch", checked_redispatch)
+        c.fail_node(c.session_master)
+        check("failover redispatch")
+        with pytest.raises(ExecutionError, match="caller-owned"):
+            c.gather(failed)
+        check("failure")
+
+        assert srv.chaos_storm(tenant="capped", count=3).startswith("storm")
+        assert c.registry.value(
+            "tenant_quota_saturation", tenant="capped") >= 3.0
+        check("tenant.storm")
+        c.workload.drain()
+        check("drained")
+        records = {r.query_id: r for r in c.workload.query_records()}
+        assert records[retried].retries == 1
+        assert records[retried].state == "finished"
+        assert _gauges(c)["admission_queue_depth"] == 0
+        assert "failover requeue" in seen
 
 
 # --------------------------------------------------------- cancel and timeout
