@@ -45,7 +45,7 @@ def main():
                                  "v": np.zeros(5000, np.int64)})
     print("\npartition responsibility (R) -- matching S partitions are "
           "co-located:")
-    for pid, node in sorted(cluster.responsibility_map("r").items()):
+    for pid, node in enumerate(cluster.placement.owners("r")):
         assert node == cluster.responsible("s", pid)
         print(f"  partition {pid:2d} -> {node}")
 

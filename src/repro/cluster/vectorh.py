@@ -13,20 +13,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.partitions import PartitionPlacement
 from repro.common.config import Config, DEFAULT_CONFIG
-from repro.common.errors import (
-    DataLossError,
-    PlanError,
-    ReproError,
-    StorageError,
-)
+from repro.common.errors import PlanError, ReproError, StorageError
 from repro.engine.expressions import Expr
-from repro.flow.assignment import affinity_map, responsibility_assignment
 from repro.hdfs.cluster import HdfsCluster
 from repro.hdfs.placement import VectorHPlacementPolicy
 from repro.mpp.executor import MppExecutor, QueryResult
 from repro.mpp.feedback import CardinalityFeedbackStore
-from repro.mpp.logical import LogicalPlan
+from repro.mpp.logical import LogicalPlan, LScan
 from repro.mpp.rewriter import ParallelRewriter, RewriterFlags
 from repro.net.mpi import MpiFabric
 from repro.obs import (
@@ -38,7 +33,6 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.introspect import SystemCatalog, annotate_plan, resolve_table
-from repro.pdt.stack import PdtStack
 from repro.storage.buffer import BufferPool
 from repro.storage.schema import TableSchema
 from repro.storage.table import StoredTable
@@ -55,15 +49,6 @@ DIRECT_APPEND_THRESHOLD = 4096
 #: cluster events kept for ``vh$events``; the oldest fall off the front
 #: and are counted in ``events_dropped_total``
 EVENT_LOG_CAPACITY = 65536
-
-
-def _pin_responsible_into_affinity(amap, resp) -> None:
-    """Guarantee the responsible node is one of the partition's replica
-    targets (the capacity constraints of the two flow problems can
-    otherwise disagree in corner cases)."""
-    for pid, node in resp.items():
-        if node not in amap[pid]:
-            amap[pid] = [node] + [n for n in amap[pid] if n != node][:-1]
 
 
 class VectorHCluster:
@@ -96,8 +81,10 @@ class VectorHCluster:
                                      sim_clock=self.sim_clock)
             if self.config.adaptive_feedback else None)
 
-        self.placement = VectorHPlacementPolicy()
-        self.hdfs = HdfsCluster(names, self.config, self.placement,
+        #: partition placement, one map per co-location group
+        self.placement = PartitionPlacement(self)
+        self.hdfs = HdfsCluster(names, self.config,
+                                VectorHPlacementPolicy(self.placement.targets),
                                 registry=self.registry, events=self.events,
                                 sim_clock=self.sim_clock)
         self.rm = ResourceManager(yarn_queues or {"default": 5, "prod": 8},
@@ -124,9 +111,6 @@ class VectorHCluster:
             for name in names
         }
         self.tables: Dict[str, StoredTable] = {}
-        #: what :meth:`min_replication_degree` last saw, and answered
-        self._replication: Tuple[Optional[tuple], int] = (None, 0)
-        self._responsibility: Dict[Tuple[str, int], str] = {}
         self.wal = WalManager(self.hdfs, db_path, registry=self.registry)
         self.txn = TransactionManager(self)
         self.executor = MppExecutor(self)
@@ -160,36 +144,22 @@ class VectorHCluster:
         return resolve_table(self, name)
 
     def responsible(self, table: str, pid: int) -> str:
-        stored = self.table(table)
-        if stored.is_replicated:
-            return self.session_master
-        return self._responsibility[(table, pid)]
-
-    def responsibility_map(self, table: str) -> Dict[int, str]:
-        stored = self.tables[table]
-        return {pid: self.responsible(table, pid)
-                for pid in range(stored.n_partitions)}
+        return self.placement.owners(table)[pid]
 
     # --------------------------------------------------------------------- DDL
 
     def create_table(self, schema: TableSchema) -> StoredTable:
-        """Create a table: storage, PDT stacks, WALs and partition affinity.
-
-        Partition ``pid`` of *every* table maps to the same worker triple
-        (round-robin, Figure 2), which co-locates equal partition ids
-        across tables -- the invariant behind co-located FK joins.
-        """
+        """Create a table: storage, PDT stacks and WALs. It joins the
+        co-location group of its partition count, so its partition ``pid``
+        lives where ``pid`` of every such table lives -- the invariant
+        behind co-located FK joins."""
         if schema.name in self.tables:
             raise StorageError(f"table exists: {schema.name}")
         stored = StoredTable(self.hdfs, self.db_path, schema, self.config)
         self.tables[schema.name] = stored
-        n = len(self.workers)
-        r = min(self.config.replication, n)
-        for pid in range(stored.n_partitions):
-            nodes = [self.workers[(pid + i) % n] for i in range(r)]
-            self.placement.set_affinity(stored.partition_tag(pid), nodes)
-            self._responsibility[(schema.name, pid)] = nodes[0]
-            self.wal.create_partition_wal(schema.name, pid, writer=nodes[0])
+        group = self.placement.join(stored.n_partitions)
+        for pid, node in enumerate(group.responsible):
+            self.wal.create_partition_wal(schema.name, pid, writer=node)
         self.wal.log_global("ddl", ("create_table", schema.name),
                             writer=self.session_master)
         self.events.emit("cluster", "create_table", table=schema.name,
@@ -200,8 +170,8 @@ class VectorHCluster:
         stored = self.tables.pop(name, None)
         if stored is None:
             raise StorageError(f"no such table {name}")
+        self.placement.leave(stored.n_partitions)
         for pid in range(stored.n_partitions):
-            self._responsibility.pop((name, pid), None)
             path = self.wal.partition_wal_path(name, pid)
             if self.hdfs.exists(path):
                 self.hdfs.delete(path)
@@ -218,10 +188,8 @@ class VectorHCluster:
         """Initial load; each partition is written by its responsible node,
         so the default first-copy-on-the-writer rule already lands the
         primary replica locally."""
-        stored = self.tables[table]
-        writers = {pid: self.responsible(table, pid)
-                   for pid in range(stored.n_partitions)}
-        stored.bulk_load(columns, writers)
+        self.tables[table].bulk_load(
+            columns, dict(enumerate(self.placement.owners(table))))
         self.txn.bump_epoch(table)
 
     # ------------------------------------------------------------------- queries
@@ -309,20 +277,14 @@ class VectorHCluster:
         qualifying row ranges per partition, charging exactly one
         request/response pair per remote responsible node.
         """
-        from repro.mpp.logical import LScan
-        wanted: Dict[Tuple[str, int], list] = {}
-        for node in plan.walk():
-            if isinstance(node, LScan) and node.skip_predicates:
-                stored = self.table(node.table)
-                for pid in range(stored.n_partitions):
-                    wanted.setdefault((node.table, pid), []).extend(
-                        node.skip_predicates
-                    )
+        wanted: Dict[str, list] = {}
+        for scan in plan.walk():
+            if isinstance(scan, LScan) and scan.skip_predicates:
+                wanted.setdefault(scan.table, []).extend(scan.skip_predicates)
         by_node: Dict[str, list] = {}
-        for (table, pid), preds in wanted.items():
-            by_node.setdefault(self.responsible(table, pid), []).append(
-                (table, pid, preds)
-            )
+        for table, preds in wanted.items():
+            for pid, node in enumerate(self.placement.owners(table)):
+                by_node.setdefault(node, []).append((table, pid, preds))
         answers: Dict[str, object] = {}
         for node, requests in by_node.items():
             if node != self.session_master:
@@ -383,9 +345,8 @@ class VectorHCluster:
         if own_txn:
             trans = self.begin()
         changed = 0
-        for pid in range(stored.n_partitions):
+        for pid, node in enumerate(self.placement.owners(table)):
             t = trans.trans_for(table, pid)
-            node = self.responsible(table, pid)
             res = stored.scan_partition(pid, columns, list(skip_predicates),
                                         trans=t, reader=node,
                                         pool=self.pool_of(node))
@@ -447,9 +408,8 @@ class VectorHCluster:
         names = [table] if table else list(self.tables)
         for name in names:
             stored = self.tables[name]
-            for pid in range(stored.n_partitions):
+            for pid, node in enumerate(self.placement.owners(name)):
                 if force or stored.needs_propagation(pid):
-                    node = self.responsible(name, pid)
                     mode = stored.propagate(pid, writer=node)
                     if mode != "none":
                         stats[mode] += 1
@@ -473,14 +433,10 @@ class VectorHCluster:
            the workload manager (their prepared runs cache the old
            worker set and session master);
         2. dbAgent shrinks the worker set to the survivors;
-        3. the affinity map is recomputed by min-cost flow over current
-           replica locations and pushed into the placement policy;
-        4. the namenode re-replicates under-replicated chunk files, now
-           steered by the updated policy;
-        5. responsibilities are reassigned (min-cost flow again) and the
-           new responsible nodes replay their partition WALs to rebuild
-           the PDTs they must now hold in RAM;
-        6. the (possibly new) session master resolves in-doubt 2PC
+        3. :meth:`PartitionPlacement.rebalance` recomputes every group's
+           map by min-cost flow, the new responsible nodes replay their
+           partition WALs, and HDFS re-replicates under the new maps;
+        4. the (possibly new) session master resolves in-doubt 2PC
            transactions from the WALs, then queued queries re-dispatch.
 
         Raises :class:`DataLossError` -- before touching any state -- if
@@ -489,22 +445,19 @@ class VectorHCluster:
         """
         if name not in self.workers:
             raise ReproError(f"{name} is not in the worker set")
-        self._check_data_loss(name)
+        self.placement.check_data_loss(name)
         self.events.emit("cluster", "node_failed", node=name)
         self.workload.on_node_failed(name)
         self.hdfs.mark_node_dead(name)
         self.rm.unregister_node(name)
-        survivors = [w for w in self.workers if w != name]
-        self.dbagent.viable_machines = [
-            m for m in self.dbagent.viable_machines if m != name
-        ]
-        self.workers = self.dbagent.negotiate_worker_set(
-            len(survivors), self.db_path + "/"
-        )
+        agent = self.dbagent
+        agent.viable_machines = [m for m in agent.viable_machines if m != name]
+        self.workers = agent.negotiate_worker_set(len(self.workers) - 1,
+                                                  self.db_path + "/")
         if self.session_master not in self.workers:
             self.session_master = self.workers[0]
 
-        moved = self._reassign_partitions()
+        moved = self.placement.rebalance()
         # presumed-abort recovery: the new session master settles any
         # transaction the dead node left between 2PC prepare and commit
         resolved = self.txn.resolve_in_doubt()
@@ -519,56 +472,18 @@ class VectorHCluster:
         self.workload.redispatch()
         return {"workers": list(self.workers), **moved, "resolved": resolved}
 
-    def _check_data_loss(self, dying: str) -> None:
-        """Refuse a node kill that would destroy the last copy of data."""
-        for tname, stored in self.tables.items():
-            for pid in range(stored.n_partitions):
-                paths = list(stored.partitions[pid].file_paths())
-                wal_path = self.wal.partition_wal_path(tname, pid)
-                if self.hdfs.exists(wal_path):
-                    paths.append(wal_path)
-                for path in paths:
-                    if not set(self.hdfs.alive_replicas(path)) - {dying}:
-                        self.events.emit("cluster", "data_lost",
-                                         table=tname, partition=pid,
-                                         node=dying, path=path)
-                        raise DataLossError(
-                            f"data loss: {dying} holds the last replica of "
-                            f"table {tname} partition {pid} ({path})"
-                        )
-
-    def _replay_pdt(self, table: str, pid: int, node: str) -> int:
-        """New responsible node rebuilds the partition's PDTs from its WAL."""
-        stored = self.tables[table]
-        records = self.wal.replay_partition(table, pid, reader=node)
-        stack = PdtStack(self.config.write_pdt_flush_threshold)
-        replayed = 0
-        for record in records:
-            if record.kind == "commit":
-                _txn_id, entries = record.payload
-                stack.apply_replicated(entries)
-                replayed += 1
-            elif record.kind == "minmax":
-                stored.partitions[pid].minmax = (
-                    stored.partitions[pid].minmax.from_record(record.payload)
-                )
-        stored.pdt[pid] = stack
-        path = self.wal.partition_wal_path(table, pid)
-        return self.hdfs.file_size(path) if self.hdfs.exists(path) else 0
-
     # --------------------------------------------- dynamic worker set (§4)
     #
     # The paper plans to "grow and shrink the worker set (not only
     # cores/RAM) dynamically" in a future release; these methods implement
     # that roadmap item on top of the same min-cost-flow machinery.
 
-    def add_worker(self, name: str, rebalance: bool = True) -> None:
+    def add_worker(self, name: str) -> None:
         """Grow the worker set with a fresh node.
 
-        The node registers with HDFS and YARN; with ``rebalance`` the
-        affinity maps are recomputed so the newcomer receives an even
-        share of partition copies (steered re-replication moves them) and
-        responsibilities rebalance onto it.
+        The node registers with HDFS and YARN, then the group maps are
+        rebalanced so the newcomer receives an even share of partition
+        copies (steered re-replication moves them) and responsibilities.
         """
         if name in self.workers:
             raise ReproError(f"{name} already in the worker set")
@@ -587,109 +502,25 @@ class VectorHCluster:
         )
         self.events.emit("cluster", "worker_added", node=name,
                          workers=len(self.workers))
-        if rebalance:
-            self._reassign_partitions()
+        self.placement.rebalance()
 
     def shrink_to_minimal_footprint(self) -> List[str]:
-        """Idle mode: concentrate responsibility on ceil(N/R) workers.
-
-        Section 4's minimal-resource scenario: with replication R every
-        partition has a copy on at least one member of a ceil(N/R)-sized
-        subset, so an idle VectorH can serve all data from that subset
-        with every IO still local. Returns the active subset; the other
-        workers keep their replicas but own no partitions.
-        """
-        import math
-        r = min(self.config.replication, len(self.workers))
-        n_active = math.ceil(len(self.workers) / r)
-        active = self._covering_subset(n_active)
-        self._reassign_partitions(responsibility_workers=active)
+        """Idle mode (section 4): concentrate responsibility on the
+        covering subset (:meth:`PartitionPlacement.covering_subset`) and
+        return it; the other workers keep their replicas but answer no
+        partition."""
+        active = self.placement.covering_subset()
+        self.placement.rebalance(responsibility_workers=active)
         self.dbagent.shrink_footprint(len(self.dbagent.slices))
         self.events.emit("cluster", "footprint_shrunk",
                          active=",".join(active))
         return active
 
-    def _covering_subset(self, n_target: int) -> List[str]:
-        """Greedy set cover: the smallest worker subset (>= n_target tried
-        first) holding a replica of every partition of every table."""
-        active: List[str] = []
-        uncovered = [
-            holders for stored in self.tables.values()
-            for holders in map(self.alive_holders, stored.partitions)
-            if holders]
-        while uncovered and len(active) < len(self.workers):
-            best = max(
-                (w for w in self.workers if w not in active),
-                key=lambda w: sum(1 for s in uncovered if w in s),
-            )
-            active.append(best)
-            uncovered = [s for s in uncovered if best not in s]
-        while len(active) < min(n_target, len(self.workers)):
-            extra = next(w for w in self.workers if w not in active)
-            active.append(extra)
-        return active
-
     def restore_full_footprint(self) -> None:
         """Leave idle mode: spread responsibilities over all workers."""
-        self._reassign_partitions()
+        self.placement.rebalance()
         self.events.emit("cluster", "footprint_restored",
                          workers=len(self.workers))
-
-    def alive_holders(self, store) -> set:
-        """Alive nodes holding a replica of any file of one partition."""
-        return {h for path in store.file_paths()
-                for h in self.hdfs.alive_replicas(path)}
-
-    def _reassign_partitions(
-        self, responsibility_workers: Optional[List[str]] = None
-    ) -> Dict[str, int]:
-        """Joint affinity + responsibility recomputation, optionally
-        restricting responsibility to a worker subset; the new
-        responsible nodes replay their partition WALs, then HDFS
-        re-replicates and rebalances under the updated policy.
-
-        Affinity and responsibility are recomputed *jointly* per
-        partition-count group: matching partition ids of co-partitioned
-        tables (e.g. lineitem/orders) must keep moving together, as in
-        Figure 2, or co-located joins stop being local -- and stop being
-        correct. Returns how much moved.
-        """
-        resp_workers = responsibility_workers or self.workers
-        moved_partitions = wal_replayed_bytes = 0
-        groups: Dict[int, List[str]] = {}
-        for tname, stored in self.tables.items():
-            groups.setdefault(stored.n_partitions, []).append(tname)
-        for n_parts, tnames in groups.items():
-            parts = list(range(n_parts))
-            local = {
-                pid: set().union(*(
-                    self.alive_holders(self.tables[t].partitions[pid])
-                    for t in tnames))
-                for pid in parts}
-            amap = affinity_map(parts, self.workers, local,
-                                self.config.replication)
-            resp = responsibility_assignment(
-                parts, resp_workers,
-                {p: set(amap[p]) & set(resp_workers) for p in parts},
-            )
-            _pin_responsible_into_affinity(amap, resp)
-            for tname in tnames:
-                stored = self.tables[tname]
-                for pid in parts:
-                    self.placement.set_affinity(stored.partition_tag(pid),
-                                                amap[pid])
-                    old = self._responsibility.get((tname, pid))
-                    new = resp[pid]
-                    if old != new:
-                        self._responsibility[(tname, pid)] = new
-                        moved_partitions += 1
-                        wal_replayed_bytes += self._replay_pdt(
-                            tname, pid, new)
-        repaired = self.hdfs.rereplicate()
-        self.hdfs.rebalance()
-        return {"moved_partitions": moved_partitions,
-                "rereplicated_files": repaired,
-                "wal_replayed_bytes": wal_replayed_bytes}
 
     # ----------------------------------------- feedback persistence (§5)
 
@@ -751,51 +582,8 @@ class VectorHCluster:
             "short_circuit_fraction": self.hdfs.locality_fraction(),
             "total_bytes_read": float(self.hdfs.total_bytes_read()),
             "network_bytes": float(self.mpi.total_bytes),
-            "colocated_fraction": self.placement_audit()["overall"],
+            "colocated_fraction": self.placement.audit()["overall"],
         }
-
-    def placement_audit(self) -> Dict[str, float]:
-        """Per-table fraction of partitions whose responsible node holds a
-        local replica of every partition file; key ``"overall"`` aggregates
-        all partitions. Fractions below 1.0 mean responsibility has drifted
-        away from the data (e.g. after DataNode failures before
-        re-replication catches up) and emit a ``placement_drift`` event."""
-        audit: Dict[str, float] = {}
-        total = colocated = 0
-        for tname, stored in self.tables.items():
-            table_total = table_colocated = 0
-            for pid in range(stored.n_partitions):
-                table_total += 1
-                responsible = self.responsible(tname, pid)
-                paths = stored.partitions[pid].file_paths()
-                if all(self.hdfs.is_local(p, responsible) for p in paths):
-                    table_colocated += 1
-            audit[tname] = (
-                1.0 if table_total == 0 else table_colocated / table_total
-            )
-            if audit[tname] < 1.0:
-                self.events.emit("cluster", "placement_drift", table=tname,
-                                 fraction=round(audit[tname], 4))
-            total += table_total
-            colocated += table_colocated
-        audit["overall"] = 1.0 if total == 0 else colocated / total
-        return audit
-
-    def min_replication_degree(self) -> int:
-        """Alive replicas of the worst-covered partition file. Sampled by
-        the flight recorder after every statement, so the walk over the
-        namespace is repeated only once HDFS says it changed."""
-        key = (self.hdfs.namespace_version, len(self.tables),
-               len(self.workers))
-        if key != self._replication[0]:
-            self._replication = (key, min(
-                (len(self.hdfs.alive_replicas(path))
-                 for stored in self.tables.values()
-                 for part in stored.partitions
-                 for path in part.file_paths()),
-                default=min(self.config.replication,
-                            max(1, len(self.workers)))))
-        return self._replication[1]
 
     def clear_buffer_pools(self) -> None:
         for pool in self._pools.values():

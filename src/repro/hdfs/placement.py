@@ -11,7 +11,18 @@ cluster composition changes.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+import re
+from typing import Callable, List, Optional, Sequence, Tuple
+
+#: a partition's data (``…/{table}/part-NNNN/…``) or WAL (``….wal``) file
+_PARTITION_FILE = re.compile(r"/([^/]+)/part-(\d+)(?:/|\.wal$)")
+
+
+def partition_of(path: str) -> Optional[Tuple[str, int]]:
+    """``(table, pid)`` of a partition file, matched on whole path
+    components: table ``a`` does not claim the files of table ``ba``."""
+    match = _PARTITION_FILE.search(path)
+    return None if match is None else (match[1], int(match[2]))
 
 
 class BlockPlacementPolicy:
@@ -54,49 +65,38 @@ class DefaultPlacementPolicy(BlockPlacementPolicy):
 
 
 class VectorHPlacementPolicy(BlockPlacementPolicy):
-    """VectorH's instrumented policy: place by partition affinity map.
+    """VectorH's instrumented policy: place by partition affinity.
 
-    ``affinity`` maps a *partition tag* (a substring that VectorH embeds in
-    every chunk-file path, e.g. ``"R/part-0004"``) to the ordered list of
-    datanodes that should hold its replicas -- the responsible node first.
-    Files whose path matches no tag fall back to the default policy.
+    ``affinity(table, pid)`` lists the datanodes that should hold every
+    file of that partition (:func:`partition_of`), or is None; files it
+    does not pin fall back to the default policy.
     """
 
-    def __init__(self, fallback: BlockPlacementPolicy | None = None):
-        self.affinity: Dict[str, List[str]] = {}
+    def __init__(self, affinity: Optional[Callable] = None,
+                 fallback: BlockPlacementPolicy | None = None):
+        self.affinity = affinity or (lambda table, pid: None)
         self._fallback = fallback or DefaultPlacementPolicy()
 
-    def set_affinity(self, partition_tag: str, nodes: List[str]) -> None:
-        """Pin all files of a partition to ``nodes`` (responsible first)."""
-        self.affinity[partition_tag] = list(nodes)
-
-    def partition_tag_for(self, path: str) -> str | None:
-        for tag in self.affinity:
-            if tag in path:
-                return tag
-        return None
-
     def pinned_targets(self, path: str, alive_nodes) -> Optional[List[str]]:
-        """The full replica set the affinity map pins this file to, or
-        None for files outside any partition (the namenode's re-balancer
-        only moves pinned files)."""
-        tag = self.partition_tag_for(path)
-        if tag is None:
+        """The alive nodes the affinity pins this file to, or None for
+        files it does not pin (the namenode's re-balancer only moves
+        pinned files)."""
+        partition = partition_of(path)
+        nodes = None if partition is None else self.affinity(*partition)
+        if nodes is None:
             return None
         alive = set(alive_nodes)
-        return [n for n in self.affinity[tag] if n in alive]
+        return [n for n in nodes if n in alive]
 
     def choose_targets(self, path, writer, n_replicas, alive_nodes,
                        current_holders=()):
-        tag = self.partition_tag_for(path)
-        if tag is None:
+        pinned = self.pinned_targets(path, alive_nodes)
+        if pinned is None:
             return self._fallback.choose_targets(
                 path, writer, n_replicas, alive_nodes, current_holders
             )
         holders = set(current_holders)
-        alive = set(alive_nodes)
-        targets = [n for n in self.affinity[tag]
-                   if n in alive and n not in holders]
+        targets = [n for n in pinned if n not in holders]
         if len(targets) < n_replicas:
             extra = self._fallback.choose_targets(
                 path, writer, n_replicas - len(targets), alive_nodes,

@@ -238,18 +238,20 @@ class StreamingScan(Operator):
         phys = self.phys
         table = cluster.table(phys.table)
         trans = self.ctx.trans
-        virtual = table.is_virtual
         yielded = False
         keyed = ({"key_filter": (phys.key_filter, self.key_slot[0])}
                  if self.key_slot else {})
-        for pid in range(table.n_partitions):
-            if not virtual and \
-                    cluster.responsible(phys.table, pid) != self.node:
-                continue
+        # a replicated table is scanned once, on whichever stream its
+        # plan put it; a partitioned one by the node answering each pid
+        pids = range(table.n_partitions)
+        if not table.is_replicated:
+            owners = cluster.placement.owners(phys.table)
+            pids = [pid for pid in pids if owners[pid] == self.node]
+        for pid in pids:
             res = table.scan_partition(
                 pid, phys.columns, phys.skip_predicates,
                 trans=(trans.trans_for(phys.table, pid)
-                       if trans and not virtual else None),
+                       if trans and not table.is_virtual else None),
                 reader=self.node, pool=cluster.pool_of(self.node), **keyed,
             )
             self.profile.key_filtered += res.key_filtered
@@ -827,23 +829,19 @@ class MppExecutor:
     def _split_destinations(self, phys: P.DXHashSplit, workers: List[str]):
         keys = phys.keys
         if phys.align_with is not None:
-            # route with the aligned table's partition function and
-            # responsibility map, so rows land with their join partners:
-            # the keys are hashed as that table's partition key stores them
+            # rows go to their join partners: hashed as the aligned table's
+            # partition key stores them, to the node answering that pid
             schema = self.cluster.table(phys.align_with).schema
             key_types = [schema.ctype(k) for k in schema.partition_key]
-            node_index = {w: i for i, w in enumerate(workers)}
-            align_with = phys.align_with
+            stream_of_pid = np.array(
+                [workers.index(node) for node in
+                 self.cluster.placement.owners(phys.align_with)],
+                dtype=np.int64)
 
             def destinations(batch: Batch) -> np.ndarray:
-                pids = schema.partition_ids([
+                return stream_of_pid.take(schema.partition_ids([
                     ctype.to_storage(batch.columns[k])
-                    for ctype, k in zip(key_types, keys)])
-                out = np.empty(batch.n, dtype=np.int64)
-                for pid in np.unique(pids):
-                    node = self.cluster.responsible(align_with, int(pid))
-                    out[pids == pid] = node_index[node]
-                return out
+                    for ctype, k in zip(key_types, keys)]))
         else:
             def destinations(batch: Batch) -> np.ndarray:
                 return _hash_to_streams(batch, keys, workers)

@@ -126,19 +126,17 @@ def _blocks_rows(cluster) -> List[tuple]:
 
 
 def _partitions_rows(cluster) -> List[tuple]:
+    placement = cluster.placement
     rows = []
-    for tname in sorted(cluster.tables):
+    for tname, pid, files in placement.partition_files():
         stored = cluster.tables[tname]
-        for pid in range(stored.n_partitions):
-            node = cluster.responsible(tname, pid)
-            store = stored.partitions[pid]
-            paths = store.file_paths()
-            replicas = cluster.alive_holders(store)
-            local = int(all(cluster.hdfs.is_local(p, node) for p in paths))
-            rows.append((tname, pid, node, len(replicas), store.n_stable,
-                         stored.pdt[pid].total_entries(),
-                         store.total_bytes(), local))
-    return rows
+        node = placement.owners(tname)[pid]
+        store = stored.partitions[pid]
+        rows.append((tname, pid, node, len(placement.holders(files)),
+                     store.n_stable, stored.pdt[pid].total_entries(),
+                     store.total_bytes(),
+                     int(placement.is_local(files, node))))
+    return sorted(rows)
 
 
 def _compression_rows(cluster) -> List[tuple]:

@@ -611,7 +611,7 @@ class FlightRecorder:
         cluster = self.cluster
         for node, live in sorted(cluster.workload.meter.current.items()):
             self._g_mem.set(max(0, live), node=node)
-        self._g_repl.set(cluster.min_replication_degree())
+        self._g_repl.set(cluster.placement.min_replication_degree())
 
     # -- query log -----------------------------------------------------------
 

@@ -8,8 +8,8 @@ an append-only filesystem. Partially-filled trailing blocks go to a
 separate *partial chunk file* which the next append merges into full blocks
 and deletes (paper section 3, "File-per-partition Layout").
 
-The chunk-file paths all contain the partition *tag*, which is what the
-instrumented HDFS placement policy keys on to co-locate the partition.
+Every file lives under ``<db>/<table>/part-NNNN/``, which is how the
+instrumented HDFS placement policy finds its partition.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class PartitionStore:
     """Columnar storage for one table partition."""
 
     def __init__(self, hdfs: HdfsCluster, base_path: str,
-                 schema: TableSchema, config: Config, tag: str,
+                 schema: TableSchema, config: Config,
                  dictionaries: Optional[ColumnDictionaries] = None):
         self.hdfs = hdfs
         #: the table's, when the table made this store; else its own
@@ -135,7 +135,6 @@ class PartitionStore:
         self.base_path = base_path.rstrip("/")
         self.schema = schema
         self.config = config
-        self.tag = tag
         self._next_chunk = 0
         self._next_partial = 0
         self._reset_catalog()

@@ -75,11 +75,9 @@ class StoredTable:
         self.pdt: List[PdtStack] = []
         dictionaries = ColumnDictionaries()
         for pid in range(self.n_partitions):
-            tag = self.partition_tag(pid)
-            base = f"{db_path.rstrip('/')}/{tag}"
+            base = f"{db_path.rstrip('/')}/{schema.name}/part-{pid:04d}"
             self.partitions.append(
-                PartitionStore(hdfs, base, schema, config, tag, dictionaries)
-            )
+                PartitionStore(hdfs, base, schema, config, dictionaries))
             self.pdt.append(
                 PdtStack(flush_threshold=config.write_pdt_flush_threshold)
             )
@@ -142,9 +140,6 @@ class StoredTable:
     def is_replicated(self) -> bool:
         """Non-partitioned tables are replicated on all workers (section 6)."""
         return not self.schema.is_partitioned
-
-    def partition_tag(self, pid: int) -> str:
-        return f"{self.schema.name}/part-{pid:04d}"
 
     # --------------------------------------------- storage representation
     #

@@ -39,10 +39,12 @@ class TestDdl:
     def test_create_assigns_affinity_and_wal(self):
         c = two_table_cluster()
         stored = c.tables["r"]
+        group = c.placement.groups[12]
         for pid in range(stored.n_partitions):
-            tag = stored.partition_tag(pid)
-            assert tag in c.placement.affinity
-            assert c.hdfs.exists(c.wal.partition_wal_path("r", pid))
+            wal = c.wal.partition_wal_path("r", pid)
+            for path in stored.partitions[pid].file_paths() + [wal]:
+                assert c.hdfs.replica_locations(path) == \
+                    list(group.targets[pid])
 
     def test_duplicate_table_rejected(self):
         c = two_table_cluster()
@@ -86,6 +88,79 @@ class TestLocality:
         # only the DXchgUnion gather and 2PC-free coordination remain
         res = c.query(LAggr(LScan("r", ["rk"]), [], [("n", "count", None)]))
         assert res.network_bytes < 10_000
+
+
+def keyed_table(c, name, key, n_partitions=8, n_rows=1000):
+    c.create_table(TableSchema(name, [Column(key, INT64)],
+                               partition_key=(key,),
+                               n_partitions=n_partitions))
+    c.bulk_load(name, {key: np.arange(n_rows)})
+
+
+class TestDdlAfterTopologyChange:
+    """A table created after the worker set changed joins the map its
+    co-location group has *now*. While every table kept its own copy of
+    the map, ``b`` got a fresh round-robin after each change below and
+    the join, still planned local, answered 500, 125 and 250 rows."""
+
+    @pytest.mark.parametrize("change", [
+        "fail_node", "add_worker", "shrink_to_minimal_footprint"])
+    def test_new_table_joins_its_group(self, change):
+        c = VectorHCluster(n_nodes=5, config=Config().scaled_for_tests())
+        keyed_table(c, "a", "ka")
+        if change == "fail_node":
+            c.fail_node(c.workers[-1])
+        elif change == "add_worker":
+            c.add_worker("node6")
+        else:
+            c.shrink_to_minimal_footprint()
+        keyed_table(c, "b", "kb")
+        for pid in range(8):
+            assert c.responsible("b", pid) == c.responsible("a", pid)
+        join = "SELECT count(*) AS n FROM a JOIN b ON ka = kb"
+        plan = "\n".join(execute_sql(c, "EXPLAIN " + join).columns["plan"])
+        assert "HashSplit" not in plan and "Broadcast" not in plan
+        assert execute_sql(c, join).columns["n"].tolist() == [1000]
+        assert c.placement.audit()["overall"] == 1.0
+
+    def test_group_goes_with_its_last_table(self):
+        c = VectorHCluster(n_nodes=5, config=Config().scaled_for_tests())
+        keyed_table(c, "a", "ka")
+        c.fail_node(c.workers[-1])
+        c.drop_table("a")
+        assert 8 not in c.placement.groups
+        keyed_table(c, "b", "kb")     # a new group: round-robin again
+        assert [c.responsible("b", p) for p in range(8)] == [
+            c.workers[p % len(c.workers)] for p in range(8)]
+
+
+class TestReplicatedScan:
+    def test_replicated_table_reads_whole_after_add_worker(self):
+        """``add_worker`` re-sorts the worker set, so the stream a
+        replicated scan runs on need not be the session master's; the
+        scan used to skip the table there and answer 0 rows."""
+        c = VectorHCluster(n_nodes=5, config=Config().scaled_for_tests())
+        keyed_table(c, "a", "ka")
+        c.create_table(TableSchema("d", [Column("kd", INT64)]))
+        c.bulk_load("d", {"kd": np.arange(100)})
+        c.add_worker("node6")
+        assert c.workers[0] != c.session_master
+        assert execute_sql(c, "SELECT count(*) AS n FROM d").columns[
+            "n"].tolist() == [100]
+        assert execute_sql(c, "SELECT count(*) AS n FROM a JOIN d "
+                              "ON ka = kd").columns["n"].tolist() == [100]
+
+
+class TestAffinityTags:
+    def test_table_named_like_the_end_of_another_keeps_its_affinity(self):
+        """``a/part-0000`` is a substring of ``ba/part-0000``: the files of
+        ``ba`` resolved to ``a``'s affinity, and after a failover 1 in 12
+        of ``ba``'s partitions was not local to its responsible node."""
+        c = VectorHCluster(n_nodes=6, config=Config().scaled_for_tests())
+        keyed_table(c, "a", "ka", n_partitions=4)
+        keyed_table(c, "ba", "kba", n_partitions=12)
+        c.fail_node("node3")
+        assert c.placement.audit() == {"a": 1.0, "ba": 1.0, "overall": 1.0}
 
 
 class TestPartitionKeyUpdate:

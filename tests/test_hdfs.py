@@ -10,6 +10,7 @@ from repro.hdfs import (
     HdfsCluster,
     VectorHPlacementPolicy,
 )
+from repro.hdfs.placement import partition_of
 
 NODES = ["n1", "n2", "n3", "n4"]
 
@@ -135,11 +136,15 @@ class TestFailures:
         assert hdfs.replica_locations("/f") == ["a"]
 
 
+def pinning(pins):
+    """The VectorH policy with ``pins`` (``{(table, pid): nodes}``) as its
+    affinity; read at every placement, so a test may change it."""
+    return VectorHPlacementPolicy(lambda table, pid: pins.get((table, pid)))
+
+
 class TestVectorHPlacement:
     def test_affinity_respected(self, hdfs):
-        policy = VectorHPlacementPolicy()
-        policy.set_affinity("t/part-0001", ["n2", "n3", "n4"])
-        hdfs.placement_policy = policy
+        hdfs.placement_policy = pinning({("t", 1): ["n2", "n3", "n4"]})
         hdfs.write_file("/db/t/part-0001/chunk-0.dat", b"x" * 10, writer="n1")
         assert hdfs.replica_locations("/db/t/part-0001/chunk-0.dat") == \
             ["n2", "n3", "n4"]
@@ -151,25 +156,37 @@ class TestVectorHPlacement:
         assert hdfs.replica_locations("/elsewhere")[0] == "n2"
 
     def test_rereplication_follows_updated_affinity(self, hdfs):
-        policy = VectorHPlacementPolicy()
-        policy.set_affinity("t/part-0001", ["n1", "n2", "n3"])
-        hdfs.placement_policy = policy
+        pins = {("t", 1): ["n1", "n2", "n3"]}
+        hdfs.placement_policy = pinning(pins)
         hdfs.write_file("/db/t/part-0001/c0", b"x" * 8, writer="n1")
         # node1 dies; the new affinity pins the partition to n2,n3,n4
-        policy.set_affinity("t/part-0001", ["n2", "n3", "n4"])
+        pins[("t", 1)] = ["n2", "n3", "n4"]
         hdfs.fail_node("n1")
         assert sorted(hdfs.replica_locations("/db/t/part-0001/c0")) == \
             ["n2", "n3", "n4"]
         assert hdfs.nodes["n4"].bytes_rereplicated == 8
 
     def test_dead_affinity_targets_skipped(self, hdfs):
-        policy = VectorHPlacementPolicy()
-        policy.set_affinity("t/part-0002", ["n1", "n2", "n3"])
-        hdfs.placement_policy = policy
+        hdfs.placement_policy = pinning({("t", 2): ["n1", "n2", "n3"]})
         hdfs.mark_node_dead("n2")
         hdfs.write_file("/db/t/part-0002/c0", b"x", writer="n1")
         locs = hdfs.replica_locations("/db/t/part-0002/c0")
         assert "n2" not in locs and len(locs) == 3
+
+    def test_partition_matched_on_whole_path_components(self, hdfs):
+        """``a/part-0000`` is a substring of ``ba/part-0000``: the files of
+        table ``ba`` must still resolve to ``ba``, data and WAL alike."""
+        hdfs.placement_policy = pinning({("a", 0): ["n1", "n2", "n3"],
+                                         ("ba", 0): ["n2", "n3", "n4"]})
+        for path in ("/db/ba/part-0000/c0", "/db/wal/ba/part-0000.wal"):
+            hdfs.write_file(path, b"x", writer="n1")
+            assert hdfs.replica_locations(path) == ["n2", "n3", "n4"]
+        assert partition_of("/db/ba/part-0000/chunk-00000.dat") == ("ba", 0)
+        assert partition_of("/db/wal/ba/part-0000.wal") == ("ba", 0)
+        assert partition_of("/db/a/part-0012/partial-0001.dat") == ("a", 12)
+        for path in ("/db/wal/global.wal", "/db/meta/feedback.json",
+                     "/db/a/part-0001.dat", "/db/a/part-x/c0"):
+            assert partition_of(path) is None
 
 
 class TestDefaultPlacement:

@@ -387,10 +387,10 @@ class TestPlacementAudit:
             config=dataclasses.replace(Config().scaled_for_tests(),
                                        replication=2))
         _load_t(cluster)
-        assert cluster.placement_audit() == {"t": 1.0, "overall": 1.0}
+        assert cluster.placement.audit() == {"t": 1.0, "overall": 1.0}
         victim = cluster.responsible("t", 0)
         cluster.hdfs.mark_node_dead(victim)  # no failover yet: drift
-        audit = cluster.placement_audit()
+        audit = cluster.placement.audit()
         assert audit["t"] < 1.0
         drift = cluster.events.last("placement_drift")
         assert drift.attrs["table"] == "t"
@@ -403,7 +403,7 @@ class TestPlacementAudit:
                                        replication=2))
         _load_t(cluster)
         cluster.fail_node(cluster.responsible("t", 0))
-        assert cluster.placement_audit()["overall"] == 1.0
+        assert cluster.placement.audit()["overall"] == 1.0
         report = cluster.locality_report()
         assert report["colocated_fraction"] == 1.0
 

@@ -39,8 +39,7 @@ def simple_schema(**kwargs):
 
 @pytest.fixture()
 def store(hdfs, config):
-    return PartitionStore(hdfs, "/db/t/part-0000", simple_schema(), config,
-                          "t/part-0000")
+    return PartitionStore(hdfs, "/db/t/part-0000", simple_schema(), config)
 
 
 def make_columns(n, offset=0):
@@ -98,8 +97,7 @@ class TestPartitionStore:
         others' new rows over stable ones (a tail flush of 16 inserts
         took a 15 019-row lineitem partition to 8 208 rows)."""
         schema = TableSchema("t", [Column("k", INT64), Column("d", DATE)])
-        store = PartitionStore(hdfs, "/db/t/part-0000", schema, config,
-                               "t/part-0000")
+        store = PartitionStore(hdfs, "/db/t/part-0000", schema, config)
         n = 3 * rows_per_block(INT64, config) + 7
 
         def rows(lo, hi):
