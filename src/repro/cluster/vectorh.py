@@ -338,14 +338,18 @@ class VectorHCluster:
         SELECT finds them: each partition scanned at its responsible node
         (so PDTs are modified on the right node) under the statement's
         transaction, MinMax and the scan's exact filter applied on the
-        sargable ``skip_predicates`` before ``predicate`` sees a row.
+        sargable ``skip_predicates`` before ``predicate`` sees a row --
+        only the partitions their ``=`` literals on the key reach.
         Returns the sum of what ``change`` returned."""
         stored = self.tables[table]
         own_txn = trans is None
         if own_txn:
             trans = self.begin()
         changed = 0
-        for pid, node in enumerate(self.placement.owners(table)):
+        owners = self.placement.owners(table)
+        reached = stored.reached_partitions(skip_predicates)
+        for pid in range(len(owners)) if reached is None else reached:
+            node = owners[pid]
             t = trans.trans_for(table, pid)
             res = stored.scan_partition(pid, columns, list(skip_predicates),
                                         trans=t, reader=node,

@@ -243,7 +243,9 @@ class StreamingScan(Operator):
                  if self.key_slot else {})
         # a replicated table is scanned once, on whichever stream its
         # plan put it; a partitioned one by the node answering each pid
-        pids = range(table.n_partitions)
+        # the scan reaches
+        pids = (range(table.n_partitions) if phys.partitions is None
+                else phys.partitions)
         if not table.is_replicated:
             owners = cluster.placement.owners(phys.table)
             pids = [pid for pid in pids if owners[pid] == self.node]
@@ -678,13 +680,33 @@ class MppExecutor:
         """Which streams feed an exchange, from the child's distribution:
         a master-side child sends from the master stream, a replicated
         child from one representative worker, a partitioned child from
-        every worker (the run's prepare-time snapshot of the set)."""
+        every worker (the run's prepare-time snapshot of the set) -- or,
+        when no exchange lies below and every partitioned scan of the
+        fragment is pruned, from the nodes answering the pids it reaches
+        (one stream at least, so the schema still flows)."""
         kind = child.distribution.kind
         if kind == P.MASTER:
             return [MASTER_STREAM]
         if kind == P.REPLICATED:
             return [ctx.workers[0]]
-        return list(ctx.workers)
+        # a plain loop: an unpruned fragment answers after its first scan
+        # without one Python call, so plans that prune nothing cost the same
+        nodes, stack = None, [child]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, P.DXchg):  # a hash split feeds every worker
+                return list(ctx.workers)
+            if (isinstance(node, P.PScan)
+                    and node.distribution.kind == P.PARTITIONED):
+                if node.partitions is None:
+                    return list(ctx.workers)
+                owners = self.cluster.placement.owners(node.table)
+                nodes = nodes or set()
+                nodes.update(owners[pid] for pid in node.partitions)
+            stack.extend(node.children)
+        if nodes is None:
+            return list(ctx.workers)
+        return [w for w in ctx.workers if w in nodes] or ctx.workers[:1]
 
     def _equip(self, op: Operator, phys: P.PhysNode, stream: str,
                ctx: _RunContext, role: str = "",

@@ -88,14 +88,20 @@ class PScan(PhysNode):
         #: build's key set (:attr:`PHashJoin.key_filter_scan` is the link);
         #: empty when the rewriter could not prove that legal
         self.key_filter: Tuple[str, ...] = ()
+        #: the sorted pids the scan's ``=`` literals on the partition key
+        #: can reach; None when it reads every partition
+        self.partitions: Optional[Tuple[int, ...]] = None
 
     def describe(self):
         return f"MScan[{self.table}]"
 
     def header(self):
-        keyed = (f"  key-filter[{','.join(self.key_filter)}]"
-                 if self.key_filter else "")
-        return super().header() + keyed
+        text = super().header()
+        if self.key_filter:
+            text += f"  key-filter[{','.join(self.key_filter)}]"
+        if self.partitions is not None:
+            text += f"  partitions[{','.join(map(str, self.partitions))}]"
+        return text
 
 
 class PSelect(PhysNode):

@@ -10,7 +10,9 @@ and applies transformations that avoid DXchg operators wherever possible:
   replicated tables joins locally on every node;
 * **partial aggregation** -- aggregate locally before the DXchgHashSplit
   so only group partials travel;
-* **merge join** -- co-ordered clustered tables join by merging.
+* **merge join** -- co-ordered clustered tables join by merging;
+* **partition pruning** -- a scan whose ``=`` literals fix the partition
+  key reads only the partitions they hash to (``PScan.partitions``).
 
 Each rule has a flag so the Figure-5 ablation benchmark can toggle it. The
 choice between broadcasting a build side and reshuffling both sides is
@@ -41,6 +43,7 @@ class ParallelRewriter:
         self._decisions: List[ExchangeDecision] = []
         self._est_memo: Dict[int, Tuple[float, bool]] = {}
         self._sig_memo: Dict[int, Optional[str]] = {}
+        self._reached: Dict[int, Optional[Tuple[int, ...]]] = {}
 
     # ---------------------------------------------------------------- public
 
@@ -51,6 +54,7 @@ class ParallelRewriter:
         self._decisions = []
         self._est_memo = {}
         self._sig_memo = {}
+        self._reached = {}
         phys, _ = self._rw(root)
         if phys.distribution.kind != P.MASTER:
             phys = P.DXUnion(phys)
@@ -101,7 +105,10 @@ class ParallelRewriter:
     def _static_rows(self, node: L.LogicalPlan) -> float:
         if isinstance(node, L.LScan):
             table = self.cluster.table(node.table)
-            rows = sum(p.n_stable for p in table.partitions)
+            pids = self._reached.get(id(node))
+            rows = sum(p.n_stable for p in (
+                table.partitions if pids is None
+                else [table.partitions[pid] for pid in pids]))
             if node.skip_predicates:
                 rows *= 0.3 ** len(node.skip_predicates)
             return max(rows, 1.0)
@@ -234,6 +241,7 @@ class ParallelRewriter:
 
     def _rw_scan(self, node: L.LScan) -> Tuple[P.PhysNode, Tuple[str, ...]]:
         table = self.cluster.table(node.table)
+        reached = None  # every partition
         if table.is_replicated:
             dist = P.Distribution(P.REPLICATED)
         else:
@@ -241,10 +249,20 @@ class ParallelRewriter:
                 P.PARTITIONED, tuple(table.schema.partition_key),
                 co_location=node.table,
             )
+            # a plain loop: a scan without ``=`` on the key makes no call
+            for col, op, _ in node.skip_predicates:
+                if op == "=" and col in table.schema.partition_key:
+                    reached = self._reached[id(node)] = \
+                        table.reached_partitions(node.skip_predicates)
+                    # estimates made before (a join's swap test) read
+                    # every partition of this scan
+                    self._est_memo.clear()
+                    break
         order = tuple(table.schema.clustered_on)
         order = tuple(c for c in order if c in node.columns)
-        return P.PScan(node.table, node.columns, node.skip_predicates,
-                       dist), order
+        scan = P.PScan(node.table, node.columns, node.skip_predicates, dist)
+        scan.partitions = reached
+        return scan, order
 
     # ----------------------------------------------------------------- joins
 

@@ -170,6 +170,38 @@ class StoredTable:
                     fixed.append((col, op, literal))
         return fixed
 
+    def reached_partitions(self, predicates) -> Optional[Tuple[int, ...]]:
+        """The sorted pids a row satisfying the ``(col, op, literal)``
+        triples can sit in, or None for every partition.
+
+        Only triples fixing every partition-key column by ``=`` prune, and
+        their literals take the conversion rows were placed with: the key
+        type's ``storage_literal``, its storage dtype, ``partition_ids``.
+        A literal the type cannot hold exactly (or a value out of the
+        dtype's range) gives None, no pruning; two values for one key
+        column reach no partition at all.
+        """
+        key = self.schema.partition_key
+        if not self.schema.is_partitioned:
+            return None
+        fixed: Dict[str, set] = {}
+        for col, op, literal in predicates:
+            if op == "=" and col in key:
+                value = self.schema.ctype(col).storage_literal("=", literal)
+                if value is None:
+                    return None
+                fixed.setdefault(col, set()).add(value)
+        if len(fixed) < len(key):
+            return None
+        if any(len(values) > 1 for values in fixed.values()):
+            return ()
+        try:
+            arrays = [np.array(list(fixed[col]), self.schema.ctype(col).dtype)
+                      for col in key]
+        except OverflowError:
+            return None
+        return (int(self.schema.partition_ids(arrays)[0]),)
+
     def _partitioned(self, columns: Dict[str, np.ndarray]):
         """Engine rows (every schema column) as stored, split by the
         partition their key hashes to: ``(pid, columns)`` for each

@@ -55,10 +55,11 @@ def estimate_query_memory(cluster, qplan: QueryPlan) -> Dict[str, int]:
     """Conservative per-node byte estimate for admission control.
 
     Scans contribute twice the decompressed bytes of the table's largest
-    partition (one partition plus its vector slices), or of a
-    *feedback-backed* cardinality when the plan has one, so estimates
-    tighten over repeated workloads; each exchange its channel capacity
-    (``2 * n_lanes * message_size`` per link, as
+    partition the scan reaches (one partition plus its vector slices),
+    or of a *feedback-backed* cardinality when the plan has one, so
+    estimates tighten over repeated workloads -- on every worker, or only
+    on the nodes answering a pruned scan's pids; each exchange its
+    channel capacity (``2 * n_lanes * message_size`` per link, as
     :func:`repro.net.mpi.dxchg_buffer_memory`, ``n_lanes`` from
     ``qplan.flags.thread_to_node``) on every sender plus one landing
     allowance per destination; then a safety factor for
@@ -77,15 +78,20 @@ def estimate_query_memory(cluster, qplan: QueryPlan) -> Dict[str, int]:
             if table.is_virtual:
                 continue
             width = 8 * max(1, len(node.columns))
+            parts, nodes = table.partitions, workers
+            if node.partitions is not None:
+                owners = cluster.placement.owners(node.table)
+                parts = [table.partitions[pid] for pid in node.partitions]
+                nodes = {owners[pid] for pid in node.partitions}
             ann = qplan.annotations.get(node)
             if ann is not None and ann.source == "feedback":
-                per_part = ann.rows / max(1, table.n_partitions)
-                for w in workers:
-                    per_node[w] += 2 * int(max(per_part, 1.0)) * width
-                continue
-            biggest = max((p.n_stable for p in table.partitions), default=0)
-            for w in workers:
-                per_node[w] += 2 * biggest * width
+                reached = (table.n_partitions if node.partitions is None
+                           else len(parts))
+                held = int(max(ann.rows / max(1, reached), 1.0))
+            else:
+                held = max((p.n_stable for p in parts), default=0)
+            for w in nodes:
+                per_node[w] += 2 * held * width
         elif isinstance(node, P.DXchg):
             capacity = 2 * n_lanes * message_size * max(1, len(workers))
             for w in workers:

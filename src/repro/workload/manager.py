@@ -306,10 +306,17 @@ class WorkloadManager:
                    tenant=record.tenant)
 
     def _scan_parts(self, phys: P.PhysNode):
-        tables = {n.table: self.cluster.table(n.table) for n in phys.walk()
-                  if isinstance(n, P.PScan)}
-        return sorted((name, pid) for name, t in tables.items()
-                      if not t.is_virtual for pid in range(t.n_partitions))
+        """The ``(table, pid)`` pairs the plan's scans reach."""
+        reached: Dict[str, frozenset] = {}
+        for scan in [n for n in phys.walk() if isinstance(n, P.PScan)]:
+            table = self.cluster.table(scan.table)
+            if not table.is_virtual:
+                pids = (range(table.n_partitions) if scan.partitions is None
+                        else scan.partitions)
+                reached[scan.table] = reached.get(
+                    scan.table, frozenset()).union(pids)
+        return sorted((name, pid) for name, pids in reached.items()
+                      for pid in pids)
 
     # ----------------------------------------------------------- scheduling
 
@@ -577,8 +584,8 @@ class WorkloadManager:
                  wall_end=record.plan_wall, sim_start=record.submit_sim,
                  sim_end=record.submit_sim, attrs={
                      "tables": ",".join(tables) or "-",
-                     "partitions": sum(cluster.table(t).n_partitions
-                                       for t in tables)}),
+                     "partitions": len(self._scan_parts(
+                         record.qplan.root))}),
         ])
         if run is not None:
             exec_span = Span(

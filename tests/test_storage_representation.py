@@ -9,7 +9,9 @@ float64; ``ColumnType`` alone converts between the two. Three checks:
   and an ``UPDATE ... SET price = 70001`` stored 700.01);
 * a ``DXchgHashSplit`` aligned with a table's partitioning hashes its
   keys as that table stores them, for every partition-key type (a DECIMAL
-  key once hashed the engine float and lost three rows in four);
+  key once hashed the engine float and lost three rows in four), and a
+  literal that fixes the key prunes to the partition its row was written
+  to;
 * a source guard: no other module in ``src/`` decides the representation.
 """
 
@@ -28,6 +30,9 @@ from repro.cluster.vectorh import DIRECT_APPEND_THRESHOLD
 from repro.common.config import Config
 from repro.common.types import DATE, DECIMAL, INT32, INT64, STRING
 from repro.connector import vwload
+from repro.mpp import plan as P
+from repro.mpp.logical import LScan
+from repro.mpp.rewriter import ParallelRewriter
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 
@@ -154,6 +159,45 @@ def test_aligned_split_routes_rows_to_their_partners(key_type):
     nested_loop = sum(m * right[key] for key, m in left.items())
     assert nested_loop == n
     assert execute_sql(c, sql).columns["n"].tolist() == [nested_loop]
+
+
+# ------------------------------------------------------- literal -> pid
+
+#: a key as the literal a bound WHERE carries (a SQL date literal binds
+#: to its day number)
+LITERALS = {"int": int, "float": float, "string": str}
+
+
+@pytest.mark.parametrize("key_type, literal", [
+    ("int32", "int"), ("int64", "int"), ("date", "int"),
+    ("decimal", "int"), ("decimal", "float"), ("string", "string")])
+def test_a_literal_prunes_to_the_partition_its_row_was_written_to(
+        key_type, literal):
+    """Half the keys are bulk loaded, half inserted through the PDTs; the
+    partition the rewriter prunes ``ka = <literal>`` to must be the one
+    holding the row, and the pruned scan must find it."""
+    ctype, make = KEY_TYPES[key_type]
+    keys = make(240)
+    c = VectorHCluster(n_nodes=4, config=Config().scaled_for_tests())
+    c.create_table(TableSchema("a", [Column("ka", ctype), Column("x", INT64)],
+                               partition_key=("ka",), n_partitions=8))
+    c.bulk_load("a", {"ka": keys[:120], "x": np.arange(120)})
+    c.insert("a", {"ka": keys[120:], "x": np.arange(120, 240)},
+             force_pdt=True)
+    stored = c.table("a")
+    written = {key: pid for pid in range(8)
+               for key in stored.scan_merged(pid, ["ka"]).columns["ka"]}
+    assert len(written) == 240 and len(set(written.values())) == 8
+    if literal == "int" and key_type == "decimal":  # whole values only
+        written = {k: pid for k, pid in written.items() if k == int(k)}
+    for i, (key, pid) in enumerate(sorted(written.items())):
+        value = LITERALS[literal](key)
+        plan = ParallelRewriter(c).plan(
+            LScan("a", ["x"], [("ka", "=", value)]))
+        (scan,) = [n for n in plan.root.walk() if isinstance(n, P.PScan)]
+        assert scan.partitions == (pid,), value
+        if i % 10 == 0:
+            assert c.query(plan).batch.n == 1, value
 
 
 # ----------------------------------------------------------- source guard
