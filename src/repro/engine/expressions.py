@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.common.errors import PlanError
 from repro.engine.batch import DictColumn, EntryMemo
 from repro.engine.profile import kernel
 
@@ -42,6 +43,11 @@ class Expr:
     def _collect(self, out: List[str]) -> None:
         for child in getattr(self, "children", ()):
             child._collect(out)
+
+    def bind(self, params: Sequence) -> "Expr":
+        """This tree with every slot ``$N`` (:class:`Param`) the literal
+        ``params[N-1]``; the very same object where it holds no slot."""
+        return self
 
     # operator sugar so plan builders read naturally
     def __add__(self, other): return Add(self, _lift(other))
@@ -110,6 +116,38 @@ class Const(Expr):
         return repr(self.value)
 
 
+class Param(Expr):
+    """A prepared statement's slot ``$N`` (1-based): where a plan template
+    holds a literal not known before Execute. :meth:`bind` makes it a
+    :class:`Const`; nothing evaluates one."""
+
+    __hash__ = object.__hash__  # an IN list holding a slot is still a set
+
+    def __init__(self, index: int):
+        self.index = index
+        self.children = ()
+
+    def bind(self, params):
+        if not 0 < self.index <= len(params):
+            raise PlanError(f"unbound parameter {self!r}: "
+                            f"{len(params)} value(s) bound")
+        return Const(params[self.index - 1])
+
+    def eval(self, columns):
+        raise PlanError(f"unbound parameter {self!r} reached execution")
+
+    eval_row = eval
+
+    def __repr__(self):
+        return f"${self.index}"
+
+
+def bound_value(value, params: Sequence):
+    """A raw literal position (IN list, BETWEEN bound, scan triple) bound:
+    a slot's value, anything else as it is."""
+    return value.bind(params).value if isinstance(value, Param) else value
+
+
 class _Binary(Expr):
     symbol = "?"
 
@@ -117,6 +155,12 @@ class _Binary(Expr):
         self.left = left
         self.right = right
         self.children = (left, right)
+
+    def bind(self, params):
+        left, right = self.left.bind(params), self.right.bind(params)
+        if left is self.left and right is self.right:
+            return self
+        return type(self)(left, right)
 
     def __repr__(self):
         return f"({self.left!r} {self.symbol} {self.right!r})"
@@ -206,10 +250,22 @@ class Or(_Binary):
     def eval_row(self, r): return bool(self.left.eval_row(r)) or bool(self.right.eval_row(r))
 
 
+def _with_child(expr: Expr, params) -> Expr:
+    """``expr`` (a node whose one child is ``child``) with its child bound."""
+    child = expr.child.bind(params)
+    if child is expr.child:
+        return expr
+    clone = object.__new__(type(expr))
+    clone.__dict__.update(expr.__dict__, child=child, children=(child,))
+    return clone
+
+
 class Not(Expr):
     def __init__(self, child: Expr):
         self.child = child
         self.children = (child,)
+
+    bind = _with_child
 
     def eval(self, c): return np.logical_not(self.child.eval(c))
     def eval_row(self, r): return not self.child.eval_row(r)
@@ -226,6 +282,14 @@ class Between(Expr):
         self.low = low
         self.high = high
         self.children = (child,)
+
+    def bind(self, params):
+        low = bound_value(self.low, params)
+        high = bound_value(self.high, params)
+        child = self.child.bind(params)
+        if child is self.child and low is self.low and high is self.high:
+            return self
+        return Between(child, low, high)
 
     def eval(self, c):
         v = self.child.eval(c)
@@ -248,6 +312,14 @@ class InList(Expr):
         self._set = set(values)
         self._memo = EntryMemo()
         self.children = (child,)
+
+    def bind(self, params):
+        values = [bound_value(v, params) for v in self.values]
+        child = self.child.bind(params)
+        if child is self.child and all(
+                new is old for new, old in zip(values, self.values)):
+            return self
+        return InList(child, values)
 
     def eval(self, c):
         v = self.child.eval(c)
@@ -274,6 +346,8 @@ class Like(Expr):
         self._regex = re.compile("^" + regex + "$")
         self._memo = EntryMemo()
         self.children = (child,)
+
+    bind = _with_child
 
     def _matches(self, strings) -> np.ndarray:
         match = self._regex.match
@@ -304,6 +378,12 @@ class Case(Expr):
         self.otherwise = _lift(otherwise)
         self.children = (self.cond, self.then, self.otherwise)
 
+    def bind(self, params):
+        parts = [e.bind(params) for e in self.children]
+        if all(new is old for new, old in zip(parts, self.children)):
+            return self
+        return Case(*parts)
+
     def eval(self, c):
         cond = self.cond.eval(c)
         return np.where(cond, self.then.eval(c), self.otherwise.eval(c))
@@ -323,6 +403,8 @@ class ExtractYear(Expr):
     def __init__(self, child: Expr):
         self.child = child
         self.children = (child,)
+
+    bind = _with_child
 
     def eval(self, c):
         days = self.child.eval(c)
@@ -349,6 +431,8 @@ class Substr(Expr):
         self.length = length
         self._memo = EntryMemo()
         self.children = (child,)
+
+    bind = _with_child
 
     def _cut(self, strings) -> np.ndarray:
         lo = self.start - 1

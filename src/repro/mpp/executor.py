@@ -579,8 +579,13 @@ class QueryRun:
             estimated=round(decision.estimated, 3),
             observed=int(actual),
             fragment=(decision.signature or "")[:120])
-        self.qplan = ParallelRewriter(cluster, self.qplan.flags).plan(
-            self.qplan.logical)
+        qplan = self.qplan
+        # a prepared statement's logical plan is its template: the new
+        # plan reads the entry just observed, then takes the same values
+        self.qplan = ParallelRewriter(cluster, qplan.flags).plan(
+            qplan.logical)
+        if qplan.params:
+            self.qplan = self.qplan.bind(qplan.params)
         self._build()
 
     def _judge_estimates(self, result: QueryResult) -> float:

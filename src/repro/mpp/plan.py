@@ -14,11 +14,11 @@ The module ends with the plan contract (:class:`QueryPlan`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.exchange import STREAMING
-from repro.engine.expressions import Expr
+from repro.engine.expressions import Expr, Param, bound_value
 from repro.engine.operators import AggSpec
 
 PARTITIONED = "partitioned"
@@ -102,6 +102,34 @@ class PScan(PhysNode):
         if self.partitions is not None:
             text += f"  partitions[{','.join(map(str, self.partitions))}]"
         return text
+
+
+#: what :func:`reached_partitions` gives a template scan whose partition key
+#: ``=`` slots fix: one partition, which :meth:`QueryPlan.bind` finds
+BOUND_AT_EXECUTE = "bound at execute"
+
+
+def reached_partitions(table, triples):
+    """The partitions a scan of ``table`` with these ``(col, op, value)``
+    triples reads, for the rewriter and :meth:`QueryPlan.bind` alike:
+    when ``=`` triples fix every partition-key column, the sorted pids
+    their values hash to (:meth:`StoredTable.reached_partitions`), else
+    None for every partition. Where a slot ``$N`` is among them the pid is
+    not known yet: :data:`BOUND_AT_EXECUTE` when slots and literals fix
+    every key column, None when they do not."""
+    if table.is_replicated:
+        return None
+    key = table.schema.partition_key
+    # plain loops: a scan without ``=`` on the key makes no call
+    for col, op, _ in triples:
+        if op == "=" and col in key:
+            break
+    else:
+        return None
+    if any(isinstance(value, Param) for _, _, value in triples):
+        fixed = {col for col, op, _ in triples if op == "="}
+        return BOUND_AT_EXECUTE if fixed.issuperset(key) else None
+    return table.reached_partitions(triples)
 
 
 class PSelect(PhysNode):
@@ -290,6 +318,13 @@ class DXBroadcast(DXchg):
 # The plan contract: what planning hands to execution
 # ---------------------------------------------------------------------------
 
+def qerror(actual: float, estimated: float) -> float:
+    """``max(actual/est, est/actual)``, both clamped to one row."""
+    a = max(float(actual), 1.0)
+    e = max(float(estimated), 1.0)
+    return max(a / e, e / a)
+
+
 @dataclass
 class NodeEstimate:
     """Planner annotation for one physical node's output cardinality."""
@@ -299,10 +334,7 @@ class NodeEstimate:
     source: str  # "static" | "feedback"
 
     def qerror(self, actual: float) -> float:
-        """``max(actual/est, est/actual)``, both clamped to one row."""
-        a = max(float(actual), 1.0)
-        e = max(float(self.rows), 1.0)
-        return max(a / e, e / a)
+        return qerror(actual, self.rows)
 
 
 @dataclass
@@ -351,6 +383,14 @@ class QueryPlan:
     physical tree wrap it as ``QueryPlan(logical=None, root=tree)``; such
     a plan carries no decisions, so it is never re-planned. ``flags`` says
     how it was planned and how it runs; a re-plan keeps them.
+
+    A prepared statement's plan is a *template*: its literals are slots
+    ``$N`` (:class:`~repro.engine.expressions.Param`), and :meth:`bind`
+    makes the plan one Execute runs. ``tables`` (the table object each
+    scan was planned against) and ``feedback`` (every feedback entry the
+    rewriter read, None where it found none) say when the template is
+    stale; ``params`` are the values a bound plan was made with, and a
+    mid-query re-plan binds them into the re-planned template.
     """
 
     logical: object
@@ -358,6 +398,30 @@ class QueryPlan:
     annotations: Dict[PhysNode, NodeEstimate] = field(default_factory=dict)
     decisions: List[ExchangeDecision] = field(default_factory=list)
     flags: RewriterFlags = field(default_factory=RewriterFlags)
+    tables: Dict[str, object] = field(default_factory=dict)
+    feedback: Dict[str, Optional[float]] = field(default_factory=dict)
+    params: Tuple[object, ...] = ()
+
+    def bind(self, params: Sequence[object]) -> "QueryPlan":
+        """The plan of one Execute, in one walk over the template's tree:
+        every node copied, every slot ``$N`` in a Select, Project, Aggr
+        or scan triple the literal ``params[N-1]``, a scan's
+        ``partitions`` found from its bound triples
+        (:func:`reached_partitions`), annotations and decisions re-keyed
+        to the copies. A slot without a value raises
+        :class:`~repro.common.errors.PlanError`; the template is left as
+        it is."""
+        params = tuple(params)
+        copies: Dict[PhysNode, PhysNode] = {}
+        root = _bound(self.root, params, self.tables, copies)
+        return QueryPlan(
+            logical=self.logical, root=root,
+            annotations={copies[node]: est
+                         for node, est in self.annotations.items()},
+            decisions=[replace(d, node=copies[d.node])
+                       for d in self.decisions],
+            flags=self.flags, tables=self.tables, feedback=self.feedback,
+            params=params)
 
     def pretty(self) -> str:
         """Plan rendering with per-node estimates (``(fb)`` marks
@@ -370,6 +434,33 @@ class QueryPlan:
             return f"  est={ann.rows:.0f}{fb}"
 
         return self.root.pretty(suffix=estimate)
+
+
+def _bound(node: PhysNode, params, tables, copies) -> PhysNode:
+    """A copy of ``node``'s subtree with its slots bound (QueryPlan.bind)."""
+    new = object.__new__(type(node))
+    new.__dict__.update(node.__dict__)
+    new.children = [_bound(c, params, tables, copies) for c in node.children]
+    if isinstance(node, PSelect):
+        new.predicate = node.predicate.bind(params)
+    elif isinstance(node, PProject):
+        new.outputs = {name: expr.bind(params)
+                       for name, expr in node.outputs.items()}
+    elif isinstance(node, PAggr):
+        new.aggregates = [(name, func, None if expr is None
+                           else expr.bind(params))
+                          for name, func, expr in node.aggregates]
+    elif isinstance(node, PScan):
+        if any(isinstance(v, Param) for _, _, v in node.skip_predicates):
+            new.skip_predicates = [(col, op, bound_value(v, params))
+                                   for col, op, v in node.skip_predicates]
+            new.partitions = reached_partitions(tables[node.table],
+                                                new.skip_predicates)
+    elif isinstance(node, PHashJoin) and node.key_filter_scan is not None:
+        # the scan lies below the join, so its copy is made already
+        new.key_filter_scan = copies[node.key_filter_scan]
+    copies[node] = new
+    return new
 
 
 class ReplanSignal(Exception):

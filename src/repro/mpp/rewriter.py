@@ -29,8 +29,9 @@ from repro.engine.operators import AggSpec
 from repro.mpp import logical as L
 from repro.mpp import plan as P
 from repro.mpp.feedback import fragment_signature
-from repro.mpp.plan import (ExchangeDecision, NodeEstimate, QueryPlan,
-                            RewriterFlags)
+from repro.mpp.plan import (BOUND_AT_EXECUTE, ExchangeDecision,
+                            NodeEstimate, QueryPlan, RewriterFlags,
+                            reached_partitions)
 
 
 class ParallelRewriter:
@@ -43,7 +44,9 @@ class ParallelRewriter:
         self._decisions: List[ExchangeDecision] = []
         self._est_memo: Dict[int, Tuple[float, bool]] = {}
         self._sig_memo: Dict[int, Optional[str]] = {}
-        self._reached: Dict[int, Optional[Tuple[int, ...]]] = {}
+        self._reached: Dict[int, object] = {}
+        self._tables: Dict[str, object] = {}
+        self._read: Dict[str, Optional[float]] = {}
 
     # ---------------------------------------------------------------- public
 
@@ -55,12 +58,15 @@ class ParallelRewriter:
         self._est_memo = {}
         self._sig_memo = {}
         self._reached = {}
+        self._tables = {}
+        self._read = {}
         phys, _ = self._rw(root)
         if phys.distribution.kind != P.MASTER:
             phys = P.DXUnion(phys)
         return QueryPlan(logical=root, root=phys,
                          annotations=self._annotations,
-                         decisions=self._decisions, flags=self.flags)
+                         decisions=self._decisions, flags=self.flags,
+                         tables=self._tables, feedback=self._read)
 
     # ------------------------------------------------------------ estimates
 
@@ -86,7 +92,7 @@ class ParallelRewriter:
         if store is not None:
             signature = self._signature(node)
             if signature is not None:
-                observed = store.lookup(signature)
+                observed = self._read[signature] = store.lookup(signature)
                 if observed is not None:
                     result = (max(float(observed), 1.0), True)
                     self._est_memo[key] = result
@@ -104,11 +110,16 @@ class ParallelRewriter:
 
     def _static_rows(self, node: L.LogicalPlan) -> float:
         if isinstance(node, L.LScan):
-            table = self.cluster.table(node.table)
+            parts = self.cluster.table(node.table).partitions
             pids = self._reached.get(id(node))
-            rows = sum(p.n_stable for p in (
-                table.partitions if pids is None
-                else [table.partitions[pid] for pid in pids]))
+            if pids is None:
+                rows = sum(p.n_stable for p in parts)
+            elif pids is BOUND_AT_EXECUTE:
+                # one partition, not known before bind: the mean gives
+                # every key the same template
+                rows = sum(p.n_stable for p in parts) / len(parts)
+            else:
+                rows = sum(parts[pid].n_stable for pid in pids)
             if node.skip_predicates:
                 rows *= 0.3 ** len(node.skip_predicates)
             return max(rows, 1.0)
@@ -240,8 +251,7 @@ class ParallelRewriter:
         return phys, tuple(node.partition_by) + tuple(node.order_by)
 
     def _rw_scan(self, node: L.LScan) -> Tuple[P.PhysNode, Tuple[str, ...]]:
-        table = self.cluster.table(node.table)
-        reached = None  # every partition
+        table = self._tables[node.table] = self.cluster.table(node.table)
         if table.is_replicated:
             dist = P.Distribution(P.REPLICATED)
         else:
@@ -249,19 +259,17 @@ class ParallelRewriter:
                 P.PARTITIONED, tuple(table.schema.partition_key),
                 co_location=node.table,
             )
-            # a plain loop: a scan without ``=`` on the key makes no call
-            for col, op, _ in node.skip_predicates:
-                if op == "=" and col in table.schema.partition_key:
-                    reached = self._reached[id(node)] = \
-                        table.reached_partitions(node.skip_predicates)
-                    # estimates made before (a join's swap test) read
-                    # every partition of this scan
-                    self._est_memo.clear()
-                    break
+        reached = reached_partitions(table, node.skip_predicates)
+        if reached is not None:
+            self._reached[id(node)] = reached
+            # estimates made before (a join's swap test) read every
+            # partition of this scan
+            self._est_memo.clear()
         order = tuple(table.schema.clustered_on)
         order = tuple(c for c in order if c in node.columns)
         scan = P.PScan(node.table, node.columns, node.skip_predicates, dist)
-        scan.partitions = reached
+        if reached is not BOUND_AT_EXECUTE:
+            scan.partitions = reached
         return scan, order
 
     # ----------------------------------------------------------------- joins

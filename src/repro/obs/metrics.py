@@ -99,12 +99,18 @@ class MetricFamily:
     # -- label plumbing ------------------------------------------------------
 
     def _key(self, labels: Mapping[str, object]) -> LabelKey:
-        if set(labels) != set(self.label_names):
-            raise ReproError(
-                f"metric {self.name} takes labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[n]) for n in self.label_names)
+        names = self.label_names
+        if len(labels) == len(names):
+            # as many labels as names, and every name among them: the same
+            # names (no sets built: this runs on every inc)
+            try:
+                return tuple([str(labels[n]) for n in names])
+            except KeyError:
+                pass
+        raise ReproError(
+            f"metric {self.name} takes labels {self.label_names}, "
+            f"got {tuple(sorted(labels))}"
+        )
 
     def labelset(self, key: LabelKey) -> Dict[str, str]:
         return dict(zip(self.label_names, key))

@@ -29,18 +29,30 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SqlError
 from repro.engine.batch import Batch, batch_bytes
+from repro.mpp.executor import REPLAN_QERROR_THRESHOLD
+from repro.mpp.plan import QueryPlan, qerror
+from repro.mpp.rewriter import ParallelRewriter
 from repro.obs.monitor import sql_fingerprint
 from repro.server import protocol as wire
 from repro.server.cache import EpochKeyedCache, portal_key
 from repro.sql import parser as ast
-from repro.sql.binder import _SelectBinder, execute_statement
+from repro.sql.binder import _SelectBinder, execute_statement, parse_simple
 from repro.sql.parser import SqlParser
-from repro.sql.prepare import bind_parameters, count_parameters
+from repro.sql.prepare import bind_parameters
 from repro.workload import DEFAULT_TENANT
 
 
 class PreparedStatement:
-    """A named, parsed statement template (``Parse`` result)."""
+    """A named, parsed statement (``Parse`` result).
+
+    A SELECT is planned once, at its first Execute, into a template
+    whose ``$N`` are slots; every Execute binds its values into it
+    (:meth:`plan`). The template is planned again when it is stale: a
+    table it reads is another object now (dropped and created again),
+    the worker set changed, or a feedback entry the rewriter read while
+    planning it moved by :data:`REPLAN_QERROR_THRESHOLD` or more (or
+    appeared, or went).
+    """
 
     def __init__(self, name: str, sql: str, stmt, n_params: int,
                  fingerprint: str):
@@ -50,6 +62,34 @@ class PreparedStatement:
         self.n_params = n_params
         #: one fingerprint for every execution, whatever gets bound
         self.fingerprint = fingerprint
+        #: the SELECT's plan template, and the workers it was planned for
+        self.template: Optional[QueryPlan] = None
+        self._workers: List[str] = []
+
+    def plan(self, cluster, params: Tuple[object, ...]) -> QueryPlan:
+        """The plan one Execute of this SELECT runs with ``params``."""
+        if self.template is None or self._stale(cluster):
+            logical = _SelectBinder(cluster, self.stmt).plan()
+            self.template = ParallelRewriter(cluster).plan(logical)
+            self._workers = list(cluster.workers)
+        return self.template.bind(params)
+
+    def _stale(self, cluster) -> bool:
+        template = self.template
+        if cluster.workers != self._workers or any(
+                cluster.table(name) is not table
+                for name, table in template.tables.items()):
+            return True
+        store = cluster.feedback
+        entries = store.entries if store is not None else {}
+        for signature, read in template.feedback.items():
+            entry = entries.get(signature)
+            if entry is None or read is None:
+                if (entry is None) != (read is None):
+                    return True
+            elif qerror(entry.observed, read) >= REPLAN_QERROR_THRESHOLD:
+                return True
+        return False
 
 
 class Portal:
@@ -143,11 +183,12 @@ class ClientConnection:
         frontend = self.frontend
         frontend._charge_received(wire.Query(sql))
         frontend._count_request(self.tenant, "simple")
-        stmt = SqlParser(sql).parse()
+        stmt = parse_simple(sql)
         if isinstance(stmt, ast.SelectStatement):
             return frontend._submit_select(
                 self, sql, stmt, cache_text=sql,
-                fingerprint=sql_fingerprint(sql), params=())
+                fingerprint=sql_fingerprint(sql),
+                plan=lambda: _SelectBinder(frontend.cluster, stmt).plan())
         value = execute_statement(frontend.cluster, stmt)
         frontend._charge_sent(wire.CommandComplete("OK", int(
             value if isinstance(value, int) else getattr(value, "n", 0))))
@@ -162,9 +203,10 @@ class ClientConnection:
         frontend = self.frontend
         frontend._charge_received(wire.Parse(name, sql))
         frontend._count_request(self.tenant, "parse")
-        stmt = SqlParser(sql).parse()
+        parser = SqlParser(sql)
+        stmt = parser.parse()
         prepared = PreparedStatement(
-            name, sql, stmt, count_parameters(stmt), sql_fingerprint(sql))
+            name, sql, stmt, parser.parameter_count(), sql_fingerprint(sql))
         self.prepared[name] = prepared
         frontend._charge_sent(wire.ParseComplete())
         return prepared
@@ -207,8 +249,10 @@ class ClientConnection:
             cache_text = portal_key(prepared.fingerprint, bound.params)
             return frontend._submit_select(
                 self, prepared.sql, prepared.stmt, cache_text=cache_text,
-                fingerprint=prepared.fingerprint, params=bound.params)
-        stmt = bind_parameters(prepared.stmt, bound.params)
+                fingerprint=prepared.fingerprint,
+                plan=lambda: prepared.plan(frontend.cluster, bound.params))
+        stmt = bind_parameters(prepared.stmt, bound.params,
+                               prepared.n_params)
         value = execute_statement(frontend.cluster, stmt)
         frontend._charge_sent(wire.CommandComplete("OK", int(
             value if isinstance(value, int) else getattr(value, "n", 0))))
@@ -320,8 +364,9 @@ class ServerFrontend:
 
     def _submit_select(self, conn: ClientConnection, sql: str,
                        stmt: ast.SelectStatement, cache_text: str,
-                       fingerprint: str,
-                       params: Tuple[object, ...]) -> PendingResult:
+                       fingerprint: str, plan) -> PendingResult:
+        """Answer from the result cache, or submit ``plan()`` (a logical
+        plan, or a prepared statement's bound plan)."""
         cluster = self.cluster
         tables = self._tables_of(stmt)
         epochs = cluster.txn.epoch_vector(tables)
@@ -330,12 +375,8 @@ class ServerFrontend:
             if batch is not None:
                 self._charge_result(batch)
                 return PendingResult(self, conn, value=batch, cached=True)
-        # bind_parameters deep-copies: the binder mutates the AST (star
-        # expansion), so prepared templates must stay pristine
-        bound = bind_parameters(stmt, params)
-        plan = _SelectBinder(cluster, bound).plan()
         query_id = cluster.workload.submit(
-            plan, tenant=conn.tenant,
+            plan(), tenant=conn.tenant,
             session=conn.conn_id, statement=sql,
             fingerprint=fingerprint)
         conn.inflight.add(query_id)

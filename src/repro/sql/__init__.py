@@ -13,7 +13,7 @@ the TPC-H queries are expressed as logical plans directly
 from repro.sql.lexer import SqlLexer, Token
 from repro.sql.parser import Parameter, SqlParser
 from repro.sql.binder import execute_sql
-from repro.sql.prepare import bind_parameters, count_parameters
+from repro.sql.prepare import bind_parameters
 
 __all__ = [
     "Parameter",
@@ -21,6 +21,5 @@ __all__ = [
     "SqlParser",
     "Token",
     "bind_parameters",
-    "count_parameters",
     "execute_sql",
 ]

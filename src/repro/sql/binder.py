@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from typing import Dict, List
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from repro.common.errors import SqlError
 from repro.engine.expressions import (
-    Between, Case, Col, Const, Expr, InList, Like, Not,
+    Between, Case, Col, Const, Expr, InList, Like, Not, Param,
 )
 from repro.mpp.logical import (
     LAggr, LJoin, LLimit, LProject, LScan, LSelect, LSort, LTopN,
@@ -47,7 +48,9 @@ def _bind_expr(node) -> Expr:
                        _literal(node.low), _literal(node.high))
         return Not(expr) if node.negate else expr
     if isinstance(node, ast.InOp):
-        expr = InList(_bind_expr(node.child), node.values)
+        expr = InList(_bind_expr(node.child),
+                      [Param(v.index) if isinstance(v, ast.Parameter) else v
+                       for v in node.values])
         return Not(expr) if node.negate else expr
     if isinstance(node, ast.LikeOp):
         return Like(_bind_expr(node.child), node.pattern, node.negate)
@@ -61,15 +64,20 @@ def _bind_expr(node) -> Expr:
         from repro.engine.expressions import Substr
         return Substr(_bind_expr(node.child), node.start, node.length)
     if isinstance(node, ast.Parameter):
-        raise SqlError(
-            f"unbound parameter ${node.index}: prepared statements must "
-            f"be bound (Bind) before execution")
+        return Param(node.index)  # a slot: QueryPlan.bind fills it
     raise SqlError(f"cannot bind expression node {node!r}")
 
 
+#: what stands for one value: a literal, or a prepared statement's ``$N``
+_VALUES = (ast.Literal, ast.Parameter)
+
+
 def _literal(node):
+    """The value of a literal, or the slot of a ``$N``."""
     if isinstance(node, ast.Literal):
         return node.value
+    if isinstance(node, ast.Parameter):
+        return Param(node.index)
     raise SqlError("BETWEEN bounds must be literals")
 
 
@@ -106,22 +114,23 @@ def _sargable(node):
 
     These feed the storage layer's MinMax block skipping; the exact
     filter still runs in the Select operator, so being conservative here
-    (None for anything unrecognized) only costs skipped IO savings.
+    (None for anything unrecognized) only costs skipped IO savings. A
+    ``$N`` gives a slot where a literal would be.
     """
     if isinstance(node, ast.BinaryOp) and node.op in _FLIPPED_OPS:
         if (isinstance(node.left, ast.ColumnRef)
-                and isinstance(node.right, ast.Literal)):
-            return [(node.left.name, node.op, node.right.value)]
+                and isinstance(node.right, _VALUES)):
+            return [(node.left.name, node.op, _literal(node.right))]
         if (isinstance(node.right, ast.ColumnRef)
-                and isinstance(node.left, ast.Literal)):
+                and isinstance(node.left, _VALUES)):
             return [(node.right.name, _FLIPPED_OPS[node.op],
-                     node.left.value)]
+                     _literal(node.left))]
     if (isinstance(node, ast.BetweenOp) and not node.negate
             and isinstance(node.child, ast.ColumnRef)
-            and isinstance(node.low, ast.Literal)
-            and isinstance(node.high, ast.Literal)):
-        return [(node.child.name, ">=", node.low.value),
-                (node.child.name, "<=", node.high.value)]
+            and isinstance(node.low, _VALUES)
+            and isinstance(node.high, _VALUES)):
+        return [(node.child.name, ">=", _literal(node.low)),
+                (node.child.name, "<=", _literal(node.high))]
     return None
 
 
@@ -138,10 +147,13 @@ class _SelectBinder:
         self.stmt = stmt
 
     def plan(self) -> LogicalPlan:
+        """The statement's logical plan; a ``$N`` in it is a slot
+        (:class:`~repro.engine.expressions.Param`). The AST is not
+        changed: ``SELECT *`` expands into a new statement."""
         stmt = self.stmt
         if stmt.star:
-            stmt.items = self._expand_star()
-            stmt.star = False
+            stmt = self.stmt = dataclasses.replace(
+                stmt, items=self._expand_star(), star=False)
         needed: List[str] = []
         for item in stmt.items:
             _collect_columns(item.expr, needed)
@@ -331,12 +343,24 @@ def execute_sql(cluster, text: str, trans=None):
 
 def _execute_sql(cluster, text: str, trans, tracer):
     with tracer.span("parse"):
-        stmt = SqlParser(text).parse()
+        stmt = parse_simple(text)
     return execute_statement(cluster, stmt, trans=trans, tracer=tracer)
 
 
+def parse_simple(text: str):
+    """Parse one statement that runs as written: a ``$N`` in it has no
+    value to take (only a prepared statement's Bind gives one)."""
+    parser = SqlParser(text)
+    stmt = parser.parse()
+    if parser.params:
+        raise SqlError(
+            f"unbound parameter ${min(parser.params)}: prepared statements "
+            f"must be bound (Bind) before execution")
+    return stmt
+
+
 def execute_statement(cluster, stmt, trans=None, tracer=None):
-    """Run an already-parsed statement AST (the server's Execute path
+    """Run an already-parsed statement AST (the server's prepared DML
     lands here with parameters already bound into the tree)."""
     if tracer is None:
         from repro.obs import NULL_TRACER

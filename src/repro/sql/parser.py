@@ -25,8 +25,9 @@ class Literal:
 
 @dataclass
 class Parameter:
-    """Extended-protocol placeholder ``$N`` (1-based); replaced with a
-    :class:`Literal` at Bind time (:func:`repro.sql.prepare.bind_parameters`).
+    """Extended-protocol placeholder ``$N`` (1-based): a SELECT's binder
+    makes it a plan slot, prepared DML has it replaced with a
+    :class:`Literal` at Execute (:func:`repro.sql.prepare.bind_parameters`).
     """
 
     index: int
@@ -153,6 +154,8 @@ class SqlParser:
     def __init__(self, text: str):
         self._tokens = SqlLexer(text).tokens()
         self._pos = 0
+        #: the index of every ``$N`` parsed, in order
+        self.params: List[int] = []
 
     # -- token helpers --------------------------------------------------------
 
@@ -202,6 +205,21 @@ class SqlParser:
         self._accept("op", ";")
         self._expect("eof")
         return stmt
+
+    def parameter_count(self) -> int:
+        """Highest ``$N`` index the parsed statement uses (0 = none).
+
+        Raises :class:`SqlError` on non-positive or gappy indexes: ``$1
+        $3`` without ``$2`` is a client bug better caught at Parse than at
+        Bind.
+        """
+        distinct = sorted(set(self.params))
+        if distinct and (distinct[0] < 1 or distinct != list(
+                range(1, distinct[-1] + 1))):
+            raise SqlError(
+                f"parameter indexes must be contiguous from $1, got "
+                f"{', '.join(f'${i}' for i in distinct)}")
+        return distinct[-1] if distinct else 0
 
     # -- statements -------------------------------------------------------------
 
@@ -423,7 +441,7 @@ class SqlParser:
         if token.kind == "string":
             return Literal(self._next().value)
         if token.kind == "param":
-            return Parameter(int(self._next().value))
+            return self._parameter(self._next())
         if token.kind == "name":
             return ColumnRef(self._next().value)
         raise SqlError(f"unexpected token {token.value!r}")
@@ -462,10 +480,14 @@ class SqlParser:
         if token.kind == "param":
             # raw-value position (IN list, INSERT row): the binder sees
             # the bound python value directly, not a Literal node
-            return Parameter(int(token.value))
+            return self._parameter(token)
         if token.kind == "keyword" and token.value == "null":
             return None
         raise SqlError(f"expected literal, got {token.value!r}")
+
+    def _parameter(self, token: Token) -> Parameter:
+        self.params.append(int(token.value))
+        return Parameter(self.params[-1])
 
     @staticmethod
     def _number(text: str):

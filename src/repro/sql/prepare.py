@@ -3,10 +3,12 @@
 The extended protocol parses a statement once (``Parse``), then executes
 it many times with different bound values (``Bind``/``Execute``). The
 parser leaves :class:`~repro.sql.parser.Parameter` markers wherever the
-text said ``$N``; :func:`bind_parameters` substitutes the bound values
-into a *deep copy* of the statement -- the binder mutates statements in
-place (star expansion), so the cached AST must never be handed to it
-directly.
+text said ``$N``. A SELECT never needs them replaced: its binder makes
+each one a plan slot, and the server binds values into the plan template
+(:meth:`repro.mpp.plan.QueryPlan.bind`). Prepared DML runs through
+:func:`bind_parameters`, which returns the statement with its values in
+place -- a new node on every path to a ``$N``, the statement's own nodes
+everywhere else (nothing downstream changes an AST).
 
 Substitution is context-aware: in expression positions a parameter
 becomes a :class:`~repro.sql.parser.Literal` node; in the two places the
@@ -16,76 +18,45 @@ parser stores plain python values (``InOp.values`` and
 
 from __future__ import annotations
 
-import copy
 import dataclasses
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.common.errors import SqlError
 from repro.sql.parser import InOp, InsertStatement, Literal, Parameter
 
 
-def _walk_params(value, found: List[int]) -> None:
-    if isinstance(value, Parameter):
-        found.append(value.index)
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        for f in dataclasses.fields(value):
-            _walk_params(getattr(value, f.name), found)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _walk_params(item, found)
+#: the fields whose items are plain python values, not expression nodes
+_RAW_FIELDS = {(InOp, "values"), (InsertStatement, "rows")}
 
 
-def count_parameters(stmt) -> int:
-    """Highest ``$N`` index used by the statement (0 = no parameters).
+def bind_parameters(stmt, params: Sequence[object], n_params: int):
+    """``stmt`` with every ``$N`` replaced by ``params[N-1]``.
 
-    Raises :class:`SqlError` on non-positive or gappy indexes: ``$1 $3``
-    without ``$2`` is a client bug better caught at Parse than at Bind.
+    The statement's parameter count (``n_params``, from
+    :meth:`SqlParser.parameter_count`) must match exactly; mismatches
+    raise :class:`SqlError` (the wire protocol's Bind error).
     """
-    found: List[int] = []
-    _walk_params(stmt, found)
-    if not found:
-        return 0
-    distinct = sorted(set(found))
-    if distinct[0] < 1 or distinct != list(range(1, distinct[-1] + 1)):
-        raise SqlError(
-            f"parameter indexes must be contiguous from $1, got "
-            f"{', '.join(f'${i}' for i in distinct)}")
-    return distinct[-1]
-
-
-def bind_parameters(stmt, params: Sequence[object]):
-    """A deep copy of ``stmt`` with every ``$N`` replaced by ``params[N-1]``.
-
-    The parameter count must match exactly; mismatches raise
-    :class:`SqlError` (the wire protocol's Bind error).
-    """
-    n_params = count_parameters(stmt)
     if n_params != len(params):
         raise SqlError(
             f"statement uses {n_params} parameter(s), {len(params)} bound")
 
-    def raw(item):
-        return params[item.index - 1] if isinstance(item, Parameter) else item
-
-    def substitute(value):
+    def substitute(value, raw: bool = False):
         if isinstance(value, Parameter):
-            return Literal(params[value.index - 1])
+            bound = params[value.index - 1]
+            return bound if raw else Literal(bound)
+        if isinstance(value, (list, tuple)):
+            items = [substitute(item, raw) for item in value]
+            if all(new is old for new, old in zip(items, value)):
+                return value
+            return items if isinstance(value, list) else tuple(items)
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            if isinstance(value, InOp):
-                value.values = [raw(item) for item in value.values]
-                value.child = substitute(value.child)
-                return value
-            if isinstance(value, InsertStatement):
-                value.rows = [[raw(item) for item in row]
-                              for row in value.rows]
-                return value
+            changes = {}
             for f in dataclasses.fields(value):
-                setattr(value, f.name, substitute(getattr(value, f.name)))
-            return value
-        if isinstance(value, list):
-            return [substitute(item) for item in value]
-        if isinstance(value, tuple):
-            return tuple(substitute(item) for item in value)
+                old = getattr(value, f.name)
+                new = substitute(old, (type(value), f.name) in _RAW_FIELDS)
+                if new is not old:
+                    changes[f.name] = new
+            return dataclasses.replace(value, **changes) if changes else value
         return value
 
-    return substitute(copy.deepcopy(stmt))
+    return substitute(stmt)

@@ -37,6 +37,22 @@ class TestCounter:
         with pytest.raises(ReproError):
             c.inc(1)  # missing the label entirely
 
+    @pytest.mark.parametrize("labels, got", [
+        ({"node": "n1"}, "('node',)"),  # missing
+        ({"node": "n1", "mode": "m", "rack": "r"},
+         "('mode', 'node', 'rack')"),  # extra
+        ({"node": "n1", "mod": "m"}, "('mod', 'node')"),  # renamed
+    ])
+    def test_a_missing_extra_or_renamed_label_names_both_sets(self, labels,
+                                                              got):
+        c = MetricsRegistry().counter("x_total", labels=("node", "mode"))
+        message = (f"metric x_total takes labels ('node', 'mode'), "
+                   f"got {got}")
+        with pytest.raises(ReproError) as raised:
+            c.inc(1, **labels)
+        assert str(raised.value) == message
+        assert c.total() == 0
+
     def test_cannot_decrease(self):
         c = MetricsRegistry().counter("x_total")
         with pytest.raises(ReproError):
