@@ -38,8 +38,7 @@ def figure5_query():
                                     "l_discount"]),
                  Col("l_discount") > 0.03)
     orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_orderdate"],
-              [("o_orderdate", ">=", lo), ("o_orderdate", "<=", hi)]),
+        LScan("orders", ["o_orderkey", "o_orderdate"]),
         Between(Col("o_orderdate"), lo, hi))
     joined = LJoin(build=orders, probe=li, build_keys=["o_orderkey"],
                    probe_keys=["l_orderkey"], build_payload=[])

@@ -118,11 +118,13 @@ class _PaxTable:
     # ----------------------------------------------------------------- read
 
     def _group_may_qualify(self, group: _RowGroup, predicates) -> bool:
-        from repro.storage.minmax import OPS, _interval_may_qualify
+        from repro.storage.minmax import TRIPLE_OPS, _interval_may_qualify
         for col, op, literal in predicates:
             seg = group.segments.get(col)
-            if seg is None or op not in OPS:  # cannot skip on it
+            if seg is None or op not in TRIPLE_OPS:  # cannot skip on it
                 continue
+            if op == "in":  # MinMax looks the block up in sorted values
+                literal = sorted(literal)
             if not _interval_may_qualify(seg.min_value, seg.max_value,
                                          op, literal):
                 return False

@@ -105,7 +105,7 @@ class RowEngineRunner:
     def run(self, plan: L.LogicalPlan) -> Batch:
         self.last_stats = RowStats()
         start = _time.perf_counter()
-        rows = self._stage(plan)
+        rows = self._stage(L.derive_scan_triples(plan))
         self.last_stats.elapsed = _time.perf_counter() - start
         return _rows_to_batch(rows)
 

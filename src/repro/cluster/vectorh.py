@@ -21,7 +21,8 @@ from repro.hdfs.cluster import HdfsCluster
 from repro.hdfs.placement import VectorHPlacementPolicy
 from repro.mpp.executor import MppExecutor, QueryResult
 from repro.mpp.feedback import CardinalityFeedbackStore
-from repro.mpp.logical import LogicalPlan, LScan
+from repro.mpp.logical import (LogicalPlan, LScan, derive_scan_triples,
+                                predicate_triples)
 from repro.mpp.rewriter import ParallelRewriter, RewriterFlags
 from repro.net.mpi import MpiFabric
 from repro.obs import (
@@ -278,7 +279,7 @@ class VectorHCluster:
         request/response pair per remote responsible node.
         """
         wanted: Dict[str, list] = {}
-        for scan in plan.walk():
+        for scan in derive_scan_triples(plan).walk():
             if isinstance(scan, LScan) and scan.skip_predicates:
                 wanted.setdefault(scan.table, []).extend(scan.skip_predicates)
         by_node: Dict[str, list] = {}
@@ -330,7 +331,7 @@ class VectorHCluster:
             trans.commit()
 
     def _change_where(self, table: str, predicate: Expr,
-                      columns: Sequence[str], skip_predicates,
+                      columns: Sequence[str],
                       trans: Optional[DistributedTransaction],
                       change) -> int:
         """Apply ``change(pid, partition transaction, columns, identities)``
@@ -338,22 +339,22 @@ class VectorHCluster:
         SELECT finds them: each partition scanned at its responsible node
         (so PDTs are modified on the right node) under the statement's
         transaction, MinMax and the scan's exact filter applied on the
-        sargable ``skip_predicates`` before ``predicate`` sees a row --
-        only the partitions their ``=`` literals on the key reach.
-        Returns the sum of what ``change`` returned."""
+        triples of ``predicate`` before it sees a row -- only the
+        partitions their key literals reach. Returns the sum of what
+        ``change`` returned."""
         stored = self.tables[table]
         own_txn = trans is None
         if own_txn:
             trans = self.begin()
         changed = 0
         owners = self.placement.owners(table)
-        reached = stored.reached_partitions(skip_predicates)
+        triples = predicate_triples(predicate)
+        reached = stored.reached_partitions(triples)
         for pid in range(len(owners)) if reached is None else reached:
             node = owners[pid]
             t = trans.trans_for(table, pid)
-            res = stored.scan_partition(pid, columns, list(skip_predicates),
-                                        trans=t, reader=node,
-                                        pool=self.pool_of(node))
+            res = stored.scan_partition(pid, columns, triples, trans=t,
+                                        reader=node, pool=self.pool_of(node))
             mask = np.asarray(predicate.eval(res.columns), dtype=bool)
             if mask.any():
                 hit = {k: v[mask] for k, v in res.columns.items()}
@@ -363,18 +364,16 @@ class VectorHCluster:
         return changed
 
     def delete_where(self, table: str, predicate: Expr,
-                     skip_predicates: Sequence[Tuple[str, str, object]] = (),
                      trans: Optional[DistributedTransaction] = None) -> int:
         """DELETE FROM table WHERE predicate; returns rows deleted."""
         stored = self.tables[table]
         return self._change_where(
-            table, predicate, predicate.columns_used(), skip_predicates, trans,
+            table, predicate, predicate.columns_used(), trans,
             lambda pid, t, _hit, identities: stored.delete_rows(
                 pid, identities, t))
 
     def update_where(self, table: str, predicate: Expr,
                      assignments: Dict[str, Expr],
-                     skip_predicates: Sequence[Tuple[str, str, object]] = (),
                      trans: Optional[DistributedTransaction] = None) -> int:
         """UPDATE table SET col=expr... WHERE predicate; returns rows hit.
 
@@ -400,8 +399,7 @@ class VectorHCluster:
                                               new_values[col])
             return stored.modify_rows(pid, identities, new_values, t)
 
-        return self._change_where(table, predicate, needed, skip_predicates,
-                                  trans, modify)
+        return self._change_where(table, predicate, needed, trans, modify)
 
     # -------------------------------------------------------------- propagation
 

@@ -92,8 +92,15 @@ class ColumnType:
         whole numbers, the engine compares ``stored / 10**scale`` with the
         literal as floats; the threshold returned keeps exactly the stored
         values the engine would keep -- ``qty < 0.025`` at scale 2 becomes
-        ``< 3``, never ``< 2``.
+        ``< 3``, never ``< 2``. ``in`` takes the values: their sorted
+        distinct array, None when one cannot be held exactly.
         """
+        if op == "in":
+            held = [self.storage_literal("=", value) for value in literal]
+            if any(value is None for value in held):
+                return None
+            return np.array(sorted(set(held)),
+                            dtype=object if self.is_string else None)
         if self.is_string:
             return literal if isinstance(literal, str) else None
         is_bool = isinstance(literal, (bool, np.bool_))

@@ -17,7 +17,7 @@ comparison of two columns over different dictionaries, a ``CASE`` branch
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +77,14 @@ def _on_strings(values, fn, memo: EntryMemo):
     if isinstance(values, DictColumn):
         return values.map_entries(fn, memo)
     return fn(values)
+
+
+def isin(column, values, memo: Optional[EntryMemo] = None) -> np.ndarray:
+    """``column IN values`` (the ``IN`` list and the scan's ``in`` triple
+    alike): a string column answers on its entries."""
+    if column.dtype == object:
+        return _on_strings(column, lambda s: np.isin(s, values), memo)
+    return np.isin(column, values)
 
 
 class Col(Expr):
@@ -143,8 +151,11 @@ class Param(Expr):
 
 
 def bound_value(value, params: Sequence):
-    """A raw literal position (IN list, BETWEEN bound, scan triple) bound:
-    a slot's value, anything else as it is."""
+    """A raw literal position (IN list, BETWEEN bound, scan triple; an
+    ``in`` triple's tuple of them) bound: a slot's value, anything else
+    as it is."""
+    if isinstance(value, tuple):
+        return tuple(bound_value(v, params) for v in value)
     return value.bind(params).value if isinstance(value, Param) else value
 
 
@@ -322,11 +333,7 @@ class InList(Expr):
         return InList(child, values)
 
     def eval(self, c):
-        v = self.child.eval(c)
-        if v.dtype == object:
-            return _on_strings(v, lambda s: np.isin(s, self.values),
-                               self._memo)
-        return np.isin(v, np.asarray(self.values))
+        return isin(self.child.eval(c), self.values, self._memo)
 
     def eval_row(self, r):
         return self.child.eval_row(r) in self._set

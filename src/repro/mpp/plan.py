@@ -105,31 +105,37 @@ class PScan(PhysNode):
 
 
 #: what :func:`reached_partitions` gives a template scan whose partition key
-#: ``=`` slots fix: one partition, which :meth:`QueryPlan.bind` finds
+#: ``=``/``in`` slots fix: the partitions :meth:`QueryPlan.bind` finds
 BOUND_AT_EXECUTE = "bound at execute"
 
 
 def reached_partitions(table, triples):
     """The partitions a scan of ``table`` with these ``(col, op, value)``
     triples reads, for the rewriter and :meth:`QueryPlan.bind` alike:
-    when ``=`` triples fix every partition-key column, the sorted pids
-    their values hash to (:meth:`StoredTable.reached_partitions`), else
-    None for every partition. Where a slot ``$N`` is among them the pid is
-    not known yet: :data:`BOUND_AT_EXECUTE` when slots and literals fix
-    every key column, None when they do not."""
+    when ``=``/``in`` triples fix every partition-key column, the sorted
+    pids their values hash to (:meth:`StoredTable.reached_partitions`),
+    else None for every partition. Where a slot ``$N`` is among them the
+    pids are not known yet: :data:`BOUND_AT_EXECUTE` when slots and
+    literals fix every key column, None when they do not."""
     if table.is_replicated:
         return None
     key = table.schema.partition_key
-    # plain loops: a scan without ``=`` on the key makes no call
+    # plain loops: a scan without ``=`` or ``in`` on the key makes no call
     for col, op, _ in triples:
-        if op == "=" and col in key:
+        if op in ("=", "in") and col in key:
             break
     else:
         return None
-    if any(isinstance(value, Param) for _, _, value in triples):
-        fixed = {col for col, op, _ in triples if op == "="}
+    if _has_slot(triples):
+        fixed = {col for col, op, _ in triples if op in ("=", "in")}
         return BOUND_AT_EXECUTE if fixed.issuperset(key) else None
     return table.reached_partitions(triples)
+
+
+def _has_slot(triples) -> bool:
+    """Does a slot ``$N`` stand among the values (an ``in`` list's too)?"""
+    return any(isinstance(v, Param) for _, op, value in triples
+               for v in (value if op == "in" else (value,)))
 
 
 class PSelect(PhysNode):
@@ -451,7 +457,7 @@ def _bound(node: PhysNode, params, tables, copies) -> PhysNode:
                            else expr.bind(params))
                           for name, func, expr in node.aggregates]
     elif isinstance(node, PScan):
-        if any(isinstance(v, Param) for _, _, v in node.skip_predicates):
+        if _has_slot(node.skip_predicates):
             new.skip_predicates = [(col, op, bound_value(v, params))
                                    for col, op, v in node.skip_predicates]
             new.partitions = reached_partitions(tables[node.table],

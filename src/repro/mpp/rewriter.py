@@ -52,7 +52,9 @@ class ParallelRewriter:
 
     def plan(self, root: L.LogicalPlan) -> QueryPlan:
         """Plan once: physical tree + cardinality annotations + the
-        exchange decisions the run may revisit mid-query."""
+        exchange decisions the run may revisit mid-query. Each scan skips
+        on the triples its selections imply
+        (:func:`~repro.mpp.logical.derive_scan_triples`)."""
         self._annotations = {}
         self._decisions = []
         self._est_memo = {}
@@ -60,7 +62,7 @@ class ParallelRewriter:
         self._reached = {}
         self._tables = {}
         self._read = {}
-        phys, _ = self._rw(root)
+        phys, _ = self._rw(L.derive_scan_triples(root))
         if phys.distribution.kind != P.MASTER:
             phys = P.DXUnion(phys)
         return QueryPlan(logical=root, root=phys,

@@ -44,9 +44,6 @@ from repro.obs.metrics import labels_text
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import ScanResult
 
-SYSTEM_TABLE_PREFIX = "vh$"
-
-
 # ---------------------------------------------------------------------------
 # Virtual tables
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.engine.expressions import (
 )
 from repro.mpp.logical import (
     LAggr, LJoin, LLimit, LProject, LScan, LSelect, LSort, LTopN,
-    LogicalPlan,
+    LogicalPlan, derive_scan_triples,
 )
 from repro.sql import parser as ast
 from repro.sql.parser import SqlParser
@@ -68,10 +68,6 @@ def _bind_expr(node) -> Expr:
     raise SqlError(f"cannot bind expression node {node!r}")
 
 
-#: what stands for one value: a literal, or a prepared statement's ``$N``
-_VALUES = (ast.Literal, ast.Parameter)
-
-
 def _literal(node):
     """The value of a literal, or the slot of a ``$N``."""
     if isinstance(node, ast.Literal):
@@ -106,41 +102,6 @@ def _has_aggregates(items) -> bool:
     return any(isinstance(item.expr, ast.AggCall) for item in items)
 
 
-_FLIPPED_OPS = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-
-
-def _sargable(node):
-    """``(column, op, literal)`` triples from one WHERE conjunct, or None.
-
-    These feed the storage layer's MinMax block skipping; the exact
-    filter still runs in the Select operator, so being conservative here
-    (None for anything unrecognized) only costs skipped IO savings. A
-    ``$N`` gives a slot where a literal would be.
-    """
-    if isinstance(node, ast.BinaryOp) and node.op in _FLIPPED_OPS:
-        if (isinstance(node.left, ast.ColumnRef)
-                and isinstance(node.right, _VALUES)):
-            return [(node.left.name, node.op, _literal(node.right))]
-        if (isinstance(node.right, ast.ColumnRef)
-                and isinstance(node.left, _VALUES)):
-            return [(node.right.name, _FLIPPED_OPS[node.op],
-                     _literal(node.left))]
-    if (isinstance(node, ast.BetweenOp) and not node.negate
-            and isinstance(node.child, ast.ColumnRef)
-            and isinstance(node.low, _VALUES)
-            and isinstance(node.high, _VALUES)):
-        return [(node.child.name, ">=", _literal(node.low)),
-                (node.child.name, "<=", _literal(node.high))]
-    return None
-
-
-def _where_triples(node) -> List[tuple]:
-    """Every sargable ``(column, op, literal)`` among a WHERE's conjuncts."""
-    if isinstance(node, ast.BinaryOp) and node.op == "and":
-        return _where_triples(node.left) + _where_triples(node.right)
-    return _sargable(node) or []
-
-
 class _SelectBinder:
     def __init__(self, cluster, stmt: ast.SelectStatement):
         self.cluster = cluster
@@ -171,6 +132,7 @@ class _SelectBinder:
         plan = self._from_clause(needed)
         if stmt.where is not None:
             plan = LSelect(plan, _bind_expr(stmt.where))
+        plan = self._order_joins(plan, needed)
         plan = self._projection_and_aggregation(plan)
         if stmt.having is not None:
             plan = LSelect(plan, _bind_expr(stmt.having))
@@ -196,44 +158,14 @@ class _SelectBinder:
                     items.append(ast.SelectItem(ast.ColumnRef(name), None))
         return items
 
-    def _skip_predicates(self, tables: List[str]) -> Dict[str, List]:
-        """Sargable WHERE conjuncts per scanned table, for MinMax.
-
-        Only the FROM table and inner-joined tables take predicates: on a
-        left join's null-supplying side a pushed-down filter would drop
-        probe rows instead of null-extending them.
-        """
-        out: Dict[str, List] = {t: [] for t in tables}
-        if self.stmt.where is None:
-            return out
-        eligible = {self.stmt.table} | {
-            j.table for j in self.stmt.joins if j.how == "inner"
-        }
-        for pred in _where_triples(self.stmt.where):
-            for t in tables:
-                table = self.cluster.table(t)
-                if t not in eligible or table.is_virtual:
-                    continue
-                if pred[0] in table.schema.column_names:
-                    out[t].append(pred)
-                    break
-        return out
-
-    def _from_clause(self, needed: List[str]) -> LogicalPlan:
+    def _from_clause(self, needed: List[str], joins=None) -> LogicalPlan:
+        """The FROM table joined left-deep with ``joins`` (the written
+        JOINs by default), each scan reading the ``needed`` columns its
+        table holds."""
         stmt = self.stmt
-        tables = [stmt.table] + [j.table for j in stmt.joins]
-        per_table: Dict[str, List[str]] = {}
-        for t in tables:
-            schema = self.cluster.table(t).schema
-            cols = [c for c in needed if c in schema.column_names]
-            per_table[t] = cols or schema.column_names[:1]
-        skip = self._skip_predicates(tables)
-        joins = self._order_joins(stmt.joins, per_table, skip)
-        plan: LogicalPlan = LScan(stmt.table, per_table[stmt.table],
-                                  skip[stmt.table])
-        for join in joins:
-            build = LScan(join.table, per_table[join.table],
-                          skip[join.table])
+        plan: LogicalPlan = self._scan(stmt.table, needed)
+        for join in stmt.joins if joins is None else joins:
+            build = self._scan(join.table, needed)
             # ON a = b: figure out which side each key belongs to
             build_schema = self.cluster.table(join.table).schema
             if join.left_key in build_schema.column_names:
@@ -244,8 +176,16 @@ class _SelectBinder:
                          probe_keys=[pk], how=join.how)
         return plan
 
-    def _order_joins(self, joins, per_table, skip):
-        """Cost-based join order for pure star queries.
+    def _scan(self, table: str, needed: List[str]) -> LScan:
+        schema = self.cluster.table(table).schema
+        cols = [c for c in needed if c in schema.column_names]
+        return LScan(table, cols or schema.column_names[:1])
+
+    def _order_joins(self, plan: LogicalPlan,
+                     needed: List[str]) -> LogicalPlan:
+        """Cost-based join order for pure star queries: ``plan`` (the
+        written JOIN chain, under the WHERE if there is one) over the
+        cheapest chain.
 
         The written JOIN order builds a left-deep chain where every build
         side is joined against the running probe; when the feedback store
@@ -254,32 +194,38 @@ class _SelectBinder:
         result. Only fires for all-inner star joins (every ON clause
         keys back to the FROM table), and only when at least one scan
         estimate is feedback-backed -- cold plans keep the written order
-        bit-for-bit, which keeps planning deterministic.
+        bit-for-bit, which keeps planning deterministic. A dimension's
+        scan is estimated with the triples the WHERE gives it.
         """
         stmt = self.stmt
+        joins = stmt.joins
         if len(joins) < 2 or any(j.how != "inner" for j in joins):
-            return joins
+            return plan
         base_cols = set(self.cluster.table(stmt.table).schema.column_names)
         for join in joins:
             build_cols = self.cluster.table(join.table).schema.column_names
             probe_key = (join.right_key if join.left_key in build_cols
                          else join.left_key)
             if probe_key not in base_cols:
-                return joins  # not a star: keep the written order
+                return plan  # not a star: keep the written order
         from repro.mpp.rewriter import ParallelRewriter
         rewriter = ParallelRewriter(self.cluster)
+        scans = {node.table: node
+                 for node in derive_scan_triples(plan).walk()
+                 if isinstance(node, LScan)}
         estimates = []
         any_feedback = False
         for join in joins:
-            scan = LScan(join.table, per_table[join.table],
-                         skip[join.table])
-            rows, source = rewriter.estimate_with_source(scan)
+            rows, source = rewriter.estimate_with_source(scans[join.table])
             any_feedback = any_feedback or source == "feedback"
             estimates.append(rows)
         if not any_feedback:
-            return joins
-        return [j for _, j in sorted(zip(estimates, joins),
-                                     key=lambda pair: pair[0])]
+            return plan
+        order = [j for _, j in sorted(zip(estimates, joins),
+                                      key=lambda pair: pair[0])]
+        chain = self._from_clause(needed, order)
+        return chain if stmt.where is None else LSelect(chain,
+                                                        plan.predicate)
 
     def _projection_and_aggregation(self, plan: LogicalPlan) -> LogicalPlan:
         stmt = self.stmt
@@ -395,13 +341,12 @@ def execute_statement(cluster, stmt, trans=None, tracer=None):
         if stmt.where is None:
             raise SqlError("DELETE without WHERE is not supported")
         return cluster.delete_where(stmt.table, _bind_expr(stmt.where),
-                                    _where_triples(stmt.where), trans=trans)
+                                    trans=trans)
     if isinstance(stmt, ast.UpdateStatement):
         if stmt.where is None:
             raise SqlError("UPDATE without WHERE is not supported")
         assignments = {col: _bind_expr(expr)
                        for col, expr in stmt.assignments}
         return cluster.update_where(stmt.table, _bind_expr(stmt.where),
-                                    assignments, _where_triples(stmt.where),
-                                    trans=trans)
+                                    assignments, trans=trans)
     raise SqlError(f"unsupported statement type {type(stmt).__name__}")

@@ -433,11 +433,12 @@ class SqlParser:
             expr = self._expression()
             self._expect("op", ")")
             return expr
+        number = self._signed_number()
+        if number is not None:
+            return Literal(number)
         if self._accept("op", "-"):
             inner = self._primary()
             return BinaryOp("*", Literal(-1), inner)
-        if token.kind == "number":
-            return Literal(self._number(self._next().value))
         if token.kind == "string":
             return Literal(self._next().value)
         if token.kind == "param":
@@ -472,9 +473,10 @@ class SqlParser:
         if self._keyword("date"):
             from repro.common.types import date_to_days
             return date_to_days(self._expect("string").value)
+        number = self._signed_number()
+        if number is not None:
+            return number
         token = self._next()
-        if token.kind == "number":
-            return self._number(token.value)
         if token.kind == "string":
             return token.value
         if token.kind == "param":
@@ -488,6 +490,17 @@ class SqlParser:
     def _parameter(self, token: Token) -> Parameter:
         self.params.append(int(token.value))
         return Parameter(self.params[-1])
+
+    def _signed_number(self):
+        """The number next, a ``-`` before it included (one negative
+        literal, not ``-1 * n``); None, consuming nothing, if none is."""
+        minus = self._peek().kind == "op" and self._peek().value == "-"
+        token = self._tokens[self._pos + minus]  # the eof token ends them
+        if token.kind != "number":
+            return None
+        self._pos += minus + 1
+        value = self._number(token.value)
+        return -value if minus else value
 
     @staticmethod
     def _number(text: str):

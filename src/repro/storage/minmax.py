@@ -18,8 +18,10 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-#: The sargable comparison operators -- the one vocabulary shared by MinMax
-#: skipping and the scan's exact row filter.
+from repro.engine.expressions import isin
+
+#: The sargable comparisons -- with ``in``, :data:`TRIPLE_OPS`, the one
+#: vocabulary shared by MinMax skipping and the scan's exact row filter.
 OPS: Dict[str, Callable] = {
     "<": operator.lt,
     "<=": operator.le,
@@ -27,6 +29,10 @@ OPS: Dict[str, Callable] = {
     ">=": operator.ge,
     "=": operator.eq,
 }
+
+#: every operator a triple carries; ``in`` takes the sorted array of its
+#: values (as :meth:`ColumnType.storage_literal` gives it)
+TRIPLE_OPS: Dict[str, Callable] = dict(OPS, **{"in": isin})
 
 
 @dataclass
@@ -168,8 +174,12 @@ def _extremes(values: np.ndarray):
 
 
 def _interval_may_qualify(lo, hi, op: str, literal) -> bool:
-    """Can a value in [lo, hi] satisfy ``value op literal``?"""
+    """Can a value in [lo, hi] satisfy ``value op literal``? (``in``: is
+    the least of the sorted values not below ``lo`` at most ``hi``?)"""
     if op == "=":
         return lo <= literal <= hi
+    if op == "in":
+        at = np.searchsorted(literal, lo)
+        return bool(at < len(literal) and literal[at] <= hi)
     # the low end is the best witness for < and <=, the high end for > and >=
     return OPS[op](lo if op[0] == "<" else hi, literal)

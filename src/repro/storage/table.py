@@ -17,6 +17,7 @@ and may buffer small inserts as PDT tail inserts (paper section 6).
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
@@ -34,7 +35,7 @@ from repro.pdt.layer import PdtLayer, apply_entries, classify_entries
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
 from repro.storage.colstore import ColumnDictionaries, PartitionStore
-from repro.storage.minmax import OPS
+from repro.storage.minmax import TRIPLE_OPS
 from repro.storage.schema import TableSchema
 
 #: a partition whose PDT entries reach this fraction of its stable rows
@@ -159,12 +160,12 @@ class StoredTable:
 
         Never stricter than SQL: a triple the storage type cannot answer
         exactly or more loosely (unknown operator, literal of another
-        kind, ``=`` on a value the column's scale cannot hold) is dropped
-        -- the engine's Select still applies every conjunct.
+        kind, ``=`` or ``in`` on a value the column's scale cannot hold)
+        is dropped -- the engine's Select still applies every conjunct.
         """
         fixed = []
         for col, op, literal in predicates:
-            if op in OPS:
+            if op in TRIPLE_OPS:
                 literal = self.schema.ctype(col).storage_literal(op, literal)
                 if literal is not None:
                     fixed.append((col, op, literal))
@@ -174,33 +175,36 @@ class StoredTable:
         """The sorted pids a row satisfying the ``(col, op, literal)``
         triples can sit in, or None for every partition.
 
-        Only triples fixing every partition-key column by ``=`` prune, and
-        their literals take the conversion rows were placed with: the key
-        type's ``storage_literal``, its storage dtype, ``partition_ids``.
-        A literal the type cannot hold exactly (or a value out of the
-        dtype's range) gives None, no pruning; two values for one key
-        column reach no partition at all.
+        Only triples fixing every partition-key column by ``=`` or ``in``
+        prune, and their literals take the conversion rows were placed
+        with: the key type's ``storage_literal``, its storage dtype,
+        ``partition_ids``. A literal the type cannot hold exactly (or a
+        value out of the dtype's range) gives None, no pruning; a key
+        column keeps the values all its triples allow, and every
+        combination of the key columns' values gives a pid.
         """
         key = self.schema.partition_key
         if not self.schema.is_partitioned:
             return None
         fixed: Dict[str, set] = {}
         for col, op, literal in predicates:
-            if op == "=" and col in key:
-                value = self.schema.ctype(col).storage_literal("=", literal)
-                if value is None:
+            if op in ("=", "in") and col in key:
+                values = self.schema.ctype(col).storage_literal(op, literal)
+                if values is None:
                     return None
-                fixed.setdefault(col, set()).add(value)
+                values = {values} if op == "=" else set(values.tolist())
+                fixed[col] = fixed.get(col, values) & values
         if len(fixed) < len(key):
             return None
-        if any(len(values) > 1 for values in fixed.values()):
+        combos = list(itertools.product(*(fixed[col] for col in key)))
+        if not combos:
             return ()
         try:
-            arrays = [np.array(list(fixed[col]), self.schema.ctype(col).dtype)
-                      for col in key]
+            arrays = [np.array(column, self.schema.ctype(col).dtype)
+                      for col, column in zip(key, zip(*combos))]
         except OverflowError:
             return None
-        return (int(self.schema.partition_ids(arrays)[0]),)
+        return tuple(sorted(set(self.schema.partition_ids(arrays).tolist())))
 
     def _partitioned(self, columns: Dict[str, np.ndarray]):
         """Engine rows (every schema column) as stored, split by the
@@ -275,11 +279,11 @@ class StoredTable:
         """Scan one partition: the rows that satisfy ``predicates``.
 
         ``predicates`` are conjunctive ``(col, op, literal)`` triples, ops
-        from :data:`repro.storage.minmax.OPS`; the result -- ``columns``
-        *and* the row-aligned ``identities`` (true stable SIDs / insert
-        uids, so update operators can target tuples) -- holds qualifying
-        rows only. A predicate column outside ``columns`` is read for the
-        filter and not returned. Three steps, each working on what the
+        from :data:`repro.storage.minmax.TRIPLE_OPS`; the result --
+        ``columns`` *and* the row-aligned ``identities`` (true stable
+        SIDs / insert uids, so update operators can target tuples) --
+        holds qualifying rows only. A predicate column outside ``columns``
+        is read for the filter and not returned. Three steps, each working on what the
         previous one left:
 
         1. MinMax keeps the row ranges that may qualify (no data read);
@@ -545,7 +549,7 @@ def _row_masks(columns, triples, key_filter, n_rows: int):
     if triples:
         with kernel("scan.filter", rows=n_rows):
             for col, op, literal in triples:
-                passed &= OPS[op](columns[col], literal)
+                passed &= TRIPLE_OPS[op](columns[col], literal)
     if key_filter is None:
         return passed, passed
     names, member = key_filter

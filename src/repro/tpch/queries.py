@@ -52,8 +52,7 @@ def q1(run: Runner) -> Batch:
     cutoff = d("1998-09-02")  # 1998-12-01 minus 90 days
     scan = LScan("lineitem",
                  ["l_returnflag", "l_linestatus", "l_quantity",
-                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"],
-                 [("l_shipdate", "<=", cutoff)])
+                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"])
     sel = LSelect(scan, Col("l_shipdate") <= cutoff)
     proj = LProject(sel, {
         "l_returnflag": Col("l_returnflag"),
@@ -126,13 +125,11 @@ def q3(run: Runner) -> Batch:
                    Col("c_mktsegment") == "BUILDING")
     orders = LSelect(
         LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate",
-                         "o_shippriority"],
-              [("o_orderdate", "<", date)]),
+                         "o_shippriority"]),
         Col("o_orderdate") < date)
     li = LSelect(
         LScan("lineitem", ["l_orderkey", "l_extendedprice", "l_discount",
-                           "l_shipdate"],
-              [("l_shipdate", ">", date)]),
+                           "l_shipdate"]),
         Col("l_shipdate") > date)
     co = LJoin(build=cust, probe=orders, build_keys=["c_custkey"],
                probe_keys=["o_custkey"], how="semi")
@@ -157,8 +154,7 @@ def q4(run: Runner) -> Batch:
     """Order priority checking."""
     lo, hi = d("1993-07-01"), d("1993-10-01")
     orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_orderdate", "o_orderpriority"],
-              [("o_orderdate", ">=", lo), ("o_orderdate", "<", hi)]),
+        LScan("orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]),
         (Col("o_orderdate") >= lo) & (Col("o_orderdate") < hi))
     late = LSelect(
         LScan("lineitem", ["l_orderkey", "l_commitdate", "l_receiptdate"]),
@@ -175,8 +171,7 @@ def q5(run: Runner) -> Batch:
     """Local supplier volume."""
     lo, hi = d("1994-01-01"), d("1995-01-01")
     orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"],
-              [("o_orderdate", ">=", lo), ("o_orderdate", "<", hi)]),
+        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
         (Col("o_orderdate") >= lo) & (Col("o_orderdate") < hi))
     li = LScan("lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice",
                             "l_discount"])
@@ -209,8 +204,7 @@ def q6(run: Runner) -> Batch:
     lo, hi = d("1994-01-01"), d("1995-01-01")
     scan = LScan("lineitem",
                  ["l_shipdate", "l_discount", "l_quantity",
-                  "l_extendedprice"],
-                 [("l_shipdate", ">=", lo), ("l_shipdate", "<", hi)])
+                  "l_extendedprice"])
     sel = LSelect(scan, (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi)
                   & Between(Col("l_discount"), 0.05 - 1e-9, 0.07 + 1e-9)
                   & (Col("l_quantity") < 24))
@@ -225,8 +219,7 @@ def q7(run: Runner) -> Batch:
     lo, hi = d("1995-01-01"), d("1996-12-31")
     li = LSelect(
         LScan("lineitem", ["l_orderkey", "l_suppkey", "l_shipdate",
-                           "l_extendedprice", "l_discount"],
-              [("l_shipdate", ">=", lo), ("l_shipdate", "<=", hi)]),
+                           "l_extendedprice", "l_discount"]),
         (Col("l_shipdate") >= lo) & (Col("l_shipdate") <= hi))
     orders = LScan("orders", ["o_orderkey", "o_custkey"])
     j1 = LJoin(build=orders, probe=li, build_keys=["o_orderkey"],
@@ -272,8 +265,7 @@ def q8(run: Runner) -> Batch:
     j1 = LJoin(build=part, probe=li, build_keys=["p_partkey"],
                probe_keys=["l_partkey"], how="semi")
     orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"],
-              [("o_orderdate", ">=", lo), ("o_orderdate", "<=", hi)]),
+        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
         (Col("o_orderdate") >= lo) & (Col("o_orderdate") <= hi))
     j2 = LJoin(build=orders, probe=j1, build_keys=["o_orderkey"],
                probe_keys=["l_orderkey"],
@@ -351,8 +343,7 @@ def q10(run: Runner) -> Batch:
     """Returned item reporting."""
     lo, hi = d("1993-10-01"), d("1994-01-01")
     orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"],
-              [("o_orderdate", ">=", lo), ("o_orderdate", "<", hi)]),
+        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
         (Col("o_orderdate") >= lo) & (Col("o_orderdate") < hi))
     li = LSelect(
         LScan("lineitem", ["l_orderkey", "l_returnflag",
@@ -418,8 +409,7 @@ def q12(run: Runner) -> Batch:
     lo, hi = d("1994-01-01"), d("1995-01-01")
     li = LSelect(
         LScan("lineitem", ["l_orderkey", "l_shipmode", "l_commitdate",
-                           "l_receiptdate", "l_shipdate"],
-              [("l_receiptdate", ">=", lo), ("l_receiptdate", "<", hi)]),
+                           "l_receiptdate", "l_shipdate"]),
         InList(Col("l_shipmode"), ["MAIL", "SHIP"])
         & (Col("l_commitdate") < Col("l_receiptdate"))
         & (Col("l_shipdate") < Col("l_commitdate"))
@@ -468,8 +458,7 @@ def q14(run: Runner) -> Batch:
     lo, hi = d("1995-09-01"), d("1995-10-01")
     li = LSelect(
         LScan("lineitem", ["l_partkey", "l_shipdate", "l_extendedprice",
-                           "l_discount"],
-              [("l_shipdate", ">=", lo), ("l_shipdate", "<", hi)]),
+                           "l_discount"]),
         (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi))
     part = LScan("part", ["p_partkey", "p_type"])
     j = LJoin(build=part, probe=li, build_keys=["p_partkey"],
@@ -493,8 +482,7 @@ def _q15_revenue():
     lo, hi = d("1996-01-01"), d("1996-04-01")
     li = LSelect(
         LScan("lineitem", ["l_suppkey", "l_shipdate", "l_extendedprice",
-                           "l_discount"],
-              [("l_shipdate", ">=", lo), ("l_shipdate", "<", hi)]),
+                           "l_discount"]),
         (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi))
     proj = LProject(li, {"l_suppkey": Col("l_suppkey"), "rev": REVENUE})
     return LAggr(proj, ["l_suppkey"], [("total_revenue", "sum", Col("rev"))])
@@ -615,8 +603,7 @@ def q20(run: Runner) -> Batch:
     lo, hi = d("1994-01-01"), d("1995-01-01")
     li = LSelect(
         LScan("lineitem", ["l_partkey", "l_suppkey", "l_quantity",
-                           "l_shipdate"],
-              [("l_shipdate", ">=", lo), ("l_shipdate", "<", hi)]),
+                           "l_shipdate"]),
         (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi))
     shipped = LAggr(li, ["l_partkey", "l_suppkey"],
                     [("sum_qty", "sum", Col("l_quantity"))])

@@ -26,7 +26,8 @@ from repro.mpp.feedback import (
     CardinalityFeedbackStore,
     fragment_signature,
 )
-from repro.mpp.logical import LAggr, LJoin, LScan, LSelect
+from repro.mpp.logical import (LAggr, LJoin, LScan, LSelect,
+                               derive_scan_triples)
 from repro.mpp.plan import QueryPlan, RewriterFlags
 from repro.mpp.rewriter import ParallelRewriter
 from repro.obs import MetricsRegistry
@@ -60,12 +61,13 @@ def _star_cluster(n_nodes: int = 4, **overrides) -> VectorHCluster:
 
 
 def _skew_plan():
-    """A build side the static model misestimates by ~37x.
+    """A build side the static model misestimates by ~1370x.
 
-    Three stacked pass-all selections drive the dim estimate down to
-    2000 * 0.3**3 = 54 rows, so the rewriter broadcasts a build side
-    that actually produces all 2000 rows -- on 4 workers the broadcast
-    moves 6000 rows where a reshuffle would move 5000.
+    Three stacked pass-all selections, each also a triple of the scan
+    below them, drive the dim estimate down to 2000 * 0.3**6 = 1.5 rows
+    (the scan's to 2000 * 0.3**3 = 54), so the rewriter broadcasts a
+    build side that actually produces all 2000 rows -- on 4 workers the
+    broadcast moves 6000 rows where a reshuffle would move 5000.
     """
     build = LScan("d", ["dk", "w"])
     for _ in range(3):
@@ -85,8 +87,10 @@ class TestFeedbackFlip:
         r1 = c.query(_skew_plan())
         assert "DXchgBroadcast" in r1.plan_text
         assert r1.replans == 0
-        # run 1 harvested the real build cardinality into the store
-        build_sig = fragment_signature(_skew_plan().child.build)
+        # run 1 harvested the real build cardinality into the store, under
+        # the signature of the build as planned (its scan's derived triples)
+        build_sig = fragment_signature(
+            derive_scan_triples(_skew_plan()).child.build)
         assert c.feedback.entries[build_sig].observed == N_DIM
         r2 = c.query(_skew_plan())
         assert "DXchgBroadcast" not in r2.plan_text
@@ -302,7 +306,7 @@ class TestMemoryEstimates:
         c.bulk_load("m", {"k": np.arange(n), "x": np.arange(n)})
 
         def mplan():
-            scan = LScan("m", ["x"], [("x", "<", 1000)])
+            scan = LScan("m", ["x"])
             return LAggr(LSelect(scan, Col("x") < 1000),
                          [], [("s", "sum", Col("x"))])
 
@@ -330,12 +334,12 @@ class TestIntrospection:
         c = _star_cluster(adaptive_replan=False)
         text, result = c.explain_analyze(_skew_plan())
         scan_lines = [line for line in text.splitlines() if "MScan[d]" in line]
-        assert scan_lines and "est=2000" in scan_lines[0]
-        assert "q=1.0" in scan_lines[0]
+        assert scan_lines and "est=54" in scan_lines[0]
+        assert "q=37.0" in scan_lines[0]
         # the misestimated build side is visible without the store: the
-        # innermost pass-all Select was guessed at 600 against 2000 actual
+        # innermost pass-all Select was guessed at 16 against 2000 actual
         select_lines = [line for line in text.splitlines() if "Select" in line]
-        assert any("est=600" in line and "q=3.3" in line
+        assert any("est=16" in line and "q=123.5" in line
                    for line in select_lines)
         # warmed second run marks feedback-backed estimates
         text2, _ = c.explain_analyze(_skew_plan())
@@ -353,10 +357,12 @@ class TestIntrospection:
         empty = execute_sql(c, "SELECT signature FROM vh$plan_feedback")
         assert empty.n == 0
         c.query(_skew_plan())
-        build_sig = fragment_signature(_skew_plan().child.build)
+        build_sig = fragment_signature(
+            derive_scan_triples(_skew_plan()).child.build)
         # run 1 recorded the static guess against the measured rows
         entry = c.feedback.entries[build_sig]
-        assert (entry.estimated, entry.observed) == (54.0, float(N_DIM))
+        assert entry.estimated == pytest.approx(N_DIM * 0.3 ** 6)
+        assert entry.observed == float(N_DIM)
         hits_before = c.registry.value("plan_feedback_hits_total")
         c.query(_skew_plan())
         out = execute_sql(
@@ -376,7 +382,7 @@ class TestIntrospection:
     def test_plain_explain_is_annotated_but_static(self):
         c = _star_cluster()
         text = c.explain(_skew_plan())
-        assert "est=54" in text  # the doomed static build estimate
+        assert "est=54" in text  # the doomed static build scan estimate
         assert "(fb)" not in text  # nothing ran yet
         assert "rows=" not in text  # actuals only come from ANALYZE
 
@@ -393,7 +399,7 @@ class TestPlanRunnerSplit:
         assert all(node in list(qplan.root.walk()) for node in annotated)
         [decision] = qplan.decisions
         assert decision.choice == "broadcast"
-        assert decision.estimated == 54.0
+        assert decision.estimated == pytest.approx(N_DIM * 0.3 ** 6)
         assert decision.probe_move_rows == float(N_FACT)
 
     def test_a_queryplan_is_the_only_thing_that_executes(self):

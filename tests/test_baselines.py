@@ -171,7 +171,7 @@ class TestCompetitorProfiles:
     def test_impala_never_skips_hive_does(self):
         # a date-sorted table where skipping is possible
         data = {"t": sample_columns(4000)}
-        plan = LSelect(LScan("t", ["k", "d"], [("d", "<", 8100)]),
+        plan = LSelect(LScan("t", ["k", "d"]),
                        Col("d") < 8100)
         hive = CompetitorSystem("hive", workers=3, rows_per_group=512)
         impala = CompetitorSystem("impala", workers=3, rows_per_group=512)

@@ -206,13 +206,15 @@ class TestFeedbackStaysHonest:
         cluster = loaded(tpch_data)
         probe = LSelect(LScan("lineitem", ["l_orderkey", "l_quantity"]),
                         Col("l_quantity") < 10)
-        plan = LJoin(build=LScan("orders", ["o_orderkey", "o_orderdate"],
-                                 [("o_orderdate", "<", 8500)]),
+        plan = LJoin(build=LSelect(LScan("orders", ["o_orderkey",
+                                                    "o_orderdate"]),
+                                   Col("o_orderdate") < 8500),
                      probe=probe, build_keys=["o_orderkey"],
                      probe_keys=["l_orderkey"])
         result = cluster.query(plan)
         select = next(n for n in result.qplan.root.walk()
-                      if isinstance(n, P.PSelect))
+                      if isinstance(n, P.PSelect)
+                      and n.children[0].table == "lineitem")
         assert result.profile_of(select.children[0]).key_filtered > 0
         signature = result.qplan.annotations[select].signature
         assert signature and signature not in cluster.feedback.entries
@@ -242,8 +244,8 @@ class TestLegality:
     def cluster(self, tpch_data):
         return loaded(tpch_data)
 
-    ORDERS = LScan("orders", ["o_orderkey", "o_orderdate"],
-                   [("o_orderdate", "<", 8500)])
+    ORDERS = LSelect(LScan("orders", ["o_orderkey", "o_orderdate"]),
+                     Col("o_orderdate") < 8500)
     LINES = LScan("lineitem", ["l_orderkey", "l_suppkey", "l_quantity"])
 
     def _join(self, how="inner", build=None, probe=None,
@@ -270,8 +272,8 @@ class TestLegality:
 
     def test_a_replicated_probe_scan_is_shared_between_streams(self, cluster):
         plan = self._join(
-            build=LScan("supplier", ["s_suppkey", "s_nationkey"],
-                        [("s_nationkey", "<", 5)]),
+            build=LSelect(LScan("supplier", ["s_suppkey", "s_nationkey"]),
+                          Col("s_nationkey") < 5),
             probe=LScan("nation", ["n_nationkey"]),
             build_keys=["s_nationkey"], probe_keys=["n_nationkey"])
         text = self._text(cluster, plan)
@@ -282,14 +284,14 @@ class TestLegality:
         """Neither side sits on the key and the build is the big one:
         both are reshuffled, and the scan feeds a sender fragment."""
         plan = self._join(
-            build=LScan("lineitem", ["l_suppkey", "l_quantity"],
-                        [("l_quantity", "<", 40.0)]),
-            probe=LScan("orders", ["o_custkey"]),
-            build_keys=["l_suppkey"], probe_keys=["o_custkey"])
+            build=LSelect(LScan("lineitem", ["l_suppkey", "l_quantity"]),
+                          Col("l_quantity") < 40.0),
+            probe=LScan("customer", ["c_nationkey"]),
+            build_keys=["l_suppkey"], probe_keys=["c_nationkey"])
         lines = self._text(cluster, plan).splitlines()
         scan = next(i for i, line in enumerate(lines)
-                    if "MScan[orders]" in line)
-        assert "DXchgHashSplit[o_custkey]" in lines[scan - 1]
+                    if "MScan[customer]" in line)
+        assert "DXchgHashSplit[c_nationkey]" in lines[scan - 1]
         assert "key-filter" not in lines[scan]
 
     def test_a_computed_key_is_no_column_of_the_scan(self, cluster):
@@ -305,14 +307,15 @@ class TestLegality:
     def test_a_decimal_key_is_stored_in_another_representation(
             self, cluster):
         plan = self._join(
-            build=LScan("supplier", ["s_acctbal"], [("s_acctbal", "<", 0.0)]),
+            build=LSelect(LScan("supplier", ["s_acctbal"]),
+                          Col("s_acctbal") < 0.0),
             build_keys=["s_acctbal"], probe_keys=["l_quantity"])
         assert "key-filter" not in self._text(cluster, plan)
 
     def test_an_empty_build_empties_the_scan_and_keeps_the_schema(
             self, cluster):
-        nothing = LScan("orders", ["o_orderkey", "o_orderdate"],
-                        [("o_orderdate", "<", 0)])
+        nothing = LSelect(LScan("orders", ["o_orderkey", "o_orderdate"]),
+                          Col("o_orderdate") < 0)
         result = cluster.query(self._join(build=nothing))
         assert result.batch.n == 0
         assert set(result.batch.columns) >= {"l_orderkey", "o_orderdate"}

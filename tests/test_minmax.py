@@ -60,6 +60,29 @@ class TestSkipping:
         idx = MinMaxIndex()
         assert idx.qualifying_ranges([("x", "<", 5)], 0) == []
 
+    def test_in_keeps_the_blocks_holding_one_of_the_values(self):
+        # ``in`` takes the sorted storage values (ColumnType.storage_literal)
+        idx = build_index(list(range(100)))
+        assert idx.qualifying_ranges(
+            [("x", "in", np.array([15, 17, 72]))], 100) == [(10, 20),
+                                                           (70, 80)]
+        assert idx.qualifying_ranges(
+            [("x", "in", np.array([-3, 100]))], 100) == []
+        assert idx.qualifying_ranges(
+            [("x", "in", np.array([], dtype=np.int64))], 100) == []
+
+
+@given(st.lists(st.integers(-100, 100), min_size=1, max_size=200),
+       st.lists(st.integers(-120, 120), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_in_skipping_is_sound(values, wanted):
+    idx = build_index(values, block=7)
+    ranges = idx.qualifying_ranges(
+        [("x", "in", np.array(sorted(set(wanted)), dtype=np.int64))],
+        len(values))
+    covered = {i for s, e in ranges for i in range(s, e)}
+    assert {i for i, v in enumerate(values) if v in wanted} <= covered
+
 
 class TestWidening:
     def test_insert_widens_anchor_range(self):

@@ -30,7 +30,7 @@ def cluster():
 class TestMinMaxInterface:
     def plan(self):
         return LSelect(
-            LScan("events", ["k", "d"], [("d", "<", 8100)]),
+            LScan("events", ["k", "d"]),
             Col("d") < 8100)
 
     def test_all_partitions_answered(self, cluster):
@@ -105,9 +105,9 @@ class TestDecimalLiterals:
     def test_int_and_float_literals_agree_through_resolve_minmax(
             self, priced):
         as_int = priced.resolve_minmax(
-            LScan("items", ["qty"], [("qty", "<", 24)]))
+            LSelect(LScan("items", ["qty"]), Col("qty") < 24))
         as_float = priced.resolve_minmax(
-            LScan("items", ["qty"], [("qty", "<", 24.0)]))
+            LSelect(LScan("items", ["qty"]), Col("qty") < 24.0))
         assert as_int == as_float
         assert all(ranges for ranges in as_int.values())
 

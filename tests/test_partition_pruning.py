@@ -200,6 +200,90 @@ class TestReads:
         assert "partitions[" not in result.plan_text
 
 
+class TestInListsAndNegativeLiterals:
+    """``k IN (a, b)`` and ``k = -5`` are triples: they prune like ``=``.
+    The unpruned form of an ``IN`` is the same keys ``OR``-ed (no
+    triple)."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self, tpch_data):
+        cluster = loaded(tpch_data)
+        orders = tpch_data["orders"]
+        for key in (-5, -1):
+            row = {c: v[:1].copy() for c, v in orders.items()}
+            row["o_orderkey"][:] = key
+            cluster.insert("orders", row, force_pdt=True)
+        return cluster
+
+    @pytest.fixture(scope="class")
+    def oracle(self, cluster):
+        return row_engine(cluster, ("orders",))
+
+    def pids(self, cluster, *keys):
+        stored = cluster.table("orders")
+        return tuple(sorted({stored.reached_partitions(
+            [("o_orderkey", "=", k)])[0] for k in keys}))
+
+    def test_an_in_list_reaches_the_partitions_of_its_keys(
+            self, cluster, oracle, tpch_data):
+        keys = tpch_data["orders"]["o_orderkey"]
+        rng = np.random.default_rng(33)
+        conn = cluster.serve().connect()
+        conn.parse("two", ORDER.format("IN ($1, $2)"))
+        for a, b in rng.choice(keys, (12, 2)).tolist():
+            sql = ORDER.format(f"IN ({a}, {b})")
+            answer = served(cluster, sql)
+            assert sorted(answer.columns["o_orderkey"].tolist()) == sorted(
+                {a, b})
+            assert_batches_match(answer, served(cluster, ORDER.format(
+                f"= {a} OR o_orderkey = {b}")))
+            assert_batches_match(answer, oracle.run(logical(cluster, sql)))
+            result = cluster.query(logical(cluster, sql))
+            reached = scan_of(result, "orders").partitions
+            assert len(reached) <= 2 and reached == self.pids(cluster, a, b)
+            assert f"partitions[{','.join(map(str, reached))}]" \
+                in result.plan_text
+            conn.bind("two", (a, b))
+            assert_batches_match(conn.execute(), answer)
+
+    def test_a_prepared_in_list_prunes_once_bound(self, cluster, monkeypatch,
+                                                  tpch_data):
+        plans = []
+        prepare = cluster.executor.prepare
+        monkeypatch.setattr(cluster.executor, "prepare",
+                            lambda qplan, *a, **k: plans.append(qplan)
+                            or prepare(qplan, *a, **k))
+        a, b = tpch_data["orders"]["o_orderkey"][[4, 40]].tolist()
+        conn = cluster.serve().connect()
+        conn.parse("two", ORDER.format("IN ($1, $2)"))
+        conn.bind("two", (a, b))
+        assert conn.execute().n == 2
+        assert scan_of(plans[-1], "orders").partitions == self.pids(
+            cluster, a, b)
+
+    def test_a_negative_key_is_a_literal_and_prunes(self, cluster, oracle):
+        sql = ORDER.format("= -5")
+        answer = served(cluster, sql)
+        assert answer.columns["o_orderkey"].tolist() == [-5]
+        assert_batches_match(answer, oracle.run(logical(cluster, sql)))
+        scan = scan_of(cluster.query(logical(cluster, sql)), "orders")
+        assert scan.skip_predicates == [("o_orderkey", "=", -5)]
+        assert scan.partitions == self.pids(cluster, -5)
+
+    def test_negative_between_bounds_bind(self, cluster):
+        between = served(cluster, ORDER.format("BETWEEN -5 AND 2"))
+        assert sorted(between.columns["o_orderkey"].tolist()) == [
+            -5, -1, 1, 2]
+
+    def test_negative_in_list_values_bind(self, cluster, oracle):
+        listed = ORDER.format("IN (-1, 2)")
+        answer = served(cluster, listed)
+        assert sorted(answer.columns["o_orderkey"].tolist()) == [-1, 2]
+        assert_batches_match(answer, oracle.run(logical(cluster, listed)))
+        assert scan_of(cluster.query(logical(cluster, listed)),
+                       "orders").partitions == self.pids(cluster, -1, 2)
+
+
 def blocks_seen(cluster, table: str) -> float:
     """Blocks predicated scans of ``table`` read or MinMax skipped."""
     return sum(cluster.registry.value(name, table=table) for name in (

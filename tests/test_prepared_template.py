@@ -128,7 +128,7 @@ class TestPreparedEqualsLiteral:
                                f"DATE '{days_to_date(day + 30)}'")
         assert_batches_match(conn.execute(), conn.simple_query(spelled))
 
-    def test_a_key_bound_to_minus_5_prunes_unlike_the_text(
+    def test_a_key_bound_to_minus_5_prunes_like_text(
             self, cluster, oracle, monkeypatch):
         plans = spy_plans(cluster, monkeypatch)
         conn = cluster.serve().connect()
@@ -143,8 +143,8 @@ class TestPreparedEqualsLiteral:
             assert_batches_match(answer, conn.simple_query(literal))
             assert_batches_match(answer, oracle.run(logical(cluster,
                                                             literal)))
-            # the text is -1 * 5: no triple, every partition
-            assert scan_of(plans[-1], "orders").partitions is None
+            # the text's -5 is one literal too: the same partition
+            assert scan_of(plans[-1], "orders").partitions == (pid,)
 
     def test_the_template_holds_slots_and_the_bound_plan_none(
             self, cluster):

@@ -193,6 +193,28 @@ class TestStorageLiteral:
         assert FLOAT64.storage_literal("<", 2.5) == 2.5
         assert INT64.storage_literal("<", np.int64(7)) == 7
 
+    def test_an_in_list_is_its_sorted_values_or_no_term(self):
+        assert DECIMAL.storage_literal("in", (0.07, 0.05, 0.07)).tolist() \
+            == [5, 7]
+        assert STRING.storage_literal("in", ("SHIP", "AIR")).tolist() == [
+            "AIR", "SHIP"]
+        # one value the column cannot hold exactly drops the whole triple
+        assert DECIMAL.storage_literal("in", (0.05, 0.075)) is None
+        assert INT64.storage_literal("in", (1, None)) is None
+
+    def test_in_on_a_coded_column_reads_only_the_entries(self, monkeypatch):
+        from repro.engine.batch import DictColumn
+        from repro.storage.minmax import TRIPLE_OPS
+        coded = DictColumn.encode(["AIR", "MAIL", "SHIP", "AIR", "RAIL"])
+
+        def gathered(*_args, **_kwargs):
+            raise AssertionError("a string per row was gathered")
+
+        monkeypatch.setattr(DictColumn, "__array__", gathered)
+        wanted = STRING.storage_literal("in", ("SHIP", "AIR"))
+        assert TRIPLE_OPS["in"](coded, wanted).tolist() == [
+            True, False, True, True, False]
+
 
 # --------------------------------------------------- DECIMAL through SQL
 
@@ -229,13 +251,13 @@ class TestDecimalLiteralNotAtScale:
         assert self.count(measures, "qty > 0.025") == 15000
 
     def test_resolve_minmax_keeps_the_qualifying_ranges(self, measures):
-        from repro.mpp.logical import LScan
+        from repro.mpp.logical import LScan, LSelect
         answers = measures.resolve_minmax(
-            LScan("m", ["k"], [("qty", "<", 0.025)]))
+            LSelect(LScan("m", ["k", "qty"]), Col("qty") < 0.025))
         ranges = answers["m/0"]
         assert ranges and ranges[0][0] == 0 and ranges[-1][1] >= 5000
         strict = measures.resolve_minmax(
-            LScan("m", ["k"], [("qty", "<", 0.02)]))
+            LSelect(LScan("m", ["k", "qty"]), Col("qty") < 0.02))
         assert strict["m/0"] == []
 
 
@@ -455,13 +477,11 @@ class TestDeleteThroughFilteredScan:
         doomed = (a >= 1000) & (a < 1300) & (price > 11.3)
         n = cluster.delete_where(
             "t", (Col("a") >= 1000) & (Col("a") < 1300)
-            & (Col("price") > 11.3),
-            skip_predicates=[("a", ">=", 1000), ("a", "<", 1300),
-                             ("price", ">", 11.3)])
+            & (Col("price") > 11.3))
         assert n == doomed.sum() > 0
         left = execute_sql(cluster, "select a from t")
         assert sorted(left.columns["a"].tolist()) == a[~doomed].tolist()
-        # and through SQL, where the binder derives the triples
+        # and through SQL
         execute_sql(cluster, "delete from t where a < 50 and price <= 0.25")
         gone = (a < 50) & (price <= 0.25)
         left = execute_sql(cluster, "select count(*) as n from t")
@@ -513,10 +533,11 @@ class TestDmlFindsItsRowsLikeSelect:
         return counts, {k: v[order].tolist() for k, v in rows.columns.items()}
 
     def test_same_rows_with_and_without_the_triples(self, monkeypatch):
-        from repro.sql import binder
+        from repro.cluster import vectorh
         with_triples = self._run(self._cluster())
         assert all(n > 0 for n in with_triples[0])
-        monkeypatch.setattr(binder, "_where_triples", lambda where: [])
+        monkeypatch.setattr(vectorh, "predicate_triples",
+                            lambda predicate: [])
         assert self._run(self._cluster()) == with_triples
 
     def test_key_equality_update_skips_blocks(self):

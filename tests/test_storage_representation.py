@@ -30,8 +30,9 @@ from repro.cluster.vectorh import DIRECT_APPEND_THRESHOLD
 from repro.common.config import Config
 from repro.common.types import DATE, DECIMAL, INT32, INT64, STRING
 from repro.connector import vwload
+from repro.engine.expressions import Col
 from repro.mpp import plan as P
-from repro.mpp.logical import LScan
+from repro.mpp.logical import LScan, LSelect
 from repro.mpp.rewriter import ParallelRewriter
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
@@ -193,7 +194,7 @@ def test_a_literal_prunes_to_the_partition_its_row_was_written_to(
     for i, (key, pid) in enumerate(sorted(written.items())):
         value = LITERALS[literal](key)
         plan = ParallelRewriter(c).plan(
-            LScan("a", ["x"], [("ka", "=", value)]))
+            LSelect(LScan("a", ["x", "ka"]), Col("ka") == value))
         (scan,) = [n for n in plan.root.walk() if isinstance(n, P.PScan)]
         assert scan.partitions == (pid,), value
         if i % 10 == 0:
