@@ -142,8 +142,9 @@ class EpochKeyedCache:
                 "invalidations": self.invalidations}
 
 
-def portal_key(fingerprint: str, params: Tuple[object, ...]) -> str:
-    """Cache text of a bound portal: the statement fingerprint folded
-    together with the bound parameters (different values are different
-    results, and ``repr`` keeps ``1`` and ``"1"`` apart)."""
-    return f"{fingerprint}|{params!r}"
+def result_key(sql: str, params: Tuple[object, ...]) -> str:
+    """The result-cache text of one statement: its exact text and the
+    values bound to its ``$N`` (``()`` for a simple ``Query``). Two
+    texts are two keys even where their fingerprints agree, and
+    ``repr`` keeps ``1`` and ``"1"`` apart."""
+    return repr((sql, params))

@@ -5,9 +5,10 @@ into a *server*: simulated clients open :class:`ClientConnection`\\ s,
 speak the simple or extended protocol (:mod:`repro.server.protocol`) and
 are routed to a tenant's admission queue in the workload manager. On
 top sits the **result cache** (:mod:`repro.server.cache`), keyed by SQL
-+ snapshot epochs: it answers repeat SELECTs without executing at all
--- a hit is bit-identical to a cold run because the key includes the
-epoch of every referenced table and commits bump epochs.
+text + bound values + snapshot epochs: it answers repeat SELECTs
+without executing at all -- a hit is bit-identical to a cold run
+because the key includes the epoch of every referenced table and
+commits bump epochs.
 
 Invalidation is eager: the frontend registers an epoch listener with
 the transaction manager, so the commit that bumps a table's epoch
@@ -34,16 +35,16 @@ from repro.mpp.plan import QueryPlan, qerror
 from repro.mpp.rewriter import ParallelRewriter
 from repro.obs.monitor import sql_fingerprint
 from repro.server import protocol as wire
-from repro.server.cache import EpochKeyedCache, portal_key
+from repro.server.cache import EpochKeyedCache, result_key
 from repro.sql import parser as ast
 from repro.sql.binder import _SelectBinder, execute_statement, parse_simple
 from repro.sql.parser import SqlParser
-from repro.sql.prepare import bind_parameters
 from repro.workload import DEFAULT_TENANT
 
 
 class PreparedStatement:
-    """A named, parsed statement (``Parse`` result).
+    """A parsed statement: a ``Parse`` result, or the unnamed one a
+    simple ``Query`` runs once with no values.
 
     A SELECT is planned once, at its first Execute, into a template
     whose ``$N`` are slots; every Execute binds its values into it
@@ -72,7 +73,7 @@ class PreparedStatement:
             logical = _SelectBinder(cluster, self.stmt).plan()
             self.template = ParallelRewriter(cluster).plan(logical)
             self._workers = list(cluster.workers)
-        return self.template.bind(params)
+        return self.template.bind(params) if params else self.template
 
     def _stale(self, cluster) -> bool:
         template = self.template
@@ -113,7 +114,7 @@ class PendingResult:
     def __init__(self, frontend: "ServerFrontend", conn: "ClientConnection",
                  query_id: Optional[int] = None,
                  value=None, cached: bool = False,
-                 cache_text: Optional[str] = None,
+                 cache_key: Optional[str] = None,
                  epochs: Optional[tuple] = None,
                  tables: Optional[List[str]] = None):
         self.frontend = frontend
@@ -122,7 +123,7 @@ class PendingResult:
         self.cached = cached
         self._value = value
         self._done = query_id is None
-        self._cache_text = cache_text
+        self._cache_key = cache_key
         self._epochs = epochs
         self._tables = tables or []
 
@@ -143,11 +144,10 @@ class PendingResult:
         # insert into the result cache only if no commit moved any
         # referenced table's epoch while we executed -- a stale insert
         # would serve pre-commit rows at the post-commit epoch
-        if (self._cache_text is not None
-                and self.frontend.result_cache is not None
+        if (self._cache_key is not None
                 and cluster.txn.epoch_vector(self._tables) == self._epochs):
             self.frontend.result_cache.store(
-                self._cache_text, self._epochs, batch, self._tables)
+                self._cache_key, self._epochs, batch, self._tables)
         self.frontend._charge_result(batch)
         self._value = batch
         self._done = True
@@ -177,23 +177,16 @@ class ClientConnection:
         return self.query_async(sql).result()
 
     def query_async(self, sql: str) -> PendingResult:
-        """Submit a simple-protocol statement without gathering it."""
+        """Submit a simple-protocol statement without gathering it: an
+        unnamed statement, never stored, run once with no values."""
         self._check_open()
         self.queries += 1
         frontend = self.frontend
         frontend._charge_received(wire.Query(sql))
         frontend._count_request(self.tenant, "simple")
-        stmt = parse_simple(sql)
-        if isinstance(stmt, ast.SelectStatement):
-            return frontend._submit_select(
-                self, sql, stmt, cache_text=sql,
-                fingerprint=sql_fingerprint(sql),
-                plan=lambda: _SelectBinder(frontend.cluster, stmt).plan())
-        value = execute_statement(frontend.cluster, stmt)
-        frontend._charge_sent(wire.CommandComplete("OK", int(
-            value if isinstance(value, int) else getattr(value, "n", 0))))
-        frontend._charge_sent(wire.ReadyForQuery())
-        return PendingResult(frontend, self, value=value)
+        statement = PreparedStatement(
+            "", sql, parse_simple(sql), 0, sql_fingerprint(sql))
+        return self._run(statement, ())
 
     # ---------------------------------------------------- extended protocol
 
@@ -244,16 +237,15 @@ class ClientConnection:
         frontend._charge_received(wire.Execute(portal))
         frontend._count_request(self.tenant, "execute")
         self.queries += 1
-        prepared = bound.statement
-        if isinstance(prepared.stmt, ast.SelectStatement):
-            cache_text = portal_key(prepared.fingerprint, bound.params)
-            return frontend._submit_select(
-                self, prepared.sql, prepared.stmt, cache_text=cache_text,
-                fingerprint=prepared.fingerprint,
-                plan=lambda: prepared.plan(frontend.cluster, bound.params))
-        stmt = bind_parameters(prepared.stmt, bound.params,
-                               prepared.n_params)
-        value = execute_statement(frontend.cluster, stmt)
+        return self._run(bound.statement, bound.params)
+
+    def _run(self, statement: PreparedStatement,
+             params: Tuple[object, ...]) -> PendingResult:
+        """The one request body of ``Query`` and ``Execute``."""
+        frontend = self.frontend
+        if isinstance(statement.stmt, ast.SelectStatement):
+            return frontend._submit_select(self, statement, params)
+        value = execute_statement(frontend.cluster, statement.stmt, params)
         frontend._charge_sent(wire.CommandComplete("OK", int(
             value if isinstance(value, int) else getattr(value, "n", 0))))
         frontend._charge_sent(wire.ReadyForQuery())
@@ -359,30 +351,31 @@ class ServerFrontend:
 
     # ------------------------------------------------------------ execution
 
-    def _tables_of(self, stmt: ast.SelectStatement) -> List[str]:
-        return sorted({stmt.table} | {j.table for j in stmt.joins})
-
-    def _submit_select(self, conn: ClientConnection, sql: str,
-                       stmt: ast.SelectStatement, cache_text: str,
-                       fingerprint: str, plan) -> PendingResult:
-        """Answer from the result cache, or submit ``plan()`` (a logical
-        plan, or a prepared statement's bound plan)."""
+    def _submit_select(self, conn: ClientConnection,
+                       statement: PreparedStatement,
+                       params: Tuple[object, ...]) -> PendingResult:
+        """Answer a SELECT from the result cache, or submit its plan
+        bound with ``params``. A read of a ``vh$`` table neither looks
+        up nor stores: no commit moves a system table's epoch."""
         cluster = self.cluster
-        tables = self._tables_of(stmt)
+        stmt = statement.stmt
+        tables = sorted({stmt.table} | {j.table for j in stmt.joins})
         epochs = cluster.txn.epoch_vector(tables)
-        if self.result_cache is not None:
-            batch = self.result_cache.lookup(cache_text, epochs)
+        key = None
+        if self.result_cache is not None and not any(
+                cluster.table(name).is_virtual for name in tables):
+            key = result_key(statement.sql, params)
+            batch = self.result_cache.lookup(key, epochs)
             if batch is not None:
                 self._charge_result(batch)
                 return PendingResult(self, conn, value=batch, cached=True)
         query_id = cluster.workload.submit(
-            plan(), tenant=conn.tenant,
-            session=conn.conn_id, statement=sql,
-            fingerprint=fingerprint)
+            statement.plan(cluster, params), tenant=conn.tenant,
+            session=conn.conn_id, statement=statement.sql,
+            fingerprint=statement.fingerprint)
         conn.inflight.add(query_id)
         return PendingResult(self, conn, query_id=query_id,
-                             cache_text=cache_text, epochs=epochs,
-                             tables=tables)
+                             cache_key=key, epochs=epochs, tables=tables)
 
     # ------------------------------------------------------ wire accounting
 

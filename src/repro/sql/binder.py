@@ -10,12 +10,13 @@ import numpy as np
 
 from repro.common.errors import SqlError
 from repro.engine.expressions import (
-    Between, Case, Col, Const, Expr, InList, Like, Not, Param,
+    Between, Case, Col, Const, Expr, InList, Like, Not, Param, bound_value,
 )
 from repro.mpp.logical import (
     LAggr, LJoin, LLimit, LProject, LScan, LSelect, LSort, LTopN,
     LogicalPlan, derive_scan_triples,
 )
+from repro.mpp.rewriter import ParallelRewriter
 from repro.sql import parser as ast
 from repro.sql.parser import SqlParser
 
@@ -48,9 +49,7 @@ def _bind_expr(node) -> Expr:
                        _literal(node.low), _literal(node.high))
         return Not(expr) if node.negate else expr
     if isinstance(node, ast.InOp):
-        expr = InList(_bind_expr(node.child),
-                      [Param(v.index) if isinstance(v, ast.Parameter) else v
-                       for v in node.values])
+        expr = InList(_bind_expr(node.child), [_raw(v) for v in node.values])
         return Not(expr) if node.negate else expr
     if isinstance(node, ast.LikeOp):
         return Like(_bind_expr(node.child), node.pattern, node.negate)
@@ -75,6 +74,12 @@ def _literal(node):
     if isinstance(node, ast.Parameter):
         return Param(node.index)
     raise SqlError("BETWEEN bounds must be literals")
+
+
+def _raw(value):
+    """A plain value the parser stored (IN list, VALUES row), a ``$N``
+    in it the slot."""
+    return Param(value.index) if isinstance(value, ast.Parameter) else value
 
 
 def _collect_columns(node, out: List[str]) -> None:
@@ -208,7 +213,6 @@ class _SelectBinder:
                          else join.left_key)
             if probe_key not in base_cols:
                 return plan  # not a star: keep the written order
-        from repro.mpp.rewriter import ParallelRewriter
         rewriter = ParallelRewriter(self.cluster)
         scans = {node.table: node
                  for node in derive_scan_triples(plan).walk()
@@ -305,9 +309,10 @@ def parse_simple(text: str):
     return stmt
 
 
-def execute_statement(cluster, stmt, trans=None, tracer=None):
-    """Run an already-parsed statement AST (the server's prepared DML
-    lands here with parameters already bound into the tree)."""
+def execute_statement(cluster, stmt, params=(), trans=None, tracer=None):
+    """Run an already-parsed statement AST. A ``$N`` in DML or EXPLAIN
+    takes ``params[N-1]`` (a slot without a value raises ``PlanError``);
+    the server runs a prepared SELECT through its plan template."""
     if tracer is None:
         from repro.obs import NULL_TRACER
         tracer = NULL_TRACER
@@ -318,10 +323,12 @@ def execute_statement(cluster, stmt, trans=None, tracer=None):
     if isinstance(stmt, ast.ExplainStatement):
         with tracer.span("bind"):
             plan = _SelectBinder(cluster, stmt.select).plan()
+        # the plan an Execute of the statement runs with these values
+        qplan = ParallelRewriter(cluster).plan(plan).bind(params)
         if stmt.analyze:
-            text, _result = cluster.explain_analyze(plan, trans=trans)
+            text, _result = cluster.explain_analyze(qplan, trans=trans)
         else:
-            text = cluster.explain(plan)
+            text = qplan.pretty()
         from repro.engine.batch import Batch
         lines = text.split("\n")
         arr = np.empty(len(lines), dtype=object)
@@ -333,20 +340,21 @@ def execute_statement(cluster, stmt, trans=None, tracer=None):
         if any(len(row) != len(columns) for row in stmt.rows):
             raise SqlError("VALUES row width does not match column list")
         arrays = {name: schema.ctype(name).engine_array(
-                      [row[i] for row in stmt.rows])
+                      [bound_value(_raw(row[i]), params) for row in stmt.rows])
                   for i, name in enumerate(columns)}
         cluster.insert(stmt.table, arrays, trans=trans, force_pdt=True)
         return len(stmt.rows)
     if isinstance(stmt, ast.DeleteStatement):
         if stmt.where is None:
             raise SqlError("DELETE without WHERE is not supported")
-        return cluster.delete_where(stmt.table, _bind_expr(stmt.where),
-                                    trans=trans)
+        return cluster.delete_where(
+            stmt.table, _bind_expr(stmt.where).bind(params), trans=trans)
     if isinstance(stmt, ast.UpdateStatement):
         if stmt.where is None:
             raise SqlError("UPDATE without WHERE is not supported")
-        assignments = {col: _bind_expr(expr)
+        assignments = {col: _bind_expr(expr).bind(params)
                        for col, expr in stmt.assignments}
-        return cluster.update_where(stmt.table, _bind_expr(stmt.where),
-                                    assignments, trans=trans)
+        return cluster.update_where(
+            stmt.table, _bind_expr(stmt.where).bind(params), assignments,
+            trans=trans)
     raise SqlError(f"unsupported statement type {type(stmt).__name__}")

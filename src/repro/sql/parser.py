@@ -25,10 +25,10 @@ class Literal:
 
 @dataclass
 class Parameter:
-    """Extended-protocol placeholder ``$N`` (1-based): a SELECT's binder
-    makes it a plan slot, prepared DML has it replaced with a
-    :class:`Literal` at Execute (:func:`repro.sql.prepare.bind_parameters`).
-    """
+    """Extended-protocol placeholder ``$N`` (1-based): the binder makes
+    it a slot (:class:`~repro.engine.expressions.Param`) in every
+    statement, and Execute binds ``params[N-1]`` into it; the AST keeps
+    the marker."""
 
     index: int
 

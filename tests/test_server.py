@@ -25,7 +25,7 @@ from repro.mpp.feedback import fragment_signature
 from repro.mpp.logical import LScan
 from repro.mpp.rewriter import ParallelRewriter
 from repro.server import EpochKeyedCache, ServerFrontend
-from repro.server.cache import portal_key
+from repro.server.cache import result_key
 from repro.server import protocol as wire
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
@@ -84,6 +84,13 @@ def _extended(srv, sql, *params):
     return conn.execute()
 
 
+def _contents(cluster):
+    """Every row of ``t``, in key order, to the bit."""
+    table = execute_sql(cluster, "SELECT a, b FROM t ORDER BY a")
+    return {name: (column.dtype, column.tobytes())
+            for name, column in table.columns.items()}
+
+
 class TestOneExecutionPath:
     """Every public way to run a query is submit + gather on the
     workload manager: same rows to the bit, one query-log row each."""
@@ -123,6 +130,52 @@ class TestOneExecutionPath:
         assert logged.columns["state"].tolist() == ["finished"]
         [record] = c.workload.query_records()[:-1]  # minus the log scan
         assert record.query_id == logged.columns["query"][0]
+
+    #: (spelled-out text, the same with ``$N``, its values, rows touched)
+    DML = {
+        "update": ("UPDATE t SET b = 9 WHERE a IN (10, 4000)",
+                   "UPDATE t SET b = $3 WHERE a IN ($1, $2)",
+                   (10, 4000, 9), 2),
+        "delete": ("DELETE FROM t WHERE a BETWEEN 100 AND 199",
+                   "DELETE FROM t WHERE a BETWEEN $1 AND $2",
+                   (100, 199), 100),
+        "insert": ("INSERT INTO t (a, b) VALUES (900001, 3)",
+                   "INSERT INTO t (a, b) VALUES ($1, $2)",
+                   (900001, 3), 1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DML))
+    def test_dml_same_ack_and_table(self, kind):
+        sql, template, params, touched = self.DML[kind]
+        runs = {
+            "execute_sql": lambda c, srv: execute_sql(c, sql),
+            "server.simple": lambda c, srv: srv.connect().simple_query(sql),
+            "server.extended": lambda c, srv: _extended(
+                srv, template, *params),
+        }
+        outcomes = {}
+        for entry, run in runs.items():
+            c, srv = _served_cluster()
+            ack = run(c, srv)
+            outcomes[entry] = (ack, _contents(c))
+        assert outcomes["execute_sql"][0] == touched
+        assert outcomes["server.simple"] == outcomes["execute_sql"]
+        assert outcomes["server.extended"] == outcomes["execute_sql"]
+        assert outcomes["execute_sql"][1] != _contents(_served_cluster()[0])
+
+    def test_prepared_explain_prints_the_plan_its_execute_runs(self):
+        c, srv = _served_cluster()
+        conn = srv.connect()
+        conn.parse("x", "EXPLAIN SELECT b FROM t WHERE a = $1")
+        conn.bind("x", (4321,), portal="x")
+        text = "\n".join(conn.execute("x").columns["plan"].tolist())
+        conn.parse("q", "SELECT b FROM t WHERE a = $1")
+        conn.bind("q", (4321,), portal="q")
+        executed = c.workload.gather(conn.execute_async("q").query_id)
+        assert executed.batch.columns["b"].tolist() == [4321 % 7]
+        assert text == executed.qplan.pretty()
+        assert "4321" in text and "$1" not in text
+        assert "partitions[" in text
 
 
 # --------------------------------------------------------- simple protocol
@@ -229,6 +282,28 @@ class TestExtendedProtocol:
         assert r3.columns["a"].tolist() == [0, 1, 2]
         assert r5.columns["a"].tolist() == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("texts, params", [
+        (("SELECT sum(b) AS s FROM t WHERE a < 1000",
+          "SELECT sum(b) AS s FROM t WHERE a < 2000"), ()),
+        (("SELECT sum(b) AS s FROM t WHERE a < $1 AND b = 5",
+          "SELECT sum(b) AS s FROM t WHERE a < $1 AND b = 6"), (3000,)),
+    ])
+    def test_prepared_statements_sharing_a_fingerprint_not_conflated(
+            self, texts, params):
+        # two texts with one fingerprint bound to the same values are
+        # still two results: the cache key is the text, not the
+        # fingerprint
+        c, srv = _served_cluster()
+        conn = srv.connect()
+        for name, sql in zip(("lo", "hi"), texts):
+            conn.parse(name, sql)
+        assert len({conn.prepared[n].fingerprint for n in ("lo", "hi")}) == 1
+        for name, sql in zip(("lo", "hi"), texts):
+            conn.bind(name, params)
+            spelled = sql.replace("$1", str(params[0])) if params else sql
+            assert conn.execute().columns["s"].tolist() == \
+                execute_sql(c, spelled).columns["s"].tolist()
+
 
 # ------------------------------------------------------------ result cache
 
@@ -305,8 +380,25 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_portal_key_distinguishes_params(self):
-        assert portal_key("abc", (1,)) != portal_key("abc", (2,))
-        assert portal_key("abc", ("1",)) != portal_key("abc", (1,))
+        assert result_key("abc", (1,)) != result_key("abc", (2,))
+        assert result_key("abc", ("1",)) != result_key("abc", (1,))
+        assert result_key("abc", ()) != result_key("abd", ())
+
+    def test_system_table_reads_bypass_the_cache(self):
+        # no commit moves a vh$ table's epoch, so a cached read of one
+        # would be served stale forever
+        c, srv = _served_cluster()
+        conn = srv.connect()
+        sql = "SELECT count(*) AS n FROM vh$queries"
+        assert conn.simple_query(sql).columns["n"].tolist() == [1]
+        for cutoff in (1, 2, 3):
+            conn.simple_query(f"SELECT a FROM t WHERE a < {cutoff}")
+        assert conn.simple_query(sql).columns["n"].tolist() == [5]
+        conn.parse("q", sql)
+        conn.bind("q", ())
+        assert conn.execute().columns["n"].tolist() == [6]
+        assert srv.result_cache.hits == 0
+        assert len(srv.result_cache) == 3
 
 
 # -------------------------------------------------------------- WFQ tenants
