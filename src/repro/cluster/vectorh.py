@@ -405,17 +405,26 @@ class VectorHCluster:
 
     def propagate_updates(self, table: Optional[str] = None,
                           force: bool = False) -> Dict[str, int]:
-        """Run update propagation where thresholds are exceeded."""
+        """Run update propagation where thresholds are exceeded (every
+        partition with entries when ``force``; see
+        :meth:`StoredTable.propagate` for what an un-forced one defers)."""
         stats = {"tail": 0, "full": 0}
         names = [table] if table else list(self.tables)
         for name in names:
             stored = self.tables[name]
             for pid, node in enumerate(self.placement.owners(name)):
                 if force or stored.needs_propagation(pid):
-                    mode = stored.propagate(pid, writer=node)
+                    mode = stored.propagate(pid, writer=node, force=force)
                     if mode != "none":
                         stats[mode] += 1
                         self.wal.reset_partition_wal(name, pid, writer=node)
+                        kept = stored.pdt[pid].scan_entries()
+                        if kept:
+                            # what the flush left in the PDT, as one
+                            # commit: a node taking the partition over
+                            # rebuilds the PDT from the WAL
+                            self.wal.log_commit(name, pid, 0, kept,
+                                                writer=node)
                         self.wal.log_minmax(
                             name, pid,
                             stored.partitions[pid].minmax.to_record(),

@@ -18,20 +18,25 @@ compares every emitted byte against them.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import CompressionError
 from repro.common.types import ColumnType
+from repro.engine.batch import DictColumn, concat_columns
 from repro.engine.profile import kernel
 
 
 #: 1 byte scheme id + 4 bytes count in front of the payload, mirroring a
 #: real block header
 BLOCK_HEADER_BYTES = 5
+
+#: the length word in front of every string's UTF-8 bytes
+_LENGTH = struct.Struct("<I")
 
 
 @dataclass
@@ -55,12 +60,27 @@ class CompressedBlock:
 
 
 class StringImage:
-    """The length-prefixed UTF-8 image of a string block -- RAW's payload,
-    LZ's input and where PDICT takes its dictionary entries and exceptions
-    from -- built once per block, with each row's place in it."""
+    """Strings as their length-prefixed UTF-8 images -- RAW's payload, LZ's
+    input and where PDICT takes its dictionary entries and exceptions from.
 
-    def __init__(self, values: np.ndarray):
-        texts = values.tolist()
+    The images sit in one buffer, ``data``; every row has its place in it
+    (``starts``, and ``sizes`` with the length word). Rows need not be
+    adjacent or in buffer order, and several may share one image: slicing,
+    taking and extending moves places, not bytes, so a string goes from
+    one block to another without ever becoming a Python ``str``.
+    """
+
+    def __init__(self, data: bytes, starts: np.ndarray, sizes: np.ndarray):
+        self.data = data
+        self.starts = starts
+        self.sizes = sizes
+
+    @classmethod
+    def of_strings(cls, values) -> "StringImage":
+        """Python strings (a bulk load's rows, a PDT's values, a
+        dictionary's entries), encoded once, in order."""
+        texts = (values.tolist() if isinstance(values, np.ndarray)
+                 else list(values))
         try:
             joined = "".join(texts)
         except TypeError:  # not all of them str
@@ -71,15 +91,65 @@ class StringImage:
             lengths = map(len, texts)
         else:
             lengths = map(len, map(str.encode, texts))
-        #: encoded bytes per row, length word included
-        self.sizes = np.fromiter(lengths, np.int64, len(texts)) + 4
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.bytes = np.empty(int(self.sizes.sum()), dtype=np.uint8)
-        words = (self.starts[:, None] + np.arange(4)).reshape(-1)
-        is_text = np.ones(self.bytes.size, dtype=bool)
+        sizes = np.fromiter(lengths, np.int64, len(texts)) + 4
+        starts = np.cumsum(sizes) - sizes
+        out = np.empty(int(sizes.sum()), dtype=np.uint8)
+        words = (starts[:, None] + np.arange(4)).reshape(-1)
+        is_text = np.ones(out.size, dtype=bool)
         is_text[words] = False
-        self.bytes[words] = (self.sizes - 4).astype("<u4").view(np.uint8)
-        self.bytes[is_text] = np.frombuffer(payload, np.uint8)
+        out[words] = (sizes - 4).astype("<u4").view(np.uint8)
+        out[is_text] = np.frombuffer(payload, np.uint8)
+        return cls(out.tobytes(), starts, sizes)
+
+    @classmethod
+    def of_payload(cls, data: bytes, count: int) -> "StringImage":
+        """The ``count`` rows a RAW payload (or an inflated LZ one) holds:
+        its bytes as they are, each row's place found by one walk of the
+        length words."""
+        data = bytes(data)
+        starts = np.empty(count, dtype=np.int64)
+        unpack = _LENGTH.unpack_from
+        offset = 0
+        for i in range(count):
+            starts[i] = offset
+            offset += 4 + unpack(data, offset)[0]
+        if offset != len(data):
+            raise CompressionError("string payload and row count disagree")
+        return cls(data, starts, np.diff(starts, append=offset))
+
+    @classmethod
+    def of(cls, values) -> "StringImage":
+        """``values`` -- an image, a coded column or Python strings -- as
+        an image; of a coded column only the entries in use are encoded."""
+        if isinstance(values, StringImage):
+            return values
+        if isinstance(values, DictColumn):
+            values = values.compacted()
+            return cls.of_strings(values.dictionary.tolist())[values.codes]
+        return cls.of_strings(values)
+
+    @staticmethod
+    def concat(parts: Sequence["StringImage"]) -> "StringImage":
+        """The rows of ``parts``, in order, over one buffer (a buffer
+        several parts share is copied once)."""
+        at: Dict[int, int] = {}  # buffer -> where it starts in the join
+        buffers = []
+        size = 0
+        for part in parts:
+            if id(part.data) not in at:
+                at[id(part.data)] = size
+                buffers.append(part.data)
+                size += len(part.data)
+        return StringImage(
+            b"".join(buffers),
+            np.concatenate([p.starts + at[id(p.data)] for p in parts]),
+            np.concatenate([p.sizes for p in parts]))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, key) -> "StringImage":
+        return StringImage(self.data, self.starts[key], self.sizes[key])
 
     def take(self, rows: np.ndarray) -> bytes:
         """The images of ``rows``, concatenated in that order."""
@@ -89,14 +159,72 @@ class StringImage:
         shift = self.starts[rows] - (np.cumsum(sizes) - sizes)
         source = np.repeat(shift, sizes)
         source += np.arange(source.size)
-        return self.bytes[source].tobytes()
+        return np.frombuffer(self.data, np.uint8)[source].tobytes()
+
+    @cached_property
+    def packed(self) -> bytes:
+        """Every row's image, in row order: RAW's payload."""
+        if (len(self.data) == self.sizes.sum()
+                and (self.starts == np.cumsum(self.sizes) - self.sizes).all()):
+            return self.data
+        return self.take(np.arange(len(self)))
+
+    @cached_property
+    def texts(self) -> List[bytes]:
+        """Every row's UTF-8 bytes: equal exactly when the strings are,
+        and ordered as they are (UTF-8 keeps code point order)."""
+        data = self.data
+        return [data[s + 4: s + z] for s, z in
+                zip(self.starts.tolist(), self.sizes.tolist())]
+
+    def extremes(self) -> Tuple[str, str]:
+        """The least and the greatest string of a non-empty image."""
+        texts = self.texts
+        return str(min(texts), "utf-8"), str(max(texts), "utf-8")
+
+    def strings(self) -> np.ndarray:
+        """Every row as a Python ``str``."""
+        out = np.empty(len(self), dtype=object)
+        out[:] = [str(text, "utf-8") for text in self.texts]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self.strings()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def concat_stored(parts: Sequence):
+    """One column of ``parts`` in order, as storage reads them: an image
+    as soon as one part is (the other parts' strings join it), else as
+    :func:`~repro.engine.batch.concat_columns` joins them."""
+    if any(isinstance(part, StringImage) for part in parts):
+        return StringImage.concat([StringImage.of(part) for part in parts])
+    return concat_columns(parts)
+
+
+def extended(column, values):
+    """``column``'s rows, then ``values`` (plain, as a PDT holds them), in
+    ``column``'s form: a coded column's dictionary or an image's buffer
+    takes the new strings, and no old row is decoded."""
+    if isinstance(column, DictColumn):
+        column, codes = column.with_values(values)
+        return DictColumn(np.concatenate([column.codes, codes]),
+                          column.dictionary)
+    if isinstance(column, StringImage):
+        return StringImage.concat([column, StringImage.of(values)])
+    column = np.asarray(column)
+    return np.concatenate([column, np.asarray(values, dtype=column.dtype)])
 
 
 class RawBlock:
     """One uncompressed block as the analyses see it: the values, the
-    column type and the views several schemes need, each built once."""
+    column type and the views several schemes need, each built once.
 
-    def __init__(self, values: np.ndarray, ctype: ColumnType):
+    A string block's values are Python strings (a bulk load's), a coded
+    column or a :class:`StringImage` (a rewrite's, as read from the
+    blocks): the schemes see all three through :attr:`text`."""
+
+    def __init__(self, values, ctype: ColumnType):
         self.values = values
         self.ctype = ctype
         self.count = len(values)
@@ -111,20 +239,20 @@ class RawBlock:
 
     @cached_property
     def text(self) -> StringImage:
-        return StringImage(self.values)
+        return StringImage.of(self.values)
 
     @property
     def raw_size(self) -> int:
         """Bytes of :attr:`image`, without building a numeric one."""
         if self.ctype.is_string:
-            return self.text.bytes.size
+            return int(self.text.sizes.sum())
         return self.count * self.ctype.dtype.itemsize
 
     @cached_property
     def image(self) -> bytes:
         """The values uncompressed: RAW's payload and LZ's input."""
         if self.ctype.is_string:
-            return self.text.bytes.tobytes()
+            return self.text.packed
         return np.ascontiguousarray(
             self.values, dtype=self.ctype.dtype).tobytes()
 
@@ -247,8 +375,12 @@ def compress_best(values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
     general-purpose compression (slow branchy decode) is excluded whenever
     a lightweight scheme already achieves real compression -- and since
     its size is only known by running it, it is not even run then.
+    Strings may come in any form :class:`RawBlock` takes: the bytes are
+    the same.
     """
-    block = RawBlock(np.asarray(values), ctype)
+    if not isinstance(values, (DictColumn, StringImage)):
+        values = np.asarray(values)
+    block = RawBlock(values, ctype)
     sized: Dict[str, Analysis] = {}
 
     def size_with(scheme: CompressionScheme) -> None:

@@ -21,6 +21,7 @@ from repro.compression.base import (
     CompressedBlock,
     CompressionScheme,
     RawBlock,
+    StringImage,
     register_scheme,
 )
 
@@ -50,13 +51,23 @@ class RawScheme(CompressionScheme):
     def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
         return block.image
 
+    def payload(self, block: CompressedBlock) -> bytes:
+        """The values uncompressed (:attr:`RawBlock.image`)."""
+        return block.data
+
+    def image(self, block: CompressedBlock) -> StringImage:
+        """A string block as the image it stores: a rewrite re-encodes
+        it without turning a row into a ``str``."""
+        return StringImage.of_payload(self.payload(block), block.count)
+
     def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
+        data = self.payload(block)
         if ctype.is_string:
-            return _bytes_to_strings(block.data, block.count)
-        return np.frombuffer(block.data, dtype=ctype.dtype).copy()
+            return _bytes_to_strings(data, block.count)
+        return np.frombuffer(data, dtype=ctype.dtype).copy()
 
 
-class GeneralPurposeScheme(CompressionScheme):
+class GeneralPurposeScheme(RawScheme):
     """zlib over the raw encoding (our Snappy/LZ4 stand-in)."""
 
     name = "LZ"
@@ -77,11 +88,8 @@ class GeneralPurposeScheme(CompressionScheme):
     def emit(self, block: RawBlock, analysis: Analysis) -> bytes:
         return analysis.plan
 
-    def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-        raw = zlib.decompress(block.data)
-        if ctype.is_string:
-            return _bytes_to_strings(raw, block.count)
-        return np.frombuffer(raw, dtype=ctype.dtype).copy()
+    def payload(self, block: CompressedBlock) -> bytes:
+        return zlib.decompress(block.data)
 
 
 register_scheme(RawScheme())

@@ -25,6 +25,7 @@ from repro.compression.base import (
     CompressedBlock,
     CompressionScheme,
     RawBlock,
+    StringImage,
     build_patch_chain,
     link_chain,
     patch_positions,
@@ -57,13 +58,24 @@ def _decode_values(view: memoryview, offset: int, count: int,
 # The distinct values of a block, numbered in any order: which one each row
 # holds, how often each occurs and the first row holding each.
 
-def _distinct_strings(values: np.ndarray):
-    items = values.tolist()
-    index = dict.fromkeys(items)
-    index.update(zip(index, range(len(index))))
-    inverse = np.fromiter(map(index.__getitem__, items), np.intp, len(items))
-    first_row = np.empty(len(index), dtype=np.intp)
-    first_row[inverse[::-1]] = np.arange(len(items) - 1, -1, -1)
+def _distinct_strings(values):
+    """Of a coded column, by its codes; of Python strings, or of a
+    :class:`StringImage` by its rows' bytes (no ``str``), through a dict
+    of the first row holding each."""
+    n = len(values)
+    if isinstance(values, DictColumn):
+        inverse = values.compacted().codes
+        first_row = np.empty(inverse.max() + 1, dtype=np.intp)
+        first_row[inverse[::-1]] = np.arange(n - 1, -1, -1)
+    else:
+        items = (values.texts if isinstance(values, StringImage)
+                 else values.tolist())
+        first: dict = {}
+        rows = np.fromiter(map(first.setdefault, items, range(n)), np.intp, n)
+        first_row = np.flatnonzero(rows == np.arange(n))
+        number = np.empty(n, dtype=np.intp)
+        number[first_row] = np.arange(len(first_row))
+        inverse = number[rows]
     return inverse, np.bincount(inverse), first_row
 
 
@@ -105,7 +117,7 @@ class PDictScheme(CompressionScheme):
 
     def can_compress(self, values: np.ndarray, ctype: ColumnType) -> bool:
         # numbers are stored as int64: a float would come back truncated
-        return values.size > 0 and (
+        return len(values) > 0 and (
             ctype.is_string or ctype.is_integer or ctype.name == "bool")
 
     def analyse(self, block: RawBlock) -> Optional[Analysis]:

@@ -14,7 +14,8 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.batch import DictColumn, as_column
+from repro.compression.base import extended
+from repro.engine.batch import as_column
 from repro.pdt.entries import (
     DeltaEntry,
     EntryKind,
@@ -123,7 +124,8 @@ def apply_entries(
     itself unless deleted; modifies overlay the targeted tuple's values with
     last-writer-wins per column. Pass ``plan`` to reuse a cached
     classification of the same entries. A dictionary-coded stable column
-    stays coded: the entries' strings join its dictionary.
+    stays coded, a :class:`~repro.compression.base.StringImage` stays an
+    image: the entries' strings join its dictionary or its buffer.
     """
     names = list(columns_wanted) if columns_wanted is not None else list(
         stable_columns
@@ -184,30 +186,32 @@ def apply_entries(
             np.int64, n_ins,
         )
 
+    # Each output row is taken from the stable rows followed by the
+    # values the entries write: the inserted rows' (in ``ins_src`` order),
+    # then the column's modified ones.
+    inserted = np.empty(total, dtype=np.intp)
+    inserted[stable_positions] = gather_sids
+    inserted[insert_positions] = np.arange(n_stable, n_stable + n_ins)
     columns: Dict[str, np.ndarray] = {}
     ins_order = ins_src.tolist()
     for name in names:
-        # what the entries write, and where: inserted rows, then modifies
-        at = insert_positions.tolist()
         values = [inserts[i].values[name] for i in ins_order]
+        modified = []
         for sid, colvals in mods_stable.items():
             if name not in colvals or not keep[sid]:
                 continue
             # gather_sids is sorted in both paths, so locate by bisection
             pos = int(np.searchsorted(gather_sids, sid))
             if pos < len(gather_sids) and gather_sids[pos] == sid:
-                at.append(int(stable_positions[pos]))
+                modified.append(int(stable_positions[pos]))
                 values.append(colvals[name])
-        src = as_column(stable_columns[name])
-        coded = isinstance(src, DictColumn)
-        if coded:
-            src, values = src.with_values(values)
-            dictionary, src = src.dictionary, src.codes
-        out = np.empty(total, dtype=src.dtype)
-        out[stable_positions] = src[gather_sids]
-        if at:
-            out[at] = np.asarray(values, dtype=src.dtype)
-        columns[name] = DictColumn(out, dictionary) if coded else out
+        index = inserted
+        if modified:
+            index = inserted.copy()
+            index[modified] = np.arange(n_stable + n_ins, n_stable + len(values))
+        # a coded column's dictionary, an image's buffer takes the
+        # entries' strings: the stable rows stay as they are stored
+        columns[name] = extended(stable_columns[name], values)[index]
 
     return MergeResult(columns, out_identities, total, n_stable)
 

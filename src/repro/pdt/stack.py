@@ -189,9 +189,12 @@ class PdtStack:
         self.read = new_read
         self.write = PdtLayer()
 
-    def clear_after_propagation(self) -> None:
-        """Called after update propagation rewrote the stable image."""
-        self.read = PdtLayer()
+    def clear_after_propagation(self,
+                                kept: Sequence[DeltaEntry] = ()) -> None:
+        """Called after update propagation flushed the stable image:
+        ``kept`` are the entries it left for a later one (paper section
+        6), from now on the Read-PDT."""
+        self.read = PdtLayer(kept)
         self.write = PdtLayer()
         self._commit_log.clear()
 

@@ -25,12 +25,14 @@ import numpy as np
 from repro.common.config import Config
 from repro.common.errors import StorageError
 from repro.common.types import ColumnType
-from repro.compression import CompressedBlock, compress_best, decompress
-from repro.engine.batch import (
-    DictColumn,
-    concat_columns,
-    sorted_distinct,
+from repro.compression import (
+    SCHEMES,
+    CompressedBlock,
+    compress_best,
+    decompress,
 )
+from repro.compression.base import StringImage, concat_stored, extended
+from repro.engine.batch import DictColumn, sorted_distinct
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.storage.buffer import BufferPool
@@ -165,8 +167,11 @@ class PartitionStore:
                writer: Optional[str] = None) -> int:
         """Append rows (given column-wise); returns the new n_stable.
 
-        Existing partial blocks are read back, merged in front of the new
-        data, re-blocked, and the old partial chunk file is freed.
+        A string column may come as Python strings, dictionary-coded or
+        as a :class:`StringImage` (what :meth:`read_column` reads with
+        ``stored=True``). Existing partial blocks are read back in their
+        stored form, merged in front of the new data, re-blocked, and the
+        old partial chunk file is freed.
         """
         arrays = self._validated(columns)
         n_new = len(next(iter(arrays.values()))) if arrays else 0
@@ -201,8 +206,9 @@ class PartitionStore:
         arrays = {}
         lengths = set()
         for name in self.schema.column_names:
-            ctype = self.schema.ctype(name)
-            arr = np.asarray(columns[name], dtype=ctype.dtype)
+            arr = columns[name]
+            if not isinstance(arr, (DictColumn, StringImage)):
+                arr = np.asarray(arr, dtype=self.schema.ctype(name).dtype)
             arrays[name] = arr
             lengths.add(len(arr))
         if len(lengths) > 1:
@@ -220,9 +226,8 @@ class PartitionStore:
             if ref is None:
                 merged[name] = (self.n_stable, arrays[name])
                 continue
-            old = np.asarray(self._read_block(ref, reader=writer))
-            merged[name] = (ref.row_start,
-                            np.concatenate([old, arrays[name]]))
+            old = self._read_block(ref, reader=writer, stored=True)
+            merged[name] = (ref.row_start, extended(old, arrays[name]))
             self.blocks[name].pop()  # the partial block is the last one
             self._row_starts[name].pop()
             self.minmax.ranges[name] = [
@@ -235,7 +240,7 @@ class PartitionStore:
         self._partial_refs = {}
         return merged
 
-    def _write_block(self, name: str, ctype: ColumnType, values: np.ndarray,
+    def _write_block(self, name: str, ctype: ColumnType, values,
                      row_start: int, writer, partial: bool) -> None:
         block = compress_best(values, ctype)
         payload = self._serialize_block(block)
@@ -285,7 +290,8 @@ class PartitionStore:
     # ------------------------------------------------------------------- reads
 
     def _read_block(self, ref: BlockRef, reader: Optional[str] = None,
-                    pool: Optional[BufferPool] = None) -> np.ndarray:
+                    pool: Optional[BufferPool] = None,
+                    stored: bool = False) -> np.ndarray:
         with kernel("scan.read_block", nbytes=ref.length) as k:
             if pool is not None:
                 raw = pool.read(ref.path, ref.offset, ref.length, reader)
@@ -300,9 +306,12 @@ class PartitionStore:
                 raise StorageError(f"corrupt block in {ref.path}@{ref.offset}")
             k.account(rows=count)
             block = CompressedBlock(_SCHEME_NAMES[scheme_id], count, payload)
+            ctype = self.schema.ctype(ref.column)
+            if stored and ctype.is_string and block.scheme != "PDICT":
+                return SCHEMES[block.scheme].image(block)
             # the nested decode.<scheme> kernel subtracts itself from this
             # frame, so read_block seconds stay IO+header-only
-            values = decompress(block, self.schema.ctype(ref.column))
+            values = decompress(block, ctype)
             if isinstance(values, DictColumn):
                 values = self.dictionaries.adopt(ref.column, values)
             return values
@@ -310,7 +319,8 @@ class PartitionStore:
     def read_column(self, name: str,
                     ranges: Optional[Sequence[Tuple[int, int]]] = None,
                     reader: Optional[str] = None,
-                    pool: Optional[BufferPool] = None) -> np.ndarray:
+                    pool: Optional[BufferPool] = None,
+                    stored: bool = False) -> np.ndarray:
         """Read (a union of row ranges of) one column.
 
         Only blocks overlapping the requested ranges are read -- this is
@@ -318,7 +328,10 @@ class PartitionStore:
         decode savings. A string column comes back dictionary-coded (one
         :class:`~repro.engine.batch.DictColumn`, over the dictionary its
         blocks share) when every block read was PDICT, as a plain object
-        array as soon as one was LZ or RAW.
+        array as soon as one was LZ or RAW -- or, ``stored`` (a rewrite,
+        which only re-encodes the strings), as a :class:`StringImage`:
+        the LZ and RAW blocks' payloads as they are, the PDICT blocks'
+        entries in use encoded once, no row a Python ``str``.
         """
         if ranges is None:
             ranges = [(0, self.n_stable)]
@@ -326,13 +339,13 @@ class PartitionStore:
         pieces: List[np.ndarray] = []
         for start, end in ranges:
             for ref in refs[slice(*self._block_span(name, start, end))]:
-                values = self._read_block(ref, reader, pool)
+                values = self._read_block(ref, reader, pool, stored)
                 lo = max(start, ref.row_start) - ref.row_start
                 hi = min(end, ref.row_end) - ref.row_start
                 pieces.append(values[lo:hi])
         if not pieces:
             return np.empty(0, dtype=self.schema.ctype(name).dtype)
-        return pieces[0] if len(pieces) == 1 else concat_columns(pieces)
+        return pieces[0] if len(pieces) == 1 else concat_stored(pieces)
 
     def _block_span(self, name: str, start: int, end: int) -> Tuple[int, int]:
         """``blocks[name][lo:hi]`` are the blocks holding rows of

@@ -18,6 +18,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.compression.base import StringImage
+from repro.engine.batch import DictColumn
 from repro.engine.expressions import isin
 
 #: The sargable comparisons -- with ``in``, :data:`TRIPLE_OPS`, the one
@@ -59,8 +61,9 @@ class MinMaxIndex:
 
     ranges: Dict[str, List[_Range]] = field(default_factory=dict)
 
-    def add_range(self, column: str, row_start: int, values: np.ndarray) -> None:
-        """Record a freshly written block's min/max."""
+    def add_range(self, column: str, row_start: int, values) -> None:
+        """Record a freshly written block's min/max (``values`` in any
+        form a block is written from)."""
         if len(values) == 0:
             return
         self.ranges.setdefault(column, []).append(
@@ -167,7 +170,15 @@ class MinMaxIndex:
         return idx
 
 
-def _extremes(values: np.ndarray):
+def _extremes(values):
+    """The least and the greatest of non-empty ``values``: of a coded
+    column, its least and greatest code's entries (the dictionary is
+    sorted); of a string image, as its bytes order them."""
+    if isinstance(values, DictColumn):
+        dictionary, codes = values.dictionary, values.codes
+        return dictionary[codes.min()], dictionary[codes.max()]
+    if isinstance(values, StringImage):
+        return values.extremes()
     if values.dtype == object:
         return min(values), max(values)
     return values.min(), values.max()

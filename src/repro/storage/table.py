@@ -7,7 +7,8 @@ Combines the pieces below it:
 * one :class:`PdtStack` per partition holding in-memory differential
   updates; every scan merges them in positionally;
 * MinMax skipping, kept conservative under updates by widening;
-* update propagation, with the tail-insert fast path (append-only flush).
+* update propagation, with the tail-insert fast path (append-only flush)
+  that leaves the other entries in the PDT until they are due.
 
 Clustered ("clustered index") tables are stored sorted on the cluster key;
 all their updates go through PDTs -- inserts are anchored by binary search
@@ -473,18 +474,31 @@ class StoredTable:
     # --------------------------------------------------------- update propagation
 
     def needs_propagation(self, pid: int) -> bool:
-        stack = self.pdt[pid]
-        if stack.total_entries() >= self.config.pdt_propagate_threshold:
+        return self._due(pid, self.pdt[pid].total_entries())
+
+    def _due(self, pid: int, n_entries: int) -> bool:
+        """Are ``n_entries`` PDT entries of the partition due for
+        propagation: the absolute threshold or a fraction of its rows?"""
+        if n_entries >= self.config.pdt_propagate_threshold:
             return True
         n_stable = max(1, self.partitions[pid].n_stable)
-        return stack.total_entries() / n_stable >= PROPAGATE_FRACTION
+        return n_entries / n_stable >= PROPAGATE_FRACTION
 
-    def propagate(self, pid: int, writer: Optional[str] = None) -> str:
+    def propagate(self, pid: int, writer: Optional[str] = None,
+                  force: bool = True) -> str:
         """Flush this partition's PDTs into the column store.
 
         Tail inserts only create new blocks (cheap append flush); any other
-        update kind forces a full rewrite of the partition (paper section 6,
-        "Update Propagation"). Returns "tail", "full" or "none".
+        update kind needs a full rewrite of the partition (paper section 6,
+        "Update Propagation"), and the paper lets those be flushed at lower
+        frequency. ``force`` (a direct call, ``propagate_updates(force=
+        True)``) rewrites as soon as there is one. Un-forced, the rewrite
+        waits until the non-tail entries are due on their own
+        (:meth:`needs_propagation`'s rule applied to them alone); until
+        then the tail is appended -- with its final values, without the
+        inserts deleted since -- and the rest stays in the PDT. Appends
+        only add rows past the old end, so the anchors of what stays hold.
+        Returns "tail", "full" or "none".
         """
         stack = self.pdt[pid]
         store = self.partitions[pid]
@@ -492,13 +506,30 @@ class StoredTable:
         if not entries:
             return "none"
         names = self.schema.column_names
-        tail, rest = PdtLayer(entries).split_tail_inserts(store.n_stable)
-        if not rest:
+        n_stable = store.n_stable
+        _, rest = PdtLayer(entries).split_tail_inserts(n_stable)
+        kept = _beside_tail(rest.entries, n_stable)
+        if rest and (force or self._due(pid, len(kept))):
+            stable_cols = {n: store.read_column(n, reader=writer, stored=True)
+                           for n in names}
+            merged = apply_entries(stable_cols, n_stable, entries, names)
+            new_cols = merged.columns
+            if self.schema.is_clustered:
+                new_cols = _in_cluster_order(new_cols,
+                                             self.schema.clustered_on)
+            store.rewrite(new_cols, writer)
+            self.propagation_stats.full_rewrites += 1
+            kept = []
+            mode = "full"
+        else:
+            # the live tail inserts in commit order, modified ones with
+            # their final values
+            tail = sorted((e for e in self._merge_plan(pid).inserts
+                           if e.anchor_sid >= n_stable),
+                          key=attrgetter("seq"))
             values = {
-                name: np.asarray(
-                    [e.values[name] for e in tail.entries],
-                    dtype=self.schema.ctype(name).dtype,
-                )
+                name: np.asarray([e.values[name] for e in tail],
+                                 dtype=self.schema.ctype(name).dtype)
                 for name in names
             }
             if self.schema.is_clustered:
@@ -506,21 +537,35 @@ class StoredTable:
                 # order: appended in cluster order
                 values = _in_cluster_order(values, self.schema.clustered_on)
             store.append(values, writer)
+            # the append rebuilt the ranges of the partial blocks it
+            # absorbed from their stored rows alone
+            self._widen(store, kept)
             self.propagation_stats.tail_flushes += 1
-        else:
-            stable_cols = {n: store.read_column(n, reader=writer)
-                           for n in names}
-            merged = apply_entries(stable_cols, store.n_stable, entries, names)
-            new_cols = merged.columns
-            if self.schema.is_clustered:
-                new_cols = _in_cluster_order(new_cols,
-                                             self.schema.clustered_on)
-            store.rewrite(new_cols, writer)
-            self.propagation_stats.full_rewrites += 1
-        self.propagation_stats.entries_flushed += len(entries)
-        stack.clear_after_propagation()
+            mode = "tail"
+        self.propagation_stats.entries_flushed += len(entries) - len(kept)
+        stack.clear_after_propagation(kept)
         self._cluster_key_cache.pop(pid, None)
-        return "full" if rest else "tail"
+        return mode
+
+    def _widen(self, store: PartitionStore, entries) -> None:
+        """Widen MinMax for the values ``entries`` write, where they
+        write them: inserts at their anchor, modifies at their row."""
+        plan = classify_entries(entries)
+        written: Dict[str, Tuple[list, list]] = {}
+        for entry in plan.inserts:
+            for name, value in entry.values.items():
+                at, values = written.setdefault(name, ([], []))
+                at.append(entry.anchor_sid)
+                values.append(value)
+        for sid, changed in plan.mods_stable.items():
+            for name, value in changed.items():
+                at, values = written.setdefault(name, ([], []))
+                at.append(sid)
+                values.append(value)
+        for name, (at, values) in written.items():
+            store.minmax.widen_batch(
+                name, np.asarray(at, dtype=np.int64),
+                np.asarray(values, dtype=self.schema.ctype(name).dtype))
 
     # ---------------------------------------------------------------- statistics
 
@@ -594,6 +639,17 @@ def _surviving_ranges(store: PartitionStore, ranges, mask: np.ndarray,
             else:
                 kept.append((lo, hi))
     return kept, (None if alive.all() else alive)
+
+
+def _beside_tail(entries, n_stable: int) -> list:
+    """``entries`` without the tail inserts (anchored past the last
+    stable row) and the deletes and modifies of them: what a tail flush
+    leaves in the PDT."""
+    tail = {e.uid for e in entries
+            if e.kind is EntryKind.INSERT and e.anchor_sid >= n_stable}
+    return [e for e in entries
+            if (e.uid not in tail if e.kind is EntryKind.INSERT
+                else e.target[0] != "i" or e.target[1] not in tail)]
 
 
 def _in_cluster_order(columns, cluster_key):

@@ -16,12 +16,14 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
+import numpy as np
 
 from repro.common.errors import (
     ConstraintViolation,
     SimulatedCrash,
     TransactionAborted,
 )
+from repro.engine.batch import order_key
 from repro.pdt.stack import TransPdt
 
 _COORDINATION_MESSAGE_BYTES = 64  # prepare/commit votes are tiny
@@ -344,9 +346,24 @@ class TransactionManager:
             if not inserted:
                 continue
             result = stored.scan_merged(pid, pk, trans=trans)
-            keys = list(zip(*(result.columns[c].tolist() for c in pk)))
-            if len(keys) != len(set(keys)):
+            if _repeats_a_key([result.columns[c] for c in pk]):
                 self.abort(txn)
                 raise ConstraintViolation(
                     f"unique key violated on {table} partition {pid}"
                 )
+
+
+def _repeats_a_key(columns) -> bool:
+    """Do two rows of the row-aligned key ``columns`` hold the same key?
+    One sort on all of them (a plain one for a single column, which
+    ``lexsort`` is slower at); then equal keys are neighbours."""
+    keys = [order_key(column) for column in columns]
+    # (strings compare as their rank among the column's distinct values)
+    keys = [np.unique(key, return_inverse=True)[1] if key.dtype == object
+            else key for key in keys]
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+    same = np.ones(max(0, len(order) - 1), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    return bool(same.any())

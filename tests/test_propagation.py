@@ -1,0 +1,191 @@
+"""Update propagation: strings rewritten from their stored form, and the
+non-tail entries deferred until they are due on their own (paper section
+6) -- kept in the PDT, in the WAL and under MinMax across the tail flush.
+"""
+
+import numpy as np
+import pytest
+
+from repro.chaos.invariants import InvariantChecker
+from repro.cluster import VectorHCluster
+from repro.common.config import Config
+from repro.common.types import INT64, STRING
+from repro.compression import general
+from repro.compression.base import StringImage
+from repro.engine.expressions import Col, Const
+from repro.mpp.logical import LScan
+from repro.storage import Column, TableSchema
+
+N_ROWS = 400
+THRESHOLD = 8
+
+
+def long_text(i: int) -> str:
+    return f"{i:05d} a long and rarely repeated remark, number {i * 7919}"
+
+
+def cluster() -> VectorHCluster:
+    """Two partitions of ``t`` in blocks of 32 strings: ``tag`` is PDICT
+    (but for a short last block, perhaps), ``note`` LZ or RAW throughout,
+    and ``mixed`` PDICT in the first rows of each partition and LZ or RAW
+    after them."""
+    config = Config().scaled_for_tests()
+    config.block_size = 512
+    config.pdt_propagate_threshold = THRESHOLD
+    c = VectorHCluster(n_nodes=4, config=config)
+    c.create_table(TableSchema(
+        "t", [Column("k", INT64), Column("v", INT64), Column("tag", STRING),
+              Column("note", STRING), Column("mixed", STRING)],
+        partition_key=("k",), n_partitions=2))
+    k = np.arange(N_ROWS)
+    c.bulk_load("t", {
+        "k": k, "v": k * 3,
+        "tag": np.array(["MAIL", "SHIP", "AIR"], object)[k % 3],
+        "note": np.array([long_text(i) for i in k], object),
+        "mixed": np.array(["AIR" if i < N_ROWS // 2 else long_text(i)
+                           for i in k], object)})
+    return c
+
+
+def schemes(c, column):
+    return {ref.scheme for store in c.tables["t"].partitions
+            for ref in store.blocks[column]}
+
+
+def image(c):
+    """Every row of ``t``, as a sorted list of tuples."""
+    res = c.query(LScan("t", ["k", "v", "tag", "note", "mixed"]))
+    cols = res.batch.columns
+    return sorted(zip(*(np.asarray(cols[n]).tolist()
+                        for n in ("k", "v", "tag", "note", "mixed"))))
+
+
+def insert_tail(c, keys):
+    t = c.begin()
+    keys = np.asarray(keys)
+    c.insert("t", {"k": keys, "v": keys * 3,
+                   "tag": np.array(["RAIL"] * len(keys), object),
+                   "note": np.array([long_text(i) for i in keys], object),
+                   "mixed": np.array(["TRUCK"] * len(keys), object)},
+             trans=t, force_pdt=True)
+    t.commit()
+
+
+def defer(c):
+    """One delete per partition (not due) and enough tail inserts to make
+    each partition due: an un-forced propagation flushes the tail only."""
+    c.delete_where("t", (Col("k") == 10) | (Col("k") == 11))
+    insert_tail(c, range(1000, 1000 + 4 * THRESHOLD))
+    stats = c.propagate_updates("t")
+    assert stats == {"tail": 2, "full": 0}
+    kept = [stack.total_entries() for stack in c.tables["t"].pdt]
+    assert sum(kept) == 2 and 0 not in kept  # the deletes
+    return kept
+
+
+def test_load_mixes_schemes():
+    c = cluster()
+    assert "PDICT" in schemes(c, "tag")
+    assert schemes(c, "note") <= {"LZ", "RAW"}
+    assert "PDICT" in schemes(c, "mixed") and schemes(c, "mixed") - {"PDICT"}
+
+
+def test_propagation_turns_no_row_into_a_str(monkeypatch):
+    """Reads, merge, blocks and MinMax all work on codes and images."""
+    c = cluster()
+    c.delete_where("t", Col("k") < 20)
+    c.update_where("t", Col("k") == 300, {"note": Const("changed"),
+                                          "mixed": Const("AIR")})
+    insert_tail(c, [1000, 1001])
+    expected = image(c)
+
+    def no_str(*args):
+        raise AssertionError("a row became a Python str")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(general, "_bytes_to_strings", no_str)
+        patch.setattr(StringImage, "strings", no_str)
+        stats = c.propagate_updates("t", force=True)
+        insert_tail(c, [1002, 1003])  # and a tail flush, absorbing
+        c.propagate_updates("t", force=True)  # the partial blocks
+    assert stats["full"] == 2
+    assert "PDICT" in schemes(c, "mixed") and schemes(c, "mixed") - {"PDICT"}
+    extra = sorted(image(c)[-2:])
+    assert image(c) == sorted(expected + extra)
+
+
+def test_un_forced_propagation_keeps_the_non_tail_entries():
+    c = cluster()
+    before = image(c)
+    defer(c)
+    wal = c.wal
+    for pid, stack in enumerate(c.tables["t"].pdt):
+        commits = [r for r in wal.replay_partition("t", pid)
+                   if r.kind == "commit"]
+        # one commit record: exactly what the PDT kept
+        assert len(commits) == 1
+        assert len(commits[0].payload[1]) == stack.total_entries()
+    after = image(c)
+    assert len(after) == len(before) - 2 + 4 * THRESHOLD
+    # the kept deletes come due: the partition is rewritten
+    c.delete_where("t", (Col("k") >= 20) & (Col("k") < 20 + 2 * THRESHOLD))
+    stats = c.propagate_updates("t")
+    assert stats["full"] == 2
+    assert all(s.total_entries() == 0 for s in c.tables["t"].pdt)
+
+
+def test_a_tail_flush_appends_the_tail_inserts_final_values():
+    """A tail insert deleted since is not appended, a modified one is
+    appended as modified; the delete of a stable row stays."""
+    c = cluster()
+    insert_tail(c, range(1000, 1000 + 4 * THRESHOLD))
+    t = c.begin()
+    c.delete_where("t", (Col("k") == 1000) | (Col("k") == 10), trans=t)
+    c.update_where("t", Col("k") == 1001, {"note": Const("changed")},
+                   trans=t)
+    t.commit()
+    expected = image(c)
+    stats = c.propagate_updates("t")
+    assert stats["full"] == 0
+    stored = c.tables["t"]
+    kept = [e for stack in stored.pdt for e in stack.scan_entries()]
+    assert [(e.kind.value, e.target[0]) for e in kept] == [("delete", "s")]
+    stable = {k: note for store in stored.partitions
+              for k, note in zip(store.read_column("k").tolist(),
+                                 np.asarray(store.read_column("note")))}
+    assert 1000 not in stable and stable[1001] == "changed"
+    assert image(c) == expected
+
+
+def test_invariants_hold_after_a_deferred_flush():
+    c = cluster()
+    defer(c)
+    report = InvariantChecker(c).check("deferred flush")
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("pid", [0, 1])
+def test_fail_node_rebuilds_the_kept_entries(pid):
+    c = cluster()
+    kept = defer(c)
+    expected = image(c)
+    c.fail_node(c.responsible("t", pid))
+    assert [s.total_entries() for s in c.tables["t"].pdt] == kept
+    assert image(c) == expected
+
+
+def test_a_kept_modify_in_the_absorbed_partial_block_is_not_pruned():
+    c = cluster()
+    stored = c.tables["t"]
+    store = stored.partitions[0]
+    partial = store._partial_refs["v"]
+    assert partial.row_start < store.n_stable
+    # a row of the partial block of v gets a value no block holds
+    key = int(store.read_column("k")[store.n_stable - 1])
+    c.update_where("t", Col("k") == key, {"v": Const(10 ** 6)})
+    insert_tail(c, range(1000, 1000 + 4 * THRESHOLD))
+    assert c.propagate_updates("t")["full"] == 0
+    assert stored.pdt[0].total_entries() == 1  # the modify, kept
+    # the append rebuilt the partial block's range from its stored rows
+    found = stored.scan_partition(0, ["k"], [("v", "=", 10 ** 6)])
+    assert found.columns["k"].tolist() == [key]

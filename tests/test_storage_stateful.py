@@ -1,22 +1,29 @@
 """Stateful test of the write path: one clustered table against a model.
 
-A hypothesis state machine drives one clustered ``StoredTable`` (STRING,
-INT64, DATE and DECIMAL columns, blocks of a few dozen rows so every
-column has several) through insert / delete / modify / commit / abort /
-tail flush / forced propagation / filtered scan (with or without a join's
-key set as one more conjunct). The model is a plain list of rows in
-engine values; DECIMAL prices are written as Python floats and as Python
-ints, and either must read back as written. After every step the
-committed image -- and the open transaction's, if there is one -- must
-hold the model's rows, in cluster order; a filtered scan must return exactly the model's qualifying rows, so
-MinMax (widened by every insert and modify, aborted ones included) never
-prunes one.
+A hypothesis state machine drives one clustered ``StoredTable`` (two
+STRING, INT64, DATE and DECIMAL columns, blocks of a few dozen rows so
+every column has several) through insert / delete / modify / commit /
+abort / tail flush / forced propagation / un-forced propagation (a tail
+flush that keeps the other entries until they are due) / filtered scan
+(with or without a join's key set as one more conjunct). The model is a
+plain list of rows in engine values; DECIMAL prices are written as Python
+floats and as Python ints, and either must read back as written. After
+every step the committed image -- and the open transaction's, if there is
+one -- must hold the model's rows, in cluster order; a filtered scan must
+return exactly the model's qualifying rows, so MinMax (widened by every
+insert and modify, aborted ones included, and again for the entries a
+tail flush keeps) never prunes one. Every block must hold the bytes the
+bulk load's encoder writes for its rows, however it was written: a
+rewrite encodes strings from their codes and images, never from ``str``.
 
-The STRING column is bulk-loaded from two phrases, so its blocks are PDICT
-and scans hand it up dictionary-coded; inserts and modifies write strings
-no block has seen (they join the scan's dictionary through the PDT), and a
-propagation that rewrites them into the blocks may leave some blocks LZ or
-RAW -- then the column comes back plain. Either way it holds the model.
+The STRING column ``s`` is bulk-loaded from two phrases, so its blocks are
+PDICT and scans hand it up dictionary-coded; inserts and modifies write
+strings no block has seen (they join the scan's dictionary through the
+PDT), and a propagation that rewrites them into the blocks may leave some
+blocks LZ or RAW -- then the column comes back plain. Either way it holds
+the model. ``note`` is loaded with runs of long distinct strings (LZ or
+RAW blocks) and runs of one short string (PDICT blocks), and written with
+both kinds.
 """
 
 from collections import Counter
@@ -29,12 +36,13 @@ from hypothesis.stateful import (
 
 from repro.common.config import Config
 from repro.common.types import DATE, DECIMAL, INT64, STRING
+from repro.compression import compress_best
 from repro.engine.batch import DictColumn
 from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
 from repro.storage import Column, StoredTable, TableSchema
 from repro.storage.minmax import OPS
 
-NAMES = ["k", "d", "price", "s"]
+NAMES = ["k", "d", "price", "s", "note"]
 WORDS = ["MAIL", "SHIP", "RAIL", "AIR", "", "Zürich", "日本", "TRUCK"]
 
 days = st.integers(8000, 8060)
@@ -46,7 +54,12 @@ words = st.sampled_from(WORDS) | st.text("abc", max_size=3)
 #: and sixteen 1-bit codes hold without an exception at a fraction of RAW
 #: (so LZ is not even tried) -- every block PDICT
 loaded_words = st.sampled_from(["DELIVER IN PERSON", "Zürich-Flughafen"])
-new_rows = st.lists(st.tuples(days, prices, words), min_size=1, max_size=12)
+#: what ``note`` is written with: a few short strings, or long ones
+notes = st.sampled_from(["AIR", "RAIL", "日本"]) | st.integers(0, 99).map(
+    lambda i: f"a longer remark, number {i} of a hundred or so")
+#: a third of them past every loaded day: tail inserts
+new_rows = st.lists(st.tuples(st.integers(8000, 8090), prices, words, notes),
+                    min_size=1, max_size=12)
 picks = st.lists(st.integers(0, 10**6), min_size=1, max_size=6)
 
 
@@ -58,9 +71,9 @@ def small_blocks() -> Config:
 
 
 class ClusteredTableMachine(RuleBasedStateMachine):
-    """Rows are ``(k, d, price, s)`` as the engine sees them (``price``
-    an int or a float: both read back as the float of equal value);
-    ``k`` is never reused."""
+    """Rows are ``(k, d, price, s, note)`` as the engine sees them
+    (``price`` an int or a float: both read back as the float of equal
+    value); ``k`` is never reused."""
 
     def __init__(self):
         super().__init__()
@@ -70,7 +83,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         schema = TableSchema(
             "orders",
             [Column("k", INT64), Column("d", DATE), Column("price", DECIMAL),
-             Column("s", STRING)],
+             Column("s", STRING), Column("note", STRING)],
             clustered_on=("d",))
         self.table = StoredTable(hdfs, "/db", schema, config)
         self.stack = self.table.pdt[0]
@@ -85,25 +98,32 @@ class ClusteredTableMachine(RuleBasedStateMachine):
     # ---------------------------------------------------------------- helpers
 
     def _rows(self, values):
-        rows = [(self.next_key + i, d, price, s)
-                for i, (d, price, s) in enumerate(values)]
+        """``values`` -- ``(d, price, s, note)``, or ``(d, price, s)`` for
+        a loaded row: every other run of 32 has long notes of their own,
+        the others one short note -- as rows under fresh keys."""
+        rows = []
+        for value in values:
+            k = self.next_key + len(rows)
+            if len(value) == 3:
+                value += ("AIR" if k // 32 % 2 else
+                          f"row {k}: a long remark that no other row makes",)
+            rows.append((k, *value))
         self.next_key += len(rows)
         return rows
 
     @staticmethod
     def _columns(rows):
-        k, d, price, s = zip(*rows)
+        k, d, price, s, note = zip(*rows)
         return {"k": np.array(k, dtype=np.int64),
                 "d": np.array(d, dtype=np.int32),
                 "price": np.array(price),
-                "s": np.array(s, dtype=object)}
+                "s": np.array(s, dtype=object),
+                "note": np.array(note, dtype=object)}
 
     @staticmethod
     def _as_rows(result):
         cols = result.columns
-        return list(zip(cols["k"].tolist(), cols["d"].tolist(),
-                        cols["price"].tolist(),
-                        cols["s"].tolist()))
+        return list(zip(*(cols[name].tolist() for name in NAMES)))
 
     def _begin(self):
         if self.trans is None:
@@ -135,12 +155,13 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         self.table.insert_rows(self._columns(rows), lambda _: self.trans)
         self.pending += rows
 
-    @rule(count=st.integers(1, 5), price=prices, s=words)
-    def insert_past_the_end(self, count, price, s):
+    @rule(count=st.integers(1, 5), price=prices, s=words, note=notes)
+    def insert_past_the_end(self, count, price, s, note):
         """Rows whose cluster key is past every stable one: tail inserts."""
         self._begin()
-        last = max((d for _, d, _, _ in self.pending), default=8000)
-        rows = self._rows([(last + 1 + i, price, s) for i in range(count)])
+        last = max((row[1] for row in self.pending), default=8000)
+        rows = self._rows([(last + 1 + i, price, s, note)
+                           for i in range(count)])
         self.table.insert_rows(self._columns(rows), lambda _: self.trans)
         self.pending += rows
 
@@ -153,17 +174,18 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         self.pending = [r for r in self.pending if r[0] not in keys]
 
     @precondition(lambda self: self.pending if self.trans else self.committed)
-    @rule(picked=picks, price=prices, s=words)
-    def modify(self, picked, price, s):
+    @rule(picked=picks, price=prices, s=words, note=notes)
+    def modify(self, picked, price, s, note):
         self._begin()
         identities, keys = self._identities_of(picked)
         n = len(identities)
         self.table.modify_rows(
             0, identities,
             {"price": np.full(n, price),
-             "s": np.array([s] * n, dtype=object)}, self.trans)
-        self.pending = [(k, d, price, s) if k in keys else (k, d, p, old)
-                        for k, d, p, old in self.pending]
+             "s": np.array([s] * n, dtype=object),
+             "note": np.array([note] * n, dtype=object)}, self.trans)
+        self.pending = [(row[0], row[1], price, s, note)
+                        if row[0] in keys else row for row in self.pending]
 
     @precondition(lambda self: self.trans is not None)
     @rule()
@@ -197,7 +219,30 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         assert self.stack.total_entries() == 0
         self.only_tail = True
 
-    @rule(column=st.sampled_from(["k", "d", "price", "s"]),
+    @precondition(lambda self: self.trans is None
+                  and self.stack.total_entries())
+    @rule()
+    def propagate_when_due(self):
+        """The un-forced rule (``propagate_updates``) under the smallest
+        threshold that makes the partition due: its tail is appended, and
+        it is rewritten only if its other entries are due on their own (a
+        tenth of the rows, or as many as all waiting); until then they
+        stay in the PDT."""
+        self.table.config.pdt_propagate_threshold = \
+            self.stack.total_entries()
+        assert self.table.needs_propagation(0)
+        n_stable = self.store.n_stable
+        kind = self.table.propagate(0, writer="n1", force=False)
+        kept = self.stack.scan_entries()
+        assert kind in ("tail", "full")
+        if kind == "full":
+            assert not kept
+        # what stays is anchored in the old stable image, which the
+        # appended rows come after
+        assert all(e.anchor_sid < n_stable for e in kept)
+        self.only_tail = not kept
+
+    @rule(column=st.sampled_from(NAMES),
           op=st.sampled_from(sorted(OPS)),
           key_column=st.sampled_from([None, "k", "s"]), data=st.data())
     def filtered_scan(self, column, op, key_column, data):
@@ -208,7 +253,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         domain = sorted({r[at] for r in image}) or [0 if at < 3 else ""]
         literal = data.draw(st.sampled_from(domain)
                             | {0: st.integers(-1, self.next_key), 1: days,
-                               2: prices, 3: words}[at])
+                               2: prices, 3: words, 4: notes}[at])
         passing = expected = [r for r in image if OPS[op](r[at], literal)]
         key_filter = None
         if key_column is not None:
@@ -249,6 +294,21 @@ class ClusteredTableMachine(RuleBasedStateMachine):
             self._check_image(self.trans, self.pending)
 
     @invariant()
+    def blocks_hold_what_a_load_writes(self):
+        """Every block is what the bulk load's encoder (Python values in,
+        :func:`compress_best`) writes for the rows it holds."""
+        store = self.store
+        for name, refs in store.blocks.items():
+            ctype = self.table.schema.ctype(name)
+            for ref in refs:
+                rows = store.read_column(name, [(ref.row_start, ref.row_end)])
+                block = compress_best(np.asarray(rows, dtype=ctype.dtype),
+                                      ctype)
+                stored = store.hdfs.read(ref.path, ref.offset, ref.length)
+                # (the payload follows a 9-byte header)
+                assert (ref.scheme, stored[9:]) == (block.scheme, block.data)
+
+    @invariant()
     def catalog_is_consistent(self):
         store = self.store
         for name, refs in store.blocks.items():
@@ -266,3 +326,31 @@ class ClusteredTableMachine(RuleBasedStateMachine):
 ClusteredTableMachine.TestCase.settings = settings(
     max_examples=30, stateful_step_count=25, deadline=None)
 TestClusteredTable = ClusteredTableMachine.TestCase
+
+
+class DeferringTableMachine(ClusteredTableMachine):
+    """The same table with every transaction committed and every
+    propagation un-forced, one after each commit (as ``propagate_updates``
+    runs between a workload's cycles): the entries a tail flush keeps stay
+    under scans, commits and more tail flushes until they come due."""
+
+    propagate = abort = None  # (not rules here: every transaction commits)
+
+    @initialize(values=st.lists(st.tuples(days, prices, loaded_words),
+                                min_size=128, max_size=192))
+    def bulk_load(self, values):
+        """More rows: the entries due by threshold come before those due
+        as a tenth of the rows."""
+        ClusteredTableMachine.bulk_load(self, values)
+
+    @precondition(lambda self: self.trans is not None)
+    @rule()
+    def commit(self):
+        ClusteredTableMachine.commit(self)
+        if self.stack.total_entries():
+            self.propagate_when_due()
+
+
+DeferringTableMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=25, deadline=None)
+TestDeferringTable = DeferringTableMachine.TestCase

@@ -106,6 +106,58 @@ class TestConflicts:
         with pytest.raises(ConstraintViolation):
             t.commit()
 
+    def test_duplicate_inside_one_transaction(self, cluster):
+        t = cluster.begin()
+        cluster.insert("t", {"k": np.array([500, 500]),
+                             "v": np.array([0, 1])}, trans=t, force_pdt=True)
+        with pytest.raises(ConstraintViolation):
+            t.commit()
+        assert count_rows(cluster, "t", "k") == 100
+
+    def test_duplicate_of_an_unpropagated_insert(self, cluster):
+        first = cluster.begin()
+        cluster.insert("t", {"k": np.array([500]), "v": np.array([0])},
+                       trans=first, force_pdt=True)
+        first.commit()
+        second = cluster.begin()
+        cluster.insert("t", {"k": np.array([500]), "v": np.array([1])},
+                       trans=second, force_pdt=True)
+        with pytest.raises(ConstraintViolation):
+            second.commit()
+        assert count_rows(cluster, "t", "k") == 101
+
+    def test_composite_key(self):
+        cluster = VectorHCluster(n_nodes=3,
+                                 config=Config().scaled_for_tests())
+        cluster.create_table(TableSchema(
+            "partsupp", [Column("pk", INT64), Column("sk", INT64),
+                         Column("qty", INT64)],
+            primary_key=("pk", "sk"), partition_key=("pk",),
+            n_partitions=2))
+        cluster.bulk_load("partsupp", {"pk": np.repeat(np.arange(10), 4),
+                                       "sk": np.tile(np.arange(4), 10),
+                                       "qty": np.zeros(40, np.int64)})
+        fine = cluster.begin()  # a new supplier of part 3
+        cluster.insert("partsupp", {"pk": np.array([3]), "sk": np.array([4]),
+                                    "qty": np.array([1])},
+                       trans=fine, force_pdt=True)
+        fine.commit()
+        clash = cluster.begin()  # part 3's supplier 2 again
+        cluster.insert("partsupp", {"pk": np.array([3]), "sk": np.array([2]),
+                                    "qty": np.array([1])},
+                       trans=clash, force_pdt=True)
+        with pytest.raises(ConstraintViolation):
+            clash.commit()
+        assert count_rows(cluster, "partsupp", "pk") == 41
+
+    def test_delete_and_reinsert_one_key(self, cluster):
+        t = cluster.begin()
+        cluster.delete_where("t", Col("k") == 7, trans=t)
+        cluster.insert("t", {"k": np.array([7]), "v": np.array([9])},
+                       trans=t, force_pdt=True)
+        t.commit()
+        assert count_rows(cluster, "t", "k") == 100
+
 
 class TestWal:
     def test_commit_logged_per_partition(self, cluster):
