@@ -12,6 +12,9 @@ still satisfies the properties failover is supposed to preserve:
   apply after recovery);
 * **no lingering in-doubt transactions** -- every prepare record is
   followed by a commit or abort resolution;
+* **MinMax covers the PDT** -- every value a partition's PDT stack makes
+  visible lies inside the MinMax range of the block-range it lands in
+  (or a scan pruning on that value skips a row it should return);
 * **admission accounting** -- the queue, running and quota gauges
   equal what the live query records say, and when no query is running
   the shared memory meter reads zero on every node (cancel/retry paths
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.pdt.layer import classify_entries
 from repro.pdt.stack import PdtStack
 
 
@@ -57,6 +61,7 @@ class InvariantChecker:
         report = InvariantReport(context=context)
         self._check_replication(report)
         self._check_wal_durability(report)
+        self._check_minmax_covers_pdt(report)
         self._check_admission(report)
         self._check_terminal_records(report)
         return report
@@ -107,6 +112,11 @@ class InvariantChecker:
                         f"unresolved in-doubt txns on {tname}/{pid}: "
                         f"{sorted(prepared)}")
 
+    def _check_minmax_covers_pdt(self, report: InvariantReport) -> None:
+        report.checks += sum(stored.n_partitions
+                             for stored in self.cluster.tables.values())
+        report.violations.extend(minmax_pdt_gaps(self.cluster))
+
     def _check_admission(self, report: InvariantReport) -> None:
         wm = self.cluster.workload
         report.checks += 2
@@ -152,3 +162,30 @@ def admission_gauge_drift(cluster) -> List[str]:
             drift.append(f"admission gauge {metric}{dict(labels)} reads "
                          f"{have}, the live queries say {want}")
     return drift
+
+
+def minmax_pdt_gaps(cluster) -> List[str]:
+    """One line per value a partition's PDT stack makes visible outside
+    the MinMax range of the block-range it lands in: an insert at its
+    anchor, a modify at its row, in the range ``MinMaxIndex.widen``
+    widens there (the last one past the end)."""
+    gaps = []
+    for tname in sorted(cluster.tables):
+        stored = cluster.tables[tname]
+        for pid, store in enumerate(stored.partitions):
+            plan = classify_entries(stored.pdt[pid].scan_entries())
+            written = [(e.anchor_sid, e.values) for e in plan.inserts]
+            written += sorted(plan.mods_stable.items())
+            for sid, values in written:
+                for name, value in sorted(values.items()):
+                    ranges = store.minmax.ranges.get(name)
+                    if not ranges:
+                        continue  # nothing to prune on
+                    r = next((r for r in ranges
+                              if r.row_start <= sid < r.row_end), ranges[-1])
+                    if not r.min_value <= value <= r.max_value:
+                        gaps.append(
+                            f"minmax misses a pdt value on {tname}/{pid}: "
+                            f"{name} = {value!r} at row {sid}, range "
+                            f"[{r.min_value!r}, {r.max_value!r}]")
+    return gaps

@@ -206,16 +206,20 @@ class PartitionPlacement:
                 "wal_replayed_bytes": wal_replayed_bytes}
 
     def _replay_pdt(self, table: str, pid: int, node: str) -> int:
-        """The new responsible node rebuilds the partition's PDTs from
-        its WAL; returns the WAL's size."""
+        """The new responsible node rebuilds the partition's PDTs and
+        MinMax from its WAL; returns the WAL's size."""
         cluster = self.cluster
-        store = cluster.tables[table].partitions[pid]
+        stored = cluster.tables[table]
+        store = stored.partitions[pid]
         stack = PdtStack(cluster.config.write_pdt_flush_threshold)
         for record in cluster.wal.replay_partition(table, pid, reader=node):
             if record.kind == "commit":
                 stack.apply_replicated(record.payload[1])
             elif record.kind == "minmax":
                 store.minmax = store.minmax.from_record(record.payload)
-        cluster.tables[table].pdt[pid] = stack
+        stored.pdt[pid] = stack
+        # the last MinMax record predates the commits after it, which
+        # widened MinMax in the failed node's memory only
+        stored.widen_minmax(pid, stack.scan_entries())
         path = cluster.wal.partition_wal_path(table, pid)
         return cluster.hdfs.file_size(path) if cluster.hdfs.exists(path) else 0

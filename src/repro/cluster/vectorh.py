@@ -188,9 +188,16 @@ class VectorHCluster:
     def bulk_load(self, table: str, columns: Dict[str, np.ndarray]) -> None:
         """Initial load; each partition is written by its responsible node,
         so the default first-copy-on-the-writer rule already lands the
-        primary replica locally."""
-        self.tables[table].bulk_load(
-            columns, dict(enumerate(self.placement.owners(table))))
+        primary replica locally. A partition whose WAL holds records
+        logs its new MinMax: a replay must not restore one older than the
+        blocks."""
+        stored, owners = self.tables[table], self.placement.owners(table)
+        stored.bulk_load(columns, dict(enumerate(owners)))
+        for pid, node in enumerate(owners):
+            if self.hdfs.file_size(self.wal.partition_wal_path(table, pid)):
+                self.wal.log_minmax(table, pid,
+                                    stored.partitions[pid].minmax.to_record(),
+                                    writer=node)
         self.txn.bump_epoch(table)
 
     # ------------------------------------------------------------------- queries

@@ -263,6 +263,9 @@ class StoredTable:
                                               self.schema.clustered_on)
             writer = writers.get(pid) if writers else None
             self.partitions[pid].append(part_cols, writer)
+            # the append rebuilt the absorbed partial blocks' ranges from
+            # their stored rows alone
+            self.widen_minmax(pid, self.pdt[pid].scan_entries())
             self._cluster_key_cache.pop(pid, None)
 
     # -------------------------------------------------------------------- scans
@@ -539,7 +542,7 @@ class StoredTable:
             store.append(values, writer)
             # the append rebuilt the ranges of the partial blocks it
             # absorbed from their stored rows alone
-            self._widen(store, kept)
+            self.widen_minmax(pid, kept)
             self.propagation_stats.tail_flushes += 1
             mode = "tail"
         self.propagation_stats.entries_flushed += len(entries) - len(kept)
@@ -547,9 +550,11 @@ class StoredTable:
         self._cluster_key_cache.pop(pid, None)
         return mode
 
-    def _widen(self, store: PartitionStore, entries) -> None:
-        """Widen MinMax for the values ``entries`` write, where they
-        write them: inserts at their anchor, modifies at their row."""
+    def widen_minmax(self, pid: int, entries) -> None:
+        """Widen the partition's MinMax for the values ``entries`` write,
+        where they write them: inserts at their anchor, modifies at their
+        row (after a MinMax rebuilt from stored rows or from the WAL)."""
+        store = self.partitions[pid]
         plan = classify_entries(entries)
         written: Dict[str, Tuple[list, list]] = {}
         for entry in plan.inserts:

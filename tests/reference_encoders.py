@@ -4,7 +4,9 @@ every emitted byte against (``tests/test_encode_differential.py``).
 
 Per-value Python loops and every scheme fully encoded before one is
 chosen: slow, and the definition of the on-disk format. Only what an
-encoder needs is here; decoding goes through ``repro.compression``. The
+encoder needs is here, and the bit-matrix ``unpack_bits`` the kernel of
+``repro.compression.bitpack`` is checked against; every other decoding
+goes through ``repro.compression``. The
 three ``compress`` methods are plain functions (``pfor_compress``,
 ``pfor_delta_compress``, ``pdict_compress``) and ``compress_best`` walks
 ``REFERENCE_SCHEMES`` -- same names, same registration order, same
@@ -43,6 +45,24 @@ def pack_bits(values: np.ndarray, width: int) -> bytes:
     bits = ((vals[:, None] >> shifts) & 1).astype(np.uint8)
     flat = bits.reshape(-1)
     return np.packbits(flat, bitorder="little").tobytes()
+
+
+def unpack_bits(data, width: int, count: int, dtype=np.int64) -> np.ndarray:
+    """Inverse of :func:`pack_bits`: the stream as single bits, ``width``
+    of them per code, little-endian within the code."""
+    if count == 0:
+        return np.zeros(0, dtype=dtype)
+    if width < 1 or width > MAX_CODE_WIDTH:
+        raise CompressionError(f"unsupported code width {width}")
+    nbytes = packed_size(count, width)
+    if len(data) < nbytes:
+        raise CompressionError("bit stream too short")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, nbytes),
+                         count=count * width, bitorder="little")
+    weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
+    codes = (bits.reshape(count, width) * weights).sum(axis=1,
+                                                       dtype=np.uint64)
+    return codes.astype(dtype)
 
 
 # -------------------------------------------------------------- patch chains

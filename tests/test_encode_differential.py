@@ -13,7 +13,9 @@ from repro.cluster import VectorHCluster
 from repro.common.config import Config
 from repro.common.errors import CompressionError
 from repro.common.types import BOOL, DATE, DECIMAL, INT32, INT64, STRING
-from repro.compression import SCHEMES, compress_best, decompress, pack_bits
+from repro.compression import (
+    SCHEMES, compress_best, decompress, pack_bits, unpack_bits,
+)
 from repro.compression.base import build_patch_chain
 from repro.storage import colstore
 from repro.tpch import generate_tpch, tpch_schemas
@@ -211,12 +213,17 @@ def test_edge_case_is_byte_identical(case):
     assert mismatches(values, ctype) == []
 
 
+BITPACK_COUNTS = (0, 1, 2, 31, 32, 33, 63, 64, 65, 1000, 2047, 2049, 4096,
+                  4100, 8192)
+
+
 def test_pack_bits_matches_the_bit_matrix():
     rng = np.random.default_rng(15)
-    for count in (1, 2, 31, 32, 33, 63, 64, 65, 1000, 4096):
+    for count in BITPACK_COUNTS:
         for width in range(1, 33):
             codes = rng.integers(0, 1 << width, count)
-            codes[rng.integers(0, count)] = (1 << width) - 1
+            if count:
+                codes[rng.integers(0, count)] = (1 << width) - 1
             assert pack_bits(codes, width) == reference.pack_bits(
                 codes, width), (count, width)
     for values, width in [(np.array([8]), 3), (np.array([-1]), 5),
@@ -224,6 +231,41 @@ def test_pack_bits_matches_the_bit_matrix():
         for pack in (pack_bits, reference.pack_bits):
             with pytest.raises(CompressionError):
                 pack(values, width)
+
+
+def test_unpack_bits_matches_the_bit_matrix():
+    """Every width and dtype, counts around the 32-code group and the
+    kernel step, payloads at every byte offset of a buffer; a 32-bit code
+    of 2**31 or more wraps into int32 as a cast does."""
+    rng = np.random.default_rng(17)
+    for count in BITPACK_COUNTS:
+        for width in range(1, 33):
+            codes = rng.integers(0, 1 << width, count)
+            if count:
+                codes[rng.integers(0, count)] = (1 << width) - 1
+            packed = reference.pack_bits(codes, width)
+            expected = reference.unpack_bits(packed, width, count)
+            assert np.array_equal(expected, codes), (count, width)
+            for offset in range(1, 8):
+                data = memoryview(b"\xa5" * offset + packed + b"\xff" * 9)
+                for dtype in (np.int64, np.intp, np.int32):
+                    out = unpack_bits(data[offset:], width, count, dtype)
+                    assert out.dtype == dtype and out.flags.writeable
+                    assert np.array_equal(out, expected.astype(dtype)), (
+                        count, width, offset, dtype)
+    top = reference.pack_bits(np.array([2 ** 32 - 1, 2 ** 31, 5]), 32)
+    for unpack in (unpack_bits, reference.unpack_bits):
+        assert unpack(top, 32, 3, np.int32).tolist() == [-1, -2 ** 31, 5]
+
+
+def test_unpack_bits_errors_match_the_bit_matrix():
+    packed = reference.pack_bits(np.arange(40) % 8, 3)
+    for unpack in (unpack_bits, reference.unpack_bits):
+        with pytest.raises(CompressionError, match="too short"):
+            unpack(packed[:-1], 3, 40)
+        for width in (0, 33):
+            with pytest.raises(CompressionError, match="unsupported"):
+                unpack(b"\x00" * 256, width, 40)
 
 
 def test_patch_chain_matches_the_loop():

@@ -14,6 +14,7 @@ from repro.compression import general
 from repro.compression.base import StringImage
 from repro.engine.expressions import Col, Const
 from repro.mpp.logical import LScan
+from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 
 N_ROWS = 400
@@ -189,3 +190,59 @@ def test_a_kept_modify_in_the_absorbed_partial_block_is_not_pruned():
     # the append rebuilt the partial block's range from its stored rows
     found = stored.scan_partition(0, ["k"], [("v", "=", 10 ** 6)])
     assert found.columns["k"].tolist() == [key]
+
+
+@pytest.mark.parametrize("force", [True, False])
+def test_fail_node_keeps_the_widening_of_commits_after_the_minmax_record(
+        force):
+    """A propagation logs the partition's MinMax; a later commit widens it
+    in memory only. The node taking the partition over replays the WAL:
+    it widens the logged MinMax again for every replayed entry, or a scan
+    pruning on the new value skips the row."""
+    c = cluster()
+    if force:
+        c.delete_where("t", (Col("k") == 10) | (Col("k") == 11))
+        assert c.propagate_updates("t", force=True) == {"tail": 0, "full": 2}
+    else:
+        defer(c)
+    assert any(r.kind == "minmax" for r in c.wal.replay_partition("t", 0))
+    key = int(c.tables["t"].partitions[0].read_column("k")[0])
+    execute_sql(c, f"UPDATE t SET v = 1000000 WHERE k = {key}")
+    query = "SELECT k FROM t WHERE v = 1000000"
+    assert execute_sql(c, query).columns["k"].tolist() == [key]
+    c.fail_node(c.responsible("t", 0))
+    assert execute_sql(c, query).columns["k"].tolist() == [key]
+    assert InvariantChecker(c).check("failover").ok
+
+
+def load_more(c, keys):
+    keys = np.asarray(keys)
+    n = len(keys)
+    c.bulk_load("t", {"k": keys, "v": keys * 3,
+                      "tag": np.array(["MAIL"] * n, object),
+                      "note": np.array([long_text(i) for i in keys], object),
+                      "mixed": np.array(["AIR"] * n, object)})
+
+
+def test_a_bulk_load_keeps_the_widening_of_the_partial_block_it_absorbs():
+    c = cluster()
+    store = c.tables["t"].partitions[0]
+    key = int(store.read_column("k")[store.n_stable - 1])
+    execute_sql(c, f"UPDATE t SET v = 1000000 WHERE k = {key}")
+    load_more(c, range(5000, 5010))
+    found = execute_sql(c, "SELECT k FROM t WHERE v = 1000000")
+    assert found.columns["k"].tolist() == [key]
+    assert InvariantChecker(c).check("bulk load").ok
+
+
+def test_fail_node_after_a_bulk_load_replays_a_minmax_with_its_blocks():
+    """A propagation logged MinMax; the blocks a later bulk load adds are
+    in the record the node taking over replays."""
+    c = cluster()
+    c.delete_where("t", (Col("k") == 10) | (Col("k") == 11))
+    c.propagate_updates("t", force=True)
+    load_more(c, range(5000, 5400))
+    query = "SELECT count(*) AS n FROM t WHERE v >= 15000"
+    assert execute_sql(c, query).columns["n"].tolist() == [400]
+    c.fail_node(c.responsible("t", 0))
+    assert execute_sql(c, query).columns["n"].tolist() == [400]

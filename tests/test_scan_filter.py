@@ -72,12 +72,14 @@ class TestUnpackKernel:
             unpack_bits(packed[:-1], width, count)
 
     def test_crosses_the_kernel_step(self):
-        """Blocks longer than one kernel step decode in several passes."""
+        """A narrow output longer than one kernel step decodes in several
+        passes; a 64-bit one in a single gather."""
         from repro.compression import bitpack
         count = 3 * bitpack._STEP + 17
         codes = np.random.default_rng(3).integers(0, 1 << 13, count)
-        assert np.array_equal(unpack_bits(pack_bits(codes, 13), 13, count),
-                              codes)
+        for dtype in (np.int32, np.int64):
+            assert np.array_equal(
+                unpack_bits(pack_bits(codes, 13), 13, count, dtype), codes)
 
     def test_unsupported_width(self):
         with pytest.raises(CompressionError):
