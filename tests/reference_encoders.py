@@ -4,10 +4,10 @@ every emitted byte against (``tests/test_encode_differential.py``).
 
 Per-value Python loops and every scheme fully encoded before one is
 chosen: slow, and the definition of the on-disk format. Only what an
-encoder needs is here, and the bit-matrix ``unpack_bits`` the kernel of
-``repro.compression.bitpack`` is checked against; every other decoding
-goes through ``repro.compression``. The
-three ``compress`` methods are plain functions (``pfor_compress``,
+encoder needs is here, plus the bit-matrix ``unpack_bits`` that the
+kernel of ``repro.compression.bitpack`` is checked against; every other
+decoding goes through ``repro.compression``. The three ``compress``
+methods are plain functions (``pfor_compress``,
 ``pfor_delta_compress``, ``pdict_compress``) and ``compress_best`` walks
 ``REFERENCE_SCHEMES`` -- same names, same registration order, same
 ``can_compress`` answers as the parent's registry -- so FLOAT64 still
