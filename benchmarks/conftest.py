@@ -29,7 +29,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 def bench_config() -> Config:
     config = Config()
     config.block_size = 32 * 1024
-    config.blocks_per_group = 4
     config.blocks_per_chunk = 64
     config.hdfs_block_size = 256 * 1024
     config.cores_per_node = 20

@@ -34,7 +34,10 @@ It also measures the continuous profiler's overhead: Q1 is timed
 with kernel attribution on and off in back-to-back pairs and the median
 difference per kernel call is asserted under an absolute microsecond
 budget; the best-of-N figures and the share of Q1 are printed as
-information.
+information. A second budget covers a short statement: 300
+one-partition point lookups run through ``execute_sql`` and the median
+time per statement in the flight recorder's and the profiler's hooks
+is asserted under ``INSTRUMENT_BUDGET_US``.
 
 It also writes ``BENCH_query_log.json`` under ``benchmarks/results/``
 (admission wait on the simulated clock, rows and q-error of the
@@ -54,6 +57,7 @@ import pathlib
 import re
 import statistics
 import sys
+from typing import List
 
 from repro.common.config import Config
 from repro.cluster import VectorHCluster
@@ -160,6 +164,53 @@ def measure_profiler_overhead(cluster, runs: int = OVERHEAD_RUNS):
                        for node in walk(root)
                        for stat in node.kernels.values())
     return on_times, off_times, kernel_calls
+
+
+#: what the three instrument hooks -- ``FlightRecorder.tick`` and
+#: ``record_query``, ``ContinuousProfiler.observe_query`` -- may cost one
+#: short statement. Absolute, like the kernel budget: a point lookup's
+#: fixed costs decide its latency, and the instruments once cost more
+#: than parse, bind and plan together. About 2x the median measured on
+#: one shared x86 core (78-110us a lookup)
+INSTRUMENT_BUDGET_US = 200.0
+#: one-partition point lookups timed for the instrument budget
+LOOKUPS = 300
+
+
+def measure_instrument_cost(cluster, keys) -> List[float]:
+    """Microseconds the three instrument hooks spend in each of
+    ``LOOKUPS`` point lookups on ``orders``' partition key."""
+    import time as _time
+
+    spent = [0.0]
+
+    def timed(hook):
+        def wrapper(*args):
+            t0 = _time.perf_counter()
+            try:
+                return hook(*args)
+            finally:
+                spent[0] += _time.perf_counter() - t0
+        return wrapper
+
+    monitor, profiler = cluster.monitor, cluster.profiler
+    hooks = cluster.workload.round_hooks
+    at = hooks.index(monitor.tick)  # bound when the cluster was built
+    hooks[at] = timed(monitor.tick)
+    monitor.record_query = timed(monitor.record_query)
+    profiler.observe_query = timed(profiler.observe_query)
+    per_stmt = []
+    try:
+        for i in range(LOOKUPS):
+            key = int(keys[(i * 37) % len(keys)])
+            spent[0] = 0.0
+            execute_sql(cluster, "SELECT o_totalprice FROM orders "
+                                 f"WHERE o_orderkey = {key}")
+            per_stmt.append(spent[0] * 1e6)
+    finally:
+        hooks[at] = monitor.tick
+        del monitor.record_query, profiler.observe_query
+    return per_stmt
 
 
 def check_prometheus_exposition(text: str) -> int:
@@ -326,6 +377,14 @@ def main(outdir: str) -> None:
     assert per_call_us <= KERNEL_CALL_BUDGET_US, (
         f"a kernel() region costs {per_call_us:.2f}us, over the "
         f"{KERNEL_CALL_BUDGET_US}us budget")
+    instrument_us = statistics.median(
+        measure_instrument_cost(cluster, data["orders"]["o_orderkey"]))
+    print(f"== instrument overhead ==\n  {LOOKUPS} point lookups: "
+          f"{instrument_us:.1f}us per statement in tick + record_query + "
+          f"observe_query (median; budget {INSTRUMENT_BUDGET_US}us)")
+    assert instrument_us <= INSTRUMENT_BUDGET_US, (
+        f"the instruments cost {instrument_us:.1f}us per point lookup, "
+        f"over the {INSTRUMENT_BUDGET_US}us budget")
     print(f"\nmetrics.prom: {samples} samples, exposition OK "
           f"(incl. workload admission/running/wait series)")
     print(f"q1_flamegraph.folded: {folded_lines} stacks, format OK")

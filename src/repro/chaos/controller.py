@@ -63,10 +63,10 @@ class _Storm:
 class ChaosController:
     """Deterministic, seeded fault injection against one cluster."""
 
-    def __init__(self, cluster, seed: Optional[int] = None,
+    def __init__(self, cluster, seed: int = 0,
                  plan: Optional[FaultPlan] = None, **plan_kwargs):
         self.cluster = cluster
-        self.seed = cluster.config.chaos_seed if seed is None else seed
+        self.seed = seed
         self.rng = random.Random(self.seed)
         self.plan = plan if plan is not None else FaultPlan.generate(
             self.seed, cluster.workers, **plan_kwargs)

@@ -1,7 +1,7 @@
 """Global tunables, scaled down from the paper's production defaults.
 
-The paper's defaults (512KB blocks, 8-block groups, 1024-block chunks,
-128MB+ HDFS blocks) are kept as named constants; tests and benchmarks use
+The paper's defaults (512KB blocks, 1024-block chunks, 128MB+ HDFS
+blocks) are kept as named constants; tests and benchmarks use
 smaller values so multi-block / multi-chunk behaviour is exercised with
 laptop-sized data. All sizes are in bytes unless noted.
 
@@ -23,10 +23,6 @@ class Config:
 
     # --- storage (paper section 3, "Original Layout") ----------------------
     block_size: int = 512 * 1024  # compressed column block
-    #: IO unit = block_size * blocks_per_group. Read nowhere in ``src/``
-    #: (reads are per block); kept only because the wall-clock
-    #: benchmark's ``bench_config()`` assigns it
-    blocks_per_group: int = 8
     blocks_per_chunk: int = 1024  # block-chunk file granularity
     vector_size: int = 1024  # tuples per vector in the engine
 
@@ -60,20 +56,11 @@ class Config:
     #: decision's live cardinality is far off its estimate
     adaptive_replan: bool = True
 
-    # --- flight recorder (repro.obs.monitor) --------------------------------
-    #: simulated seconds between metric-history samples (0 = every round)
-    monitor_cadence_s: float = 1e-4
-
     # --- serving (repro.server) ---------------------------------------------
     #: result-set cache entries at the server frontend (0 disables); keys
     #: are SQL text + the snapshot epochs of every referenced table, so a
     #: hit is always bit-identical to a cold run at the same epoch
     server_result_cache_entries: int = 256
-
-    # --- chaos (fault injection) --------------------------------------------
-    #: seed for the chaos controller's private RNG; the same seed yields a
-    #: bit-identical fault schedule, event log and invariant report
-    chaos_seed: int = 0
 
     # --- PDT / transactions (paper section 6) --------------------------------
     write_pdt_flush_threshold: int = 4096  # updates before Write->Read move
@@ -89,7 +76,6 @@ class Config:
         """A copy with tiny block/chunk sizes so tests hit all code paths."""
         return Config(
             block_size=16 * 1024,
-            blocks_per_group=2,
             blocks_per_chunk=8,
             vector_size=128,
             hdfs_block_size=64 * 1024,

@@ -40,7 +40,7 @@ import numpy as np
 from repro.common.errors import StorageError
 from repro.common.types import FLOAT64, INT64, STRING, ColumnType
 from repro.mpp import plan as P
-from repro.obs.metrics import labels_text
+from repro.obs.metrics import flatten, labels_text
 from repro.storage.schema import Column, TableSchema
 from repro.storage.table import ScanResult
 
@@ -96,18 +96,8 @@ def _columns_from_rows(schema: TableSchema,
 # ---------------------------------------------------------------------------
 
 def _metrics_rows(cluster) -> List[tuple]:
-    rows = []
-    for family in cluster.registry.families():
-        for key, data in sorted(family.snapshot().items()):
-            labels = labels_text(family.labelset(key).items())
-            if family.kind == "histogram":
-                rows.append((f"{family.name}_count", family.kind, labels,
-                             float(data["count"])))
-                rows.append((f"{family.name}_sum", family.kind, labels,
-                             float(data["sum"])))
-            else:
-                rows.append((family.name, family.kind, labels, float(data)))
-    return rows
+    return [(name, kind, labels_text(pairs), value)
+            for name, kind, pairs, value in flatten(cluster.registry.copy())]
 
 
 def _blocks_rows(cluster) -> List[tuple]:

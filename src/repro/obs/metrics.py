@@ -18,6 +18,7 @@ series: the registry is the only place a count is kept.
 from __future__ import annotations
 
 import bisect
+import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ReproError
@@ -95,6 +96,8 @@ class MetricFamily:
         self.name = name
         self.help = help
         self.label_names: Tuple[str, ...] = tuple(labels)
+        #: label-value tuple -> a number (a histogram: its bucket state)
+        self._series: Dict[LabelKey, object] = {}
 
     # -- label plumbing ------------------------------------------------------
 
@@ -112,9 +115,6 @@ class MetricFamily:
             f"got {tuple(sorted(labels))}"
         )
 
-    def labelset(self, key: LabelKey) -> Dict[str, str]:
-        return dict(zip(self.label_names, key))
-
     def _render_labels(self, key: LabelKey,
                        extra: Sequence[Tuple[str, str]] = ()) -> str:
         return render_labels([*zip(self.label_names, key), *extra])
@@ -122,9 +122,14 @@ class MetricFamily:
     # -- interface every family implements -----------------------------------
 
     def clear(self) -> None:
-        raise NotImplementedError
+        self._series.clear()
 
     def snapshot(self) -> Dict[LabelKey, object]:
+        raise NotImplementedError
+
+    def copy(self) -> Dict[LabelKey, object]:
+        """The series as the family keys them: a number per label-value
+        tuple, ``(count, sum)`` for a histogram."""
         raise NotImplementedError
 
     def render(self) -> List[str]:
@@ -134,22 +139,16 @@ class MetricFamily:
 class _ScalarFamily(MetricFamily):
     """A family whose series are plain numbers (counters and gauges)."""
 
-    def __init__(self, name: str, help: str = "",
-                 labels: Sequence[str] = ()):
-        super().__init__(name, help, labels)
-        self._series: Dict[LabelKey, float] = {}
-
     def get(self, **labels) -> float:
         return self._series.get(self._key(labels), 0)
 
     def total(self) -> float:
         return sum(self._series.values())
 
-    def clear(self) -> None:
-        self._series.clear()
-
-    def snapshot(self) -> Dict[LabelKey, object]:
+    def copy(self) -> Dict[LabelKey, object]:
         return dict(self._series)
+
+    snapshot = copy
 
     def render(self) -> List[str]:
         return [
@@ -164,9 +163,12 @@ class Counter(_ScalarFamily):
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels) -> float:
+        return self.add(self._key(labels), amount)
+
+    def add(self, key: LabelKey, amount: float = 1) -> float:
+        """:meth:`inc` by the label-value tuple itself: no label dict."""
         if amount < 0:
             raise ReproError(f"counter {self.name} cannot decrease")
-        key = self._key(labels)
         value = self._series.get(key, 0) + amount
         self._series[key] = value
         return value
@@ -220,7 +222,6 @@ class Histogram(MetricFamily):
                  buckets: Sequence[float] = DEFAULT_BUCKETS):
         super().__init__(name, help, labels)
         self.buckets: Tuple[float, ...] = tuple(sorted(buckets))
-        self._series: Dict[LabelKey, _HistState] = {}
 
     def observe(self, value: float, **labels) -> None:
         key = self._key(labels)
@@ -235,14 +236,13 @@ class Histogram(MetricFamily):
 
     def get(self, **labels) -> Dict[str, object]:
         state = self._series.get(self._key(labels))
-        if state is None:
-            return {"count": 0, "sum": 0.0,
-                    "buckets": {le: 0 for le in self.buckets}}
-        cum, out = 0, {}
-        for le, n in zip(self.buckets, state.bucket_counts):
-            cum += n
-            out[le] = cum
-        return {"count": state.count, "sum": state.sum, "buckets": out}
+        return self._read(state or _HistState(len(self.buckets)))
+
+    def _read(self, state: _HistState) -> Dict[str, object]:
+        """One series' count, sum and cumulative bucket counts."""
+        cumulative = itertools.accumulate(state.bucket_counts)
+        return {"count": state.count, "sum": state.sum,
+                "buckets": dict(zip(self.buckets, cumulative))}
 
     def quantile(self, q: float, **labels) -> float:
         """Interpolated ``q``-quantile (0..1) from the bucket counts.
@@ -269,16 +269,17 @@ class Histogram(MetricFamily):
                 counts[i] += n
         return counts, total
 
-    def clear(self) -> None:
-        self._series.clear()
-
     def snapshot(self) -> Dict[LabelKey, object]:
-        return {key: self.get(**self.labelset(key)) for key in self._series}
+        return {key: self._read(state) for key, state in self._series.items()}
+
+    def copy(self) -> Dict[LabelKey, object]:
+        return {key: (state.count, state.sum)
+                for key, state in self._series.items()}
 
     def render(self) -> List[str]:
         lines = []
-        for key in sorted(self._series):
-            data = self.get(**self.labelset(key))
+        for key, state in sorted(self._series.items()):
+            data = self._read(state)
             for le, n in data["buckets"].items():
                 labels = self._render_labels(key, [("le", _format_value(le))])
                 lines.append(f"{self.name}_bucket{labels} {n}")
@@ -290,6 +291,27 @@ class Histogram(MetricFamily):
             )
             lines.append(f"{self.name}_count{plain} {data['count']}")
         return lines
+
+
+#: a registry copy: each family's series as :meth:`MetricFamily.copy` has it
+RegistryCopy = Dict[MetricFamily, Dict[LabelKey, object]]
+
+
+def flatten(copy: RegistryCopy) -> List[tuple]:
+    """``(series, kind, label pairs, value)`` rows of a registry copy,
+    ordered by series name, then labels; the one place a histogram's
+    ``(count, sum)`` becomes its ``_count`` and ``_sum`` series."""
+    parts = []
+    for family, series in copy.items():
+        if family.kind == "histogram":
+            parts += [(family.name + "_count", family, series, 0),
+                      (family.name + "_sum", family, series, 1)]
+        else:
+            parts.append((family.name, family, series, None))
+    return [(name, family.kind, tuple(zip(family.label_names, key)),
+             float(series[key] if part is None else series[key][part]))
+            for name, family, series, part in sorted(parts, key=lambda p: p[0])
+            for key in sorted(series)]
 
 
 class MetricsRegistry:
@@ -350,6 +372,13 @@ class MetricsRegistry:
         """An isolated deep copy of every series' current value."""
         return {name: family.snapshot()
                 for name, family in sorted(self._families.items())}
+
+    def copy(self, skip: Iterable[str] = ()) -> RegistryCopy:
+        """Every family's :meth:`MetricFamily.copy` but those named in
+        ``skip``: what a history sample and ``vh$metrics`` hold."""
+        return {family: family.copy()
+                for name, family in self._families.items()
+                if name not in skip}
 
     def value(self, name: str, default: float = 0.0, **labels) -> float:
         """Convenience: one series' scalar value (0 when absent)."""

@@ -55,14 +55,13 @@ from repro.common.errors import ReproError
 from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
+    RegistryCopy,
     _format_value,
+    flatten,
     labels_text,
     render_labels,
     quantile_from_buckets,
 )
-
-#: one recorded series value: (family name, ((label, value), ...))
-SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +70,12 @@ SeriesKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 @dataclass
 class HistorySample:
-    """One whole-registry sample at one simulated instant."""
+    """One whole-registry sample at one simulated instant: a
+    :meth:`MetricsRegistry.copy`, read through :func:`flatten`."""
 
     seq: int
     sim_time: float
-    values: Dict[SeriesKey, float]
+    values: RegistryCopy
 
 
 _AGGREGATES = {"sum": sum, "max": max, "min": min,
@@ -100,6 +100,25 @@ WALL_CLOCK_FAMILIES = frozenset({
 })
 
 
+def _merge(old: RegistryCopy, new: RegistryCopy) -> RegistryCopy:
+    """Two adjacent samples as one: the newer value of a counter (and of
+    a histogram's count and sum), the larger of a gauge, and the series
+    only the older one holds."""
+    merged = dict(new)
+    for family, before in old.items():
+        after = new.get(family, {})
+        if before == after:  # most do not move; no key tuple is re-hashed
+            continue
+        if family.kind == "gauge":
+            series = {**before, **after}
+            for key in before.keys() & after.keys():
+                series[key] = max(before[key], after[key])
+            merged[family] = series
+        elif not after.keys() >= before.keys():
+            merged[family] = {**before, **after}
+    return merged
+
+
 class MetricsHistory:
     """Ring buffer of whole-registry samples with compacting overflow.
 
@@ -120,15 +139,15 @@ class MetricsHistory:
         self.sim_clock = sim_clock
         self.cadence = float(cadence)
         self.retention = max(4, int(retention))
-        #: current sample spacing; doubles on every compaction
-        self.interval = self.cadence
-        self._every = 1  # round stride when cadence == 0
         self._rounds_since = 0
         self.samples: List[HistorySample] = []
         self.compactions = 0
         self._seq = itertools.count()
-        self._kinds: Dict[str, str] = {}
-        self._series_keys: Dict[str, Dict[tuple, SeriesKey]] = {}
+
+    @property
+    def interval(self) -> float:
+        """Current sample spacing; doubles on every compaction."""
+        return self.cadence * 2 ** self.compactions
 
     # -- sampling ------------------------------------------------------------
 
@@ -138,36 +157,15 @@ class MetricsHistory:
         if self.cadence > 0:
             last = self.samples[-1].sim_time
             return self.sim_clock.seconds - last >= self.interval - 1e-12
-        return self._rounds_since >= self._every
+        return self._rounds_since >= 2 ** self.compactions
 
     def note_round(self) -> None:
         self._rounds_since += 1
 
     def sample(self) -> HistorySample:
         """Record one sample of every registry series, now."""
-        values: Dict[SeriesKey, float] = {}
-        for family in self.registry.families():
-            if family.name in WALL_CLOCK_FAMILIES:
-                continue
-            names = tuple(family.label_names)
-            if family.kind == "histogram":
-                self._kinds[family.name + "_count"] = "counter"
-                self._kinds[family.name + "_sum"] = "counter"
-                for key, data in family.snapshot().items():
-                    pairs = tuple(zip(names, key))
-                    values[(family.name + "_count", pairs)] = \
-                        float(data["count"])
-                    values[(family.name + "_sum", pairs)] = float(data["sum"])
-            else:
-                self._kinds[family.name] = family.kind
-                # a series' key is built once, not once per sample
-                known = self._series_keys.setdefault(family.name, {})
-                for key, value in family.snapshot().items():
-                    if key not in known:
-                        known[key] = (family.name, tuple(zip(names, key)))
-                    values[known[key]] = float(value)
         sample = HistorySample(next(self._seq), self.sim_clock.seconds,
-                               values)
+                               self.registry.copy(skip=WALL_CLOCK_FAMILIES))
         self.samples.append(sample)
         self._rounds_since = 0
         if len(self.samples) > self.retention:
@@ -176,26 +174,12 @@ class MetricsHistory:
 
     def _compact(self) -> None:
         """Merge adjacent sample pairs; effective cadence doubles."""
-        merged: List[HistorySample] = []
         samples = self.samples
-        # the families whose merged value is not simply the later one
-        gauges = {name for name, kind in self._kinds.items()
-                  if kind != "counter"}
-        i = 0
-        while i < len(samples):
-            if i + 1 == len(samples):
-                merged.append(samples[i])
-                break
-            a, b = samples[i], samples[i + 1]
-            values = {**a.values, **b.values}
-            for key, va in a.values.items():
-                if key[0] in gauges and key in b.values:
-                    values[key] = max(va, b.values[key])
-            merged.append(HistorySample(b.seq, b.sim_time, values))
-            i += 2
+        merged = [HistorySample(b.seq, b.sim_time, _merge(a.values, b.values))
+                  for a, b in zip(samples[0::2], samples[1::2])]
+        if len(samples) % 2:
+            merged.append(samples[-1])
         self.samples = merged
-        self.interval *= 2
-        self._every *= 2
         self.compactions += 1
 
     # -- queries -------------------------------------------------------------
@@ -206,17 +190,17 @@ class MetricsHistory:
     def series(self, name: str,
                labels: Optional[Dict[str, object]] = None,
                agg: str = "sum") -> List[Tuple[float, float]]:
-        """One family's time series: ``[(sim_time, value), ...]``.
+        """One series name's time series: ``[(sim_time, value), ...]``.
 
         With ``labels`` only the exactly-matching series contributes;
-        otherwise every series of the family is aggregated per sample.
+        otherwise every series of the name is aggregated per sample.
         """
         out: List[Tuple[float, float]] = []
         want = (tuple(sorted((k, str(v)) for k, v in labels.items()))
                 if labels is not None else None)
         for sample in self.samples:
             value = _aggregate(
-                [v for (n, pairs), v in sample.values.items()
+                [v for n, _kind, pairs, v in flatten(sample.values)
                  if n == name and (want is None
                                    or tuple(sorted(pairs)) == want)], agg)
             if value is not None:
@@ -226,12 +210,9 @@ class MetricsHistory:
     def rows(self) -> List[tuple]:
         """``vh$metrics_history`` rows: (sample, sim_time, metric, labels,
         value), sorted within each sample for determinism."""
-        out = []
-        for sample in self.samples:
-            for (name, pairs), value in sorted(sample.values.items()):
-                out.append((sample.seq, sample.sim_time, name,
-                            labels_text(pairs), float(value)))
-        return out
+        return [(sample.seq, sample.sim_time, name, labels_text(pairs), value)
+                for sample in self.samples
+                for name, _kind, pairs, value in flatten(sample.values)]
 
     # -- exports -------------------------------------------------------------
 
@@ -242,9 +223,8 @@ class MetricsHistory:
         sample = self.samples[-1]
         lines = [f"# metrics_history sample={sample.seq} "
                  f"sim_time={sample.sim_time!r}"]
-        for (name, pairs), value in sorted(sample.values.items()):
-            lines.append(
-                f"{name}{render_labels(pairs)} {_format_value(value)}")
+        lines += [f"{name}{render_labels(pairs)} {_format_value(value)}"
+                  for name, _kind, pairs, value in flatten(sample.values)]
         return "\n".join(lines) + "\n"
 
     def export_json(self) -> dict:
@@ -260,7 +240,7 @@ class MetricsHistory:
                     "values": {
                         (f"{name}{{{labels_text(pairs)}}}" if pairs
                          else name): value
-                        for (name, pairs), value in sorted(s.values.items())
+                        for name, _kind, pairs, value in flatten(s.values)
                     },
                 }
                 for s in self.samples
@@ -576,9 +556,7 @@ class FlightRecorder:
     def __init__(self, cluster, rules: Optional[Sequence[AlertRule]] = None):
         self.cluster = cluster
         registry = cluster.registry
-        self.history = MetricsHistory(
-            registry, cluster.sim_clock,
-            cadence=cluster.config.monitor_cadence_s)
+        self.history = MetricsHistory(registry, cluster.sim_clock)
         self.health = HealthMonitor(
             cluster, default_rules(cluster) if rules is None else rules)
         self._g_mem = registry.gauge(

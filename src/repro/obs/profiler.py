@@ -84,7 +84,7 @@ class ContinuousProfiler:
                 kind = node.kind
                 if kind not in per_kind:
                     per_kind[kind] = 0.0
-                    self._queries.inc(operator=kind)
+                    self._queries.add((kind,))
                 per_kind[kind] += self._charge(kind, node)
         total = sum(per_kind.values())
         if total > 0:
@@ -92,27 +92,29 @@ class ContinuousProfiler:
             result.dominant = (kind, wall / total)
 
     def _charge(self, kind: str, node: ProfileNode) -> float:
-        """Charge one node; returns the wall it charged."""
-        self._instances.inc(max(1, len(node.stream_times)), operator=kind)
+        """Charge one node by label tuple; returns the wall it charged."""
+        key = (kind,)
+        self._instances.add(key, max(1, len(node.stream_times)))
         if node.tuples_in:
-            self._rows.inc(node.tuples_in, operator=kind, direction="in")
+            self._rows.add((kind, "in"), node.tuples_in)
         if node.tuples_out:
-            self._rows.inc(node.tuples_out, operator=kind, direction="out")
+            self._rows.add((kind, "out"), node.tuples_out)
         if node.batches:
-            self._batches.inc(node.batches, operator=kind)
+            self._batches.add(key, node.batches)
         if node.net_bytes:
-            self._net.inc(node.net_bytes, operator=kind)
+            self._net.add(key, node.net_bytes)
         wall = node.time
-        self._wall.inc(wall, operator=kind)
-        self._own.inc(node.own_seconds, operator=kind)
+        self._wall.add(key, wall)
+        self._own.add(key, node.own_seconds)
         for name, stat in node.kernels.items():
-            self._kcalls.inc(stat.calls, operator=kind, kernel=name)
+            pair = (kind, name)
+            self._kcalls.add(pair, stat.calls)
             if stat.rows:
-                self._krows.inc(stat.rows, operator=kind, kernel=name)
+                self._krows.add(pair, stat.rows)
             if stat.bytes:
-                self._kbytes.inc(stat.bytes, operator=kind, kernel=name)
+                self._kbytes.add(pair, stat.bytes)
             if stat.seconds:
-                self._kwall.inc(stat.seconds, operator=kind, kernel=name)
+                self._kwall.add(pair, stat.seconds)
         return wall
 
     # ----------------------------------------------------------- export

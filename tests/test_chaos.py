@@ -470,8 +470,9 @@ def _event_fingerprint(cluster):
 
 
 def _seeded_chaos_run(seed):
-    c = _chaos_cluster(chaos_seed=seed)
-    chaos = ChaosController(c, n_faults=10, crash_nodes=1).install()
+    c = _chaos_cluster()
+    chaos = ChaosController(c, seed=seed, n_faults=10,
+                            crash_nodes=1).install()
     qids = [c.submit(p) for p in (
         _stable_sum_plan(), _stable_count_plan(), _sort_plan())]
     results = [c.gather(q) for q in qids]
@@ -496,10 +497,3 @@ class TestDeterminism:
         plan_a = FaultPlan.generate(1, ["n1", "n2", "n3"], n_faults=8)
         plan_b = FaultPlan.generate(2, ["n1", "n2", "n3"], n_faults=8)
         assert plan_a.schedule() != plan_b.schedule()
-
-    def test_seed_defaults_to_config(self):
-        c = _chaos_cluster(chaos_seed=77)
-        chaos = ChaosController(c, n_faults=2)
-        assert chaos.seed == 77
-        assert chaos.plan.schedule() == FaultPlan.generate(
-            77, c.workers, n_faults=2).schedule()

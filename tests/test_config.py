@@ -21,11 +21,7 @@ from repro.common.config import Config
 SRC = pathlib.Path(repro.__file__).parent
 
 #: fields nothing in ``src/`` reads, each with the reason it stays
-UNREAD_ALLOWED = {
-    "blocks_per_group":
-        "benchmarks/e2e/harness.py:bench_config assigns it, and that file "
-        "may not change; reads are per block, so no IO-unit code uses it",
-}
+UNREAD_ALLOWED: dict = {}
 
 _GETATTR_LITERAL = re.compile(r'getattr\(\s*[^,()]+(?:\([^()]*\))?,\s*"(\w+)"')
 

@@ -35,6 +35,8 @@ from repro.obs import (
     default_rules,
     sql_fingerprint,
 )
+from repro.obs.introspect import _metrics_rows
+from repro.obs.monitor import WALL_CLOCK_FAMILIES
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 from repro.workload import manager as workload_manager
@@ -58,10 +60,10 @@ class _StubCluster:
 def _monitored_cluster(**overrides) -> VectorHCluster:
     config = Config().scaled_for_tests()
     config.workload_deterministic = True
-    config.monitor_cadence_s = 0.0  # sample every workload round
     for key, value in overrides.items():
         setattr(config, key, value)
     c = VectorHCluster(n_nodes=4, config=config)
+    c.monitor.history.cadence = 0.0  # sample every workload round
     c.create_table(TableSchema(
         "t", [Column("a", INT64), Column("b", INT64)],
         partition_key=("a",), n_partitions=4, clustered_on=("a",)))
@@ -148,7 +150,7 @@ class TestMetricsHistory:
         reg.counter("kept_total").inc()
         hist = MetricsHistory(reg, clock)
         sample = hist.sample()
-        names = {name for name, _ in sample.values}
+        names = {family.name for family in sample.values}
         assert "kept_total" in names
         assert not any(n.startswith("executor_stream_seconds")
                        for n in names)
@@ -187,6 +189,49 @@ class TestMetricsHistory:
         assert hist.series("lat_seconds_count") == [(0.0, 2.0)]
         ((_, total),) = hist.series("lat_seconds_sum")
         assert total == pytest.approx(0.75)
+
+    def test_a_sample_and_vh_metrics_flatten_alike(self):
+        c = _monitored_cluster()
+        for _ in range(3):
+            c.query(_sum_plan())
+        probe = c.registry.histogram("probe_seconds", labels=("node",),
+                                     buckets=(0.01, 1.0))
+        for node, value in (("n1", 0.5), ("n1", 0.005), ("n2", 2.0)):
+            probe.observe(value, node=node)
+        sample = c.monitor.history.sample()
+        live = _metrics_rows(c)  # the same instant: nothing ran between
+
+        def sampled(metric):
+            return not any(metric in (f, f + "_count", f + "_sum")
+                           for f in WALL_CLOCK_FAMILIES)
+
+        history = sorted((metric, labels, value)
+                         for seq, _t, metric, labels, value
+                         in c.monitor.history.rows() if seq == sample.seq)
+        assert history == sorted((metric, labels, value)
+                                 for metric, _kind, labels, value in live
+                                 if sampled(metric))
+        # the labelled histogram split per label set
+        assert ("probe_seconds_count", "node=n1", 2.0) in history
+        assert ("probe_seconds_sum", "node=n1", 0.505) in history
+        assert ("probe_seconds_count", "node=n2", 1.0) in history
+        assert ("probe_seconds_sum", "node=n2", 2.0) in history
+
+    def test_add_by_tuple_reaches_the_series_inc_does(self):
+        reg = MetricsRegistry()
+        c = reg.counter("ops_total", labels=("operator", "kernel"))
+        c.inc(2, operator="Aggr", kernel="aggr.group")
+        c.add(("Aggr", "aggr.group"), 3)
+        c.add(("MScan", "decode.pfor"))
+        assert c.get(operator="Aggr", kernel="aggr.group") == 5
+        assert c.get(operator="MScan", kernel="decode.pfor") == 1
+        assert c.copy() == {("Aggr", "aggr.group"): 5,
+                            ("MScan", "decode.pfor"): 1}
+        with pytest.raises(ReproError, match="cannot decrease"):
+            c.add(("Aggr", "aggr.group"), -1)
+        with pytest.raises(ReproError, match="cannot decrease"):
+            c.inc(-1, operator="Aggr", kernel="aggr.group")
+        assert c.get(operator="Aggr", kernel="aggr.group") == 5
 
 
 # ------------------------------------------------------------- HealthMonitor
