@@ -414,12 +414,20 @@ class VectorHCluster:
                           force: bool = False) -> Dict[str, int]:
         """Run update propagation where thresholds are exceeded (every
         partition with entries when ``force``; see
-        :meth:`StoredTable.propagate` for what an un-forced one defers)."""
+        :meth:`StoredTable.propagate` for what an un-forced one defers).
+
+        A partition whose snapshot a running query pinned is left for a
+        later call, where it is still due: that query's scan reads the
+        blocks and PDT layers it pinned, and propagation would delete the
+        one and fold the other into the stable image."""
         stats = {"tail": 0, "full": 0}
         names = [table] if table else list(self.tables)
+        pinned = self.workload.pinned_partitions()
         for name in names:
             stored = self.tables[name]
             for pid, node in enumerate(self.placement.owners(name)):
+                if (name, pid) in pinned:
+                    continue
                 if force or stored.needs_propagation(pid):
                     mode = stored.propagate(pid, writer=node, force=force)
                     if mode != "none":

@@ -73,7 +73,7 @@ class ColumnType:
         """Stored values as the engine sees them."""
         if not self._is_decimal:
             return values
-        return values.astype(np.float64) / 10 ** self.scale
+        return np.divide(values, 10 ** self.scale, dtype=np.float64)
 
     def engine_array(self, values: Sequence) -> np.ndarray:
         """Python values (SQL literals, CSV fields, snapshot rows) as one

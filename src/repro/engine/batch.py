@@ -274,7 +274,9 @@ def materialized(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 @dataclass
 class Batch:
-    """A horizontal slice of up to ``vector_size`` tuples, column-wise."""
+    """A horizontal slice of tuples, column-wise: a vector. Operators cut
+    and re-form vectors of ``vector_size`` tuples; a scan hands on one
+    block-range per vector, which may hold more."""
 
     columns: Dict[str, np.ndarray]
     n: int
@@ -366,11 +368,11 @@ def full_vectors(batches: Iterable[Optional[Batch]],
     batch handed on but the last carries at least ``vector_size`` rows.
     A ``None`` in the stream means "nothing more has arrived yet": the
     held rows are handed on short instead of waiting. Only
-    ``DXchgReceiver`` sends one (before it pumps its senders); ``Select``
-    and ``HashJoin`` never do, and the end of the stream is handled as one
-    last ``None``. A stream without a single row
-    still yields one empty batch carrying the column names and dtypes, and
-    closing this generator closes ``batches``.
+    ``DXchgReceiver`` sends one (before it pumps its senders);
+    ``StreamingScan``, ``Select`` and ``HashJoin`` never do, and the end
+    of the stream is handled as one last ``None``. A stream without a
+    single row still yields one empty batch carrying the column names and
+    dtypes, and closing this generator closes ``batches``.
     """
     template: Optional[Batch] = None
     held: List[Batch] = []

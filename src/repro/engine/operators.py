@@ -58,7 +58,8 @@ class Operator:
     memory_node: Optional[str] = None
 
     #: rows per vector this operator slices its output into and re-forms
-    #: short batches up to; a distributed executor stamps the cluster's
+    #: short batches up to; a distributed executor stamps the cluster's.
+    #: A streamed scan's vectors are block-ranges, which may be longer
     vector_size = DEFAULT_VECTOR_SIZE
 
     #: seconds this operator's stream spent inside its last ``execute``

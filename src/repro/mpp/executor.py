@@ -30,9 +30,8 @@ import numpy as np
 from repro.common.errors import ExecutionError
 from repro.engine.batch import (
     Batch,
-    batch_bytes,
-    batches_from_columns,
     concat_batches,
+    full_vectors,
     hash_inputs,
     materialized,
 )
@@ -211,8 +210,13 @@ class _RunContext:
 
 class StreamingScan(Operator):
     """Leaf: scans this stream's partitions lazily, one at a time, and
-    slices them into engine vectors -- the scan is part of the pipeline,
-    not a pre-materialized island."""
+    hands each piece of one (a block-range,
+    :meth:`~repro.storage.table.StoredTable.scan_pieces`) on as one
+    vector -- the scan is part of the pipeline, not a pre-materialized
+    island. Pieces a selective filter left short of ``vector_size`` are
+    joined into full vectors, as ``Select`` joins its own. While a piece
+    is out, the memory meter carries what the partition's scan keeps for
+    the pieces after it."""
 
     def __init__(self, cluster, phys: P.PScan, node: str, ctx: _RunContext):
         super().__init__(())
@@ -234,6 +238,9 @@ class StreamingScan(Operator):
                       for name in self.phys.columns}, 0)
 
     def _run(self):
+        return full_vectors(self._pieces(), self.vector_size)
+
+    def _pieces(self):
         cluster = self.cluster
         phys = self.phys
         table = cluster.table(phys.table)
@@ -249,25 +256,27 @@ class StreamingScan(Operator):
         if not table.is_replicated:
             owners = cluster.placement.owners(phys.table)
             pids = [pid for pid in pids if owners[pid] == self.node]
+        meter = self.memory_meter
         for pid in pids:
-            res = table.scan_partition(
+            pieces = table.scan_pieces(
                 pid, phys.columns, phys.skip_predicates,
                 trans=(trans.trans_for(phys.table, pid)
                        if trans and not table.is_virtual else None),
                 reader=self.node, pool=cluster.pool_of(self.node), **keyed,
             )
-            self.profile.key_filtered += res.key_filtered
-            held = batch_bytes(Batch.from_columns(res.columns))
-            if self.memory_meter is not None and held:
-                self.memory_meter.hold(self.memory_node, held)
             try:
-                for b in batches_from_columns(res.columns,
-                                              self.ctx.vector_size):
-                    yielded = yielded or bool(b.columns)
-                    yield b
+                for res in pieces:
+                    self.profile.key_filtered += res.key_filtered
+                    if meter is not None and res.held:
+                        meter.hold(self.memory_node, res.held)
+                    try:
+                        yielded = yielded or bool(res.columns)
+                        yield Batch(res.columns, res.n_rows)
+                    finally:
+                        if meter is not None and res.held:
+                            meter.release(self.memory_node, res.held)
             finally:
-                if self.memory_meter is not None and held:
-                    self.memory_meter.release(self.memory_node, held)
+                pieces.close()
         if not yielded:
             # this node owns no partitions (or none produced columns):
             # the schema must still flow downstream

@@ -14,9 +14,9 @@ The cluster describes itself through its own SQL engine:
   continuous profiler's per-operator stats and top-k hot paths. A
   :class:`VirtualTable` quacks like a
   :class:`~repro.storage.table.StoredTable` (schema, replication,
-  ``scan_partition``), so the binder, rewriter and streaming executor
-  treat them exactly like replicated base tables -- a ``SELECT`` against
-  ``vh$metrics`` runs through the normal MPP path.
+  ``scan_partition``, ``scan_pieces``), so the binder, rewriter and
+  streaming executor treat them exactly like replicated base tables --
+  a ``SELECT`` against ``vh$metrics`` runs through the normal MPP path.
 
 * **EXPLAIN ANALYZE** -- :meth:`VectorHCluster.explain_analyze` executes
   a logical plan and :func:`annotate_plan` renders the physical plan
@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.common.errors import StorageError
 from repro.common.types import FLOAT64, INT64, STRING, ColumnType
+from repro.engine.batch import Batch, batch_bytes
 from repro.mpp import plan as P
 from repro.obs.metrics import flatten, labels_text
 from repro.storage.schema import Column, TableSchema
@@ -83,6 +84,14 @@ class VirtualTable:
         n = len(rows)
         cols = {c: arrays[c] for c in dict.fromkeys(columns)}
         return ScanResult(cols, np.arange(n, dtype=np.int64), n)
+
+    def scan_pieces(self, pid: int, columns: Sequence[str],
+                    predicates: Sequence[Tuple[str, str, object]] = (),
+                    trans=None, reader: Optional[str] = None, pool=None):
+        """The snapshot as one piece."""
+        result = self.scan_partition(pid, columns)
+        result.held = batch_bytes(Batch(result.columns, result.n_rows))
+        yield result
 
 
 def _columns_from_rows(schema: TableSchema,

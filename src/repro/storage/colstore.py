@@ -32,7 +32,7 @@ from repro.compression import (
     decompress,
 )
 from repro.compression.base import StringImage, concat_stored, extended
-from repro.engine.batch import DictColumn, sorted_distinct
+from repro.engine.batch import Batch, DictColumn, batch_bytes, sorted_distinct
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.storage.buffer import BufferPool
@@ -123,6 +123,41 @@ class ColumnDictionaries:
         self._columns[name] = (dictionary, dict(zip(dictionary.tolist(),
                                                     range(len(dictionary)))))
         return self.adopt(name, column)
+
+
+class BlockCursor:
+    """Reads one column of a partition by row ranges that each lie in one
+    of its blocks, asked for in ascending order.
+
+    It reads the blocks the column had when the cursor was made (a later
+    append does not move them), and keeps the block it decoded last
+    until a read reaches that block's end: a block spanning several
+    ranges is read and decoded once.
+    """
+
+    def __init__(self, store: "PartitionStore", name: str,
+                 reader: Optional[str], pool: Optional[BufferPool]):
+        self._store, self._reader, self._pool = store, reader, pool
+        self._refs = list(store.blocks[name])
+        self._starts = list(store._row_starts[name])
+        self._at = -1
+        self._values = None
+        #: decoded bytes the cursor keeps for a later read
+        self.kept_bytes = 0
+
+    def read(self, lo: int, hi: int):
+        at = bisect_right(self._starts, lo) - 1
+        values = self._values
+        if at != self._at:
+            values = self._store._read_block(self._refs[at], self._reader,
+                                             self._pool)
+        if hi >= self._refs[at].row_end:
+            self._at, self._values, self.kept_bytes = -1, None, 0
+        elif at != self._at:
+            self._at, self._values = at, values
+            self.kept_bytes = batch_bytes(Batch({"": values}, len(values)))
+        start = self._starts[at]
+        return values[lo - start: hi - start]
 
 
 class PartitionStore:

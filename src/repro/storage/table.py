@@ -22,20 +22,22 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.config import Config
 from repro.common.errors import StorageError
-from repro.engine.batch import order_key
+from repro.engine.batch import Batch, batch_bytes, concat_columns, order_key
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.pdt.entries import EntryKind
 from repro.pdt.layer import PdtLayer, apply_entries, classify_entries
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
-from repro.storage.colstore import ColumnDictionaries, PartitionStore
+from repro.storage.colstore import (
+    BlockCursor, ColumnDictionaries, PartitionStore,
+)
 from repro.storage.minmax import TRIPLE_OPS
 from repro.storage.schema import TableSchema
 
@@ -46,13 +48,18 @@ PROPAGATE_FRACTION = 0.10
 
 @dataclass
 class ScanResult:
-    """Output of a partition scan: merged columns + true tuple identities."""
+    """Output of a partition scan (or one piece of it): merged columns +
+    true tuple identities."""
 
     columns: Dict[str, np.ndarray]
-    identities: np.ndarray  # encoded: stable sid >= 0, insert uid < 0
+    #: encoded: stable sid >= 0, insert uid < 0; None on a piece that
+    #: was not asked for them
+    identities: Optional[np.ndarray]
     n_rows: int
     #: rows that satisfied the predicates and fell to the ``key_filter``
     key_filtered: int = 0
+    #: bytes the scan holds while this piece is in flight
+    held: int = 0
 
 
 @dataclass
@@ -280,27 +287,62 @@ class StoredTable:
         pool: Optional[BufferPool] = None,
         key_filter: Optional[Tuple[Sequence[str], Callable]] = None,
     ) -> ScanResult:
-        """Scan one partition: the rows that satisfy ``predicates``.
+        """Scan one partition: the rows that satisfy ``predicates``, as
+        one result -- the pieces of :meth:`scan_pieces` put together,
+        with the row-aligned ``identities`` (true stable SIDs / insert
+        uids, so update operators can target tuples) that only this call
+        builds."""
+        pieces = list(self.scan_pieces(pid, columns, predicates, trans,
+                                       reader, pool, key_filter,
+                                       identities=True))
+        if len(pieces) == 1:
+            return pieces[0]
+        return ScanResult(
+            {c: concat_columns([p.columns[c] for p in pieces])
+             for c in pieces[0].columns},
+            np.concatenate([p.identities for p in pieces]),
+            sum(p.n_rows for p in pieces),
+            sum(p.key_filtered for p in pieces),
+        )
+
+    def scan_pieces(
+        self,
+        pid: int,
+        columns: Sequence[str],
+        predicates: Sequence[Tuple[str, str, object]] = (),
+        trans: Optional[TransPdt] = None,
+        reader: Optional[str] = None,
+        pool: Optional[BufferPool] = None,
+        key_filter: Optional[Tuple[Sequence[str], Callable]] = None,
+        identities: bool = False,
+    ) -> Iterator[ScanResult]:
+        """Scan one partition lazily: the rows that satisfy
+        ``predicates``, one piece per block-range -- a run of rows in
+        which no column the scan reads crosses a block edge. At least one
+        piece (maybe empty) per partition; nothing is read before the
+        first is asked for.
 
         ``predicates`` are conjunctive ``(col, op, literal)`` triples, ops
-        from :data:`repro.storage.minmax.TRIPLE_OPS`; the result --
-        ``columns`` *and* the row-aligned ``identities`` (true stable
-        SIDs / insert uids, so update operators can target tuples) --
-        holds qualifying rows only. A predicate column outside ``columns``
-        is read for the filter and not returned. Three steps, each working on what the
-        previous one left:
+        from :data:`repro.storage.minmax.TRIPLE_OPS`; a piece holds
+        qualifying rows only. A predicate column outside ``columns`` is
+        read for the filter and not returned. Per partition, at the first
+        piece:
 
         1. MinMax keeps the row ranges that may qualify (no data read);
         2. the predicate columns of those ranges are decoded and give the
            stable rows' mask; a block-range is dropped unless a stable
            row in it survives, a visible PDT insert is anchored in it or
-           a modify targets it;
-        3. the payload columns of the remaining ranges are read, the PDT
-           merged in positionally, and the exact mask applied to the
-           *merged* image in storage representation -- inserts and
-           modifies are tested on their new values, deleted rows are gone
-           before masking. Values leave storage representation only after
-           filtering.
+           a modify targets it.
+
+        Then, without visible PDT entries, each kept block-range is one
+        piece: its payload columns are decoded (each block once, however
+        many block-ranges it spans), cut by the mask and converted out of
+        storage representation. With entries, the kept ranges are read
+        and the PDT merged in positionally at once, the exact mask is
+        applied to the *merged* image in storage representation --
+        inserts and modifies are tested on their new values, deleted rows
+        are gone before masking -- and the image is handed on cut where
+        the stable block-ranges end.
 
         The filter is never stricter than SQL (see
         :meth:`storage_predicates`) but may be looser: the engine's
@@ -308,11 +350,14 @@ class StoredTable:
 
         ``key_filter`` -- ``(columns, member)``, from a join above whose
         build is finished -- is one more conjunct, decided with the
-        others in steps 2 and 3: ``member`` takes those columns (as
-        stored) and says per row whether the build has the key. A row it
-        drops would have left that join anyway. ``key_filtered`` counts
-        the rows only it dropped (a stable row deleted by a PDT entry
-        still counts if its whole block-range went).
+        others: ``member`` takes those columns (as stored) and says per
+        row whether the build has the key. A row it drops would have left
+        that join anyway. The first piece's ``key_filtered`` counts the
+        rows only it dropped in the partition (a stable row deleted by a
+        PDT entry still counts if its whole block-range went).
+
+        A piece's ``held`` is what the scan holds while it is in flight;
+        its ``identities`` are built only when asked (DML).
         """
         store = self.partitions[pid]
         entries = self.pdt[pid].scan_entries(trans)
@@ -326,10 +371,8 @@ class StoredTable:
         filter_cols = list(dict.fromkeys(
             [col for col, _, _ in triples]
             + list(key_filter[0] if key_filter else ())))
-        filtering = bool(filter_cols)
-        n_stable = store.n_stable
-        may_disorder = self.schema.is_clustered and self._may_disorder(
-            pid, entries, trans)
+        may_disorder = bool(entries) and self.schema.is_clustered and \
+            self._may_disorder(pid, entries, trans)
         # The predicate columns give the filter and the cluster key restores
         # sort order after merging non-tail PDT inserts: both are read
         # whether or not the query asked for them (and returned only if so).
@@ -338,71 +381,119 @@ class StoredTable:
             + (list(self.schema.clustered_on) if may_disorder else [])))
 
         candidates = sum(end - start for start, end in ranges)
-        stable_cols: Dict[str, np.ndarray] = {}
-        key_filtered = 0
-        if filtering:
-            # predicate columns first: their mask decides for which
-            # block-ranges the payload columns are read at all
-            stable_cols = {c: store.read_column(c, ranges, reader, pool)
-                           for c in filter_cols}
+        # predicate columns first: their mask decides for which
+        # block-ranges the payload columns are read at all
+        stable_cols = {c: store.read_column(c, ranges, reader, pool)
+                       for c in filter_cols}
+        mask = passed = None
+        if filter_cols:
             mask, passed = _row_masks(stable_cols, triples, key_filter,
                                       candidates)
-            ranges, alive = _surviving_ranges(store, ranges, mask, needed,
-                                              entries)
-            if alive is not None:
-                if key_filter is not None:  # SQL-passing rows dropped here
+        kept = _block_ranges(store, ranges, mask, needed, entries)
+        ctype = self.schema.ctype
+        if not entries:
+            key_filtered = self._count_filtered(
+                mask, passed, candidates,
+                candidates if mask is None else int(mask.sum()))
+            cursors = {c: BlockCursor(store, c, reader, pool)
+                       for c in requested if c not in stable_cols}
+            state = batch_bytes(Batch.from_columns(stable_cols)) + (
+                0 if mask is None else mask.nbytes)
+            if not kept:
+                yield ScanResult(
+                    {c: ctype(c).from_storage(store.read_column(c, ()))
+                     for c in requested},
+                    np.empty(0, dtype=np.int64) if identities else None, 0,
+                    key_filtered, state)
+            convert = {c: ctype(c).from_storage for c in requested}
+            for lo, hi, at in kept:
+                rows = slice(at, at + hi - lo)
+                cols = {c: (stable_cols[c][rows] if c in stable_cols
+                            else cursors[c].read(lo, hi)) for c in requested}
+                sids = (np.arange(lo, hi, dtype=np.int64) if identities
+                        else None)
+                n_rows = hi - lo
+                keep = None if mask is None else mask[rows]
+                if keep is not None and not keep.all():
+                    cols = {c: v[keep] for c, v in cols.items()}
+                    sids = sids[keep] if identities else None
+                    n_rows = int(np.count_nonzero(keep))
+                held = state + sum(c.kept_bytes for c in cursors.values())
+                yield ScanResult({c: convert[c](v) for c, v in cols.items()},
+                                 sids, n_rows, key_filtered, held)
+                key_filtered = 0
+            return
+
+        # with PDT entries: the kept block-ranges merged at once
+        key_filtered = 0
+        if mask is not None:
+            alive = np.zeros(candidates, dtype=bool)
+            for lo, hi, at in kept:
+                alive[at: at + hi - lo] = True
+            if not alive.all():
+                if passed is not mask:  # SQL-passing rows dropped here
                     key_filtered = int(passed.sum() - passed[alive].sum())
-                    passed = passed[alive]
-                mask = mask[alive]
                 stable_cols = {c: v[alive] for c, v in stable_cols.items()}
+        ranges = _merged_ranges(kept)
         for col in needed:
             if col not in stable_cols:
                 stable_cols[col] = store.read_column(col, ranges, reader,
                                                      pool)
-
-        if not entries:
-            identities = _identities_for_ranges(ranges)
-            result = ScanResult(stable_cols, identities, len(identities))
-        else:
-            sub_n, remapped, offsets = _remap_entries(
-                entries, ranges, store.n_stable
-            )
-            plan = None
-            if remapped is entries and trans is None:
-                # full-range, transaction-free scan: reuse the classified
-                # plan until the next commit bumps the stack version
-                plan = self._merge_plan(pid)
-            with kernel("scan.pdt_merge") as k:
-                merged = apply_entries(stable_cols, sub_n, remapped, needed,
-                                       plan=plan)
-                k.account(rows=merged.n_rows)
-            candidates += merged.n_rows - sub_n
-            result = ScanResult(
-                merged.columns,
-                _restore_identities(merged.identities, ranges, offsets),
-                merged.n_rows,
-            )
-            if filtering:
-                mask, passed = _row_masks(merged.columns, triples,
-                                          key_filter, merged.n_rows)
-        if filtering:
+        sub_n, remapped, offsets = _remap_entries(entries, ranges,
+                                                  store.n_stable)
+        plan = None
+        if remapped is entries and trans is None:
+            # full-range, transaction-free scan: reuse the classified
+            # plan until the next commit bumps the stack version
+            plan = self._merge_plan(pid)
+        with kernel("scan.pdt_merge") as k:
+            merged = apply_entries(stable_cols, sub_n, remapped, needed,
+                                   plan=plan)
+            k.account(rows=merged.n_rows)
+        cols, sids, n_rows = merged.columns, merged.identities, merged.n_rows
+        # a stable block-range ends before the first stable row past it;
+        # tail inserts follow the last one
+        stable = np.flatnonzero(sids >= 0)
+        ends = np.cumsum([hi - lo for lo, hi, _ in kept], dtype=np.int64)
+        cuts = np.append(np.append(stable, n_rows)[
+            np.searchsorted(sids[stable], ends)], n_rows)
+        if mask is not None:
+            mask, passed = _row_masks(cols, triples, key_filter, n_rows)
+            cuts = np.concatenate(([0], np.cumsum(mask)))[cuts]
             if not mask.all():
-                result = ScanResult(
-                    {c: v[mask] for c, v in result.columns.items()},
-                    result.identities[mask], int(mask.sum()),
-                )
-            if key_filter is not None:
-                key_filtered += int(passed.sum()) - result.n_rows
-            self._m_filtered.inc(candidates - result.n_rows - key_filtered,
-                                 table=self.schema.name)
+                cols = {c: v[mask] for c, v in cols.items()}
+                sids = sids[mask]
+            key_filtered = self._count_filtered(
+                mask, passed, candidates + n_rows - sub_n, len(sids),
+                key_filtered)
         if may_disorder:
-            result = _resort_clustered(result, self.schema.clustered_on)
-        result.columns = {
-            c: self.schema.ctype(c).from_storage(result.columns[c])
-            for c in requested
-        }
-        result.key_filtered = key_filtered
-        return result
+            cols, sids = _resort_clustered(cols, sids,
+                                           self.schema.clustered_on)
+        cols = {c: ctype(c).from_storage(cols[c]) for c in requested}
+        if identities:
+            sids = _restore_identities(sids, ranges, offsets)
+        held = batch_bytes(Batch(cols, len(sids)))
+        start = 0
+        for end in np.unique(cuts).tolist():
+            if end > start or end == len(sids) == 0:
+                yield ScanResult({c: v[start:end] for c, v in cols.items()},
+                                 sids[start:end] if identities else None,
+                                 end - start, key_filtered, held)
+                key_filtered, start = 0, end
+
+    def _count_filtered(self, mask, passed, candidates: int, n_rows: int,
+                        key_filtered: int = 0) -> int:
+        """Charge the rows the scan filter dropped of a partition's
+        ``candidates`` (``n_rows`` left; ``key_filtered`` of them already
+        known to have fallen to the key filter alone); returns all that
+        fell to the key filter alone."""
+        if mask is None:
+            return 0
+        if passed is not mask:
+            key_filtered += int(passed.sum()) - n_rows
+        self._m_filtered.inc(candidates - n_rows - key_filtered,
+                             table=self.schema.name)
+        return key_filtered
 
     def scan_merged(self, pid: int, columns: Sequence[str],
                     trans: Optional[TransPdt] = None,
@@ -607,18 +698,20 @@ def _row_masks(columns, triples, key_filter, n_rows: int):
         return passed & member([columns[c] for c in names]), passed
 
 
-def _surviving_ranges(store: PartitionStore, ranges, mask: np.ndarray,
-                      columns: Sequence[str], entries):
-    """Cut ``ranges`` at the block boundaries of ``columns`` and keep the
-    block-ranges the scan still has to read.
+def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
+                  columns: Sequence[str],
+                  entries) -> List[Tuple[int, int, int]]:
+    """Cut ``ranges`` at the block edges of ``columns`` and keep the
+    block-ranges the scan still has to read, as ``(lo, hi, at)``: rows
+    ``[lo, hi)``, the first of them at position ``at`` among the rows of
+    ``ranges``.
 
     A block-range stays when a stable row in it survives ``mask`` (one
-    bool per row of ``ranges``) -- or when the PDT can put a qualifying
-    row there: a visible insert anchored in it, or a modify of one of its
-    rows. (MinMax skipping gets this from ``widen``; data-driven pruning
-    has no such cover, and entries of dropped ranges are dropped by
-    :func:`_remap_entries`.) Returns the kept ranges, merged, and which
-    rows of the old ranges they cover (None when all of them).
+    bool per row of ``ranges``; None keeps every block-range) -- or when
+    the PDT can put a qualifying row there: a visible insert anchored in
+    it, or a modify of one of its rows. (MinMax skipping gets this from
+    ``widen``; data-driven pruning has no such cover, and entries of
+    dropped ranges are dropped by :func:`_remap_entries`.)
     """
     edges = sorted({ref.row_start for c in columns for ref in store.blocks[c]})
     pinned = sorted(
@@ -626,24 +719,29 @@ def _surviving_ranges(store: PartitionStore, ranges, mask: np.ndarray,
         for e in entries
         if e.kind.value == "insert"
         or (e.kind.value == "modify" and e.target[0] == "s")
-    )
-    kept: List[Tuple[int, int]] = []
-    alive = np.zeros(len(mask), dtype=bool)
+    ) if mask is not None else []
+    kept: List[Tuple[int, int, int]] = []
     pos = 0
     for start, end in ranges:
         inner = edges[bisect_left(edges, start + 1): bisect_left(edges, end)]
         for lo, hi in zip([start] + inner, inner + [end]):
-            rows = slice(pos, pos + hi - lo)
-            pos += hi - lo
-            touched = bisect_left(pinned, lo) < bisect_left(pinned, hi)
-            if not (touched or mask[rows].any()):
-                continue
-            alive[rows] = True
-            if kept and kept[-1][1] == lo:
-                kept[-1] = (kept[-1][0], hi)
-            else:
-                kept.append((lo, hi))
-    return kept, (None if alive.all() else alive)
+            at, pos = pos, pos + hi - lo
+            if (mask is None or mask[at:pos].any()
+                    or bisect_left(pinned, lo) < bisect_left(pinned, hi)):
+                kept.append((lo, hi, at))
+    return kept
+
+
+def _merged_ranges(kept) -> List[Tuple[int, int]]:
+    """The ``(lo, hi)`` of the block-ranges ``kept``, adjacent ones
+    joined."""
+    ranges: List[Tuple[int, int]] = []
+    for lo, hi, _ in kept:
+        if ranges and ranges[-1][1] == lo:
+            ranges[-1] = (ranges[-1][0], hi)
+        else:
+            ranges.append((lo, hi))
+    return ranges
 
 
 def _beside_tail(entries, n_stable: int) -> list:
@@ -678,14 +776,6 @@ def _inserts_may_disorder(entries, n_stable: int, cluster_key) -> bool:
             for c in reversed(cluster_key)]
     # a stable sort of keys already in order moves nothing
     return bool((np.lexsort(keys) != np.arange(len(inserts))).any())
-
-
-def _identities_for_ranges(ranges) -> np.ndarray:
-    if not ranges:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([
-        np.arange(start, end, dtype=np.int64) for start, end in ranges
-    ])
 
 
 def _remap_entries(entries, ranges, n_stable):
@@ -760,7 +850,7 @@ def _restore_identities(sub_identities: np.ndarray, ranges,
     return out
 
 
-def _resort_clustered(result: ScanResult, cluster_key) -> ScanResult:
+def _resort_clustered(columns, identities: np.ndarray, cluster_key):
     """Restore full sort order when PDT inserts landed locally unordered.
 
     Positional anchoring keeps the merge ordered in the common case
@@ -769,14 +859,9 @@ def _resort_clustered(result: ScanResult, cluster_key) -> ScanResult:
     same-anchor inserts actually broke the order.
     """
     keys = list(cluster_key)
-    first = result.columns[keys[0]]
+    first = columns[keys[0]]
     if len(first) < 2 or (first[1:] >= first[:-1]).all():
-        return result
+        return columns, identities
     order = np.lexsort(tuple(
-        order_key(result.columns[c]) for c in reversed(keys)))
-    return ScanResult(
-        {k: v[order] for k, v in result.columns.items()},
-        result.identities[order],
-        result.n_rows,
-    )
-
+        order_key(columns[c]) for c in reversed(keys)))
+    return {k: v[order] for k, v in columns.items()}, identities[order]

@@ -11,10 +11,10 @@ from repro.common.types import INT64
 from repro.engine import exchange, operators
 from repro.engine.batch import Batch, concat_batches, full_vectors
 from repro.engine.expressions import Col
-from repro.mpp import executor
 from repro.mpp.logical import LAggr, LJoin, LLimit, LScan, LSelect
 from repro.mpp.rewriter import RewriterFlags
 from repro.storage import Column, TableSchema
+from repro.storage.table import StoredTable
 
 
 def _batch(start, n):
@@ -131,8 +131,8 @@ def _profile(result, label):
 class TestThroughTheCluster:
     def test_limit_over_select_still_stops_its_input_early(self, monkeypatch):
         """Select now hands Limit up to one vector of qualifying rows
-        instead of its first short batch: a constant number of source
-        vectors per stream, not the 100 each stream could scan."""
+        instead of its first short batch: a constant number of scan
+        pieces per stream, not the block-ranges each stream could scan."""
         c = VectorHCluster(n_nodes=2, config=Config().scaled_for_tests())
         c.create_table(TableSchema(
             "t", [Column("a", INT64), Column("b", INT64)],
@@ -140,14 +140,14 @@ class TestThroughTheCluster:
         a = np.arange(2 * 100 * c.config.vector_size)
         c.bulk_load("t", {"a": a, "b": a % 10})
         scanned = []
-        slicer = executor.batches_from_columns
+        pieces = StoredTable.scan_pieces
 
-        def counting(columns, vector_size):
-            for batch in slicer(columns, vector_size):
-                scanned.append(batch.n)
-                yield batch
+        def counting(*args, **kwargs):
+            for piece in pieces(*args, **kwargs):
+                scanned.append(piece.n_rows)
+                yield piece
 
-        monkeypatch.setattr(executor, "batches_from_columns", counting)
+        monkeypatch.setattr(StoredTable, "scan_pieces", counting)
         plan = LLimit(LSelect(LScan("t", ["a", "b"]), Col("b") > 0), 5)
         assert c.query(plan).batch.n == 5
         assert 0 < len(scanned) <= 6

@@ -1,0 +1,152 @@
+"""The streamed scan: a partition is read one block-range at a time, and
+each block-range goes up the pipeline as one vector.
+
+``LIMIT`` stops the decoding, not only the rows; and a propagation asked
+for while a query is inside its partitions leaves them to a later call
+instead of deleting the blocks (or folding in the PDT entries) the
+query's pinned snapshot still reads.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.cluster import VectorHCluster
+from repro.common.config import Config
+from repro.common.types import INT64
+from repro.engine.expressions import Col
+from repro.mpp.logical import LLimit, LScan, LSelect
+from repro.storage import Column, TableSchema
+from repro.storage.colstore import PartitionStore
+from repro.storage.table import StoredTable
+
+#: rows per block of an INT64 column at the test block size (16 KB)
+BLOCK_ROWS = 2048
+
+
+def _cluster(blocks_per_partition: int = 6) -> VectorHCluster:
+    c = VectorHCluster(n_nodes=2, config=Config().scaled_for_tests())
+    c.create_table(TableSchema(
+        "t", [Column("a", INT64), Column("b", INT64)],
+        partition_key=("a",), n_partitions=4))
+    a = np.arange(4 * blocks_per_partition * BLOCK_ROWS)
+    c.bulk_load("t", {"a": a, "b": a % 10})
+    return c
+
+
+@pytest.fixture()
+def spied(monkeypatch):
+    """Blocks decoded per column, the partitions whose scan started and
+    the pieces handed on."""
+    decoded, started, handed = Counter(), [], []
+    read_block = PartitionStore._read_block
+
+    def counting_read(self, ref, *args, **kwargs):
+        decoded[ref.column] += 1
+        return read_block(self, ref, *args, **kwargs)
+
+    pieces = StoredTable.scan_pieces
+
+    def counting_pieces(self, pid, *args, **kwargs):
+        started.append(pid)
+        for piece in pieces(self, pid, *args, **kwargs):
+            handed.append(piece.n_rows)
+            yield piece
+
+    monkeypatch.setattr(PartitionStore, "_read_block", counting_read)
+    monkeypatch.setattr(StoredTable, "scan_pieces", counting_pieces)
+    return decoded, started, handed
+
+
+class TestLimitStopsDecoding:
+    def test_a_limit_over_the_scan_decodes_one_block_per_column(self, spied):
+        c = _cluster()
+        decoded, started, _ = spied
+        assert c.query(LLimit(LScan("t", ["a", "b"]), 10)).batch.n == 10
+        assert 0 < len(started) <= 4
+        # every stream that ran handed on one piece at most
+        assert decoded["a"] <= len(started)
+        assert decoded["b"] <= len(started)
+
+    def test_a_select_between_keeps_the_payload_lazy(self, spied):
+        """The predicate column is decoded for the partition's mask; the
+        payload column only for the pieces handed on."""
+        c = _cluster()
+        decoded, started, _ = spied
+        plan = LLimit(LSelect(LScan("t", ["a", "b"]), Col("b") > 0), 10)
+        assert c.query(plan).batch.n == 10
+        assert 0 < len(started) <= 4
+        assert decoded["a"] <= len(started)
+
+
+class TestPieces:
+    def test_one_piece_per_block_range(self):
+        c = _cluster(blocks_per_partition=3)
+        table = c.table("t")
+        for pid in range(table.n_partitions):
+            store = table.partitions[pid]
+            pieces = list(table.scan_pieces(pid, ["a", "b"]))
+            assert [p.n_rows for p in pieces] == \
+                [ref.n_rows for ref in store.blocks["a"]]
+            assert all(p.identities is None for p in pieces)
+            whole = table.scan_partition(pid, ["a", "b"])
+            assert np.concatenate([p.columns["a"] for p in pieces]).tolist() \
+                == whole.columns["a"].tolist()
+            assert whole.identities.tolist() == list(range(store.n_stable))
+
+    def test_a_partition_without_survivors_hands_on_one_empty_piece(self):
+        table = _cluster(blocks_per_partition=2).table("t")
+        pieces = list(table.scan_pieces(0, ["a"], [("b", ">", 100)]))
+        assert [p.n_rows for p in pieces] == [0]
+        assert pieces[0].columns["a"].dtype == np.int64
+
+
+def _rows_plan():
+    return LScan("t", ["a", "b"])
+
+
+def _answer(result):
+    return sorted(zip(*(v.tolist() for v in result.batch.columns.values())))
+
+
+class TestPropagationLeavesARunningScan:
+    @pytest.mark.parametrize("entries_first", [True, False])
+    def test_answer_is_the_snapshot_s(self, spied, entries_first):
+        """A query is inside its partitions (the first piece handed on,
+        not the last) when ``propagate_updates(force=True)`` runs: the
+        partitions it pinned are left for a later call, where they are
+        still due. With entries committed before the query the scan
+        merges them whole; committed after its first piece, the pinned
+        snapshot has none and the scan streams blocks a rewrite would
+        delete."""
+        c = _cluster()
+        _, _, handed = spied
+
+        def write():
+            c.update_where("t", Col("a") < 3000, {"b": Col("b") + 1000})
+            c.insert("t", {"a": np.array([-1, -2]), "b": np.array([5, 6])},
+                     force_pdt=True)
+
+        if entries_first:
+            write()
+        expected = _answer(c.query(_rows_plan()))
+        handed.clear()
+        qid = c.submit(_rows_plan())
+        while not handed:
+            c.workload.step()
+        assert c.workload.is_live(qid)
+        assert len(handed) < 4 * 6  # partitions x block-ranges
+        if not entries_first:
+            write()
+        stored = c.table("t")
+        due = [pid for pid in range(stored.n_partitions)
+               if stored.pdt[pid].total_entries()]
+        assert due
+        c.propagate_updates(force=True)
+        assert all(stored.pdt[pid].total_entries() for pid in due)
+        assert _answer(c.gather(qid)) == expected
+        after = _answer(c.query(_rows_plan()))
+        c.propagate_updates(force=True)
+        assert not any(stored.pdt[pid].total_entries() for pid in due)
+        assert _answer(c.query(_rows_plan())) == after

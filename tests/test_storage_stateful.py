@@ -5,7 +5,8 @@ STRING, INT64, DATE and DECIMAL columns, blocks of a few dozen rows so
 every column has several) through insert / delete / modify / commit /
 abort / tail flush / forced propagation / un-forced propagation (a tail
 flush that keeps the other entries until they are due) / filtered scan
-(with or without a join's key set as one more conjunct). The model is a
+(with or without a join's key set as one more conjunct), each scan also
+walked piece by piece as a streaming scan reads it. The model is a
 plain list of rows in engine values; DECIMAL prices are written as Python
 floats and as Python ints, and either must read back as written. After
 every step the committed image -- and the open transaction's, if there is
@@ -26,6 +27,7 @@ RAW blocks) and runs of one short string (PDICT blocks), and written with
 both kinds.
 """
 
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -268,12 +270,39 @@ class ClusteredTableMachine(RuleBasedStateMachine):
             0, NAMES, predicates=[(column, op, literal)], trans=self.trans,
             key_filter=key_filter)
         assert Counter(self._as_rows(result)) == Counter(expected)
+        self._check_pieces(result, self.trans, [(column, op, literal)],
+                           key_filter)
         # rows only the key set dropped (a deleted stable row may still
         # count, if its whole block-range went)
         assert result.key_filtered >= len(passing) - len(expected)
         assert key_filter is not None or result.key_filtered == 0
 
     # ------------------------------------------------------------- invariants
+
+    def _check_pieces(self, result, trans, predicates=(), key_filter=None):
+        """The streamed pieces of the scan that gave ``result``: they put
+        it together row for row, in cluster order, and without visible
+        PDT entries each lies in one block-range of the columns read, a
+        later piece in a later one."""
+        pieces = list(self.table.scan_pieces(
+            0, NAMES, predicates, trans=trans, key_filter=key_filter,
+            identities=True))
+        assert pieces
+        rows = [row for piece in pieces for row in self._as_rows(piece)]
+        assert rows == self._as_rows(result)
+        assert [i for p in pieces for i in p.identities.tolist()] == \
+            result.identities.tolist()
+        keys = [r[1] for r in rows]
+        assert keys == sorted(keys), "pieces left cluster order"
+        if self.stack.scan_entries(trans):
+            return
+        edges = sorted({ref.row_start for refs in self.store.blocks.values()
+                        for ref in refs})
+        at = [(bisect_right(edges, p.identities[0]),
+               bisect_right(edges, p.identities[-1]))
+              for p in pieces if p.n_rows]
+        assert all(first == last for first, last in at), "piece crosses an edge"
+        assert [first for first, _ in at] == sorted({f for f, _ in at})
 
     def _check_image(self, trans, model):
         image = self.table.scan_merged(0, NAMES, trans=trans)
@@ -286,6 +315,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         assert len(set(r[0] for r in rows)) == len(rows)
         keys = [r[1] for r in rows]
         assert keys == sorted(keys), "scan left cluster order"
+        self._check_pieces(image, trans)
 
     @invariant()
     def images_hold_the_model(self):
