@@ -190,9 +190,11 @@ class VectorHCluster:
         so the default first-copy-on-the-writer rule already lands the
         primary replica locally. A partition whose WAL holds records
         logs its new MinMax: a replay must not restore one older than the
-        blocks."""
+        blocks. A partition a running query reads takes no rows
+        (``StorageError``, nothing written)."""
         stored, owners = self.tables[table], self.placement.owners(table)
-        stored.bulk_load(columns, dict(enumerate(owners)))
+        stored.bulk_load(columns, dict(enumerate(owners)),
+                         busy=self._pinned_pids(table))
         for pid, node in enumerate(owners):
             if self.hdfs.file_size(self.wal.partition_wal_path(table, pid)):
                 self.wal.log_minmax(table, pid,
@@ -323,11 +325,15 @@ class VectorHCluster:
         """Insert rows (engine values, as :meth:`bulk_load` takes them).
         Unordered tables take large inserts as direct appends; small
         inserts (or ``force_pdt``) buffer in PDTs -- "for very small
-        inserts this provides better performance (no IO)"."""
+        inserts this provides better performance (no IO)". So do large
+        ones while a running query reads the table: its scans keep their
+        snapshot, and the append would delete the partial blocks they
+        read."""
         stored = self.tables[table]
         n = len(columns[stored.schema.column_names[0]])
         if (not stored.schema.is_clustered and not force_pdt
-                and n >= DIRECT_APPEND_THRESHOLD):
+                and n >= DIRECT_APPEND_THRESHOLD
+                and not self._pinned_pids(table)):
             self.bulk_load(table, columns)
             return
         own_txn = trans is None
@@ -336,6 +342,12 @@ class VectorHCluster:
         stored.insert_rows(columns, lambda pid: trans.trans_for(table, pid))
         if own_txn:
             trans.commit()
+
+    def _pinned_pids(self, table: str) -> set:
+        """The partitions of ``table`` whose snapshot a running query
+        holds."""
+        return {pid for name, pid in self.workload.pinned_partitions()
+                if name == table}
 
     def _change_where(self, table: str, predicate: Expr,
                       columns: Sequence[str],

@@ -1,15 +1,19 @@
 """Positional merging: applying a pile of delta entries to a stable image.
 
 ``apply_entries`` is the scan-side half of the PDT design: it merges the
-differences into a table scan *by position*, with no key comparisons. It is
-called for every query (via the table scan operator) with the union of the
-Read-, Write- and Trans-PDT entry lists, which share one anchor space (the
-stable on-disk image).
+differences into a table scan *by position*, with no key comparisons. The
+union of the Read-, Write- and Trans-PDT entry lists shares one anchor
+space (the stable on-disk image); ``classify_entries`` replays it into a
+:class:`MergePlan`, whose :meth:`MergePlan.within` hands the table scan
+the entries of one block-range. The scan merges a block-range only when
+an insert or a modify touches it; deletes alone become its mask.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -19,19 +23,17 @@ from repro.engine.batch import as_column
 from repro.pdt.entries import (
     DeltaEntry,
     EntryKind,
-    Identity,
-    decode_identity,
     encode_identity,
 )
 
 
 @dataclass
 class MergeResult:
-    """The up-to-date image of one table partition.
+    """The up-to-date image of (a row range of) one table partition.
 
     ``identities`` is aligned with the merged rows: ``identities[rid]`` is
-    the encoded identity (stable SID >= 0, inserts < 0), which is how update
-    queries address tuples and how SID<->RID translation is answered.
+    the encoded identity (stable SID >= 0, inserts < 0), which is how
+    update queries address tuples.
     """
 
     columns: Dict[str, np.ndarray]
@@ -39,37 +41,43 @@ class MergeResult:
     n_rows: int
     n_stable: int
 
-    def rid_to_identity(self, rid: int) -> Identity:
-        return decode_identity(int(self.identities[rid]))
-
-    def sid_to_rid(self, sid: int) -> Optional[int]:
-        """Current position of stable tuple ``sid`` (None when deleted)."""
-        pos = np.searchsorted(self._stable_sids(), sid)
-        sids = self._stable_sids()
-        if pos < len(sids) and sids[pos] == sid:
-            return int(self._stable_rids()[pos])
-        return None
-
-    def rid_to_sid(self, rid: int) -> Optional[int]:
-        """Stable position of the tuple at ``rid`` (None for fresh inserts)."""
-        code = int(self.identities[rid])
-        return code if code >= 0 else None
-
-    def _stable_sids(self) -> np.ndarray:
-        mask = self.identities >= 0
-        return self.identities[mask]
-
-    def _stable_rids(self) -> np.ndarray:
-        return np.flatnonzero(self.identities >= 0)
-
 
 @dataclass
 class MergePlan:
-    """Classified delta entries, ready to merge (cacheable per version)."""
+    """Classified delta entries, ready to merge (cacheable per version).
+    Each kind is in the order of the stable row it touches, so the
+    entries of a row range are found by bisection (:meth:`within`)."""
 
-    deleted_sids: set
-    mods_stable: Dict[int, Dict[str, object]]
+    deleted: List[int]  # stable sids, ascending
+    mods_stable: Dict[int, Dict[str, object]]  # keyed in ascending sid
     inserts: List[DeltaEntry]  # live, sorted by (anchor, seq)
+
+    def __post_init__(self):
+        self.anchors = [e.anchor_sid for e in self.inserts]
+        self.modified = list(self.mods_stable)
+
+    @cached_property
+    def pins(self) -> List[int]:
+        """The stable rows an insert is anchored at or a modify writes,
+        ascending."""
+        return sorted(self.anchors + self.modified)
+
+    def within(self, lo: int, hi: int,
+               tail_from: Optional[int] = None) -> "MergePlan":
+        """The entries touching stable rows ``[lo, hi)`` and, given
+        ``tail_from``, the inserts anchored at or past it -- the same
+        entry objects, none cloned."""
+        anchors, modified = self.anchors, self.modified
+        inserts = self.inserts[bisect_left(anchors, lo):
+                               bisect_left(anchors, hi)]
+        if tail_from is not None:
+            inserts += self.inserts[bisect_left(anchors, max(hi, tail_from)):]
+        return MergePlan(
+            self.deleted[bisect_left(self.deleted, lo):
+                         bisect_left(self.deleted, hi)],
+            {sid: self.mods_stable[sid] for sid in modified[
+                bisect_left(modified, lo): bisect_left(modified, hi)]},
+            inserts)
 
 
 def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
@@ -107,7 +115,8 @@ def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
                     values=merged,
                 )
     inserts = sorted(live_inserts.values(), key=lambda e: e.sort_key())
-    return MergePlan(deleted_sids, mods_stable, inserts)
+    return MergePlan(sorted(deleted_sids), dict(sorted(mods_stable.items())),
+                     inserts)
 
 
 def apply_entries(
@@ -116,6 +125,7 @@ def apply_entries(
     entries: Sequence[DeltaEntry],
     columns_wanted: Sequence[str] | None = None,
     plan: Optional[MergePlan] = None,
+    base: int = 0,
 ) -> MergeResult:
     """Merge delta entries into the stable image, positionally.
 
@@ -126,30 +136,34 @@ def apply_entries(
     classification of the same entries. A dictionary-coded stable column
     stays coded, a :class:`~repro.compression.base.StringImage` stays an
     image: the entries' strings join its dictionary or its buffer.
+
+    ``base``: the stable columns are the partition's rows ``[base, base +
+    n_stable)``, and ``plan`` holds the entries of those rows (inserts
+    anchored past them come last) -- one block-range of a scan
+    (:meth:`MergePlan.within`). Identities stay the partition's.
     """
     names = list(columns_wanted) if columns_wanted is not None else list(
         stable_columns
     )
     if not entries:
         cols = {c: as_column(stable_columns[c]) for c in names}
-        identities = np.arange(n_stable, dtype=np.int64)
+        identities = np.arange(base, base + n_stable, dtype=np.int64)
         return MergeResult(cols, identities, n_stable, n_stable)
 
     if plan is None:
         plan = classify_entries(entries)
-    deleted_sids = plan.deleted_sids
-    mods_stable = plan.mods_stable
     inserts = plan.inserts
 
+    # positions below are the rows of ``stable_columns``
     keep = np.ones(n_stable, dtype=bool)
-    if deleted_sids:
-        keep[np.fromiter(deleted_sids, dtype=np.int64)] = False
-    kept_sids = np.flatnonzero(keep).astype(np.int64)
+    if plan.deleted:
+        keep[np.asarray(plan.deleted, dtype=np.int64) - base] = False
+    kept_sids = np.flatnonzero(keep)
 
     n_ins = len(inserts)
     n_kept = len(kept_sids)
     total = n_kept + n_ins
-    tail_only = all(e.anchor_sid >= n_stable for e in inserts)
+    tail_only = all(e.anchor_sid >= base + n_stable for e in inserts)
 
     if tail_only:
         # Fast path (the dominant case: trickle appends + deletes): kept
@@ -162,7 +176,8 @@ def apply_entries(
         # Interleave kept stable tuples and inserts by (anchor, rank, seq).
         anchor = np.concatenate([
             kept_sids,
-            np.fromiter((e.anchor_sid for e in inserts), np.int64, n_ins),
+            np.fromiter((e.anchor_sid for e in inserts), np.int64, n_ins)
+            - base,
         ])
         rank = np.concatenate([
             np.ones(n_kept, np.int64), np.zeros(n_ins, np.int64),
@@ -179,7 +194,7 @@ def apply_entries(
         ins_src = order[~is_stable_src] - n_kept
 
     out_identities = np.empty(total, dtype=np.int64)
-    out_identities[stable_positions] = gather_sids
+    out_identities[stable_positions] = gather_sids + base
     if n_ins:
         out_identities[insert_positions] = np.fromiter(
             (encode_identity(("i", inserts[i].uid)) for i in ins_src),
@@ -197,7 +212,8 @@ def apply_entries(
     for name in names:
         values = [inserts[i].values[name] for i in ins_order]
         modified = []
-        for sid, colvals in mods_stable.items():
+        for sid, colvals in plan.mods_stable.items():
+            sid -= base
             if name not in colvals or not keep[sid]:
                 continue
             # gather_sids is sorted in both paths, so locate by bisection

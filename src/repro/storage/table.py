@@ -22,7 +22,9 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Collection, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -32,7 +34,9 @@ from repro.engine.batch import Batch, batch_bytes, concat_columns, order_key
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.pdt.entries import EntryKind
-from repro.pdt.layer import PdtLayer, apply_entries, classify_entries
+from repro.pdt.layer import (
+    MergePlan, PdtLayer, apply_entries, classify_entries,
+)
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
 from repro.storage.colstore import (
@@ -216,8 +220,9 @@ class StoredTable:
 
     def _partitioned(self, columns: Dict[str, np.ndarray]):
         """Engine rows (every schema column) as stored, split by the
-        partition their key hashes to: ``(pid, columns)`` for each
-        partition that gets rows."""
+        partition their key hashes to: the pids that get rows, ascending,
+        and ``(pid, columns)`` for each of them, cut as they are asked
+        for."""
         ctype = self.schema.ctype
         arrays = {
             name: np.asarray(ctype(name).to_storage(columns[name]),
@@ -229,10 +234,14 @@ class StoredTable:
                 [arrays[k] for k in self.schema.partition_key])
         else:
             pids = np.zeros(len(next(iter(arrays.values()))), dtype=np.int64)
-        for pid in range(self.n_partitions):
-            mask = pids == pid
-            if mask.any():
+        present = np.flatnonzero(
+            np.bincount(pids, minlength=self.n_partitions)).tolist()
+
+        def split():
+            for pid in present:
+                mask = pids == pid
                 yield pid, {name: arr[mask] for name, arr in arrays.items()}
+        return present, split()
 
     def _record_minmax(self, store: PartitionStore,
                        ranges: Sequence[Tuple[int, int]],
@@ -251,21 +260,31 @@ class StoredTable:
     # ------------------------------------------------------------------- loads
 
     def bulk_load(self, columns: Dict[str, np.ndarray],
-                  writers: Optional[Dict[int, str]] = None) -> None:
+                  writers: Optional[Dict[int, str]] = None,
+                  busy: Collection[int] = ()) -> None:
         """Write engine rows straight into the column store: hash-partition
         them, sort clustered partitions, append (the initial load, and
         the direct append of a large insert into an unordered table).
 
         Clustered tables only accept bulk loads into empty partitions;
-        later inserts must go through PDTs (:meth:`insert_rows`).
+        later inserts must go through PDTs (:meth:`insert_rows`). Nor
+        does a partition in ``busy`` take rows: a running scan reads it,
+        and an append deletes the partial block it may still read. Either
+        refusal comes before anything is written.
         """
-        for pid, part_cols in self._partitioned(columns):
+        present, parts = self._partitioned(columns)
+        for pid in present:
+            if pid in busy:
+                raise StorageError(
+                    f"bulk load into partition {pid} of {self.name}, "
+                    "which a running query reads")
+            if self.schema.is_clustered and self.partitions[pid].n_stable:
+                raise StorageError(
+                    "bulk load into non-empty clustered partition; "
+                    "use insert_rows (PDT) instead"
+                )
+        for pid, part_cols in parts:
             if self.schema.is_clustered:
-                if self.partitions[pid].n_stable:
-                    raise StorageError(
-                        "bulk load into non-empty clustered partition; "
-                        "use insert_rows (PDT) instead"
-                    )
                 part_cols = _in_cluster_order(part_cols,
                                               self.schema.clustered_on)
             writer = writers.get(pid) if writers else None
@@ -334,15 +353,18 @@ class StoredTable:
            row in it survives, a visible PDT insert is anchored in it or
            a modify targets it.
 
-        Then, without visible PDT entries, each kept block-range is one
-        piece: its payload columns are decoded (each block once, however
-        many block-ranges it spans), cut by the mask and converted out of
-        storage representation. With entries, the kept ranges are read
-        and the PDT merged in positionally at once, the exact mask is
-        applied to the *merged* image in storage representation --
-        inserts and modifies are tested on their new values, deleted rows
-        are gone before masking -- and the image is handed on cut where
-        the stable block-ranges end.
+        Then each kept block-range is one piece, and the visible PDT
+        entries of its rows (:meth:`MergePlan.within`; the last piece
+        also takes the inserts anchored past the last stable row) are
+        applied to it alone. Its payload columns are decoded (each block
+        once, however many block-ranges it spans). Rows it deletes are
+        one more ``False`` in the mask -- the others keep their values,
+        so their mask holds. With an insert or a modify the piece is
+        merged positionally, and the exact mask is taken on the *merged*
+        rows in storage representation (inserts and modifies are tested
+        on their new values); it is re-sorted on the cluster key if
+        inserts may have broken the order. The piece is cut by its mask
+        and converted out of storage representation.
 
         The filter is never stricter than SQL (see
         :meth:`storage_predicates`) but may be looser: the engine's
@@ -352,15 +374,20 @@ class StoredTable:
         build is finished -- is one more conjunct, decided with the
         others: ``member`` takes those columns (as stored) and says per
         row whether the build has the key. A row it drops would have left
-        that join anyway. The first piece's ``key_filtered`` counts the
-        rows only it dropped in the partition (a stable row deleted by a
-        PDT entry still counts if its whole block-range went).
+        that join anyway. A piece's ``key_filtered`` counts the rows only
+        it dropped in that piece; the first piece's also those of the
+        dropped block-ranges (a stable row deleted by a PDT entry counts
+        there too).
 
         A piece's ``held`` is what the scan holds while it is in flight;
         its ``identities`` are built only when asked (DML).
         """
         store = self.partitions[pid]
         entries = self.pdt[pid].scan_entries(trans)
+        # the committed entries' plan is kept until the next commit bumps
+        # the stack version
+        plan = (_NO_ENTRIES if not entries else self._merge_plan(pid)
+                if trans is None else classify_entries(entries))
         triples = self.storage_predicates(predicates)
         with kernel("scan.minmax"):
             ranges = store.minmax.qualifying_ranges(triples, store.n_stable)
@@ -389,111 +416,86 @@ class StoredTable:
         if filter_cols:
             mask, passed = _row_masks(stable_cols, triples, key_filter,
                                       candidates)
-        kept = _block_ranges(store, ranges, mask, needed, entries)
+        # no block-range kept: one empty piece, which the inserts past
+        # the last stable row still reach
+        kept = _block_ranges(store, ranges, mask, needed, plan) or [
+            (store.n_stable, store.n_stable, candidates)]
+        filtered = key_filtered = 0
+        if mask is not None:
+            # the rows of the dropped block-ranges go with the first
+            # piece: no stable row in them survives the mask
+            key_filtered = np.count_nonzero(passed) - sum(
+                np.count_nonzero(passed[at: at + hi - lo])
+                for lo, hi, at in kept) if key_filter else 0
+            filtered = (candidates - sum(hi - lo for lo, hi, _ in kept)
+                        - key_filtered)
+        cursors = {c: BlockCursor(store, c, reader, pool)
+                   for c in needed if c not in stable_cols}
+        state = batch_bytes(Batch.from_columns(stable_cols)) + (
+            0 if mask is None else mask.nbytes)
         ctype = self.schema.ctype
-        if not entries:
-            key_filtered = self._count_filtered(
-                mask, passed, candidates,
-                candidates if mask is None else int(mask.sum()))
-            cursors = {c: BlockCursor(store, c, reader, pool)
-                       for c in requested if c not in stable_cols}
-            state = batch_bytes(Batch.from_columns(stable_cols)) + (
-                0 if mask is None else mask.nbytes)
-            if not kept:
-                yield ScanResult(
-                    {c: ctype(c).from_storage(store.read_column(c, ()))
-                     for c in requested},
-                    np.empty(0, dtype=np.int64) if identities else None, 0,
-                    key_filtered, state)
-            convert = {c: ctype(c).from_storage for c in requested}
-            for lo, hi, at in kept:
+        convert = {c: ctype(c).from_storage for c in requested}
+
+        last = len(kept) - 1
+        try:
+            for i, (lo, hi, at) in enumerate(kept):
                 rows = slice(at, at + hi - lo)
-                cols = {c: (stable_cols[c][rows] if c in stable_cols
-                            else cursors[c].read(lo, hi)) for c in requested}
-                sids = (np.arange(lo, hi, dtype=np.int64) if identities
-                        else None)
-                n_rows = hi - lo
-                keep = None if mask is None else mask[rows]
+                piece = plan.within(
+                    lo, hi, store.n_stable if i == last else None
+                ) if entries else plan
+                merge = bool(piece.inserts or piece.mods_stable)
+                if hi > lo:
+                    cols = {c: stable_cols[c][rows] if c in stable_cols
+                            else cursors[c].read(lo, hi)
+                            for c in (needed if merge else requested)}
+                else:  # the empty piece
+                    cols = {c: store.read_column(c, ())
+                            for c in (needed if merge else requested)}
+                if merge:
+                    with kernel("scan.pdt_merge") as k:
+                        merged = apply_entries(cols, hi - lo, entries,
+                                               needed, plan=piece, base=lo)
+                        k.account(rows=merged.n_rows)
+                    cols, sids, n_in = merged.columns, merged.identities, \
+                        merged.n_rows
+                    keep = here = None
+                    if mask is not None:
+                        keep, here = _row_masks(cols, triples, key_filter,
+                                                n_in)
+                else:
+                    sids = (np.arange(lo, hi, dtype=np.int64) if identities
+                            else None)
+                    n_in = hi - lo - len(piece.deleted)
+                    keep = None if mask is None else mask[rows]
+                    here = passed[rows] if key_filter else None
+                    if piece.deleted:
+                        alive = np.ones(hi - lo, dtype=bool)
+                        alive[np.asarray(piece.deleted) - lo] = False
+                        keep = alive if keep is None else keep & alive
+                        here = here & alive if key_filter else None
+                n_rows = n_in
                 if keep is not None and not keep.all():
                     cols = {c: v[keep] for c, v in cols.items()}
-                    sids = sids[keep] if identities else None
+                    sids = sids[keep] if sids is not None else None
                     n_rows = int(np.count_nonzero(keep))
+                if mask is not None:
+                    # of n_in rows, n_passed satisfy every triple
+                    n_passed = np.count_nonzero(here) if key_filter \
+                        else n_rows
+                    filtered += n_in - n_passed
+                    key_filtered += n_passed - n_rows
+                if merge and may_disorder:
+                    cols, sids = _resort_clustered(cols, sids,
+                                                   self.schema.clustered_on)
                 held = state + sum(c.kept_bytes for c in cursors.values())
-                yield ScanResult({c: convert[c](v) for c, v in cols.items()},
-                                 sids, n_rows, key_filtered, held)
+                yield ScanResult({c: convert[c](cols[c]) for c in requested},
+                                 sids if identities else None, n_rows,
+                                 int(key_filtered), held)
                 key_filtered = 0
-            return
-
-        # with PDT entries: the kept block-ranges merged at once
-        key_filtered = 0
-        if mask is not None:
-            alive = np.zeros(candidates, dtype=bool)
-            for lo, hi, at in kept:
-                alive[at: at + hi - lo] = True
-            if not alive.all():
-                if passed is not mask:  # SQL-passing rows dropped here
-                    key_filtered = int(passed.sum() - passed[alive].sum())
-                stable_cols = {c: v[alive] for c, v in stable_cols.items()}
-        ranges = _merged_ranges(kept)
-        for col in needed:
-            if col not in stable_cols:
-                stable_cols[col] = store.read_column(col, ranges, reader,
-                                                     pool)
-        sub_n, remapped, offsets = _remap_entries(entries, ranges,
-                                                  store.n_stable)
-        plan = None
-        if remapped is entries and trans is None:
-            # full-range, transaction-free scan: reuse the classified
-            # plan until the next commit bumps the stack version
-            plan = self._merge_plan(pid)
-        with kernel("scan.pdt_merge") as k:
-            merged = apply_entries(stable_cols, sub_n, remapped, needed,
-                                   plan=plan)
-            k.account(rows=merged.n_rows)
-        cols, sids, n_rows = merged.columns, merged.identities, merged.n_rows
-        # a stable block-range ends before the first stable row past it;
-        # tail inserts follow the last one
-        stable = np.flatnonzero(sids >= 0)
-        ends = np.cumsum([hi - lo for lo, hi, _ in kept], dtype=np.int64)
-        cuts = np.append(np.append(stable, n_rows)[
-            np.searchsorted(sids[stable], ends)], n_rows)
-        if mask is not None:
-            mask, passed = _row_masks(cols, triples, key_filter, n_rows)
-            cuts = np.concatenate(([0], np.cumsum(mask)))[cuts]
-            if not mask.all():
-                cols = {c: v[mask] for c, v in cols.items()}
-                sids = sids[mask]
-            key_filtered = self._count_filtered(
-                mask, passed, candidates + n_rows - sub_n, len(sids),
-                key_filtered)
-        if may_disorder:
-            cols, sids = _resort_clustered(cols, sids,
-                                           self.schema.clustered_on)
-        cols = {c: ctype(c).from_storage(cols[c]) for c in requested}
-        if identities:
-            sids = _restore_identities(sids, ranges, offsets)
-        held = batch_bytes(Batch(cols, len(sids)))
-        start = 0
-        for end in np.unique(cuts).tolist():
-            if end > start or end == len(sids) == 0:
-                yield ScanResult({c: v[start:end] for c, v in cols.items()},
-                                 sids[start:end] if identities else None,
-                                 end - start, key_filtered, held)
-                key_filtered, start = 0, end
-
-    def _count_filtered(self, mask, passed, candidates: int, n_rows: int,
-                        key_filtered: int = 0) -> int:
-        """Charge the rows the scan filter dropped of a partition's
-        ``candidates`` (``n_rows`` left; ``key_filtered`` of them already
-        known to have fallen to the key filter alone); returns all that
-        fell to the key filter alone."""
-        if mask is None:
-            return 0
-        if passed is not mask:
-            key_filtered += int(passed.sum()) - n_rows
-        self._m_filtered.inc(candidates - n_rows - key_filtered,
-                             table=self.schema.name)
-        return key_filtered
+        finally:
+            # the rows the filter dropped of the pieces handed on
+            if mask is not None:
+                self._m_filtered.add((self.schema.name,), int(filtered))
 
     def scan_merged(self, pid: int, columns: Sequence[str],
                     trans: Optional[TransPdt] = None,
@@ -508,7 +510,7 @@ class StoredTable:
                     trans_for: Callable[[int], TransPdt]) -> None:
         """Trickle-insert engine rows, each through the Trans-PDT
         ``trans_for(pid)`` of the partition its key hashes to."""
-        for pid, arrays in self._partitioned(rows):
+        for pid, arrays in self._partitioned(rows)[1]:
             trans = trans_for(pid)
             n = len(next(iter(arrays.values())))
             store = self.partitions[pid]
@@ -698,9 +700,13 @@ def _row_masks(columns, triples, key_filter, n_rows: int):
         return passed & member([columns[c] for c in names]), passed
 
 
+#: the plan of a partition without visible PDT entries
+_NO_ENTRIES = MergePlan([], {}, [])
+
+
 def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
                   columns: Sequence[str],
-                  entries) -> List[Tuple[int, int, int]]:
+                  plan: MergePlan) -> List[Tuple[int, int, int]]:
     """Cut ``ranges`` at the block edges of ``columns`` and keep the
     block-ranges the scan still has to read, as ``(lo, hi, at)``: rows
     ``[lo, hi)``, the first of them at position ``at`` among the rows of
@@ -708,18 +714,13 @@ def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
 
     A block-range stays when a stable row in it survives ``mask`` (one
     bool per row of ``ranges``; None keeps every block-range) -- or when
-    the PDT can put a qualifying row there: a visible insert anchored in
-    it, or a modify of one of its rows. (MinMax skipping gets this from
-    ``widen``; data-driven pruning has no such cover, and entries of
-    dropped ranges are dropped by :func:`_remap_entries`.)
+    the PDT can put a qualifying row there: an insert of ``plan``
+    anchored in it, or a modify of one of its rows. (MinMax skipping gets
+    this from ``widen``; data-driven pruning has no such cover, and the
+    entries of a dropped range are applied to no piece.)
     """
     edges = sorted({ref.row_start for c in columns for ref in store.blocks[c]})
-    pinned = sorted(
-        e.anchor_sid if e.kind.value == "insert" else e.target[1]
-        for e in entries
-        if e.kind.value == "insert"
-        or (e.kind.value == "modify" and e.target[0] == "s")
-    ) if mask is not None else []
+    pins = plan.pins if mask is not None else []
     kept: List[Tuple[int, int, int]] = []
     pos = 0
     for start, end in ranges:
@@ -727,21 +728,9 @@ def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
         for lo, hi in zip([start] + inner, inner + [end]):
             at, pos = pos, pos + hi - lo
             if (mask is None or mask[at:pos].any()
-                    or bisect_left(pinned, lo) < bisect_left(pinned, hi)):
+                    or bisect_left(pins, lo) < bisect_left(pins, hi)):
                 kept.append((lo, hi, at))
     return kept
-
-
-def _merged_ranges(kept) -> List[Tuple[int, int]]:
-    """The ``(lo, hi)`` of the block-ranges ``kept``, adjacent ones
-    joined."""
-    ranges: List[Tuple[int, int]] = []
-    for lo, hi, _ in kept:
-        if ranges and ranges[-1][1] == lo:
-            ranges[-1] = (ranges[-1][0], hi)
-        else:
-            ranges.append((lo, hi))
-    return ranges
 
 
 def _beside_tail(entries, n_stable: int) -> list:
@@ -776,78 +765,6 @@ def _inserts_may_disorder(entries, n_stable: int, cluster_key) -> bool:
             for c in reversed(cluster_key)]
     # a stable sort of keys already in order moves nothing
     return bool((np.lexsort(keys) != np.arange(len(inserts))).any())
-
-
-def _remap_entries(entries, ranges, n_stable):
-    """Map entries into the sub-image made of the selected stable ranges.
-
-    Entries anchored/targeted inside skipped ranges are dropped -- correct
-    because MinMax widening guarantees a range containing a qualifying
-    insert or modify is never skipped, and a delete in a skipped range
-    removes a tuple that would not qualify anyway.
-    """
-    ends = [r[1] for r in ranges]
-    offsets = np.cumsum([0] + [e - s for s, e in ranges])
-    sub_n = int(offsets[-1])
-
-    def map_sid(sid: int) -> Optional[int]:
-        if sid >= n_stable:  # tail anchor
-            return sub_n
-        for i, (s, e) in enumerate(ranges):
-            if s <= sid < e:
-                return int(offsets[i] + (sid - s))
-        if ranges and sid == ends[-1]:
-            return sub_n
-        return None
-
-    if len(ranges) == 1 and ranges[0] == (0, n_stable):
-        return n_stable, entries, offsets
-
-    # Entries are read-only during merging, so remapped clones share the
-    # values dict instead of copying it (scans are hot; keep this lean).
-    from repro.pdt.entries import DeltaEntry
-
-    remapped = []
-    for e in entries:
-        if e.kind.value == "insert":
-            new_anchor = map_sid(e.anchor_sid)
-            if new_anchor is None:
-                continue
-            remapped.append(DeltaEntry(
-                kind=e.kind, anchor_sid=new_anchor, seq=e.seq, uid=e.uid,
-                values=e.values,
-            ))
-        else:
-            tag, value = e.target
-            if tag == "s":
-                new_sid = map_sid(value)
-                if new_sid is None or new_sid >= sub_n:
-                    continue
-                remapped.append(DeltaEntry(
-                    kind=e.kind, anchor_sid=new_sid, seq=e.seq,
-                    target=("s", new_sid), values=e.values,
-                ))
-            else:
-                remapped.append(DeltaEntry(
-                    kind=e.kind, anchor_sid=0, seq=e.seq, target=e.target,
-                    values=e.values,
-                ))
-    return sub_n, remapped, offsets
-
-
-def _restore_identities(sub_identities: np.ndarray, ranges,
-                        offsets: np.ndarray) -> np.ndarray:
-    """Translate sub-image stable sids back to true partition sids."""
-    out = sub_identities.copy()
-    mask = out >= 0
-    subs = out[mask]
-    true_sids = np.empty_like(subs)
-    for i, (s, e) in enumerate(ranges):
-        lo, hi = offsets[i], offsets[i + 1]
-        in_range = (subs >= lo) & (subs < hi)
-        true_sids[in_range] = subs[in_range] - lo + s
-    out[mask] = true_sids
-    return out
 
 
 def _resort_clustered(columns, identities: np.ndarray, cluster_key):

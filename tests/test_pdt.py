@@ -102,13 +102,14 @@ class TestRidSidTranslation:
         t.delete(stable(2))
         t.insert(5, {"k": 77, "v": 770})
         res = image(base, 10, t.visible_entries())
-        assert res.rid_to_sid(0) == 0
-        assert res.sid_to_rid(2) is None  # deleted
+        identities = res.identities.tolist()
+        assert identities[0] == 0
+        assert 2 not in identities  # deleted
         # stable 3 shifted left by the delete
-        assert res.sid_to_rid(3) == 2
+        assert identities.index(3) == 2
         insert_rid = list(res.columns["k"]).index(77)
-        assert res.rid_to_sid(insert_rid) is None
-        tag, _ = res.rid_to_identity(insert_rid)
+        assert identities[insert_rid] < 0
+        tag, _ = decode_identity(identities[insert_rid])
         assert tag == "i"
 
 

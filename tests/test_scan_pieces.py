@@ -1,10 +1,11 @@
 """The streamed scan: a partition is read one block-range at a time, and
-each block-range goes up the pipeline as one vector.
+each block-range goes up the pipeline as one vector -- with or without
+visible PDT entries, which are applied to the block-range they touch.
 
-``LIMIT`` stops the decoding, not only the rows; and a propagation asked
-for while a query is inside its partitions leaves them to a later call
-instead of deleting the blocks (or folding in the PDT entries) the
-query's pinned snapshot still reads.
+``LIMIT`` stops the decoding, not only the rows; and a propagation or a
+large insert asked for while a query is inside its partitions leaves
+them alone instead of deleting the blocks (or folding in the PDT
+entries) the query's pinned snapshot still reads.
 """
 
 from collections import Counter
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import VectorHCluster
+from repro.cluster.vectorh import DIRECT_APPEND_THRESHOLD
 from repro.common.config import Config
+from repro.common.errors import StorageError
 from repro.common.types import INT64
 from repro.engine.expressions import Col
 from repro.mpp.logical import LLimit, LScan, LSelect
@@ -80,6 +83,32 @@ class TestLimitStopsDecoding:
         assert decoded["a"] <= len(started)
 
 
+    def test_a_limit_over_partitions_with_entries_decodes_one_block(
+            self, spied):
+        """A delete in every block-range, inserts past the end and an
+        update: each piece takes its own entries, so the first piece
+        handed on still reads one block per column."""
+        c = _cluster()
+        table = c.table("t")
+        for pid in range(table.n_partitions):
+            a = table.scan_partition(pid, ["a"]).columns["a"]
+            for ref in table.partitions[pid].blocks["a"]:
+                c.delete_where("t", Col("a") == int(a[ref.row_start]))
+        end = 4 * 6 * BLOCK_ROWS
+        c.insert("t", {"a": np.arange(end, end + 8),
+                       "b": np.arange(8) % 10}, force_pdt=True)
+        c.update_where("t", Col("a") == 5, {"b": Col("b") + 100})
+        assert all(table.pdt[pid].total_entries()
+                   for pid in range(table.n_partitions))
+        decoded, started, _ = spied
+        decoded.clear()
+        started.clear()
+        assert c.query(LLimit(LScan("t", ["a", "b"]), 10)).batch.n == 10
+        assert 0 < len(started) <= 4
+        assert decoded["a"] <= len(started)
+        assert decoded["b"] <= len(started)
+
+
 class TestPieces:
     def test_one_piece_per_block_range(self):
         c = _cluster(blocks_per_partition=3)
@@ -117,9 +146,9 @@ class TestPropagationLeavesARunningScan:
         not the last) when ``propagate_updates(force=True)`` runs: the
         partitions it pinned are left for a later call, where they are
         still due. With entries committed before the query the scan
-        merges them whole; committed after its first piece, the pinned
-        snapshot has none and the scan streams blocks a rewrite would
-        delete."""
+        applies them piece by piece; committed after its first piece, the
+        pinned snapshot has none. Either way the scan streams blocks a
+        rewrite would delete."""
         c = _cluster()
         _, _, handed = spied
 
@@ -150,3 +179,52 @@ class TestPropagationLeavesARunningScan:
         c.propagate_updates(force=True)
         assert not any(stored.pdt[pid].total_entries() for pid in due)
         assert _answer(c.query(_rows_plan())) == after
+
+
+class TestDirectAppendUnderARunningScan:
+    """A large insert into an unordered table is a direct append, which
+    absorbs the partition's partial blocks. While a running query reads
+    the table the insert goes through the PDT instead, and a bulk load
+    into a partition the query reads is refused."""
+
+    def _running_scan(self, c, handed):
+        expected = _answer(c.query(_rows_plan()))
+        handed.clear()
+        qid = c.submit(_rows_plan())
+        while len(handed) < 2:
+            c.workload.step()
+        assert c.workload.is_live(qid)
+        return qid, expected
+
+    def test_the_scan_keeps_its_snapshot(self, spied):
+        c = _cluster()
+        qid, expected = self._running_scan(c, spied[2])
+        end = 4 * 6 * BLOCK_ROWS
+        a = np.arange(end, end + DIRECT_APPEND_THRESHOLD)
+        c.insert("t", {"a": a, "b": a % 10})
+        assert _answer(c.gather(qid)) == expected
+        later = _answer(c.query(_rows_plan()))
+        assert len(later) == len(expected) + len(a)
+        assert set(later) - set(expected) == set(zip(a.tolist(),
+                                                     (a % 10).tolist()))
+
+    def test_a_bulk_load_into_a_read_partition_is_refused(self, spied):
+        c = _cluster()
+        stored = c.table("t")
+
+        def catalog():
+            return ([(p.n_stable, {k: list(v) for k, v in p.blocks.items()})
+                     for p in stored.partitions],
+                    sorted(path for p in stored.partitions
+                           for path in p.file_paths()))
+
+        qid, expected = self._running_scan(c, spied[2])
+        before = catalog()
+        end = 4 * 6 * BLOCK_ROWS
+        a = np.arange(end, end + 100)
+        with pytest.raises(StorageError):
+            c.bulk_load("t", {"a": a, "b": a % 10})
+        assert catalog() == before
+        assert _answer(c.gather(qid)) == expected
+        c.bulk_load("t", {"a": a, "b": a % 10})
+        assert len(_answer(c.query(_rows_plan()))) == len(expected) + 100

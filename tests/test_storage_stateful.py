@@ -41,6 +41,7 @@ from repro.common.types import DATE, DECIMAL, INT64, STRING
 from repro.compression import compress_best
 from repro.engine.batch import DictColumn
 from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
+from repro.pdt.layer import classify_entries
 from repro.storage import Column, StoredTable, TableSchema
 from repro.storage.minmax import OPS
 
@@ -281,9 +282,11 @@ class ClusteredTableMachine(RuleBasedStateMachine):
 
     def _check_pieces(self, result, trans, predicates=(), key_filter=None):
         """The streamed pieces of the scan that gave ``result``: they put
-        it together row for row, in cluster order, and without visible
-        PDT entries each lies in one block-range of the columns read, a
-        later piece in a later one."""
+        it together row for row, in cluster order, and each lies in one
+        block-range of the columns read, a later piece in a later one --
+        its stable rows, and the inserts it carries, anchored in that
+        range (inserts past the last stable row come in the last
+        piece)."""
         pieces = list(self.table.scan_pieces(
             0, NAMES, predicates, trans=trans, key_filter=key_filter,
             identities=True))
@@ -294,15 +297,24 @@ class ClusteredTableMachine(RuleBasedStateMachine):
             result.identities.tolist()
         keys = [r[1] for r in rows]
         assert keys == sorted(keys), "pieces left cluster order"
-        if self.stack.scan_entries(trans):
-            return
+        n_stable = self.store.n_stable
+        anchor_of = {-(e.uid + 1): e.anchor_sid
+                     for e in classify_entries(
+                         self.stack.scan_entries(trans)).inserts}
         edges = sorted({ref.row_start for refs in self.store.blocks.values()
                         for ref in refs})
-        at = [(bisect_right(edges, p.identities[0]),
-               bisect_right(edges, p.identities[-1]))
-              for p in pieces if p.n_rows]
-        assert all(first == last for first, last in at), "piece crosses an edge"
-        assert [first for first, _ in at] == sorted({f for f, _ in at})
+        at = []
+        for i, piece in enumerate(pieces):
+            sids = [anchor_of.get(code, code)
+                    for code in piece.identities.tolist()]
+            if i < len(pieces) - 1:
+                assert all(sid < n_stable for sid in sids), \
+                    "an insert past the end before the last piece"
+            ranges = {bisect_right(edges, sid) for sid in sids
+                      if sid < n_stable}
+            assert len(ranges) <= 1, "piece crosses an edge"
+            at += ranges
+        assert at == sorted(set(at))
 
     def _check_image(self, trans, model):
         image = self.table.scan_merged(0, NAMES, trans=trans)
