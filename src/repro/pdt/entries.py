@@ -60,9 +60,11 @@ class EntryKind(enum.Enum):
     MODIFY = "modify"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaEntry:
-    """One positional update. Also the WAL log-record payload."""
+    """One positional update. Also the WAL log-record payload. Shared by
+    every layer and record holding it, so never changed (``values`` too):
+    a commit re-sequences a copy (``dataclasses.replace``)."""
 
     kind: EntryKind
     anchor_sid: int
@@ -79,13 +81,3 @@ class DeltaEntry:
         if self.kind is EntryKind.INSERT:
             return None  # fresh tuples cannot conflict
         return self.target
-
-    def clone(self) -> "DeltaEntry":
-        return DeltaEntry(
-            kind=self.kind,
-            anchor_sid=self.anchor_sid,
-            seq=self.seq,
-            uid=self.uid,
-            target=self.target,
-            values=dict(self.values),
-        )

@@ -12,7 +12,7 @@ an insert or a modify touches it; deletes alone become its mask.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -56,6 +56,11 @@ class MergePlan:
         self.anchors = [e.anchor_sid for e in self.inserts]
         self.modified = list(self.mods_stable)
 
+    def n_rows(self, n_stable: int) -> int:
+        """Rows of ``n_stable`` stable ones once these entries apply (a
+        modify moves no count)."""
+        return n_stable - len(self.deleted) + len(self.inserts)
+
     @cached_property
     def pins(self) -> List[int]:
         """The stable rows an insert is anchored at or a modify writes,
@@ -85,7 +90,7 @@ def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
 
     In the real system the PDT *is* this structure; deriving it from the
     flat entry log per scan would be wasted work, so callers may cache the
-    result per (layer versions) -- see StoredTable.scan_partition.
+    result per snapshot -- see StoredTable._committed.
     """
     deleted_sids: set = set()
     live_inserts: Dict[int, DeltaEntry] = {}  # uid -> entry
@@ -107,13 +112,7 @@ def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
                 ins = live_inserts[value]
                 merged = dict(ins.values)
                 merged.update(entry.values)
-                live_inserts[value] = DeltaEntry(
-                    kind=EntryKind.INSERT,
-                    anchor_sid=ins.anchor_sid,
-                    seq=ins.seq,
-                    uid=ins.uid,
-                    values=merged,
-                )
+                live_inserts[value] = replace(ins, values=merged)
     inserts = sorted(live_inserts.values(), key=lambda e: e.sort_key())
     return MergePlan(sorted(deleted_sids), dict(sorted(mods_stable.items())),
                      inserts)
@@ -252,7 +251,8 @@ class PdtLayer:
         self.entries.extend(entries)
 
     def copy(self) -> "PdtLayer":
-        return PdtLayer([e.clone() for e in self.entries])
+        """A new layer sharing the (never mutated) entries."""
+        return PdtLayer(self.entries)
 
     def counts(self) -> Dict[str, int]:
         out = {"insert": 0, "delete": 0, "modify": 0}

@@ -19,6 +19,7 @@ the Read-PDT.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import TransactionAborted
@@ -41,8 +42,9 @@ class TransPdt:
                  read_layer: PdtLayer, write_layer: PdtLayer):
         self._stack = stack
         self.snapshot_version = snapshot_version
-        self._read_layer = read_layer
-        self._write_layer = write_layer
+        #: the stack's layers when the transaction began: its snapshot
+        self.read = read_layer
+        self.write = write_layer
         self.layer = PdtLayer()
         self._local_seq = itertools.count(0)
         self.write_set: Set[int] = set()  # encoded identities written
@@ -85,9 +87,7 @@ class TransPdt:
 
     def visible_entries(self) -> List[DeltaEntry]:
         """All entries a scan inside this transaction must merge."""
-        return (self._read_layer.entries
-                + self._write_layer.entries
-                + self.layer.entries)
+        return self.read.entries + self.write.entries + self.layer.entries
 
     def __len__(self) -> int:
         return len(self.layer)
@@ -132,11 +132,8 @@ class PdtStack:
             raise TransactionAborted(
                 f"write-write conflict on {len(conflicts)} tuple(s)"
             )
-        committed: List[DeltaEntry] = []
-        for entry in sorted(trans.layer.entries, key=lambda e: e.seq):
-            clone = entry.clone()
-            clone.seq = next(self._seq)
-            committed.append(clone)
+        committed = [replace(entry, seq=next(self._seq)) for entry in
+                     sorted(trans.layer.entries, key=lambda e: e.seq)]
         # Copy-on-write: running queries keep the old Write-PDT layer.
         new_write = self.write.copy()
         new_write.extend(committed)
@@ -155,10 +152,8 @@ class PdtStack:
         new_write = self.write.copy()
         written: Set[int] = set()
         for entry in entries:
-            clone = entry.clone()
-            clone.seq = next(self._seq)
-            new_write.add(clone)
-            identity = clone.identity_written()
+            new_write.add(replace(entry, seq=next(self._seq)))
+            identity = entry.identity_written()
             if identity is not None:
                 written.add(encode_identity(identity))
         self.write = new_write
@@ -185,7 +180,7 @@ class PdtStack:
     def flush_write_to_read(self) -> None:
         """Propagate Write-PDT into the Read-PDT (threshold reached)."""
         new_read = self.read.copy()
-        new_read.extend(e.clone() for e in self.write.entries)
+        new_read.extend(self.write.entries)
         self.read = new_read
         self.write = PdtLayer()
 

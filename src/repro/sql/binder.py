@@ -183,8 +183,7 @@ class _SelectBinder:
 
     def _scan(self, table: str, needed: List[str]) -> LScan:
         schema = self.cluster.table(table).schema
-        cols = [c for c in needed if c in schema.column_names]
-        return LScan(table, cols or schema.column_names[:1])
+        return LScan(table, [c for c in needed if c in schema.column_names])
 
     def _order_joins(self, plan: LogicalPlan,
                      needed: List[str]) -> LogicalPlan:

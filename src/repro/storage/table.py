@@ -33,7 +33,7 @@ from repro.common.errors import StorageError
 from repro.engine.batch import Batch, batch_bytes, concat_columns, order_key
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
-from repro.pdt.entries import EntryKind
+from repro.pdt.entries import EntryKind, decode_identity
 from repro.pdt.layer import (
     MergePlan, PdtLayer, apply_entries, classify_entries,
 )
@@ -96,7 +96,6 @@ class StoredTable:
             )
         self._cluster_key_cache: Dict[int, np.ndarray] = {}
         self._merge_plan_cache: Dict[int, tuple] = {}
-        self._disorder_cache: Dict[int, tuple] = {}
         self.propagation_stats = PropagationStats()
         registry = hdfs.registry
         self._m_scanned = registry.counter(
@@ -111,33 +110,41 @@ class StoredTable:
             "Rows of MinMax-surviving ranges dropped by the scan filter",
             labels=("table",))
 
-    def _committed(self, pid: int, cache: Dict[int, tuple], derive):
-        """``derive(committed PDT entries)``, cached per partition and
-        keyed by the stack's layer identities (copy-on-write makes these
-        stable) and the stable row count."""
-        stack = self.pdt[pid]
-        key = (id(stack.read), len(stack.read), id(stack.write),
-               len(stack.write), self.partitions[pid].n_stable)
-        cached = cache.get(pid)
-        if cached is None or cached[0] != key:
-            cached = cache[pid] = (key, derive(stack.scan_entries()))
-        return cached[1]
+    def _merge_plan(self, pid: int, trans: Optional[TransPdt] = None):
+        """The PDT entries a reader in ``trans`` (None: outside any
+        transaction) sees, classified, and whether merging them may leave
+        a clustered partition's rows out of cluster order."""
+        if trans is not None and len(trans):
+            return self._classified(pid, trans.visible_entries())
+        return self._committed(pid, trans)
 
-    def _merge_plan(self, pid: int):
-        """The classified committed PDT entries of a partition."""
-        return self._committed(pid, self._merge_plan_cache, classify_entries)
+    def _committed(self, pid: int, trans: Optional[TransPdt]):
+        """:meth:`_merge_plan` for a reader with no entries of its own,
+        who sees committed ones only: those of the Read- and Write-PDT
+        its snapshot began on (the stack's current ones without
+        ``trans``). Cached per partition, keyed by those two layer
+        objects (compared with ``is``) and the stable row count. Commits
+        are copy-on-write, so a layer never changes once a stack holds
+        it: the reads between two commits share one answer, a suspended
+        reader's older layers get their own, and a key that holds its
+        layers can never meet a freed layer's reused ``id``."""
+        snapshot = self.pdt[pid] if trans is None else trans
+        read, write = snapshot.read, snapshot.write
+        n_stable = self.partitions[pid].n_stable
+        cached = self._merge_plan_cache.get(pid)
+        if (cached is None or cached[0] is not read
+                or cached[1] is not write or cached[2] != n_stable):
+            cached = self._merge_plan_cache[pid] = (
+                read, write, n_stable,
+                self._classified(pid, read.entries + write.entries))
+        return cached[3]
 
-    def _may_disorder(self, pid: int, entries, trans) -> bool:
-        """Can merging ``entries`` leave a clustered partition's rows out
-        of cluster order? Asked by every scan, so the answer for the
-        committed entries is kept."""
-        def derive(committed):
-            return _inserts_may_disorder(
-                committed, self.partitions[pid].n_stable,
-                self.schema.clustered_on)
-        if trans is not None:
-            return derive(entries)
-        return self._committed(pid, self._disorder_cache, derive)
+    def _classified(self, pid: int, entries):
+        """:meth:`_merge_plan` of ``entries``, not cached."""
+        plan = classify_entries(entries)
+        return plan, self.schema.is_clustered and _inserts_may_disorder(
+            plan.inserts, self.partitions[pid].n_stable,
+            self.schema.clustered_on)
 
     # ---------------------------------------------------------------- identity
 
@@ -381,13 +388,16 @@ class StoredTable:
 
         A piece's ``held`` is what the scan holds while it is in flight;
         its ``identities`` are built only when asked (DML).
+
+        A scan that reads no column at all -- none asked for, no predicate
+        column, no ``key_filter``, no ``identities`` (``count(*)``) --
+        decodes no block and merges nothing: its one piece is the
+        partition's row count, by the entries (:meth:`MergePlan.n_rows`).
         """
         store = self.partitions[pid]
         entries = self.pdt[pid].scan_entries(trans)
-        # the committed entries' plan is kept until the next commit bumps
-        # the stack version
-        plan = (_NO_ENTRIES if not entries else self._merge_plan(pid)
-                if trans is None else classify_entries(entries))
+        plan, may_disorder = (self._merge_plan(pid, trans) if entries
+                              else (_NO_ENTRIES, False))
         triples = self.storage_predicates(predicates)
         with kernel("scan.minmax"):
             ranges = store.minmax.qualifying_ranges(triples, store.n_stable)
@@ -398,8 +408,10 @@ class StoredTable:
         filter_cols = list(dict.fromkeys(
             [col for col, _, _ in triples]
             + list(key_filter[0] if key_filter else ())))
-        may_disorder = bool(entries) and self.schema.is_clustered and \
-            self._may_disorder(pid, entries, trans)
+        if not (requested or filter_cols or key_filter or identities):
+            # nothing to decode, filter or merge: the plan counts the rows
+            yield ScanResult({}, None, plan.n_rows(store.n_stable))
+            return
         # The predicate columns give the filter and the cluster key restores
         # sort order after merging non-tail PDT inserts: both are read
         # whether or not the query asked for them (and returned only if so).
@@ -518,15 +530,17 @@ class StoredTable:
                 anchors = self._cluster_anchors(pid, arrays)
             else:
                 anchors = np.full(n, store.n_stable, dtype=np.int64)
-            for i in range(n):
-                trans.insert(int(anchors[i]),
-                             {name: arrays[name][i] for name in arrays})
+            # Python scalars: what the WAL pickles per entry
+            values = {name: arr.tolist() for name, arr in arrays.items()}
+            for i, anchor in enumerate(anchors.tolist()):
+                trans.insert(anchor,
+                             {name: column[i]
+                              for name, column in values.items()})
             for name, values in arrays.items():
                 store.minmax.widen_batch(name, anchors, values)
 
     def delete_rows(self, pid: int, identities: np.ndarray,
                     trans: TransPdt) -> int:
-        from repro.pdt.entries import decode_identity
         for code in identities.tolist():
             target = decode_identity(code)
             anchor = target[1] if target[0] == "s" else 0
@@ -536,9 +550,9 @@ class StoredTable:
     def modify_rows(self, pid: int, identities: np.ndarray,
                     new_values: Dict[str, np.ndarray],
                     trans: TransPdt) -> int:
-        from repro.pdt.entries import decode_identity
         store = self.partitions[pid]
-        new_values = self.to_storage_columns(new_values)
+        new_values = {name: values.tolist() for name, values
+                      in self.to_storage_columns(new_values).items()}
         insert_anchors: Optional[Dict[int, int]] = None
         for i, code in enumerate(identities.tolist()):
             target = decode_identity(code)
@@ -620,7 +634,7 @@ class StoredTable:
         else:
             # the live tail inserts in commit order, modified ones with
             # their final values
-            tail = sorted((e for e in self._merge_plan(pid).inserts
+            tail = sorted((e for e in self._merge_plan(pid)[0].inserts
                            if e.anchor_sid >= n_stable),
                           key=attrgetter("seq"))
             values = {
@@ -668,15 +682,12 @@ class StoredTable:
     # ---------------------------------------------------------------- statistics
 
     def total_rows(self, include_pdt: bool = True) -> int:
-        total = 0
-        for pid in range(self.n_partitions):
-            if include_pdt and self.pdt[pid].total_entries():
-                total += self.scan_merged(
-                    pid, self.schema.column_names[:1]
-                ).n_rows
-            else:
-                total += self.partitions[pid].n_stable
-        return total
+        """Rows of the table (no block read), as stored or with the PDTs."""
+        return sum(
+            self._merge_plan(pid)[0].n_rows(store.n_stable)
+            if include_pdt and self.pdt[pid].total_entries()
+            else store.n_stable
+            for pid, store in enumerate(self.partitions))
 
     def total_bytes(self) -> int:
         return sum(p.total_bytes() for p in self.partitions)
@@ -751,16 +762,14 @@ def _in_cluster_order(columns, cluster_key):
     return {k: v[order] for k, v in columns.items()}
 
 
-def _inserts_may_disorder(entries, n_stable: int, cluster_key) -> bool:
-    """Can merging ``entries`` by position leave rows out of cluster
-    order? An insert anchored inside the stable image can (inserts at one
-    anchor come in commit order). Tail inserts follow every stable row and
-    each other in commit order, which is cluster order only while their
-    keys ascend."""
-    inserts = [e for e in entries if e.kind is EntryKind.INSERT]
+def _inserts_may_disorder(inserts, n_stable: int, cluster_key) -> bool:
+    """Can merging the live ``inserts`` (sorted by anchor, then commit
+    order) by position leave rows out of cluster order? One anchored
+    inside the stable image can (inserts at one anchor come in commit
+    order). Tail inserts follow every stable row and each other in
+    commit order, which is cluster order only while their keys ascend."""
     if any(e.anchor_sid < n_stable for e in inserts):
         return True
-    inserts.sort(key=attrgetter("seq"))
     keys = [np.array([e.values[c] for e in inserts])
             for c in reversed(cluster_key)]
     # a stable sort of keys already in order moves nothing

@@ -186,8 +186,7 @@ class TransactionManager:
                         raise TransactionAborted(
                             f"write-write conflict on {table} partition {pid}"
                         )
-                    redo = [e.clone() for e in
-                            sorted(trans.layer.entries, key=lambda e: e.seq)]
+                    redo = sorted(trans.layer.entries, key=lambda e: e.seq)
                     cluster.wal.log_prepare(table, pid, txn.txn_id, redo,
                                             writer=node)
                     txn.prepared.append((table, pid))
