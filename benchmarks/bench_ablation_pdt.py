@@ -45,7 +45,7 @@ def scan_time(table, repeats=5):
     best = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        table.scan_merged(0, ["k", "d", "v"])
+        table.scan_partition(0, ["k", "d", "v"])
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     return best
@@ -77,7 +77,7 @@ def test_pdt_merge_overhead_vs_volume(benchmark):
     # small PDTs must be near-free; growth should be gentle
     assert overheads[0] < 3.0
     assert overheads[-1] < 12.0
-    benchmark(lambda: table.scan_merged(0, ["k"]))
+    benchmark(lambda: table.scan_partition(0, ["k"]))
 
 
 def test_pdt_propagation_tail_vs_full(benchmark):
@@ -102,7 +102,7 @@ def test_pdt_propagation_tail_vs_full(benchmark):
     # mixed updates: deletes force the full rewrite
     table2 = fresh_table(clustered=False)
     trans = table2.pdt[0].begin()
-    res = table2.scan_merged(0, ["k"], trans=trans)
+    res = table2.scan_partition(0, ["k"], trans=trans)
     table2.delete_rows(0, res.identities[:500], trans)
     table2.pdt[0].commit(trans)
     table2.hdfs.registry.reset("hdfs_")
@@ -123,7 +123,7 @@ def test_pdt_propagation_tail_vs_full(benchmark):
         table3 = fresh_table(clustered=False)
         table3.config.pdt_propagate_threshold = 100
         trans = table3.pdt[0].begin()
-        res = table3.scan_merged(0, ["k"], trans=trans)
+        res = table3.scan_partition(0, ["k"], trans=trans)
         table3.delete_rows(0, res.identities[:50], trans)
         table3.insert_rows({
             "k": np.arange(10**6, 10**6 + 500),

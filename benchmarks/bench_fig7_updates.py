@@ -182,10 +182,10 @@ def _vh_scan_ratio(cluster, repeats: int = 5) -> float:
 
     def merged_scan():
         for pid in range(stored.n_partitions):
-            stored.scan_merged(pid, ["l_quantity"],
-                               reader=cluster.responsible("lineitem", pid),
-                               pool=cluster.pool_of(
-                                   cluster.responsible("lineitem", pid)))
+            stored.scan_partition(pid, ["l_quantity"],
+                                  reader=cluster.responsible("lineitem", pid),
+                                  pool=cluster.pool_of(
+                                      cluster.responsible("lineitem", pid)))
 
     def stable_scan():
         for pid in range(stored.n_partitions):

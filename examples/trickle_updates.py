@@ -92,7 +92,7 @@ def main():
         LScan("events", ["happened"])).batch.columns["happened"]
     # gathered per partition; check each partition stayed sorted
     for pid in range(4):
-        img = table.scan_merged(pid, ["happened"]).columns["happened"]
+        img = table.scan_partition(pid, ["happened"]).columns["happened"]
         assert (np.diff(img) >= 0).all()
     print("every partition is still perfectly date-ordered")
 

@@ -9,6 +9,7 @@ transactions with per-partition WALs and 2PC (section 6).
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -359,8 +360,10 @@ class VectorHCluster:
         (so PDTs are modified on the right node) under the statement's
         transaction, MinMax and the scan's exact filter applied on the
         triples of ``predicate`` before it sees a row -- only the
-        partitions their key literals reach. Returns the sum of what
-        ``change`` returned."""
+        partitions their key literals reach. ``change`` runs once per
+        piece of the scan that holds a selected row; the scan fixed its
+        entries at its first piece, so it does not read back what
+        ``change`` wrote. Returns the sum of what ``change`` returned."""
         stored = self.tables[table]
         own_txn = trans is None
         if own_txn:
@@ -372,12 +375,16 @@ class VectorHCluster:
         for pid in range(len(owners)) if reached is None else reached:
             node = owners[pid]
             t = trans.trans_for(table, pid)
-            res = stored.scan_partition(pid, columns, triples, trans=t,
-                                        reader=node, pool=self.pool_of(node))
-            mask = np.asarray(predicate.eval(res.columns), dtype=bool)
-            if mask.any():
-                hit = {k: v[mask] for k, v in res.columns.items()}
-                changed += change(pid, t, hit, res.identities[mask])
+            pieces = stored.scan_pieces(pid, columns, triples, trans=t,
+                                        reader=node, pool=self.pool_of(node),
+                                        identities=True)
+            with closing(pieces):
+                for res in pieces:
+                    mask = np.asarray(predicate.eval(res.columns),
+                                      dtype=bool)
+                    if mask.any():
+                        hit = {k: v[mask] for k, v in res.columns.items()}
+                        changed += change(pid, t, hit, res.identities[mask])
         if own_txn:
             trans.commit()
         return changed

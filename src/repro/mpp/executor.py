@@ -270,7 +270,7 @@ class StreamingScan(Operator):
                     if meter is not None and res.held:
                         meter.hold(self.memory_node, res.held)
                     try:
-                        yielded = yielded or bool(res.columns)
+                        yielded = True
                         yield Batch(res.columns, res.n_rows)
                     finally:
                         if meter is not None and res.held:
@@ -278,8 +278,8 @@ class StreamingScan(Operator):
             finally:
                 pieces.close()
         if not yielded:
-            # this node owns no partitions (or none produced columns):
-            # the schema must still flow downstream
+            # this node owns no partitions: the schema must still flow
+            # downstream
             yield self._typed_empty()
 
 

@@ -369,8 +369,6 @@ class RewriterFlags:
     net_weight: float = 4.0
     #: consult the cluster's CardinalityFeedbackStore before static stats
     use_feedback: bool = True
-    #: allow feedback-driven build/probe swaps on inner joins
-    cost_join_order: bool = True
     #: DXchg schedule (paper section 5): ``"streaming"`` pipelines the
     #: senders; ``"materialize"`` is stop-and-go, same bytes/messages
     exchange_mode: str = STREAMING

@@ -164,8 +164,7 @@ class ParallelRewriter:
         Only inner joins without a payload column keep identical output
         columns under the swap, and only feedback-backed numbers justify
         overriding the written order (static guesses keep plans stable)."""
-        if not (self.flags.cost_join_order and node.how == "inner"
-                and node.build_payload is None):
+        if node.how != "inner" or node.build_payload is not None:
             return node
         b_rows, b_fb = self._estimate(node.build)
         p_rows, p_fb = self._estimate(node.probe)

@@ -14,7 +14,7 @@ The cluster describes itself through its own SQL engine:
   continuous profiler's per-operator stats and top-k hot paths. A
   :class:`VirtualTable` quacks like a
   :class:`~repro.storage.table.StoredTable` (schema, replication,
-  ``scan_partition``, ``scan_pieces``), so the binder, rewriter and
+  ``scan_pieces``), so the binder, rewriter and
   streaming executor treat them exactly like replicated base tables --
   a ``SELECT`` against ``vh$metrics`` runs through the normal MPP path.
 
@@ -75,23 +75,15 @@ class VirtualTable:
     def name(self) -> str:
         return self.schema.name
 
-    def scan_partition(self, pid: int, columns: Sequence[str],
-                       predicates: Sequence[Tuple[str, str, object]] = (),
-                       trans=None, reader: Optional[str] = None,
-                       pool=None) -> ScanResult:
-        rows = self._snapshot_fn(self.cluster)  # in schema column order
-        arrays = _columns_from_rows(self.schema, rows)
-        n = len(rows)
-        cols = {c: arrays[c] for c in dict.fromkeys(columns)}
-        return ScanResult(cols, np.arange(n, dtype=np.int64), n)
-
     def scan_pieces(self, pid: int, columns: Sequence[str],
                     predicates: Sequence[Tuple[str, str, object]] = (),
                     trans=None, reader: Optional[str] = None, pool=None):
         """The snapshot as one piece."""
-        result = self.scan_partition(pid, columns)
-        result.held = batch_bytes(Batch(result.columns, result.n_rows))
-        yield result
+        rows = self._snapshot_fn(self.cluster)  # in schema column order
+        arrays = _columns_from_rows(self.schema, rows)
+        cols = {c: arrays[c] for c in dict.fromkeys(columns)}
+        yield ScanResult(cols, None, len(rows),
+                         held=batch_bytes(Batch(cols, len(rows))))
 
 
 def _columns_from_rows(schema: TableSchema,

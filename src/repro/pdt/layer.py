@@ -253,41 +253,3 @@ class PdtLayer:
     def copy(self) -> "PdtLayer":
         """A new layer sharing the (never mutated) entries."""
         return PdtLayer(self.entries)
-
-    def counts(self) -> Dict[str, int]:
-        out = {"insert": 0, "delete": 0, "modify": 0}
-        for e in self.entries:
-            out[e.kind.value] += 1
-        return out
-
-    def memory_estimate(self) -> int:
-        """Rough bytes held in RAM; drives update-propagation triggers."""
-        total = 0
-        for e in self.entries:
-            total += 48 + 24 * len(e.values)
-        return total
-
-    def split_tail_inserts(self, n_stable: int):
-        """Separate tail inserts from other updates (paper section 6).
-
-        Tail inserts (anchored at the end of the stable image, not
-        modifying any existing tuple) can be flushed by only *appending*
-        new blocks; everything else requires re-compressing existing
-        blocks and may be flushed at lower frequency. The tail comes back
-        in commit (``seq``) order, the order its rows are appended in.
-        """
-        touched_uids = set()
-        for e in self.entries:
-            if e.kind is not EntryKind.INSERT and e.target[0] == "i":
-                touched_uids.add(e.target[1])
-        tail: List[DeltaEntry] = []
-        rest: List[DeltaEntry] = []
-        for e in self.entries:
-            is_tail = (
-                e.kind is EntryKind.INSERT
-                and e.anchor_sid >= n_stable
-                and e.uid not in touched_uids
-            )
-            (tail if is_tail else rest).append(e)
-        tail.sort(key=lambda e: e.seq)
-        return PdtLayer(tail), PdtLayer(rest)

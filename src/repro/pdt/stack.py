@@ -197,6 +197,3 @@ class PdtStack:
 
     def total_entries(self) -> int:
         return len(self.read) + len(self.write)
-
-    def memory_estimate(self) -> int:
-        return self.read.memory_estimate() + self.write.memory_estimate()

@@ -35,7 +35,7 @@ from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.pdt.entries import EntryKind, decode_identity
 from repro.pdt.layer import (
-    MergePlan, PdtLayer, apply_entries, classify_entries,
+    MergePlan, apply_entries, classify_entries,
 )
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
@@ -66,13 +66,6 @@ class ScanResult:
     held: int = 0
 
 
-@dataclass
-class PropagationStats:
-    tail_flushes: int = 0
-    full_rewrites: int = 0
-    entries_flushed: int = 0
-
-
 class StoredTable:
     """One table: storage partitions + PDT stacks + scan/update API."""
 
@@ -96,7 +89,6 @@ class StoredTable:
             )
         self._cluster_key_cache: Dict[int, np.ndarray] = {}
         self._merge_plan_cache: Dict[int, tuple] = {}
-        self.propagation_stats = PropagationStats()
         registry = hdfs.registry
         self._m_scanned = registry.counter(
             "minmax_blocks_scanned_total",
@@ -315,9 +307,9 @@ class StoredTable:
     ) -> ScanResult:
         """Scan one partition: the rows that satisfy ``predicates``, as
         one result -- the pieces of :meth:`scan_pieces` put together,
-        with the row-aligned ``identities`` (true stable SIDs / insert
-        uids, so update operators can target tuples) that only this call
-        builds."""
+        with their row-aligned ``identities`` (true stable SIDs / insert
+        uids). Queries, DML and the commit's key check stream the pieces;
+        this eager form serves tests and probes."""
         pieces = list(self.scan_pieces(pid, columns, predicates, trans,
                                        reader, pool, key_filter,
                                        identities=True))
@@ -387,7 +379,10 @@ class StoredTable:
         there too).
 
         A piece's ``held`` is what the scan holds while it is in flight;
-        its ``identities`` are built only when asked (DML).
+        its ``identities`` are built only when asked (DML, which changes
+        rows piece by piece: the entry list and the merge plan are fixed
+        at the first piece, so what a statement writes meanwhile is not
+        read again).
 
         A scan that reads no column at all -- none asked for, no predicate
         column, no ``key_filter``, no ``identities`` (``count(*)``) --
@@ -509,13 +504,6 @@ class StoredTable:
             if mask is not None:
                 self._m_filtered.add((self.schema.name,), int(filtered))
 
-    def scan_merged(self, pid: int, columns: Sequence[str],
-                    trans: Optional[TransPdt] = None,
-                    reader: Optional[str] = None,
-                    pool: Optional[BufferPool] = None) -> ScanResult:
-        """Full-partition scan (no skipping)."""
-        return self.scan_partition(pid, columns, (), trans, reader, pool)
-
     # ------------------------------------------------------------------ updates
 
     def insert_rows(self, rows: Dict[str, np.ndarray],
@@ -617,9 +605,10 @@ class StoredTable:
             return "none"
         names = self.schema.column_names
         n_stable = store.n_stable
-        _, rest = PdtLayer(entries).split_tail_inserts(n_stable)
-        kept = _beside_tail(rest.entries, n_stable)
-        if rest and (force or self._due(pid, len(kept))):
+        tail, kept = _beside_tail(entries, n_stable)
+        # an append flushes tail inserts alone: any other entry, a delete
+        # or modify of a tail insert too, takes a rewrite
+        if len(tail) < len(entries) and (force or self._due(pid, len(kept))):
             stable_cols = {n: store.read_column(n, reader=writer, stored=True)
                            for n in names}
             merged = apply_entries(stable_cols, n_stable, entries, names)
@@ -628,7 +617,6 @@ class StoredTable:
                 new_cols = _in_cluster_order(new_cols,
                                              self.schema.clustered_on)
             store.rewrite(new_cols, writer)
-            self.propagation_stats.full_rewrites += 1
             kept = []
             mode = "full"
         else:
@@ -650,9 +638,7 @@ class StoredTable:
             # the append rebuilt the ranges of the partial blocks it
             # absorbed from their stored rows alone
             self.widen_minmax(pid, kept)
-            self.propagation_stats.tail_flushes += 1
             mode = "tail"
-        self.propagation_stats.entries_flushed += len(entries) - len(kept)
         stack.clear_after_propagation(kept)
         self._cluster_key_cache.pop(pid, None)
         return mode
@@ -744,15 +730,15 @@ def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
     return kept
 
 
-def _beside_tail(entries, n_stable: int) -> list:
-    """``entries`` without the tail inserts (anchored past the last
-    stable row) and the deletes and modifies of them: what a tail flush
-    leaves in the PDT."""
+def _beside_tail(entries, n_stable: int) -> Tuple[set, list]:
+    """The uids of the tail inserts of ``entries`` (anchored past the
+    last stable row), and ``entries`` without them and the deletes and
+    modifies of them: what a tail flush leaves in the PDT."""
     tail = {e.uid for e in entries
             if e.kind is EntryKind.INSERT and e.anchor_sid >= n_stable}
-    return [e for e in entries
-            if (e.uid not in tail if e.kind is EntryKind.INSERT
-                else e.target[0] != "i" or e.target[1] not in tail)]
+    return tail, [e for e in entries
+                  if (e.uid not in tail if e.kind is EntryKind.INSERT
+                      else e.target[0] != "i" or e.target[1] not in tail)]
 
 
 def _in_cluster_order(columns, cluster_key):

@@ -23,7 +23,7 @@ from repro.common.errors import (
     SimulatedCrash,
     TransactionAborted,
 )
-from repro.engine.batch import order_key
+from repro.engine.batch import concat_columns, order_key
 from repro.pdt.stack import TransPdt
 
 _COORDINATION_MESSAGE_BYTES = 64  # prepare/commit votes are tiny
@@ -344,8 +344,9 @@ class TransactionManager:
                         if e.kind.value == "insert"]
             if not inserted:
                 continue
-            result = stored.scan_merged(pid, pk, trans=trans)
-            if _repeats_a_key([result.columns[c] for c in pk]):
+            pieces = list(stored.scan_pieces(pid, pk, trans=trans))
+            if _repeats_a_key([concat_columns([p.columns[c] for p in pieces])
+                               for c in pk]):
                 self.abort(txn)
                 raise ConstraintViolation(
                     f"unique key violated on {table} partition {pid}"

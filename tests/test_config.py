@@ -1,11 +1,13 @@
 """Knob hygiene: a ``Config`` field exists only if something reads it.
 
-Two source-level checks keep the control plane at one default per knob:
+Source-level checks keep the control plane at one default per knob:
 every field of :class:`~repro.common.config.Config` is read as a plain
-attribute somewhere in ``src/`` (so none is dead), and nothing in
-``src/`` reaches for a ``Config`` field or a ``VectorHCluster`` attribute
-through ``getattr(obj, "name", default)`` -- the spelling that lets a
-second default, or an "attribute may be missing" branch, creep back in.
+attribute somewhere in ``src/`` (so none is dead), nothing in ``src/``
+reaches for a ``Config`` field or a ``VectorHCluster`` attribute through
+``getattr(obj, "name", default)`` -- the spelling that lets a second
+default, or an "attribute may be missing" branch, creep back in -- and
+every :class:`~repro.mpp.plan.RewriterFlags` field is set by some test
+or bench (a toggle nothing turns is its default behaviour).
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import re
 import repro
 from repro.cluster import VectorHCluster
 from repro.common.config import Config
+from repro.mpp.plan import RewriterFlags
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: fields nothing in ``src/`` reads, each with the reason it stays
 UNREAD_ALLOWED: dict = {}
@@ -50,3 +54,13 @@ def test_no_getattr_with_a_default_for_config_or_cluster_attributes():
         for match in _GETATTR_LITERAL.finditer(text)
         if match.group(1) in reserved]
     assert offenders == []
+
+
+def test_every_rewriter_flag_is_set_by_a_test_or_a_bench():
+    text = "\n".join(path.read_text()
+                     for tree in ("tests", "benchmarks")
+                     for path in sorted((ROOT / tree).rglob("*.py")))
+    names = [f.name for f in dataclasses.fields(RewriterFlags)]
+    unset = [name for name in names
+             if not re.search(rf"\b{name}\s*=(?!=)", text)]
+    assert unset == []

@@ -21,6 +21,7 @@ from repro.cluster import VectorHCluster
 from repro.common.config import Config
 from repro.common.types import INT64
 from repro.engine.expressions import Col, Const, InList
+from repro.mpp.executor import StreamingScan
 from repro.mpp.logical import LScan
 from repro.sql.binder import _SelectBinder
 from repro.sql.parser import SqlParser
@@ -157,6 +158,32 @@ class TestCountStar:
         decoded.clear()
         assert _count(model.cluster) == model.oracle()
         assert sum(decoded.values()) == 0
+
+
+@pytest.mark.parametrize("n_nodes, n_partitions, empties", [(2, 4, 0),
+                                                             (3, 2, 1)])
+def test_only_a_stream_that_owns_no_partition_sends_an_empty_batch(
+        monkeypatch, n_nodes, n_partitions, empties):
+    """A scan of no column hands on pieces without columns; they count as
+    output, so only the stream owning none sends the typed empty batch."""
+    cluster = VectorHCluster(n_nodes=n_nodes,
+                             config=Config().scaled_for_tests())
+    cluster.create_table(TableSchema(
+        "t", [Column("a", INT64), Column("b", INT64)],
+        partition_key=("a",), n_partitions=n_partitions))
+    a = np.arange(10_000)
+    cluster.bulk_load("t", {"a": a, "b": a % 10})
+    empty_on = []
+    typed_empty = StreamingScan._typed_empty
+
+    def spy(self):
+        empty_on.append(self.node)
+        return typed_empty(self)
+
+    monkeypatch.setattr(StreamingScan, "_typed_empty", spy)
+    assert cluster.query(LScan("t", [])).batch.n == 10_000
+    assert len(empty_on) == empties
+    assert not set(empty_on) & set(cluster.placement.owners("t"))
 
 
 class TestIdentitiesOfNoColumn:

@@ -332,7 +332,7 @@ class TestWrites:
             stored = cluster.table(table)
             owner[table] = next(
                 pid for pid in range(stored.n_partitions)
-                if key in stored.scan_merged(pid, [column]).columns[column])
+                if key in stored.scan_partition(pid, [column]).columns[column])
         trans = cluster.begin()
         for sql, table, column, hit in (
                 (f"UPDATE orders SET o_totalprice = 1.5 "

@@ -12,14 +12,12 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import TransactionAborted
 from repro.pdt import PdtStack, apply_entries
 from repro.pdt.entries import (
-    DeltaEntry,
     EntryKind,
     decode_identity,
     encode_identity,
     inserted,
     stable,
 )
-from repro.pdt.layer import PdtLayer
 
 
 def image(columns, n, entries):
@@ -198,14 +196,6 @@ class TestLayerMaintenance:
         stk.clear_after_propagation()
         assert stk.total_entries() == 0
 
-    def test_memory_estimate_grows(self):
-        stk = PdtStack()
-        t = stk.begin()
-        for i in range(10):
-            t.insert(0, {"k": i, "v": i})
-        stk.commit(t)
-        assert stk.memory_estimate() > 0
-
     def test_apply_replicated_entries(self, base):
         """Log-shipped entries replayed on a replica give the same image."""
         src = PdtStack()
@@ -218,39 +208,6 @@ class TestLayerMaintenance:
         a = image(base, 10, src.scan_entries())
         b = image(base, 10, replica.scan_entries())
         assert list(a.columns["k"]) == list(b.columns["k"])
-
-
-class TestTailSplit:
-    def test_tail_inserts_separated(self):
-        layer = PdtLayer()
-        layer.add(DeltaEntry(EntryKind.INSERT, 10, 1, uid=1,
-                             values={"k": 1}))
-        layer.add(DeltaEntry(EntryKind.INSERT, 3, 2, uid=2, values={"k": 2}))
-        layer.add(DeltaEntry(EntryKind.DELETE, 5, 3, target=stable(5)))
-        tail, rest = layer.split_tail_inserts(n_stable=10)
-        assert len(tail) == 1 and tail.entries[0].uid == 1
-        assert len(rest) == 2
-
-    def test_modified_tail_insert_not_tail(self):
-        layer = PdtLayer()
-        layer.add(DeltaEntry(EntryKind.INSERT, 10, 1, uid=7, values={}))
-        layer.add(DeltaEntry(EntryKind.MODIFY, 0, 2, target=inserted(7),
-                             values={"k": 9}))
-        tail, rest = layer.split_tail_inserts(10)
-        assert len(tail) == 0
-
-    def test_tail_comes_back_in_commit_order(self):
-        # read-PDT entries before write-PDT ones is not commit order:
-        # the append flush writes the tail rows in ``seq`` order
-        layer = PdtLayer([
-            DeltaEntry(EntryKind.INSERT, 10, 5, uid=3, values={"k": 3}),
-            DeltaEntry(EntryKind.DELETE, 2, 4, target=stable(2)),
-            DeltaEntry(EntryKind.INSERT, 12, 1, uid=1, values={"k": 1}),
-            DeltaEntry(EntryKind.INSERT, 10, 3, uid=2, values={"k": 2}),
-        ])
-        tail, rest = layer.split_tail_inserts(10)
-        assert [e.seq for e in tail.entries] == [1, 3, 5]
-        assert [e.seq for e in rest.entries] == [4]
 
 
 class TestIdentityEncoding:

@@ -102,12 +102,12 @@ def test_single_row_dml_reaches_the_same_partitions(
         cluster, monkeypatch, name):
     frozen = FROZEN["dml"][name]
     seen = []
-    original = StoredTable.scan_partition
+    original = StoredTable.scan_pieces
 
     def spy(self, pid, columns, predicates=(), *args, **kwargs):
         seen.append([self.schema.name, pid, repr(list(predicates))])
         return original(self, pid, columns, predicates, *args, **kwargs)
 
-    monkeypatch.setattr(StoredTable, "scan_partition", spy)
+    monkeypatch.setattr(StoredTable, "scan_pieces", spy)
     assert execute_sql(cluster, frozen["sql"]) == frozen["rows"]
     assert seen == frozen["scans"]

@@ -1,6 +1,8 @@
 """Update propagation: strings rewritten from their stored form, and the
 non-tail entries deferred until they are due on their own (paper section
 6) -- kept in the PDT, in the WAL and under MinMax across the tail flush.
+A one-partition table checks the tail rule itself: what is appended,
+what stays and when a flush rewrites.
 """
 
 import numpy as np
@@ -13,9 +15,11 @@ from repro.common.types import INT64, STRING
 from repro.compression import general
 from repro.compression.base import StringImage
 from repro.engine.expressions import Col, Const
+from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
 from repro.mpp.logical import LScan
+from repro.pdt.entries import inserted, stable
 from repro.sql import execute_sql
-from repro.storage import Column, TableSchema
+from repro.storage import Column, StoredTable, TableSchema
 
 N_ROWS = 400
 THRESHOLD = 8
@@ -246,3 +250,73 @@ def test_fail_node_after_a_bulk_load_replays_a_minmax_with_its_blocks():
     assert execute_sql(c, query).columns["n"].tolist() == [400]
     c.fail_node(c.responsible("t", 0))
     assert execute_sql(c, query).columns["n"].tolist() == [400]
+
+
+# ------------------------------------------- the tail rule, one partition
+
+#: stable rows of the one-partition table: 3 entries are not due
+N_SMALL = 1000
+
+
+def small_table() -> StoredTable:
+    """One unordered partition of ``N_SMALL`` rows, ``k`` = ``v`` = 0.."""
+    config = Config().scaled_for_tests()
+    config.pdt_propagate_threshold = THRESHOLD
+    hdfs = HdfsCluster(["n1", "n2", "n3"], config, VectorHPlacementPolicy())
+    table = StoredTable(hdfs, "/db", TableSchema(
+        "t", [Column("k", INT64), Column("v", INT64)]), config)
+    keys = np.arange(N_SMALL)
+    table.bulk_load({"k": keys, "v": keys})
+    return table
+
+
+def commit(table, *writes):
+    """Commit ``writes`` (each ``trans -> None``) as one transaction."""
+    stack = table.pdt[0]
+    trans = stack.begin()
+    for write in writes:
+        write(trans)
+    stack.commit(trans)
+
+
+def stored_rows(table):
+    return list(zip(*(table.partitions[0].read_column(c).tolist()
+                      for c in ("k", "v"))))
+
+
+def test_an_untouched_tail_insert_is_appended_and_the_rest_kept():
+    table = small_table()
+    commit(table,
+           lambda t: t.insert(N_SMALL, {"k": 5000, "v": 1}),
+           lambda t: t.insert(3, {"k": 6000, "v": 2}),
+           lambda t: t.delete(stable(5), anchor_sid=5))
+    assert table.propagate(0, force=False) == "tail"
+    assert stored_rows(table)[N_SMALL:] == [(5000, 1)]
+    kept = table.pdt[0].scan_entries()
+    assert [(e.kind.value, e.anchor_sid) for e in kept] == [
+        ("insert", 3), ("delete", 5)]
+
+
+@pytest.mark.parametrize("force, mode", [(True, "full"), (False, "tail")])
+def test_a_modified_tail_insert_is_rewritten_only_when_forced(force, mode):
+    """A modify of a tail insert is no tail insert: a forced flush
+    rewrites; an un-forced one, not due, appends the final values."""
+    table = small_table()
+    uid = []
+    commit(table, lambda t: uid.append(t.insert(N_SMALL, {"k": 5000,
+                                                          "v": 1})))
+    commit(table, lambda t: t.modify(inserted(uid[0]), {"v": 9}))
+    assert table.propagate(0, force=force) == mode
+    assert stored_rows(table)[N_SMALL:] == [(5000, 9)]
+    assert table.pdt[0].total_entries() == 0
+
+
+def test_the_tail_is_appended_in_commit_order():
+    """The tail inserts' anchors are not in commit order; their rows are
+    appended in ``seq`` order."""
+    table = small_table()
+    commit(table, lambda t: t.insert(N_SMALL + 2, {"k": 5001, "v": 0}))
+    commit(table, lambda t: t.insert(N_SMALL, {"k": 5002, "v": 0}))
+    commit(table, lambda t: t.insert(N_SMALL + 1, {"k": 5003, "v": 0}))
+    assert table.propagate(0, force=True) == "tail"
+    assert [k for k, _ in stored_rows(table)[N_SMALL:]] == [5001, 5002, 5003]

@@ -200,7 +200,7 @@ def _new_rows(rng, count, n):
 def _apply_updates(table, trans, rng, n, n_ins, n_mod, n_del):
     if n_ins:
         table.insert_rows(_new_rows(rng, n_ins, n), lambda _: trans)
-    image = table.scan_merged(0, ["k"], trans=trans)
+    image = table.scan_partition(0, ["k"], trans=trans)
     if n_mod and image.n_rows:
         hit = rng.choice(image.n_rows, min(n_mod, image.n_rows),
                          replace=False)
@@ -232,7 +232,7 @@ updates_st = st.tuples(st.integers(0, 5), st.integers(0, 5),
 
 
 def _assert_filtered_scan_is_reference(table, requested, triples, trans):
-    full = table.scan_merged(0, _SCAN_COLUMNS, trans=trans)
+    full = table.scan_partition(0, _SCAN_COLUMNS, trans=trans)
     keep = np.ones(full.n_rows, dtype=bool)
     for col, op, literal in triples:
         # the one triple storage cannot answer is skipped as a filter

@@ -355,7 +355,7 @@ class TestScanPartitionFilter:
         rows["d"][:] = 8000
         t.bulk_load(rows)
         trans = t.pdt[0].begin()
-        full = t.scan_merged(0, ["k"], trans=trans)
+        full = t.scan_partition(0, ["k"], trans=trans)
         t.modify_rows(0, full.identities[1500:1501],
                       {"d": np.array([9000], np.int32)}, trans)
         t.delete_rows(0, full.identities[10:11], trans)
@@ -383,7 +383,7 @@ class TestScanPartitionFilter:
                        "s": _obj(["new"])}, lambda _: trans)
         t.pdt[0].commit(trans)
         trans = t.pdt[0].begin()
-        image = t.scan_merged(0, ["k"], trans=trans)
+        image = t.scan_partition(0, ["k"], trans=trans)
         row = np.flatnonzero(image.columns["k"] == 5001)
         t.modify_rows(0, image.identities[row],
                       {"d": np.array([7000], np.int32)}, trans)

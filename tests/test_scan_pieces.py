@@ -13,13 +13,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.baselines import CompetitorSystem
 from repro.cluster import VectorHCluster
 from repro.cluster.vectorh import DIRECT_APPEND_THRESHOLD
 from repro.common.config import Config
 from repro.common.errors import StorageError
 from repro.common.types import INT64
-from repro.engine.expressions import Col
+from repro.engine.expressions import Col, InList
 from repro.mpp.logical import LLimit, LScan, LSelect
+from repro.sql import execute_sql
+from repro.sql.binder import _SelectBinder
+from repro.sql.parser import SqlParser
 from repro.storage import Column, TableSchema
 from repro.storage.colstore import PartitionStore
 from repro.storage.table import StoredTable
@@ -129,6 +133,67 @@ class TestPieces:
         pieces = list(table.scan_pieces(0, ["a"], [("b", ">", 100)]))
         assert [p.n_rows for p in pieces] == [0]
         assert pieces[0].columns["a"].dtype == np.int64
+
+
+class TestDmlStreamsPieces:
+    """DELETE and UPDATE change rows piece by piece: the scan fixed its
+    entries at its first piece, so a row a statement changed is not read
+    (and changed) again."""
+
+    def test_delete_and_update_match_the_row_engine(self, monkeypatch):
+        c = VectorHCluster(n_nodes=2, config=Config().scaled_for_tests())
+        c.create_table(TableSchema(
+            "t", [Column("a", INT64), Column("b", INT64)],
+            partition_key=("a",), clustered_on=("a",), n_partitions=4))
+        # stable keys are multiples of 3, three block-ranges a partition
+        n_stable = 4 * 3 * BLOCK_ROWS
+        a = np.arange(0, 3 * n_stable, 3)
+        c.bulk_load("t", {"a": a, "b": a % 10})
+        rows = dict(zip(a.tolist(), (a % 10).tolist()))
+        # PDT inserts anchored inside every block-range, and deletes
+        inserted = np.arange(1, 3 * n_stable, 3 * 97)
+        c.insert("t", {"a": inserted, "b": inserted % 7}, force_pdt=True)
+        rows.update(zip(inserted.tolist(), (inserted % 7).tolist()))
+        gone = list(range(0, 3 * n_stable, 3 * 89))
+        c.delete_where("t", InList(Col("a"), gone))
+        for key in gone:
+            del rows[key]
+
+        handed = Counter()
+        pieces = StoredTable.scan_pieces
+
+        def counting_pieces(self, pid, *args, **kwargs):
+            for piece in pieces(self, pid, *args, **kwargs):
+                handed[pid] += 1
+                yield piece
+
+        def no_eager_scan(*args, **kwargs):
+            raise AssertionError("DML read a partition eagerly")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StoredTable, "scan_pieces", counting_pieces)
+            patch.setattr(StoredTable, "scan_partition", no_eager_scan)
+            deleted = execute_sql(c, "DELETE FROM t WHERE b = 3")
+            updated = execute_sql(c, "UPDATE t SET b = b + 10 WHERE b >= 5")
+        assert min(handed.values()) >= 2 * 3
+        assert deleted == sum(b == 3 for b in rows.values())
+        rows = {k: b for k, b in rows.items() if b != 3}
+        assert updated == sum(b >= 5 for b in rows.values())
+        rows = {k: b + 10 if b >= 5 else b for k, b in rows.items()}
+
+        oracle = CompetitorSystem("hive", workers=3, rows_per_group=1024)
+        oracle.load({"t": {
+            "a": np.array(list(rows), dtype=np.int64),
+            "b": np.array(list(rows.values()), dtype=np.int64)}})
+        for sql in ("SELECT a, b FROM t",
+                    "SELECT b, count(*) AS n, sum(a) AS s FROM t GROUP BY b"):
+            logical = _SelectBinder(c, SqlParser(sql).parse()).plan()
+            got = c.query(logical).batch
+            expected = oracle.run(logical)
+            assert sorted(zip(*(got.columns[k].tolist() for k in got.columns))) \
+                == sorted(zip(*(expected.columns[k].tolist()
+                                for k in got.columns)))
+        assert len(_answer(c.query(_rows_plan()))) == len(rows)
 
 
 def _rows_plan():

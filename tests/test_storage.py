@@ -168,7 +168,7 @@ class TestStoredTable:
                             n_partitions=4)
         t.bulk_load(self.columns(1000))
         total = sum(
-            t.scan_merged(p, ["k"]).n_rows for p in range(4)
+            t.scan_partition(p, ["k"]).n_rows for p in range(4)
         )
         assert total == 1000
 
@@ -176,7 +176,7 @@ class TestStoredTable:
         t = self.make_table(hdfs, config)
         cols = self.columns(100)
         t.bulk_load(cols)
-        out = t.scan_merged(0, ["price"]).columns["price"]
+        out = t.scan_partition(0, ["price"]).columns["price"]
         assert out.dtype == np.float64
         assert np.allclose(np.sort(out), np.sort(cols["price"]))
 
@@ -187,13 +187,13 @@ class TestStoredTable:
                                predicates=[("price", "<", 2.0)])
         assert (res.columns["price"] >= 0).all()
         # the merged result must still contain every qualifying row
-        full = t.scan_merged(0, ["price"]).columns["price"]
+        full = t.scan_partition(0, ["price"]).columns["price"]
         assert (res.columns["price"] < 2.0).sum() == (full < 2.0).sum()
 
     def test_clustered_load_sorts(self, hdfs, config):
         t = self.make_table(hdfs, config, clustered_on=("d",))
         t.bulk_load(self.columns(2000))
-        out = t.scan_merged(0, ["d"]).columns["d"]
+        out = t.scan_partition(0, ["d"]).columns["d"]
         assert (np.diff(out) >= 0).all()
 
     def test_bulk_load_into_clustered_nonempty_rejected(self, hdfs, config):
@@ -211,7 +211,7 @@ class TestStoredTable:
                        "price": np.array([9.99]),
                        "s": np.array(["new"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
-        res = t.scan_merged(0, ["k", "d"])
+        res = t.scan_partition(0, ["k", "d"])
         assert 10**6 in res.columns["k"]
         assert (np.diff(res.columns["d"]) >= 0).all()
 
@@ -230,7 +230,7 @@ class TestStoredTable:
                            "s": np.array(["new"], object)}, lambda _: trans)
             t.pdt[0].commit(trans)
         for _ in range(2):  # merged from the PDT, then read from blocks
-            res = t.scan_merged(0, ["k", "d"])
+            res = t.scan_partition(0, ["k", "d"])
             assert res.columns["d"][-2:].tolist() == [9200, 9500]
             assert res.columns["k"][-2:].tolist() == [10**6 + 1, 10**6]
             assert t.propagate(0) in ("tail", "none")
@@ -248,12 +248,12 @@ class TestStoredTable:
         cols["s"] = np.array([f"s{i % 7}" if i % 3 else f"only{i % 3}"
                               for i in range(600)], dtype=object)
         t.bulk_load(cols)
-        first = t.scan_merged(0, ["k", "s"])
+        first = t.scan_partition(0, ["k", "s"])
         held = first.columns["s"].tolist()
-        scans = [t.scan_merged(pid, ["k", "s"]) for pid in range(3)]
+        scans = [t.scan_partition(pid, ["k", "s"]) for pid in range(3)]
         assert all(isinstance(r.columns["s"], DictColumn) for r in scans)
         shared = scans[-1].columns["s"].dictionary
-        again = [t.scan_merged(pid, ["k", "s"]) for pid in range(3)]
+        again = [t.scan_partition(pid, ["k", "s"]) for pid in range(3)]
         assert all(r.columns["s"].dictionary is shared for r in again)
         assert shared.tolist() == sorted(set(cols["s"].tolist()))
         # a column read before the dictionary grew still says the same
@@ -266,7 +266,7 @@ class TestStoredTable:
         monkeypatch.setattr(colstore, "SHARED_DICTIONARY_LIMIT", 3)
         t2 = StoredTable(hdfs, "/db2", t.schema, config)
         t2.bulk_load(cols)
-        own = [t2.scan_merged(pid, ["k", "s"]) for pid in range(3)] * 2
+        own = [t2.scan_partition(pid, ["k", "s"]) for pid in range(3)] * 2
         assert len({id(r.columns["s"].dictionary) for r in own}) > 1
         for r in own:
             assert r.columns["s"].tolist() == [
@@ -276,12 +276,12 @@ class TestStoredTable:
         t = self.make_table(hdfs, config)
         t.bulk_load(self.columns(100))
         trans = t.pdt[0].begin()
-        res = t.scan_merged(0, ["k"], trans=trans)
+        res = t.scan_partition(0, ["k"], trans=trans)
         t.delete_rows(0, res.identities[:10], trans)
         t.modify_rows(0, res.identities[10:11],
                       {"price": np.array([123.0])}, trans)
         t.pdt[0].commit(trans)
-        after = t.scan_merged(0, ["k", "price"])
+        after = t.scan_partition(0, ["k", "price"])
         assert after.n_rows == 90
         assert np.isclose(after.columns["price"][0], 123.0)
 
@@ -308,27 +308,27 @@ class TestStoredTable:
         t.pdt[0].commit(trans)
         assert t.propagate(0) == "tail"
         trans = t.pdt[0].begin()
-        res = t.scan_merged(0, ["k"], trans=trans)
+        res = t.scan_partition(0, ["k"], trans=trans)
         t.delete_rows(0, res.identities[:1], trans)
         t.pdt[0].commit(trans)
         assert t.propagate(0) == "full"
         assert t.propagate(0) == "none"
-        assert t.scan_merged(0, ["k"]).n_rows == 500
+        assert t.scan_partition(0, ["k"]).n_rows == 500
 
     def test_propagation_preserves_image(self, hdfs, config):
         t = self.make_table(hdfs, config, clustered_on=("d",))
         t.bulk_load(self.columns(1000))
         trans = t.pdt[0].begin()
-        res = t.scan_merged(0, ["k"], trans=trans)
+        res = t.scan_partition(0, ["k"], trans=trans)
         t.delete_rows(0, res.identities[5:25], trans)
         t.insert_rows({"k": np.array([10**6]),
                        "d": np.array([8500], np.int32),
                        "price": np.array([1.5]),
                        "s": np.array(["n"], object)}, lambda _: trans)
         t.pdt[0].commit(trans)
-        before = t.scan_merged(0, ["k", "d", "price", "s"])
+        before = t.scan_partition(0, ["k", "d", "price", "s"])
         t.propagate(0)
-        after = t.scan_merged(0, ["k", "d", "price", "s"])
+        after = t.scan_partition(0, ["k", "d", "price", "s"])
         assert sorted(before.columns["k"]) == sorted(after.columns["k"])
         assert t.pdt[0].total_entries() == 0
 
@@ -337,7 +337,7 @@ class TestStoredTable:
         t = self.make_table(hdfs, config, clustered_on=("d",))
         t.bulk_load(self.columns(3000))
         trans = t.pdt[0].begin()
-        res = t.scan_merged(0, ["k"], trans=trans)
+        res = t.scan_partition(0, ["k"], trans=trans)
         t.delete_rows(0, res.identities[5:25], trans)
         t.modify_rows(0, res.identities[40:41],
                       {"price": np.array([777.0])}, trans)
@@ -353,7 +353,7 @@ class TestStoredTable:
 
         def image(t):
             return {c: v.tolist()
-                    for c, v in t.scan_merged(0, names).columns.items()}
+                    for c, v in t.scan_partition(0, names).columns.items()}
 
         hdfs, t = self._table_with_pending_rewrite(config)
         real_append = HdfsCluster.append

@@ -187,7 +187,7 @@ def test_a_literal_prunes_to_the_partition_its_row_was_written_to(
              force_pdt=True)
     stored = c.table("a")
     written = {key: pid for pid in range(8)
-               for key in stored.scan_merged(pid, ["ka"]).columns["ka"]}
+               for key in stored.scan_partition(pid, ["ka"]).columns["ka"]}
     assert len(written) == 240 and len(set(written.values())) == 8
     if literal == "int" and key_type == "decimal":  # whole values only
         written = {k: pid for k, pid in written.items() if k == int(k)}

@@ -135,7 +135,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
 
     def _identities_of(self, picked):
         """Identities (and keys) of the visible rows ``picked`` lands on."""
-        seen = self.table.scan_merged(0, ["k"], trans=self.trans)
+        seen = self.table.scan_partition(0, ["k"], trans=self.trans)
         at = sorted({p % seen.n_rows for p in picked})
         return seen.identities[at], set(seen.columns["k"][at].tolist())
 
@@ -317,7 +317,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         assert at == sorted(set(at))
 
     def _check_image(self, trans, model):
-        image = self.table.scan_merged(0, NAMES, trans=trans)
+        image = self.table.scan_partition(0, NAMES, trans=trans)
         # coded exactly when every block of the column is PDICT
         schemes = {ref.scheme for ref in self.store.blocks["s"]}
         assert isinstance(image.columns["s"], DictColumn) == (
