@@ -87,18 +87,10 @@ class InvariantChecker:
         for tname in sorted(cluster.tables):
             stored = cluster.tables[tname]
             for pid in range(stored.n_partitions):
-                records = cluster.wal.replay_partition(tname, pid,
-                                                       reader=reader)
+                log = cluster.wal.partition_log(tname, pid, reader=reader)
                 replayed = PdtStack(cluster.config.write_pdt_flush_threshold)
-                prepared = {}
-                for rec in records:
-                    if rec.kind == "commit":
-                        replayed.apply_replicated(rec.payload[1])
-                        prepared.pop(rec.payload[0], None)
-                    elif rec.kind == "prepare":
-                        prepared[rec.payload[0]] = True
-                    elif rec.kind == "abort":
-                        prepared.pop(rec.payload[0], None)
+                for entries in log.commits:
+                    replayed.apply_replicated(entries)
                 report.checks += 1
                 mem = stored.pdt[pid].total_entries()
                 wal = replayed.total_entries()
@@ -107,10 +99,10 @@ class InvariantChecker:
                         f"pdt/wal divergence on {tname}/{pid}: "
                         f"wal replay has {wal} entries, memory has {mem}")
                 report.checks += 1
-                if prepared:
+                if log.in_doubt:
                     report.violations.append(
                         f"unresolved in-doubt txns on {tname}/{pid}: "
-                        f"{sorted(prepared)}")
+                        f"{sorted(log.in_doubt)}")
 
     def _check_minmax_covers_pdt(self, report: InvariantReport) -> None:
         report.checks += sum(stored.n_partitions
@@ -174,18 +166,15 @@ def minmax_pdt_gaps(cluster) -> List[str]:
         stored = cluster.tables[tname]
         for pid, store in enumerate(stored.partitions):
             plan = classify_entries(stored.pdt[pid].scan_entries())
-            written = [(e.anchor_sid, e.values) for e in plan.inserts]
-            written += sorted(plan.mods_stable.items())
-            for sid, values in written:
-                for name, value in sorted(values.items()):
-                    ranges = store.minmax.ranges.get(name)
-                    if not ranges:
-                        continue  # nothing to prune on
-                    r = next((r for r in ranges
-                              if r.row_start <= sid < r.row_end), ranges[-1])
-                    if not r.min_value <= value <= r.max_value:
-                        gaps.append(
-                            f"minmax misses a pdt value on {tname}/{pid}: "
-                            f"{name} = {value!r} at row {sid}, range "
-                            f"[{r.min_value!r}, {r.max_value!r}]")
+            for sid, name, value in plan.written():
+                ranges = store.minmax.ranges.get(name)
+                if not ranges:
+                    continue  # nothing to prune on
+                r = next((r for r in ranges
+                          if r.row_start <= sid < r.row_end), ranges[-1])
+                if not r.min_value <= value <= r.max_value:
+                    gaps.append(
+                        f"minmax misses a pdt value on {tname}/{pid}: "
+                        f"{name} = {value!r} at row {sid}, range "
+                        f"[{r.min_value!r}, {r.max_value!r}]")
     return gaps

@@ -211,12 +211,12 @@ class PartitionPlacement:
         cluster = self.cluster
         stored = cluster.tables[table]
         store = stored.partitions[pid]
+        log = cluster.wal.partition_log(table, pid, reader=node)
         stack = PdtStack(cluster.config.write_pdt_flush_threshold)
-        for record in cluster.wal.replay_partition(table, pid, reader=node):
-            if record.kind == "commit":
-                stack.apply_replicated(record.payload[1])
-            elif record.kind == "minmax":
-                store.minmax = store.minmax.from_record(record.payload)
+        for entries in log.commits:
+            stack.apply_replicated(entries)
+        if log.minmax is not None:
+            store.minmax = store.minmax.from_record(log.minmax)
         stored.pdt[pid] = stack
         # the last MinMax record predates the commits after it, which
         # widened MinMax in the failed node's memory only

@@ -380,8 +380,9 @@ class VectorHCluster:
                                         identities=True)
             with closing(pieces):
                 for res in pieces:
-                    mask = np.asarray(predicate.eval(res.columns),
-                                      dtype=bool)
+                    # a constant predicate (``WHERE 1 = 1``) is one bool
+                    mask = np.broadcast_to(np.asarray(
+                        predicate.eval(res.columns), dtype=bool), res.n_rows)
                     if mask.any():
                         hit = {k: v[mask] for k, v in res.columns.items()}
                         changed += change(pid, t, hit, res.identities[mask])

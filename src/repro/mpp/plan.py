@@ -365,10 +365,6 @@ class RewriterFlags:
     replicate_build: bool = True
     partial_aggr: bool = True
     merge_join: bool = True
-    #: estimated build rows * workers below which broadcast beats reshuffle
-    net_weight: float = 4.0
-    #: consult the cluster's CardinalityFeedbackStore before static stats
-    use_feedback: bool = True
     #: DXchg schedule (paper section 5): ``"streaming"`` pipelines the
     #: senders; ``"materialize"`` is stop-and-go, same bytes/messages
     exchange_mode: str = STREAMING

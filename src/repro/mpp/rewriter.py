@@ -72,11 +72,6 @@ class ParallelRewriter:
 
     # ------------------------------------------------------------ estimates
 
-    def _store(self):
-        if not self.flags.use_feedback:
-            return None
-        return self.cluster.feedback
-
     def _signature(self, node: L.LogicalPlan) -> Optional[str]:
         key = id(node)
         if key not in self._sig_memo:
@@ -90,7 +85,7 @@ class ParallelRewriter:
         memo = self._est_memo.get(key)
         if memo is not None:
             return memo
-        store = self._store()
+        store = self.cluster.feedback
         if store is not None:
             signature = self._signature(node)
             if signature is not None:

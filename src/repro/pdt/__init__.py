@@ -3,7 +3,10 @@
 PDTs (Héman et al., SIGMOD 2010; paper sections 2 and 6) store
 inserts/deletes/modifies positionally -- keyed by the *stable ID* (SID), the
 tuple's position in the immutable on-disk image -- so that merging the
-differences into every scan needs no key comparisons. Layers stack:
+differences into every scan needs no key comparisons. A tuple has one
+identity, an int64 code (a SID, or a negative code for a not yet
+propagated insert); scans hand codes out and DML passes them back. Only
+this package reads a delta entry's fields. Layers stack:
 a slow-moving **Read-PDT**, a small **Write-PDT** (copy-on-write at commit,
 giving snapshot isolation) and a per-transaction **Trans-PDT**.
 
@@ -15,16 +18,13 @@ visible behaviour (positional merge, stacking, serialization, write-write
 conflict detection), appropriate for an in-process simulation.
 """
 
-from repro.pdt.entries import DeltaEntry, EntryKind, Identity, stable, inserted
+from repro.pdt.entries import DeltaEntry, EntryKind
 from repro.pdt.layer import MergeResult, PdtLayer, apply_entries
 from repro.pdt.stack import PdtStack, TransPdt
 
 __all__ = [
     "DeltaEntry",
     "EntryKind",
-    "Identity",
-    "stable",
-    "inserted",
     "PdtLayer",
     "MergeResult",
     "apply_entries",

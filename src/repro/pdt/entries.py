@@ -1,16 +1,20 @@
 """Delta entries: the leaves of a Positional Delta Tree.
 
-Every entry is anchored at a stable position:
+A tuple has one identity, an int64 *code*: a stable tuple's is its SID
+(``>= 0``), a not-yet-propagated insert's is ``-(uid + 1)`` for a
+cluster-wide unique ``uid`` the PDT gives it, so later deltas can target
+it before it is ever propagated to disk. Scans hand the codes out
+row-aligned, DML passes them back, and every entry names the code it
+writes as its ``target``:
 
-* an **insert** appears immediately before the stable tuple ``anchor_sid``
-  (``anchor_sid == n_stable`` appends at the end); it carries a cluster-wide
-  unique tuple id (``uid``) so later deltas can target it before it is ever
-  propagated to disk;
-* a **delete** / **modify** targets an :class:`Identity` -- either a stable
-  tuple (by SID) or a not-yet-propagated insert (by uid).
+* an **insert** writes a new tuple, its own fresh code, which appears
+  immediately before the stable tuple ``anchor_sid`` (``anchor_sid ==
+  n_stable`` appends at the end);
+* a **delete** / **modify** writes the tuple it targets.
 
-Entries are totally ordered by ``(anchor_sid, seq)`` where ``seq`` is a
-monotone commit sequence, which is exactly the positional merge order.
+``seq`` is a monotone commit sequence; inserts are merged in ``(anchor_sid,
+seq)`` order. Only :mod:`repro.pdt` reads an entry's fields: everyone else
+asks the layer, the stack or a :class:`~repro.pdt.layer.MergePlan`.
 """
 
 from __future__ import annotations
@@ -18,40 +22,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-# Identity of a tuple: ("s", sid) for stable tuples, ("i", uid) for
-# in-memory inserts. Encoded into int64 for vectorized plumbing:
-# stable sid >= 0, inserts as -(uid + 1).
-Identity = Tuple[str, int]
+from typing import Dict
 
 _uid_counter = itertools.count(1)
 
 
-def next_uid() -> int:
-    """Allocate a cluster-wide unique id for a freshly inserted tuple."""
-    return next(_uid_counter)
-
-
-def stable(sid: int) -> Identity:
-    return ("s", sid)
-
-
-def inserted(uid: int) -> Identity:
-    return ("i", uid)
-
-
-def encode_identity(identity: Identity) -> int:
-    tag, value = identity
-    if tag == "s":
-        return value
-    return -(value + 1)
-
-
-def decode_identity(code: int) -> Identity:
-    if code >= 0:
-        return ("s", int(code))
-    return ("i", int(-code - 1))
+def next_insert_code() -> int:
+    """The code of a freshly inserted tuple, unique in the cluster."""
+    return -(next(_uid_counter) + 1)
 
 
 class EntryKind(enum.Enum):
@@ -67,17 +45,7 @@ class DeltaEntry:
     a commit re-sequences a copy (``dataclasses.replace``)."""
 
     kind: EntryKind
-    anchor_sid: int
     seq: int
-    uid: int = 0  # INSERT only: identity of the new tuple
-    target: Optional[Identity] = None  # DELETE/MODIFY only
+    target: int  # the code this entry writes
+    anchor_sid: int = 0  # INSERT only: the stable row it precedes
     values: Dict[str, object] = field(default_factory=dict)
-
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.anchor_sid, self.seq)
-
-    def identity_written(self) -> Optional[Identity]:
-        """The identity this entry writes (for conflict detection)."""
-        if self.kind is EntryKind.INSERT:
-            return None  # fresh tuples cannot conflict
-        return self.target

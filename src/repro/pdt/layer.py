@@ -14,17 +14,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import (
+    Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
 from repro.compression.base import extended
 from repro.engine.batch import as_column
-from repro.pdt.entries import (
-    DeltaEntry,
-    EntryKind,
-    encode_identity,
-)
+from repro.pdt.entries import DeltaEntry, EntryKind
 
 
 @dataclass
@@ -32,12 +31,12 @@ class MergeResult:
     """The up-to-date image of (a row range of) one table partition.
 
     ``identities`` is aligned with the merged rows: ``identities[rid]`` is
-    the encoded identity (stable SID >= 0, inserts < 0), which is how
-    update queries address tuples.
+    the row's code (stable SID >= 0, inserts < 0), which is how update
+    queries address tuples.
     """
 
     columns: Dict[str, np.ndarray]
-    identities: np.ndarray  # int64, encoded identities per output row
+    identities: np.ndarray  # int64, the code of each output row
     n_rows: int
     n_stable: int
 
@@ -67,6 +66,40 @@ class MergePlan:
         ascending."""
         return sorted(self.anchors + self.modified)
 
+    def written(self) -> Iterator[Tuple[int, str, object]]:
+        """``(row, column, value)`` for every value the entries make
+        visible: an insert's at its anchor, a modify's at its stable
+        row."""
+        for entry in self.inserts:
+            for name, value in entry.values.items():
+                yield entry.anchor_sid, name, value
+        for sid, changed in self.mods_stable.items():
+            for name, value in changed.items():
+                yield sid, name, value
+
+    def tail(self, n_stable: int,
+             names: Sequence[str]) -> Dict[str, list]:
+        """The columns ``names`` of the live inserts anchored past the
+        last of ``n_stable`` stable rows (the tail), in commit order; a
+        modified one with its final values."""
+        tail = sorted(self.inserts[bisect_left(self.anchors, n_stable):],
+                      key=attrgetter("seq"))
+        return {name: [e.values[name] for e in tail] for name in names}
+
+    def may_disorder(self, n_stable: int, cluster_key) -> bool:
+        """Can merging the live inserts by position leave rows of a
+        partition with ``n_stable`` stable rows out of cluster order? One
+        anchored inside the stable image can (inserts at one anchor come
+        in commit order). Tail inserts follow every stable row and each
+        other in commit order, which is cluster order only while their
+        keys ascend."""
+        if self.anchors and self.anchors[0] < n_stable:
+            return True
+        keys = [np.array([e.values[c] for e in self.inserts])
+                for c in reversed(cluster_key)]
+        # a stable sort of keys already in order moves nothing
+        return bool((np.lexsort(keys) != np.arange(len(self.inserts))).any())
+
     def within(self, lo: int, hi: int,
                tail_from: Optional[int] = None) -> "MergePlan":
         """The entries touching stable rows ``[lo, hi)`` and, given
@@ -93,27 +126,27 @@ def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
     result per snapshot -- see StoredTable._committed.
     """
     deleted_sids: set = set()
-    live_inserts: Dict[int, DeltaEntry] = {}  # uid -> entry
+    live_inserts: Dict[int, DeltaEntry] = {}  # code -> entry
     mods_stable: Dict[int, Dict[str, object]] = {}
-    for entry in sorted(entries, key=lambda e: e.seq):
+    for entry in sorted(entries, key=attrgetter("seq")):
+        target = entry.target
         if entry.kind is EntryKind.INSERT:
-            live_inserts[entry.uid] = entry
+            live_inserts[target] = entry
         elif entry.kind is EntryKind.DELETE:
-            tag, value = entry.target
-            if tag == "s":
-                deleted_sids.add(value)
+            if target >= 0:
+                deleted_sids.add(target)
             else:
-                live_inserts.pop(value, None)
+                live_inserts.pop(target, None)
         else:  # MODIFY
-            tag, value = entry.target
-            if tag == "s":
-                mods_stable.setdefault(value, {}).update(entry.values)
-            elif value in live_inserts:
-                ins = live_inserts[value]
+            if target >= 0:
+                mods_stable.setdefault(target, {}).update(entry.values)
+            elif target in live_inserts:
+                ins = live_inserts[target]
                 merged = dict(ins.values)
                 merged.update(entry.values)
-                live_inserts[value] = replace(ins, values=merged)
-    inserts = sorted(live_inserts.values(), key=lambda e: e.sort_key())
+                live_inserts[target] = replace(ins, values=merged)
+    inserts = sorted(live_inserts.values(),
+                     key=attrgetter("anchor_sid", "seq"))
     return MergePlan(sorted(deleted_sids), dict(sorted(mods_stable.items())),
                      inserts)
 
@@ -196,9 +229,7 @@ def apply_entries(
     out_identities[stable_positions] = gather_sids + base
     if n_ins:
         out_identities[insert_positions] = np.fromiter(
-            (encode_identity(("i", inserts[i].uid)) for i in ins_src),
-            np.int64, n_ins,
-        )
+            (inserts[i].target for i in ins_src), np.int64, n_ins)
 
     # Each output row is taken from the stable rows followed by the
     # values the entries write: the inserted rows' (in ``ins_src`` order),
@@ -229,6 +260,17 @@ def apply_entries(
         columns[name] = extended(stable_columns[name], values)[index]
 
     return MergeResult(columns, out_identities, total, n_stable)
+
+
+def beside_tail(entries: Sequence[DeltaEntry],
+                n_stable: int) -> Tuple[Set[int], List[DeltaEntry]]:
+    """The codes of the tail inserts of ``entries`` (anchored past the
+    last of ``n_stable`` stable rows), and ``entries`` without them and
+    the deletes and modifies of them: what a tail flush leaves in the
+    PDT."""
+    tail = {e.target for e in entries
+            if e.kind is EntryKind.INSERT and e.anchor_sid >= n_stable}
+    return tail, [e for e in entries if e.target not in tail]
 
 
 class PdtLayer:

@@ -9,7 +9,7 @@ Per table partition VectorH keeps (paper section 6):
 * a private **Trans-PDT** per transaction, stacked on top of it all.
 
 On commit the Trans-PDT is *serialized* against the current master state:
-write-write conflicts are detected at tuple granularity (any identity the
+write-write conflicts are detected at tuple granularity (any tuple code the
 transaction deleted/modified that a concurrent commit also wrote aborts the
 transaction), then the entries are re-sequenced and folded into a fresh
 Write-PDT. When the Write-PDT outgrows its threshold it is merged down into
@@ -23,13 +23,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import TransactionAborted
-from repro.pdt.entries import (
-    DeltaEntry,
-    EntryKind,
-    Identity,
-    encode_identity,
-    next_uid,
-)
+from repro.pdt.entries import DeltaEntry, EntryKind, next_insert_code
 from repro.pdt.layer import PdtLayer
 
 _TRANS_SEQ_BASE = 1 << 40  # trans entries order after all committed entries
@@ -38,56 +32,61 @@ _TRANS_SEQ_BASE = 1 << 40  # trans entries order after all committed entries
 class TransPdt:
     """A transaction's private delta layer over one partition."""
 
-    def __init__(self, stack: "PdtStack", snapshot_version: int,
-                 read_layer: PdtLayer, write_layer: PdtLayer):
-        self._stack = stack
+    def __init__(self, snapshot_version: int, read_layer: PdtLayer,
+                 write_layer: PdtLayer):
         self.snapshot_version = snapshot_version
         #: the stack's layers when the transaction began: its snapshot
         self.read = read_layer
         self.write = write_layer
         self.layer = PdtLayer()
         self._local_seq = itertools.count(0)
-        self.write_set: Set[int] = set()  # encoded identities written
+        self.write_set: Set[int] = set()  # codes deleted or modified
 
     # -- update API -------------------------------------------------------------
 
     def insert(self, anchor_sid: int, values: Dict[str, object]) -> int:
-        """Insert a row before stable position ``anchor_sid``; returns uid."""
-        uid = next_uid()
-        self.layer.add(DeltaEntry(
-            kind=EntryKind.INSERT,
-            anchor_sid=anchor_sid,
-            seq=_TRANS_SEQ_BASE + next(self._local_seq),
-            uid=uid,
-            values=dict(values),
-        ))
-        return uid
+        """Insert a row before stable position ``anchor_sid``; returns
+        its code."""
+        code = next_insert_code()
+        self.layer.add(DeltaEntry(EntryKind.INSERT, self._next_seq(), code,
+                                  anchor_sid, dict(values)))
+        return code
 
-    def delete(self, target: Identity, anchor_sid: int = 0) -> None:
-        self.layer.add(DeltaEntry(
-            kind=EntryKind.DELETE,
-            anchor_sid=anchor_sid,
-            seq=_TRANS_SEQ_BASE + next(self._local_seq),
-            target=target,
-        ))
-        self.write_set.add(encode_identity(target))
+    def delete(self, target: int) -> None:
+        """Delete the tuple with code ``target``."""
+        self._write(EntryKind.DELETE, target, {})
 
-    def modify(self, target: Identity, values: Dict[str, object],
-               anchor_sid: int = 0) -> None:
-        self.layer.add(DeltaEntry(
-            kind=EntryKind.MODIFY,
-            anchor_sid=anchor_sid,
-            seq=_TRANS_SEQ_BASE + next(self._local_seq),
-            target=target,
-            values=dict(values),
-        ))
-        self.write_set.add(encode_identity(target))
+    def modify(self, target: int, values: Dict[str, object]) -> None:
+        """Overwrite columns of the tuple with code ``target``."""
+        self._write(EntryKind.MODIFY, target, dict(values))
+
+    def _write(self, kind: EntryKind, target: int, values) -> None:
+        self.layer.add(DeltaEntry(kind, self._next_seq(), target,
+                                  values=values))
+        self.write_set.add(target)
+
+    def _next_seq(self) -> int:
+        return _TRANS_SEQ_BASE + next(self._local_seq)
 
     # -- scan support --------------------------------------------------------------
 
     def visible_entries(self) -> List[DeltaEntry]:
         """All entries a scan inside this transaction must merge."""
         return self.read.entries + self.write.entries + self.layer.entries
+
+    def anchors_of(self, codes: Sequence[int]) -> List[int]:
+        """The stable row each tuple of ``codes`` sits at in this
+        snapshot: a stable tuple's is its code, an insert's is its
+        anchor, whichever layer holds it."""
+        if min(codes, default=0) >= 0:
+            return list(codes)
+        anchors = {e.target: e.anchor_sid for e in self.visible_entries()
+                   if e.kind is EntryKind.INSERT}
+        return [anchors.get(code, code) for code in codes]
+
+    def has_inserts(self) -> bool:
+        """Does this transaction insert a row of its own?"""
+        return any(e.kind is EntryKind.INSERT for e in self.layer.entries)
 
     def __len__(self) -> int:
         return len(self.layer)
@@ -102,14 +101,15 @@ class PdtStack:
         self.version = 0
         self.flush_threshold = flush_threshold
         self._seq = itertools.count(1)
-        # (version, identities-written) per commit, for conflict detection.
+        # (version, codes deleted or modified) per commit, for conflict
+        # detection.
         self._commit_log: List[Tuple[int, Set[int]]] = []
 
     # -- snapshots ----------------------------------------------------------------
 
     def begin(self) -> TransPdt:
         """Start a transaction: an empty Trans-PDT over the current layers."""
-        return TransPdt(self, self.version, self.read, self.write)
+        return TransPdt(self.version, self.read, self.write)
 
     def scan_entries(self, trans: Optional[TransPdt] = None) -> List[DeltaEntry]:
         if trans is not None:
@@ -125,15 +125,14 @@ class PdtStack:
         any transaction that committed after this one's snapshot. Returns
         the re-sequenced entries (the WAL record payload).
         """
-        conflicts = self._conflicting_identities(
-            trans.snapshot_version, trans.write_set
-        )
+        conflicts = self.conflicts(trans)
         if conflicts:
             raise TransactionAborted(
                 f"write-write conflict on {len(conflicts)} tuple(s)"
             )
-        committed = [replace(entry, seq=next(self._seq)) for entry in
-                     sorted(trans.layer.entries, key=lambda e: e.seq)]
+        # the Trans-PDT appended its entries in ``seq`` order
+        committed = [replace(entry, seq=next(self._seq))
+                     for entry in trans.layer.entries]
         # Copy-on-write: running queries keep the old Write-PDT layer.
         new_write = self.write.copy()
         new_write.extend(committed)
@@ -150,25 +149,25 @@ class PdtStack:
         the same committed entries so local scans see the latest image.
         """
         new_write = self.write.copy()
-        written: Set[int] = set()
-        for entry in entries:
-            new_write.add(replace(entry, seq=next(self._seq)))
-            identity = entry.identity_written()
-            if identity is not None:
-                written.add(encode_identity(identity))
+        new_write.extend([replace(entry, seq=next(self._seq))
+                          for entry in entries])
         self.write = new_write
+        # a fresh insert cannot conflict
+        written = {entry.target for entry in entries
+                   if entry.kind is not EntryKind.INSERT}
         self.version += 1
         self._commit_log.append((self.version, written))
         self._maybe_flush()
 
-    def _conflicting_identities(self, snapshot_version: int,
-                                write_set: Set[int]) -> Set[int]:
-        if not write_set:
-            return set()
+    def conflicts(self, trans: TransPdt) -> Set[int]:
+        """The codes ``trans`` deleted or modified that a transaction
+        committed after its snapshot also wrote."""
         conflicts: Set[int] = set()
+        if not trans.write_set:
+            return conflicts
         for version, written in self._commit_log:
-            if version > snapshot_version:
-                conflicts |= written & write_set
+            if version > trans.snapshot_version:
+                conflicts |= written & trans.write_set
         return conflicts
 
     # -- layer maintenance -------------------------------------------------------------

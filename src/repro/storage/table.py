@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import (
     Callable, Collection, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -33,9 +32,8 @@ from repro.common.errors import StorageError
 from repro.engine.batch import Batch, batch_bytes, concat_columns, order_key
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
-from repro.pdt.entries import EntryKind, decode_identity
 from repro.pdt.layer import (
-    MergePlan, apply_entries, classify_entries,
+    MergePlan, apply_entries, beside_tail, classify_entries,
 )
 from repro.pdt.stack import PdtStack, TransPdt
 from repro.storage.buffer import BufferPool
@@ -53,11 +51,11 @@ PROPAGATE_FRACTION = 0.10
 @dataclass
 class ScanResult:
     """Output of a partition scan (or one piece of it): merged columns +
-    true tuple identities."""
+    the rows' codes."""
 
     columns: Dict[str, np.ndarray]
-    #: encoded: stable sid >= 0, insert uid < 0; None on a piece that
-    #: was not asked for them
+    #: the rows' codes (stable SID >= 0, PDT insert < 0); None on a
+    #: piece that was not asked for them
     identities: Optional[np.ndarray]
     n_rows: int
     #: rows that satisfied the predicates and fell to the ``key_filter``
@@ -134,9 +132,8 @@ class StoredTable:
     def _classified(self, pid: int, entries):
         """:meth:`_merge_plan` of ``entries``, not cached."""
         plan = classify_entries(entries)
-        return plan, self.schema.is_clustered and _inserts_may_disorder(
-            plan.inserts, self.partitions[pid].n_stable,
-            self.schema.clustered_on)
+        return plan, self.schema.is_clustered and plan.may_disorder(
+            self.partitions[pid].n_stable, self.schema.clustered_on)
 
     # ---------------------------------------------------------------- identity
 
@@ -307,9 +304,10 @@ class StoredTable:
     ) -> ScanResult:
         """Scan one partition: the rows that satisfy ``predicates``, as
         one result -- the pieces of :meth:`scan_pieces` put together,
-        with their row-aligned ``identities`` (true stable SIDs / insert
-        uids). Queries, DML and the commit's key check stream the pieces;
-        this eager form serves tests and probes."""
+        with their row-aligned ``identities`` (the rows' codes: stable
+        SIDs, PDT inserts' negative codes). Queries, DML and the commit's
+        key check stream the pieces; this eager form serves tests and
+        probes."""
         pieces = list(self.scan_pieces(pid, columns, predicates, trans,
                                        reader, pool, key_filter,
                                        identities=True))
@@ -530,9 +528,7 @@ class StoredTable:
     def delete_rows(self, pid: int, identities: np.ndarray,
                     trans: TransPdt) -> int:
         for code in identities.tolist():
-            target = decode_identity(code)
-            anchor = target[1] if target[0] == "s" else 0
-            trans.delete(target, anchor_sid=anchor)
+            trans.delete(code)
         return len(identities)
 
     def modify_rows(self, pid: int, identities: np.ndarray,
@@ -541,23 +537,14 @@ class StoredTable:
         store = self.partitions[pid]
         new_values = {name: values.tolist() for name, values
                       in self.to_storage_columns(new_values).items()}
-        insert_anchors: Optional[Dict[int, int]] = None
-        for i, code in enumerate(identities.tolist()):
-            target = decode_identity(code)
-            anchor = widen_at = target[1] if target[0] == "s" else 0
-            if target[0] != "s":
-                # a row the PDT itself holds: MinMax widens where that
-                # insert is anchored, or a scan pruning on the new value
-                # skips the insert's range and loses the row
-                if insert_anchors is None:
-                    insert_anchors = {
-                        e.uid: e.anchor_sid for e in trans.visible_entries()
-                        if e.kind.value == "insert"}
-                widen_at = insert_anchors[target[1]]
+        codes = identities.tolist()
+        # MinMax widens where the row sits -- a PDT insert where it is
+        # anchored -- or a scan pruning on the new value skips the row
+        for i, (code, at) in enumerate(zip(codes, trans.anchors_of(codes))):
             values = {name: arr[i] for name, arr in new_values.items()}
-            trans.modify(target, values, anchor_sid=anchor)
+            trans.modify(code, values)
             for name, value in values.items():
-                store.minmax.widen(name, widen_at, value)
+                store.minmax.widen(name, at, value)
         return len(identities)
 
     def _cluster_anchors(self, pid: int, arrays) -> np.ndarray:
@@ -605,7 +592,7 @@ class StoredTable:
             return "none"
         names = self.schema.column_names
         n_stable = store.n_stable
-        tail, kept = _beside_tail(entries, n_stable)
+        tail, kept = beside_tail(entries, n_stable)
         # an append flushes tail inserts alone: any other entry, a delete
         # or modify of a tail insert too, takes a rewrite
         if len(tail) < len(entries) and (force or self._due(pid, len(kept))):
@@ -620,15 +607,10 @@ class StoredTable:
             kept = []
             mode = "full"
         else:
-            # the live tail inserts in commit order, modified ones with
-            # their final values
-            tail = sorted((e for e in self._merge_plan(pid)[0].inserts
-                           if e.anchor_sid >= n_stable),
-                          key=attrgetter("seq"))
             values = {
-                name: np.asarray([e.values[name] for e in tail],
-                                 dtype=self.schema.ctype(name).dtype)
-                for name in names
+                name: np.asarray(column, dtype=self.schema.ctype(name).dtype)
+                for name, column in self._merge_plan(pid)[0].tail(
+                    n_stable, names).items()
             }
             if self.schema.is_clustered:
                 # past every stable row, but among themselves in commit
@@ -648,18 +630,11 @@ class StoredTable:
         where they write them: inserts at their anchor, modifies at their
         row (after a MinMax rebuilt from stored rows or from the WAL)."""
         store = self.partitions[pid]
-        plan = classify_entries(entries)
         written: Dict[str, Tuple[list, list]] = {}
-        for entry in plan.inserts:
-            for name, value in entry.values.items():
-                at, values = written.setdefault(name, ([], []))
-                at.append(entry.anchor_sid)
-                values.append(value)
-        for sid, changed in plan.mods_stable.items():
-            for name, value in changed.items():
-                at, values = written.setdefault(name, ([], []))
-                at.append(sid)
-                values.append(value)
+        for row, name, value in classify_entries(entries).written():
+            at, values = written.setdefault(name, ([], []))
+            at.append(row)
+            values.append(value)
         for name, (at, values) in written.items():
             store.minmax.widen_batch(
                 name, np.asarray(at, dtype=np.int64),
@@ -730,36 +705,11 @@ def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
     return kept
 
 
-def _beside_tail(entries, n_stable: int) -> Tuple[set, list]:
-    """The uids of the tail inserts of ``entries`` (anchored past the
-    last stable row), and ``entries`` without them and the deletes and
-    modifies of them: what a tail flush leaves in the PDT."""
-    tail = {e.uid for e in entries
-            if e.kind is EntryKind.INSERT and e.anchor_sid >= n_stable}
-    return tail, [e for e in entries
-                  if (e.uid not in tail if e.kind is EntryKind.INSERT
-                      else e.target[0] != "i" or e.target[1] not in tail)]
-
-
 def _in_cluster_order(columns, cluster_key):
     """Row-aligned ``columns`` sorted (stably) on the cluster key."""
     order = np.lexsort(tuple(
         order_key(columns[c]) for c in reversed(cluster_key)))
     return {k: v[order] for k, v in columns.items()}
-
-
-def _inserts_may_disorder(inserts, n_stable: int, cluster_key) -> bool:
-    """Can merging the live ``inserts`` (sorted by anchor, then commit
-    order) by position leave rows out of cluster order? One anchored
-    inside the stable image can (inserts at one anchor come in commit
-    order). Tail inserts follow every stable row and each other in
-    commit order, which is cluster order only while their keys ascend."""
-    if any(e.anchor_sid < n_stable for e in inserts):
-        return True
-    keys = [np.array([e.values[c] for e in inserts])
-            for c in reversed(cluster_key)]
-    # a stable sort of keys already in order moves nothing
-    return bool((np.lexsort(keys) != np.arange(len(inserts))).any())
 
 
 def _resort_clustered(columns, identities: np.ndarray, cluster_key):

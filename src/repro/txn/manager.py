@@ -177,18 +177,13 @@ class TransactionManager:
                     node = cluster.responsible(table, pid)
                     cluster.mpi.send(master, node,
                                      _COORDINATION_MESSAGE_BYTES)
-                    stack = cluster.tables[table].pdt[pid]
-                    conflicts = stack._conflicting_identities(
-                        trans.snapshot_version, trans.write_set
-                    )
-                    if conflicts:
+                    if cluster.tables[table].pdt[pid].conflicts(trans):
                         self.abort(txn)
                         raise TransactionAborted(
                             f"write-write conflict on {table} partition {pid}"
                         )
-                    redo = sorted(trans.layer.entries, key=lambda e: e.seq)
-                    cluster.wal.log_prepare(table, pid, txn.txn_id, redo,
-                                            writer=node)
+                    cluster.wal.log_prepare(table, pid, txn.txn_id,
+                                            trans.layer.entries, writer=node)
                     txn.prepared.append((table, pid))
                     cluster.mpi.send(node, master,
                                      _COORDINATION_MESSAGE_BYTES)
@@ -280,8 +275,8 @@ class TransactionManager:
         for table in sorted(cluster.tables):
             stored = cluster.tables[table]
             for pid in range(stored.n_partitions):
-                in_doubt = cluster.wal.in_doubt_txns(table, pid,
-                                                     reader=master)
+                in_doubt = cluster.wal.partition_log(
+                    table, pid, reader=master).in_doubt
                 for txn_id in sorted(in_doubt):
                     node = cluster.responsible(table, pid)
                     if decisions.get(txn_id) == "commit":
@@ -340,9 +335,7 @@ class TransactionManager:
             pk = list(stored.schema.primary_key)
             if not pk:
                 continue
-            inserted = [e for e in trans.layer.entries
-                        if e.kind.value == "insert"]
-            if not inserted:
+            if not trans.has_inserts():
                 continue
             pieces = list(stored.scan_pieces(pid, pk, trans=trans))
             if _repeats_a_key([concat_columns([p.columns[c] for p in pieces])

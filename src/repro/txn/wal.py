@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pickle
 import struct
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional
 
 from repro.hdfs.cluster import HdfsCluster
 
@@ -39,6 +39,19 @@ class WalRecord:
             kind, payload = pickle.loads(data[offset: offset + length])
             offset += length
             yield cls(kind, payload)
+
+
+@dataclass
+class PartitionLog:
+    """What one read of a partition WAL finds."""
+
+    #: each commit record's entries, in log order
+    commits: List[list] = field(default_factory=list)
+    #: the last MinMax record (None: there is none)
+    minmax: Optional[dict] = None
+    #: ``{txn_id: prepared entries}`` of every prepare record that no
+    #: commit or abort record of the same txn follows: the in-doubt txns
+    in_doubt: Dict[int, list] = field(default_factory=dict)
 
 
 class WalManager:
@@ -160,21 +173,23 @@ class WalManager:
 
     # -- recovery scans ---------------------------------------------------------
 
-    def in_doubt_txns(self, table: str, pid: int,
-                      reader: Optional[str] = None) -> dict:
-        """Prepared-but-unresolved txns in one partition WAL.
-
-        Returns ``{txn_id: prepared_entries}`` for every prepare record
-        not followed by a commit or abort record for the same txn.
-        """
-        prepared: dict = {}
+    def partition_log(self, table: str, pid: int,
+                      reader: Optional[str] = None) -> PartitionLog:
+        """Read a partition WAL once: its commits, its last MinMax record
+        and its in-doubt prepares (failover replay, the chaos checker and
+        presumed-abort recovery all start here)."""
+        log = PartitionLog()
         for rec in self.replay_partition(table, pid, reader=reader):
-            if rec.kind == "prepare":
+            if rec.kind == "minmax":
+                log.minmax = rec.payload
+            elif rec.kind == "prepare":
                 txn_id, entries = rec.payload
-                prepared[txn_id] = entries
+                log.in_doubt[txn_id] = entries
             elif rec.kind in ("commit", "abort"):
-                prepared.pop(rec.payload[0], None)
-        return prepared
+                log.in_doubt.pop(rec.payload[0], None)
+                if rec.kind == "commit":
+                    log.commits.append(rec.payload[1])
+        return log
 
     def decisions(self, reader: Optional[str] = None) -> dict:
         """``{txn_id: outcome}`` from the global WAL's decision records."""

@@ -7,7 +7,7 @@ from repro.common.config import Config
 from repro.common.errors import PlanError, ReproError, StorageError
 from repro.common.types import INT64
 from repro.cluster import VectorHCluster
-from repro.engine.expressions import Col
+from repro.engine.expressions import Col, Const
 from repro.mpp.logical import LAggr, LJoin, LScan
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
@@ -216,6 +216,34 @@ class TestFailover:
         assert info["wal_replayed_bytes"] > 0
         plan = LAggr(LScan("r", ["rk"]), [], [("n", "count", None)])
         assert int(c.query(plan).batch.columns["n"][0]) == 2001
+
+    def test_failover_replays_deletes_and_modifies_of_pdt_inserts(self):
+        """The new responsible nodes rebuild every moved partition's PDT
+        from its WAL: each scan, the rows' codes included, is what it was
+        before the failure."""
+        c = two_table_cluster()
+        keys = np.arange(10**6, 10**6 + 36)
+        c.insert("r", {"rk": keys, "r_v": np.ones(36, np.int64)},
+                 force_pdt=True)
+        c.update_where("r", Col("rk") >= 10**6 + 12, {"r_v": Const(7)})
+        c.delete_where("r", (Col("rk") < 40) | (Col("rk") >= 10**6 + 30))
+        stored = c.tables["r"]
+
+        def scans():
+            return [(res.columns["rk"].tolist(), res.columns["r_v"].tolist(),
+                     res.identities.tolist())
+                    for res in (stored.scan_partition(pid, ["rk", "r_v"])
+                                for pid in range(stored.n_partitions))]
+
+        before = scans()
+        victim = c.workers[-1]
+        moved = [pid for pid in range(12) if c.responsible("r", pid) == victim]
+        assert moved and all(min(before[pid][2]) < 0 for pid in moved)
+        info = c.fail_node(victim)
+        assert info["wal_replayed_bytes"] > 0
+        assert all(c.responsible("r", pid) != victim for pid in moved)
+        assert scans() == before
+        assert sum(len(rk) for rk, _, _ in before) == 2000 - 40 + 36 - 6
 
     def test_session_master_moves_if_needed(self):
         c = two_table_cluster()

@@ -7,7 +7,9 @@ reaches for a ``Config`` field or a ``VectorHCluster`` attribute through
 ``getattr(obj, "name", default)`` -- the spelling that lets a second
 default, or an "attribute may be missing" branch, creep back in -- and
 every :class:`~repro.mpp.plan.RewriterFlags` field is set by some test
-or bench (a toggle nothing turns is its default behaviour).
+or bench (a toggle nothing turns is its default behaviour) and read in
+``src/`` outside the module that declares it (one nothing reads changes
+nothing).
 """
 
 from __future__ import annotations
@@ -64,3 +66,11 @@ def test_every_rewriter_flag_is_set_by_a_test_or_a_bench():
     unset = [name for name in names
              if not re.search(rf"\b{name}\s*=(?!=)", text)]
     assert unset == []
+
+
+def test_every_rewriter_flag_is_read_in_src():
+    text = "\n".join(_sources(skip="plan.py").values())
+    names = [f.name for f in dataclasses.fields(RewriterFlags)]
+    unread = [name for name in names
+              if not re.search(rf"\.{name}\b", text)]
+    assert unread == []

@@ -93,9 +93,7 @@ class TestRewriterRules:
         plan = LJoin(build=LScan("dim_big", ["bk", "name"]),
                      probe=LScan("fact", ["fk", "dim_k"]),
                      build_keys=["bk"], probe_keys=["dim_k"])
-        flags = RewriterFlags()
-        flags.net_weight = 0  # avoid broadcast for this test
-        phys = ParallelRewriter(cluster, flags).plan(plan).root
+        phys = ParallelRewriter(cluster).plan(plan).root
         splits = find_nodes(phys, DXHashSplit)
         broadcasts = find_nodes(phys, DXBroadcast)
         if splits:

@@ -15,7 +15,6 @@ import pytest
 from repro.baselines import CompetitorSystem
 from repro.cluster import VectorHCluster
 from repro.common.config import Config
-from repro.mpp import RewriterFlags
 from repro.mpp import plan as P
 from repro.mpp.logical import LScan
 from repro.mpp.rewriter import ParallelRewriter
@@ -173,11 +172,12 @@ class TestReads:
         assert streams(result, "lineitem") == len(cluster.workers)
 
     def test_estimates_and_the_trace_count_reached_partitions_only(
-            self, cluster):
-        flags = RewriterFlags(use_feedback=False)
-        plans = {where: ParallelRewriter(cluster, flags).plan(
-                     logical(cluster, ORDER.format(where)))
-                 for where in ("= 7", "BETWEEN 7 AND 7")}
+            self, cluster, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(cluster, "feedback", None)  # static stats only
+            plans = {where: ParallelRewriter(cluster).plan(
+                         logical(cluster, ORDER.format(where)))
+                     for where in ("= 7", "BETWEEN 7 AND 7")}
         pruned, whole = plans.values()
         (pid,) = scan_of(pruned, "orders").partitions
         stored = cluster.table("orders")

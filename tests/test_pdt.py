@@ -11,13 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import TransactionAborted
 from repro.pdt import PdtStack, apply_entries
-from repro.pdt.entries import (
-    EntryKind,
-    decode_identity,
-    encode_identity,
-    inserted,
-    stable,
-)
 
 
 def image(columns, n, entries):
@@ -53,8 +46,8 @@ class TestMerging:
     def test_delete(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.delete(stable(0))
-        t.delete(stable(9))
+        t.delete(0)
+        t.delete(9)
         res = image(base, 10, t.visible_entries())
         assert res.n_rows == 8
         assert list(res.columns["k"]) == list(range(1, 9))
@@ -62,24 +55,24 @@ class TestMerging:
     def test_modify_last_wins(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.modify(stable(5), {"v": 1})
-        t.modify(stable(5), {"v": 2})
+        t.modify(5, {"v": 1})
+        t.modify(5, {"v": 2})
         res = image(base, 10, t.visible_entries())
         assert res.columns["v"][5] == 2
 
     def test_insert_then_delete_annihilates(self, base):
         stk = PdtStack()
         t = stk.begin()
-        uid = t.insert(0, {"k": -1, "v": -1})
-        t.delete(inserted(uid))
+        code = t.insert(0, {"k": -1, "v": -1})
+        t.delete(code)
         res = image(base, 10, t.visible_entries())
         assert res.n_rows == 10
 
     def test_modify_of_insert(self, base):
         stk = PdtStack()
         t = stk.begin()
-        uid = t.insert(2, {"k": 50, "v": 500})
-        t.modify(inserted(uid), {"v": 501}, anchor_sid=2)
+        code = t.insert(2, {"k": 50, "v": 500})
+        t.modify(code, {"v": 501})
         res = image(base, 10, t.visible_entries())
         assert 501 in res.columns["v"]
 
@@ -97,7 +90,7 @@ class TestRidSidTranslation:
     def test_identities_after_updates(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.delete(stable(2))
+        t.delete(2)
         t.insert(5, {"k": 77, "v": 770})
         res = image(base, 10, t.visible_entries())
         identities = res.identities.tolist()
@@ -107,8 +100,6 @@ class TestRidSidTranslation:
         assert identities.index(3) == 2
         insert_rid = list(res.columns["k"]).index(77)
         assert identities[insert_rid] < 0
-        tag, _ = decode_identity(identities[insert_rid])
-        assert tag == "i"
 
 
 class TestSnapshotIsolation:
@@ -132,8 +123,8 @@ class TestSnapshotIsolation:
     def test_write_write_conflict_aborts(self, base):
         stk = PdtStack()
         a, b = stk.begin(), stk.begin()
-        a.modify(stable(1), {"v": 5})
-        b.delete(stable(1))
+        a.modify(1, {"v": 5})
+        b.delete(1)
         stk.commit(a)
         with pytest.raises(TransactionAborted):
             stk.commit(b)
@@ -141,8 +132,8 @@ class TestSnapshotIsolation:
     def test_disjoint_writes_both_commit(self, base):
         stk = PdtStack()
         a, b = stk.begin(), stk.begin()
-        a.modify(stable(1), {"v": 5})
-        b.modify(stable(2), {"v": 6})
+        a.modify(1, {"v": 5})
+        b.modify(2, {"v": 6})
         stk.commit(a)
         stk.commit(b)
         res = image(base, 10, stk.scan_entries())
@@ -159,10 +150,10 @@ class TestSnapshotIsolation:
     def test_conflict_only_after_snapshot(self, base):
         stk = PdtStack()
         a = stk.begin()
-        a.modify(stable(1), {"v": 5})
+        a.modify(1, {"v": 5})
         stk.commit(a)
         b = stk.begin()  # starts after a committed: no conflict
-        b.modify(stable(1), {"v": 6})
+        b.modify(1, {"v": 6})
         stk.commit(b)
 
 
@@ -201,7 +192,7 @@ class TestLayerMaintenance:
         src = PdtStack()
         t = src.begin()
         t.insert(3, {"k": 500, "v": 0})
-        t.delete(stable(0))
+        t.delete(0)
         committed = src.commit(t)
         replica = PdtStack()
         replica.apply_replicated(committed)
@@ -210,11 +201,28 @@ class TestLayerMaintenance:
         assert list(a.columns["k"]) == list(b.columns["k"])
 
 
-class TestIdentityEncoding:
-    def test_roundtrip(self):
-        for identity in [stable(0), stable(12345), inserted(1),
-                         inserted(999)]:
-            assert decode_identity(encode_identity(identity)) == identity
+class TestAnchors:
+    def test_a_stable_code_is_its_own_anchor(self):
+        t = PdtStack().begin()
+        assert t.anchors_of([0, 7, 3]) == [0, 7, 3]
+
+    def test_an_insert_of_the_trans_pdt_is_at_its_anchor(self):
+        t = PdtStack().begin()
+        code = t.insert(4, {"k": 1, "v": 1})
+        assert code < 0
+        assert t.anchors_of([2, code]) == [2, 4]
+
+    @pytest.mark.parametrize("flush_threshold", [1, 10**9])
+    def test_a_committed_insert_is_at_its_anchor(self, flush_threshold):
+        """Flushed into the Read-PDT at once, or kept in the Write-PDT."""
+        stk = PdtStack(flush_threshold=flush_threshold)
+        t = stk.begin()
+        code = t.insert(6, {"k": 1, "v": 1})
+        stk.commit(t)
+        assert len(stk.read if flush_threshold == 1 else stk.write) == 1
+        reader = stk.begin()
+        own = reader.insert(2, {"k": 2, "v": 2})
+        assert reader.anchors_of([code, 5, own]) == [6, 5, 2]
 
 
 # ------------------------------------------------------------ model check
@@ -251,9 +259,8 @@ def test_pdt_matches_list_model(script):
             if rid == size:
                 anchor = n0
             else:
-                code = int(res.identities[rid])
-                anchor = code if code >= 0 else _anchor_of(t, code)
-            t.insert(anchor if anchor is not None else n0, {"v": value})
+                (anchor,) = t.anchors_of([int(res.identities[rid])])
+            t.insert(anchor, {"v": value})
             # model: the merge orders an insert immediately before the
             # tuple currently at `rid` only when that tuple is stable;
             # inserting before another fresh insert appends after the
@@ -268,27 +275,16 @@ def test_pdt_matches_list_model(script):
                 assert sorted(model) == sorted(_sorted_copy(model))
         elif op == "delete" and size > 0:
             rid = pos % size
-            target = decode_identity(int(res.identities[rid]))
-            t.delete(target, anchor_sid=target[1] if target[0] == "s" else 0)
+            t.delete(int(res.identities[rid]))
             del model[rid]
         elif op == "modify" and size > 0:
             rid = pos % size
-            target = decode_identity(int(res.identities[rid]))
-            t.modify(target, {"v": value},
-                     anchor_sid=target[1] if target[0] == "s" else 0)
+            t.modify(int(res.identities[rid]), {"v": value})
             model[rid] = value
 
     final = apply_entries(base, n0, t.visible_entries())
     assert sorted(final.columns["v"].tolist()) == sorted(model)
     assert final.n_rows == len(model)
-
-
-def _anchor_of(trans, code):
-    uid = -code - 1
-    for e in trans.layer.entries:
-        if e.kind is EntryKind.INSERT and e.uid == uid:
-            return e.anchor_sid
-    return None
 
 
 def _sorted_copy(model):

@@ -17,7 +17,6 @@ from repro.compression.base import StringImage
 from repro.engine.expressions import Col, Const
 from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
 from repro.mpp.logical import LScan
-from repro.pdt.entries import inserted, stable
 from repro.sql import execute_sql
 from repro.storage import Column, StoredTable, TableSchema
 
@@ -154,7 +153,7 @@ def test_a_tail_flush_appends_the_tail_inserts_final_values():
     assert stats["full"] == 0
     stored = c.tables["t"]
     kept = [e for stack in stored.pdt for e in stack.scan_entries()]
-    assert [(e.kind.value, e.target[0]) for e in kept] == [("delete", "s")]
+    assert [(e.kind.value, e.target >= 0) for e in kept] == [("delete", True)]
     stable = {k: note for store in stored.partitions
               for k, note in zip(store.read_column("k").tolist(),
                                  np.asarray(store.read_column("note")))}
@@ -286,15 +285,16 @@ def stored_rows(table):
 
 def test_an_untouched_tail_insert_is_appended_and_the_rest_kept():
     table = small_table()
+    code = []
     commit(table,
            lambda t: t.insert(N_SMALL, {"k": 5000, "v": 1}),
-           lambda t: t.insert(3, {"k": 6000, "v": 2}),
-           lambda t: t.delete(stable(5), anchor_sid=5))
+           lambda t: code.append(t.insert(3, {"k": 6000, "v": 2})),
+           lambda t: t.delete(5))
     assert table.propagate(0, force=False) == "tail"
     assert stored_rows(table)[N_SMALL:] == [(5000, 1)]
     kept = table.pdt[0].scan_entries()
-    assert [(e.kind.value, e.anchor_sid) for e in kept] == [
-        ("insert", 3), ("delete", 5)]
+    assert [(e.kind.value, e.target) for e in kept] == [
+        ("insert", code[0]), ("delete", 5)]
 
 
 @pytest.mark.parametrize("force, mode", [(True, "full"), (False, "tail")])
@@ -302,10 +302,10 @@ def test_a_modified_tail_insert_is_rewritten_only_when_forced(force, mode):
     """A modify of a tail insert is no tail insert: a forced flush
     rewrites; an un-forced one, not due, appends the final values."""
     table = small_table()
-    uid = []
-    commit(table, lambda t: uid.append(t.insert(N_SMALL, {"k": 5000,
-                                                          "v": 1})))
-    commit(table, lambda t: t.modify(inserted(uid[0]), {"v": 9}))
+    code = []
+    commit(table, lambda t: code.append(t.insert(N_SMALL, {"k": 5000,
+                                                           "v": 1})))
+    commit(table, lambda t: t.modify(code[0], {"v": 9}))
     assert table.propagate(0, force=force) == mode
     assert stored_rows(table)[N_SMALL:] == [(5000, 9)]
     assert table.pdt[0].total_entries() == 0

@@ -298,7 +298,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         keys = [r[1] for r in rows]
         assert keys == sorted(keys), "pieces left cluster order"
         n_stable = self.store.n_stable
-        anchor_of = {-(e.uid + 1): e.anchor_sid
+        anchor_of = {e.target: e.anchor_sid
                      for e in classify_entries(
                          self.stack.scan_entries(trans)).inserts}
         edges = sorted({ref.row_start for refs in self.store.blocks.values()

@@ -9,6 +9,7 @@ from repro.common.types import INT64, STRING
 from repro.cluster import VectorHCluster
 from repro.engine.expressions import Col
 from repro.mpp.logical import LAggr, LScan
+from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
 from repro.txn.wal import WalRecord
 
@@ -190,6 +191,29 @@ class TestWal:
         assert len(frames) == 2
         assert frames[0].payload == (1, ["x", "y"])
 
+    def test_partition_log_reads_commits_minmax_and_in_doubt(self, cluster):
+        """One read of a partition WAL: every commit record's entries in
+        log order, the last MinMax record, and the prepares no commit or
+        abort record of the same txn follows."""
+        wal = cluster.wal
+        wal.create_partition_wal("w", 0)
+        wal.log_prepare("w", 0, 7, ["e7"])
+        wal.log_commit("w", 0, 7, ["e7"])
+        wal.log_minmax("w", 0, {"first": 1})
+        wal.log_prepare("w", 0, 8, ["e8"])
+        wal.log_abort("w", 0, 8)
+        wal.log_prepare("w", 0, 9, ["e9", "f9"])
+        wal.log_commit("w", 0, 0, ["kept"])  # what a propagation left
+        wal.log_minmax("w", 0, {"last": 2})
+        wal.log_prepare("w", 0, 10, ["e10"])
+        wal.log_commit("w", 0, 10, ["e10"])
+        log = wal.partition_log("w", 0)
+        assert log.commits == [["e7"], ["kept"], ["e10"]]
+        assert log.minmax == {"last": 2}
+        assert log.in_doubt == {9: ["e9", "f9"]}
+        empty = wal.partition_log("w", 1)  # no WAL file at all
+        assert (empty.commits, empty.minmax, empty.in_doubt) == ([], None, {})
+
     def test_wal_reset_after_propagation(self, cluster):
         t = cluster.begin()
         cluster.insert("t", {"k": np.array([500]), "v": np.array([0])},
@@ -264,3 +288,36 @@ class TestDml:
     def test_small_insert_goes_to_pdt(self, cluster):
         cluster.insert("t", {"k": np.array([2000]), "v": np.array([0])})
         assert any(s.total_entries() for s in cluster.tables["t"].pdt)
+
+
+class TestConstantWhere:
+    """A predicate that reads no column is one bool for every row of a
+    piece: DML with it changes every row or none, PDT inserts too."""
+
+    @pytest.fixture()
+    def with_inserts(self, cluster):
+        cluster.insert("t", {"k": np.arange(200, 206),
+                             "v": np.full(6, 3, np.int64)})
+        assert sum(s.total_entries() for s in cluster.tables["t"].pdt) == 6
+        return cluster
+
+    def _rows(self, cluster):
+        return execute_sql(cluster, "SELECT count(*) AS n, sum(v) AS s "
+                                    "FROM t").columns
+
+    def test_delete_where_true_deletes_every_row(self, with_inserts):
+        assert execute_sql(with_inserts, "DELETE FROM t WHERE 1 = 1") == 106
+        assert self._rows(with_inserts)["n"].tolist() == [0]
+
+    def test_update_where_true_updates_every_row(self, with_inserts):
+        assert execute_sql(with_inserts,
+                           "UPDATE t SET v = 5 WHERE 1 = 1") == 106
+        rows = self._rows(with_inserts)
+        assert (rows["n"].tolist(), rows["s"].tolist()) == ([106], [530])
+
+    @pytest.mark.parametrize("sql", ["DELETE FROM t WHERE 1 = 0",
+                                     "UPDATE t SET v = 5 WHERE 1 = 0"])
+    def test_where_false_changes_nothing(self, with_inserts, sql):
+        assert execute_sql(with_inserts, sql) == 0
+        rows = self._rows(with_inserts)
+        assert (rows["n"].tolist(), rows["s"].tolist()) == ([106], [18])
