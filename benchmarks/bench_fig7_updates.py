@@ -87,12 +87,16 @@ def test_fig7_update_impact(tpch_data, benchmark):
     hive_before = run_all_hive(hive)
 
     # --- VectorH refreshes (through PDTs) --------------------------------
+    wal0, commits0 = _wal_bytes(cluster), cluster.txn.commits
     t0 = time.perf_counter()
     n_inserted = refresh_rf1(cluster, fraction=REFRESH_FRACTION)
     vh_rf1 = time.perf_counter() - t0
     t0 = time.perf_counter()
     n_deleted = refresh_rf2(cluster, fraction=REFRESH_FRACTION)
     vh_rf2 = time.perf_counter() - t0
+    n_commits = max(cluster.txn.commits - commits0, 1)
+    wal_per_commit = {kind: (n - wal0.get(kind, 0)) / n_commits
+                      for kind, n in sorted(_wal_bytes(cluster).items())}
 
     # --- Hive refreshes (delta tables, merged by key at scan time) -------
     existing = tpch_data["orders"]["o_orderkey"]
@@ -143,6 +147,9 @@ def test_fig7_update_impact(tpch_data, benchmark):
         f"{vh_diff:>8.1%} {'102.8%':>14} {vh_scan:>13.2f}x",
         f"{'hive':>10} {hive_rf1:>9.3f} {hive_rf2:>9.3f} "
         f"{hive_diff:>8.1%} {'138.2%':>14} {hive_scan:>13.2f}x",
+        f"vectorh RF1+RF2 WAL bytes per commit ({n_commits} commits): "
+        + ", ".join(f"{kind} {n:,.0f}"
+                    for kind, n in wal_per_commit.items() if n),
     ]
     write_report("fig7_updates.txt", "\n".join(lines))
 
@@ -159,6 +166,12 @@ def test_fig7_update_impact(tpch_data, benchmark):
 
     benchmark(lambda: QUERIES[1](
         lambda plan: cluster.query(plan).batch))
+
+
+def _wal_bytes(cluster) -> dict:
+    """``wal_appended_bytes_total`` so far, by WAL record kind."""
+    family = cluster.registry.get("wal_appended_bytes_total")
+    return {kind: n for (kind,), n in family.copy().items()}
 
 
 def _vh_scan_ratio(cluster, repeats: int = 5) -> float:

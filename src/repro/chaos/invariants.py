@@ -90,7 +90,7 @@ class InvariantChecker:
                 log = cluster.wal.partition_log(tname, pid, reader=reader)
                 replayed = PdtStack(cluster.config.write_pdt_flush_threshold)
                 for entries in log.commits:
-                    replayed.apply_replicated(entries)
+                    replayed.apply(entries)
                 report.checks += 1
                 mem = stored.pdt[pid].total_entries()
                 wal = replayed.total_entries()

@@ -214,7 +214,7 @@ class PartitionPlacement:
         log = cluster.wal.partition_log(table, pid, reader=node)
         stack = PdtStack(cluster.config.write_pdt_flush_threshold)
         for entries in log.commits:
-            stack.apply_replicated(entries)
+            stack.apply(entries)
         if log.minmax is not None:
             store.minmax = store.minmax.from_record(log.minmax)
         stored.pdt[pid] = stack

@@ -455,11 +455,12 @@ class VectorHCluster:
                         self.wal.reset_partition_wal(name, pid, writer=node)
                         kept = stored.pdt[pid].scan_entries()
                         if kept:
-                            # what the flush left in the PDT, as one
-                            # commit: a node taking the partition over
-                            # rebuilds the PDT from the WAL
-                            self.wal.log_commit(name, pid, 0, kept,
-                                                writer=node)
+                            # what the flush left in the PDT, as txn 0's
+                            # prepare + commit: a node taking the
+                            # partition over rebuilds the PDT from the WAL
+                            self.wal.log_prepare(name, pid, 0, kept,
+                                                 writer=node)
+                            self.wal.log_commit(name, pid, 0, writer=node)
                         self.wal.log_minmax(
                             name, pid,
                             stored.partitions[pid].minmax.to_record(),

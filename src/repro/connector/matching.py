@@ -2,20 +2,19 @@
 
 The paper uses "an algorithm similar to Hopcroft-Karp's matching in
 bipartite graphs" to define the NarrowDependency between the input RDD and
-the VectorH RDD. We solve the equivalent min-cost assignment with the
-library's flow solver: every input partition must be assigned to exactly
-one operator, edges to operators on a preferred location cost 0, others
-cost 1, and operators have balanced capacity -- maximizing the number of
-affinity-respecting (solid-arrow) assignments in Figure 6.
+the VectorH RDD. It is the responsibility-assignment flow network with
+operators as workers: every input partition goes to exactly one
+operator, edges to operators on a preferred location cost 0, others cost
+1, and operators have balanced capacity ``ceil(P/N)`` -- maximizing the
+number of affinity-respecting (solid-arrow) assignments in Figure 6.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Sequence
 
 from repro.connector.rdd import RddPartition
-from repro.flow.mincost import MinCostFlow
+from repro.flow.assignment import responsibility_assignment
 
 
 def match_partitions(partitions: Sequence[RddPartition],
@@ -23,25 +22,12 @@ def match_partitions(partitions: Sequence[RddPartition],
     """Returns {input partition index -> operator index}."""
     if not operator_hosts:
         raise ValueError("no operators")
-    net = MinCostFlow()
-    capacity = math.ceil(len(partitions) / len(operator_hosts))
-    edge_ids: Dict[tuple, int] = {}
-    for part in partitions:
-        net.add_edge("s", ("p", part.index), 1, 0)
-        preferred = set(part.preferred_locations)
-        for op_index, host in enumerate(operator_hosts):
-            cost = 0 if host in preferred else 1
-            edge_ids[(part.index, op_index)] = net.add_edge(
-                ("p", part.index), ("o", op_index), 1, cost
-            )
-    for op_index in range(len(operator_hosts)):
-        net.add_edge(("o", op_index), "t", capacity, 0)
-    net.solve("s", "t", len(partitions))
-    assignment: Dict[int, int] = {}
-    for (p, o), eid in edge_ids.items():
-        if net.flow_on(eid) > 0:
-            assignment[p] = o
-    return assignment
+    operators = range(len(operator_hosts))
+    local = {part.index: {o for o in operators
+                          if operator_hosts[o] in part.preferred_locations}
+             for part in partitions}
+    return responsibility_assignment([part.index for part in partitions],
+                                     operators, local)
 
 
 def locality_fraction(partitions: Sequence[RddPartition],

@@ -11,9 +11,8 @@ loop the ROADMAP called out:
   for a logical subtree whose output cardinality is worth remembering
   (scans, selections, joins, aggregations). Projections are transparent
   (they never change cardinality), join sides are sorted for inner joins
-  (so a build/probe swap still matches), and the binder's auto-generated
-  ``__agg_in_N`` column names are canonicalized (each SQL execution mints
-  fresh numbers for the same query text).
+  (so a build/probe swap still matches); the binder numbers its
+  generated ``__agg_in_N`` names per statement, so a text always matches.
 * :class:`CardinalityFeedbackStore` maps signatures to the last observed
   row count. ``lookup`` is what the rewriter consults *before* static
   stats; ``observe`` is fed automatically after every managed query (and
@@ -28,20 +27,11 @@ bit-reproducible (the determinism acceptance test).
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from repro.mpp import logical as L
 from repro.obs import MetricsRegistry
-
-#: the binder mints fresh ``__agg_in_<n>`` / ``col_<n>`` names per parse;
-#: signatures canonicalize them so the same query text always matches
-_AUTO_NAME = re.compile(r"__agg_in_\d+")
-
-
-def _norm(text: str) -> str:
-    return _AUTO_NAME.sub("__agg_in", text)
 
 
 def fragment_signature(node: L.LogicalPlan) -> Optional[str]:
@@ -55,7 +45,7 @@ def fragment_signature(node: L.LogicalPlan) -> Optional[str]:
         child = fragment_signature(node.child)
         if child is None:
             return None
-        return f"select({_norm(repr(node.predicate))})|{child}"
+        return f"select({repr(node.predicate)})|{child}"
     if isinstance(node, L.LProject):
         # projections never change cardinality: transparent
         return fragment_signature(node.child)
@@ -74,7 +64,7 @@ def fragment_signature(node: L.LogicalPlan) -> Optional[str]:
         child = fragment_signature(node.child)
         if child is None:
             return None
-        funcs = ",".join(f"{func}({_norm(repr(expr))})"
+        funcs = ",".join(f"{func}({repr(expr)})"
                          for _name, func, expr in node.aggregates)
         return f"aggr({','.join(node.group_by)};{funcs})|{child}"
     return None

@@ -118,36 +118,22 @@ class PdtStack:
 
     # -- commit (PDT serialization, paper section 6) ---------------------------------
 
-    def commit(self, trans: TransPdt) -> List[DeltaEntry]:
+    def commit(self, trans: TransPdt) -> None:
         """Serialize a Trans-PDT into the master state.
 
         Raises :class:`TransactionAborted` on a write-write conflict with
-        any transaction that committed after this one's snapshot. Returns
-        the re-sequenced entries (the WAL record payload).
+        any transaction that committed after this one's snapshot.
         """
         conflicts = self.conflicts(trans)
         if conflicts:
             raise TransactionAborted(
                 f"write-write conflict on {len(conflicts)} tuple(s)"
             )
-        # the Trans-PDT appended its entries in ``seq`` order
-        committed = [replace(entry, seq=next(self._seq))
-                     for entry in trans.layer.entries]
-        # Copy-on-write: running queries keep the old Write-PDT layer.
-        new_write = self.write.copy()
-        new_write.extend(committed)
-        self.write = new_write
-        self.version += 1
-        self._commit_log.append((self.version, set(trans.write_set)))
-        self._maybe_flush()
-        return committed
+        self.apply(trans.layer.entries)
 
-    def apply_replicated(self, entries: Sequence[DeltaEntry]) -> None:
-        """Apply log-shipped entries from the responsible node verbatim.
-
-        Used for replicated (non-partitioned) tables: every worker replays
-        the same committed entries so local scans see the latest image.
-        """
+    def apply(self, entries: Sequence[DeltaEntry]) -> None:
+        """Fold committed entries, re-sequenced, into a copy-on-write
+        Write-PDT: a commit, a WAL replay or a resolved in-doubt txn."""
         new_write = self.write.copy()
         new_write.extend([replace(entry, seq=next(self._seq))
                           for entry in entries])

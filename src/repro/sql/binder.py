@@ -20,8 +20,6 @@ from repro.mpp.rewriter import ParallelRewriter
 from repro.sql import parser as ast
 from repro.sql.parser import SqlParser
 
-_auto_names = itertools.count(1)
-
 
 def _bind_expr(node) -> Expr:
     if isinstance(node, ast.ColumnRef):
@@ -111,6 +109,10 @@ class _SelectBinder:
     def __init__(self, cluster, stmt: ast.SelectStatement):
         self.cluster = cluster
         self.stmt = stmt
+        # generated names count per statement: a text binds the same
+        # names every time
+        self._out_names = itertools.count(1)
+        self._arg_names = itertools.count(1)
 
     def plan(self) -> LogicalPlan:
         """The statement's logical plan; a ``$N`` in it is a slot
@@ -246,11 +248,11 @@ class _SelectBinder:
         for item in stmt.items:
             if isinstance(item.expr, ast.AggCall):
                 call = item.expr
-                name = item.alias or f"{call.func}_{next(_auto_names)}"
+                name = item.alias or f"{call.func}_{next(self._out_names)}"
                 if call.arg is None:
                     aggregates.append((name, "count", None))
                 else:
-                    arg_name = f"__agg_in_{next(_auto_names)}"
+                    arg_name = f"__agg_in_{next(self._arg_names)}"
                     pre_outputs[arg_name] = _bind_expr(call.arg)
                     func = ("count_distinct"
                             if call.distinct and call.func == "count"
@@ -270,11 +272,10 @@ class _SelectBinder:
                 )
         return LAggr(LProject(plan, pre_outputs), stmt.group_by, aggregates)
 
-    @staticmethod
-    def _default_name(expr) -> str:
+    def _default_name(self, expr) -> str:
         if isinstance(expr, ast.ColumnRef):
             return expr.name
-        return f"col_{next(_auto_names)}"
+        return f"col_{next(self._out_names)}"
 
 
 def execute_sql(cluster, text: str, trans=None):

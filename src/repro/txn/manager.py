@@ -3,16 +3,15 @@
 The session master coordinates: **prepare** asks every involved partition's
 responsible node to validate (optimistic write-write conflict check against
 commits since the snapshot, plus constraint checks), **commit** serializes
-each Trans-PDT into its partition's master PDT stack, appends the entries
-to the partition WAL at the responsible node, log-ships replicated-table
-changes to all other workers, and finally writes the decision to the global
-WAL. All coordination messages are charged to the MPI fabric.
+each Trans-PDT into its partition's master PDT stack, appends a commit
+record that names its prepare record (the redo) and log-ships
+replicated-table changes; the global decision precedes every apply.
+All coordination messages are charged to the MPI fabric.
 """
 
 from __future__ import annotations
 
 import itertools
-import pickle
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -173,6 +172,7 @@ class TransactionManager:
             # it would apply *before* voting yes. Presumed abort: a
             # prepare record with no global decision resolves to abort.
             with tracer.span("txn.prepare"):
+                logged = {}  # prepare record bytes per partition
                 for (table, pid), trans in involved:
                     node = cluster.responsible(table, pid)
                     cluster.mpi.send(master, node,
@@ -182,8 +182,9 @@ class TransactionManager:
                         raise TransactionAborted(
                             f"write-write conflict on {table} partition {pid}"
                         )
-                    cluster.wal.log_prepare(table, pid, txn.txn_id,
-                                            trans.layer.entries, writer=node)
+                    logged[(table, pid)] = cluster.wal.log_prepare(
+                        table, pid, txn.txn_id, trans.layer.entries,
+                        writer=node)
                     txn.prepared.append((table, pid))
                     cluster.mpi.send(node, master,
                                      _COORDINATION_MESSAGE_BYTES)
@@ -208,11 +209,11 @@ class TransactionManager:
                     cluster.mpi.send(master, node,
                                      _COORDINATION_MESSAGE_BYTES)
                     stored = cluster.tables[table]
-                    entries = stored.pdt[pid].commit(trans)
-                    cluster.wal.log_commit(table, pid, txn.txn_id, entries,
+                    stored.pdt[pid].commit(trans)
+                    cluster.wal.log_commit(table, pid, txn.txn_id,
                                            writer=node)
                     if stored.is_replicated:
-                        self._ship_log(table, entries, node)
+                        self._ship_log(logged[(table, pid)], node)
                     applied += 1
                     if applied == 1 and len(involved) > 1:
                         self._crash_point("commit.partial", txn)
@@ -280,9 +281,9 @@ class TransactionManager:
                 for txn_id in sorted(in_doubt):
                     node = cluster.responsible(table, pid)
                     if decisions.get(txn_id) == "commit":
-                        stored.pdt[pid].apply_replicated(in_doubt[txn_id])
+                        stored.pdt[pid].apply(in_doubt[txn_id])
                         cluster.wal.log_commit(table, pid, txn_id,
-                                               in_doubt[txn_id], writer=node)
+                                               writer=node)
                         committed.setdefault(txn_id, []).append((table, pid))
                     else:
                         cluster.wal.log_abort(table, pid, txn_id,
@@ -305,15 +306,15 @@ class TransactionManager:
 
     # -------------------------------------------------------------- log shipping
 
-    def _ship_log(self, table: str, entries, responsible: str) -> None:
-        """Broadcast replicated-table changes to the other workers.
+    def _ship_log(self, payload: int, responsible: str) -> None:
+        """Broadcast a replicated-table change to the other workers.
 
-        The log actions reuse the on-disk WAL format; receivers apply them
-        like a log replay (paper section 6, "Log Shipping"). In this
-        in-process simulation all workers share the PdtStack object, so
-        applying is implicit -- what we reproduce is the traffic.
+        What ships is the partition's prepare record, ``payload`` bytes;
+        receivers apply it like a log replay (paper section 6, "Log
+        Shipping"). In this in-process simulation all workers share the
+        PdtStack object, so applying is implicit -- what we reproduce is
+        the traffic.
         """
-        payload = len(pickle.dumps(entries, protocol=4))
         for worker in self.cluster.workers:
             if worker != responsible:
                 self.cluster.mpi.send(responsible, worker, payload)

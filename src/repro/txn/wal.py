@@ -5,6 +5,10 @@ plus one reduced global WAL for 2PC decisions, DDL and MinMax snapshots.
 Records are length-prefixed pickled frames appended to HDFS files; after
 update propagation a partition's WAL is re-created empty (HDFS cannot
 truncate, so delete + create -- the same chunk-file trick as table data).
+
+A txn's redo is written once, in its prepare record; its commit or abort
+record only names the txn (presumed-abort 2PC). What a propagation keeps
+in the PDT is logged the same way, as txn 0 (real txn ids start at 1).
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ _LEN = struct.Struct("<I")
 
 @dataclass
 class WalRecord:
-    """One log record: a commit, DDL statement or MinMax snapshot."""
+    """One log record: a 2PC step, DDL statement or MinMax snapshot."""
 
-    kind: str  # "commit" | "ddl" | "minmax" | "decision" | "prepare" | "abort"
+    #: partition WAL: "prepare" (txn_id, entries), "commit" / "abort"
+    #: (txn_id,), "minmax"; global WAL: "decision", "ddl"
+    kind: str
     payload: object
 
     def to_bytes(self) -> bytes:
@@ -45,7 +51,7 @@ class WalRecord:
 class PartitionLog:
     """What one read of a partition WAL finds."""
 
-    #: each commit record's entries, in log order
+    #: the prepared entries each commit record names, in commit order
     commits: List[list] = field(default_factory=list)
     #: the last MinMax record (None: there is none)
     minmax: Optional[dict] = None
@@ -73,10 +79,6 @@ class WalManager:
             "wal_appended_bytes_total", "WAL bytes appended, by record kind",
             labels=("kind",),
         )
-
-    def _account(self, kind: str, n_bytes: int) -> None:
-        self._appends.inc(kind=kind)
-        self._append_bytes.inc(n_bytes, kind=kind)
 
     # -- paths ---------------------------------------------------------------
 
@@ -109,50 +111,50 @@ class WalManager:
 
     # -- appends ------------------------------------------------------------------
 
-    def log_commit(self, table: str, pid: int, txn_id: int, entries,
-                   writer: Optional[str] = None) -> int:
-        record = WalRecord("commit", (txn_id, entries))
-        data = record.to_bytes()
-        self.hdfs.append(self.partition_wal_path(table, pid), data, writer)
-        self._account("commit", len(data))
+    def _append(self, path: str, kind: str, payload,
+                writer: Optional[str]) -> int:
+        data = WalRecord(kind, payload).to_bytes()
+        self.hdfs.append(path, data, writer)
+        self._appends.inc(kind=kind)
+        self._append_bytes.inc(len(data), kind=kind)
         return len(data)
+
+    def _log(self, table: str, pid: int, kind: str, payload,
+             writer: Optional[str]) -> int:
+        return self._append(self.partition_wal_path(table, pid), kind,
+                            payload, writer)
 
     def log_prepare(self, table: str, pid: int, txn_id: int, entries,
                     writer: Optional[str] = None) -> int:
-        """Phase-1 force-log: the redo entries this partition would apply.
+        """Phase-1 force-log: the redo entries this partition would apply,
+        the only record that carries them; returns the record's size.
 
         Presumed-abort 2PC: a prepare record with no later commit record
         and no global decision means the transaction is in doubt and
         resolves to abort; with a global commit decision, recovery applies
         these entries and appends the missing commit record.
         """
-        record = WalRecord("prepare", (txn_id, entries))
-        data = record.to_bytes()
-        self.hdfs.append(self.partition_wal_path(table, pid), data, writer)
-        self._account("prepare", len(data))
-        return len(data)
+        return self._log(table, pid, "prepare", (txn_id, entries), writer)
+
+    def log_commit(self, table: str, pid: int, txn_id: int,
+                   writer: Optional[str] = None) -> int:
+        """The outcome of a prepared txn: it names the prepare record
+        whose entries this partition applied."""
+        return self._log(table, pid, "commit", (txn_id,), writer)
 
     def log_abort(self, table: str, pid: int, txn_id: int,
-                  writer: Optional[str] = None) -> None:
+                  writer: Optional[str] = None) -> int:
         """Mark a prepared txn resolved-as-abort so later scans skip it."""
-        record = WalRecord("abort", (txn_id,))
-        data = record.to_bytes()
-        self.hdfs.append(self.partition_wal_path(table, pid), data, writer)
-        self._account("abort", len(data))
+        return self._log(table, pid, "abort", (txn_id,), writer)
 
     def log_minmax(self, table: str, pid: int, minmax_record: dict,
-                   writer: Optional[str] = None) -> None:
-        record = WalRecord("minmax", minmax_record)
-        data = record.to_bytes()
-        self.hdfs.append(self.partition_wal_path(table, pid), data, writer)
-        self._account("minmax", len(data))
+                   writer: Optional[str] = None) -> int:
+        return self._log(table, pid, "minmax", minmax_record, writer)
 
     def log_global(self, kind: str, payload,
                    writer: Optional[str] = None) -> None:
         self.ensure_global_wal(writer)
-        data = WalRecord(kind, payload).to_bytes()
-        self.hdfs.append(self.global_wal_path, data, writer)
-        self._account(kind, len(data))
+        self._append(self.global_wal_path, kind, payload, writer)
 
     # -- replay ----------------------------------------------------------------------
 
@@ -175,9 +177,10 @@ class WalManager:
 
     def partition_log(self, table: str, pid: int,
                       reader: Optional[str] = None) -> PartitionLog:
-        """Read a partition WAL once: its commits, its last MinMax record
-        and its in-doubt prepares (failover replay, the chaos checker and
-        presumed-abort recovery all start here)."""
+        """Read a partition WAL once: each commit record paired with its
+        txn's prepare record, the last MinMax record and the in-doubt
+        prepares (failover replay, the chaos checker and presumed-abort
+        recovery all start here)."""
         log = PartitionLog()
         for rec in self.replay_partition(table, pid, reader=reader):
             if rec.kind == "minmax":
@@ -185,10 +188,10 @@ class WalManager:
             elif rec.kind == "prepare":
                 txn_id, entries = rec.payload
                 log.in_doubt[txn_id] = entries
-            elif rec.kind in ("commit", "abort"):
+            elif rec.kind == "commit":
+                log.commits.append(log.in_doubt.pop(rec.payload[0]))
+            elif rec.kind == "abort":
                 log.in_doubt.pop(rec.payload[0], None)
-                if rec.kind == "commit":
-                    log.commits.append(rec.payload[1])
         return log
 
     def decisions(self, reader: Optional[str] = None) -> dict:

@@ -187,15 +187,15 @@ class TestLayerMaintenance:
         stk.clear_after_propagation()
         assert stk.total_entries() == 0
 
-    def test_apply_replicated_entries(self, base):
+    def test_apply_log_shipped_entries(self, base):
         """Log-shipped entries replayed on a replica give the same image."""
         src = PdtStack()
         t = src.begin()
         t.insert(3, {"k": 500, "v": 0})
         t.delete(0)
-        committed = src.commit(t)
+        src.commit(t)
         replica = PdtStack()
-        replica.apply_replicated(committed)
+        replica.apply(t.layer.entries)
         a = image(base, 10, src.scan_entries())
         b = image(base, 10, replica.scan_entries())
         assert list(a.columns["k"]) == list(b.columns["k"])

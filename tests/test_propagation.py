@@ -124,11 +124,10 @@ def test_un_forced_propagation_keeps_the_non_tail_entries():
     defer(c)
     wal = c.wal
     for pid, stack in enumerate(c.tables["t"].pdt):
-        commits = [r for r in wal.replay_partition("t", pid)
-                   if r.kind == "commit"]
+        commits = wal.partition_log("t", pid).commits
         # one commit record: exactly what the PDT kept
         assert len(commits) == 1
-        assert len(commits[0].payload[1]) == stack.total_entries()
+        assert len(commits[0]) == stack.total_entries()
     after = image(c)
     assert len(after) == len(before) - 2 + 4 * THRESHOLD
     # the kept deletes come due: the partition is rewritten

@@ -323,6 +323,20 @@ class TestResultCache:
             assert hit.columns[col].dtype == cold.columns[col].dtype
             assert hit.columns[col].tolist() == cold.columns[col].tolist()
 
+    def test_generated_column_names_repeat_on_a_hit_and_a_cold_run(self):
+        c, srv = _served_cluster()
+        sql = "SELECT sum(b), count(*) FROM t"
+        first = list(execute_sql(c, sql).columns)
+        assert list(execute_sql(c, sql).columns) == first
+        conn = srv.connect()
+        cold = conn.simple_query(sql)
+        hit = conn.simple_query(sql)
+        assert srv.result_cache.hits == 1
+        srv.result_cache.clear()
+        again = conn.simple_query(sql)
+        assert list(cold.columns) == list(hit.columns) \
+            == list(again.columns) == first
+
     def test_served_batch_is_a_private_copy(self):
         c, srv = _served_cluster()
         conn = srv.connect()

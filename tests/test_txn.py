@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.common.config import Config
-from repro.common.errors import ConstraintViolation, TransactionAborted
+from repro.common.errors import (
+    ConstraintViolation, SimulatedCrash, TransactionAborted,
+)
 from repro.common.types import INT64, STRING
 from repro.cluster import VectorHCluster
-from repro.engine.expressions import Col
+from repro.engine.expressions import Col, Const
 from repro.mpp.logical import LAggr, LScan
 from repro.sql import execute_sql
 from repro.storage import Column, TableSchema
@@ -168,9 +170,8 @@ class TestWal:
         t.commit()
         logged = 0
         for pid in range(4):
-            records = cluster.wal.replay_partition("t", pid)
-            logged += sum(len(r.payload[1]) for r in records
-                          if r.kind == "commit")
+            log = cluster.wal.partition_log("t", pid)
+            logged += sum(len(entries) for entries in log.commits)
         assert logged == 10
 
     def test_global_wal_records_decision(self, cluster):
@@ -186,27 +187,28 @@ class TestWal:
         assert participants
 
     def test_wal_record_roundtrip(self):
-        rec = WalRecord("commit", (1, ["x", "y"]))
+        rec = WalRecord("prepare", (1, ["x", "y"]))
         frames = list(WalRecord.stream_from(rec.to_bytes() + rec.to_bytes()))
         assert len(frames) == 2
         assert frames[0].payload == (1, ["x", "y"])
 
     def test_partition_log_reads_commits_minmax_and_in_doubt(self, cluster):
-        """One read of a partition WAL: every commit record's entries in
-        log order, the last MinMax record, and the prepares no commit or
-        abort record of the same txn follows."""
+        """One read of a partition WAL: the prepared entries every commit
+        record names, in commit order, the last MinMax record, and the
+        prepares no commit or abort record of the same txn follows."""
         wal = cluster.wal
         wal.create_partition_wal("w", 0)
         wal.log_prepare("w", 0, 7, ["e7"])
-        wal.log_commit("w", 0, 7, ["e7"])
+        wal.log_commit("w", 0, 7)
         wal.log_minmax("w", 0, {"first": 1})
         wal.log_prepare("w", 0, 8, ["e8"])
         wal.log_abort("w", 0, 8)
         wal.log_prepare("w", 0, 9, ["e9", "f9"])
-        wal.log_commit("w", 0, 0, ["kept"])  # what a propagation left
+        wal.log_prepare("w", 0, 0, ["kept"])  # what a propagation left
+        wal.log_commit("w", 0, 0)
         wal.log_minmax("w", 0, {"last": 2})
         wal.log_prepare("w", 0, 10, ["e10"])
-        wal.log_commit("w", 0, 10, ["e10"])
+        wal.log_commit("w", 0, 10)
         log = wal.partition_log("w", 0)
         assert log.commits == [["e7"], ["kept"], ["e10"]]
         assert log.minmax == {"last": 2}
@@ -235,6 +237,92 @@ class TestWal:
         for pid in range(4):
             kinds |= {r.kind for r in cluster.wal.replay_partition("t", pid)}
         assert "minmax" in kinds
+
+
+class TestCommitRecord:
+    """A txn's redo is written once, in its prepare record; the commit
+    record only names the txn."""
+
+    @staticmethod
+    def _commit_record_bytes(cluster, n_rows):
+        registry = cluster.registry
+        count0 = registry.value("wal_appends_total", kind="commit")
+        bytes0 = registry.value("wal_appended_bytes_total", kind="commit")
+        t = cluster.begin()
+        cluster.insert("t", {"k": np.arange(10**5, 10**5 + n_rows),
+                             "v": np.arange(n_rows)},
+                       trans=t, force_pdt=True)
+        t.commit()
+        count = registry.value("wal_appends_total", kind="commit") - count0
+        assert count > 0
+        return (registry.value("wal_appended_bytes_total", kind="commit")
+                - bytes0) / count
+
+    @pytest.mark.parametrize("n_rows", [4, 400])
+    def test_a_commit_record_is_small_whatever_the_redo(self, cluster,
+                                                         n_rows):
+        assert self._commit_record_bytes(cluster, n_rows) <= 64
+
+
+def _scans(cluster, table):
+    """Every partition of ``table`` as a scan sees it: values and codes."""
+    stored = cluster.tables[table]
+    names = stored.schema.column_names
+    out = []
+    for pid in range(stored.n_partitions):
+        res = stored.scan_partition(pid, names)
+        out.append(({c: list(res.columns[c]) for c in names},
+                    res.identities.tolist()))
+    return out
+
+
+class TestCrashThenFailover:
+    """A commit cut at each 2PC crash point and settled by presumed-abort
+    recovery; then the responsible node of a touched partition fails, and
+    the node taking it over rebuilds the PDT from the WAL alone: the
+    partition scans, codes included, as it did before."""
+
+    @staticmethod
+    def _crash(cluster, point):
+        def hook(at, _txn):
+            if at == point:
+                raise SimulatedCrash(cluster.session_master, at)
+
+        cluster.txn.crash_hook = hook
+        t = cluster.begin()
+        cluster.insert("t", {"k": np.arange(200, 216),
+                             "v": np.ones(16, np.int64)}, trans=t)
+        cluster.delete_where("t", Col("k") < 8, trans=t)
+        cluster.update_where("t", Col("k") >= 90, {"v": Col("v") + 7},
+                             trans=t)
+        cluster.insert("small", {"sk": np.array([100, 101]),
+                                 "name": np.array(["x", "y"], object)},
+                       trans=t, force_pdt=True)
+        cluster.delete_where("small", Col("sk") == 1, trans=t)
+        cluster.update_where("small", Col("sk") == 2,
+                             {"name": Const("renamed")}, trans=t)
+        assert sum(1 for trans in t.parts.values() if len(trans)) == 5
+        with pytest.raises(SimulatedCrash):
+            t.commit()
+        cluster.txn.crash_hook = None
+        return cluster.txn.resolve_in_doubt()
+
+    @pytest.mark.parametrize("table", ["t", "small"])
+    @pytest.mark.parametrize("point", ["prepare.done", "decision.logged",
+                                       "commit.partial"])
+    def test_the_rebuilt_pdt_scans_as_before(self, cluster, point, table):
+        resolved = self._crash(cluster, point)
+        committed = point != "prepare.done"
+        assert bool(resolved["committed"]) == committed
+        stored = cluster.tables[table]
+        assert bool(stored.pdt[0].total_entries()) == committed
+        before = _scans(cluster, table)
+        old = stored.pdt[0]
+        cluster.fail_node(cluster.responsible(table, 0))
+        assert stored.pdt[0] is not old  # rebuilt from the WAL
+        assert _scans(cluster, table) == before
+        assert cluster.txn.resolve_in_doubt() == {"committed": [],
+                                                  "aborted": []}
 
 
 class TestLogShipping:
