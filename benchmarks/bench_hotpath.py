@@ -31,7 +31,7 @@ from benchmarks.conftest import (
 from repro.cluster import VectorHCluster
 from repro.obs.profiler import folded_stacks
 from repro.tpch import tpch_schemas
-from repro.tpch.queries import run_query
+from repro.tpch.queries import QUERIES as TPCH_QUERIES
 from repro.tpch.schema import LOAD_ORDER
 
 #: the query mix: scan+aggregation (1), join+topn (3), multi-join (5),
@@ -66,7 +66,7 @@ def run_queries(cluster, numbers=QUERIES) -> Tuple[Dict[str, dict], Dict[int, li
         # must not land inside whichever query happens to trip it
         gc.collect()
         t0 = time.perf_counter()
-        batch = run_query(runner, number)
+        batch = TPCH_QUERIES[number](runner)
         queries[f"q{number}"] = {
             "wall_s": time.perf_counter() - t0,
             "rows": int(batch.n),

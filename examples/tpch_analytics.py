@@ -3,8 +3,9 @@
 Generates a small TPC-H database with the paper's physical design
 (section 8 DDL: clustering, co-located partitioning, replicated small
 tables), runs a selection of the 22 queries on the vectorized MPP engine,
-shows a distributed plan and its Figure-5 rewrite rules, and compares
-against the tuple-at-a-time Hive-like baseline.
+shows a distributed plan and its Figure-5 rewrite rules, compares
+against the tuple-at-a-time Hive-like baseline, and sends one query's SQL
+text through the server frontend as a client would.
 
     python examples/tpch_analytics.py [scale_factor]
 """
@@ -19,6 +20,7 @@ from repro.cluster import VectorHCluster
 from repro.engine.expressions import Between, Col
 from repro.mpp.logical import LAggr, LJoin, LScan, LSelect, LTopN
 from repro.tpch import QUERIES, generate_tpch, tpch_schemas
+from repro.tpch.queries import SQL
 from repro.tpch.schema import LOAD_ORDER
 
 
@@ -83,6 +85,19 @@ def main(scale_factor: float = 0.01):
               f"{q1.columns['l_linestatus'][i]}  "
               f"qty={q1.columns['sum_qty'][i]:>12.0f}  "
               f"orders={int(q1.columns['count_order'][i]):>8}")
+
+    # the queries are SQL text: a client sending Q3's text gets the rows
+    # QUERIES[3] gets, in the same columns
+    via_server = cluster.serve().connect().simple_query(SQL[3])
+    direct = QUERIES[3](lambda plan: cluster.query(plan).batch)
+
+    def rows(batch):
+        return sorted(zip(*(col.tolist() for col in batch.columns.values())))
+
+    assert via_server.column_names == direct.column_names
+    assert rows(via_server) == rows(direct)
+    print(f"\nQ3 as SQL text through the server: {via_server.n} rows in "
+          f"{', '.join(via_server.column_names)} -- what QUERIES[3] returns")
 
 
 if __name__ == "__main__":

@@ -191,11 +191,12 @@ class VectorHCluster:
         so the default first-copy-on-the-writer rule already lands the
         primary replica locally. A partition whose WAL holds records
         logs its new MinMax: a replay must not restore one older than the
-        blocks. A partition a running query reads takes no rows
+        blocks. A partition an unfinished transaction holds takes no rows
         (``StorageError``, nothing written)."""
         stored, owners = self.tables[table], self.placement.owners(table)
         stored.bulk_load(columns, dict(enumerate(owners)),
-                         busy=self._pinned_pids(table))
+                         busy={pid for name, pid in self.txn.held_partitions()
+                               if name == table})
         for pid, node in enumerate(owners):
             if self.hdfs.file_size(self.wal.partition_wal_path(table, pid)):
                 self.wal.log_minmax(table, pid,
@@ -327,14 +328,15 @@ class VectorHCluster:
         Unordered tables take large inserts as direct appends; small
         inserts (or ``force_pdt``) buffer in PDTs -- "for very small
         inserts this provides better performance (no IO)". So do large
-        ones while a running query reads the table: its scans keep their
-        snapshot, and the append would delete the partial blocks they
-        read."""
+        ones while an unfinished transaction holds a partition of the
+        table: it keeps its snapshot, and the append would delete the
+        partial blocks it reads."""
         stored = self.tables[table]
         n = len(columns[stored.schema.column_names[0]])
         if (not stored.schema.is_clustered and not force_pdt
                 and n >= DIRECT_APPEND_THRESHOLD
-                and not self._pinned_pids(table)):
+                and not any(name == table
+                            for name, _ in self.txn.held_partitions())):
             self.bulk_load(table, columns)
             return
         own_txn = trans is None
@@ -343,12 +345,6 @@ class VectorHCluster:
         stored.insert_rows(columns, lambda pid: trans.trans_for(table, pid))
         if own_txn:
             trans.commit()
-
-    def _pinned_pids(self, table: str) -> set:
-        """The partitions of ``table`` whose snapshot a running query
-        holds."""
-        return {pid for name, pid in self.workload.pinned_partitions()
-                if name == table}
 
     def _change_where(self, table: str, predicate: Expr,
                       columns: Sequence[str],
@@ -436,17 +432,18 @@ class VectorHCluster:
         partition with entries when ``force``; see
         :meth:`StoredTable.propagate` for what an un-forced one defers).
 
-        A partition whose snapshot a running query pinned is left for a
-        later call, where it is still due: that query's scan reads the
-        blocks and PDT layers it pinned, and propagation would delete the
-        one and fold the other into the stable image."""
+        A partition an unfinished transaction holds (a running query's
+        own among them) is left for a later call, where it is still due:
+        its scans read the blocks and PDT layers it took, and its
+        Trans-PDT addresses rows of that stable image, which propagation
+        would rewrite."""
         stats = {"tail": 0, "full": 0}
         names = [table] if table else list(self.tables)
-        pinned = self.workload.pinned_partitions()
+        held = self.txn.held_partitions()
         for name in names:
             stored = self.tables[name]
             for pid, node in enumerate(self.placement.owners(name)):
-                if (name, pid) in pinned:
+                if (name, pid) in held:
                     continue
                 if force or stored.needs_propagation(pid):
                     mode = stored.propagate(pid, writer=node, force=force)

@@ -359,7 +359,7 @@ class ServerFrontend:
         up nor stores: no commit moves a system table's epoch."""
         cluster = self.cluster
         stmt = statement.stmt
-        tables = sorted({stmt.table} | {j.table for j in stmt.joins})
+        tables = stmt.tables()
         epochs = cluster.txn.epoch_vector(tables)
         key = None
         if self.result_cache is not None and not any(

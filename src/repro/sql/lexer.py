@@ -19,7 +19,7 @@ KEYWORDS = {
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<number>\d+(\.\d+)?)
+  | (?P<number>\d+(\.\d+)?([eE][-+]?\d+)?)
   | (?P<string>'(?:[^'])*')
   | (?P<param>\$\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_$]*)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.common.errors import SqlError
 from repro.sql.lexer import SqlLexer, Token
@@ -61,6 +61,17 @@ class InOp:
 
 
 @dataclass
+class InSelect:
+    """``child [NOT] IN (SELECT c FROM ...)``: only as a WHERE conjunct,
+    where it binds to a semi (anti) join whose build side is the
+    subquery."""
+
+    child: object
+    select: "SelectStatement"
+    negate: bool = False
+
+
+@dataclass
 class LikeOp:
     child: object
     pattern: str
@@ -101,16 +112,18 @@ class SelectItem:
 
 @dataclass
 class JoinClause:
-    table: str
-    left_key: str
-    right_key: str
+    #: a table name, or a derived table ``(SELECT ...) AS alias`` whose
+    #: output names are the columns the outer query reads from it
+    table: Union[str, "SelectStatement"]
+    #: ``ON a = b AND c = d``: the key pairs, as written
+    keys: List[Tuple[str, str]]
     how: str = "inner"
 
 
 @dataclass
 class SelectStatement:
     items: List[SelectItem]
-    table: str
+    table: Union[str, "SelectStatement"]
     joins: List[JoinClause] = field(default_factory=list)
     where: Optional[object] = None
     group_by: List[str] = field(default_factory=list)
@@ -118,6 +131,28 @@ class SelectStatement:
     order_by: List[Tuple[str, bool]] = field(default_factory=list)
     limit: Optional[int] = None
     star: bool = False  # SELECT * (items empty; binder expands)
+
+    def tables(self) -> List[str]:
+        """Every stored table the statement reads, its subqueries'
+        included, sorted."""
+        names, selects = set(), [self]
+        while selects:
+            stmt = selects.pop()
+            for source in [stmt.table] + [j.table for j in stmt.joins]:
+                if isinstance(source, str):
+                    names.add(source)
+                else:
+                    selects.append(source)
+            selects += [node.select for node in conjuncts(stmt.where)
+                        if isinstance(node, InSelect)]
+        return sorted(names)
+
+
+def conjuncts(node) -> list:
+    """The ``AND``-ed parts of ``node``, left to right."""
+    if isinstance(node, BinaryOp) and node.op == "and":
+        return conjuncts(node.left) + conjuncts(node.right)
+    return [node]
 
 
 @dataclass
@@ -233,7 +268,7 @@ class SqlParser:
             while self._accept("op", ","):
                 items.append(self._select_item())
         self._expect("keyword", "from")
-        table = self._expect("name").value
+        table = self._source()
         joins = []
         while True:
             how = "inner"
@@ -246,12 +281,14 @@ class SqlParser:
                 pass
             else:
                 break
-            jtable = self._expect("name").value
+            jtable = self._source()
             self._expect("keyword", "on")
-            lk = self._expect("name").value
-            self._expect("op", "=")
-            rk = self._expect("name").value
-            joins.append(JoinClause(jtable, lk, rk, how))
+            keys = []
+            while not keys or self._keyword("and"):
+                lk = self._expect("name").value
+                self._expect("op", "=")
+                keys.append((lk, self._expect("name").value))
+            joins.append(JoinClause(jtable, keys, how))
         where = self._expression() if self._keyword("where") else None
         group_by: List[str] = []
         if self._keyword("group"):
@@ -278,6 +315,18 @@ class SqlParser:
             limit = int(self._expect("number").value)
         return SelectStatement(items, table, joins, where, group_by,
                                having, order_by, limit, star)
+
+    def _source(self) -> Union[str, SelectStatement]:
+        """A table name, or ``(SELECT ...) [AS] alias`` (the alias names
+        nothing the binder reads: columns are unqualified)."""
+        if not self._accept("op", "("):
+            return self._expect("name").value
+        self._expect("keyword", "select")
+        select = self._select()
+        self._expect("op", ")")
+        self._keyword("as")
+        self._expect("name")
+        return select
 
     def _select_item(self) -> SelectItem:
         expr = self._expression()
@@ -361,6 +410,10 @@ class SqlParser:
             return BetweenOp(left, low, high, negate)
         if self._keyword("in"):
             self._expect("op", "(")
+            if self._keyword("select"):
+                select = self._select()
+                self._expect("op", ")")
+                return InSelect(left, select, negate)
             values = [self._literal_value()]
             while self._accept("op", ","):
                 values.append(self._literal_value())
@@ -504,4 +557,4 @@ class SqlParser:
 
     @staticmethod
     def _number(text: str):
-        return float(text) if "." in text else int(text)
+        return int(text) if text.isdigit() else float(text)

@@ -1,703 +1,344 @@
-"""All 22 TPC-H queries as logical-plan builders.
+"""All 22 TPC-H queries as SQL text, bound by :mod:`repro.sql`.
 
 Each query is a function ``qN(run)`` where ``run(plan) -> Batch`` executes a
 logical plan -- on the VectorH cluster, or on the baseline row engine, so
-both systems answer the *same* plans. Sub-queries (Q11, Q15, Q22 scalar
-aggregates; Q17/Q18/Q20/Q21 correlated predicates) are hand-decorrelated
-into joins/semi-joins/anti-joins plus at most one extra plan execution,
-exactly the shapes a production optimizer produces for them.
+both systems answer the *same* plans. The texts bind against the TPC-H
+schemas alone (:func:`~repro.sql.binder.bind_select`), not a live cluster,
+so no cluster's feedback reorders the joins of the plan every engine gets.
+
+The texts are written in the shape a production optimizer gives these
+queries: EXISTS / NOT EXISTS (Q4, Q21, Q22) and a dimension that only
+filters are ``[NOT] IN (SELECT ...)`` (a semi or anti join), a correlated
+aggregate (Q2, Q17, Q20, Q21) is a derived table joined on its
+correlation key, a scalar subquery (Q11, Q15, Q22) is a first statement
+whose one value goes into the second text as a literal, and a filter on
+one join input is a derived table over that input, so the join sees the
+filtered rows and the planner their estimate.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict
 
-import numpy as np
-
-from repro.common.types import date_to_days as d
 from repro.engine.batch import Batch
-from repro.engine.expressions import (
-    Between,
-    Case,
-    Col,
-    Const,
-    ExtractYear,
-    InList,
-    Like,
-    Substr,
-)
-from repro.mpp.logical import (
-    LAggr,
-    LJoin,
-    LProject,
-    LScan,
-    LSelect,
-    LSort,
-    LTopN,
-)
+from repro.sql.binder import bind_select
+from repro.tpch.schema import tpch_schemas
 
 Runner = Callable[[object], Batch]
 
-REVENUE = Col("l_extendedprice") * (Const(1.0) - Col("l_discount"))
-
-
-def _ident(*names):
-    return {n: Col(n) for n in names}
-
-
-# ---------------------------------------------------------------------- Q1
-
-def q1(run: Runner) -> Batch:
-    """Pricing summary report."""
-    cutoff = d("1998-09-02")  # 1998-12-01 minus 90 days
-    scan = LScan("lineitem",
-                 ["l_returnflag", "l_linestatus", "l_quantity",
-                  "l_extendedprice", "l_discount", "l_tax", "l_shipdate"])
-    sel = LSelect(scan, Col("l_shipdate") <= cutoff)
-    proj = LProject(sel, {
-        "l_returnflag": Col("l_returnflag"),
-        "l_linestatus": Col("l_linestatus"),
-        "l_quantity": Col("l_quantity"),
-        "l_extendedprice": Col("l_extendedprice"),
-        "l_discount": Col("l_discount"),
-        "disc_price": REVENUE,
-        "charge": REVENUE * (Const(1.0) + Col("l_tax")),
-    })
-    aggr = LAggr(proj, ["l_returnflag", "l_linestatus"], [
-        ("sum_qty", "sum", Col("l_quantity")),
-        ("sum_base_price", "sum", Col("l_extendedprice")),
-        ("sum_disc_price", "sum", Col("disc_price")),
-        ("sum_charge", "sum", Col("charge")),
-        ("avg_qty", "avg", Col("l_quantity")),
-        ("avg_price", "avg", Col("l_extendedprice")),
-        ("avg_disc", "avg", Col("l_discount")),
-        ("count_order", "count", None),
-    ])
-    return run(LSort(aggr, ["l_returnflag", "l_linestatus"]))
-
-
-# ---------------------------------------------------------------------- Q2
-
-def _q2_european_partsupp():
-    ps = LScan("partsupp", ["ps_partkey", "ps_suppkey", "ps_supplycost"])
-    supp = LScan("supplier", ["s_suppkey", "s_nationkey", "s_acctbal",
-                              "s_name", "s_address", "s_phone", "s_comment"])
-    nat = LScan("nation", ["n_nationkey", "n_name", "n_regionkey"])
-    reg = LSelect(LScan("region", ["r_regionkey", "r_name"]),
-                  Col("r_name") == "EUROPE")
-    j1 = LJoin(build=supp, probe=ps, build_keys=["s_suppkey"],
-               probe_keys=["ps_suppkey"])
-    j2 = LJoin(build=nat, probe=j1, build_keys=["n_nationkey"],
-               probe_keys=["s_nationkey"])
-    return LJoin(build=reg, probe=j2, build_keys=["r_regionkey"],
-                 probe_keys=["n_regionkey"], how="semi")
-
-
-def q2(run: Runner) -> Batch:
-    """Minimum cost supplier."""
-    mins = LAggr(_q2_european_partsupp(), ["ps_partkey"],
-                 [("min_cost", "min", Col("ps_supplycost"))])
-    part = LSelect(
-        LScan("part", ["p_partkey", "p_size", "p_type", "p_mfgr"]),
-        (Col("p_size") == 15) & Like(Col("p_type"), "%BRASS"),
-    )
-    eu = _q2_european_partsupp()
-    with_part = LJoin(build=part, probe=eu, build_keys=["p_partkey"],
-                      probe_keys=["ps_partkey"],
-                      build_payload=["p_mfgr"])
-    best = LJoin(build=mins, probe=with_part,
-                 build_keys=["ps_partkey", "min_cost"],
-                 probe_keys=["ps_partkey", "ps_supplycost"],
-                 build_payload=[])
-    top = LTopN(best, ["s_acctbal", "n_name", "s_name", "ps_partkey"], 100,
-                ascending=[False, True, True, True])
-    return run(LProject(top, _ident(
-        "s_acctbal", "s_name", "n_name", "ps_partkey", "p_mfgr",
-        "s_address", "s_phone", "s_comment")))
-
-
-# ---------------------------------------------------------------------- Q3
-
-def q3(run: Runner) -> Batch:
-    """Shipping priority."""
-    date = d("1995-03-15")
-    cust = LSelect(LScan("customer", ["c_custkey", "c_mktsegment"]),
-                   Col("c_mktsegment") == "BUILDING")
-    orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate",
-                         "o_shippriority"]),
-        Col("o_orderdate") < date)
-    li = LSelect(
-        LScan("lineitem", ["l_orderkey", "l_extendedprice", "l_discount",
-                           "l_shipdate"]),
-        Col("l_shipdate") > date)
-    co = LJoin(build=cust, probe=orders, build_keys=["c_custkey"],
-               probe_keys=["o_custkey"], how="semi")
-    col = LJoin(build=co, probe=li, build_keys=["o_orderkey"],
-                probe_keys=["l_orderkey"],
-                build_payload=["o_orderdate", "o_shippriority"])
-    proj = LProject(col, {
-        "l_orderkey": Col("l_orderkey"),
-        "o_orderdate": Col("o_orderdate"),
-        "o_shippriority": Col("o_shippriority"),
-        "rev": REVENUE,
-    })
-    aggr = LAggr(proj, ["l_orderkey", "o_orderdate", "o_shippriority"],
-                 [("revenue", "sum", Col("rev"))])
-    return run(LTopN(aggr, ["revenue", "o_orderdate"], 10,
-                     ascending=[False, True]))
-
-
-# ---------------------------------------------------------------------- Q4
-
-def q4(run: Runner) -> Batch:
-    """Order priority checking."""
-    lo, hi = d("1993-07-01"), d("1993-10-01")
-    orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]),
-        (Col("o_orderdate") >= lo) & (Col("o_orderdate") < hi))
-    late = LSelect(
-        LScan("lineitem", ["l_orderkey", "l_commitdate", "l_receiptdate"]),
-        Col("l_commitdate") < Col("l_receiptdate"))
-    semi = LJoin(build=late, probe=orders, build_keys=["l_orderkey"],
-                 probe_keys=["o_orderkey"], how="semi")
-    aggr = LAggr(semi, ["o_orderpriority"], [("order_count", "count", None)])
-    return run(LSort(aggr, ["o_orderpriority"]))
-
-
-# ---------------------------------------------------------------------- Q5
-
-def q5(run: Runner) -> Batch:
-    """Local supplier volume."""
-    lo, hi = d("1994-01-01"), d("1995-01-01")
-    orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
-        (Col("o_orderdate") >= lo) & (Col("o_orderdate") < hi))
-    li = LScan("lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice",
-                            "l_discount"])
-    lo_j = LJoin(build=orders, probe=li, build_keys=["o_orderkey"],
-                 probe_keys=["l_orderkey"], build_payload=["o_custkey"])
-    cust = LScan("customer", ["c_custkey", "c_nationkey"])
-    loc = LJoin(build=cust, probe=lo_j, build_keys=["c_custkey"],
-                probe_keys=["o_custkey"], build_payload=["c_nationkey"])
-    supp = LScan("supplier", ["s_suppkey", "s_nationkey"])
-    locs = LJoin(build=supp, probe=loc, build_keys=["s_suppkey"],
-                 probe_keys=["l_suppkey"], build_payload=["s_nationkey"])
-    same = LSelect(locs, Col("c_nationkey") == Col("s_nationkey"))
-    nat = LScan("nation", ["n_nationkey", "n_name", "n_regionkey"])
-    with_nat = LJoin(build=nat, probe=same, build_keys=["n_nationkey"],
-                     probe_keys=["s_nationkey"],
-                     build_payload=["n_name", "n_regionkey"])
-    reg = LSelect(LScan("region", ["r_regionkey", "r_name"]),
-                  Col("r_name") == "ASIA")
-    in_asia = LJoin(build=reg, probe=with_nat, build_keys=["r_regionkey"],
-                    probe_keys=["n_regionkey"], how="semi")
-    proj = LProject(in_asia, {"n_name": Col("n_name"), "rev": REVENUE})
-    aggr = LAggr(proj, ["n_name"], [("revenue", "sum", Col("rev"))])
-    return run(LSort(aggr, ["revenue"], ascending=[False]))
-
-
-# ---------------------------------------------------------------------- Q6
-
-def q6(run: Runner) -> Batch:
-    """Forecasting revenue change."""
-    lo, hi = d("1994-01-01"), d("1995-01-01")
-    scan = LScan("lineitem",
-                 ["l_shipdate", "l_discount", "l_quantity",
-                  "l_extendedprice"])
-    sel = LSelect(scan, (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi)
-                  & Between(Col("l_discount"), 0.05 - 1e-9, 0.07 + 1e-9)
-                  & (Col("l_quantity") < 24))
-    proj = LProject(sel, {"v": Col("l_extendedprice") * Col("l_discount")})
-    return run(LAggr(proj, [], [("revenue", "sum", Col("v"))]))
-
-
-# ---------------------------------------------------------------------- Q7
-
-def q7(run: Runner) -> Batch:
-    """Volume shipping between two nations."""
-    lo, hi = d("1995-01-01"), d("1996-12-31")
-    li = LSelect(
-        LScan("lineitem", ["l_orderkey", "l_suppkey", "l_shipdate",
-                           "l_extendedprice", "l_discount"]),
-        (Col("l_shipdate") >= lo) & (Col("l_shipdate") <= hi))
-    orders = LScan("orders", ["o_orderkey", "o_custkey"])
-    j1 = LJoin(build=orders, probe=li, build_keys=["o_orderkey"],
-               probe_keys=["l_orderkey"], build_payload=["o_custkey"])
-    cust = LScan("customer", ["c_custkey", "c_nationkey"])
-    j2 = LJoin(build=cust, probe=j1, build_keys=["c_custkey"],
-               probe_keys=["o_custkey"], build_payload=["c_nationkey"])
-    supp = LScan("supplier", ["s_suppkey", "s_nationkey"])
-    j3 = LJoin(build=supp, probe=j2, build_keys=["s_suppkey"],
-               probe_keys=["l_suppkey"], build_payload=["s_nationkey"])
-    n1 = LProject(LScan("nation", ["n_nationkey", "n_name"]),
-                  {"n1_key": Col("n_nationkey"), "supp_nation": Col("n_name")})
-    n2 = LProject(LScan("nation", ["n_nationkey", "n_name"]),
-                  {"n2_key": Col("n_nationkey"), "cust_nation": Col("n_name")})
-    j4 = LJoin(build=n1, probe=j3, build_keys=["n1_key"],
-               probe_keys=["s_nationkey"], build_payload=["supp_nation"])
-    j5 = LJoin(build=n2, probe=j4, build_keys=["n2_key"],
-               probe_keys=["c_nationkey"], build_payload=["cust_nation"])
-    pairs = LSelect(j5, (
-        ((Col("supp_nation") == "FRANCE") & (Col("cust_nation") == "GERMANY"))
-        | ((Col("supp_nation") == "GERMANY") & (Col("cust_nation") == "FRANCE"))
-    ))
-    proj = LProject(pairs, {
-        "supp_nation": Col("supp_nation"),
-        "cust_nation": Col("cust_nation"),
-        "l_year": ExtractYear(Col("l_shipdate")),
-        "volume": REVENUE,
-    })
-    aggr = LAggr(proj, ["supp_nation", "cust_nation", "l_year"],
-                 [("revenue", "sum", Col("volume"))])
-    return run(LSort(aggr, ["supp_nation", "cust_nation", "l_year"]))
-
-
-# ---------------------------------------------------------------------- Q8
-
-def q8(run: Runner) -> Batch:
-    """National market share."""
-    lo, hi = d("1995-01-01"), d("1996-12-31")
-    part = LSelect(LScan("part", ["p_partkey", "p_type"]),
-                   Col("p_type") == "ECONOMY ANODIZED STEEL")
-    li = LScan("lineitem", ["l_orderkey", "l_partkey", "l_suppkey",
-                            "l_extendedprice", "l_discount"])
-    j1 = LJoin(build=part, probe=li, build_keys=["p_partkey"],
-               probe_keys=["l_partkey"], how="semi")
-    orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
-        (Col("o_orderdate") >= lo) & (Col("o_orderdate") <= hi))
-    j2 = LJoin(build=orders, probe=j1, build_keys=["o_orderkey"],
-               probe_keys=["l_orderkey"],
-               build_payload=["o_custkey", "o_orderdate"])
-    cust = LScan("customer", ["c_custkey", "c_nationkey"])
-    j3 = LJoin(build=cust, probe=j2, build_keys=["c_custkey"],
-               probe_keys=["o_custkey"], build_payload=["c_nationkey"])
-    n1 = LScan("nation", ["n_nationkey", "n_regionkey"])
-    j4 = LJoin(build=n1, probe=j3, build_keys=["n_nationkey"],
-               probe_keys=["c_nationkey"], build_payload=["n_regionkey"])
-    reg = LSelect(LScan("region", ["r_regionkey", "r_name"]),
-                  Col("r_name") == "AMERICA")
-    j5 = LJoin(build=reg, probe=j4, build_keys=["r_regionkey"],
-               probe_keys=["n_regionkey"], how="semi")
-    supp = LScan("supplier", ["s_suppkey", "s_nationkey"])
-    j6 = LJoin(build=supp, probe=j5, build_keys=["s_suppkey"],
-               probe_keys=["l_suppkey"], build_payload=["s_nationkey"])
-    n2 = LProject(LScan("nation", ["n_nationkey", "n_name"]),
-                  {"n2_key": Col("n_nationkey"), "supp_nation": Col("n_name")})
-    j7 = LJoin(build=n2, probe=j6, build_keys=["n2_key"],
-               probe_keys=["s_nationkey"], build_payload=["supp_nation"])
-    proj = LProject(j7, {
-        "o_year": ExtractYear(Col("o_orderdate")),
-        "volume": REVENUE,
-        "brazil_volume": Case(Col("supp_nation") == "BRAZIL",
-                              REVENUE, Const(0.0)),
-    })
-    aggr = LAggr(proj, ["o_year"], [
-        ("sum_brazil", "sum", Col("brazil_volume")),
-        ("sum_all", "sum", Col("volume")),
-    ])
-    share = LProject(aggr, {
-        "o_year": Col("o_year"),
-        "mkt_share": Col("sum_brazil") / Col("sum_all"),
-    })
-    return run(LSort(share, ["o_year"]))
-
-
-# ---------------------------------------------------------------------- Q9
-
-def q9(run: Runner) -> Batch:
-    """Product type profit measure."""
-    part = LSelect(LScan("part", ["p_partkey", "p_name"]),
-                   Like(Col("p_name"), "%green%"))
-    li = LScan("lineitem", ["l_orderkey", "l_partkey", "l_suppkey",
-                            "l_quantity", "l_extendedprice", "l_discount"])
-    j1 = LJoin(build=part, probe=li, build_keys=["p_partkey"],
-               probe_keys=["l_partkey"], how="semi")
-    ps = LScan("partsupp", ["ps_partkey", "ps_suppkey", "ps_supplycost"])
-    j2 = LJoin(build=ps, probe=j1, build_keys=["ps_partkey", "ps_suppkey"],
-               probe_keys=["l_partkey", "l_suppkey"],
-               build_payload=["ps_supplycost"])
-    orders = LScan("orders", ["o_orderkey", "o_orderdate"])
-    j3 = LJoin(build=orders, probe=j2, build_keys=["o_orderkey"],
-               probe_keys=["l_orderkey"], build_payload=["o_orderdate"])
-    supp = LScan("supplier", ["s_suppkey", "s_nationkey"])
-    j4 = LJoin(build=supp, probe=j3, build_keys=["s_suppkey"],
-               probe_keys=["l_suppkey"], build_payload=["s_nationkey"])
-    nat = LScan("nation", ["n_nationkey", "n_name"])
-    j5 = LJoin(build=nat, probe=j4, build_keys=["n_nationkey"],
-               probe_keys=["s_nationkey"], build_payload=["n_name"])
-    proj = LProject(j5, {
-        "nation": Col("n_name"),
-        "o_year": ExtractYear(Col("o_orderdate")),
-        "amount": REVENUE - Col("ps_supplycost") * Col("l_quantity"),
-    })
-    aggr = LAggr(proj, ["nation", "o_year"],
-                 [("sum_profit", "sum", Col("amount"))])
-    return run(LSort(aggr, ["nation", "o_year"], ascending=[True, False]))
-
-
-# ---------------------------------------------------------------------- Q10
-
-def q10(run: Runner) -> Batch:
-    """Returned item reporting."""
-    lo, hi = d("1993-10-01"), d("1994-01-01")
-    orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
-        (Col("o_orderdate") >= lo) & (Col("o_orderdate") < hi))
-    li = LSelect(
-        LScan("lineitem", ["l_orderkey", "l_returnflag",
-                           "l_extendedprice", "l_discount"]),
-        Col("l_returnflag") == "R")
-    j1 = LJoin(build=orders, probe=li, build_keys=["o_orderkey"],
-               probe_keys=["l_orderkey"], build_payload=["o_custkey"])
-    cust = LScan("customer", ["c_custkey", "c_name", "c_acctbal",
-                              "c_phone", "c_nationkey", "c_address",
-                              "c_comment"])
-    j2 = LJoin(build=cust, probe=j1, build_keys=["c_custkey"],
-               probe_keys=["o_custkey"],
-               build_payload=["c_name", "c_acctbal", "c_phone",
-                              "c_nationkey", "c_address", "c_comment"])
-    nat = LScan("nation", ["n_nationkey", "n_name"])
-    j3 = LJoin(build=nat, probe=j2, build_keys=["n_nationkey"],
-               probe_keys=["c_nationkey"], build_payload=["n_name"])
-    proj = LProject(j3, {
-        "c_custkey": Col("o_custkey"), "c_name": Col("c_name"),
-        "c_acctbal": Col("c_acctbal"), "c_phone": Col("c_phone"),
-        "n_name": Col("n_name"), "c_address": Col("c_address"),
-        "c_comment": Col("c_comment"), "rev": REVENUE,
-    })
-    aggr = LAggr(proj, ["c_custkey", "c_name", "c_acctbal", "c_phone",
-                        "n_name", "c_address", "c_comment"],
-                 [("revenue", "sum", Col("rev"))])
-    return run(LTopN(aggr, ["revenue"], 20, ascending=[False]))
-
-
-# ---------------------------------------------------------------------- Q11
-
-def _q11_german_partsupp():
-    ps = LScan("partsupp", ["ps_partkey", "ps_suppkey", "ps_availqty",
-                            "ps_supplycost"])
-    supp = LScan("supplier", ["s_suppkey", "s_nationkey"])
-    j1 = LJoin(build=supp, probe=ps, build_keys=["s_suppkey"],
-               probe_keys=["ps_suppkey"], build_payload=["s_nationkey"])
-    nat = LSelect(LScan("nation", ["n_nationkey", "n_name"]),
-                  Col("n_name") == "GERMANY")
-    j2 = LJoin(build=nat, probe=j1, build_keys=["n_nationkey"],
-               probe_keys=["s_nationkey"], how="semi")
-    return LProject(j2, {
-        "ps_partkey": Col("ps_partkey"),
-        "value": Col("ps_supplycost") * Col("ps_availqty"),
-    })
-
-
-def q11(run: Runner) -> Batch:
-    """Important stock identification (scalar subquery -> two plans)."""
-    total = run(LAggr(_q11_german_partsupp(), [],
-                      [("total", "sum", Col("value"))]))
-    threshold = float(total.columns["total"][0]) * 0.0001
-    per_part = LAggr(_q11_german_partsupp(), ["ps_partkey"],
-                     [("value", "sum", Col("value"))])
-    big = LSelect(per_part, Col("value") > threshold)
-    return run(LSort(big, ["value"], ascending=[False]))
-
-
-# ---------------------------------------------------------------------- Q12
-
-def q12(run: Runner) -> Batch:
-    """Shipping modes and order priority."""
-    lo, hi = d("1994-01-01"), d("1995-01-01")
-    li = LSelect(
-        LScan("lineitem", ["l_orderkey", "l_shipmode", "l_commitdate",
-                           "l_receiptdate", "l_shipdate"]),
-        InList(Col("l_shipmode"), ["MAIL", "SHIP"])
-        & (Col("l_commitdate") < Col("l_receiptdate"))
-        & (Col("l_shipdate") < Col("l_commitdate"))
-        & (Col("l_receiptdate") >= lo) & (Col("l_receiptdate") < hi))
-    orders = LScan("orders", ["o_orderkey", "o_orderpriority"])
-    j = LJoin(build=orders, probe=li, build_keys=["o_orderkey"],
-              probe_keys=["l_orderkey"], build_payload=["o_orderpriority"])
-    proj = LProject(j, {
-        "l_shipmode": Col("l_shipmode"),
-        "high": Case(InList(Col("o_orderpriority"), ["1-URGENT", "2-HIGH"]),
-                     Const(1.0), Const(0.0)),
-        "low": Case(InList(Col("o_orderpriority"), ["1-URGENT", "2-HIGH"]),
-                    Const(0.0), Const(1.0)),
-    })
-    aggr = LAggr(proj, ["l_shipmode"], [
-        ("high_line_count", "sum", Col("high")),
-        ("low_line_count", "sum", Col("low")),
-    ])
-    return run(LSort(aggr, ["l_shipmode"]))
-
-
-# ---------------------------------------------------------------------- Q13
-
-def q13(run: Runner) -> Batch:
-    """Customer distribution (left join + double aggregation)."""
-    orders = LSelect(
-        LScan("orders", ["o_orderkey", "o_custkey", "o_comment"]),
-        Like(Col("o_comment"), "%special%requests%", negate=True))
-    cust = LScan("customer", ["c_custkey"])
-    left = LJoin(build=orders, probe=cust, build_keys=["o_custkey"],
-                 probe_keys=["c_custkey"], how="left", build_payload=[])
-    per_cust = LProject(left, {
-        "c_custkey": Col("c_custkey"),
-        "matched": Case(Col("__matched"), Const(1.0), Const(0.0)),
-    })
-    counts = LAggr(per_cust, ["c_custkey"],
-                   [("c_count", "sum", Col("matched"))])
-    dist = LAggr(counts, ["c_count"], [("custdist", "count", None)])
-    return run(LSort(dist, ["custdist", "c_count"], ascending=[False, False]))
-
-
-# ---------------------------------------------------------------------- Q14
-
-def q14(run: Runner) -> Batch:
-    """Promotion effect."""
-    lo, hi = d("1995-09-01"), d("1995-10-01")
-    li = LSelect(
-        LScan("lineitem", ["l_partkey", "l_shipdate", "l_extendedprice",
-                           "l_discount"]),
-        (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi))
-    part = LScan("part", ["p_partkey", "p_type"])
-    j = LJoin(build=part, probe=li, build_keys=["p_partkey"],
-              probe_keys=["l_partkey"], build_payload=["p_type"])
-    proj = LProject(j, {
-        "promo": Case(Like(Col("p_type"), "PROMO%"), REVENUE, Const(0.0)),
-        "total": REVENUE,
-    })
-    aggr = LAggr(proj, [], [
-        ("promo_sum", "sum", Col("promo")),
-        ("total_sum", "sum", Col("total")),
-    ])
-    return run(LProject(aggr, {
-        "promo_revenue": Const(100.0) * Col("promo_sum") / Col("total_sum"),
-    }))
-
-
-# ---------------------------------------------------------------------- Q15
-
-def _q15_revenue():
-    lo, hi = d("1996-01-01"), d("1996-04-01")
-    li = LSelect(
-        LScan("lineitem", ["l_suppkey", "l_shipdate", "l_extendedprice",
-                           "l_discount"]),
-        (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi))
-    proj = LProject(li, {"l_suppkey": Col("l_suppkey"), "rev": REVENUE})
-    return LAggr(proj, ["l_suppkey"], [("total_revenue", "sum", Col("rev"))])
-
-
-def q15(run: Runner) -> Batch:
-    """Top supplier (view + scalar max -> two plans)."""
-    revenue = run(_q15_revenue())
-    if revenue.n == 0:
-        return revenue
-    max_rev = float(np.max(revenue.columns["total_revenue"]))
-    best = LSelect(_q15_revenue(),
-                   Col("total_revenue") >= max_rev - 1e-6)
-    supp = LScan("supplier", ["s_suppkey", "s_name", "s_address", "s_phone"])
-    j = LJoin(build=best, probe=supp, build_keys=["l_suppkey"],
-              probe_keys=["s_suppkey"], build_payload=["total_revenue"])
-    return run(LSort(j, ["s_suppkey"]))
-
-
-# ---------------------------------------------------------------------- Q16
-
-def q16(run: Runner) -> Batch:
-    """Parts/supplier relationship."""
-    part = LSelect(
-        LScan("part", ["p_partkey", "p_brand", "p_type", "p_size"]),
-        (Col("p_brand") != "Brand#45")
-        & Like(Col("p_type"), "MEDIUM POLISHED%", negate=True)
-        & InList(Col("p_size"), [49, 14, 23, 45, 19, 3, 36, 9]))
-    ps = LScan("partsupp", ["ps_partkey", "ps_suppkey"])
-    j1 = LJoin(build=part, probe=ps, build_keys=["p_partkey"],
-               probe_keys=["ps_partkey"],
-               build_payload=["p_brand", "p_type", "p_size"])
-    complaints = LSelect(
-        LScan("supplier", ["s_suppkey", "s_comment"]),
-        Like(Col("s_comment"), "%Customer%Complaints%"))
-    cleaned = LJoin(build=complaints, probe=j1, build_keys=["s_suppkey"],
-                    probe_keys=["ps_suppkey"], how="anti")
-    aggr = LAggr(cleaned, ["p_brand", "p_type", "p_size"],
-                 [("supplier_cnt", "count_distinct", Col("ps_suppkey"))])
-    return run(LSort(aggr, ["supplier_cnt", "p_brand", "p_type", "p_size"],
-                     ascending=[False, True, True, True]))
-
-
-# ---------------------------------------------------------------------- Q17
-
-def q17(run: Runner) -> Batch:
-    """Small-quantity-order revenue."""
-    part = LSelect(
-        LScan("part", ["p_partkey", "p_brand", "p_container"]),
-        (Col("p_brand") == "Brand#23") & (Col("p_container") == "MED BOX"))
-    li = LScan("lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
-    targeted = LJoin(build=part, probe=li, build_keys=["p_partkey"],
-                     probe_keys=["l_partkey"], how="semi")
-    avg_qty = LAggr(targeted, ["l_partkey"],
-                    [("avg_qty", "avg", Col("l_quantity"))])
-    with_avg = LJoin(build=avg_qty, probe=targeted,
-                     build_keys=["l_partkey"], probe_keys=["l_partkey"],
-                     build_payload=["avg_qty"])
-    small = LSelect(with_avg,
-                    Col("l_quantity") < Const(0.2) * Col("avg_qty"))
-    total = LAggr(small, [], [("sum_price", "sum", Col("l_extendedprice"))])
-    return run(LProject(total,
-                        {"avg_yearly": Col("sum_price") / Const(7.0)}))
-
-
-# ---------------------------------------------------------------------- Q18
-
-def q18(run: Runner) -> Batch:
-    """Large volume customers."""
-    li = LScan("lineitem", ["l_orderkey", "l_quantity"])
-    sums = LAggr(li, ["l_orderkey"], [("sum_qty", "sum", Col("l_quantity"))])
-    big = LSelect(sums, Col("sum_qty") > 300)
-    orders = LScan("orders", ["o_orderkey", "o_custkey", "o_orderdate",
-                              "o_totalprice"])
-    j1 = LJoin(build=big, probe=orders, build_keys=["l_orderkey"],
-               probe_keys=["o_orderkey"], build_payload=["sum_qty"])
-    cust = LScan("customer", ["c_custkey", "c_name"])
-    j2 = LJoin(build=cust, probe=j1, build_keys=["c_custkey"],
-               probe_keys=["o_custkey"], build_payload=["c_name"])
-    return run(LTopN(j2, ["o_totalprice", "o_orderdate"], 100,
-                     ascending=[False, True]))
-
-
-# ---------------------------------------------------------------------- Q19
-
-def q19(run: Runner) -> Batch:
-    """Discounted revenue (three disjunctive branches)."""
-    li = LSelect(
-        LScan("lineitem", ["l_partkey", "l_quantity", "l_extendedprice",
-                           "l_discount", "l_shipmode", "l_shipinstruct"]),
-        InList(Col("l_shipmode"), ["AIR", "REG AIR"])
-        & (Col("l_shipinstruct") == "DELIVER IN PERSON"))
-    part = LScan("part", ["p_partkey", "p_brand", "p_container", "p_size"])
-    j = LJoin(build=part, probe=li, build_keys=["p_partkey"],
-              probe_keys=["l_partkey"],
-              build_payload=["p_brand", "p_container", "p_size"])
-
-    def branch(brand, containers, qty_lo, qty_hi, size_hi):
-        return ((Col("p_brand") == brand)
-                & InList(Col("p_container"), containers)
-                & Between(Col("l_quantity"), qty_lo, qty_hi)
-                & Between(Col("p_size"), 1, size_hi))
-
-    sel = LSelect(j, branch("Brand#12", ["SM CASE", "SM BOX", "SM PACK",
-                                         "SM PKG"], 1, 11, 5)
-                  | branch("Brand#23", ["MED BAG", "MED BOX", "MED PKG",
-                                        "MED PACK"], 10, 20, 10)
-                  | branch("Brand#34", ["LG CASE", "LG BOX", "LG PACK",
-                                        "LG PKG"], 20, 30, 15))
-    proj = LProject(sel, {"rev": REVENUE})
-    return run(LAggr(proj, [], [("revenue", "sum", Col("rev"))]))
-
-
-# ---------------------------------------------------------------------- Q20
-
-def q20(run: Runner) -> Batch:
-    """Potential part promotion."""
-    lo, hi = d("1994-01-01"), d("1995-01-01")
-    li = LSelect(
-        LScan("lineitem", ["l_partkey", "l_suppkey", "l_quantity",
-                           "l_shipdate"]),
-        (Col("l_shipdate") >= lo) & (Col("l_shipdate") < hi))
-    shipped = LAggr(li, ["l_partkey", "l_suppkey"],
-                    [("sum_qty", "sum", Col("l_quantity"))])
-    forest = LSelect(LScan("part", ["p_partkey", "p_name"]),
-                     Like(Col("p_name"), "forest%"))
-    ps = LScan("partsupp", ["ps_partkey", "ps_suppkey", "ps_availqty"])
-    ps_forest = LJoin(build=forest, probe=ps, build_keys=["p_partkey"],
-                      probe_keys=["ps_partkey"], how="semi")
-    with_qty = LJoin(build=shipped, probe=ps_forest,
-                     build_keys=["l_partkey", "l_suppkey"],
-                     probe_keys=["ps_partkey", "ps_suppkey"],
-                     build_payload=["sum_qty"])
-    excess = LSelect(with_qty,
-                     Col("ps_availqty") > Const(0.5) * Col("sum_qty"))
-    supp = LScan("supplier", ["s_suppkey", "s_name", "s_address",
-                              "s_nationkey"])
-    candidates = LJoin(build=excess, probe=supp, build_keys=["ps_suppkey"],
-                       probe_keys=["s_suppkey"], how="semi")
-    nat = LSelect(LScan("nation", ["n_nationkey", "n_name"]),
-                  Col("n_name") == "CANADA")
-    canadian = LJoin(build=nat, probe=candidates,
-                     build_keys=["n_nationkey"], probe_keys=["s_nationkey"],
-                     how="semi")
-    proj = LProject(canadian, _ident("s_name", "s_address"))
-    return run(LSort(proj, ["s_name"]))
-
-
-# ---------------------------------------------------------------------- Q21
-
-def q21(run: Runner) -> Batch:
-    """Suppliers who kept orders waiting."""
-    li_all = LScan("lineitem", ["l_orderkey", "l_suppkey"])
-    n_supp = LAggr(li_all, ["l_orderkey"],
-                   [("n_supp", "count_distinct", Col("l_suppkey"))])
-    late = LSelect(
-        LScan("lineitem", ["l_orderkey", "l_suppkey", "l_commitdate",
-                           "l_receiptdate"]),
-        Col("l_receiptdate") > Col("l_commitdate"))
-    n_late = LAggr(late, ["l_orderkey"],
-                   [("n_late", "count_distinct", Col("l_suppkey"))])
-    orders_f = LSelect(LScan("orders", ["o_orderkey", "o_orderstatus"]),
-                       Col("o_orderstatus") == "F")
-    cand = LJoin(build=orders_f, probe=late, build_keys=["o_orderkey"],
-                 probe_keys=["l_orderkey"], how="semi")
-    supp = LScan("supplier", ["s_suppkey", "s_name", "s_nationkey"])
-    cand2 = LJoin(build=supp, probe=cand, build_keys=["s_suppkey"],
-                  probe_keys=["l_suppkey"],
-                  build_payload=["s_name", "s_nationkey"])
-    nat = LSelect(LScan("nation", ["n_nationkey", "n_name"]),
-                  Col("n_name") == "SAUDI ARABIA")
-    cand3 = LJoin(build=nat, probe=cand2, build_keys=["n_nationkey"],
-                  probe_keys=["s_nationkey"], how="semi")
-    with_n = LJoin(build=n_supp, probe=cand3, build_keys=["l_orderkey"],
-                   probe_keys=["l_orderkey"], build_payload=["n_supp"])
-    with_late = LJoin(build=n_late, probe=with_n, build_keys=["l_orderkey"],
-                      probe_keys=["l_orderkey"], build_payload=["n_late"])
-    waiting = LSelect(with_late,
-                      (Col("n_supp") >= 2) & (Col("n_late") == 1))
-    aggr = LAggr(waiting, ["s_name"], [("numwait", "count", None)])
-    return run(LTopN(aggr, ["numwait", "s_name"], 100,
-                     ascending=[False, True]))
-
-
-# ---------------------------------------------------------------------- Q22
-
-def q22(run: Runner) -> Batch:
-    """Global sales opportunity."""
-    codes = ["13", "31", "23", "29", "30", "18", "17"]
-    base = LProject(
-        LScan("customer", ["c_custkey", "c_phone", "c_acctbal"]),
-        {"c_custkey": Col("c_custkey"), "c_acctbal": Col("c_acctbal"),
-         "cntrycode": Substr(Col("c_phone"), 1, 2)})
-    in_codes = LSelect(base, InList(Col("cntrycode"), codes))
-    avg_bal = run(LAggr(LSelect(in_codes, Col("c_acctbal") > 0.0), [],
-                        [("avg_bal", "avg", Col("c_acctbal"))]))
-    threshold = float(avg_bal.columns["avg_bal"][0])
-    rich = LSelect(in_codes, Col("c_acctbal") > threshold)
-    orders = LScan("orders", ["o_custkey"])
-    no_orders = LJoin(build=orders, probe=rich, build_keys=["o_custkey"],
-                      probe_keys=["c_custkey"], how="anti")
-    aggr = LAggr(no_orders, ["cntrycode"], [
-        ("numcust", "count", None),
-        ("totacctbal", "sum", Col("c_acctbal")),
-    ])
-    return run(LSort(aggr, ["cntrycode"]))
-
-
-QUERIES: Dict[int, Callable[[Runner], Batch]] = {
-    1: q1, 2: q2, 3: q3, 4: q4, 5: q5, 6: q6, 7: q7, 8: q8, 9: q9, 10: q10,
-    11: q11, 12: q12, 13: q13, 14: q14, 15: q15, 16: q16, 17: q17, 18: q18,
-    19: q19, 20: q20, 21: q21, 22: q22,
+SCHEMAS = tpch_schemas()
+
+#: the first statement of a query with a scalar subquery: its one value
+#: is the ``{scalar}`` of the query's text
+SCALARS: Dict[int, str] = {
+    11: """
+SELECT sum(ps_supplycost * ps_availqty) * 0.0001 AS threshold
+FROM partsupp JOIN supplier ON ps_suppkey = s_suppkey
+WHERE s_nationkey IN (SELECT n_nationkey FROM nation WHERE n_name = 'GERMANY')
+""",
+    15: """
+SELECT max(total_revenue) - 0.000001 AS threshold
+FROM (SELECT l_suppkey, sum(l_extendedprice * (1 - l_discount)) AS total_revenue
+      FROM lineitem
+      WHERE l_shipdate >= date '1996-01-01' AND l_shipdate < date '1996-04-01'
+      GROUP BY l_suppkey) AS revenue0
+""",
+    22: """
+SELECT avg(c_acctbal) AS threshold FROM customer
+WHERE substring(c_phone from 1 for 2) IN ('13', '31', '23', '29', '30', '18', '17')
+  AND c_acctbal > 0.0
+""",
+}
+
+SQL: Dict[int, str] = {
+    1: """
+SELECT l_returnflag, l_linestatus, sum(l_quantity) AS sum_qty,
+       sum(l_extendedprice) AS sum_base_price,
+       sum(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
+       sum(l_extendedprice * (1 - l_discount) * (1 + l_tax)) AS sum_charge,
+       avg(l_quantity) AS avg_qty, avg(l_extendedprice) AS avg_price,
+       avg(l_discount) AS avg_disc, count(*) AS count_order
+FROM lineitem WHERE l_shipdate <= date '1998-09-02'
+GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus
+""",
+    2: """
+SELECT s_acctbal, s_name, n_name, ps_partkey, p_mfgr, s_address, s_phone,
+       s_comment
+FROM partsupp JOIN supplier ON ps_suppkey = s_suppkey
+JOIN nation ON s_nationkey = n_nationkey
+JOIN (SELECT p_partkey, p_mfgr FROM part
+      WHERE p_size = 15 AND p_type LIKE '%BRASS') AS p ON ps_partkey = p_partkey
+JOIN (SELECT ps_partkey, min(ps_supplycost) AS min_cost
+      FROM partsupp JOIN supplier ON ps_suppkey = s_suppkey
+      JOIN nation ON s_nationkey = n_nationkey
+      WHERE n_regionkey IN (SELECT r_regionkey FROM region
+                            WHERE r_name = 'EUROPE')
+      GROUP BY ps_partkey) AS m
+  ON ps_partkey = ps_partkey AND ps_supplycost = min_cost
+WHERE n_regionkey IN (SELECT r_regionkey FROM region WHERE r_name = 'EUROPE')
+ORDER BY s_acctbal DESC, n_name, s_name, ps_partkey LIMIT 100
+""",
+    3: """
+SELECT l_orderkey, o_orderdate, o_shippriority,
+       sum(l_extendedprice * (1 - l_discount)) AS revenue
+FROM (SELECT l_orderkey, l_extendedprice, l_discount FROM lineitem
+      WHERE l_shipdate > date '1995-03-15') AS l
+JOIN (SELECT o_orderkey, o_orderdate, o_shippriority FROM orders
+      WHERE o_custkey IN (SELECT c_custkey FROM customer
+                          WHERE c_mktsegment = 'BUILDING')
+        AND o_orderdate < date '1995-03-15') AS o
+  ON l_orderkey = o_orderkey
+GROUP BY l_orderkey, o_orderdate, o_shippriority
+ORDER BY revenue DESC, o_orderdate LIMIT 10
+""",
+    4: """
+SELECT o_orderpriority, count(*) AS order_count FROM orders
+WHERE o_orderdate >= date '1993-07-01' AND o_orderdate < date '1993-10-01'
+  AND o_orderkey IN (SELECT l_orderkey FROM lineitem
+                     WHERE l_commitdate < l_receiptdate)
+GROUP BY o_orderpriority ORDER BY o_orderpriority
+""",
+    5: """
+SELECT n_name, sum(l_extendedprice * (1 - l_discount)) AS revenue
+FROM (SELECT l_extendedprice, l_discount, s_nationkey FROM lineitem
+      JOIN (SELECT o_orderkey, o_custkey FROM orders
+            WHERE o_orderdate >= date '1994-01-01'
+              AND o_orderdate < date '1995-01-01') AS o
+        ON l_orderkey = o_orderkey
+      JOIN customer ON o_custkey = c_custkey
+      JOIN supplier ON l_suppkey = s_suppkey
+      WHERE c_nationkey = s_nationkey) AS local_supplier
+JOIN nation ON s_nationkey = n_nationkey
+WHERE n_regionkey IN (SELECT r_regionkey FROM region WHERE r_name = 'ASIA')
+GROUP BY n_name ORDER BY revenue DESC
+""",
+    6: """
+SELECT sum(l_extendedprice * l_discount) AS revenue FROM lineitem
+WHERE l_shipdate >= date '1994-01-01' AND l_shipdate < date '1995-01-01'
+  AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
+""",
+    7: """
+SELECT supp_nation, cust_nation, extract(year from l_shipdate) AS l_year,
+       sum(l_extendedprice * (1 - l_discount)) AS revenue
+FROM (SELECT l_orderkey, l_suppkey, l_shipdate, l_extendedprice, l_discount
+      FROM lineitem WHERE l_shipdate >= date '1995-01-01'
+                      AND l_shipdate <= date '1996-12-31') AS l
+JOIN orders ON l_orderkey = o_orderkey
+JOIN customer ON o_custkey = c_custkey
+JOIN supplier ON l_suppkey = s_suppkey
+JOIN (SELECT n_nationkey AS n1_key, n_name AS supp_nation FROM nation) AS n1
+  ON s_nationkey = n1_key
+JOIN (SELECT n_nationkey AS n2_key, n_name AS cust_nation FROM nation) AS n2
+  ON c_nationkey = n2_key
+WHERE supp_nation = 'FRANCE' AND cust_nation = 'GERMANY'
+   OR supp_nation = 'GERMANY' AND cust_nation = 'FRANCE'
+GROUP BY supp_nation, cust_nation, l_year
+ORDER BY supp_nation, cust_nation, l_year
+""",
+    8: """
+SELECT extract(year from o_orderdate) AS o_year,
+       sum(CASE WHEN supp_nation = 'BRAZIL'
+                THEN l_extendedprice * (1 - l_discount) ELSE 0.0 END)
+       / sum(l_extendedprice * (1 - l_discount)) AS mkt_share
+FROM lineitem
+JOIN (SELECT o_orderkey, o_custkey, o_orderdate FROM orders
+      WHERE o_orderdate >= date '1995-01-01'
+        AND o_orderdate <= date '1996-12-31') AS o
+  ON l_orderkey = o_orderkey
+JOIN customer ON o_custkey = c_custkey
+JOIN nation ON c_nationkey = n_nationkey
+JOIN supplier ON l_suppkey = s_suppkey
+JOIN (SELECT n_nationkey AS n2_key, n_name AS supp_nation FROM nation) AS n2
+  ON s_nationkey = n2_key
+WHERE l_partkey IN (SELECT p_partkey FROM part
+                    WHERE p_type = 'ECONOMY ANODIZED STEEL')
+  AND n_regionkey IN (SELECT r_regionkey FROM region WHERE r_name = 'AMERICA')
+GROUP BY o_year ORDER BY o_year
+""",
+    9: """
+SELECT n_name AS nation, extract(year from o_orderdate) AS o_year,
+       sum(l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity)
+         AS sum_profit
+FROM lineitem
+JOIN partsupp ON l_partkey = ps_partkey AND l_suppkey = ps_suppkey
+JOIN orders ON l_orderkey = o_orderkey
+JOIN supplier ON l_suppkey = s_suppkey
+JOIN nation ON s_nationkey = n_nationkey
+WHERE l_partkey IN (SELECT p_partkey FROM part WHERE p_name LIKE '%green%')
+GROUP BY nation, o_year ORDER BY nation, o_year DESC
+""",
+    10: """
+SELECT c_custkey, c_name, c_acctbal, c_phone, n_name, c_address, c_comment,
+       sum(l_extendedprice * (1 - l_discount)) AS revenue
+FROM (SELECT l_orderkey, l_extendedprice, l_discount FROM lineitem
+      WHERE l_returnflag = 'R') AS l
+JOIN (SELECT o_orderkey, o_custkey FROM orders
+      WHERE o_orderdate >= date '1993-10-01'
+        AND o_orderdate < date '1994-01-01') AS o
+  ON l_orderkey = o_orderkey
+JOIN customer ON o_custkey = c_custkey
+JOIN nation ON c_nationkey = n_nationkey
+GROUP BY c_custkey, c_name, c_acctbal, c_phone, n_name, c_address, c_comment
+ORDER BY revenue DESC LIMIT 20
+""",
+    11: """
+SELECT ps_partkey, sum(ps_supplycost * ps_availqty) AS value
+FROM partsupp JOIN supplier ON ps_suppkey = s_suppkey
+WHERE s_nationkey IN (SELECT n_nationkey FROM nation WHERE n_name = 'GERMANY')
+GROUP BY ps_partkey HAVING value > {scalar} ORDER BY value DESC
+""",
+    12: """
+SELECT l_shipmode,
+       sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
+                THEN 1.0 ELSE 0.0 END) AS high_line_count,
+       sum(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH')
+                THEN 0.0 ELSE 1.0 END) AS low_line_count
+FROM (SELECT l_orderkey, l_shipmode FROM lineitem
+      WHERE l_shipmode IN ('MAIL', 'SHIP') AND l_commitdate < l_receiptdate
+        AND l_shipdate < l_commitdate AND l_receiptdate >= date '1994-01-01'
+        AND l_receiptdate < date '1995-01-01') AS l
+JOIN orders ON l_orderkey = o_orderkey
+GROUP BY l_shipmode ORDER BY l_shipmode
+""",
+    13: """
+SELECT c_count, count(*) AS custdist
+FROM (SELECT c_custkey, count(o_custkey) AS c_count
+      FROM customer
+      LEFT JOIN (SELECT o_custkey FROM orders
+                 WHERE o_comment NOT LIKE '%special%requests%') AS o
+        ON c_custkey = o_custkey
+      GROUP BY c_custkey) AS c_orders
+GROUP BY c_count ORDER BY custdist DESC, c_count DESC
+""",
+    14: """
+SELECT 100.0 * sum(CASE WHEN p_type LIKE 'PROMO%'
+                        THEN l_extendedprice * (1 - l_discount) ELSE 0.0 END)
+       / sum(l_extendedprice * (1 - l_discount)) AS promo_revenue
+FROM (SELECT l_partkey, l_extendedprice, l_discount FROM lineitem
+      WHERE l_shipdate >= date '1995-09-01'
+        AND l_shipdate < date '1995-10-01') AS l
+JOIN part ON l_partkey = p_partkey
+""",
+    15: """
+SELECT s_suppkey, s_name, s_address, s_phone, total_revenue
+FROM supplier
+JOIN (SELECT l_suppkey, sum(l_extendedprice * (1 - l_discount)) AS total_revenue
+      FROM lineitem
+      WHERE l_shipdate >= date '1996-01-01' AND l_shipdate < date '1996-04-01'
+      GROUP BY l_suppkey HAVING total_revenue >= {scalar}) AS revenue0
+  ON s_suppkey = l_suppkey
+ORDER BY s_suppkey
+""",
+    16: """
+SELECT p_brand, p_type, p_size, count(DISTINCT ps_suppkey) AS supplier_cnt
+FROM partsupp
+JOIN (SELECT p_partkey, p_brand, p_type, p_size FROM part
+      WHERE p_brand <> 'Brand#45' AND p_type NOT LIKE 'MEDIUM POLISHED%'
+        AND p_size IN (49, 14, 23, 45, 19, 3, 36, 9)) AS p
+  ON ps_partkey = p_partkey
+WHERE ps_suppkey NOT IN (SELECT s_suppkey FROM supplier
+                         WHERE s_comment LIKE '%Customer%Complaints%')
+GROUP BY p_brand, p_type, p_size
+ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
+""",
+    17: """
+SELECT sum(l_extendedprice) / 7.0 AS avg_yearly
+FROM lineitem
+JOIN (SELECT l_partkey, avg(l_quantity) AS avg_qty FROM lineitem
+      WHERE l_partkey IN (SELECT p_partkey FROM part WHERE p_brand = 'Brand#23'
+                          AND p_container = 'MED BOX')
+      GROUP BY l_partkey) AS part_avg
+  ON l_partkey = l_partkey
+WHERE l_partkey IN (SELECT p_partkey FROM part WHERE p_brand = 'Brand#23'
+                    AND p_container = 'MED BOX')
+  AND l_quantity < 0.2 * avg_qty
+""",
+    18: """
+SELECT o_orderkey, o_custkey, o_orderdate, o_totalprice, sum_qty, c_name
+FROM orders
+JOIN (SELECT l_orderkey, sum(l_quantity) AS sum_qty FROM lineitem
+      GROUP BY l_orderkey HAVING sum_qty > 300) AS big
+  ON o_orderkey = l_orderkey
+JOIN customer ON o_custkey = c_custkey
+ORDER BY o_totalprice DESC, o_orderdate LIMIT 100
+""",
+    19: """
+SELECT sum(l_extendedprice * (1 - l_discount)) AS revenue
+FROM (SELECT l_partkey, l_quantity, l_extendedprice, l_discount FROM lineitem
+      WHERE l_shipmode IN ('AIR', 'REG AIR')
+        AND l_shipinstruct = 'DELIVER IN PERSON') AS l
+JOIN part ON l_partkey = p_partkey
+WHERE p_brand = 'Brand#12'
+      AND p_container IN ('SM CASE', 'SM BOX', 'SM PACK', 'SM PKG')
+      AND l_quantity BETWEEN 1 AND 11 AND p_size BETWEEN 1 AND 5
+   OR p_brand = 'Brand#23'
+      AND p_container IN ('MED BAG', 'MED BOX', 'MED PKG', 'MED PACK')
+      AND l_quantity BETWEEN 10 AND 20 AND p_size BETWEEN 1 AND 10
+   OR p_brand = 'Brand#34'
+      AND p_container IN ('LG CASE', 'LG BOX', 'LG PACK', 'LG PKG')
+      AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15
+""",
+    20: """
+SELECT s_name, s_address FROM supplier
+WHERE s_suppkey IN (
+    SELECT ps_suppkey FROM partsupp
+    JOIN (SELECT l_partkey, l_suppkey, sum(l_quantity) AS sum_qty
+          FROM lineitem
+          WHERE l_shipdate >= date '1994-01-01'
+            AND l_shipdate < date '1995-01-01'
+          GROUP BY l_partkey, l_suppkey) AS shipped
+      ON ps_partkey = l_partkey AND ps_suppkey = l_suppkey
+    WHERE ps_partkey IN (SELECT p_partkey FROM part
+                         WHERE p_name LIKE 'forest%')
+      AND ps_availqty > 0.5 * sum_qty)
+  AND s_nationkey IN (SELECT n_nationkey FROM nation WHERE n_name = 'CANADA')
+ORDER BY s_name
+""",
+    21: """
+SELECT s_name, count(*) AS numwait
+FROM (SELECT l_orderkey, l_suppkey FROM lineitem
+      WHERE l_receiptdate > l_commitdate
+        AND l_orderkey IN (SELECT o_orderkey FROM orders
+                           WHERE o_orderstatus = 'F')) AS l1
+JOIN supplier ON l_suppkey = s_suppkey
+JOIN (SELECT l_orderkey, count(DISTINCT l_suppkey) AS n_supp FROM lineitem
+      GROUP BY l_orderkey) AS all_supp
+  ON l_orderkey = l_orderkey
+JOIN (SELECT l_orderkey, count(DISTINCT l_suppkey) AS n_late FROM lineitem
+      WHERE l_receiptdate > l_commitdate GROUP BY l_orderkey) AS late_supp
+  ON l_orderkey = l_orderkey
+WHERE s_nationkey IN (SELECT n_nationkey FROM nation
+                      WHERE n_name = 'SAUDI ARABIA')
+  AND n_supp >= 2 AND n_late = 1
+GROUP BY s_name ORDER BY numwait DESC, s_name LIMIT 100
+""",
+    22: """
+SELECT cntrycode, count(*) AS numcust, sum(c_acctbal) AS totacctbal
+FROM (SELECT substring(c_phone from 1 for 2) AS cntrycode, c_acctbal
+      FROM customer
+      WHERE substring(c_phone from 1 for 2)
+              IN ('13', '31', '23', '29', '30', '18', '17')
+        AND c_acctbal > {scalar}
+        AND c_custkey NOT IN (SELECT o_custkey FROM orders)) AS custsale
+GROUP BY cntrycode ORDER BY cntrycode
+""",
 }
 
 
-def run_query(runner: Runner, number: int) -> Batch:
-    """Execute TPC-H query ``number`` through ``runner``."""
-    return QUERIES[number](runner)
+def _query(number: int) -> Callable[[Runner], Batch]:
+    def query(run: Runner) -> Batch:
+        text = SQL[number]
+        if number in SCALARS:
+            (value,) = run(bind_select(SCALARS[number],
+                                       SCHEMAS)).columns.values()
+            text = text.format(scalar=repr(float(value[0])))
+        return run(bind_select(text, SCHEMAS))
+
+    return query
+
+
+QUERIES: Dict[int, Callable[[Runner], Batch]] = {
+    number: _query(number) for number in sorted(SQL)}
+
+(q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12, q13, q14, q15, q16, q17,
+ q18, q19, q20, q21, q22) = QUERIES.values()

@@ -12,6 +12,7 @@ All coordination messages are charged to the MPI fabric.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -96,6 +97,9 @@ class TransactionManager:
         #: ``listener(table, epoch)`` callbacks fired on every bump (the
         #: server frontend registers its cache invalidation here)
         self.epoch_listeners: list = []
+        #: every transaction begun, by id, held weakly: one its caller
+        #: dropped holds nothing
+        self._begun = weakref.WeakValueDictionary()
 
     # ------------------------------------------------------------------ epochs
 
@@ -129,7 +133,17 @@ class TransactionManager:
         return int(self._shipped.total())
 
     def begin(self) -> DistributedTransaction:
-        return DistributedTransaction(next(self._txn_ids), self)
+        txn = DistributedTransaction(next(self._txn_ids), self)
+        self._begun[txn.txn_id] = txn
+        return txn
+
+    def held_partitions(self) -> set:
+        """The ``(table, pid)`` pairs an unfinished transaction holds (a
+        running query's own among them): its Trans-PDTs address rows of
+        the stable image it took, so no propagation or direct append may
+        rewrite that image before it finishes."""
+        return {key for txn in list(self._begun.values())
+                if not txn.finished for key in txn.parts}
 
     def pin_snapshot(self, txn: DistributedTransaction,
                      parts) -> int:

@@ -217,12 +217,6 @@ class WorkloadManager:
         return sorted([*self._ring.values(), *self._live.values()],
                       key=lambda r: r.query_id)
 
-    def pinned_partitions(self) -> set:
-        """The ``(table, pid)`` pairs whose snapshot a running query holds
-        (its scans may still read them)."""
-        return {key for qid in self._running
-                for key in self._live[qid].trans.parts}
-
     def is_live(self, query_id: int) -> bool:
         """True while the query is queued or running."""
         return query_id in self._live

@@ -39,7 +39,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.profiler import ContinuousProfiler, folded_stacks
 from repro.sql import execute_sql
 from repro.tpch import tpch_schemas
-from repro.tpch.queries import run_query
+from repro.tpch import QUERIES
 from repro.tpch.schema import LOAD_ORDER
 
 
@@ -200,7 +200,7 @@ class TestProfileCoverage:
             def runner(plan, number=number):
                 results[number] = cluster.query(plan)
                 return results[number].batch
-            run_query(runner, number)
+            QUERIES[number](runner)
         # window functions over orders exercise engine/window.py
         results["window"] = cluster.query(LWindow(
             LScan("orders", ["o_custkey", "o_totalprice"]),
@@ -270,7 +270,7 @@ class TestProfileCoverage:
 def _observable_run(tpch_data):
     cluster = _fresh_cluster(tpch_data)
     for number in (1, 6):
-        run_query(lambda plan: cluster.query(plan).batch, number)
+        QUERIES[number](lambda plan: cluster.query(plan).batch)
     # the counts of vh$operator_stats and vh$hot_paths: everything but
     # the wall-seconds tail (and the rows/sec and share derived from it),
     # hot paths in a fixed order since they rank by wall
@@ -307,7 +307,7 @@ class TestExportsAndSystemTables:
             captured["result"] = cluster.query(plan)
             return captured["result"].batch
 
-        run_query(runner, 1)
+        QUERIES[1](runner)
         return cluster, captured["result"]
 
     def test_folded_stacks_parse_and_cover_kernels(self, queried):
@@ -336,7 +336,7 @@ class TestExportsAndSystemTables:
             captured["result"] = cluster.query(plan, trace=True)
             return captured["result"].batch
 
-        run_query(runner, 1)
+        QUERIES[1](runner)
         result = captured["result"]
         execute = result.trace.find("execute")
         root = result.profiles[0]

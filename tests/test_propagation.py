@@ -319,3 +319,42 @@ def test_the_tail_is_appended_in_commit_order():
     commit(table, lambda t: t.insert(N_SMALL + 1, {"k": 5003, "v": 0}))
     assert table.propagate(0, force=True) == "tail"
     assert [k for k, _ in stored_rows(table)[N_SMALL:]] == [5001, 5002, 5003]
+
+
+def _committed_delete_then_open_txn():
+    """``t(k, v)`` on 4 partitions, 100 rows, ``k < 20`` deleted and
+    committed (PDT entries a forced propagation folds into the image),
+    and a transaction begun after that."""
+    c = VectorHCluster(n_nodes=3, config=Config().scaled_for_tests())
+    c.create_table(TableSchema(
+        "t", [Column("k", INT64), Column("v", INT64)],
+        partition_key=("k",), n_partitions=4))
+    c.bulk_load("t", {"k": np.arange(100), "v": np.arange(100) * 10})
+    execute_sql(c, "DELETE FROM t WHERE k < 20")
+    return c, c.begin()
+
+
+def _keys(c, trans=None):
+    return sorted(execute_sql(c, "SELECT k FROM t", trans=trans)
+                  .columns["k"].tolist())
+
+
+def test_propagation_leaves_an_open_transactions_snapshot_alone():
+    c, trans = _committed_delete_then_open_txn()
+    assert _keys(c, trans) == list(range(20, 100))
+    c.propagate_updates(force=True)
+    # its snapshot layers delete by position: on a rewritten image they
+    # would delete rows 20..39
+    assert _keys(c, trans) == list(range(20, 100))
+    trans.commit()
+    c.propagate_updates(force=True)
+    assert not any(stack.total_entries() for stack in c.tables["t"].pdt)
+    assert _keys(c) == list(range(20, 100))
+
+
+def test_an_open_transactions_delete_commits_the_row_it_named():
+    c, trans = _committed_delete_then_open_txn()
+    assert execute_sql(c, "DELETE FROM t WHERE k = 60", trans=trans) == 1
+    c.propagate_updates(force=True)
+    trans.commit()
+    assert _keys(c) == [k for k in range(20, 100) if k != 60]

@@ -7,8 +7,10 @@ from repro.common.config import Config
 from repro.common.errors import SqlError
 from repro.common.types import DATE, DECIMAL, INT64, STRING
 from repro.cluster import VectorHCluster
+from repro.mpp.logical import LJoin
 from repro.sql import SqlLexer, SqlParser, execute_sql
 from repro.sql import parser as ast
+from repro.sql.binder import _SelectBinder
 from repro.storage import Column, TableSchema
 
 
@@ -51,6 +53,12 @@ class TestLexer:
         assert tokens[0] == ("string", "a b") or tokens[0].value == "a b"
         assert tokens[1].value == "3.5"
         assert tokens[2].value == "42"
+
+    def test_exponent_numbers(self):
+        # a float's repr, as a first statement's scalar goes into a text
+        values = [SqlParser(f"SELECT {text} AS x FROM t").parse()
+                  .items[0].expr.value for text in ("-1e-06", "2.5E3")]
+        assert values == [-1e-06, 2500.0]
 
     def test_operators(self):
         tokens = SqlLexer("a <> b <= c >= d != e").tokens()
@@ -216,3 +224,120 @@ class TestExecution:
         t.commit()
         after = execute_sql(db, "SELECT count(*) AS n FROM emp")
         assert after.columns["n"][0] == 501
+
+
+def _emp(db):
+    """The emp table as numpy columns (the hand-computed answers' input)."""
+    out = execute_sql(db, "SELECT id, dept, salary FROM emp ORDER BY id")
+    return {name: np.asarray(col) for name, col in out.columns.items()}
+
+
+class TestGrammarPieces:
+    """The pieces TPC-H is written with: each against a hand-computed
+    answer."""
+
+    def test_group_by_output_follows_the_select_list(self, db):
+        sql = "SELECT sum(salary) AS s, dept FROM emp GROUP BY dept"
+        assert execute_sql(db, sql).column_names == ["s", "dept"]
+        conn = db.serve().connect()
+        assert conn.simple_query(sql).column_names == ["s", "dept"]
+
+    def test_composite_join_keys(self, db):
+        db.create_table(TableSchema(
+            "pay", [Column("p_id", INT64), Column("p_dept", INT64),
+                    Column("bonus", INT64)]))
+        emp = _emp(db)
+        ids = np.arange(100)
+        # an odd id names another department: only even ids match both
+        dept = emp["dept"][ids] + ids % 2
+        db.bulk_load("pay", {"p_id": ids, "p_dept": dept, "bonus": ids * 3})
+        out = execute_sql(db, "SELECT id, bonus FROM emp "
+                              "JOIN pay ON id = p_id AND p_dept = dept "
+                              "ORDER BY id")
+        assert out.columns["id"].tolist() == list(range(0, 100, 2))
+        assert out.columns["bonus"].tolist() == list(range(0, 300, 6))
+
+    def test_expressions_over_aggregates(self, db):
+        emp = _emp(db)
+        out = execute_sql(db, "SELECT dept, 100 * sum(salary) / count(*) "
+                              "AS mean100, max(salary) - min(salary) AS "
+                              "spread FROM emp GROUP BY dept ORDER BY dept")
+        assert out.column_names == ["dept", "mean100", "spread"]
+        for d, mean100, spread in zip(*out.columns.values()):
+            pay = emp["salary"][emp["dept"] == d]
+            assert mean100 == pytest.approx(100 * pay.mean())
+            assert spread == pytest.approx(pay.max() - pay.min())
+
+    def test_derived_tables(self, db):
+        emp = _emp(db)
+        out = execute_sql(db, "SELECT dept_name, n FROM dept "
+                              "JOIN (SELECT dept, count(*) AS n FROM emp "
+                              "WHERE salary > 50000 GROUP BY dept) AS d "
+                              "ON dept_id = dept ORDER BY dept_name")
+        rich = emp["dept"][emp["salary"] > 50000]
+        assert out.columns["dept_name"].tolist() == [f"D{i}" for i in
+                                                     range(5)]
+        assert out.columns["n"].tolist() == [int((rich == i).sum())
+                                             for i in range(5)]
+        big = execute_sql(db, "SELECT count(*) AS k FROM (SELECT dept, "
+                              "count(*) AS n FROM emp GROUP BY dept) AS d "
+                              "WHERE n > 100")
+        sizes = np.bincount(emp["dept"])
+        assert big.columns["k"][0] == (sizes > 100).sum()
+
+    def test_in_and_not_in_subqueries(self, db):
+        emp = _emp(db)
+        sub = "(SELECT dept_id FROM dept WHERE dept_name IN ('D1', 'D3'))"
+        chosen = np.isin(emp["dept"], [1, 3])
+        for op, expected in (("IN", chosen), ("NOT IN", ~chosen)):
+            out = execute_sql(db, f"SELECT count(*) AS n FROM emp "
+                                  f"WHERE salary > 40000 AND dept {op} {sub}")
+            assert out.columns["n"][0] == (expected
+                                           & (emp["salary"] > 40000)).sum()
+        plan = _SelectBinder(db, SqlParser(
+            f"SELECT id FROM emp WHERE dept NOT IN {sub}").parse()).plan()
+        joins = [n for n in plan.walk() if isinstance(n, LJoin)]
+        assert [(j.how, j.probe_keys, j.build_keys) for j in joins] == [
+            ("anti", ["dept"], ["dept_id"])]
+
+    def test_count_of_a_left_join_column_counts_matches(self, db):
+        execute_sql(db, "INSERT INTO dept VALUES (7, 'D7')")
+        out = execute_sql(db, "SELECT dept_id, count(id) AS n FROM dept "
+                              "LEFT JOIN emp ON dept_id = dept "
+                              "GROUP BY dept_id ORDER BY dept_id")
+        sizes = np.bincount(_emp(db)["dept"]).tolist()
+        assert out.columns["dept_id"].tolist() == [0, 1, 2, 3, 4, 7]
+        assert out.columns["n"].tolist() == sizes + [0]
+
+    @pytest.mark.parametrize("sql", [
+        # a correlated subquery: name is emp's, not dept's
+        "SELECT id FROM emp WHERE dept IN "
+        "(SELECT dept_id FROM dept WHERE dept_name = name)",
+        "SELECT id FROM emp JOIN (SELECT dept_id FROM dept "
+        "WHERE dept_id = dept) AS d ON dept = dept_id",
+        # a column on both sides of a join that is not a key
+        "SELECT id, salary FROM emp JOIN (SELECT dept, salary FROM emp) AS e "
+        "ON dept = dept",
+        # a derived table's WHERE column rides along, and the outer
+        # side reads a column of that name
+        "SELECT id, salary FROM emp JOIN (SELECT dept FROM emp "
+        "WHERE salary > 0) AS e ON dept = dept",
+        # a LEFT JOIN's misses carry no NULL to skip
+        "SELECT dept_id, count(DISTINCT id) AS n FROM dept "
+        "LEFT JOIN emp ON dept_id = dept GROUP BY dept_id",
+        # an IN subquery selects one column
+        "SELECT id FROM emp WHERE dept IN (SELECT dept_id, dept_name "
+        "FROM dept)",
+    ])
+    def test_what_cannot_bind_raises(self, db, sql):
+        with pytest.raises(SqlError):
+            execute_sql(db, sql)
+
+    def test_a_write_to_a_subquerys_table_invalidates_the_result(self, db):
+        conn = db.serve().connect()
+        sql = ("SELECT count(*) AS n FROM emp WHERE dept IN "
+               "(SELECT dept_id FROM dept WHERE dept_name = 'D9')")
+        assert conn.simple_query(sql).columns["n"][0] == 0
+        conn.simple_query("INSERT INTO dept VALUES (2, 'D9')")
+        assert conn.simple_query(sql).columns["n"][0] == \
+            (_emp(db)["dept"] == 2).sum()

@@ -1,5 +1,8 @@
-"""TPC-H tests: dbgen shape, all 22 queries VectorH vs row-engine oracle,
-and the RF1/RF2 refresh functions."""
+"""TPC-H tests: dbgen shape, all 22 queries VectorH vs row-engine oracle
+and vs frozen answers, and the RF1/RF2 refresh functions."""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,9 +10,23 @@ import pytest
 from tests.conftest import assert_batches_match
 
 from repro.baselines import CompetitorSystem
-from repro.tpch import QUERIES, generate_tpch, refresh_rf1, refresh_rf2
+from repro.cluster import VectorHCluster
+from repro.common.config import Config
+from repro.engine.batch import Batch
+from repro.sql.binder import bind_select
+from repro.tpch import (
+    QUERIES, generate_tpch, refresh_rf1, refresh_rf2, tpch_schemas)
 from repro.tpch.dbgen import CURRENT_DATE, table_sizes
+from repro.tpch.queries import SCHEMAS, SQL
+from repro.tpch.schema import LOAD_ORDER
 from repro.mpp.logical import LAggr, LScan
+
+#: every query's columns and rows at SF 0.005 (seed 42, 4 workers, 6
+#: partitions), as the hand-built logical plans the SQL texts replaced
+#: answered them; ``q18_250`` is Q18 with its 300 lowered to 250, since
+#: Q18 itself returns no row at this scale
+ANSWERS = json.loads(
+    (pathlib.Path(__file__).parent / "tpch_answers.json").read_text())
 
 
 class TestDbgen:
@@ -83,6 +100,37 @@ def test_query_matches_row_engine_oracle(number, tpch_cluster, oracle):
     vh = QUERIES[number](lambda plan: tpch_cluster.query(plan).batch)
     base = QUERIES[number](oracle.runner)
     assert_batches_match(vh, base)
+
+
+@pytest.fixture(scope="module")
+def sf005_cluster():
+    cluster = VectorHCluster(n_nodes=4, config=Config().scaled_for_tests())
+    data = generate_tpch(scale_factor=0.005, seed=42)
+    schemas = tpch_schemas(n_partitions=6)
+    for name in LOAD_ORDER:
+        cluster.create_table(schemas[name])
+        cluster.bulk_load(name, data[name])
+    return cluster
+
+
+@pytest.mark.parametrize("name", sorted(ANSWERS))
+def test_query_matches_frozen_answer(name, sf005_cluster):
+    """The SQL texts answer what the hand-built plans answered, in the
+    same columns and column order."""
+    def run(plan):
+        return sf005_cluster.query(plan).batch
+
+    if name == "q18_250":
+        batch = run(bind_select(SQL[18].replace("> 300", "> 250"), SCHEMAS))
+    else:
+        batch = QUERIES[int(name[1:])](run)
+    frozen = ANSWERS[name]
+    assert batch.column_names == frozen["columns"]
+    expected = Batch({c: np.array([row[i] for row in frozen["rows"]],
+                                  dtype=object)
+                      for i, c in enumerate(frozen["columns"])},
+                     len(frozen["rows"]))
+    assert_batches_match(batch, expected)
 
 
 class TestRefresh:
