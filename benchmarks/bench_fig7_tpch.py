@@ -14,6 +14,7 @@ the engine has multi-core joins (not Impala), plus per-stage scheduling
 overhead (heavy for Hive's containers, light for HAWQ).
 """
 
+import gc
 import math
 import os
 
@@ -75,10 +76,15 @@ def competitors(tpch_data):
 def test_fig7_tpch_all_systems(vectorh, competitors, benchmark):
     times = {name: {} for name in ["vectorh"] + SYSTEMS}
     for q in QUERY_NUMBERS:
+        # VectorH's times come from wall: a full collection of what the
+        # run has piled up (the competitors' row dicts fill the heap)
+        # must not land inside whichever query happens to trip it
+        gc.collect()
         runner = VectorHRunner(vectorh)
         QUERIES[q](runner)
         times["vectorh"][q] = runner.seconds
         for name, system in competitors.items():
+            gc.collect()
             competitor = CompetitorRunner(system)
             QUERIES[q](competitor)
             times[name][q] = competitor.seconds

@@ -106,6 +106,12 @@ def profiler_tables(profiler) -> Tuple[Dict[str, dict], Dict[str, dict]]:
     return operators, kernels
 
 
+def _walk(node):
+    yield node
+    for child in node.children:
+        yield from _walk(child)
+
+
 def build_payload(cluster, queries: Dict[str, dict]) -> dict:
     operators, kernels = profiler_tables(cluster.profiler)
     return {
@@ -143,7 +149,15 @@ def test_bench_hotpath(tpch_data):
     grouping = [table["aggr.group"] for table in payload["kernels"].values()
                 if "aggr.group" in table]
     assert grouping and all(v["rows_per_wall_s"] > 0 for v in grouping)
-    assert "aggr.merge" in kernel_names
+    # Q1 groups on coded keys of a 3 x 2 domain: both its aggregates add
+    # up by slot (aggr.accumulate alone), where the join queries' rank
+    # (above) and merge wherever a stream held more than one partial
+    q1_aggregates = [node for root in profiles[1] for node in _walk(root)
+                     if node.kind == "Aggr"]
+    assert len(q1_aggregates) == 2
+    for node in q1_aggregates:
+        assert "aggr.accumulate" in node.kernels
+        assert not {"aggr.group", "aggr.merge"} & set(node.kernels)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_hotpath.json").write_text(

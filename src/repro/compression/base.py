@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class CompressedBlock:
     ctype_name: str = ""
     #: size of the values uncompressed (set by :func:`compress_best`)
     raw_bytes: int = 0
+    #: a PDICT string block being read: the column's shared dictionary it
+    #: decodes over, as a function from stored strings to ``(dictionary,
+    #: their int32 codes in it)`` or None (then over its own strings)
+    shared: Optional[Callable[[list], Optional[tuple]]] = None
 
     @property
     def size_bytes(self) -> int:

@@ -30,8 +30,15 @@ def _plan(width: int):
 #: per width: the (word, shift) of a group's 32 codes, each word's first code
 _PLANS = (None,) + tuple(_plan(w) for w in range(1, MAX_CODE_WIDTH + 1))
 
-#: codes per pass into a narrow dtype (whole groups; the uint64 temporary)
-_STEP = 2048
+#: widest code a 32-bit window read at the code's first byte holds whole
+#: (its shift there is below 8)
+NARROW_WIDTH = 25
+
+#: per width up to NARROW_WIDTH: the first byte and the shift of every code
+#: of the longest block unpacked into a narrow dtype so far (a memo of
+#: constants: it grows only to the longest block, and no output depends
+#: on what it holds)
+_NARROW_PLANS = {}
 
 
 def width_for(max_value: int) -> int:
@@ -76,8 +83,10 @@ def unpack_bits(data, width: int, count: int, dtype=np.int64) -> np.ndarray:
 
     The stream is copied once into aligned words, zero-padded to whole groups,
     and viewed as overlapping 64-bit windows (word + successor); a group's
-    codes are one gather of the plan's 32 columns, one shift, one mask: viewed
-    as a 64-bit ``dtype``, cast ``_STEP`` at a time (wrapping) to a narrower one.
+    codes are one gather of the plan's 32 columns, one shift, one mask. Into
+    a narrower ``dtype`` a code of up to :data:`NARROW_WIDTH` bits is instead
+    one gather of the 32-bit window at its first byte, one shift, one mask
+    (:func:`_unpack_narrow`); a wider one is cast (wrapping) from 64 bits.
     """
     if count == 0:
         return np.zeros(0, dtype=dtype)
@@ -91,22 +100,42 @@ def unpack_bits(data, width: int, count: int, dtype=np.int64) -> np.ndarray:
     stream = np.frombuffer(data, np.uint8, nbytes)
     if width == 1:
         return np.unpackbits(stream, count=count, bitorder="little").astype(dtype)
+    wide = np.dtype(dtype) in (np.int64, np.uint64)
+    if not wide and width <= NARROW_WIDTH:
+        codes = _unpack_narrow(stream, width, count)
+        # a code below 2^25 reads the same as uint32 and as int32
+        return (codes.view(dtype) if np.dtype(dtype) == np.int32
+                else codes.astype(dtype))
     groups = (count + 31) >> 5
     halves = np.zeros(groups * width + 2, dtype="<u4")
     halves.view(np.uint8)[:nbytes] = stream
     windows = np.ndarray((groups, width), "<u8", halves, 0, (4 * width, 4))
     word, shift, _ = _PLANS[width]
-    wide = np.dtype(dtype) in (np.int64, np.uint64)
-    out, step = (None, count) if wide else (np.empty(count, dtype), _STEP)
-    for start in range(0, count, step):
-        codes = windows[start >> 5:(start + step + 31) >> 5].take(word, axis=1)
-        codes >>= shift
-        codes &= np.uint64((1 << width) - 1)
-        codes = codes.reshape(-1)[:count - start]
-        if wide:
-            return codes.view(dtype)
-        out[start:start + codes.size] = codes
-    return out
+    codes = windows.take(word, axis=1)
+    codes >>= shift
+    codes &= np.uint64((1 << width) - 1)
+    codes = codes.reshape(-1)[:count]
+    return codes.view(dtype) if wide else codes.astype(dtype)
+
+
+def _unpack_narrow(stream: np.ndarray, width: int, count: int) -> np.ndarray:
+    """``count`` codes of ``width`` <= :data:`NARROW_WIDTH` bits as uint32:
+    code ``j`` starts in byte ``j * width >> 3`` at bit ``j * width & 7``,
+    so the 32-bit window at that byte holds it whole. Every temporary is
+    one block's codes; the plan is the longest block's."""
+    plan = _NARROW_PLANS.get(width)
+    if plan is None or len(plan[0]) < count:
+        bit = np.arange(count) * width
+        # (left writeable: ``take`` copies a read-only index array)
+        plan = _NARROW_PLANS[width] = (bit >> 3, (bit & 7).astype(np.uint32))
+    first_byte, shift = plan
+    padded = np.zeros(len(stream) + 4, dtype=np.uint8)
+    padded[:len(stream)] = stream
+    windows = np.ndarray(len(stream) + 1, "<u4", padded, 0, (1,))
+    codes = windows.take(first_byte[:count])
+    codes >>= shift[:count]
+    codes &= np.uint32((1 << width) - 1)
+    return codes
 
 
 def packed_size(count: int, width: int) -> int:

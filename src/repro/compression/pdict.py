@@ -6,9 +6,12 @@ linked through their code slots, so a skewed frequency distribution never
 blows up the dictionary (paper section 2).
 
 A string block is not inflated back to strings when it is read: it decodes
-to a :class:`~repro.engine.batch.DictColumn` -- the stored entries and
-exceptions, sorted and distinct, and every row's code among them -- which
-is what the engine groups, joins, orders and filters on.
+to a :class:`~repro.engine.batch.DictColumn` -- every row's code in a
+sorted, distinct dictionary -- which is what the engine groups, joins,
+orders and filters on. The dictionary is the column's shared one when the
+reader has it (the stored entries and exceptions are looked up in it once
+per block, and the rows follow with one ``take``), else the block's own
+entries and exceptions, sorted and made distinct.
 """
 
 from __future__ import annotations
@@ -184,10 +187,12 @@ class PDictScheme(CompressionScheme):
         if strings:
             # exceptions are entries too, numbered past the dictionary's;
             # entries are stored by frequency and an exception may repeat
-            # one, so they are sorted and made distinct, the codes following
+            # one, so each stored string's code is looked up (or they are
+            # sorted and made distinct), the rows' codes following
             if n_exc:
                 codes[positions] = np.arange(n_dict, n_dict + n_exc)
-            entries, code_of = sorted_distinct(stored)
+            entries, code_of = ((block.shared and block.shared(stored))
+                                or sorted_distinct(stored))
             return DictColumn(code_of.take(codes), entries)
         # the exceptions' slots hold gap links: any in-bounds entry will
         # do until they are patched

@@ -174,9 +174,11 @@ class DictColumn(np.lib.mixins.NDArrayOperatorsMixin):
 
     def with_values(self, values) -> Tuple["DictColumn", np.ndarray]:
         """This column over a dictionary that also holds ``values`` (a
-        PDT's inserted and modified strings), and their codes in it."""
-        if not len(values):
-            return self, np.empty(0, dtype=np.int32)
+        PDT's inserted and modified strings), and their codes in it: the
+        column itself when its dictionary holds them all already."""
+        codes = recode(np.asarray(values, dtype=object), self.dictionary)
+        if not len(codes) or codes.min() >= 0:
+            return self, codes.astype(np.int32)
         both = concat_columns([self, DictColumn.encode(values)])
         n = len(self.codes)
         return both[:n], both.codes[n:]

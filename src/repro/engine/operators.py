@@ -218,14 +218,36 @@ class _Partial(NamedTuple):
 MERGE_AFTER_VECTORS = 64
 
 
-class HashAggr(Operator):
-    """Group-by that folds and merges instead of keeping a hash table.
+#: the most groups a HashAggr keeps in fixed arrays indexed by key codes.
+#: A constant, not a knob: it bounds the arrays a direct aggregation
+#: allocates and adds a zero into per vector (512 KB each), and no answer
+#: depends on it
+DIRECT_SLOTS = 1 << 16
 
-    Every input vector is *ranked* (each key column to dense ranks --
-    ``np.unique`` for numbers, a coded string column's codes as they are
-    less the ones absent, a dict over the distinct values for plain
-    strings -- combined pairwise and re-ranked so codes stay below n^2)
-    and *folded* to one partial row per distinct key of that vector
+#: the aggregates a direct aggregation adds up; any other takes the
+#: rank -> fold -> merge path
+_DIRECT_FUNCS = frozenset(("sum", "count", "avg", "sum_counts"))
+
+
+class HashAggr(Operator):
+    """Group-by that adds into arrays indexed by key codes where it can,
+    and folds and merges instead of keeping a hash table where it cannot.
+
+    *Direct* (X100's direct aggregation): while every key of every vector
+    is a coded column over the dictionaries of the stream's first vector,
+    their entry counts multiply to at most :data:`DIRECT_SLOTS` and every
+    aggregate is sum / count / avg / sum_counts, a group is the slot
+    ``sum(code_i * stride_i)`` of fixed arrays, and each aggregate of a
+    vector is one ``np.bincount`` over the slots added into its array
+    (:class:`_Slots`). The first vector that breaks the rule turns what
+    the arrays hold into one partial and the rest of the stream goes on
+    the general path.
+
+    *General*: every input vector is *ranked* (each key column to dense
+    ranks -- ``np.unique`` for numbers, a coded string column's codes as
+    they are less the ones absent, a dict over the distinct values for
+    plain strings -- combined pairwise and re-ranked so codes stay below
+    n^2) and *folded* to one partial row per distinct key of that vector
     (``np.bincount`` for sum/count/avg, ``ufunc.reduceat`` for min/max,
     the distinct (group, value) pairs for count_distinct). Held partials
     are *merged* by the same rank-and-fold applied to their concatenation,
@@ -234,11 +256,13 @@ class HashAggr(Operator):
     than the last merge left) have piled up; no Python runs per row or
     per key.
 
-    Groups leave in the order their keys first arrived (vector by vector,
-    sorted within a vector) and key columns keep their dtype. A sum is its
-    vectors' partial sums added in arrival order from 0.0, so it does not
-    depend on where merges fall. Feeding a HashAggr's (keys, sum, count)
-    output to a second one is the paper's partial-aggregation rewrite.
+    On both paths groups leave in the order their keys first arrived
+    (vector by vector, sorted within a vector) and key columns keep their
+    dtype. A sum is its vectors' partial sums added in arrival order from
+    0.0 (a vector without the group adds 0.0), so it does not depend on
+    the path or on where merges fall. Feeding a HashAggr's (keys, sum,
+    count) output to a second one is the paper's partial-aggregation
+    rewrite.
     """
 
     label = "Aggr"
@@ -257,10 +281,21 @@ class HashAggr(Operator):
 
     def _run(self):
         funcs = [func for _, func, _ in self.aggregates]
+        slots = None  # the direct path's state, while it holds
         held: List[_Partial] = []
         fresh = 0  # partial rows held since the last merge
         for batch in self.children[0].execute():
             keys = [batch.columns[k] for k in self.group_by]
+            if slots is None and not held:  # the stream's first vector
+                slots = _Slots.fitting(funcs, keys)
+            elif slots is not None and not slots.fits(keys):
+                held, slots = [slots.partial()], None
+            if slots is not None:
+                with kernel("aggr.accumulate", rows=batch.n):
+                    slots.add(keys, batch.n, [
+                        None if expr is None else expr.eval(batch.columns)
+                        for _, _, expr in self.aggregates])
+                continue
             with kernel("aggr.group", rows=batch.n):
                 codes, first = _rank(keys, batch.n)
             with kernel("aggr.accumulate", rows=batch.n):
@@ -273,6 +308,8 @@ class HashAggr(Operator):
             # rows again are held keeps the merging linear in the input
             if fresh > max(MERGE_AFTER_VECTORS * self.vector_size, held[0].n):
                 held, fresh = [_merge(funcs, held)], 0
+        if slots is not None:
+            held = [slots.partial()]
         if len(held) > 1:
             held = [_merge(funcs, held)]
         if not held:
@@ -296,6 +333,80 @@ class HashAggr(Operator):
                                                   groups.states):
                     out[name] = _finalize(func, state, groups.n)
         yield from batches_from_columns(out, self.vector_size)
+
+
+class _Slots:
+    """Direct aggregation state: per aggregate, fixed arrays indexed by a
+    group's slot ``sum(code_i * stride_i)`` over the key dictionaries the
+    stream started with (the first key varies slowest, so slot order is
+    key order), plus the rows each slot has seen and the slots in the
+    order they first arrived."""
+
+    def __init__(self, funcs: Sequence[str], dictionaries: List[np.ndarray],
+                 strides: List[int], size: int):
+        self.funcs = funcs
+        self.dictionaries = dictionaries
+        self.strides = strides
+        self.size = size
+        self.rows = np.zeros(size, dtype=np.int64)
+        #: per aggregate, what it adds up (count reads ``rows``)
+        self.totals = [None if func == "count" else np.zeros(
+            size, np.int64 if func == "sum_counts" else np.float64)
+            for func in funcs]
+        self.arrived: List[np.ndarray] = []
+
+    @classmethod
+    def fitting(cls, funcs: Sequence[str],
+                keys: Sequence[np.ndarray]) -> Optional["_Slots"]:
+        """The state for a stream whose first vector has ``keys``, or
+        None if the direct path does not apply to it."""
+        if not _DIRECT_FUNCS.issuperset(funcs) or not all(
+                isinstance(key, DictColumn) for key in keys):
+            return None
+        strides, size = [], 1
+        for key in reversed(keys):  # the first key varies slowest
+            strides.insert(0, size)
+            size *= len(key.dictionary)
+        if size > DIRECT_SLOTS:
+            return None
+        return cls(funcs, [key.dictionary for key in keys], strides, size)
+
+    def fits(self, keys: Sequence[np.ndarray]) -> bool:
+        return all(isinstance(key, DictColumn) and key.dictionary is mine
+                   for key, mine in zip(keys, self.dictionaries))
+
+    def add(self, keys: Sequence[DictColumn], n: int,
+            values: Sequence) -> None:
+        """One vector of ``n`` rows: its key columns and each aggregate's
+        input (None for count(*))."""
+        slot = np.zeros(n, dtype=np.intp)
+        for key, stride in zip(keys, self.strides):
+            slot += key.codes * stride
+        rows = np.bincount(slot, minlength=self.size)
+        first = np.flatnonzero((self.rows == 0) & (rows > 0))
+        if len(first):
+            self.arrived.append(first)
+        self.rows += rows
+        for func, total, value in zip(self.funcs, self.totals, values):
+            if total is not None:  # as the general path folds a vector
+                weights = _row_state(func, n, value)[0]
+                total += np.bincount(slot, weights, minlength=self.size
+                                     ).astype(total.dtype, copy=False)
+
+    def partial(self) -> _Partial:
+        """What the arrays hold as one partial, its groups in arrival
+        order."""
+        order = (np.concatenate(self.arrived) if self.arrived
+                 else np.empty(0, dtype=np.intp))
+        keys = [DictColumn((order // stride % len(dictionary)
+                            ).astype(np.int32), dictionary)
+                for dictionary, stride in zip(self.dictionaries,
+                                              self.strides)]
+        rows = self.rows[order]
+        states = [(rows,) if func == "count" else
+                  (total[order], rows) if func == "avg" else (total[order],)
+                  for func, total in zip(self.funcs, self.totals)]
+        return _Partial(keys, states, len(order))
 
 
 def _ranks(col: np.ndarray):

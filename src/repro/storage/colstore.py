@@ -17,6 +17,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,43 +87,46 @@ class ColumnDictionaries:
     """One dictionary per string column, shared by every PDICT block of
     every partition of a table.
 
-    A block decodes over its own entries; :meth:`adopt` takes it over the
-    column's dictionary instead, so whatever is read from the column --
-    any block, any partition, any query -- arrives over the *same object*:
+    A PDICT block decodes over it (:meth:`encode` gives its stored
+    strings' codes), so whatever is read from the column -- any block,
+    any partition, any query -- arrives over the *same object*:
     concatenating pieces is concatenating codes, vectors from different
-    scan streams meet at an exchange without a merge, and what an
-    expression worked out for the entries holds for the next scan too.
-    The dictionary only grows: a block with strings it does not hold yet
-    replaces it with a larger one (a new object -- codes shift; columns
-    over the old one keep it).
+    scan streams meet at an exchange without a merge, what an expression
+    worked out for the entries holds for the next scan too, and an
+    aggregate grouping on the column indexes by its codes. The dictionary
+    only grows, with the column's distinct strings: a block with strings
+    it does not hold yet replaces it with a larger one (a new object --
+    codes shift; columns over the old one keep it).
     """
 
     def __init__(self):
         #: column -> (dictionary, its str -> code), None once over the limit
         self._columns: Dict[str, Optional[Tuple[np.ndarray, dict]]] = {}
 
-    def adopt(self, name: str, column: DictColumn) -> DictColumn:
-        """``column`` over the dictionary of column ``name``."""
+    def encode(self, name: str,
+               strings: list) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The dictionary of column ``name`` and the int32 codes of
+        ``strings`` (a block's stored ones) in it; None once the column
+        holds more than :data:`SHARED_DICTIONARY_LIMIT` distinct strings
+        (its blocks keep their own dictionaries)."""
         shared = self._columns.get(name, ())  # () until the first block
         if shared is None:
-            return column
-        entries = column.dictionary.tolist()
+            return None
+        known: list = []
         if shared:
             dictionary, code_of = shared
-            codes = np.fromiter(map(code_of.get, entries, repeat(-1)),
-                                np.int32, len(entries))
+            codes = np.fromiter(map(code_of.get, strings, repeat(-1)),
+                                np.int32, len(strings))
             if len(codes) == 0 or codes.min() >= 0:
-                if len(codes) == len(dictionary):  # the very same entries
-                    return DictColumn(column.codes, dictionary)
-                return DictColumn(codes.take(column.codes), dictionary)
-            entries = dictionary.tolist() + entries
-        dictionary, _ = sorted_distinct(entries)
+                return dictionary, codes
+            known = dictionary.tolist()
+        dictionary, _ = sorted_distinct(known + strings)
         if len(dictionary) > SHARED_DICTIONARY_LIMIT:
             self._columns[name] = None
-            return column
+            return None
         self._columns[name] = (dictionary, dict(zip(dictionary.tolist(),
                                                     range(len(dictionary)))))
-        return self.adopt(name, column)
+        return self.encode(name, strings)
 
 
 class BlockCursor:
@@ -342,14 +346,13 @@ class PartitionStore:
             k.account(rows=count)
             block = CompressedBlock(_SCHEME_NAMES[scheme_id], count, payload)
             ctype = self.schema.ctype(ref.column)
-            if stored and ctype.is_string and block.scheme != "PDICT":
+            if ctype.is_string and block.scheme == "PDICT":
+                block.shared = partial(self.dictionaries.encode, ref.column)
+            elif ctype.is_string and stored:
                 return SCHEMES[block.scheme].image(block)
             # the nested decode.<scheme> kernel subtracts itself from this
             # frame, so read_block seconds stay IO+header-only
-            values = decompress(block, ctype)
-            if isinstance(values, DictColumn):
-                values = self.dictionaries.adopt(ref.column, values)
-            return values
+            return decompress(block, ctype)
 
     def read_column(self, name: str,
                     ranges: Optional[Sequence[Tuple[int, int]]] = None,

@@ -99,6 +99,30 @@ class TestFeedbackFlip:
             assert r.batch.columns["s"][0] == SUM_V
             assert r.batch.columns["n"][0] == N_FACT
 
+    def test_feedback_showing_the_build_larger_swaps_the_join(self):
+        """The written build side (f, 3,000 rows) is the larger input:
+        static estimates keep the written order, and the cardinalities
+        the first run harvests swap build and probe -- with the answer
+        unchanged."""
+        c = _star_cluster(adaptive_replan=False)
+
+        def plan():
+            join = LJoin(build=LScan("f", ["fk", "v"]),
+                         probe=LScan("d", ["dk", "w"]),
+                         build_keys=["fk"], probe_keys=["dk"], how="inner")
+            return LAggr(join, [], [("s", "sum", Col("v")),
+                                    ("n", "count", None),
+                                    ("sw", "sum", Col("w"))])
+
+        cold, warm = c.query(plan()), c.query(plan())
+        assert "HashJoin(inner)[dk=fk]" in cold.plan_text  # build f
+        assert "HashJoin(inner)[fk=dk]" in warm.plan_text  # build d
+        assert c.feedback.lookup(fragment_signature(LScan("f", ["fk", "v"]))) \
+            == N_FACT
+        assert_batches_match(cold.batch, warm.batch)
+        assert cold.batch.columns["s"][0] == SUM_V
+        assert cold.batch.columns["n"][0] == N_FACT
+
     def test_feedback_disabled_keeps_static_plans(self):
         c = _star_cluster(adaptive_feedback=False)
         assert c.feedback is None

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.engine import operators
-from repro.engine.batch import Batch, DictColumn, batches_from_columns
+from repro.engine.batch import (
+    Batch, DictColumn, batches_from_columns, concat_columns,
+)
 from repro.engine.expressions import Col
 from repro.engine.operators import HashAggr, Operator
 
@@ -150,21 +152,27 @@ def coded_case(seed):
     return batches, group_by, aggregates, vector
 
 
+def check_case(batches, group_by, aggregates, vector, seed=None):
+    """HashAggr over ``batches`` against the reference; returns it."""
+    expected = reference_group_by(batches, group_by, aggregates)
+    op = HashAggr(Batches(batches), group_by, aggregates)
+    op.vector_size = vector
+    out = op.run_to_batch()
+    assert list(out.columns) == list(expected)
+    for name, want in expected.items():
+        assert out.columns[name].tolist() == want, (seed, name)
+    for key in group_by:  # keys are never widened, nor spelled out
+        assert out.columns[key].dtype == batches[0].columns[key].dtype
+        coded = all(isinstance(b.columns[key], DictColumn) for b in batches)
+        assert isinstance(out.columns[key], DictColumn) == coded, seed
+    return op
+
+
 def check_chunk(chunk, case=random_case):
     """Compare 100 seeded cases; returns how many merged mid-stream."""
     merged_mid_stream = 0
     for seed in range(chunk * 100, chunk * 100 + 100):
-        batches, group_by, aggregates, vector = case(seed)
-        expected = reference_group_by(batches, group_by, aggregates)
-        op = HashAggr(Batches(batches), group_by, aggregates)
-        op.vector_size = vector
-        out = op.run_to_batch()
-        assert list(out.columns) == list(expected)
-        for name, want in expected.items():
-            assert out.columns[name].tolist() == want, (seed, name)
-        for key in group_by:  # keys are never widened, nor spelled out
-            assert out.columns[key].dtype == batches[0].columns[key].dtype
-            assert type(out.columns[key]) is type(batches[0].columns[key])
+        op = check_case(*case(seed), seed=seed)
         merge = op.profile.kernels.get("aggr.merge")
         merged_mid_stream += merge is not None and merge.calls > 1
     return merged_mid_stream
@@ -214,3 +222,130 @@ def test_a_child_without_a_single_batch_still_names_every_column(group_by):
     assert list(out.columns) == list(expected)
     for name, want in expected.items():
         assert out.columns[name].tolist() == want, name
+
+
+# ------------------------------------------------- the direct path
+
+DIRECT_AGGREGATES = (
+    ("s", "sum", Col("v")), ("n", "count", None), ("a", "avg", Col("v")),
+    ("si", "sum", Col("w")),
+)
+
+
+@pytest.fixture
+def direct_vectors(monkeypatch):
+    """How many vectors HashAggr added up by slot, and how often it turned
+    its slot arrays into a partial."""
+    seen = {"add": 0, "partial": 0}
+    add, partial = operators._Slots.add, operators._Slots.partial
+
+    def counted_add(self, *args):
+        seen["add"] += 1
+        return add(self, *args)
+
+    def counted_partial(self):
+        seen["partial"] += 1
+        return partial(self)
+
+    monkeypatch.setattr(operators._Slots, "add", counted_add)
+    monkeypatch.setattr(operators._Slots, "partial", counted_partial)
+    return seen
+
+
+def direct_case(seed, sizes=None):
+    """Zero to three coded string keys, each over one dictionary for the
+    whole stream (entries no row uses among them, as a column's shared
+    dictionary has), and only sum / count / avg: the direct path's
+    input."""
+    rng = np.random.default_rng(seed)
+    vector = VECTOR_SIZES[seed % len(VECTOR_SIZES)]
+    n = min(9000, int(rng.choice([0, 1, vector - 1, vector, 3 * vector + 1,
+                                  int(rng.integers(0, 7 * vector))])))
+    if sizes is None:
+        sizes = [int(rng.choice([1, 2, 7, 40]))
+                 for _ in range(int(rng.integers(0, 4)))]
+    columns = {}
+    for pos, size in enumerate(sizes):
+        entries = [f"k{pos}-{i:05d}" for i in range(size)]
+        used = rng.integers(0, size, n)
+        if size > 1:  # leave the last entry unused
+            used %= size - 1
+        dictionary = DictColumn.encode(entries).dictionary
+        columns[f"k{pos}"] = DictColumn(used.astype(np.int32), dictionary)
+    columns["v"] = rng.uniform(-1e6, 1e6, n)
+    columns["w"] = rng.integers(0, 5, n)
+    batches = list(batches_from_columns(columns, vector))
+    for _ in range(int(rng.integers(0, 3))):
+        batches.insert(int(rng.integers(0, len(batches) + 1)),
+                       Batch.empty_like(batches[0]))
+    picked = rng.permutation(len(DIRECT_AGGREGATES))[:int(rng.integers(1, 5))]
+    return (batches, [f"k{pos}" for pos in range(len(sizes))],
+            [DIRECT_AGGREGATES[i] for i in sorted(picked)], vector)
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_direct_path_matches_reference(chunk, direct_vectors):
+    """Coded keys over the stream's dictionaries, sum / count / avg only:
+    every vector is added up by slot, nothing is ranked or merged, and
+    every float is still ``==`` the reference's."""
+    assert check_chunk(chunk, direct_case) == 0
+    seeds = range(chunk * 100, chunk * 100 + 100)
+    assert direct_vectors == {
+        "add": sum(len(direct_case(seed)[0]) for seed in seeds),
+        "partial": len(seeds)}
+
+
+@pytest.mark.parametrize("chunk", range(3))
+def test_a_dictionary_changing_mid_stream_leaves_the_direct_path(
+        chunk, direct_vectors, monkeypatch):
+    """From a vector on, a key arrives over another dictionary (a merged
+    one, its own, or as plain strings): what the slots hold becomes one
+    partial, once, and the rest ranks, folds and merges (here also
+    mid-stream) -- with the same answer."""
+    monkeypatch.setattr(operators, "MERGE_AFTER_VECTORS", chunk % 2)
+    switched = 0
+    for seed in range(chunk * 100, chunk * 100 + 100):
+        batches, group_by, aggregates, vector = direct_case(
+            seed, sizes=[7, 3][:1 + seed % 2])
+        rows = [i for i, b in enumerate(batches) if b.n]
+        if not rows or rows[-1] == 0:
+            continue
+        at = rows[1 + seed % (len(rows) - 1)] if len(rows) > 1 else rows[0]
+        key = group_by[seed % len(group_by)]
+        for batch in batches[max(at, 1):]:
+            col = batch.columns[key]
+            batch.columns[key] = (
+                DictColumn.encode(col.tolist()) if seed % 3 == 0
+                else np.asarray(col) if seed % 3 == 1
+                else concat_columns([col, DictColumn.encode(["zz"])])[
+                    :len(col)])
+        partials = direct_vectors["partial"]
+        check_case(batches, group_by, aggregates, vector, seed)
+        assert direct_vectors["partial"] - partials == 1, seed
+        switched += 1
+    assert switched >= 40
+
+
+@pytest.mark.parametrize("sizes,direct", [
+    ([256, 256], True), ([257, 256], False), ([2, 2, 1 << 14], True),
+    ([3, 2, 1 << 14], False)])
+def test_a_domain_past_direct_slots_ranks(sizes, direct, direct_vectors):
+    """The key dictionaries' entry counts multiplied: up to DIRECT_SLOTS
+    (2^16) slots are arrays, one more and the stream ranks from its first
+    vector -- with the same answer either way."""
+    assert operators.DIRECT_SLOTS == 1 << 16
+    for seed in range(4):
+        batches, group_by, aggregates, vector = direct_case(seed, sizes)
+        check_case(batches, group_by, aggregates, vector)
+    assert (direct_vectors["add"] > 0) == direct
+    assert direct_vectors["partial"] == (4 if direct else 0)
+
+
+def test_min_max_or_a_plain_key_keep_the_general_path(direct_vectors):
+    batches, group_by, aggregates, vector = direct_case(7, sizes=[7, 3])
+    check_case(batches, group_by, aggregates + [("lo", "min", Col("v"))],
+               vector)
+    for batch in batches:
+        batch.columns["k1"] = np.asarray(batch.columns["k1"])
+    check_case(batches, group_by, aggregates, vector)
+    assert direct_vectors["add"] == 0

@@ -215,6 +215,19 @@ def test_a_pdt_s_strings_join_the_dictionary(pair, fresh):
     assert wider.dictionary[codes].tolist() == fresh
 
 
+def test_a_pdt_s_known_strings_keep_the_dictionary_object():
+    """Strings the dictionary holds already leave the column over the
+    very same object -- the one every other block of the column shares --
+    so a merged scan keeps grouping and joining by codes."""
+    coded = DictColumn.encode(["MAIL", "SHIP", "AIR", "RAIL"])[:2]
+    same_col, codes = coded.with_values(["RAIL", "MAIL", "RAIL"])
+    assert same_col is coded and same_col.dictionary is coded.dictionary
+    assert codes.dtype == np.int32
+    assert coded.dictionary[codes].tolist() == ["RAIL", "MAIL", "RAIL"]
+    wider, _ = coded.with_values(["RAIL", "TRUCK"])
+    assert wider.dictionary is not coded.dictionary
+
+
 def test_batch_bytes_counts_codes_and_the_dictionary_once():
     coded = DictColumn.encode(["MAIL", "SHIP"] * 500)
     assert batch_bytes(Batch({"s": coded}, 1000)) == 4 * 1000 + 2 * (4 + 4)

@@ -71,15 +71,22 @@ class TestUnpackKernel:
         with pytest.raises(CompressionError):
             unpack_bits(packed[:-1], width, count)
 
-    def test_crosses_the_kernel_step(self):
-        """A narrow output longer than one kernel step decodes in several
-        passes; a 64-bit one in a single gather."""
+    def test_a_narrow_plan_serves_every_shorter_block(self):
+        """A narrow output is one gather through a per-width plan as long
+        as the longest block so far: a longer block grows it, a shorter
+        one reads its prefix; 64-bit outputs and widths past NARROW_WIDTH
+        take the 64-bit windows."""
         from repro.compression import bitpack
-        count = 3 * bitpack._STEP + 17
-        codes = np.random.default_rng(3).integers(0, 1 << 13, count)
-        for dtype in (np.int32, np.int64):
-            assert np.array_equal(
-                unpack_bits(pack_bits(codes, 13), 13, count, dtype), codes)
+        codes = np.random.default_rng(3).integers(0, 1 << 13, 3 * 2048 + 17)
+        packed = pack_bits(codes, 13)
+        for count in (2048, 3 * 2048 + 17, 100):
+            for dtype in (np.int32, np.int64):
+                assert np.array_equal(
+                    unpack_bits(packed, 13, count, dtype), codes[:count])
+        assert len(bitpack._NARROW_PLANS[13][0]) >= 3 * 2048 + 17
+        wide = (1 << bitpack.NARROW_WIDTH + 1) - 1
+        assert unpack_bits(pack_bits([wide, 1, wide], 26), 26, 3,
+                           np.int32).tolist() == [wide, 1, wide]
 
     def test_unsupported_width(self):
         with pytest.raises(CompressionError):

@@ -1,5 +1,7 @@
 """Tests for the columnar store: blocks, chunks, partials, tables, PDTs."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,33 @@ class TestPartitionStore:
         # thin int32 DATE column holds twice as many.
         assert rows_per_block(DATE, config) == 2 * rows_per_block(
             INT64, config)
+
+    @pytest.mark.parametrize("rare", (False, True))
+    def test_pdict_blocks_decode_over_the_shared_dictionary(self, store,
+                                                            rare):
+        """A PDICT string block -- frequent strings only, or rare ones
+        stored as exceptions too -- decodes straight to codes of the
+        column's one dictionary object, whichever block it is."""
+        cols = make_columns(3000)
+        if rare:
+            rare_rows = range(0, 3000, 97)
+            cols["s"][rare_rows] = [f"rare-{i}" for i in rare_rows]
+        store.append(cols, writer="n1")
+        refs = store.blocks["s"]
+        assert len(refs) > 1 and {r.scheme for r in refs} == {"PDICT"}
+        exceptions = [struct.unpack_from(
+            "<iiii", store.hdfs.read(r.path, r.offset, r.length),
+            struct.calcsize("<BII"))[2] for r in refs]
+        assert (sum(exceptions) > 0) == rare
+        for ref in refs:  # a rare string grows the dictionary: a new one
+            block = store._read_block(ref)
+            assert block.dictionary is store.dictionaries.encode("s", [])[0]
+        blocks = [store._read_block(ref) for ref in refs]
+        shared = store.dictionaries.encode("s", [])[0]
+        assert all(b.dictionary is shared for b in blocks)
+        assert shared.tolist() == sorted(set(cols["s"].tolist()))
+        assert [v for b in blocks for v in b.tolist()] == cols["s"].tolist()
+        assert store.read_column("s").dictionary is shared
 
     def test_ragged_append_rejected(self, store):
         with pytest.raises(StorageError):
