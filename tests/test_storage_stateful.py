@@ -6,7 +6,11 @@ every column has several) through insert / delete / modify / commit /
 abort / tail flush / forced propagation / un-forced propagation (a tail
 flush that keeps the other entries until they are due) / filtered scan
 (with or without a join's key set as one more conjunct), each scan also
-walked piece by piece as a streaming scan reads it. The model is a
+walked piece by piece as a streaming scan reads it. While a transaction
+is open, a rival one may begin, delete or modify rows of the committed
+image and commit first: if the open one wrote a row the rival wrote, its
+commit raises ``TransactionAborted`` and the model stays as the rival's
+commit left it; writes to other rows both commit. The model is a
 plain list of rows in engine values; DECIMAL prices are written as Python
 floats and as Python ints, and either must read back as written. After
 every step the committed image -- and the open transaction's, if there is
@@ -31,17 +35,18 @@ from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
 from repro.common.config import Config
+from repro.common.errors import TransactionAborted
 from repro.common.types import DATE, DECIMAL, INT64, STRING
 from repro.compression import compress_best
 from repro.engine.batch import DictColumn
 from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
-from repro.pdt.layer import classify_entries
 from repro.storage import Column, StoredTable, TableSchema
 from repro.storage.minmax import OPS
 
@@ -97,6 +102,14 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         self.next_key = 0
         #: nothing but tail inserts committed since the last propagation
         self.only_tail = True
+        #: nothing but tail inserts written by the open transaction
+        self.trans_only_tail = True
+        #: keys of the rows the open transaction deleted or modified
+        self.written = set()
+        #: what rivals committed while it was open: keys deleted, and
+        #: ``{key: (price, s, note)}`` modified
+        self.rival_deleted = set()
+        self.rival_modified = {}
 
     # ---------------------------------------------------------------- helpers
 
@@ -132,12 +145,33 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         if self.trans is None:
             self.trans = self.stack.begin()
             self.pending = list(self.committed)
+            self.trans_only_tail = True
+            self.written = set()
+            self.rival_deleted = set()
+            self.rival_modified = {}
 
-    def _identities_of(self, picked):
-        """Identities (and keys) of the visible rows ``picked`` lands on."""
-        seen = self.table.scan_partition(0, ["k"], trans=self.trans)
-        at = sorted({p % seen.n_rows for p in picked})
+    def _identities_of(self, picked, trans, keys=()):
+        """Identities (and keys) of the rows visible in ``trans`` that
+        ``picked`` lands on, and of those under ``keys``."""
+        seen = self.table.scan_partition(0, ["k"], trans=trans)
+        at = sorted({p % seen.n_rows for p in picked} | set(np.flatnonzero(
+            np.isin(seen.columns["k"], sorted(keys))).tolist()))
         return seen.identities[at], set(seen.columns["k"][at].tolist())
+
+    def _note_inserts(self, rows):
+        """A row at or before the last stable cluster key is anchored
+        inside the stable image: not a tail insert."""
+        stable = self.store.read_column("d")
+        if len(stable) and min(row[1] for row in rows) <= stable[-1]:
+            self.trans_only_tail = False
+
+    def _modify(self, identities, price, s, note, trans):
+        n = len(identities)
+        self.table.modify_rows(
+            0, identities,
+            {"price": np.full(n, price),
+             "s": np.array([s] * n, dtype=object),
+             "note": np.array([note] * n, dtype=object)}, trans)
 
     # ------------------------------------------------------------------ rules
 
@@ -155,6 +189,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
     def insert(self, values):
         self._begin()
         rows = self._rows(values)
+        self._note_inserts(rows)
         self.table.insert_rows(self._columns(rows), lambda _: self.trans)
         self.pending += rows
 
@@ -165,6 +200,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         last = max((row[1] for row in self.pending), default=8000)
         rows = self._rows([(last + 1 + i, price, s, note)
                            for i in range(count)])
+        self._note_inserts(rows)
         self.table.insert_rows(self._columns(rows), lambda _: self.trans)
         self.pending += rows
 
@@ -172,33 +208,80 @@ class ClusteredTableMachine(RuleBasedStateMachine):
     @rule(picked=picks)
     def delete(self, picked):
         self._begin()
-        identities, keys = self._identities_of(picked)
+        identities, keys = self._identities_of(picked, self.trans)
         self.table.delete_rows(0, identities, self.trans)
         self.pending = [r for r in self.pending if r[0] not in keys]
+        self.written |= keys
+        self.trans_only_tail = False
 
     @precondition(lambda self: self.pending if self.trans else self.committed)
     @rule(picked=picks, price=prices, s=words, note=notes)
     def modify(self, picked, price, s, note):
         self._begin()
-        identities, keys = self._identities_of(picked)
-        n = len(identities)
-        self.table.modify_rows(
-            0, identities,
-            {"price": np.full(n, price),
-             "s": np.array([s] * n, dtype=object),
-             "note": np.array([note] * n, dtype=object)}, self.trans)
+        identities, keys = self._identities_of(picked, self.trans)
+        self._modify(identities, price, s, note, self.trans)
         self.pending = [(row[0], row[1], price, s, note)
                         if row[0] in keys else row for row in self.pending]
+        self.written |= keys
+        self.trans_only_tail = False
+
+    def _rival(self, picked, clash):
+        """A second transaction, begun while the open one is, and the
+        identities (and keys) of the rows of the committed image it
+        writes: those ``picked`` lands on and, with ``clash``, those the
+        open one wrote."""
+        rival = self.stack.begin()
+        return (rival,) + self._identities_of(
+            picked, rival, self.written if clash else ())
+
+    def _rival_commits(self, rival):
+        self.stack.commit(rival)
+        self.only_tail = False
+
+    @precondition(lambda self: self.trans is not None and self.committed)
+    @rule(picked=picks, clash=st.booleans())
+    def rival_delete(self, picked, clash):
+        """A rival deletes rows and commits first."""
+        rival, identities, keys = self._rival(picked, clash)
+        self.table.delete_rows(0, identities, rival)
+        self._rival_commits(rival)
+        self.committed = [r for r in self.committed if r[0] not in keys]
+        self.rival_deleted |= keys
+        for key in keys:
+            self.rival_modified.pop(key, None)
+
+    @precondition(lambda self: self.trans is not None and self.committed)
+    @rule(picked=picks, clash=st.booleans(), price=prices, s=words,
+          note=notes)
+    def rival_modify(self, picked, clash, price, s, note):
+        """A rival modifies rows and commits first."""
+        rival, identities, keys = self._rival(picked, clash)
+        self._modify(identities, price, s, note, rival)
+        self._rival_commits(rival)
+        self.committed = [(row[0], row[1], price, s, note)
+                          if row[0] in keys else row
+                          for row in self.committed]
+        self.rival_modified.update(dict.fromkeys(keys, (price, s, note)))
 
     @precondition(lambda self: self.trans is not None)
     @rule()
     def commit(self):
-        n_stable = self.store.n_stable
-        if any(e.kind.value != "insert" or e.anchor_sid < n_stable
-               for e in self.trans.layer.entries):
-            self.only_tail = False
-        self.stack.commit(self.trans)
-        self.committed, self.trans = self.pending, None
+        """The second writer of a row a rival wrote aborts, and the model
+        stays as the rival left it; otherwise the rivals' writes and the
+        open transaction's both hold."""
+        if self.written & (self.rival_deleted | set(self.rival_modified)):
+            with pytest.raises(TransactionAborted):
+                self.stack.commit(self.trans)
+        else:
+            self.stack.commit(self.trans)
+            modified = self.rival_modified
+            self.committed = [
+                (row[0], row[1], *modified[row[0]]) if row[0] in modified
+                else row
+                for row in self.pending if row[0] not in self.rival_deleted]
+            if not self.trans_only_tail:
+                self.only_tail = False
+        self.trans = None
 
     @precondition(lambda self: self.trans is not None)
     @rule()
@@ -236,13 +319,15 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         assert self.table.needs_propagation(0)
         n_stable = self.store.n_stable
         kind = self.table.propagate(0, writer="n1", force=False)
-        kept = self.stack.scan_entries()
+        kept = self.stack.total_entries()
         assert kind in ("tail", "full")
         if kind == "full":
             assert not kept
         # what stays is anchored in the old stable image, which the
         # appended rows come after
-        assert all(e.anchor_sid < n_stable for e in kept)
+        codes = self.table.scan_partition(0, ["k"]).identities
+        anchors = self.stack.begin().anchors_of(codes[codes < 0].tolist())
+        assert all(anchor < n_stable for anchor in anchors)
         self.only_tail = not kept
 
     @rule(column=st.sampled_from(NAMES),
@@ -298,15 +383,12 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         keys = [r[1] for r in rows]
         assert keys == sorted(keys), "pieces left cluster order"
         n_stable = self.store.n_stable
-        anchor_of = {e.target: e.anchor_sid
-                     for e in classify_entries(
-                         self.stack.scan_entries(trans)).inserts}
+        snapshot = trans if trans is not None else self.stack.begin()
         edges = sorted({ref.row_start for refs in self.store.blocks.values()
                         for ref in refs})
         at = []
         for i, piece in enumerate(pieces):
-            sids = [anchor_of.get(code, code)
-                    for code in piece.identities.tolist()]
+            sids = snapshot.anchors_of(piece.identities.tolist())
             if i < len(pieces) - 1:
                 assert all(sid < n_stable for sid in sids), \
                     "an insert past the end before the last piece"
