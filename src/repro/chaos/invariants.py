@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from repro.pdt.layer import classify_entries
 from repro.pdt.stack import PdtStack
 
@@ -159,22 +161,27 @@ def admission_gauge_drift(cluster) -> List[str]:
 def minmax_pdt_gaps(cluster) -> List[str]:
     """One line per value a partition's PDT stack makes visible outside
     the MinMax range of the block-range it lands in: an insert at its
-    anchor, a modify at its row, in the range ``MinMaxIndex.widen``
+    anchor, a modify at its row, in the range ``MinMaxIndex.widen_batch``
     widens there (the last one past the end)."""
     gaps = []
     for tname in sorted(cluster.tables):
         stored = cluster.tables[tname]
         for pid, store in enumerate(stored.partitions):
             plan = classify_entries(stored.pdt[pid].scan_entries())
-            for sid, name, value in plan.written():
+            for name, rows, values in plan.written():
                 ranges = store.minmax.ranges.get(name)
                 if not ranges:
                     continue  # nothing to prune on
-                r = next((r for r in ranges
-                          if r.row_start <= sid < r.row_end), ranges[-1])
-                if not r.min_value <= value <= r.max_value:
+                at = np.searchsorted([r.row_start for r in ranges], rows,
+                                     side="right") - 1
+                low = np.array([r.min_value for r in ranges], dtype=object)
+                high = np.array([r.max_value for r in ranges], dtype=object)
+                inside = (low[at] <= values) & (values <= high[at])
+                for i in np.flatnonzero(~inside.astype(bool)).tolist():
+                    r = ranges[at[i]]
                     gaps.append(
                         f"minmax misses a pdt value on {tname}/{pid}: "
-                        f"{name} = {value!r} at row {sid}, range "
+                        f"{name} = {values.tolist()[i]!r} at row "
+                        f"{int(rows[i])}, range "
                         f"[{r.min_value!r}, {r.max_value!r}]")
     return gaps

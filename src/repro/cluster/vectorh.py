@@ -566,52 +566,6 @@ class VectorHCluster:
         self.events.emit("cluster", "footprint_restored",
                          workers=len(self.workers))
 
-    # ----------------------------------------- feedback persistence (§5)
-
-    def _feedback_path(self) -> str:
-        return self.db_path + "/meta/feedback.json"
-
-    def checkpoint_feedback(self) -> Dict[str, object]:
-        """Persist the cardinality feedback store to HDFS.
-
-        Warmed plans (and therefore a server frontend's prepared-plan
-        cache) should not start cold after a cluster restart: the
-        observed-cardinality entries are written as JSON under
-        ``<db_path>/meta/`` and also returned, so a restart harness can
-        carry them into a fresh cluster object directly.
-        """
-        import json
-        state = (self.feedback.export_state() if self.feedback is not None
-                 else {"entries": []})
-        data = json.dumps(state, sort_keys=True).encode()
-        path = self._feedback_path()
-        if self.hdfs.exists(path):
-            self.hdfs.delete(path)
-        self.hdfs.write_file(path, data, writer=self.session_master)
-        self.events.emit("cluster", "feedback_checkpoint",
-                         entries=len(state["entries"]), bytes=len(data))
-        return state
-
-    def restore_feedback(self,
-                         state: Optional[Dict[str, object]] = None) -> int:
-        """Load feedback entries from ``state`` or the HDFS checkpoint.
-
-        Returns the number of entries restored (0 when feedback is
-        disabled or no checkpoint exists).
-        """
-        import json
-        if self.feedback is None:
-            return 0
-        if state is None:
-            path = self._feedback_path()
-            if not self.hdfs.exists(path):
-                return 0
-            state = json.loads(
-                self.hdfs.read(path, reader=self.session_master).decode())
-        restored = self.feedback.restore_state(state)
-        self.events.emit("cluster", "feedback_restored", entries=restored)
-        return restored
-
     # ----------------------------------------------------------------- statistics
 
     def metrics(self) -> MetricsRegistry:

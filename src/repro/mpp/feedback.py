@@ -27,7 +27,7 @@ bit-reproducible (the determinism acceptance test).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.mpp import logical as L
@@ -142,23 +142,3 @@ class CardinalityFeedbackStore:
     def snapshot(self) -> List[FeedbackEntry]:
         return [self.entries[k] for k in sorted(self.entries)]
 
-    # ------------------------------------------------------- persistence
-
-    def export_state(self) -> Dict[str, list]:
-        """JSON-serializable dump of every entry (checkpoint format)."""
-        return {"entries": [asdict(e) for e in self.snapshot()]}
-
-    def restore_state(self, state: Dict[str, list]) -> int:
-        """Load a checkpoint produced by :meth:`export_state`.
-
-        Entries merge last-write-wins over anything already present, so
-        restoring into a warm store keeps the fresher local observations
-        only when the checkpoint lacks them. They come in oldest
-        ``updated`` first, so a checkpoint larger than the capacity keeps
-        its freshest entries. Returns entries restored.
-        """
-        items = sorted(state.get("entries", []),
-                       key=lambda item: item.get("updated", 0.0))
-        for item in items:
-            self._touch(FeedbackEntry(**item))
-        return len(items)

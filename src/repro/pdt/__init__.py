@@ -5,8 +5,9 @@ inserts/deletes/modifies positionally -- keyed by the *stable ID* (SID), the
 tuple's position in the immutable on-disk image -- so that merging the
 differences into every scan needs no key comparisons. A tuple has one
 identity, an int64 code (a SID, or a negative code for a not yet
-propagated insert); scans hand codes out and DML passes them back. Only
-this package reads a delta entry's fields. Layers stack:
+propagated insert); scans hand codes out and DML passes them back. A
+DML call writes one batch of rows per partition, column-wise, and only
+this package reads a batch's fields. Layers stack:
 a slow-moving **Read-PDT**, a small **Write-PDT** (copy-on-write at commit,
 giving snapshot isolation) and a per-transaction **Trans-PDT**.
 
@@ -18,13 +19,10 @@ visible behaviour (positional merge, stacking, serialization, write-write
 conflict detection), appropriate for an in-process simulation.
 """
 
-from repro.pdt.entries import DeltaEntry, EntryKind
 from repro.pdt.layer import MergeResult, PdtLayer, apply_entries
 from repro.pdt.stack import PdtStack, TransPdt
 
 __all__ = [
-    "DeltaEntry",
-    "EntryKind",
     "PdtLayer",
     "MergeResult",
     "apply_entries",

@@ -1,29 +1,30 @@
-"""Positional merging: applying a pile of delta entries to a stable image.
+"""Positional merging: applying a pile of delta batches to a stable image.
 
 ``apply_entries`` is the scan-side half of the PDT design: it merges the
 differences into a table scan *by position*, with no key comparisons. The
-union of the Read-, Write- and Trans-PDT entry lists shares one anchor
-space (the stable on-disk image); ``classify_entries`` replays it into a
-:class:`MergePlan`, whose :meth:`MergePlan.within` hands the table scan
-the entries of one block-range. The scan merges a block-range only when
-an insert or a modify touches it; deletes alone become its mask.
+union of the Read-, Write- and Trans-PDT batches shares one anchor space
+(the stable on-disk image); ``classify_entries`` replays it into a
+:class:`MergePlan` of row-aligned arrays (no row is a Python object),
+whose :meth:`MergePlan.within` hands the table scan the entries of one
+block-range. The scan merges a block-range only when an insert or a
+modify touches it; deletes alone become its mask. A :class:`PdtLayer`
+holds batches and counts their rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import (
-    Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compression.base import extended
-from repro.engine.batch import as_column
-from repro.pdt.entries import DeltaEntry, EntryKind
+from repro.pdt.entries import DeltaBatch, EntryKind
+
+_NO_CODES = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -41,50 +42,79 @@ class MergeResult:
     n_stable: int
 
 
+class _Inserted(dict):
+    """The values of the inserts of a set of batches, column by column,
+    each built when it is first asked for: every insert batch's rows in
+    commit order, with the modifies of them applied (``writes``: per
+    column, the positions they write and the last value of each). A plan
+    and the plans :meth:`MergePlan.within` cuts from it share one."""
+
+    def __init__(self, batches: List[DeltaBatch],
+                 writes: Dict[str, Tuple[np.ndarray, np.ndarray]]):
+        super().__init__()
+        self.names = list(batches[0].columns) if batches else []
+        self.batches, self.writes = batches, writes
+
+    def __missing__(self, name: str) -> np.ndarray:
+        column = self[name] = np.concatenate(
+            [b.columns[name] for b in self.batches])
+        if name in self.writes:
+            at, values = self.writes[name]
+            column[at] = values
+        return column
+
+
 @dataclass
 class MergePlan:
-    """Classified delta entries, ready to merge (cacheable per version).
-    Each kind is in the order of the stable row it touches, so the
-    entries of a row range are found by bisection (:meth:`within`)."""
+    """Classified delta batches, ready to merge (cacheable per version):
+    row-aligned arrays, each part in the order of the stable row it
+    touches, so the entries of a row range are found by bisection
+    (:meth:`within`)."""
 
-    deleted: List[int]  # stable sids, ascending
-    mods_stable: Dict[int, Dict[str, object]]  # keyed in ascending sid
-    inserts: List[DeltaEntry]  # live, sorted by (anchor, seq)
+    #: stable sids deleted, ascending
+    deleted: np.ndarray
+    #: per column a modify writes: the stable sids it writes (ascending)
+    #: and the value each ends with
+    mods: Dict[str, Tuple[np.ndarray, np.ndarray]]
+    #: the live inserts, sorted by (anchor, commit order): their codes,
+    #: anchors and positions in commit order among all inserts
+    targets: np.ndarray
+    anchors: np.ndarray
+    order: np.ndarray
+    inserted: _Inserted
 
-    def __post_init__(self):
-        self.anchors = [e.anchor_sid for e in self.inserts]
-        self.modified = list(self.mods_stable)
+    def values(self, name: str) -> np.ndarray:
+        """Column ``name`` of the live inserts (modifies applied)."""
+        return self.inserted[name][self.order]
 
     def n_rows(self, n_stable: int) -> int:
         """Rows of ``n_stable`` stable ones once these entries apply (a
         modify moves no count)."""
-        return n_stable - len(self.deleted) + len(self.inserts)
+        return n_stable - len(self.deleted) + len(self.targets)
 
     @cached_property
-    def pins(self) -> List[int]:
+    def pins(self) -> np.ndarray:
         """The stable rows an insert is anchored at or a modify writes,
         ascending."""
-        return sorted(self.anchors + self.modified)
+        return np.sort(np.concatenate(
+            [self.anchors] + [sids for sids, _ in self.mods.values()]))
 
-    def written(self) -> Iterator[Tuple[int, str, object]]:
-        """``(row, column, value)`` for every value the entries make
-        visible: an insert's at its anchor, a modify's at its stable
+    def written(self) -> Iterator[Tuple[str, np.ndarray, np.ndarray]]:
+        """``(column, rows, values)`` for the values the entries make
+        visible: the inserts' at their anchors, a modify's at its stable
         row."""
-        for entry in self.inserts:
-            for name, value in entry.values.items():
-                yield entry.anchor_sid, name, value
-        for sid, changed in self.mods_stable.items():
-            for name, value in changed.items():
-                yield sid, name, value
+        for name in self.inserted.names:
+            yield name, self.anchors, self.values(name)
+        for name, (sids, values) in self.mods.items():
+            yield name, sids, values
 
     def tail(self, n_stable: int,
-             names: Sequence[str]) -> Dict[str, list]:
+             names: Sequence[str]) -> Dict[str, np.ndarray]:
         """The columns ``names`` of the live inserts anchored past the
         last of ``n_stable`` stable rows (the tail), in commit order; a
         modified one with its final values."""
-        tail = sorted(self.inserts[bisect_left(self.anchors, n_stable):],
-                      key=attrgetter("seq"))
-        return {name: [e.values[name] for e in tail] for name in names}
+        rows = np.sort(self.order[np.searchsorted(self.anchors, n_stable):])
+        return {name: self.inserted[name][rows] for name in names}
 
     def may_disorder(self, n_stable: int, cluster_key) -> bool:
         """Can merging the live inserts by position leave rows of a
@@ -93,79 +123,115 @@ class MergePlan:
         in commit order). Tail inserts follow every stable row and each
         other in commit order, which is cluster order only while their
         keys ascend."""
-        if self.anchors and self.anchors[0] < n_stable:
+        if not len(self.anchors):
+            return False
+        if self.anchors[0] < n_stable:
             return True
-        keys = [np.array([e.values[c] for e in self.inserts])
-                for c in reversed(cluster_key)]
+        keys = [self.values(c) for c in reversed(cluster_key)]
         # a stable sort of keys already in order moves nothing
-        return bool((np.lexsort(keys) != np.arange(len(self.inserts))).any())
+        return bool((np.lexsort(keys) != np.arange(len(self.anchors))).any())
 
     def within(self, lo: int, hi: int,
                tail_from: Optional[int] = None) -> "MergePlan":
         """The entries touching stable rows ``[lo, hi)`` and, given
-        ``tail_from``, the inserts anchored at or past it -- the same
-        entry objects, none cloned."""
-        anchors, modified = self.anchors, self.modified
-        inserts = self.inserts[bisect_left(anchors, lo):
-                               bisect_left(anchors, hi)]
+        ``tail_from``, the inserts anchored at or past it."""
+        anchors, deleted, modified = self._bisectable
+        first, last = bisect_left(anchors, lo), bisect_left(anchors, hi)
+        rows = slice(first, last)
         if tail_from is not None:
-            inserts += self.inserts[bisect_left(anchors, max(hi, tail_from)):]
-        return MergePlan(
-            self.deleted[bisect_left(self.deleted, lo):
-                         bisect_left(self.deleted, hi)],
-            {sid: self.mods_stable[sid] for sid in modified[
-                bisect_left(modified, lo): bisect_left(modified, hi)]},
-            inserts)
+            tail = bisect_left(anchors, max(hi, tail_from))
+            rows = np.r_[first:last, tail:len(anchors)]
+        mods = {}
+        for name, (sids, values) in self.mods.items():
+            start = bisect_left(modified[name], lo)
+            end = bisect_left(modified[name], hi)
+            if end > start:
+                mods[name] = sids[start:end], values[start:end]
+        start, end = bisect_left(deleted, lo), bisect_left(deleted, hi)
+        return MergePlan(self.deleted[start:end], mods, self.targets[rows],
+                         self.anchors[rows], self.order[rows], self.inserted)
+
+    @cached_property
+    def _bisectable(self):
+        """The anchors, the deleted sids and each column's modified sids
+        as lists: bisecting one is cheaper than a ``searchsorted`` call,
+        and :meth:`within` runs once per piece of a scan."""
+        return (self.anchors.tolist(), self.deleted.tolist(),
+                {name: sids.tolist() for name, (sids, _) in self.mods.items()})
 
 
-def classify_entries(entries: Sequence[DeltaEntry]) -> MergePlan:
-    """Replay entries in commit order into a ready-to-merge plan.
+def lookup(codes: np.ndarray, wanted: np.ndarray):
+    """Where each of ``wanted`` sits in ``codes`` (distinct, in any
+    order, at least one), and whether it is there at all."""
+    sorter = np.argsort(codes)
+    at = sorter[np.minimum(np.searchsorted(codes, wanted, sorter=sorter),
+                           len(codes) - 1)]
+    return at, codes[at] == wanted
+
+
+def concat(arrays: List[np.ndarray]) -> np.ndarray:
+    """``arrays`` one after the other (no codes when there are none)."""
+    return np.concatenate(arrays) if arrays else _NO_CODES
+
+
+def _last_writes(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``codes``, ascending, and the position of the last
+    row writing each."""
+    distinct, first = np.unique(codes[::-1], return_index=True)
+    return distinct, len(codes) - 1 - first
+
+
+def classify_entries(batches: Sequence[DeltaBatch]) -> MergePlan:
+    """Replay batches in commit order into a ready-to-merge plan.
 
     In the real system the PDT *is* this structure; deriving it from the
-    flat entry log per scan would be wasted work, so callers may cache the
+    batches per scan would be wasted work, so callers may cache the
     result per snapshot -- see StoredTable._committed.
     """
-    deleted_sids: set = set()
-    live_inserts: Dict[int, DeltaEntry] = {}  # code -> entry
-    mods_stable: Dict[int, Dict[str, object]] = {}
-    for entry in sorted(entries, key=attrgetter("seq")):
-        target = entry.target
-        if entry.kind is EntryKind.INSERT:
-            live_inserts[target] = entry
-        elif entry.kind is EntryKind.DELETE:
-            if target >= 0:
-                deleted_sids.add(target)
-            else:
-                live_inserts.pop(target, None)
-        else:  # MODIFY
-            if target >= 0:
-                mods_stable.setdefault(target, {}).update(entry.values)
-            elif target in live_inserts:
-                ins = live_inserts[target]
-                merged = dict(ins.values)
-                merged.update(entry.values)
-                live_inserts[target] = replace(ins, values=merged)
-    inserts = sorted(live_inserts.values(),
-                     key=attrgetter("anchor_sid", "seq"))
-    return MergePlan(sorted(deleted_sids), dict(sorted(mods_stable.items())),
-                     inserts)
+    batches = sorted(batches, key=attrgetter("seq"))
+    inserts = [b for b in batches if b.kind is EntryKind.INSERT]
+    modifies = [b for b in batches if b.kind is EntryKind.MODIFY]
+    gone = concat([b.targets for b in batches
+                   if b.kind is EntryKind.DELETE])
+    # every insert, in commit order: a row's position is its rank
+    targets = concat([b.targets for b in inserts])
+    anchors = concat([b.anchors for b in inserts])
+    mods, writes = {}, {}
+    for name in dict.fromkeys(n for b in modifies for n in b.columns):
+        writers = [b for b in modifies if name in b.columns]
+        codes, last = _last_writes(concat([b.targets for b in writers]))
+        written = np.concatenate([b.columns[name] for b in writers])[last]
+        # codes ascend: the inserts' (negative) ones come first
+        fresh = int(np.searchsorted(codes, 0))
+        if fresh and len(targets):
+            at, found = lookup(targets, codes[:fresh])
+            writes[name] = at[found], written[:fresh][found]
+        if fresh < len(codes):
+            mods[name] = codes[fresh:], written[fresh:]
+    dead = gone[gone < 0]
+    live = (np.flatnonzero(~np.isin(targets, dead)) if len(dead)
+            else np.arange(len(targets)))
+    rows = live[np.argsort(anchors[live], kind="stable")]
+    deleted = np.unique(gone[gone >= 0]) if len(gone) else gone
+    return MergePlan(deleted, mods, targets[rows], anchors[rows], rows,
+                     _Inserted(inserts, writes))
 
 
 def apply_entries(
     stable_columns: Mapping[str, np.ndarray],
     n_stable: int,
-    entries: Sequence[DeltaEntry],
+    entries: Sequence[DeltaBatch],
     columns_wanted: Sequence[str] | None = None,
     plan: Optional[MergePlan] = None,
     base: int = 0,
 ) -> MergeResult:
-    """Merge delta entries into the stable image, positionally.
+    """Merge delta batches into the stable image, positionally.
 
     Output order: for each stable anchor ``s`` ascending, first the inserts
-    anchored at ``s`` (in commit-sequence order), then stable tuple ``s``
-    itself unless deleted; modifies overlay the targeted tuple's values with
+    anchored at ``s`` (in commit order), then stable tuple ``s`` itself
+    unless deleted; modifies overlay the targeted tuple's values with
     last-writer-wins per column. Pass ``plan`` to reuse a cached
-    classification of the same entries. A dictionary-coded stable column
+    classification of the same batches. A dictionary-coded stable column
     stays coded, a :class:`~repro.compression.base.StringImage` stays an
     image: the entries' strings join its dictionary or its buffer.
 
@@ -177,121 +243,87 @@ def apply_entries(
     names = list(columns_wanted) if columns_wanted is not None else list(
         stable_columns
     )
-    if not entries:
-        cols = {c: as_column(stable_columns[c]) for c in names}
-        identities = np.arange(base, base + n_stable, dtype=np.int64)
-        return MergeResult(cols, identities, n_stable, n_stable)
-
     if plan is None:
         plan = classify_entries(entries)
-    inserts = plan.inserts
 
     # positions below are the rows of ``stable_columns``
     keep = np.ones(n_stable, dtype=bool)
-    if plan.deleted:
-        keep[np.asarray(plan.deleted, dtype=np.int64) - base] = False
-    kept_sids = np.flatnonzero(keep)
-
-    n_ins = len(inserts)
-    n_kept = len(kept_sids)
-    total = n_kept + n_ins
-    tail_only = all(e.anchor_sid >= base + n_stable for e in inserts)
-
-    if tail_only:
-        # Fast path (the dominant case: trickle appends + deletes): kept
-        # stable rows in order, inserts appended -- no interleaving sort.
-        stable_positions = np.arange(n_kept)
-        gather_sids = kept_sids
-        ins_src = np.arange(n_ins)
-        insert_positions = n_kept + ins_src
-    else:
-        # Interleave kept stable tuples and inserts by (anchor, rank, seq).
-        anchor = np.concatenate([
-            kept_sids,
-            np.fromiter((e.anchor_sid for e in inserts), np.int64, n_ins)
-            - base,
-        ])
-        rank = np.concatenate([
-            np.ones(n_kept, np.int64), np.zeros(n_ins, np.int64),
-        ])
-        seq = np.concatenate([
-            np.zeros(n_kept, np.int64),
-            np.fromiter((e.seq for e in inserts), np.int64, n_ins),
-        ])
-        order = np.lexsort((seq, rank, anchor))
-        is_stable_src = order < n_kept
-        stable_positions = np.flatnonzero(is_stable_src)
-        insert_positions = np.flatnonzero(~is_stable_src)
-        gather_sids = kept_sids[order[is_stable_src]]
-        ins_src = order[~is_stable_src] - n_kept
-
-    out_identities = np.empty(total, dtype=np.int64)
-    out_identities[stable_positions] = gather_sids + base
-    if n_ins:
-        out_identities[insert_positions] = np.fromiter(
-            (inserts[i].target for i in ins_src), np.int64, n_ins)
-
+    keep[plan.deleted - base] = False
+    kept = np.flatnonzero(keep)
+    n_ins = len(plan.targets)
+    total = len(kept) + n_ins
+    # Both sides come in output order (the inserts by anchor, then in
+    # commit order): an insert follows the kept rows before its anchor
+    # and the inserts before it.
+    is_insert = np.zeros(total, dtype=bool)
+    is_insert[np.searchsorted(kept, plan.anchors - base)
+              + np.arange(n_ins)] = True
+    stable_positions = np.flatnonzero(~is_insert)
     # Each output row is taken from the stable rows followed by the
-    # values the entries write: the inserted rows' (in ``ins_src`` order),
-    # then the column's modified ones.
+    # values the entries write: the inserted rows', then the column's
+    # modified ones.
     inserted = np.empty(total, dtype=np.intp)
-    inserted[stable_positions] = gather_sids
-    inserted[insert_positions] = np.arange(n_stable, n_stable + n_ins)
+    inserted[stable_positions] = kept
+    inserted[is_insert] = np.arange(n_stable, n_stable + n_ins)
+    identities = inserted.astype(np.int64) + base
+    identities[is_insert] = plan.targets
     columns: Dict[str, np.ndarray] = {}
-    ins_order = ins_src.tolist()
     for name in names:
-        values = [inserts[i].values[name] for i in ins_order]
-        modified = []
-        for sid, colvals in plan.mods_stable.items():
-            sid -= base
-            if name not in colvals or not keep[sid]:
-                continue
-            # gather_sids is sorted in both paths, so locate by bisection
-            pos = int(np.searchsorted(gather_sids, sid))
-            if pos < len(gather_sids) and gather_sids[pos] == sid:
-                modified.append(int(stable_positions[pos]))
-                values.append(colvals[name])
+        parts = [plan.values(name)] if n_ins else []
         index = inserted
-        if modified:
+        if name in plan.mods:
+            sids, values = plan.mods[name]
+            alive = keep[sids - base]
+            at = stable_positions[np.searchsorted(kept, sids[alive] - base)]
             index = inserted.copy()
-            index[modified] = np.arange(n_stable + n_ins, n_stable + len(values))
+            index[at] = np.arange(n_stable + n_ins,
+                                  n_stable + n_ins + len(at))
+            parts.append(values[alive])
         # a coded column's dictionary, an image's buffer takes the
         # entries' strings: the stable rows stay as they are stored
-        columns[name] = extended(stable_columns[name], values)[index]
+        columns[name] = extended(stable_columns[name], concat(parts))[index]
 
-    return MergeResult(columns, out_identities, total, n_stable)
+    return MergeResult(columns, identities, total, n_stable)
 
 
-def beside_tail(entries: Sequence[DeltaEntry],
-                n_stable: int) -> Tuple[Set[int], List[DeltaEntry]]:
-    """The codes of the tail inserts of ``entries`` (anchored past the
-    last of ``n_stable`` stable rows), and ``entries`` without them and
-    the deletes and modifies of them: what a tail flush leaves in the
+def beside_tail(batches: Sequence[DeltaBatch],
+                n_stable: int) -> Tuple[int, List[DeltaBatch]]:
+    """How many tail inserts ``batches`` hold (anchored past the last of
+    ``n_stable`` stable rows), and ``batches`` without them and the
+    deletes and modifies of them: what a tail flush leaves in the
     PDT."""
-    tail = {e.target for e in entries
-            if e.kind is EntryKind.INSERT and e.anchor_sid >= n_stable}
-    return tail, [e for e in entries if e.target not in tail]
+    tail = concat([b.targets[b.anchors >= n_stable] for b in batches
+                   if b.kind is EntryKind.INSERT])
+    kept = []
+    for batch in batches:
+        if batch.kind is not EntryKind.INSERT and batch.targets.min() >= 0:
+            kept.append(batch)  # it writes stable rows only
+            continue
+        stays = (batch.anchors < n_stable if batch.kind is EntryKind.INSERT
+                 else ~np.isin(batch.targets, tail))
+        if stays.all():
+            kept.append(batch)
+        elif stays.any():
+            kept.append(batch.take(stays))
+    return len(tail), kept
 
 
 class PdtLayer:
-    """One PDT layer: an ordered collection of delta entries.
+    """One PDT layer: an ordered collection of delta batches; its length
+    is the rows they hold.
 
     Layers are value-like: commit creates a *new* Write-PDT layer
-    (copy-on-write) so snapshots held by running queries stay stable.
+    (copy-on-write, sharing the never changed batches) so snapshots held
+    by running queries stay stable.
     """
 
-    def __init__(self, entries: Sequence[DeltaEntry] = ()):
-        self.entries: List[DeltaEntry] = list(entries)
+    def __init__(self, batches: Sequence[DeltaBatch] = ()):
+        self.batches: List[DeltaBatch] = list(batches)
+        self.rows = sum(map(len, self.batches))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.rows
 
-    def add(self, entry: DeltaEntry) -> None:
-        self.entries.append(entry)
-
-    def extend(self, entries: Sequence[DeltaEntry]) -> None:
-        self.entries.extend(entries)
-
-    def copy(self) -> "PdtLayer":
-        """A new layer sharing the (never mutated) entries."""
-        return PdtLayer(self.entries)
+    def add(self, batch: DeltaBatch) -> None:
+        self.batches.append(batch)
+        self.rows += len(batch)

@@ -11,7 +11,7 @@ Per table partition VectorH keeps (paper section 6):
 On commit the Trans-PDT is *serialized* against the current master state:
 write-write conflicts are detected at tuple granularity (any tuple code the
 transaction deleted/modified that a concurrent commit also wrote aborts the
-transaction), then the entries are re-sequenced and folded into a fresh
+transaction), then its batches are re-sequenced and folded into a fresh
 Write-PDT. When the Write-PDT outgrows its threshold it is merged down into
 the Read-PDT.
 """
@@ -20,13 +20,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.errors import TransactionAborted
-from repro.pdt.entries import DeltaEntry, EntryKind, next_insert_code
-from repro.pdt.layer import PdtLayer
+from repro.pdt.entries import DeltaBatch, EntryKind, fresh_codes
+from repro.pdt.layer import PdtLayer, concat, lookup
 
 _TRANS_SEQ_BASE = 1 << 40  # trans entries order after all committed entries
+
+
+def _arrays(columns: Mapping[str, np.ndarray]):
+    return {name: np.asarray(values) for name, values in columns.items()}
+
+
+def _written(batches: Sequence[DeltaBatch]) -> np.ndarray:
+    """The codes ``batches`` delete or modify (a fresh insert cannot
+    conflict)."""
+    return concat([batch.targets for batch in batches
+                   if batch.kind is not EntryKind.INSERT])
 
 
 class TransPdt:
@@ -40,53 +53,59 @@ class TransPdt:
         self.write = write_layer
         self.layer = PdtLayer()
         self._local_seq = itertools.count(0)
-        self.write_set: Set[int] = set()  # codes deleted or modified
 
     # -- update API -------------------------------------------------------------
+    #
+    # One call is one batch; its columns are arrays in storage
+    # representation, row-aligned with the codes.
 
-    def insert(self, anchor_sid: int, values: Dict[str, object]) -> int:
-        """Insert a row before stable position ``anchor_sid``; returns
-        its code."""
-        code = next_insert_code()
-        self.layer.add(DeltaEntry(EntryKind.INSERT, self._next_seq(), code,
-                                  anchor_sid, dict(values)))
-        return code
+    def insert(self, anchors, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Insert rows, each before the stable position its ``anchors``
+        entry names; returns their codes."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        codes = fresh_codes(len(anchors))
+        self._add(EntryKind.INSERT, codes, anchors, _arrays(columns))
+        return codes
 
-    def delete(self, target: int) -> None:
-        """Delete the tuple with code ``target``."""
-        self._write(EntryKind.DELETE, target, {})
+    def delete(self, targets) -> None:
+        """Delete the tuples with codes ``targets``."""
+        self._add(EntryKind.DELETE, targets, None, {})
 
-    def modify(self, target: int, values: Dict[str, object]) -> None:
-        """Overwrite columns of the tuple with code ``target``."""
-        self._write(EntryKind.MODIFY, target, dict(values))
+    def modify(self, targets, columns: Mapping[str, np.ndarray]) -> None:
+        """Overwrite ``columns`` of the tuples with codes ``targets``."""
+        self._add(EntryKind.MODIFY, targets, None, _arrays(columns))
 
-    def _write(self, kind: EntryKind, target: int, values) -> None:
-        self.layer.add(DeltaEntry(kind, self._next_seq(), target,
-                                  values=values))
-        self.write_set.add(target)
-
-    def _next_seq(self) -> int:
-        return _TRANS_SEQ_BASE + next(self._local_seq)
+    def _add(self, kind: EntryKind, targets, anchors, columns) -> None:
+        batch = DeltaBatch(kind, _TRANS_SEQ_BASE + next(self._local_seq),
+                           np.asarray(targets, dtype=np.int64), anchors,
+                           columns)
+        if len(batch):
+            self.layer.add(batch)
 
     # -- scan support --------------------------------------------------------------
 
-    def visible_entries(self) -> List[DeltaEntry]:
-        """All entries a scan inside this transaction must merge."""
-        return self.read.entries + self.write.entries + self.layer.entries
+    def visible_entries(self) -> List[DeltaBatch]:
+        """All batches a scan inside this transaction must merge."""
+        return self.read.batches + self.write.batches + self.layer.batches
 
-    def anchors_of(self, codes: Sequence[int]) -> List[int]:
+    def anchors_of(self, codes) -> np.ndarray:
         """The stable row each tuple of ``codes`` sits at in this
         snapshot: a stable tuple's is its code, an insert's is its
         anchor, whichever layer holds it."""
-        if min(codes, default=0) >= 0:
-            return list(codes)
-        anchors = {e.target: e.anchor_sid for e in self.visible_entries()
-                   if e.kind is EntryKind.INSERT}
-        return [anchors.get(code, code) for code in codes]
+        codes = np.asarray(codes, dtype=np.int64)
+        if not len(codes) or codes.min() >= 0:
+            return codes
+        inserts = [b for b in self.visible_entries()
+                   if b.kind is EntryKind.INSERT]
+        if not inserts:
+            return codes
+        at, found = lookup(concat([b.targets for b in inserts]), codes)
+        return np.where(found, concat([b.anchors for b in inserts])[at],
+                        codes)
 
     def has_inserts(self) -> bool:
         """Does this transaction insert a row of its own?"""
-        return any(e.kind is EntryKind.INSERT for e in self.layer.entries)
+        return any(b.kind is EntryKind.INSERT for b in self.layer.batches)
 
     def __len__(self) -> int:
         return len(self.layer)
@@ -103,7 +122,7 @@ class PdtStack:
         self._seq = itertools.count(1)
         # (version, codes deleted or modified) per commit, for conflict
         # detection.
-        self._commit_log: List[Tuple[int, Set[int]]] = []
+        self._commit_log: List[Tuple[int, np.ndarray]] = []
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -111,10 +130,10 @@ class PdtStack:
         """Start a transaction: an empty Trans-PDT over the current layers."""
         return TransPdt(self.version, self.read, self.write)
 
-    def scan_entries(self, trans: Optional[TransPdt] = None) -> List[DeltaEntry]:
+    def scan_entries(self, trans: Optional[TransPdt] = None) -> List[DeltaBatch]:
         if trans is not None:
             return trans.visible_entries()
-        return self.read.entries + self.write.entries
+        return self.read.batches + self.write.batches
 
     # -- commit (PDT serialization, paper section 6) ---------------------------------
 
@@ -125,36 +144,30 @@ class PdtStack:
         any transaction that committed after this one's snapshot.
         """
         conflicts = self.conflicts(trans)
-        if conflicts:
+        if len(conflicts):
             raise TransactionAborted(
                 f"write-write conflict on {len(conflicts)} tuple(s)"
             )
-        self.apply(trans.layer.entries)
+        self.apply(trans.layer.batches)
 
-    def apply(self, entries: Sequence[DeltaEntry]) -> None:
-        """Fold committed entries, re-sequenced, into a copy-on-write
+    def apply(self, batches: Sequence[DeltaBatch]) -> None:
+        """Fold committed batches, re-sequenced, into a copy-on-write
         Write-PDT: a commit, a WAL replay or a resolved in-doubt txn."""
-        new_write = self.write.copy()
-        new_write.extend([replace(entry, seq=next(self._seq))
-                          for entry in entries])
-        self.write = new_write
-        # a fresh insert cannot conflict
-        written = {entry.target for entry in entries
-                   if entry.kind is not EntryKind.INSERT}
+        self.write = PdtLayer(self.write.batches + [
+            replace(batch, seq=next(self._seq)) for batch in batches])
         self.version += 1
-        self._commit_log.append((self.version, written))
+        self._commit_log.append((self.version, _written(batches)))
         self._maybe_flush()
 
-    def conflicts(self, trans: TransPdt) -> Set[int]:
+    def conflicts(self, trans: TransPdt) -> np.ndarray:
         """The codes ``trans`` deleted or modified that a transaction
         committed after its snapshot also wrote."""
-        conflicts: Set[int] = set()
-        if not trans.write_set:
-            return conflicts
-        for version, written in self._commit_log:
-            if version > trans.snapshot_version:
-                conflicts |= written & trans.write_set
-        return conflicts
+        mine = _written(trans.layer.batches)
+        if not len(mine):
+            return mine
+        theirs = concat([written for version, written in self._commit_log
+                         if version > trans.snapshot_version])
+        return np.intersect1d(mine, theirs)
 
     # -- layer maintenance -------------------------------------------------------------
 
@@ -164,15 +177,13 @@ class PdtStack:
 
     def flush_write_to_read(self) -> None:
         """Propagate Write-PDT into the Read-PDT (threshold reached)."""
-        new_read = self.read.copy()
-        new_read.extend(self.write.entries)
-        self.read = new_read
+        self.read = PdtLayer(self.read.batches + self.write.batches)
         self.write = PdtLayer()
 
     def clear_after_propagation(self,
-                                kept: Sequence[DeltaEntry] = ()) -> None:
+                                kept: Sequence[DeltaBatch] = ()) -> None:
         """Called after update propagation flushed the stable image:
-        ``kept`` are the entries it left for a later one (paper section
+        ``kept`` are the batches it left for a later one (paper section
         6), from now on the Read-PDT."""
         self.read = PdtLayer(kept)
         self.write = PdtLayer()
@@ -181,4 +192,5 @@ class PdtStack:
     # -- statistics ---------------------------------------------------------------------
 
     def total_entries(self) -> int:
+        """The rows the Read- and Write-PDT batches hold."""
         return len(self.read) + len(self.write)

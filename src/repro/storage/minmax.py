@@ -72,33 +72,25 @@ class MinMaxIndex:
 
     # -- maintenance under updates -------------------------------------------------
 
-    def widen(self, column: str, anchor_sid: int, value) -> None:
-        """Widen the range covering ``anchor_sid`` for an insert/modify.
-
-        Cheap by design: extremes only grow, no old values are scanned.
-        """
-        ranges = self.ranges.get(column)
-        if not ranges:
-            return
-        target = ranges[-1]
-        for r in ranges:
-            if r.row_start <= anchor_sid < r.row_end:
-                target = r
-                break
-        target.widen(value, value)
-
     def widen_batch(self, column: str, anchor_sids: np.ndarray,
                     values: np.ndarray) -> None:
-        """:meth:`widen` for a batch of inserts: the rows are grouped by
-        the range covering their anchor (the last range for anchors past
-        the end; ranges are in row order, as ``add_range`` appends them)
-        and each range is widened once, with its group's extremes."""
+        """Widen the ranges covering ``anchor_sids`` for a batch of
+        inserts or modifies (an insert's anchor, a modify's row) to take
+        their ``values``. Cheap by design: extremes only grow, no old
+        values are scanned. The rows are grouped by the range covering
+        their anchor (the last range for anchors past the end; ranges are
+        in row order, as ``add_range`` appends them) and each range is
+        widened once, with its group's extremes."""
         ranges = self.ranges.get(column)
         if not ranges or len(values) == 0:
             return
         starts = np.fromiter((r.row_start for r in ranges), np.int64,
                              len(ranges))
         covering = np.searchsorted(starts, anchor_sids, side="right") - 1
+        first, last = covering.min(), covering.max()
+        if first == last:  # (a batch appended at the end: the usual case)
+            ranges[first].widen(*_extremes(values))
+            return
         for i in np.unique(covering):
             ranges[i].widen(*_extremes(values[covering == i]))
 

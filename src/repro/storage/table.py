@@ -126,7 +126,7 @@ class StoredTable:
                 or cached[1] is not write or cached[2] != n_stable):
             cached = self._merge_plan_cache[pid] = (
                 read, write, n_stable,
-                self._classified(pid, read.entries + write.entries))
+                self._classified(pid, read.batches + write.batches))
         return cached[3]
 
     def _classified(self, pid: int, entries):
@@ -158,8 +158,11 @@ class StoredTable:
     # in storage representation (``ColumnType`` owns the conversion).
 
     def to_storage_columns(self, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Engine ``columns`` in storage representation."""
-        return {name: self.schema.ctype(name).to_storage(values)
+        """Engine ``columns`` in storage representation, each an array of
+        its column's storage dtype."""
+        ctype = self.schema.ctype
+        return {name: np.asarray(ctype(name).to_storage(values),
+                                 dtype=ctype(name).dtype)
                 for name, values in columns.items()}
 
     def storage_predicates(self, predicates):
@@ -219,12 +222,8 @@ class StoredTable:
         partition their key hashes to: the pids that get rows, ascending,
         and ``(pid, columns)`` for each of them, cut as they are asked
         for."""
-        ctype = self.schema.ctype
-        arrays = {
-            name: np.asarray(ctype(name).to_storage(columns[name]),
-                             dtype=ctype(name).dtype)
-            for name in self.schema.column_names
-        }
+        arrays = self.to_storage_columns(
+            {name: columns[name] for name in self.schema.column_names})
         if self.schema.is_partitioned:
             pids = self.schema.partition_ids(
                 [arrays[k] for k in self.schema.partition_key])
@@ -448,7 +447,7 @@ class StoredTable:
                 piece = plan.within(
                     lo, hi, store.n_stable if i == last else None
                 ) if entries else plan
-                merge = bool(piece.inserts or piece.mods_stable)
+                merge = bool(len(piece.targets) or piece.mods)
                 if hi > lo:
                     cols = {c: stable_cols[c][rows] if c in stable_cols
                             else cursors[c].read(lo, hi)
@@ -473,9 +472,9 @@ class StoredTable:
                     n_in = hi - lo - len(piece.deleted)
                     keep = None if mask is None else mask[rows]
                     here = passed[rows] if key_filter else None
-                    if piece.deleted:
+                    if len(piece.deleted):
                         alive = np.ones(hi - lo, dtype=bool)
-                        alive[np.asarray(piece.deleted) - lo] = False
+                        alive[piece.deleted - lo] = False
                         keep = alive if keep is None else keep & alive
                         here = here & alive if key_filter else None
                 n_rows = n_in
@@ -506,45 +505,35 @@ class StoredTable:
 
     def insert_rows(self, rows: Dict[str, np.ndarray],
                     trans_for: Callable[[int], TransPdt]) -> None:
-        """Trickle-insert engine rows, each through the Trans-PDT
-        ``trans_for(pid)`` of the partition its key hashes to."""
+        """Trickle-insert engine rows: one batch through the Trans-PDT
+        ``trans_for(pid)`` of each partition their keys hash to."""
         for pid, arrays in self._partitioned(rows)[1]:
-            trans = trans_for(pid)
-            n = len(next(iter(arrays.values())))
             store = self.partitions[pid]
             if self.schema.is_clustered:
                 anchors = self._cluster_anchors(pid, arrays)
             else:
-                anchors = np.full(n, store.n_stable, dtype=np.int64)
-            # Python scalars: what the WAL pickles per entry
-            values = {name: arr.tolist() for name, arr in arrays.items()}
-            for i, anchor in enumerate(anchors.tolist()):
-                trans.insert(anchor,
-                             {name: column[i]
-                              for name, column in values.items()})
+                anchors = np.full(len(next(iter(arrays.values()))),
+                                  store.n_stable, dtype=np.int64)
+            trans_for(pid).insert(anchors, arrays)
             for name, values in arrays.items():
                 store.minmax.widen_batch(name, anchors, values)
 
     def delete_rows(self, pid: int, identities: np.ndarray,
                     trans: TransPdt) -> int:
-        for code in identities.tolist():
-            trans.delete(code)
+        trans.delete(identities)
         return len(identities)
 
     def modify_rows(self, pid: int, identities: np.ndarray,
                     new_values: Dict[str, np.ndarray],
                     trans: TransPdt) -> int:
         store = self.partitions[pid]
-        new_values = {name: values.tolist() for name, values
-                      in self.to_storage_columns(new_values).items()}
-        codes = identities.tolist()
+        columns = self.to_storage_columns(new_values)
+        trans.modify(identities, columns)
         # MinMax widens where the row sits -- a PDT insert where it is
         # anchored -- or a scan pruning on the new value skips the row
-        for i, (code, at) in enumerate(zip(codes, trans.anchors_of(codes))):
-            values = {name: arr[i] for name, arr in new_values.items()}
-            trans.modify(code, values)
-            for name, value in values.items():
-                store.minmax.widen(name, at, value)
+        anchors = trans.anchors_of(identities)
+        for name, values in columns.items():
+            store.minmax.widen_batch(name, anchors, values)
         return len(identities)
 
     def _cluster_anchors(self, pid: int, arrays) -> np.ndarray:
@@ -592,10 +581,11 @@ class StoredTable:
             return "none"
         names = self.schema.column_names
         n_stable = store.n_stable
-        tail, kept = beside_tail(entries, n_stable)
+        n_tail, kept = beside_tail(entries, n_stable)
         # an append flushes tail inserts alone: any other entry, a delete
         # or modify of a tail insert too, takes a rewrite
-        if len(tail) < len(entries) and (force or self._due(pid, len(kept))):
+        if n_tail < stack.total_entries() and (
+                force or self._due(pid, sum(map(len, kept)))):
             stable_cols = {n: store.read_column(n, reader=writer, stored=True)
                            for n in names}
             merged = apply_entries(stable_cols, n_stable, entries, names)
@@ -629,16 +619,9 @@ class StoredTable:
         """Widen the partition's MinMax for the values ``entries`` write,
         where they write them: inserts at their anchor, modifies at their
         row (after a MinMax rebuilt from stored rows or from the WAL)."""
-        store = self.partitions[pid]
-        written: Dict[str, Tuple[list, list]] = {}
-        for row, name, value in classify_entries(entries).written():
-            at, values = written.setdefault(name, ([], []))
-            at.append(row)
-            values.append(value)
-        for name, (at, values) in written.items():
-            store.minmax.widen_batch(
-                name, np.asarray(at, dtype=np.int64),
-                np.asarray(values, dtype=self.schema.ctype(name).dtype))
+        minmax = self.partitions[pid].minmax
+        for name, rows, values in classify_entries(entries).written():
+            minmax.widen_batch(name, rows, values)
 
     # ---------------------------------------------------------------- statistics
 
@@ -673,7 +656,7 @@ def _row_masks(columns, triples, key_filter, n_rows: int):
 
 
 #: the plan of a partition without visible PDT entries
-_NO_ENTRIES = MergePlan([], {}, [])
+_NO_ENTRIES = classify_entries([])
 
 
 def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
@@ -688,11 +671,11 @@ def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
     bool per row of ``ranges``; None keeps every block-range) -- or when
     the PDT can put a qualifying row there: an insert of ``plan``
     anchored in it, or a modify of one of its rows. (MinMax skipping gets
-    this from ``widen``; data-driven pruning has no such cover, and the
-    entries of a dropped range are applied to no piece.)
+    this from ``widen_batch``; data-driven pruning has no such cover, and
+    the entries of a dropped range are applied to no piece.)
     """
     edges = sorted({ref.row_start for c in columns for ref in store.blocks[c]})
-    pins = plan.pins if mask is not None else []
+    pins = plan.pins.tolist() if mask is not None else []
     kept: List[Tuple[int, int, int]] = []
     pos = 0
     for start, end in ranges:

@@ -191,13 +191,13 @@ class TransactionManager:
                     node = cluster.responsible(table, pid)
                     cluster.mpi.send(master, node,
                                      _COORDINATION_MESSAGE_BYTES)
-                    if cluster.tables[table].pdt[pid].conflicts(trans):
+                    if len(cluster.tables[table].pdt[pid].conflicts(trans)):
                         self.abort(txn)
                         raise TransactionAborted(
                             f"write-write conflict on {table} partition {pid}"
                         )
                     logged[(table, pid)] = cluster.wal.log_prepare(
-                        table, pid, txn.txn_id, trans.layer.entries,
+                        table, pid, txn.txn_id, trans.layer.batches,
                         writer=node)
                     txn.prepared.append((table, pid))
                     cluster.mpi.send(node, master,

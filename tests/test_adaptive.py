@@ -176,26 +176,6 @@ class TestBoundedStore:
             return list(store.entries)
         assert run() == run()
 
-    def test_a_checkpoint_round_trips_within_the_cap(self, monkeypatch):
-        store = CardinalityFeedbackStore()
-        for i in range(FEEDBACK_CAPACITY):
-            store.observe(f"sig{i:04d}", 10.0, float(i))
-        state = store.export_state()
-        assert len(state["entries"]) == FEEDBACK_CAPACITY
-        restored = CardinalityFeedbackStore()
-        assert restored.restore_state(state) == FEEDBACK_CAPACITY
-        assert restored.export_state() == state
-        # into a warm store, or from a checkpoint a larger cap wrote:
-        # the cap holds and the freshest observations stay
-        monkeypatch.setattr("repro.mpp.feedback.FEEDBACK_CAPACITY", 100)
-        state["entries"][5]["updated"] = 9.0
-        small = CardinalityFeedbackStore()
-        small.observe("warm", 1.0, 1.0)
-        small.restore_state(state)
-        assert len(small) == 100
-        assert "warm" not in small.entries
-        assert state["entries"][5]["signature"] in small.entries
-
 
 # ------------------------------------------------------ mid-query re-plan
 

@@ -9,7 +9,8 @@ default, or an "attribute may be missing" branch, creep back in -- and
 every :class:`~repro.mpp.plan.RewriterFlags` field is set by some test
 or bench (a toggle nothing turns is its default behaviour) and read in
 ``src/`` outside the module that declares it (one nothing reads changes
-nothing).
+nothing). One more guards a seam: only :mod:`repro.pdt` knows what a
+delta batch is made of.
 """
 
 from __future__ import annotations
@@ -74,3 +75,21 @@ def test_every_rewriter_flag_is_read_in_src():
     unread = [name for name in names
               if not re.search(rf"\.{name}\b", text)]
     assert unread == []
+
+
+#: what only :mod:`repro.pdt` may name: the module of delta batches, the
+#: batch class and its kinds
+_PDT_INSIDES = re.compile(r"repro\.pdt\.entries|from repro\.pdt import[^\n]*"
+                          r"\bentries\b|\bDeltaBatch\b|\bEntryKind\b")
+
+
+def test_only_repro_pdt_reads_a_delta_batch():
+    paths = [path for tree in ("src", "tests", "benchmarks", "examples")
+             for path in sorted((ROOT / tree).rglob("*.py"))
+             if SRC / "pdt" not in path.parents
+             and path != pathlib.Path(__file__).resolve()]
+    assert len(paths) > 100
+    offenders = [f"{path.relative_to(ROOT)}: {match.group(0)}"
+                 for path in paths
+                 for match in _PDT_INSIDES.finditer(path.read_text())]
+    assert offenders == []

@@ -114,7 +114,7 @@ class TestCountStar:
         for pid, store in enumerate(stored.partitions):
             edge = store.blocks["a"][0].n_rows
             piece = stored._merge_plan(pid)[0].within(0, edge)
-            both += bool(piece.deleted and piece.inserts)
+            both += bool(len(piece.deleted) and len(piece.targets))
         assert both
         assert _count(model.cluster) == model.oracle() == N_STABLE - 100 + 200
 

@@ -88,25 +88,25 @@ class TestWidening:
     def test_insert_widens_anchor_range(self):
         idx = build_index(list(range(100)))
         # without widening, value 999 in block 2 would be skipped
-        idx.widen("x", 25, 999)
+        idx.widen_batch("x", np.array([25]), np.array([999]))
         ranges = idx.qualifying_ranges([("x", ">", 500)], 100)
         assert any(s <= 25 < e for s, e in ranges)
 
     def test_tail_insert_widens_last_range(self):
         idx = build_index(list(range(100)))
-        idx.widen("x", 100, -50)  # append anchored past the end
+        idx.widen_batch("x", np.array([100]), np.array([-50]))  # past the end
         ranges = idx.qualifying_ranges([("x", "<", 0)], 100)
         assert ranges and ranges[-1][1] == 100
 
     def test_widen_noop_within_bounds(self):
         idx = build_index(list(range(100)))
         before = idx.to_record()
-        idx.widen("x", 5, 5)  # already inside [0, 9]
+        idx.widen_batch("x", np.array([5]), np.array([5]))  # inside [0, 9]
         assert idx.to_record() == before
 
     def test_widen_without_stats_is_noop(self):
         idx = MinMaxIndex()
-        idx.widen("x", 0, 1)  # must not crash
+        idx.widen_batch("x", np.array([0]), np.array([1]))  # must not crash
         assert idx.ranges == {}
 
 
@@ -128,7 +128,7 @@ class TestWidening:
         one_by_one = build_index(list(range(100)))
         batched = build_index(list(range(100)))
         for anchor, value in inserts:  # anchors past 100: the tail
-            one_by_one.widen("x", anchor, value)
+            one_by_one.widen_batch("x", np.array([anchor]), np.array([value]))
         anchors = np.array([a for a, _ in inserts], dtype=np.int64)
         values = np.array([v for _, v in inserts], dtype=np.int64)
         batched.widen_batch("x", anchors, values)

@@ -32,22 +32,22 @@ class TestMerging:
     def test_insert_before_position(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.insert(3, {"k": 99, "v": 990})
+        t.insert([3], {"k": [99], "v": [990]})
         res = image(base, 10, t.visible_entries())
         assert list(res.columns["k"][:5]) == [0, 1, 2, 99, 3]
 
     def test_insert_at_end(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.insert(10, {"k": 99, "v": 990})
+        t.insert([10], {"k": [99], "v": [990]})
         res = image(base, 10, t.visible_entries())
         assert res.columns["k"][-1] == 99
 
     def test_delete(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.delete(0)
-        t.delete(9)
+        t.delete([0])
+        t.delete([9])
         res = image(base, 10, t.visible_entries())
         assert res.n_rows == 8
         assert list(res.columns["k"]) == list(range(1, 9))
@@ -55,32 +55,32 @@ class TestMerging:
     def test_modify_last_wins(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.modify(5, {"v": 1})
-        t.modify(5, {"v": 2})
+        t.modify([5], {"v": [1]})
+        t.modify([5], {"v": [2]})
         res = image(base, 10, t.visible_entries())
         assert res.columns["v"][5] == 2
 
     def test_insert_then_delete_annihilates(self, base):
         stk = PdtStack()
         t = stk.begin()
-        code = t.insert(0, {"k": -1, "v": -1})
-        t.delete(code)
+        (code,) = t.insert([0], {"k": [-1], "v": [-1]})
+        t.delete([code])
         res = image(base, 10, t.visible_entries())
         assert res.n_rows == 10
 
     def test_modify_of_insert(self, base):
         stk = PdtStack()
         t = stk.begin()
-        code = t.insert(2, {"k": 50, "v": 500})
-        t.modify(code, {"v": 501})
+        (code,) = t.insert([2], {"k": [50], "v": [500]})
+        t.modify([code], {"v": [501]})
         res = image(base, 10, t.visible_entries())
         assert 501 in res.columns["v"]
 
     def test_multiple_inserts_same_anchor_keep_order(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.insert(4, {"k": 100, "v": 0})
-        t.insert(4, {"k": 200, "v": 0})
+        t.insert([4], {"k": [100], "v": [0]})
+        t.insert([4], {"k": [200], "v": [0]})
         res = image(base, 10, t.visible_entries())
         ks = list(res.columns["k"])
         assert ks.index(100) < ks.index(200) < ks.index(4)
@@ -90,8 +90,8 @@ class TestRidSidTranslation:
     def test_identities_after_updates(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.delete(2)
-        t.insert(5, {"k": 77, "v": 770})
+        t.delete([2])
+        t.insert([5], {"k": [77], "v": [770]})
         res = image(base, 10, t.visible_entries())
         identities = res.identities.tolist()
         assert identities[0] == 0
@@ -107,7 +107,7 @@ class TestSnapshotIsolation:
         stk = PdtStack()
         t_old = stk.begin()
         t_new = stk.begin()
-        t_new.insert(0, {"k": 42, "v": 0})
+        t_new.insert([0], {"k": [42], "v": [0]})
         stk.commit(t_new)
         old_img = image(base, 10, t_old.visible_entries())
         new_img = image(base, 10, stk.scan_entries())
@@ -117,14 +117,14 @@ class TestSnapshotIsolation:
     def test_own_writes_visible(self, base):
         stk = PdtStack()
         t = stk.begin()
-        t.insert(0, {"k": 42, "v": 0})
+        t.insert([0], {"k": [42], "v": [0]})
         assert image(base, 10, t.visible_entries()).n_rows == 11
 
     def test_write_write_conflict_aborts(self, base):
         stk = PdtStack()
         a, b = stk.begin(), stk.begin()
-        a.modify(1, {"v": 5})
-        b.delete(1)
+        a.modify([1], {"v": [5]})
+        b.delete([1])
         stk.commit(a)
         with pytest.raises(TransactionAborted):
             stk.commit(b)
@@ -132,8 +132,8 @@ class TestSnapshotIsolation:
     def test_disjoint_writes_both_commit(self, base):
         stk = PdtStack()
         a, b = stk.begin(), stk.begin()
-        a.modify(1, {"v": 5})
-        b.modify(2, {"v": 6})
+        a.modify([1], {"v": [5]})
+        b.modify([2], {"v": [6]})
         stk.commit(a)
         stk.commit(b)
         res = image(base, 10, stk.scan_entries())
@@ -142,18 +142,18 @@ class TestSnapshotIsolation:
     def test_inserts_never_conflict(self, base):
         stk = PdtStack()
         a, b = stk.begin(), stk.begin()
-        a.insert(0, {"k": 1, "v": 1})
-        b.insert(0, {"k": 2, "v": 2})
+        a.insert([0], {"k": [1], "v": [1]})
+        b.insert([0], {"k": [2], "v": [2]})
         stk.commit(a)
         stk.commit(b)
 
     def test_conflict_only_after_snapshot(self, base):
         stk = PdtStack()
         a = stk.begin()
-        a.modify(1, {"v": 5})
+        a.modify([1], {"v": [5]})
         stk.commit(a)
         b = stk.begin()  # starts after a committed: no conflict
-        b.modify(1, {"v": 6})
+        b.modify([1], {"v": [6]})
         stk.commit(b)
 
 
@@ -162,7 +162,7 @@ class TestLayerMaintenance:
         stk = PdtStack(flush_threshold=5)
         t = stk.begin()
         for i in range(5):
-            t.insert(0, {"k": i, "v": i})
+            t.insert([0], {"k": [i], "v": [i]})
         stk.commit(t)
         assert len(stk.write) == 0
         assert len(stk.read) == 5
@@ -170,11 +170,11 @@ class TestLayerMaintenance:
     def test_scan_covers_both_layers(self, base):
         stk = PdtStack(flush_threshold=2)
         t = stk.begin()
-        t.insert(0, {"k": 1, "v": 1})
-        t.insert(0, {"k": 2, "v": 2})
+        t.insert([0], {"k": [1], "v": [1]})
+        t.insert([0], {"k": [2], "v": [2]})
         stk.commit(t)  # flushed to read
         t2 = stk.begin()
-        t2.insert(0, {"k": 3, "v": 3})
+        t2.insert([0], {"k": [3], "v": [3]})
         stk.commit(t2)
         res = image(base, 10, stk.scan_entries())
         assert res.n_rows == 13
@@ -182,7 +182,7 @@ class TestLayerMaintenance:
     def test_clear_after_propagation(self):
         stk = PdtStack()
         t = stk.begin()
-        t.insert(0, {"k": 0, "v": 0})
+        t.insert([0], {"k": [0], "v": [0]})
         stk.commit(t)
         stk.clear_after_propagation()
         assert stk.total_entries() == 0
@@ -191,11 +191,11 @@ class TestLayerMaintenance:
         """Log-shipped entries replayed on a replica give the same image."""
         src = PdtStack()
         t = src.begin()
-        t.insert(3, {"k": 500, "v": 0})
-        t.delete(0)
+        t.insert([3], {"k": [500], "v": [0]})
+        t.delete([0])
         src.commit(t)
         replica = PdtStack()
-        replica.apply(t.layer.entries)
+        replica.apply(t.layer.batches)
         a = image(base, 10, src.scan_entries())
         b = image(base, 10, replica.scan_entries())
         assert list(a.columns["k"]) == list(b.columns["k"])
@@ -204,25 +204,25 @@ class TestLayerMaintenance:
 class TestAnchors:
     def test_a_stable_code_is_its_own_anchor(self):
         t = PdtStack().begin()
-        assert t.anchors_of([0, 7, 3]) == [0, 7, 3]
+        assert t.anchors_of([0, 7, 3]).tolist() == [0, 7, 3]
 
     def test_an_insert_of_the_trans_pdt_is_at_its_anchor(self):
         t = PdtStack().begin()
-        code = t.insert(4, {"k": 1, "v": 1})
+        (code,) = t.insert([4], {"k": [1], "v": [1]})
         assert code < 0
-        assert t.anchors_of([2, code]) == [2, 4]
+        assert t.anchors_of([2, code]).tolist() == [2, 4]
 
     @pytest.mark.parametrize("flush_threshold", [1, 10**9])
     def test_a_committed_insert_is_at_its_anchor(self, flush_threshold):
         """Flushed into the Read-PDT at once, or kept in the Write-PDT."""
         stk = PdtStack(flush_threshold=flush_threshold)
         t = stk.begin()
-        code = t.insert(6, {"k": 1, "v": 1})
+        (code,) = t.insert([6], {"k": [1], "v": [1]})
         stk.commit(t)
         assert len(stk.read if flush_threshold == 1 else stk.write) == 1
         reader = stk.begin()
-        own = reader.insert(2, {"k": 2, "v": 2})
-        assert reader.anchors_of([code, 5, own]) == [6, 5, 2]
+        (own,) = reader.insert([2], {"k": [2], "v": [2]})
+        assert reader.anchors_of([code, 5, own]).tolist() == [6, 5, 2]
 
 
 # ------------------------------------------------------------ model check
@@ -259,8 +259,8 @@ def test_pdt_matches_list_model(script):
             if rid == size:
                 anchor = n0
             else:
-                (anchor,) = t.anchors_of([int(res.identities[rid])])
-            t.insert(anchor, {"v": value})
+                (anchor,) = t.anchors_of(res.identities[rid:rid + 1])
+            t.insert([anchor], {"v": [value]})
             # model: the merge orders an insert immediately before the
             # tuple currently at `rid` only when that tuple is stable;
             # inserting before another fresh insert appends after the
@@ -275,11 +275,11 @@ def test_pdt_matches_list_model(script):
                 assert sorted(model) == sorted(_sorted_copy(model))
         elif op == "delete" and size > 0:
             rid = pos % size
-            t.delete(int(res.identities[rid]))
+            t.delete(res.identities[rid:rid + 1])
             del model[rid]
         elif op == "modify" and size > 0:
             rid = pos % size
-            t.modify(int(res.identities[rid]), {"v": value})
+            t.modify(res.identities[rid:rid + 1], {"v": [value]})
             model[rid] = value
 
     final = apply_entries(base, n0, t.visible_entries())
@@ -289,3 +289,81 @@ def test_pdt_matches_list_model(script):
 
 def _sorted_copy(model):
     return list(model)
+
+
+# ------------------------------------------------- per-row reference merge
+
+def reference_merge(columns, n_stable, batches):
+    """The merge replayed one row at a time (the per-row algorithm the
+    batches replaced): ``(code, {column: value})`` per output row."""
+    deleted, inserts, mods = set(), {}, {}
+    rank = 0
+    for batch in sorted(batches, key=lambda b: b.seq):
+        for i, code in enumerate(batch.targets.tolist()):
+            values = {n: v[i].item() for n, v in batch.columns.items()}
+            if batch.kind.value == "insert":
+                inserts[code] = (int(batch.anchors[i]), rank, values)
+                rank += 1
+            elif batch.kind.value == "delete":
+                deleted.add(code) if code >= 0 else inserts.pop(code, None)
+            elif code >= 0:
+                mods.setdefault(code, {}).update(values)
+            elif code in inserts:
+                inserts[code][2].update(values)
+    ordered = sorted(inserts.items(), key=lambda item: item[1][:2])
+    rows = []
+    for sid in range(n_stable + 1):
+        rows += [(code, values) for code, (anchor, _, values) in ordered
+                 if anchor == sid or sid == n_stable < anchor]
+        if sid < n_stable and sid not in deleted:
+            rows.append((sid, {n: mods.get(sid, {}).get(n, c[sid].item())
+                               for n, c in columns.items()}))
+    return rows
+
+
+@st.composite
+def batch_script(draw):
+    """Transactions of insert / delete / modify batches over a stable
+    image, each committed or left open."""
+    n_stable = draw(st.integers(0, 12))
+    txns = draw(st.lists(st.lists(st.tuples(
+        st.sampled_from(["insert", "delete", "modify"]),
+        st.lists(st.integers(0, 99), min_size=1, max_size=5),
+        st.sampled_from([("k",), ("v",), ("k", "v")])),
+        min_size=1, max_size=4), min_size=1, max_size=4))
+    return n_stable, txns, draw(st.integers(1, 8))
+
+
+@given(batch_script())
+@settings(max_examples=120, deadline=None)
+def test_batches_merge_as_rows_replayed_one_at_a_time(script):
+    n_stable, txns, flush_threshold = script
+    base = {"k": np.arange(n_stable, dtype=np.int64),
+            "v": np.arange(n_stable, dtype=np.int64) * 10}
+    stack = PdtStack(flush_threshold=flush_threshold)
+    value = iter(range(1000, 10**6))
+    for number, ops in enumerate(txns):
+        t = stack.begin()
+        for kind, picks, names in ops:
+            codes = apply_entries(base, n_stable,
+                                  t.visible_entries()).identities
+            if kind == "insert":
+                t.insert([p % (n_stable + 2) for p in picks],
+                         {n: [next(value) for _ in picks] for n in "kv"})
+            elif len(codes):
+                # a row picked twice: written twice in one batch
+                at = [p % len(codes) for p in picks]
+                if kind == "delete":
+                    t.delete(codes[at])
+                else:
+                    t.modify(codes[at],
+                             {n: [next(value) for _ in at] for n in names})
+        batches = t.visible_entries()
+        merged = apply_entries(base, n_stable, batches)
+        expected = reference_merge(base, n_stable, batches)
+        assert merged.identities.tolist() == [code for code, _ in expected]
+        for name in "kv":
+            assert merged.columns[name].tolist() == [
+                values[name] for _, values in expected]
+        if number < len(txns) - 1:
+            stack.commit(t)

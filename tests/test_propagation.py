@@ -151,8 +151,9 @@ def test_a_tail_flush_appends_the_tail_inserts_final_values():
     stats = c.propagate_updates("t")
     assert stats["full"] == 0
     stored = c.tables["t"]
-    kept = [e for stack in stored.pdt for e in stack.scan_entries()]
-    assert [(e.kind.value, e.target >= 0) for e in kept] == [("delete", True)]
+    kept = [b for stack in stored.pdt for b in stack.scan_entries()]
+    assert [(b.kind.value, (b.targets >= 0).tolist()) for b in kept] == [
+        ("delete", [True])]
     stable = {k: note for store in stored.partitions
               for k, note in zip(store.read_column("k").tolist(),
                                  np.asarray(store.read_column("note")))}
@@ -286,14 +287,14 @@ def test_an_untouched_tail_insert_is_appended_and_the_rest_kept():
     table = small_table()
     code = []
     commit(table,
-           lambda t: t.insert(N_SMALL, {"k": 5000, "v": 1}),
-           lambda t: code.append(t.insert(3, {"k": 6000, "v": 2})),
-           lambda t: t.delete(5))
+           lambda t: t.insert([N_SMALL], {"k": [5000], "v": [1]}),
+           lambda t: code.extend(t.insert([3], {"k": [6000], "v": [2]})),
+           lambda t: t.delete([5]))
     assert table.propagate(0, force=False) == "tail"
     assert stored_rows(table)[N_SMALL:] == [(5000, 1)]
     kept = table.pdt[0].scan_entries()
-    assert [(e.kind.value, e.target) for e in kept] == [
-        ("insert", code[0]), ("delete", 5)]
+    assert [(b.kind.value, b.targets.tolist()) for b in kept] == [
+        ("insert", code), ("delete", [5])]
 
 
 @pytest.mark.parametrize("force, mode", [(True, "full"), (False, "tail")])
@@ -302,9 +303,9 @@ def test_a_modified_tail_insert_is_rewritten_only_when_forced(force, mode):
     rewrites; an un-forced one, not due, appends the final values."""
     table = small_table()
     code = []
-    commit(table, lambda t: code.append(t.insert(N_SMALL, {"k": 5000,
-                                                           "v": 1})))
-    commit(table, lambda t: t.modify(code[0], {"v": 9}))
+    commit(table, lambda t: code.extend(t.insert([N_SMALL], {"k": [5000],
+                                                             "v": [1]})))
+    commit(table, lambda t: t.modify(code, {"v": [9]}))
     assert table.propagate(0, force=force) == mode
     assert stored_rows(table)[N_SMALL:] == [(5000, 9)]
     assert table.pdt[0].total_entries() == 0
@@ -314,9 +315,9 @@ def test_the_tail_is_appended_in_commit_order():
     """The tail inserts' anchors are not in commit order; their rows are
     appended in ``seq`` order."""
     table = small_table()
-    commit(table, lambda t: t.insert(N_SMALL + 2, {"k": 5001, "v": 0}))
-    commit(table, lambda t: t.insert(N_SMALL, {"k": 5002, "v": 0}))
-    commit(table, lambda t: t.insert(N_SMALL + 1, {"k": 5003, "v": 0}))
+    commit(table, lambda t: t.insert([N_SMALL + 2], {"k": [5001], "v": [0]}))
+    commit(table, lambda t: t.insert([N_SMALL], {"k": [5002], "v": [0]}))
+    commit(table, lambda t: t.insert([N_SMALL + 1], {"k": [5003], "v": [0]}))
     assert table.propagate(0, force=True) == "tail"
     assert [k for k, _ in stored_rows(table)[N_SMALL:]] == [5001, 5002, 5003]
 

@@ -21,8 +21,6 @@ from repro.cluster import VectorHCluster
 from repro.common.config import Config
 from repro.common.errors import SqlError
 from repro.common.types import INT64
-from repro.mpp.feedback import fragment_signature
-from repro.mpp.logical import LScan
 from repro.mpp.rewriter import ParallelRewriter
 from repro.server import EpochKeyedCache, ServerFrontend
 from repro.server.cache import result_key
@@ -619,49 +617,6 @@ class TestConnectionLifecycle:
                                   kinds=SERVING_KINDS)
         kinds = {spec.kind for spec in plan}
         assert kinds <= {"conn.drop", "tenant.storm"}
-
-
-# ----------------------------------------------------- feedback persistence
-
-
-class TestFeedbackPersistence:
-    def test_checkpoint_restores_into_fresh_cluster(self):
-        # satellite: the feedback store survives a cluster restart
-        c1, _ = _served_cluster()
-        sig = fragment_signature(LScan("t", ["a", "b"]))
-        c1.feedback.observe(sig, estimated=100.0, observed=4321.0)
-        c1.feedback.observe(sig, estimated=100.0, observed=4321.0)
-        state = c1.checkpoint_feedback()
-        assert c1.hdfs.exists(c1._feedback_path())
-        c2, _ = _served_cluster()
-        assert c2.restore_feedback(state) == 1
-        assert c2.feedback.lookup(sig) == 4321.0
-        entry = c2.feedback.entries[sig]
-        assert entry.estimated == 100.0
-
-    def test_restore_reads_hdfs_checkpoint(self):
-        c, _ = _served_cluster()
-        sig = fragment_signature(LScan("t", ["a"]))
-        c.feedback.observe(sig, estimated=10.0, observed=77.0)
-        c.checkpoint_feedback()
-        c.feedback.entries.clear()  # "restart" empties the in-memory store
-        assert c.restore_feedback() == 1
-        assert c.feedback.lookup(sig) == 77.0
-
-    def test_checkpoint_overwrites_previous(self):
-        c, _ = _served_cluster()
-        sig = fragment_signature(LScan("t", ["b"]))
-        c.feedback.observe(sig, estimated=10.0, observed=50.0)
-        c.checkpoint_feedback()
-        c.feedback.observe(sig, estimated=10.0, observed=60.0)
-        c.checkpoint_feedback()
-        c.feedback.entries.clear()
-        c.restore_feedback()
-        assert c.feedback.entries[sig].observed == 60.0
-
-    def test_restore_without_checkpoint_is_noop(self):
-        c, _ = _served_cluster()
-        assert c.restore_feedback() == 0
 
 
 # ------------------------------------------------------------- idempotence

@@ -171,7 +171,8 @@ class TestWal:
         logged = 0
         for pid in range(4):
             log = cluster.wal.partition_log("t", pid)
-            logged += sum(len(entries) for entries in log.commits)
+            logged += sum(len(batch) for batches in log.commits
+                          for batch in batches)
         assert logged == 10
 
     def test_global_wal_records_decision(self, cluster):
@@ -262,6 +263,42 @@ class TestCommitRecord:
     def test_a_commit_record_is_small_whatever_the_redo(self, cluster,
                                                          n_rows):
         assert self._commit_record_bytes(cluster, n_rows) <= 64
+
+    @staticmethod
+    def _prepare_records(cluster, write):
+        """The prepare records of the txn ``write(cluster, trans)`` fills:
+        how many, and their bytes."""
+        registry = cluster.registry
+        count0 = registry.value("wal_appends_total", kind="prepare")
+        bytes0 = registry.value("wal_appended_bytes_total", kind="prepare")
+        t = cluster.begin()
+        write(cluster, t)
+        t.commit()
+        return (registry.value("wal_appends_total", kind="prepare") - count0,
+                registry.value("wal_appended_bytes_total", kind="prepare")
+                - bytes0)
+
+    def test_a_prepare_record_holds_a_batch_in_few_bytes_a_row(self,
+                                                                cluster):
+        count, size = self._prepare_records(
+            cluster, lambda c, t: c.insert(
+                "t", {"k": np.arange(10**5, 10**5 + 400),
+                      "v": np.arange(400)}, trans=t, force_pdt=True))
+        assert count == 4
+        assert size / 400 <= 40
+
+    @pytest.mark.parametrize("write, most", [
+        (lambda c, t: c.insert("t", {"k": np.array([10**5]),
+                                     "v": np.array([1])},
+                               trans=t, force_pdt=True), 185),
+        (lambda c, t: c.update_where("t", Col("k") == 7, {"v": Const(3)},
+                                     trans=t), 172),
+        (lambda c, t: c.delete_where("t", Col("k") == 7, trans=t), 165),
+    ], ids=["insert", "update", "delete"])
+    def test_a_one_row_prepare_record_is_small(self, cluster, write, most):
+        count, size = self._prepare_records(cluster, write)
+        assert count == 1
+        assert size <= most
 
 
 def _scans(cluster, table):
