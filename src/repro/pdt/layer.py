@@ -13,7 +13,6 @@ holds batches and counts their rows.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -135,29 +134,20 @@ class MergePlan:
                tail_from: Optional[int] = None) -> "MergePlan":
         """The entries touching stable rows ``[lo, hi)`` and, given
         ``tail_from``, the inserts anchored at or past it."""
-        anchors, deleted, modified = self._bisectable
-        first, last = bisect_left(anchors, lo), bisect_left(anchors, hi)
+        anchors = self.anchors
+        first, last = np.searchsorted(anchors, (lo, hi))
         rows = slice(first, last)
         if tail_from is not None:
-            tail = bisect_left(anchors, max(hi, tail_from))
+            tail = np.searchsorted(anchors, max(hi, tail_from))
             rows = np.r_[first:last, tail:len(anchors)]
         mods = {}
         for name, (sids, values) in self.mods.items():
-            start = bisect_left(modified[name], lo)
-            end = bisect_left(modified[name], hi)
+            start, end = np.searchsorted(sids, (lo, hi))
             if end > start:
                 mods[name] = sids[start:end], values[start:end]
-        start, end = bisect_left(deleted, lo), bisect_left(deleted, hi)
+        start, end = np.searchsorted(self.deleted, (lo, hi))
         return MergePlan(self.deleted[start:end], mods, self.targets[rows],
                          self.anchors[rows], self.order[rows], self.inserted)
-
-    @cached_property
-    def _bisectable(self):
-        """The anchors, the deleted sids and each column's modified sids
-        as lists: bisecting one is cheaper than a ``searchsorted`` call,
-        and :meth:`within` runs once per piece of a scan."""
-        return (self.anchors.tolist(), self.deleted.tolist(),
-                {name: sids.tolist() for name, (sids, _) in self.mods.items()})
 
 
 def lookup(codes: np.ndarray, wanted: np.ndarray):

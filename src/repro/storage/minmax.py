@@ -87,10 +87,6 @@ class MinMaxIndex:
         starts = np.fromiter((r.row_start for r in ranges), np.int64,
                              len(ranges))
         covering = np.searchsorted(starts, anchor_sids, side="right") - 1
-        first, last = covering.min(), covering.max()
-        if first == last:  # (a batch appended at the end: the usual case)
-            ranges[first].widen(*_extremes(values))
-            return
         for i in np.unique(covering):
             ranges[i].widen(*_extremes(values[covering == i]))
 

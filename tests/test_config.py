@@ -83,7 +83,7 @@ _PDT_INSIDES = re.compile(r"repro\.pdt\.entries|from repro\.pdt import[^\n]*"
                           r"\bentries\b|\bDeltaBatch\b|\bEntryKind\b")
 
 
-def test_only_repro_pdt_reads_a_delta_batch():
+def test_only_repro_pdt_names_a_delta_batch():
     paths = [path for tree in ("src", "tests", "benchmarks", "examples")
              for path in sorted((ROOT / tree).rglob("*.py"))
              if SRC / "pdt" not in path.parents

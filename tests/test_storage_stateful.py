@@ -328,6 +328,9 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         codes = self.table.scan_partition(0, ["k"]).identities
         anchors = self.stack.begin().anchors_of(codes[codes < 0].tolist())
         assert all(anchor < n_stable for anchor in anchors)
+        # ... and so is every kept insert, a deleted one too
+        assert all((b.anchors < n_stable).all()
+                   for b in self.stack.scan_entries() if b.anchors is not None)
         self.only_tail = not kept
 
     @rule(column=st.sampled_from(NAMES),
