@@ -13,7 +13,7 @@ still satisfies the properties failover is supposed to preserve:
 * **no lingering in-doubt transactions** -- every prepare record is
   followed by a commit or abort resolution;
 * **MinMax covers the PDT** -- every value a partition's PDT stack makes
-  visible lies inside the MinMax range of the block-range it lands in
+  visible lies inside the MinMax range of the block it lands in
   (or a scan pruning on that value skips a row it should return);
 * **admission accounting** -- the queue, running and quota gauges
   equal what the live query records say, and when no query is running
@@ -160,7 +160,7 @@ def admission_gauge_drift(cluster) -> List[str]:
 
 def minmax_pdt_gaps(cluster) -> List[str]:
     """One line per value a partition's PDT stack makes visible outside
-    the MinMax range of the block-range it lands in: an insert at its
+    the MinMax range of the block it lands in: an insert at its
     anchor, a modify at its row, in the range ``MinMaxIndex.widen_batch``
     widens there (the last one past the end)."""
     gaps = []

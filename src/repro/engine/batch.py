@@ -278,7 +278,7 @@ def materialized(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 class Batch:
     """A horizontal slice of tuples, column-wise: a vector. Operators cut
     and re-form vectors of ``vector_size`` tuples; a scan hands on one
-    block-range per vector, which may hold more."""
+    piece per vector, which may hold more."""
 
     columns: Dict[str, np.ndarray]
     n: int

@@ -59,7 +59,7 @@ class Operator:
 
     #: rows per vector this operator slices its output into and re-forms
     #: short batches up to; a distributed executor stamps the cluster's.
-    #: A streamed scan's vectors are block-ranges, which may be longer
+    #: A streamed scan's vectors are its pieces, which may be longer
     vector_size = DEFAULT_VECTOR_SIZE
 
     #: seconds this operator's stream spent inside its last ``execute``

@@ -210,7 +210,7 @@ class _RunContext:
 
 class StreamingScan(Operator):
     """Leaf: scans this stream's partitions lazily, one at a time, and
-    hands each piece of one (a block-range,
+    hands each piece of one (a block of the coarsest column it reads,
     :meth:`~repro.storage.table.StoredTable.scan_pieces`) on as one
     vector -- the scan is part of the pipeline, not a pre-materialized
     island. Pieces a selective filter left short of ``vector_size`` are

@@ -6,9 +6,9 @@ union of the Read-, Write- and Trans-PDT batches shares one anchor space
 (the stable on-disk image); ``classify_entries`` replays it into a
 :class:`MergePlan` of row-aligned arrays (no row is a Python object),
 whose :meth:`MergePlan.within` hands the table scan the entries of one
-block-range. The scan merges a block-range only when an insert or a
-modify touches it; deletes alone become its mask. A :class:`PdtLayer`
-holds batches and counts their rows.
+piece. The scan merges a piece only when an insert or a modify touches
+it; deletes alone become its mask. A :class:`PdtLayer` holds batches
+and counts their rows.
 """
 
 from __future__ import annotations
@@ -164,9 +164,17 @@ def concat(arrays: List[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else _NO_CODES
 
 
-def _last_writes(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct ``codes``, ascending, and the position of the last
-    row writing each."""
+def _ascend(codes: np.ndarray) -> bool:
+    """Are ``codes`` distinct and ascending already, as the stable rows
+    a scan hands on are? Then nothing needs sorting."""
+    return len(codes) < 2 or bool((codes[1:] > codes[:-1]).all())
+
+
+def _last_writes(codes: np.ndarray, batches: int):
+    """The distinct ``codes`` of ``batches`` batches, ascending, and the
+    rows of the last write of each (all rows of one ascending batch)."""
+    if batches == 1 and _ascend(codes):
+        return codes, slice(None)
     distinct, first = np.unique(codes[::-1], return_index=True)
     return distinct, len(codes) - 1 - first
 
@@ -181,15 +189,16 @@ def classify_entries(batches: Sequence[DeltaBatch]) -> MergePlan:
     batches = sorted(batches, key=attrgetter("seq"))
     inserts = [b for b in batches if b.kind is EntryKind.INSERT]
     modifies = [b for b in batches if b.kind is EntryKind.MODIFY]
-    gone = concat([b.targets for b in batches
-                   if b.kind is EntryKind.DELETE])
+    deletes = [b.targets for b in batches if b.kind is EntryKind.DELETE]
+    gone = concat(deletes)
     # every insert, in commit order: a row's position is its rank
     targets = concat([b.targets for b in inserts])
     anchors = concat([b.anchors for b in inserts])
     mods, writes = {}, {}
     for name in dict.fromkeys(n for b in modifies for n in b.columns):
         writers = [b for b in modifies if name in b.columns]
-        codes, last = _last_writes(concat([b.targets for b in writers]))
+        codes, last = _last_writes(concat([b.targets for b in writers]),
+                                   len(writers))
         written = np.concatenate([b.columns[name] for b in writers])[last]
         # codes ascend: the inserts' (negative) ones come first
         fresh = int(np.searchsorted(codes, 0))
@@ -199,10 +208,13 @@ def classify_entries(batches: Sequence[DeltaBatch]) -> MergePlan:
         if fresh < len(codes):
             mods[name] = codes[fresh:], written[fresh:]
     dead = gone[gone < 0]
-    live = (np.flatnonzero(~np.isin(targets, dead)) if len(dead)
+    rows = (np.flatnonzero(~np.isin(targets, dead)) if len(dead)
             else np.arange(len(targets)))
-    rows = live[np.argsort(anchors[live], kind="stable")]
-    deleted = np.unique(gone[gone >= 0]) if len(gone) else gone
+    if len(rows) > 1:
+        rows = rows[np.argsort(anchors[rows], kind="stable")]
+    deleted = gone[gone >= 0]
+    if len(deletes) > 1 or not _ascend(deleted):
+        deleted = np.unique(deleted)
     return MergePlan(deleted, mods, targets[rows], anchors[rows], rows,
                      _Inserted(inserts, writes))
 
@@ -227,7 +239,7 @@ def apply_entries(
 
     ``base``: the stable columns are the partition's rows ``[base, base +
     n_stable)``, and ``plan`` holds the entries of those rows (inserts
-    anchored past them come last) -- one block-range of a scan
+    anchored past them come last) -- one piece of a scan
     (:meth:`MergePlan.within`). Identities stay the partition's.
     """
     names = list(columns_wanted) if columns_wanted is not None else list(

@@ -44,7 +44,7 @@ _SCHEME_IDS = {"RAW": 0, "PFOR": 1, "PFOR-DELTA": 2, "PDICT": 3, "LZ": 4}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_IDS.items()}
 _BLOCK_HEADER = "<BII"  # scheme id, tuple count, payload length
 #: what a PartitionStore knows about its files (``_reset_catalog`` sets it)
-_CATALOG = ("n_stable", "blocks", "_row_starts", "minmax", "_open_chunk",
+_CATALOG = ("n_stable", "blocks", "minmax", "_open_chunk",
             "_open_chunk_blocks", "_partial_file", "_partial_refs")
 
 
@@ -130,38 +130,42 @@ class ColumnDictionaries:
 
 
 class BlockCursor:
-    """Reads one column of a partition by row ranges that each lie in one
-    of its blocks, asked for in ascending order.
+    """Reads one column of a partition by row ranges, asked for in
+    ascending order, each of which may span several of its blocks.
 
     It reads the blocks the column had when the cursor was made (a later
-    append does not move them), and keeps the block it decoded last
-    until a read reaches that block's end: a block spanning several
-    ranges is read and decoded once.
+    append does not move them) and decodes each block once: the block a
+    range ends inside of is kept for the next range. A range's slices are
+    joined with :func:`concat_stored`, so a coded string column stays
+    coded over its one dictionary.
     """
 
     def __init__(self, store: "PartitionStore", name: str,
-                 reader: Optional[str], pool: Optional[BufferPool]):
-        self._store, self._reader, self._pool = store, reader, pool
+                 reader: Optional[str], pool: Optional[BufferPool],
+                 stored: bool = False):
+        self._read = partial(store._read_block, reader=reader, pool=pool,
+                             stored=stored)
         self._refs = list(store.blocks[name])
-        self._starts = list(store._row_starts[name])
+        self._starts = [ref.row_start for ref in self._refs]
         self._at = -1
         self._values = None
         #: decoded bytes the cursor keeps for a later read
         self.kept_bytes = 0
 
     def read(self, lo: int, hi: int):
-        at = bisect_right(self._starts, lo) - 1
-        values = self._values
-        if at != self._at:
-            values = self._store._read_block(self._refs[at], self._reader,
-                                             self._pool)
+        parts = []
+        for at in range(bisect_right(self._starts, lo) - 1,
+                        bisect_left(self._starts, hi)):
+            values = (self._values if at == self._at
+                      else self._read(self._refs[at]))
+            start = self._starts[at]
+            parts.append(values[max(lo, start) - start: hi - start])
         if hi >= self._refs[at].row_end:
             self._at, self._values, self.kept_bytes = -1, None, 0
         elif at != self._at:
             self._at, self._values = at, values
             self.kept_bytes = batch_bytes(Batch({"": values}, len(values)))
-        start = self._starts[at]
-        return values[lo - start: hi - start]
+        return parts[0] if len(parts) == 1 else concat_stored(parts)
 
 
 class PartitionStore:
@@ -188,10 +192,6 @@ class PartitionStore:
         #: before it ends: blocks are only ever appended past the last row
         #: or (a partial block) taken off the end again
         self.blocks: Dict[str, List[BlockRef]] = {
-            c: [] for c in self.schema.column_names
-        }
-        #: ``row_start`` of every block of ``blocks``, to bisect on
-        self._row_starts: Dict[str, List[int]] = {
             c: [] for c in self.schema.column_names
         }
         self.minmax = MinMaxIndex()
@@ -268,7 +268,6 @@ class PartitionStore:
             old = self._read_block(ref, reader=writer, stored=True)
             merged[name] = (ref.row_start, extended(old, arrays[name]))
             self.blocks[name].pop()  # the partial block is the last one
-            self._row_starts[name].pop()
             self.minmax.ranges[name] = [
                 r for r in self.minmax.ranges[name]
                 if r.row_start < ref.row_start
@@ -293,7 +292,6 @@ class PartitionStore:
         ref = BlockRef(name, row_start, len(values), path, offset,
                        len(payload), block.scheme, block.raw_bytes)
         self.blocks[name].append(ref)
-        self._row_starts[name].append(row_start)
         if partial:
             self._partial_refs[name] = ref
         self.minmax.add_range(name, row_start, values)
@@ -373,35 +371,24 @@ class PartitionStore:
         """
         if ranges is None:
             ranges = [(0, self.n_stable)]
-        refs = self.blocks[name]
-        pieces: List[np.ndarray] = []
-        for start, end in ranges:
-            for ref in refs[slice(*self._block_span(name, start, end))]:
-                values = self._read_block(ref, reader, pool, stored)
-                lo = max(start, ref.row_start) - ref.row_start
-                hi = min(end, ref.row_end) - ref.row_start
-                pieces.append(values[lo:hi])
+        cursor = BlockCursor(self, name, reader, pool, stored)
+        pieces = [cursor.read(start, end) for start, end in ranges
+                  if start < end]
         if not pieces:
             return np.empty(0, dtype=self.schema.ctype(name).dtype)
         return pieces[0] if len(pieces) == 1 else concat_stored(pieces)
-
-    def _block_span(self, name: str, start: int, end: int) -> Tuple[int, int]:
-        """``blocks[name][lo:hi]`` are the blocks holding rows of
-        ``[start, end)``."""
-        starts = self._row_starts[name]
-        if start >= end:
-            return 0, 0
-        return max(0, bisect_right(starts, start) - 1), bisect_left(starts, end)
 
     def blocks_overlapping(self, name: str,
                            ranges: Sequence[Tuple[int, int]]) -> int:
         """How many of the column's blocks hold a row of ``ranges``
         (ascending and disjoint) -- what reading them would decode."""
+        starts = [ref.row_start for ref in self.blocks[name]]
         count = done = 0
         for start, end in ranges:
-            lo, hi = self._block_span(name, start, end)
-            count += max(0, hi - max(lo, done))
-            done = max(done, hi)
+            if start < end:
+                lo = max(bisect_right(starts, start) - 1, done)
+                done = max(done, bisect_left(starts, end))
+                count += max(0, done - lo)
         return count
 
     # --------------------------------------------------------------- maintenance

@@ -159,9 +159,10 @@ class MinMaxIndex:
 
 
 def _extremes(values):
-    """The least and the greatest of non-empty ``values``: of a coded
-    column, its least and greatest code's entries (the dictionary is
-    sorted); of a string image, as its bytes order them."""
+    """The least and the greatest of non-empty ``values``, as Python
+    values (which a WAL record pickles small): of a coded column, its
+    least and greatest code's entries (the dictionary is sorted); of a
+    string image, as its bytes order them."""
     if isinstance(values, DictColumn):
         dictionary, codes = values.dictionary, values.codes
         return dictionary[codes.min()], dictionary[codes.max()]
@@ -169,7 +170,7 @@ def _extremes(values):
         return values.extremes()
     if values.dtype == object:
         return min(values), max(values)
-    return values.min(), values.max()
+    return values.min().item(), values.max().item()
 
 
 def _interval_may_qualify(lo, hi, op: str, literal) -> bool:

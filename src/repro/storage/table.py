@@ -332,35 +332,31 @@ class StoredTable:
         identities: bool = False,
     ) -> Iterator[ScanResult]:
         """Scan one partition lazily: the rows that satisfy
-        ``predicates``, one piece per block-range -- a run of rows in
-        which no column the scan reads crosses a block edge. At least one
-        piece (maybe empty) per partition; nothing is read before the
-        first is asked for.
+        ``predicates``, one piece at a time -- at most a block of the
+        coarsest column the scan reads, the one with the fewest blocks.
+        At least one piece (maybe empty) per partition; nothing is read
+        before the first is asked for.
 
         ``predicates`` are conjunctive ``(col, op, literal)`` triples, ops
         from :data:`repro.storage.minmax.TRIPLE_OPS`; a piece holds
         qualifying rows only. A predicate column outside ``columns`` is
         read for the filter and not returned. Per partition, at the first
-        piece:
+        piece: MinMax keeps the row ranges that may qualify (no data
+        read); the predicate columns of those ranges are decoded and give
+        the stable rows' mask, which drops the block-ranges no kept row
+        can come from; what stays is cut into pieces
+        (:func:`_piece_ranges`).
 
-        1. MinMax keeps the row ranges that may qualify (no data read);
-        2. the predicate columns of those ranges are decoded and give the
-           stable rows' mask; a block-range is dropped unless a stable
-           row in it survives, a visible PDT insert is anchored in it or
-           a modify targets it.
-
-        Then each kept block-range is one piece, and the visible PDT
-        entries of its rows (:meth:`MergePlan.within`; the last piece
-        also takes the inserts anchored past the last stable row) are
-        applied to it alone. Its payload columns are decoded (each block
-        once, however many block-ranges it spans). Rows it deletes are
-        one more ``False`` in the mask -- the others keep their values,
-        so their mask holds. With an insert or a modify the piece is
-        merged positionally, and the exact mask is taken on the *merged*
-        rows in storage representation (inserts and modifies are tested
-        on their new values); it is re-sorted on the cluster key if
-        inserts may have broken the order. The piece is cut by its mask
-        and converted out of storage representation.
+        The visible PDT entries of a piece's rows (:meth:`MergePlan.within`;
+        the last piece also takes the inserts anchored past the last
+        stable row) are applied to it alone. Its payload columns are
+        decoded, each block once (:class:`BlockCursor`). Rows it deletes
+        are one more ``False`` in the mask. With an insert or a modify
+        the piece is merged positionally, and the exact mask is taken on
+        the *merged* rows in storage representation (inserts and modifies
+        are tested on their new values); it is re-sorted on the cluster
+        key if inserts may have broken the order. The piece is cut by its
+        mask and converted out of storage representation.
 
         The filter is never stricter than SQL (see
         :meth:`storage_predicates`) but may be looser: the engine's
@@ -420,9 +416,9 @@ class StoredTable:
         if filter_cols:
             mask, passed = _row_masks(stable_cols, triples, key_filter,
                                       candidates)
-        # no block-range kept: one empty piece, which the inserts past
+        # no piece kept: one empty piece, which the inserts past
         # the last stable row still reach
-        kept = _block_ranges(store, ranges, mask, needed, plan) or [
+        kept = _piece_ranges(store, ranges, mask, needed, plan) or [
             (store.n_stable, store.n_stable, candidates)]
         filtered = key_filtered = 0
         if mask is not None:
@@ -659,22 +655,23 @@ def _row_masks(columns, triples, key_filter, n_rows: int):
 _NO_ENTRIES = classify_entries([])
 
 
-def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
+def _piece_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
                   columns: Sequence[str],
                   plan: MergePlan) -> List[Tuple[int, int, int]]:
-    """Cut ``ranges`` at the block edges of ``columns`` and keep the
-    block-ranges the scan still has to read, as ``(lo, hi, at)``: rows
-    ``[lo, hi)``, the first of them at position ``at`` among the rows of
-    ``ranges``.
+    """The pieces of ``ranges`` the scan still has to read, as ``(lo,
+    hi, at)``: rows ``[lo, hi)``, from position ``at`` of ``ranges``.
 
-    A block-range stays when a stable row in it survives ``mask`` (one
-    bool per row of ``ranges``; None keeps every block-range) -- or when
-    the PDT can put a qualifying row there: an insert of ``plan``
-    anchored in it, or a modify of one of its rows. (MinMax skipping gets
-    this from ``widen_batch``; data-driven pruning has no such cover, and
-    the entries of a dropped range are applied to no piece.)
+    A block-range of ``ranges`` (cut at the block edges of every column)
+    stays when a stable row in it survives ``mask`` (None keeps every
+    one) or when the PDT can put a qualifying row there: an insert of
+    ``plan`` anchored in it, or a modify of one of its rows -- data-driven
+    pruning has no ``widen_batch`` to cover them, as MinMax has. Kept
+    block-ranges side by side are one piece up to a block edge of the
+    coarsest column, the one with the fewest blocks.
     """
     edges = sorted({ref.row_start for c in columns for ref in store.blocks[c]})
+    coarsest = min(columns, key=lambda c: len(store.blocks[c]), default=None)
+    cuts = {ref.row_start for ref in store.blocks.get(coarsest, ())}
     pins = plan.pins.tolist() if mask is not None else []
     kept: List[Tuple[int, int, int]] = []
     pos = 0
@@ -682,8 +679,12 @@ def _block_ranges(store: PartitionStore, ranges, mask: Optional[np.ndarray],
         inner = edges[bisect_left(edges, start + 1): bisect_left(edges, end)]
         for lo, hi in zip([start] + inner, inner + [end]):
             at, pos = pos, pos + hi - lo
-            if (mask is None or mask[at:pos].any()
+            if not (mask is None or mask[at:pos].any()
                     or bisect_left(pins, lo) < bisect_left(pins, hi)):
+                continue
+            if kept and kept[-1][1] == lo and lo not in cuts:
+                kept[-1] = (kept[-1][0], hi, kept[-1][2])
+            else:
                 kept.append((lo, hi, at))
     return kept
 
@@ -703,10 +704,8 @@ def _resort_clustered(columns, identities: np.ndarray, cluster_key):
     cheap vectorized sortedness check and only pay for a sort when
     same-anchor inserts actually broke the order.
     """
-    keys = list(cluster_key)
-    first = columns[keys[0]]
+    first = columns[cluster_key[0]]
     if len(first) < 2 or (first[1:] >= first[:-1]).all():
         return columns, identities
-    order = np.lexsort(tuple(
-        order_key(columns[c]) for c in reversed(keys)))
-    return {k: v[order] for k, v in columns.items()}, identities[order]
+    columns = _in_cluster_order({**columns, None: identities}, cluster_key)
+    return columns, columns.pop(None)

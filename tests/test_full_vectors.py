@@ -132,7 +132,7 @@ class TestThroughTheCluster:
     def test_limit_over_select_still_stops_its_input_early(self, monkeypatch):
         """Select now hands Limit up to one vector of qualifying rows
         instead of its first short batch: a constant number of scan
-        pieces per stream, not the block-ranges each stream could scan."""
+        pieces per stream, not the pieces each stream could scan."""
         c = VectorHCluster(n_nodes=2, config=Config().scaled_for_tests())
         c.create_table(TableSchema(
             "t", [Column("a", INT64), Column("b", INT64)],

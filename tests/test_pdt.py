@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import TransactionAborted
 from repro.pdt import PdtStack, apply_entries
+from repro.pdt.layer import classify_entries
 
 
 def image(columns, n, entries):
@@ -365,5 +366,17 @@ def test_batches_merge_as_rows_replayed_one_at_a_time(script):
         for name in "kv":
             assert merged.columns[name].tolist() == [
                 values[name] for _, values in expected]
+        # as a scan reads it: the plan counts the rows, and two pieces
+        # (the inserts past the end in the second) merge to the same
+        plan = classify_entries(batches)
+        assert plan.n_rows(n_stable) == len(expected)
+        half = n_stable // 2
+        pieces = [apply_entries({n: c[lo:hi] for n, c in base.items()},
+                                hi - lo, batches, plan=plan.within(lo, hi, tail),
+                                base=lo)
+                  for lo, hi, tail in ((0, half, None),
+                                       (half, n_stable, n_stable))]
+        assert [i for p in pieces for i in p.identities.tolist()] == \
+            merged.identities.tolist()
         if number < len(txns) - 1:
             stack.commit(t)

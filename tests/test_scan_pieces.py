@@ -1,6 +1,9 @@
-"""The streamed scan: a partition is read one block-range at a time, and
-each block-range goes up the pipeline as one vector -- with or without
-visible PDT entries, which are applied to the block-range they touch.
+"""The streamed scan: a partition is read one piece at a time -- a block
+of the coarsest column it reads, cut where MinMax's ranges end -- and
+each piece goes up the pipeline as one vector, with or without visible
+PDT entries, which are applied to the piece they touch. A finer column's
+blocks are each decoded once, a block straddling a piece's end for both
+pieces.
 
 ``LIMIT`` stops the decoding, not only the rows; and a propagation or a
 large insert asked for while a query is inside its partitions leaves
@@ -18,14 +21,15 @@ from repro.cluster import VectorHCluster
 from repro.cluster.vectorh import DIRECT_APPEND_THRESHOLD
 from repro.common.config import Config
 from repro.common.errors import StorageError
-from repro.common.types import INT64
+from repro.common.types import DATE, INT64, STRING
 from repro.engine.expressions import Col, InList
 from repro.mpp.logical import LLimit, LScan, LSelect
 from repro.sql import execute_sql
 from repro.sql.binder import _SelectBinder
 from repro.sql.parser import SqlParser
 from repro.storage import Column, TableSchema
-from repro.storage.colstore import PartitionStore
+from repro.storage.colstore import BlockCursor, PartitionStore
+from repro.storage.minmax import OPS
 from repro.storage.table import StoredTable
 
 #: rows per block of an INT64 column at the test block size (16 KB)
@@ -114,7 +118,7 @@ class TestLimitStopsDecoding:
 
 
 class TestPieces:
-    def test_one_piece_per_block_range(self):
+    def test_one_piece_per_block(self):
         c = _cluster(blocks_per_partition=3)
         table = c.table("t")
         for pid in range(table.n_partitions):
@@ -196,6 +200,239 @@ class TestDmlStreamsPieces:
         assert len(_answer(c.query(_rows_plan()))) == len(rows)
 
 
+#: a block size whose rows per block do not divide each other: 375 for
+#: INT64, 750 for DATE, 187 for STRING -- block edges do not nest
+ODD_BLOCK_SIZE = 3000
+WIDE = ["a", "d", "s"]
+#: past every stable key of the clustered table
+TOP = 3 * 5200
+
+
+def _odd_blocks(clustered: bool) -> VectorHCluster:
+    """Table ``w``: two partitions unordered; one clustered on ``a``, so
+    every insert lands in the partition whose edges a test aims at."""
+    config = Config().scaled_for_tests()
+    config.block_size = ODD_BLOCK_SIZE
+    c = VectorHCluster(n_nodes=2, config=config)
+    c.create_table(TableSchema(
+        "w", [Column("a", INT64), Column("d", DATE), Column("s", STRING)],
+        partition_key=("a",), n_partitions=1 if clustered else 2,
+        clustered_on=("a",) if clustered else ()))
+    return c
+
+
+def _wide_rows(a):
+    return {"a": a, "d": (8000 + a // 7).astype(np.int32),
+            "s": np.array([f"s{v % 13}" for v in a.tolist()], dtype=object)}
+
+
+def _appended() -> VectorHCluster:
+    """Unordered, loaded twice: the second load is an append that
+    re-blocks each column's partial block from that column's own row."""
+    c = _odd_blocks(clustered=False)
+    c.bulk_load("w", _wide_rows(np.arange(0, 2 * 1000)))
+    c.bulk_load("w", _wide_rows(np.arange(2 * 1000, 2 * 2900)))
+    return c
+
+
+def _clustered() -> VectorHCluster:
+    """Clustered on ``a``; stable keys are multiples of 3."""
+    c = _odd_blocks(clustered=True)
+    c.bulk_load("w", _wide_rows(np.arange(0, TOP, 3)))
+    return c
+
+
+def _starts(store, name):
+    return [ref.row_start for ref in store.blocks[name]]
+
+
+def _oracle(c, sqls):
+    """Every ``sqls`` answer of the cluster and of the row engine."""
+    table = c.table("w")
+    rows = [table.scan_partition(pid, WIDE)
+            for pid in range(table.n_partitions)]
+    oracle = CompetitorSystem("hive", workers=3, rows_per_group=1024)
+    oracle.load({"w": {
+        name: np.concatenate([np.asarray(r.columns[name]) for r in rows])
+        for name in WIDE}})
+    for sql in sqls:
+        logical = _SelectBinder(c, SqlParser(sql).parse()).plan()
+        result = c.query(logical)
+        expected = oracle.run(logical).columns
+        assert _answer(result) == sorted(
+            zip(*(expected[k].tolist() for k in result.batch.columns))), sql
+    return rows
+
+
+SQLS = ("SELECT a, d, s FROM w",
+        "SELECT s, count(*) AS n, sum(a) AS t, min(d) AS e FROM w GROUP BY s",
+        "SELECT a, s FROM w WHERE d >= 8100 AND d < 8300",
+        f"SELECT count(*) AS n FROM w WHERE a >= {TOP - 300}")
+
+
+class TestCoarsestColumnPieces:
+    """Pieces are cut at the block edges of the column read with the
+    fewest blocks, whose edges a finer column's need not share."""
+
+    def test_pieces_end_at_the_coarsest_edges_or_a_range_end(
+            self, monkeypatch):
+        """A piece -- the rows a payload column is read for -- ends at an
+        edge of the coarsest column read or where a MinMax range ends;
+        with a filter also where a run of rows none of which passes it
+        begins, and no row that passes is left out."""
+        c = _appended()
+        table = c.table("w")
+        reads = []
+        read = BlockCursor.read
+
+        def spying_read(self, lo, hi):
+            reads.append((self._refs[0].column, lo, hi))
+            return read(self, lo, hi)
+
+        monkeypatch.setattr(BlockCursor, "read", spying_read)
+        for pid in range(2):
+            store = table.partitions[pid]
+            d, s = _starts(store, "d"), _starts(store, "s")
+            assert len(d) >= 3 and set(s) - set(d) and set(d) - set(s)
+            # the append re-blocked each column from its own row
+            assert set(_starts(store, "a")) - set(d)
+            whole = table.scan_partition(pid, WIDE).columns
+            for columns, predicates in (
+                    (WIDE, ()), (["s"], ()), (["a", "s"], ()),
+                    (["s"], [("a", ">=", 1000), ("a", "<", 3000)]),
+                    (["s", "a"], [("d", ">=", 8150)])):
+                coarsest = min(dict.fromkeys(
+                    list(columns) + [col for col, _, _ in predicates]),
+                    key=lambda name: len(store.blocks[name]))
+                edges = set(_starts(store, coarsest))
+                ranges = store.minmax.qualifying_ranges(
+                    table.storage_predicates(predicates), store.n_stable)
+                passes = np.ones(store.n_stable, dtype=bool)
+                for col, op, literal in predicates:
+                    passes &= OPS[op](np.asarray(whole[col]), literal)
+                reads.clear()
+                assert len(list(table.scan_pieces(pid, columns,
+                                                  predicates))) > 1
+                spans = [(lo, hi) for name, lo, hi in reads if name == "s"]
+                assert spans == sorted(spans) and len(spans) > 1
+                read_rows = np.zeros(store.n_stable, dtype=bool)
+                for lo, hi in spans:
+                    read_rows[lo:hi] = True
+                    assert not edges & set(range(lo + 1, hi))
+                    assert hi in edges | {end for _, end in ranges} \
+                        or not passes[hi]
+                    assert lo in edges | {start for start, _ in ranges} \
+                        or not passes[lo - 1]
+                assert not (passes & ~read_rows).any()
+                if not predicates:
+                    assert read_rows.all()
+
+    def test_a_piece_spans_several_blocks_of_a_finer_column(self):
+        table = _appended().table("w")
+        store = table.partitions[0]
+        pieces = list(table.scan_pieces(0, ["s", "d"], identities=True))
+        assert len(pieces) == len(store.blocks["d"])
+        assert len(pieces) < len(store.blocks["s"])
+        whole = table.scan_partition(0, ["s", "d"])
+        assert [v for p in pieces for v in p.columns["s"].tolist()] == \
+            whole.columns["s"].tolist() == [
+                f"s{v % 13}" for v in table.scan_partition(
+                    0, ["a"]).columns["a"].tolist()]
+
+    @pytest.mark.parametrize("predicates", [(), [("d", ">=", 8150)],
+                                            [("s", "=", "s3")]])
+    def test_every_block_is_decoded_once(self, monkeypatch, predicates):
+        c = _appended()
+        table = c.table("w")
+        c.update_where("w", Col("a") < 40, {"d": Col("d") + 1})
+        decoded = Counter()
+        read_block = PartitionStore._read_block
+
+        def counting_read(self, ref, *args, **kwargs):
+            decoded[ref.column, ref.row_start] += 1
+            return read_block(self, ref, *args, **kwargs)
+
+        monkeypatch.setattr(PartitionStore, "_read_block", counting_read)
+        for pid in range(2):
+            decoded.clear()
+            store = table.partitions[pid]
+            ranges = store.minmax.qualifying_ranges(
+                table.storage_predicates(predicates), store.n_stable)
+            pieces = list(table.scan_pieces(pid, WIDE, predicates))
+            assert len(pieces) > 1
+            assert set(decoded.values()) == {1}
+            # the predicate columns over the whole ranges, the others
+            # over the pieces' rows
+            for name, _, _ in predicates:
+                assert sum(k[0] == name for k in decoded) == \
+                    store.blocks_overlapping(name, ranges)
+            if not predicates:
+                for name in WIDE:
+                    assert sum(k[0] == name for k in decoded) == \
+                        len(store.blocks[name])
+
+    def test_entries_at_piece_edges_match_the_row_engine(self):
+        """Inserts anchored at each piece's first row, deletes and
+        modifies of the rows on both sides of every edge, inserts past
+        the last stable row, and a filter no stable row passes."""
+        c = _clustered()
+        table = c.table("w")
+        store = table.partitions[0]
+        keys = table.scan_partition(0, ["a"]).columns["a"]
+        edges = _starts(store, "d")[1:]
+        assert len(edges) >= 4
+        # keys between two stable ones: anchored at the edge
+        c.insert("w", _wide_rows(np.concatenate(
+            [keys[edges] - 1, keys[edges] - 2])), force_pdt=True)
+        c.delete_where("w", InList(Col("a"), keys[
+            [0] + edges + [e - 1 for e in edges]].tolist()))
+        c.update_where("w", InList(Col("a"), keys[
+            [e + 1 for e in edges] + [e - 2 for e in edges]].tolist()),
+            {"d": Col("d") + 500, "s": Col("s")})
+        past = np.arange(TOP, TOP + 40)
+        c.insert("w", _wide_rows(past), force_pdt=True)
+        codes = table.scan_partition(0, ["a"]).identities
+        anchors = table.pdt[0].begin().anchors_of(codes[codes < 0])
+        assert set(edges) <= set(anchors.tolist())
+        rows = _oracle(c, SQLS)
+        assert len(rows[0].columns["a"]) == len(keys) + 2 * len(edges) \
+            - (1 + 2 * len(edges)) + len(past)
+        # no stable row qualifies: one empty piece carries the inserts
+        # past the end
+        pieces = list(table.scan_pieces(0, ["a"], [("a", ">=", TOP)]))
+        assert [p.n_rows for p in pieces] == [len(past)]
+        assert pieces[0].columns["a"].tolist() == past.tolist()
+
+    def test_dml_streams_the_pieces_and_matches_the_row_engine(
+            self, monkeypatch):
+        c = _clustered()
+        table = c.table("w")
+        c.insert("w", _wide_rows(np.arange(1, TOP + 300, 3 * 37)),
+                 force_pdt=True)
+        c.delete_where("w", InList(Col("a"), list(range(0, TOP, 3 * 41))))
+        handed = Counter()
+        pieces = StoredTable.scan_pieces
+
+        def counting_pieces(self, pid, *args, **kwargs):
+            for piece in pieces(self, pid, *args, **kwargs):
+                handed[pid, kwargs.get("identities", False)] += 1
+                yield piece
+
+        def no_eager_scan(*args, **kwargs):
+            raise AssertionError("DML read a partition eagerly")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StoredTable, "scan_pieces", counting_pieces)
+            patch.setattr(StoredTable, "scan_partition", no_eager_scan)
+            deleted = execute_sql(c, "DELETE FROM w WHERE s = 's3'")
+            updated = execute_sql(
+                c, "UPDATE w SET d = d + 1000 WHERE s >= 's7'")
+        assert deleted and updated
+        assert min(n for (_, ident), n in handed.items() if ident) >= 2
+        rows = _oracle(c, SQLS)
+        assert not any("s3" == v for r in rows for v in r.columns["s"])
+
+
 def _rows_plan():
     return LScan("t", ["a", "b"])
 
@@ -230,7 +467,7 @@ class TestPropagationLeavesARunningScan:
         while not handed:
             c.workload.step()
         assert c.workload.is_live(qid)
-        assert len(handed) < 4 * 6  # partitions x block-ranges
+        assert len(handed) < 4 * 6  # partitions x pieces
         if not entries_first:
             write()
         stored = c.table("t")

@@ -49,6 +49,7 @@ from repro.engine.batch import DictColumn
 from repro.hdfs import HdfsCluster, VectorHPlacementPolicy
 from repro.storage import Column, StoredTable, TableSchema
 from repro.storage.minmax import OPS
+from repro.storage.table import PROPAGATE_FRACTION
 
 NAMES = ["k", "d", "price", "s", "note"]
 WORDS = ["MAIL", "SHIP", "RAIL", "AIR", "", "Zürich", "日本", "TRUCK"]
@@ -333,6 +334,50 @@ class ClusteredTableMachine(RuleBasedStateMachine):
                    for b in self.stack.scan_entries() if b.anchors is not None)
         self.only_tail = not kept
 
+    def _beside_tail(self):
+        """Rows of the committed entries: the tail inserts (anchored past
+        the last stable row), and the rows a tail flush keeps -- every
+        other insert, and every delete or modify of a row not in the
+        tail."""
+        batches = self.stack.scan_entries()
+        n_stable = self.store.n_stable
+        tail = np.concatenate([b.targets[b.anchors >= n_stable]
+                               for b in batches if b.anchors is not None]
+                              + [np.zeros(0, dtype=np.int64)])
+        kept = sum(int((b.anchors < n_stable).sum()) if b.anchors is not None
+                   else int((~np.isin(b.targets, tail)).sum())
+                   for b in batches)
+        return len(tail), kept
+
+    @precondition(lambda self: self.trans is None
+                  and self._beside_tail()[0])
+    @rule(picked=st.lists(st.integers(0, 10**6), max_size=3))
+    def propagate_with_the_rest_not_due(self, picked):
+        """A transaction deletes some of the tail inserts (maybe none) and
+        commits; then the un-forced rule runs under a threshold one row
+        above what a tail flush keeps: the partition is due, the rows
+        beside its tail are not (unless they are a tenth of the stable
+        rows). The tail is appended and exactly those rows stay -- a
+        deleted tail insert and its delete go with the tail."""
+        seen = self.table.scan_partition(0, ["k"])
+        trans = self.stack.begin()
+        tail = np.flatnonzero(
+            trans.anchors_of(seen.identities) >= self.store.n_stable)
+        if len(tail) and picked:
+            at = np.unique(tail[[p % len(tail) for p in picked]])
+            self.table.delete_rows(0, seen.identities[at], trans)
+            self.stack.commit(trans)
+            keys = set(seen.columns["k"][at].tolist())
+            self.committed = [r for r in self.committed if r[0] not in keys]
+        kept = self._beside_tail()[1]
+        self.table.config.pdt_propagate_threshold = kept + 1
+        assert self.table.needs_propagation(0)
+        due = kept / max(1, self.store.n_stable) >= PROPAGATE_FRACTION
+        kind = self.table.propagate(0, writer="n1", force=False)
+        assert kind == ("full" if due else "tail")
+        assert self.stack.total_entries() == (0 if due else kept)
+        self.only_tail = not self.stack.total_entries()
+
     @rule(column=st.sampled_from(NAMES),
           op=st.sampled_from(sorted(OPS)),
           key_column=st.sampled_from([None, "k", "s"]), data=st.data())
@@ -371,10 +416,11 @@ class ClusteredTableMachine(RuleBasedStateMachine):
     def _check_pieces(self, result, trans, predicates=(), key_filter=None):
         """The streamed pieces of the scan that gave ``result``: they put
         it together row for row, in cluster order, and each lies in one
-        block-range of the columns read, a later piece in a later one --
-        its stable rows, and the inserts it carries, anchored in that
-        range (inserts past the last stable row come in the last
-        piece)."""
+        block of the coarsest column read (the one with the fewest
+        blocks), a later piece not in an earlier one -- a later one, when
+        no filter may drop a stretch between two pieces -- its stable
+        rows, and the inserts it carries, anchored in that block (inserts
+        past the last stable row come in the last piece)."""
         pieces = list(self.table.scan_pieces(
             0, NAMES, predicates, trans=trans, key_filter=key_filter,
             identities=True))
@@ -387,8 +433,8 @@ class ClusteredTableMachine(RuleBasedStateMachine):
         assert keys == sorted(keys), "pieces left cluster order"
         n_stable = self.store.n_stable
         snapshot = trans if trans is not None else self.stack.begin()
-        edges = sorted({ref.row_start for refs in self.store.blocks.values()
-                        for ref in refs})
+        coarsest = min(NAMES, key=lambda c: len(self.store.blocks[c]))
+        edges = [ref.row_start for ref in self.store.blocks[coarsest]]
         at = []
         for i, piece in enumerate(pieces):
             sids = snapshot.anchors_of(piece.identities.tolist())
@@ -399,7 +445,7 @@ class ClusteredTableMachine(RuleBasedStateMachine):
                       if sid < n_stable}
             assert len(ranges) <= 1, "piece crosses an edge"
             at += ranges
-        assert at == sorted(set(at))
+        assert at == sorted(at if predicates else set(at))
 
     def _check_image(self, trans, model):
         image = self.table.scan_partition(0, NAMES, trans=trans)
