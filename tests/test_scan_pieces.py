@@ -118,7 +118,7 @@ class TestLimitStopsDecoding:
 
 
 class TestPieces:
-    def test_one_piece_per_block(self):
+    def test_one_piece_per_block_range(self):
         c = _cluster(blocks_per_partition=3)
         table = c.table("t")
         for pid in range(table.n_partitions):
