@@ -1,9 +1,9 @@
-"""The streamed scan: a partition is read one piece at a time -- a block
-of the coarsest column it reads, cut where MinMax's ranges end -- and
-each piece goes up the pipeline as one vector, with or without visible
-PDT entries, which are applied to the piece they touch. A finer column's
-blocks are each decoded once, a block straddling a piece's end for both
-pieces.
+"""The streamed scan: a partition is read one piece at a time -- at most
+a block of the coarsest column it reads, cut where a MinMax range ends or
+the filter drops a run of rows -- and each piece goes up the pipeline as
+one vector, with or without visible PDT entries, which are applied to
+the piece they touch. A finer column's blocks are each decoded once, a
+block straddling a piece's end for both pieces.
 
 ``LIMIT`` stops the decoding, not only the rows; and a propagation or a
 large insert asked for while a query is inside its partitions leaves
@@ -395,8 +395,8 @@ class TestCoarsestColumnPieces:
         anchors = table.pdt[0].begin().anchors_of(codes[codes < 0])
         assert set(edges) <= set(anchors.tolist())
         rows = _oracle(c, SQLS)
-        assert len(rows[0].columns["a"]) == len(keys) + 2 * len(edges) \
-            - (1 + 2 * len(edges)) + len(past)
+        inserted, deleted = 2 * len(edges) + len(past), 1 + 2 * len(edges)
+        assert len(rows[0].columns["a"]) == len(keys) + inserted - deleted
         # no stable row qualifies: one empty piece carries the inserts
         # past the end
         pieces = list(table.scan_pieces(0, ["a"], [("a", ">=", TOP)]))
