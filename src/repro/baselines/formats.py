@@ -93,11 +93,8 @@ class _PaxTable:
                 data = _encode_values(values)
                 offset = self.hdfs.file_size(self.path)
                 self.hdfs.append(self.path, data, self.node)
-                if values.dtype == object:
-                    lo, hi = min(values), max(values)
-                else:
-                    lo, hi = values.min(), values.max()
-                segments[name] = _Segment(offset, len(data), lo, hi)
+                segments[name] = _Segment(offset, len(data), values.min(),
+                                          values.max())
             self.groups.append(_RowGroup(start, end - start, segments))
 
     def total_bytes(self) -> int:
@@ -118,15 +115,14 @@ class _PaxTable:
     # ----------------------------------------------------------------- read
 
     def _group_may_qualify(self, group: _RowGroup, predicates) -> bool:
-        from repro.storage.minmax import TRIPLE_OPS, _interval_may_qualify
+        from repro.storage.minmax import TRIPLE_OPS, may_qualify
         for col, op, literal in predicates:
             seg = group.segments.get(col)
             if seg is None or op not in TRIPLE_OPS:  # cannot skip on it
                 continue
             if op == "in":  # MinMax looks the block up in sorted values
                 literal = sorted(literal)
-            if not _interval_may_qualify(seg.min_value, seg.max_value,
-                                         op, literal):
+            if not may_qualify(seg.min_value, seg.max_value, op, literal):
                 return False
         return True
 

@@ -170,18 +170,15 @@ def minmax_pdt_gaps(cluster) -> List[str]:
             plan = classify_entries(stored.pdt[pid].scan_entries())
             for name, rows, values in plan.written():
                 ranges = store.minmax.ranges.get(name)
-                if not ranges:
+                if ranges is None:
                     continue  # nothing to prune on
-                at = np.searchsorted([r.row_start for r in ranges], rows,
-                                     side="right") - 1
-                low = np.array([r.min_value for r in ranges], dtype=object)
-                high = np.array([r.max_value for r in ranges], dtype=object)
-                inside = (low[at] <= values) & (values <= high[at])
-                for i in np.flatnonzero(~inside.astype(bool)).tolist():
-                    r = ranges[at[i]]
+                at = np.searchsorted(ranges.starts, rows, side="right") - 1
+                mins, maxs = ranges.mins[at], ranges.maxs[at]
+                inside = (mins <= values) & (values <= maxs)
+                for i in np.flatnonzero(~inside).tolist():
                     gaps.append(
                         f"minmax misses a pdt value on {tname}/{pid}: "
                         f"{name} = {values.tolist()[i]!r} at row "
                         f"{int(rows[i])}, range "
-                        f"[{r.min_value!r}, {r.max_value!r}]")
+                        f"[{mins[i]!r}, {maxs[i]!r}]")
     return gaps

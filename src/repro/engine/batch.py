@@ -331,6 +331,8 @@ def batch_bytes(batch: "Batch") -> int:
                 sample = values.dictionary[present[:64]].tolist()
                 avg = sum(map(len, sample)) / len(sample)
                 total += int((avg + 4) * len(present))
+        elif not isinstance(values, np.ndarray):  # a StringImage
+            total += int(values.sizes.sum())  # its rows' length + bytes
         elif values.dtype != object:
             total += values.nbytes
         elif len(values):

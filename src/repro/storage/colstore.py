@@ -37,7 +37,7 @@ from repro.engine.batch import Batch, DictColumn, batch_bytes, sorted_distinct
 from repro.engine.profile import kernel
 from repro.hdfs.cluster import HdfsCluster
 from repro.storage.buffer import BufferPool
-from repro.storage.minmax import MinMaxIndex
+from repro.storage.minmax import ColumnRanges, MinMaxIndex
 from repro.storage.schema import TableSchema
 
 _SCHEME_IDS = {"RAW": 0, "PFOR": 1, "PFOR-DELTA": 2, "PDICT": 3, "LZ": 4}
@@ -268,10 +268,9 @@ class PartitionStore:
             old = self._read_block(ref, reader=writer, stored=True)
             merged[name] = (ref.row_start, extended(old, arrays[name]))
             self.blocks[name].pop()  # the partial block is the last one
-            self.minmax.ranges[name] = [
-                r for r in self.minmax.ranges[name]
-                if r.row_start < ref.row_start
-            ]
+            ranges = self.minmax.ranges[name]
+            keep = np.searchsorted(ranges.starts, ref.row_start)
+            self.minmax.ranges[name] = ColumnRanges(*(a[:keep] for a in ranges))
         if self._partial_file is not None:
             self.hdfs.delete(self._partial_file)
         self._partial_file = None

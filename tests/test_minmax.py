@@ -107,7 +107,7 @@ class TestWidening:
     def test_widen_without_stats_is_noop(self):
         idx = MinMaxIndex()
         idx.widen_batch("x", np.array([0]), np.array([1]))  # must not crash
-        assert idx.ranges == {}
+        assert "x" not in idx.ranges and idx.to_record() == {}
 
 
     def test_batch_spanning_two_ranges_widens_each_once(self):
@@ -142,12 +142,104 @@ class TestWidening:
                         np.array(["a", "z", "b"], dtype=object))
         assert idx.to_record()["s"] == [(0, 2, "a", "e"), (2, 2, "b", "z")]
 
+    def test_a_value_the_range_dtype_cannot_hold_raises(self):
+        idx = MinMaxIndex()
+        idx.add_range("d", 0, np.array([5, 9], dtype=np.int32))
+        for values in (np.array([2.5]), np.array([-2 ** 40])):
+            with pytest.raises(TypeError):  # not truncated into int32
+                idx.widen_batch("d", np.array([0]), values)
+        assert idx.to_record() == {"d": [(0, 2, 5, 9)]}
+        # a replayed record holds the column as int64, which int32 widens
+        replayed = MinMaxIndex.from_record(idx.to_record())
+        replayed.widen_batch("d", np.array([1]), np.array([1], np.int32))
+        assert replayed.to_record() == {"d": [(0, 2, 1, 9)]}
+
 
 class TestSerialization:
     def test_roundtrip(self):
         idx = build_index([3, 1, 4, 1, 5, 9, 2, 6], block=4)
         clone = MinMaxIndex.from_record(idx.to_record())
         assert clone.to_record() == idx.to_record()
+
+
+def _may_hold(lo, hi, op, literal) -> bool:
+    """Reference: can a value in [lo, hi] satisfy ``value op literal``?"""
+    if op == "in":
+        return any(lo <= value <= hi for value in literal)
+    return {"<": lo < literal, "<=": lo <= literal, ">": hi > literal,
+            ">=": hi >= literal, "=": lo <= literal <= hi}[op]
+
+
+def _runs(rows):
+    """Sorted row numbers as maximal [start, end) runs."""
+    runs = []
+    for row in rows:
+        if runs and runs[-1][1] == row:
+            runs[-1] = (runs[-1][0], row + 1)
+        else:
+            runs.append((row, row + 1))
+    return runs
+
+
+_INTS = st.integers(-30, 30)
+_TEXTS = st.text("abcd", max_size=3)
+#: x and y are int64 columns, s a string column; w has no stats
+_VALUES = {"x": _INTS, "y": _INTS, "s": _TEXTS, "w": _INTS}
+
+
+def _array(column, values):
+    return np.array(values, dtype=object if column == "s" else np.int64)
+
+
+@st.composite
+def _predicate(draw):
+    column = draw(st.sampled_from(sorted(_VALUES)))
+    op = draw(st.sampled_from(["<", "<=", ">", ">=", "=", "in"]))
+    if op == "in":
+        return column, op, _array(column, sorted(set(draw(
+            st.lists(_VALUES[column], max_size=4)))))
+    return column, op, draw(_VALUES[column])
+
+
+@given(data=st.data(), n=st.integers(1, 50),
+       widths=st.fixed_dictionaries({c: st.integers(1, 9) for c in "xys"}),
+       predicates=st.lists(_predicate(), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_skipping_matches_a_per_row_reference(data, n, widths, predicates):
+    """A row is kept iff, for every predicate column with stats, the row
+    lies in a range that may qualify: columns of different block widths,
+    widen batches (anchors past the end widen the last range), a column
+    without stats and ``n_rows`` below or past the stats."""
+    idx = MinMaxIndex()
+    model = {}  # column -> [start, count, lo, hi] per block, in row order
+    for column, width in widths.items():
+        values = data.draw(st.lists(_VALUES[column], min_size=n,
+                                    max_size=n))
+        model[column] = []
+        for start in range(0, n, width):
+            block = values[start:start + width]
+            idx.add_range(column, start, _array(column, block))
+            model[column].append([start, len(block), min(block),
+                                  max(block)])
+    batches = data.draw(st.lists(st.sampled_from("xys").flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.tuples(
+            st.integers(0, n + 5), _VALUES[c]), min_size=1, max_size=5))),
+        max_size=4))
+    for column, rows in batches:
+        idx.widen_batch(column, np.array([a for a, _ in rows], np.int64),
+                        _array(column, [v for _, v in rows]))
+        for anchor, value in rows:
+            r = max((r for r in model[column] if r[0] <= anchor),
+                    key=lambda r: r[0])
+            r[2], r[3] = min(r[2], value), max(r[3], value)
+    assert idx.to_record() == {c: [tuple(r) for r in rs]
+                               for c, rs in model.items()}
+    n_rows = data.draw(st.integers(0, n + 8))
+    kept = [row for row in range(n_rows) if all(
+        any(s <= row < s + c and _may_hold(lo, hi, op, literal)
+            for s, c, lo, hi in model[column])
+        for column, op, literal in predicates if column in model)]
+    assert idx.qualifying_ranges(predicates, n_rows) == _runs(kept)
 
 
 @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=200),

@@ -109,6 +109,20 @@ class TestPartitionStore:
         store.read_column("k", reader="n1")
         assert partial < hdfs.total_bytes_read() / 2
 
+    def test_stored_read_of_ranges_ending_inside_a_string_block(self, store):
+        """Distinct strings are stored LZ or RAW and read back stored as
+        a string image; a range ending inside such a block keeps it for
+        the next range, which sizes the image."""
+        cols = make_columns(3000)
+        cols["s"] = np.array([f"unique-{i}" for i in range(3000)], object)
+        store.append(cols, writer="n1")
+        refs = store.blocks["s"]
+        assert len(refs) > 1 and "PDICT" not in {r.scheme for r in refs}
+        ranges = [(5, 10), (20, refs[1].row_start + 3)]
+        image = store.read_column("s", ranges, stored=True)
+        want = [v for lo, hi in ranges for v in cols["s"][lo:hi].tolist()]
+        assert image.strings().tolist() == want
+
     def test_partial_block_merged_on_next_append(self, store, hdfs):
         store.append(make_columns(100), writer="n1")  # partial blocks
         partial_files = [p for p in store.file_paths() if "partial" in p]

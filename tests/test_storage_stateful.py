@@ -489,9 +489,11 @@ class ClusteredTableMachine(RuleBasedStateMachine):
             assert sum(r.n_rows for r in refs) == store.n_stable
             assert all(a.row_end == b.row_start
                        for a, b in zip(refs, refs[1:]))
-            assert [(r.row_start, r.row_count)
-                    for r in store.minmax.ranges.get(name, [])] == [
-                        (r.row_start, r.n_rows) for r in refs]
+            ranges = store.minmax.ranges.get(name)
+            starts, ends = (([], []) if ranges is None else
+                            (ranges.starts.tolist(), ranges.ends.tolist()))
+            assert list(zip(starts, ends)) == [(r.row_start, r.row_end)
+                                               for r in refs]
         assert {r.path for refs in store.blocks.values()
                 for r in refs} <= set(store.file_paths())
 
