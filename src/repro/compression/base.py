@@ -7,6 +7,14 @@ holds the hop distance to the next exception. Decoding first inflates all
 codes branch-free, then walks the chain once to collect the (typically few)
 exception positions and patches them with one scatter.
 
+The unit of decode is a *run*: consecutive blocks of one column and one
+scheme, decoded by one :func:`decompress` call into one array (a single
+block is a run of one). The blocks of a run that share a code width share
+one bit-unpack over their joined code streams
+(:func:`~repro.compression.bitpack.unpack_streams`); what is per block --
+a base, an exception chain, the stored entries -- is applied to the
+block's slice of that array, so no per-block output is ever joined.
+
 Encoding is two steps per scheme. ``analyse`` makes one numpy pass over the
 block and returns the *exact* size the scheme would encode it to (or
 declines); ``emit`` writes the bytes. :func:`compress_best` sizes a block
@@ -55,7 +63,8 @@ class CompressedBlock:
     raw_bytes: int = 0
     #: a PDICT string block being read: the column's shared dictionary it
     #: decodes over, as a function from stored strings to ``(dictionary,
-    #: their int32 codes in it)`` or None (then over its own strings)
+    #: their int32 codes in it)`` or None (then over its own strings); a
+    #: run decodes over its first block's
     shared: Optional[Callable[[list], Optional[tuple]]] = None
 
     @property
@@ -295,7 +304,10 @@ class CompressionScheme:
         return CompressedBlock(self.name, block.count,
                                self.emit(block, analysis))
 
-    def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
+    def decompress(self, blocks: Sequence[CompressedBlock],
+                   ctype: ColumnType) -> np.ndarray:
+        """The values of a run -- ``blocks``, consecutive blocks of this
+        scheme -- in order, as one column."""
         raise NotImplementedError
 
 
@@ -414,13 +426,23 @@ def compress_best(values: np.ndarray, ctype: ColumnType) -> CompressedBlock:
                            ctype.name, block.raw_size)
 
 
-def decompress(block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-    """Decompress a block with the scheme that produced it."""
-    scheme = SCHEMES.get(block.scheme)
+def decompress(blocks, ctype: ColumnType) -> np.ndarray:
+    """Decode a block, or a run of consecutive blocks of one column that
+    one scheme produced, into one column with that scheme: one call, one
+    ``decode.<scheme>`` kernel, whatever the number of blocks."""
+    run = [blocks] if isinstance(blocks, CompressedBlock) else blocks
+    name = run[0].scheme
+    scheme = SCHEMES.get(name)
     if scheme is None:
-        raise CompressionError(f"unknown scheme {block.scheme!r}")
+        raise CompressionError(f"unknown scheme {name!r}")
+    rows = nbytes = 0
+    for block in run:
+        if block.scheme != name:
+            raise CompressionError(
+                f"a run of {name} holds a {block.scheme} block")
+        rows += block.count
+        nbytes += len(block.data)
     # attributes to whichever operator is currently executing (usually a
     # scan), nesting under its scan.read_block kernel
-    with kernel(f"decode.{block.scheme.lower()}",
-                rows=block.count, nbytes=len(block.data)):
-        return scheme.decompress(block, ctype)
+    with kernel(f"decode.{name.lower()}", rows=rows, nbytes=nbytes):
+        return scheme.decompress(run, ctype)

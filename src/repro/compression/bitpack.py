@@ -34,6 +34,11 @@ _PLANS = (None,) + tuple(_plan(w) for w in range(1, MAX_CODE_WIDTH + 1))
 #: (its shift there is below 8)
 NARROW_WIDTH = 25
 
+#: most codes :func:`unpack_streams` unpacks with one call: the narrow
+#: plans and an unpack's temporaries grow with the stream, and this is
+#: one int32 column's block at 32 KB blocks
+RUN_CODES = 1 << 13
+
 #: per width up to NARROW_WIDTH: the first byte and the shift of every code
 #: of the longest block unpacked into a narrow dtype so far (a memo of
 #: constants: it grows only to the longest block, and no output depends
@@ -116,6 +121,37 @@ def unpack_bits(data, width: int, count: int, dtype=np.int64) -> np.ndarray:
     codes &= np.uint64((1 << width) - 1)
     codes = codes.reshape(-1)[:count]
     return codes.view(dtype) if wide else codes.astype(dtype)
+
+
+def unpack_streams(streams, dtype=np.int64) -> np.ndarray:
+    """The codes of several packed streams, in order, in one array:
+    ``streams`` holds one ``(data, width, count)`` per block of a run.
+
+    Consecutive streams of one width are one stream as long as each but
+    the last ends on a byte edge (``count * width`` a multiple of 8): their
+    bytes are joined and unpacked with one :func:`unpack_bits` call, up to
+    :data:`RUN_CODES` codes. A width change or a ragged end starts the next
+    call; those calls' outputs are joined once.
+    """
+    if len(streams) == 1:
+        data, width, count = streams[0]
+        return unpack_bits(data, width, count, dtype)
+    pieces, joined, width, total = [], [], 0, 0
+    for data, next_width, count in streams:
+        if joined and (next_width != width or total * width % 8
+                       or total + count > RUN_CODES):
+            pieces.append(_unpack_joined(joined, width, total, dtype))
+            joined, total = [], 0
+        width = next_width
+        joined.append(data[:packed_size(count, width)])
+        total += count
+    pieces.append(_unpack_joined(joined, width, total, dtype))
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _unpack_joined(streams, width: int, count: int, dtype) -> np.ndarray:
+    data = streams[0] if len(streams) == 1 else b"".join(streams)
+    return unpack_bits(data, width, count, dtype)
 
 
 def _unpack_narrow(stream: np.ndarray, width: int, count: int) -> np.ndarray:

@@ -55,15 +55,23 @@ class RawScheme(CompressionScheme):
         """The values uncompressed (:attr:`RawBlock.image`)."""
         return block.data
 
-    def image(self, block: CompressedBlock) -> StringImage:
-        """A string block as the image it stores: a rewrite re-encodes
-        it without turning a row into a ``str``."""
-        return StringImage.of_payload(self.payload(block), block.count)
+    def _payloads(self, blocks) -> bytes:
+        """A run's values uncompressed, block after block: one image."""
+        if len(blocks) == 1:
+            return self.payload(blocks[0])
+        return b"".join(map(self.payload, blocks))
 
-    def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-        data = self.payload(block)
+    def image(self, blocks) -> StringImage:
+        """A run of string blocks as the image they store: a rewrite
+        re-encodes it without turning a row into a ``str``."""
+        return StringImage.of_payload(self._payloads(blocks),
+                                      sum(b.count for b in blocks))
+
+    def decompress(self, blocks, ctype: ColumnType) -> np.ndarray:
+        """The run's payloads joined, then read as one."""
+        data = self._payloads(blocks)
         if ctype.is_string:
-            return _bytes_to_strings(data, block.count)
+            return _bytes_to_strings(data, sum(b.count for b in blocks))
         return np.frombuffer(data, dtype=ctype.dtype).copy()
 
 

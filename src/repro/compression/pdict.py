@@ -9,9 +9,9 @@ A string block is not inflated back to strings when it is read: it decodes
 to a :class:`~repro.engine.batch.DictColumn` -- every row's code in a
 sorted, distinct dictionary -- which is what the engine groups, joins,
 orders and filters on. The dictionary is the column's shared one when the
-reader has it (the stored entries and exceptions are looked up in it once
-per block, and the rows follow with one ``take``), else the block's own
-entries and exceptions, sorted and made distinct.
+reader has it (the stored entries and exceptions of every block of a run
+are looked up in it at once, and the rows follow with one ``take``), else
+the run's own entries and exceptions, sorted and made distinct.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.compression.base import (
 from repro.engine.batch import DictColumn, sorted_distinct
 
 _HEADER = "<iiii"  # width, first_exception, n_exceptions, n_dict
+_FRAME = struct.Struct(_HEADER)
 
 _MAX_DICT_WIDTH = 16  # dictionaries beyond 64K entries stop paying off
 
@@ -174,32 +175,48 @@ class PDictScheme(CompressionScheme):
         header = struct.pack(_HEADER, width, first, chain.size, len(entries))
         return header + stored + bitpack.pack_bits(codes, width)
 
-    def decompress(self, block: CompressedBlock, ctype: ColumnType):
-        view = memoryview(block.data)
-        width, first, n_exc, n_dict = struct.unpack_from(_HEADER, view)
-        offset = struct.calcsize(_HEADER)
-        # the dictionary's entries, then the exceptions
-        stored, offset = _decode_values(view, offset, n_dict + n_exc, ctype)
+    def decompress(self, blocks, ctype: ColumnType):
+        """A run's codes are inflated with one unpack per stretch of one
+        width. Each block's slice is made to index the run's stored
+        values -- every block's entries, then its exceptions, block after
+        block -- so the rows follow from them with one ``take``."""
         strings = ctype.is_string
-        codes = bitpack.unpack_bits(view[offset:], width, block.count,
-                                    np.int32 if strings else np.intp)
-        positions = patch_positions(codes, first, n_exc)
-        if strings:
-            # exceptions are entries too, numbered past the dictionary's;
-            # entries are stored by frequency and an exception may repeat
-            # one, so each stored string's code is looked up (or they are
-            # sorted and made distinct), the rows' codes following
-            if n_exc:
-                codes[positions] = np.arange(n_dict, n_dict + n_exc)
-            entries, code_of = ((block.shared and block.shared(stored))
-                                or sorted_distinct(stored))
-            return DictColumn(code_of.take(codes), entries)
-        # the exceptions' slots hold gap links: any in-bounds entry will
-        # do until they are patched
-        codes[positions] = 0
-        out = stored[:n_dict][codes]
-        out[positions] = stored[n_dict:]
-        return out
+        stored, chains, streams = [], [], []
+        n_stored = 0
+        for block in blocks:
+            view = memoryview(block.data)
+            width, first, n_exc, n_dict = _FRAME.unpack_from(view)
+            values, offset = _decode_values(view, _FRAME.size,
+                                            n_dict + n_exc, ctype)
+            stored.append(values)
+            chains.append((block.count, first, n_exc, n_dict, n_stored))
+            streams.append((view[offset:], width, block.count))
+            n_stored += n_dict + n_exc
+        codes = bitpack.unpack_streams(streams,
+                                       np.int32 if strings else np.intp)
+        at = 0
+        for count, first, n_exc, n_dict, base in chains:
+            part = codes[at: at + count]
+            positions = patch_positions(part, first, n_exc)
+            if n_exc:  # exceptions are stored past the block's entries
+                part[positions] = np.arange(n_dict, n_dict + n_exc)
+            if base:
+                part += base
+            at += count
+        if len(stored) == 1:
+            stored = stored[0]
+        elif strings:
+            stored = [value for values in stored for value in values]
+        else:
+            stored = np.concatenate(stored)
+        if not strings:
+            return stored[codes]
+        # an exception may repeat an entry and a block another block's:
+        # every stored string's code is looked up at once (or they are
+        # sorted and made distinct), the rows' codes following
+        entries, code_of = ((blocks[0].shared and blocks[0].shared(stored))
+                            or sorted_distinct(stored))
+        return DictColumn(code_of.take(codes), entries)
 
 
 register_scheme(PDictScheme())

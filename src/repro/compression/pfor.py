@@ -27,6 +27,7 @@ from repro.compression.base import (
 )
 
 _HEADER = "<qiii"  # base, width, first_exception, n_exceptions
+_FRAME = struct.Struct(_HEADER)
 
 
 def choose_width(deltas: np.ndarray) -> int:
@@ -99,20 +100,31 @@ class PForScheme(CompressionScheme):
         first, body = emit_frame(deltas, width, chain)
         return struct.pack(_HEADER, base, width, first, chain.size) + body
 
-    def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-        view = memoryview(block.data)
-        base, width, first, n_exc = struct.unpack_from(_HEADER, view)
-        body = struct.calcsize(_HEADER)
-        exceptions = np.frombuffer(view, "<i8", n_exc, body)
-        # Codes are inflated straight into the column's dtype. A code may
-        # exceed a 32-bit dtype on its own (negative base); it wraps on
-        # the way in and "+= base" wraps it back, the sum being a value
-        # of the column.
-        out = bitpack.unpack_bits(view[body + 8 * n_exc:], width,
-                                  block.count, ctype.dtype)
-        positions = patch_positions(out, first, n_exc)
-        out += base
-        out[positions] = exceptions + base
+    def decompress(self, blocks, ctype: ColumnType) -> np.ndarray:
+        """A run's codes are inflated with one unpack per stretch of one
+        width (:func:`~repro.compression.bitpack.unpack_streams`) straight
+        into the column's dtype; each block's slice then takes its base
+        and its exceptions."""
+        frames, streams = [], []
+        for block in blocks:
+            view = memoryview(block.data)
+            base, width, first, n_exc = _FRAME.unpack_from(view)
+            body = _FRAME.size + 8 * n_exc
+            frames.append((block.count, base, first, n_exc,
+                           view[_FRAME.size: body]))
+            streams.append((view[body:], width, block.count))
+        # A code may exceed a 32-bit dtype on its own (negative base); it
+        # wraps on the way in and "+= base" wraps it back, the sum being a
+        # value of the column.
+        out = bitpack.unpack_streams(streams, ctype.dtype)
+        at = 0
+        for count, base, first, n_exc, exceptions in frames:
+            part = out[at: at + count]
+            positions = patch_positions(part, first, n_exc)
+            part += base
+            if n_exc:
+                part[positions] = np.frombuffer(exceptions, "<i8") + base
+            at += count
         return out
 
 

@@ -25,6 +25,7 @@ from repro.compression.base import (
 from repro.compression.pfor import analyse_frame, emit_frame
 
 _HEADER = "<qqiii"  # first_value, base, width, first_exception, n_exceptions
+_FRAME = struct.Struct(_HEADER)
 
 
 class PForDeltaScheme(CompressionScheme):
@@ -55,25 +56,34 @@ class PForDeltaScheme(CompressionScheme):
         return struct.pack(_HEADER, int(block.int64[0]), base, width, first,
                            chain.size) + body
 
-    def decompress(self, block: CompressedBlock, ctype: ColumnType) -> np.ndarray:
-        view = memoryview(block.data)
-        first_value, base, width, first, n_exc = struct.unpack_from(
-            _HEADER, view
-        )
-        body = struct.calcsize(_HEADER)
-        exceptions = np.frombuffer(view, "<i8", n_exc, body)
-        diffs = bitpack.unpack_bits(view[body + 8 * n_exc:], width,
-                                    block.count - 1)
-        positions = patch_positions(diffs, first, n_exc)
-        diffs += base
-        diffs[positions] = exceptions + base
-        # the running sum is taken in int64, in place, whatever the
-        # column's dtype; the output is written once
-        diffs[0] += first_value
-        np.cumsum(diffs, out=diffs)
-        out = np.empty(block.count, dtype=ctype.dtype)
-        out[0] = first_value
-        out[1:] = diffs
+    def decompress(self, blocks, ctype: ColumnType) -> np.ndarray:
+        """A run's gaps are inflated with one unpack per stretch of one
+        width; each block's slice is patched, takes its base and is
+        summed up from the block's first value in place, in int64
+        whatever the column's dtype. The output is written once."""
+        frames, streams = [], []
+        for block in blocks:
+            view = memoryview(block.data)
+            first_value, base, width, first, n_exc = _FRAME.unpack_from(view)
+            body = _FRAME.size + 8 * n_exc
+            frames.append((block.count - 1, first_value, base, first, n_exc,
+                           view[_FRAME.size: body]))
+            streams.append((view[body:], width, block.count - 1))
+        diffs = bitpack.unpack_streams(streams)
+        out = np.empty(len(diffs) + len(frames), dtype=ctype.dtype)
+        row = gap = 0
+        for n, first_value, base, first, n_exc, exceptions in frames:
+            part = diffs[gap: gap + n]
+            positions = patch_positions(part, first, n_exc)
+            part += base
+            if n_exc:
+                part[positions] = np.frombuffer(exceptions, "<i8") + base
+            part[0] += first_value
+            np.cumsum(part, out=part)
+            out[row] = first_value
+            out[row + 1: row + 1 + n] = part
+            row += n + 1
+            gap += n
         return out
 
 

@@ -9,7 +9,7 @@ apples-to-apples at the plan level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.expressions import (
     And, Between, Col, Const, Expr, InList, Param)
@@ -133,48 +133,6 @@ class LUnionAll(LogicalPlan):
 
     def __post_init__(self):
         self.children = tuple(self.inputs)
-
-
-def rollup(child_factory, keys: Sequence[str], aggregates,
-           placeholders: Dict[str, object]) -> LogicalPlan:
-    """Build a ROLLUP as a union of aggregations (paper section 1 names
-    ROLL UP / GROUPING SETS among the analytical SQL VectorH serves).
-
-    ``child_factory()`` must return a fresh logical subtree per grouping
-    level (logical nodes are single-use); level *i* groups by the first
-    ``len(keys)-i`` keys, with dropped keys replaced by their placeholder
-    value, down to the grand total.
-    """
-    levels = []
-    for depth in range(len(keys), -1, -1):
-        group = list(keys[:depth])
-        aggr = LAggr(child_factory(), group, list(aggregates))
-        outputs = {}
-        for key in keys:
-            outputs[key] = Col(key) if key in group \
-                else Const(placeholders[key])
-        for name, _, _ in aggregates:
-            outputs[name] = Col(name)
-        outputs["__grouping_level"] = Const(depth)
-        levels.append(LProject(aggr, outputs))
-    return LUnionAll(levels)
-
-
-def grouping_sets(child_factory, sets: Sequence[Sequence[str]],
-                  all_keys: Sequence[str], aggregates,
-                  placeholders: Dict[str, object]) -> LogicalPlan:
-    """GROUPING SETS as a union of one aggregation per requested set."""
-    branches = []
-    for group in sets:
-        aggr = LAggr(child_factory(), list(group), list(aggregates))
-        outputs = {}
-        for key in all_keys:
-            outputs[key] = Col(key) if key in group \
-                else Const(placeholders[key])
-        for name, _, _ in aggregates:
-            outputs[name] = Col(name)
-        branches.append(LProject(aggr, outputs))
-    return LUnionAll(branches)
 
 
 @dataclass

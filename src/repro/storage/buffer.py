@@ -34,6 +34,8 @@ class BufferPool:
         self.hdfs = hdfs
         self.capacity_bytes = capacity_bytes
         self.node = node
+        #: the ``node`` label's key in this pool's counters
+        self._label = (str(node),)
         self.registry = registry or MetricsRegistry()
         self._cache: "OrderedDict[_Key, bytes]" = OrderedDict()
         self._used = 0
@@ -68,9 +70,9 @@ class BufferPool:
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
-            self._hits.inc(node=self.node)
+            self._hits.add(self._label)
             return cached
-        self._misses.inc(node=self.node)
+        self._misses.add(self._label)
         data = self.hdfs.read(path, offset, length, reader=reader)
         self._insert(key, data)
         return data

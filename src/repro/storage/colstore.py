@@ -43,6 +43,7 @@ from repro.storage.schema import TableSchema
 _SCHEME_IDS = {"RAW": 0, "PFOR": 1, "PFOR-DELTA": 2, "PDICT": 3, "LZ": 4}
 _SCHEME_NAMES = {v: k for k, v in _SCHEME_IDS.items()}
 _BLOCK_HEADER = "<BII"  # scheme id, tuple count, payload length
+_HEADER = struct.Struct(_BLOCK_HEADER)
 #: what a PartitionStore knows about its files (``_reset_catalog`` sets it)
 _CATALOG = ("n_stable", "blocks", "minmax", "_open_chunk",
             "_open_chunk_blocks", "_partial_file", "_partial_refs")
@@ -134,16 +135,20 @@ class BlockCursor:
     ascending order, each of which may span several of its blocks.
 
     It reads the blocks the column had when the cursor was made (a later
-    append does not move them) and decodes each block once: the block a
-    range ends inside of is kept for the next range. A range's slices are
-    joined with :func:`concat_stored`, so a coded string column stays
-    coded over its one dictionary.
+    append does not move them). The blocks a range needs are fetched
+    together and decoded as runs -- one per stretch of one scheme,
+    usually all of them (:meth:`PartitionStore._read_run`) -- and the
+    range is slices of those, joined with :func:`concat_stored` (a coded
+    string column stays coded). Each block is decoded once: the block a
+    range ends inside of is kept for the next range, in arrays of its
+    own when its run holds more blocks, so that it pins no more than
+    :attr:`kept_bytes` says.
     """
 
     def __init__(self, store: "PartitionStore", name: str,
                  reader: Optional[str], pool: Optional[BufferPool],
                  stored: bool = False):
-        self._read = partial(store._read_block, reader=reader, pool=pool,
+        self._read = partial(store._read_run, reader=reader, pool=pool,
                              stored=stored)
         self._refs = list(store.blocks[name])
         self._starts = [ref.row_start for ref in self._refs]
@@ -153,19 +158,37 @@ class BlockCursor:
         self.kept_bytes = 0
 
     def read(self, lo: int, hi: int):
+        first = bisect_right(self._starts, lo) - 1
+        last = bisect_left(self._starts, hi) - 1
         parts = []
-        for at in range(bisect_right(self._starts, lo) - 1,
-                        bisect_left(self._starts, hi)):
-            values = (self._values if at == self._at
-                      else self._read(self._refs[at]))
-            start = self._starts[at]
-            parts.append(values[max(lo, start) - start: hi - start])
-        if hi >= self._refs[at].row_end:
+        if first == self._at:  # starts in the kept block
+            start = self._starts[first]
+            parts.append(self._values[lo - start: hi - start])
+            first += 1
+        if first <= last:
+            end = self._starts[first]
+            for values in self._read(self._refs[first: last + 1]):
+                start, end = end, end + len(values)
+                parts.append(values[max(lo, start) - start: hi - start])
+        if hi >= self._refs[last].row_end:
             self._at, self._values, self.kept_bytes = -1, None, 0
-        elif at != self._at:
-            self._at, self._values = at, values
-            self.kept_bytes = batch_bytes(Batch({"": values}, len(values)))
+        elif last != self._at:
+            at = self._starts[last] - start
+            self._at = last
+            self._values = _detached(values[at:]) if at else values
+            self.kept_bytes = batch_bytes(Batch({"": self._values},
+                                                len(self._values)))
         return parts[0] if len(parts) == 1 else concat_stored(parts)
+
+
+def _detached(values):
+    """``values``, the tail of a run, in arrays of their own."""
+    if isinstance(values, DictColumn):
+        return DictColumn(values.codes.copy(), values.dictionary)
+    if isinstance(values, StringImage):
+        sizes = values.sizes.copy()
+        return StringImage(values.packed, np.cumsum(sizes) - sizes, sizes)
+    return values.copy()
 
 
 class PartitionStore:
@@ -265,7 +288,7 @@ class PartitionStore:
             if ref is None:
                 merged[name] = (self.n_stable, arrays[name])
                 continue
-            old = self._read_block(ref, reader=writer, stored=True)
+            old, = self._read_run([ref], reader=writer, stored=True)
             merged[name] = (ref.row_start, extended(old, arrays[name]))
             self.blocks[name].pop()  # the partial block is the last one
             ranges = self.minmax.ranges[name]
@@ -325,31 +348,50 @@ class PartitionStore:
 
     # ------------------------------------------------------------------- reads
 
-    def _read_block(self, ref: BlockRef, reader: Optional[str] = None,
-                    pool: Optional[BufferPool] = None,
-                    stored: bool = False) -> np.ndarray:
-        with kernel("scan.read_block", nbytes=ref.length) as k:
-            if pool is not None:
-                raw = pool.read(ref.path, ref.offset, ref.length, reader)
-            else:
-                raw = self.hdfs.read(ref.path, ref.offset, ref.length, reader)
-            scheme_id, count, payload_len = struct.unpack_from(
-                _BLOCK_HEADER, raw
-            )
-            # a view into the pooled bytes, not a copy
-            payload = memoryview(raw)[struct.calcsize(_BLOCK_HEADER):]
-            if len(payload) != payload_len:
-                raise StorageError(f"corrupt block in {ref.path}@{ref.offset}")
-            k.account(rows=count)
-            block = CompressedBlock(_SCHEME_NAMES[scheme_id], count, payload)
-            ctype = self.schema.ctype(ref.column)
-            if ctype.is_string and block.scheme == "PDICT":
-                block.shared = partial(self.dictionaries.encode, ref.column)
-            elif ctype.is_string and stored:
-                return SCHEMES[block.scheme].image(block)
-            # the nested decode.<scheme> kernel subtracts itself from this
-            # frame, so read_block seconds stay IO+header-only
-            return decompress(block, ctype)
+    def _read_run(self, refs: Sequence[BlockRef],
+                  reader: Optional[str] = None,
+                  pool: Optional[BufferPool] = None,
+                  stored: bool = False) -> list:
+        """The rows of ``refs`` -- consecutive blocks of one column -- as
+        one column per run (stretch of blocks of one scheme), in row
+        order. Every block is fetched (through ``pool`` when given), then
+        each run is decoded with one :func:`decompress` call: a string
+        column's PDICT blocks over the column's shared dictionary, its LZ
+        and RAW blocks -- ``stored`` -- as one :class:`StringImage`."""
+        name = refs[0].column
+        ctype = self.schema.ctype(name)
+        with kernel("scan.read_block") as k:
+            runs: List[List[CompressedBlock]] = []
+            for ref in refs:
+                if pool is not None:
+                    raw = pool.read(ref.path, ref.offset, ref.length, reader)
+                else:
+                    raw = self.hdfs.read(ref.path, ref.offset, ref.length,
+                                         reader)
+                scheme_id, count, payload_len = _HEADER.unpack_from(raw)
+                # a view into the pooled bytes, not a copy
+                payload = memoryview(raw)[_HEADER.size:]
+                if len(payload) != payload_len:
+                    raise StorageError(
+                        f"corrupt block in {ref.path}@{ref.offset}")
+                k.account(rows=count, nbytes=ref.length)
+                block = CompressedBlock(_SCHEME_NAMES[scheme_id], count,
+                                        payload)
+                if runs and runs[-1][0].scheme == block.scheme:
+                    runs[-1].append(block)
+                else:
+                    runs.append([block])
+            parts = []
+            for run in runs:
+                if ctype.is_string and run[0].scheme == "PDICT":
+                    run[0].shared = partial(self.dictionaries.encode, name)
+                elif ctype.is_string and stored:
+                    parts.append(SCHEMES[run[0].scheme].image(run))
+                    continue
+                # the nested decode.<scheme> kernel subtracts itself from
+                # this frame, so read_block seconds stay IO+header-only
+                parts.append(decompress(run, ctype))
+        return parts
 
     def read_column(self, name: str,
                     ranges: Optional[Sequence[Tuple[int, int]]] = None,
@@ -360,13 +402,15 @@ class PartitionStore:
 
         Only blocks overlapping the requested ranges are read -- this is
         where MinMax skipping and the scan's row filter turn into IO and
-        decode savings. A string column comes back dictionary-coded (one
-        :class:`~repro.engine.batch.DictColumn`, over the dictionary its
-        blocks share) when every block read was PDICT, as a plain object
-        array as soon as one was LZ or RAW -- or, ``stored`` (a rewrite,
-        which only re-encodes the strings), as a :class:`StringImage`:
-        the LZ and RAW blocks' payloads as they are, the PDICT blocks'
-        entries in use encoded once, no row a Python ``str``.
+        decode savings -- and the blocks of one range are decoded as one
+        run (:class:`BlockCursor`). A string column comes back
+        dictionary-coded (one :class:`~repro.engine.batch.DictColumn`,
+        over the dictionary its blocks share) when every block read was
+        PDICT, as a plain object array as soon as one was LZ or RAW --
+        or, ``stored`` (a rewrite, which only re-encodes the strings), as
+        a :class:`StringImage`: the LZ and RAW blocks' payloads as they
+        are, the PDICT blocks' entries in use encoded once, no row a
+        Python ``str``.
         """
         if ranges is None:
             ranges = [(0, self.n_stable)]

@@ -88,13 +88,13 @@ def _count(cluster, trans=None) -> int:
 def decoded(monkeypatch):
     """Blocks decoded per column."""
     counts = Counter()
-    read_block = PartitionStore._read_block
+    read_run = PartitionStore._read_run
 
-    def counting_read(self, ref, *args, **kwargs):
-        counts[ref.column] += 1
-        return read_block(self, ref, *args, **kwargs)
+    def counting_read(self, refs, *args, **kwargs):
+        counts.update(ref.column for ref in refs)
+        return read_run(self, refs, *args, **kwargs)
 
-    monkeypatch.setattr(PartitionStore, "_read_block", counting_read)
+    monkeypatch.setattr(PartitionStore, "_read_run", counting_read)
     return counts
 
 

@@ -262,7 +262,7 @@ def test_pdict_block_decodes_to_codes_with_exceptions_as_entries(rare):
     block = SCHEMES["PDICT"].compress(values, STRING)
     _, _, n_exceptions, n_dict = struct.unpack_from("<iiii", block.data)
     assert (n_exceptions > 0) == (rare > 0)
-    decoded = SCHEMES["PDICT"].decompress(block, STRING)
+    decoded = SCHEMES["PDICT"].decompress([block], STRING)
     assert isinstance(decoded, DictColumn)
     well_formed(decoded)
     assert decoded.codes.dtype == np.int32

@@ -20,6 +20,7 @@ from repro.mpp import (
     RewriterFlags,
 )
 from repro.mpp import plan as P
+from repro.mpp.logical import LUnionAll
 from repro.mpp.rewriter import split_aggregates
 from repro.net.mpi import MpiFabric, dxchg_buffer_memory
 from repro.storage import Column, TableSchema
@@ -206,6 +207,15 @@ class TestCountType:
 
 
 class TestExecution:
+    def test_union_all_concatenates(self, cluster):
+        plan = LUnionAll([
+            LAggr(LScan("fact", ["v"]), [], [("n", "count", None)]),
+            LAggr(LScan("fact", ["v"]), [], [("n", "count", None)]),
+        ])
+        out = cluster.query(plan).batch
+        assert out.n == 2
+        assert list(out.columns["n"]) == [3000, 3000]
+
     def test_query_correctness_all_rule_combinations(self, cluster):
         plan = LAggr(
             LJoin(build=LScan("tiny", ["tk", "label"]),

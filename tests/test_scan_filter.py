@@ -99,7 +99,7 @@ def _assert_every_scheme_round_trips(values, ctype):
     for scheme in SCHEMES.values():
         if not scheme.can_compress(values, ctype):
             continue
-        out = scheme.decompress(scheme.compress(values, ctype), ctype)
+        out = scheme.decompress([scheme.compress(values, ctype)], ctype)
         assert out.dtype == values.dtype, scheme.name
         assert np.array_equal(out, values), scheme.name
     assert np.array_equal(
@@ -436,7 +436,7 @@ class TestScanPartitionFilter:
         seen = []
         monkeypatch.setattr(colstore, "decompress",
                             lambda block, ctype: seen.append((block, ctype)))
-        store._read_block(ref)
+        store._read_run([ref])
         monkeypatch.undo()
         (block, ctype), = seen
         decompress(block, ctype)  # warm imports and caches

@@ -51,11 +51,11 @@ def spied(monkeypatch):
     """Blocks decoded per column, the partitions whose scan started and
     the pieces handed on."""
     decoded, started, handed = Counter(), [], []
-    read_block = PartitionStore._read_block
+    read_run = PartitionStore._read_run
 
-    def counting_read(self, ref, *args, **kwargs):
-        decoded[ref.column] += 1
-        return read_block(self, ref, *args, **kwargs)
+    def counting_read(self, refs, *args, **kwargs):
+        decoded.update(ref.column for ref in refs)
+        return read_run(self, refs, *args, **kwargs)
 
     pieces = StoredTable.scan_pieces
 
@@ -65,7 +65,7 @@ def spied(monkeypatch):
             handed.append(piece.n_rows)
             yield piece
 
-    monkeypatch.setattr(PartitionStore, "_read_block", counting_read)
+    monkeypatch.setattr(PartitionStore, "_read_run", counting_read)
     monkeypatch.setattr(StoredTable, "scan_pieces", counting_pieces)
     return decoded, started, handed
 
@@ -346,13 +346,13 @@ class TestCoarsestColumnPieces:
         table = c.table("w")
         c.update_where("w", Col("a") < 40, {"d": Col("d") + 1})
         decoded = Counter()
-        read_block = PartitionStore._read_block
+        read_run = PartitionStore._read_run
 
-        def counting_read(self, ref, *args, **kwargs):
-            decoded[ref.column, ref.row_start] += 1
-            return read_block(self, ref, *args, **kwargs)
+        def counting_read(self, refs, *args, **kwargs):
+            decoded.update((ref.column, ref.row_start) for ref in refs)
+            return read_run(self, refs, *args, **kwargs)
 
-        monkeypatch.setattr(PartitionStore, "_read_block", counting_read)
+        monkeypatch.setattr(PartitionStore, "_read_run", counting_read)
         for pid in range(2):
             decoded.clear()
             store = table.partitions[pid]

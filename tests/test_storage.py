@@ -82,9 +82,9 @@ class TestPartitionStore:
             struct.calcsize("<BII"))[2] for r in refs]
         assert (sum(exceptions) > 0) == rare
         for ref in refs:  # a rare string grows the dictionary: a new one
-            block = store._read_block(ref)
+            block, = store._read_run([ref])
             assert block.dictionary is store.dictionaries.encode("s", [])[0]
-        blocks = [store._read_block(ref) for ref in refs]
+        blocks = [store._read_run([ref])[0] for ref in refs]
         shared = store.dictionaries.encode("s", [])[0]
         assert all(b.dictionary is shared for b in blocks)
         assert shared.tolist() == sorted(set(cols["s"].tolist()))
